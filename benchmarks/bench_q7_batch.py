@@ -1,16 +1,15 @@
-"""Q7 (PR10): vectorized batch execution vs the row-at-a-time pipelines.
+"""Q7: the simple-shape columnar sinks vs the row-at-a-time stream engine.
 
-The perf claims of the PR, on the same government-world graph the Q1/Q2
-benchmarks use:
+On the same government-world graph the Q1/Q2 benchmarks use:
 
 * single-scan aggregation (the paper's "predicate histogram" shape, a
-  portal-profiling staple) runs >= 3x faster through the columnar
-  pipeline than the lazy volcano engine, because COUNT folds consume a
-  whole ``array('q')`` column per call instead of one row per call;
-* the batched join keeps pace with the row engines while shipping column
-  batches end to end (scan -> probe -> sink without per-row tuples);
-* results are bit-identical to the row-at-a-time engines on every
-  record -- the speed never buys a different answer.
+  portal-profiling staple) runs >= 3x faster on the default engine than
+  on the lazy volcano engine, because COUNT folds consume a whole
+  ``array('q')`` column per call instead of one row per call;
+* a join ships the eager join's rows to the sinks as column batches and
+  keeps pace with the volcano join;
+* results are bit-identical to the stream engine on every record -- the
+  speed never buys a different answer.
 
 Methodology: the A/B arms are interleaved ``perf_counter`` pairs with
 the arm order alternating per round, and the gate is the median of the
@@ -54,8 +53,8 @@ AGG_DISTINCT_QUERY = (
 #: back to their full property lists, shipped as column batches
 JOIN_QUERY = "SELECT ?s ?o WHERE { ?s a ?c . ?s ?p ?o }"
 
-#: join feeding an aggregation: batches survive the probe and land in
-#: the fold without ever widening into row tuples
+#: join feeding an aggregation: the joined rows land in the fold as
+#: column batches
 JOIN_AGG_QUERY = (
     "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c . ?s ?p ?o } GROUP BY ?c"
 )
@@ -91,30 +90,24 @@ def _ab_rounds(run_a, run_b):
 def test_q7_batch_aggregation_beats_row_at_a_time(benchmark, graph, record_table):
     """The headline gate: columnar COUNT folds >= 3x over the volcano
     row loop on the predicate histogram, identical rows."""
-    benchmark.pedantic(evaluate, args=(graph, AGG_QUERY, "batch"),
-                       iterations=1, rounds=1)
+    benchmark.pedantic(evaluate, args=(graph, AGG_QUERY), iterations=1, rounds=1)
 
-    batch_engine = QueryEngine(graph, strategy="batch")
-    batch_rows = _rows(batch_engine.run(AGG_QUERY))
-    assert batch_rows == _rows(evaluate(graph, AGG_QUERY, "stream"))
-    assert batch_rows == _rows(evaluate(graph, AGG_QUERY, "hash"))
-    stats = batch_engine.exec_stats
-    assert stats["operator"] == "batch-aggregate"
+    engine = QueryEngine(graph)
+    rows = _rows(engine.run(AGG_QUERY))
+    assert rows == _rows(evaluate(graph, AGG_QUERY, "stream"))
+    stats = engine.exec_stats
+    assert stats["operator"] == "aggregate-id"
     assert stats["input_rows"] == len(graph)
-    # O(groups) state and O(rows / batch_size) control-flow transfers
-    assert stats["tracked_rows"] == len(batch_rows)
-    assert stats["batches"] == -(-len(graph) // batch_engine.batch_size)
+    # O(groups) state and O(rows / BATCH_SIZE) control-flow transfers
+    assert stats["tracked_rows"] == len(rows)
+    assert stats["batches"] == -(-len(graph) // QueryEngine.BATCH_SIZE)
 
-    batch, stream, speedup = _ab_rounds(
-        lambda: evaluate(graph, AGG_QUERY, "batch"),
+    columnar, stream, speedup = _ab_rounds(
+        lambda: evaluate(graph, AGG_QUERY),
         lambda: evaluate(graph, AGG_QUERY, "stream"),
     )
-    _, hash_best, hash_speedup = _ab_rounds(
-        lambda: evaluate(graph, AGG_QUERY, "batch"),
-        lambda: evaluate(graph, AGG_QUERY, "hash"),
-    )
     _, _, distinct_speedup = _ab_rounds(
-        lambda: evaluate(graph, AGG_DISTINCT_QUERY, "batch"),
+        lambda: evaluate(graph, AGG_DISTINCT_QUERY),
         lambda: evaluate(graph, AGG_DISTINCT_QUERY, "stream"),
     )
 
@@ -122,50 +115,45 @@ def test_q7_batch_aggregation_beats_row_at_a_time(benchmark, graph, record_table
         "q7_batch_aggregate",
         "\n".join(
             [
-                f"Q7 (PR10): predicate histogram over {len(graph)} triples, "
-                f"batch_size={batch_engine.batch_size} "
+                f"Q7: predicate histogram over {len(graph)} triples, "
+                f"BATCH_SIZE={QueryEngine.BATCH_SIZE} "
                 f"(median of {ROUNDS} interleaved A/B rounds)",
                 "",
-                f"{'pipeline':<28} {'best time':>12} {'vs batch':>9}",
-                f"{'columnar fold (batch)':<28} {batch * 1000:>10.2f}ms "
-                f"{1.0:>8.1f}x",
+                f"{'pipeline':<28} {'best time':>12} {'vs default':>11}",
+                f"{'columnar fold (default)':<28} {columnar * 1000:>10.2f}ms "
+                f"{1.0:>10.1f}x",
                 f"{'volcano rows (stream)':<28} {stream * 1000:>10.2f}ms "
-                f"{speedup:>8.1f}x",
-                f"{'eager rows (hash)':<28} {hash_best * 1000:>10.2f}ms "
-                f"{hash_speedup:>8.1f}x",
+                f"{speedup:>10.1f}x",
                 f"{'COUNT(DISTINCT) vs stream':<28} {'':>12} "
-                f"{distinct_speedup:>8.1f}x",
+                f"{distinct_speedup:>10.1f}x",
                 "",
-                f"gate: median batch speedup vs stream >= {MIN_AGG_SPEEDUP}x",
+                f"gate: median speedup vs stream >= {MIN_AGG_SPEEDUP}x",
             ]
         ),
     )
     assert speedup >= MIN_AGG_SPEEDUP
-    # the eager row engine also loses to whole-column folds
-    assert hash_speedup >= 1.5
 
 
 def test_q7_batch_join_ships_column_batches(benchmark, graph, record_table):
-    """The batched probe matches the volcano join row for row while
-    moving O(rows / batch_size) control-flow transfers, and never loses
-    to it on wall clock."""
-    benchmark.pedantic(evaluate, args=(graph, JOIN_QUERY, "batch"),
-                       iterations=1, rounds=1)
+    """The eager join's rows reach the sink as O(rows / BATCH_SIZE)
+    column batches, row for row what the volcano join returns, and the
+    default engine never loses to it on wall clock."""
+    benchmark.pedantic(evaluate, args=(graph, JOIN_QUERY), iterations=1, rounds=1)
 
-    engine = QueryEngine(graph, strategy="batch")
+    engine = QueryEngine(graph)
     join_rows = _rows(engine.run(JOIN_QUERY))
     assert join_rows == _rows(evaluate(graph, JOIN_QUERY, "stream"))
     stats = engine.exec_stats
-    assert stats["operator"] == "batch-select"
+    assert stats["operator"] == "select-id"
     assert stats["input_rows"] >= 10_000
-    assert stats["batches"] <= -(-stats["input_rows"] // engine.batch_size) + 1
+    assert stats["batches"] == -(-stats["input_rows"] // QueryEngine.BATCH_SIZE)
 
-    batch, stream, speedup = _ab_rounds(
-        lambda: evaluate(graph, JOIN_QUERY, "batch"),
+    default, stream, speedup = _ab_rounds(
+        lambda: evaluate(graph, JOIN_QUERY),
         lambda: evaluate(graph, JOIN_QUERY, "stream"),
     )
     _, _, agg_speedup = _ab_rounds(
-        lambda: evaluate(graph, JOIN_AGG_QUERY, "batch"),
+        lambda: evaluate(graph, JOIN_AGG_QUERY),
         lambda: evaluate(graph, JOIN_AGG_QUERY, "stream"),
     )
 
@@ -173,29 +161,30 @@ def test_q7_batch_join_ships_column_batches(benchmark, graph, record_table):
         "q7_batch_join",
         "\n".join(
             [
-                f"Q7 (PR10): {stats['input_rows']}-row join in "
+                f"Q7: {stats['input_rows']}-row join in "
                 f"{stats['batches']} column batches "
                 f"(median of {ROUNDS} interleaved A/B rounds)",
                 "",
                 f"{'record':<28} {'best time':>12} {'vs stream':>10}",
-                f"{'join, batch':<28} {batch * 1000:>10.2f}ms "
+                f"{'join, default':<28} {default * 1000:>10.2f}ms "
                 f"{speedup:>9.1f}x",
                 f"{'join, stream':<28} {stream * 1000:>10.2f}ms "
                 f"{1.0:>9.1f}x",
-                f"{'join + GROUP BY, batch':<28} {'':>12} "
+                f"{'join + GROUP BY, default':<28} {'':>12} "
                 f"{agg_speedup:>9.1f}x",
             ]
         ),
     )
-    # the probe builds its table per query; the win here is modest (the
-    # aggregation gate above is the headline) but must never invert
+    # the join itself is the eager row join; the win over stream is
+    # modest (the aggregation gate above is the headline) but must
+    # never invert
     assert speedup >= 1.1
     assert agg_speedup >= 1.5
 
 
 def test_q7_bench_agg_batch(benchmark, graph):
-    """Tracked: columnar predicate histogram (the PR's headline record)."""
-    result = benchmark(evaluate, graph, AGG_QUERY, "batch")
+    """Tracked: columnar predicate histogram (the headline record)."""
+    result = benchmark(evaluate, graph, AGG_QUERY)
     assert len(result.rows) > 0
 
 
@@ -206,12 +195,12 @@ def test_q7_bench_agg_stream(benchmark, graph):
 
 
 def test_q7_bench_join_batch(benchmark, graph):
-    """Tracked: the paper-workload join through column batches."""
-    result = benchmark(evaluate, graph, JOIN_QUERY, "batch")
+    """Tracked: the paper-workload join into the columnar select sink."""
+    result = benchmark(evaluate, graph, JOIN_QUERY)
     assert len(result.rows) >= 10_000
 
 
 def test_q7_bench_join_agg_batch(benchmark, graph):
     """Tracked: join feeding a columnar GROUP BY fold."""
-    result = benchmark(evaluate, graph, JOIN_AGG_QUERY, "batch")
+    result = benchmark(evaluate, graph, JOIN_AGG_QUERY)
     assert len(result.rows) > 0

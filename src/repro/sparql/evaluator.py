@@ -18,12 +18,11 @@ is small enough that the classic textbook pipeline would only add plumbing):
 5. solution modifiers (ORDER/DISTINCT/OFFSET/LIMIT) apply last, in the order
    the SPARQL spec defines.
 
-Four BGP pipelines coexist behind ``QueryEngine(graph, strategy=...)``:
+Three BGP pipelines sit behind ``QueryEngine(graph, strategy=...)``:
 
 * ``"hash"`` (default) -- the eager dictionary-encoded hash-join pipeline
-  above, plus an ID-space SELECT fast path.  LIMIT-bounded general queries
-  delegate to the streaming operators so pagination stops early, and
-  ``ORDER BY ... LIMIT k`` delegates to the bounded top-k operator.
+  above.  Small-LIMIT queries delegate to the streaming operators so
+  pagination stops early.
 * ``"stream"`` -- a volcano-style pipeline: every operator (pattern scan,
   hash/index join, FILTER, OPTIONAL, UNION, VALUES, projection, DISTINCT,
   OFFSET/LIMIT) is a generator over ID-tuple rows, so ``LIMIT k`` pulls
@@ -35,19 +34,21 @@ Four BGP pipelines coexist behind ``QueryEngine(graph, strategy=...)``:
   dedup, slice), and column-shaped GROUP BY/aggregation folds
   incrementally into per-group :class:`_AggFold` accumulators (O(groups)
   state; COUNT DISTINCT via per-group seen-sets of encoded values).
-* ``"batch"`` -- vectorized columnar execution: the hash engine plus a
-  batch fast path for the simple shape (plain BGP + term-test filters).
-  Operators pass batches of ID *columns* (``batch_size`` rows at a time,
-  volcano control flow between batches) instead of per-row tuples:
-  batched index scans off the sorted shard runs, a vectorized
-  hash-probe (build once, probe a column at a time), columnar FILTER
-  via selection vectors, batched projection/DISTINCT, batched top-k
-  and per-batch aggregate folds (:meth:`_AggFold.fold_batch`).  Shapes
-  the batch path cannot take fall through to the hash delegation
-  ladder, exactly like hash delegates to the streaming operators.
 * ``"scan"`` -- the legacy substitute-and-scan nested-loop join kept as
-  the conformance oracle; the suite runs every query through all four
+  the conformance oracle; the suite runs every query through all three
   pipelines and asserts identical solutions.
+
+The *simple shape* -- plain triple patterns plus one-variable term-test
+FILTERs, with bare-variable projections, sort keys and aggregates --
+has one executor (:meth:`QueryEngine._run_select_simple`): a source of
+ID *column* batches (``BATCH_SIZE`` rows each, volcano control flow
+between batches) feeds a columnar FILTER (selection vectors) and one of
+three sinks -- projection/DISTINCT/slice, top-k/sort, or GROUP BY fold
+(:meth:`_AggFold.fold_batch`).  The source follows from the compiled
+patterns, never from a caller option: a single pattern streams batches
+straight off the index (zero-copy on the sorted shard runs), several
+patterns run the eager join and transpose its rows, and the ``stream``
+engine chunks its lazy join chain.
 
 Compiled plans (encoded patterns + cardinality estimates) live in a
 :class:`_SharedPlanCache` attached to the *graph* (one per graph, shared
@@ -222,14 +223,14 @@ class _AggFold:
     """Incremental fold of ONE aggregate inside ONE group.
 
     This is the single aggregation implementation behind every pipeline:
-    the eager ID-space fast path, the streaming GROUP BY operator and the
+    the columnar aggregate sink, the streaming GROUP BY operator and the
     general ``_aggregate`` fold all feed values into instances of this
     class, so COUNT/SUM/MIN/MAX/AVG/SAMPLE/GROUP_CONCAT (and their
     DISTINCT variants) cannot diverge between strategies.
 
-    Values arrive one at a time in solution order, either as dictionary
-    IDs (with a ``decode`` callable; the fast path) or as ground terms
-    (the term-level pipelines).  DISTINCT deduplicates on the *encoded*
+    Values arrive in solution order, either as dictionary IDs (with a
+    ``decode`` callable; the columnar sink) or as ground terms (the
+    term-level pipelines).  DISTINCT deduplicates on the *encoded*
     value -- IDs biject terms, so an ID seen-set equals a term seen-set
     without decoding, which is what keeps COUNT(DISTINCT ?v) from ever
     materializing member lists.  State is O(1) per group for the plain
@@ -587,19 +588,23 @@ class _SharedPlanCache:
 
 #: The documented ``exec_stats`` vocabulary.  Every engine/parallel-exec
 #: write site uses exactly these snake_case keys (pinned by
-#: ``tests/sparql/test_evaluator.py``); the serving metrics bridge and
+#: ``tests/obs/test_explain.py``); the serving metrics bridge and
 #: ``SparqlEndpoint._estimate_latency`` read them through
 #: :meth:`QueryEngine.exec_stats_snapshot`.
 EXEC_STAT_KEYS = frozenset(
     {
-        # bounded-operator counters (top-k heap, _AggFold, ID-space sort)
-        "operator",         # which bounded operator ran last
+        # sink counters.  ``operator`` names the sink that produced the
+        # result: ``select-id`` / ``topk-id`` / ``aggregate-id`` (the
+        # simple-shape columnar sinks; ``topk-id`` covers the un-LIMITed
+        # sort), ``stream-select`` / ``topk`` / ``stream-aggregate`` (the
+        # term-space streaming operators)
+        "operator",
         "input_rows",       # rows consumed by that operator
         "tracked_rows",     # max rows/groups it ever held (memory contract)
-        "distinct_keys",    # champion-table size for DISTINCT top-k
+        "distinct_keys",    # DISTINCT seen-set / champion-table size
         "having_pruned",    # groups dropped by HAVING pushdown
-        "decoded_rows",     # ID rows decoded at the result boundary
-        "batches",          # column batches the batch-pipeline sink consumed
+        "decoded_rows",     # rows decoded at the result boundary
+        "batches",          # column batches a columnar sink consumed
         # shard fan-out counters (sparql/parallel_exec.py)
         "shard_batches",        # partition-parallel batches dispatched
         "shard_parallel_ms",    # simulated cost booked for the batches
@@ -616,9 +621,7 @@ class QueryEngine:
     Instances are cheap; hold one per graph or just use :func:`evaluate`.
     ``strategy`` selects the BGP pipeline: ``"hash"`` (default) is the
     eager dictionary-encoded hash-join pipeline, ``"stream"`` the lazy
-    volcano-style generator pipeline with OFFSET/LIMIT pushdown,
-    ``"batch"`` the vectorized columnar pipeline (hash plus the
-    batch fast path, ``batch_size`` ID rows per column batch), and
+    volcano-style generator pipeline with OFFSET/LIMIT pushdown, and
     ``"scan"`` the legacy substitute-and-scan nested-loop join kept for
     conformance A/B runs.
 
@@ -628,19 +631,16 @@ class QueryEngine:
     moves, so even transient engines start warm.
     """
 
-    #: default rows per column batch on the ``"batch"`` strategy --
-    #: large enough to amortize per-batch dispatch, small enough that a
+    #: rows per column batch of the simple-shape executor -- large
+    #: enough to amortize per-batch dispatch, small enough that a
     #: batch's columns stay cache-resident
     BATCH_SIZE = 1024
 
-    def __init__(self, graph: Graph, strategy: str = "hash", batch_size: int = None):
-        if strategy not in ("hash", "stream", "scan", "batch"):
+    def __init__(self, graph: Graph, strategy: str = "hash"):
+        if strategy not in ("hash", "stream", "scan"):
             raise ValueError(f"unknown BGP strategy {strategy!r}")
         self.graph = graph
         self.strategy = strategy
-        self.batch_size = int(batch_size) if batch_size else self.BATCH_SIZE
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
         #: the partition-parallel scan target when the graph is a
         #: ShardedTripleStore (duck-typed: rdf must not import sparql)
         self._sharded = graph if getattr(graph, "is_sharded", False) else None
@@ -824,7 +824,7 @@ class QueryEngine:
     def _evaluate_bgp(
         self, patterns: List[TriplePattern], solutions: List[Solution]
     ) -> List[Solution]:
-        if self.strategy in ("hash", "batch"):
+        if self.strategy == "hash":
             return self._evaluate_bgp_hash(patterns, solutions)
         return self._evaluate_bgp_scan(patterns, solutions)
 
@@ -1777,7 +1777,7 @@ class QueryEngine:
         # Fast path for the ubiquitous liveness probe ``ASK { ?s ?p ?o }``
         # (and any single plain pattern): probe the ID indexes directly
         # instead of materializing the full scan.
-        if self.strategy in ("hash", "stream", "batch") and len(group.elements) == 1:
+        if self.strategy != "scan" and len(group.elements) == 1:
             element = group.elements[0]
             from .paths import is_path
 
@@ -1804,75 +1804,39 @@ class QueryEngine:
     #: the eager engine hands a SELECT to the streaming operators only when
     #: LIMIT is at most this.  Small limits are where pushdown pays by
     #: construction; large limits are usually pagination pages, where the
-    #: limit rarely binds and the eager ID-space batch path is faster.
+    #: limit rarely binds and the eager ID-space join is faster.
     STREAM_DELEGATE_LIMIT = 64
 
     def _run_select(self, query: SelectQuery) -> SelectResult:
-        if self.strategy == "batch":
-            # The columnar fast path owns every simple-shape SELECT
-            # (plain BGP + term-test filters): batched scan -> vectorized
-            # probe -> columnar filter -> batched sink.  ``None`` means
-            # the shape needs row-at-a-time machinery; fall through to
-            # the hash delegation ladder below, exactly like hash falls
-            # through to the streaming operators.
-            batched = self._run_select_batch(query)
-            if batched is not None:
-                return batched
-        if self.strategy in ("hash", "batch"):
-            # Small-LIMIT queries pay for every row an eager pipeline
-            # materializes and then throws away; route them through the
-            # streaming operators instead.  Unordered DISTINCT stays on
-            # the eager fast path, which deduplicates in ID space before
-            # decoding; DISTINCT + ORDER BY rides the top-k operator's
-            # per-key champion table.  The gate must not involve OFFSET:
-            # all pages of one paginated query then land on the same
-            # pipeline, keeping row order stable across pages.
-            if (
-                query.limit is not None
-                and query.limit <= self.STREAM_DELEGATE_LIMIT
-            ):
-                if not query.distinct and self._streamable(query):
-                    return self._run_select_streaming(query)
-                if self._topk_shape(query):
-                    # ORDER BY ... LIMIT k: the bounded top-k operator.
-                    # On this eager engine the join itself still
-                    # materializes (same batch ID-join as the general
-                    # path), but only offset+k rows are ever decoded,
-                    # scoped or sorted; the O(offset+k) peak-row bound
-                    # holds on the stream engine's lazy variant only.
-                    return self._run_select_topk(query)
-            if query.order_by and not query.has_aggregates():
-                # ORDER BY that the bounded top-k did not take (no LIMIT,
-                # a large LIMIT, or DISTINCT): sort raw ID rows, decode
-                # only the emitted page.
-                ordered = self._try_order_fast(query)
-                if ordered is not None:
-                    return ordered
-            fast = self._try_select_fast(query)
-            if fast is not None:
-                return fast
-            if self._stream_aggregate_shape(query):
-                # Column-shaped aggregation the ID-space fast path could
-                # not take (OPTIONAL/UNION/paths in the WHERE clause):
-                # fold incrementally instead of materializing group
-                # member lists.
-                return self._run_select_aggregate_stream(query)
-        elif self.strategy == "stream":
-            if self._streamable(query):
-                return self._run_select_streaming(query)
-            if self._topk_shape(query):
-                return self._run_select_topk(query)
-            if query.order_by and not query.has_aggregates():
-                # un-LIMITed ORDER BY: no heap bound to exploit, but the
-                # ID-space sorter still sorts undecoded rows and decodes
-                # only the emitted page -- same delegation the hash
-                # engine makes, so stream never falls back to the general
-                # path for a shape its sibling handles in ID space.
-                ordered = self._try_order_fast(query)
-                if ordered is not None:
-                    return ordered
-            if self._stream_aggregate_shape(query):
-                return self._run_select_aggregate_stream(query)
+        if self.strategy == "scan":
+            return self._run_select_general(query)
+        lazy = self.strategy == "stream"
+        small = query.limit is not None and query.limit <= self.STREAM_DELEGATE_LIMIT
+        # Small-LIMIT queries pay for every row an eager pipeline
+        # materializes and then throws away, so the eager engine routes
+        # them through the streaming operators.  This rule must precede
+        # the simple-shape executor: a ``LIMIT 20`` page over a
+        # two-pattern join is 0.2 ms on the lazy INLJ chain and tens of
+        # ms once any join materializes.  Unordered DISTINCT stays
+        # eager (it deduplicates in ID space before decoding).  The gate
+        # must not involve OFFSET: all pages of one paginated query then
+        # land on the same pipeline, keeping row order stable across
+        # pages.
+        if self._streamable(query) and (lazy or (small and not query.distinct)):
+            return self._run_select_streaming(query)
+        simple = self._simple_select_shape(query)
+        # The stream engine enters only with an ORDER BY (its bounded
+        # top-k); its aggregation and ``SELECT *`` stay on the
+        # term-space streaming operators below.
+        if simple is not None and (not lazy or simple[3] is not None):
+            return self._run_select_simple(query, *simple)
+        if (lazy or small) and self._topk_shape(query):
+            return self._run_select_topk_general(query)
+        if self._stream_aggregate_shape(query):
+            # Column-shaped aggregation outside the simple shape
+            # (OPTIONAL/UNION/paths in the WHERE clause): fold
+            # incrementally instead of materializing group member lists.
+            return self._run_select_aggregate_stream(query)
         return self._run_select_general(query)
 
     @staticmethod
@@ -1915,7 +1879,7 @@ class QueryEngine:
 
         Expression-valued group keys, aggregate arguments and projections
         stay on the materialized path -- ``aggregate_plan`` is the same
-        column-shape probe the ID-space fast path uses.  HAVING rides
+        column-shape probe the simple-shape executor uses.  HAVING rides
         along when it is a conjunction of aggregate-vs-constant
         comparisons (``having_aggregate_conjuncts``): those gate groups
         at fold-result time; any other HAVING still re-evaluates over
@@ -1948,7 +1912,8 @@ class QueryEngine:
         seen = set() if query.distinct else None
         skip = query.offset or 0
         limit = query.limit
-        for solution in solutions:
+        input_rows = 0
+        for input_rows, solution in enumerate(solutions, 1):
             row = self._project_row(query, names, solution)
             if seen is not None:
                 dedup_key = tuple(row.get(name) for name in names)
@@ -1961,174 +1926,14 @@ class QueryEngine:
             rows.append(row)
             if limit is not None and len(rows) >= limit:
                 break
+        self.exec_stats.update(
+            operator="stream-select", input_rows=input_rows, decoded_rows=len(rows)
+        )
+        if self.obs.detail:
+            self._operator_event()
         return SelectResult(names, rows)
 
     # -- bounded top-k ORDER BY -------------------------------------------------
-
-    def _run_select_topk(self, query: SelectQuery) -> SelectResult:
-        """``ORDER BY ... LIMIT k`` as a streaming operator.
-
-        The full join still has to be consumed (ordering admits no early
-        exit), but only ``offset + k`` rows are ever *kept*: a bounded
-        heap replaces materialize-everything-then-sort.  Two variants
-        share the heap: an ID-space one for pure BGP(+simple FILTER)
-        queries with bare-variable sort keys, which keeps raw ID rows and
-        decodes only the survivors, and a term-space one that runs the
-        same scopes as the materialized path (sort keys may reference
-        unprojected WHERE variables and projection aliases; unbound keys
-        sort first, stably).
-        """
-        fast = self._try_topk_fast(query)
-        if fast is not None:
-            return fast
-        return self._run_select_topk_general(query)
-
-    def _try_topk_fast(self, query: SelectQuery) -> Optional[SelectResult]:
-        """The ID-space top-k: heap over raw ID rows, decode k survivors."""
-        order_vars = query.order_variables()
-        if order_vars is None:
-            return None
-        shape = self._simple_where_shape(query)
-        if shape is None:
-            return None
-        patterns, simple_filters = shape
-        if not query.select_all:
-            for projection in query.projections:
-                if projection.alias is not None or not isinstance(
-                    projection.expression, VariableExpression
-                ):
-                    return None
-            if query.limit == 0:
-                # Nothing can survive the slice and the header is known
-                # without consuming the join (SELECT * must still drain
-                # it for header derivation, so only this branch returns).
-                names = [p.expression.variable.name for p in query.projections]
-                self.exec_stats.update(
-                    operator="topk-id", input_rows=0, tracked_rows=0
-                )
-                if self.obs.detail:
-                    self._operator_event()
-                return SelectResult(names, [])
-
-        decode = self.graph.decode_id
-        col_of: Dict[Variable, int] = {}
-        rows_iter: Iterator[Tuple] = iter(())
-        if self.strategy in ("hash", "batch"):
-            # The heap has to consume the whole join either way, so the
-            # delegating eager engine feeds it from its batch ID-join --
-            # same row production (and tie order) as its materialized
-            # path, minus the decode/sort of everything beyond k.
-            joined = self._bgp_id_rows(patterns, [{}])
-            if joined is not None:
-                rows, col_of = joined
-                rows_iter = iter(rows)
-        else:
-            # The stream engine keeps the memory contract too: rows come
-            # off the lazy volcano chain, so peak state is offset+k ID
-            # rows plus the operator chain's own bounded buffers.
-            encoded = self._compile_patterns(patterns)
-            if not any(ep.impossible for ep in encoded):
-                _columns, steps, out_layout = self._stream_plan(encoded, {})
-                col_of = dict(out_layout)
-                state: Dict = {}
-                source: Iterator[Tuple] = iter(((),))
-                for step in steps:
-                    source = self._stream_step(step, source, state)
-                rows_iter = source
-
-        filter_specs = []
-        for test, variable in simple_filters:
-            column = col_of.get(variable)
-            if column is None:
-                # Filter over an unbound variable drops every row (the
-                # general pipeline raises-and-rejects per row).
-                rows_iter = iter(())
-                filter_specs = []
-                break
-            filter_specs.append((test, column, {}))
-
-        key_columns = [col_of.get(variable) for variable in order_vars]
-        flags = tuple(condition.descending for condition in query.order_by)
-        keep = (query.offset or 0) + query.limit
-        unbound_key = (0, ())
-        key_memo: Dict[int, Tuple] = {}
-        stats = {"operator": "topk-id", "input_rows": 0, "survivors": 0}
-
-        def entries() -> Iterator[_TopKEntry]:
-            for row in rows_iter:
-                stats["input_rows"] += 1
-                passed = True
-                for test, column, memo in filter_specs:
-                    value = row[column]
-                    verdict = memo.get(value)
-                    if verdict is None:
-                        verdict = memo[value] = test(
-                            decode(value) if type(value) is int else value
-                        )
-                    if not verdict:
-                        passed = False
-                        break
-                if not passed:
-                    continue
-                keys = []
-                for column in key_columns:
-                    if column is None:
-                        keys.append(unbound_key)
-                        continue
-                    value = row[column]
-                    if type(value) is int:
-                        key = key_memo.get(value)
-                        if key is None:
-                            key = key_memo[value] = (1, decode(value).sort_key())
-                    else:  # raw non-interned term carried through a seed row
-                        key = (1, value.sort_key())
-                    keys.append(key)
-                yield _TopKEntry(tuple(keys), flags, stats["survivors"], row)
-                stats["survivors"] += 1
-
-        distinct_keys = None
-        if query.distinct:
-            if query.select_all:
-                dedup_columns = [
-                    column
-                    for _name, column in sorted(
-                        (variable.name, column)
-                        for variable, column in col_of.items()
-                    )
-                ]
-            else:
-                dedup_columns = [
-                    col_of.get(p.expression.variable) for p in query.projections
-                ]
-            champions = _champion_fold(
-                entries(),
-                lambda row: tuple(
-                    row[column] if column is not None else None
-                    for column in dedup_columns
-                ),
-            )
-            distinct_keys = len(champions)
-            kept_all = _topk_fold(iter(champions.values()), keep)
-        else:
-            kept_all = _topk_fold(entries(), keep)
-        kept = kept_all[query.offset or 0 :]
-
-        names, columns = self._id_projection_layout(
-            query, col_of, stats["survivors"] > 0
-        )
-        out_rows = self._decode_id_rows(
-            (entry.payload for entry in kept), names, columns
-        )
-        self.exec_stats.update(
-            operator="topk-id",
-            input_rows=stats["input_rows"],
-            tracked_rows=len(kept_all),
-        )
-        if distinct_keys is not None:
-            self.exec_stats["distinct_keys"] = distinct_keys
-        if self.obs.detail:
-            self._operator_event()
-        return SelectResult(names, out_rows)
 
     def _run_select_topk_general(self, query: SelectQuery) -> SelectResult:
         """Term-space bounded ORDER BY: the materialized path's scopes
@@ -2390,7 +2195,7 @@ class QueryEngine:
             self._operator_event()
         return SelectResult(names, self._apply_modifiers(query, rows, names))
 
-    # -- the ID-space SELECT fast path ----------------------------------------
+    # -- the simple-shape executor (columnar sinks over ID batches) ------------
 
     @staticmethod
     def _simple_where_shape(query: SelectQuery):
@@ -2417,199 +2222,53 @@ class QueryEngine:
             return None
         return patterns, simple_filters
 
-    def _try_select_fast(self, query: SelectQuery) -> Optional[SelectResult]:
-        """Execute BGP(+simple FILTER) SELECTs without decoding intermediates.
+    @staticmethod
+    def _simple_select_shape(query: SelectQuery):
+        """``(patterns, simple_filters, aggregate plan, sort variables)``
+        when *query* is the simple shape end to end, else None.
 
-        Covers the whole index-extraction workload: plain triple patterns,
-        one-variable term-test filters, bare-variable projections, bare
-        GROUP BY / aggregates, DISTINCT and OFFSET/LIMIT -- plus ORDER BY
-        over aggregate output (top-k-entities queries order the O(groups)
-        fold result, not the join).  Rows stay ID tuples until
-        projection/fold time, so DISTINCT and grouping hash machine
-        integers and pagination decodes only the surviving page.
-        Returns None when the query needs the general pipeline.
+        On top of :meth:`_simple_where_shape`: bare-variable projections
+        (or ``SELECT *``), bare-variable sort keys, column-shaped
+        aggregation (``aggregate_plan``) and a HAVING that pushes down
+        into the fold.  The plan is None without aggregates; the sort
+        variables are None unless a non-aggregate query has an ORDER BY
+        (ORDER BY over aggregate output sorts the O(groups) result rows).
         """
         if query.having is not None and (
             not query.has_aggregates()
             or query.having_aggregate_conjuncts() is None
         ):
             return None
-        if query.order_by and not query.has_aggregates():
-            # plain ORDER BY belongs to the bounded top-k operator (when
-            # delegated), the ID-space sorter (_try_order_fast) or the
-            # general sort, not this batch path
-            return None
-        shape = self._simple_where_shape(query)
+        shape = QueryEngine._simple_where_shape(query)
         if shape is None:
             return None
-        patterns, simple_filters = shape
-
-        plan = None
+        plan = order_vars = None
         if query.has_aggregates():
             plan = query.aggregate_plan()
             if plan is None:
                 return None
-        elif not query.select_all:
-            for projection in query.projections:
-                if projection.alias is not None or not isinstance(
-                    projection.expression, VariableExpression
-                ):
-                    return None
-
-        joined = self._bgp_id_rows(patterns, [{}])
-        if joined is None:
-            rows: List[Tuple] = []
-            col_of: Dict[Variable, int] = {}
         else:
-            rows, col_of = joined
-
-        rows = self._filter_id_rows(rows, col_of, simple_filters)
-
-        if plan is not None:
-            return self._fast_aggregate_result(query, plan, rows, col_of)
-
-        names, columns = self._id_projection_layout(query, col_of, bool(rows))
-        if query.distinct:
-            seen = set()
-            deduped = []
-            for row in rows:
-                key = tuple(
-                    row[column] if column is not None else None for column in columns
-                )
-                if key not in seen:
-                    seen.add(key)
-                    deduped.append(row)
-            rows = deduped
-        if query.offset:
-            rows = rows[query.offset:]
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        return SelectResult(names, self._decode_id_rows(rows, names, columns))
-
-    def _filter_id_rows(
-        self, rows: List[Tuple], col_of: Dict[Variable, int], simple_filters
-    ) -> List[Tuple]:
-        """Apply one-variable term-test filters to ID rows (memo-free: the
-        term-kind tests are cheap, the decode dominates and is per-row).
-        A filter over an unbound variable drops every row, matching the
-        general pipeline's raise-and-reject."""
-        if not rows or not simple_filters:
-            return rows
-        decode = self.graph.decode_id
-        for test, variable in simple_filters:
-            column = col_of.get(variable)
-            if column is None:
-                return []
-            kept = []
-            for row in rows:
-                value = row[column]
-                if value is _UNBOUND:
-                    continue
-                if test(decode(value) if type(value) is int else value):
-                    kept.append(row)
-            rows = kept
-            if not rows:
-                break
-        return rows
-
-    def _try_order_fast(self, query: SelectQuery) -> Optional[SelectResult]:
-        """ORDER BY *without* a delegated LIMIT, kept in ID space.
-
-        The former remaining materializer: plain ``ORDER BY`` (no LIMIT,
-        or a LIMIT past the top-k delegation bound, or DISTINCT) used to
-        decode every solution into term dicts, build per-row sort scopes
-        and sort those.  For the simple shape (plain BGP + term-test
-        filters, bare-variable projections and sort keys) the rows are
-        pure ID tuples: sort them directly -- each distinct ID decodes to
-        its sort key exactly once via a memo -- then dedupe/slice in ID
-        space and decode only the emitted page.  Tie-breaks match the
-        materialized sort because both consume the same ``_bgp_id_rows``
-        order with the same stable per-condition passes.
-        """
-        order_vars = query.order_variables()
-        if order_vars is None or query.having is not None:
-            return None
-        shape = self._simple_where_shape(query)
-        if shape is None:
-            return None
-        patterns, simple_filters = shape
-        if not query.select_all:
-            for projection in query.projections:
-                if projection.alias is not None or not isinstance(
-                    projection.expression, VariableExpression
-                ):
+            if not query.select_all:
+                for projection in query.projections:
+                    if projection.alias is not None or not isinstance(
+                        projection.expression, VariableExpression
+                    ):
+                        return None
+            if query.order_by:
+                order_vars = query.order_variables()
+                if order_vars is None:
                     return None
-
-        joined = self._bgp_id_rows(patterns, [{}])
-        if joined is None:
-            rows: List[Tuple] = []
-            col_of: Dict[Variable, int] = {}
-        else:
-            rows, col_of = joined
-        rows = self._filter_id_rows(rows, col_of, simple_filters)
-        input_rows = len(rows)
-
-        if rows:
-            decode = self.graph.decode_id
-            unbound_key = (0, ())
-            key_memo: Dict[int, Tuple] = {}
-            key_columns = [col_of.get(variable) for variable in order_vars]
-            decorated = []
-            for row in rows:
-                keys = []
-                for column in key_columns:
-                    if column is None:
-                        keys.append(unbound_key)
-                        continue
-                    value = row[column]
-                    if value is _UNBOUND:
-                        keys.append(unbound_key)
-                    elif type(value) is int:
-                        key = key_memo.get(value)
-                        if key is None:
-                            key = key_memo[value] = (1, decode(value).sort_key())
-                        keys.append(key)
-                    else:  # raw non-interned term carried through a seed row
-                        keys.append((1, value.sort_key()))
-                decorated.append((keys, row))
-            # Stable multi-key sort, same discipline as _order: sort by the
-            # last condition first; equal keys keep input order.
-            for position in range(len(query.order_by) - 1, -1, -1):
-                reverse = query.order_by[position].descending
-                decorated.sort(key=lambda item: item[0][position], reverse=reverse)
-            rows = [row for _keys, row in decorated]
-
-        names, columns = self._id_projection_layout(query, col_of, bool(rows))
-        if query.distinct:
-            seen = set()
-            deduped = []
-            for row in rows:
-                key = tuple(
-                    row[column] if column is not None else None for column in columns
-                )
-                if key not in seen:
-                    seen.add(key)
-                    deduped.append(row)
-            rows = deduped
-        if query.offset:
-            rows = rows[query.offset :]
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        self.exec_stats.update(
-            operator="order-id", input_rows=input_rows, decoded_rows=len(rows)
-        )
-        if self.obs.detail:
-            self._operator_event()
-        return SelectResult(names, self._decode_id_rows(rows, names, columns))
+        return shape[0], shape[1], plan, order_vars
 
     def _id_projection_layout(
         self, query: SelectQuery, col_of: Dict[Variable, int], any_solutions: bool
     ) -> Tuple[List[str], List[Optional[int]]]:
         """``(names, columns)`` for projecting ID rows.
 
-        Shared by the eager fast path and the ID-space top-k so the
-        ``SELECT *`` header rule stays in one place: the header comes from
-        the (complete) solution multiset -- zero solutions, empty header.
+        Shared by the select and top-k sinks so the ``SELECT *`` header
+        rule stays in one place: the header comes from the (complete)
+        solution multiset -- zero solutions, empty header.  The columns
+        are also the DISTINCT key of a row.
         """
         if query.select_all:
             if not any_solutions:
@@ -2640,76 +2299,9 @@ class QueryEngine:
             out_rows.append(projected)
         return out_rows
 
-    def _fast_aggregate_result(
-        self,
-        query: SelectQuery,
-        plan,
-        rows: List[Tuple],
-        col_of: Dict[Variable, int],
-    ) -> SelectResult:
-        """Fold ID rows group by group without materializing member lists.
-
-        One pass: each row lands in its group's :class:`_AggFold`
-        accumulators (per projected aggregate) and is forgotten -- state
-        is O(groups), or O(distinct values) for DISTINCT folds, never
-        O(rows).  Values stay encoded until a fold actually needs the
-        term (COUNT and COUNT DISTINCT never decode at all).
-        """
-        group_vars, items = plan
-        decode = self.graph.decode_id
-
-        group_columns, fold_specs, having_specs = self._aggregate_fold_specs(
-            query, plan, col_of
-        )
-
-        # key -> (first member row, {item index: fold})
-        groups: Dict[Tuple, Tuple[Optional[Tuple], Dict[int, _AggFold]]] = {}
-        for row in rows:
-            key = tuple(
-                row[column] if column is not None else None
-                for column in group_columns
-            )
-            state = groups.get(key)
-            if state is None:
-                state = groups[key] = (
-                    row,
-                    {index: _AggFold(agg) for index, agg, _ in fold_specs},
-                )
-            folds = state[1]
-            for index, aggregate, column in fold_specs:
-                if aggregate.expression is None:  # COUNT(*)
-                    folds[index].add_star(row if aggregate.distinct else None)
-                    continue
-                if column is None:
-                    continue
-                value = row[column]
-                if value is not _UNBOUND:
-                    folds[index].add(value, decode)
-        if not group_vars and not groups:
-            # Implicit single group; aggregates over an empty pattern still
-            # produce one row (COUNT(*) = 0) per the spec.
-            groups[()] = (None, {index: _AggFold(agg) for index, agg, _ in fold_specs})
-
-        names, out_rows, having_pruned = self._aggregate_groups_rows(
-            items, groups, col_of, having_specs
-        )
-
-        self.exec_stats.update(
-            operator="fast-aggregate",
-            input_rows=len(rows),
-            tracked_rows=len(groups),
-        )
-        if having_specs:
-            self.exec_stats["having_pruned"] = having_pruned
-        if self.obs.detail:
-            self._operator_event()
-        return SelectResult(names, self._apply_modifiers(query, out_rows, names))
-
     def _aggregate_fold_specs(self, query: SelectQuery, plan, col_of):
         """``(group columns, fold specs, having specs)`` for an ID-space
-        aggregation -- the spec layout both the row-at-a-time fold and
-        the batched fold consume, so their group/fold/HAVING semantics
-        cannot diverge."""
+        aggregation."""
         group_vars, items = plan
         group_columns = [col_of.get(variable) for variable in group_vars]
         agg_specs = []  # (item index, aggregate, value column or None)
@@ -2742,9 +2334,9 @@ class QueryEngine:
         return group_columns, fold_specs, having_specs
 
     def _aggregate_groups_rows(self, items, groups, col_of, having_specs):
-        """Project folded groups into result rows (shared assembly tail):
-        HAVING gates on the negative-slot folds, ``var`` items decode the
-        group's first member row, ``agg`` items read their fold."""
+        """Project folded groups into result rows: HAVING gates on the
+        negative-slot folds, ``var`` items decode the group's first
+        member row, ``agg`` items read their fold."""
         decode = self.graph.decode_id
         names = [name for _, _, name in items]
         out_rows: List[Row] = []
@@ -2773,80 +2365,31 @@ class QueryEngine:
             out_rows.append(projected)
         return names, out_rows, having_pruned
 
-    # -- the columnar batch pipeline (strategy="batch") ------------------------
+    def _run_select_simple(
+        self, query: SelectQuery, patterns, simple_filters, plan, order_vars
+    ) -> SelectResult:
+        """The one executor of the simple shape (see
+        :meth:`_simple_select_shape`): a source of ID column batches, a
+        columnar FILTER, then the select / top-k / aggregate sink.
 
-    def _run_select_batch(self, query: SelectQuery) -> Optional[SelectResult]:
-        """Vectorized SELECT over column batches; None when unsupported.
-
-        Covers the simple shape (plain triple patterns + one-variable
-        term-test filters, bare-variable projections, bare GROUP BY /
-        aggregates with pushable HAVING, DISTINCT, OFFSET/LIMIT and
-        ``ORDER BY ... LIMIT k``) -- the shape whose rows are guaranteed
-        pure ID tuples, so operators can pass ``batch_size``-row column
-        vectors instead of per-row tuples: batched index scans, a
-        vectorized hash-probe, columnar FILTER via selection vectors,
-        then a batched select / top-k / aggregate sink.  Control flow
-        stays volcano *between* batches, so LIMIT-bounded sinks stop
-        pulling early.  Returns None for every other shape; the caller
-        falls through to the hash delegation ladder.
+        Rows of this shape are pure ID tuples, so operators pass
+        ``BATCH_SIZE``-row column vectors instead of per-row tuples.
+        Control flow stays volcano *between* batches, so LIMIT-bounded
+        sinks stop pulling early.
         """
-        if query.having is not None and (
-            not query.has_aggregates()
-            or query.having_aggregate_conjuncts() is None
-        ):
-            return None
-        shape = self._simple_where_shape(query)
-        if shape is None:
-            return None
-        patterns, simple_filters = shape
-
-        plan = None
-        if query.has_aggregates():
-            plan = query.aggregate_plan()
-            if plan is None:
-                return None
-        elif not query.select_all:
-            for projection in query.projections:
-                if projection.alias is not None or not isinstance(
-                    projection.expression, VariableExpression
-                ):
-                    return None
-
-        order_vars = None
-        if query.order_by and plan is None:
-            order_vars = query.order_variables()
-            if order_vars is None:
-                return None
-            if query.limit is None:
-                # No heap bound to exploit: the ID-space sorter
-                # (_try_order_fast, via the delegation ladder) owns
-                # un-LIMITed ORDER BY.
-                return None
-
-        compiled = self._compile_patterns(patterns)
-        if any(not ep.variables for ep in compiled):
-            # A fully-ground pattern is an existence gate, not a column
-            # source; the row pipelines handle it.
-            return None
-
-        if any(ep.impossible for ep in compiled):
-            batches: Iterator[List] = iter(())
-            col_of: Dict[Variable, int] = {}
-        else:
-            limit_hint = self._batch_limit_hint(query, compiled, simple_filters, plan)
-            batches, col_of = self._batch_join(compiled, limit_hint)
-            filter_specs = []
-            for test, variable in simple_filters:
-                column = col_of.get(variable)
-                if column is None:
-                    # Filter over an unbound variable drops every row
-                    # (the general pipeline raises-and-rejects per row).
-                    batches = iter(())
-                    filter_specs = []
-                    break
-                filter_specs.append((test, column, {}))
-            if filter_specs:
-                batches = self._filter_batches(batches, filter_specs)
+        batches, col_of = self._simple_source(query, patterns, simple_filters, plan)
+        filter_specs = []
+        for test, variable in simple_filters:
+            column = col_of.get(variable)
+            if column is None:
+                # Filter over an unbound variable drops every row (the
+                # general pipeline raises-and-rejects per row).
+                batches = iter(())
+                filter_specs = []
+                break
+            filter_specs.append((test, column, {}))
+        if filter_specs:
+            batches = self._filter_batches(batches, filter_specs)
 
         if plan is not None:
             return self._batch_aggregate(query, plan, batches, col_of)
@@ -2854,8 +2397,51 @@ class QueryEngine:
             return self._batch_topk(query, order_vars, batches, col_of)
         return self._batch_select(query, batches, col_of)
 
+    def _simple_source(
+        self, query: SelectQuery, patterns, simple_filters, plan
+    ) -> Tuple[Iterator[List], Dict[Variable, int]]:
+        """``(column-batch iterator, col_of)`` for a simple-shape BGP.
+
+        A single pattern streams batches straight off the index.
+        Several patterns (or a fully-ground existence gate, which is no
+        column source) run the eager join -- it chooses INLJ or hash
+        per step from the exact intermediate cardinality, which a
+        build-then-probe over column batches cannot: probing
+        ``?s a <C> . ?s ?p ?o`` that way builds a whole-graph table per
+        extraction query.  The stream engine chunks its lazy chain
+        instead, so a bounded sink's state stays O(offset + k).
+        """
+        compiled = self._compile_patterns(patterns)
+        if any(ep.impossible for ep in compiled):
+            return iter(()), {}
+        if self.strategy == "stream":
+            _columns, steps, out_layout = self._stream_plan(compiled, {})
+            rows: Iterator[Tuple] = iter(((),))
+            state: Dict = {}
+            for step in steps:
+                rows = self._stream_step(step, rows, state)
+            return self._row_batches(rows), dict(out_layout)
+        if len(compiled) == 1 and compiled[0].variables:
+            ep = compiled[0]
+            limit_hint = self._batch_limit_hint(query, ep, simple_filters, plan)
+            col_of = {variable: i for i, variable in enumerate(ep.variables)}
+            return self._scan_batches(ep, limit_hint), col_of
+        joined, col_of = self._bgp_id_rows(patterns, [{}])
+        return self._row_batches(iter(joined)), col_of
+
+    def _row_batches(self, rows: Iterator[Tuple]) -> Iterator[List]:
+        """Chunk ID rows into column batches (one transpose per chunk)."""
+        size = self.BATCH_SIZE
+        while True:
+            block = list(_islice(rows, size))
+            if not block:
+                return
+            # Zero-width rows (every pattern ground) ride as one
+            # placeholder column: a batch's length is ``len(cols[0])``.
+            yield list(zip(*block)) if block[0] else [block]
+
     @staticmethod
-    def _batch_limit_hint(query, compiled, simple_filters, plan) -> Optional[int]:
+    def _batch_limit_hint(query, ep, simple_filters, plan) -> Optional[int]:
         """Per-shard row bound for the bounded lazy fan-out.
 
         Only a LIMIT-bounded single-pattern scan with nothing between
@@ -2872,11 +2458,8 @@ class QueryEngine:
             or query.order_by
             or query.distinct
             or simple_filters
-            or len(compiled) != 1
+            or any(len(ep.var_positions[v]) > 1 for v in ep.variables)
         ):
-            return None
-        ep = compiled[0]
-        if any(len(ep.var_positions[v]) > 1 for v in ep.variables):
             return None
         hint = (query.offset or 0) + query.limit
         if query.select_all:
@@ -2884,44 +2467,6 @@ class QueryEngine:
             # at least one witness row even for LIMIT 0.
             hint = max(hint, 1)
         return hint
-
-    def _batch_join(
-        self, encoded: List[_EncodedPattern], limit_hint: Optional[int] = None
-    ) -> Tuple[Iterator[List], Dict[Variable, int]]:
-        """``(column-batch iterator, col_of)``: the vectorized BGP join.
-
-        Join order replays ``_bgp_id_rows``' greedy selectivity rule
-        exactly (the bound-variable discount never depends on the
-        intermediate cardinality), so the batch pipeline scans and
-        probes the same patterns in the same order as the eager hash
-        join.  The first pattern streams as column batches; every later
-        pattern is a vectorized hash-probe (shared variables; probe
-        table built once) or a cartesian block product (none shared).
-        """
-        col_of: Dict[Variable, int] = {}
-        stages = []
-        remaining = list(encoded)
-        while remaining:
-            chosen = min(
-                remaining,
-                key=lambda ep: (
-                    ep.est / (16.0 ** sum(1 for v in ep.variables if v in col_of)),
-                    ep.index,
-                ),
-            )
-            remaining.remove(chosen)
-            shared = [v for v in chosen.variables if v in col_of]
-            new_vars = [v for v in chosen.variables if v not in col_of]
-            stages.append((chosen, shared, new_vars))
-            for variable in new_vars:
-                col_of[variable] = len(col_of)
-        batches = self._scan_batches(stages[0][0], limit_hint)
-        for ep, shared, new_vars in stages[1:]:
-            if shared:
-                batches = self._probe_batches(batches, ep, shared, new_vars, col_of)
-            else:
-                batches = self._cartesian_batches(batches, ep)
-        return batches, col_of
 
     def _scan_batches(
         self, ep: _EncodedPattern, limit_hint: Optional[int] = None
@@ -2936,7 +2481,7 @@ class QueryEngine:
         s, p, o = (v if type(v) is int else None for v in ep.spec)
         positions = [ep.var_positions[v] for v in ep.variables]
         simple = all(len(position) == 1 for position in positions)
-        batch_size = self.batch_size
+        batch_size = self.BATCH_SIZE
         if self._sharded is not None and s is None:
             from .parallel_exec import parallel_scan_batches
 
@@ -2965,108 +2510,6 @@ class QueryEngine:
             cols = _project_triple_columns(tuple(zip(*block)), positions, simple)
             if cols is not None:
                 yield cols
-
-    def _probe_batches(
-        self,
-        batches: Iterator[List],
-        ep: _EncodedPattern,
-        shared: List[Variable],
-        new_vars: List[Variable],
-        col_of: Dict[Variable, int],
-    ) -> Iterator[List]:
-        """Vectorized hash-probe: build the table once, probe a column at
-        a time.
-
-        Match order is row-major exactly like the eager hash join (each
-        input row in batch order, its bucket's entries in build order),
-        so batch row production order equals the eager pipeline's.  A
-        batch that matches nothing yields nothing -- downstream
-        operators never see empty batches.
-        """
-        shared_columns = [col_of[v] for v in shared]
-        width_new = len(new_vars)
-
-        def stage():
-            table = self._build_probe_table(ep, shared, new_vars)
-            # Columnar bucket table: key -> (match count, per-new-variable
-            # value columns), transposed once per key rather than once
-            # per probe.  The count rides along explicitly because a
-            # zero-new-variable bucket transposes to an empty tuple.
-            if new_vars:
-                columnar = {
-                    key: (len(bucket), tuple(zip(*bucket)))
-                    for key, bucket in table.items()
-                }
-            else:
-                columnar = {key: (len(bucket), ()) for key, bucket in table.items()}
-            get = columnar.get
-            for cols in batches:
-                n = len(cols[0])
-                if len(shared_columns) == 1:
-                    keys = cols[shared_columns[0]]
-                else:
-                    keys = zip(*(cols[c] for c in shared_columns))
-                buckets = list(map(get, keys))
-                selection = []
-                counts = []
-                keep = selection.append
-                count = counts.append
-                for i, bucket in enumerate(buckets):
-                    if bucket is not None:
-                        keep(i)
-                        count(bucket[0])
-                if not selection:
-                    continue
-                if len(selection) == n and sum(counts) == n:
-                    # 1:1 join: every row matched exactly once; the
-                    # existing columns pass through untouched.
-                    out = list(cols)
-                else:
-                    picked = (
-                        cols
-                        if len(selection) == n
-                        else [[column[i] for i in selection] for column in cols]
-                    )
-                    out = [
-                        list(_chain.from_iterable(map(_repeat, column, counts)))
-                        for column in picked
-                    ]
-                for j in range(width_new):
-                    out.append(
-                        list(
-                            _chain.from_iterable(
-                                buckets[i][1][j] for i in selection
-                            )
-                        )
-                    )
-                yield out
-
-        return stage()
-
-    def _cartesian_batches(
-        self, batches: Iterator[List], ep: _EncodedPattern
-    ) -> Iterator[List]:
-        """Block cartesian product with a no-shared-variable pattern:
-        scan once, then per batch repeat each input row over the scan
-        tile (row-major, matching the eager pipeline's order)."""
-
-        def stage():
-            scan = list(self._scan_pattern(ep))
-            if not scan:
-                return
-            k = len(scan)
-            tile = [list(column) for column in zip(*scan)]
-            for cols in batches:
-                n = len(cols[0])
-                out = [
-                    list(_chain.from_iterable(map(_repeat, column, _repeat(k, n))))
-                    for column in cols
-                ]
-                for column in tile:
-                    out.append(column * n)
-                yield out
-
-        return stage()
 
     def _filter_batches(self, batches: Iterator[List], filter_specs) -> Iterator[List]:
         """Columnar FILTER: memoized term-kind tests build a selection
@@ -3114,17 +2557,7 @@ class QueryEngine:
         cap = None if query.limit is None else offset + query.limit
         distinct = query.distinct
         if distinct:
-            if query.select_all:
-                dedup_columns = [
-                    column
-                    for _name, column in sorted(
-                        (variable.name, column) for variable, column in col_of.items()
-                    )
-                ]
-            else:
-                dedup_columns = [
-                    col_of.get(p.expression.variable) for p in query.projections
-                ]
+            _names, dedup_columns = self._id_projection_layout(query, col_of, True)
             seen = set()
         if cap == 0 and not query.select_all:
             batches = iter(())  # the header is known without a witness
@@ -3152,7 +2585,7 @@ class QueryEngine:
         page = kept[offset:] if cap is None else kept[offset:cap]
         names, columns = self._id_projection_layout(query, col_of, input_rows > 0)
         self.exec_stats.update(
-            operator="batch-select",
+            operator="select-id",
             input_rows=input_rows,
             batches=n_batches,
             decoded_rows=len(page),
@@ -3170,93 +2603,115 @@ class QueryEngine:
         batches: Iterator[List],
         col_of: Dict[Variable, int],
     ) -> SelectResult:
-        """Batched ``ORDER BY ... LIMIT k``: per-batch sort-key columns
-        (per-ID memo) feed the bounded heap; ties break on the global
-        row sequence, so batch-edge ties keep exactly the rows the
-        row-at-a-time heap keeps."""
-        decode = self.graph.decode_id
-        key_columns = [col_of.get(variable) for variable in order_vars]
-        flags = tuple(condition.descending for condition in query.order_by)
-        keep = (query.offset or 0) + query.limit
-        unbound_key = (0, ())
-        key_memo: Dict[int, Tuple] = {}
-        stats = {"input_rows": 0, "batches": 0, "seq": 0}
+        """The ORDER BY sink: per-batch sort-key columns (one decode per
+        distinct ID) feed a bounded heap under LIMIT -- at most ``offset
+        + k`` rows kept -- and a full sort otherwise.
 
-        def entries() -> Iterator[_TopKEntry]:
+        Both tie-break on the global row sequence, so the heap equals
+        sort-then-slice at any batch size.  DISTINCT dedups on the
+        projected row after ordering (sort, stable dedup, slice); under
+        LIMIT that is a per-key champion table in front of the heap.
+        """
+        decode = self.graph.decode_id
+        # A sort variable no pattern binds ties on every row: drop it.
+        conditions = [
+            (col_of[variable], condition.descending)
+            for variable, condition in zip(order_vars, query.order_by)
+            if variable in col_of
+        ]
+        key_memo: Dict[int, Tuple] = {}
+        stats = {"input_rows": 0, "batches": 0}
+
+        def keyed_batches() -> Iterator[Tuple[List[Tuple], List[List]]]:
+            """``(rows, one sort-key column per condition)`` per batch."""
+            lookup = key_memo.get
             for cols in batches:
                 stats["batches"] += 1
-                n = len(cols[0])
-                stats["input_rows"] += n
-                lookup = key_memo.get
+                stats["input_rows"] += len(cols[0])
                 batch_keys = []
-                for column in key_columns:
-                    if column is None:
-                        batch_keys.append(None)
-                        continue
+                for column, _descending in conditions:
                     keys = []
                     append = keys.append
                     for value in cols[column]:
                         key = lookup(value)
                         if key is None:
-                            key = key_memo[value] = (1, decode(value).sort_key())
+                            key = key_memo[value] = decode(value).sort_key()
                         append(key)
                     batch_keys.append(keys)
-                seq = stats["seq"]
-                for i, row in enumerate(zip(*cols)):
-                    yield _TopKEntry(
-                        tuple(
-                            unbound_key if keys is None else keys[i]
-                            for keys in batch_keys
-                        ),
-                        flags,
-                        seq + i,
-                        row,
-                    )
-                stats["seq"] = seq + n
+                yield list(zip(*cols)), batch_keys
 
+        offset = query.offset or 0
         distinct_keys = None
         if query.distinct:
-            if query.select_all:
-                dedup_columns = [
-                    column
-                    for _name, column in sorted(
-                        (variable.name, column) for variable, column in col_of.items()
-                    )
-                ]
-            else:
-                dedup_columns = [
-                    col_of.get(p.expression.variable) for p in query.projections
-                ]
-            champions = _champion_fold(
-                entries(),
-                lambda row: tuple(
+            _names, dedup_columns = self._id_projection_layout(query, col_of, True)
+
+            def dedup_key(row: Tuple) -> Tuple:
+                return tuple(
                     row[column] if column is not None else None
                     for column in dedup_columns
-                ),
-            )
-            distinct_keys = len(champions)
-            kept_all = _topk_fold(iter(champions.values()), keep)
+                )
+
+        if query.limit is not None:
+            flags = tuple(descending for _column, descending in conditions)
+
+            def entries() -> Iterator[_TopKEntry]:
+                seq = 0
+                for rows, batch_keys in keyed_batches():
+                    row_keys = zip(*batch_keys) if batch_keys else _repeat(())
+                    for keys, row in zip(row_keys, rows):
+                        yield _TopKEntry(keys, flags, seq, row)
+                        seq += 1
+
+            source = entries()
+            if query.distinct:
+                champions = _champion_fold(source, dedup_key)
+                distinct_keys = len(champions)
+                source = iter(champions.values())
+            kept = [entry.payload for entry in _topk_fold(source, offset + query.limit)]
         else:
-            kept_all = _topk_fold(entries(), keep)
-        kept = kept_all[query.offset or 0 :]
+            kept = []
+            key_columns: List[List] = [[] for _ in conditions]
+            for rows, batch_keys in keyed_batches():
+                kept.extend(rows)
+                for key_column, keys in zip(key_columns, batch_keys):
+                    key_column.extend(keys)
+            # Stable multi-key sort, same discipline as _order: sort by
+            # the last condition first; equal keys keep input order.  An
+            # index sort keyed by ``list.__getitem__`` keeps every
+            # comparison in C.
+            order = list(range(len(kept)))
+            for key_column, (_column, descending) in zip(
+                reversed(key_columns), reversed(conditions)
+            ):
+                order.sort(key=key_column.__getitem__, reverse=descending)
+            kept = [kept[i] for i in order]
+            if query.distinct:
+                seen = set()
+                deduped = []
+                for row in kept:
+                    key = dedup_key(row)
+                    if key not in seen:
+                        seen.add(key)
+                        deduped.append(row)
+                distinct_keys = len(seen)
+                kept = deduped
+        page = kept[offset:]
 
         names, columns = self._id_projection_layout(
             query, col_of, stats["input_rows"] > 0
         )
-        out_rows = self._decode_id_rows(
-            (entry.payload for entry in kept), names, columns
-        )
         self.exec_stats.update(
-            operator="batch-topk",
+            operator="topk-id",
             input_rows=stats["input_rows"],
-            tracked_rows=len(kept_all),
+            tracked_rows=len(kept),
             batches=stats["batches"],
+            decoded_rows=len(page),
         )
         if distinct_keys is not None:
             self.exec_stats["distinct_keys"] = distinct_keys
         if self.obs.detail:
             self._operator_event()
-        return SelectResult(names, out_rows)
+        return SelectResult(names, self._decode_id_rows(page, names, columns))
 
     def _batch_aggregate(
         self, query: SelectQuery, plan, batches: Iterator[List], col_of: Dict[Variable, int]
@@ -3370,7 +2825,7 @@ class QueryEngine:
             items, groups, col_of, having_specs
         )
         self.exec_stats.update(
-            operator="batch-aggregate",
+            operator="aggregate-id",
             input_rows=input_rows,
             tracked_rows=len(groups),
             batches=n_batches,
@@ -3403,7 +2858,7 @@ class QueryEngine:
                 projected[name] = decode(key) if kind == "var" else Literal(count)
             out_rows.append(projected)
         self.exec_stats.update(
-            operator="batch-aggregate",
+            operator="aggregate-id",
             input_rows=input_rows,
             tracked_rows=len(counter),
             batches=n_batches,
@@ -3718,7 +3173,6 @@ def evaluate(
     """Evaluate *query* (text or AST) against *graph*.
 
     ``strategy`` is ``"hash"`` (eager, default), ``"stream"`` (lazy
-    volcano pipeline), ``"batch"`` (vectorized columnar pipeline) or
-    ``"scan"`` (legacy oracle).
+    volcano pipeline) or ``"scan"`` (legacy oracle).
     """
     return QueryEngine(graph, strategy=strategy).run(query)

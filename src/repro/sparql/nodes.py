@@ -401,7 +401,7 @@ class SelectQuery(_Node):
         ``items`` holds one entry per projection: ``("var", Variable, name)``
         for a bare grouped variable, ``("agg", Aggregate, name)`` for an
         aggregate whose argument is ``*`` or a bare variable.  This is the
-        shape both the ID-space fast path and the streaming fold can
+        shape both the columnar aggregate sink and the streaming fold can
         execute without the expression interpreter.
         """
         group_vars: List[Variable] = []

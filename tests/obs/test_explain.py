@@ -20,7 +20,7 @@ SELECT ?type (COUNT(?s) AS ?n) WHERE { ?s a ?type } GROUP BY ?type
 """
 
 
-@pytest.mark.parametrize("strategy", ["hash", "stream", "scan", "batch"])
+@pytest.mark.parametrize("strategy", ["hash", "stream", "scan"])
 def test_explain_renders_operator_tree(small_graph, strategy):
     engine = QueryEngine(small_graph, strategy=strategy)
     report = engine.explain(QUERY)
@@ -37,21 +37,38 @@ def test_explain_shows_rows_in_out(small_graph):
     text = report.render()
     # operator spans carry row accounting from exec_stats
     assert "rows_out=" in text or "input_rows=" in text
-    assert report.exec_stats["operator"] in {
-        "aggregate", "stream-aggregate", "fast-aggregate", "group-aggregate",
-    } or "operator" not in report.exec_stats
+    assert report.exec_stats["operator"] == "aggregate-id"
 
 
-def test_explain_reports_rows_per_batch(small_graph):
-    """The batch pipeline's sink records batches alongside input_rows,
-    so EXPLAIN ANALYZE can report rows-per-batch without per-row cost."""
-    engine = QueryEngine(small_graph, strategy="batch", batch_size=2)
-    report = engine.explain(AGGREGATE)
+def test_every_sink_names_its_operator(small_graph):
+    """The operator vocabulary: one name per simple-shape sink (the
+    un-LIMITed sort shares top-k's), one for the small-LIMIT streaming
+    SELECT -- so an explained SELECT never reports empty exec_stats."""
+    engine = QueryEngine(small_graph)
+    for query, operator in (
+        ("SELECT ?s WHERE { ?s ?p ?o }", "select-id"),
+        (QUERY, "topk-id"),
+        (QUERY + " LIMIT 1", "topk-id"),
+        (AGGREGATE, "aggregate-id"),
+        ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 5", "stream-select"),
+    ):
+        report = engine.explain(query)
+        assert report.exec_stats["operator"] == operator, query
+        assert f"sparql.{operator}" in report.render()
+    stats = engine.exec_stats_snapshot()
+    assert stats["input_rows"] == stats["decoded_rows"] == 5
+
+
+def test_explain_reports_rows_per_batch(small_graph, monkeypatch):
+    """The columnar sinks record batches alongside input_rows, so
+    EXPLAIN ANALYZE can report rows-per-batch without per-row cost."""
+    monkeypatch.setattr(QueryEngine, "BATCH_SIZE", 2)
+    report = QueryEngine(small_graph).explain(AGGREGATE)
     stats = report.exec_stats
-    assert stats["operator"] == "batch-aggregate"
-    assert stats["batches"] >= 1
-    assert stats["input_rows"] >= stats["batches"]  # >= 1 row per batch
-    assert "sparql.batch-aggregate" in report.render()
+    assert stats["operator"] == "aggregate-id"
+    assert stats["batches"] == 2  # three typed subjects, two rows a batch
+    assert stats["input_rows"] == 3
+    assert "sparql.aggregate-id" in report.render()
 
 
 def test_explain_restores_the_attached_recorder(small_graph):
@@ -82,7 +99,7 @@ def test_explain_is_deterministic(small_graph):
     assert first == second
 
 
-@pytest.mark.parametrize("strategy", ["hash", "stream", "scan", "batch"])
+@pytest.mark.parametrize("strategy", ["hash", "stream", "scan"])
 def test_exec_stats_stay_in_vocabulary(small_graph, strategy):
     """Engines only ever write the EXEC_STAT_KEYS vocabulary — the
     EXPLAIN renderer, the latency model and the metrics bridge all key

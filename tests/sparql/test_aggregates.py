@@ -162,7 +162,7 @@ class TestHavingPushdown:
             assert self._canonical(result) == self._canonical(oracle), strategy
             # proof the fold path (not the materialized one) answered
             assert engine.exec_stats.get("operator") in (
-                "fast-aggregate",
+                "aggregate-id",
                 "stream-aggregate",
             ), strategy
             assert "having_pruned" in engine.exec_stats

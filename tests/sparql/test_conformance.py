@@ -463,7 +463,7 @@ def _canonical_rows(result: SelectResult):
 
 
 #: the modern pipelines checked against the scan oracle
-STRATEGIES = ("hash", "stream", "batch")
+STRATEGIES = ("hash", "stream")
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -499,3 +499,8 @@ def test_ask_matches_scan(graph, strategy, case_id, query, expected):
 def test_strategy_validation(graph):
     with pytest.raises(ValueError):
         QueryEngine(graph, strategy="quantum")
+    # the retired knobs stay retired: batching is not a caller's choice
+    with pytest.raises(ValueError):
+        QueryEngine(graph, strategy="batch")
+    with pytest.raises(TypeError):
+        QueryEngine(graph, batch_size=2)

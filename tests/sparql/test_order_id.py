@@ -1,11 +1,11 @@
-"""The ID-space ORDER BY path (sort raw ID rows, decode the emitted page).
+"""The ID-space ORDER BY sink (sort raw ID rows, decode the emitted page).
 
-``_try_order_fast`` replaces the last plain-ORDER BY materializer on the
-hash engine: simple-shape queries sort ID tuples with memoized decoded
-keys and only decode rows that survive DISTINCT/OFFSET/LIMIT.  These
-tests pin (a) that the path actually runs (``operator == "order-id"``),
-and (b) that its output is row-for-row identical to the scan oracle's
-materialized sort, ties included.
+Simple-shape queries order ID tuples with memoized decoded keys -- a
+full sort without LIMIT, a bounded heap with one -- and only decode
+rows that survive DISTINCT/OFFSET/LIMIT.  These tests pin (a) that the
+sink actually runs (``operator == "topk-id"``), and (b) that its output
+is row-for-row identical to the scan oracle's materialized sort, ties
+included.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ CASES = [
     ("full-sort", PREFIX + "SELECT ?s ?v WHERE { ?s ex:score ?v } ORDER BY ?v ?s"),
     # descending + secondary key, ties broken by the second condition
     ("desc-keys", PREFIX + "SELECT ?s ?v WHERE { ?s ex:score ?v } ORDER BY DESC(?v) ?s"),
-    # LIMIT above the top-k delegation bound stays on this path
+    # LIMIT above the small-LIMIT streaming bound
     ("big-limit", PREFIX + "SELECT ?s WHERE { ?s ex:score ?v } ORDER BY ?v ?s LIMIT 100"),
-    # DISTINCT + ORDER BY (top-k excludes DISTINCT; this path handles it)
+    # DISTINCT + ORDER BY without LIMIT: sort, then stable dedup
     ("distinct", PREFIX + "SELECT DISTINCT ?g WHERE { ?s ex:group ?g . ?s ex:score ?v } ORDER BY ?g"),
     # OFFSET slicing after the sort
     ("offset", PREFIX + "SELECT ?s ?v WHERE { ?s ex:score ?v } ORDER BY ?v ?s OFFSET 2"),
@@ -66,55 +66,46 @@ CASES = [
 def test_order_id_matches_materialized_sort(graph, case_id, query):
     engine = QueryEngine(graph)
     result = engine.run(query)
-    assert engine.exec_stats.get("operator") == "order-id", engine.exec_stats
+    assert engine.exec_stats.get("operator") == "topk-id", engine.exec_stats
     oracle = QueryEngine(graph, strategy="scan").run(query)
     assert _ordered(result) == _ordered(oracle)
 
 
 def test_decodes_only_the_emitted_page(graph):
     engine = QueryEngine(graph)
-    # LIMIT past the top-k delegation bound: pagination stays ID-space
+    # only the emitted page is ever decoded, whatever the LIMIT
     result = engine.run(
         PREFIX + "SELECT ?s ?v WHERE { ?s ex:score ?v } ORDER BY ?v ?s OFFSET 1 LIMIT 100"
     )
     stats = engine.exec_stats
-    assert stats["operator"] == "order-id"
+    assert stats["operator"] == "topk-id"
     assert stats["input_rows"] == 5
     assert stats["decoded_rows"] == len(result.rows) == 4
 
 
-def test_small_limit_still_delegates_to_topk(graph):
-    # the bounded heap keeps priority for LIMIT <= STREAM_DELEGATE_LIMIT
-    engine = QueryEngine(graph)
+@pytest.mark.parametrize("strategy", ["hash", "stream"])
+def test_limit_bounds_the_rows_kept(graph, strategy):
+    # with a LIMIT the sink is a bounded heap: offset + k rows, not all 5
+    engine = QueryEngine(graph, strategy=strategy)
     engine.run(PREFIX + "SELECT ?s WHERE { ?s ex:score ?v } ORDER BY ?v ?s LIMIT 2")
     assert engine.exec_stats["operator"] == "topk-id"
+    assert engine.exec_stats["tracked_rows"] == 2
+    engine.run(PREFIX + "SELECT ?s WHERE { ?s ex:score ?v } ORDER BY ?v ?s")
+    assert engine.exec_stats["tracked_rows"] == 5
 
 
-# -- the stream engine's delegation (PR 8: the carried tech debt) -----------
+# -- the stream engine feeds the same sink ------------------------------------
 
 
-# the stream engine has no top-k delegation bound: *any* ORDER BY+LIMIT
-# rides the bounded heap there, so "big-limit" is topk-id, not order-id
-STREAM_CASES = [case for case in CASES if case[0] != "big-limit"]
-
-
-@pytest.mark.parametrize(
-    "case_id,query", STREAM_CASES, ids=[c[0] for c in STREAM_CASES]
-)
+@pytest.mark.parametrize("case_id,query", CASES, ids=[c[0] for c in CASES])
 def test_stream_strategy_uses_id_sorter_for_unlimited_order(graph, case_id, query):
-    """Un-LIMITed ORDER BY on the stream engine delegates to the same
-    ID-space sorter instead of the materializing general path."""
+    """ORDER BY on the stream engine runs the same ID-space sink (fed by
+    its lazy chain) instead of the materializing general path."""
     engine = QueryEngine(graph, strategy="stream")
     result = engine.run(query)
-    assert engine.exec_stats.get("operator") == "order-id", engine.exec_stats
+    assert engine.exec_stats.get("operator") == "topk-id", engine.exec_stats
     oracle = QueryEngine(graph, strategy="scan").run(query)
     assert _ordered(result) == _ordered(oracle)
-
-
-def test_stream_small_limit_keeps_topk_priority(graph):
-    engine = QueryEngine(graph, strategy="stream")
-    engine.run(PREFIX + "SELECT ?s WHERE { ?s ex:score ?v } ORDER BY ?v ?s LIMIT 2")
-    assert engine.exec_stats["operator"] == "topk-id"
 
 
 def test_non_simple_shapes_fall_back(graph):
@@ -126,7 +117,7 @@ def test_non_simple_shapes_fall_back(graph):
         + "ORDER BY ?v ?s"
     )
     result = engine.run(query)
-    assert engine.exec_stats.get("operator") != "order-id"
+    assert engine.exec_stats.get("operator") != "topk-id"
     oracle = QueryEngine(graph, strategy="scan").run(query)
     assert _ordered(result) == _ordered(oracle)
 
@@ -135,6 +126,6 @@ def test_expression_sort_key_falls_back(graph):
     engine = QueryEngine(graph)
     query = PREFIX + "SELECT ?s WHERE { ?s ex:score ?v } ORDER BY (?v * 2) ?s"
     result = engine.run(query)
-    assert engine.exec_stats.get("operator") != "order-id"
+    assert engine.exec_stats.get("operator") != "topk-id"
     oracle = QueryEngine(graph, strategy="scan").run(query)
     assert _ordered(result) == _ordered(oracle)
