@@ -408,8 +408,10 @@ def replay_wal(graph: Graph, root: str, manifest: Optional[Dict] = None) -> Tupl
     """Replay the store's WAL tail onto *graph*; returns (changes, reason).
 
     Safe to call repeatedly: records are term-level and replay through the
-    normal mutation paths, so re-applying an already-applied record is a
-    no-op (this is what the double-replay tests pin).  ``reason`` reports
+    normal mutation paths, so re-applying the tail leaves the *content*
+    where it was (this is what the double-replay tests pin).  It is not
+    a no-op for ``generation``: a tail holding an add and its remove
+    re-adds and re-removes, two real transient changes.  ``reason`` reports
     a detected torn tail (``torn-*``) or ``None``; mid-stream corruption
     raises :class:`WalReplayError`.
     """

@@ -44,11 +44,14 @@ has one executor (:meth:`QueryEngine._run_select_simple`): a source of
 ID *column* batches (``BATCH_SIZE`` rows each, volcano control flow
 between batches) feeds a columnar FILTER (selection vectors) and one of
 three sinks -- projection/DISTINCT/slice, top-k/sort, or GROUP BY fold
-(:meth:`_AggFold.fold_batch`).  The source follows from the compiled
-patterns, never from a caller option: a single pattern streams batches
-straight off the index (zero-copy on the sorted shard runs), several
-patterns run the eager join and transpose its rows, and the ``stream``
-engine chunks its lazy join chain.
+(:meth:`_AggFold.fold_batch`).  Rows stay dictionary IDs (and raw fold
+values) through ORDER BY / DISTINCT / OFFSET / LIMIT
+(:meth:`QueryEngine._id_modifiers`); only the emitted page is decoded.
+The source follows from the compiled patterns, never from a caller
+option: a single pattern streams batches straight off the index
+(zero-copy on the sorted shard runs), several patterns run the eager
+join and transpose its rows, and the ``stream`` engine chunks its lazy
+join chain.
 
 Compiled plans (encoded patterns + cardinality estimates) live in a
 :class:`_SharedPlanCache` attached to the *graph* (one per graph, shared
@@ -354,25 +357,44 @@ class _AggFold:
             return
         self.parts.append(_concat_part(term))
 
-    def result(self) -> Optional[Term]:
+    def value(self):
+        """The fold's result before it is a term: a Python number or
+        string (whose term is ``Literal(value)``), the winning term
+        itself (MIN / MAX / SAMPLE), or None when there is no result.
+
+        The columnar aggregate sink orders, deduplicates and slices
+        groups on these (equal values make equal terms and vice versa
+        within one aggregate's column) and builds terms only for the
+        rows it emits.
+        """
         function = self.function
         if function == "COUNT":
-            return Literal(self.count)
+            return self.count
         if function == "SUM":
             total = self.total
-            return Literal(int(total)) if total == int(total) else Literal(float(total))
+            return int(total) if total == int(total) else float(total)
         if function == "AVG":
             if not self.numbers:
                 return None
             mean = self.total / self.numbers
-            return Literal(int(mean)) if mean == int(mean) else Literal(float(mean))
+            return int(mean) if mean == int(mean) else float(mean)
         if function in ("MIN", "MAX"):
             return self.best
         if function == "SAMPLE":
             return self.sample
         if function == "GROUP_CONCAT":
-            return Literal(self.separator.join(self.parts))
+            return self.separator.join(self.parts)
         raise SparqlEvaluationError(f"unhandled aggregate {function}")
+
+    def result(self) -> Optional[Term]:
+        return _fold_term(self.value())
+
+
+def _fold_term(value) -> Optional[Term]:
+    """The term of one :meth:`_AggFold.value`."""
+    if value is None or isinstance(value, Term):
+        return value
+    return Literal(value)
 
 
 class _TopKEntry:
@@ -445,6 +467,27 @@ def _topk_fold(entries: Iterator[_TopKEntry], keep: int) -> List[_TopKEntry]:
             # among the best `keep` seen so far; evict the root.
             replace(heap, entry)
     return sorted(heap, reverse=True)
+
+
+def _sort_key_column(values, memo: Dict, term_of) -> List[Tuple]:
+    """One ORDER BY condition's keys for a column of ID-space cells.
+
+    A bound cell's key is its term's ``sort_key()``; an unbound cell's
+    is ``()``, which sorts before every term key -- the order
+    :meth:`QueryEngine._order_key` defines.  Keys are built once per
+    distinct cell: *term_of* (a dictionary decode, or :func:`_fold_term`
+    for raw fold values) runs on *memo* misses only.
+    """
+    lookup = memo.get
+    keys = []
+    append = keys.append
+    for value in values:
+        key = lookup(value)
+        if key is None:
+            term = None if value is None else term_of(value)
+            key = memo[value] = () if term is None else term.sort_key()
+        append(key)
+    return keys
 
 
 class _EncodedPattern:
@@ -600,10 +643,14 @@ EXEC_STAT_KEYS = frozenset(
         # term-space streaming operators)
         "operator",
         "input_rows",       # rows consumed by that operator
-        "tracked_rows",     # max rows/groups it ever held (memory contract)
+        "tracked_rows",     # max rows/groups it ever held (memory contract);
+                            # ``aggregate-id``: the groups folded
         "distinct_keys",    # DISTINCT seen-set / champion-table size
         "having_pruned",    # groups dropped by HAVING pushdown
-        "decoded_rows",     # rows decoded at the result boundary
+        "decoded_rows",     # rows decoded at the result boundary;
+                            # ``aggregate-id``: the page that survived
+                            # ORDER BY / DISTINCT / OFFSET / LIMIT, not
+                            # the groups
         "batches",          # column batches a columnar sink consumed
         # shard fan-out counters (sparql/parallel_exec.py)
         "shard_batches",        # partition-parallel batches dispatched
@@ -2232,7 +2279,8 @@ class QueryEngine:
         aggregation (``aggregate_plan``) and a HAVING that pushes down
         into the fold.  The plan is None without aggregates; the sort
         variables are None unless a non-aggregate query has an ORDER BY
-        (ORDER BY over aggregate output sorts the O(groups) result rows).
+        (ORDER BY over aggregate output is the aggregate sink's own:
+        :meth:`_aggregate_page`).
         """
         if query.having is not None and (
             not query.has_aggregates()
@@ -2280,24 +2328,126 @@ class QueryEngine:
         return names, [col_of.get(p.expression.variable) for p in query.projections]
 
     def _decode_id_rows(
-        self, rows: Iterable[Tuple], names: List[str], columns: List[Optional[int]]
+        self,
+        rows: Iterable[Tuple],
+        names: List[str],
+        columns: List[Optional[int]],
+        fold_columns: Iterable[int] = (),
     ) -> List[Row]:
-        """Decode + project ID rows into result rows (the one decode loop)."""
+        """Decode + project ID rows into result rows (the one decode
+        loop).  Row positions in *fold_columns* hold raw fold values
+        (:meth:`_AggFold.value`) instead of dictionary IDs."""
         decode = self.graph.decode_id
+        # equal fold values make equal terms: one Literal per distinct
+        # count, not one per group
+        fold_terms: Dict = {}
+        layout = [
+            (name, column, column in fold_columns)
+            for name, column in zip(names, columns)
+        ]
         out_rows: List[Row] = []
         for row in rows:
             projected: Row = {}
-            for name, column in zip(names, columns):
+            for name, column, folded in layout:
                 if column is None:
                     projected[name] = None
                     continue
                 value = row[column]
-                if value is _UNBOUND:
+                if folded:
+                    term = fold_terms.get(value)
+                    if term is None and value is not None:
+                        term = fold_terms[value] = _fold_term(value)
+                    projected[name] = term
+                elif value is None or value is _UNBOUND:
                     projected[name] = None
                 else:
                     projected[name] = decode(value) if type(value) is int else value
             out_rows.append(projected)
         return out_rows
+
+    def _id_modifiers(
+        self, query: SelectQuery, batches: Iterator[List], conditions, dedup_columns
+    ) -> Tuple[List[Tuple], Dict[str, int]]:
+        """ORDER BY / DISTINCT / OFFSET / LIMIT over ID column batches:
+        the one modifier tail of the columnar sinks, run before anything
+        is decoded.  Returns ``(page rows, stats)``.
+
+        *conditions* are ``(column, descending, term_of)``; their sort
+        keys are memoized per distinct cell (:func:`_sort_key_column`).
+        Under LIMIT a bounded heap keeps at most ``offset + k`` rows; a
+        stable index sort orders everything otherwise.  Both tie-break
+        on the global row sequence, so the heap equals sort-then-slice
+        at any batch size.  DISTINCT dedups on *dedup_columns* after
+        ordering (sort, stable dedup, slice); under LIMIT that is a
+        per-key champion table in front of the heap.
+        """
+        memos: List[Dict] = [{} for _ in conditions]
+        stats = {"input_rows": 0, "batches": 0}
+
+        def keyed_batches() -> Iterator[Tuple[List[Tuple], List[List]]]:
+            """``(rows, one sort-key column per condition)`` per batch."""
+            for cols in batches:
+                stats["batches"] += 1
+                stats["input_rows"] += len(cols[0])
+                yield list(zip(*cols)), [
+                    _sort_key_column(cols[column], memo, term_of)
+                    for (column, _descending, term_of), memo in zip(conditions, memos)
+                ]
+
+        def dedup_key(row: Tuple) -> Tuple:
+            return tuple(
+                row[column] if column is not None else None
+                for column in dedup_columns
+            )
+
+        offset = query.offset or 0
+        if query.limit is not None:
+            flags = tuple(descending for _column, descending, _term_of in conditions)
+
+            def entries() -> Iterator[_TopKEntry]:
+                seq = 0
+                for rows, batch_keys in keyed_batches():
+                    row_keys = zip(*batch_keys) if batch_keys else _repeat(())
+                    for keys, row in zip(row_keys, rows):
+                        yield _TopKEntry(keys, flags, seq, row)
+                        seq += 1
+
+            source = entries()
+            if query.distinct:
+                champions = _champion_fold(source, dedup_key)
+                stats["distinct_keys"] = len(champions)
+                source = iter(champions.values())
+            kept = [entry.payload for entry in _topk_fold(source, offset + query.limit)]
+        else:
+            kept = []
+            key_columns: List[List] = [[] for _ in conditions]
+            for rows, batch_keys in keyed_batches():
+                kept.extend(rows)
+                for key_column, keys in zip(key_columns, batch_keys):
+                    key_column.extend(keys)
+            if conditions:
+                # Stable multi-key sort, same discipline as _order: sort
+                # by the last condition first; equal keys keep input
+                # order.  An index sort keyed by ``list.__getitem__``
+                # keeps every comparison in C.
+                order = list(range(len(kept)))
+                for key_column, (_column, descending, _term_of) in zip(
+                    reversed(key_columns), reversed(conditions)
+                ):
+                    order.sort(key=key_column.__getitem__, reverse=descending)
+                kept = [kept[i] for i in order]
+            if query.distinct:
+                seen = set()
+                deduped = []
+                for row in kept:
+                    key = dedup_key(row)
+                    if key not in seen:
+                        seen.add(key)
+                        deduped.append(row)
+                stats["distinct_keys"] = len(seen)
+                kept = deduped
+        stats["tracked_rows"] = len(kept)
+        return kept[offset:], stats
 
     def _aggregate_fold_specs(self, query: SelectQuery, plan, col_of):
         """``(group columns, fold specs, having specs)`` for an ID-space
@@ -2333,37 +2483,81 @@ class QueryEngine:
         ]
         return group_columns, fold_specs, having_specs
 
-    def _aggregate_groups_rows(self, items, groups, col_of, having_specs):
-        """Project folded groups into result rows: HAVING gates on the
-        negative-slot folds, ``var`` items decode the group's first
-        member row, ``agg`` items read their fold."""
-        decode = self.graph.decode_id
-        names = [name for _, _, name in items]
-        out_rows: List[Row] = []
-        having_pruned = 0
-        for first_row, folds in groups.values():
-            if having_specs and not all(
-                self._having_fold_passes(folds[slot].result(), op, constant)
-                for slot, _aggregate, _column, op, constant in having_specs
-            ):
-                having_pruned += 1
+    def _group_columns(self, items, groups, col_of, having_specs):
+        """``(cols, having_pruned)``: the folded groups as ONE column
+        batch, a column per item.  HAVING gates on the negative-slot
+        folds, ``var`` items carry the ID the group's first member row
+        holds, ``agg`` items their fold's raw value."""
+        survivors = list(groups.values())
+        if having_specs:
+            survivors = [
+                state
+                for state in survivors
+                if all(
+                    self._having_fold_passes(state[1][slot].result(), op, constant)
+                    for slot, _aggregate, _column, op, constant in having_specs
+                )
+            ]
+        cols: List[List] = []
+        for index, (kind, payload, _name) in enumerate(items):
+            if kind == "agg":
+                cols.append([folds[index].value() for _first_row, folds in survivors])
                 continue
-            projected: Row = {}
-            for index, (kind, payload, name) in enumerate(items):
-                if kind == "var":
-                    column = col_of.get(payload)
-                    if column is None or first_row is None:
-                        projected[name] = None
-                        continue
-                    value = first_row[column]
-                    if value is _UNBOUND:
-                        projected[name] = None
-                    else:
-                        projected[name] = decode(value) if type(value) is int else value
-                    continue
-                projected[name] = folds[index].result()
-            out_rows.append(projected)
-        return names, out_rows, having_pruned
+            column = col_of.get(payload)
+            cols.append(
+                [
+                    None if column is None or first_row is None else first_row[column]
+                    for first_row, _folds in survivors
+                ]
+            )
+        if not cols:
+            # no items (``SELECT *`` over groups): one placeholder
+            # column, a batch's length is ``len(cols[0])``
+            cols.append([None] * len(survivors))
+        return cols, len(groups) - len(survivors)
+
+    def _aggregate_page(
+        self, query: SelectQuery, items, cols: List[List], columns: List[int], stats
+    ) -> SelectResult:
+        """The aggregate sink's output: *cols* holds the groups as one
+        column batch -- group-key IDs and raw fold values, item *i* at
+        ``columns[i]`` -- and only the page that survives the modifiers
+        is decoded.
+
+        ORDER BY conditions that name an output column (a group variable
+        or an aggregate alias) run in :meth:`_id_modifiers`; an
+        expression condition needs decoded rows in scope, so that query
+        shape decodes every group and ends in :meth:`_apply_modifiers`.
+        """
+        names = [name for _kind, _payload, name in items]
+        fold_columns = {
+            column for column, item in zip(columns, items) if item[0] == "agg"
+        }
+        order_vars = query.order_variables()
+        if order_vars is None:
+            rows = self._decode_id_rows(zip(*cols), names, columns, fold_columns)
+            stats["decoded_rows"] = len(rows)
+            rows = self._apply_modifiers(query, rows, names)
+        else:
+            decode = self.graph.decode_id
+            by_name = dict(zip(names, columns))
+            conditions = []
+            for variable, condition in zip(order_vars, query.order_by):
+                column = by_name.get(variable.name)
+                # A sort variable that names no output column ties on
+                # every group: drop it.
+                if column is not None:
+                    term_of = _fold_term if column in fold_columns else decode
+                    conditions.append((column, condition.descending, term_of))
+            page, tail = self._id_modifiers(query, iter((cols,)), conditions, columns)
+            # the tail counted one batch of groups; the fold's own
+            # counters (rows folded, groups held) are the sink's
+            stats = {**tail, **stats, "decoded_rows": len(page)}
+            rows = self._decode_id_rows(page, names, columns, fold_columns)
+        self.exec_stats.update(stats, operator="aggregate-id")
+        if self.obs.detail:
+            self._operator_event()
+        return SelectResult(names, rows)
 
     def _run_select_simple(
         self, query: SelectQuery, patterns, simple_filters, plan, order_vars
@@ -2603,112 +2797,21 @@ class QueryEngine:
         batches: Iterator[List],
         col_of: Dict[Variable, int],
     ) -> SelectResult:
-        """The ORDER BY sink: per-batch sort-key columns (one decode per
-        distinct ID) feed a bounded heap under LIMIT -- at most ``offset
-        + k`` rows kept -- and a full sort otherwise.
-
-        Both tie-break on the global row sequence, so the heap equals
-        sort-then-slice at any batch size.  DISTINCT dedups on the
-        projected row after ordering (sort, stable dedup, slice); under
-        LIMIT that is a per-key champion table in front of the heap.
-        """
+        """The ORDER BY sink: sort-key columns (one decode per distinct
+        ID) into :meth:`_id_modifiers`, then decode the page."""
         decode = self.graph.decode_id
         # A sort variable no pattern binds ties on every row: drop it.
         conditions = [
-            (col_of[variable], condition.descending)
+            (col_of[variable], condition.descending, decode)
             for variable, condition in zip(order_vars, query.order_by)
             if variable in col_of
         ]
-        key_memo: Dict[int, Tuple] = {}
-        stats = {"input_rows": 0, "batches": 0}
-
-        def keyed_batches() -> Iterator[Tuple[List[Tuple], List[List]]]:
-            """``(rows, one sort-key column per condition)`` per batch."""
-            lookup = key_memo.get
-            for cols in batches:
-                stats["batches"] += 1
-                stats["input_rows"] += len(cols[0])
-                batch_keys = []
-                for column, _descending in conditions:
-                    keys = []
-                    append = keys.append
-                    for value in cols[column]:
-                        key = lookup(value)
-                        if key is None:
-                            key = key_memo[value] = decode(value).sort_key()
-                        append(key)
-                    batch_keys.append(keys)
-                yield list(zip(*cols)), batch_keys
-
-        offset = query.offset or 0
-        distinct_keys = None
-        if query.distinct:
-            _names, dedup_columns = self._id_projection_layout(query, col_of, True)
-
-            def dedup_key(row: Tuple) -> Tuple:
-                return tuple(
-                    row[column] if column is not None else None
-                    for column in dedup_columns
-                )
-
-        if query.limit is not None:
-            flags = tuple(descending for _column, descending in conditions)
-
-            def entries() -> Iterator[_TopKEntry]:
-                seq = 0
-                for rows, batch_keys in keyed_batches():
-                    row_keys = zip(*batch_keys) if batch_keys else _repeat(())
-                    for keys, row in zip(row_keys, rows):
-                        yield _TopKEntry(keys, flags, seq, row)
-                        seq += 1
-
-            source = entries()
-            if query.distinct:
-                champions = _champion_fold(source, dedup_key)
-                distinct_keys = len(champions)
-                source = iter(champions.values())
-            kept = [entry.payload for entry in _topk_fold(source, offset + query.limit)]
-        else:
-            kept = []
-            key_columns: List[List] = [[] for _ in conditions]
-            for rows, batch_keys in keyed_batches():
-                kept.extend(rows)
-                for key_column, keys in zip(key_columns, batch_keys):
-                    key_column.extend(keys)
-            # Stable multi-key sort, same discipline as _order: sort by
-            # the last condition first; equal keys keep input order.  An
-            # index sort keyed by ``list.__getitem__`` keeps every
-            # comparison in C.
-            order = list(range(len(kept)))
-            for key_column, (_column, descending) in zip(
-                reversed(key_columns), reversed(conditions)
-            ):
-                order.sort(key=key_column.__getitem__, reverse=descending)
-            kept = [kept[i] for i in order]
-            if query.distinct:
-                seen = set()
-                deduped = []
-                for row in kept:
-                    key = dedup_key(row)
-                    if key not in seen:
-                        seen.add(key)
-                        deduped.append(row)
-                distinct_keys = len(seen)
-                kept = deduped
-        page = kept[offset:]
-
+        _names, dedup_columns = self._id_projection_layout(query, col_of, True)
+        page, stats = self._id_modifiers(query, batches, conditions, dedup_columns)
         names, columns = self._id_projection_layout(
             query, col_of, stats["input_rows"] > 0
         )
-        self.exec_stats.update(
-            operator="topk-id",
-            input_rows=stats["input_rows"],
-            tracked_rows=len(kept),
-            batches=stats["batches"],
-            decoded_rows=len(page),
-        )
-        if distinct_keys is not None:
-            self.exec_stats["distinct_keys"] = distinct_keys
+        self.exec_stats.update(stats, operator="topk-id", decoded_rows=len(page))
         if self.obs.detail:
             self._operator_event()
         return SelectResult(names, self._decode_id_rows(page, names, columns))
@@ -2723,7 +2826,9 @@ class QueryEngine:
         order, matching the dict-based fold's group order).  Everything
         else slices each batch's value columns per group and folds them
         through :meth:`_AggFold.fold_batch`, so results are identical to
-        the row-at-a-time fold at any batch size.
+        the row-at-a-time fold at any batch size.  Either way the groups
+        leave as one column batch of IDs and raw fold values
+        (:meth:`_aggregate_page`).
         """
         group_vars, items = plan
         group_columns, fold_specs, having_specs = self._aggregate_fold_specs(
@@ -2821,27 +2926,21 @@ class QueryEngine:
             # one row (COUNT(*) = 0) per the spec.
             groups[()] = (None, {index: _AggFold(agg) for index, agg, _ in fold_specs})
 
-        names, out_rows, having_pruned = self._aggregate_groups_rows(
-            items, groups, col_of, having_specs
-        )
-        self.exec_stats.update(
-            operator="aggregate-id",
-            input_rows=input_rows,
-            tracked_rows=len(groups),
-            batches=n_batches,
-        )
+        cols, having_pruned = self._group_columns(items, groups, col_of, having_specs)
+        stats = {
+            "input_rows": input_rows,
+            "tracked_rows": len(groups),
+            "batches": n_batches,
+        }
         if having_specs:
-            self.exec_stats["having_pruned"] = having_pruned
-        if self.obs.detail:
-            self._operator_event()
-        return SelectResult(names, self._apply_modifiers(query, out_rows, names))
+            stats["having_pruned"] = having_pruned
+        return self._aggregate_page(query, items, cols, list(range(len(items))), stats)
 
     def _batch_count_groups(
         self, query: SelectQuery, items, group_column: int, batches: Iterator[List]
     ) -> SelectResult:
         """The fully-vectorized aggregation: single-key pure-COUNT GROUP
         BY as one :class:`Counter` update per batch."""
-        decode = self.graph.decode_id
         counter: Counter = Counter()
         input_rows = 0
         n_batches = 0
@@ -2850,22 +2949,14 @@ class QueryEngine:
             n = len(cols[0])
             input_rows += n
             counter.update(cols[group_column])
-        names = [name for _, _, name in items]
-        out_rows: List[Row] = []
-        for key, count in counter.items():
-            projected: Row = {}
-            for kind, _payload, name in items:
-                projected[name] = decode(key) if kind == "var" else Literal(count)
-            out_rows.append(projected)
-        self.exec_stats.update(
-            operator="aggregate-id",
-            input_rows=input_rows,
-            tracked_rows=len(counter),
-            batches=n_batches,
-        )
-        if self.obs.detail:
-            self._operator_event()
-        return SelectResult(names, self._apply_modifiers(query, out_rows, names))
+        stats = {
+            "input_rows": input_rows,
+            "tracked_rows": len(counter),
+            "batches": n_batches,
+        }
+        cols = [list(counter), list(counter.values())]
+        columns = [0 if kind == "var" else 1 for kind, _payload, _name in items]
+        return self._aggregate_page(query, items, cols, columns, stats)
 
     def _run_select_general(self, query: SelectQuery) -> SelectResult:
         solutions = list(self._evaluate_group(query.where, [{}]))
@@ -3100,8 +3191,8 @@ class QueryEngine:
         ``scopes`` are the per-row sort scopes; when omitted they are
         rebuilt from the rows themselves (correct whenever the rows carry
         every variable ORDER BY may name, i.e. aggregate output).  Every
-        pipeline ends in this one tail so the modifier order cannot
-        diverge between paths.
+        term-space pipeline ends in this one tail; the columnar sinks
+        run the same modifiers in ID space (:meth:`_id_modifiers`).
         """
         if query.order_by:
             if scopes is None:

@@ -71,6 +71,30 @@ def test_explain_reports_rows_per_batch(small_graph, monkeypatch):
     assert "sparql.aggregate-id" in report.render()
 
 
+def test_aggregate_sink_reports_the_page_it_decoded(scholarly):
+    """``aggregate-id`` orders and slices its groups before decoding:
+    ``tracked_rows`` is the groups folded, ``decoded_rows`` the page."""
+    from repro.serving import default_query_mix
+
+    (top_entities,) = [
+        template.text
+        for template in default_query_mix()
+        if template.name == "top-entities"
+    ]
+    groups = len({triple.subject for triple in scholarly})
+    assert groups > 10
+    report = QueryEngine(scholarly).explain(top_entities)
+    stats = report.exec_stats
+    assert stats["operator"] == "aggregate-id"
+    assert stats["tracked_rows"] == groups
+    assert stats["decoded_rows"] == report.rows == 10
+    (operator_line,) = [
+        line for line in report.render().splitlines() if "sparql.aggregate-id" in line
+    ]
+    assert "decoded_rows=10" in operator_line
+    assert f"tracked_rows={groups}" in operator_line
+
+
 def test_explain_restores_the_attached_recorder(small_graph):
     engine = QueryEngine(small_graph)
     attached = Tracer(seed=7)

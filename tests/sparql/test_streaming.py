@@ -267,6 +267,40 @@ def test_parse_cache_returns_same_ast_object():
     assert parse_query(text + " ") is not first  # different text, new AST
 
 
+def test_parse_cache_holds_a_fleet_pass_of_extraction_texts():
+    """The AST LRU is sized to a census pass: 6k distinct per-class
+    extraction texts re-parse to the same AST objects, so the second
+    pass's identity-keyed plan lookups all hit."""
+    parse_cache_clear()
+    per_graph = 192  # under PLAN_CACHE_SIZE, like one endpoint's probes
+    graphs = [_chain_graph(2) for _ in range(32)]
+    texts = [
+        f"SELECT ?s (COUNT(?o) AS ?n) WHERE {{ ?s a <{EX}class/{i}> . ?s ?p ?o }} "
+        "GROUP BY ?s ORDER BY DESC(?n) ?s LIMIT 10"
+        for i in range(per_graph * len(graphs))
+    ]
+    assert len(texts) >= 6000
+
+    def census_pass():
+        asts = []
+        for index, graph in enumerate(graphs):
+            engine = QueryEngine(graph)
+            for text in texts[index * per_graph : (index + 1) * per_graph]:
+                asts.append(parse_query(text))
+                engine.run(asts[-1])
+        return asts
+
+    first = census_pass()
+    misses = [QueryEngine(graph).plan_cache_info()["misses"] for graph in graphs]
+    assert misses == [per_graph] * len(graphs)
+    second = census_pass()
+    assert all(a is b for a, b in zip(first, second))
+    for graph in graphs:
+        info = QueryEngine(graph).plan_cache_info()
+        assert info["misses"] == per_graph  # no plan was compiled twice
+        assert info["hits"] == per_graph
+
+
 def test_parse_cache_does_not_leak_results_across_graphs():
     """The cached AST is graph-independent: one parse, many graphs."""
     parse_cache_clear()

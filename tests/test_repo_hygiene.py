@@ -3,6 +3,8 @@
 import os
 import re
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -35,6 +37,32 @@ class TestBenchmarkCollection:
             for match in pattern.finditer(text):
                 test_name, params = match.groups()
                 assert "benchmark" in params, f"{name}::{test_name} lacks benchmark fixture"
+
+
+class TestTier1Count:
+    def test_changes_quotes_the_collected_tier1_count(self, request):
+        """The one counting rule: tier-1 is what ROADMAP's Tier-1 verify
+        line (a bare ``pytest`` run, so ``testpaths``) collects, every
+        parametrization one test.  The newest ``tier-1: N collected`` in
+        CHANGES.md must be that number, so PR notes cannot drift from
+        the suite.  Partial runs (paths, ``-k``, ``-m``, ``--deselect``)
+        collect something else and skip."""
+        config = request.config
+        whole_suite = config.args_source is config.ArgsSource.TESTPATHS or [
+            os.path.abspath(arg) for arg in config.args
+        ] == [os.path.join(ROOT, "tests")]
+        option = config.option
+        if not whole_suite or option.keyword or option.markexpr or option.deselect:
+            pytest.skip("not the bare tier-1 run; its count is not tier-1's")
+        collected = len(request.session.items)
+        print(f"tier-1: {collected} collected")
+        with open(os.path.join(ROOT, "CHANGES.md")) as handle:
+            quoted = re.findall(r"tier-1: (\d+) collected", handle.read())
+        assert quoted, "no CHANGES.md entry quotes `tier-1: N collected`"
+        assert int(quoted[-1]) == collected, (
+            f"CHANGES.md's newest entry quotes tier-1: {quoted[-1]} collected; "
+            f"this tree collects {collected} -- quote that in your entry"
+        )
 
 
 class TestObservabilityVocabulary:
