@@ -91,8 +91,7 @@ def comparison():
     return rows
 
 
-def test_b1_coverage_contrast(benchmark, comparison, record_table):
-    benchmark.pedantic(lambda: comparison, iterations=1, rounds=1)
+def test_b1_coverage_contrast(comparison, record_table):
     lines = [
         "B1 (§4): schema-centric H-BOLD vs value-centric SynopsViz charting",
         "",
@@ -119,17 +118,14 @@ def test_b1_coverage_contrast(benchmark, comparison, record_table):
         assert row["numeric_classes"] >= 1  # the baseline is still useful
 
 
-def test_b1_hetree_on_live_values(benchmark):
+def test_b1_hetree_on_live_values():
     network, url = _endpoint_for("trafair")
     client = SparqlClient(network)
     ns = "http://trafair.example.org/"
 
-    def build():
-        values = fetch_property_values(
-            client, url, ns + "Observation", ns + "observedValue"
-        )
-        return build_hetree_r(values, leaf_count=27, degree=3)
-
-    tree = benchmark(build)
+    values = fetch_property_values(
+        client, url, ns + "Observation", ns + "observedValue"
+    )
+    tree = build_hetree_r(values, leaf_count=27, degree=3)
     assert tree.depth() == 3
     assert tree.count > 0

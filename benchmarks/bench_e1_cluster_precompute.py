@@ -18,15 +18,8 @@ import statistics
 E1_SAVING_THRESHOLD = 0.35
 
 
-def _compare_all(app, urls):
-    return app.presentation.compare(urls)
-
-
-def test_e1_median_saving_at_least_35_percent(
-    benchmark, census_app, census_world, record_table
-):
-    urls = census_world.indexable_urls
-    rows = benchmark.pedantic(_compare_all, args=(census_app, urls), iterations=1, rounds=1)
+def test_e1_median_saving_at_least_35_percent(census_app, census_world, record_table):
+    rows = census_app.presentation.compare(census_world.indexable_urls)
     savings = sorted(row["saving"] for row in rows)
     median = statistics.median(savings)
     at_least_35 = sum(1 for s in savings if s >= E1_SAVING_THRESHOLD)
@@ -58,28 +51,12 @@ def test_e1_median_saving_at_least_35_percent(
     assert median >= E1_SAVING_THRESHOLD
 
 
-def test_e1_display_paths_agree_on_content(benchmark, census_app, census_world):
+def test_e1_display_paths_agree_on_content(census_app, census_world):
     """Re-engineering must be behaviour-preserving: both paths show the
     same clusters."""
-
-    def check():
-        for url in census_world.indexable_urls[:10]:
-            fly = census_app.presentation.display_on_the_fly(url)
-            pre = census_app.presentation.display_precomputed(url)
-            fly_groups = sorted(sorted(c.class_iris) for c in fly.cluster_schema.clusters)
-            pre_groups = sorted(sorted(c.class_iris) for c in pre.cluster_schema.clusters)
-            assert fly_groups == pre_groups
-
-    benchmark.pedantic(check, iterations=1, rounds=1)
-
-
-def test_e1_bench_precomputed_display(benchmark, census_app, census_world):
-    """Wall-clock benchmark of the fast path (DB fetch + render)."""
-    url = census_world.indexable_urls[0]
-    benchmark(census_app.presentation.display_precomputed, url)
-
-
-def test_e1_bench_on_the_fly_display(benchmark, census_app, census_world):
-    """Wall-clock benchmark of the legacy path (fetch summary + detect)."""
-    url = census_world.indexable_urls[0]
-    benchmark(census_app.presentation.display_on_the_fly, url)
+    for url in census_world.indexable_urls[:10]:
+        fly = census_app.presentation.display_on_the_fly(url)
+        pre = census_app.presentation.display_precomputed(url)
+        fly_groups = sorted(sorted(c.class_iris) for c in fly.cluster_schema.clusters)
+        pre_groups = sorted(sorted(c.class_iris) for c in pre.cluster_schema.clusters)
+        assert fly_groups == pre_groups

@@ -39,12 +39,8 @@ def crawled(census_world):
     return app, before, found, results, after
 
 
-def test_e2_census_matches_paper(benchmark, crawled, record_table, census_world):
+def test_e2_census_matches_paper(crawled, record_table):
     app, before, found, results, after = crawled
-    # time a fresh three-portal crawl against an already-full registry
-    benchmark.pedantic(
-        app.crawl_portals, args=(census_world.portal_urls,), iterations=1, rounds=1
-    )
 
     lines = [
         "E2 (§3.3): SPARQL endpoint discovery by crawling open data portals",
@@ -73,26 +69,10 @@ def test_e2_census_matches_paper(benchmark, crawled, record_table, census_world)
     assert after["indexed"] == PAPER["indexed_after"]
 
 
-def test_e2_crawl_is_idempotent(benchmark, crawled, census_world):
+def test_e2_crawl_is_idempotent(crawled, census_world):
     app = crawled[0]
-    again = benchmark.pedantic(
-        app.crawl_portals, args=(census_world.portal_urls,), iterations=1, rounds=1
-    )
+    again = app.crawl_portals(census_world.portal_urls)
     assert again["new"] == 0
-
-
-def test_e2_bench_listing1_crawl(benchmark, census_world):
-    """Wall-clock benchmark of one full three-portal crawl."""
-    from repro.core import PortalCrawler
-    from repro.endpoint import SparqlClient
-
-    crawler = PortalCrawler(SparqlClient(census_world.network))
-
-    def crawl():
-        return crawler.crawl_all(census_world.portal_urls)
-
-    discovered = benchmark(crawl)
-    assert sum(len(v) for v in discovered.values()) == 89  # 65 + 9 + 15
 
 
 # -- parallel fleet extraction ---------------------------------------------
@@ -119,13 +99,12 @@ def _update_all_run(parallelism: int):
     return sum(results.values()), clock.now_ms - start_ms
 
 
-def test_e2_bench_parallel_update_all(benchmark, record_table):
+def test_e2_bench_parallel_update_all(record_table):
     """update_all over 30 endpoints: simulated time vs parallelism."""
     timings = {}
     indexed = {}
     for parallelism in PARALLELISMS:
         indexed[parallelism], timings[parallelism] = _update_all_run(parallelism)
-    benchmark.pedantic(_update_all_run, args=(4,), iterations=1, rounds=1)
 
     base = timings[1]
     lines = [
@@ -150,7 +129,7 @@ def test_e2_bench_parallel_update_all(benchmark, record_table):
     assert timings[8] <= timings[4] <= timings[2] <= timings[1]
 
 
-def test_e2_bench_parallel_crawl(benchmark, record_table):
+def test_e2_bench_parallel_crawl(record_table):
     """The three-portal Listing 1 crawl with portals fanned out."""
     from repro.datagen import build_world
 
@@ -165,7 +144,6 @@ def test_e2_bench_parallel_crawl(benchmark, record_table):
 
     found_1, elapsed_1 = crawl_run(1)
     found_3, elapsed_3 = crawl_run(3)
-    benchmark.pedantic(crawl_run, args=(3,), iterations=1, rounds=1)
 
     lines = [
         "E2+ (PR2): parallel portal crawling",

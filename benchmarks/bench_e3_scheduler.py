@@ -38,8 +38,7 @@ def policy_profiles():
     return {policy: _run(policy) for policy in POLICIES}
 
 
-def test_e3_policy_comparison(benchmark, policy_profiles, record_table):
-    benchmark.pedantic(_run, args=("paper",), iterations=1, rounds=1)
+def test_e3_policy_comparison(policy_profiles, record_table):
     lines = [
         f"E3 (§3.1): update scheduling policies over {DAYS} simulated days",
         "(40 endpoints: 30 flaky-but-alive, 10 dead)",
@@ -76,7 +75,7 @@ def test_e3_policy_comparison(benchmark, policy_profiles, record_table):
     assert rigid["attempts"] <= paper["attempts"]
 
 
-def test_e3_seven_day_rule_skips_fresh(benchmark, policy_profiles):
+def test_e3_seven_day_rule_skips_fresh():
     """Direct check of the freshness rule: an endpoint extracted today is
     not touched again for FRESHNESS_DAYS days (unless it failed)."""
     from repro.core import FRESHNESS_DAYS
@@ -86,9 +85,7 @@ def test_e3_seven_day_rule_skips_fresh(benchmark, policy_profiles):
     app = HBold(world.network)
     app.bootstrap_registry(world.indexable_urls)
     scheduler = UpdateScheduler(app.storage, app.extractor)
-    reports = benchmark.pedantic(
-        scheduler.run_days, args=(FRESHNESS_DAYS + 1,), iterations=1, rounds=1
-    )
+    reports = scheduler.run_days(FRESHNESS_DAYS + 1)
     assert len(reports[0].attempted) == 3
     for report in reports[1:FRESHNESS_DAYS]:
         assert report.attempted == []
@@ -97,19 +94,3 @@ def test_e3_seven_day_rule_skips_fresh(benchmark, policy_profiles):
     # §3.2's rule server-side: the data did not change over the week, so the
     # weekly re-extraction reuses every stored Cluster Schema.
     assert reports[FRESHNESS_DAYS].reclusters_skipped == 3
-
-
-def test_e3_bench_one_scheduler_day(benchmark):
-    world = build_world(indexable=10, broken=5, portal_new_indexable=0,
-                        seed=3, flaky=False)
-    app = HBold(world.network)
-    app.bootstrap_registry(world.listed_urls)
-    scheduler = UpdateScheduler(app.storage, app.extractor, policy="daily")
-
-    def one_day():
-        report = scheduler.run_day()
-        world.network.clock.sleep_until_day(world.network.clock.today + 1)
-        return report
-
-    report = benchmark.pedantic(one_day, iterations=1, rounds=3)
-    assert report.attempted or report.skipped_fresh

@@ -53,8 +53,7 @@ def per_profile():
     return {name: _extract_with(name) for name in PROFILE_NAMES}
 
 
-def test_e4_all_profiles_agree_on_indexes(benchmark, per_profile, record_table):
-    benchmark.pedantic(_extract_with, args=("virtuoso",), iterations=1, rounds=1)
+def test_e4_all_profiles_agree_on_indexes(per_profile, record_table):
     reference, _, _ = per_profile["virtuoso"]
     reference_classes = {(c.iri, c.instance_count) for c in reference.classes}
     reference_links = {
@@ -81,59 +80,22 @@ def test_e4_all_profiles_agree_on_indexes(benchmark, per_profile, record_table):
     record_table("e4_index_extraction", "\n".join(lines))
 
 
-def test_e4_strategy_selection(benchmark, per_profile):
-    benchmark.pedantic(lambda: per_profile, iterations=1, rounds=1)
+def test_e4_strategy_selection(per_profile):
     assert per_profile["virtuoso"][0].strategy == "aggregate"
     assert per_profile["fuseki"][0].strategy == "aggregate"
     assert per_profile["legacy-sesame"][0].strategy == "scan"  # no aggregates
     assert per_profile["4store"][0].strategy == "scan"
 
 
-def test_e4_aggregate_cheaper_than_scan(benchmark, per_profile):
-    benchmark.pedantic(lambda: per_profile, iterations=1, rounds=1)
+def test_e4_aggregate_cheaper_than_scan(per_profile):
     _, virtuoso_time, virtuoso_stats = per_profile["virtuoso"]
     _, legacy_time, legacy_stats = per_profile["legacy-sesame"]
     assert virtuoso_time < legacy_time
     assert virtuoso_stats.queries < legacy_stats.queries
 
 
-def test_e4_rejections_only_on_incapable_endpoints(benchmark, per_profile):
-    benchmark.pedantic(lambda: per_profile, iterations=1, rounds=1)
+def test_e4_rejections_only_on_incapable_endpoints(per_profile):
     for name in ("virtuoso", "fuseki"):
         assert per_profile[name][2].rejected == 0
     for name in ("legacy-sesame", "4store"):
         assert per_profile[name][2].rejected > 0
-
-
-def test_e4_bench_aggregate_extraction(benchmark):
-    clock = SimulationClock()
-    network = EndpointNetwork(clock=clock)
-    network.register(
-        SparqlEndpoint(
-            "http://bench/sparql",
-            government_graph(scale=0.15, seed=7),
-            clock,
-            profile="virtuoso",
-            availability=AlwaysAvailable(),
-        )
-    )
-    extractor = IndexExtractor(SparqlClient(network))
-    indexes = benchmark(extractor.extract, "http://bench/sparql")
-    assert indexes.class_count > 5
-
-
-def test_e4_bench_scan_extraction(benchmark):
-    clock = SimulationClock()
-    network = EndpointNetwork(clock=clock)
-    network.register(
-        SparqlEndpoint(
-            "http://bench/sparql",
-            government_graph(scale=0.15, seed=7),
-            clock,
-            profile="legacy-sesame",
-            availability=AlwaysAvailable(),
-        )
-    )
-    extractor = IndexExtractor(SparqlClient(network))
-    indexes = benchmark(extractor.extract, "http://bench/sparql")
-    assert indexes.strategy == "scan"

@@ -8,6 +8,10 @@ family and over synthetic schema graphs of growing size.
 Shape to reproduce (the published comparison): Louvain matches or beats
 the alternatives on modularity at a fraction of Girvan-Newman's cost,
 which is why H-BOLD ships with it.
+
+Runtimes are wall clock, so they are printed (``pytest -s``) and
+asserted but never written to the tracked tables, which carry only
+counts and modularity.
 """
 
 from __future__ import annotations
@@ -65,16 +69,12 @@ def schema_graphs():
     }
 
 
-def test_e5_algorithm_comparison(benchmark, schema_graphs, record_table):
-    benchmark.pedantic(
-        lambda: ALGORITHMS["louvain"](schema_graphs["biglod-150"]),
-        iterations=1, rounds=1,
-    )
+def test_e5_algorithm_comparison(schema_graphs, record_table):
     lines = [
         "E5: community detection ablation on Schema Summary graphs",
         "",
         f"{'dataset':<12} {'classes':>8} {'algorithm':<12} {'clusters':>9} "
-        f"{'modularity':>11} {'runtime':>9}",
+        f"{'modularity':>11}",
     ]
     winners = {}
     for name, graph in schema_graphs.items():
@@ -87,8 +87,9 @@ def test_e5_algorithm_comparison(benchmark, schema_graphs, record_table):
             scores[algo_name] = q
             lines.append(
                 f"{name:<12} {len(graph):>8} {algo_name:<12} "
-                f"{partition.community_count():>9} {q:>11.4f} {elapsed * 1000:>7.1f}ms"
+                f"{partition.community_count():>9} {q:>11.4f}"
             )
+            print(f"{name} {algo_name}: {elapsed * 1000:.1f}ms")
             assert partition.covers(graph.nodes())
         winners[name] = max(scores, key=scores.get)
         lines.append("")
@@ -103,12 +104,12 @@ def test_e5_algorithm_comparison(benchmark, schema_graphs, record_table):
             assert louvain_q >= other_q - 0.05, (name, algo_name)
 
 
-def test_e5_girvan_newman_quality_reference(benchmark, schema_graphs, record_table):
+def test_e5_girvan_newman_quality_reference(schema_graphs, record_table):
     """GN is the expensive quality reference; Louvain must get close on the
     small schema graphs where GN is feasible."""
     graph = schema_graphs["trafair"]
     start = time.perf_counter()
-    gn = benchmark.pedantic(girvan_newman, args=(graph,), iterations=1, rounds=1)
+    gn = girvan_newman(graph)
     gn_time = time.perf_counter() - start
     start = time.perf_counter()
     lv = louvain(graph, seed=0)
@@ -121,22 +122,22 @@ def test_e5_girvan_newman_quality_reference(benchmark, schema_graphs, record_tab
         "\n".join(
             [
                 "E5 quality reference: Girvan-Newman vs Louvain (trafair schema)",
-                f"girvan-newman: Q={gn_q:.4f} in {gn_time * 1000:.1f}ms",
-                f"louvain:       Q={lv_q:.4f} in {lv_time * 1000:.1f}ms",
+                f"girvan-newman: Q={gn_q:.4f}",
+                f"louvain:       Q={lv_q:.4f}",
             ]
         ),
     )
+    print(f"girvan-newman {gn_time * 1000:.1f}ms, louvain {lv_time * 1000:.1f}ms")
     assert lv_q >= gn_q - 0.1
     assert lv_time < max(gn_time, 1e-4)
 
 
-def test_e5_scaling_with_class_count(benchmark, record_table):
-    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
+def test_e5_scaling_with_class_count(record_table):
     """Louvain runtime stays practical as Schema Summaries grow -- the
     reason on-the-fly clustering was tolerable at all, and server-side
     precomputation still better."""
-    lines = ["E5 scaling: Louvain runtime vs schema size", "",
-             f"{'classes':>8} {'edges':>7} {'clusters':>9} {'runtime':>9}"]
+    lines = ["E5 scaling: Louvain clusters vs schema size", "",
+             f"{'classes':>8} {'edges':>7} {'clusters':>9}"]
     previous = 0.0
     for classes in (30, 90, 200):
         graph = _summary_graph(
@@ -148,25 +149,9 @@ def test_e5_scaling_with_class_count(benchmark, record_table):
         partition = louvain(graph, seed=0)
         elapsed = time.perf_counter() - start
         lines.append(
-            f"{len(graph):>8} {graph.edge_count():>7} "
-            f"{partition.community_count():>9} {elapsed * 1000:>7.1f}ms"
+            f"{len(graph):>8} {graph.edge_count():>7} {partition.community_count():>9}"
         )
+        print(f"{len(graph)} classes: {elapsed * 1000:.1f}ms")
         previous = elapsed
     record_table("e5_scaling", "\n".join(lines))
     assert previous < 5.0  # even 200 classes cluster in well under 5s
-
-
-def test_e5_bench_louvain(benchmark, schema_graphs):
-    graph = schema_graphs["biglod-150"]
-    partition = benchmark(louvain, graph, 0)
-    assert partition.community_count() >= 2
-
-
-def test_e5_bench_label_propagation(benchmark, schema_graphs):
-    graph = schema_graphs["biglod-150"]
-    benchmark(label_propagation, graph, 0)
-
-
-def test_e5_bench_greedy_modularity(benchmark, schema_graphs):
-    graph = schema_graphs["biglod-60"]
-    benchmark(greedy_modularity, graph)

@@ -21,16 +21,14 @@ def submission_world():
                        seed=31, flaky=False)
 
 
-def test_e6_submission_workflow(benchmark, submission_world, record_table):
+def test_e6_submission_workflow(submission_world, record_table):
     app = HBold(submission_world.network, store=DocumentStore())
     listed_before = app.counts()["listed"]
 
     good = submission_world.indexable_urls[0]
     dead = submission_world.broken_urls[0]
 
-    ok = benchmark.pedantic(
-        app.submit_endpoint, args=(good, "alice@example.org"), iterations=1, rounds=1
-    )
+    ok = app.submit_endpoint(good, "alice@example.org")
     fail = app.submit_endpoint(dead, "bob@example.org")
 
     lines = [
@@ -65,15 +63,3 @@ def test_e6_submission_workflow(benchmark, submission_world, record_table):
     # the new dataset is listed among the others
     urls = {record["url"] for record in app.registry.dataset_list()}
     assert good in urls and dead in urls
-
-
-def test_e6_bench_submission(benchmark, submission_world):
-    counter = iter(range(10_000))
-
-    def submit():
-        app = HBold(submission_world.network, store=DocumentStore())
-        url = submission_world.indexable_urls[next(counter) % 8]
-        return app.submit_endpoint(url, "bench@example.org")
-
-    result = benchmark.pedantic(submit, iterations=1, rounds=5)
-    assert result.accepted

@@ -58,14 +58,7 @@ def extractions():
     return out
 
 
-def test_e7_inferred_vs_direct(benchmark, extractions, record_table):
-    benchmark.pedantic(
-        lambda: IndexExtractor(
-            SparqlClient(_network("virtuoso")), infer_types=True
-        ).extract(URL),
-        iterations=1,
-        rounds=1,
-    )
+def test_e7_inferred_vs_direct(extractions, record_table):
     direct, direct_ms = extractions["direct"]
     inferred, inferred_ms = extractions["inferred-paths"]
 
@@ -99,18 +92,10 @@ def test_e7_inferred_vs_direct(benchmark, extractions, record_table):
     assert inferred.instance_count == direct.instance_count
 
 
-def test_e7_fallback_agrees_with_paths(benchmark, extractions):
-    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
+def test_e7_fallback_agrees_with_paths(extractions):
     via_paths, _ = extractions["inferred-paths"]
     via_closure, _ = extractions["inferred-closure"]
     assert via_closure.strategy == "scan"
     assert {(c.iri, c.instance_count) for c in via_paths.classes} == {
         (c.iri, c.instance_count) for c in via_closure.classes
     }
-
-
-def test_e7_bench_inferred_extraction(benchmark):
-    network = _network("virtuoso")
-    extractor = IndexExtractor(SparqlClient(network), infer_types=True)
-    indexes = benchmark.pedantic(extractor.extract, args=(URL,), iterations=1, rounds=2)
-    assert indexes.inferred

@@ -18,10 +18,10 @@ import pytest
 from repro.viz import treemap_layout
 
 
-def test_f4_treemap_shape(benchmark, scholarly_app, record_table):
+def test_f4_treemap_shape(scholarly_app, record_table):
     app, url = scholarly_app
     root = app.cluster_hierarchy(url).sum_values()
-    benchmark.pedantic(treemap_layout, args=(root, 960, 600), iterations=1, rounds=1)
+    treemap_layout(root, 960, 600)
 
     lines = [
         "F4 (Figure 4): treemap of the Scholarly LD Cluster Schema (960x600)",
@@ -62,7 +62,7 @@ def test_f4_treemap_shape(benchmark, scholarly_app, record_table):
     assert biggest.value == most_instances.value
 
 
-def test_f4_equal_split_when_no_quantity(benchmark, record_table):
+def test_f4_equal_split_when_no_quantity():
     """'If no quantity is assigned to a class, then its area is divided
     equally amongst the other classes within its cluster.'"""
     from repro.viz import HierarchyNode
@@ -72,26 +72,6 @@ def test_f4_equal_split_when_no_quantity(benchmark, record_table):
     for k in range(4):
         cluster.add_child(HierarchyNode(f"class{k}"))  # no values
     root.sum_values()
-    benchmark.pedantic(
-        treemap_layout, args=(root, 400, 400),
-        kwargs={"padding": 0, "inner_padding": 0}, iterations=1, rounds=1,
-    )
+    treemap_layout(root, 400, 400, padding=0, inner_padding=0)
     areas = [leaf.rect.area for leaf in root.leaves()]
     assert max(areas) - min(areas) < 1e-6
-
-
-def test_f4_bench_treemap_layout(benchmark, scholarly_app):
-    app, url = scholarly_app
-
-    def run():
-        root = app.cluster_hierarchy(url).sum_values()
-        return treemap_layout(root, 960, 600)
-
-    root = benchmark(run)
-    assert root.rect is not None
-
-
-def test_f4_bench_render_svg(benchmark, scholarly_app):
-    app, url = scholarly_app
-    doc = benchmark(app.render_treemap, url)
-    assert doc.render().count("<rect") > 20

@@ -17,10 +17,10 @@ import pytest
 from repro.viz import sunburst_layout
 
 
-def test_f5_sunburst_shape(benchmark, scholarly_app, record_table):
+def test_f5_sunburst_shape(scholarly_app, record_table):
     app, url = scholarly_app
     root = app.cluster_hierarchy(url).sum_values()
-    benchmark.pedantic(sunburst_layout, args=(root, 300), iterations=1, rounds=1)
+    sunburst_layout(root, 300)
 
     lines = [
         "F5 (Figure 5): sunburst of the Scholarly LD Cluster Schema (r=300)",
@@ -56,20 +56,3 @@ def test_f5_sunburst_shape(benchmark, scholarly_app, record_table):
         pairs = [(c.arc.span, c.value) for c in cluster.children if c.value]
         for (s1, v1), (s2, v2) in zip(pairs, pairs[1:]):
             assert s1 / s2 == pytest.approx(v1 / v2, rel=1e-6)
-
-
-def test_f5_bench_sunburst_layout(benchmark, scholarly_app):
-    app, url = scholarly_app
-
-    def run():
-        root = app.cluster_hierarchy(url).sum_values()
-        return sunburst_layout(root, 300)
-
-    root = benchmark(run)
-    assert root.arc is not None
-
-
-def test_f5_bench_render_svg(benchmark, scholarly_app):
-    app, url = scholarly_app
-    doc = benchmark(app.render_sunburst, url)
-    assert doc.render().count("<path") > 20

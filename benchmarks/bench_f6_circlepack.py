@@ -17,10 +17,10 @@ import pytest
 from repro.viz import circlepack_layout
 
 
-def test_f6_circlepack_shape(benchmark, scholarly_app, record_table):
+def test_f6_circlepack_shape(scholarly_app, record_table):
     app, url = scholarly_app
     root = app.cluster_hierarchy(url).sum_values()
-    benchmark.pedantic(circlepack_layout, args=(root, 300), iterations=1, rounds=1)
+    circlepack_layout(root, 300)
 
     lines = [
         "F6 (Figure 6): circle packing of the Scholarly LD Cluster Schema (r=300)",
@@ -55,7 +55,7 @@ def test_f6_circlepack_shape(benchmark, scholarly_app, record_table):
             )
 
 
-def test_f6_singleton_cluster_renders(benchmark, scholarly_app):
+def test_f6_singleton_cluster_renders():
     """'In some cases, a cluster can contain only one class.'"""
     from repro.viz import HierarchyNode
 
@@ -66,22 +66,5 @@ def test_f6_singleton_cluster_renders(benchmark, scholarly_app):
     for k in range(3):
         other.add_child(HierarchyNode(f"c{k}", value=3.0))
     root.sum_values()
-    benchmark.pedantic(circlepack_layout, args=(root, 100), iterations=1, rounds=1)
+    circlepack_layout(root, 100)
     assert lone.circle.contains_circle(lone.children[0].circle, epsilon=1e-6)
-
-
-def test_f6_bench_circlepack_layout(benchmark, scholarly_app):
-    app, url = scholarly_app
-
-    def run():
-        root = app.cluster_hierarchy(url).sum_values()
-        return circlepack_layout(root, 300)
-
-    root = benchmark(run)
-    assert root.circle.r == pytest.approx(300)
-
-
-def test_f6_bench_render_svg(benchmark, scholarly_app):
-    app, url = scholarly_app
-    doc = benchmark(app.render_circlepack, url)
-    assert doc.render().count("<circle") > 25

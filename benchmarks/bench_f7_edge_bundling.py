@@ -18,12 +18,9 @@ import math
 import pytest
 
 
-def test_f7_event_neighbourhood_roles(benchmark, scholarly_app, record_table):
+def test_f7_event_neighbourhood_roles(scholarly_app, record_table):
     app, url = scholarly_app
-    diagram = benchmark.pedantic(
-        app.edge_bundling_diagram, args=(url,), kwargs={"focus": "Event"},
-        iterations=1, rounds=1,
-    )
+    diagram = app.edge_bundling_diagram(url, focus="Event")
 
     domains = sorted(n for n, r in diagram.roles.items() if r in ("domain", "both"))
     ranges = sorted(n for n, r in diagram.roles.items() if r in ("range", "both"))
@@ -46,12 +43,9 @@ def test_f7_event_neighbourhood_roles(benchmark, scholarly_app, record_table):
     assert "Situation" in ranges
 
 
-def test_f7_geometry(benchmark, scholarly_app):
+def test_f7_geometry(scholarly_app):
     app, url = scholarly_app
-    diagram = benchmark.pedantic(
-        app.edge_bundling_diagram, args=(url,), kwargs={"beta": 0.85},
-        iterations=1, rounds=1,
-    )
+    diagram = app.edge_bundling_diagram(url, beta=0.85)
 
     # all classes on the invisible circumference
     for leaf in diagram.leaves:
@@ -79,23 +73,19 @@ def test_f7_geometry(benchmark, scholarly_app):
     assert longer / len(cross) > 0.6
 
 
-def test_f7_beta_sweep_controls_bundle_tightness(benchmark, scholarly_app, record_table):
+def test_f7_beta_sweep_controls_bundle_tightness(scholarly_app, record_table):
     """Holten's beta: higher beta -> longer (more bundled) curves."""
     app, url = scholarly_app
 
-    def sweep():
-        rows = []
-        for beta in (0.0, 0.45, 0.85, 1.0):
-            diagram = app.edge_bundling_diagram(url, beta=beta)
-            detour = [
-                e.length() / e.straight_length()
-                for e in diagram.edges
-                if e.straight_length() > 1.0
-            ]
-            rows.append((beta, sum(detour) / len(detour)))
-        return rows
-
-    rows = benchmark.pedantic(sweep, iterations=1, rounds=1)
+    rows = []
+    for beta in (0.0, 0.45, 0.85, 1.0):
+        diagram = app.edge_bundling_diagram(url, beta=beta)
+        detour = [
+            e.length() / e.straight_length()
+            for e in diagram.edges
+            if e.straight_length() > 1.0
+        ]
+        rows.append((beta, sum(detour) / len(detour)))
     lines = ["F7 ablation: bundling strength beta vs mean path detour", ""]
     lines.append(f"{'beta':>6} {'mean detour':>12}")
     for beta, mean_detour in rows:
@@ -105,15 +95,3 @@ def test_f7_beta_sweep_controls_bundle_tightness(benchmark, scholarly_app, recor
     detours = [d for _, d in rows]
     assert detours == sorted(detours)
     assert detours[0] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_f7_bench_layout(benchmark, scholarly_app):
-    app, url = scholarly_app
-    diagram = benchmark(app.edge_bundling_diagram, url, focus="Event")
-    assert diagram.edges
-
-
-def test_f7_bench_render_svg(benchmark, scholarly_app):
-    app, url = scholarly_app
-    doc = benchmark(app.render_edge_bundling, url, focus="Event")
-    assert "<path" in doc.render()

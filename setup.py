@@ -3,14 +3,9 @@
 The evaluation environment is offline and has no ``wheel`` package, so the
 PEP 660 editable path is unavailable; ``pip install -e . --no-use-pep517``
 (or plain ``pip install -e .`` on older pips) goes through this file.
+All metadata lives in ``pyproject.toml``.
 """
 
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="0.1.0",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.9",
-)
+setup()

@@ -320,7 +320,8 @@ class Tracer:
     events that count every row flowing through the volcano pipeline.
     EXPLAIN ANALYZE forces it on; serving defaults it off because the
     per-row counting is the one instrumentation whose cost scales with
-    data volume rather than request count (see the Q9 overhead bench).
+    data volume rather than request count
+    (``tests/obs/test_span_budget.py`` pins the request-tier span count).
     """
 
     enabled = True

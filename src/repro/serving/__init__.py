@@ -7,7 +7,8 @@ scheduler interleaving concurrent in-flight queries over the shared
 simulation clock (:mod:`.scheduler`), and a generation-keyed result
 cache (:mod:`.cache`), orchestrated by :class:`.server.QueryServer`.
 p50/p95/p99 latency and throughput under load are first-class outputs
-(:class:`.server.ServingReport`, ``benchmarks/bench_q4_serving.py``).
+(:class:`.server.ServingReport`; the ``serve_uncached`` / ``serve_cached``
+workloads of ``bench/``).
 
 PR 7 gives the tier weather and an immune system: seeded fault-injection
 timelines (:mod:`.faults` -- outages from the §3.1 Markov availability
@@ -16,7 +17,7 @@ the client-side resilience policies answering them (:mod:`.resilience`
 -- retry with jittered exponential backoff, per-endpoint circuit
 breakers, hedged requests, graceful degradation to stale/replica data).
 Chaos runs stay byte-deterministic across parallelism
-(``benchmarks/bench_q5_resilience.py``).
+(``tests/serving/test_determinism_chaos.py``).
 """
 
 from .admission import FairAdmissionQueue

@@ -372,6 +372,13 @@ class TestSaveLoadFacade:
         journal.close()
         back = load_graph(root, lazy=False, verify=True)
         assert content_digest(back) == content_digest(g)
+        # ... and equals the same content re-ingested from scratch: fresh
+        # dictionary, reversed insertion order, so different term IDs
+        rebuilt = Graph(identifier="world", shards=2)
+        rebuilt.add_many_terms(
+            reversed([(t.subject, t.predicate, t.object) for t in g.triples()])
+        )
+        assert content_digest(back) == content_digest(rebuilt)
         digest, generation = content_digest(back), back.generation
         applied, reason = replay_wal(back, root)
         assert applied == 0 and reason is None

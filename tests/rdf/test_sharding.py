@@ -211,6 +211,22 @@ class TestSingleCopyStorage:
         assert g._spo == {} and g._pos == {} and g._osp == {}
         assert sum(g.shard_sizes()) == len(g) == 48
 
+    def test_three_index_cells_per_triple(self):
+        """The memory half of the single-copy claim as a count: one cell
+        per triple in each of SPO/POS/OSP across global + shard indexes,
+        where the double-write layout it replaced held six."""
+
+        def cells(index):
+            return sum(len(leaves) for mid in index.values() for leaves in mid.values())
+
+        for shards in (1, 4):
+            g = _populate(Graph(shards=shards))  # the bulk write path ...
+            assert g.add(_triple(99, 0))  # ... and the single-triple one
+            total = cells(g._spo) + cells(g._pos) + cells(g._osp)
+            for shard in g.shards:
+                total += cells(shard.spo) + cells(shard.pos) + cells(shard.osp)
+            assert total == 3 * len(g)
+
     def test_routed_point_lookups(self):
         g = _populate(Graph(shards=4))
         present = _triple(3, 1)

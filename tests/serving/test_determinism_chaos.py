@@ -94,6 +94,15 @@ def test_chaos_digest_invariant_for_the_naive_arm(graph):
     assert sequential.served_ratio() < 1.0  # chaos actually bites
 
 
+def test_resilience_recovers_twice_the_naive_served_ratio(graph):
+    """The A/B the policies exist for: under identical weather the full
+    stack serves every request and at least 2x the naive arm's share."""
+    naive = _serve(graph, 4, resilient=False)
+    resilient = _serve(graph, 4, resilient=True)
+    assert resilient.served_ratio() == 1.0
+    assert 0.0 < naive.served_ratio() <= 0.5 * resilient.served_ratio()
+
+
 def test_chaos_run_is_replayable(graph):
     assert _serve(graph, 2, resilient=True).digest() == _serve(
         graph, 2, resilient=True

@@ -113,6 +113,29 @@ def test_parallelism_shrinks_makespan_and_tail_latency(graph):
     assert reports[4].digest() == reports[1].digest()
 
 
+def test_result_cache_doubles_simulated_throughput_on_dashboard_mix(graph):
+    """The cache A/B in simulated time: a saturating dashboard mix (short
+    gaps and think times, so the makespan is service-bound, not
+    arrival-bound) served cache on vs off -- every request served on both
+    arms, identical digests, >= 2x the simulated throughput."""
+    workload = generate_workload(
+        sessions=60, seed=7, mix=cache_friendly_mix(),
+        mean_session_gap_ms=50.0, mean_think_ms=80.0,
+    )
+    reports = {}
+    for cache_capacity in (None, 256):
+        server = QueryServer(
+            _endpoint(graph), parallelism=4,
+            queue_capacity=4096, cache_capacity=cache_capacity,
+        )
+        reports[cache_capacity] = server.serve(workload)
+        assert len(reports[cache_capacity].served) == len(workload)
+    uncached, cached = reports[None], reports[256]
+    assert cached.digest() == uncached.digest()
+    assert cached.cache_info["hits"] > cached.cache_info["misses"]
+    assert cached.throughput_qps() >= 2.0 * uncached.throughput_qps()
+
+
 # -- scheduling mechanics -----------------------------------------------------
 
 

@@ -272,14 +272,26 @@ def test_pure_count_group_by_matches_general_fold(batch_size):
     ]
 
 
-def test_exec_stats_report_rows_per_batch():
-    """batches * BATCH_SIZE covers input_rows: EXPLAIN ANALYZE derives
+@pytest.mark.parametrize(
+    "query,operator,input_rows",
+    [
+        (f"SELECT ?s ?o WHERE {{ ?s <{EX}v> ?o }}", "select-id", 30),
+        # the eager join ships its rows to the sink as column batches too
+        # (30 subjects x 6 sharing each object)
+        (f"SELECT ?s ?t WHERE {{ ?s <{EX}v> ?o . ?t <{EX}v> ?o }}", "select-id", 180),
+        (f"SELECT ?o (COUNT(?s) AS ?n) WHERE {{ ?s <{EX}v> ?o }} GROUP BY ?o",
+         "aggregate-id", 30),
+    ],
+    ids=["scan", "join", "fold"],
+)
+def test_exec_stats_report_rows_per_batch(query, operator, input_rows):
+    """batches * BATCH_SIZE covers input_rows -- O(rows / BATCH_SIZE)
+    control-flow transfers into every sink: EXPLAIN ANALYZE derives
     rows-per-batch from the two counters."""
-    graph = _edge_graph()
-    _, stats = _run(graph, f"SELECT ?s ?o WHERE {{ ?s <{EX}v> ?o }}", 7)
-    assert stats["operator"] == "select-id"
-    assert stats["input_rows"] == 30
-    assert stats["batches"] == -(-30 // 7)
+    _, stats = _run(_edge_graph(), query, 7)
+    assert stats["operator"] == operator
+    assert stats["input_rows"] == input_rows
+    assert stats["batches"] == -(-input_rows // 7)
 
 
 # -- routing: the source follows from the patterns ----------------------------

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datagen import government_graph
 from repro.rdf import BNode, Graph, IRI, Literal, ShardedTripleStore, Triple, parse_turtle
 from repro.sparql import QueryEngine
 from repro.sparql.results import AskResult, SelectResult
@@ -192,6 +193,32 @@ def test_warm_batches_cost_less_than_cold(sharded_graphs):
     assert saved > 0.0
     cold_equivalent = stats["shard_sequential_ms"] + saved
     assert stats["shard_sequential_ms"] < cold_equivalent
+
+
+def test_scan_join_makespan_falls_as_shards_are_added():
+    """The scaling curve, in simulated time only: on the extraction-shaped
+    scan+join+fold the pool makespan strictly falls 1 -> 2 -> 4 shards and
+    is >= 2x better at 4, while the sequential sum only grows by dispatch
+    constants (the per-row work is fixed) and the rows never change."""
+    from repro.sparql.parallel_exec import SHARD_DISPATCH_MS
+
+    base = government_graph(scale=0.2, seed=5)
+    query = "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c . ?s ?p ?o } GROUP BY ?c"
+    sequential, makespan, rows = {}, {}, {}
+    for shards in (1, 2, 4):
+        engine = QueryEngine(ShardedTripleStore.from_graph(base, shards))
+        rows[shards] = _ordered_rows(engine.run(query))
+        stats = engine.exec_stats
+        sequential[shards] = stats["shard_sequential_ms"]
+        makespan[shards] = stats["shard_parallel_ms"]
+        dispatches = shards * stats["shard_batches"]
+        assert sequential[1] <= sequential[shards] <= (
+            sequential[1] + dispatches * SHARD_DISPATCH_MS
+        )
+    assert rows[1] == rows[2] == rows[4] and rows[1]
+    assert makespan[1] == pytest.approx(sequential[1])
+    assert makespan[4] < makespan[2] < makespan[1]
+    assert makespan[1] / makespan[4] >= 2.0
 
 
 # -- hypothesis: random data, random shard counts, fixed query shapes --------

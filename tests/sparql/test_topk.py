@@ -318,6 +318,14 @@ def test_stream_aggregation_tracks_groups_not_rows():
     stats = engine.exec_stats
     assert stats["input_rows"] == 800
     assert stats["tracked_rows"] == 2  # O(groups), not O(rows)
+    # feeding an ordered, LIMITed tail (top-k groups by count) folds the same
+    top = engine.run(
+        "SELECT ?p (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p "
+        "ORDER BY DESC(?n) LIMIT 1"
+    )
+    assert [str(row["p"]) for row in top.rows] == [f"{EX}p0"]
+    assert engine.exec_stats["operator"] == "stream-aggregate"
+    assert engine.exec_stats["tracked_rows"] == 2
 
 
 def test_count_distinct_uses_seen_sets_not_member_lists():

