@@ -288,6 +288,9 @@ class SchemaSummary:
             degrees[edge.source] = degrees.get(edge.source, 0) + 1
             degrees[edge.target] = degrees.get(edge.target, 0) + 1
         self._degrees = degrees
+        #: class -> neighbours in first-occurrence order; built by the first
+        #: ``neighbours`` call, so indexing does not pay for exploration
+        self._adjacency: Optional[Dict[str, Dict[str, None]]] = None
 
     @classmethod
     def from_indexes(
@@ -332,17 +335,17 @@ class SchemaSummary:
         return self._degrees.get(iri, 0)
 
     def neighbours(self, iri: str) -> List[str]:
-        """Classes one property hop away (either direction), deduplicated."""
-        out: List[str] = []
-        seen = {iri}
-        for edge in self.edges:
-            if edge.source == iri and edge.target not in seen:
-                seen.add(edge.target)
-                out.append(edge.target)
-            elif edge.target == iri and edge.source not in seen:
-                seen.add(edge.source)
-                out.append(edge.source)
-        return out
+        """Classes one property hop away (either direction), deduplicated,
+        in the order the edges first name them."""
+        adjacency = self._adjacency
+        if adjacency is None:
+            adjacency = {}
+            for edge in self.edges:
+                if edge.source != edge.target:
+                    adjacency.setdefault(edge.source, {})[edge.target] = None
+                    adjacency.setdefault(edge.target, {})[edge.source] = None
+            self._adjacency = adjacency
+        return list(adjacency.get(iri, ()))
 
     def edges_between(self, left: str, right: str) -> List[SchemaEdge]:
         return [

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .geometry import Point, bspline_points, polar_to_cartesian
+from .geometry import Point, bspline_basis, bspline_xy, polar_to_cartesian
 from .hierarchy import HierarchyNode
 
 __all__ = ["BundledEdge", "RadialLeaf", "edge_bundling_layout", "EdgeBundlingDiagram"]
@@ -146,6 +146,7 @@ def edge_bundling_layout(
 
     # 2. Route each edge along the hierarchy path and sample the B-spline.
     bundled: List[BundledEdge] = []
+    basis = bspline_basis(samples_per_segment)
     for index, (source, target) in enumerate(edges):
         if source not in by_name:
             raise KeyError(f"edge source {source!r} is not a leaf")
@@ -154,8 +155,7 @@ def edge_bundling_layout(
         data = dict(edge_data[index]) if edge_data is not None else {}
         control_nodes = by_name[source].path_to(by_name[target])
         control = [interior_position[id(node)] for node in control_nodes]
-        curve = bspline_points(control, samples_per_segment=samples_per_segment)
-        path = _apply_beta(curve, beta)
+        path = _apply_beta(*bspline_xy(control, basis), beta)
         bundled.append(BundledEdge(source, target, path, data))
 
     # 3. Focus-class domain/range roles (Figure 7's highlighting).
@@ -175,23 +175,26 @@ def edge_bundling_layout(
     return EdgeBundlingDiagram(placed, bundled, radius, focus=focus, roles=roles)
 
 
-def _apply_beta(curve: List[Point], beta: float) -> List[Point]:
-    """Holten's straightening: P'(t) = beta*P(t) + (1-beta)*lerp(start, end)."""
-    if len(curve) < 2 or beta >= 1.0:
-        return list(curve)
-    start, end = curve[0], curve[-1]
-    n = len(curve) - 1
+def _apply_beta(xs: List[float], ys: List[float], beta: float) -> List[Point]:
+    """Holten's straightening: P'(t) = beta*P(t) + (1-beta)*lerp(start, end).
+
+    The curve comes in as parallel coordinate lists; the only ``Point`` s
+    built are the ones returned.
+    """
+    if len(xs) < 2 or beta >= 1.0:
+        return [Point(x, y) for x, y in zip(xs, ys)]
+    start_x, start_y = xs[0], ys[0]
+    span_x = xs[-1] - start_x
+    span_y = ys[-1] - start_y
+    rest = 1.0 - beta
+    n = len(xs) - 1
     out: List[Point] = []
-    for index, point in enumerate(curve):
+    for index in range(n + 1):
         t = index / n
-        straight = Point(
-            start.x + (end.x - start.x) * t,
-            start.y + (end.y - start.y) * t,
-        )
         out.append(
             Point(
-                beta * point.x + (1.0 - beta) * straight.x,
-                beta * point.y + (1.0 - beta) * straight.y,
+                beta * xs[index] + rest * (start_x + span_x * t),
+                beta * ys[index] + rest * (start_y + span_y * t),
             )
         )
     return out

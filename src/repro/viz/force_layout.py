@@ -6,40 +6,35 @@ physics: many-body repulsion, link springs, centering, and velocity decay,
 integrated with the same cooling schedule (alpha decay) d3-force uses.
 
 Deterministic: initial positions come from a seeded phyllotaxis spiral
-(d3's default) and there is no randomness afterwards.
+(d3's default) and there is no randomness afterwards.  That makes
+:func:`force_layout` a pure function of its arguments, and it is memoised
+as one: a view is simulated the first time it is displayed and looked up
+afterwards (the paper's compute-once-display-instantly, applied to
+positions).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .geometry import Point
 
-__all__ = ["ForceLayout", "LayoutNode", "force_layout"]
+__all__ = ["ForceLayout", "force_layout", "layout_cache_info", "layout_cache_clear"]
 
 NodeId = Hashable
 
 
-class LayoutNode:
-    """Mutable simulation state for one node."""
-
-    __slots__ = ("id", "x", "y", "vx", "vy", "weight")
-
-    def __init__(self, node_id: NodeId, x: float, y: float, weight: float = 1.0):
-        self.id = node_id
-        self.x = x
-        self.y = y
-        self.vx = 0.0
-        self.vy = 0.0
-        self.weight = weight
-
-    def position(self) -> Point:
-        return Point(self.x, self.y)
-
-
 class ForceLayout:
-    """A d3-force-style simulation over explicit node/edge lists."""
+    """A d3-force-style simulation over explicit node/edge lists.
+
+    State is columnar: ``x / y / vx / vy`` are parallel float lists in
+    node order.  ``tests/viz/reference_force_layout.py`` keeps the
+    one-object-per-node kernel this replaced; every float here must equal
+    its result, so a change to the order of operations on any one variable
+    is a change of output.
+    """
 
     def __init__(
         self,
@@ -51,7 +46,6 @@ class ForceLayout:
         link_distance: float = 60.0,
         link_strength: float = 0.7,
         velocity_decay: float = 0.6,
-        weights: Optional[Dict[NodeId, float]] = None,
     ):
         if not nodes:
             raise ValueError("force layout needs at least one node")
@@ -62,33 +56,36 @@ class ForceLayout:
         self.link_strength = link_strength
         self.velocity_decay = velocity_decay
 
-        weights = weights or {}
-        self.nodes: List[LayoutNode] = []
-        self._index: Dict[NodeId, int] = {}
-        for i, node_id in enumerate(nodes):
+        self.ids: List[NodeId] = list(nodes)
+        self.x: List[float] = []
+        self.y: List[float] = []
+        index: Dict[NodeId, int] = {}
+        for i, node_id in enumerate(self.ids):
             # d3's phyllotaxis initial placement: deterministic, no overlap.
             radius = 10.0 * math.sqrt(0.5 + i)
             angle = i * 2.3999632297286533  # golden angle
-            self.nodes.append(
-                LayoutNode(
-                    node_id,
-                    width / 2.0 + radius * math.cos(angle),
-                    height / 2.0 + radius * math.sin(angle),
-                    weight=weights.get(node_id, 1.0),
-                )
-            )
-            self._index[node_id] = i
+            self.x.append(width / 2.0 + radius * math.cos(angle))
+            self.y.append(height / 2.0 + radius * math.sin(angle))
+            index[node_id] = i
+        self.vx: List[float] = [0.0] * len(self.ids)
+        self.vy: List[float] = [0.0] * len(self.ids)
 
-        self.edges: List[Tuple[int, int]] = []
-        self.degree = [0] * len(self.nodes)
+        pairs: List[Tuple[int, int]] = []
+        degree = [0] * len(self.ids)
         for source, target in edges:
-            si = self._index.get(source)
-            ti = self._index.get(target)
+            si = index.get(source)
+            ti = index.get(target)
             if si is None or ti is None:
                 raise KeyError(f"edge endpoint missing from node list: {source}->{target}")
-            self.edges.append((si, ti))
-            self.degree[si] += 1
-            self.degree[ti] += 1
+            pairs.append((si, ti))
+            degree[si] += 1
+            degree[ti] += 1
+        # Heavier-degree endpoints move less (d3's bias); an edge's two
+        # degrees sum to at least 2, so the share is always defined.
+        self._links: List[Tuple[int, int, float, float]] = []
+        for si, ti in pairs:
+            bias = degree[si] / (degree[si] + degree[ti])
+            self._links.append((si, ti, bias, 1.0 - bias))
 
         self.alpha = 1.0
         self.alpha_min = 0.001
@@ -99,16 +96,58 @@ class ForceLayout:
     def step(self) -> None:
         """One tick: apply forces, integrate, decay velocities."""
         self.alpha += (0.0 - self.alpha) * self.alpha_decay
+        alpha = self.alpha
+        x, y, vx, vy = self.x, self.y, self.vx, self.vy
+        count = len(x)
 
-        self._apply_links()
-        self._apply_charge()
-        self._apply_center()
+        # Link springs.
+        hypot = math.hypot
+        link_distance = self.link_distance
+        link_alpha = alpha * self.link_strength
+        for si, ti, bias, rest in self._links:
+            dx = x[ti] + vx[ti] - x[si] - vx[si]
+            dy = y[ti] + vy[ti] - y[si] - vy[si]
+            distance = hypot(dx, dy) or 1e-6
+            delta = (distance - link_distance) / distance
+            delta *= link_alpha
+            vx[ti] -= dx * delta * bias
+            vy[ti] -= dy * delta * bias
+            vx[si] += dx * delta * rest
+            vy[si] += dy * delta * rest
 
-        for node in self.nodes:
-            node.vx *= self.velocity_decay
-            node.vy *= self.velocity_decay
-            node.x += node.vx
-            node.y += node.vy
+        # O(n^2) exact repulsion; schema graphs are small (<= ~300 nodes)
+        # so the Barnes-Hut tree d3 uses would only add code.
+        strength = self.charge * alpha
+        for i in range(count):
+            xi = x[i]
+            yi = y[i]
+            vxi = vx[i]
+            vyi = vy[i]
+            for j in range(i + 1, count):
+                dx = x[j] - xi
+                dy = y[j] - yi
+                d2 = dx * dx + dy * dy
+                if d2 < 1e-9:
+                    dx, dy, d2 = 0.1, 0.1, 0.02
+                force = strength / d2
+                fx = dx * force
+                fy = dy * force
+                vxi += fx
+                vyi += fy
+                vx[j] -= fx
+                vy[j] -= fy
+            vx[i] = vxi
+            vy[i] = vyi
+
+        # Re-centre on the canvas, decay velocities, integrate.
+        dx = self.width / 2.0 - sum(x) / count
+        dy = self.height / 2.0 - sum(y) / count
+        decay = self.velocity_decay
+        for i in range(count):
+            vxi = vx[i] = vx[i] * decay
+            vyi = vy[i] = vy[i] * decay
+            x[i] = x[i] + dx + vxi
+            y[i] = y[i] + dy + vyi
 
     def run(self, iterations: int = 300) -> "ForceLayout":
         for _ in range(iterations):
@@ -117,62 +156,29 @@ class ForceLayout:
             self.step()
         return self
 
-    def _apply_links(self) -> None:
-        for si, ti in self.edges:
-            source = self.nodes[si]
-            target = self.nodes[ti]
-            dx = target.x + target.vx - source.x - source.vx
-            dy = target.y + target.vy - source.y - source.vy
-            distance = math.hypot(dx, dy) or 1e-6
-            delta = (distance - self.link_distance) / distance
-            delta *= self.alpha * self.link_strength
-            # Heavier-degree endpoints move less (d3's bias).
-            total = self.degree[si] + self.degree[ti]
-            bias = self.degree[si] / total if total else 0.5
-            target.vx -= dx * delta * bias
-            target.vy -= dy * delta * bias
-            source.vx += dx * delta * (1.0 - bias)
-            source.vy += dy * delta * (1.0 - bias)
-
-    def _apply_charge(self) -> None:
-        # O(n^2) exact repulsion; schema graphs are small (<= ~300 nodes)
-        # so the Barnes-Hut tree d3 uses would only add code.
-        count = len(self.nodes)
-        for i in range(count):
-            a = self.nodes[i]
-            for j in range(i + 1, count):
-                b = self.nodes[j]
-                dx = b.x - a.x
-                dy = b.y - a.y
-                d2 = dx * dx + dy * dy
-                if d2 < 1e-9:
-                    dx, dy, d2 = 0.1, 0.1, 0.02
-                force = self.charge * self.alpha / d2
-                fx = dx * force
-                fy = dy * force
-                a.vx += fx * b.weight
-                a.vy += fy * b.weight
-                b.vx -= fx * a.weight
-                b.vy -= fy * a.weight
-
-    def _apply_center(self) -> None:
-        cx = sum(node.x for node in self.nodes) / len(self.nodes)
-        cy = sum(node.y for node in self.nodes) / len(self.nodes)
-        dx = self.width / 2.0 - cx
-        dy = self.height / 2.0 - cy
-        for node in self.nodes:
-            node.x += dx
-            node.y += dy
-
     # -- results ---------------------------------------------------------------
 
     def positions(self) -> Dict[NodeId, Point]:
-        return {node.id: node.position() for node in self.nodes}
+        return dict(zip(self.ids, map(Point, self.x, self.y)))
 
     def bounding_box(self) -> Tuple[float, float, float, float]:
-        xs = [node.x for node in self.nodes]
-        ys = [node.y for node in self.nodes]
-        return min(xs), min(ys), max(xs), max(ys)
+        return min(self.x), min(self.y), max(self.x), max(self.y)
+
+
+#: Sized to the measured working set: a dataset has two canonical views
+#: (its Cluster Schema and its full Schema Summary), so the 110-endpoint
+#: census holds 220 layouts / 2,657 positions, under 1 MB.  The paper's
+#: 610 listed endpoints would need up to 1,220 entries; raise this with
+#: the fleet, since a sweep larger than the LRU evicts every view before
+#: it recurs.
+LAYOUT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _layout_cached(nodes, edges, width, height, iterations, options) -> Tuple[Point, ...]:
+    layout = ForceLayout(nodes, edges, width=width, height=height, **dict(options))
+    layout.run(iterations)
+    return tuple(map(Point, layout.x, layout.y))
 
 
 def force_layout(
@@ -183,7 +189,35 @@ def force_layout(
     iterations: int = 300,
     **options,
 ) -> Dict[NodeId, Point]:
-    """One-shot convenience: build, run, return node positions."""
-    layout = ForceLayout(nodes, edges, width=width, height=height, **options)
-    layout.run(iterations)
-    return layout.positions()
+    """One-shot convenience: build, run, return node positions.
+
+    The result is a pure function of the arguments, so it is kept in an
+    LRU (``LAYOUT_CACHE_SIZE`` layouts) keyed by exactly them: node ids
+    and edges in order, canvas size, tick count and the
+    :class:`ForceLayout` options.  The Cluster Schema view and the fully
+    expanded Schema Summary view are the same graph for every user of a
+    dataset, so only the first display simulates.  Nothing invalidates the
+    cache because nothing can make an entry wrong: a re-indexed dataset
+    whose graph changed is a different key.  Every call returns a fresh
+    dict over shared immutable :class:`Point` s.
+    """
+    nodes = tuple(nodes)
+    points = _layout_cached(
+        nodes,
+        tuple(map(tuple, edges)),
+        width,
+        height,
+        iterations,
+        tuple(sorted(options.items())),
+    )
+    return dict(zip(nodes, points))
+
+
+def layout_cache_info():
+    """Hit/miss statistics of the layout LRU (for benchmarks and tests)."""
+    return _layout_cached.cache_info()
+
+
+def layout_cache_clear() -> None:
+    """Drop every cached layout (for benchmarks and tests)."""
+    _layout_cached.cache_clear()

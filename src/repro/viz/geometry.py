@@ -18,6 +18,8 @@ __all__ = [
     "polar_to_cartesian",
     "enclosing_circle",
     "bspline_points",
+    "bspline_basis",
+    "bspline_xy",
 ]
 
 
@@ -331,32 +333,56 @@ def bspline_points(
     ends exactly at the first/last control point, matching how D3 renders
     bundled edges.
     """
-    if len(control) == 0:
-        return []
-    if len(control) == 1:
-        return [control[0]]
-    if len(control) == 2:
-        return [control[0], control[1]]
-
-    padded = [control[0], control[0]] + list(control) + [control[-1], control[-1]]
-    out: List[Point] = []
-    for i in range(len(padded) - 3):
-        p0, p1, p2, p3 = padded[i : i + 4]
-        for step in range(samples_per_segment):
-            t = step / samples_per_segment
-            out.append(_cubic_bspline(p0, p1, p2, p3, t))
-    out.append(control[-1])
-    return out
+    xs, ys = bspline_xy(control, bspline_basis(samples_per_segment))
+    return [Point(x, y) for x, y in zip(xs, ys)]
 
 
-def _cubic_bspline(p0: Point, p1: Point, p2: Point, p3: Point, t: float) -> Point:
-    t2 = t * t
-    t3 = t2 * t
-    b0 = (1 - 3 * t + 3 * t2 - t3) / 6.0
-    b1 = (4 - 6 * t2 + 3 * t3) / 6.0
-    b2 = (1 + 3 * t + 3 * t2 - 3 * t3) / 6.0
-    b3 = t3 / 6.0
-    return Point(
-        b0 * p0.x + b1 * p1.x + b2 * p2.x + b3 * p3.x,
-        b0 * p0.y + b1 * p1.y + b2 * p2.y + b3 * p3.y,
-    )
+Basis = Tuple[float, float, float, float]
+
+
+def bspline_basis(samples_per_segment: int) -> List[Basis]:
+    """The four cubic B-spline weights at each of a segment's sample steps.
+
+    They depend on the step alone, so a caller sampling many curves (edge
+    bundling: one per property) computes this table once.
+    """
+    table: List[Basis] = []
+    for step in range(samples_per_segment):
+        t = step / samples_per_segment
+        t2 = t * t
+        t3 = t2 * t
+        table.append(
+            (
+                (1 - 3 * t + 3 * t2 - t3) / 6.0,
+                (4 - 6 * t2 + 3 * t3) / 6.0,
+                (1 + 3 * t + 3 * t2 - 3 * t3) / 6.0,
+                t3 / 6.0,
+            )
+        )
+    return table
+
+
+def bspline_xy(
+    control: Sequence[Point], basis: Sequence[Basis]
+) -> Tuple[List[float], List[float]]:
+    """:func:`bspline_points` as parallel coordinate lists, no ``Point`` built.
+
+    Fewer than three control points are returned as they are.
+    """
+    cx = [point.x for point in control]
+    cy = [point.y for point in control]
+    if len(control) < 3:
+        return cx, cy
+    px = [cx[0], cx[0]] + cx + [cx[-1], cx[-1]]
+    py = [cy[0], cy[0]] + cy + [cy[-1], cy[-1]]
+    xs: List[float] = []
+    ys: List[float] = []
+    for i in range(len(px) - 3):
+        x0, x1, x2, x3 = px[i : i + 4]
+        y0, y1, y2, y3 = py[i : i + 4]
+        for b0, b1, b2, b3 in basis:
+            xs.append(b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3)
+            ys.append(b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3)
+    xs.append(cx[-1])
+    ys.append(cy[-1])
+    return xs, ys

@@ -56,8 +56,12 @@ class SvgElement:
         for name, value in self.attributes.items():
             if value is None:
                 continue
-            rendered = _format_number(value) if isinstance(value, (int, float)) else str(value)
-            parts.append(f' {name.replace("_", "-")}="{_escape(rendered)}"')
+            # a formatted number cannot hold a character that needs escaping
+            if isinstance(value, (int, float)):
+                rendered = _format_number(value)
+            else:
+                rendered = _escape(str(value))
+            parts.append(f' {name.replace("_", "-")}="{rendered}"')
         if not self.children and self.text is None:
             parts.append("/>")
             return "".join(parts)

@@ -81,6 +81,38 @@ class TestSchemaSummary:
         assert set(summary.neighbours(NS + "B")) == {NS + "A", NS + "C"}
         assert NS + "A" not in summary.neighbours(NS + "A")  # self excluded
 
+    def test_neighbours_keep_the_edge_scan_order(self):
+        """``expand_all`` histories depend on this order: first occurrence
+        in edge order, either direction, each class once, self excluded --
+        what a scan of the edge list per call used to produce."""
+        a, b, c, d, e = (NS + name for name in "ABCDE")
+        pairs = [
+            (c, a), (a, b), (a, a), (a, c),  # C before B; self-loop; C again
+            (b, a), (a, b),                  # parallel edges, both directions
+            (d, b), (b, c), (c, d), (d, a),
+        ]
+        summary = SchemaSummary(
+            "http://e/sparql",
+            [SchemaNode(iri, 1) for iri in (a, b, c, d, e)],
+            [SchemaEdge(s, NS + f"p{i}", t, 1) for i, (s, t) in enumerate(pairs)],
+            total_instances=5,
+        )
+
+        def scan(iri):
+            out, seen = [], {iri}
+            for source, target in pairs:
+                other = target if source == iri else source if target == iri else iri
+                if other not in seen:
+                    seen.add(other)
+                    out.append(other)
+            return out
+
+        for iri in (a, b, c, d, e, NS + "unknown"):
+            assert summary.neighbours(iri) == scan(iri), iri
+        assert summary.neighbours(a) == [c, b, d]
+        summary.neighbours(a).append(e)  # the caller's copy, not the index
+        assert summary.neighbours(a) == [c, b, d]
+
     def test_instance_coverage(self):
         summary = SchemaSummary.from_indexes(sample_indexes())
         assert summary.instance_coverage([NS + "A"]) == pytest.approx(100 / 160)

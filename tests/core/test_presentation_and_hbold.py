@@ -5,6 +5,9 @@ import pytest
 from repro.core import HBold
 from repro.core.presentation import PresentationLayer
 from repro.docstore import DocumentStore
+from repro.endpoint import AlwaysAvailable, SparqlEndpoint
+from repro.rdf import IRI, RDF, Triple, parse_turtle
+from repro.viz.force_layout import layout_cache_clear, layout_cache_info
 
 
 class TestPresentationTimings:
@@ -131,3 +134,56 @@ class TestHBoldFacade:
         result = app.submit_endpoint(url, "someone@example.org")
         assert result.indexed
         assert len(app.outbox) == 1
+
+
+class TestLayoutsAreComputedOnce:
+    """The two canonical views of a dataset -- its Cluster Schema and its
+    fully expanded Schema Summary -- are the same graph for every user, so
+    a second session simulates nothing.  Counted, not timed."""
+
+    URL = "http://layouts.example.org/sparql"
+    DATA = """
+        @prefix ex: <http://example.org/> .
+        ex:p1 a ex:Paper ; ex:author ex:a1, ex:a2 ; ex:venue ex:v1 .
+        ex:p2 a ex:Paper ; ex:author ex:a2 ; ex:venue ex:v1 ; ex:cites ex:p1 .
+        ex:a1 a ex:Person ; ex:memberOf ex:o1 .
+        ex:a2 a ex:Person ; ex:memberOf ex:o1 .
+        ex:o1 a ex:Organisation .
+        ex:v1 a ex:Venue ; ex:publisher ex:o1 .
+    """
+
+    @staticmethod
+    def session_svgs(app, url):
+        first_view = app.render_cluster_schema(url).render()
+        session = app.explore(url)
+        session.start_from_cluster_schema()
+        session.select_class(session.summary.class_iris()[0])
+        session.expand_all()
+        assert session.is_complete()
+        return first_view, app.render_exploration(session).render()
+
+    def test_second_session_hits_and_a_reindex_misses(self, network):
+        graph = parse_turtle(self.DATA)
+        network.register(
+            SparqlEndpoint(self.URL, graph, network.clock, availability=AlwaysAvailable())
+        )
+        app = HBold(network)
+        assert app.index_endpoint(self.URL)
+
+        layout_cache_clear()
+        first = self.session_svgs(app, self.URL)
+        assert (layout_cache_info().misses, layout_cache_info().hits) == (2, 0)
+        second = self.session_svgs(app, self.URL)
+        assert (layout_cache_info().misses, layout_cache_info().hits) == (2, 2)
+        assert second == first
+
+        # changed data, re-indexed: a different graph is a different key
+        ex = "http://example.org/"
+        graph.add(Triple(IRI(ex + "t1"), RDF.type, IRI(ex + "Topic")))
+        graph.add(Triple(IRI(ex + "p1"), IRI(ex + "topic"), IRI(ex + "t1")))
+        assert app.index_endpoint(self.URL)
+        third = self.session_svgs(app, self.URL)
+        assert layout_cache_info().misses > 2
+        assert third[1] != first[1]
+        assert self.session_svgs(app, self.URL) == third
+        layout_cache_clear()

@@ -1,5 +1,6 @@
 """Repository hygiene checks: things that silently break the deliverables."""
 
+import ast
 import os
 import re
 import subprocess
@@ -74,6 +75,53 @@ class TestOneBenchmark:
                 text = handle.read()
             stale += [f"{path}: {word}" for word in self.RETIRED if word in text]
         assert not stale, stale
+
+
+class TestContentCaches:
+    def test_every_lru_cache_names_its_bound(self):
+        """A memo is a promise about memory (ROADMAP aim 3: a real bound on
+        every layer): each ``lru_cache`` under ``src/repro/`` is called with
+        ``maxsize=`` a ``*_CACHE_SIZE`` integer constant of its own module,
+        where the measured working set is written down -- no
+        ``maxsize=None``, no bare ``@lru_cache``, no ``functools.cache``."""
+
+        def named(node, name):
+            return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+
+        bounded, unbounded = 0, []
+        for directory, _, files in os.walk(os.path.join(ROOT, "src", "repro")):
+            for filename in files:
+                if not filename.endswith(".py"):
+                    continue
+                path = os.path.join(directory, filename)
+                with open(path) as handle:
+                    nodes = list(ast.walk(ast.parse(handle.read())))
+                constants = {
+                    target.id
+                    for node in nodes
+                    if isinstance(node, ast.Assign) and node.col_offset == 0
+                    and isinstance(node.value, ast.Constant) and type(node.value.value) is int
+                    for target in node.targets
+                }
+                good = set()
+                for node in nodes:
+                    if isinstance(node, ast.Call) and named(node.func, "lru_cache"):
+                        size = {k.arg: k.value for k in node.keywords}.get("maxsize")
+                        if getattr(size, "id", "").endswith("_CACHE_SIZE") and size.id in constants:
+                            good.add(node.func)
+                bounded += len(good)
+                unbounded += [
+                    f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+                    for node in nodes
+                    if (isinstance(node, (ast.Name, ast.Attribute))
+                        and named(node, "lru_cache") and node not in good)
+                    or (isinstance(node, ast.Attribute)
+                        and node.attr == "cache" and named(node.value, "functools"))
+                    or (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                        and any(alias.name == "cache" for alias in node.names))
+                ]
+        assert not unbounded, unbounded
+        assert bounded >= 2, "the AST and layout memos are gone; this check is stale"
 
 
 class TestTier1Count:

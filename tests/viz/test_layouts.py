@@ -4,16 +4,21 @@ on."""
 
 import itertools
 import math
+import random
 
 import pytest
 
 from repro.viz import (
     HierarchyNode,
+    Point,
+    bspline_points,
     circlepack_layout,
     edge_bundling_layout,
     sunburst_layout,
     treemap_layout,
 )
+from repro.viz.edge_bundling import _apply_beta
+from repro.viz.geometry import bspline_basis, bspline_xy
 
 
 def cluster_tree(clusters=3, classes_per=4, base_value=10.0) -> HierarchyNode:
@@ -253,6 +258,59 @@ class TestEdgeBundling:
         diagram = edge_bundling_layout(root, edges, radius=200, beta=1.0)
         cross_cluster = [e for e in diagram.edges if e.source[5] != e.target[5]]
         assert any(e.length() > e.straight_length() * 1.01 for e in cross_cluster)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.85, 1.0])
+    def test_float_sampling_equals_the_point_per_sample_formulation(self, beta):
+        """The sampler works on coordinate lists; what it must reproduce,
+        float for float, is the textbook form: one basis evaluation and one
+        ``Point`` per sample, then Holten's straightening point by point."""
+
+        def spline(p0, p1, p2, p3, t):
+            t2 = t * t
+            t3 = t2 * t
+            b0 = (1 - 3 * t + 3 * t2 - t3) / 6.0
+            b1 = (4 - 6 * t2 + 3 * t3) / 6.0
+            b2 = (1 + 3 * t + 3 * t2 - 3 * t3) / 6.0
+            b3 = t3 / 6.0
+            return Point(
+                b0 * p0.x + b1 * p1.x + b2 * p2.x + b3 * p3.x,
+                b0 * p0.y + b1 * p1.y + b2 * p2.y + b3 * p3.y,
+            )
+
+        def reference(control, samples):
+            curve = list(control)
+            if len(control) > 2:
+                padded = [control[0]] * 2 + control + [control[-1]] * 2
+                curve = [
+                    spline(*padded[i : i + 4], step / samples)
+                    for i in range(len(padded) - 3)
+                    for step in range(samples)
+                ] + [control[-1]]
+            assert curve == bspline_points(control, samples)
+            if len(curve) < 2 or beta >= 1.0:
+                return curve
+            start, end, n = curve[0], curve[-1], len(curve) - 1
+            out = []
+            for index, point in enumerate(curve):
+                t = index / n
+                straight = Point(
+                    start.x + (end.x - start.x) * t, start.y + (end.y - start.y) * t
+                )
+                out.append(
+                    Point(
+                        beta * point.x + (1.0 - beta) * straight.x,
+                        beta * point.y + (1.0 - beta) * straight.y,
+                    )
+                )
+            return out
+
+        rng = random.Random(7)
+        for length, samples in itertools.product(range(7), (1, 5, 8)):
+            control = [Point(rng.uniform(-300, 300), rng.uniform(-300, 300)) for _ in range(length)]
+            sampled = _apply_beta(*bspline_xy(control, bspline_basis(samples)), beta)
+            assert [(p.x.hex(), p.y.hex()) for p in sampled] == [
+                (p.x.hex(), p.y.hex()) for p in reference(control, samples)
+            ], (length, samples)
 
     def test_focus_roles_domain_and_range(self):
         """Figure 7's highlighting: incoming -> domain, outgoing -> range."""
