@@ -46,6 +46,17 @@ from .visual_query import VisualQuery
 __all__ = ["HBold"]
 
 
+class _SpotlightCache(dict):
+    """``{k: (generation, batch)}`` on one endpoint graph.
+
+    Each entry is a whole-dataset batch.  Every caller in the repo asks for
+    ``HBold.SPOTLIGHT_K``, so this holds one; a caller cycling through other
+    *k* values starts over at the bound instead of keeping a batch per value.
+    """
+
+    SPOTLIGHT_CACHE_SIZE = 4
+
+
 class HBold:
     """High-level Visualization over Big Linked Open Data."""
 
@@ -198,11 +209,13 @@ class HBold:
             graph = self.network.get(url).graph
         except EndpointError:
             return self.extractor.top_entities_all(url, k=k)  # uncacheable
-        cache = graph.derived_cache("exploration/spotlight", dict)
+        cache = graph.derived_cache("exploration/spotlight", _SpotlightCache)
         entry = cache.get(k)
         if entry is not None and entry[0] == graph.generation:
             return entry[1]
         batch = self.extractor.top_entities_all(url, k=k)
+        if len(cache) >= cache.SPOTLIGHT_CACHE_SIZE:
+            cache.clear()
         cache[k] = (graph.generation, batch)
         return batch
 

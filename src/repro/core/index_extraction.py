@@ -18,6 +18,14 @@ Two pattern strategies cope with implementation differences:
 The extractor tries *aggregate* first and transparently falls back to
 *scan* per index when the endpoint rejects or truncates; that mirrors the
 strategy selection of the original LODeX extractor.
+
+The per-class indexes (3 and 4) have one more rung on top, *set at a
+time*: ask the endpoint once for every class's datatype properties and
+once for every class's links, and split the answers by class here --
+the loop runs inside the store's operators, not as one round trip per
+class.  An endpoint that rejects, times out on or caps a whole-dataset
+answer drops to the per-class questions below it, which are smaller and
+may still succeed, and from there to *scan*.
 """
 
 from __future__ import annotations
@@ -83,8 +91,11 @@ class IndexExtractor:
 
             if self.infer_types:
                 class_counts, counts_strategy = self._inferred_class_counts(url)
+                # a rejected *path* says nothing about aggregates; the
+                # grouped links question below will
+                rejected = False
             else:
-                class_counts, counts_strategy = self._class_counts(url)
+                class_counts, counts_strategy, rejected = self._class_counts(url)
             if counts_strategy == "scan":
                 strategy_used = "scan"
             if not class_counts:
@@ -94,14 +105,32 @@ class IndexExtractor:
                     url, f"too many classes ({len(class_counts)} > {self.max_classes})"
                 )
 
+            known_classes = set(class_counts)
+            all_props = self._datatype_properties_all(url)
+            # An endpoint that rejected one path-free aggregate rejects
+            # them all: ask for no other in this extraction.  Timeouts and
+            # truncation are verdicts on one query and are not remembered.
+            all_links = None
+            if not rejected:
+                try:
+                    all_links = self._object_links_all(url, known_classes)
+                except QueryRejected:
+                    rejected = True
+
             datatype_props: Dict[str, List[str]] = {}
             links: List[LinkIndex] = []
-            known_classes = set(class_counts)
             for class_iri in sorted(class_counts):
-                props, props_complete = self._datatype_properties(url, class_iri)
-                datatype_props[class_iri] = props
-                complete = complete and props_complete
-                class_links, links_strategy, links_complete = self._object_links(
+                if all_props is not None:
+                    datatype_props[class_iri] = all_props.get(class_iri, [])
+                else:
+                    props, props_complete = self._datatype_properties(url, class_iri)
+                    datatype_props[class_iri] = props
+                    complete = complete and props_complete
+                if all_links is not None:
+                    links.extend(all_links.get(class_iri, ()))
+                    continue
+                per_class = self._object_links_by_scan if rejected else self._object_links
+                class_links, links_strategy, links_complete = per_class(
                     url, class_iri, known_classes
                 )
                 links.extend(class_links)
@@ -256,11 +285,13 @@ class IndexExtractor:
 
     # -- index 1+2: classes and their instance counts ------------------------------
 
-    def _class_counts(self, url: str) -> Tuple[Dict[str, int], str]:
-        """Class IRI -> instance count, plus the strategy that worked."""
+    def _class_counts(self, url: str) -> Tuple[Dict[str, int], str, bool]:
+        """Class IRI -> instance count, the strategy that worked, and
+        whether the endpoint rejected the aggregate outright."""
         query = (
             "SELECT ?class (COUNT(?s) AS ?n) WHERE { ?s a ?class } GROUP BY ?class"
         )
+        rejected = False
         try:
             result = self.client.select(url, query)
             if not result.truncated:
@@ -271,10 +302,12 @@ class IndexExtractor:
                     if class_term is None or count_term is None:
                         continue
                     counts[str(class_term)] = int(float(count_term.lexical))
-                return counts, "aggregate"
-        except (QueryRejected, EndpointTimeout):
+                return counts, "aggregate", False
+        except QueryRejected:
+            rejected = True
+        except EndpointTimeout:
             pass
-        return self._class_counts_by_scan(url), "scan"
+        return self._class_counts_by_scan(url), "scan", rejected
 
     def _class_counts_by_scan(self, url: str) -> Dict[str, int]:
         """Scan strategy: page DISTINCT classes, then count each via paging."""
@@ -320,7 +353,7 @@ class IndexExtractor:
     def _inferred_counts_by_closure(self, url: str) -> Dict[str, int]:
         """Client-side inference: closure over fetched subclass axioms, then
         one DISTINCT-subjects UNION query per class (exact, path-free)."""
-        direct, _ = self._class_counts(url)
+        direct, _, _ = self._class_counts(url)
         axioms: Dict[str, List[str]] = {}
         for page in self._paged(
             url,
@@ -374,6 +407,35 @@ class IndexExtractor:
 
     # -- index 3: datatype properties per class --------------------------------------
 
+    def _datatype_properties_all(self, url: str) -> Optional[Dict[str, List[str]]]:
+        """Every class's datatype properties from ONE paged question.
+
+        The set-at-a-time form of :meth:`_datatype_properties`: no
+        aggregate, so every profile answers it, and paging absorbs the
+        result caps.  Returns ``{class_iri: sorted properties}`` (a class
+        without literals is absent), or None when the endpoint rejects or
+        times out on the whole-dataset query or the answer outruns
+        ``max_pages``; the caller then asks per class.
+        """
+        query = (
+            "SELECT DISTINCT ?c ?p WHERE { ?s a ?c . ?s ?p ?o . "
+            "FILTER ( isLiteral(?o) ) }"
+        )
+        properties: Dict[str, Set[str]] = {}
+        pages = 0
+        try:
+            for page in self._paged(url, query):
+                pages += 1
+                for row in page:
+                    class_term, prop = row.get("c"), row.get("p")
+                    if class_term is not None and prop is not None:
+                        properties.setdefault(str(class_term), set()).add(str(prop))
+        except (QueryRejected, EndpointTimeout):
+            return None
+        if pages == self.max_pages:
+            return None  # the safety valve closed: the answer may be cut short
+        return {iri: sorted(props) for iri, props in properties.items()}
+
     def _datatype_properties(self, url: str, class_iri: str) -> Tuple[List[str], bool]:
         query = (
             f"SELECT DISTINCT ?p WHERE {{ ?s a <{class_iri}> . ?s ?p ?o . "
@@ -392,6 +454,42 @@ class IndexExtractor:
         return sorted(set(properties)), complete
 
     # -- index 4: object links between classes ----------------------------------------
+
+    def _object_links_all(
+        self, url: str, known_classes: Set[str]
+    ) -> Optional[Dict[str, List[LinkIndex]]]:
+        """Every class's links from ONE grouped round trip.
+
+        The set-at-a-time form of :meth:`_object_links`, exactly as
+        :meth:`top_entities_all` is of :meth:`top_entities`: group by
+        ``(class, property, target)`` and split by class here, each
+        class's links in result order.  Returns None when the endpoint
+        times out or caps the grouped answer (the per-class questions are
+        smaller and may still succeed); :class:`QueryRejected` propagates
+        so :meth:`extract` can stop asking for aggregates.
+        """
+        query = (
+            "SELECT ?c ?p ?target (COUNT(?o) AS ?n) WHERE { "
+            "?s a ?c . ?s ?p ?o . ?o a ?target } GROUP BY ?c ?p ?target"
+        )
+        try:
+            result = self.client.select(url, query)
+        except EndpointTimeout:
+            return None
+        if result.truncated:
+            return None
+        links: Dict[str, List[LinkIndex]] = {}
+        for row in result:
+            source, prop = row.get("c"), row.get("p")
+            target, count = row.get("target"), row.get("n")
+            if source is None or prop is None or target is None or count is None:
+                continue
+            if str(target) not in known_classes:
+                continue
+            links.setdefault(str(source), []).append(
+                LinkIndex(str(source), str(prop), str(target), int(float(count.lexical)))
+            )
+        return links
 
     def _object_links(
         self, url: str, class_iri: str, known_classes: Set[str]

@@ -68,6 +68,7 @@ from collections import Counter, OrderedDict
 from itertools import chain as _chain
 from itertools import islice as _islice
 from itertools import repeat as _repeat
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..obs.trace import NULL_TRACER
@@ -144,8 +145,21 @@ def _triples_to_scan_rows(triples, positions):
     ``positions`` holds each variable's triple positions; variables that
     occur at several positions must match the same ID or the triple is
     dropped.  Shared by the full-scan and per-row lookup paths so repeated
-    -variable semantics cannot diverge between them.
+    -variable semantics cannot diverge between them.  When no variable
+    repeats (every extraction pattern) the projection runs at C speed.
     """
+    if all(len(var_positions) == 1 for var_positions in positions):
+        picks = [var_positions[0] for var_positions in positions]
+        if len(picks) > 1:
+            return map(itemgetter(*picks), triples)
+        if picks:  # itemgetter(i) alone would yield bare values, not 1-tuples
+            pick = picks[0]
+            return ((triple[pick],) for triple in triples)
+        return (() for _triple in triples)
+    return _repeated_variable_scan_rows(triples, positions)
+
+
+def _repeated_variable_scan_rows(triples, positions):
     for triple in triples:
         srow = []
         for var_positions in positions:
@@ -556,7 +570,56 @@ class _EncodedPattern:
         return float(graph.count_ids(s, p, o))
 
 
-class _SharedPlanCache:
+class _GenerationLRU:
+    """An LRU of values derived from one graph's content.
+
+    The rules both per-graph engine caches follow: every engine over the
+    graph reads and fills the one instance on ``Graph.derived_cache``;
+    entries are valid for one ``graph.generation`` -- a content-changing
+    write drops them all on the next lookup, a no-op write drops none --
+    and the least recently used entry goes first.  Each subclass names its
+    bound as a ``*_CACHE_SIZE`` attribute.
+    """
+
+    __slots__ = ("_entries", "_capacity", "_generation", "hits", "misses")
+
+    def __init__(self, capacity: int):
+        self._entries: OrderedDict = OrderedDict()
+        self._capacity = capacity
+        self._generation: Optional[int] = None
+        self.hits = 0
+        self.misses = 0
+
+    def info(self) -> Dict[str, int]:
+        """Hit/miss/size counters and the generation the entries belong to."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "size": len(self._entries),
+            "generation": self._generation if self._generation is not None else -1,
+        }
+
+    def lookup(self, graph: Graph, key: Tuple, make) -> Tuple[object, bool]:
+        """``(value, cached)``: the entry under *key*, from ``make()`` when
+        this generation of *graph* has not made it yet."""
+        generation = graph.generation
+        if generation != self._generation:
+            self._entries.clear()
+            self._generation = generation
+        entries = self._entries
+        value = entries.get(key)
+        if value is not None:
+            entries.move_to_end(key)
+            self.hits += 1
+            return value, True
+        self.misses += 1
+        value = entries[key] = make()
+        if len(entries) > self._capacity:
+            entries.popitem(last=False)
+        return value, False
+
+
+class _SharedPlanCache(_GenerationLRU):
     """The compiled-plan cache shared by every engine of one graph.
 
     Lives on the graph (``Graph.derived_cache("sparql/plans", ...)``), so
@@ -571,30 +634,16 @@ class _SharedPlanCache:
 
     Keys are object identities, safe because the value holds a strong
     reference to the very pattern objects the ids name -- a live id can
-    never be reused by a different object.  Entries embed the graph
-    ``generation`` they were compiled against; any mutation bumps the
-    generation and the next lookup drops every plan at once.
+    never be reused by a different object.
     """
 
     #: entries kept per graph
     PLAN_CACHE_SIZE = 256
 
-    __slots__ = ("_plans", "_generation", "hits", "misses")
+    __slots__ = ()
 
     def __init__(self):
-        self._plans: "OrderedDict[Tuple[int, ...], Tuple[Tuple[TriplePattern, ...], List[_EncodedPattern]]]" = OrderedDict()
-        self._generation: Optional[int] = None
-        self.hits = 0
-        self.misses = 0
-
-    def info(self) -> Dict[str, int]:
-        """Hit/miss/size counters of the compiled-plan cache."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": len(self._plans),
-            "generation": self._generation if self._generation is not None else -1,
-        }
+        super().__init__(self.PLAN_CACHE_SIZE)
 
     def compile(
         self, graph: Graph, patterns: Sequence[TriplePattern]
@@ -608,25 +657,42 @@ class _SharedPlanCache:
         makes it safe to hold plans across the fleet's repeated templated
         queries.
         """
-        generation = graph.generation
-        if generation != self._generation:
-            self._plans.clear()
-            self._generation = generation
-        key = tuple(map(id, patterns))
-        hit = self._plans.get(key)
-        if hit is not None:
-            self._plans.move_to_end(key)
-            self.hits += 1
-            return hit[1]
-        self.misses += 1
-        encoded = [
-            _EncodedPattern(index, pattern, graph)
-            for index, pattern in enumerate(patterns)
-        ]
-        self._plans[key] = (tuple(patterns), encoded)
-        if len(self._plans) > self.PLAN_CACHE_SIZE:
-            self._plans.popitem(last=False)
-        return encoded
+        entry, _ = self.lookup(
+            graph,
+            tuple(map(id, patterns)),
+            lambda: (
+                tuple(patterns),
+                [
+                    _EncodedPattern(index, pattern, graph)
+                    for index, pattern in enumerate(patterns)
+                ],
+            ),
+        )
+        return entry[1]
+
+
+class _SharedProbeCache(_GenerationLRU):
+    """The hash-join build tables shared by every engine of one graph.
+
+    Lives on the graph (``Graph.derived_cache("sparql/probe-tables", ...)``)
+    beside the plan cache.  A table is a pure function of its key -- the
+    pattern's ground IDs (variables and wildcards as None), each variable's
+    triple positions, and which scan-row positions form the bucket key and
+    the payload -- so a fleet that asks one endpoint the same join for
+    every class (``?o a ?target`` under index extraction) builds its table
+    once, and a re-indexing pass over an unchanged graph builds nothing.
+    It helps only such a repeated build side; a first pass pays every
+    build.  Tables are shared read-only: callers only ``get`` from them.
+    """
+
+    #: tables kept per graph.  Measured on the 110-endpoint census: one
+    #: live table on 107 graphs, two on 3; 90,937 rows, about 16 MB in all.
+    PROBE_CACHE_SIZE = 4
+
+    __slots__ = ()
+
+    def __init__(self):
+        super().__init__(self.PROBE_CACHE_SIZE)
 
 
 #: The documented ``exec_stats`` vocabulary.  Every engine/parallel-exec
@@ -694,6 +760,9 @@ class QueryEngine:
         self._plans: _SharedPlanCache = graph.derived_cache(
             "sparql/plans", _SharedPlanCache
         )
+        self._probes: _SharedProbeCache = graph.derived_cache(
+            "sparql/probe-tables", _SharedProbeCache
+        )
         #: the engine's ShardScanPool (created lazily in run(), keyed on
         #: the store's shard layout and threaded through every shard
         #: batch the engine dispatches) -- back-to-back queries on one
@@ -716,6 +785,10 @@ class QueryEngine:
     def plan_cache_info(self) -> Dict[str, int]:
         """Hit/miss/size counters of the graph's shared plan cache."""
         return self._plans.info()
+
+    def probe_cache_info(self) -> Dict[str, int]:
+        """Hit/miss/size counters of the graph's shared probe-table cache."""
+        return self._probes.info()
 
     def _compile_patterns(
         self, patterns: Sequence[TriplePattern]
@@ -1013,17 +1086,52 @@ class QueryEngine:
         shared: Sequence[Variable],
         new_vars: Sequence[Variable],
     ) -> Dict:
-        """Scan *ep* once into ``{shared key: [new-variable tuples]}``.
+        """*ep* scanned into ``{shared key: [new-variable tuples]}``.
 
         The build side of both hash joins (eager and streaming).  A single
         shared variable (the overwhelmingly common join shape) keys on the
         bare value instead of a 1-tuple.
 
-        On a sharded graph a shard-spanning build (subject unbound) runs
-        partition-parallel: per-shard tables merge rank-ordered into the
-        same table this sequential fold would produce.
+        The table comes from the graph's :class:`_SharedProbeCache` when
+        this generation already built it; ``sparql.probe_build`` fires
+        either way (``cached`` says which), ``sparql.scan`` only when the
+        scan ran.  Two builds stay uncached.  A property-path table
+        depends on the path expression and on raw (non-interned) endpoint
+        terms, neither of which the ID key holds.  A sharded graph's
+        shard-spanning build (subject unbound) runs partition-parallel
+        -- per-shard tables merge rank-ordered into the same table the
+        sequential fold would produce -- and ``parallel_probe_table``
+        books its simulated shard time into ``exec_stats``, which
+        ``SparqlEndpoint._estimate_latency`` reads: a hit that skipped
+        it would move simulated latency, and with it the serving digests.
         """
-        table = self._probe_table(ep, shared, new_vars)
+        var_index = {v: i for i, v in enumerate(ep.variables)}
+        key_positions = tuple(var_index[v] for v in shared)
+        new_positions = tuple(var_index[v] for v in new_vars)
+        ground = tuple(v if type(v) is int else None for v in ep.spec)
+        var_positions = [ep.var_positions[v] for v in ep.variables]
+        cached = False
+        if ep.path is not None:
+            table = self._probe_table(ep, key_positions, new_positions)
+        elif self._sharded is not None and ground[0] is None:
+            from .parallel_exec import parallel_probe_table
+
+            table = parallel_probe_table(
+                self._sharded,
+                *ground,
+                var_positions,
+                key_positions,
+                new_positions,
+                stats=self.exec_stats,
+                pool=self._scan_pool,
+                obs=self.obs,
+            )
+        else:
+            table, cached = self._probes.lookup(
+                self.graph,
+                (ground, tuple(map(tuple, var_positions)), key_positions, new_positions),
+                lambda: self._probe_table(ep, key_positions, new_positions),
+            )
         if self.obs.detail:
             self.obs.event(
                 "sparql.probe_build",
@@ -1031,35 +1139,16 @@ class QueryEngine:
                 estimate=ep.est,
                 buckets=len(table),
                 rows_out=sum(len(bucket) for bucket in table.values()),
+                cached=cached,
             )
         return table
 
     def _probe_table(
         self,
         ep: _EncodedPattern,
-        shared: Sequence[Variable],
-        new_vars: Sequence[Variable],
+        key_positions: Sequence[int],
+        new_positions: Sequence[int],
     ) -> Dict:
-        var_index = {v: i for i, v in enumerate(ep.variables)}
-        key_positions = [var_index[v] for v in shared]
-        new_positions = [var_index[v] for v in new_vars]
-        if self._sharded is not None and ep.path is None:
-            s, p, o = (v if type(v) is int else None for v in ep.spec)
-            if s is None:
-                from .parallel_exec import parallel_probe_table
-
-                return parallel_probe_table(
-                    self._sharded,
-                    s,
-                    p,
-                    o,
-                    [ep.var_positions[v] for v in ep.variables],
-                    key_positions,
-                    new_positions,
-                    stats=self.exec_stats,
-                    pool=self._scan_pool,
-                    obs=self.obs,
-                )
         table: Dict = {}
         setdefault = table.setdefault
         if len(key_positions) == 1:

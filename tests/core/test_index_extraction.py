@@ -10,6 +10,7 @@ from repro.endpoint import (
     SparqlClient,
     SparqlEndpoint,
 )
+from repro.endpoint.errors import EndpointTimeout
 from repro.endpoint.profiles import EndpointProfile
 from repro.rdf import parse_turtle
 
@@ -214,3 +215,209 @@ class TestCostAccounting:
         scan_extractor.extract("http://e/sparql")
         scan_cost = scan_endpoint.clock.now_ms
         assert scan_cost > aggregate_cost
+
+
+# -- set at a time == per class --------------------------------------------------
+
+#: every case the split-by-class has to get right: a subject with two types
+#: (m1), a class with no links (Leaf), a class with no literals (Bare), a
+#: link to an untyped object (a1 -> ghost), a self-link (a2 -> a2), and more
+#: grouped link rows (7) than any one class has (3) so a result cap can sit
+#: between the two
+HAND_TTL = """
+@prefix ex: <http://example.org/> .
+
+ex:a1 a ex:A ; ex:name "a1" ; ex:rel ex:b1 ; ex:rel ex:l1 ; ex:rel ex:ghost .
+ex:a2 a ex:A ; ex:name "a2" ; ex:rel ex:b1 ; ex:same ex:a2 ; ex:other ex:b2 .
+ex:b1 a ex:B ; ex:size 5 ; ex:back ex:a1 ; ex:toBare ex:r1 .
+ex:b2 a ex:B ; ex:size 9 ; ex:back ex:a2 .
+ex:m1 a ex:A , ex:B ; ex:name "m1" ; ex:size 1 ; ex:rel ex:b2 .
+ex:l1 a ex:Leaf ; ex:tag "leaf" .
+ex:r1 a ex:Bare ; ex:up ex:b1 .
+"""
+
+
+class PerClassOnly(IndexExtractor):
+    """The ladder below the set-at-a-time rung, run alone: the oracle."""
+
+    def _datatype_properties_all(self, url):
+        return None
+
+    def _object_links_all(self, url, known_classes):
+        return None
+
+
+def _hand_graph():
+    return parse_turtle(HAND_TTL)
+
+
+def _datagen_graph(builder):
+    from repro import datagen
+
+    return lambda: getattr(datagen, builder)(scale=0.1, seed=3)
+
+
+GRAPHS = {
+    "hand": _hand_graph,
+    "government": _datagen_graph("government_graph"),
+    "scholarly": _datagen_graph("scholarly_graph"),
+    "trafair": _datagen_graph("trafair_graph"),
+}
+
+
+def extract_with(
+    extractor_class, graph, profile, page_size=1000, client_class=SparqlClient, **options
+):
+    """One extraction on a fresh endpoint: ``(doc sans timestamp, stats)``."""
+    clock = SimulationClock()
+    network = EndpointNetwork(clock=clock)
+    endpoint = network.register(
+        SparqlEndpoint("http://e/sparql", graph, clock, profile=profile)
+    )
+    extractor = extractor_class(client_class(network), page_size=page_size, **options)
+    doc = extractor.extract("http://e/sparql").to_doc()
+    del doc["extracted_at_ms"]
+    return doc, endpoint.stats
+
+
+class TestSetAtATime:
+    @pytest.mark.parametrize("infer_types", [False, True])
+    @pytest.mark.parametrize(
+        "profile", ["virtuoso", "fuseki", "legacy-sesame", "4store", "slow-shared-host"]
+    )
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_equals_the_per_class_ladder(self, graph, profile, infer_types):
+        """Same stored document -- ``strategy`` and ``complete`` included --
+        whichever rung answered."""
+        asked_once, _ = extract_with(
+            IndexExtractor, GRAPHS[graph](), profile, infer_types=infer_types
+        )
+        per_class, _ = extract_with(
+            PerClassOnly, GRAPHS[graph](), profile, infer_types=infer_types
+        )
+        assert asked_once == per_class
+        assert asked_once["links"] and asked_once["complete"]
+
+    def test_multi_typed_link_targets_keep_the_same_links(self):
+        """A class's links come in the engine's result order.  With one
+        type per link target (every generated dataset) that is the
+        per-class query's order, row for row; a target with several types
+        reaches the fold once per type, in an order the engine's hash and
+        index joins do not share, so there the guarantee is the links and
+        their counts, not their order within the class."""
+        ttl = HAND_TTL + "ex:b2 ex:back ex:m1 . ex:a1 ex:rel ex:m1 . ex:l1 ex:see ex:m1 .\n"
+        asked_once, _ = extract_with(IndexExtractor, parse_turtle(ttl), "fuseki")
+        per_class, _ = extract_with(PerClassOnly, parse_turtle(ttl), "fuseki")
+
+        def by_class(document):
+            return sorted(sorted(link.items()) for link in document["links"])
+
+        assert by_class(asked_once) == by_class(per_class)
+        assert [l["source"] for l in asked_once["links"]] == [
+            l["source"] for l in per_class["links"]
+        ]
+        assert {**asked_once, "links": None} == {**per_class, "links": None}
+
+    def test_capped_grouped_answer_drops_to_per_class_aggregates(self):
+        """Seven grouped link rows under a cap of five: the per-class
+        questions (three rows at most) still fit, so nothing is scanned."""
+        capped = EndpointProfile("cap5", max_result_rows=5, jitter=0.0)
+        doc, stats = extract_with(IndexExtractor, _hand_graph(), capped)
+        truth, _ = extract_with(PerClassOnly, _hand_graph(), "fuseki")
+        assert doc == truth
+        assert doc["strategy"] == "aggregate"
+        # the class census fits (4 rows); only the grouped links answer is
+        # cut, plus pages of the DISTINCT (class, property) question
+        assert stats.truncated >= 1
+
+    def test_cap_below_the_per_class_answers_drops_to_scan(self):
+        capped = EndpointProfile("cap2", max_result_rows=2, jitter=0.0)
+        doc, _ = extract_with(IndexExtractor, _hand_graph(), capped, page_size=2)
+        truth, _ = extract_with(PerClassOnly, _hand_graph(), "fuseki")
+        assert doc["strategy"] == "scan" and doc["complete"]
+
+        def link_set(document):
+            return sorted(
+                (l["source"], l["property"], l["target"], l["count"])
+                for l in document["links"]
+            )
+
+        assert link_set(doc) == link_set(truth)
+        assert doc["classes"] == truth["classes"]
+
+    def test_timeout_on_the_grouped_questions_falls_through(self):
+        """A timeout is a verdict on one query: the per-class rung answers,
+        ``complete`` stays True and aggregates are still asked for."""
+
+        class GroupedTimesOut(SparqlClient):
+            def select(self, url, text):
+                if "?s a ?c ." in text:
+                    raise EndpointTimeout("grouped question timed out", url=url)
+                return super().select(url, text)
+
+        doc, _ = extract_with(
+            IndexExtractor, _hand_graph(), "virtuoso", client_class=GroupedTimesOut
+        )
+        truth, _ = extract_with(PerClassOnly, _hand_graph(), "virtuoso")
+        assert doc == truth
+        assert doc["complete"] and doc["strategy"] == "aggregate"
+
+    @pytest.mark.parametrize("classes", [12, 28])
+    def test_capable_endpoint_costs_four_queries(self, classes):
+        """Work count, not wall clock: liveness probe, class census, one
+        (class, property) question, one grouped links question -- whatever
+        the class count (the per-class ladder sends 2 + 2 per class)."""
+        ttl = "@prefix ex: <http://example.org/> .\n" + "\n".join(
+            f'ex:i{i} a ex:T{i} ; ex:name "n{i}" ; ex:next ex:i{(i + 1) % classes} .'
+            for i in range(classes)
+        )
+        doc, stats = extract_with(IndexExtractor, parse_turtle(ttl), "virtuoso")
+        assert doc["class_count"] == len(doc["links"]) == classes
+        assert stats.queries == 4
+        _, per_class = extract_with(PerClassOnly, parse_turtle(ttl), "virtuoso")
+        assert per_class.queries == 2 + 2 * classes
+
+    @pytest.mark.parametrize("profile", ["legacy-sesame", "4store"])
+    def test_no_aggregate_endpoint_is_rejected_once(self, profile):
+        """The class census learns the endpoint has no aggregates; no other
+        is sent -- not the grouped links question, not one per class."""
+        doc, stats = extract_with(IndexExtractor, _hand_graph(), profile)
+        assert stats.rejected == 1
+        assert doc["strategy"] == "scan" and doc["complete"]
+
+
+class TestReindexingBuildsNothing:
+    """The engine half of the same pipeline: the scheduler re-indexes
+    unchanged endpoints, and a second pass over an unchanged graph finds
+    every join's build table in the graph's probe cache."""
+
+    @pytest.mark.parametrize("profile", ["virtuoso", "legacy-sesame"])
+    def test_second_pass_builds_no_probe_table_until_a_write(self, profile):
+        from repro.core import HBold
+        from repro.datagen import government_graph
+        from repro.rdf import IRI, Triple
+
+        graph = government_graph(scale=0.1, seed=3)
+        clock = SimulationClock()
+        network = EndpointNetwork(clock=clock)
+        endpoint = network.register(
+            SparqlEndpoint("http://e/sparql", graph, clock, profile=profile)
+        )
+        app = HBold(network)
+        app.bootstrap_registry([endpoint.url])
+        info = endpoint._engine.probe_cache_info
+
+        assert app.index_endpoint(endpoint.url)
+        first = info()
+        assert first["misses"] > 0
+        stored = app.storage.load_indexes(endpoint.url).to_doc()
+
+        assert app.index_endpoint(endpoint.url)
+        assert info()["misses"] == first["misses"]
+        assert info()["hits"] > first["hits"]
+        again = app.storage.load_indexes(endpoint.url).to_doc()
+        assert {**again, "extracted_at_ms": 0} == {**stored, "extracted_at_ms": 0}
+
+        graph.add(Triple(IRI(EX + "new"), IRI(EX + "p"), IRI(EX + "new")))
+        assert app.index_endpoint(endpoint.url)
+        assert info()["misses"] > first["misses"]

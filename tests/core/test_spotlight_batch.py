@@ -105,3 +105,15 @@ def test_aggregate_rejecting_endpoint_falls_back_per_class():
     assert details["top_entities"] == app.extractor.top_entities(
         URL, classes[0], k=HBold.SPOTLIGHT_K
     )
+
+
+def test_spotlight_cache_is_bounded_in_k():
+    """Each *k* caches a whole-dataset batch on the graph; a caller cycling
+    through values cannot grow it past ``SPOTLIGHT_CACHE_SIZE``."""
+    from repro.core.hbold import _SpotlightCache
+
+    app, endpoint = _app()
+    for k in range(1, 2 * _SpotlightCache.SPOTLIGHT_CACHE_SIZE + 1):
+        assert app._spotlight_batch(URL, k) is not None
+        cache = endpoint.graph.derived_cache("exploration/spotlight", _SpotlightCache)
+        assert k in cache and len(cache) <= _SpotlightCache.SPOTLIGHT_CACHE_SIZE

@@ -117,10 +117,28 @@ def test_explain_works_with_recorder_disabled(small_graph):
 
 
 def test_explain_is_deterministic(small_graph):
+    """Two EXPLAINs of equal fresh graphs render equal.  A repeat on one
+    graph finds the join's build table in the graph's probe cache, and
+    says so: the build side's ``sparql.scan`` line is gone and
+    ``sparql.probe_build`` reads ``cached=True`` -- nothing else moves."""
     engine = QueryEngine(small_graph)
     first = engine.explain(QUERY).render()
-    second = engine.explain(QUERY).render()
-    assert first == second
+    assert QueryEngine(small_graph.copy()).explain(QUERY).render() == first
+    repeat = engine.explain(QUERY).render()
+    assert engine.explain(QUERY).render() == repeat
+
+    (build,) = [line for line in first.splitlines() if "sparql.probe_build" in line]
+    assert "cached=False" in build and "pattern=1" in build
+    (build_scan,) = [
+        line for line in first.splitlines()
+        if "sparql.scan" in line and "pattern=1" in line
+    ]
+    expected = [
+        line.replace("cached=False", "cached=True")
+        for line in first.splitlines()
+        if line != build_scan
+    ]
+    assert repeat.splitlines() == expected
 
 
 @pytest.mark.parametrize("strategy", ["hash", "stream", "scan"])

@@ -123,6 +123,41 @@ class TestContentCaches:
         assert not unbounded, unbounded
         assert bounded >= 2, "the AST and layout memos are gone; this check is stale"
 
+    def test_every_derived_cache_names_its_bound(self):
+        """The same promise for the other cache idiom: each factory handed
+        to ``Graph.derived_cache(name, factory)`` under ``src/repro/`` is a
+        class of the calling module with an integer ``*_CACHE_SIZE``
+        attribute -- never a bare ``dict``."""
+        bounded, unbounded = [], []
+        for directory, _, files in os.walk(os.path.join(ROOT, "src", "repro")):
+            for filename in files:
+                if not filename.endswith(".py"):
+                    continue
+                path = os.path.join(directory, filename)
+                with open(path) as handle:
+                    nodes = list(ast.walk(ast.parse(handle.read())))
+                sized = {
+                    node.name
+                    for node in nodes
+                    if isinstance(node, ast.ClassDef)
+                    for statement in node.body
+                    if isinstance(statement, ast.Assign)
+                    and isinstance(statement.value, ast.Constant)
+                    and type(statement.value.value) is int
+                    and any(
+                        getattr(target, "id", "").endswith("_CACHE_SIZE")
+                        for target in statement.targets
+                    )
+                }
+                for node in nodes:
+                    if (isinstance(node, ast.Call)
+                            and getattr(node.func, "attr", None) == "derived_cache"):
+                        factory = getattr(node.args[1], "id", None)
+                        where = f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+                        (bounded if factory in sized else unbounded).append(where)
+        assert not unbounded, unbounded
+        assert len(bounded) >= 3, "plan, probe-table and spotlight caches; this check is stale"
+
 
 class TestTier1Count:
     def test_changes_quotes_the_collected_tier1_count(self, request):
