@@ -8,7 +8,7 @@ dropped, self-loops are kept (they matter in the modularity formula).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 __all__ = ["UndirectedGraph", "CompactGraph"]
 
@@ -103,19 +103,6 @@ class UndirectedGraph:
         if self._compact is None:
             self._compact = CompactGraph(self._adjacency, self._total_weight)
         return self._compact
-
-    @classmethod
-    def from_edges(
-        cls, edges: Iterable[Tuple[Node, Node]], weights: Iterable[float] = None
-    ) -> "UndirectedGraph":
-        graph = cls()
-        if weights is None:
-            for u, v in edges:
-                graph.add_edge(u, v)
-        else:
-            for (u, v), w in zip(edges, weights):
-                graph.add_edge(u, v, w)
-        return graph
 
     def copy(self) -> "UndirectedGraph":
         out = UndirectedGraph()

@@ -1,8 +1,9 @@
 """H-BOLD core: the paper's primary contribution.
 
 The server layer (index extraction with pattern strategies, Schema Summary
-and Cluster Schema construction, MongoDB-style persistence, the daily
-update scheduler, portal crawling, manual endpoint insertion) and the
+and Cluster Schema construction, MongoDB-style persistence -- run as one
+pipeline, :mod:`.pipeline`, by the daily update scheduler, the bulk
+indexer and manual endpoint insertion -- and portal crawling) and the
 presentation layer (exploration sessions, visual query builder, the two
 display paths whose timing §3.2 compares, figure rendering), wired
 together by the :class:`HBold` facade.

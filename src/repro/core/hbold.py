@@ -30,10 +30,10 @@ from ..viz.renderers import (
     render_treemap,
 )
 from ..viz.svg import SvgDocument
-from .cluster_schema import build_cluster_schema
+from . import pipeline
 from .crawler import PortalCrawler
 from .exploration import ExplorationSession
-from .index_extraction import ExtractionFailed, IndexExtractor
+from .index_extraction import IndexExtractor
 from .models import ClusterSchema, SchemaSummary
 from .notifications import EmailOutbox
 from .parallel import run_parallel
@@ -98,54 +98,32 @@ class HBold:
     # -- pipeline ----------------------------------------------------------------
 
     def index_endpoint(self, url: str) -> bool:
-        """Run the full server pipeline for one endpoint; True on success."""
-        clock = self.network.clock
-        try:
-            indexes = self.extractor.extract(url)
-        except ExtractionFailed as exc:
-            self.storage.record_extraction_failure(url, clock.today, exc.reason)
-            return False
-        summary = SchemaSummary.from_indexes(indexes, computed_at_ms=clock.now_ms)
-        cluster_schema = build_cluster_schema(
-            summary, algorithm=self.cluster_algorithm, computed_at_ms=clock.now_ms
-        )
-        self.storage.save_indexes(indexes)
-        self.storage.save_summary(summary)
-        self.storage.save_cluster_schema(cluster_schema)
-        self.storage.record_extraction_success(url, clock.today)
-        return True
+        """Run the server pipeline (:mod:`.pipeline`) for one endpoint;
+        True on success.  A failure of any stage is recorded on the
+        registry record, never raised.  Re-indexing an unchanged dataset
+        keeps the stored Cluster Schema (§3.2: its ``computed_at_ms``
+        does not move)."""
+        return pipeline.index_endpoint(
+            self.storage, self.extractor, url, self.cluster_algorithm
+        ).ok
 
     def update_all(
         self, urls: Optional[List[str]] = None, parallelism: int = 1
     ) -> Dict[str, bool]:
         """Index every listed endpoint (or the given subset).
 
-        ``parallelism`` fans extraction out across the simulated worker
-        pool: each endpoint is an independent task, results merge in
-        *urls* order, and a failing endpoint is isolated to its own False
-        entry.  Stored artifacts are byte-identical for every parallelism
-        level; only the simulated batch latency shrinks.
+        ``parallelism`` fans :meth:`index_endpoint` out across the
+        simulated worker pool: each endpoint is an independent task,
+        results merge in *urls* order, and a failing endpoint is isolated
+        to its own False entry.  Stored artifacts are byte-identical for
+        every parallelism level; only the simulated batch latency shrinks.
         """
         targets = urls if urls is not None else [
             record["url"] for record in self.storage.list_endpoints()
         ]
-        tasks = [
-            (url, lambda url=url: self._index_endpoint_isolated(url))
-            for url in targets
-        ]
+        tasks = [(url, lambda url=url: self.index_endpoint(url)) for url in targets]
         outcomes, _ = run_parallel(self.network.clock, tasks, parallelism)
         return {outcome.key: bool(outcome.value) for outcome in outcomes}
-
-    def _index_endpoint_isolated(self, url: str) -> bool:
-        """One pool task: index *url*, downgrading any error to a failure
-        record (an endpoint blowing up mid-batch must not kill the batch)."""
-        try:
-            return self.index_endpoint(url)
-        except Exception as exc:
-            self.storage.record_extraction_failure(
-                url, self.network.clock.today, f"{type(exc).__name__}: {exc}"
-            )
-            return False
 
     def run_daily_update(self, days: int = 1, parallelism: int = 1) -> None:
         """§3.1: advance the scheduler by *days* simulated days."""

@@ -30,13 +30,12 @@ may still succeed, and from there to *scan*.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..endpoint.errors import EndpointError, EndpointTimeout, QueryRejected
 from ..endpoint.network import SparqlClient
 from ..sparql.results import SelectResult
 from .models import ClassIndex, EndpointIndexes, LinkIndex
-from .parallel import run_parallel
 
 __all__ = ["IndexExtractor", "ExtractionFailed"]
 
@@ -166,34 +165,6 @@ class IndexExtractor:
             raise
         except EndpointError as exc:
             raise ExtractionFailed(url, f"{type(exc).__name__}: {exc}") from exc
-
-    def extract_many(
-        self, urls: List[str], parallelism: int = 1
-    ) -> Dict[str, Union[EndpointIndexes, ExtractionFailed]]:
-        """Extract a fleet of endpoints through the simulated worker pool.
-
-        Each endpoint's graph is independent, so extraction is
-        embarrassingly parallel: the clock only pays the makespan of a
-        ``parallelism``-worker schedule instead of the sequential sum.
-        The mapping preserves *urls* order; a failed endpoint maps to its
-        :class:`ExtractionFailed` (never raises mid-batch), so one dead
-        endpoint cannot stall or abort the others.
-        """
-        clock = self.client.network.clock
-        tasks = [(url, lambda url=url: self.extract(url)) for url in urls]
-        outcomes, _ = run_parallel(clock, tasks, parallelism)
-        results: Dict[str, Union[EndpointIndexes, ExtractionFailed]] = {}
-        for outcome in outcomes:
-            if outcome.error is None:
-                results[outcome.key] = outcome.value
-            elif isinstance(outcome.error, ExtractionFailed):
-                results[outcome.key] = outcome.error
-            else:
-                results[outcome.key] = ExtractionFailed(
-                    outcome.key,
-                    f"{type(outcome.error).__name__}: {outcome.error}",
-                )
-        return results
 
     # -- exploration probe: top-k entities of a class -------------------------------
 

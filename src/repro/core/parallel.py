@@ -200,10 +200,6 @@ class SimWorkerPool:
         """How many workers are free at *now_ms*."""
         return sum(1 for until in self._busy_until if until <= now_ms)
 
-    def next_free_ms(self) -> float:
-        """The earliest instant any worker is (or becomes) free."""
-        return min(self._busy_until)
-
     def start(self, start_ms: float, duration_ms: float) -> float:
         """Occupy the earliest-free worker from *start_ms*; return the
         completion instant ``start_ms + duration_ms``."""

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .cluster_schema import build_cluster_schema
-from .index_extraction import ExtractionFailed, IndexExtractor
-from .models import SchemaSummary
+from .index_extraction import IndexExtractor
 from .notifications import EmailOutbox
 from .persistence import HboldStorage
+from .pipeline import index_endpoint
 
 __all__ = ["EndpointRegistry", "SubmissionResult"]
 
@@ -79,7 +78,13 @@ class EndpointRegistry:
     # -- manual insertion (§3.4) --------------------------------------------------
 
     def submit(self, url: str, email: str) -> SubmissionResult:
-        """The §3.4 workflow: upload URL, extract, notify, delete address."""
+        """The §3.4 workflow: upload URL, run the server pipeline
+        (:mod:`.pipeline`), notify, delete address.
+
+        Whatever the pipeline's outcome -- indexed, endpoint down, a bug
+        in any stage -- the submitter is mailed and the address deleted.
+        Re-submitting an unchanged dataset keeps its stored Cluster Schema
+        (§3.2: ``computed_at_ms`` does not move)."""
         url = url.strip()
         if not url.startswith(("http://", "https://")):
             return SubmissionResult(url, False, False, "invalid URL")
@@ -90,28 +95,18 @@ class EndpointRegistry:
 
         self.storage.upsert_endpoint(url, source="manual")
         self._pending_addresses[url] = email
-        indexed, message = self._extract_and_store(url)
-        self._notify(url, indexed, message)
-        return SubmissionResult(url, True, indexed, message)
-
-    def _extract_and_store(self, url: str) -> tuple:
-        clock = self.extractor.client.network.clock
-        try:
-            indexes = self.extractor.extract(url)
-        except ExtractionFailed as exc:
-            self.storage.record_extraction_failure(url, clock.today, exc.reason)
-            return False, exc.reason
-        summary = SchemaSummary.from_indexes(indexes, computed_at_ms=clock.now_ms)
-        cluster_schema = build_cluster_schema(
-            summary, algorithm=self.cluster_algorithm, computed_at_ms=clock.now_ms
+        outcome = index_endpoint(
+            self.storage, self.extractor, url, self.cluster_algorithm
         )
-        self.storage.save_indexes(indexes)
-        self.storage.save_summary(summary)
-        self.storage.save_cluster_schema(cluster_schema)
-        self.storage.record_extraction_success(url, clock.today)
-        return True, (
-            f"indexed {indexes.class_count} classes / {indexes.instance_count} instances"
-        )
+        if outcome.ok:
+            message = (
+                f"indexed {outcome.indexes.class_count} classes / "
+                f"{outcome.indexes.instance_count} instances"
+            )
+        else:
+            message = outcome.error
+        self._notify(url, outcome.ok, message)
+        return SubmissionResult(url, True, outcome.ok, message)
 
     def _notify(self, url: str, indexed: bool, message: str) -> None:
         address = self._pending_addresses.pop(url, None)  # delete the address

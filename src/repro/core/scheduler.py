@@ -15,14 +15,13 @@ alternatives the E3 benchmark compares it against.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from .cluster_schema import build_cluster_schema
-from .diff import diff_summaries
-from .index_extraction import ExtractionFailed, IndexExtractor
-from .models import SchemaSummary
+from .index_extraction import IndexExtractor
 from .parallel import run_parallel
 from .persistence import HboldStorage
+from .pipeline import index_endpoint
 
 __all__ = ["UpdateScheduler", "DailyReport", "POLICIES"]
 
@@ -125,10 +124,11 @@ class UpdateScheduler:
         """Execute one scheduler day over *urls* (default: whole registry).
 
         The policy pass is sequential (it only reads registry records);
-        the due endpoints then fan out across the simulated worker pool,
-        so the day's elapsed time is the ``parallelism``-worker makespan
-        of the extraction batch and a flapping endpoint's retries no
-        longer delay everyone behind it in the registry.
+        the due endpoints then run the server pipeline (:mod:`.pipeline`)
+        across the simulated worker pool, so the day's elapsed time is the
+        ``parallelism``-worker makespan of the batch and a flapping
+        endpoint's retries no longer delay everyone behind it in the
+        registry.  A failed endpoint is recorded and isolated to its task.
         """
         clock = self.extractor.client.network.clock
         today = clock.today
@@ -148,66 +148,23 @@ class UpdateScheduler:
             due.append(record["url"])
 
         tasks = [
-            (url, lambda url=url: self._update_endpoint(url, today)) for url in due
+            (url, partial(index_endpoint, self.storage, self.extractor, url,
+                          self.cluster_algorithm))
+            for url in due
         ]
         outcomes, _ = run_parallel(clock, tasks, parallelism)
         for outcome in outcomes:
             report.attempted.append(outcome.key)
-            status = outcome.value if outcome.error is None else "failed"
-            if status == "ok":
-                report.succeeded.append(outcome.key)
-            elif status == "ok-recluster-skipped":
-                report.succeeded.append(outcome.key)
-                report.reclusters_skipped += 1
-            else:
+            if outcome.error is not None or not outcome.value.ok:
                 report.failed.append(outcome.key)
+                continue
+            report.succeeded.append(outcome.key)
+            if not outcome.value.reclustered:
+                report.reclusters_skipped += 1
 
         report.elapsed_ms = clock.now_ms - start_ms
         self.reports.append(report)
         return report
-
-    def _update_endpoint(self, url: str, today: int) -> str:
-        """One pool task: the full extract-summarize-cluster-store pipeline
-        for *url*.  Returns a status string; never raises for a failed
-        endpoint (failures are recorded and isolated to this task)."""
-        clock = self.extractor.client.network.clock
-        try:
-            indexes = self.extractor.extract(url)
-            summary = SchemaSummary.from_indexes(indexes, computed_at_ms=clock.now_ms)
-            self.storage.save_indexes(indexes)
-
-            # "if the Schema Summary does not change then the Cluster Schema
-            # will not change neither" (§3.2) -- reuse the stored clusters
-            # when the summary is structurally identical.
-            status = "ok"
-            previous = self.storage.load_summary(url)
-            if (
-                previous is not None
-                and diff_summaries(previous, summary).is_unchanged()
-                and self.storage.load_cluster_schema(url) is not None
-            ):
-                status = "ok-recluster-skipped"
-            else:
-                cluster_schema = build_cluster_schema(
-                    summary,
-                    algorithm=self.cluster_algorithm,
-                    computed_at_ms=clock.now_ms,
-                )
-                self.storage.save_cluster_schema(cluster_schema)
-            self.storage.save_summary(summary)
-        except ExtractionFailed as exc:
-            self.storage.record_extraction_failure(url, today, exc.reason)
-            return "failed"
-        except Exception as exc:
-            # A bug anywhere in this endpoint's pipeline (summarize,
-            # cluster, store -- not just extraction) must not kill the
-            # batch, but it must leave a diagnostic trail on the record.
-            self.storage.record_extraction_failure(
-                url, today, f"{type(exc).__name__}: {exc}"
-            )
-            return "failed"
-        self.storage.record_extraction_success(url, today)
-        return status
 
     def run_days(
         self,

@@ -97,12 +97,6 @@ class DatasetSpec:
             if sub not in class_names or super_ not in class_names:
                 raise ValueError(f"subclass axiom {sub!r} -> {super_!r} names unknown class")
 
-    def class_spec(self, name: str) -> ClassSpec:
-        for cls in self.classes:
-            if cls.name == name:
-                return cls
-        raise KeyError(name)
-
     def total_instances(self) -> int:
         return sum(cls.instances for cls in self.classes)
 

@@ -101,9 +101,6 @@ class Collection:
         self._indexes[index_name] = index
         return index_name
 
-    def index_names(self) -> List[str]:
-        return sorted(self._indexes)
-
     # -- inserts ---------------------------------------------------------------
 
     def insert_one(self, document: Dict[str, Any]) -> InsertResult:

@@ -72,13 +72,3 @@ class SimulationClock:
     def __repr__(self) -> str:
         return f"<SimulationClock day={self.today} t={self._now_ms:.1f}ms>"
 
-
-class Stopwatch:
-    """Measures elapsed simulated time across a code region."""
-
-    def __init__(self, clock: SimulationClock):
-        self.clock = clock
-        self.start_ms = clock.now_ms
-
-    def elapsed_ms(self) -> float:
-        return self.clock.now_ms - self.start_ms

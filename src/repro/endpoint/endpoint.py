@@ -205,11 +205,20 @@ class SparqlEndpoint:
         if self.obs.enabled:
             self.obs.note(outcome="ok", latency_ms=round(latency, 6))
 
+        capped = self._capped(result)
+        if capped is not result:
+            self.stats.truncated += 1
+        return capped
+
+    def _capped(self, result):
+        """*result* cut to the profile's row cap (``truncated`` set), or
+        *result* itself when it fits.  Every read that answers for this
+        endpoint -- :meth:`query` and the serving tier's replica read --
+        goes through here, so they return the same rows."""
         if isinstance(result, SelectResult):
             cap = self.profile.max_result_rows
             if cap is not None and len(result.rows) > cap:
-                result = SelectResult(result.variables, result.rows[:cap], truncated=True)
-                self.stats.truncated += 1
+                return SelectResult(result.variables, result.rows[:cap], truncated=True)
         return result
 
     def _charge(self, latency_ms: float) -> None:
@@ -257,9 +266,6 @@ class SparqlEndpoint:
         return value * (1.0 + self._rng.uniform(-spread, spread))
 
     # -- test/bench helpers ------------------------------------------------------
-
-    def is_up(self) -> bool:
-        return self.availability.is_available(self.clock.today)
 
     def triple_count(self) -> int:
         return len(self.graph)

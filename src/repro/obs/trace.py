@@ -65,13 +65,15 @@ def defer(fn) -> _Deferred:
 
 
 def result_digest(result: Any) -> Optional[str]:
-    """Canonical digest of a query result, duck-typed so obs stays an
-    import leaf.  Mirrors ``serving.server._canonical``: SELECT rows as
-    sorted (name, n3) pairs, ASK as its boolean.
+    """SHA-256 of the one canonical form of a query result: SELECT rows
+    (in engine order) as sorted (name, n3) pairs, ASK as its boolean.
+    Duck-typed so obs stays an import leaf.  ``ServingReport.digest()``
+    hashes these per served request; the serving spans carry them in the
+    canonical tier.
 
     Memoized on the result object: the result cache hands the *same*
     object to hundreds of hits, and results are immutable once served,
-    so re-serializing every hit would dominate the tracing overhead.
+    so re-serializing every hit would dominate the cost of a digest.
     """
     if result is None:
         return None
@@ -91,7 +93,7 @@ def result_digest(result: Any) -> Optional[str]:
             ],
         ]
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    digest = _hash_id(blob)
+    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     try:
         result._obs_digest = digest
     except AttributeError:  # __slots__ result types: just recompute

@@ -7,7 +7,7 @@ style vocabularies in the generated datasets.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 from .terms import IRI
 
@@ -139,8 +139,3 @@ def expand_curie(text: str, prefixes: Dict[str, Namespace] = PREFIXES) -> IRI:
     namespace = prefixes[prefix]
     return namespace.term(local)
 
-
-def iter_prefixes() -> Iterator[Tuple[str, str]]:
-    """Yield ``(prefix, base)`` pairs of the default prefix table."""
-    for prefix, namespace in PREFIXES.items():
-        yield prefix, namespace.base

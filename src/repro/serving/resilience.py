@@ -2,8 +2,8 @@
 
 The paper's crawler answers endpoint flakiness with a daily-retry
 schedule; a *serving* tier answering interactive users needs the
-millisecond-scale equivalent.  This module is that policy layer, wrapped
-around ``QueryServer``'s executor:
+millisecond-scale equivalent.  This module is ``QueryServer``'s executor
+and the policy that configures it:
 
 * **retry with exponential backoff + full jitter** over the simulation
   clock, budgeted against a per-request deadline so retries never push a
@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from math import ceil
+from types import MappingProxyType
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..core.parallel import race_hedged
@@ -58,6 +59,8 @@ __all__ = [
 ]
 
 _CALM = FaultState()
+#: what every cache hit reports; shared, so read-only
+_HIT_META = MappingProxyType({"attempts": 0})
 
 
 def full_jitter_backoff_ms(
@@ -171,8 +174,9 @@ class ResiliencePolicy:
     """Pure configuration of the resilience behaviours.
 
     ``ResiliencePolicy()`` is the everything-on default; ``naive()`` is
-    the PR 6 behaviour (one attempt, no breaker, fail like the endpoint
-    failed) used as the chaos benchmark's baseline arm.
+    everything off (one attempt, no breaker, fail like the endpoint
+    failed): what a ``QueryServer`` given no policy runs, and the chaos
+    benchmark's baseline arm.
     """
 
     __slots__ = (
@@ -221,7 +225,7 @@ class ResiliencePolicy:
 
     @classmethod
     def naive(cls) -> "ResiliencePolicy":
-        """PR 6 semantics: one attempt, no breaker, no degradation."""
+        """One attempt, no breaker, no hedging, no degradation."""
         return cls(
             max_retries=0,
             breaker_threshold=None,
@@ -246,14 +250,15 @@ class ResilientExecutor:
     that its backend was just down), while per-run counters reset at
     every ``begin_run``.
 
-    The call protocol extends PR 6's executor: instead of raising,
-    failures are folded into the returned ``(status, result, meta)``
-    triple so the scheduler can record attempt counts and degradation
-    provenance alongside the failure.
+    This is the server's only executor -- the one code path that
+    touches the endpoint.  A server given no policy runs it with
+    :meth:`ResiliencePolicy.naive` (one attempt, no breaker, no
+    degradation), so "no resilience" is a value of the policy, not a
+    second executor.  Endpoint failures are never raised: they are
+    folded into the returned ``(status, result, meta)`` triple so the
+    scheduler can record attempt counts and degradation provenance
+    alongside the failure.
     """
-
-    #: statuses the degradation ladder can end on
-    _RETRYABLE = (EndpointUnavailable, EndpointTimeout)
 
     def __init__(
         self,
@@ -323,28 +328,31 @@ class ResilientExecutor:
 
     def __call__(self, request: Request):
         server = self.server
-        policy = self.policy
-        clock = server.endpoint.clock
+        endpoint = server.endpoint
         tracer = server._tracer
-        tracing = tracer.enabled
-        meta: Dict[str, object] = {"attempts": 0, "hedged": False}
 
         # Fresh path: the result cache sits in front of everything,
         # including the fault gate -- the cache is the serving tier's own
-        # memory and survives endpoint weather.
-        generation = server.endpoint.graph.generation
+        # memory and survives endpoint weather.  A hit is the hot path of
+        # a warm server (microseconds per request), so it returns before
+        # any policy state is read or allocated.
+        generation = endpoint.graph.generation
         if server.cache is not None:
             cached = server.cache.get(
                 request.query, generation, tenant=request.tenant
             )
             if cached is not None:
-                if tracing:
+                if tracer.enabled:
                     tracer.event("cache.lookup", outcome="hit")
-                clock.advance(server.cache_hit_ms)
-                return ("cache-hit", cached, meta)
-            if tracing:
+                endpoint.clock.advance(server.cache_hit_ms)
+                return ("cache-hit", cached, _HIT_META)
+            if tracer.enabled:
                 tracer.event("cache.lookup", outcome="miss")
 
+        policy = self.policy
+        clock = endpoint.clock
+        tracing = tracer.enabled
+        meta: Dict[str, object] = {"attempts": 0}
         deadline_ms = (
             request.deadline_ms
             if request.deadline_ms is not None

@@ -128,10 +128,9 @@ class Scheduler:
     *execute* is the server's executor: called with a request while the
     clock sits at the request's start instant; whatever simulated time it
     consumes is the request's service time.  It returns a ``(status,
-    result)`` pair -- or, from the resilience layer, a ``(status, result,
-    meta)`` triple whose meta dict carries the attempt count, hedging
-    flag, degradation rung and folded error -- or raises an endpoint
-    error (measured and captured, never propagated).
+    result, meta)`` triple whose meta mapping carries the attempt count
+    and, when they apply, the hedging flag, degradation rung and folded
+    endpoint error.  An exception out of it is a bug and propagates.
 
     With *backpressure_deadline_ms* set, an arrival that would queue
     behind ``depth x mean-service`` milliseconds of expected wait larger
@@ -226,28 +225,22 @@ class Scheduler:
                         wait_ms=round(now_ms - request.arrival_ms, 6),
                     )
             outcome = measure_task(clock, request.key, lambda: self.execute(request))
-            meta = {}
             if outcome.error is not None:
-                status, result = _failure_status(outcome.error), None
-                error = outcome.error
-            else:
-                value = outcome.value
-                if len(value) == 3:
-                    status, result, meta = value
-                else:
-                    status, result = value
-                error = meta.get("error")
+                # the executor folds every endpoint failure into its
+                # status; anything it lets out is a bug, not an outcome
+                raise outcome.error
+            status, result, meta = outcome.value
             completion = pool.start(now_ms, outcome.elapsed_ms)
             record = RequestRecord(
                 request,
                 status,
-                error=error,
+                error=meta.get("error"),
                 start_ms=now_ms,
                 completion_ms=completion,
                 service_ms=outcome.elapsed_ms,
                 result=result,
-                attempts=meta.get("attempts", 0 if status == "cache-hit" else 1),
-                hedged=bool(meta.get("hedged", False)),
+                attempts=meta["attempts"],
+                hedged=meta.get("hedged", False),
                 degraded=meta.get("degraded"),
                 faults_at_dispatch=weather(now_ms),
             )
@@ -371,22 +364,3 @@ class Scheduler:
             key=lambda r: (r.request.arrival_ms, r.request.session_id, r.request.seq)
         )
         return records
-
-
-def _failure_status(error: BaseException) -> str:
-    from ..endpoint.errors import (
-        CircuitOpen,
-        EndpointTimeout,
-        EndpointUnavailable,
-        QueryRejected,
-    )
-
-    if isinstance(error, CircuitOpen):
-        return "circuit-open"
-    if isinstance(error, EndpointUnavailable):
-        return "unavailable"
-    if isinstance(error, QueryRejected):
-        return "feature-rejected"
-    if isinstance(error, EndpointTimeout):
-        return "endpoint-timeout"
-    raise error

@@ -20,13 +20,15 @@ no-op writes keep it warm.  Results cheaper than the cache-hit charge
 itself are not admitted (``skipped_cheap``): a hit on them saves nothing
 and the slot displaces something expensive.
 
-Fault injection and resilience plug in here: handing ``serve`` a
-:class:`~repro.serving.faults.FaultInjector` subjects the run to its
-seeded weather, and a :class:`~repro.serving.resilience.ResiliencePolicy`
-(default: on, whenever faults are present) wraps the executor in
-retry/backoff, circuit breaking, optional hedging and graceful
-degradation.  Faults *without* a policy run the naive PR 6 executor
-against the weather -- the baseline arm of the chaos benchmark.
+There is one executor, :class:`~repro.serving.resilience.ResilientExecutor`,
+and what it does about a failing endpoint is a value of its
+:class:`~repro.serving.resilience.ResiliencePolicy`: retry/backoff,
+circuit breaking, optional hedging and graceful degradation when one is
+given, ``ResiliencePolicy.naive()`` (one attempt, fail like the endpoint
+failed) when none is.  Handing the server a
+:class:`~repro.serving.faults.FaultInjector` subjects every run to its
+seeded weather; faults *without* a policy meet the naive policy -- the
+baseline arm of the chaos benchmark.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..endpoint.endpoint import SparqlEndpoint
 from ..obs import Observatory
-from ..obs.trace import NULL_TRACER
+from ..obs.trace import NULL_TRACER, result_digest
 from ..sparql.parser import parse_query
 from ..sparql.results import AskResult, SelectResult
 from .cache import ResultCache
@@ -84,8 +86,8 @@ class ServingReport:
         self.start_ms = start_ms
         self.end_ms = end_ms
         self.cache_info = cache_info
-        #: per-run resilience counters + breaker transition trace, when a
-        #: policy ran this workload
+        #: the executor's per-run counters + breaker transition trace
+        #: (all-zero apart from ``attempts`` under the naive policy)
         self.resilience_info = resilience_info
         #: the fault plan's describe() payload, when weather was injected
         self.fault_info = fault_info
@@ -168,7 +170,9 @@ class ServingReport:
     # -- determinism -------------------------------------------------------
 
     def digest(self) -> str:
-        """SHA-256 over every served request's canonical result rows.
+        """SHA-256 over every served request's identity and
+        :func:`~repro.obs.trace.result_digest` (the one canonical form of
+        a served result, itself a full SHA-256 of the rows).
 
         Covers request identity + rows, not timing or provenance: a cache
         hit, a hedged execution or a degraded replica read serving the
@@ -183,7 +187,7 @@ class ServingReport:
             if not record.served:
                 payload.append([list(record.request.key), record.status])
                 continue
-            payload.append([list(record.request.key), _canonical(record.result)])
+            payload.append([list(record.request.key), result_digest(record.result)])
         blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -245,21 +249,6 @@ class ServingReport:
         )
 
 
-def _canonical(result: Union[SelectResult, AskResult, None]):
-    """JSON-stable form of a query result (rows in engine order)."""
-    if isinstance(result, AskResult):
-        return bool(result)
-    if isinstance(result, SelectResult):
-        return [
-            [
-                [name, row[name].n3() if row[name] is not None else None]
-                for name in sorted(row)
-            ]
-            for row in result.rows
-        ]
-    return None
-
-
 class QueryServer:
     """Concurrent serving tier over one :class:`SparqlEndpoint`.
 
@@ -271,10 +260,10 @@ class QueryServer:
 
     *faults* subjects every run to a seeded chaos timeline (a
     :class:`FaultPlan` or its injector); *resilience* is the client-side
-    policy answering it.  Passing faults without a policy runs the naive
-    executor against the weather -- that asymmetry is the chaos
-    benchmark's A/B.  The resilient executor (breaker state, hedge p95
-    tracker) persists across ``serve`` calls like the cache does.
+    policy answering it, ``ResiliencePolicy.naive()`` when not given.
+    Faults against the naive policy are the chaos benchmark's baseline
+    arm.  The executor (breaker state, hedge p95 tracker) persists
+    across ``serve`` calls like the cache does.
     """
 
     def __init__(
@@ -300,27 +289,20 @@ class QueryServer:
         if isinstance(faults, FaultPlan):
             faults = faults.injector()
         self.faults = faults
-        if resilience is None and faults is not None:
-            # chaos without a policy: the naive executor must still meet
-            # the weather, it just has no answer to it
+        if resilience is None:
             resilience = ResiliencePolicy.naive()
         self.resilience = resilience
-        keep_stale = resilience is not None and resilience.degrade_stale
         self.cache = (
             ResultCache(
                 cache_capacity,
                 min_service_ms=cache_hit_ms,
-                keep_stale=keep_stale,
+                keep_stale=resilience.degrade_stale,
                 tenant_share=cache_tenant_share,
             )
             if cache_capacity
             else None
         )
-        self._executor = (
-            ResilientExecutor(self, resilience, faults)
-            if resilience is not None
-            else None
-        )
+        self._executor = ResilientExecutor(self, resilience, faults)
         self._runs = 0
         #: observability: with an Observatory attached, the endpoint and
         #: its engine trace into it and every stat surface of this server
@@ -358,23 +340,22 @@ class QueryServer:
                     lambda k=key: cache.info().get(k, 0),
                     help=f"ResultCache.info()[{key!r}]",
                 )
-        if self._executor is not None:
-            executor = self._executor
-            for key in ("attempts", "retries", "recovered_by_retry",
-                        "injected_outage_failures", "injected_transient_failures",
-                        "breaker_fast_fails", "deadline_exhausted",
-                        "degraded_stale_cache", "degraded_replica",
-                        "hedges_fired", "hedges_won"):
-                registry.bind(
-                    f"resilience.{key}",
-                    lambda k=key: executor.counters.get(k, 0),
-                    help=f"ResilientExecutor per-run counter {key!r}",
-                )
+        executor = self._executor
+        for key in ("attempts", "retries", "recovered_by_retry",
+                    "injected_outage_failures", "injected_transient_failures",
+                    "breaker_fast_fails", "deadline_exhausted",
+                    "degraded_stale_cache", "degraded_replica",
+                    "hedges_fired", "hedges_won"):
             registry.bind(
-                "resilience.breaker_transitions",
-                lambda: len(executor.breaker_transitions()),
-                help="circuit-breaker state transitions across all breakers",
+                f"resilience.{key}",
+                lambda k=key: executor.counters.get(k, 0),
+                help=f"ResilientExecutor per-run counter {key!r}",
             )
+        registry.bind(
+            "resilience.breaker_transitions",
+            lambda: len(executor.breaker_transitions()),
+            help="circuit-breaker state transitions across all breakers",
+        )
         if self.faults is not None:
             # FaultPlan windows/transitions: derived from the seeded plan
             # alone, never from execution order — the canonical tier.
@@ -401,12 +382,10 @@ class QueryServer:
     def serve(self, workload: Union[Workload, Sequence[Request]]) -> ServingReport:
         """Schedule and execute *workload*; return the full report."""
         requests = list(workload)
-        execute = self._executor if self._executor is not None else self._execute
-        if self._executor is not None:
-            self._executor.begin_run()
+        self._executor.begin_run()
         scheduler = Scheduler(
             self.endpoint.clock,
-            execute,
+            self._executor,
             parallelism=self.parallelism,
             queue_capacity=self.queue_capacity,
             queue_timeout_ms=self.queue_timeout_ms,
@@ -420,14 +399,11 @@ class QueryServer:
             self._push_run_metrics(requests, records, scheduler)
         start_ms = min((r.request.arrival_ms for r in records), default=0.0)
         end_ms = max((r.completion_ms for r in records), default=start_ms)
-        resilience_info: Optional[Dict[str, object]] = None
-        if self._executor is not None:
-            resilience_info = dict(self._executor.counters)
-            resilience_info["breaker_transitions"] = [
-                [instant, before, after]
-                for instant, before, after in self._executor.breaker_transitions()
-            ]
-            resilience_info["shed"] = scheduler.shed
+        resilience_info: Dict[str, object] = dict(self._executor.counters)
+        resilience_info["breaker_transitions"] = [
+            list(transition) for transition in self._executor.breaker_transitions()
+        ]
+        resilience_info["shed"] = scheduler.shed
         return ServingReport(
             records,
             parallelism=self.parallelism,
@@ -478,43 +454,7 @@ class QueryServer:
             "admission.rejected", help="requests bounced by a full admission queue"
         ).inc(queue_info.get("rejected", 0))
 
-    # -- executors (the only code paths that touch the endpoint) -----------
-
-    def _execute(self, request: Request):
-        """The plain (pre-resilience) executor: cache, then endpoint.
-
-        Cache hits charge the flat hit cost and return the stored result
-        *without* executing the endpoint; misses run the real query and
-        store the result -- with its measured service time, so the cache
-        can refuse results cheaper than a hit -- at the generation it was
-        computed for.  Endpoint errors propagate to the scheduler, which
-        measures and records them (their connect/timeout charges are real
-        service time).
-        """
-        generation = self.endpoint.graph.generation
-        tracer = self._tracer
-        if self.cache is not None:
-            cached = self.cache.get(
-                request.query, generation, tenant=request.tenant
-            )
-            if cached is not None:
-                if tracer.enabled:
-                    tracer.event("cache.lookup", outcome="hit")
-                self.endpoint.clock.advance(self.cache_hit_ms)
-                return ("cache-hit", cached)
-            if tracer.enabled:
-                tracer.event("cache.lookup", outcome="miss")
-        start_ms = self.endpoint.clock.now_ms
-        result = self.endpoint.query(request.query)
-        if self.cache is not None:
-            self.cache.put(
-                request.query,
-                generation,
-                result,
-                service_ms=self.endpoint.clock.now_ms - start_ms,
-                tenant=request.tenant,
-            )
-        return ("ok", result)
+    # -- degraded reads ----------------------------------------------------
 
     def replica_read(self, text: str) -> Union[SelectResult, AskResult]:
         """Degraded read off the local materialized replica.
@@ -526,21 +466,14 @@ class QueryServer:
         would have returned -- the digest-invariance contract.  Charges
         nothing itself; the caller accounts the degraded-serve cost.
         """
-        result = self.endpoint._engine.run(parse_query(text))
-        if isinstance(result, SelectResult):
-            cap = self.endpoint.profile.max_result_rows
-            if cap is not None and len(result.rows) > cap:
-                result = SelectResult(
-                    result.variables, result.rows[:cap], truncated=True
-                )
-        return result
+        return self.endpoint._capped(self.endpoint._engine.run(parse_query(text)))
 
     # -- status surface ----------------------------------------------------
 
     def status(self) -> Dict[str, object]:
         """Counter snapshot: what a /status route would publish."""
         stats = self.endpoint.stats
-        status: Dict[str, object] = {
+        return {
             "endpoint": self.endpoint.url,
             "parallelism": self.parallelism,
             "queue_capacity": self.queue_capacity,
@@ -554,14 +487,12 @@ class QueryServer:
                 "truncated": stats.truncated,
                 "total_latency_ms": stats.total_latency_ms,
             },
-        }
-        status["cache"] = self.cache.info() if self.cache is not None else None
-        if self._executor is not None:
-            status["breakers"] = {
+            "cache": self.cache.info() if self.cache is not None else None,
+            "breakers": {
                 url: breaker.state
                 for url, breaker in sorted(self._executor.breakers.items())
-            }
-        return status
+            },
+        }
 
     def __repr__(self) -> str:
         return (

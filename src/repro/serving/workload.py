@@ -172,12 +172,6 @@ class Workload:
     def tenants(self) -> List[str]:
         return sorted({request.tenant for request in self.requests})
 
-    def span_ms(self) -> float:
-        """Arrival window: first to last request."""
-        if not self.requests:
-            return 0.0
-        return self.requests[-1].arrival_ms - self.requests[0].arrival_ms
-
     def __repr__(self) -> str:
         return (
             f"<Workload {len(self.requests)} requests / {self.sessions} sessions "

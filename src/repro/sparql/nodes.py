@@ -78,13 +78,6 @@ class TriplePattern(_Node):
     def variables(self) -> List[Variable]:
         return [t for t in (self.subject, self.predicate, self.object) if isinstance(t, Variable)]
 
-    def bound_positions(self) -> int:
-        """How many positions are ground terms — a crude selectivity proxy."""
-        return sum(
-            0 if isinstance(t, Variable) else 1
-            for t in (self.subject, self.predicate, self.object)
-        )
-
 
 class GroupPattern(_Node):
     """``{ ... }`` — an ordered list of pattern elements."""

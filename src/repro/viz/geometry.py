@@ -58,9 +58,6 @@ class Point:
     def distance_to(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
 
 class Rect:
     """An axis-aligned rectangle as (x, y, width, height)."""
@@ -166,9 +163,6 @@ class Circle:
 
     def center(self) -> Point:
         return Point(self.cx, self.cy)
-
-    def contains_point(self, point: Point, epsilon: float = 1e-7) -> bool:
-        return point.distance_to(self.center()) <= self.r + epsilon
 
     def contains_circle(self, other: "Circle", epsilon: float = 1e-7) -> bool:
         distance = self.center().distance_to(other.center())

@@ -127,18 +127,6 @@ class HierarchyNode:
                 node.value = sum(child.value for child in node.children)
         return self
 
-    def sort_by_value(self, descending: bool = True) -> "HierarchyNode":
-        """Sort children recursively by value (d3 sorts before layouts)."""
-        for node in self.each():
-            node.children.sort(
-                key=lambda child: (child.value or 0.0, child.name),
-                reverse=descending,
-            )
-        return self
-
-    def count_leaves(self) -> int:
-        return len(self.leaves())
-
     def __repr__(self) -> str:
         return (
             f"<HierarchyNode {self.name!r} value={self.value} "

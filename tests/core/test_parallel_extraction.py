@@ -168,19 +168,6 @@ def test_update_all_records_mid_batch_failure():
     assert record["last_error"] == "RuntimeError: mid-batch explosion"
 
 
-def test_extract_many_isolates_failures():
-    world, app = _fresh_app()
-    urls = list(world.indexable_urls[:4]) + [world.listed_urls[-1]]  # last is broken
-    results = app.extractor.extract_many(urls, parallelism=4)
-    assert list(results) == urls  # input order preserved
-    from repro.core import ExtractionFailed
-
-    ok = [url for url, value in results.items() if not isinstance(value, ExtractionFailed)]
-    failed = [url for url, value in results.items() if isinstance(value, ExtractionFailed)]
-    assert ok == urls[:4]
-    assert failed == urls[4:]
-
-
 def test_crawl_portals_parallelism_equivalent():
     def crawl(parallelism):
         world = build_world(indexable=6, broken=2, portal_new_indexable=3,

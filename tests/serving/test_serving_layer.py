@@ -253,6 +253,94 @@ def test_feature_rejection_surfaces_in_report(graph):
     assert report.status_counts() == {"feature-rejected": 1}
 
 
+def _failing_endpoint(graph, kind):
+    """An endpoint whose every answer is the failure *kind*, and a query
+    that draws it."""
+    text = "ASK { ?s ?p ?o }"
+    if kind == "unavailable":
+        return _endpoint(graph, profile=_flat_profile(), availability=DownOnDay(0)), text
+    if kind == "endpoint-timeout":
+        return _endpoint(graph, profile=_flat_profile(timeout_ms=1.0)), text
+    endpoint = _endpoint(graph, profile=_flat_profile())
+    endpoint.profile.supports_aggregates = False
+    return endpoint, "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }"
+
+
+@pytest.mark.parametrize(
+    "kind", ("unavailable", "endpoint-timeout", "feature-rejected")
+)
+def test_no_policy_fails_like_the_endpoint_failed(graph, kind):
+    """A server given no policy runs the one executor under
+    ``ResiliencePolicy.naive()``: one dispatch, the endpoint's own charge
+    as the service time, its failure as the status -- no retry, breaker
+    or degraded serve in between."""
+    endpoint, text = _failing_endpoint(graph, kind)
+    server = QueryServer(endpoint, cache_capacity=None)
+    report = server.serve(_burst(1, text=text))
+    (record,) = report.records
+    assert record.status == kind and not record.served
+    assert record.attempts == 1 and not record.hedged and record.degraded is None
+    assert record.service_ms == endpoint.stats.total_latency_ms > 0.0
+    assert endpoint.stats.queries == 1
+    resilience = report.summary()["resilience"]
+    assert resilience["attempts"] == 1
+    assert not any(
+        resilience[key] for key in (
+            "retries", "breaker_fast_fails", "degraded_stale_cache",
+            "degraded_replica", "hedges_fired", "breaker_transitions",
+        )
+    )
+    assert server.status()["breakers"] == {}
+
+
+def test_cache_hit_dispatches_nothing(graph):
+    endpoint = _endpoint(graph, profile=_flat_profile())
+    server = QueryServer(endpoint, parallelism=1)
+    report = server.serve(_burst(2, spacing_ms=1000.0, text="SELECT ?s WHERE { ?s ?p ?o }"))
+    assert [r.status for r in report.records] == ["ok", "cache-hit"]
+    assert [r.attempts for r in report.records] == [1, 0]
+    assert report.records[1].service_ms == server.cache_hit_ms
+    assert report.summary()["resilience"]["attempts"] == endpoint.stats.queries == 1
+
+
+@pytest.mark.parametrize("availability", (AlwaysAvailable(), DownOnDay(0)),
+                         ids=("healthy", "down"))
+def test_no_policy_is_the_naive_policy(graph, availability):
+    """Not two executors that agree -- one executor, whose no-policy value
+    is ``naive()``.  The down arm is what tells it from the full policy,
+    which would answer the same outage from the replica."""
+    from repro.serving import ResiliencePolicy
+
+    workload = generate_workload(sessions=12, seed=3)
+    runs = []
+    for options in ({}, {"resilience": ResiliencePolicy.naive()}):
+        endpoint = _endpoint(graph, availability=availability)
+        server = QueryServer(endpoint, parallelism=2, queue_capacity=4096, **options)
+        report = server.serve(workload)
+        runs.append((
+            report.digest(),
+            [(r.status, r.attempts, r.service_ms) for r in report.records],
+            report.summary()["resilience"],
+            endpoint.clock.now_ms,
+        ))
+    assert runs[0] == runs[1]
+    expected = {"unavailable"} if isinstance(availability, DownOnDay) else {"ok", "cache-hit"}
+    assert {status for status, _, _ in runs[0][1]} == expected
+
+
+def test_executor_bugs_propagate_out_of_serve(graph):
+    """Endpoint failures are outcomes; anything else the executor lets
+    out is a bug and must not be recorded as one."""
+    endpoint = _endpoint(graph)
+
+    def query(text, **scales):
+        raise RuntimeError("engine bug")
+
+    endpoint.query = query
+    with pytest.raises(RuntimeError, match="engine bug"):
+        QueryServer(endpoint).serve(_burst(1))
+
+
 def test_non_endpoint_errors_propagate():
     clock = SimulationClock()
 

@@ -159,6 +159,65 @@ class TestContentCaches:
         assert len(bounded) >= 3, "plan, probe-table and spotlight caches; this check is stale"
 
 
+class TestWrittenOnce:
+    """The server pipeline and the serving executor each exist once; these
+    rules fail when a copy is pasted back beside them."""
+
+    @staticmethod
+    def _modules(package):
+        """``[(path relative to src/repro/<package>, AST nodes)]``."""
+        top = os.path.join(ROOT, "src", "repro", package)
+        modules = []
+        for directory, _, files in os.walk(top):
+            for filename in files:
+                if filename.endswith(".py"):
+                    path = os.path.join(directory, filename)
+                    with open(path) as handle:
+                        nodes = list(ast.walk(ast.parse(handle.read())))
+                    modules.append((os.path.relpath(path, top), nodes))
+        return modules
+
+    @staticmethod
+    def _callers(modules, name, on=None):
+        """Modules calling ``name(...)`` / ``x.name(...)`` (with *on*: only
+        ``<...>.on.name(...)``)."""
+
+        def named(node, wanted):
+            return getattr(node, "id", None) == wanted or getattr(node, "attr", None) == wanted
+
+        return {
+            path
+            for path, nodes in modules
+            for node in nodes
+            if isinstance(node, ast.Call) and named(node.func, name)
+            and (on is None or named(getattr(node.func, "value", None), on))
+        }
+
+    def test_one_module_runs_the_server_pipeline(self):
+        """Summarise, store the Cluster Schema and mark an endpoint indexed
+        in ``core/pipeline.py`` only; cluster there and on the 2018
+        on-the-fly display path E1 compares it against."""
+        modules = self._modules("")
+        for stage in ("from_indexes", "save_cluster_schema", "record_extraction_success"):
+            assert self._callers(modules, stage) == {"core/pipeline.py"}, stage
+        assert self._callers(modules, "build_cluster_schema") == {
+            "core/pipeline.py", "core/presentation.py",
+        }
+
+    def test_one_executor_touches_the_endpoint(self):
+        """``serving/server.py``'s docstring: "the executor is the only
+        code that touches the endpoint"."""
+        modules = self._modules("serving")
+        assert self._callers(modules, "query", on="endpoint") == {"resilience.py"}
+        definitions = [
+            path
+            for path, nodes in modules
+            for node in nodes
+            if isinstance(node, ast.FunctionDef) and node.name == "_failure_status"
+        ]
+        assert definitions == ["resilience.py"]
+
+
 class TestTier1Count:
     def test_changes_quotes_the_collected_tier1_count(self, request):
         """The one counting rule: tier-1 is what ROADMAP's Tier-1 verify
