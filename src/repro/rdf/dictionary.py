@@ -18,7 +18,7 @@ only while the term it encodes is still referenced.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .terms import Term
 
@@ -29,7 +29,7 @@ class TermDict:
     """A reference-counted, bidirectional ``Term <-> int`` intern table."""
 
     __slots__ = ("_term_to_id", "_id_to_term", "_refcount", "_next_id", "_free",
-                 "epoch")
+                 "epoch", "snapshot", "recycled")
 
     def __init__(self):
         self._term_to_id: Dict[Term, int] = {}
@@ -41,6 +41,16 @@ class TermDict:
         # dictionary is snapshotted, and recorded in every snapshot file so
         # recovery can refuse to pair shard columns with the wrong table.
         self.epoch = 0
+        # The manifest's ``termdict`` entry (the segment chain) of the last
+        # commit this table was saved as or loaded from, or None.  Writes do
+        # not drop it: it names a durable *ancestor* of this table, which is
+        # what lets a checkpoint append a delta segment to that chain.
+        self.snapshot = None
+        # IDs taken back off the free list since ``snapshot`` was set.  The
+        # triples that came or went since a commit name every other row
+        # that moved; but remove (s, p, T), let U take T's freed ID, add
+        # (s, p, U), and the shard holds the very same ID row as before.
+        self.recycled: Set[int] = set()
 
     # -- encoding -----------------------------------------------------------
 
@@ -50,6 +60,8 @@ class TermDict:
         if term_id is None:
             if self._free:
                 term_id = self._free.pop()
+                if self.snapshot is not None:
+                    self.recycled.add(term_id)
             else:
                 term_id = self._next_id
                 self._next_id += 1
@@ -109,18 +121,34 @@ class TermDict:
         out._next_id = self._next_id
         out._free = list(self._free)
         out.epoch = self.epoch
+        out.snapshot = self.snapshot
+        out.recycled = set(self.recycled)
         return out
 
     # -- durability ----------------------------------------------------------
 
-    def snapshot_items(self) -> Iterator[Tuple[int, int, Term]]:
+    def committed_as(self, chain: dict) -> None:
+        """A commit (or the load that built this table) names *chain*."""
+        self.snapshot = chain
+        self.recycled = set()
+
+    def snapshot_items(
+        self, ids: Optional[Iterable[int]] = None
+    ) -> Iterator[Tuple[int, int, Term]]:
         """``(term_id, refcount, term)`` rows in ascending-ID order.
 
-        The ID order makes snapshot bytes deterministic for a given table
-        state regardless of insertion history.
+        Every interned term, or with *ids* the ones among those IDs that
+        are interned now (a freed ID has no row).  The ID order makes
+        snapshot bytes deterministic for a given table state regardless of
+        insertion history.
         """
-        for term_id in sorted(self._id_to_term):
-            yield term_id, self._refcount[term_id], self._id_to_term[term_id]
+        id_to_term = self._id_to_term
+        if ids is None:
+            ids = id_to_term
+        else:
+            ids = id_to_term.keys() & ids
+        for term_id in sorted(ids):
+            yield term_id, self._refcount[term_id], id_to_term[term_id]
 
     @classmethod
     def restore(

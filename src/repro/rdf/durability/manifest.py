@@ -4,17 +4,29 @@ A manifest is a small JSON document binding together everything one
 recovery needs::
 
     {
-      "version": 1,
+      "version": 2,
       "identifier": "...",          # graph identifier (or null)
       "sharded": true, "shards": 4,
-      "epoch": 3,                   # save generation; names the files
+      "epoch": 3,                   # commit counter; names the files it writes
       "generation": 117,            # Graph.generation at snapshot time
       "size": 20412,                # triple count at snapshot time
-      "digest": "sha256:...",       # canonical (s,p,o) digest at snapshot
-      "termdict": {"file": ..., "terms": N, "next_id": ..., "checksum": ...},
-      "shard_files": [{"file": ..., "triples": n, "checksum": ...}, ...],
+      "digest": "sha256-sum:...",   # content digest: the sum of the shards'
+      "termdict": {                 # the term dictionary's segment chain
+        "file": ..., "epoch": 1, "rows": N, "bytes": b, "checksum": c,
+                                    # ^ the base: a segment holding every term
+        "deltas": [{"file": ..., "epoch": 2, "rows": n, "bytes": b,
+                    "checksum": c}, ...],   # rows that moved, oldest first
+        "terms": N, "next_id": ...  # of the table the whole chain yields
+      },
+      "shard_files": [{"file": ..., "epoch": 2, "triples": n,
+                       "checksum": c, "digest": "sha256-sum:..."}, ...],
       "wal": {"file": ..., "offset": 0}
     }
+
+Every file entry carries the ``epoch`` of the commit that wrote it -- the
+number in its name and in its header -- because a commit writes only what
+changed: a shard nobody wrote to and the chain's earlier segments are
+carried from older commits by naming them again.
 
 The swap rule (the ``docstore/persistence.py`` contract): write the new
 manifest to a temp file in the same directory, flush + fsync, then
@@ -37,10 +49,18 @@ from .paths import manifest_path
 
 __all__ = ["MANIFEST_VERSION", "ManifestError", "read_manifest", "write_manifest"]
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
-_REQUIRED = ("version", "sharded", "epoch", "generation", "size", "digest",
-             "termdict", "shard_files", "wal")
+_SEGMENT = {"file": str, "epoch": int, "rows": int, "bytes": int, "checksum": int}
+_LAYOUT = {
+    "sharded": bool, "shards": int, "epoch": int, "generation": int,
+    "size": int, "digest": str, "termdict": dict, "shard_files": list,
+    "wal": dict,
+}
+_TERMDICT = {**_SEGMENT, "deltas": list, "terms": int, "next_id": int}
+_SHARD_FILE = {"file": str, "epoch": int, "triples": int, "checksum": int,
+               "digest": str}
+_WAL = {"file": str, "offset": int}
 
 
 class ManifestError(RuntimeError):
@@ -81,16 +101,40 @@ def read_manifest(root: str) -> Dict:
             doc = json.load(handle)
     except FileNotFoundError:
         raise ManifestError(f"no manifest at {path}") from None
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, or bytes that are not UTF-8
         raise ManifestError(f"unreadable manifest at {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"manifest at {path} is not an object")
-    missing = [key for key in _REQUIRED if key not in doc]
-    if missing:
-        raise ManifestError(f"manifest at {path} missing keys: {missing}")
-    if doc["version"] != MANIFEST_VERSION:
+    if doc.get("version") != MANIFEST_VERSION:
         raise ManifestError(
-            f"manifest version {doc['version']} unsupported "
+            f"manifest version {doc.get('version')} unsupported "
             f"(expected {MANIFEST_VERSION})"
         )
+    _check(doc, _LAYOUT, path, "manifest")
+    _check(doc["termdict"], _TERMDICT, path, "termdict")
+    for entry in doc["termdict"]["deltas"]:
+        _check(entry, _SEGMENT, path, "termdict delta")
+    for entry in doc["shard_files"]:
+        _check(entry, _SHARD_FILE, path, "shard file entry")
+    _check(doc["wal"], _WAL, path, "wal")
+    if len(doc["shard_files"]) != doc["shards"] or doc["size"] != sum(
+        entry["triples"] for entry in doc["shard_files"]
+    ):
+        raise ManifestError(
+            f"manifest at {path}: shard file entries do not add up to "
+            f"{doc['shards']} shards / {doc['size']} triples"
+        )
     return doc
+
+
+def _check(obj, layout: Dict[str, type], path: str, what: str) -> None:
+    """Recovery indexes the manifest freely, so its shape is checked once."""
+    if not isinstance(obj, dict):
+        raise ManifestError(f"manifest at {path}: {what} is not an object")
+    wrong = [
+        key for key, kind in layout.items() if not isinstance(obj.get(key), kind)
+    ]
+    if wrong:
+        raise ManifestError(
+            f"manifest at {path}: {what} keys missing or mistyped: {wrong}"
+        )

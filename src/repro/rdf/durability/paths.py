@@ -7,16 +7,19 @@ pruning, recovery and tests never re-derive name patterns ad hoc.
 A store directory looks like::
 
     <root>/
-        manifest.json              # the single commit pointer
-        termdict-000003.snap       # TermDict snapshot for epoch 3
-        shard-000-000003.snap      # shard 0 columns for epoch 3
-        shard-001-000003.snap
-        wal-000003.log             # mutations since the epoch-3 snapshot
+        manifest.json              # the single commit pointer (epoch 3)
+        termdict-000001.snap       # TermDict base segment: every term
+        termdict-000003.snap       # ... and the rows that moved in commit 3
+        shard-000-000001.snap      # shard 0 columns, unwritten since commit 1
+        shard-001-000003.snap      # shard 1 columns, rewritten by commit 3
+        wal-000003.log             # mutations since the epoch-3 commit
 
-Epochs are monotonically increasing save generations.  Files from older
-epochs may coexist briefly (a crash between manifest swap and prune); they
-are garbage by definition -- the manifest is the only commit pointer -- and
-:func:`orphan_files` identifies them for cleanup.
+Epochs are monotonically increasing commit numbers, and a file carries the
+epoch of the commit that wrote it.  Files of several epochs live side by
+side *by design*: a commit writes only what changed and names the rest
+again.  Garbage is whatever the manifest -- the only commit pointer -- does
+not name (superseded files a crash kept from being pruned, files of a save
+that died before its swap); :func:`orphan_files` identifies it for cleanup.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "shard_file",
     "store_files",
     "termdict_file",
+    "termdict_segments",
     "wal_file",
 ]
 
@@ -69,9 +73,16 @@ def store_files(root: str) -> List[str]:
 
 def referenced_files(manifest: Dict) -> List[str]:
     """The filenames the manifest pins as live."""
-    names = [manifest["termdict"]["file"], manifest["wal"]["file"]]
+    names = [manifest["wal"]["file"]]
+    names.extend(entry["file"] for entry in termdict_segments(manifest))
     names.extend(entry["file"] for entry in manifest["shard_files"])
     return names
+
+
+def termdict_segments(manifest: Dict) -> List[Dict]:
+    """The term dictionary's segment entries, base first."""
+    termdict = manifest["termdict"]
+    return [termdict, *termdict["deltas"]]
 
 
 def orphan_files(root: str, manifest: Dict) -> List[str]:

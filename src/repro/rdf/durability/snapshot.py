@@ -7,17 +7,22 @@ Shard snapshot layout (all little-endian)::
     | s column | p column | o column
 
 Each column is the raw bytes of an ``array('q')`` holding one component of
-the shard's (s, p, o) rows, sorted ascending -- the same canonical order
-:meth:`Shard.triples_ids` yields, so snapshot bytes are a pure function of
-shard content.  Columns (not row tuples) keep the hot load path a single
-``array.frombytes`` per component and let a reader verify checksums
-without materializing any Python tuples.
+the shard's (s, p, o) rows, sorted ascending -- the run
+:meth:`Shard.columns` caches, written as it is, so snapshot bytes are a
+pure function of shard content.  Columns (not row tuples) keep the hot load
+path a single ``array.frombytes`` per component and let a reader verify
+checksums without materializing any Python tuples.
 
-The term-dictionary snapshot is a record stream (`format.py` framing):
-record 0 is a JSON header ``{"epoch", "next_id", "free", "terms"}``,
-followed by one record per ~4096 terms carrying ``[[id, refcount,
-term], ...]`` batches.  Batching keeps record count (and per-record
-checksum overhead) low without building one giant JSON document.
+The term-dictionary snapshot is a *chain of immutable segments*, each a
+record stream (`format.py` framing): record 0 is a JSON header ``{"epoch",
+"next_id", "free", "terms"}`` -- the table's whole allocation state at that
+commit -- followed by one record per ~4096 terms carrying ``[[id,
+refcount, term], ...]`` batches.  The first segment of a chain holds every
+term; each later one holds only the rows that moved since the segment
+before it.  A reader applies them in order: a later row replaces an earlier
+one with the same ID, and an ID on the last header's ``free`` list is
+absent.  Batching keeps record count (and per-record checksum overhead)
+low without building one giant JSON document.
 
 Writers stage to a temp file and ``os.replace`` onto the final name --
 snapshot files therefore never exist in a half-written state under their
@@ -32,11 +37,11 @@ import struct
 import tempfile
 import zlib
 from array import array
-from typing import Iterable, List, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..dictionary import TermDict
 from .crash import CrashInjector, CrashPoint, boundary
-from .format import FormatError, decode_term, dumps, encode_term, loads, pack_record, scan_records
+from .format import decode_term, dumps, encode_term, loads, pack_record, scan_records
 
 __all__ = [
     "SnapshotError",
@@ -104,30 +109,26 @@ def _atomic_write(
 
 def write_shard_snapshot(
     path: str,
-    rows: Iterable[Tuple[int, int, int]],
+    columns: Tuple[array, array, array],
     epoch: int,
     injector: Optional[CrashInjector] = None,
 ) -> Tuple[int, int]:
-    """Write sorted (s, p, o) ID *rows* as columns; return (rows, checksum).
+    """Write an (s, p, o)-sorted run of ID *columns*; return (rows, checksum).
 
-    The returned checksum (crc32 over the three column byte runs) is what
-    the manifest records for the file.
+    *columns* is what :meth:`Shard.columns` returns (the caller owns the
+    order).  The returned checksum (crc32 over the three column byte runs)
+    is what the manifest records for the file.
     """
-    s_col, p_col, o_col = array("q"), array("q"), array("q")
-    for s, p, o in sorted(rows):
-        s_col.append(s)
-        p_col.append(p)
-        o_col.append(o)
-    columns = [col.tobytes() for col in (s_col, p_col, o_col)]
-    header = _SHARD_HEADER.pack(SHARD_MAGIC, SHARD_VERSION, epoch, len(s_col))
+    blobs = [col.tobytes() for col in columns]
+    header = _SHARD_HEADER.pack(SHARD_MAGIC, SHARD_VERSION, epoch, len(columns[0]))
     meta = b"".join(
-        _COLUMN_META.pack(len(blob), zlib.crc32(blob)) for blob in columns
+        _COLUMN_META.pack(len(blob), zlib.crc32(blob)) for blob in blobs
     )
     checksum = 0
-    for blob in columns:
+    for blob in blobs:
         checksum = zlib.crc32(blob, checksum)
-    _atomic_write(path, [header + meta] + columns, injector, "snapshot-write")
-    return len(s_col), checksum
+    _atomic_write(path, [header + meta] + blobs, injector, "snapshot-write")
+    return len(columns[0]), checksum
 
 
 def read_shard_columns(
@@ -201,39 +202,88 @@ def read_shard_columns(
 
 
 def write_termdict_snapshot(
-    path: str, term_dict: TermDict, injector: Optional[CrashInjector] = None
+    path: str,
+    term_dict: TermDict,
+    injector: Optional[CrashInjector] = None,
+    ids: Optional[Collection[int]] = None,
 ) -> Tuple[int, int]:
-    """Snapshot *term_dict* to *path*; return (terms, checksum)."""
+    """Write one segment of *term_dict* to *path*; return (rows, checksum).
+
+    With *ids* None the segment holds every term (the base of a chain);
+    otherwise only the current rows of those IDs (the ones among them that
+    are still interned), which makes it a delta on top of the chain so
+    far.  Either way the header carries the table's full allocation state.
+    """
     header = dumps(
         {
             "epoch": term_dict.epoch,
             "next_id": term_dict._next_id,
-            "free": sorted(term_dict._free),
+            # in stack order: the next encode() pops the last one, and the
+            # recovered table has to hand out the same IDs as this one
+            "free": term_dict._free,
             "terms": len(term_dict),
         }
     )
     chunks = [pack_record(header)]
+    rows = 0
     batch: List[list] = []
-    for term_id, refcount, term in term_dict.snapshot_items():
+    for term_id, refcount, term in term_dict.snapshot_items(ids):
         batch.append([term_id, refcount, encode_term(term)])
         if len(batch) >= TERM_BATCH:
             chunks.append(pack_record(dumps(batch)))
+            rows += len(batch)
             batch = []
     if batch:
         chunks.append(pack_record(dumps(batch)))
+        rows += len(batch)
     checksum = 0
     for chunk in chunks:
         checksum = zlib.crc32(chunk, checksum)
     _atomic_write(path, chunks, injector, "termdict-write")
-    return len(term_dict), checksum
+    return rows, checksum
 
 
 def read_termdict_snapshot(
-    path: str,
-    expected_epoch: Optional[int] = None,
-    expected_checksum: Optional[int] = None,
+    segments: Sequence[Tuple[str, Optional[int], Optional[int]]],
 ) -> TermDict:
-    """Rebuild a :class:`TermDict` from a snapshot file."""
+    """Rebuild a :class:`TermDict` from its chain of segment files.
+
+    *segments* lists ``(path, expected_epoch, expected_checksum)`` base
+    first; None skips that check.  Terms are decoded once, after the chain
+    is folded, so a row a later segment replaces costs a dict store.
+    """
+    rows: Dict[int, list] = {}
+    header: dict = {}
+    for path, expected_epoch, expected_checksum in segments:
+        header = _read_termdict_segment(path, expected_epoch, expected_checksum, rows)
+    for term_id in header["free"]:
+        rows.pop(term_id, None)
+    if len(rows) != header["terms"]:
+        raise SnapshotError(
+            f"termdict snapshot {segments[-1][0]} yields {len(rows)} terms, "
+            f"header says {header['terms']}"
+        )
+    try:
+        # popped, so the JSON rows are let go of as the terms are built
+        items = [
+            (term_id, refcount, decode_term(encoded))
+            for term_id, refcount, encoded in map(rows.pop, sorted(rows))
+        ]
+    except ValueError as exc:  # a row that is not a triple, or a FormatError
+        raise SnapshotError(f"termdict snapshot {segments[-1][0]}: {exc}") from exc
+    return TermDict.restore(
+        iter(items), header["next_id"], header["free"], header["epoch"]
+    )
+
+
+def _read_termdict_segment(
+    path: str,
+    expected_epoch: Optional[int],
+    expected_checksum: Optional[int],
+    rows: Dict[int, list],
+) -> dict:
+    """Fold one segment's ``[id, refcount, encoded term]`` rows into *rows*
+    by ID (later wins) and return its header."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -250,20 +300,14 @@ def read_termdict_snapshot(
         )
     try:
         header = loads(payloads[0])
-        items = []
+        epoch = header["epoch"]
         for payload in payloads[1:]:
-            for term_id, refcount, encoded in loads(payload):
-                items.append((term_id, refcount, decode_term(encoded)))
-    except FormatError as exc:
-        raise SnapshotError(f"termdict snapshot {path}: {exc}") from exc
-    if len(items) != header.get("terms"):
-        raise SnapshotError(
-            f"termdict snapshot {path} holds {len(items)} terms, "
-            f"header says {header.get('terms')}"
-        )
-    epoch = header.get("epoch", 0)
+            for row in loads(payload):
+                rows[row[0]] = row
+    except (LookupError, TypeError, ValueError) as exc:  # FormatError is a ValueError
+        raise SnapshotError(f"termdict snapshot {path} malformed: {exc!r}") from exc
     if expected_epoch is not None and epoch != expected_epoch:
         raise SnapshotError(
             f"termdict snapshot {path} is epoch {epoch}, expected {expected_epoch}"
         )
-    return TermDict.restore(iter(items), header["next_id"], header["free"], epoch)
+    return header

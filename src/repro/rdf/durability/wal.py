@@ -106,13 +106,13 @@ def read_wal_records(
     payloads, valid_end, reason = scan_records(data, offset)
     ops: List[List[Any]] = []
     for payload in payloads:
-        decoded = loads(payload)
-        if not isinstance(decoded, list) or not decoded:
-            raise WalReplayError(f"malformed WAL payload in {path}: {decoded!r}")
-        op = [decoded[0]]
         try:
+            decoded = loads(payload)
+            if not isinstance(decoded, list) or not decoded:
+                raise FormatError(f"payload {decoded!r} is not an op")
+            op = [decoded[0]]
             op.extend(decode_term(item) for item in decoded[1:])
         except FormatError as exc:
-            raise WalReplayError(f"bad term in WAL record ({path}): {exc}") from exc
+            raise WalReplayError(f"malformed WAL record in {path}: {exc}") from exc
         ops.append(op)
     return ops, valid_end, reason

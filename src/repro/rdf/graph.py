@@ -573,11 +573,13 @@ class Graph:
     # -- durability facade -----------------------------------------------
 
     def save(self, root: str, injector=None) -> dict:
-        """Write a full durable snapshot of this graph under *root*.
+        """Commit a durable snapshot of this graph under *root*.
 
-        Columnar per-shard snapshot files + term-dictionary snapshot +
+        Columnar per-shard snapshot files + term-dictionary segments +
         a fresh write-ahead-log segment, committed by an atomic manifest
-        swap.  Returns the manifest.  See :mod:`repro.rdf.durability`.
+        swap; what *root*'s last commit of this graph already holds
+        unchanged is not written again.  Returns the manifest.  See
+        :mod:`repro.rdf.durability`.
         """
         from .durability import save_graph
 
@@ -596,8 +598,9 @@ class Graph:
         Returns a :class:`Graph` or
         :class:`~repro.rdf.sharding.ShardedTripleStore` per the manifest.
         ``lazy`` defers per-shard index builds to first touch (default for
-        sharded stores); ``verify`` checks the snapshot's content digest
-        against the manifest before WAL replay (default for eager loads).
+        sharded stores); ``verify`` checks each shard's content digest
+        against the manifest -- before WAL replay, or for a lazy shard when
+        it hydrates (default for eager loads).
         """
         from .durability import load_graph
 

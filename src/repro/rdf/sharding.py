@@ -64,13 +64,27 @@ from .graph import Graph, IdIndex
 from .namespaces import RDF, RDFS
 from .terms import IRI, Term, Triple
 
-__all__ = ["ShardedTripleStore", "Shard"]
+__all__ = ["ShardedTripleStore", "Shard", "sorted_columns"]
+
+
+def sorted_columns(rows: Iterable[Tuple[int, int, int]]) -> Tuple:
+    """ID *rows* as an (s, p, o)-sorted run of three ``array('q')`` columns.
+
+    The one layout shared by the batch-scan pipeline and the durability
+    snapshots: a shard's cached run is written to disk as it is.
+    """
+    rows = sorted(rows)
+    if rows:
+        s_col, p_col, o_col = zip(*rows)
+    else:
+        s_col = p_col = o_col = ()
+    return array("q", s_col), array("q", p_col), array("q", o_col)
 
 
 class Shard:
     """One partition: its own SPO/POS/OSP indexes over shared term IDs."""
 
-    __slots__ = ("spo", "pos", "osp", "size", "_columns")
+    __slots__ = ("spo", "pos", "osp", "size", "_columns", "_snapshot")
 
     #: overridden by :class:`repro.rdf.durability.LazyShard`, whose indexes
     #: build from a snapshot file on first touch; memory accounting checks
@@ -87,6 +101,13 @@ class Shard:
         #: Built on demand by :meth:`columns`, dropped on any mutation;
         #: snapshot loads seed it directly so load -> scan copies nothing.
         self._columns: Optional[Tuple] = None
+        #: the manifest entry (``file``, ``epoch``, ``triples``,
+        #: ``checksum``, ``digest``) of the durable snapshot file that holds
+        #: exactly this shard's content, or None.  Set by
+        #: :mod:`repro.rdf.durability` once a commit names the file, dropped
+        #: wherever ``_columns`` is dropped; a checkpoint rewrites only the
+        #: shards without one.
+        self._snapshot: Optional[dict] = None
 
     def columns(self) -> Tuple:
         """The shard's (s, p, o)-sorted run as ``(s_col, p_col, o_col)``.
@@ -98,14 +119,7 @@ class Shard:
         """
         cols = self._columns
         if cols is None:
-            rows = sorted(self.triples_ids())
-            if rows:
-                s_col, p_col, o_col = zip(*rows)
-            else:
-                s_col = p_col = o_col = ()
-            cols = self._columns = (
-                array("q", s_col), array("q", p_col), array("q", o_col)
-            )
+            cols = self._columns = sorted_columns(self.triples_ids())
         return cols
 
     def insert(self, s: int, p: int, o: int) -> None:
@@ -114,11 +128,11 @@ class Shard:
         self.pos.setdefault(p, {}).setdefault(o, set()).add(s)
         self.osp.setdefault(o, {}).setdefault(s, set()).add(p)
         self.size += 1
-        self._columns = None
+        self._columns = self._snapshot = None
 
     def discard(self, s: int, p: int, o: int) -> None:
         """Remove an ID triple the owning store verified was present."""
-        self._columns = None
+        self._columns = self._snapshot = None
         by_predicate = self.spo[s]
         by_predicate[p].discard(o)
         if not by_predicate[p]:
@@ -212,8 +226,10 @@ class Shard:
         out.osp = {o: {s: set(p) for s, p in by_s.items()} for o, by_s in self.osp.items()}
         out.size = self.size
         # the cached run is immutable-by-contract, so sharing it is safe:
-        # either shard's next mutation replaces its own reference
+        # either shard's next mutation replaces its own reference.  The
+        # snapshot entry describes content, which the clone has too.
         out._columns = self._columns
+        out._snapshot = self._snapshot
         return out
 
     def __len__(self) -> int:
@@ -394,10 +410,6 @@ class ShardedTripleStore(Graph):
                 last_s = s
                 last_p = None
                 shard = shards[s % n_shards]
-                # bulk writes bypass Shard.insert, so the columnar-run
-                # cache invalidates here (once per subject run, not per
-                # triple)
-                shard._columns = None
                 pos, osp = shard.pos, shard.osp
                 spo = shard.spo
                 by_predicate = spo.get(s)
@@ -418,6 +430,11 @@ class ShardedTripleStore(Graph):
                 continue
             if wal is not None:
                 wal.log_add(s_term, p_term, o_term)
+            if not shard_run_size:
+                # bulk writes bypass Shard.insert, so the shard's derived
+                # state drops here: at the first triple of the subject run
+                # that is actually new, never for a run of duplicates
+                shard._columns = shard._snapshot = None
             objects.add(o)
             subjects = by_object.get(o)
             if subjects is None:

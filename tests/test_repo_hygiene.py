@@ -218,6 +218,69 @@ class TestWrittenOnce:
         assert definitions == ["resilience.py"]
 
 
+class TestDurableStoreDerivedState:
+    """A shard has two derived states, the sorted run it caches and the
+    manifest entry of the snapshot file that holds its content; both are
+    true of the content they were taken from and of no other."""
+
+    def test_dropping_the_run_drops_the_snapshot_entry(self):
+        """Every block under ``rdf/sharding.py`` and ``rdf/durability/``
+        that sets ``<shard>._columns = None`` sets ``<shard>._snapshot =
+        None`` too: a shard that forgot its run but still names a snapshot
+        file would be skipped by the next checkpoint, which is silent loss."""
+
+        def drops(statement, attribute):
+            return (
+                isinstance(statement, ast.Assign)
+                and isinstance(statement.value, ast.Constant)
+                and statement.value.value is None
+                and any(getattr(target, "attr", None) == attribute
+                        for target in statement.targets)
+            )
+
+        rdf = os.path.join(ROOT, "src", "repro", "rdf")
+        paths = [os.path.join(rdf, "sharding.py")] + [
+            os.path.join(rdf, "durability", name)
+            for name in sorted(os.listdir(os.path.join(rdf, "durability")))
+            if name.endswith(".py")
+        ]
+        sites, lonely = 0, []
+        for path in paths:
+            with open(path) as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                for field in ("body", "orelse", "finalbody"):
+                    block = getattr(node, field, None)
+                    if not isinstance(block, list):
+                        continue
+                    for statement in block:
+                        if drops(statement, "_columns"):
+                            sites += 1
+                            if not any(drops(other, "_snapshot") for other in block):
+                                lonely.append(f"{os.path.relpath(path, ROOT)}:{statement.lineno}")
+        assert not lonely, lonely
+        assert sites >= 3, "insert, discard and the bulk path; this check is stale"
+
+    def test_architecture_quotes_the_crash_sweep_census(self, tmp_path):
+        """ARCHITECTURE.md says how many boundaries the crash sweep hits;
+        the number is whatever the sweep's own dry run counts (a shard a
+        checkpoint carries contributes none), so it is read from there."""
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "_crash_sweep",
+            os.path.join(ROOT, "tests", "rdf", "test_durability_recovery.py"),
+        )
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        census = sweep._boundary_census(tmp_path).sequence
+        with open(os.path.join(ROOT, "ARCHITECTURE.md")) as handle:
+            quoted = re.findall(r"`CrashInjector` can hit \((\d+)\)", handle.read())
+        assert quoted == [str(census)], (
+            f"ARCHITECTURE.md quotes {quoted}; the sweep's census counts {census}"
+        )
+
+
 class TestTier1Count:
     def test_changes_quotes_the_collected_tier1_count(self, request):
         """The one counting rule: tier-1 is what ROADMAP's Tier-1 verify
