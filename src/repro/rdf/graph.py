@@ -15,9 +15,10 @@ Two API surfaces coexist:
   ...) speaks :class:`~repro.rdf.terms.Triple` objects and is what parsers,
   generators and tests use;
 * the **ID-level** API (``lookup_id``, ``decode_id``, ``triples_ids``,
-  ``count_ids``, the ``*_ids`` index accessors) is consumed by the SPARQL
-  hash-join pipeline and the property-path closures, which decode back to
-  terms only at the result boundary.
+  ``scan_columns``, ``count_ids``, the ``*_ids`` index accessors) is
+  consumed by the SPARQL hash-join pipeline, its columnar executor and the
+  property-path closures, which decode back to terms only at the result
+  boundary.
 
 The store is deliberately *not* thread-safe: the simulation layers are
 single-threaded and the paper's server pipeline is batch-oriented.
@@ -25,7 +26,8 @@ single-threaded and the paper's server pipeline is batch-oriented.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple, Union
+from itertools import chain, islice, repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from .dictionary import TermDict
 from .namespaces import RDF, RDFS
@@ -401,6 +403,90 @@ class Graph:
             for pred, objects in by_predicate.items():
                 for obj in objects:
                     yield (subj, pred, obj)
+
+    def scan_columns(
+        self,
+        s: Optional[int],
+        p: Optional[int],
+        o: Optional[int],
+        want: Tuple[bool, bool, bool],
+        batch_size: int,
+        limit: Optional[int] = None,
+    ) -> Iterator[List]:
+        """The rows of ``triples_ids(s, p, o)`` as ``[S, P, O]`` column batches.
+
+        Same rows in the same order (the first *limit* of them when one is
+        given), cut into batches of exactly *batch_size* rows, the last one
+        shorter.  A position whose ``want`` flag is false comes back as
+        ``[None] * n``, and the index is read only as deep as the last
+        wanted position: a level below it contributes its *sizes* (a
+        subject's triple count is the sum of its object sets' lengths, so
+        ``?s ?p ?o`` wanting only ``?s`` never iterates an object set), a
+        level above it is repeated over the runs it heads.  With all three
+        wanted the rows are transposed off ``triples_ids`` -- per-run
+        repeats lose to that on short runs.  This is the scan primitive of
+        the SPARQL columnar executor.
+        """
+        view = None if all(want) else self._scan_view(s, p, o)
+        if view is None:
+            triples = self.triples_ids(s, p, o)
+            if limit is not None:
+                triples = islice(triples, limit)
+            for block in iter(lambda: list(islice(triples, batch_size)), []):
+                yield [
+                    column if wanted else [None] * len(block)
+                    for column, wanted in zip(zip(*block), want)
+                ]
+            return
+        order, keys, inners = view
+
+        def leaves():
+            return chain.from_iterable(map(dict.values, inners))
+
+        # One independent C-level iterator over the index per wanted level;
+        # they advance in lockstep, a batch at a time.
+        columns: List[Optional[Iterator]] = [None, None, None]
+        if want[order[0]]:
+            sizes = (sum(map(len, inner.values())) for inner in inners)
+            columns[order[0]] = chain.from_iterable(map(repeat, keys, sizes))
+        if want[order[1]]:
+            columns[order[1]] = chain.from_iterable(
+                map(repeat, chain.from_iterable(inners), map(len, leaves()))
+            )
+        if want[order[2]]:
+            columns[order[2]] = chain.from_iterable(leaves())
+        total = self.count_ids(s, p, o)
+        if limit is not None:
+            total = min(total, limit)
+        for start in range(0, total, batch_size):
+            n = min(batch_size, total - start)
+            yield [
+                [None] * n if column is None else list(islice(column, n))
+                for column in columns
+            ]
+
+    def _scan_view(self, s: Optional[int], p: Optional[int], o: Optional[int]):
+        """``(order, keys, inners)``: the index ``triples_ids`` walks for
+        this pattern, cut down to its matches -- *inners* the second-level
+        dicts of the first-level *keys*, *order* the triple position of
+        each index level.  None when the bound positions are no prefix of
+        that index (``s ? o`` and ``s p o``: one subject's rows at most).
+        """
+        if s is not None or (p is None and o is None):
+            order, index, first, second, third = (0, 1, 2), self._spo, s, p, o
+        elif p is not None:
+            order, index, first, second, third = (1, 2, 0), self._pos, p, o, None
+        else:
+            order, index, first, second, third = (2, 0, 1), self._osp, o, None, None
+        if third is not None:
+            return None
+        if first is None:
+            return order, index, index.values()
+        inner = index.get(first) or {}
+        if second is not None:
+            leaf = inner.get(second)
+            inner = {second: leaf} if leaf else {}
+        return order, (first,), (inner,)
 
     def triples(
         self,

@@ -543,6 +543,11 @@ class ShardedTripleStore(Graph):
         runs = [sorted(shard.triples_ids(None, p, o)) for shard in shards]
         yield from heapq.merge(*runs)
 
+    def _scan_view(self, s: Optional[int], p: Optional[int], o: Optional[int]):
+        """No single index holds a routed scan's row order: ``scan_columns``
+        transposes ``triples_ids`` whatever is wanted."""
+        return None
+
     def count_ids(
         self,
         s: Optional[int] = None,

@@ -46,12 +46,16 @@ between batches) feeds a columnar FILTER (selection vectors) and one of
 three sinks -- projection/DISTINCT/slice, top-k/sort, or GROUP BY fold
 (:meth:`_AggFold.fold_batch`).  Rows stay dictionary IDs (and raw fold
 values) through ORDER BY / DISTINCT / OFFSET / LIMIT
-(:meth:`QueryEngine._id_modifiers`); only the emitted page is decoded.
+(:meth:`QueryEngine._id_modifiers`, which cuts what it holds to the
+page's size after every batch and builds sort keys only for the rows a
+cut has to compare); only the emitted page is decoded.
 The source follows from the compiled patterns, never from a caller
 option: a single pattern streams batches straight off the index
-(zero-copy on the sorted shard runs), several patterns run the eager
-join and transpose its rows, and the ``stream`` engine chunks its lazy
-join chain.
+(:meth:`Graph.scan_columns`, materialising only the positions an
+operator above reads -- :meth:`QueryEngine._wanted_variables`; zero-copy
+on the sorted shard runs), several patterns run the eager join and
+transpose its rows, and the ``stream`` engine chunks its lazy join
+chain.
 
 Compiled plans (encoded patterns + cardinality estimates) live in a
 :class:`_SharedPlanCache` attached to the *graph* (one per graph, shared
@@ -69,7 +73,7 @@ from itertools import chain as _chain
 from itertools import islice as _islice
 from itertools import repeat as _repeat
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..obs.trace import NULL_TRACER
 from ..rdf.graph import Graph
@@ -492,16 +496,37 @@ def _sort_key_column(values, memo: Dict, term_of) -> List[Tuple]:
     distinct cell: *term_of* (a dictionary decode, or :func:`_fold_term`
     for raw fold values) runs on *memo* misses only.
     """
-    lookup = memo.get
-    keys = []
-    append = keys.append
-    for value in values:
-        key = lookup(value)
-        if key is None:
-            term = None if value is None else term_of(value)
-            key = memo[value] = () if term is None else term.sort_key()
-        append(key)
-    return keys
+    for value in set(values).difference(memo):
+        term = None if value is None else term_of(value)
+        memo[value] = () if term is None else term.sort_key()
+    return list(map(memo.__getitem__, values))
+
+
+def _first_in_order(columns, indices: List[int], room, conditions, memos, level=0):
+    """The *room* first of the rows *indices* in ORDER BY order, unordered.
+
+    *indices* ascend (row sequence) and tie on every condition before
+    *level*.  Lazy, left to right: this condition's keys settle every row
+    but those tying with the ``room``-th best key; only they get the next
+    condition's keys, and after the last condition the earliest rows win.
+    """
+    if len(indices) <= room:
+        return indices
+    if level == len(conditions) or not room:
+        return indices[:room]
+    column, descending, term_of = conditions[level]
+    cells = columns[column]
+    keys = _sort_key_column([cells[i] for i in indices], memos[level], term_of)
+    if descending:
+        bound = heapq.nlargest(room, keys)[-1]
+        better = [i for i, key in zip(indices, keys) if key > bound]
+    else:
+        bound = heapq.nsmallest(room, keys)[-1]
+        better = [i for i, key in zip(indices, keys) if key < bound]
+    ties = [i for i, key in zip(indices, keys) if key == bound]
+    return better + _first_in_order(
+        columns, ties, room - len(better), conditions, memos, level + 1
+    )
 
 
 class _EncodedPattern:
@@ -709,9 +734,15 @@ EXEC_STAT_KEYS = frozenset(
         # term-space streaming operators)
         "operator",
         "input_rows",       # rows consumed by that operator
-        "tracked_rows",     # max rows/groups it ever held (memory contract);
-                            # ``aggregate-id``: the groups folded
-        "distinct_keys",    # DISTINCT seen-set / champion-table size
+        "tracked_rows",     # max rows/groups it ever held between batches
+                            # (memory contract); ``aggregate-id``: the
+                            # groups folded
+        "distinct_keys",    # DISTINCT seen-set / champion-table size; the
+                            # ID-space tail: most keys it held at once
+        "scan_cells",       # rows x wanted columns a single-pattern scan
+                            # materialised (``Graph.scan_columns``)
+        "sort_keys",        # ORDER BY keys the ID-space tail built (one
+                            # per distinct cell it had to compare)
         "having_pruned",    # groups dropped by HAVING pushdown
         "decoded_rows",     # rows decoded at the result boundary;
                             # ``aggregate-id``: the page that survived
@@ -2463,79 +2494,73 @@ class QueryEngine:
 
         *conditions* are ``(column, descending, term_of)``; their sort
         keys are memoized per distinct cell (:func:`_sort_key_column`).
-        Under LIMIT a bounded heap keeps at most ``offset + k`` rows; a
-        stable index sort orders everything otherwise.  Both tie-break
-        on the global row sequence, so the heap equals sort-then-slice
-        at any batch size.  DISTINCT dedups on *dedup_columns* after
-        ordering (sort, stable dedup, slice); under LIMIT that is a
-        per-key champion table in front of the heap.
+        Rows are held as columns, in input order.  Under LIMIT they are
+        cut after every batch to the rows that can still reach the page
+        (:func:`_first_in_order`) -- DISTINCT keeps each *dedup_columns*
+        key's earliest row in sort order, LIMIT the ``offset + k`` first
+        of those -- so between batches the tail holds the page's size,
+        not the input's, and sort keys are built only for the rows a cut
+        has to compare.  Without a LIMIT everything is held and DISTINCT
+        cuts once, at the end.  A stable index sort orders the survivors.
+        Every tie falls to input order, so the result equals sort, stable
+        dedup, slice at any batch size.
         """
         memos: List[Dict] = [{} for _ in conditions]
-        stats = {"input_rows": 0, "batches": 0}
-
-        def keyed_batches() -> Iterator[Tuple[List[Tuple], List[List]]]:
-            """``(rows, one sort-key column per condition)`` per batch."""
-            for cols in batches:
-                stats["batches"] += 1
-                stats["input_rows"] += len(cols[0])
-                yield list(zip(*cols)), [
-                    _sort_key_column(cols[column], memo, term_of)
-                    for (column, _descending, term_of), memo in zip(conditions, memos)
-                ]
-
-        def dedup_key(row: Tuple) -> Tuple:
-            return tuple(
-                row[column] if column is not None else None
-                for column in dedup_columns
-            )
-
+        stats = {"input_rows": 0, "batches": 0, "tracked_rows": 0}
+        if query.distinct:
+            stats["distinct_keys"] = 0
         offset = query.offset or 0
-        if query.limit is not None:
-            flags = tuple(descending for _column, descending, _term_of in conditions)
+        keep = float("inf") if query.limit is None else offset + query.limit
 
-            def entries() -> Iterator[_TopKEntry]:
-                seq = 0
-                for rows, batch_keys in keyed_batches():
-                    row_keys = zip(*batch_keys) if batch_keys else _repeat(())
-                    for keys, row in zip(row_keys, rows):
-                        yield _TopKEntry(keys, flags, seq, row)
-                        seq += 1
-
-            source = entries()
+        def cut(held: List[List]) -> List[List]:
+            n = len(held[0])
+            chosen = list(range(n))
             if query.distinct:
-                champions = _champion_fold(source, dedup_key)
-                stats["distinct_keys"] = len(champions)
-                source = iter(champions.values())
-            kept = [entry.payload for entry in _topk_fold(source, offset + query.limit)]
-        else:
-            kept = []
-            key_columns: List[List] = [[] for _ in conditions]
-            for rows, batch_keys in keyed_batches():
-                kept.extend(rows)
-                for key_column, keys in zip(key_columns, batch_keys):
-                    key_column.extend(keys)
-            if conditions:
-                # Stable multi-key sort, same discipline as _order: sort
-                # by the last condition first; equal keys keep input
-                # order.  An index sort keyed by ``list.__getitem__``
-                # keeps every comparison in C.
-                order = list(range(len(kept)))
-                for key_column, (_column, descending, _term_of) in zip(
-                    reversed(key_columns), reversed(conditions)
+                key_columns = [
+                    held[column] if column is not None else _repeat(None, n)
+                    for column in dedup_columns
+                ]
+                sharing: Dict[Tuple, List[int]] = {}
+                for i, key in enumerate(
+                    zip(*key_columns) if key_columns else _repeat((), n)
                 ):
-                    order.sort(key=key_column.__getitem__, reverse=descending)
-                kept = [kept[i] for i in order]
-            if query.distinct:
-                seen = set()
-                deduped = []
-                for row in kept:
-                    key = dedup_key(row)
-                    if key not in seen:
-                        seen.add(key)
-                        deduped.append(row)
-                stats["distinct_keys"] = len(seen)
-                kept = deduped
-        stats["tracked_rows"] = len(kept)
+                    sharing.setdefault(key, []).append(i)
+                stats["distinct_keys"] = max(stats["distinct_keys"], len(sharing))
+                chosen = sorted(
+                    _first_in_order(held, rows, 1, conditions, memos)[0]
+                    for rows in sharing.values()
+                )
+            chosen = sorted(_first_in_order(held, chosen, keep, conditions, memos))
+            return [[column[i] for i in chosen] for column in held]
+
+        held: List[List] = []
+        for cols in batches:
+            stats["batches"] += 1
+            stats["input_rows"] += len(cols[0])
+            if held:
+                for column, more in zip(held, cols):
+                    column.extend(more)
+            else:
+                held = [list(column) for column in cols]
+            if len(held[0]) > keep:
+                held = cut(held)
+            stats["tracked_rows"] = max(stats["tracked_rows"], len(held[0]))
+        if query.distinct and held:
+            held = cut(held)
+        kept = list(zip(*held))
+        if conditions and kept:
+            # Stable multi-key sort, same discipline as _order: sort by
+            # the last condition first; equal keys keep input order.  An
+            # index sort keyed by ``list.__getitem__`` keeps every
+            # comparison in C.
+            order = list(range(len(kept)))
+            for (column, descending, term_of), memo in zip(
+                reversed(conditions), reversed(memos)
+            ):
+                keys = _sort_key_column(held[column], memo, term_of)
+                order.sort(key=keys.__getitem__, reverse=descending)
+            kept = [kept[i] for i in order]
+        stats["sort_keys"] = sum(map(len, memos))
         return kept[offset:], stats
 
     def _aggregate_fold_specs(self, query: SelectQuery, plan, col_of):
@@ -2685,7 +2710,9 @@ class QueryEngine:
     ) -> Tuple[Iterator[List], Dict[Variable, int]]:
         """``(column-batch iterator, col_of)`` for a simple-shape BGP.
 
-        A single pattern streams batches straight off the index.
+        A single pattern streams batches straight off the index, the
+        columns nothing above reads left unmaterialised (``col_of`` still
+        names every pattern variable: boundness does not change).
         Several patterns (or a fully-ground existence gate, which is no
         column source) run the eager join -- it chooses INLJ or hash
         per step from the exact intermediate cardinality, which a
@@ -2708,7 +2735,8 @@ class QueryEngine:
             ep = compiled[0]
             limit_hint = self._batch_limit_hint(query, ep, simple_filters, plan)
             col_of = {variable: i for i, variable in enumerate(ep.variables)}
-            return self._scan_batches(ep, limit_hint), col_of
+            wanted = self._wanted_variables(query, simple_filters, plan)
+            return self._scan_batches(ep, wanted, limit_hint), col_of
         joined, col_of = self._bgp_id_rows(patterns, [{}])
         return self._row_batches(iter(joined)), col_of
 
@@ -2751,20 +2779,61 @@ class QueryEngine:
             hint = max(hint, 1)
         return hint
 
+    @staticmethod
+    def _wanted_variables(query: SelectQuery, simple_filters, plan) -> Optional[Set[Variable]]:
+        """The variables whose *values* something above a simple-shape
+        scan reads, or None for every one of them.
+
+        Filters, projections, sort keys, group keys and folds read values
+        (ORDER BY over aggregate output reads output columns, which are
+        group keys and folds).  A non-DISTINCT ``COUNT(?v)`` does not:
+        every pattern variable is bound in every row of this shape, so
+        the fold only takes its column's length.  ``SELECT *`` and
+        ``COUNT(DISTINCT *)`` read the whole row.
+        """
+        if query.select_all:
+            return None
+        wanted = {variable for _test, variable in simple_filters}
+        if plan is None:
+            wanted.update(p.expression.variable for p in query.projections)
+            wanted.update(condition.variable for condition in query.order_by)
+            return wanted
+        group_vars, items = plan
+        wanted.update(group_vars)
+        aggregates = [a for a, _op, _constant in query.having_aggregate_conjuncts() or ()]
+        for kind, payload, _name in items:
+            if kind == "var":
+                wanted.add(payload)
+            else:
+                aggregates.append(payload)
+        for aggregate in aggregates:
+            if aggregate.expression is None:
+                if aggregate.distinct:
+                    return None
+            elif aggregate.distinct or aggregate.function != "COUNT":
+                wanted.add(aggregate.expression.variable)
+        return wanted
+
     def _scan_batches(
-        self, ep: _EncodedPattern, limit_hint: Optional[int] = None
+        self,
+        ep: _EncodedPattern,
+        wanted: Optional[Set[Variable]],
+        limit_hint: Optional[int],
     ) -> Iterator[List]:
         """Stream *ep*'s matches as per-variable ID column batches.
 
         On a sharded graph a subject-unbound scan consumes the merged
         column batches straight off the per-shard sorted runs (zero-copy
         on one shard: the batches are slices of the shard's cached run);
-        everything else chunks the routed row iterator and transposes.
+        everything else is :meth:`Graph.scan_columns`, which leaves the
+        column of a variable outside *wanted* (None = all wanted) as
+        ``None`` cells and does not walk the index for it.
         """
         s, p, o = (v if type(v) is int else None for v in ep.spec)
         positions = [ep.var_positions[v] for v in ep.variables]
         simple = all(len(position) == 1 for position in positions)
         batch_size = self.BATCH_SIZE
+        want = (True, True, True)
         if self._sharded is not None and s is None:
             from .parallel_exec import parallel_scan_batches
 
@@ -2778,19 +2847,18 @@ class QueryEngine:
                 obs=self.obs,
                 limit_hint=limit_hint if simple else None,
             )
-            for tcols in triple_cols:
-                cols = _project_triple_columns(tcols, positions, simple)
-                if cols is not None:
-                    yield cols
-            return
-        triples = iter(self.graph.triples_ids(s, p, o))
-        if limit_hint is not None and simple:
-            triples = _islice(triples, limit_hint)
-        while True:
-            block = list(_islice(triples, batch_size))
-            if not block:
-                return
-            cols = _project_triple_columns(tuple(zip(*block)), positions, simple)
+        else:
+            if wanted is not None and simple:
+                want = tuple(v in wanted for v in ep.spec)
+            triple_cols = self.graph.scan_columns(
+                s, p, o, want, batch_size, limit_hint if simple else None
+            )
+        width = sum(want)
+        cells = 0
+        for tcols in triple_cols:
+            cells += len(tcols[0]) * width
+            self.exec_stats["scan_cells"] = cells
+            cols = _project_triple_columns(tcols, positions, simple)
             if cols is not None:
                 yield cols
 

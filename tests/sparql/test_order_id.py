@@ -240,3 +240,131 @@ def test_ordered_aggregate_matches_the_scan_oracle(
             assert ("distinct_keys" in stats) == distinct, query
         else:
             assert stats["decoded_rows"] == groups - stats.get("having_pruned", 0), query
+
+
+# -- the lazy tail: sort keys only for the rows a cut has to compare ---------
+#
+# Under LIMIT (and under DISTINCT) the tail cuts what it holds after every
+# batch: the first condition's keys settle every row but those tying with
+# the ``offset + k``-th best key, only those get the next condition's keys,
+# and the last tie-break is the input sequence.  Every row below runs on
+# both engines at three batch sizes against the scan oracle's sort-then-
+# slice, through every page of TAIL_PAGES, with and without DISTINCT.
+# The data is nine subjects with one first key shared by all of them
+# (``same``), one with two values split 2 / 7 (``two``) and one with three
+# values in no order (``b``), so a cut lands inside a tie group whatever
+# the page, and at batch sizes 1 and 3 every tie group spans a batch edge.
+
+TAIL_DATA = """
+@prefix ex: <http://example.org/> .
+
+ex:r1 ex:same 7 ; ex:two 1 ; ex:b 3 .
+ex:r2 ex:same 7 ; ex:two 2 ; ex:b 1 .
+ex:r3 ex:same 7 ; ex:two 2 ; ex:b 2 .
+ex:r4 ex:same 7 ; ex:two 2 ; ex:b 2 .
+ex:r5 ex:same 7 ; ex:two 1 ; ex:b 1 .
+ex:r6 ex:same 7 ; ex:two 2 ; ex:b 3 .
+ex:r7 ex:same 7 ; ex:two 2 ; ex:b 2 .
+ex:r8 ex:same 7 ; ex:two 2 ; ex:b 1 .
+ex:r9 ex:same 7 ; ex:two 2 ; ex:b 2 .
+"""
+
+#: (id, projection, WHERE, ORDER BY)
+TAIL_ORDERS = [
+    # every row ties on the only key: the page is the first rows scanned
+    ("all-tie", "?s", "?s ex:same ?k", "?k"),
+    ("all-tie-desc", "?s ?k", "?s ex:same ?k", "DESC(?k)"),
+    # every row ties on the first key: the second one decides all of it
+    ("all-tie-then-key", "?s", "?s ex:same ?k", "?k DESC(?s)"),
+    # two first keys, 2 + 7 rows: the bound falls inside the larger group
+    ("two-keys", "?s ?t", "?s ex:two ?t", "?t"),
+    ("two-keys-desc", "?s", "?s ex:two ?t", "DESC(?t)"),
+    ("two-keys-then-key", "?s ?t", "?s ex:two ?t", "DESC(?t) DESC(?s)"),
+    # three conditions, mixed directions, ties left after the second
+    ("three-mixed", "?s ?p ?o", "?s ?p ?o", "?p DESC(?o) ?s"),
+    ("three-mixed-flipped", "?s ?p ?o", "?s ?p ?o", "DESC(?p) ?o DESC(?s)"),
+    ("two-of-three", "?s ?o", "?s ?p ?o", "DESC(?o) ?p"),
+    # a sort variable no pattern binds ties on every row, wherever it is
+    ("unbound-first", "?s ?v", "?s ex:b ?v", "?nope DESC(?v)"),
+    ("unbound-last", "?s ?v", "?s ex:b ?v", "?v ?nope"),
+    ("unbound-only", "?s", "?s ex:b ?v", "DESC(?nope)"),
+    # SELECT *: the header needs a witness row even when the page is empty
+    ("select-star", "*", "?s ex:b ?v", "DESC(?v)"),
+    # DISTINCT keys narrower than the sort key: a key's earliest row in
+    # sort order stands for it
+    ("narrow-dedup", "?p", "?s ?p ?o", "DESC(?o) ?s"),
+    ("narrow-dedup-ties", "?o", "?s ?p ?o", "?p"),
+    ("dedup-key-unsorted", "?v", "?s ex:b ?v", "?s"),
+]
+
+#: (page, offset, limit)
+TAIL_PAGES = [
+    ("", 0, None),
+    ("LIMIT 0", 0, 0),
+    ("LIMIT 1", 0, 1),
+    ("LIMIT 4", 0, 4),
+    ("LIMIT 5 OFFSET 2", 2, 5),
+    ("LIMIT 3 OFFSET 50", 50, 3),  # past the end
+    ("LIMIT 100", 0, 100),  # more than the rows
+]
+
+
+@pytest.fixture(scope="module")
+def tail_graph():
+    return parse_turtle(TAIL_DATA)
+
+
+def _header_and_rows(result):
+    return list(result.variables), _ordered(result)
+
+
+@pytest.mark.parametrize("batch_size", (1, 3, 1024))
+@pytest.mark.parametrize("strategy", ("hash", "stream"))
+@pytest.mark.parametrize(
+    "projection,where,order", [row[1:] for row in TAIL_ORDERS],
+    ids=[row[0] for row in TAIL_ORDERS],
+)
+def test_lazy_tail_matches_sort_then_slice(
+    tail_graph, monkeypatch, projection, where, order, strategy, batch_size
+):
+    monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
+    engine = QueryEngine(tail_graph, strategy=strategy)
+    oracle = QueryEngine(tail_graph, strategy="scan")
+    for (page, offset, limit), distinct in itertools.product(TAIL_PAGES, (False, True)):
+        query = (
+            PREFIX
+            + f"SELECT {'DISTINCT ' if distinct else ''}{projection} "
+            + f"WHERE {{ {where} }} ORDER BY {order} {page}"
+        )
+        expected = _oracle_rows.get((id(tail_graph), query))
+        if expected is None:
+            expected = _oracle_rows[id(tail_graph), query] = _header_and_rows(
+                oracle.run(query)
+            )
+        result = engine.run(query)
+        assert _header_and_rows(result) == expected, query
+        stats = engine.exec_stats
+        assert stats["operator"] == "topk-id", query
+        assert stats["decoded_rows"] == len(result.rows), query
+        assert ("distinct_keys" in stats) == distinct, query
+        if limit is not None:
+            # what the tail holds between batches is the page, DISTINCT or not
+            assert stats["tracked_rows"] <= offset + limit, query
+
+
+def test_lazy_tail_builds_keys_for_the_rows_it_has_to_compare(tail_graph):
+    """``sort_keys`` counts the distinct cells keyed.  Nine rows, two
+    first keys; the second condition is keyed only for the rows tying at
+    the page's bound (and, to order the page, for the rows on it): the
+    two ``two = 1`` rows ascending, the seven ``two = 2`` rows
+    descending, all nine when there is nothing to cut."""
+    engine = QueryEngine(tail_graph)
+    template = PREFIX + "SELECT ?s WHERE {{ ?s ex:two ?t }} ORDER BY {order} LIMIT {k}"
+    for order, k, second_keys in (
+        ("?t ?s", 1, 2),
+        ("?t ?s", 2, 2),  # both rows fit: no cut, keyed to order the page
+        ("DESC(?t) ?s", 1, 7),
+        ("?t ?s", 100, 9),
+    ):
+        engine.run(template.format(order=order, k=k))
+        assert engine.exec_stats["sort_keys"] == 2 + second_keys, (order, k)

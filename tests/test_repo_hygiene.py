@@ -217,6 +217,56 @@ class TestWrittenOnce:
         ]
         assert definitions == ["resilience.py"]
 
+    def test_one_heap_in_the_evaluator(self):
+        """The ID-space modifier tail cuts with ``heapq.nlargest`` /
+        ``nsmallest`` over key columns; the only hand-fed heap left in
+        ``sparql/evaluator.py`` is ``_topk_fold`` (rule 3's term-space
+        top-k), so a second one cannot grow back into the tail."""
+        (nodes,) = [
+            nodes for path, nodes in self._modules("sparql") if path == "evaluator.py"
+        ]
+        feeders = ("heappush", "heapreplace", "heappushpop", "heappop", "heapify")
+        inside = {
+            id(node)
+            for function in nodes
+            if isinstance(function, ast.FunctionDef) and function.name == "_topk_fold"
+            for node in ast.walk(function)
+        }
+        uses = [
+            node for node in nodes
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and (getattr(node, "id", None) in feeders or getattr(node, "attr", None) in feeders)
+        ]
+        assert uses, "_topk_fold no longer feeds a heap; this rule is stale"
+        outside = [f"evaluator.py:{node.lineno}" for node in uses if id(node) not in inside]
+        assert not outside, outside
+
+
+class TestIndexStaysBehindRdf:
+    def test_no_index_attribute_outside_the_rdf_package(self):
+        """``Graph._spo`` / ``_pos`` / ``_osp`` are the store's
+        representation: every other package reads rows through
+        ``triples_ids`` / ``scan_columns`` / ``count_ids`` (or the
+        documented ``*_ids()`` views), so the store can change what is
+        behind them."""
+        source = os.path.join(ROOT, "src", "repro")
+        leaks = []
+        for directory, _, files in os.walk(source):
+            if os.path.relpath(directory, source).split(os.sep)[0] == "rdf":
+                continue
+            for filename in files:
+                if not filename.endswith(".py"):
+                    continue
+                path = os.path.join(directory, filename)
+                with open(path) as handle:
+                    tree = ast.parse(handle.read())
+                leaks += [
+                    f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in ("_spo", "_pos", "_osp")
+                ]
+        assert not leaks, leaks
+
 
 class TestDurableStoreDerivedState:
     """A shard has two derived states, the sorted run it caches and the
