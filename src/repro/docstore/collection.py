@@ -112,6 +112,10 @@ class Collection:
 
     def _insert(self, document: Dict[str, Any]) -> ObjectId:
         validate_document(document)
+        return self._store(document)
+
+    def _store(self, document: Dict[str, Any]) -> ObjectId:
+        """Store a copy of *document*, which the caller has validated."""
         stored = deep_copy_document(document)
         oid = stored.get("_id", _MISSING)
         if oid is _MISSING or oid is None:
@@ -247,7 +251,7 @@ class Collection:
             self._bump()
             return UpdateResult(1, 1)
         if upsert:
-            upserted = self._insert(replacement)
+            upserted = self._store(replacement)  # validated above
             return UpdateResult(0, 0, upserted_id=upserted)
         return UpdateResult(0, 0)
 

@@ -70,8 +70,38 @@ def validate_document(document: Dict[str, Any], _path: str = "") -> None:
     """Ensure *document* only holds JSON-compatible values (plus ObjectId).
 
     Raises :class:`DocumentError` naming the offending path, which is what
-    you want when a deeply nested summary fails to persist.
+    you want when a deeply nested summary fails to persist.  A valid
+    document -- nearly every one -- is walked once with no path built; only
+    a document that failed that walk is walked again to name the place.
     """
+    if not _is_valid_document(document):
+        _raise_naming_the_path(document, _path)
+
+
+def _is_valid_document(document: Any) -> bool:
+    if not isinstance(document, dict):
+        return False
+    for key, value in document.items():
+        if not isinstance(key, str) or key.startswith("$"):
+            return False
+        if not _is_valid_value(value):
+            return False
+    return True
+
+
+def _is_valid_value(value: Any) -> bool:
+    if isinstance(value, _ATOMS):
+        return True
+    if isinstance(value, dict):
+        return _is_valid_document(value)
+    if isinstance(value, (list, tuple)):
+        return all(map(_is_valid_value, value))
+    return False
+
+
+def _raise_naming_the_path(document: Any, _path: str) -> None:
+    """The walk of :func:`_is_valid_document`, carrying the path it needs
+    to say where the first fault is."""
     if not isinstance(document, dict):
         raise DocumentError(f"document{_path or ''} must be a dict, got {type(document).__name__}")
     for key, value in document.items():
@@ -80,18 +110,18 @@ def validate_document(document: Dict[str, Any], _path: str = "") -> None:
         if key.startswith("$"):
             raise DocumentError(f"key {key!r} at {_path or '<root>'} may not start with '$'")
         path = f"{_path}.{key}" if _path else key
-        _validate_value(value, path)
+        _raise_for_value(value, path)
 
 
-def _validate_value(value: Any, path: str) -> None:
+def _raise_for_value(value: Any, path: str) -> None:
     if isinstance(value, _ATOMS):
         return
     if isinstance(value, dict):
-        validate_document(value, path)
+        _raise_naming_the_path(value, path)
         return
     if isinstance(value, (list, tuple)):
         for index, item in enumerate(value):
-            _validate_value(item, f"{path}[{index}]")
+            _raise_for_value(item, f"{path}[{index}]")
         return
     raise DocumentError(f"unsupported value {type(value).__name__} at {path}")
 

@@ -36,8 +36,9 @@ import hashlib
 import os
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .._leaf import IdIndex, leaf_add
 from ..dictionary import TermDict
-from ..graph import Graph, IdIndex
+from ..graph import Graph
 from ..sharding import Shard, ShardedTripleStore, sorted_columns
 from ..terms import _unchecked_triple
 from .crash import CrashInjector, boundary
@@ -307,13 +308,9 @@ def _save_termdict(
     or with *moved* None one full segment that replaces the chain.
     """
     if moved is not None:
-        # the two kinds of row no triple diff names: an ID that changed
-        # hands under an unchanged ID row, and one interned for a write
-        # that then failed, which no triple references
+        # the one kind of row no triple diff names: an ID that changed
+        # hands under an unchanged ID row
         moved.update(term_dict.recycled)
-        moved.update(
-            term_id for term_id, count in term_dict._refcount.items() if not count
-        )
     term_dict.epoch = epoch
     name = termdict_file(epoch)
     path = os.path.join(root, name)
@@ -338,8 +335,9 @@ class Journal:
     """The WAL session binding a live graph to its store directory.
 
     While attached (``graph._wal is self``) every content-changing
-    mutation logs a record *before* applying -- see the hooks in
-    ``Graph.add/remove/clear/add_many_terms`` and their sharded overrides.
+    mutation logs a record *before* it interns a term or touches an index
+    -- see the hooks in ``Graph.add/remove/clear`` and both
+    ``add_many_terms`` -- so an append that raises changes nothing.
     """
 
     __slots__ = ("graph", "root", "injector", "wal", "obs")
@@ -519,24 +517,20 @@ def _check_rows(columns: Tuple, expected: int) -> Tuple:
 
 def _fill_indexes(spo, pos, osp, columns) -> None:
     # Snapshot rows are sorted by (s, p, o), so the SPO index fills in
-    # runs: reuse the (s) and (s, p) containers across consecutive rows
-    # instead of paying two dict probes per row.  POS/OSP rows arrive in
-    # scattered order and keep the setdefault probes.
+    # runs: reuse the (s) container across consecutive rows instead of
+    # paying a dict probe per row.  POS/OSP rows arrive in scattered order
+    # and keep the setdefault probes.
     s_col, p_col, o_col = columns
-    prev_s = prev_p = None
-    by_p = objects = None
+    prev_s = by_p = None
     pos_setdefault = pos.setdefault
     osp_setdefault = osp.setdefault
     for s, p, o in zip(s_col, p_col, o_col):
         if s != prev_s:
             by_p = spo[s] = {}
-            prev_s, prev_p = s, None
-        if p != prev_p:
-            objects = by_p[p] = set()
-            prev_p = p
-        objects.add(o)
-        pos_setdefault(p, {}).setdefault(o, set()).add(s)
-        osp_setdefault(o, {}).setdefault(s, set()).add(p)
+            prev_s = s
+        leaf_add(by_p, p, o)
+        leaf_add(pos_setdefault(p, {}), o, s)
+        leaf_add(osp_setdefault(o, {}), s, p)
 
 
 def _apply_wal_ops(graph: Graph, ops: List[List]) -> int:

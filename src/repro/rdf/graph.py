@@ -2,8 +2,9 @@
 
 This is the storage substrate under every simulated SPARQL endpoint.  Every
 term is interned to an integer ID through a :class:`~repro.rdf.dictionary.TermDict`
-and the three permutation indexes (SPO, POS, OSP) are dict-of-dict-of-set
-structures over those integers, so that any triple pattern with at least one
+and the three permutation indexes (SPO, POS, OSP) are dict -> dict -> leaf
+structures over those integers (a leaf is a 1-tuple or a set, written only
+through :mod:`repro.rdf._leaf`), so that any triple pattern with at least one
 bound position is answered without a full scan and every hash operation on
 the hot path is an integer hash -- the same design as classical hexastores
 reduced to the three orderings a single-variable-join workload needs, plus
@@ -29,6 +30,7 @@ from __future__ import annotations
 from itertools import chain, islice, repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
+from ._leaf import IdIndex, copy_index, discard_ids, insert_ids, leaf_add
 from .dictionary import TermDict
 from .namespaces import RDF, RDFS
 from .terms import BNode, IRI, Literal, Term, Triple, _unchecked_triple
@@ -37,8 +39,6 @@ __all__ = ["Graph"]
 
 _SubjectLike = Union[IRI, BNode]
 TriplePattern = Tuple[Optional[Term], Optional[IRI], Optional[Term]]
-
-IdIndex = Dict[int, Dict[int, Set[int]]]
 
 
 class Graph:
@@ -168,29 +168,31 @@ class Graph:
 
     def add(self, triple: Triple) -> bool:
         """Insert *triple*; return True if it was not already present."""
+        if triple in self:
+            return False
+        # Log before the dictionary or an index learns anything: a failed
+        # append leaves the store exactly as it was.
+        if self._wal is not None:
+            self._wal.log_add(triple.subject, triple.predicate, triple.object)
         d = self._dict
         s = d.encode(triple.subject)
         p = d.encode(triple.predicate)
         o = d.encode(triple.object)
-        by_predicate = self._spo.get(s)
-        if by_predicate is None:
-            by_predicate = self._spo[s] = {}
-        objects = by_predicate.get(p)
-        if objects is None:
-            objects = by_predicate[p] = set()
-        if o in objects:
-            return False
-        if self._wal is not None:
-            self._wal.log_add(triple.subject, triple.predicate, triple.object)
         self._generation += 1
-        objects.add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
+        self._insert_ids(s, p, o)
         d.incref(s)
         d.incref(p)
         d.incref(o)
         self._size += 1
         return True
+
+    def _insert_ids(self, s: int, p: int, o: int) -> None:
+        """Index an ID triple known to be absent (sharded stores route)."""
+        insert_ids(self._spo, self._pos, self._osp, s, p, o)
+
+    def _discard_ids(self, s: int, p: int, o: int) -> None:
+        """Unindex an ID triple known to be present (sharded stores route)."""
+        discard_ids(self._spo, self._pos, self._osp, s, p, o)
 
     def add_triple(self, subject: _SubjectLike, predicate: IRI, obj: Term) -> bool:
         """Convenience: build and insert a :class:`Triple`."""
@@ -220,48 +222,46 @@ class Graph:
         spo, pos, osp = self._spo, self._pos, self._osp
         wal = self._wal
         added = 0
-        for s_term, p_term, o_term in spo_terms:
-            s = lookup(s_term)
-            if s is None:
-                s = encode(s_term)
-            p = lookup(p_term)
-            if p is None:
-                p = encode(p_term)
-            o = lookup(o_term)
-            if o is None:
-                o = encode(o_term)
-            by_predicate = spo.get(s)
-            if by_predicate is None:
-                by_predicate = spo[s] = {}
-            objects = by_predicate.get(p)
-            if objects is None:
-                objects = by_predicate[p] = set()
-            if o in objects:
-                continue
-            if wal is not None:
-                wal.log_add(s_term, p_term, o_term)
-            objects.add(o)
-            by_object = pos.get(p)
-            if by_object is None:
-                by_object = pos[p] = {}
-            subjects = by_object.get(o)
-            if subjects is None:
-                subjects = by_object[o] = set()
-            subjects.add(s)
-            by_subject = osp.get(o)
-            if by_subject is None:
-                by_subject = osp[o] = {}
-            predicates = by_subject.get(s)
-            if predicates is None:
-                predicates = by_subject[s] = set()
-            predicates.add(p)
-            refcount[s] += 1
-            refcount[p] += 1
-            refcount[o] += 1
-            added += 1
-        self._size += added
-        if added:
-            self._generation += 1
+        try:
+            for s_term, p_term, o_term in spo_terms:
+                # An unknown term looks up as None, which is no key of any
+                # index and no member of any leaf.
+                s = lookup(s_term)
+                p = lookup(p_term)
+                o = lookup(o_term)
+                by_predicate = spo.get(s)
+                objects = None if by_predicate is None else by_predicate.get(p)
+                if objects is not None and o in objects:
+                    continue
+                # Logged before the dictionary or an index learns anything:
+                # a failed append leaves the store as the last triple left it.
+                if wal is not None:
+                    wal.log_add(s_term, p_term, o_term)
+                if s is None:
+                    s = encode(s_term)
+                if p is None:
+                    p = encode(p_term)
+                if o is None:
+                    o = encode(o_term)
+                if by_predicate is None:
+                    by_predicate = spo[s] = {}
+                leaf_add(by_predicate, p, o)
+                by_object = pos.get(p)
+                if by_object is None:
+                    by_object = pos[p] = {}
+                leaf_add(by_object, o, s)
+                by_subject = osp.get(o)
+                if by_subject is None:
+                    by_subject = osp[o] = {}
+                leaf_add(by_subject, s, p)
+                refcount[s] += 1
+                refcount[p] += 1
+                refcount[o] += 1
+                added += 1
+        finally:
+            self._size += added
+            if added:
+                self._generation += 1
         return added
 
     def update(self, triples: Iterable[Triple]) -> int:
@@ -270,36 +270,16 @@ class Graph:
 
     def remove(self, triple: Triple) -> bool:
         """Remove *triple*; return True if it was present."""
+        if triple not in self:
+            return False
+        if self._wal is not None:
+            self._wal.log_remove(triple.subject, triple.predicate, triple.object)
         d = self._dict
         s = d.lookup(triple.subject)
         p = d.lookup(triple.predicate)
         o = d.lookup(triple.object)
-        if s is None or p is None or o is None:
-            return False
-        by_predicate = self._spo.get(s)
-        objects = by_predicate.get(p) if by_predicate else None
-        if not objects or o not in objects:
-            return False
-        if self._wal is not None:
-            self._wal.log_remove(triple.subject, triple.predicate, triple.object)
         self._generation += 1
-        objects.discard(o)
-        if not objects:
-            del by_predicate[p]
-            if not by_predicate:
-                del self._spo[s]
-        by_object = self._pos[p]
-        by_object[o].discard(s)
-        if not by_object[o]:
-            del by_object[o]
-            if not by_object:
-                del self._pos[p]
-        by_subject = self._osp[o]
-        by_subject[s].discard(p)
-        if not by_subject[s]:
-            del by_subject[s]
-            if not by_subject:
-                del self._osp[o]
+        self._discard_ids(s, p, o)
         d.decref(s)
         d.decref(p)
         d.decref(o)
@@ -420,8 +400,8 @@ class Graph:
         shorter.  A position whose ``want`` flag is false comes back as
         ``[None] * n``, and the index is read only as deep as the last
         wanted position: a level below it contributes its *sizes* (a
-        subject's triple count is the sum of its object sets' lengths, so
-        ``?s ?p ?o`` wanting only ``?s`` never iterates an object set), a
+        subject's triple count is the sum of its object leaves' lengths, so
+        ``?s ?p ?o`` wanting only ``?s`` never iterates an object leaf), a
         level above it is repeated over the runs it heads.  With all three
         wanted the rows are transposed off ``triples_ids`` -- per-run
         repeats lose to that on short runs.  This is the scan primitive of
@@ -702,9 +682,9 @@ class Graph:
         """A structural clone sharing no mutable state with the original."""
         out = Graph(identifier=self.identifier)
         out._dict = self._dict.copy()
-        out._spo = {s: {p: set(o) for p, o in by_p.items()} for s, by_p in self._spo.items()}
-        out._pos = {p: {o: set(s) for o, s in by_o.items()} for p, by_o in self._pos.items()}
-        out._osp = {o: {s: set(p) for s, p in by_s.items()} for o, by_s in self._osp.items()}
+        out._spo = copy_index(self._spo)
+        out._pos = copy_index(self._pos)
+        out._osp = copy_index(self._osp)
         out._size = self._size
         return out
 

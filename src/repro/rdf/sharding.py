@@ -60,7 +60,8 @@ import heapq
 from array import array
 from typing import Iterable, Iterator, Optional, Set, Tuple
 
-from .graph import Graph, IdIndex
+from ._leaf import IdIndex, copy_index, discard_ids, insert_ids, leaf_add
+from .graph import Graph
 from .namespaces import RDF, RDFS
 from .terms import IRI, Term, Triple
 
@@ -124,33 +125,14 @@ class Shard:
 
     def insert(self, s: int, p: int, o: int) -> None:
         """Insert an ID triple the owning store already deduplicated."""
-        self.spo.setdefault(s, {}).setdefault(p, set()).add(o)
-        self.pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self.osp.setdefault(o, {}).setdefault(s, set()).add(p)
+        insert_ids(self.spo, self.pos, self.osp, s, p, o)
         self.size += 1
         self._columns = self._snapshot = None
 
     def discard(self, s: int, p: int, o: int) -> None:
         """Remove an ID triple the owning store verified was present."""
         self._columns = self._snapshot = None
-        by_predicate = self.spo[s]
-        by_predicate[p].discard(o)
-        if not by_predicate[p]:
-            del by_predicate[p]
-            if not by_predicate:
-                del self.spo[s]
-        by_object = self.pos[p]
-        by_object[o].discard(s)
-        if not by_object[o]:
-            del by_object[o]
-            if not by_object:
-                del self.pos[p]
-        by_subject = self.osp[o]
-        by_subject[s].discard(p)
-        if not by_subject[s]:
-            del by_subject[s]
-            if not by_subject:
-                del self.osp[o]
+        discard_ids(self.spo, self.pos, self.osp, s, p, o)
         self.size -= 1
 
     def triples_ids(
@@ -221,9 +203,9 @@ class Shard:
 
     def copy(self) -> "Shard":
         out = Shard()
-        out.spo = {s: {p: set(o) for p, o in by_p.items()} for s, by_p in self.spo.items()}
-        out.pos = {p: {o: set(s) for o, s in by_o.items()} for p, by_o in self.pos.items()}
-        out.osp = {o: {s: set(p) for s, p in by_s.items()} for o, by_s in self.osp.items()}
+        out.spo = copy_index(self.spo)
+        out.pos = copy_index(self.pos)
+        out.osp = copy_index(self.osp)
         out.size = self.size
         # the cached run is immutable-by-contract, so sharing it is safe:
         # either shard's next mutation replaces its own reference.  The
@@ -334,26 +316,11 @@ class ShardedTripleStore(Graph):
 
     # -- mutation (single-copy: the owning shard is the only index) -----------
 
-    def add(self, triple: Triple) -> bool:
-        d = self._dict
-        s = d.encode(triple.subject)
-        p = d.encode(triple.predicate)
-        o = d.encode(triple.object)
-        shard = self._shards[s % len(self._shards)]
-        by_predicate = shard.spo.get(s)
-        if by_predicate is not None:
-            objects = by_predicate.get(p)
-            if objects is not None and o in objects:
-                return False
-        if self._wal is not None:
-            self._wal.log_add(triple.subject, triple.predicate, triple.object)
-        self._generation += 1
-        shard.insert(s, p, o)
-        d.incref(s)
-        d.incref(p)
-        d.incref(o)
-        self._size += 1
-        return True
+    def _insert_ids(self, s: int, p: int, o: int) -> None:
+        self._shards[s % len(self._shards)].insert(s, p, o)
+
+    def _discard_ids(self, s: int, p: int, o: int) -> None:
+        self._shards[s % len(self._shards)].discard(s, p, o)
 
     def add_many_terms(self, spo_terms: Iterable[Tuple[Term, IRI, Term]]) -> int:
         """Bulk load writing each triple to its one owning shard only.
@@ -362,17 +329,16 @@ class ShardedTripleStore(Graph):
         iterates SPO, generators emit a subject's star contiguously with
         its predicates grouped), so the shard route, the subject's SPO
         bucket and its refcount resolve once per subject *run*, and the
-        ``(s, p)``/POS buckets once per predicate run -- not once per
-        triple.  A non-contiguous repeat just re-resolves; correctness
-        never depends on the input order.
+        POS bucket once per predicate run -- not once per triple.  A
+        non-contiguous repeat just re-resolves; correctness never depends
+        on the input order.
         """
         d = self._dict
         encode = d.encode
         # Inline the intern-hit path: bulk loads re-see almost every term
         # (a dataset has far fewer distinct terms than term occurrences),
         # so the common case is one dict probe, not a method call.
-        term_to_id = d._term_to_id
-        lookup = term_to_id.get
+        lookup = d._term_to_id.get
         refcount = d._refcount
         shards = self._shards
         n_shards = len(shards)
@@ -381,108 +347,86 @@ class ShardedTripleStore(Graph):
         last_s: Optional[int] = None
         last_p: Optional[int] = None
         shard: Optional[Shard] = None
-        pos = osp = None
-        by_predicate = objects = by_object = None
+        spo = pos = osp = by_predicate = by_object = None
         # Per-run accumulators flushed on run change: the subject's and
         # predicate's refcounts and the owning shard's size move once per
         # run instead of once per triple.
         subject_run_refs = predicate_run_refs = shard_run_size = 0
-        for s_term, p_term, o_term in spo_terms:
-            s = lookup(s_term)
-            if s is None:
-                s = encode(s_term)
-            p = lookup(p_term)
-            if p is None:
-                p = encode(p_term)
-            o = lookup(o_term)
-            if o is None:
-                o = encode(o_term)
-            if s != last_s:
-                if predicate_run_refs:
-                    refcount[last_p] += predicate_run_refs
-                    predicate_run_refs = 0
-                if subject_run_refs:
-                    refcount[last_s] += subject_run_refs
-                    subject_run_refs = 0
-                if shard_run_size:
-                    shard.size += shard_run_size
-                    shard_run_size = 0
-                last_s = s
-                last_p = None
-                shard = shards[s % n_shards]
-                pos, osp = shard.pos, shard.osp
-                spo = shard.spo
-                by_predicate = spo.get(s)
+        try:
+            for s_term, p_term, o_term in spo_terms:
+                # An unknown term looks up as None, which is no key of any
+                # index and no member of any leaf.
+                s = lookup(s_term)
+                p = lookup(p_term)
+                o = lookup(o_term)
+                if s != last_s or s is None:
+                    if predicate_run_refs:
+                        refcount[last_p] += predicate_run_refs
+                        predicate_run_refs = 0
+                    if subject_run_refs:
+                        refcount[last_s] += subject_run_refs
+                        subject_run_refs = 0
+                    if shard_run_size:
+                        shard.size += shard_run_size
+                        shard_run_size = 0
+                    last_s = s
+                    last_p = by_predicate = None
+                    if s is not None:
+                        shard = shards[s % n_shards]
+                        spo, pos, osp = shard.spo, shard.pos, shard.osp
+                        by_predicate = spo.get(s)
+                objects = None if by_predicate is None else by_predicate.get(p)
+                if objects is not None and o in objects:
+                    continue
+                # Logged before the dictionary or a shard learns anything: a
+                # failed append leaves the store as the last triple left it.
+                if wal is not None:
+                    wal.log_add(s_term, p_term, o_term)
+                if s is None:
+                    s = last_s = encode(s_term)
+                    shard = shards[s % n_shards]
+                    spo, pos, osp = shard.spo, shard.pos, shard.osp
+                if p is None:
+                    p = encode(p_term)
+                if o is None:
+                    o = encode(o_term)
+                if not shard_run_size:
+                    # bulk writes bypass Shard.insert, so the shard's derived
+                    # state drops here: at the first triple of the subject run
+                    # that is actually new, never for a run of duplicates
+                    shard._columns = shard._snapshot = None
+                if p != last_p:
+                    if predicate_run_refs:
+                        refcount[last_p] += predicate_run_refs
+                        predicate_run_refs = 0
+                    last_p = p
+                    by_object = pos.get(p)
+                    if by_object is None:
+                        by_object = pos[p] = {}
                 if by_predicate is None:
                     by_predicate = spo[s] = {}
-            if p != last_p:
-                if predicate_run_refs:
-                    refcount[last_p] += predicate_run_refs
-                    predicate_run_refs = 0
-                last_p = p
-                objects = by_predicate.get(p)
-                if objects is None:
-                    objects = by_predicate[p] = set()
-                by_object = pos.get(p)
-                if by_object is None:
-                    by_object = pos[p] = {}
-            if o in objects:
-                continue
-            if wal is not None:
-                wal.log_add(s_term, p_term, o_term)
-            if not shard_run_size:
-                # bulk writes bypass Shard.insert, so the shard's derived
-                # state drops here: at the first triple of the subject run
-                # that is actually new, never for a run of duplicates
-                shard._columns = shard._snapshot = None
-            objects.add(o)
-            subjects = by_object.get(o)
-            if subjects is None:
-                subjects = by_object[o] = set()
-            subjects.add(s)
-            by_subject = osp.get(o)
-            if by_subject is None:
-                by_subject = osp[o] = {}
-            predicates = by_subject.get(s)
-            if predicates is None:
-                predicates = by_subject[s] = set()
-            predicates.add(p)
-            subject_run_refs += 1
-            predicate_run_refs += 1
-            shard_run_size += 1
-            refcount[o] += 1
-            added += 1
-        if predicate_run_refs:
-            refcount[last_p] += predicate_run_refs
-        if subject_run_refs:
-            refcount[last_s] += subject_run_refs
-        if shard_run_size:
-            shard.size += shard_run_size
-        self._size += added
-        if added:
-            self._generation += 1
+                leaf_add(by_predicate, p, o)
+                leaf_add(by_object, o, s)
+                by_subject = osp.get(o)
+                if by_subject is None:
+                    by_subject = osp[o] = {}
+                leaf_add(by_subject, s, p)
+                subject_run_refs += 1
+                predicate_run_refs += 1
+                shard_run_size += 1
+                refcount[o] += 1
+                added += 1
+        finally:
+            if predicate_run_refs:
+                refcount[last_p] += predicate_run_refs
+            if subject_run_refs:
+                refcount[last_s] += subject_run_refs
+            if shard_run_size:
+                shard.size += shard_run_size
+            self._size += added
+            if added:
+                self._generation += 1
         return added
-
-    def remove(self, triple: Triple) -> bool:
-        d = self._dict
-        s = d.lookup(triple.subject)
-        p = d.lookup(triple.predicate)
-        o = d.lookup(triple.object)
-        if s is None or p is None or o is None:
-            return False
-        shard = self._shards[s % len(self._shards)]
-        objects = shard.spo.get(s, {}).get(p)
-        if not objects or o not in objects:
-            return False
-        if self._wal is not None:
-            self._wal.log_remove(triple.subject, triple.predicate, triple.object)
-        self._generation += 1
-        shard.discard(s, p, o)
-        d.decref(s)
-        d.decref(p)
-        d.decref(o)
-        self._size -= 1
-        return True
 
     def clear(self) -> None:
         super().clear()
@@ -648,7 +592,7 @@ class ShardedTripleStore(Graph):
                         # sets it might later extend with another shard's
                         dst[mid] = set(leaves)
                     else:
-                        bucket |= leaves
+                        bucket.update(leaves)
         return merged
 
     # -- routed convenience accessors -----------------------------------------

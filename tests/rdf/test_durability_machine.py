@@ -33,6 +33,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from refusing_segment import RefusingSegment
 from repro.rdf import (
     Graph,
     IRI,
@@ -229,8 +230,11 @@ class DurableStore(RuleBasedStateMachine):
 
     @rule()
     def clear(self):
-        gone = set(self.live)
         self.graph.clear()
+        self._cleared()
+
+    def _cleared(self):
+        gone = set(self.live)
         self._wrote(removed=gone)
         if self.journal is not None and gone:
             self.durable = set()  # logged as a clear, not as its removes
@@ -297,6 +301,50 @@ class DurableStore(RuleBasedStateMachine):
             self.journal.injector = self.journal.wal.injector = None
             self._committed(manifest)
 
+    @precondition(lambda self: self.journal is not None)
+    @rule(batch=batches, allow=st.integers(0, 2),
+          door=st.sampled_from(("add", "add_many", "add_many_terms", "remove", "clear")))
+    def the_append_fails(self, batch, allow, door):
+        """The segment takes *allow* more records, then refuses (a full
+        disk; the process lives).  What was logged is in -- live and
+        durable -- and the write that was refused left nothing behind: the
+        invariants compare ``len``, the triples, and at the next commit the
+        whole dictionary table with a recovery's."""
+        graph, real = self.graph, self.journal.wal
+        if door == "clear":
+            logs = [None] if self.live else []
+        elif door == "remove":
+            logs = list(dict.fromkeys(t for t in batch if t in self.live))
+        else:
+            logs = list(dict.fromkeys(t for t in batch if t not in self.live))
+        owners = self._owners(logs) if door == "remove" else ()
+        terms = ((t.subject, t.predicate, t.object) for t in batch)
+        self.journal.wal = RefusingSegment(real, allow)
+        try:
+            if door == "clear":
+                graph.clear()
+            elif door == "add_many":
+                graph.add_many(batch)
+            elif door == "add_many_terms":
+                graph.add_many_terms(terms)
+            else:
+                for triple in batch:
+                    getattr(graph, door)(triple)
+        except OSError:
+            assert len(logs) > allow
+            logs = logs[:allow]
+        else:
+            assert len(logs) <= allow
+        finally:
+            self.journal.wal = real
+        if door == "clear":
+            if logs or not self.live:  # it went through (an empty clear() logs nothing)
+                self._cleared()
+        elif door == "remove":
+            self._wrote(removed=logs, owners=owners)
+        else:
+            self._wrote(added=logs, owners=self._owners(logs))
+
     # -- carrying on with another object ------------------------------------------
 
     @rule(lazy=st.booleans())
@@ -330,6 +378,9 @@ class DurableStore(RuleBasedStateMachine):
     @invariant()
     def the_live_graph_is_the_live_model(self):
         assert len(self.graph) == len(self.live)
+        # "the dictionary never holds stale entries": not a term of a
+        # removed triple, not one interned for a write that was refused
+        assert set(self.graph.dictionary.terms()) == {term for t in self.live for term in t}
         # looking inside a cold shard would hydrate it, and a checkpoint
         # must be able to find it cold
         if not self.shards or all(shard.hydrated for shard in self.graph.shards):

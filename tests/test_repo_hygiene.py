@@ -268,6 +268,82 @@ class TestIndexStaysBehindRdf:
         assert not leaks, leaks
 
 
+class TestLeafWrittenOnce:
+    """PR 22's rule above fences the index *readers* behind ``rdf/``; this
+    one fences the *writers* inside it: a set (``set(...)``, ``{a, b}``, a
+    set comprehension) or a 1-tuple is stored into a mapping -- ``x[k] =
+    ...``, ``setdefault(k, ...)``, a dict display or comprehension value --
+    only in ``rdf/_leaf.py`` and the function named below.  The accessors
+    that *return* a fresh set (``node_ids``, ``classes``, ``instances_of``)
+    store nothing and are not matched."""
+
+    #: ``module::function`` allowed to store a fresh set outside ``rdf/_leaf.py``
+    EXEMPT = {
+        # builds fresh merged *sets* for a read-only snapshot, never a leaf
+        "sharding.py::_merged_index",
+    }
+
+    @staticmethod
+    def _leaf_builds(tree):
+        """``(function name, line)`` of every statement under *tree* that
+        stores a freshly built set or 1-tuple into a mapping."""
+
+        def builds_a_leaf(node):
+            return (
+                isinstance(node, (ast.Set, ast.SetComp))
+                or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "set")
+                or (isinstance(node, ast.Tuple) and len(node.elts) == 1)
+            )
+
+        def stored(node):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Subscript) for target in node.targets
+            ):
+                return [node.value]
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setdefault":
+                return node.args[1:]
+            if isinstance(node, ast.Dict):
+                return node.values
+            if isinstance(node, ast.DictComp):
+                return [node.value]
+            return []
+
+        return {
+            (function.name, node.lineno)
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+            if any(builds_a_leaf(value) for value in stored(node))
+        }
+
+    def test_a_leaf_is_built_in_the_leaf_module_only(self):
+        rdf = os.path.join(ROOT, "src", "repro", "rdf")
+        found = set()
+        for directory, _, files in os.walk(rdf):
+            for filename in files:
+                if filename.endswith(".py") and filename != "_leaf.py":
+                    path = os.path.join(directory, filename)
+                    with open(path) as handle:
+                        builds = self._leaf_builds(ast.parse(handle.read()))
+                    found |= {f"{os.path.relpath(path, rdf)}::{name}" for name, _ in builds}
+        assert found - self.EXEMPT == set(), sorted(found - self.EXEMPT)
+        assert self.EXEMPT - found == set(), f"stale exemptions: {sorted(self.EXEMPT - found)}"
+
+    def test_the_rule_matches_the_forms_it_retired(self):
+        """The hand-written builders of the set-only store, as text: each
+        line must be matched, or the rule fences nothing."""
+        retired = "\n".join([
+            "def f(spo, by_p, p, o, s):",
+            "    spo.setdefault(s, {}).setdefault(p, set()).add(o)",
+            "    objects = by_p[p] = set()",
+            "    copy = {s: {p: set(o) for p, o in by_p.items()} for s, by_p in spo.items()}",
+            "    by_p[p] = {o}",
+            "    by_p[p] = (o,)",
+            "    return set(spo) | {o}",  # an accessor returning a fresh set: not a store
+        ])
+        assert self._leaf_builds(ast.parse(retired)) == {("f", line) for line in (2, 3, 4, 5, 6)}
+
+
 class TestDurableStoreDerivedState:
     """A shard has two derived states, the sorted run it caches and the
     manifest entry of the snapshot file that holds its content; both are
