@@ -83,18 +83,17 @@ class IndexExtractor:
         times out on every strategy, or is structurally incompatible.
         """
         strategy_used = "aggregate"
-        complete = True
         try:
             if not self.client.is_alive(url):
                 raise ExtractionFailed(url, "endpoint unavailable")
 
             if self.infer_types:
-                class_counts, counts_strategy = self._inferred_class_counts(url)
+                class_counts, counts_strategy, complete = self._inferred_class_counts(url)
                 # a rejected *path* says nothing about aggregates; the
                 # grouped links question below will
                 rejected = False
             else:
-                class_counts, counts_strategy, rejected = self._class_counts(url)
+                class_counts, counts_strategy, rejected, complete = self._class_counts(url)
             if counts_strategy == "scan":
                 strategy_used = "scan"
             if not class_counts:
@@ -140,7 +139,8 @@ class IndexExtractor:
             if self.infer_types:
                 # Superclasses repeat their subclasses' instances; the total
                 # is the count of directly typed subjects instead.
-                total_instances = self._direct_instance_total(url)
+                total_instances, total_complete = self._direct_instance_total(url)
+                complete = complete and total_complete
             else:
                 total_instances = sum(class_counts.values())
             classes = [
@@ -256,9 +256,10 @@ class IndexExtractor:
 
     # -- index 1+2: classes and their instance counts ------------------------------
 
-    def _class_counts(self, url: str) -> Tuple[Dict[str, int], str, bool]:
-        """Class IRI -> instance count, the strategy that worked, and
-        whether the endpoint rejected the aggregate outright."""
+    def _class_counts(self, url: str) -> Tuple[Dict[str, int], str, bool, bool]:
+        """Class IRI -> instance count, the strategy that worked, whether
+        the endpoint rejected the aggregate outright, and whether the
+        counts are complete."""
         query = (
             "SELECT ?class (COUNT(?s) AS ?n) WHERE { ?s a ?class } GROUP BY ?class"
         )
@@ -273,34 +274,40 @@ class IndexExtractor:
                     if class_term is None or count_term is None:
                         continue
                     counts[str(class_term)] = int(float(count_term.lexical))
-                return counts, "aggregate", False
+                return counts, "aggregate", False, True
         except QueryRejected:
             rejected = True
         except EndpointTimeout:
             pass
-        return self._class_counts_by_scan(url), "scan", rejected
+        counts, complete = self._class_counts_by_scan(url)
+        return counts, "scan", rejected, complete
 
-    def _class_counts_by_scan(self, url: str) -> Dict[str, int]:
-        """Scan strategy: page DISTINCT classes, then count each via paging."""
+    def _class_counts_by_scan(self, url: str) -> Tuple[Dict[str, int], bool]:
+        """Scan strategy: page DISTINCT classes, then count each via
+        paging; and whether every page was read."""
         classes: List[str] = []
-        for page in self._paged(url, "SELECT DISTINCT ?class WHERE { ?s a ?class }"):
+        pages = self._paged(url, "SELECT DISTINCT ?class WHERE { ?s a ?class }")
+        for page in pages:
             for row in page:
                 term = row.get("class")
                 if term is not None:
                     classes.append(str(term))
+        complete = not pages.cut
         counts: Dict[str, int] = {}
         for class_iri in classes:
-            counts[class_iri] = self._count_by_scan(
+            counts[class_iri], counted = self._count_by_scan(
                 url, f"SELECT ?s WHERE {{ ?s a <{class_iri}> }}"
             )
-        return counts
+            complete = complete and counted
+        return counts, complete
 
     # -- inferred-schema variant (LODeX lineage) ---------------------------------
 
     _RDFS_SUBCLASS = "http://www.w3.org/2000/01/rdf-schema#subClassOf"
 
-    def _inferred_class_counts(self, url: str) -> Tuple[Dict[str, int], str]:
-        """Class IRI -> instance count including rdfs:subClassOf inference."""
+    def _inferred_class_counts(self, url: str) -> Tuple[Dict[str, int], str, bool]:
+        """Class IRI -> instance count including rdfs:subClassOf inference,
+        the strategy that worked and whether the counts are complete."""
         query = (
             "PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#> "
             "SELECT ?class (COUNT(?s) AS ?n) "
@@ -316,20 +323,23 @@ class IndexExtractor:
                     if class_term is None or count_term is None:
                         continue
                     counts[str(class_term)] = int(float(count_term.lexical))
-                return counts, "aggregate"
+                return counts, "aggregate", True
         except (QueryRejected, EndpointTimeout):
             pass
-        return self._inferred_counts_by_closure(url), "scan"
+        counts, complete = self._inferred_counts_by_closure(url)
+        return counts, "scan", complete
 
-    def _inferred_counts_by_closure(self, url: str) -> Dict[str, int]:
+    def _inferred_counts_by_closure(self, url: str) -> Tuple[Dict[str, int], bool]:
         """Client-side inference: closure over fetched subclass axioms, then
-        one DISTINCT-subjects UNION query per class (exact, path-free)."""
-        direct, _, _ = self._class_counts(url)
+        one DISTINCT-subjects UNION query per class (exact, path-free);
+        and whether every page was read."""
+        direct, _, _, complete = self._class_counts(url)
         axioms: Dict[str, List[str]] = {}
-        for page in self._paged(
+        pages = self._paged(
             url,
             f"SELECT ?sub ?super WHERE {{ ?sub <{self._RDFS_SUBCLASS}> ?super }}",
-        ):
+        )
+        for page in pages:
             for row in page:
                 sub, super_ = row.get("sub"), row.get("super")
                 if sub is not None and super_ is not None:
@@ -353,25 +363,28 @@ class IndexExtractor:
             for ancestor in ancestors(class_iri) | {class_iri}:
                 descendants.setdefault(ancestor, set()).add(class_iri)
 
+        complete = complete and not pages.cut
         counts: Dict[str, int] = {}
         for class_iri, members in sorted(descendants.items()):
             if members == {class_iri}:
                 counts[class_iri] = direct.get(class_iri, 0)
                 continue
             union = " UNION ".join(f"{{ ?s a <{m}> }}" for m in sorted(members))
-            counts[class_iri] = self._count_by_scan(
+            counts[class_iri], counted = self._count_by_scan(
                 url, f"SELECT DISTINCT ?s WHERE {{ {union} }}"
             )
-        return counts
+            complete = complete and counted
+        return counts, complete
 
-    def _direct_instance_total(self, url: str) -> int:
-        """Distinct typed subjects (the non-inflated dataset size)."""
+    def _direct_instance_total(self, url: str) -> Tuple[int, bool]:
+        """Distinct typed subjects (the non-inflated dataset size), and
+        whether the count is complete."""
         try:
             result = self.client.select(
                 url, "SELECT (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s a ?c }"
             )
             if not result.truncated:
-                return result.scalar_int()
+                return result.scalar_int(), True
         except (QueryRejected, EndpointTimeout):
             pass
         return self._count_by_scan(url, "SELECT DISTINCT ?s WHERE { ?s a ?c }")
@@ -385,26 +398,25 @@ class IndexExtractor:
         aggregate, so every profile answers it, and paging absorbs the
         result caps.  Returns ``{class_iri: sorted properties}`` (a class
         without literals is absent), or None when the endpoint rejects or
-        times out on the whole-dataset query or the answer outruns
-        ``max_pages``; the caller then asks per class.
+        times out on the whole-dataset query or the pagination safety
+        valve closed on it; the caller then asks per class.
         """
         query = (
             "SELECT DISTINCT ?c ?p WHERE { ?s a ?c . ?s ?p ?o . "
             "FILTER ( isLiteral(?o) ) }"
         )
         properties: Dict[str, Set[str]] = {}
-        pages = 0
+        pages = self._paged(url, query)
         try:
-            for page in self._paged(url, query):
-                pages += 1
+            for page in pages:
                 for row in page:
                     class_term, prop = row.get("c"), row.get("p")
                     if class_term is not None and prop is not None:
                         properties.setdefault(str(class_term), set()).add(str(prop))
         except (QueryRejected, EndpointTimeout):
             return None
-        if pages == self.max_pages:
-            return None  # the safety valve closed: the answer may be cut short
+        if pages.cut:
+            return None
         return {iri: sorted(props) for iri, props in properties.items()}
 
     def _datatype_properties(self, url: str, class_iri: str) -> Tuple[List[str], bool]:
@@ -413,13 +425,14 @@ class IndexExtractor:
             f"FILTER ( isLiteral(?o) ) }}"
         )
         properties: List[str] = []
-        complete = True
+        pages = self._paged(url, query)
         try:
-            for page in self._paged(url, query):
+            for page in pages:
                 for row in page:
                     term = row.get("p")
                     if term is not None:
                         properties.append(str(term))
+            complete = not pages.cut
         except EndpointTimeout:
             complete = False
         return sorted(set(properties)), complete
@@ -497,9 +510,9 @@ class IndexExtractor:
             f"?s a <{class_iri}> . ?s ?p ?o . ?o a ?target }}"
         )
         accumulator: Dict[Tuple[str, str], int] = {}
-        complete = True
+        pages = self._paged(url, query)
         try:
-            for page in self._paged(url, query):
+            for page in pages:
                 for row in page:
                     prop, target = row.get("p"), row.get("target")
                     if prop is None or target is None:
@@ -508,6 +521,7 @@ class IndexExtractor:
                         continue
                     key = (str(prop), str(target))
                     accumulator[key] = accumulator.get(key, 0) + 1
+            complete = not pages.cut
         except EndpointTimeout:
             complete = False
         links = [
@@ -518,21 +532,48 @@ class IndexExtractor:
 
     # -- pagination plumbing -------------------------------------------------------
 
-    def _paged(self, url: str, base_query: str):
-        """Yield result pages of *base_query* with LIMIT/OFFSET pagination."""
+    def _paged(self, url: str, base_query: str) -> "_Pages":
+        """The result pages of *base_query* under LIMIT/OFFSET pagination,
+        at most ``max_pages`` of them; ``.cut`` says whether that valve
+        closed."""
+        return _Pages(self, url, base_query)
+
+    def _count_by_scan(self, url: str, base_query: str) -> Tuple[int, bool]:
+        """How many rows *base_query* has, and whether all were counted."""
+        pages = self._paged(url, base_query)
+        total = sum(len(page.rows) for page in pages)
+        return total, not pages.cut
+
+
+class _Pages:
+    """The result pages of one LIMIT/OFFSET-paginated query, fetched as
+    they are iterated (iterate once).
+
+    ``cut`` is the pagination safety valve reporting: True once the
+    iteration stopped at ``max_pages`` pages with the last one full (or
+    capped), so rows may remain.  A full last page at the limit cannot be
+    told apart from a cut, so it counts as one.
+    """
+
+    __slots__ = ("_extractor", "_url", "_base_query", "cut")
+
+    def __init__(self, extractor: IndexExtractor, url: str, base_query: str):
+        self._extractor = extractor
+        self._url = url
+        self._base_query = base_query
+        self.cut = False
+
+    def __iter__(self):
+        extractor = self._extractor
+        page_size = extractor.page_size
         offset = 0
-        for _page in range(self.max_pages):
-            query = f"{base_query} LIMIT {self.page_size} OFFSET {offset}"
-            result = self.client.select(url, query)
+        for _page in range(extractor.max_pages):
+            query = f"{self._base_query} LIMIT {page_size} OFFSET {offset}"
+            result = extractor.client.select(self._url, query)
             if not result.rows:
                 return
             yield result
-            if len(result.rows) < self.page_size and not result.truncated:
+            if len(result.rows) < page_size and not result.truncated:
                 return
             offset += len(result.rows)
-
-    def _count_by_scan(self, url: str, base_query: str) -> int:
-        total = 0
-        for page in self._paged(url, base_query):
-            total += len(page.rows)
-        return total
+        self.cut = True

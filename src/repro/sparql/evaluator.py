@@ -42,8 +42,8 @@ The *simple shape* -- plain triple patterns plus one-variable term-test
 FILTERs, with bare-variable projections, sort keys and aggregates --
 has one executor (:meth:`QueryEngine._run_select_simple`): a source of
 ID *column* batches (``BATCH_SIZE`` rows each, volcano control flow
-between batches) feeds a columnar FILTER (selection vectors) and one of
-three sinks -- projection/DISTINCT/slice, top-k/sort, or GROUP BY fold
+between batches), its FILTERs already applied, feeds one of three
+sinks -- projection/DISTINCT/slice, top-k/sort, or GROUP BY fold
 (:meth:`_AggFold.fold_batch`).  Rows stay dictionary IDs (and raw fold
 values) through ORDER BY / DISTINCT / OFFSET / LIMIT
 (:meth:`QueryEngine._id_modifiers`, which cuts what it holds to the
@@ -55,7 +55,10 @@ option: a single pattern streams batches straight off the index
 operator above reads -- :meth:`QueryEngine._wanted_variables`; zero-copy
 on the sorted shard runs), several patterns run the eager join and
 transpose its rows, and the ``stream`` engine chunks its lazy join
-chain.
+chain.  The eager join (:meth:`QueryEngine._bgp_id_rows`) plans its
+order once and takes the FILTERs and the wanted variables down: a
+candidate is tested where its variable is bound, gated by the next
+pattern's probe table, and built without the columns nothing later reads.
 
 Compiled plans (encoded patterns + cardinality estimates) live in a
 :class:`_SharedPlanCache` attached to the *graph* (one per graph, shared
@@ -70,10 +73,11 @@ from __future__ import annotations
 import heapq
 from collections import Counter, OrderedDict
 from itertools import chain as _chain
+from itertools import compress
 from itertools import islice as _islice
 from itertools import repeat as _repeat
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..obs.trace import NULL_TRACER
 from ..rdf.graph import Graph
@@ -106,6 +110,7 @@ from .nodes import (
     VariableExpression,
     contains_aggregate,
 )
+from .join_plan import JoinStep, Memo, count_up_to, join_order, picker, plan_join, settled
 from .parser import parse_query
 from .results import AskResult, Row, SelectResult
 
@@ -135,10 +140,10 @@ _UNBOUND = object()
 #: interpreter.  Keys are upper-cased builtin names; each maps a ground term
 #: to the boolean the builtin (plus EBV) would produce.
 _TERM_TESTS = {
-    "ISLITERAL": lambda term: isinstance(term, Literal),
-    "ISIRI": lambda term: isinstance(term, IRI),
-    "ISURI": lambda term: isinstance(term, IRI),
-    "ISBLANK": lambda term: isinstance(term, BNode),
+    "ISLITERAL": Literal.__instancecheck__,
+    "ISIRI": IRI.__instancecheck__,
+    "ISURI": IRI.__instancecheck__,
+    "ISBLANK": BNode.__instancecheck__,
     "BOUND": lambda term: True,
 }
 
@@ -544,7 +549,9 @@ class _EncodedPattern:
       term-level fallback.
     """
 
-    __slots__ = ("index", "path", "spec", "variables", "var_positions", "impossible", "est")
+    __slots__ = (
+        "index", "path", "spec", "variables", "names", "var_positions", "impossible", "est",
+    )
 
     def __init__(self, index: int, pattern: TriplePattern, graph: Graph):
         from .paths import is_path
@@ -577,6 +584,9 @@ class _EncodedPattern:
                 else:
                     spec.append(term_id)
         self.spec = tuple(spec)
+        #: the variables' names: what planning tests membership on (a
+        #: ``str`` hashes and compares in C, a ``Variable`` in Python)
+        self.names = frozenset(variable.name for variable in self.variables)
         self.est = self._estimate(graph)
 
     def _estimate(self, graph: Graph) -> float:
@@ -743,6 +753,8 @@ EXEC_STAT_KEYS = frozenset(
                             # materialised (``Graph.scan_columns``)
         "sort_keys",        # ORDER BY keys the ID-space tail built (one
                             # per distinct cell it had to compare)
+        "join_rows",        # rows the eager join's steps built, summed
+                            # over steps (and over the BGPs of the query)
         "having_pruned",    # groups dropped by HAVING pushdown
         "decoded_rows",     # rows decoded at the result boundary;
                             # ``aggregate-id``: the page that survived
@@ -1008,13 +1020,27 @@ class QueryEngine:
         return out
 
     def _bgp_id_rows(
-        self, patterns: List[TriplePattern], solutions: List[Solution]
+        self,
+        patterns: List[TriplePattern],
+        solutions: List[Solution],
+        filters: Sequence[Tuple[Variable, object]] = (),
+        wanted: Optional[Set[Variable]] = None,
     ) -> Optional[Tuple[List[Tuple], Dict[Variable, int]]]:
-        """The BGP join pipeline in ID space.
+        """The BGP join pipeline in ID space -- the one eager join.
 
         Returns ``(rows, column_of)`` where each row is a tuple of
         dictionary IDs (or raw non-interned terms carried through from the
         input solutions), or ``None`` when a pattern can match nothing.
+
+        *filters* are one-variable term tests as ``(variable, check)``, a
+        per-ID verdict; the rows returned pass them.  *wanted* names the
+        variables something above the join reads (None: all of them); the
+        rest leave ``column_of`` once no later pattern needs them.  The
+        order, the checks and the layouts are planned before any row is
+        built (:func:`~repro.sparql.join_plan.plan_join`).  Every candidate
+        a step drops is one a FILTER or a later inner join would have
+        dropped, and no join kind changes (see below), so the survivors
+        leave in the order the unfiltered join would give them.
         """
         graph = self.graph
         encoded = self._compile_patterns(patterns)
@@ -1043,73 +1069,132 @@ class QueryEngine:
                 row[col_of[variable]] = term_id if term_id is not None else term
             rows.append(tuple(row))
 
-        remaining = list(encoded)
-        while remaining and rows:
-            chosen = min(
-                remaining,
-                key=lambda ep: (ep.est / (16.0 ** sum(1 for v in ep.variables if v in col_of)), ep.index),
+        homogeneous = all(len(solution) == width for solution in solutions)
+        steps, deferred = plan_join(
+            encoded, columns, filters, wanted, homogeneous, self._gate_table
+        )
+        built = 0
+        # A step that picks hash join or INLJ from its input's row count
+        # (``decides``) must see the count the unfiltered join would give
+        # it, or it could pick the other kind and emit its rows in another
+        # order.  plan_join lets only the step right before such a step
+        # drop candidates, so that count is the candidates the step before
+        # met -- counted by the step, or, when it dropped them before
+        # counting, by a callable run only when the threshold needs it and
+        # only until it is crossed.
+        candidates = len(rows)
+        for step in steps:
+            if not rows:
+                break
+            count = candidates
+            if callable(count):
+                count = len(rows)
+                if step.decides and step.ep.est > 4.0 * count:
+                    count = candidates(step.ep.est / 4.0)
+            rows, candidates = self._join_step(step, rows, count, homogeneous)
+            built += len(rows)
+        if steps:
+            col_of = {variable: i for i, variable in enumerate(steps[-1].out)}
+        for variable, check in deferred:
+            column = col_of.get(variable)
+            rows = (
+                []
+                if column is None
+                else list(compress(rows, map(check, map(itemgetter(column), rows))))
             )
-            remaining.remove(chosen)
-            rows, columns, col_of = self._join_pattern(chosen, rows, columns, col_of)
+        stats = self.exec_stats
+        stats["join_rows"] = stats.get("join_rows", 0) + built
         return rows, col_of
 
-    def _join_pattern(
-        self,
-        ep: _EncodedPattern,
-        rows: List[Tuple],
-        columns: List[Variable],
-        col_of: Dict[Variable, int],
-    ) -> Tuple[List[Tuple], List[Variable], Dict[Variable, int]]:
-        """Join one pattern into the current solution rows."""
-        shared = [v for v in ep.variables if v in col_of]
-        new_vars = [v for v in ep.variables if v not in col_of]
-        new_columns = columns + new_vars
-        new_col_of = dict(col_of)
-        for variable in new_vars:
-            new_col_of[variable] = len(col_of) + new_vars.index(variable)
+    def _join_step(
+        self, step: JoinStep, rows: List[Tuple], count: int, homogeneous: bool
+    ) -> Tuple[List[Tuple], Union[int, Callable[[float], int]]]:
+        """``(rows out, candidates)``: one planned step over *rows*.
 
-        if not shared:
+        *count* is the input row count the unfiltered join would see, the
+        one the hash-or-INLJ choice reads; *homogeneous* says every row
+        binds every column (the join's input did, so its steps' rows do).
+        ``candidates`` is the matches met, dropped ones included -- or, from
+        a loop that drops before it builds, a callable that counts them up
+        to the number it is given.
+        """
+        ep, col_of, width = step.ep, step.col_of, len(step.col_of)
+        if not step.shared:
             # Cartesian extension; scan once.  new_vars == ep.variables here.
             scan = list(self._scan_pattern(ep))
-            if not scan:
-                return [], new_columns, new_col_of
-            return [row + srow for row in rows for srow in scan], new_columns, new_col_of
+            full = [row + srow for row in rows for srow in scan]
+            return settled(full, step.checks, width, step.pick), len(full)
 
-        if ep.path is not None or ep.est > 4.0 * len(rows):
-            out = self._index_join(ep, rows, col_of, new_col_of, len(new_vars))
-            return out, new_columns, new_col_of
+        if ep.path is not None or ep.est > 4.0 * count:
+            if self._plain_joinable(ep, () if homogeneous else rows, col_of):
+                out = self._index_join_plain(ep, rows, col_of, step)
+                if step.checks:
+                    return out, lambda enough: self._match_count(ep, rows, col_of, enough)
+                return out, len(out)
+            full = self._index_join_general(
+                ep, rows, col_of, step.full_col_of(), len(step.new_vars)
+            )
+            return settled(full, step.checks, width, step.pick), len(full)
 
         # Hash join: scan once, key the scan rows on the shared variables,
         # probe with every intermediate row.
-        table = self._build_probe_table(ep, shared, new_vars)
-        out: List[Tuple] = []
-        fallback: List[Tuple] = []
-        get = table.get
-        if len(shared) == 1:
-            shared_col = col_of[shared[0]]
-            for row in rows:
-                key = row[shared_col]
-                if key is _UNBOUND:
-                    fallback.append(row)
-                    continue
-                bucket = get(key)
-                if bucket:
-                    for extra in bucket:
-                        out.append(row + extra)
+        table = step.table
+        if table is None:
+            table = self._build_probe_table(ep, step.shared, step.new_vars)
+        if len(step.shared) == 1:
+            key_of = itemgetter(col_of[step.shared[0]])
         else:
-            shared_cols = [col_of[v] for v in shared]
-            for row in rows:
-                key = tuple(row[c] for c in shared_cols)
-                if _UNBOUND in key:
-                    fallback.append(row)  # heterogeneous row; handle per-row below
-                    continue
-                bucket = get(key)
-                if bucket:
-                    for extra in bucket:
-                        out.append(row + extra)
+            key_of = picker([col_of[v] for v in step.shared])
+        get = table.get
+        settle = bool(step.checks) or step.pick_new is not None
+        if settle:
+            # what a bucket contributes is a function of its key: settle
+            # each key's bucket once
+            get = Memo(
+                lambda key: settled(table.get(key, ()), step.checks, 0, step.pick_new)
+            ).__getitem__
+        keep = step.keep
+        out: List[Tuple] = []
+        append = out.append
+        fallback: List[Tuple] = []
+        for key, row in zip(map(key_of, rows), rows):
+            if key is _UNBOUND or (type(key) is tuple and _UNBOUND in key):
+                fallback.append(row)  # heterogeneous row; handled per row below
+                continue
+            bucket = get(key)
+            if bucket:
+                base = row if keep is None else keep(row)
+                for extra in bucket:
+                    append(base + extra)
         if fallback:
-            out.extend(self._index_join(ep, fallback, col_of, new_col_of, len(new_vars)))
-        return out, new_columns, new_col_of
+            full = self._index_join_general(
+                ep, fallback, col_of, step.full_col_of(), len(step.new_vars)
+            )
+            out.extend(settled(full, step.checks, width, step.pick))
+        if step.checks:
+            return out, lambda enough: count_up_to(
+                (len(table.get(key, ())) for key in map(key_of, rows)), enough
+            )
+        return out, len(out)
+
+    def _match_count(
+        self, ep: _EncodedPattern, rows: List[Tuple], col_of: Dict[Variable, int], enough
+    ) -> int:
+        """The matches a plain INLJ of *ep* meets over *rows*, counted off
+        the index without building one, until there are *enough*."""
+        count = self.graph.count_ids
+        resolve = [
+            (col_of.get(spec), None) if isinstance(spec, Variable)
+            else (None, spec if type(spec) is int else None)
+            for spec in ep.spec
+        ]
+        return count_up_to(
+            (
+                count(*[row[c] if c is not None else constant for c, constant in resolve])
+                for row in rows
+            ),
+            enough,
+        )
 
     def _build_probe_table(
         self,
@@ -1144,7 +1229,7 @@ class QueryEngine:
         cached = False
         if ep.path is not None:
             table = self._probe_table(ep, key_positions, new_positions)
-        elif self._sharded is not None and ground[0] is None:
+        elif not self._probe_is_cached(ep):
             from .parallel_exec import parallel_probe_table
 
             table = parallel_probe_table(
@@ -1173,6 +1258,17 @@ class QueryEngine:
                 cached=cached,
             )
         return table
+
+    def _probe_is_cached(self, ep: _EncodedPattern) -> bool:
+        """Does *ep*'s probe table come from the shared probe cache (no
+        path, and no shard-spanning build, which books simulated shard
+        time)?"""
+        return ep.path is None and (self._sharded is None or type(ep.spec[0]) is int)
+
+    def _gate_table(self, ep: _EncodedPattern, shared, new_vars) -> Optional[Dict]:
+        """The probe table a hash join of *ep* reads, when it is the shared
+        cached one (a gate may come from nowhere else), else None."""
+        return self._build_probe_table(ep, shared, new_vars) if self._probe_is_cached(ep) else None
 
     def _probe_table(
         self,
@@ -1332,24 +1428,37 @@ class QueryEngine:
         extra_width: int,
     ) -> List[Tuple]:
         """Per-row index lookups (the INLJ side of the pipeline)."""
-        if ep.path is None and all(
-            len(positions) == 1 for positions in ep.var_positions.values()
-        ):
-            bound_columns = [col_of[v] for v in ep.variables if v in col_of]
-            homogeneous = not any(
-                row[column] is _UNBOUND for column in bound_columns for row in rows
-            )
-            if homogeneous:
-                return self._index_join_plain(ep, rows, col_of)
+        if self._plain_joinable(ep, rows, col_of):
+            return self._index_join_plain(ep, rows, col_of)
         return self._index_join_general(ep, rows, col_of, new_col_of, extra_width)
 
+    @staticmethod
+    def _plain_joinable(ep: _EncodedPattern, rows: List[Tuple], col_of) -> bool:
+        """Can :meth:`_index_join_plain` join *ep* into *rows*?"""
+        if ep.path is not None or any(
+            len(positions) > 1 for positions in ep.var_positions.values()
+        ):
+            return False
+        bound_columns = [col_of[v] for v in ep.variables if v in col_of]
+        return not any(
+            row[column] is _UNBOUND for column in bound_columns for row in rows
+        )
+
     def _index_join_plain(
-        self, ep: _EncodedPattern, rows: List[Tuple], col_of: Dict[Variable, int]
+        self,
+        ep: _EncodedPattern,
+        rows: List[Tuple],
+        col_of: Dict[Variable, int],
+        step: Optional[JoinStep] = None,
     ) -> List[Tuple]:
         """INLJ fast path: no repeated variables, every row binds the shared
         columns.  Bound positions are per-row constants, so matches append
         straight onto the row -- no merge bookkeeping -- and the index dicts
         are walked directly.
+
+        With a planned *step* a candidate is handled before its row is
+        built: a checked variable is tested (a C-level call) as its index
+        level yields it, and the row keeps only the step's live columns.
 
         On a sharded graph the probes route: a subject-bound row walks the
         owning shard's local indexes (same O(1) dict hops, no fan-out), and
@@ -1375,11 +1484,30 @@ class QueryEngine:
         (s_kind, s_val), (p_kind, p_val), (o_kind, o_val) = resolved
         # New variables appear in ascending position order (no repeats), so
         # the extractor table below covers every combination.
-        extra_positions = tuple(
-            ep.var_positions[v][0] for v in ep.variables if v not in col_of
+        new_positions = [ep.var_positions[v][0] for v in ep.variables if v not in col_of]
+        keep = None
+        checks = [None, None, None]  # per position: None, or ``id -> passes``
+        if step is not None:
+            keep = step.keep
+            if step.live is not None:
+                new_positions = [new_positions[i] for i in step.live]
+            for index, check in step.checks.items():
+                checks[ep.var_positions[step.new_vars[index]][0]] = check
+        ok_s, ok_p, ok_o = checks
+        # the checks on a whole (s, p, o) triple, for the routed streams
+        admit = (
+            None
+            if checks == [None, None, None]
+            else lambda triple: all(
+                check is None or check(value) for check, value in zip(checks, triple)
+            )
         )
-        make = _ROW_EXTRACTORS[extra_positions]
+        make = _ROW_EXTRACTORS[tuple(new_positions)]
 
+        # A checked position is tested per candidate where it is the
+        # innermost loop (a C-level call, no row built for a failure) and
+        # narrows the keys of an outer loop; each loop keeps an unchecked
+        # twin, so a step without checks runs the loop it always ran.
         out: List[Tuple] = []
         append = out.append
         for row in rows:
@@ -1392,6 +1520,7 @@ class QueryEngine:
                 or (o is not None and type(o) is not int)
             ):
                 continue  # a raw non-interned term matches no triple
+            base = row if keep is None else keep(row)
             if store is not None:
                 if s is None:
                     if p is not None and o is not None:
@@ -1406,13 +1535,14 @@ class QueryEngine:
                             for subj in probe_shard.pos.get(p, {}).get(o, ())
                         ]
                         matched.sort()
-                        for subj in matched:
-                            append(row + make(subj, p, o))
+                        for subj in matched if ok_s is None else filter(ok_s, matched):
+                            append(base + make(subj, p, o))
                         continue
                     # Shard-spanning probe: consume the canonical routed
                     # stream (sorted fan-out merge) instead of global dicts.
-                    for triple in store.triples_ids(None, p, o):
-                        append(row + make(*triple))
+                    triples = store.triples_ids(None, p, o)
+                    for triple in triples if admit is None else filter(admit, triples):
+                        append(base + make(*triple))
                     continue
                 shard = store.shard_of(s)
                 spo, osp = shard.spo, shard.osp
@@ -1426,40 +1556,61 @@ class QueryEngine:
                         continue
                     if o is not None:
                         if o in objects:
-                            append(row + make(s, p, o))
-                        continue
-                    for obj in objects:
-                        append(row + make(s, p, obj))
+                            append(base + make(s, p, o))
+                    elif ok_o is None:
+                        for obj in objects:
+                            append(base + make(s, p, obj))
+                    else:
+                        for obj in objects:
+                            if ok_o(obj):
+                                append(base + make(s, p, obj))
                     continue
                 if o is not None:
                     predicates = osp.get(o, {}).get(s)
                     if predicates:
-                        for pred in predicates:
-                            append(row + make(s, pred, o))
+                        for pred in predicates if ok_p is None else filter(ok_p, predicates):
+                            append(base + make(s, pred, o))
                     continue
-                for pred, objects in by_predicate.items():
-                    for obj in objects:
-                        append(row + make(s, pred, obj))
+                pairs = (
+                    by_predicate.items()
+                    if ok_p is None
+                    else [(pred, by_predicate[pred]) for pred in filter(ok_p, by_predicate)]
+                )
+                if ok_o is None:
+                    for pred, objects in pairs:
+                        for obj in objects:
+                            append(base + make(s, pred, obj))
+                else:
+                    for pred, objects in pairs:
+                        for obj in objects:
+                            if ok_o(obj):
+                                append(base + make(s, pred, obj))
                 continue
             if p is not None:
                 by_object = pos.get(p)
                 if not by_object:
                     continue
                 if o is not None:
-                    for subj in by_object.get(o, ()):
-                        append(row + make(subj, p, o))
+                    subjects = by_object.get(o, ())
+                    for subj in subjects if ok_s is None else filter(ok_s, subjects):
+                        append(base + make(subj, p, o))
                     continue
                 for obj, subjects in by_object.items():
-                    for subj in subjects:
-                        append(row + make(subj, p, obj))
+                    if ok_o is not None and not ok_o(obj):
+                        continue
+                    for subj in subjects if ok_s is None else filter(ok_s, subjects):
+                        append(base + make(subj, p, obj))
                 continue
             if o is not None:
                 for subj, predicates in osp.get(o, {}).items():
-                    for pred in predicates:
-                        append(row + make(subj, pred, o))
+                    if ok_s is not None and not ok_s(subj):
+                        continue
+                    for pred in predicates if ok_p is None else filter(ok_p, predicates):
+                        append(base + make(subj, pred, o))
                 continue
-            for triple in graph.triples_ids(None, None, None):
-                append(row + make(*triple))
+            triples = graph.triples_ids(None, None, None)
+            for triple in triples if admit is None else filter(admit, triples):
+                append(base + make(*triple))
         return out
 
     def _index_join_general(
@@ -1684,24 +1835,14 @@ class QueryEngine:
     ) -> Tuple[List[Variable], List[Tuple], List[Tuple[Variable, int]]]:
         """Join order + per-step column layouts for one input header.
 
-        Greedy selectivity order, same scoring as the hash pipeline; the
-        layouts are precomputed here so each solution only pays tuple
-        construction at run time.
+        The hash pipeline's order (:func:`join_order`); the layouts are
+        precomputed here so each solution only pays tuple construction at
+        run time.
         """
         columns = sorted(solution, key=lambda variable: variable.name)
         col_of: Dict[Variable, int] = {v: i for i, v in enumerate(columns)}
         steps: List[Tuple] = []
-        remaining = list(encoded)
-        while remaining:
-            bound = col_of
-            chosen = min(
-                remaining,
-                key=lambda ep: (
-                    ep.est / (16.0 ** sum(1 for v in ep.variables if v in bound)),
-                    ep.index,
-                ),
-            )
-            remaining.remove(chosen)
+        for chosen in join_order(encoded, {variable.name for variable in columns}):
             shared = tuple(v for v in chosen.variables if v in col_of)
             new_vars = tuple(v for v in chosen.variables if v not in col_of)
             new_col_of = dict(col_of)
@@ -2677,8 +2818,8 @@ class QueryEngine:
         self, query: SelectQuery, patterns, simple_filters, plan, order_vars
     ) -> SelectResult:
         """The one executor of the simple shape (see
-        :meth:`_simple_select_shape`): a source of ID column batches, a
-        columnar FILTER, then the select / top-k / aggregate sink.
+        :meth:`_simple_select_shape`): a source of ID column batches, its
+        FILTERs applied, then the select / top-k / aggregate sink.
 
         Rows of this shape are pure ID tuples, so operators pass
         ``BATCH_SIZE``-row column vectors instead of per-row tuples.
@@ -2686,19 +2827,6 @@ class QueryEngine:
         sinks stop pulling early.
         """
         batches, col_of = self._simple_source(query, patterns, simple_filters, plan)
-        filter_specs = []
-        for test, variable in simple_filters:
-            column = col_of.get(variable)
-            if column is None:
-                # Filter over an unbound variable drops every row (the
-                # general pipeline raises-and-rejects per row).
-                batches = iter(())
-                filter_specs = []
-                break
-            filter_specs.append((test, column, {}))
-        if filter_specs:
-            batches = self._filter_batches(batches, filter_specs)
-
         if plan is not None:
             return self._batch_aggregate(query, plan, batches, col_of)
         if order_vars is not None:
@@ -2708,37 +2836,60 @@ class QueryEngine:
     def _simple_source(
         self, query: SelectQuery, patterns, simple_filters, plan
     ) -> Tuple[Iterator[List], Dict[Variable, int]]:
-        """``(column-batch iterator, col_of)`` for a simple-shape BGP.
+        """``(column-batch iterator, col_of)`` for a simple-shape BGP, its
+        FILTERs applied.
 
         A single pattern streams batches straight off the index, the
         columns nothing above reads left unmaterialised (``col_of`` still
-        names every pattern variable: boundness does not change).
-        Several patterns (or a fully-ground existence gate, which is no
-        column source) run the eager join -- it chooses INLJ or hash
-        per step from the exact intermediate cardinality, which a
-        build-then-probe over column batches cannot: probing
-        ``?s a <C> . ?s ?p ?o`` that way builds a whole-graph table per
-        extraction query.  The stream engine chunks its lazy chain
-        instead, so a bounded sink's state stays O(offset + k).
+        names every pattern variable: boundness does not change), and the
+        columnar FILTER runs over them.  Several patterns (or a
+        fully-ground existence gate, which is no column source) run the
+        eager join -- it chooses INLJ or hash per step from the exact
+        intermediate cardinality, which a build-then-probe over column
+        batches cannot: probing ``?s a <C> . ?s ?p ?o`` that way builds a
+        whole-graph table per extraction query -- and hand it the FILTERs
+        and the variables read above it, so a row is tested where its
+        variable is bound and carries only the columns still read.  The
+        stream engine chunks its lazy chain instead, so a bounded sink's
+        state stays O(offset + k).
         """
         compiled = self._compile_patterns(patterns)
         if any(ep.impossible for ep in compiled):
             return iter(()), {}
+        variables = list(dict.fromkeys(v for ep in compiled for v in ep.variables))
+        if any(variable not in variables for _test, variable in simple_filters):
+            # Filter over an unbound variable drops every row (the
+            # general pipeline raises-and-rejects per row).
+            return iter(()), {variable: i for i, variable in enumerate(variables)}
+        filters = [(variable, self._term_verdicts(test)) for test, variable in simple_filters]
         if self.strategy == "stream":
             _columns, steps, out_layout = self._stream_plan(compiled, {})
             rows: Iterator[Tuple] = iter(((),))
             state: Dict = {}
             for step in steps:
                 rows = self._stream_step(step, rows, state)
-            return self._row_batches(rows), dict(out_layout)
-        if len(compiled) == 1 and compiled[0].variables:
+            col_of = dict(out_layout)
+            batches = self._row_batches(rows)
+        elif len(compiled) == 1 and compiled[0].variables:
             ep = compiled[0]
             limit_hint = self._batch_limit_hint(query, ep, simple_filters, plan)
             col_of = {variable: i for i, variable in enumerate(ep.variables)}
             wanted = self._wanted_variables(query, simple_filters, plan)
-            return self._scan_batches(ep, wanted, limit_hint), col_of
-        joined, col_of = self._bgp_id_rows(patterns, [{}])
-        return self._row_batches(iter(joined)), col_of
+            batches = self._scan_batches(ep, wanted, limit_hint)
+        else:
+            wanted = self._wanted_variables(query, (), plan)
+            joined, col_of = self._bgp_id_rows(patterns, [{}], filters, wanted)
+            # A variable nothing above reads is still bound in every row:
+            # it keeps a column -- column 0, whose length is all a plain
+            # COUNT takes (its cells are another variable's).
+            for variable in variables:
+                col_of.setdefault(variable, 0)
+            return self._row_batches(iter(joined)), col_of
+        if filters:
+            batches = self._filter_batches(
+                batches, [(col_of[variable], check) for variable, check in filters]
+            )
+        return batches, col_of
 
     def _row_batches(self, rows: Iterator[Tuple]) -> Iterator[List]:
         """Chunk ID rows into column batches (one transpose per chunk)."""
@@ -2862,37 +3013,32 @@ class QueryEngine:
             if cols is not None:
                 yield cols
 
+    def _term_verdicts(self, test):
+        """``id -> bool`` for one term test, each ID decoded and tested
+        once: the memo both the columnar FILTER and the join's binding
+        step read."""
+        decode = self.graph.dictionary.decode
+        return Memo(lambda value: test(decode(value))).__getitem__
+
     def _filter_batches(self, batches: Iterator[List], filter_specs) -> Iterator[List]:
-        """Columnar FILTER: memoized term-kind tests build a selection
-        vector per batch; the survivors compact into fresh columns.  A
-        batch that loses every row yields nothing."""
-        decode = self.graph.decode_id
-
-        def stage():
-            for cols in batches:
-                n = len(cols[0])
-                selection = None  # None = every row survives so far
-                for test, column, memo in filter_specs:
-                    values = cols[column]
-                    lookup = memo.get
-                    kept = []
-                    keep = kept.append
-                    for i in range(n) if selection is None else selection:
-                        value = values[i]
-                        verdict = lookup(value)
-                        if verdict is None:
-                            verdict = memo[value] = test(decode(value))
-                        if verdict:
-                            keep(i)
-                    selection = kept
-                    if not selection:
-                        break
-                if selection is None or len(selection) == n:
-                    yield cols
-                elif selection:
-                    yield [[column[i] for i in selection] for column in cols]
-
-        return stage()
+        """Columnar FILTER over the scan source: each ``(column, check)``
+        narrows a selection vector at C level (:meth:`_term_verdicts`);
+        the survivors compact into fresh columns.  A batch that loses
+        every row yields nothing."""
+        for cols in batches:
+            n = len(cols[0])
+            selection = range(n)
+            for column, check in filter_specs:
+                values = cols[column]
+                selection = list(
+                    compress(selection, map(check, map(values.__getitem__, selection)))
+                )
+                if not selection:
+                    break
+            if len(selection) == n:
+                yield cols
+            elif selection:
+                yield [[column[i] for i in selection] for column in cols]
 
     def _batch_select(
         self, query: SelectQuery, batches: Iterator[List], col_of: Dict[Variable, int]
@@ -2903,16 +3049,20 @@ class QueryEngine:
         limit`` surviving (post-DISTINCT) rows are buffered.  ``SELECT
         *`` still needs one witness row for its header rule, so the cap
         never stops the pull before the first non-empty batch.
+
+        DISTINCT is columnar: one ``zip`` over the key columns (the
+        projected ones) and ``dict.fromkeys`` per batch, merged into one
+        insertion-ordered dict -- each key's first row wins and only the
+        key tuples are kept; they are the projected rows.
         """
         offset = query.offset or 0
         cap = None if query.limit is None else offset + query.limit
         distinct = query.distinct
         if distinct:
             _names, dedup_columns = self._id_projection_layout(query, col_of, True)
-            seen = set()
         if cap == 0 and not query.select_all:
             batches = iter(())  # the header is known without a witness
-        kept: List[Tuple] = []
+        kept: Union[List[Tuple], Dict[Tuple, None]] = {} if distinct else []
         input_rows = 0
         n_batches = 0
         for cols in batches:
@@ -2920,21 +3070,16 @@ class QueryEngine:
             n = len(cols[0])
             input_rows += n
             if distinct:
-                add = seen.add
-                for row in zip(*cols):
-                    key = tuple(
-                        row[column] if column is not None else None
-                        for column in dedup_columns
-                    )
-                    if key not in seen:
-                        add(key)
-                        kept.append(row)
+                keys = [cols[c] if c is not None else _repeat(None, n) for c in dedup_columns]
+                kept.update(dict.fromkeys(zip(*keys) if keys else _repeat((), n)))
             else:
                 kept.extend(zip(*cols))
             if cap is not None and len(kept) >= cap:
                 break
-        page = kept[offset:] if cap is None else kept[offset:cap]
+        page = list(kept)[offset:cap]
         names, columns = self._id_projection_layout(query, col_of, input_rows > 0)
+        if distinct:
+            columns = list(range(len(columns)))  # a kept key is the projected row
         self.exec_stats.update(
             operator="select-id",
             input_rows=input_rows,
@@ -2942,7 +3087,7 @@ class QueryEngine:
             decoded_rows=len(page),
         )
         if distinct:
-            self.exec_stats["distinct_keys"] = len(seen)
+            self.exec_stats["distinct_keys"] = len(kept)
         if self.obs.detail:
             self._operator_event()
         return SelectResult(names, self._decode_id_rows(page, names, columns))
@@ -2994,10 +3139,10 @@ class QueryEngine:
 
         if (
             not having_specs
-            and len(group_columns) == 1
-            and group_columns[0] is not None
+            and group_columns
+            and None not in group_columns
             and all(
-                (kind == "var" and payload == group_vars[0])
+                (kind == "var" and payload in group_vars)
                 or (
                     kind == "agg"
                     and payload.function == "COUNT"
@@ -3012,8 +3157,8 @@ class QueryEngine:
         ):
             # COUNT over a column that is bound in every row equals the
             # group size (this shape never produces unbound values), so
-            # the whole aggregation is one Counter over the key column.
-            return self._batch_count_groups(query, items, group_columns[0], batches)
+            # the whole aggregation is one Counter over the key columns.
+            return self._batch_count_groups(query, plan, group_columns, batches)
 
         decode = self.graph.decode_id
         groups: Dict = {}
@@ -3094,25 +3239,39 @@ class QueryEngine:
         return self._aggregate_page(query, items, cols, list(range(len(items))), stats)
 
     def _batch_count_groups(
-        self, query: SelectQuery, items, group_column: int, batches: Iterator[List]
+        self, query: SelectQuery, plan, group_columns: List[int], batches: Iterator[List]
     ) -> SelectResult:
-        """The fully-vectorized aggregation: single-key pure-COUNT GROUP
-        BY as one :class:`Counter` update per batch."""
+        """The fully-vectorized aggregation: pure-COUNT GROUP BY as one
+        :class:`Counter` update per batch, over the key column or a
+        C-level ``zip`` of the key columns (first-seen group order, as the
+        dict fold)."""
+        group_vars, items = plan
         counter: Counter = Counter()
         input_rows = 0
         n_batches = 0
+        single = len(group_columns) == 1
         for cols in batches:
             n_batches += 1
             n = len(cols[0])
             input_rows += n
-            counter.update(cols[group_column])
+            counter.update(
+                cols[group_columns[0]] if single else zip(*[cols[c] for c in group_columns])
+            )
         stats = {
             "input_rows": input_rows,
             "tracked_rows": len(counter),
             "batches": n_batches,
         }
-        cols = [list(counter), list(counter.values())]
-        columns = [0 if kind == "var" else 1 for kind, _payload, _name in items]
+        keys = list(counter)
+        if single:
+            cols = [keys]
+        else:
+            cols = [list(column) for column in zip(*keys)] or [[] for _ in group_columns]
+        cols.append(list(counter.values()))
+        columns = [
+            group_vars.index(payload) if kind == "var" else len(group_columns)
+            for kind, payload, _name in items
+        ]
         return self._aggregate_page(query, items, cols, columns, stats)
 
     def _run_select_general(self, query: SelectQuery) -> SelectResult:

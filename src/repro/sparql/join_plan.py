@@ -1,0 +1,225 @@
+"""The eager join's plan, fixed before any row is built.
+
+:meth:`QueryEngine._bgp_id_rows <repro.sparql.evaluator.QueryEngine._bgp_id_rows>`
+is the one eager ID-space join.  Everything about it that does not depend
+on row counts is decided here, once per execution:
+
+* the **order** -- greedy on :func:`join_score`, a function of which
+  variables are bound, so it is the same whether it is planned up front or
+  a step at a time (the ``stream`` engine's chain reads it too);
+* per step (:class:`JoinStep`), the **checks** a candidate -- an input row
+  and one match -- must pass before its row is built: the one-variable
+  term-test FILTERs over a variable the step binds, and the **gate**, the
+  next pattern's probe table keyed on the one variable it shares with the
+  rows, which this step binds: a key missing from that table is a row the
+  next inner join would drop;
+* the **live columns**: a column leaves the rows after the last pattern
+  that reads it, unless something above the join wants it.
+
+**Order fence.**  Dropping a candidate early never reorders the survivors,
+but it could change a *join kind*: a step picks INLJ or a hash join from
+its input's row count, and the two emit a multi-valued match in different
+orders.  So only a step after which no step but the next decides its kind
+from a count may drop candidates, and that next step decides from the
+candidates the dropping step met (:func:`count_up_to`).  A FILTER no step
+may run is *deferred* to the join's output.
+"""
+
+from __future__ import annotations
+
+from itertools import compress
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+__all__ = [
+    "JoinStep", "Memo", "count_up_to", "join_order", "join_score", "picker",
+    "plan_join", "settled",
+]
+
+
+def picker(columns: Sequence[int]):
+    """``row -> tuple(row[c] for c in columns)``, C-level: a slice when
+    the columns are a run (a bare ``itemgetter`` of one column would
+    return the value itself, not a 1-tuple)."""
+    first = columns[0] if columns else 0
+    if list(columns) == list(range(first, first + len(columns))):
+        return itemgetter(slice(first, first + len(columns)))
+    return itemgetter(*columns)
+
+
+class Memo(dict):
+    """``key -> fn(key)``, computed on the first lookup of each key.  Hits
+    are a C-level ``dict`` subscript, so ``memo.__getitem__`` can drive
+    ``filter`` / ``compress`` without a Python call per row."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def join_score(ep, bound: Set[str]) -> Tuple[float, int]:
+    """The greedy join order's key: *ep*'s scan estimate, divided by 16
+    for every variable already bound (*bound* holds names); ties go to the
+    earlier pattern."""
+    return ep.est / (16.0 ** len(ep.names & bound)), ep.index
+
+
+def join_order(encoded: Sequence, bound: Set[str]) -> List:
+    """The order both join pipelines run *encoded* in, given the names of
+    the variables *bound* before the first pattern."""
+    bound = set(bound)
+    remaining = list(encoded)
+    order = []
+    while remaining:
+        chosen = min(remaining, key=lambda ep: join_score(ep, bound))
+        remaining.remove(chosen)
+        order.append(chosen)
+        bound |= chosen.names
+    return order
+
+
+def count_up_to(counts: Iterable[int], enough: float) -> int:
+    """The sum of *counts*, or the first partial sum to reach *enough*."""
+    total = 0
+    for n in counts:
+        total += n
+        if total >= enough:
+            break
+    return total
+
+
+def settled(rows: List[Tuple], checks: Dict[int, object], offset: int, pick) -> List[Tuple]:
+    """*rows* whose column ``offset + i`` passes ``checks[i]`` for every
+    check, in order, through *pick* (None: whole rows) -- C-level passes."""
+    for index, check in checks.items():
+        rows = list(compress(rows, map(check, map(itemgetter(offset + index), rows))))
+    return rows if pick is None else list(map(pick, rows))
+
+
+class JoinStep:
+    """One pattern of the eager join.
+
+    ``col_of`` is the layout of the rows the step receives (live variables
+    only), ``shared`` / ``new_vars`` the pattern variables bound before it
+    / by it.  A candidate leaves as ``keep(row)`` plus the values of
+    ``new_vars[i]`` for ``i`` in ``live`` (None: the whole row / every new
+    value) -- the variables of ``out`` -- and only if ``checks[i]`` holds
+    for the value of ``new_vars[i]``.  ``pick`` does the same to a row
+    already built as input row + every new value (:meth:`full_col_of`),
+    ``pick_new`` to the new values alone.  ``table`` is this pattern's
+    probe table when the step before fetched it as its gate; ``decides``
+    says the step picks hash join or INLJ from its input's row count.
+    """
+
+    __slots__ = (
+        "ep", "shared", "new_vars", "col_of", "out",
+        "keep", "live", "pick", "pick_new", "checks", "table", "decides",
+    )
+
+    def __init__(self, ep, shared, new_vars, layout, alive: Optional[Set[str]]):
+        self.ep = ep
+        self.shared = shared
+        self.new_vars = new_vars
+        self.col_of = dict(zip(layout, range(len(layout))))
+        self.checks: Dict[int, object] = {}
+        self.table = None
+        self.decides = bool(shared) and ep.path is None
+        self.keep = self.live = self.pick = self.pick_new = None
+        self.out = layout + new_vars
+        if alive is None:
+            return
+        kept = [i for i, variable in enumerate(layout) if variable.name in alive]
+        live = [i for i, variable in enumerate(new_vars) if variable.name in alive]
+        if len(kept) + len(live) == len(self.out):
+            return
+        width = len(layout)
+        self.out = [layout[i] for i in kept] + [new_vars[i] for i in live]
+        if len(kept) < width:
+            self.keep = picker(kept)
+        if len(live) < len(new_vars):
+            self.live = tuple(live)
+            self.pick_new = picker(live)
+        self.pick = picker(kept + [width + i for i in live])
+
+    def full_col_of(self) -> Dict:
+        """The layout of input row + every new value."""
+        full = dict(self.col_of)
+        for i, variable in enumerate(self.new_vars, len(full)):
+            full[variable] = i
+        return full
+
+
+def plan_join(encoded, layout, filters, wanted, homogeneous: bool, gate_table):
+    """``(steps, deferred filters)``: the join of *encoded* over rows laid
+    out as *layout* (a list of variables).
+
+    *filters* are ``(variable, check)`` term tests, *wanted* the variables
+    read above the join (None: all of them), *homogeneous* says every
+    input row binds every column -- without it no step drops anything.
+    ``gate_table(ep, shared, new_vars)`` is the probe table a hash join of
+    *ep* reads, or None unless it is the shared cached one; a step is
+    gated by the next pattern when that pattern shares exactly one
+    variable with the rows, this step binds it and its estimate is no
+    larger than this step's (so no whole-graph table is built as a gate).
+    """
+    bound = {variable.name for variable in layout}
+    order = []
+    for ep in join_order(encoded, bound):
+        shared = [v for v in ep.variables if v.name in bound]
+        new_vars = [v for v in ep.variables if v.name not in bound]
+        bound |= ep.names
+        order.append((ep, shared, [v.name for v in new_vars], new_vars))
+    decides = [bool(shared) and ep.path is None for ep, shared, _n, _v in order]
+    may_drop = [homogeneous and not any(decides[k + 2:]) for k in range(len(order))]
+
+    checks: List[Dict[int, List]] = [{} for _ in order]
+    deferred = []
+    for variable, check in filters:
+        k = next((k for k, step in enumerate(order) if variable.name in step[2]), None)
+        if k is not None and may_drop[k]:
+            checks[k].setdefault(order[k][2].index(variable.name), []).append(check)
+        else:
+            deferred.append((variable, check))
+    tables: List[Optional[Dict]] = [None] * len(order)
+    for k in range(len(order) - 1):
+        ep, _shared, new_names, _new = order[k]
+        after, after_shared, _names, after_new = order[k + 1]
+        if (
+            may_drop[k]
+            and len(after_shared) == 1
+            and after_shared[0].name in new_names
+            and after.est <= ep.est
+        ):
+            table = gate_table(after, after_shared, after_new)
+            if table is not None:
+                tables[k + 1] = table
+                index = new_names.index(after_shared[0].name)
+                checks[k].setdefault(index, []).append(table.__contains__)
+
+    alive: List[Optional[Set[str]]] = [None] * len(order)
+    if wanted is not None:
+        needed = {variable.name for variable in wanted}
+        needed.update(variable.name for variable, _check in deferred)
+        for k in range(len(order) - 1, -1, -1):
+            alive[k] = set(needed)
+            needed |= order[k][0].names
+
+    steps = []
+    for k, (ep, shared, _names, new_vars) in enumerate(order):
+        step = JoinStep(ep, shared, new_vars, layout, alive[k])
+        for index, predicates in checks[k].items():
+            step.checks[index] = (
+                predicates[0]
+                if len(predicates) == 1
+                else lambda value, ps=predicates: all(p(value) for p in ps)
+            )
+        step.table = tables[k]
+        steps.append(step)
+        layout = step.out
+    return steps, deferred

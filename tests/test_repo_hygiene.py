@@ -241,6 +241,85 @@ class TestWrittenOnce:
         outside = [f"evaluator.py:{node.lineno}" for node in uses if id(node) not in inside]
         assert not outside, outside
 
+    @staticmethod
+    def _join_scores(nodes):
+        """Lines raising 16 to a power: the join order's estimate / 16 **
+        (variables bound)."""
+        return [
+            node.lineno for node in nodes
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Constant) and node.left.value == 16
+        ]
+
+    def test_the_join_order_score_is_written_once(self):
+        """``_join_score`` is the one greedy-order key both join pipelines
+        read; a second copy is how the hash and stream orders drift."""
+        found = [
+            f"{path}:{line}"
+            for path, nodes in self._modules("sparql")
+            for line in self._join_scores(nodes)
+        ]
+        assert len(found) == 1, found
+
+    def test_the_score_rule_matches_the_copies_it_retired(self):
+        retired = "\n".join([
+            "def f(remaining, col_of, bound):",
+            "    a = min(remaining, key=lambda ep: (ep.est / (16.0 ** sum(1 for v in ep.variables if v in col_of)), ep.index))",
+            "    b = min(remaining, key=lambda ep: (ep.est / (16.0 ** sum(1 for v in ep.variables if v in bound)), ep.index))",
+        ])
+        assert self._join_scores(list(ast.walk(ast.parse(retired)))) == [2, 3]
+
+    #: what ``QueryEngine`` may assign on ``self`` outside ``__init__``: the
+    #: per-execution state ROADMAP B step 1 is to take off the engine
+    ENGINE_STATE = {"exec_stats", "_scan_pool", "obs"}
+
+    @staticmethod
+    def _state_writes(tree, class_name):
+        """``self.<attr>`` assigned in methods of *class_name* other than
+        ``__init__``."""
+        writes = set()
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and cls.name == class_name):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+                    continue
+                for node in ast.walk(method):
+                    targets = (
+                        node.targets if isinstance(node, ast.Assign)
+                        else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                        else []
+                    )
+                    writes |= {
+                        target.attr for target in targets
+                        if isinstance(target, ast.Attribute)
+                        and getattr(target.value, "id", None) == "self"
+                    }
+        return writes
+
+    def test_no_new_per_execution_state_on_the_engine(self):
+        """A flag like "filters already applied" threads through arguments;
+        the engine instance keeps only the state it already had."""
+        path = os.path.join(ROOT, "src", "repro", "sparql", "evaluator.py")
+        with open(path) as handle:
+            writes = self._state_writes(ast.parse(handle.read()), "QueryEngine")
+        assert writes <= self.ENGINE_STATE, sorted(writes - self.ENGINE_STATE)
+        assert writes == self.ENGINE_STATE, "state moved off the engine; shrink ENGINE_STATE"
+
+    def test_the_state_rule_matches_a_flag_on_self(self):
+        flagged = "\n".join([
+            "class QueryEngine:",
+            "    def __init__(self):",
+            "        self.allowed_in_init = 0",
+            "    def _run_select_simple(self, query):",
+            "        self._filters_applied = True",
+            "        self.exec_stats: dict = {}",
+            "        self.obs.count += 1",
+        ])
+        assert self._state_writes(ast.parse(flagged), "QueryEngine") == {
+            "_filters_applied", "exec_stats",
+        }
+
 
 class TestIndexStaysBehindRdf:
     def test_no_index_attribute_outside_the_rdf_package(self):
