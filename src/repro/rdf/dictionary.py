@@ -14,6 +14,15 @@ stale entries, a property the graph test-suite checks after random
 add/remove sequences.  Freed IDs go onto a free list and are reused, which
 keeps the ID space dense under churn; callers must treat an ID as valid
 only while the term it encodes is still referenced.
+
+Beside the table sits ``kinds``, one byte per ID below ``_next_id``: the
+interned term's class-level ``KIND`` code (IRI, blank node, literal), 0 for
+a free ID.  A term's kind is fixed when it is interned, so the SPARQL term
+tests (``isLiteral`` and friends) read this byte instead of decoding.  It
+is derived state, written only in this module: ``encode`` appends it for a
+fresh ID (``len(kinds) == _next_id`` always) and overwrites it for a
+recycled one, ``decref`` zeroes it where it frees the ID, and ``copy`` /
+``restore`` rebuild it with the rest of the table.  It never decides an ID.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ class TermDict:
     """A reference-counted, bidirectional ``Term <-> int`` intern table."""
 
     __slots__ = ("_term_to_id", "_id_to_term", "_refcount", "_next_id", "_free",
-                 "epoch", "snapshot", "recycled")
+                 "kinds", "epoch", "snapshot", "recycled")
 
     def __init__(self):
         self._term_to_id: Dict[Term, int] = {}
@@ -37,6 +46,8 @@ class TermDict:
         self._refcount: Dict[int, int] = {}
         self._next_id = 0
         self._free: List[int] = []
+        #: the kind code of each ID's term, 0 for a free ID (module docstring)
+        self.kinds = bytearray()
         # Durability epoch: bumped by repro.rdf.durability each time the
         # dictionary is snapshotted, and recorded in every snapshot file so
         # recovery can refuse to pair shard columns with the wrong table.
@@ -58,13 +69,16 @@ class TermDict:
         """Intern *term*, creating an ID (refcount 0) on first sight."""
         term_id = self._term_to_id.get(term)
         if term_id is None:
+            kind = term.KIND  # first: a non-term fails with the table untouched
             if self._free:
                 term_id = self._free.pop()
+                self.kinds[term_id] = kind
                 if self.snapshot is not None:
                     self.recycled.add(term_id)
             else:
                 term_id = self._next_id
                 self._next_id += 1
+                self.kinds.append(kind)
             self._term_to_id[term] = term_id
             self._id_to_term[term_id] = term
             self._refcount[term_id] = 0
@@ -94,6 +108,7 @@ class TermDict:
         del self._refcount[term_id]
         term = self._id_to_term.pop(term_id)
         del self._term_to_id[term]
+        self.kinds[term_id] = 0
         self._free.append(term_id)
 
     def refcount(self, term_id: int) -> int:
@@ -120,6 +135,7 @@ class TermDict:
         out._refcount = dict(self._refcount)
         out._next_id = self._next_id
         out._free = list(self._free)
+        out.kinds = bytearray(self.kinds)
         out.epoch = self.epoch
         out.snapshot = self.snapshot
         out.recycled = set(self.recycled)
@@ -162,13 +178,16 @@ class TermDict:
 
         ``next_id`` and ``free`` must round-trip too: ID assignment after
         recovery has to match the live process, or WAL replay and future
-        interning would diverge from the pre-crash store.
+        interning would diverge from the pre-crash store.  Every row ID must
+        lie below ``next_id`` (the reader checks the chain's ID space).
         """
         out = cls()
+        kinds = out.kinds = bytearray(next_id)
         for term_id, refcount, term in items:
             out._term_to_id[term] = term_id
             out._id_to_term[term_id] = term
             out._refcount[term_id] = refcount
+            kinds[term_id] = term.KIND
         out._next_id = next_id
         out._free = list(free)
         out.epoch = epoch

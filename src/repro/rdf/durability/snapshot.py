@@ -251,17 +251,40 @@ def read_termdict_snapshot(
     *segments* lists ``(path, expected_epoch, expected_checksum)`` base
     first; None skips that check.  Terms are decoded once, after the chain
     is folded, so a row a later segment replaces costs a dict store.
+
+    The folded chain must describe one ID space, or the table would hand
+    out a live ID twice: the last header's ``free`` IDs are distinct and
+    below its ``next_id`` (one may name an earlier segment's row -- a delta
+    frees it), every remaining row ID is below ``next_id``, rows and free
+    IDs account for every ID below it, and no term has two rows.
     """
     rows: Dict[int, list] = {}
     header: dict = {}
     for path, expected_epoch, expected_checksum in segments:
         header = _read_termdict_segment(path, expected_epoch, expected_checksum, rows)
-    for term_id in header["free"]:
-        rows.pop(term_id, None)
-    if len(rows) != header["terms"]:
+    last = segments[-1][0]
+    next_id, free, terms = header.get("next_id"), header.get("free"), header.get("terms")
+    if type(next_id) is not int or type(free) is not list or type(terms) is not int:
         raise SnapshotError(
-            f"termdict snapshot {segments[-1][0]} yields {len(rows)} terms, "
-            f"header says {header['terms']}"
+            f"termdict snapshot {last} header names no ID space: "
+            f"next_id {next_id!r}, free {free!r}, terms {terms!r}"
+        )
+    if not _ids_below(free, next_id) or len(set(free)) != len(free):
+        raise SnapshotError(
+            f"termdict snapshot {last} frees IDs outside [0, {next_id}) or twice: {free}"
+        )
+    for term_id in free:
+        rows.pop(term_id, None)
+    if not _ids_below(rows, next_id):
+        raise SnapshotError(f"termdict snapshot {last} has a row ID outside [0, {next_id})")
+    if len(rows) != terms:
+        raise SnapshotError(
+            f"termdict snapshot {last} yields {len(rows)} terms, header says {terms}"
+        )
+    if len(rows) + len(free) != next_id:
+        raise SnapshotError(
+            f"termdict snapshot {last}: {len(rows)} rows and {len(free)} free IDs "
+            f"do not account for next_id {next_id}"
         )
     try:
         # popped, so the JSON rows are let go of as the terms are built
@@ -270,9 +293,17 @@ def read_termdict_snapshot(
             for term_id, refcount, encoded in map(rows.pop, sorted(rows))
         ]
     except ValueError as exc:  # a row that is not a triple, or a FormatError
-        raise SnapshotError(f"termdict snapshot {segments[-1][0]}: {exc}") from exc
-    return TermDict.restore(
-        iter(items), header["next_id"], header["free"], header["epoch"]
+        raise SnapshotError(f"termdict snapshot {last}: {exc}") from exc
+    table = TermDict.restore(iter(items), next_id, free, header["epoch"])
+    if len(table) != len(items):
+        raise SnapshotError(f"termdict snapshot {last} holds a term under two IDs")
+    return table
+
+
+def _ids_below(ids: Collection, bound: int) -> bool:
+    """Every member of *ids* is an ``int`` in ``[0, bound)``."""
+    return not ids or (
+        set(map(type, ids)) == {int} and min(ids) >= 0 and max(ids) < bound
     )
 
 

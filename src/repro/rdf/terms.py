@@ -95,6 +95,10 @@ class IRI(Term):
 
     __slots__ = ("value", "_hash")
 
+    #: the kind code :class:`~repro.rdf.dictionary.TermDict` keeps per ID
+    #: (0 is a free ID); the SPARQL term tests read it and never decode
+    KIND = 1
+
     def __init__(self, value: str):
         if not isinstance(value, str):
             raise TypeError(f"IRI value must be str, got {type(value).__name__}")
@@ -159,6 +163,7 @@ class BNode(Term):
 
     __slots__ = ("label", "_hash")
 
+    KIND = 2  # see IRI.KIND
     _counter = 0
 
     def __init__(self, label: Optional[str] = None):
@@ -214,6 +219,8 @@ class Literal(Term):
     """
 
     __slots__ = ("lexical", "language", "datatype", "_hash")
+
+    KIND = 3  # see IRI.KIND
 
     def __init__(
         self,

@@ -136,15 +136,25 @@ def _substitute(pattern: TriplePattern, solution: Solution) -> Tuple:
 #: legal wildcard elsewhere.
 _UNBOUND = object()
 
+
+def _kind_table(*kinds: int) -> bytes:
+    """A ``bytes.translate`` table: 1 at each of *kinds*, 0 elsewhere."""
+    table = bytearray(256)
+    for kind in kinds:
+        table[kind] = 1
+    return bytes(table)
+
+
 #: Term-kind tests the fast SELECT path can run without the expression
-#: interpreter.  Keys are upper-cased builtin names; each maps a ground term
-#: to the boolean the builtin (plus EBV) would produce.
+#: interpreter.  Keys are upper-cased builtin names; each maps a term's
+#: ``KIND`` code (``TermDict.kinds``) to the 0 / 1 the builtin (plus EBV)
+#: would produce, so no ID is decoded to test it.
 _TERM_TESTS = {
-    "ISLITERAL": Literal.__instancecheck__,
-    "ISIRI": IRI.__instancecheck__,
-    "ISURI": IRI.__instancecheck__,
-    "ISBLANK": BNode.__instancecheck__,
-    "BOUND": lambda term: True,
+    "ISLITERAL": _kind_table(Literal.KIND),
+    "ISIRI": _kind_table(IRI.KIND),
+    "ISURI": _kind_table(IRI.KIND),
+    "ISBLANK": _kind_table(BNode.KIND),
+    "BOUND": _kind_table(IRI.KIND, BNode.KIND, Literal.KIND),
 }
 
 
@@ -224,7 +234,8 @@ _ROW_EXTRACTORS = {
 
 
 def _simple_filter(expression: Expression):
-    """``(test, variable)`` for one-variable term-test filters, else None."""
+    """``(kind table, variable)`` for one-variable term-test filters, else
+    None (tables: :data:`_TERM_TESTS`)."""
     if (
         isinstance(expression, FunctionCall)
         and len(expression.args) == 1
@@ -3013,12 +3024,11 @@ class QueryEngine:
             if cols is not None:
                 yield cols
 
-    def _term_verdicts(self, test):
-        """``id -> bool`` for one term test, each ID decoded and tested
-        once: the memo both the columnar FILTER and the join's binding
-        step read."""
-        decode = self.graph.dictionary.decode
-        return Memo(lambda value: test(decode(value))).__getitem__
+    def _term_verdicts(self, table: bytes):
+        """``id -> 0 / 1`` for one term test: the dictionary's kind bytes
+        translated through *table* (one C-level pass, no decode), read by
+        both the columnar FILTER and the join's binding step."""
+        return self.graph.dictionary.kinds.translate(table).__getitem__
 
     def _filter_batches(self, batches: Iterator[List], filter_specs) -> Iterator[List]:
         """Columnar FILTER over the scan source: each ``(column, check)``

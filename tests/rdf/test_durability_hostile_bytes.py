@@ -11,6 +11,11 @@ store whose ``content_digest`` is the original's -- a flip in dead bytes --
 or, for the two files that decide how much of the log is replayed, that of
 a durable prefix (a torn WAL tail is a crash's signature, not damage).
 Never another exception type, never other content.
+
+Checksums cannot catch bytes that were written well and say something
+impossible, so the term-dictionary chain's ID space is checked on its own:
+a table of CRC-correct chains whose header and rows contradict each other,
+each refused with ``SnapshotError``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import os
 import random
 import shutil
+import zlib
 
 import pytest
 
@@ -35,9 +41,11 @@ from repro.rdf.durability import (
     ManifestError,
     WalReplayError,
     read_manifest,
+    write_manifest,
 )
+from repro.rdf.durability.format import dumps, encode_term, loads, pack_record, scan_records
 from repro.rdf.durability.paths import MANIFEST, store_files
-from repro.rdf.durability.snapshot import SnapshotError
+from repro.rdf.durability.snapshot import SnapshotError, read_termdict_snapshot
 
 EX = "http://ex.org/"
 SEED = 20211
@@ -173,3 +181,97 @@ def test_a_torn_wal_tail_loads_as_a_durable_prefix(store, tmp_path):
         scratch = _damaged_copy(root, str(tmp_path / "case"), wal, "truncate", cut)
         seen.add(prefixes.index(_outcome(scratch, lazy=False)))
     assert seen == set(range(len(prefixes)))  # every prefix, nothing else
+
+
+def _rows(ids, term=None):
+    """``[id, refcount, term]`` rows; each holds ``<t{id}>`` unless *term*."""
+    return [[i, 1, encode_term(term or IRI(f"{EX}t{i}"))] for i in ids]
+
+
+def _header(next_id, free, terms):
+    return {"next_id": next_id, "free": free, "terms": terms}
+
+
+#: term-dictionary chains whose every byte checks out but whose ID space
+#: contradicts itself: (case, segments as (header, rows), what the refusal
+#: says).  Before they were refused each one loaded -- a free ID past
+#: ``next_id`` or listed twice was then handed out twice, a term under two
+#: IDs decoded from both -- or raised ``TypeError`` / ``KeyError``.
+CONTRADICTIONS = [
+    ("a free ID past next_id", [(_header(7, [9], 7), _rows(range(7)))], "frees"),
+    ("a negative free ID", [(_header(8, [-1], 7), _rows(range(7)))], "frees"),
+    ("an ID freed twice", [(_header(9, [7, 7], 7), _rows(range(7)))], "frees"),
+    ("a row ID past next_id", [(_header(2, [], 2), _rows([0, 7]))], "row ID outside"),
+    ("a negative row ID", [(_header(2, [], 2), _rows([-1, 0]))], "row ID outside"),
+    ("a row ID that is no integer",
+     [(_header(2, [], 2), _rows([0]) + _rows(["1"], IRI(f"{EX}t1")))], "row ID outside"),
+    ("a term under two IDs",
+     [(_header(2, [], 2), _rows([0]) + _rows([1], IRI(f"{EX}t0")))], "two IDs"),
+    # what the rows and free list account for bounds what a load allocates
+    ("IDs neither a row nor free", [(_header(10 ** 12, [], 7), _rows(range(7)))],
+     "account for"),
+    ("a header without a free list", [({"next_id": 7, "terms": 7}, _rows(range(7)))],
+     "no ID space"),
+    ("a delta frees an ID past next_id",
+     [(_header(3, [], 3), _rows(range(3))), (_header(3, [1, 5], 2), [])], "frees"),
+]
+
+
+def _chain(tmp_path, segments):
+    """Write *segments* as termdict files with correct record and file
+    checksums; the reader's ``(path, epoch, checksum)`` list."""
+    chain = []
+    for epoch, (header, rows) in enumerate(segments, 1):
+        blob = pack_record(dumps({"epoch": epoch, **header})) + pack_record(dumps(rows))
+        path = str(tmp_path / f"termdict-{epoch}.snap")
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        chain.append((path, epoch, zlib.crc32(blob)))
+    return chain
+
+
+@pytest.mark.parametrize(
+    "segments, says", [case[1:] for case in CONTRADICTIONS],
+    ids=[case[0] for case in CONTRADICTIONS],
+)
+def test_a_termdict_that_contradicts_its_id_space_is_refused(tmp_path, segments, says):
+    with pytest.raises(SnapshotError, match=says):
+        read_termdict_snapshot(_chain(tmp_path, segments))
+
+
+def test_a_delta_may_free_a_base_row(tmp_path):
+    table = read_termdict_snapshot(_chain(tmp_path, [
+        (_header(3, [], 3), _rows(range(3))), (_header(3, [1], 2), []),
+    ]))
+    assert [term_id for term_id, _, _ in table.snapshot_items()] == [0, 2]
+    assert table.encode(Literal("fresh")) == 1
+    assert list(table.kinds) == [IRI.KIND, Literal.KIND, IRI.KIND]
+
+
+def test_a_free_id_past_next_id_is_refused_through_load_graph(tmp_path):
+    """The public door: a saved store's termdict header rewritten to free
+    ID 9 of a 7-ID table, the manifest's checksum and size fixed to match.
+    It used to load, and the next encodes returned 9, 7, 8, 9, ..."""
+    root = str(tmp_path / "store")
+    graph = Graph()
+    graph.add_many([
+        Triple(IRI(f"{EX}s0"), IRI(f"{EX}p"), Literal("a")),
+        Triple(IRI(f"{EX}s0"), IRI(f"{EX}q"), Literal("b")),
+        Triple(IRI(f"{EX}s1"), IRI(f"{EX}p"), Literal("c")),
+    ])
+    graph.save(root)
+    manifest = read_manifest(root)
+    entry = manifest["termdict"]
+    path = os.path.join(root, entry["file"])
+    with open(path, "rb") as handle:
+        header, *batches = scan_records(handle.read())[0]
+    header = loads(header)
+    assert (header["next_id"], header["free"]) == (7, [])
+    header["free"] = [9]
+    blob = b"".join(map(pack_record, [dumps(header), *batches]))
+    with open(path, "wb") as handle:
+        handle.write(blob)
+    entry["checksum"], entry["bytes"] = zlib.crc32(blob), len(blob)
+    write_manifest(root, manifest)
+    with pytest.raises(SnapshotError, match="frees"):
+        load_graph(root, lazy=False, verify=True)

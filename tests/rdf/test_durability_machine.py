@@ -15,7 +15,8 @@ honest: recovery returns exactly the durable model (``verify=True``, so
 every carried file still matches its entry), and after each commit the
 recovered term dictionary *is* the live one (rows, next ID, free list in
 order), nothing is orphaned, and a shard file was rewritten iff a triple of
-that shard came or went since the commit before.
+that shard came or went since the commit before.  The live dictionary's
+kind bytes are its terms' kinds after every step, whatever object it is.
 """
 
 from __future__ import annotations
@@ -385,6 +386,19 @@ class DurableStore(RuleBasedStateMachine):
         # must be able to find it cold
         if not self.shards or all(shard.hydrated for shard in self.graph.shards):
             assert set(self.graph.triples()) == self.live
+
+    @invariant()
+    def the_kind_byte_is_the_live_terms_kind(self):
+        """``TermDict.kinds`` is derived from the table: the live term's
+        ``KIND`` per live ID, 0 per free one, one byte per ID handed out --
+        through every write, recycle, checkpoint, restart and copy."""
+        table = self.graph.dictionary
+        live = {term_id: term for term, term_id in table.items()}
+        assert len(table.kinds) == table._next_id
+        assert list(table.kinds) == [
+            type(live[term_id]).KIND if term_id in live else 0
+            for term_id in range(table._next_id)
+        ]
 
 
 DurableStore.TestCase.settings = settings(

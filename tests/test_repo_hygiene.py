@@ -423,6 +423,145 @@ class TestLeafWrittenOnce:
         assert self._leaf_builds(ast.parse(retired)) == {("f", line) for line in (2, 3, 4, 5, 6)}
 
 
+class TestKindByteWrittenOnce:
+    """A term's kind code is defined on its class, and only
+    ``rdf/dictionary.py`` copies it into ``TermDict.kinds``: a second
+    writer is how the byte drifts from the term that holds the ID.  The
+    SPARQL term tests read that byte, so no memo there decodes an ID."""
+
+    MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "reverse"}
+
+    @staticmethod
+    def _trees(package):
+        """``[(path relative to src/repro, AST)]`` under *package*."""
+        top = os.path.join(ROOT, "src", "repro")
+        trees = []
+        for directory, _, files in os.walk(os.path.join(top, package)):
+            for filename in sorted(files):
+                if filename.endswith(".py"):
+                    path = os.path.join(directory, filename)
+                    with open(path) as handle:
+                        trees.append((os.path.relpath(path, top), ast.parse(handle.read())))
+        return trees
+
+    @staticmethod
+    def _targets(node):
+        """What an assignment or ``del`` binds, tuples unpacked."""
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            pending = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            pending = [node.target]
+        else:
+            return []
+        targets = []
+        while pending:
+            target = pending.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                pending.extend(target.elts)
+            else:
+                targets.append(target)
+        return targets
+
+    @classmethod
+    def _kinds_writes(cls, tree):
+        """Lines that bind ``<x>.kinds``, store into ``kinds[...]`` /
+        ``<x>.kinds[...]`` or call a mutating method on either."""
+
+        def is_kinds(node):
+            return getattr(node, "attr", None) == "kinds" or getattr(node, "id", None) == "kinds"
+
+        lines = set()
+        for node in ast.walk(tree):
+            for target in cls._targets(node):
+                if (isinstance(target, ast.Attribute) and target.attr == "kinds") or (
+                    isinstance(target, ast.Subscript) and is_kinds(target.value)
+                ):
+                    lines.add(node.lineno)
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) in cls.MUTATORS
+                and is_kinds(node.func.value)
+            ):
+                lines.add(node.lineno)
+        return lines
+
+    @classmethod
+    def _kind_definitions(cls, tree):
+        """``(class name, line)`` of every binding of ``KIND`` (a bare
+        name or an attribute); the class is None outside a class body."""
+        owner = {
+            id(statement): node.name
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for statement in node.body
+        }
+        return {
+            (owner.get(id(node)), node.lineno)
+            for node in ast.walk(tree)
+            for target in cls._targets(node)
+            if getattr(target, "id", None) == "KIND" or getattr(target, "attr", None) == "KIND"
+        }
+
+    DECODERS = {"decode", "decode_id", "decode_term"}
+
+    @classmethod
+    def _decoding_memos(cls, tree):
+        """Lines of ``Memo(...)`` calls whose arguments name a decoder."""
+        return {
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "Memo" or getattr(node.func, "attr", None) == "Memo")
+            and any(
+                getattr(inner, "id", None) in cls.DECODERS
+                or getattr(inner, "attr", None) in cls.DECODERS
+                for argument in node.args + [keyword.value for keyword in node.keywords]
+                for inner in ast.walk(argument)
+            )
+        }
+
+    def test_the_kind_byte_is_written_in_the_dictionary_only(self):
+        writers = {path for path, tree in self._trees("") if self._kinds_writes(tree)}
+        assert writers == {"rdf/dictionary.py"}, sorted(writers)
+
+    def test_the_kind_codes_are_defined_on_the_term_classes_only(self):
+        from repro.rdf import BNode, IRI, Literal
+
+        found = {
+            (path, owner)
+            for path, tree in self._trees("")
+            for owner, _line in self._kind_definitions(tree)
+        }
+        assert found == {("rdf/terms.py", name) for name in ("IRI", "BNode", "Literal")}, found
+        codes = {IRI.KIND, BNode.KIND, Literal.KIND}
+        assert len(codes) == 3 and 0 not in codes and max(codes) < 256  # 0 is a free ID
+
+    def test_no_memo_under_sparql_decodes(self):
+        found = [
+            f"{path}:{line}"
+            for path, tree in self._trees("sparql")
+            for line in self._decoding_memos(tree)
+        ]
+        assert not found, found
+
+    def test_the_rules_match_the_forms_they_forbid(self):
+        forbidden = ast.parse("\n".join([
+            "class Shadow:",
+            "    KIND = 9",
+            "def f(table, term, term_id, test, decode, graph, kinds):",
+            "    table.kinds = bytearray()",
+            "    table.kinds.append(term.KIND)",
+            "    table.kinds[term_id] = 0",
+            "    kinds[term_id], other = 1, 2",
+            "    verdict = Memo(lambda value: test(decode(value))).__getitem__",
+            "    other = Memo(fn=lambda value: graph.decode_id(value))",
+            "    IRI.KIND = 4",
+            "    return table.kinds.translate(bytes(256)), Memo(len)",  # reads: not matched
+        ]))
+        assert self._kinds_writes(forbidden) == {4, 5, 6, 7}
+        assert self._kind_definitions(forbidden) == {("Shadow", 2), (None, 10)}
+        assert self._decoding_memos(forbidden) == {8, 9}
+
+
 class TestDurableStoreDerivedState:
     """A shard has two derived states, the sorted run it caches and the
     manifest entry of the snapshot file that holds its content; both are
