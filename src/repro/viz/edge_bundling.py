@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .geometry import Point, bspline_basis, bspline_xy, polar_to_cartesian
+from .geometry import Point, bspline_basis, bspline_column, polar_to_cartesian
 from .hierarchy import HierarchyNode
 
 __all__ = ["BundledEdge", "RadialLeaf", "edge_bundling_layout", "EdgeBundlingDiagram"]
@@ -39,31 +39,40 @@ class RadialLeaf:
 
 
 class BundledEdge:
-    """One bundled property edge with its sampled curve."""
+    """One bundled property edge with its sampled curve as coordinate
+    columns: sample ``i`` is ``(xs[i], ys[i])``."""
 
-    __slots__ = ("source", "target", "path", "data")
+    __slots__ = ("source", "target", "xs", "ys", "data")
 
     def __init__(
         self,
         source: str,
         target: str,
-        path: List[Point],
+        xs: List[float],
+        ys: List[float],
         data: Optional[Dict] = None,
     ):
         self.source = source
         self.target = target
-        self.path = path
+        self.xs = xs
+        self.ys = ys
         self.data = data or {}
 
+    @property
+    def path(self) -> List[Point]:
+        """The samples as ``Point`` s, built on each read (the renderer
+        reads the columns)."""
+        return [Point(x, y) for x, y in zip(self.xs, self.ys)]
+
     def length(self) -> float:
-        return sum(
-            self.path[i].distance_to(self.path[i + 1]) for i in range(len(self.path) - 1)
-        )
+        path = self.path
+        return sum(path[i].distance_to(path[i + 1]) for i in range(len(path) - 1))
 
     def straight_length(self) -> float:
-        if len(self.path) < 2:
+        path = self.path
+        if len(path) < 2:
             return 0.0
-        return self.path[0].distance_to(self.path[-1])
+        return path[0].distance_to(path[-1])
 
 
 class EdgeBundlingDiagram:
@@ -108,6 +117,9 @@ def edge_bundling_layout(
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
+    basis = bspline_basis(samples_per_segment)  # refuses fewer than 1 sample
     leaves = root.leaves()
     if not leaves:
         raise ValueError("hierarchy has no leaves to place on the circle")
@@ -128,12 +140,15 @@ def edge_bundling_layout(
         position[node.name] = point
 
     # Interior nodes sit at the centroid of their leaves, shrunk toward the
-    # center by depth (the deeper the node, the closer to the rim).
+    # center by depth (the deeper the node, the closer to the rim).  Every
+    # node's position is kept as two floats (nodes hash by identity).
     height = root.height()
-    interior_position: Dict[int, Point] = {}
+    node_x: Dict[HierarchyNode, float] = {}
+    node_y: Dict[HierarchyNode, float] = {}
     for node in root.each():
         if node.is_leaf():
-            interior_position[id(node)] = position[node.name]
+            point = position[node.name]
+            node_x[node], node_y[node] = point.x, point.y
             continue
         members = node.leaves()
         cx = sum(position[leaf.name].x for leaf in members) / len(members)
@@ -142,21 +157,23 @@ def edge_bundling_layout(
             shrink = node.depth / (height + 1)
         else:
             shrink = 0.0
-        interior_position[id(node)] = Point(cx * shrink, cy * shrink)
+        node_x[node], node_y[node] = cx * shrink, cy * shrink
 
     # 2. Route each edge along the hierarchy path and sample the B-spline.
     bundled: List[BundledEdge] = []
-    basis = bspline_basis(samples_per_segment)
     for index, (source, target) in enumerate(edges):
         if source not in by_name:
             raise KeyError(f"edge source {source!r} is not a leaf")
         if target not in by_name:
             raise KeyError(f"edge target {target!r} is not a leaf")
         data = dict(edge_data[index]) if edge_data is not None else {}
-        control_nodes = by_name[source].path_to(by_name[target])
-        control = [interior_position[id(node)] for node in control_nodes]
-        path = _apply_beta(*bspline_xy(control, basis), beta)
-        bundled.append(BundledEdge(source, target, path, data))
+        route = by_name[source].path_to(by_name[target])
+        xs, ys = _apply_beta(
+            bspline_column([node_x[node] for node in route], basis),
+            bspline_column([node_y[node] for node in route], basis),
+            beta,
+        )
+        bundled.append(BundledEdge(source, target, xs, ys, data))
 
     # 3. Focus-class domain/range roles (Figure 7's highlighting).
     roles: Dict[str, str] = {}
@@ -175,29 +192,25 @@ def edge_bundling_layout(
     return EdgeBundlingDiagram(placed, bundled, radius, focus=focus, roles=roles)
 
 
-def _apply_beta(xs: List[float], ys: List[float], beta: float) -> List[Point]:
+def _apply_beta(
+    xs: List[float], ys: List[float], beta: float
+) -> Tuple[List[float], List[float]]:
     """Holten's straightening: P'(t) = beta*P(t) + (1-beta)*lerp(start, end).
 
-    The curve comes in as parallel coordinate lists; the only ``Point`` s
-    built are the ones returned.
+    The curve comes in and goes out as coordinate columns.
     """
     if len(xs) < 2 or beta >= 1.0:
-        return [Point(x, y) for x, y in zip(xs, ys)]
+        return xs, ys
     start_x, start_y = xs[0], ys[0]
     span_x = xs[-1] - start_x
     span_y = ys[-1] - start_y
     rest = 1.0 - beta
     n = len(xs) - 1
-    out: List[Point] = []
-    for index in range(n + 1):
-        t = index / n
-        out.append(
-            Point(
-                beta * xs[index] + rest * (start_x + span_x * t),
-                beta * ys[index] + rest * (start_y + span_y * t),
-            )
-        )
-    return out
+    ts = [index / n for index in range(n + 1)]
+    return (
+        [beta * x + rest * (start_x + span_x * t) for x, t in zip(xs, ts)],
+        [beta * y + rest * (start_y + span_y * t) for y, t in zip(ys, ts)],
+    )
 
 
 def _merge_role(roles: Dict[str, str], name: str, role: str) -> None:

@@ -19,7 +19,7 @@ __all__ = [
     "enclosing_circle",
     "bspline_points",
     "bspline_basis",
-    "bspline_xy",
+    "bspline_column",
 ]
 
 
@@ -327,7 +327,9 @@ def bspline_points(
     ends exactly at the first/last control point, matching how D3 renders
     bundled edges.
     """
-    xs, ys = bspline_xy(control, bspline_basis(samples_per_segment))
+    basis = bspline_basis(samples_per_segment)
+    xs = bspline_column([point.x for point in control], basis)
+    ys = bspline_column([point.y for point in control], basis)
     return [Point(x, y) for x, y in zip(xs, ys)]
 
 
@@ -340,6 +342,8 @@ def bspline_basis(samples_per_segment: int) -> List[Basis]:
     They depend on the step alone, so a caller sampling many curves (edge
     bundling: one per property) computes this table once.
     """
+    if samples_per_segment < 1:
+        raise ValueError(f"samples_per_segment must be >= 1, got {samples_per_segment}")
     table: List[Basis] = []
     for step in range(samples_per_segment):
         t = step / samples_per_segment
@@ -356,27 +360,20 @@ def bspline_basis(samples_per_segment: int) -> List[Basis]:
     return table
 
 
-def bspline_xy(
-    control: Sequence[Point], basis: Sequence[Basis]
-) -> Tuple[List[float], List[float]]:
-    """:func:`bspline_points` as parallel coordinate lists, no ``Point`` built.
+def bspline_column(column: Sequence[float], basis: Sequence[Basis]) -> List[float]:
+    """One axis of :func:`bspline_points`: the control points' coordinates
+    on that axis in, the samples' coordinates out, no ``Point`` built.
 
-    Fewer than three control points are returned as they are.
+    The one B-spline sampler: callers sample ``x`` and ``y`` separately.
+    Fewer than three control values are returned as they are.
     """
-    cx = [point.x for point in control]
-    cy = [point.y for point in control]
-    if len(control) < 3:
-        return cx, cy
-    px = [cx[0], cx[0]] + cx + [cx[-1], cx[-1]]
-    py = [cy[0], cy[0]] + cy + [cy[-1], cy[-1]]
-    xs: List[float] = []
-    ys: List[float] = []
-    for i in range(len(px) - 3):
-        x0, x1, x2, x3 = px[i : i + 4]
-        y0, y1, y2, y3 = py[i : i + 4]
-        for b0, b1, b2, b3 in basis:
-            xs.append(b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3)
-            ys.append(b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3)
-    xs.append(cx[-1])
-    ys.append(cy[-1])
-    return xs, ys
+    if len(column) < 3:
+        return list(column)
+    padded = [column[0], column[0], *column, column[-1], column[-1]]
+    out = [
+        b0 * c0 + b1 * c1 + b2 * c2 + b3 * c3
+        for c0, c1, c2, c3 in zip(padded, padded[1:], padded[2:], padded[3:])
+        for b0, b1, b2, b3 in basis
+    ]
+    out.append(column[-1])
+    return out

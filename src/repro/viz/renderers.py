@@ -211,7 +211,7 @@ def render_edge_bundling(
     for edge in diagram.edges:
         involved = diagram.focus in (edge.source, edge.target) if diagram.focus else False
         doc.path(
-            polyline_path(edge.path),
+            polyline_path(edge.xs, edge.ys),
             parent=center,
             fill="none",
             stroke="#d62728" if involved else "#8888bb",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Union
 
-from .geometry import Point, polar_to_cartesian
+from .geometry import polar_to_cartesian
 
 __all__ = ["SvgElement", "SvgDocument", "arc_path", "polyline_path"]
 
@@ -188,11 +188,16 @@ def arc_path(
     return " ".join(parts)
 
 
-def polyline_path(points: Sequence[Point]) -> str:
-    """An open path through *points* (bundled edges, graph links)."""
-    if not points:
+def polyline_path(xs: Sequence[float], ys: Sequence[float]) -> str:
+    """An open path through the points ``(xs[i], ys[i])`` (bundled edges).
+
+    One ``%`` over a format built for this length: ``"%.3f" % v`` is
+    ``f"{v:.3f}"``, ``-0.000`` and ``nan`` included.
+    """
+    n = len(xs)
+    if not n:
         return ""
-    parts = [f"M {points[0].x:.3f} {points[0].y:.3f}"]
-    for point in points[1:]:
-        parts.append(f"L {point.x:.3f} {point.y:.3f}")
-    return " ".join(parts)
+    coordinates = [0.0] * (2 * n)  # x0, y0, x1, y1, ...
+    coordinates[::2] = xs
+    coordinates[1::2] = ys
+    return ("M %.3f %.3f" + " L %.3f %.3f" * (n - 1)) % tuple(coordinates)

@@ -17,8 +17,9 @@ from repro.viz import (
     sunburst_layout,
     treemap_layout,
 )
-from repro.viz.edge_bundling import _apply_beta
-from repro.viz.geometry import bspline_basis, bspline_xy
+from repro.viz.edge_bundling import BundledEdge, _apply_beta
+from repro.viz.geometry import bspline_basis, bspline_column
+from repro.viz.svg import polyline_path
 
 
 def cluster_tree(clusters=3, classes_per=4, base_value=10.0) -> HierarchyNode:
@@ -259,11 +260,13 @@ class TestEdgeBundling:
         cross_cluster = [e for e in diagram.edges if e.source[5] != e.target[5]]
         assert any(e.length() > e.straight_length() * 1.01 for e in cross_cluster)
 
-    @pytest.mark.parametrize("beta", [0.0, 0.85, 1.0])
+    @pytest.mark.parametrize("beta", [0.0, 0.45, 0.85, 1.0])
     def test_float_sampling_equals_the_point_per_sample_formulation(self, beta):
-        """The sampler works on coordinate lists; what it must reproduce,
-        float for float, is the textbook form: one basis evaluation and one
-        ``Point`` per sample, then Holten's straightening point by point."""
+        """The bundled edge is coordinate columns from control points to
+        path string; what it must reproduce, float for float and byte for
+        byte, is the textbook form: one basis evaluation and one ``Point``
+        per sample, Holten's straightening point by point, then one
+        f-string ``L x y`` part per ``Point``."""
 
         def spline(p0, p1, p2, p3, t):
             t2 = t * t
@@ -304,13 +307,53 @@ class TestEdgeBundling:
                 )
             return out
 
+        def reference_path(points):
+            if not points:
+                return ""
+            parts = [f"M {points[0].x:.3f} {points[0].y:.3f}"]
+            for point in points[1:]:
+                parts.append(f"L {point.x:.3f} {point.y:.3f}")
+            return " ".join(parts)
+
+        def coordinate(rng, scale):
+            if scale == "rim":
+                return rng.uniform(-300, 300)
+            if scale == "near zero":  # mostly prints as -0.000 or 0.000
+                return rng.uniform(-6e-4, 4e-4)
+            return rng.choice((-1, 1)) * rng.uniform(1e6, 1e9)
+
         rng = random.Random(7)
-        for length, samples in itertools.product(range(7), (1, 5, 8)):
-            control = [Point(rng.uniform(-300, 300), rng.uniform(-300, 300)) for _ in range(length)]
-            sampled = _apply_beta(*bspline_xy(control, bspline_basis(samples)), beta)
-            assert [(p.x.hex(), p.y.hex()) for p in sampled] == [
-                (p.x.hex(), p.y.hex()) for p in reference(control, samples)
-            ], (length, samples)
+        written = ""
+        for scale, length, samples in itertools.product(
+            ("rim", "near zero", "huge"), range(7), (1, 5, 8)
+        ):
+            control = [
+                Point(coordinate(rng, scale), coordinate(rng, scale)) for _ in range(length)
+            ]
+            basis = bspline_basis(samples)
+            xs, ys = _apply_beta(
+                bspline_column([p.x for p in control], basis),
+                bspline_column([p.y for p in control], basis),
+                beta,
+            )
+            expected = reference(control, samples)
+            case = (scale, length, samples)
+            assert [(x.hex(), y.hex()) for x, y in zip(xs, ys)] == [
+                (p.x.hex(), p.y.hex()) for p in expected
+            ], case
+            path = polyline_path(xs, ys)
+            assert path == reference_path(expected), case
+            edge = BundledEdge("a", "b", xs, ys)
+            assert edge.path == expected, case
+            # repr round-trips a float exactly (and an empty sum's int 0)
+            assert repr(edge.length()) == repr(sum(
+                expected[i].distance_to(expected[i + 1]) for i in range(len(expected) - 1)
+            )), case
+            straight = expected[0].distance_to(expected[-1]) if len(expected) > 1 else 0.0
+            assert repr(edge.straight_length()) == repr(straight), case
+            written += path
+        assert "-0.000" in written and " 0.000" in written
+        assert any(len(part.split(".")[0].lstrip("-")) >= 7 for part in written.split())
 
     def test_focus_roles_domain_and_range(self):
         """Figure 7's highlighting: incoming -> domain, outgoing -> range."""
@@ -336,6 +379,35 @@ class TestEdgeBundling:
         root, edges = self.build()
         with pytest.raises(ValueError):
             edge_bundling_layout(root, edges, beta=1.5)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            # every edge collapses to one point: an invisible "M x y" path
+            {"samples_per_segment": 0},
+            {"samples_per_segment": -3},
+            # the layout returns, then .render() cannot format a coordinate
+            {"radius": float("nan")},
+            {"radius": float("inf")},
+            {"radius": float("-inf")},
+            # every class on the centre, or the ring drawn inside out
+            {"radius": 0.0},
+            {"radius": -200.0},
+        ],
+        ids=lambda options: ",".join(f"{name}={value}" for name, value in options.items()),
+    )
+    def test_parameters_that_destroy_the_figure_are_refused(self, options):
+        root, edges = self.build()
+        with pytest.raises(ValueError):
+            edge_bundling_layout(root, edges, **options)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_the_sampler_refuses_an_empty_segment(self, samples):
+        control = [Point(0, 0), Point(1, 2), Point(3, 1)]
+        with pytest.raises(ValueError):
+            bspline_basis(samples)
+        with pytest.raises(ValueError):
+            bspline_points(control, samples)
 
     def test_cluster_siblings_adjacent_on_circle(self):
         root, edges = self.build()

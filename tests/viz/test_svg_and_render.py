@@ -10,7 +10,6 @@ from repro.viz import (
     Color,
     ForceLayout,
     HierarchyNode,
-    Point,
     SvgDocument,
     arc_path,
     categorical_color,
@@ -127,11 +126,19 @@ class TestPaths:
         assert d.count("A ") == 4
 
     def test_polyline(self):
-        d = polyline_path([Point(0, 0), Point(1, 1), Point(2, 0)])
+        d = polyline_path([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
         assert d == "M 0.000 0.000 L 1.000 1.000 L 2.000 0.000"
 
     def test_polyline_empty(self):
-        assert polyline_path([]) == ""
+        assert polyline_path([], []) == ""
+
+    def test_polyline_writes_what_the_f_string_writes(self):
+        values = [-0.0, -4e-4, 4e-4, 0.0005, -0.0005, 2.0005, 1e15 + 0.5, -3.5e9,
+                  float("nan"), float("inf"), float("-inf"), 7]
+        d = polyline_path(values, values[::-1])
+        expected = [f"{x:.3f} {y:.3f}" for x, y in zip(values, values[::-1])]
+        assert d == "M " + " L ".join(expected)
+        assert d.startswith("M -0.000 ")
 
 
 class TestForceLayout:
