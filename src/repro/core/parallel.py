@@ -38,7 +38,6 @@ __all__ = [
     "race_hedged",
     "run_parallel",
     "makespan_ms",
-    "SimWorkerPool",
 ]
 
 
@@ -67,13 +66,14 @@ def measure_task(
 ) -> TaskOutcome:
     """Run *thunk* against the current clock and measure its simulated cost.
 
-    The checkpoint/run/restore idiom both pools share: the thunk executes
-    with the clock at its logical start instant, its elapsed simulated
-    time is read off the clock, and the clock is rewound so the caller
-    decides how measured durations combine into real clock advances (a
-    batch makespan for :func:`run_parallel`, a per-request completion time
-    for the serving tier's scheduler).  Exceptions are captured in the
-    returned :class:`TaskOutcome`, never raised.
+    The checkpoint/run/restore idiom: the thunk executes with the clock at
+    its logical start instant, its elapsed simulated time is read off the
+    clock, and the clock is rewound so the caller decides how measured
+    durations combine into real clock advances (a batch makespan for
+    :func:`run_parallel`, the winner's offset for :func:`race_hedged`).
+    Exceptions are captured in the returned :class:`TaskOutcome`, never
+    raised.  The serving tier's scheduler writes the same idiom inline,
+    because there an exception propagates.
     """
     start_ms = clock.checkpoint()
     value = None
@@ -168,47 +168,3 @@ def run_parallel(
     clock.advance(total)
     return outcomes, total
 
-
-class SimWorkerPool:
-    """Worker-occupancy bookkeeping for *open-ended* simulated scheduling.
-
-    :func:`run_parallel` models one closed batch: all tasks known up
-    front, one collective makespan advance.  The serving tier's scheduler
-    instead sees an arrival process -- requests start whenever a worker
-    is free and finish at individually computed times -- so it needs the
-    worker ledger itself: how many of ``parallelism`` server threads are
-    busy at a given instant, and until when.  Tasks are dispatched to the
-    earliest-free worker (the same greedy rule as :func:`makespan_ms`),
-    and the *caller* advances the shared clock as its event loop walks
-    forward; the pool never advances the clock.
-
-    Durations come from :func:`measure_task` against the same clock, so
-    a request's simulated cost is measured at its start instant exactly
-    like batch tasks are measured at the batch start.
-    """
-
-    __slots__ = ("clock", "parallelism", "_busy_until")
-
-    def __init__(self, clock: SimulationClock, parallelism: int):
-        if parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-        self.clock = clock
-        self.parallelism = parallelism
-        self._busy_until = [clock.now_ms] * parallelism
-
-    def idle_workers(self, now_ms: float) -> int:
-        """How many workers are free at *now_ms*."""
-        return sum(1 for until in self._busy_until if until <= now_ms)
-
-    def start(self, start_ms: float, duration_ms: float) -> float:
-        """Occupy the earliest-free worker from *start_ms*; return the
-        completion instant ``start_ms + duration_ms``."""
-        slot = min(range(self.parallelism), key=self._busy_until.__getitem__)
-        if self._busy_until[slot] > start_ms:
-            raise ValueError(
-                f"no idle worker at {start_ms:.3f} ms "
-                f"(earliest free {self._busy_until[slot]:.3f} ms)"
-            )
-        completion = start_ms + duration_ms
-        self._busy_until[slot] = completion
-        return completion

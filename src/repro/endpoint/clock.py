@@ -10,6 +10,8 @@ Time is kept in fractional milliseconds since the simulation epoch; days
 
 from __future__ import annotations
 
+import math
+
 __all__ = ["SimulationClock", "MS_PER_DAY"]
 
 MS_PER_DAY = 86_400_000.0
@@ -31,9 +33,11 @@ class SimulationClock:
         return int(self._now_ms // MS_PER_DAY)
 
     def advance(self, delta_ms: float) -> float:
-        """Advance by *delta_ms* (must be non-negative); return new time."""
-        if delta_ms < 0:
-            raise ValueError(f"cannot move time backwards ({delta_ms} ms)")
+        """Advance by *delta_ms* (finite and non-negative); return new time."""
+        if not 0 <= delta_ms < math.inf:
+            if delta_ms < 0:
+                raise ValueError(f"cannot move time backwards ({delta_ms} ms)")
+            raise ValueError(f"cannot advance by a non-finite delta ({delta_ms} ms)")
         self._now_ms += delta_ms
         return self._now_ms
 
@@ -46,7 +50,7 @@ class SimulationClock:
         if target > self._now_ms:
             self._now_ms = target
 
-    # -- batch isolation (the simulated worker pool) ----------------------
+    # -- measuring simulated cost (worker pools) --------------------------
 
     def checkpoint(self) -> float:
         """The current time, to hand back to :meth:`restore` later."""
@@ -55,13 +59,14 @@ class SimulationClock:
     def restore(self, checkpoint_ms: float) -> None:
         """Rewind to a previously taken :meth:`checkpoint`.
 
-        This is the one sanctioned way time moves backwards, and it exists
-        for exactly one caller: the simulated worker pool
-        (:mod:`repro.core.parallel`), which runs each task of a batch
-        against the batch-start clock, measures the task's elapsed
-        simulated time, rewinds, and finally advances once by the parallel
-        schedule's makespan.  Observers outside a batch still only ever
-        see time move forward.
+        This is the one sanctioned way time moves backwards, and it has
+        two callers, both measuring what a task costs: the batch pool
+        (:mod:`repro.core.parallel`), which runs each task against the
+        batch-start clock, rewinds, and finally advances once by the
+        parallel schedule's makespan; and the serving scheduler
+        (:mod:`repro.serving.scheduler`), which rewinds after each request
+        and advances along its event timeline.  Observers outside them
+        still only ever see time move forward.
         """
         if checkpoint_ms > self._now_ms:
             raise ValueError(

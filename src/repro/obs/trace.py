@@ -27,8 +27,8 @@ un-guarded cold paths stay correct.
 
 The recorder keeps a single active-span stack.  That is safe because
 the discrete-event scheduler executes requests one at a time under the
-hood (``SimWorkerPool`` only *books* overlap); parallelism is simulated
-time, not interleaved execution.
+hood (its heap of worker free instants only *books* overlap);
+parallelism is simulated time, not interleaved execution.
 """
 
 from __future__ import annotations
@@ -385,8 +385,9 @@ class Tracer:
     def end(self, canon: Optional[Dict[str, Any]] = None, end_ms: Optional[float] = None,
             **attrs: Any) -> Span:
         """Close the current span.  ``end_ms`` overrides the clock —
-        the scheduler needs this because ``measure_task`` rewinds the
-        clock after measuring a request's service time."""
+        the scheduler needs this because it rewinds the clock after
+        measuring a request's service time (as ``measure_task`` does for
+        a batch task)."""
         span, _ = self._stack.pop()
         span.end_ms = self._now() if end_ms is None else float(end_ms)
         self._apply(span, canon, attrs)

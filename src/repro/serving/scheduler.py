@@ -1,11 +1,11 @@
 """The concurrent-query scheduler: a discrete-event loop over sim time.
 
 DESP-C++-style discrete event simulation (Darmont, PAPERS.md): the state
-is ``parallelism`` server worker threads (a
-:class:`~repro.core.parallel.SimWorkerPool`), a bounded fair admission
-queue, and two event sources -- request **arrivals** (known up front from
-the workload) and request **completions** (computed as each request
-starts).  The loop walks the merged event stream in time order:
+is ``parallelism`` server worker threads (a min-heap of the instants at
+which each one frees up), a bounded fair admission queue, and two event
+sources -- request **arrivals** (known up front from the workload) and
+request **completions** (computed as each request starts).  The loop
+walks the merged event stream in time order:
 
 * an arrival starts immediately when a worker is idle and nobody waits,
   queues when the server is busy, and is rejected when the queue is full
@@ -15,10 +15,16 @@ starts).  The loop walks the merged event stream in time order:
   queued request under the per-tenant fairness rotation (dropping
   requests whose queue wait exceeded the admission deadline).
 
+"Is a worker idle at t" is one look at the heap's top, and a start books
+the earliest-free worker with one ``heapreplace``: the greedy rule of
+:func:`~repro.core.parallel.makespan_ms`, applied as requests arrive.
+
 Service costs are *measured*, not assumed: starting a request advances
 the shared :class:`~repro.endpoint.clock.SimulationClock` to the start
-instant and runs the executor under
-:func:`~repro.core.parallel.measure_task`, so whatever the endpoint
+instant, runs the executor, reads its elapsed simulated time off the
+clock and rewinds it (the checkpoint/restore idiom of
+:func:`~repro.core.parallel.measure_task`, inline, because an exception
+here propagates instead of being captured).  Whatever the endpoint
 charges (profile latency, backoff waits, failure-path connect costs)
 becomes that request's service time, and the clock itself only ever
 advances along the event timeline.  Requests execute one at a time under
@@ -35,10 +41,10 @@ weather.
 
 from __future__ import annotations
 
-import heapq
+import math
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..core.parallel import SimWorkerPool, measure_task
 from ..endpoint.clock import SimulationClock
 from ..endpoint.errors import EndpointTimeout, QueryRejected
 from ..obs.trace import NULL_TRACER, defer, result_digest
@@ -46,7 +52,31 @@ from .admission import FairAdmissionQueue
 from .faults import FaultInjector
 from .workload import Request
 
-__all__ = ["RequestRecord", "Scheduler"]
+__all__ = ["RequestRecord", "Scheduler", "check_serving_parameters"]
+
+
+def check_serving_parameters(parallelism, queue_capacity, queue_timeout_ms,
+                             backpressure_deadline_ms, cache_hit_ms: float = 0.0) -> None:
+    """Refuse, with ``ValueError``, a serving parameter that would fail
+    only mid-serve or quietly switch a feature off.
+
+    Worker and queue counts are ints >= 1 (a bool is not a count); the
+    deadlines are ``None`` (off) or finite and >= 0.  The cache-hit charge
+    (the server's; a scheduler has none) is finite and >= 0: a NaN charge
+    breaks the completion heap, an infinite one admits nothing to the cache.
+    """
+    for name, value in (("parallelism", parallelism), ("queue_capacity", queue_capacity)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+    for name, value, optional in (
+        ("queue_timeout_ms", queue_timeout_ms, True),
+        ("backpressure_deadline_ms", backpressure_deadline_ms, True),
+        ("cache_hit_ms", cache_hit_ms, False),
+    ):
+        if value is None and optional:
+            continue
+        if not isinstance(value, (int, float)) or not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 class RequestRecord:
@@ -130,7 +160,8 @@ class Scheduler:
     consumes is the request's service time.  It returns a ``(status,
     result, meta)`` triple whose meta mapping carries the attempt count
     and, when they apply, the hedging flag, degradation rung and folded
-    endpoint error.  An exception out of it is a bug and propagates.
+    endpoint error.  An exception out of it is a bug and propagates, with
+    the clock rewound to the failing request's start instant.
 
     With *backpressure_deadline_ms* set, an arrival that would queue
     behind ``depth x mean-service`` milliseconds of expected wait larger
@@ -151,6 +182,9 @@ class Scheduler:
         backpressure_deadline_ms: Optional[float] = None,
         obs=None,
     ):
+        check_serving_parameters(
+            parallelism, queue_capacity, queue_timeout_ms, backpressure_deadline_ms
+        )
         self.clock = clock
         self.execute = execute
         self.parallelism = parallelism
@@ -170,24 +204,25 @@ class Scheduler:
         """Serve *requests* (sorted by arrival); return one record each,
         in arrival order.  The clock ends at the last completion."""
         clock = self.clock
-        pool = SimWorkerPool(clock, self.parallelism)
+        execute = self.execute
         queue = FairAdmissionQueue(self.queue_capacity)
+        queue_timeout_ms = self.queue_timeout_ms
+        backpressure_deadline_ms = self.backpressure_deadline_ms
+        active_kinds = self.faults.active_kinds if self.faults else None
         ordered = sorted(
             requests, key=lambda r: (r.arrival_ms, r.session_id, r.seq)
         )
         records: List[RequestRecord] = []
-        #: (completion_ms, start order) heap; the payload is the record
-        in_flight: List = []
-        start_counter = 0
+        #: the instant each worker frees up, a min-heap: a worker is idle
+        #: at t exactly when ``free[0] <= t``
+        free = [clock.now_ms] * self.parallelism
+        #: completion instants of the started requests, a min-heap
+        in_flight: List[float] = []
         completed_service_ms = 0.0
         completed_count = 0
 
-        def advance_to(instant_ms: float) -> None:
-            if instant_ms > clock.now_ms:
-                clock.advance(instant_ms - clock.now_ms)
-
         def weather(now_ms: float) -> Tuple[str, ...]:
-            return self.faults.active_kinds(now_ms) if self.faults else ()
+            return active_kinds(now_ms) if active_kinds else ()
 
         tracer = self.obs
         tracing = tracer.enabled
@@ -205,16 +240,22 @@ class Scheduler:
                 "arrival_faults": list(weather(request.arrival_ms)),
             }
 
-        def closed_root(request: Request, status: str, now_ms: float) -> None:
-            """Root span for a request that never reached a worker."""
-            canon = identity_canon(request)
-            canon["outcome"] = status
-            tracer.open_trace(request.key, "request", canon=canon, status=status)
-            tracer.end(end_ms=now_ms)
+        def refuse(request: Request, status: str, error, now_ms: float) -> None:
+            """Record a request that never reached a worker."""
+            if tracing:
+                canon = identity_canon(request)
+                canon["outcome"] = status
+                tracer.open_trace(request.key, "request", canon=canon, status=status)
+                tracer.end(end_ms=now_ms)
+            records.append(RequestRecord(
+                request, status, error=error, start_ms=now_ms, completion_ms=now_ms,
+                faults_at_dispatch=weather(now_ms),
+            ))
 
         def start(request: Request, now_ms: float) -> None:
-            nonlocal start_counter, completed_service_ms, completed_count
-            advance_to(now_ms)
+            nonlocal completed_service_ms, completed_count
+            if now_ms > clock.now_ms:
+                clock.advance(now_ms - clock.now_ms)
             if tracing:
                 tracer.open_trace(request.key, "request", canon=identity_canon(request))
                 if now_ms > request.arrival_ms:
@@ -224,32 +265,42 @@ class Scheduler:
                         end_ms=now_ms,
                         wait_ms=round(now_ms - request.arrival_ms, 6),
                     )
-            outcome = measure_task(clock, request.key, lambda: self.execute(request))
-            if outcome.error is not None:
-                # the executor folds every endpoint failure into its
-                # status; anything it lets out is a bug, not an outcome
-                raise outcome.error
-            status, result, meta = outcome.value
-            completion = pool.start(now_ms, outcome.elapsed_ms)
+            # the executor folds every endpoint failure into its status;
+            # anything it lets out is a bug, not an outcome, and leaves
+            # with the clock rewound
+            begin = clock.checkpoint()
+            try:
+                status, result, meta = execute(request)
+            finally:
+                elapsed = clock.now_ms - begin
+                clock.restore(begin)
+            if free[0] > now_ms:
+                raise ValueError(
+                    f"no idle worker at {now_ms:.3f} ms "
+                    f"(earliest free {free[0]:.3f} ms)"
+                )
+            completion = now_ms + elapsed
+            heapreplace(free, completion)
+            # positional: with nine keywords this call took 0.95 us, more
+            # than twice its 0.39 us positional
             record = RequestRecord(
                 request,
                 status,
-                error=meta.get("error"),
-                start_ms=now_ms,
-                completion_ms=completion,
-                service_ms=outcome.elapsed_ms,
-                result=result,
-                attempts=meta["attempts"],
-                hedged=meta.get("hedged", False),
-                degraded=meta.get("degraded"),
-                faults_at_dispatch=weather(now_ms),
+                meta.get("error"),
+                now_ms,
+                completion,
+                elapsed,
+                result,
+                meta["attempts"],
+                meta.get("hedged", False),
+                meta.get("degraded"),
+                weather(now_ms),
             )
             if tracing:
                 # Served requests pin the canonical result rows, unserved
                 # ones pin the outcome -- mirroring ServingReport.digest().
                 if record.served:
                     # Deferred: serialized at export/digest time, not here.
-                    result = record.result
                     canon = {"result": defer(lambda result=result: result_digest(result))}
                 else:
                     canon = {"outcome": status}
@@ -257,107 +308,69 @@ class Scheduler:
                     end_ms=completion,
                     canon=canon,
                     status=status,
-                    service_ms=round(outcome.elapsed_ms, 6),
+                    service_ms=round(elapsed, 6),
                     attempts=record.attempts,
                     hedged=record.hedged,
                     degraded=record.degraded,
                     faults_at_dispatch=list(record.faults_at_dispatch),
                 )
             records.append(record)
-            heapq.heappush(in_flight, (completion, start_counter, record))
-            start_counter += 1
-            completed_service_ms += outcome.elapsed_ms
+            heappush(in_flight, completion)
+            completed_service_ms += elapsed
             completed_count += 1
 
         def drain(now_ms: float) -> None:
             """Hand queued requests to idle workers, skipping the stale."""
-            while pool.idle_workers(now_ms) > 0:
+            while free[0] <= now_ms:
                 request = queue.take()
                 if request is None:
                     return
                 waited = now_ms - request.arrival_ms
-                if (
-                    self.queue_timeout_ms is not None
-                    and waited > self.queue_timeout_ms
-                ):
-                    if tracing:
-                        closed_root(request, "queue-timeout", now_ms)
-                    records.append(
-                        RequestRecord(
-                            request,
-                            "queue-timeout",
-                            error=EndpointTimeout(
-                                f"queued {waited:.0f} ms, admission deadline "
-                                f"{self.queue_timeout_ms:.0f} ms"
-                            ),
-                            start_ms=now_ms,
-                            completion_ms=now_ms,
-                            faults_at_dispatch=weather(now_ms),
-                        )
-                    )
+                if queue_timeout_ms is not None and waited > queue_timeout_ms:
+                    refuse(request, "queue-timeout", EndpointTimeout(
+                        f"queued {waited:.0f} ms, admission deadline "
+                        f"{queue_timeout_ms:.0f} ms"
+                    ), now_ms)
                     continue
                 start(request, now_ms)
 
         index = 0
         while index < len(ordered) or in_flight:
             next_arrival = (
-                ordered[index].arrival_ms if index < len(ordered) else float("inf")
+                ordered[index].arrival_ms if index < len(ordered) else math.inf
             )
-            next_completion = in_flight[0][0] if in_flight else float("inf")
-            if next_completion <= next_arrival:
+            if in_flight and in_flight[0] <= next_arrival:
                 # completion first: the freed worker is visible to an
                 # arrival at the same instant
-                now, _, _ = heapq.heappop(in_flight)
-                advance_to(now)
+                now = heappop(in_flight)
+                if now > clock.now_ms:
+                    clock.advance(now - clock.now_ms)
                 drain(now)
-            else:
-                request = ordered[index]
-                index += 1
-                # an arrival earlier than the clock (e.g. a second serve()
-                # on the same server) is admitted at the current instant
-                now = max(request.arrival_ms, clock.now_ms)
-                advance_to(now)
-                if pool.idle_workers(now) > 0 and len(queue) == 0:
-                    start(request, now)
-                    continue
-                if (
-                    self.backpressure_deadline_ms is not None
-                    and completed_count > 0
-                    and queue.pressure_ms(completed_service_ms / completed_count)
-                    > self.backpressure_deadline_ms
-                ):
-                    self.shed += 1
-                    if tracing:
-                        closed_root(request, "shed", now)
-                    records.append(
-                        RequestRecord(
-                            request,
-                            "shed",
-                            error=QueryRejected(
-                                f"backpressure: expected queue wait exceeds "
-                                f"{self.backpressure_deadline_ms:.0f} ms deadline"
-                            ),
-                            start_ms=now,
-                            completion_ms=now,
-                            faults_at_dispatch=weather(now),
-                        )
-                    )
-                elif not queue.offer(request):
-                    if tracing:
-                        closed_root(request, "rejected", now)
-                    records.append(
-                        RequestRecord(
-                            request,
-                            "rejected",
-                            error=QueryRejected(
-                                f"admission queue full "
-                                f"({queue.capacity} waiting)"
-                            ),
-                            start_ms=now,
-                            completion_ms=now,
-                            faults_at_dispatch=weather(now),
-                        )
-                    )
+                continue
+            request = ordered[index]
+            index += 1
+            # an arrival earlier than the clock (e.g. a second serve()
+            # on the same server) is admitted at the current instant
+            now = max(request.arrival_ms, clock.now_ms)
+            if now > clock.now_ms:
+                clock.advance(now - clock.now_ms)
+            if free[0] <= now and len(queue) == 0:
+                start(request, now)
+            elif (
+                backpressure_deadline_ms is not None
+                and completed_count > 0
+                and queue.pressure_ms(completed_service_ms / completed_count)
+                > backpressure_deadline_ms
+            ):
+                self.shed += 1
+                refuse(request, "shed", QueryRejected(
+                    f"backpressure: expected queue wait exceeds "
+                    f"{backpressure_deadline_ms:.0f} ms deadline"
+                ), now)
+            elif not queue.offer(request):
+                refuse(request, "rejected", QueryRejected(
+                    f"admission queue full ({queue.capacity} waiting)"
+                ), now)
         self.last_queue_info = queue.info()
         # arrival order is the report's canonical order
         records.sort(

@@ -46,7 +46,7 @@ from ..sparql.results import AskResult, SelectResult
 from .cache import ResultCache
 from .faults import FaultInjector, FaultPlan
 from .resilience import ResiliencePolicy, ResilientExecutor
-from .scheduler import RequestRecord, Scheduler
+from .scheduler import RequestRecord, Scheduler, check_serving_parameters
 from .workload import Request, Workload
 
 __all__ = ["QueryServer", "ServingReport"]
@@ -280,6 +280,10 @@ class QueryServer:
         backpressure_deadline_ms: Optional[float] = None,
         obs: Optional[Observatory] = None,
     ):
+        check_serving_parameters(
+            parallelism, queue_capacity, queue_timeout_ms,
+            backpressure_deadline_ms, cache_hit_ms,
+        )
         self.endpoint = endpoint
         self.parallelism = parallelism
         self.queue_capacity = queue_capacity

@@ -1,0 +1,165 @@
+"""The serving scheduler's doors, its exception path and what it allocates.
+
+* A serving parameter that could only fail mid-serve (a zero or fractional
+  worker count, a NaN or negative cache-hit charge) or that would quietly
+  switch a feature off (an infinite cache-hit charge admits nothing to the
+  cache; a NaN deadline never fires) is refused when the server or the
+  scheduler is built.  The simulated clock refuses a non-finite step.
+* An executor's own exception leaves ``serve`` as itself, with the clock
+  rewound to the failing request's start instant.
+* Serving a cached wave measures every request inline: no ``TaskOutcome``
+  is built.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+import repro.core.parallel as parallel
+from repro.datagen import government_graph
+from repro.endpoint import AlwaysAvailable, SimulationClock, SparqlEndpoint
+from repro.serving import (
+    QueryServer,
+    Request,
+    Scheduler,
+    cache_friendly_mix,
+    generate_workload,
+)
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return government_graph(scale=0.2, seed=5)
+
+
+def _endpoint(graph):
+    return SparqlEndpoint(
+        "http://doors.example.org/sparql", graph, SimulationClock(),
+        availability=AlwaysAvailable(), seed=4,
+    )
+
+
+def _burst(n, spacing_ms=0.0):
+    return [Request(0, "t0", seq, seq * spacing_ms, "burst", "ASK { ?s ?p ?o }")
+            for seq in range(n)]
+
+
+# -- doors --------------------------------------------------------------------
+
+#: (keyword, refused value); every row fails at construction, naming the keyword
+REFUSED = [
+    ("parallelism", 0),
+    ("parallelism", -2),
+    ("parallelism", 2.5),
+    ("parallelism", True),
+    ("parallelism", None),
+    ("queue_capacity", 0),
+    ("queue_capacity", -1),
+    ("queue_capacity", 8.0),
+    ("queue_capacity", False),
+    ("queue_timeout_ms", math.nan),
+    ("queue_timeout_ms", math.inf),
+    ("queue_timeout_ms", -1.0),
+    ("backpressure_deadline_ms", math.nan),
+    ("backpressure_deadline_ms", math.inf),
+    ("backpressure_deadline_ms", -5.0),
+    ("cache_hit_ms", math.nan),
+    ("cache_hit_ms", math.inf),
+    ("cache_hit_ms", -1.0),
+    ("cache_hit_ms", None),
+]
+
+
+@pytest.mark.parametrize("keyword, value", REFUSED,
+                         ids=[f"{k}={v!r}" for k, v in REFUSED])
+def test_the_server_refuses_a_parameter_that_fails_mid_serve(graph, keyword, value):
+    with pytest.raises(ValueError, match=keyword):
+        QueryServer(_endpoint(graph), **{keyword: value})
+
+
+@pytest.mark.parametrize(
+    "keyword, value",
+    [row for row in REFUSED if row[0] != "cache_hit_ms"],
+    ids=[f"{k}={v!r}" for k, v in REFUSED if k != "cache_hit_ms"],
+)
+def test_the_scheduler_refuses_the_same_parameters(keyword, value):
+    with pytest.raises(ValueError, match=keyword):
+        Scheduler(SimulationClock(), lambda request: None, **{keyword: value})
+
+
+def test_the_edges_of_each_door_are_accepted(graph):
+    """One worker, a one-slot queue, a zero deadline and a free cache hit
+    are legal; the server then serves."""
+    server = QueryServer(
+        _endpoint(graph), parallelism=1, queue_capacity=1, queue_timeout_ms=0.0,
+        backpressure_deadline_ms=0.0, cache_hit_ms=0.0,
+    )
+    report = server.serve(_burst(1))
+    assert [record.status for record in report.records] == ["ok"]
+
+
+@pytest.mark.parametrize("delta", (math.nan, math.inf, -math.inf))
+def test_the_clock_refuses_a_non_finite_step(delta):
+    clock = SimulationClock(5.0)
+    with pytest.raises(ValueError):
+        clock.advance(delta)
+    assert clock.now_ms == 5.0
+    assert clock.advance(5.0) == 10.0
+
+
+def test_the_clock_still_names_a_step_backwards():
+    with pytest.raises(ValueError, match="cannot move time backwards"):
+        SimulationClock().advance(-1.0)
+
+
+# -- the exception path -------------------------------------------------------
+
+
+def test_the_executors_own_exception_leaves_with_the_clock_at_its_start():
+    """``test_serving_layer.test_non_endpoint_errors_propagate``, pinned
+    down: the object raised is the executor's, and the clock reads the
+    failing request's start instant, not where the executor left it."""
+    clock = SimulationClock(5.0)
+    error = RuntimeError("boom")
+
+    def execute(request):
+        clock.advance(7.0)
+        if request.seq == 2:
+            raise error
+        return ("ok", None, {"attempts": 1})
+
+    with pytest.raises(RuntimeError) as caught:
+        Scheduler(clock, execute, parallelism=1).run(_burst(3, spacing_ms=1.0))
+    assert caught.value is error
+    # arrivals 0, 1 and 2 ms are admitted at 5 ms and run back to back:
+    # the third starts at 5 + 7 + 7
+    assert clock.now_ms == 19.0
+
+
+# -- what a cached wave allocates ---------------------------------------------
+
+
+def test_a_cached_wave_builds_no_task_outcome(graph, monkeypatch):
+    """The scheduler measures inline.  Measuring through ``measure_task``
+    built one ``TaskOutcome`` per started request: 163 for this wave
+    of 163 cache hits."""
+    built = []
+
+    class Counting(parallel.TaskOutcome):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    server = QueryServer(_endpoint(graph), parallelism=4, queue_capacity=4096)
+    wave = generate_workload(sessions=40, seed=3, mix=cache_friendly_mix(),
+                             mean_session_gap_ms=50, mean_think_ms=80)
+    server.serve(wave)  # warm the cache
+    monkeypatch.setattr(parallel, "TaskOutcome", Counting)
+    report = server.serve(wave)
+    assert report.status_counts() == {"cache-hit": len(wave)}
+    assert len(wave) == 163
+    assert len(built) == 0, f"{len(built)} TaskOutcomes for {len(wave)} requests"

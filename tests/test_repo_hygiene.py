@@ -217,6 +217,104 @@ class TestWrittenOnce:
         ]
         assert definitions == ["resilience.py"]
 
+    @staticmethod
+    def _clock_rewinders(modules):
+        """Modules calling ``<x>.restore(...)``; ``TermDict.restore``
+        builds a dictionary and rewinds nothing."""
+        return {
+            path
+            for path, nodes in modules
+            for node in nodes
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "restore"
+            and getattr(node.func.value, "id", None) != "TermDict"
+        }
+
+    def test_two_callers_rewind_the_clock(self):
+        """``SimulationClock.restore`` is how time moves backwards: the batch
+        pool and the serving scheduler measure a task with it, nothing else."""
+        assert self._clock_rewinders(self._modules("")) == {
+            "core/parallel.py", "serving/scheduler.py",
+        }
+
+    def test_the_rewind_rule_matches_a_third_caller(self):
+        third = "\n".join([
+            "def replay(self, request):",
+            "    mark = self.endpoint.clock.checkpoint()",
+            "    self.execute(request)",
+            "    self.endpoint.clock.restore(mark)",
+            "    return TermDict.restore(items, 1, [], 0)",  # not a clock
+        ])
+        assert self._clock_rewinders([("replay.py", list(ast.walk(ast.parse(third))))]) == {
+            "replay.py",
+        }
+
+    @staticmethod
+    def _worker_ledgers(tree):
+        """``(class, line)`` of every ``self.<attr> = [...] * <...parallelism>``:
+        an object keeping one entry per worker."""
+
+        def names_parallelism(node):
+            return any(
+                getattr(inner, "id", None) == "parallelism"
+                or getattr(inner, "attr", None) == "parallelism"
+                for inner in ast.walk(node)
+            )
+
+        return {
+            (cls.name, node.lineno)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in ast.walk(cls)
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.Mult)
+            and isinstance(node.value.left, ast.List) and names_parallelism(node.value.right)
+            and any(
+                isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self"
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            )
+        }
+
+    def test_no_object_keeps_a_worker_ledger(self):
+        """The serving scheduler's workers are a local heap of free instants
+        inside ``Scheduler.run``; a pool object with a busy-until list (the
+        retired ``SimWorkerPool``) is the form that scanned every worker."""
+        found = [
+            f"{path}:{line}"
+            for path, nodes in self._modules("")
+            for _cls, line in self._worker_ledgers(nodes[0])
+        ]
+        assert not found, found
+
+    def test_the_ledger_rule_matches_the_retired_pool(self):
+        retired = "\n".join([
+            "class SimWorkerPool:",
+            "    def __init__(self, clock, parallelism):",
+            "        self.parallelism = parallelism",
+            "        self._busy_until = [clock.now_ms] * parallelism",
+            "    def idle_workers(self, now_ms):",
+            "        return sum(1 for until in self._busy_until if until <= now_ms)",
+            "class Scheduler:",
+            "    def run(self, requests):",
+            "        free = [self.clock.now_ms] * self.parallelism",  # a local: fine
+            "        self.vx = [0.0] * len(requests)",  # not per worker
+        ])
+        assert self._worker_ledgers(ast.parse(retired)) == {("SimWorkerPool", 4)}
+
+    def test_the_serving_parameter_check_is_written_once(self):
+        """``check_serving_parameters`` is defined in ``serving/scheduler.py``
+        and is the door of both serving constructors."""
+        modules = self._modules("serving")
+        definitions = [
+            path
+            for path, nodes in modules
+            for node in nodes
+            if isinstance(node, ast.FunctionDef) and node.name == "check_serving_parameters"
+        ]
+        assert definitions == ["scheduler.py"]
+        assert self._callers(modules, "check_serving_parameters") == {
+            "scheduler.py", "server.py",
+        }
+
     def test_one_heap_in_the_evaluator(self):
         """The ID-space modifier tail cuts with ``heapq.nlargest`` /
         ``nsmallest`` over key columns; the only hand-fed heap left in
