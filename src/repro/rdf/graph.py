@@ -402,7 +402,8 @@ class Graph:
         wanted position: a level below it contributes its *sizes* (a
         subject's triple count is the sum of its object leaves' lengths, so
         ``?s ?p ?o`` wanting only ``?s`` never iterates an object leaf), a
-        level above it is repeated over the runs it heads.  With all three
+        level above it is repeated over the runs it heads (the leading
+        unbound level's are :meth:`scan_runs`).  With all three
         wanted the rows are transposed off ``triples_ids`` -- per-run
         repeats lose to that on short runs.  This is the scan primitive of
         the SPARQL columnar executor.
@@ -419,17 +420,21 @@ class Graph:
                 ]
             return
         order, keys, inners = view
+        runs = self.scan_runs(s, p, o)
 
         def leaves():
             return chain.from_iterable(map(dict.values, inners))
 
         # One independent C-level iterator over the index per wanted level;
-        # they advance in lockstep, a batch at a time.
+        # they advance in lockstep, a batch at a time.  The leading
+        # unbound level is its runs repeated; a bound first level is its
+        # one key on every row.
         columns: List[Optional[Iterator]] = [None, None, None]
-        if want[order[0]]:
-            sizes = (sum(map(len, inner.values())) for inner in inners)
-            columns[order[0]] = chain.from_iterable(map(repeat, keys, sizes))
-        if want[order[1]]:
+        if runs is not None and want[runs[0]]:
+            columns[runs[0]] = chain.from_iterable(map(repeat, runs[1], runs[2]))
+        if want[order[0]] and columns[order[0]] is None:
+            columns[order[0]] = repeat(keys[0])
+        if want[order[1]] and columns[order[1]] is None:
             columns[order[1]] = chain.from_iterable(
                 map(repeat, chain.from_iterable(inners), map(len, leaves()))
             )
@@ -444,6 +449,25 @@ class Graph:
                 [None] * n if column is None else list(islice(column, n))
                 for column in columns
             ]
+
+    def scan_runs(self, s: Optional[int], p: Optional[int], o: Optional[int]):
+        """``(position, keys, sizes)``: ``triples_ids(s, p, o)`` as runs of
+        the first unbound level of the index ``scan_columns`` walks -- its
+        triple position, its keys in scan order and the matching triples
+        each heads, both lazy (a size is computed when read).  No key heads
+        zero triples (removes drop emptied inner dicts), so the keys are
+        that position's values in first-seen order.  None without such a
+        level (``s ? o``, ``s p o``, a bound second level) or a single
+        index order (a routed scan).
+        """
+        view = self._scan_view(s, p, o)
+        if view is None or (s, p, o).count(None) == 1:  # two bound levels
+            return None
+        order, keys, inners = view
+        if s is None and p is None and o is None:
+            return order[0], keys, (sum(map(len, inner.values())) for inner in inners)
+        (inner,) = inners
+        return order[1], inner, map(len, inner.values())
 
     def _scan_view(self, s: Optional[int], p: Optional[int], o: Optional[int]):
         """``(order, keys, inners)``: the index ``triples_ids`` walks for

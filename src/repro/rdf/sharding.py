@@ -489,7 +489,9 @@ class ShardedTripleStore(Graph):
 
     def _scan_view(self, s: Optional[int], p: Optional[int], o: Optional[int]):
         """No single index holds a routed scan's row order: ``scan_columns``
-        transposes ``triples_ids`` whatever is wanted."""
+        transposes ``triples_ids`` whatever is wanted, and ``scan_runs``
+        declines (the SPARQL layer books simulated shard time on the routed
+        scan, which a run would skip)."""
         return None
 
     def count_ids(

@@ -213,7 +213,7 @@ class Literal(Term):
     ``Literal`` accepts native Python values and maps them onto XSD types::
 
         Literal(3)       -> "3"^^xsd:integer
-        Literal(2.5)     -> "2.5"^^xsd:double
+        Literal(2.5)     -> "2.5"^^xsd:double  (inf / nan -> "INF" / "NaN")
         Literal(True)    -> "true"^^xsd:boolean
         Literal("hi")    -> plain string literal (xsd:string)
     """
@@ -238,7 +238,7 @@ class Literal(Term):
             lexical = str(value)
             datatype = datatype or XSD_INTEGER
         elif isinstance(value, float):
-            lexical = repr(value)
+            lexical = repr(value).replace("inf", "INF").replace("nan", "NaN")  # XSD's forms
             datatype = datatype or XSD_DOUBLE
         elif isinstance(value, str):
             lexical = value
@@ -314,9 +314,12 @@ class Literal(Term):
         return f'"{escaped}"'
 
     def sort_key(self) -> Tuple:
-        # Numeric literals order by numeric value among themselves.
+        """Numeric literals order by numeric value among themselves, before
+        the rest.  A NaN, equal to no number, ranks as a non-numeric literal
+        by its lexical form, so keys are totally ordered (ORDER BY relies
+        on it)."""
         numeric = self.numeric_value()
-        if numeric is not None:
+        if numeric is not None and numeric == numeric:
             return (_KIND_LITERAL, 0, float(numeric), self.lexical)
         return (_KIND_LITERAL, 1, self.lexical, self.language or "", self.datatype or "")
 

@@ -53,7 +53,9 @@ The source follows from the compiled patterns, never from a caller
 option: a single pattern streams batches straight off the index
 (:meth:`Graph.scan_columns`, materialising only the positions an
 operator above reads -- :meth:`QueryEngine._wanted_variables`; zero-copy
-on the sorted shard runs), several patterns run the eager join and
+on the sorted shard runs; an index level's keys and run lengths when a
+COUNT GROUP BY or DISTINCT needs no more -- :meth:`Graph.scan_runs`),
+several patterns run the eager join and
 transpose its rows, and the ``stream`` engine chunks its lazy join
 chain.  The eager join (:meth:`QueryEngine._bgp_id_rows`) plans its
 order once and takes the FILTERs and the wanted variables down: a
@@ -71,7 +73,9 @@ parsing, pattern encoding and estimation entirely -- on any engine.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import Counter, OrderedDict
+from itertools import accumulate as _accumulate
 from itertools import chain as _chain
 from itertools import compress
 from itertools import islice as _islice
@@ -405,13 +409,11 @@ class _AggFold:
         if function == "COUNT":
             return self.count
         if function == "SUM":
-            total = self.total
-            return int(total) if total == int(total) else float(total)
+            return _integral(self.total)
         if function == "AVG":
             if not self.numbers:
                 return None
-            mean = self.total / self.numbers
-            return int(mean) if mean == int(mean) else float(mean)
+            return _integral(self.total / self.numbers)
         if function in ("MIN", "MAX"):
             return self.best
         if function == "SAMPLE":
@@ -422,6 +424,14 @@ class _AggFold:
 
     def result(self) -> Optional[Term]:
         return _fold_term(self.value())
+
+
+def _integral(number):
+    """A SUM / AVG total as the fold reports it: an int when it is a whole
+    number, else a float -- a non-finite one (INF, NaN) stays a float."""
+    if isinstance(number, float) and not number.is_integer():
+        return number
+    return int(number)
 
 
 def _fold_term(value) -> Optional[Term]:
@@ -525,6 +535,8 @@ def _first_in_order(columns, indices: List[int], room, conditions, memos, level=
     *level*.  Lazy, left to right: this condition's keys settle every row
     but those tying with the ``room``-th best key; only they get the next
     condition's keys, and after the last condition the earliest rows win.
+    The bound is the ``room``-th row's key: a heap takes the ``room`` best
+    distinct cells and their multiplicities, summed in order, find it.
     """
     if len(indices) <= room:
         return indices
@@ -532,17 +544,18 @@ def _first_in_order(columns, indices: List[int], room, conditions, memos, level=
         return indices[:room]
     column, descending, term_of = conditions[level]
     cells = columns[column]
-    keys = _sort_key_column([cells[i] for i in indices], memos[level], term_of)
-    if descending:
-        bound = heapq.nlargest(room, keys)[-1]
-        better = [i for i, key in zip(indices, keys) if key > bound]
-    else:
-        bound = heapq.nsmallest(room, keys)[-1]
-        better = [i for i, key in zip(indices, keys) if key < bound]
-    ties = [i for i, key in zip(indices, keys) if key == bound]
-    return better + _first_in_order(
-        columns, ties, room - len(better), conditions, memos, level + 1
-    )
+    if len(indices) < len(cells):  # else *indices* is every row
+        cells = list(map(cells.__getitem__, indices))
+    tally = Counter(cells)
+    keys = _sort_key_column(tally, memos[level], term_of)  # one per distinct cell
+    key = memos[level].__getitem__
+    best = (heapq.nlargest if descending else heapq.nsmallest)(room, tally, key=key)
+    bound = key(best[bisect_left(list(_accumulate(map(tally.__getitem__, best))), room)])
+    better = set(compress(tally, map(bound.__lt__ if descending else bound.__gt__, keys)))
+    tied = set(compress(tally, map(bound.__eq__, keys)))
+    first = list(compress(indices, map(better.__contains__, cells))) if better else []
+    ties = list(compress(indices, map(tied.__contains__, cells)))
+    return first + _first_in_order(columns, ties, room - len(first), conditions, memos, level + 1)
 
 
 class _EncodedPattern:
@@ -754,14 +767,16 @@ EXEC_STAT_KEYS = frozenset(
         # sort), ``stream-select`` / ``topk`` / ``stream-aggregate`` (the
         # term-space streaming operators)
         "operator",
-        "input_rows",       # rows consumed by that operator
+        "input_rows",       # rows consumed by that operator; a run-fed sink
+                            # (``_run_batches``): the runs it read
         "tracked_rows",     # max rows/groups it ever held between batches
                             # (memory contract); ``aggregate-id``: the
                             # groups folded
         "distinct_keys",    # DISTINCT seen-set / champion-table size; the
                             # ID-space tail: most keys it held at once
         "scan_cells",       # rows x wanted columns a single-pattern scan
-                            # materialised (``Graph.scan_columns``)
+                            # materialised (``Graph.scan_columns``), or
+                            # one cell per run read (``Graph.scan_runs``)
         "sort_keys",        # ORDER BY keys the ID-space tail built (one
                             # per distinct cell it had to compare)
         "join_rows",        # rows the eager join's steps built, summed
@@ -771,7 +786,8 @@ EXEC_STAT_KEYS = frozenset(
                             # ``aggregate-id``: the page that survived
                             # ORDER BY / DISTINCT / OFFSET / LIMIT, not
                             # the groups
-        "batches",          # column batches a columnar sink consumed
+        "batches",          # column batches a columnar sink consumed (run
+                            # batches, ``BATCH_SIZE`` keys each, if run-fed)
         # shard fan-out counters (sparql/parallel_exec.py)
         "shard_batches",        # partition-parallel batches dispatched
         "shard_parallel_ms",    # simulated cost booked for the batches
@@ -2666,7 +2682,7 @@ class QueryEngine:
 
         def cut(held: List[List]) -> List[List]:
             n = len(held[0])
-            chosen = list(range(n))
+            chosen = range(n)
             if query.distinct:
                 key_columns = [
                     held[column] if column is not None else _repeat(None, n)
@@ -2837,23 +2853,23 @@ class QueryEngine:
         Control flow stays volcano *between* batches, so LIMIT-bounded
         sinks stop pulling early.
         """
-        batches, col_of = self._simple_source(query, patterns, simple_filters, plan)
+        batches, col_of, runs = self._simple_source(query, patterns, simple_filters, plan)
         if plan is not None:
-            return self._batch_aggregate(query, plan, batches, col_of)
+            return self._batch_aggregate(query, plan, batches, col_of, runs)
         if order_vars is not None:
             return self._batch_topk(query, order_vars, batches, col_of)
         return self._batch_select(query, batches, col_of)
 
     def _simple_source(
         self, query: SelectQuery, patterns, simple_filters, plan
-    ) -> Tuple[Iterator[List], Dict[Variable, int]]:
-        """``(column-batch iterator, col_of)`` for a simple-shape BGP, its
-        FILTERs applied.
+    ) -> Tuple[Iterator[List], Dict[Variable, int], bool]:
+        """``(column-batch iterator, col_of, runs)`` for a simple-shape BGP,
+        its FILTERs applied; *runs*: the batches are :meth:`_run_batches`.
 
-        A single pattern streams batches straight off the index, the
-        columns nothing above reads left unmaterialised (``col_of`` still
-        names every pattern variable: boundness does not change), and the
-        columnar FILTER runs over them.  Several patterns (or a
+        A single pattern streams batches (or runs) straight off the index,
+        the columns nothing above reads left unmaterialised (``col_of``
+        still names every pattern variable: boundness does not change),
+        and the columnar FILTER runs over them.  Several patterns (or a
         fully-ground existence gate, which is no column source) run the
         eager join -- it chooses INLJ or hash per step from the exact
         intermediate cardinality, which a build-then-probe over column
@@ -2866,12 +2882,12 @@ class QueryEngine:
         """
         compiled = self._compile_patterns(patterns)
         if any(ep.impossible for ep in compiled):
-            return iter(()), {}
+            return iter(()), {}, False
         variables = list(dict.fromkeys(v for ep in compiled for v in ep.variables))
         if any(variable not in variables for _test, variable in simple_filters):
             # Filter over an unbound variable drops every row (the
             # general pipeline raises-and-rejects per row).
-            return iter(()), {variable: i for i, variable in enumerate(variables)}
+            return iter(()), {variable: i for i, variable in enumerate(variables)}, False
         filters = [(variable, self._term_verdicts(test)) for test, variable in simple_filters]
         if self.strategy == "stream":
             _columns, steps, out_layout = self._stream_plan(compiled, {})
@@ -2883,9 +2899,13 @@ class QueryEngine:
             batches = self._row_batches(rows)
         elif len(compiled) == 1 and compiled[0].variables:
             ep = compiled[0]
-            limit_hint = self._batch_limit_hint(query, ep, simple_filters, plan)
             col_of = {variable: i for i, variable in enumerate(ep.variables)}
             wanted = self._wanted_variables(query, simple_filters, plan)
+            if not filters:
+                runs = self._run_batches(query, ep, wanted, plan, col_of)
+                if runs is not None:
+                    return runs, col_of, True
+            limit_hint = self._batch_limit_hint(query, ep, simple_filters, plan)
             batches = self._scan_batches(ep, wanted, limit_hint)
         else:
             wanted = self._wanted_variables(query, (), plan)
@@ -2895,12 +2915,12 @@ class QueryEngine:
             # COUNT takes (its cells are another variable's).
             for variable in variables:
                 col_of.setdefault(variable, 0)
-            return self._row_batches(iter(joined)), col_of
+            return self._row_batches(iter(joined)), col_of, False
         if filters:
             batches = self._filter_batches(
                 batches, [(col_of[variable], check) for variable, check in filters]
             )
-        return batches, col_of
+        return batches, col_of, False
 
     def _row_batches(self, rows: Iterator[Tuple]) -> Iterator[List]:
         """Chunk ID rows into column batches (one transpose per chunk)."""
@@ -3024,6 +3044,41 @@ class QueryEngine:
             if cols is not None:
                 yield cols
 
+    def _run_batches(self, query, ep, wanted, plan, col_of) -> Optional[Iterator[List]]:
+        """*ep*'s matches as runs of the leading unbound index level
+        (:meth:`Graph.scan_runs`) when the one variable read above sits
+        there alone and the sink is a pure-COUNT GROUP BY on it (counts are
+        run lengths) or DISTINCT without ORDER BY (keys are the distinct
+        rows, no size is computed), else None.  A key's rows are contiguous
+        in the expanded scan, so first-seen order is key order.  A batch is
+        at most ``BATCH_SIZE`` keys in the variable's column, ``None`` in
+        the others, plus the run lengths for the count sink.
+        """
+        if wanted is None or len(wanted) != 1:
+            return None
+        (variable,) = wanted
+        if plan is None:
+            if not query.distinct or query.order_by:
+                return None
+        elif plan[0] != [variable] or not self._counts_only(query, plan, col_of):
+            return None
+        if any(len(positions) > 1 for positions in ep.var_positions.values()):
+            return None
+        runs = self.graph.scan_runs(*(v if type(v) is int else None for v in ep.spec))
+        if runs is None or ep.spec[runs[0]] != variable:
+            return None
+        _position, keys, sizes = runs
+        keys, column, size = iter(keys), col_of[variable], self.BATCH_SIZE
+
+        def batches():
+            for block in iter(lambda: list(_islice(keys, size)), []):
+                self.exec_stats["scan_cells"] = self.exec_stats.get("scan_cells", 0) + len(block)
+                cols = [[None] * len(block)] * len(col_of)
+                cols[column] = block
+                yield cols if plan is None else cols + [list(_islice(sizes, len(block)))]
+
+        return batches()
+
     def _term_verdicts(self, table: bytes):
         """``id -> 0 / 1`` for one term test: the dictionary's kind bytes
         translated through *table* (one C-level pass, no decode), read by
@@ -3063,7 +3118,8 @@ class QueryEngine:
         DISTINCT is columnar: one ``zip`` over the key columns (the
         projected ones) and ``dict.fromkeys`` per batch, merged into one
         insertion-ordered dict -- each key's first row wins and only the
-        key tuples are kept; they are the projected rows.
+        key tuples are kept; they are the projected rows.  Runs
+        (:meth:`_run_batches`) hold each key once, in first-seen order.
         """
         offset = query.offset or 0
         cap = None if query.limit is None else offset + query.limit
@@ -3128,18 +3184,36 @@ class QueryEngine:
             self._operator_event()
         return SelectResult(names, self._decode_id_rows(page, names, columns))
 
+    @staticmethod
+    def _counts_only(query: SelectQuery, plan, col_of: Dict[Variable, int]) -> bool:
+        """A pure COUNT GROUP BY: no HAVING, pattern variables as group keys,
+        every item a group key or a plain COUNT of ``*`` or of a pattern
+        variable -- which, bound in every row of this shape, is the group's
+        size."""
+        group_vars, items = plan
+        return query.having is None and bool(group_vars) and all(
+            variable in col_of for variable in group_vars
+        ) and all(
+            (kind == "var" and payload in group_vars)
+            or (kind == "agg" and payload.function == "COUNT" and not payload.distinct
+                and (payload.expression is None or payload.expression.variable in col_of))
+            for kind, payload, _name in items
+        )
+
     def _batch_aggregate(
-        self, query: SelectQuery, plan, batches: Iterator[List], col_of: Dict[Variable, int]
+        self, query: SelectQuery, plan, batches: Iterator[List], col_of: Dict[Variable, int],
+        runs: bool = False,
     ) -> SelectResult:
         """GROUP BY / aggregation over column batches, O(groups) state.
 
-        Pure-COUNT grouping vectorizes through :class:`Counter` (one
-        C-speed update per batch; Counter preserves first-seen insertion
-        order, matching the dict-based fold's group order).  Everything
-        else slices each batch's value columns per group and folds them
-        through :meth:`_AggFold.fold_batch`, so results are identical to
-        the row-at-a-time fold at any batch size.  Either way the groups
-        leave as one column batch of IDs and raw fold values
+        Pure-COUNT grouping (:meth:`_counts_only`; the only shape fed
+        *runs*) vectorizes through :class:`Counter` (one C-speed update per
+        batch; Counter preserves first-seen insertion order, matching the
+        dict-based fold's group order).  Everything else slices each
+        batch's value columns per group and folds them through
+        :meth:`_AggFold.fold_batch`, so results are identical to the
+        row-at-a-time fold at any batch size.  Either way the groups leave
+        as one column batch of IDs and raw fold values
         (:meth:`_aggregate_page`).
         """
         group_vars, items = plan
@@ -3147,28 +3221,8 @@ class QueryEngine:
             query, plan, col_of
         )
 
-        if (
-            not having_specs
-            and group_columns
-            and None not in group_columns
-            and all(
-                (kind == "var" and payload in group_vars)
-                or (
-                    kind == "agg"
-                    and payload.function == "COUNT"
-                    and not payload.distinct
-                    and (
-                        payload.expression is None
-                        or col_of.get(payload.expression.variable) is not None
-                    )
-                )
-                for kind, payload, _name in items
-            )
-        ):
-            # COUNT over a column that is bound in every row equals the
-            # group size (this shape never produces unbound values), so
-            # the whole aggregation is one Counter over the key columns.
-            return self._batch_count_groups(query, plan, group_columns, batches)
+        if self._counts_only(query, plan, col_of):
+            return self._batch_count_groups(query, plan, group_columns, batches, runs)
 
         decode = self.graph.decode_id
         groups: Dict = {}
@@ -3249,12 +3303,14 @@ class QueryEngine:
         return self._aggregate_page(query, items, cols, list(range(len(items))), stats)
 
     def _batch_count_groups(
-        self, query: SelectQuery, plan, group_columns: List[int], batches: Iterator[List]
+        self, query: SelectQuery, plan, group_columns: List[int], batches: Iterator[List],
+        runs: bool = False,
     ) -> SelectResult:
         """The fully-vectorized aggregation: pure-COUNT GROUP BY as one
         :class:`Counter` update per batch, over the key column or a
         C-level ``zip`` of the key columns (first-seen group order, as the
-        dict fold)."""
+        dict fold).  Fed *runs* (:meth:`_run_batches`), each key is one
+        group and its run length, the batch's last column, is its count."""
         group_vars, items = plan
         counter: Counter = Counter()
         input_rows = 0
@@ -3264,9 +3320,12 @@ class QueryEngine:
             n_batches += 1
             n = len(cols[0])
             input_rows += n
-            counter.update(
-                cols[group_columns[0]] if single else zip(*[cols[c] for c in group_columns])
-            )
+            if runs:  # no key repeats: store the counts as they are
+                dict.update(counter, zip(cols[group_columns[0]], cols[-1]))
+            else:
+                counter.update(
+                    cols[group_columns[0]] if single else zip(*[cols[c] for c in group_columns])
+                )
         stats = {
             "input_rows": input_rows,
             "tracked_rows": len(counter),

@@ -66,8 +66,10 @@ def test_explain_reports_rows_per_batch(small_graph, monkeypatch):
     report = QueryEngine(small_graph).explain(AGGREGATE)
     stats = report.exec_stats
     assert stats["operator"] == "aggregate-id"
-    assert stats["batches"] == 2  # three typed subjects, two rows a batch
-    assert stats["input_rows"] == 3
+    # two classes' runs, two runs a batch (parent: 2 batches, three typed
+    # subjects at two rows a batch)
+    assert stats["batches"] == 1
+    assert stats["input_rows"] == 2  # parent: 3
     assert "sparql.aggregate-id" in report.render()
 
 

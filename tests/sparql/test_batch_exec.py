@@ -167,14 +167,30 @@ def _edge_graph() -> Graph:
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_distinct_keys_recur_across_batch_boundaries(batch_size):
+    # ?o is the leaf level of SPO, so the scan expands rows (the parent
+    # asked ``?s <v> ?o``, which now reads ?o's runs: the twin below)
     graph = _edge_graph()
-    query = f"SELECT DISTINCT ?o WHERE {{ ?s <{EX}v> ?o }}"
+    query = "SELECT DISTINCT ?o WHERE { ?s ?p ?o }"
     reference, _ = _run(graph, query, 10**6)
     result, stats = _run(graph, query, batch_size)
     _assert_same(reference, result, batch_size)
     assert stats["operator"] == "select-id"
     assert stats["distinct_keys"] == 5
     assert stats["input_rows"] == 30
+
+
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+def test_distinct_leading_level_reads_each_key_once(batch_size):
+    """The runs twin: ?o heads POS under ``<v>``, so the sink is handed
+    the five keys, a batch at a time, and keeps the expanded order."""
+    graph = _edge_graph()
+    query = f"SELECT DISTINCT ?o WHERE {{ ?s <{EX}v> ?o }}"
+    expanded, _ = _run(graph, "SELECT DISTINCT ?o WHERE { ?s ?p ?o }", 10**6)
+    result, stats = _run(graph, query, batch_size)
+    _assert_same(expanded, result, batch_size)
+    assert stats["operator"] == "select-id"
+    assert stats["distinct_keys"] == stats["input_rows"] == stats["scan_cells"] == 5
+    assert stats["batches"] == -(-5 // batch_size)
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
@@ -279,15 +295,20 @@ def test_pure_count_group_by_matches_general_fold(batch_size):
         # the eager join ships its rows to the sink as column batches too
         # (30 subjects x 6 sharing each object)
         (f"SELECT ?s ?t WHERE {{ ?s <{EX}v> ?o . ?t <{EX}v> ?o }}", "select-id", 180),
-        (f"SELECT ?o (COUNT(?s) AS ?n) WHERE {{ ?s <{EX}v> ?o }} GROUP BY ?o",
+        # ?o is no leading index level here, so the fold counts rows (the
+        # parent's ``?s <v> ?o`` is the runs row below)
+        ("SELECT ?o (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?o",
          "aggregate-id", 30),
+        # runs: five keys and their run lengths
+        (f"SELECT ?o (COUNT(?s) AS ?n) WHERE {{ ?s <{EX}v> ?o }} GROUP BY ?o",
+         "aggregate-id", 5),
     ],
-    ids=["scan", "join", "fold"],
+    ids=["scan", "join", "fold", "runs"],
 )
 def test_exec_stats_report_rows_per_batch(query, operator, input_rows):
     """batches * BATCH_SIZE covers input_rows -- O(rows / BATCH_SIZE)
-    control-flow transfers into every sink: EXPLAIN ANALYZE derives
-    rows-per-batch from the two counters."""
+    control-flow transfers into every sink (runs: O(keys / BATCH_SIZE)):
+    EXPLAIN ANALYZE derives rows-per-batch from the two counters."""
     _, stats = _run(_edge_graph(), query, 7)
     assert stats["operator"] == operator
     assert stats["input_rows"] == input_rows

@@ -43,10 +43,13 @@ def _canonical(result):
     ]
 
 
-#: (id, query, pattern positions a sink reads, rows scanned)
+#: (id, query, pattern positions a sink reads, rows scanned -- or runs
+#: read, one cell each, where the scan hands the sink runs)
 WANTED = [
-    # a non-DISTINCT COUNT(?v) takes its column's length, nothing else
-    ("count-var", "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s", 1, 10),
+    # a non-DISTINCT COUNT(?v) takes its column's length, nothing else;
+    # grouped on the leading index level it takes the three subjects'
+    # run lengths (parent: 1 x 10 rows)
+    ("count-var", "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s", 1, 3),
     ("count-star", "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }", 0, 10),
     ("count-alone", "SELECT (COUNT(?s) AS ?n) WHERE { ?s ex:v ?o }", 0, 5),
     # every other fold reads values
@@ -61,8 +64,9 @@ WANTED = [
     ("having-count", "SELECT ?s WHERE { ?s ?p ?o } GROUP BY ?s HAVING (COUNT(?o) > 3)", 1, 10),
     # a projected variable that is no group key is read off the first row
     ("ungrouped-var", "SELECT ?s ?p (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s", 2, 10),
-    # ORDER BY over aggregate output reads output columns
-    ("ordered-groups", "SELECT ?s (COUNT(?p) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s ORDER BY DESC(?n) ?s LIMIT 2", 1, 10),
+    # ORDER BY over aggregate output reads output columns (runs again;
+    # parent: 1 x 10 rows)
+    ("ordered-groups", "SELECT ?s (COUNT(?p) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s ORDER BY DESC(?n) ?s LIMIT 2", 1, 3),
     # plain SELECT: projection, FILTER and ORDER BY variables
     ("project-one", "SELECT ?o WHERE { ?s ex:v ?o }", 1, 5),
     ("project-distinct", "SELECT DISTINCT ?p WHERE { ?s ?p ?o }", 1, 10),
@@ -93,7 +97,7 @@ def test_scan_materialises_the_positions_a_sink_reads(
 
 def test_pruned_scan_keeps_first_seen_group_order(graph):
     """Groups leave in the order the scan first met them: a pruned scan
-    visits the same index in the same order."""
+    visits the same index in the same order, and so do its runs."""
     engine = QueryEngine(graph)
     query = PREFIX + "SELECT ?{key} (COUNT(?{other}) AS ?n) WHERE {{ ?s ?p ?o }} GROUP BY ?{key}"
     for key, other, position in (("s", "o", 0), ("p", "s", 1), ("o", "p", 2)):
@@ -102,7 +106,10 @@ def test_pruned_scan_keeps_first_seen_group_order(graph):
         assert [row[key] for row in result.rows] == [
             graph.decode_id(term_id) for term_id in first_seen
         ]
-        assert engine.exec_stats["scan_cells"] == len(graph)
+        # ?s heads the index walked: one cell per subject's run (parent:
+        # len(graph) for every key)
+        cells = len(first_seen) if position == 0 else len(graph)
+        assert engine.exec_stats["scan_cells"] == cells
 
 
 # -- tracked_rows: the most rows held between batches ---------------------------
@@ -151,7 +158,7 @@ def templates():
 
 
 def test_top_entities_scans_one_column_and_keys_the_ties(bench_graph, templates):
-    """``serve_uncached``'s heavy template: 12,427 cells instead of
+    """``serve_uncached``'s heavy template: 2,990 run cells instead of
     37,281, 243 sort keys instead of 2,996."""
     triples = len(bench_graph)
     per_subject = Counter(s for s, _p, _o in bench_graph.triples_ids())
@@ -164,9 +171,10 @@ def test_top_entities_scans_one_column_and_keys_the_ties(bench_graph, templates)
     stats = engine.exec_stats
     assert len(result.rows) == stats["decoded_rows"] == 10
     assert stats["operator"] == "aggregate-id"
-    assert (stats["input_rows"], stats["batches"], stats["tracked_rows"]) == (12427, 13, 2990)
-    # one of three positions ...
-    assert stats["scan_cells"] == 12427
+    # one run per subject, three run batches (parent: 12427 rows, 13 batches)
+    assert (stats["input_rows"], stats["batches"], stats["tracked_rows"]) == (2990, 3, 2990)
+    # one cell per run (parent: 12427, one of three positions) ...
+    assert stats["scan_cells"] == 2990
     # ... the six distinct counts, and a ?s key for each subject tying at
     # the page's bound; the other 2,753 subjects are never decoded
     assert stats["sort_keys"] == 6 + 237
@@ -177,8 +185,9 @@ def test_census_templates_scan_the_class_column(bench_graph, templates):
     for name in ("class-census", "distinct-classes"):
         engine.run(templates[name])
         stats = engine.exec_stats
-        assert stats["input_rows"] == 2978, name
-        assert stats["scan_cells"] == 2978, name  # ?c of (?s, rdf:type, ?c)
+        # the twelve classes' runs of (rdf:type, ?c, ?s) (parent: 2978 rows)
+        assert stats["input_rows"] == 12, name
+        assert stats["scan_cells"] == 12, name  # parent: 2978, ?c of each row
 
 
 def test_page_templates_never_reach_the_column_scan(bench_graph, templates):

@@ -317,7 +317,7 @@ class TestWrittenOnce:
 
     def test_one_heap_in_the_evaluator(self):
         """The ID-space modifier tail cuts with ``heapq.nlargest`` /
-        ``nsmallest`` over key columns; the only hand-fed heap left in
+        ``nsmallest`` over distinct cells; the only hand-fed heap left in
         ``sparql/evaluator.py`` is ``_topk_fold`` (rule 3's term-space
         top-k), so a second one cannot grow back into the tail."""
         (nodes,) = [
@@ -338,6 +338,96 @@ class TestWrittenOnce:
         assert uses, "_topk_fold no longer feeds a heap; this rule is stale"
         outside = [f"evaluator.py:{node.lineno}" for node in uses if id(node) not in inside]
         assert not outside, outside
+
+    @staticmethod
+    def _tail_heaps(tree):
+        """``(line, keyed)`` of every call inside ``_first_in_order`` whose
+        callee names ``nlargest`` / ``nsmallest``.  Without ``key=`` it is a
+        heap over one sort key per row; the tail takes the best distinct
+        cells keyed through the memo."""
+        return [
+            (node.lineno, any(keyword.arg == "key" for keyword in node.keywords))
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) and function.name == "_first_in_order"
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and any(
+                getattr(name, "attr", getattr(name, "id", None)) in ("nlargest", "nsmallest")
+                for name in ast.walk(node.func)
+            )
+        ]
+
+    def test_the_tail_keys_distinct_cells(self):
+        """The ORDER BY tail finds its bound over distinct cells and their
+        multiplicities (a LIMIT 10 over 10**6 rows of few values compares
+        few keys); a per-row key list fed to the heap is the form it
+        retired."""
+        path = os.path.join(ROOT, "src", "repro", "sparql", "evaluator.py")
+        with open(path) as handle:
+            heaps = self._tail_heaps(ast.parse(handle.read()))
+        assert heaps, "the tail no longer takes a heap; this rule is stale"
+        assert [line for line, keyed in heaps if not keyed] == []
+
+    def test_the_heap_rule_matches_the_per_row_tail(self):
+        retired = "\n".join([
+            "def _first_in_order(columns, indices, room, conditions, memos, level=0):",
+            "    keys = _sort_key_column([cells[i] for i in indices], memos[level], term_of)",
+            "    if descending:",
+            "        bound = heapq.nlargest(room, keys)[-1]",
+            "    else:",
+            "        bound = nsmallest(room, keys)[-1]",
+            "    bound = (heapq.nlargest if descending else heapq.nsmallest)(room, keys)[-1]",
+            "    best = (nlargest if descending else nsmallest)(room, tally, key=key)",  # keyed
+        ])
+        assert sorted(self._tail_heaps(ast.parse(retired))) == [
+            (4, False), (6, False), (7, False), (8, True),
+        ]
+
+    @staticmethod
+    def _run_size_sums(nodes):
+        """``(function, line)`` of every ``sum(map(len, ...))``: the
+        triple count one key of an index level heads."""
+        return {
+            (function.name, node.lineno)
+            for function in nodes
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"
+            and node.args and isinstance(node.args[0], ast.Call)
+            and getattr(node.args[0].func, "id", None) == "map"
+            and getattr(node.args[0].args[0], "id", None) == "len"
+        }
+
+    def test_a_run_size_is_summed_in_scan_runs_only(self):
+        """``Graph.scan_runs`` is where a key's run length is computed;
+        ``scan_columns`` repeats the keys over those sizes rather than
+        summing them again."""
+        found = {
+            (path, name)
+            for path, nodes in self._modules("rdf")
+            for name, _line in self._run_size_sums(nodes)
+        }
+        assert found == {("graph.py", "scan_runs")}, found
+        (nodes,) = [nodes for path, nodes in self._modules("rdf") if path == "graph.py"]
+        (columns,) = [
+            node for node in nodes
+            if isinstance(node, ast.FunctionDef) and node.name == "scan_columns"
+        ]
+        assert "scan_runs" in {
+            getattr(node.func, "attr", None)
+            for node in ast.walk(columns) if isinstance(node, ast.Call)
+        }
+
+    def test_the_size_rule_matches_the_column_scan_it_retired(self):
+        retired = "\n".join([
+            "def scan_columns(self, s, p, o, want, batch_size, limit=None):",
+            "    order, keys, inners = self._scan_view(s, p, o)",
+            "    if want[order[0]]:",
+            "        sizes = (sum(map(len, inner.values())) for inner in inners)",
+            "        columns[order[0]] = chain.from_iterable(map(repeat, keys, sizes))",
+            "    total = sum(len(v) for v in inners)",  # another spelling: not this rule's
+        ])
+        assert self._run_size_sums(list(ast.walk(ast.parse(retired)))) == {("scan_columns", 4)}
 
     @staticmethod
     def _join_scores(nodes):
