@@ -15,6 +15,7 @@ from typing import Optional, Union
 
 from ..obs.trace import NULL_TRACER
 from ..rdf.graph import Graph
+from ..sparql.errors import SparqlSyntaxError
 from ..sparql.evaluator import QueryEngine
 from ..sparql.nodes import AskQuery, SelectQuery
 from ..sparql.parser import parse_query
@@ -85,10 +86,9 @@ class SparqlEndpoint:
         self.obs = NULL_TRACER
 
     def attach_obs(self, tracer) -> None:
-        """Attach a span recorder to this endpoint *and* its engine, so
-        ``endpoint.query`` spans nest the engine's operator spans."""
+        """Attach a span recorder to this endpoint; its queries execute
+        under it, so ``endpoint.query`` spans nest the engine's spans."""
         self.obs = tracer
-        self._engine.obs = tracer
 
     def explain(self, text: str):
         """EXPLAIN ANALYZE *text* against the backing engine.
@@ -114,10 +114,10 @@ class SparqlEndpoint:
         """Execute *text*, charging simulated latency to the clock.
 
         Raises :class:`EndpointUnavailable` when the availability model says
-        the endpoint is down today, :class:`QueryRejected` for unsupported
-        features, :class:`EndpointTimeout` when execution cost exceeds the
-        profile's timeout.  SELECT results may come back *truncated* (with
-        ``result.truncated`` set) when the profile caps result rows.
+        the endpoint is down today, :class:`QueryRejected` for a malformed
+        text or unsupported features, :class:`EndpointTimeout` when
+        execution cost exceeds the profile's timeout.  SELECT results may
+        come back *truncated* (``result.truncated`` set) at the row cap.
 
         *latency_scale* multiplies the execution-cost term of the latency
         model (>= 1 models a degraded backend: an overloaded shard, a cold
@@ -153,41 +153,22 @@ class SparqlEndpoint:
             self.stats.failures += 1
             raise EndpointUnavailable(f"endpoint {self.url} is unavailable", url=self.url)
 
-        parsed = parse_query(text)
+        try:
+            parsed = parse_query(text)
+        except SparqlSyntaxError as error:
+            raise self._reject(f"a malformed query: {error}") from error
 
         if not self.profile.supports_property_paths and _contains_path(parsed):
-            self._charge(self._jitter(self.profile.connect_ms))
-            self.stats.rejected += 1
-            raise QueryRejected(
-                f"endpoint {self.url} ({self.profile.name}) rejects property paths",
-                url=self.url,
-            )
-
+            raise self._reject("property paths")
         if isinstance(parsed, SelectQuery):
             if parsed.has_aggregates() and not self.profile.supports_aggregates:
-                self._charge(self._jitter(self.profile.connect_ms))
-                self.stats.rejected += 1
-                raise QueryRejected(
-                    f"endpoint {self.url} ({self.profile.name}) rejects aggregates",
-                    url=self.url,
-                )
+                raise self._reject("aggregates")
             if parsed.order_by and not self.profile.supports_order_by:
-                self._charge(self._jitter(self.profile.connect_ms))
-                self.stats.rejected += 1
-                raise QueryRejected(
-                    f"endpoint {self.url} ({self.profile.name}) rejects ORDER BY",
-                    url=self.url,
-                )
+                raise self._reject("ORDER BY")
 
-        result = self._engine.run(parsed)
-        # Snapshot the engine's per-query stats right here: exec_stats is
-        # reset by run(), but _estimate_latency must never read it off the
-        # shared engine later (a caller that skips execution -- e.g. the
-        # serving tier's result cache -- would see the previous query's
-        # shard timing ratio).
-        exec_stats = self._engine.exec_stats_snapshot()
-
-        latency = self._estimate_latency(parsed, result, exec_stats, latency_scale)
+        execution = self._engine.execute(parsed, self.obs)
+        result = execution.result
+        latency = self._estimate_latency(parsed, result, execution.stats, latency_scale)
         deadline_ms = self.profile.timeout_ms * timeout_scale
         if latency > deadline_ms:
             # The server kills the query at its timeout; the wire still
@@ -209,6 +190,15 @@ class SparqlEndpoint:
         if capped is not result:
             self.stats.truncated += 1
         return capped
+
+    def _reject(self, what: str) -> QueryRejected:
+        """The error refusing a query this endpoint will not run, charged
+        (a jittered connect) and counted like every rejection."""
+        self._charge(self._jitter(self.profile.connect_ms))
+        self.stats.rejected += 1
+        return QueryRejected(
+            f"endpoint {self.url} ({self.profile.name}) rejects {what}", url=self.url
+        )
 
     def _capped(self, result):
         """*result* cut to the profile's row cap (``truncated`` set), or
@@ -245,10 +235,7 @@ class SparqlEndpoint:
             # Partition-parallel execution: scale the dataset-size term by
             # what this query actually measured on the shard pool (makespan
             # over sequential sum); a query that ran no spanning scan pays
-            # the static max-shard-share bound instead.  *exec_stats* is
-            # the snapshot taken immediately after this query's run() --
-            # passed explicitly so a stale engine read can never leak one
-            # query's shard ratio into another's estimate.
+            # the static max-shard-share bound instead.
             sequential = exec_stats.get("shard_sequential_ms", 0.0)
             if sequential > 0.0:
                 execution *= exec_stats.get("shard_parallel_ms", sequential) / sequential

@@ -1,11 +1,12 @@
 """EXPLAIN ANALYZE rendering: an executed query's operator span tree.
 
-``QueryEngine.explain(text)`` runs the query under a private tracer and
-returns an :class:`ExplainReport` — the annotated plan tree (operator
-spans with rows-in/rows-out/tracked-state), the final ``exec_stats``
-snapshot, and the result cardinality.  The engine charges no simulated
-latency itself, so explain spans deliberately carry no timestamps;
-rows and tracked state are the annotations that matter.
+``QueryEngine.explain(text)`` is ``engine.execute(text, Tracer(seed=0,
+detail=True))`` filled into an :class:`ExplainReport` — the annotated
+plan tree (operator spans with rows-in/rows-out/tracked-state), the
+execution's ``stats`` as ``exec_stats``, and the result cardinality.
+The engine charges no simulated latency itself, so explain spans
+deliberately carry no timestamps; rows and tracked state are the
+annotations that matter.
 """
 
 from __future__ import annotations

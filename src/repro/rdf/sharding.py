@@ -49,7 +49,7 @@ necessarily on the order of unordered queries.
 
 The pool timebase is a private :class:`SimulationClock` per store --
 shard makespans accumulate in :attr:`ShardedTripleStore.shard_stats`
-(and in the engine's ``exec_stats``), and the simulated *endpoint*
+(and in each query's ``Execution.stats``), and the simulated *endpoint*
 latency model reads the parallel/sequential ratio from there rather
 than having scans advance the shared network clock directly.
 """

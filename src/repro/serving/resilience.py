@@ -48,6 +48,7 @@ from ..endpoint.errors import (
     EndpointUnavailable,
     QueryRejected,
 )
+from ..sparql.errors import SparqlSyntaxError
 from .faults import FaultInjector, FaultState
 from .workload import Request
 
@@ -387,9 +388,11 @@ class ResilientExecutor:
                 )
             try:
                 status, result = self._attempt(request, attempt, probe_ms, meta)
-            except EndpointError as error:
+            except BaseException as error:
                 if tracing:
                     tracer.end(error=type(error).__name__)
+                if not isinstance(error, EndpointError):
+                    raise  # a bug, not an outcome
                 if isinstance(error, QueryRejected):
                     # a capability rejection is permanent: retrying or
                     # serving stale data would mask a client error
@@ -504,7 +507,10 @@ class ResilientExecutor:
         if policy.degrade_replica:
             if tracer.enabled:
                 tracer.event("degrade", rung="replica")
-            result = server.replica_read(request.query)
+            try:
+                result = server.replica_read(request.query)
+            except SparqlSyntaxError:  # a text nothing can answer
+                return (_failure_status(last_error), None, meta)
             clock.advance(server.cache_hit_ms)
             self.counters["degraded_replica"] += 1
             meta["degraded"] = "replica"

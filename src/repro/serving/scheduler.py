@@ -267,10 +267,14 @@ class Scheduler:
                     )
             # the executor folds every endpoint failure into its status;
             # anything it lets out is a bug, not an outcome, and leaves
-            # with the clock rewound
+            # with the clock rewound and the request's trace closed
             begin = clock.checkpoint()
             try:
                 status, result, meta = execute(request)
+            except BaseException as error:
+                if tracing:
+                    tracer.end(end_ms=now_ms, error=type(error).__name__)
+                raise
             finally:
                 elapsed = clock.now_ms - begin
                 clock.restore(begin)

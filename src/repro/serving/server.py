@@ -470,7 +470,9 @@ class QueryServer:
         would have returned -- the digest-invariance contract.  Charges
         nothing itself; the caller accounts the degraded-serve cost.
         """
-        return self.endpoint._capped(self.endpoint._engine.run(parse_query(text)))
+        endpoint = self.endpoint
+        execution = endpoint._engine.execute(parse_query(text), endpoint.obs)
+        return endpoint._capped(execution.result)
 
     # -- status surface ----------------------------------------------------
 

@@ -24,7 +24,7 @@ from .errors import (
     SparqlSyntaxError,
     UnsupportedSparqlError,
 )
-from .evaluator import QueryEngine, evaluate
+from .evaluator import Execution, QueryEngine, evaluate
 from .nodes import AskQuery, Query, SelectQuery
 from .parser import parse_query
 from .results import AskResult, SelectResult
@@ -32,6 +32,7 @@ from .results import AskResult, SelectResult
 __all__ = [
     "AskQuery",
     "AskResult",
+    "Execution",
     "Query",
     "QueryEngine",
     "SelectQuery",

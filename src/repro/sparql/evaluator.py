@@ -40,24 +40,24 @@ Three BGP pipelines sit behind ``QueryEngine(graph, strategy=...)``:
 
 The *simple shape* -- plain triple patterns plus one-variable term-test
 FILTERs, with bare-variable projections, sort keys and aggregates --
-has one executor (:meth:`QueryEngine._run_select_simple`): a source of
+has one executor (:meth:`Execution._run_select_simple`): a source of
 ID *column* batches (``BATCH_SIZE`` rows each, volcano control flow
 between batches), its FILTERs already applied, feeds one of three
 sinks -- projection/DISTINCT/slice, top-k/sort, or GROUP BY fold
 (:meth:`_AggFold.fold_batch`).  Rows stay dictionary IDs (and raw fold
 values) through ORDER BY / DISTINCT / OFFSET / LIMIT
-(:meth:`QueryEngine._id_modifiers`, which cuts what it holds to the
+(:meth:`Execution._id_modifiers`, which cuts what it holds to the
 page's size after every batch and builds sort keys only for the rows a
 cut has to compare); only the emitted page is decoded.
 The source follows from the compiled patterns, never from a caller
 option: a single pattern streams batches straight off the index
 (:meth:`Graph.scan_columns`, materialising only the positions an
-operator above reads -- :meth:`QueryEngine._wanted_variables`; zero-copy
+operator above reads -- :meth:`Execution._wanted_variables`; zero-copy
 on the sorted shard runs; an index level's keys and run lengths when a
 COUNT GROUP BY or DISTINCT needs no more -- :meth:`Graph.scan_runs`),
 several patterns run the eager join and
 transpose its rows, and the ``stream`` engine chunks its lazy join
-chain.  The eager join (:meth:`QueryEngine._bgp_id_rows`) plans its
+chain.  The eager join (:meth:`Execution._bgp_id_rows`) plans its
 order once and takes the FILTERs and the wanted variables down: a
 candidate is tested where its variable is bound, gated by the next
 pattern's probe table, and built without the columns nothing later reads.
@@ -118,7 +118,7 @@ from .join_plan import JoinStep, Memo, count_up_to, join_order, picker, plan_joi
 from .parser import parse_query
 from .results import AskResult, Row, SelectResult
 
-__all__ = ["evaluate", "QueryEngine"]
+__all__ = ["evaluate", "Execution", "QueryEngine"]
 
 
 def _substitute(pattern: TriplePattern, solution: Solution) -> Tuple:
@@ -518,7 +518,7 @@ def _sort_key_column(values, memo: Dict, term_of) -> List[Tuple]:
 
     A bound cell's key is its term's ``sort_key()``; an unbound cell's
     is ``()``, which sorts before every term key -- the order
-    :meth:`QueryEngine._order_key` defines.  Keys are built once per
+    :meth:`Execution._order_key` defines.  Keys are built once per
     distinct cell: *term_of* (a dictionary decode, or :func:`_fold_term`
     for raw fold values) runs on *memo* misses only.
     """
@@ -754,11 +754,10 @@ class _SharedProbeCache(_GenerationLRU):
         super().__init__(self.PROBE_CACHE_SIZE)
 
 
-#: The documented ``exec_stats`` vocabulary.  Every engine/parallel-exec
+#: The documented vocabulary of ``Execution.stats``.  Every engine/parallel-exec
 #: write site uses exactly these snake_case keys (pinned by
-#: ``tests/obs/test_explain.py``); the serving metrics bridge and
-#: ``SparqlEndpoint._estimate_latency`` read them through
-#: :meth:`QueryEngine.exec_stats_snapshot`.
+#: ``tests/obs/test_explain.py``); ``SparqlEndpoint._estimate_latency``,
+#: EXPLAIN and the ``sparql.run`` span read them off the query's execution.
 EXEC_STAT_KEYS = frozenset(
     {
         # sink counters.  ``operator`` names the sink that produced the
@@ -812,12 +811,21 @@ class QueryEngine:
     patterns live in a :class:`_SharedPlanCache` attached to the graph,
     keyed on AST identity and invalidated when ``graph.generation``
     moves, so even transient engines start warm.
+
+    Each query runs as its own :class:`Execution`, so a query started
+    while another runs on the same engine cannot touch the first one's.
     """
 
     #: rows per column batch of the simple-shape executor -- large
     #: enough to amortize per-batch dispatch, small enough that a
     #: batch's columns stay cache-resident
     BATCH_SIZE = 1024
+
+    #: the eager engine hands a SELECT to the streaming operators only when
+    #: LIMIT is at most this.  Small limits are where pushdown pays by
+    #: construction; large limits are usually pagination pages, where the
+    #: limit rarely binds and the eager ID-space join is faster.
+    STREAM_DELEGATE_LIMIT = 64
 
     def __init__(self, graph: Graph, strategy: str = "hash"):
         if strategy not in ("hash", "stream", "scan"):
@@ -833,22 +841,12 @@ class QueryEngine:
         self._probes: _SharedProbeCache = graph.derived_cache(
             "sparql/probe-tables", _SharedProbeCache
         )
-        #: the engine's ShardScanPool (created lazily in run(), keyed on
+        #: the engine's ShardScanPool (created lazily in execute(), keyed on
         #: the store's shard layout and threaded through every shard
         #: batch the engine dispatches) -- back-to-back queries on one
         #: engine reuse the warm workers; only the first batch after a
         #: layout change pays the cold spin-up
         self._scan_pool = None
-        #: observability for the bounded operators: the last top-k /
-        #: streaming-aggregation run records how many rows it consumed and
-        #: how many it ever held (benchmarks assert the O(k) / O(groups)
-        #: memory contract through this).  Keys come from the documented
-        #: ``EXEC_STAT_KEYS`` vocabulary; read via ``exec_stats_snapshot``.
-        self.exec_stats: Dict[str, int] = {}
-        #: span recorder (``repro.obs``).  Defaults to the shared no-op
-        #: tracer; hot paths guard on ``self.obs.enabled`` so the
-        #: disabled cost is one attribute read.
-        self.obs = NULL_TRACER
 
     # -- compiled-plan cache ---------------------------------------------------
 
@@ -860,17 +858,14 @@ class QueryEngine:
         """Hit/miss/size counters of the graph's shared probe-table cache."""
         return self._probes.info()
 
-    def _compile_patterns(
-        self, patterns: Sequence[TriplePattern]
-    ) -> List[_EncodedPattern]:
-        return self._plans.compile(self.graph, patterns)
-
     # -- public API -----------------------------------------------------------
 
     def run(self, query: Union[str, Query]) -> Union[SelectResult, AskResult]:
-        # Reset per query: paths that don't track counters must not leave
-        # a previous query's stats behind for a caller to misread.
-        self.exec_stats = {}
+        return self.execute(query).result
+
+    def execute(self, query: Union[str, Query], tracer=NULL_TRACER) -> "Execution":
+        """Run *query* as one :class:`Execution`: its ``result``, its
+        ``stats`` and the ``tracer`` its spans went to."""
         if self._sharded is not None:
             # One warm worker set per engine, keyed on the shard layout:
             # every shard batch any query on this engine dispatches
@@ -886,16 +881,65 @@ class QueryEngine:
                 self._scan_pool = ShardScanPool(self._sharded, layout_key=layout)
         if isinstance(query, str):
             query = parse_query(query)
-        obs = self.obs
-        if not obs.enabled:
-            return self._dispatch(query)
-        obs.begin("sparql.run", strategy=self.strategy)
+        execution = Execution(self, tracer)
+        if not tracer.enabled:
+            execution.result = execution._dispatch(query)
+            return execution
+        tracer.begin("sparql.run", strategy=self.strategy)
         try:
-            return self._dispatch(query)
+            execution.result = execution._dispatch(query)
         finally:
-            # exec_stats is fully populated by now; the run span carries
-            # the snapshot so a trace is self-contained.
-            obs.end(exec_stats=dict(self.exec_stats))
+            # the run span carries the counters, so a trace is self-contained
+            tracer.end(exec_stats=execution.stats)
+        return execution
+
+    def explain(self, query: Union[str, Query]) -> "ExplainReport":
+        """EXPLAIN ANALYZE: execute *query* under a private tracer and
+        return the annotated operator span tree (rows in/out, tracked
+        state, shard fan-out).  The tracer has no clock (the engine
+        charges no latency -- rows matter, not time) and records the
+        operator tier (the whole point here)."""
+        from ..obs.explain import ExplainReport
+        from ..obs.trace import Tracer
+
+        execution = self.execute(query, Tracer(seed=0, detail=True))
+        result, tracer = execution.result, execution.tracer
+        return ExplainReport(
+            query=query if isinstance(query, str) else "<parsed query>",
+            strategy=self.strategy,
+            rows=len(result.rows) if hasattr(result, "rows") else None,
+            exec_stats=execution.stats,
+            tracer=tracer,
+            trace_id=tracer.trace_ids()[0],
+        )
+
+
+class Execution:
+    """One query's run on a :class:`QueryEngine`.
+
+    The engine keeps what lives as long as its graph (the plan and probe
+    caches, the warm shard pool); an execution owns what one query
+    produces: its ``result``, its ``stats`` (the ``EXEC_STAT_KEYS``
+    counters: rows the bounded operators consumed and held, cells the
+    scans materialised, the shard fan-out the endpoint latency model
+    reads) and the ``tracer`` its spans go to (hot paths guard on
+    ``tracer.enabled`` / ``.detail``: one attribute read when off).
+    """
+
+    def __init__(self, engine: QueryEngine, tracer=NULL_TRACER):
+        self.engine = engine
+        self.graph = engine.graph
+        self.strategy = engine.strategy
+        self._sharded = engine._sharded
+        self._scan_pool = engine._scan_pool
+        self.stats: Dict[str, int] = {}
+        self.tracer = tracer
+        self.result: Union[SelectResult, AskResult, None] = None
+
+    def _compile_patterns(
+        self, patterns: Sequence[TriplePattern]
+    ) -> List[_EncodedPattern]:
+        return self.engine._plans.compile(self.graph, patterns)
 
     def _dispatch(self, query: Query) -> Union[SelectResult, AskResult]:
         if isinstance(query, SelectQuery):
@@ -904,56 +948,17 @@ class QueryEngine:
             return AskResult(self._any_solution(query.where))
         raise SparqlEvaluationError(f"cannot evaluate {type(query).__name__}")
 
-    def exec_stats_snapshot(self) -> Dict[str, int]:
-        """A copy of the last run's ``exec_stats``.
-
-        The engine reuses/replaces the live dict between runs, so
-        callers that read counters *after* the query returns (endpoint
-        latency model, serving metrics bridge) must snapshot here
-        rather than alias ``self.exec_stats``.
-        """
-        return dict(self.exec_stats)
-
-    def explain(self, query: Union[str, Query]) -> "ExplainReport":
-        """EXPLAIN ANALYZE: execute *query* under a private tracer and
-        return the annotated operator span tree (rows in/out, tracked
-        state, shard fan-out).  The engine's attached ``obs`` recorder
-        is restored afterwards, so explaining never pollutes a serving
-        trace."""
-        from ..obs.explain import ExplainReport
-        from ..obs.trace import Tracer
-
-        text = query if isinstance(query, str) else "<parsed query>"
-        # No clock (the engine charges no latency — rows matter, not
-        # time); detail on (operator spans are the whole point here).
-        tracer = Tracer(seed=0, detail=True)
-        previous = self.obs
-        self.obs = tracer
-        try:
-            result = self.run(query)
-        finally:
-            self.obs = previous
-        rows = len(result.rows) if hasattr(result, "rows") else None
-        return ExplainReport(
-            query=text,
-            strategy=self.strategy,
-            rows=rows,
-            exec_stats=self.exec_stats_snapshot(),
-            tracer=tracer,
-            trace_id=tracer.trace_ids()[0],
-        )
-
     def _operator_event(self) -> None:
         """Record the bounded operator that just finished as a closed
-        span (call sites guard on ``self.obs.detail`` — operator events
+        span (call sites guard on ``self.tracer.detail`` — operator events
         are the EXPLAIN-tier of the trace vocabulary)."""
         stats = {
             key: value
-            for key, value in self.exec_stats.items()
+            for key, value in self.stats.items()
             if not key.startswith("shard_")
         }
         name = stats.pop("operator", "operator")
-        self.obs.event(f"sparql.{name}", **stats)
+        self.tracer.event(f"sparql.{name}", **stats)
 
     # -- pattern evaluation -----------------------------------------------------
 
@@ -1129,7 +1134,7 @@ class QueryEngine:
                 if column is None
                 else list(compress(rows, map(check, map(itemgetter(column), rows))))
             )
-        stats = self.exec_stats
+        stats = self.stats
         stats["join_rows"] = stats.get("join_rows", 0) + built
         return rows, col_of
 
@@ -1244,7 +1249,7 @@ class QueryEngine:
         shard-spanning build (subject unbound) runs partition-parallel
         -- per-shard tables merge rank-ordered into the same table the
         sequential fold would produce -- and ``parallel_probe_table``
-        books its simulated shard time into ``exec_stats``, which
+        books its simulated shard time into ``self.stats``, which
         ``SparqlEndpoint._estimate_latency`` reads: a hit that skipped
         it would move simulated latency, and with it the serving digests.
         """
@@ -1265,18 +1270,18 @@ class QueryEngine:
                 var_positions,
                 key_positions,
                 new_positions,
-                stats=self.exec_stats,
+                stats=self.stats,
                 pool=self._scan_pool,
-                obs=self.obs,
+                obs=self.tracer,
             )
         else:
-            table, cached = self._probes.lookup(
+            table, cached = self.engine._probes.lookup(
                 self.graph,
                 (ground, tuple(map(tuple, var_positions)), key_positions, new_positions),
                 lambda: self._probe_table(ep, key_positions, new_positions),
             )
-        if self.obs.detail:
-            self.obs.event(
+        if self.tracer.detail:
+            self.tracer.event(
                 "sparql.probe_build",
                 pattern=ep.index,
                 estimate=ep.est,
@@ -1328,7 +1333,7 @@ class QueryEngine:
 
         Yields one ID tuple per match, ordered like ``ep.variables``.
         """
-        if self.obs.detail:
+        if self.tracer.detail:
             return self._traced_scan(ep)
         return self._scan_rows(ep)
 
@@ -1350,7 +1355,7 @@ class QueryEngine:
                 yield row
             exhausted = True
         finally:
-            self.obs.event(
+            self.tracer.event(
                 "sparql.scan",
                 pattern=ep.index,
                 estimate=ep.est,
@@ -1377,9 +1382,9 @@ class QueryEngine:
                 s,
                 p,
                 o,
-                stats=self.exec_stats,
+                stats=self.stats,
                 pool=self._scan_pool,
-                obs=self.obs,
+                obs=self.tracer,
             )
             yield from _triples_to_scan_rows(triples, positions)
             return
@@ -2136,17 +2141,11 @@ class QueryEngine:
 
     # -- SELECT pipeline -----------------------------------------------------
 
-    #: the eager engine hands a SELECT to the streaming operators only when
-    #: LIMIT is at most this.  Small limits are where pushdown pays by
-    #: construction; large limits are usually pagination pages, where the
-    #: limit rarely binds and the eager ID-space join is faster.
-    STREAM_DELEGATE_LIMIT = 64
-
     def _run_select(self, query: SelectQuery) -> SelectResult:
         if self.strategy == "scan":
             return self._run_select_general(query)
         lazy = self.strategy == "stream"
-        small = query.limit is not None and query.limit <= self.STREAM_DELEGATE_LIMIT
+        small = query.limit is not None and query.limit <= self.engine.STREAM_DELEGATE_LIMIT
         # Small-LIMIT queries pay for every row an eager pipeline
         # materializes and then throws away, so the eager engine routes
         # them through the streaming operators.  This rule must precede
@@ -2261,10 +2260,10 @@ class QueryEngine:
             rows.append(row)
             if limit is not None and len(rows) >= limit:
                 break
-        self.exec_stats.update(
+        self.stats.update(
             operator="stream-select", input_rows=input_rows, decoded_rows=len(rows)
         )
-        if self.obs.detail:
+        if self.tracer.detail:
             self._operator_event()
         return SelectResult(names, rows)
 
@@ -2286,7 +2285,7 @@ class QueryEngine:
                     raise SparqlEvaluationError("projection without output variable")
                 names.append(variable.name)
             if query.limit == 0:
-                self.exec_stats.update(stats)
+                self.stats.update(stats)
                 return SelectResult(names, [])
 
         solutions = self._evaluate_group_stream(query.where, iter(({},)))
@@ -2411,8 +2410,8 @@ class QueryEngine:
                 ]
 
         stats["tracked_rows"] = len(kept)
-        self.exec_stats.update(stats)
-        if self.obs.detail:
+        self.stats.update(stats)
+        if self.tracer.detail:
             self._operator_event()
         return SelectResult(names, rows)
 
@@ -2519,14 +2518,14 @@ class QueryEngine:
                 else:
                     row[name] = folds[index].result()
             rows.append(row)
-        self.exec_stats.update(
+        self.stats.update(
             operator="stream-aggregate",
             input_rows=input_rows,
             tracked_rows=len(groups),
         )
         if having_specs:
-            self.exec_stats["having_pruned"] = having_pruned
-        if self.obs.detail:
+            self.stats["having_pruned"] = having_pruned
+        if self.tracer.detail:
             self._operator_event()
         return SelectResult(names, self._apply_modifiers(query, rows, names))
 
@@ -2575,7 +2574,7 @@ class QueryEngine:
             or query.having_aggregate_conjuncts() is None
         ):
             return None
-        shape = QueryEngine._simple_where_shape(query)
+        shape = Execution._simple_where_shape(query)
         if shape is None:
             return None
         plan = order_vars = None
@@ -2836,8 +2835,8 @@ class QueryEngine:
             # counters (rows folded, groups held) are the sink's
             stats = {**tail, **stats, "decoded_rows": len(page)}
             rows = self._decode_id_rows(page, names, columns, fold_columns)
-        self.exec_stats.update(stats, operator="aggregate-id")
-        if self.obs.detail:
+        self.stats.update(stats, operator="aggregate-id")
+        if self.tracer.detail:
             self._operator_event()
         return SelectResult(names, rows)
 
@@ -2924,7 +2923,7 @@ class QueryEngine:
 
     def _row_batches(self, rows: Iterator[Tuple]) -> Iterator[List]:
         """Chunk ID rows into column batches (one transpose per chunk)."""
-        size = self.BATCH_SIZE
+        size = self.engine.BATCH_SIZE
         while True:
             block = list(_islice(rows, size))
             if not block:
@@ -3014,7 +3013,7 @@ class QueryEngine:
         s, p, o = (v if type(v) is int else None for v in ep.spec)
         positions = [ep.var_positions[v] for v in ep.variables]
         simple = all(len(position) == 1 for position in positions)
-        batch_size = self.BATCH_SIZE
+        batch_size = self.engine.BATCH_SIZE
         want = (True, True, True)
         if self._sharded is not None and s is None:
             from .parallel_exec import parallel_scan_batches
@@ -3024,9 +3023,9 @@ class QueryEngine:
                 p,
                 o,
                 batch_size,
-                stats=self.exec_stats,
+                stats=self.stats,
                 pool=self._scan_pool,
-                obs=self.obs,
+                obs=self.tracer,
                 limit_hint=limit_hint if simple else None,
             )
         else:
@@ -3039,7 +3038,7 @@ class QueryEngine:
         cells = 0
         for tcols in triple_cols:
             cells += len(tcols[0]) * width
-            self.exec_stats["scan_cells"] = cells
+            self.stats["scan_cells"] = cells
             cols = _project_triple_columns(tcols, positions, simple)
             if cols is not None:
                 yield cols
@@ -3068,11 +3067,11 @@ class QueryEngine:
         if runs is None or ep.spec[runs[0]] != variable:
             return None
         _position, keys, sizes = runs
-        keys, column, size = iter(keys), col_of[variable], self.BATCH_SIZE
+        keys, column, size = iter(keys), col_of[variable], self.engine.BATCH_SIZE
 
         def batches():
             for block in iter(lambda: list(_islice(keys, size)), []):
-                self.exec_stats["scan_cells"] = self.exec_stats.get("scan_cells", 0) + len(block)
+                self.stats["scan_cells"] = self.stats.get("scan_cells", 0) + len(block)
                 cols = [[None] * len(block)] * len(col_of)
                 cols[column] = block
                 yield cols if plan is None else cols + [list(_islice(sizes, len(block)))]
@@ -3146,15 +3145,15 @@ class QueryEngine:
         names, columns = self._id_projection_layout(query, col_of, input_rows > 0)
         if distinct:
             columns = list(range(len(columns)))  # a kept key is the projected row
-        self.exec_stats.update(
+        self.stats.update(
             operator="select-id",
             input_rows=input_rows,
             batches=n_batches,
             decoded_rows=len(page),
         )
         if distinct:
-            self.exec_stats["distinct_keys"] = len(kept)
-        if self.obs.detail:
+            self.stats["distinct_keys"] = len(kept)
+        if self.tracer.detail:
             self._operator_event()
         return SelectResult(names, self._decode_id_rows(page, names, columns))
 
@@ -3179,8 +3178,8 @@ class QueryEngine:
         names, columns = self._id_projection_layout(
             query, col_of, stats["input_rows"] > 0
         )
-        self.exec_stats.update(stats, operator="topk-id", decoded_rows=len(page))
-        if self.obs.detail:
+        self.stats.update(stats, operator="topk-id", decoded_rows=len(page))
+        if self.tracer.detail:
             self._operator_event()
         return SelectResult(names, self._decode_id_rows(page, names, columns))
 

@@ -1,6 +1,6 @@
 """The eager join's plan, fixed before any row is built.
 
-:meth:`QueryEngine._bgp_id_rows <repro.sparql.evaluator.QueryEngine._bgp_id_rows>`
+:meth:`Execution._bgp_id_rows <repro.sparql.evaluator.Execution._bgp_id_rows>`
 is the one eager ID-space join.  Everything about it that does not depend
 on row counts is decided here, once per execution:
 

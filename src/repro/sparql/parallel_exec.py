@@ -27,7 +27,7 @@ all of a query's batches, so only the first batch pays the cold
 spin-up dispatch; later batches reuse the warm workers at the reduced
 :data:`SHARD_WARM_DISPATCH_MS`.  The pool then advances that clock by the batch makespan
 only, and the makespan / sequential-sum pair is recorded both on the
-store (``shard_stats``) and in the engine's per-query ``exec_stats``
+store (``shard_stats``) and in the query's ``Execution.stats``
 (``shard_parallel_ms`` / ``shard_sequential_ms``), which is what the
 endpoint latency model and the scaling benchmarks read.  Wall-clock time
 on this single-CPU simulator is unchanged by design; the win is the
@@ -79,8 +79,8 @@ class ShardScanPool:
     Purely a simulated-cost concern: task *results* are identical with
     or without a pool (the underlying deterministic executor is
     unchanged), so shard-count invariance and conformance are untouched.
-    ``warm_batches`` is cumulative pool accounting; the engine's
-    per-query ``exec_stats`` counts each query's own warm batches.
+    ``warm_batches`` is cumulative pool accounting; each query's
+    ``Execution.stats`` counts its own warm batches.
     """
 
     __slots__ = ("store", "batches", "warm_batches", "layout_key")
@@ -118,7 +118,7 @@ def _record(
     totals["rows"] += rows
     # Whether *this* batch ran warm, judged before the pool counts it.
     # The pool is per engine now, so the cumulative ``pool.warm_batches``
-    # spans queries; exec_stats wants only this query's share.
+    # spans queries; the execution's stats want only this query's share.
     was_warm = pool is not None and pool.batches > 0
     if pool is not None:
         pool.batch_done()
@@ -309,7 +309,7 @@ def parallel_probe_table(
     ``positions`` maps each pattern variable to its triple positions
     (repeated variables must agree, same rule as the sequential scan);
     ``key_positions``/``new_positions`` index into the resulting scan row.
-    The table shape matches ``QueryEngine._build_probe_table``: a single
+    The table shape matches ``Execution._build_probe_table``: a single
     shared variable keys on the bare value, entries are tuples of the new
     variables' values.  Bucket entries merge across shards on their
     source ``(s, p, o)`` rank, reproducing canonical-scan build order at

@@ -21,6 +21,7 @@ from repro.endpoint import (
 )
 from repro.endpoint.profiles import EndpointProfile
 from repro.rdf import parse_turtle
+from repro.sparql import SparqlSyntaxError
 
 TTL = """
 @prefix ex: <http://example.org/> .
@@ -173,6 +174,20 @@ class TestEndpointQueries:
         with pytest.raises(EndpointTimeout):
             endpoint.query("SELECT ?s WHERE { ?s ?p ?o }")
         assert endpoint.stats.timeouts == 1
+
+    def test_malformed_text_is_refused_like_a_capability(self):
+        """A text that does not parse costs a jittered connect, counts as
+        a rejection and leaves as ``QueryRejected`` chained from the
+        syntax error -- never as a raw ``SparqlSyntaxError``."""
+        network, endpoint = build()
+        with pytest.raises(QueryRejected, match="malformed") as caught:
+            endpoint.query("SELEC ?s WHERE { ?s ?p ?o }")
+        assert isinstance(caught.value.__cause__, SparqlSyntaxError)
+        stats = endpoint.stats
+        assert (stats.queries, stats.rejected, stats.failures) == (1, 1, 0)
+        connect, jitter = endpoint.profile.connect_ms, endpoint.profile.jitter
+        assert network.clock.now_ms == stats.total_latency_ms
+        assert connect * (1 - jitter) <= stats.total_latency_ms <= connect * (1 + jitter)
 
     def test_path_inside_filter_exists_rejected(self):
         # legacy-sesame rejects property paths; hiding the path inside a

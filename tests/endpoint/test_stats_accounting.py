@@ -205,14 +205,13 @@ def test_back_to_back_queries_do_not_share_shard_ratio(sharded_dataset):
     assert warmed_charge == pytest.approx(fresh_charge, abs=1e-9)
 
 
-def test_estimate_latency_reads_only_the_snapshot(sharded_dataset):
-    """_estimate_latency must ignore whatever the shared engine's
-    exec_stats holds by the time it runs: an empty snapshot falls back to
-    the static parallel bound even if the engine still exposes a
-    (stale) measured ratio."""
+def test_estimate_latency_reads_only_the_stats_it_is_handed(sharded_dataset):
+    """_estimate_latency reads the stats of the execution it is handed and
+    nothing else: empty stats fall back to the static parallel bound even
+    right after a query on the same engine measured a ratio."""
     endpoint = _flat_endpoint(sharded_dataset, shards=4)
     result = endpoint.query(SPANNING_QUERY)
-    parsed_stats = dict(endpoint._engine.exec_stats)
+    parsed_stats = endpoint._engine.execute(SPANNING_QUERY).stats
     assert parsed_stats.get("shard_sequential_ms", 0.0) > 0.0
 
     from repro.sparql.parser import parse_query

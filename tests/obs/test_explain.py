@@ -55,7 +55,7 @@ def test_every_sink_names_its_operator(small_graph):
         report = engine.explain(query)
         assert report.exec_stats["operator"] == operator, query
         assert f"sparql.{operator}" in report.render()
-    stats = engine.exec_stats_snapshot()
+    stats = report.exec_stats
     assert stats["input_rows"] == stats["decoded_rows"] == 5
 
 
@@ -97,25 +97,35 @@ def test_aggregate_sink_reports_the_page_it_decoded(scholarly):
     assert f"tracked_rows={groups}" in operator_line
 
 
-def test_explain_restores_the_attached_recorder(small_graph):
+def test_explain_records_only_in_its_own_tracer(small_graph):
+    """An explain inside a traced execution on the same engine records
+    nothing in that execution's tracer, and everything in its own."""
     engine = QueryEngine(small_graph)
-    attached = Tracer(seed=7)
-    engine.obs = attached
-    report = engine.explain(QUERY)
-    assert engine.obs is attached
-    # the explain run recorded nothing in the serving tracer ...
-    assert attached.spans == []
-    # ... and everything in its private one
-    assert report.tracer is not attached
-    assert report.tracer.spans
+    reports = []
 
+    class Explaining(Tracer):
+        def begin(self, name, canon=None, **attrs):
+            span = super().begin(name, canon=canon, **attrs)
+            reports.append(engine.explain(QUERY))
+            return span
 
-def test_explain_works_with_recorder_disabled(small_graph):
-    engine = QueryEngine(small_graph)
-    assert engine.obs is NULL_TRACER
-    report = engine.explain(QUERY)
-    assert engine.obs is NULL_TRACER
+    serving = Explaining(seed=7)
+    traced = engine.execute(QUERY, serving)
+    assert traced.tracer is serving
+    (report,) = reports
+    # the serving tracer holds the traced execution's one span ...
+    assert [span.name for span in serving.spans] == ["sparql.run"]
+    assert serving.spans[0].attrs["exec_stats"] is traced.stats
+    # ... and the explain everything in its private one
+    assert report.tracer is not serving
     assert "sparql.run" in report.render()
+    assert report.render() == QueryEngine(small_graph.copy()).explain(QUERY).render()
+
+
+def test_an_untraced_execution_uses_the_null_recorder(small_graph):
+    execution = QueryEngine(small_graph).execute(QUERY)
+    assert execution.tracer is NULL_TRACER
+    assert execution.stats["operator"] == "topk-id"
 
 
 def test_explain_is_deterministic(small_graph):
@@ -150,13 +160,16 @@ def test_exec_stats_stay_in_vocabulary(small_graph, strategy):
     off these names."""
     engine = QueryEngine(small_graph, strategy=strategy)
     for query in (QUERY, AGGREGATE, "ASK { ?s ?p ?o }"):
-        engine.run(query)
-        assert set(engine.exec_stats_snapshot()) <= EXEC_STAT_KEYS
+        assert set(engine.execute(query).stats) <= EXEC_STAT_KEYS
 
 
-def test_exec_stats_snapshot_is_a_copy(small_graph):
+def test_each_execution_keeps_its_own_stats(small_graph):
+    """A later query on the same engine leaves an earlier execution's
+    counters as they were."""
     engine = QueryEngine(small_graph)
-    engine.run(QUERY)
-    snapshot = engine.exec_stats_snapshot()
-    snapshot["operator"] = "tampered"
-    assert engine.exec_stats_snapshot() != snapshot or "operator" not in snapshot
+    first = engine.execute(QUERY)
+    before = dict(first.stats)
+    second = engine.execute(AGGREGATE)
+    assert first.stats == before
+    assert first.stats is not second.stats
+    assert (first.stats["operator"], second.stats["operator"]) == ("topk-id", "aggregate-id")

@@ -6,7 +6,10 @@
   cache; a NaN deadline never fires) is refused when the server or the
   scheduler is built.  The simulated clock refuses a non-finite step.
 * An executor's own exception leaves ``serve`` as itself, with the clock
-  rewound to the failing request's start instant.
+  rewound to the failing request's start instant and no span left open,
+  so the next ``serve`` on the same server is traced as usual.
+* A malformed query text is the client's error: its requests are
+  ``feature-rejected`` and the wave completes.
 * Serving a cached wave measures every request inline: no ``TaskOutcome``
   is built.
 """
@@ -18,10 +21,16 @@ import math
 import pytest
 
 import repro.core.parallel as parallel
+import repro.endpoint.endpoint as endpoint_module
 from repro.datagen import government_graph
 from repro.endpoint import AlwaysAvailable, SimulationClock, SparqlEndpoint
+from repro.obs import Observatory
+from repro.obs.trace import Tracer
 from repro.serving import (
+    FaultPlan,
     QueryServer,
+    QueryTemplate,
+    ResiliencePolicy,
     Request,
     Scheduler,
     cache_friendly_mix,
@@ -119,9 +128,11 @@ def test_the_clock_still_names_a_step_backwards():
 
 def test_the_executors_own_exception_leaves_with_the_clock_at_its_start():
     """``test_serving_layer.test_non_endpoint_errors_propagate``, pinned
-    down: the object raised is the executor's, and the clock reads the
-    failing request's start instant, not where the executor left it."""
+    down: the object raised is the executor's, the clock reads the
+    failing request's start instant, not where the executor left it, and
+    the failing request's trace is closed there."""
     clock = SimulationClock(5.0)
+    tracer = Tracer(clock=clock)
     error = RuntimeError("boom")
 
     def execute(request):
@@ -131,11 +142,86 @@ def test_the_executors_own_exception_leaves_with_the_clock_at_its_start():
         return ("ok", None, {"attempts": 1})
 
     with pytest.raises(RuntimeError) as caught:
-        Scheduler(clock, execute, parallelism=1).run(_burst(3, spacing_ms=1.0))
+        Scheduler(clock, execute, parallelism=1, obs=tracer).run(_burst(3, spacing_ms=1.0))
     assert caught.value is error
     # arrivals 0, 1 and 2 ms are admitted at 5 ms and run back to back:
     # the third starts at 5 + 7 + 7
     assert clock.now_ms == 19.0
+    roots = [span for span in tracer.spans if span.name == "request"]
+    assert [(root.end_ms, root.attrs.get("error")) for root in roots] == [
+        (12.0, None), (19.0, None), (19.0, "RuntimeError"),
+    ]
+    assert all(span.end_ms is not None for span in tracer.spans)
+    # the next run on the same tracer opens its traces as usual
+    records = Scheduler(clock, lambda request: ("ok", None, {"attempts": 1}),
+                        obs=tracer).run(_burst(1))
+    assert [record.status for record in records] == ["ok"]
+
+
+def test_an_escaping_bug_closes_every_span_it_leaves(graph, monkeypatch):
+    """A bug inside the endpoint passes through its ``endpoint.query``,
+    the executor's ``attempt`` and the scheduler's ``request`` span: each
+    closes the span it opened, and the same server serves its next wave."""
+    endpoint = _endpoint(graph)
+    obs = Observatory(clock=endpoint.clock, seed=1)
+    server = QueryServer(endpoint, parallelism=2, queue_capacity=64,
+                         cache_capacity=None, obs=obs)
+
+    def broken(parsed):
+        raise RuntimeError("latency model bug")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(endpoint_module, "_count_patterns", broken)
+        with pytest.raises(RuntimeError, match="latency model bug"):
+            server.serve(_burst(3))
+    spans = [span for span in obs.tracer.spans if span.name != "sparql.run"]
+    assert [span.name for span in spans] == ["request", "attempt", "endpoint.query"]
+    assert all(span.end_ms is not None for span in obs.tracer.spans)
+    assert {span.attrs["error"] for span in spans} == {"RuntimeError"}
+    report = server.serve(_burst(3))
+    assert report.status_counts() == {"ok": 3}
+
+
+MALFORMED_MIX = [QueryTemplate("ask", "ASK { ?s ?p ?o }"),
+                 QueryTemplate("broken", "SELEC ?s WHERE { ?s ?p ?o }")]
+
+
+def test_a_malformed_template_is_rejected_and_the_wave_completes(graph):
+    """The endpoint refuses a text that does not parse like a capability
+    it lacks, so a mix with a broken template serves every request, traced,
+    wave after wave."""
+    endpoint = _endpoint(graph)
+    obs = Observatory(clock=endpoint.clock, seed=1)
+    server = QueryServer(endpoint, parallelism=2, queue_capacity=4096,
+                         cache_capacity=None, obs=obs)
+    wave = generate_workload(sessions=6, seed=2, mix=MALFORMED_MIX)
+    for _ in range(2):
+        report = server.serve(wave)
+        by_template = {(r.request.template, r.status) for r in report.records}
+        assert by_template == {("ask", "ok"), ("broken", "feature-rejected")}
+    assert all(span.end_ms is not None for span in obs.tracer.spans)
+    broken = sum(r.request.template == "broken" for r in report.records)
+    assert endpoint.stats.rejected == 2 * broken
+
+
+def test_the_replica_rung_gives_up_on_a_malformed_template(graph):
+    """Under an outage the ladder reaches the replica, which cannot
+    answer a text that does not parse either: those requests fail with
+    the weather's status and the wave completes."""
+    server = QueryServer(
+        _endpoint(graph), parallelism=2, queue_capacity=4096, cache_capacity=None,
+        resilience=ResiliencePolicy(seed=1),
+        faults=FaultPlan(seed=1, horizon_ms=1e12, outages=[(0.0, 1e12)]),
+    )
+    report = server.serve(generate_workload(sessions=4, seed=2, mix=MALFORMED_MIX))
+    statuses = {}
+    for record in report.records:
+        statuses.setdefault(record.request.template, set()).add(record.status)
+    assert statuses["ask"] == {"stale"}
+    assert statuses["broken"] <= {"unavailable", "circuit-open"}
+    assert report.resilience_info["degraded_replica"] == sum(
+        record.request.template == "ask" for record in report.records
+    )
 
 
 # -- what a cached wave allocates ---------------------------------------------

@@ -133,6 +133,8 @@ class ReferenceScheduler(Scheduler):
                     )
             outcome = measure_task(clock, request.key, lambda: self.execute(request))
             if outcome.error is not None:
+                if tracing:  # the heap loop closes the request's trace too
+                    tracer.end(end_ms=now_ms, error=type(outcome.error).__name__)
                 raise outcome.error
             status, result, meta = outcome.value
             completion = pool.start(now_ms, outcome.elapsed_ms)
@@ -333,7 +335,9 @@ def _requests(drawn, first_session=0) -> Tuple[List[Request], dict]:
 
 
 def _serve_waves(cls, parallelism, capacity, options, waves, boom):
-    """Serve each wave on a fresh scheduler of *cls* over one clock."""
+    """Serve each wave on a fresh scheduler of *cls* over one clock and
+    tracer; a wave whose executor raised leaves no span open, so the next
+    wave is served."""
     clock = SimulationClock(options["clock_start_ms"])
     tracer = Tracer(clock=clock)
     costs = {key: cost for _, wave_costs in waves for key, cost in wave_costs.items()}
@@ -351,7 +355,8 @@ def _serve_waves(cls, parallelism, capacity, options, waves, boom):
             records = scheduler.run(requests)
         except RuntimeError as error:
             runs.append(("raised", type(error).__name__, str(error), clock.now_ms))
-            break
+            assert all(span.end_ms is not None for span in tracer.spans)
+            continue
         runs.append((
             [_fields(record) for record in records],
             scheduler.shed,

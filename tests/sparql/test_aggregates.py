@@ -157,26 +157,26 @@ class TestHavingPushdown:
         text = PREFIX + query
         oracle = QueryEngine(GRAPH, strategy="scan").run(text)
         for strategy in ("hash", "stream"):
-            engine = QueryEngine(GRAPH, strategy=strategy)
-            result = engine.run(text)
+            execution = QueryEngine(GRAPH, strategy=strategy).execute(text)
+            result = execution.result
             assert self._canonical(result) == self._canonical(oracle), strategy
             # proof the fold path (not the materialized one) answered
-            assert engine.exec_stats.get("operator") in (
+            assert execution.stats.get("operator") in (
                 "aggregate-id",
                 "stream-aggregate",
             ), strategy
-            assert "having_pruned" in engine.exec_stats
+            assert "having_pruned" in execution.stats
 
     def test_prunes_at_fold_time(self):
-        engine = QueryEngine(GRAPH)
-        result = engine.run(
+        execution = QueryEngine(GRAPH).execute(
             PREFIX
             + "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c } GROUP BY ?c "
             + "HAVING (COUNT(?s) > 2)"
         )
+        result = execution.result
         assert len(result.rows) == 1
-        assert engine.exec_stats["having_pruned"] == 1
-        assert engine.exec_stats["tracked_rows"] == 2  # both groups folded
+        assert execution.stats["having_pruned"] == 1
+        assert execution.stats["tracked_rows"] == 2  # both groups folded
 
     def test_non_pushable_having_still_works(self):
         # expression-valued predicate: falls back to the materialized path
@@ -187,10 +187,10 @@ class TestHavingPushdown:
         )
         oracle = QueryEngine(GRAPH, strategy="scan").run(text)
         for strategy in ("hash", "stream"):
-            engine = QueryEngine(GRAPH, strategy=strategy)
-            result = engine.run(text)
+            execution = QueryEngine(GRAPH, strategy=strategy).execute(text)
+            result = execution.result
             assert self._canonical(result) == self._canonical(oracle)
-            assert "having_pruned" not in engine.exec_stats
+            assert "having_pruned" not in execution.stats
 
     def test_probe_rejects_non_aggregate_operands(self):
         from repro.sparql.parser import parse_query

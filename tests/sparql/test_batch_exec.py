@@ -100,11 +100,11 @@ def _build(triples) -> Graph:
 
 
 def _run(graph, query, batch_size, strategy="hash"):
-    """``(result, exec_stats)`` of *query* with ``BATCH_SIZE`` patched."""
+    """``(result, stats)`` of *query* with ``BATCH_SIZE`` patched."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
-        engine = QueryEngine(graph, strategy=strategy)
-        return engine.run(query), engine.exec_stats_snapshot()
+        execution = QueryEngine(graph, strategy=strategy).execute(query)
+        return execution.result, execution.stats
 
 
 def _ordered_rows(result):
@@ -377,9 +377,9 @@ def test_limit_zero_select_star_still_derives_its_header():
     """SELECT * needs one witness row for its header even at LIMIT 0, so
     the bounded fan-out never truncates below one row per shard."""
     store = _sharded_edge_store(2)
-    engine = QueryEngine(store)
-    result = engine.run("SELECT * WHERE { ?s ?p ?o } LIMIT 0")
-    assert engine.exec_stats["operator"] == "select-id"
+    execution = QueryEngine(store).execute("SELECT * WHERE { ?s ?p ?o } LIMIT 0")
+    result = execution.result
+    assert execution.stats["operator"] == "select-id"
     assert result.rows == []
     assert result.variables == ["o", "p", "s"]
     reference = QueryEngine(store, strategy="scan").run(

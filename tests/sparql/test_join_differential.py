@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.rdf import BNode, Graph, IRI, Literal, Triple
 from repro.rdf.namespaces import RDF
-from repro.sparql import QueryEngine
+from repro.sparql import Execution, QueryEngine
 from repro.sparql.join_plan import picker
 from repro.sparql.parser import parse_query
 
@@ -120,7 +120,7 @@ def _runs_eager(query) -> bool:
     """Rule 1 sends a small-LIMIT un-DISTINCT streamable page to the lazy
     chain, whose row order is its own; everything else is eager."""
     return not (
-        QueryEngine._streamable(query)
+        Execution._streamable(query)
         and query.limit is not None
         and query.limit <= QueryEngine.STREAM_DELEGATE_LIMIT
         and not query.distinct
@@ -196,7 +196,7 @@ def test_simple_shape_join_matches_the_oracles_in_order(data, case):
                 assert Counter(rows) == oracle, context
         engine = QueryEngine(graph)
         if _runs_eager(query):
-            general = engine._run_select_general(query)
+            general = Execution(engine)._run_select_general(query)
             assert _rows(engine.run(query)) == _rows(general), (type(graph).__name__, text)
 
 

@@ -1,4 +1,4 @@
-"""What the eager join builds, as a count: ``exec_stats["join_rows"]``.
+"""What the eager join builds, as a count: ``Execution.stats["join_rows"]``.
 
 ``join_rows`` is the rows the join's steps built, summed over steps -- the
 seed of a deterministic work ledger.  A step handles a candidate before it
@@ -51,10 +51,10 @@ def graphs():
 @pytest.mark.parametrize("name,query,bound,rows", BOUNDS)
 def test_the_extraction_questions_build_only_what_can_survive(graphs, name, query, bound, rows):
     graph = graphs[name]
-    engine = QueryEngine(graph)
-    result = engine.run(query)
+    execution = QueryEngine(graph).execute(query)
+    result = execution.result
     assert len(result.rows) == rows
-    assert engine.exec_stats["join_rows"] <= bound
+    assert execution.stats["join_rows"] <= bound
     scan = QueryEngine(graph, strategy="scan").run(query)
     assert sorted(map(sorted, (r.items() for r in result.rows))) == sorted(
         map(sorted, (r.items() for r in scan.rows))
@@ -67,12 +67,11 @@ def test_the_datatype_question_builds_the_type_scan_and_the_literals(graphs):
     keeps -- and carries neither ``?s`` nor ``?o`` on."""
     graph = graphs["census-1"]
     typed = sum(1 for _ in graph.triples_ids(None, graph.lookup_id(RDF.type), None))
-    engine = QueryEngine(graph)
-    engine.run(DATATYPES)
+    execution = QueryEngine(graph).execute(DATATYPES)
     literal_rows = QueryEngine(graph).run(
         "SELECT ?c ?p WHERE { ?s a ?c . ?s ?p ?o . FILTER ( isLiteral(?o) ) }"
     )
-    assert engine.exec_stats["join_rows"] == typed + len(literal_rows.rows)
+    assert execution.stats["join_rows"] == typed + len(literal_rows.rows)
 
 
 def _chain(store: Graph) -> Graph:
@@ -102,13 +101,15 @@ def test_a_gate_comes_from_the_shared_probe_cache_only():
     time, so no gate is taken: one shard batch (the type scan), nothing
     cached, and the same rows in the same order."""
     plain = QueryEngine(_chain(Graph()))
-    expected = plain.run(CHAIN).rows
+    execution = plain.execute(CHAIN)
+    expected = execution.result.rows
     assert len(expected) == 1
     assert plain.probe_cache_info()["misses"] == 1
-    assert plain.exec_stats["join_rows"] == 2 + 1 + 1
+    assert execution.stats["join_rows"] == 2 + 1 + 1
 
     sharded = QueryEngine(_chain(ShardedTripleStore(shards=2)))
-    assert sharded.run(CHAIN).rows == expected
-    assert sharded.exec_stats["shard_batches"] == 1
+    execution = sharded.execute(CHAIN)
+    assert execution.result.rows == expected
+    assert execution.stats["shard_batches"] == 1
     assert sharded.probe_cache_info()["size"] == 0
-    assert sharded.exec_stats["join_rows"] == 2 + 2 + 1
+    assert execution.stats["join_rows"] == 2 + 2 + 1

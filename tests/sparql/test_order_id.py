@@ -69,8 +69,9 @@ CASES = [
 @pytest.mark.parametrize("case_id,query", CASES, ids=[c[0] for c in CASES])
 def test_order_id_matches_materialized_sort(graph, case_id, query):
     engine = QueryEngine(graph)
-    result = engine.run(query)
-    assert engine.exec_stats.get("operator") == "topk-id", engine.exec_stats
+    execution = engine.execute(query)
+    result = execution.result
+    assert execution.stats.get("operator") == "topk-id", execution.stats
     oracle = QueryEngine(graph, strategy="scan").run(query)
     assert _ordered(result) == _ordered(oracle)
 
@@ -78,10 +79,10 @@ def test_order_id_matches_materialized_sort(graph, case_id, query):
 def test_decodes_only_the_emitted_page(graph):
     engine = QueryEngine(graph)
     # only the emitted page is ever decoded, whatever the LIMIT
-    result = engine.run(
+    execution = engine.execute(
         PREFIX + "SELECT ?s ?v WHERE { ?s ex:score ?v } ORDER BY ?v ?s OFFSET 1 LIMIT 100"
     )
-    stats = engine.exec_stats
+    result, stats = execution.result, execution.stats
     assert stats["operator"] == "topk-id"
     assert stats["input_rows"] == 5
     assert stats["decoded_rows"] == len(result.rows) == 4
@@ -91,11 +92,11 @@ def test_decodes_only_the_emitted_page(graph):
 def test_limit_bounds_the_rows_kept(graph, strategy):
     # with a LIMIT the sink is a bounded heap: offset + k rows, not all 5
     engine = QueryEngine(graph, strategy=strategy)
-    engine.run(PREFIX + "SELECT ?s WHERE { ?s ex:score ?v } ORDER BY ?v ?s LIMIT 2")
-    assert engine.exec_stats["operator"] == "topk-id"
-    assert engine.exec_stats["tracked_rows"] == 2
-    engine.run(PREFIX + "SELECT ?s WHERE { ?s ex:score ?v } ORDER BY ?v ?s")
-    assert engine.exec_stats["tracked_rows"] == 5
+    stats = engine.execute(PREFIX + "SELECT ?s WHERE { ?s ex:score ?v } ORDER BY ?v ?s LIMIT 2").stats
+    assert stats["operator"] == "topk-id"
+    assert stats["tracked_rows"] == 2
+    stats = engine.execute(PREFIX + "SELECT ?s WHERE { ?s ex:score ?v } ORDER BY ?v ?s").stats
+    assert stats["tracked_rows"] == 5
 
 
 # -- the stream engine feeds the same sink ------------------------------------
@@ -106,8 +107,9 @@ def test_stream_strategy_uses_id_sorter_for_unlimited_order(graph, case_id, quer
     """ORDER BY on the stream engine runs the same ID-space sink (fed by
     its lazy chain) instead of the materializing general path."""
     engine = QueryEngine(graph, strategy="stream")
-    result = engine.run(query)
-    assert engine.exec_stats.get("operator") == "topk-id", engine.exec_stats
+    execution = engine.execute(query)
+    result = execution.result
+    assert execution.stats.get("operator") == "topk-id", execution.stats
     oracle = QueryEngine(graph, strategy="scan").run(query)
     assert _ordered(result) == _ordered(oracle)
 
@@ -120,8 +122,9 @@ def test_non_simple_shapes_fall_back(graph):
         + "SELECT ?s ?g WHERE { ?s ex:score ?v OPTIONAL { ?s ex:group ?g } } "
         + "ORDER BY ?v ?s"
     )
-    result = engine.run(query)
-    assert engine.exec_stats.get("operator") != "topk-id"
+    execution = engine.execute(query)
+    result = execution.result
+    assert execution.stats.get("operator") != "topk-id"
     oracle = QueryEngine(graph, strategy="scan").run(query)
     assert _ordered(result) == _ordered(oracle)
 
@@ -129,8 +132,9 @@ def test_non_simple_shapes_fall_back(graph):
 def test_expression_sort_key_falls_back(graph):
     engine = QueryEngine(graph)
     query = PREFIX + "SELECT ?s WHERE { ?s ex:score ?v } ORDER BY (?v * 2) ?s"
-    result = engine.run(query)
-    assert engine.exec_stats.get("operator") != "topk-id"
+    execution = engine.execute(query)
+    result = execution.result
+    assert execution.stats.get("operator") != "topk-id"
     oracle = QueryEngine(graph, strategy="scan").run(query)
     assert _ordered(result) == _ordered(oracle)
 
@@ -227,11 +231,12 @@ def test_ordered_aggregate_matches_the_scan_oracle(
         expected = _oracle_rows.get((id(agg_graph), query))
         if expected is None:
             expected = _oracle_rows[id(agg_graph), query] = _ordered(oracle.run(query))
-        result = engine.run(query)
+        execution = engine.execute(query)
+        result = execution.result
         assert _ordered(result) == expected, query
         if strategy == "stream":
             continue  # stream-aggregate: term-space modifiers
-        stats = engine.exec_stats
+        stats = execution.stats
         assert stats["operator"] == "aggregate-id", query
         assert stats["tracked_rows"] == groups, query
         if id_space:
@@ -341,9 +346,10 @@ def test_lazy_tail_matches_sort_then_slice(
             expected = _oracle_rows[id(tail_graph), query] = _header_and_rows(
                 oracle.run(query)
             )
-        result = engine.run(query)
+        execution = engine.execute(query)
+        result = execution.result
         assert _header_and_rows(result) == expected, query
-        stats = engine.exec_stats
+        stats = execution.stats
         assert stats["operator"] == "topk-id", query
         assert stats["decoded_rows"] == len(result.rows), query
         assert ("distinct_keys" in stats) == distinct, query
@@ -366,5 +372,5 @@ def test_lazy_tail_builds_keys_for_the_rows_it_has_to_compare(tail_graph):
         ("DESC(?t) ?s", 1, 7),
         ("?t ?s", 100, 9),
     ):
-        engine.run(template.format(order=order, k=k))
-        assert engine.exec_stats["sort_keys"] == 2 + second_keys, (order, k)
+        stats = engine.execute(template.format(order=order, k=k)).stats
+        assert stats["sort_keys"] == 2 + second_keys, (order, k)

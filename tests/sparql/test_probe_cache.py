@@ -9,6 +9,7 @@ import pytest
 from repro.datagen import government_graph
 from repro.endpoint import AlwaysAvailable, SimulationClock, SparqlEndpoint
 from repro.endpoint.profiles import EndpointProfile
+from repro.obs.trace import Tracer
 from repro.rdf import IRI, ShardedTripleStore, Triple
 from repro.rdf.namespaces import RDF
 from repro.sparql import QueryEngine
@@ -135,12 +136,14 @@ def test_sharded_spanning_build_bypasses_the_cache(graph):
         profile=EndpointProfile("flat", jitter=0.0),
         availability=AlwaysAvailable(),
     )
+    tracer = Tracer()  # each query's sparql.run span carries its stats
+    endpoint.attach_obs(tracer)
     endpoint.query(JOIN)  # the first batch pays the pool's cold spin-up
     runs = []
     for _ in range(2):
         before = clock.now_ms
         endpoint.query(JOIN)
-        stats = endpoint._engine.exec_stats_snapshot()
+        stats = [s for s in tracer.spans if s.name == "sparql.run"][-1].attrs["exec_stats"]
         runs.append(
             ({k: v for k, v in stats.items() if k.startswith("shard_")},
              clock.now_ms - before)

@@ -104,8 +104,8 @@ def _probe(graph: Graph, pick: int):
 def _run(graph, query, batch_size, strategy="hash"):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
-        engine = QueryEngine(graph, strategy=strategy)
-        return engine.run(query), engine.exec_stats_snapshot()
+        execution = QueryEngine(graph, strategy=strategy).execute(query)
+        return execution.result, execution.stats
 
 
 def _multiset(result):

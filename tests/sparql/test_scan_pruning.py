@@ -1,6 +1,6 @@
 """Work as counts: what a simple-shape query scans, keys and holds.
 
-Two ``exec_stats`` counters say how much of the index a single-pattern
+Two ``Execution.stats`` counters say how much of the index a single-pattern
 query materialised (``scan_cells``: rows x the pattern positions some
 operator reads) and how many ORDER BY keys its tail built (``sort_keys``:
 distinct cells it had to compare).  They are deterministic, so what the
@@ -88,11 +88,11 @@ def test_scan_materialises_the_positions_a_sink_reads(
     graph, monkeypatch, query, width, rows, batch_size
 ):
     monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
-    engine = QueryEngine(graph)
-    result = engine.run(PREFIX + query)
+    execution = QueryEngine(graph).execute(PREFIX + query)
+    result = execution.result
     oracle = QueryEngine(graph, strategy="scan").run(PREFIX + query)
     assert _canonical(result) == _canonical(oracle)
-    assert engine.exec_stats["scan_cells"] == rows * width
+    assert execution.stats["scan_cells"] == rows * width
 
 
 def test_pruned_scan_keeps_first_seen_group_order(graph):
@@ -101,7 +101,8 @@ def test_pruned_scan_keeps_first_seen_group_order(graph):
     engine = QueryEngine(graph)
     query = PREFIX + "SELECT ?{key} (COUNT(?{other}) AS ?n) WHERE {{ ?s ?p ?o }} GROUP BY ?{key}"
     for key, other, position in (("s", "o", 0), ("p", "s", 1), ("o", "p", 2)):
-        result = engine.run(query.format(key=key, other=other))
+        execution = engine.execute(query.format(key=key, other=other))
+        result = execution.result
         first_seen = list(dict.fromkeys(t[position] for t in graph.triples_ids()))
         assert [row[key] for row in result.rows] == [
             graph.decode_id(term_id) for term_id in first_seen
@@ -109,7 +110,7 @@ def test_pruned_scan_keeps_first_seen_group_order(graph):
         # ?s heads the index walked: one cell per subject's run (parent:
         # len(graph) for every key)
         cells = len(first_seen) if position == 0 else len(graph)
-        assert engine.exec_stats["scan_cells"] == cells
+        assert execution.stats["scan_cells"] == cells
 
 
 # -- tracked_rows: the most rows held between batches ---------------------------
@@ -121,8 +122,7 @@ def test_tracked_rows_is_the_high_water_mark(graph, monkeypatch, batch_size):
     engine = QueryEngine(graph)
     ordered = PREFIX + "SELECT {select} WHERE {{ ?s ?p ?o }} ORDER BY ?o ?s {page}"
 
-    engine.run(ordered.format(select="?s ?o", page="LIMIT 2 OFFSET 1"))
-    stats = engine.exec_stats
+    stats = engine.execute(ordered.format(select="?s ?o", page="LIMIT 2 OFFSET 1")).stats
     assert stats["input_rows"] == 10
     assert stats["tracked_rows"] == 3  # offset + k ...
     assert stats["tracked_rows"] <= 3 + batch_size  # ... within the contract
@@ -130,18 +130,17 @@ def test_tracked_rows_is_the_high_water_mark(graph, monkeypatch, batch_size):
     # DISTINCT under LIMIT holds the page too, not a champion per key:
     # six distinct objects pass through, three rows are ever kept, and
     # ``distinct_keys`` is the most keys in hand at once (page + batch)
-    engine.run(ordered.format(select="DISTINCT ?o", page="LIMIT 2 OFFSET 1"))
-    stats = engine.exec_stats
+    stats = engine.execute(ordered.format(select="DISTINCT ?o", page="LIMIT 2 OFFSET 1")).stats
     assert stats["tracked_rows"] == 3
     assert stats["distinct_keys"] == {1: 4, 4: 5, 1024: 6}[batch_size]
 
     # without a LIMIT everything is held until the input ends -- DISTINCT
     # or not (the parent reported the deduplicated rows, not the ten held)
     for select in ("DISTINCT ?o", "?o"):
-        engine.run(ordered.format(select=select, page=""))
-        assert engine.exec_stats["tracked_rows"] == 10
-    engine.run(ordered.format(select="DISTINCT ?o", page=""))
-    assert engine.exec_stats["distinct_keys"] == 6
+        stats = engine.execute(ordered.format(select=select, page="")).stats
+        assert stats["tracked_rows"] == 10
+    stats = engine.execute(ordered.format(select="DISTINCT ?o", page="")).stats
+    assert stats["distinct_keys"] == 6
 
 
 # -- the serving templates on the benchmark's graph ----------------------------------
@@ -166,9 +165,8 @@ def test_top_entities_scans_one_column_and_keys_the_ties(bench_graph, templates)
     most = max(sizes)
     assert (triples, len(per_subject), len(sizes), sizes[most]) == (12427, 2990, 6, 237)
 
-    engine = QueryEngine(bench_graph)
-    result = engine.run(templates["top-entities"])
-    stats = engine.exec_stats
+    execution = QueryEngine(bench_graph).execute(templates["top-entities"])
+    result, stats = execution.result, execution.stats
     assert len(result.rows) == stats["decoded_rows"] == 10
     assert stats["operator"] == "aggregate-id"
     # one run per subject, three run batches (parent: 12427 rows, 13 batches)
@@ -183,8 +181,7 @@ def test_top_entities_scans_one_column_and_keys_the_ties(bench_graph, templates)
 def test_census_templates_scan_the_class_column(bench_graph, templates):
     engine = QueryEngine(bench_graph)
     for name in ("class-census", "distinct-classes"):
-        engine.run(templates[name])
-        stats = engine.exec_stats
+        stats = engine.execute(templates[name]).stats
         # the twelve classes' runs of (rdf:type, ?c, ?s) (parent: 2978 rows)
         assert stats["input_rows"] == 12, name
         assert stats["scan_cells"] == 12, name  # parent: 2978, ?c of each row
@@ -195,17 +192,15 @@ def test_page_templates_never_reach_the_column_scan(bench_graph, templates):
     what they were, with no scan or sort counter."""
     engine = QueryEngine(bench_graph)
     for name, rows in (("spo-page", 50), ("typed-join-page", 20), ("labels-page", 12)):
-        engine.run(templates[name])
-        assert engine.exec_stats == {
+        assert engine.execute(templates[name]).stats == {
             "operator": "stream-select", "input_rows": rows, "decoded_rows": rows,
         }, name
 
 
 def test_all_wanted_scan_reads_three_cells_a_row(bench_graph):
     engine = QueryEngine(bench_graph)
-    engine.run("SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 5000")
-    stats = engine.exec_stats
+    stats = engine.execute("SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 5000").stats
     assert stats["operator"] == "select-id"
     assert stats["scan_cells"] == 5000 * 3  # the LIMIT reaches the scan
-    engine.run("SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 5000")
-    assert engine.exec_stats["scan_cells"] == 12427 * 3
+    stats = engine.execute("SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 5000").stats
+    assert stats["scan_cells"] == 12427 * 3

@@ -103,9 +103,7 @@ def test_shard_count_never_changes_results(
 
 
 def test_spanning_scan_records_pool_accounting(sharded_graphs):
-    engine = QueryEngine(sharded_graphs[4])
-    engine.run("SELECT * WHERE { ?s ?p ?o }")
-    stats = engine.exec_stats
+    stats = QueryEngine(sharded_graphs[4]).execute("SELECT * WHERE { ?s ?p ?o }").stats
     assert stats["shard_batches"] >= 1
     assert 0.0 < stats["shard_parallel_ms"] < stats["shard_sequential_ms"]
     totals = sharded_graphs[4].shard_stats
@@ -114,26 +112,22 @@ def test_spanning_scan_records_pool_accounting(sharded_graphs):
 
 
 def test_single_shard_pays_the_sequential_sum(sharded_graphs):
-    engine = QueryEngine(sharded_graphs[1])
-    engine.run("SELECT * WHERE { ?s ?p ?o }")
-    stats = engine.exec_stats
+    stats = QueryEngine(sharded_graphs[1]).execute("SELECT * WHERE { ?s ?p ?o }").stats
     assert stats["shard_parallel_ms"] == pytest.approx(stats["shard_sequential_ms"])
 
 
 def test_subject_bound_scan_runs_no_batch(sharded_graphs):
-    engine = QueryEngine(sharded_graphs[4])
-    engine.run(
+    execution = QueryEngine(sharded_graphs[4]).execute(
         "SELECT ?p ?o WHERE { <http://example.org/alice> ?p ?o }"
     )
-    assert "shard_batches" not in engine.exec_stats
+    assert "shard_batches" not in execution.stats
 
 
 def test_multi_batch_query_reuses_warm_workers(sharded_graphs):
     """Pool reuse across one query's scan batches: only the first batch
     pays the cold dispatch, every later one runs on warm workers."""
     engine = QueryEngine(sharded_graphs[4])
-    engine.run("SELECT ?s ?c WHERE { ?s ?p ?o . ?s a ?c }")
-    stats = engine.exec_stats
+    stats = engine.execute("SELECT ?s ?c WHERE { ?s ?p ?o . ?s a ?c }").stats
     assert stats["shard_batches"] >= 2
     assert stats["shard_warm_batches"] == stats["shard_batches"] - 1
 
@@ -142,20 +136,17 @@ def test_pool_stays_warm_across_queries_on_one_engine(sharded_graphs):
     """The worker set is per *engine*, keyed on the shard layout:
     back-to-back queries skip the cold spin-up entirely, so the second
     query's every batch is warm -- while a fresh engine (fresh pool)
-    starts cold again.  exec_stats stays per-query: the warm count
-    resets with each run instead of leaking the pool's lifetime total."""
+    starts cold again.  Each execution's stats stay per-query: the warm
+    count is the query's own, not the pool's lifetime total."""
     engine = QueryEngine(sharded_graphs[4])
-    engine.run("SELECT * WHERE { ?s ?p ?o }")
-    first = engine.exec_stats_snapshot()
+    first = engine.execute("SELECT * WHERE { ?s ?p ?o }").stats
     assert first["shard_batches"] == 1
     assert first["shard_warm_batches"] == 0  # engine's first batch: cold
-    engine.run("SELECT * WHERE { ?s ?p ?o }")
-    second = engine.exec_stats_snapshot()
+    second = engine.execute("SELECT * WHERE { ?s ?p ?o }").stats
     assert second["shard_batches"] == 1
     assert second["shard_warm_batches"] == 1  # reused the warm workers
-    fresh = QueryEngine(sharded_graphs[4])
-    fresh.run("SELECT * WHERE { ?s ?p ?o }")
-    assert fresh.exec_stats["shard_warm_batches"] == 0
+    fresh = QueryEngine(sharded_graphs[4]).execute("SELECT * WHERE { ?s ?p ?o }")
+    assert fresh.stats["shard_warm_batches"] == 0
 
 
 def test_pool_retires_when_the_shard_layout_changes(sharded_graphs):
@@ -164,14 +155,14 @@ def test_pool_retires_when_the_shard_layout_changes(sharded_graphs):
     store = sharded_graphs[4].copy()
     engine = QueryEngine(store)
     engine.run("SELECT * WHERE { ?s ?p ?o }")
-    engine.run("SELECT * WHERE { ?s ?p ?o }")
-    assert engine.exec_stats["shard_warm_batches"] == 1
+    stats = engine.execute("SELECT * WHERE { ?s ?p ?o }").stats
+    assert stats["shard_warm_batches"] == 1
     store.clear()
     for triple in sharded_graphs[1]:
         store.add(triple)
-    engine.run("SELECT * WHERE { ?s ?p ?o }")
-    assert engine.exec_stats["shard_batches"] == 1
-    assert engine.exec_stats["shard_warm_batches"] == 0
+    stats = engine.execute("SELECT * WHERE { ?s ?p ?o }").stats
+    assert stats["shard_batches"] == 1
+    assert stats["shard_warm_batches"] == 0
 
 
 def test_warm_batches_cost_less_than_cold(sharded_graphs):
@@ -184,8 +175,7 @@ def test_warm_batches_cost_less_than_cold(sharded_graphs):
 
     assert SHARD_WARM_DISPATCH_MS < SHARD_DISPATCH_MS
     engine = QueryEngine(sharded_graphs[4])
-    engine.run("SELECT ?s ?c WHERE { ?s ?p ?o . ?s a ?c }")
-    stats = engine.exec_stats
+    stats = engine.execute("SELECT ?s ?c WHERE { ?s ?p ?o . ?s a ?c }").stats
     batches = stats["shard_batches"]
     # sequential cost had the pool been cold for every batch: each batch
     # dispatches one task per shard
@@ -206,9 +196,9 @@ def test_scan_join_makespan_falls_as_shards_are_added():
     query = "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c . ?s ?p ?o } GROUP BY ?c"
     sequential, makespan, rows = {}, {}, {}
     for shards in (1, 2, 4):
-        engine = QueryEngine(ShardedTripleStore.from_graph(base, shards))
-        rows[shards] = _ordered_rows(engine.run(query))
-        stats = engine.exec_stats
+        execution = QueryEngine(ShardedTripleStore.from_graph(base, shards)).execute(query)
+        rows[shards] = _ordered_rows(execution.result)
+        stats = execution.stats
         sequential[shards] = stats["shard_sequential_ms"]
         makespan[shards] = stats["shard_parallel_ms"]
         dispatches = shards * stats["shard_batches"]

@@ -11,7 +11,7 @@ Property tests pin the two contracts PR 3 introduces:
   COUNT(DISTINCT ?v) via per-group seen-sets.
 
 The memory contract (O(offset+k) / O(groups) tracked rows, not O(rows))
-is asserted through ``QueryEngine.exec_stats``, not by timing.
+is asserted through ``Execution.stats``, not by timing.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rdf import Graph, IRI, Literal
-from repro.sparql import QueryEngine, evaluate
+from repro.sparql import Execution, QueryEngine, evaluate
 from repro.sparql.parser import parse_query
 
 EX = "http://example.org/"
@@ -116,8 +116,8 @@ def test_topk_matches_sort_then_slice(specs, template, limit, offset):
 def test_topk_heap_never_tracks_more_than_k_rows(specs, template, limit):
     graph = _graph(specs)
     engine = QueryEngine(graph, strategy="stream")
-    result = engine.run(template.replace("{mod}", f"LIMIT {limit}"))
-    stats = engine.exec_stats
+    execution = engine.execute(template.replace("{mod}", f"LIMIT {limit}"))
+    result, stats = execution.result, execution.stats
     assert stats["operator"] in ("topk-id", "topk")
     assert stats["tracked_rows"] <= limit
     assert len(result.rows) <= limit
@@ -177,8 +177,8 @@ def test_distinct_topk_routes_through_champion_table(specs, template, limit):
     ``limit`` of the champions."""
     graph = _graph(specs)
     engine = QueryEngine(graph, strategy="stream")
-    result = engine.run(template.replace("{mod}", f"LIMIT {limit}"))
-    stats = engine.exec_stats
+    execution = engine.execute(template.replace("{mod}", f"LIMIT {limit}"))
+    result, stats = execution.result, execution.stats
     assert stats["operator"] in ("topk-id", "topk")
     assert stats["distinct_keys"] >= len(result.rows)
     assert stats["tracked_rows"] <= limit
@@ -240,13 +240,14 @@ def test_topk_id_space_keeps_only_k_rows():
     """The ID-space heap consumes the whole join but keeps offset+k rows."""
     graph = _ladder_graph(500)
     engine = QueryEngine(graph, strategy="stream")
-    result = engine.run(
+    execution = engine.execute(
         f"SELECT ?s WHERE {{ ?s <{EX}p0> ?rank }} ORDER BY ?rank LIMIT 5 OFFSET 2"
     )
+    result = execution.result
     assert [str(row["s"]) for row in result.rows] == [
         f"{EX}n{i}" for i in range(2, 7)
     ]
-    stats = engine.exec_stats
+    stats = execution.stats
     assert stats["operator"] == "topk-id"
     assert stats["input_rows"] == 500
     assert stats["tracked_rows"] == 7  # offset + limit, not 500
@@ -255,12 +256,13 @@ def test_topk_id_space_keeps_only_k_rows():
 def test_hash_engine_delegates_order_limit_to_topk():
     graph = _ladder_graph(300)
     engine = QueryEngine(graph)  # default hash strategy
-    result = engine.run(
+    execution = engine.execute(
         f"SELECT ?s WHERE {{ ?s <{EX}p0> ?rank }} ORDER BY DESC(?rank) LIMIT 4"
     )
+    result = execution.result
     assert len(result.rows) == 4
-    assert engine.exec_stats["operator"] == "topk-id"
-    assert engine.exec_stats["tracked_rows"] == 4
+    assert execution.stats["operator"] == "topk-id"
+    assert execution.stats["tracked_rows"] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -301,31 +303,34 @@ def test_stream_aggregation_matches_materialized_general_path(specs, template):
     over the *same* solution stream (exact, including row order)."""
     graph = _graph(specs)
     engine = QueryEngine(graph, strategy="stream")
-    streamed = engine.run(template)
-    assert engine.exec_stats.get("operator") == "stream-aggregate"
-    materialized = engine._run_select_general(parse_query(template))
+    execution = engine.execute(template)
+    streamed = execution.result
+    assert execution.stats.get("operator") == "stream-aggregate"
+    materialized = Execution(engine)._run_select_general(parse_query(template))
     assert _exact_rows(streamed) == _exact_rows(materialized)
 
 
 def test_stream_aggregation_tracks_groups_not_rows():
     graph = _ladder_graph(600)  # 600 p0 rows + 200 p2 rows, 2 predicates
     engine = QueryEngine(graph, strategy="stream")
-    result = engine.run(
+    execution = engine.execute(
         "SELECT ?p (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p"
     )
+    result = execution.result
     counts = {str(row["p"]): int(row["n"].lexical) for row in result.rows}
     assert counts == {f"{EX}p0": 600, f"{EX}p2": 200}
-    stats = engine.exec_stats
+    stats = execution.stats
     assert stats["input_rows"] == 800
     assert stats["tracked_rows"] == 2  # O(groups), not O(rows)
     # feeding an ordered, LIMITed tail (top-k groups by count) folds the same
-    top = engine.run(
+    execution = engine.execute(
         "SELECT ?p (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p "
         "ORDER BY DESC(?n) LIMIT 1"
     )
+    top = execution.result
     assert [str(row["p"]) for row in top.rows] == [f"{EX}p0"]
-    assert engine.exec_stats["operator"] == "stream-aggregate"
-    assert engine.exec_stats["tracked_rows"] == 2
+    assert execution.stats["operator"] == "stream-aggregate"
+    assert execution.stats["tracked_rows"] == 2
 
 
 def test_count_distinct_uses_seen_sets_not_member_lists():

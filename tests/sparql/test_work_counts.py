@@ -1,0 +1,71 @@
+"""Work counts per query shape, pinned exactly.
+
+Each of ``default_query_mix()``'s seven templates and Index Extraction's
+two whole-dataset questions (the datatype properties of every class, the
+links between classes), on the benchmark's government graph under the
+default ``hash`` strategy: the sink that answered, the rows it consumed,
+the cells the scan materialised, the sort keys the ID-space tail built,
+the rows the eager join built and the rows decoded, read from
+``QueryEngine.execute(q).stats`` (``None``: the counter was not booked).
+
+The numbers are a fence, not a bound: a change that moves one changes how
+much work the query does.  Lower a pin in place when a change cuts that
+work on purpose.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.datagen import government_graph
+from repro.serving import default_query_mix
+from repro.sparql import QueryEngine
+from repro.sparql.evaluator import EXEC_STAT_KEYS
+
+KEYS = ("operator", "input_rows", "scan_cells", "sort_keys", "join_rows", "decoded_rows")
+
+QUESTIONS = {
+    "datatypes": (
+        "SELECT DISTINCT ?c ?p WHERE { ?s a ?c . ?s ?p ?o . FILTER ( isLiteral(?o) ) }"
+    ),
+    "links": (
+        "SELECT ?c ?p ?target (COUNT(?o) AS ?n) WHERE { ?s a ?c . ?s ?p ?o . ?o a ?target } "
+        "GROUP BY ?c ?p ?target"
+    ),
+}
+
+#: name -> KEYS, on ``government_graph(scale=1.0, seed=5)``
+PINS = {
+    "spo-page": ("stream-select", 50, None, None, None, 50),
+    "typed-join-page": ("stream-select", 20, None, None, None, 20),
+    "class-census": ("aggregate-id", 12, 12, 0, None, 12),
+    "top-entities": ("aggregate-id", 2990, 2990, 243, None, 10),
+    "distinct-classes": ("select-id", 12, 12, None, None, 12),
+    "labels-page": ("stream-select", 12, None, None, None, 12),
+    "ask-typed": (None, None, None, None, None, None),
+    "datatypes": ("select-id", 5373, None, None, 8351, 20),
+    "links": ("aggregate-id", 4064, None, 0, 11106, 11),
+}
+
+
+@pytest.fixture(scope="module")
+def engine():
+    return QueryEngine(government_graph(scale=1.0, seed=5))
+
+
+@pytest.fixture(scope="module")
+def texts():
+    found = {template.name: template.text for template in default_query_mix()}
+    found.update(QUESTIONS)
+    return found
+
+
+def test_every_shape_is_pinned(texts):
+    assert sorted(texts) == sorted(PINS)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_work_counts_of_one_query(engine, texts, name):
+    stats = engine.execute(texts[name]).stats
+    assert set(stats) <= EXEC_STAT_KEYS
+    assert tuple(stats.get(key) for key in KEYS) == PINS[name]

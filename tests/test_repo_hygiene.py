@@ -459,7 +459,7 @@ class TestWrittenOnce:
 
     #: what ``QueryEngine`` may assign on ``self`` outside ``__init__``: the
     #: per-execution state ROADMAP B step 1 is to take off the engine
-    ENGINE_STATE = {"exec_stats", "_scan_pool", "obs"}
+    ENGINE_STATE = {"_scan_pool"}
 
     @staticmethod
     def _state_writes(tree, class_name):
@@ -507,6 +507,63 @@ class TestWrittenOnce:
         assert self._state_writes(ast.parse(flagged), "QueryEngine") == {
             "_filters_applied", "exec_stats",
         }
+
+    @staticmethod
+    def _query_state_on_engines(nodes):
+        """Lines keeping one query's state on an engine: ``exec_stats_snapshot``
+        defined or named, ``<engine>.obs = ...`` or a read of
+        ``<engine>.exec_stats``.  An engine is a name ending in ``engine``
+        (``engine``, ``self._engine``) or ``self`` inside ``class QueryEngine``."""
+        engine_selves = {
+            id(node)
+            for cls in nodes if isinstance(cls, ast.ClassDef) and cls.name == "QueryEngine"
+            for node in ast.walk(cls) if getattr(node, "id", None) == "self"
+        }
+
+        def is_engine(node):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or ""
+            return name.lower().endswith("engine") or id(node) in engine_selves
+
+        return [
+            node.lineno for node in nodes
+            if isinstance(node, ast.FunctionDef) and node.name == "exec_stats_snapshot"
+            or isinstance(node, ast.Attribute) and (
+                node.attr == "exec_stats_snapshot"
+                or is_engine(node.value) and (
+                    node.attr == "obs" and isinstance(node.ctx, ast.Store)
+                    or node.attr == "exec_stats" and isinstance(node.ctx, ast.Load)
+                )
+            )
+        ]
+
+    def test_a_query_keeps_its_state_on_its_execution(self):
+        """Counters and tracer live on the query's ``Execution``; an engine
+        that holds them is one a query started mid-query overwrites."""
+        found = [
+            f"{path}:{line}"
+            for path, nodes in TestWrittenOnce._modules("")
+            for line in self._query_state_on_engines(nodes)
+        ]
+        assert not found, found
+
+    def test_the_execution_rule_matches_the_retired_engine_state(self):
+        retired = "\n".join([
+            "class QueryEngine:",
+            "    def exec_stats_snapshot(self):",  # 2
+            "        return dict(self.exec_stats)",  # 3
+            "    def _operator_event(self):",
+            "        self.exec_stats['operator'] = 'x'",  # 5: a read of the dict
+            "class SparqlEndpoint:",
+            "    def attach_obs(self, tracer):",
+            "        self.obs = tracer",  # the endpoint's own recorder
+            "        self._engine.obs = tracer",  # 9
+            "    def _query(self, parsed):",
+            "        result = self._engine.run(parsed)",
+            "        stats = self._engine.exec_stats_snapshot()",  # 12
+            "        return result, engine.exec_stats, execution.stats",  # 13
+        ])
+        nodes = list(ast.walk(ast.parse(retired)))
+        assert sorted(self._query_state_on_engines(nodes)) == [2, 3, 5, 9, 12, 13]
 
     @staticmethod
     def _four_product_sums(nodes):
