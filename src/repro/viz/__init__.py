@@ -28,7 +28,7 @@ from .renderers import (
     render_treemap,
 )
 from .sunburst import Arc, sunburst_layout
-from .svg import SvgDocument, SvgElement, arc_path, polyline_path
+from .svg import SvgDocument, SvgGroup, arc_path, polyline_path
 from .treemap import treemap_layout
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
     "RadialLeaf",
     "Rect",
     "SvgDocument",
-    "SvgElement",
+    "SvgGroup",
     "arc_path",
     "bspline_points",
     "categorical_color",

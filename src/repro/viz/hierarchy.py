@@ -7,6 +7,7 @@ consume :class:`HierarchyNode` trees, mirroring how H-BOLD feeds D3.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 __all__ = ["HierarchyNode", "hierarchy_from_dict"]
@@ -118,11 +119,16 @@ class HierarchyNode:
         Leaves keep their own value (or *default_leaf* when unset,
         implementing the paper's "if no quantity is assigned... divided
         equally" rule); internal nodes become the total of their children.
+        A leaf value must be a finite int or float >= 0 (a bool is not one).
         """
         for node in self.each_after():
             if node.is_leaf():
                 if node.value is None:
                     node.value = default_leaf
+                value = node.value
+                number = isinstance(value, (int, float)) and type(value) is not bool
+                if not (number and 0 <= value < math.inf):
+                    raise ValueError(f"node {node.name!r}: {value!r} is not a finite number >= 0")
             else:
                 node.value = sum(child.value for child in node.children)
         return self

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .svg import SvgDocument
+from .svg import SvgDocument, escape
 
 __all__ = ["html_page", "save_html_page"]
 
@@ -39,19 +39,19 @@ _TEMPLATE = """<!DOCTYPE html>
 def html_page(
     title: str, figures: Sequence[Tuple[str, SvgDocument]], intro: Optional[str] = None
 ) -> str:
-    """Build an HTML page embedding ``(caption, svg)`` figures in order."""
+    """Build an HTML page embedding ``(caption, svg)`` figures in order, text escaped."""
     sections: List[str] = []
     if intro:
-        sections.append(f"<p>{intro}</p>")
+        sections.append(f"<p>{escape(intro)}</p>")
     for caption, document in figures:
         svg_markup = document.render()
         # strip the XML prolog; inline SVG doesn't want it
         if svg_markup.startswith("<?xml"):
             svg_markup = svg_markup.split("?>", 1)[1].lstrip()
         sections.append(
-            f"<figure>\n{svg_markup}<figcaption>{caption}</figcaption>\n</figure>"
+            f"<figure>\n{svg_markup}<figcaption>{escape(caption)}</figcaption>\n</figure>"
         )
-    return _TEMPLATE.format(title=title, body="\n".join(sections))
+    return _TEMPLATE.format(title=escape(title), body="\n".join(sections))
 
 
 def save_html_page(

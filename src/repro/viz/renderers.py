@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, Optional, Sequence, Tuple
 
-from .color import CATEGORY20, Color, categorical_color, darken, lighten
+from .color import CATEGORY20, categorical_color, darken, lighten
 from .edge_bundling import EdgeBundlingDiagram, edge_bundling_layout
 from .force_layout import force_layout
 from .geometry import Point
@@ -37,14 +37,6 @@ _ROLE_COLORS = {
 }
 
 
-def _cluster_color(root: HierarchyNode) -> Dict[int, Color]:
-    """One palette color per depth-1 child (cluster)."""
-    return {
-        id(child): categorical_color(index, CATEGORY20)
-        for index, child in enumerate(root.children)
-    }
-
-
 def render_treemap(
     root: HierarchyNode,
     width: float = 960.0,
@@ -55,41 +47,41 @@ def render_treemap(
     root.sum_values()
     treemap_layout(root, width, height)
     doc = SvgDocument(width, height, background="#ffffff")
-    colors = _cluster_color(root)
 
-    for cluster in root.children:
-        color = colors[id(cluster)]
+    for index, cluster in enumerate(root.children):
+        color = categorical_color(index, CATEGORY20)
+        leaf_fill = str(color)
         group = doc.group()
         rect = cluster.rect
-        outline = doc.rect(
+        doc.rect(
             rect.x,
             rect.y,
             rect.width,
             rect.height,
             parent=group,
+            title=f"{cluster.name}: {int(cluster.value or 0)} instances",
             fill=str(lighten(color, 0.25)),
             stroke=str(darken(color)),
             stroke_width=1.5,
         )
-        doc.title(outline, f"{cluster.name}: {int(cluster.value or 0)} instances")
         for leaf in cluster.each():
             if leaf is cluster or not leaf.is_leaf():
                 continue
             cell = leaf.rect
             if cell is None or cell.area <= 0:
                 continue
-            element = doc.rect(
+            doc.rect(
                 cell.x,
                 cell.y,
                 cell.width,
                 cell.height,
                 parent=group,
-                fill=str(color),
+                title=f"{leaf.name}: {int(leaf.value or 0)} instances",
+                fill=leaf_fill,
                 stroke="#ffffff",
                 stroke_width=0.8,
                 fill_opacity=0.85,
             )
-            doc.title(element, f"{leaf.name}: {int(leaf.value or 0)} instances")
             if cell.width >= label_threshold and cell.height >= 14.0:
                 doc.text(
                     cell.x + 3,
@@ -112,38 +104,35 @@ def render_sunburst(
     size = radius * 2.0 + 20.0
     doc = SvgDocument(size, size, background="#ffffff")
     center = doc.group(transform=f"translate({size / 2:.1f},{size / 2:.1f})")
-    colors = _cluster_color(root)
 
-    for node in root.each():
-        if node is root:
-            continue
-        arc = node.arc
-        if arc is None or arc.span <= 1e-12:
-            continue
-        cluster = node.ancestors()[-2] if len(node.ancestors()) >= 2 else node
-        color = colors.get(id(cluster), categorical_color(0))
-        fill = color if node.depth == 1 else lighten(color, 0.18)
-        element = doc.path(
-            arc_path(0.0, 0.0, arc.a0, arc.a1, arc.r0, arc.r1),
-            parent=center,
-            fill=str(fill),
-            stroke="#ffffff",
-            stroke_width=1,
-        )
-        doc.title(element, f"{node.name}: {int(node.value or 0)} instances")
-        if arc.span >= label_min_span:
-            mid = arc.midangle()
-            r = (arc.r0 + arc.r1) / 2.0
-            doc.text(
-                r * math.sin(mid),
-                -r * math.cos(mid),
-                _short(node.name),
+    for index, cluster in enumerate(root.children):
+        color = categorical_color(index, CATEGORY20)
+        cluster_fill, class_fill = str(color), str(lighten(color, 0.18))
+        for node in cluster.each():
+            arc = node.arc
+            if arc is None or arc.span <= 1e-12:
+                continue
+            doc.path(
+                arc_path(0.0, 0.0, arc.a0, arc.a1, arc.r0, arc.r1),
                 parent=center,
-                font_size=9,
-                font_family="sans-serif",
-                text_anchor="middle",
-                fill="#222222",
+                title=f"{node.name}: {int(node.value or 0)} instances",
+                fill=cluster_fill if node is cluster else class_fill,
+                stroke="#ffffff",
+                stroke_width=1,
             )
+            if arc.span >= label_min_span:
+                mid = arc.midangle()
+                r = (arc.r0 + arc.r1) / 2.0
+                doc.text(
+                    r * math.sin(mid),
+                    -r * math.cos(mid),
+                    _short(node.name),
+                    parent=center,
+                    font_size=9,
+                    font_family="sans-serif",
+                    text_anchor="middle",
+                    fill="#222222",
+                )
     return doc
 
 
@@ -154,48 +143,48 @@ def render_circlepack(root: HierarchyNode, radius: float = 300.0) -> SvgDocument
     size = radius * 2.0 + 20.0
     doc = SvgDocument(size, size, background="#ffffff")
     center = doc.group(transform=f"translate({size / 2:.1f},{size / 2:.1f})")
-    colors = _cluster_color(root)
 
     # outermost circle: the entire dataset
-    outer = doc.circle(
+    doc.circle(
         root.circle.cx,
         root.circle.cy,
         root.circle.r,
         parent=center,
+        title=f"{root.name}: {int(root.value or 0)} instances",
         fill="#f0f0f5",
         stroke="#999999",
         stroke_width=1,
     )
-    doc.title(outer, f"{root.name}: {int(root.value or 0)} instances")
 
-    for cluster in root.children:
-        color = colors[id(cluster)]
+    for index, cluster in enumerate(root.children):
+        color = categorical_color(index, CATEGORY20)
+        leaf_fill = str(color)
         circle = cluster.circle
-        element = doc.circle(
+        doc.circle(
             circle.cx,
             circle.cy,
             circle.r,
             parent=center,
+            title=f"{cluster.name}: {int(cluster.value or 0)} instances",
             fill=str(lighten(color, 0.28)),
             stroke=str(darken(color)),
             stroke_width=1,
         )
-        doc.title(element, f"{cluster.name}: {int(cluster.value or 0)} instances")
         for leaf in cluster.leaves():
             if leaf is cluster:
                 continue
             inner = leaf.circle
-            leaf_el = doc.circle(
+            doc.circle(
                 inner.cx,
                 inner.cy,
                 inner.r,
                 parent=center,
-                fill=str(color),
+                title=f"{leaf.name}: {int(leaf.value or 0)} instances",
+                fill=leaf_fill,
                 fill_opacity=0.85,
                 stroke="#ffffff",
                 stroke_width=0.6,
             )
-            doc.title(leaf_el, f"{leaf.name}: {int(leaf.value or 0)} instances")
     return doc
 
 
@@ -222,10 +211,10 @@ def render_edge_bundling(
     for leaf in diagram.leaves:
         role = diagram.roles.get(leaf.node.name)
         color = _ROLE_COLORS.get(role, "#555555")
-        dot = doc.circle(
-            leaf.point.x, leaf.point.y, 3.5 if role else 2.5, parent=center, fill=color
+        doc.circle(
+            leaf.point.x, leaf.point.y, 3.5 if role else 2.5,
+            parent=center, title=leaf.node.name, fill=color,
         )
-        doc.title(dot, leaf.node.name)
         if label:
             offset = diagram.radius + 8.0
             angle = leaf.angle
@@ -269,15 +258,15 @@ def render_graph(
         point = positions[node]
         is_focus = node == highlight
         radius = node_sizes.get(node, 8.0)
-        element = doc.circle(
+        doc.circle(
             point.x,
             point.y,
             radius * (1.3 if is_focus else 1.0),
+            title=labels.get(node, str(node)),
             fill="#d62728" if is_focus else "#1f77b4",
             stroke="#ffffff",
             stroke_width=1.5,
         )
-        doc.title(element, labels.get(node, str(node)))
         doc.text(
             point.x + radius + 2,
             point.y + 3,
@@ -332,15 +321,12 @@ def render_cluster_graph(
         point = positions[cluster_id]
         color = categorical_color(index, CATEGORY20)
         radius = 14.0 + 26.0 * math.sqrt(class_count / max_classes)
-        circle = doc.circle(
+        doc.circle(
             point.x, point.y, radius,
+            title=f"{label}: {class_count} classes, {instance_count} instances",
             fill=str(lighten(color, 0.1)),
             stroke=str(darken(color)),
             stroke_width=2,
-        )
-        doc.title(
-            circle,
-            f"{label}: {class_count} classes, {instance_count} instances",
         )
         doc.text(
             point.x, point.y + 4,

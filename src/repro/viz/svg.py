@@ -1,151 +1,158 @@
-"""A minimal SVG document builder.
+"""A minimal SVG writer.
 
 The original H-BOLD presentation layer lets D3 emit SVG in the browser;
-here the layouts are computed in Python and serialized to standalone SVG
-through this module.  Only the elements the four layouts need are
-modelled: rect, circle, path, text, line, group, title (tooltips).
+here the layouts are computed in Python and written to standalone SVG
+through this module.  Only the elements the figures need are written:
+rect, circle, path, text, line, group, title (tooltips).  Each element's
+markup is formatted once, when it is drawn: a shape call appends the
+finished line to its parent's body, and ``render`` only joins the bodies.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Union
+import re
+from typing import List, Optional, Sequence, Union
 
 from .geometry import polar_to_cartesian
 
-__all__ = ["SvgElement", "SvgDocument", "arc_path", "polyline_path"]
+__all__ = ["SvgDocument", "SvgGroup", "arc_path", "escape", "polyline_path"]
+
+#: what XML 1.0 forbids in a document: the C0 controls but tab, newline and
+#: carriage return, lone surrogates, and the noncharacters U+FFFE and U+FFFF
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-def _escape(text: str) -> str:
+def escape(text: str) -> str:
+    """*text* as XML character data or an attribute value: ``& < > "``
+    become entities and a character XML 1.0 forbids becomes U+FFFD."""
+    # str.isprintable() is False for every character XML forbids
+    if text.isprintable() and not ("&" in text or "<" in text or ">" in text or '"' in text):
+        return text
     return (
-        text.replace("&", "&amp;")
+        _NOT_XML.sub("\ufffd", text)
+        .replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace(">", "&gt;")
         .replace('"', "&quot;")
     )
 
 
-def _format_number(value: float) -> str:
+def _number(value, tag: str, name: str) -> str:
+    """The text of attribute *name* of a ``<tag>``: an integral float below
+    1e15 as an int, any other float to three decimals, an int or a bool by
+    ``str``; a value that is not a number is escaped text."""
     if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e15:
+        if not math.isfinite(value):
+            raise ValueError(f"<{tag}> {name}={value!r}: not a finite number")
+        if value.is_integer() and abs(value) < 1e15:
             return str(int(value))
         return f"{value:.3f}"
-    return str(value)
+    return str(value) if isinstance(value, int) else escape(str(value))
 
 
-class SvgElement:
-    """One SVG element with attributes, children and optional text."""
+def _attributes(tag: str, attributes) -> str:
+    """`` name="value"`` per keyword, in call order: ``_`` in a name is
+    written ``-`` and a None value is left out."""
+    markup = []
+    for name, value in attributes.items():
+        if value is not None:
+            name = name.replace("_", "-")
+            text = escape(value) if type(value) is str else _number(value, tag, name)
+            markup.append(f' {name}="{text}"')
+    return "".join(markup)
 
-    def __init__(self, tag: str, **attributes):
-        self.tag = tag
-        self.attributes: Dict[str, Union[str, float, int]] = dict(attributes)
-        self.children: List["SvgElement"] = []
-        self.text: Optional[str] = None
 
-    def add(self, child: "SvgElement") -> "SvgElement":
-        self.children.append(child)
-        return child
+class SvgGroup:
+    """A ``<g>`` (or the document's ``<svg>``): its body holds each child's
+    finished markup, and the child groups themselves."""
 
-    def set(self, name: str, value: Union[str, float, int]) -> "SvgElement":
-        self.attributes[name] = value
-        return self
+    __slots__ = ("start", "end", "indent", "body")
 
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        parts = [pad, "<", self.tag]
-        for name, value in self.attributes.items():
-            if value is None:
-                continue
-            # a formatted number cannot hold a character that needs escaping
-            if isinstance(value, (int, float)):
-                rendered = _format_number(value)
-            else:
-                rendered = _escape(str(value))
-            parts.append(f' {name.replace("_", "-")}="{rendered}"')
-        if not self.children and self.text is None:
-            parts.append("/>")
-            return "".join(parts)
-        parts.append(">")
-        if self.text is not None:
-            parts.append(_escape(self.text))
-        if self.children:
-            parts.append("\n")
-            for child in self.children:
-                parts.append(child.render(indent + 1))
-                parts.append("\n")
-            parts.append(pad)
-        parts.append(f"</{self.tag}>")
-        return "".join(parts)
+    def __init__(self, start: str, end: str, indent: str):
+        self.start, self.end = start, end  # the tags, the start one without ">"
+        self.indent = indent  # the children's
+        self.body: List[Union[str, SvgGroup]] = []
+
+    def markup(self) -> str:
+        if not self.body:
+            return self.start + "/>"
+        lines = [line if type(line) is str else line.markup() for line in self.body]
+        return f"{self.start}>\n" + "\n".join(lines) + f"\n{self.end}"
 
 
 class SvgDocument:
-    """A top-level ``<svg>`` with convenience constructors per shape."""
+    """A top-level ``<svg>`` with one call per shape: a shape is drawn into
+    *parent* (a group) or the document, and *title* is its tooltip."""
 
     def __init__(self, width: float, height: float, background: Optional[str] = None):
-        self.width = width
-        self.height = height
-        self.root = SvgElement(
-            "svg",
-            xmlns="http://www.w3.org/2000/svg",
-            width=width,
-            height=height,
-            viewBox=f"0 0 {_format_number(width)} {_format_number(height)}",
+        w, h = _number(width, "svg", "width"), _number(height, "svg", "height")
+        self.root = SvgGroup(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+            f'viewBox="0 0 {w} {h}"',
+            "</svg>",
+            "  ",
         )
         if background:
             self.rect(0, 0, width, height, fill=background, stroke="none")
 
-    # -- shape helpers -----------------------------------------------------------
-
-    def group(self, transform: Optional[str] = None, **attributes) -> SvgElement:
-        group = SvgElement("g", **attributes)
+    def group(self, transform: Optional[str] = None, parent=None, **attributes) -> SvgGroup:
+        parent = parent or self.root
         if transform:
-            group.set("transform", transform)
-        self.root.add(group)
+            attributes["transform"] = transform
+        pad = parent.indent
+        group = SvgGroup(f"{pad}<g{_attributes('g', attributes)}", f"{pad}</g>", pad + "  ")
+        parent.body.append(group)
         return group
 
     def rect(
-        self, x: float, y: float, width: float, height: float, parent=None, **attributes
-    ) -> SvgElement:
-        element = SvgElement(
-            "rect", x=x, y=y, width=max(0.0, width), height=max(0.0, height), **attributes
+        self, x: float, y: float, width: float, height: float,
+        parent=None, title=None, **attributes,
+    ) -> None:
+        width, height = max(0.0, width), max(0.0, height)
+        geometry = (
+            f'x="{_number(x, "rect", "x")}" y="{_number(y, "rect", "y")}" '
+            f'width="{_number(width, "rect", "width")}" '
+            f'height="{_number(height, "rect", "height")}"'
         )
-        (parent or self.root).add(element)
-        return element
+        self._shape(parent, "rect", geometry, attributes, title)
 
-    def circle(self, cx: float, cy: float, r: float, parent=None, **attributes) -> SvgElement:
-        element = SvgElement("circle", cx=cx, cy=cy, r=max(0.0, r), **attributes)
-        (parent or self.root).add(element)
-        return element
+    def circle(
+        self, cx: float, cy: float, r: float, parent=None, title=None, **attributes
+    ) -> None:
+        geometry = (
+            f'cx="{_number(cx, "circle", "cx")}" cy="{_number(cy, "circle", "cy")}" '
+            f'r="{_number(max(0.0, r), "circle", "r")}"'
+        )
+        self._shape(parent, "circle", geometry, attributes, title)
 
-    def line(
-        self, x1: float, y1: float, x2: float, y2: float, parent=None, **attributes
-    ) -> SvgElement:
-        element = SvgElement("line", x1=x1, y1=y1, x2=x2, y2=y2, **attributes)
-        (parent or self.root).add(element)
-        return element
+    def line(self, x1: float, y1: float, x2: float, y2: float, parent=None, **attributes) -> None:
+        geometry = (
+            f'x1="{_number(x1, "line", "x1")}" y1="{_number(y1, "line", "y1")}" '
+            f'x2="{_number(x2, "line", "x2")}" y2="{_number(y2, "line", "y2")}"'
+        )
+        self._shape(parent, "line", geometry, attributes)
 
-    def path(self, d: str, parent=None, **attributes) -> SvgElement:
-        element = SvgElement("path", d=d, **attributes)
-        (parent or self.root).add(element)
-        return element
+    def path(self, d: str, parent=None, title=None, **attributes) -> None:
+        self._shape(parent, "path", f'd="{escape(d)}"', attributes, title)
 
-    def text(
-        self, x: float, y: float, content: str, parent=None, **attributes
-    ) -> SvgElement:
-        element = SvgElement("text", x=x, y=y, **attributes)
-        element.text = content
-        (parent or self.root).add(element)
-        return element
+    def text(self, x: float, y: float, content: str, parent=None, **attributes) -> None:
+        geometry = f'x="{_number(x, "text", "x")}" y="{_number(y, "text", "y")}"'
+        self._shape(parent, "text", geometry, attributes, content=content)
 
-    def title(self, element: SvgElement, content: str) -> SvgElement:
-        """Attach a ``<title>`` tooltip to *element*."""
-        tooltip = SvgElement("title")
-        tooltip.text = content
-        element.children.insert(0, tooltip)
-        return tooltip
+    def _shape(self, parent, tag, geometry, attributes, title=None, content=None) -> None:
+        parent = parent or self.root
+        pad = parent.indent
+        start = f"{pad}<{tag} {geometry}{_attributes(tag, attributes)}"
+        if content is not None:
+            parent.body.append(f"{start}>{escape(content)}</{tag}>")
+        elif title is not None:
+            parent.body.append(f"{start}>\n{pad}  <title>{escape(title)}</title>\n{pad}</{tag}>")
+        else:
+            parent.body.append(start + "/>")
 
     def render(self) -> str:
-        return '<?xml version="1.0" encoding="UTF-8"?>\n' + self.root.render() + "\n"
+        return '<?xml version="1.0" encoding="UTF-8"?>\n' + self.root.markup() + "\n"
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:

@@ -676,6 +676,68 @@ class TestWrittenOnce:
         ])
         assert self._format_tables(ast.parse(tables)) == ["_BRACES", "_FORMATS", "_LAZY", "_SET"]
 
+    @staticmethod
+    def _element_tree_sites(nodes):
+        """Lines defining ``SvgElement`` or attaching a tooltip after the fact
+        (``doc.title(element, text)``; ``str.title()`` takes no argument)."""
+        return sorted(
+            node.lineno for node in nodes
+            if (isinstance(node, ast.ClassDef) and node.name == "SvgElement")
+            or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "title"
+                and (node.args or node.keywords))
+        )
+
+    def test_a_figure_is_written_as_it_is_drawn(self):
+        """``viz/svg.py`` formats an element when it is drawn, its tooltip
+        passed as ``title=``; a stored element tree walked again to
+        serialise it is the form it replaced."""
+        found = {
+            path: lines
+            for path, nodes in self._modules("")
+            for lines in [self._element_tree_sites(nodes)]
+            if lines
+        }
+        assert not found, found
+
+    def test_the_element_tree_rule_matches_the_tree_writer(self):
+        tree = "\n".join([
+            "class SvgElement:",
+            "    def render(self, indent=0): ...",
+            "def render_treemap(doc, cluster):",
+            "    outline = doc.rect(0, 0, 1, 1)",
+            "    doc.title(outline, cluster.name)",
+            "    doc.title(element=outline, content=cluster.name)",
+            "    return cluster.name.title()",
+        ])
+        assert self._element_tree_sites(list(ast.walk(ast.parse(tree)))) == [1, 5, 6]
+
+    @staticmethod
+    def _ampersand_escapes(nodes):
+        """Lines holding a ``&amp;`` string constant."""
+        return sorted(
+            node.lineno for node in nodes
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "&amp;" in node.value
+        )
+
+    def test_one_xml_escape_in_viz(self):
+        """``svg.escape`` is the one escape (``& < > "`` and the characters
+        XML forbids); the HTML page uses it rather than a second copy."""
+        found = [
+            path
+            for path, nodes in self._modules("viz")
+            if self._ampersand_escapes(nodes)
+        ]
+        assert found == ["svg.py"], found
+
+    def test_the_escape_rule_matches_a_second_escape(self):
+        html = "\n".join([
+            "def html_page(title, caption):",
+            '    caption = caption.replace("&", "&amp;").replace("<", "&lt;")',
+            '    return f"<h1>{title}</h1><figcaption>{caption}</figcaption>"',
+        ])
+        assert self._ampersand_escapes(list(ast.walk(ast.parse(html)))) == [2]
+
 
 class TestIndexStaysBehindRdf:
     def test_no_index_attribute_outside_the_rdf_package(self):

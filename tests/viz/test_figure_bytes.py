@@ -1,8 +1,9 @@
-"""The hierarchy figures' exact bytes and the edge bundling's object count.
+"""The figures' exact bytes and the edge bundling's object count.
 
-The SVG documents of Figures 4-7 for the first dataset of the shared
-``indexed_app`` fixture are pinned by SHA-256, so a change to rounding,
-sampling or straightening cannot pass unnoticed.  The count pins how the
+The SVG documents of Figures 4-7, of the Cluster Schema view and of the
+exploration view for the first dataset of the shared ``indexed_app``
+fixture are pinned by SHA-256, so a change to rounding, sampling,
+straightening or the SVG writer cannot pass unnoticed.  The count pins how the
 bundling layout works: coordinates stay floats from control point to path
 string, and the only ``Point`` s built are the leaves' positions.
 """
@@ -34,6 +35,14 @@ BUNDLING = {
 }
 
 
+#: the exploration view after selecting the first class, then after expand_all
+EXPLORATION = {
+    "selected": "4e0af7d15c3abb23d75c45c99726b10ae7f6434f41b752cde033d4d544cb5936",
+    "expanded": "8454bd1f1480eebc346b8eb226328e6ecdd344c0dadbd37bc5450dece2f9d854",
+}
+CLUSTER_SCHEMA = "a35566e56c06d2887256537380a76fdf1b3ba5f51e158e050ae4484c6d600c1a"
+
+
 def sha256(document) -> str:
     return hashlib.sha256(document.render().encode("utf-8")).hexdigest()
 
@@ -59,6 +68,21 @@ def test_edge_bundling_bytes(dataset, beta, focused):
     assert sha256(render_edge_bundling(diagram)) == BUNDLING[(beta, focused)]
     if beta == 0.85:  # the facade's default, as the CLI and the sessions draw it
         assert sha256(app.render_edge_bundling(url, focus=focus)) == BUNDLING[(beta, focused)]
+
+
+def test_cluster_schema_bytes(dataset):
+    app, url = dataset
+    assert sha256(app.render_cluster_schema(url)) == CLUSTER_SCHEMA
+
+
+def test_exploration_bytes(dataset):
+    app, url = dataset
+    session = app.explore(url)
+    session.start_from_cluster_schema()
+    session.select_class(session.summary.class_iris()[0])
+    assert sha256(app.render_exploration(session)) == EXPLORATION["selected"]
+    session.expand_all()
+    assert sha256(app.render_exploration(session)) == EXPLORATION["expanded"]
 
 
 def test_the_layout_builds_no_point_per_sample(dataset, monkeypatch):

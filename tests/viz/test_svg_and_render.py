@@ -94,8 +94,7 @@ class TestSvg:
 
     def test_title_tooltip(self):
         doc = SvgDocument(10, 10)
-        circle = doc.circle(0, 0, 1)
-        doc.title(circle, "tooltip text")
+        doc.circle(0, 0, 1, title="tooltip text")
         assert "<title>tooltip text</title>" in doc.render()
 
     def test_save(self, tmp_path):
