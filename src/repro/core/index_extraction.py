@@ -49,6 +49,12 @@ class ExtractionFailed(RuntimeError):
         self.reason = reason
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a *value* that is not an int >= *least* (a bool is not one)."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 class IndexExtractor:
     """Extracts :class:`EndpointIndexes` from endpoints via a client."""
 
@@ -60,6 +66,9 @@ class IndexExtractor:
         max_classes: int = 1000,
         infer_types: bool = False,
     ):
+        _check_count("page_size", page_size, least=1)
+        _check_count("max_pages", max_pages, least=1)
+        _check_count("max_classes", max_classes, least=1)
         self.client = client
         #: LIMIT used by the scan strategy's pagination
         self.page_size = page_size
@@ -185,6 +194,7 @@ class IndexExtractor:
         scan strategy: page the class's triples and count client-side.
         Returns ``[(iri, degree), ...]`` best-first.
         """
+        _check_count("k", k, least=0)
         query = (
             f"SELECT ?s (COUNT(?o) AS ?n) WHERE {{ "
             f"?s a <{class_iri}> . ?s ?p ?o }} "
@@ -230,6 +240,7 @@ class IndexExtractor:
         result (callers then fall back to the per-class probes, which
         are smaller and may still succeed).
         """
+        _check_count("k", k, least=0)
         query = (
             "SELECT ?c ?s (COUNT(?o) AS ?n) WHERE { "
             "?s a ?c . ?s ?p ?o } GROUP BY ?c ?s"

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .._leaf import IdIndex, leaf_add
@@ -659,6 +660,7 @@ def _load_graph(root, lazy, verify, clock, obs) -> Graph:
         load = _shard_loader(os.path.join(root, entry["file"]), entry)
         columns = _check_rows(load(), entry["triples"])
         _fill_indexes(graph._spo, graph._pos, graph._osp, columns)
+        graph._sizes = dict(Counter(columns[0]))
         if checks[0] is not None:
             checks[0](graph._spo)
     graph._dict = term_dict

@@ -77,6 +77,9 @@ class Graph:
         self._pos: IdIndex = {}
         self._osp: IdIndex = {}
         self._size = 0
+        #: subject ID -> its triple count, written with SPO (a key leaves
+        #: with the subject's last triple); empty on a sharded store
+        self._sizes: Dict[int, int] = {}
         self._generation = 0
         self._derived: Dict[str, object] = {}
         #: attached durability journal (:class:`repro.rdf.durability.Journal`)
@@ -189,10 +192,15 @@ class Graph:
     def _insert_ids(self, s: int, p: int, o: int) -> None:
         """Index an ID triple known to be absent (sharded stores route)."""
         insert_ids(self._spo, self._pos, self._osp, s, p, o)
+        self._sizes[s] = self._sizes.get(s, 0) + 1
 
     def _discard_ids(self, s: int, p: int, o: int) -> None:
         """Unindex an ID triple known to be present (sharded stores route)."""
         discard_ids(self._spo, self._pos, self._osp, s, p, o)
+        if s in self._spo:
+            self._sizes[s] -= 1
+        else:
+            del self._sizes[s]
 
     def add_triple(self, subject: _SubjectLike, predicate: IRI, obj: Term) -> bool:
         """Convenience: build and insert a :class:`Triple`."""
@@ -220,6 +228,7 @@ class Graph:
         lookup = d._term_to_id.get
         refcount = d._refcount
         spo, pos, osp = self._spo, self._pos, self._osp
+        sizes = self._sizes
         wal = self._wal
         added = 0
         try:
@@ -245,7 +254,9 @@ class Graph:
                     o = encode(o_term)
                 if by_predicate is None:
                     by_predicate = spo[s] = {}
+                    sizes[s] = 0
                 leaf_add(by_predicate, p, o)
+                sizes[s] += 1
                 by_object = pos.get(p)
                 if by_object is None:
                     by_object = pos[p] = {}
@@ -303,6 +314,7 @@ class Graph:
         self._pos = {}
         self._osp = {}
         self._size = 0
+        self._sizes = {}
 
     # -- lookup --------------------------------------------------------------
 
@@ -400,10 +412,10 @@ class Graph:
         shorter.  A position whose ``want`` flag is false comes back as
         ``[None] * n``, and the index is read only as deep as the last
         wanted position: a level below it contributes its *sizes* (a
-        subject's triple count is the sum of its object leaves' lengths, so
-        ``?s ?p ?o`` wanting only ``?s`` never iterates an object leaf), a
-        level above it is repeated over the runs it heads (the leading
-        unbound level's are :meth:`scan_runs`).  With all three
+        subject's triple count is kept beside SPO, so ``?s ?p ?o`` wanting
+        only ``?s`` reads no object leaf), a level above it is repeated
+        over the runs it heads (the leading unbound level's are
+        :meth:`scan_runs`).  With all three
         wanted the rows are transposed off ``triples_ids`` -- per-run
         repeats lose to that on short runs.  This is the scan primitive of
         the SPARQL columnar executor.
@@ -454,7 +466,8 @@ class Graph:
         """``(position, keys, sizes)``: ``triples_ids(s, p, o)`` as runs of
         the first unbound level of the index ``scan_columns`` walks -- its
         triple position, its keys in scan order and the matching triples
-        each heads, both lazy (a size is computed when read).  No key heads
+        each heads, both lazy (a subject's size is looked up in the count
+        ``_sizes`` keeps, any other key's is a leaf length).  No key heads
         zero triples (removes drop emptied inner dicts), so the keys are
         that position's values in first-seen order.  None without such a
         level (``s ? o``, ``s p o``, a bound second level) or a single
@@ -465,7 +478,7 @@ class Graph:
             return None
         order, keys, inners = view
         if s is None and p is None and o is None:
-            return order[0], keys, (sum(map(len, inner.values())) for inner in inners)
+            return order[0], keys, map(self._sizes.__getitem__, keys)
         (inner,) = inners
         return order[1], inner, map(len, inner.values())
 
@@ -534,7 +547,7 @@ class Graph:
         if s is not None and p is not None and o is None:
             return len(self._spo.get(s, {}).get(p, ()))
         if s is not None and p is None and o is None:
-            return sum(len(v) for v in self._spo.get(s, {}).values())
+            return self._sizes.get(s, 0)
         if p is not None and s is None and o is None:
             return sum(len(v) for v in self._pos.get(p, {}).values())
         if p is not None and o is not None and s is None:
@@ -710,6 +723,7 @@ class Graph:
         out._pos = copy_index(self._pos)
         out._osp = copy_index(self._osp)
         out._size = self._size
+        out._sizes = dict(self._sizes)
         return out
 
     def __repr__(self) -> str:

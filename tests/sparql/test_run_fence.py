@@ -8,7 +8,7 @@ nothing else.  This fence holds the path to the expanded scan it replaces:
 
 * ``scan_runs`` equals its oracle over ``triples_ids`` for every bound mask,
   declines the masks without a leading unbound level and a sharded store,
-  and reads no leaf for keys alone;
+  and reads no leaf for a whole-graph run's keys or sizes;
 * every eligible shape x bound mask x page x ``BATCH_SIZE`` equals the
   ``scan`` oracle as a multiset and the first-seen order of the level's
   values as a list -- on a written-and-removed graph, its ``copy()``, a
@@ -196,25 +196,29 @@ def test_a_sharded_store_declines_runs(writes, pick):
         assert store.scan_runs(*(v if b else None for v, b in zip(probe, mask))) is None
 
 
-class _Unmeasured(tuple):
-    """A leaf whose length a run may not take unless its size is read."""
+class _Unread(tuple):
+    """A leaf that may be neither measured nor iterated."""
 
     def __len__(self):
-        raise AssertionError("a run size was computed that nobody read")
+        raise AssertionError("a leaf was read")
+
+    def __iter__(self):
+        raise AssertionError("a leaf was read")
 
 
 def test_keys_alone_read_no_leaf():
+    """A whole-graph run's keys and its sizes: a subject's triple count is
+    kept beside SPO, so neither reads an object leaf."""
     graph = Graph()
     for i in range(12):
         graph.add(Triple(_SUBJECTS[i % 4], _PREDICATES[i % 3], Literal(i)))
-    expected = list(dict.fromkeys(s for s, _p, _o in graph.triples_ids()))
+    graph.add(Triple(_SUBJECTS[0], _PREDICATES[0], Literal(99)))  # a set leaf
+    expected = Counter(s for s, _p, _o in graph.triples_ids())
     for by_predicate in graph.spo_ids().values():
         for predicate, objects in by_predicate.items():
-            by_predicate[predicate] = _Unmeasured(objects)
+            by_predicate[predicate] = _Unread(objects)
     position, keys, sizes = graph.scan_runs(None, None, None)
-    assert (position, list(keys)) == (0, expected)
-    with pytest.raises(AssertionError, match="nobody read"):
-        list(sizes)
+    assert (position, list(keys), list(sizes)) == (0, list(expected), list(expected.values()))
 
 
 # -- the engine on the runs ----------------------------------------------------------

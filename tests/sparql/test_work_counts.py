@@ -69,3 +69,28 @@ def test_work_counts_of_one_query(engine, texts, name):
     stats = engine.execute(texts[name]).stats
     assert set(stats) <= EXEC_STAT_KEYS
     assert tuple(stats.get(key) for key in KEYS) == PINS[name]
+
+
+class _Unread(tuple):
+    """An object leaf that may be neither measured, iterated nor probed."""
+
+    def __len__(self):
+        raise AssertionError("an object leaf was read")
+
+    def __iter__(self):
+        raise AssertionError("an object leaf was read")
+
+    def __contains__(self, item):
+        raise AssertionError("an object leaf was read")
+
+
+def test_top_entities_reads_no_object_leaf(engine, texts):
+    """A subject's triple count is kept beside SPO: the run-fed COUNT and
+    its top-k tail take it without reading any of the 2,990 subjects'
+    object leaves."""
+    expected = engine.execute(texts["top-entities"]).result.rows
+    graph = government_graph(scale=1.0, seed=5)
+    for by_predicate in graph.spo_ids().values():
+        for predicate, objects in by_predicate.items():
+            by_predicate[predicate] = _Unread(objects)
+    assert QueryEngine(graph).execute(texts["top-entities"]).result.rows == expected

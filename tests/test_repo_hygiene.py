@@ -383,51 +383,122 @@ class TestWrittenOnce:
             (4, False), (6, False), (7, False), (8, True),
         ]
 
+    #: ``module::function`` that may write ``Graph._sizes``: the writers of
+    #: the SPO index it mirrors, each in the step that writes SPO
+    SIZE_MAP_WRITERS = {
+        "rdf/graph.py::__init__", "rdf/graph.py::_insert_ids", "rdf/graph.py::_discard_ids",
+        "rdf/graph.py::add_many_terms", "rdf/graph.py::clear", "rdf/graph.py::copy",
+        "rdf/durability/store.py::_load_graph",
+    }
+
     @staticmethod
-    def _run_size_sums(nodes):
-        """``(function, line)`` of every ``sum(map(len, ...))``: the
-        triple count one key of an index level heads."""
+    def _size_map_writers(nodes):
+        """Functions that assign ``<x>._sizes``, store into or delete from
+        it, call a mutator on it, or bind it to a name (the bulk loop's
+        local)."""
+
+        def is_map(node):
+            return isinstance(node, ast.Attribute) and node.attr == "_sizes"
+
+        def writes(node):
+            stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+            return (
+                is_map(node) and stored
+                or isinstance(node, ast.Subscript) and is_map(node.value) and stored
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and is_map(node.func.value)
+                and node.func.attr in {"pop", "popitem", "update", "setdefault", "clear",
+                                       "__setitem__", "__delitem__"}
+                or isinstance(node, ast.Assign) and is_map(node.value)
+            )
+
         return {
-            (function.name, node.lineno)
+            function.name
             for function in nodes
             if isinstance(function, ast.FunctionDef)
-            for node in ast.walk(function)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"
-            and node.args and isinstance(node.args[0], ast.Call)
-            and getattr(node.args[0].func, "id", None) == "map"
-            and getattr(node.args[0].args[0], "id", None) == "len"
+            and any(writes(node) for node in ast.walk(function))
         }
 
-    def test_a_run_size_is_summed_in_scan_runs_only(self):
-        """``Graph.scan_runs`` is where a key's run length is computed;
-        ``scan_columns`` repeats the keys over those sizes rather than
-        summing them again."""
+    def test_the_size_map_is_written_where_spo_is(self):
+        """A subject's triple count is kept, never rebuilt: no reader, memo
+        or cache elsewhere under ``src/repro`` writes the map."""
         found = {
-            (path, name)
-            for path, nodes in self._modules("rdf")
-            for name, _line in self._run_size_sums(nodes)
+            f"{path}::{name}"
+            for path, nodes in self._modules("")
+            for name in self._size_map_writers(nodes)
         }
-        assert found == {("graph.py", "scan_runs")}, found
-        (nodes,) = [nodes for path, nodes in self._modules("rdf") if path == "graph.py"]
-        (columns,) = [
-            node for node in nodes
-            if isinstance(node, ast.FunctionDef) and node.name == "scan_columns"
-        ]
-        assert "scan_runs" in {
-            getattr(node.func, "attr", None)
-            for node in ast.walk(columns) if isinstance(node, ast.Call)
+        assert found == self.SIZE_MAP_WRITERS
+
+    def test_the_writer_rule_matches_the_forms_it_forbids(self):
+        forbidden = "\n".join([
+            "def scan_runs(self, s, p, o):",  # a map built on first read
+            "    if not self._sizes:",
+            "        self._sizes = {k: sum(map(len, v.values())) for k, v in self._spo.items()}",
+            "def count_ids(self, s=None, p=None, o=None):",
+            "    return self._sizes.setdefault(s, 0)",
+            "def _scan_view(self, s, p, o):",
+            "    sizes = self._sizes",
+            "def forget(graph):",
+            "    del graph._sizes[0]",
+            "def bump(graph):",
+            "    graph._sizes[1] += 1",
+            "def reads(self, s):",  # reads only: not matched
+            "    return self._sizes.get(s, 0) + sum(map(self._sizes.__getitem__, self._spo))",
+        ])
+        assert self._size_map_writers(list(ast.walk(ast.parse(forbidden)))) == {
+            "scan_runs", "count_ids", "_scan_view", "forget", "bump",
         }
 
-    def test_the_size_rule_matches_the_column_scan_it_retired(self):
+    @staticmethod
+    def _subject_size_sums(nodes):
+        """Lines in ``class Graph`` summing leaf lengths over an inner dict
+        that is not POS's or OSP's (``sum(map(len, x.values()))``, ``sum(len(v)
+        for v in x.values())``): a subject's triple count recounted."""
+        lines = []
+        for cls in nodes:
+            if not (isinstance(cls, ast.ClassDef) and cls.name == "Graph"):
+                continue
+            for node in ast.walk(cls):
+                if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"
+                        and node.args):
+                    continue
+                arg = node.args[0]
+                if (isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "map"
+                        and arg.args and getattr(arg.args[0], "id", None) == "len"):
+                    source = arg.args[-1]
+                elif (isinstance(arg, ast.GeneratorExp)
+                        and getattr(getattr(arg.elt, "func", None), "id", None) == "len"):
+                    source = arg.generators[0].iter
+                else:
+                    continue
+                if getattr(getattr(source, "func", None), "attr", None) != "values":
+                    continue
+                if not {getattr(n, "attr", None) for n in ast.walk(source)} & {"_pos", "_osp"}:
+                    lines.append(node.lineno)
+        return sorted(lines)
+
+    def test_graph_sums_no_subjects_leaves(self):
+        """``scan_runs`` and ``count_ids(s)`` read ``Graph._sizes``; the
+        per-subject sums they retired do not come back beside it."""
+        (nodes,) = [nodes for path, nodes in self._modules("rdf") if path == "graph.py"]
+        assert self._subject_size_sums(nodes) == []
+
+    def test_the_sum_rule_matches_the_sums_it_retired(self):
         retired = "\n".join([
-            "def scan_columns(self, s, p, o, want, batch_size, limit=None):",
-            "    order, keys, inners = self._scan_view(s, p, o)",
-            "    if want[order[0]]:",
-            "        sizes = (sum(map(len, inner.values())) for inner in inners)",
-            "        columns[order[0]] = chain.from_iterable(map(repeat, keys, sizes))",
-            "    total = sum(len(v) for v in inners)",  # another spelling: not this rule's
+            "class Graph:",
+            "    def scan_runs(self, s, p, o):",
+            "        return order[0], keys, (sum(map(len, inner.values())) for inner in inners)",
+            "    def count_ids(self, s=None, p=None, o=None):",
+            "        if s is not None and p is None and o is None:",
+            "            return sum(len(v) for v in self._spo.get(s, {}).values())",
+            "        if p is not None and s is None and o is None:",
+            "            return sum(len(v) for v in self._pos.get(p, {}).values())",  # a predicate's
+            "        return sum(len(v) for v in self._osp.get(o, {}).values())",  # an object's
+            "class Shard:",
+            "    def size(self, s):",
+            "        return sum(map(len, self.spo[s].values()))",  # not Graph's
         ])
-        assert self._run_size_sums(list(ast.walk(ast.parse(retired)))) == {("scan_columns", 4)}
+        assert self._subject_size_sums(list(ast.walk(ast.parse(retired)))) == [3, 6]
 
     @staticmethod
     def _join_scores(nodes):
