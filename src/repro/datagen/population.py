@@ -23,7 +23,6 @@ from ..endpoint.clock import SimulationClock
 from ..endpoint.endpoint import SparqlEndpoint
 from ..endpoint.network import EndpointNetwork
 from ..rdf.graph import Graph
-from ..rdf.sharding import ShardedTripleStore
 from .big_lod import big_lod_graph
 from .government import government_graph, trafair_graph
 from .portals import PORTAL_CENSUS, build_all_portals
@@ -116,17 +115,12 @@ def build_world(
     seed: int = 0,
     clock: Optional[SimulationClock] = None,
     flaky: bool = True,
-    shards: Optional[int] = None,
 ) -> World:
     """Construct the simulated endpoint world.
 
     Defaults reproduce the paper's census (110 indexable + 500 broken =
     610 listed; the crawl then adds 70 of which 20 are indexable).  Tests
     pass small numbers -- the builder scales everything consistently.
-    ``shards=N`` hosts every real dataset on a subject-hash
-    :class:`~repro.rdf.sharding.ShardedTripleStore`, so each endpoint's
-    spanning scans run partition-parallel (identical query results, lower
-    simulated latency).
     """
     network = EndpointNetwork(clock=clock)
     digest = hashlib.sha256(f"{seed}:world".encode("utf-8")).digest()
@@ -137,10 +131,6 @@ def build_world(
     for index in range(indexable):
         url = f"http://lod{index}.example.org/sparql"
         graph = _small_dataset(index, seed)
-        if shards:
-            # intra-endpoint parallelism: host real datasets on sharded
-            # stores (broken endpoints stay plain -- they are empty)
-            graph = ShardedTripleStore.from_graph(graph, shards)
         availability = (
             MarkovAvailability(url, p_fail=0.05, p_recover=0.6, seed=seed)
             if flaky
@@ -212,8 +202,6 @@ def build_world(
     for index, url in enumerate(sorted(discovered_new)):
         if index < portal_new_indexable:
             graph = _small_dataset(1000 + index, seed)
-            if shards:
-                graph = ShardedTripleStore.from_graph(graph, shards)
             availability = (
                 MarkovAvailability(url, p_fail=0.05, p_recover=0.6, seed=seed)
                 if flaky

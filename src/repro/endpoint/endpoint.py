@@ -55,18 +55,9 @@ class SparqlEndpoint:
         seed: int = 0,
         title: str = "",
         strategy: str = "hash",
-        shards: Optional[int] = None,
     ):
         if isinstance(profile, str):
             profile = PROFILES[profile]
-        if shards is not None and not getattr(graph, "is_sharded", False):
-            # The intra-endpoint parallelism knob: host this endpoint's
-            # dataset on a subject-hash-sharded store so spanning scans
-            # run partition-parallel (and the latency model below charges
-            # the per-shard makespan instead of the sequential scan).
-            from ..rdf.sharding import ShardedTripleStore
-
-            graph = ShardedTripleStore.from_graph(graph, shards)
         self.url = url
         self.graph = graph
         self.clock = clock
@@ -166,9 +157,8 @@ class SparqlEndpoint:
             if parsed.order_by and not self.profile.supports_order_by:
                 raise self._reject("ORDER BY")
 
-        execution = self._engine.execute(parsed, self.obs)
-        result = execution.result
-        latency = self._estimate_latency(parsed, result, execution.stats, latency_scale)
+        result = self._engine.execute(parsed, self.obs).result
+        latency = self._estimate_latency(parsed, result, latency_scale)
         deadline_ms = self.profile.timeout_ms * timeout_scale
         if latency > deadline_ms:
             # The server kills the query at its timeout; the wire still
@@ -220,7 +210,7 @@ class SparqlEndpoint:
         self.clock.advance(latency_ms)
         self.stats.total_latency_ms += latency_ms
 
-    def _estimate_latency(self, parsed, result, exec_stats, latency_scale: float = 1.0) -> float:
+    def _estimate_latency(self, parsed, result, latency_scale: float = 1.0) -> float:
         profile = self.profile
         latency = profile.connect_ms + profile.parse_ms
         pattern_count = _count_patterns(parsed)
@@ -230,18 +220,7 @@ class SparqlEndpoint:
         # backend-slowdown multiplier; it applies to execution only (the
         # connect handshake and response marshalling are unaffected by a
         # struggling shard).
-        execution = len(self.graph) * 0.0004 * latency_scale
-        if getattr(self.graph, "is_sharded", False):
-            # Partition-parallel execution: scale the dataset-size term by
-            # what this query actually measured on the shard pool (makespan
-            # over sequential sum); a query that ran no spanning scan pays
-            # the static max-shard-share bound instead.
-            sequential = exec_stats.get("shard_sequential_ms", 0.0)
-            if sequential > 0.0:
-                execution *= exec_stats.get("shard_parallel_ms", sequential) / sequential
-            else:
-                execution *= self.graph.parallel_factor()
-        latency += execution
+        latency += len(self.graph) * 0.0004 * latency_scale
         if isinstance(result, SelectResult):
             latency += len(result.rows) * profile.per_solution_ms
         if isinstance(parsed, SelectQuery) and parsed.has_aggregates():

@@ -1,11 +1,11 @@
 """Unified metrics registry: counters, gauges, fixed-bucket histograms.
 
 Every stat surface in the stack (``EndpointStats``, ``exec_stats``,
-``shard_stats``, cache/admission/resilience counters, monitor probes)
-registers here instead of inventing its own dict, so one
-``registry.dump()`` shows serving latency next to endpoint weather next
-to shard fan-out — and one vocabulary table in ARCHITECTURE.md names
-them all (enforced by ``tests/test_repo_hygiene.py``).
+cache/admission/resilience counters, monitor probes) registers here
+instead of inventing its own dict, so one ``registry.dump()`` shows
+serving latency next to endpoint weather next to cache behaviour — and
+one vocabulary table in ARCHITECTURE.md names them all (enforced by
+``tests/test_repo_hygiene.py``).
 
 Two registration styles:
 

@@ -117,6 +117,11 @@ def read_manifest(root: str) -> Dict:
     for entry in doc["shard_files"]:
         _check(entry, _SHARD_FILE, path, "shard file entry")
     _check(doc["wal"], _WAL, path, "wal")
+    if doc["shards"] < 1 or (not doc["sharded"] and doc["shards"] != 1):
+        raise ManifestError(
+            f"manifest at {path}: a {'sharded' if doc['sharded'] else 'plain'} "
+            f"layout cannot hold {doc['shards']} shards"
+        )
     if len(doc["shard_files"]) != doc["shards"] or doc["size"] != sum(
         entry["triples"] for entry in doc["shard_files"]
     ):

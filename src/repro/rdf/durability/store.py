@@ -583,7 +583,6 @@ def load_graph(
     root: str,
     lazy: Optional[bool] = None,
     verify: Optional[bool] = None,
-    clock=None,
     obs=None,
 ) -> Graph:
     """Recover a graph from the durable store at *root*.
@@ -604,11 +603,11 @@ def load_graph(
     """
     if obs is not None and obs.enabled:
         with obs.span("durability.recover", root=root):
-            return _load_graph(root, lazy, verify, clock, obs)
-    return _load_graph(root, lazy, verify, clock, None)
+            return _load_graph(root, lazy, verify, obs)
+    return _load_graph(root, lazy, verify, None)
 
 
-def _load_graph(root, lazy, verify, clock, obs) -> Graph:
+def _load_graph(root, lazy, verify, obs) -> Graph:
     manifest = read_manifest(root)
     if lazy is None:
         lazy = bool(manifest["sharded"])
@@ -631,9 +630,7 @@ def _load_graph(root, lazy, verify, clock, obs) -> Graph:
 
     if manifest["sharded"]:
         graph = ShardedTripleStore(
-            identifier=manifest.get("identifier"),
-            shards=manifest["shards"],
-            clock=clock,
+            identifier=manifest.get("identifier"), shards=manifest["shards"]
         )
         shards = []
         for entry, check in zip(entries, checks):

@@ -41,6 +41,24 @@ _SubjectLike = Union[IRI, BNode]
 TriplePattern = Tuple[Optional[Term], Optional[IRI], Optional[Term]]
 
 
+def column_batches(
+    triples: Iterator[Tuple[int, int, int]],
+    want: Tuple[bool, bool, bool],
+    batch_size: int,
+    limit: Optional[int] = None,
+) -> Iterator[List]:
+    """The first *limit* (all, if None) of *triples* transposed into
+    ``[S, P, O]`` column batches of *batch_size* rows, a position whose
+    ``want`` flag is false as ``[None] * n``."""
+    if limit is not None:
+        triples = islice(triples, limit)
+    for block in iter(lambda: list(islice(triples, batch_size)), []):
+        yield [
+            column if wanted else [None] * len(block)
+            for column, wanted in zip(zip(*block), want)
+        ]
+
+
 class Graph:
     """A set of triples with dictionary-encoded SPO/POS/OSP indexes.
 
@@ -53,16 +71,16 @@ class Graph:
 
     ``Graph(shards=N)`` is the sharding facade: it constructs a
     :class:`~repro.rdf.sharding.ShardedTripleStore` (a Graph subclass)
-    whose triples are additionally partitioned into N subject-hash
-    shards for the partition-parallel SPARQL scan path.  Every call
-    site that takes a ``Graph`` accepts either.
+    whose triples are partitioned into N subject-hash shards, the unit
+    the durability layer snapshots and loads.  Every call site that
+    takes a ``Graph`` accepts either.
     """
 
     #: overridden by :class:`~repro.rdf.sharding.ShardedTripleStore`;
     #: the SPARQL layer dispatches on this without importing it
     is_sharded = False
 
-    def __new__(cls, identifier: Optional[str] = None, shards: Optional[int] = None, **kwargs):
+    def __new__(cls, identifier: Optional[str] = None, shards: Optional[int] = None):
         if cls is Graph and shards is not None:
             from .sharding import ShardedTripleStore
 
@@ -422,14 +440,7 @@ class Graph:
         """
         view = None if all(want) else self._scan_view(s, p, o)
         if view is None:
-            triples = self.triples_ids(s, p, o)
-            if limit is not None:
-                triples = islice(triples, limit)
-            for block in iter(lambda: list(islice(triples, batch_size)), []):
-                yield [
-                    column if wanted else [None] * len(block)
-                    for column, wanted in zip(zip(*block), want)
-                ]
+            yield from column_batches(self.triples_ids(s, p, o), want, batch_size, limit)
             return
         order, keys, inners = view
         runs = self.scan_runs(s, p, o)
@@ -694,7 +705,6 @@ class Graph:
         root: str,
         lazy: Optional[bool] = None,
         verify: Optional[bool] = None,
-        clock=None,
     ) -> "Graph":
         """Recover a graph from the durable store at *root*.
 
@@ -707,7 +717,7 @@ class Graph:
         """
         from .durability import load_graph
 
-        return load_graph(root, lazy=lazy, verify=verify, clock=clock)
+        return load_graph(root, lazy=lazy, verify=verify)
 
     # -- set-algebra -----------------------------------------------------
 

@@ -9,59 +9,52 @@ subject-partitioning rule: a subject's whole forward star lives in one
 shard, so subject-bound lookups never fan out while predicate/object
 scans split ``1/N`` per shard.
 
-The shards are the **only** storage: the inherited global indexes stay
-empty (a write lands in exactly one shard), which halves insert cost and
-index memory against the PR 4 double-write layout.  The entire read
-surface is *routed* instead:
+A shard is a unit of **storage**, not of execution: it is what the
+durability layer snapshots, rewrites when dirty and loads lazily.  The
+shards are the only storage (the inherited global indexes stay empty; a
+write lands in exactly one shard), and the store answers the SPARQL
+engine through the read interface a plain :class:`Graph` offers:
 
 * subject-bound requests (``triples_ids(s, ...)``, point lookups,
   ``__contains__``, ``objects(subject, predicate)``, ``value``, the
   evaluator's per-row index-nested-loop probes) go straight to the owning
-  shard -- same O(1) dict walks as before, just one hop deeper;
-* unbound-subject scans fan out across shards and come back as the
-  ordered merge of per-shard runs sorted by the ``(s, p, o)`` ID triple
-  -- the same sorted-run merge the partition-parallel operators use, so
-  the stream is **byte-identical at any shard count**;
+  shard -- same O(1) dict walks, one hop deeper;
+* unbound-subject scans (:meth:`ShardedTripleStore.triples_ids`, and
+  through it ``scan_columns`` and every probe-table build) come back as
+  the ordered merge of per-shard runs sorted by the ``(s, p, o)`` ID
+  triple -- the one place that merge is written.  The whole-graph pattern
+  in ``scan_columns`` merges the shards' cached runs (:meth:`Shard.columns`)
+  instead, so it reads a cold lazily loaded shard off its snapshot without
+  building its indexes;
+* ``scan_runs`` declines (no single index holds a spanning scan's keys:
+  each shard has its own), so COUNT / DISTINCT sinks expand rows here;
 * whole-index views (``spo_ids``/``pos_ids``/``osp_ids``) materialize a
   merged read-only snapshot on demand; they exist for tests and
   debugging, the hot paths never call them on a sharded graph.
 
-What the shards buy beyond the storage saving is the
-**partition-parallel scan path** in :mod:`repro.sparql.parallel_exec`:
-pattern scans that span subjects (and the first hash-join build of a
-BGP) run shard-by-shard through the deterministic worker pool of
-:mod:`repro.core.parallel`, charging only the *makespan* of the
-per-shard work to simulated time instead of the sequential sum.
-
-**Merge determinism rule.**  Each shard task returns its matches as a
-run sorted by the ``(s, p, o)`` ID triple; the merged stream is the
-ordered merge of those runs, i.e. ascending ``(s, p, o)`` order overall.
-Subjects partition disjointly, so this canonical order is *independent
-of the shard count*: ``Graph(shards=1)`` and ``Graph(shards=8)`` feed
-the SPARQL pipelines byte-identical row streams, which is what pins
-query results (including row order) across shard counts.  Subject-bound
-reads inherit the same invariance for free: all writes for one subject
-land in its one shard in global write order, so the shard-local dict
-and set iteration orders are a pure function of the write sequence,
-never of ``N``.  A plain ``Graph()`` scans in index-dict order instead,
-so sharded and unsharded stores agree on result *multisets* but not
-necessarily on the order of unordered queries.
-
-The pool timebase is a private :class:`SimulationClock` per store --
-shard makespans accumulate in :attr:`ShardedTripleStore.shard_stats`
-(and in each query's ``Execution.stats``), and the simulated *endpoint*
-latency model reads the parallel/sequential ratio from there rather
-than having scans advance the shared network clock directly.
+**Merge determinism rule.**  Each shard's matches are sorted into a run
+by the ``(s, p, o)`` ID triple; the merged stream is the ordered merge of
+those runs, i.e. ascending ``(s, p, o)`` order overall.  Subjects
+partition disjointly, so this canonical order is *independent of the
+shard count*: ``Graph(shards=1)`` and ``Graph(shards=8)`` feed the SPARQL
+pipelines byte-identical row streams, which is what pins query results
+(including row order) across shard counts.  Subject-bound reads inherit
+the same invariance for free: all writes for one subject land in its one
+shard in global write order, so the shard-local dict and set iteration
+orders are a pure function of the write sequence, never of ``N``.  A
+plain ``Graph()`` scans in index-dict order instead, so sharded and
+unsharded stores agree on result *multisets* but not necessarily on the
+order of unordered queries.
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
-from typing import Iterable, Iterator, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from ._leaf import IdIndex, copy_index, discard_ids, insert_ids, leaf_add
-from .graph import Graph
+from .graph import Graph, column_batches
 from .namespaces import RDF, RDFS
 from .terms import IRI, Term, Triple
 
@@ -113,8 +106,8 @@ class Shard:
     def columns(self) -> Tuple:
         """The shard's (s, p, o)-sorted run as ``(s_col, p_col, o_col)``.
 
-        The columnar unit of execution for batch scans: identical content
-        to ``sorted(self.triples_ids())``, held as three parallel
+        What a snapshot stores and a whole-graph scan merges: identical
+        content to ``sorted(self.triples_ids())``, held as three parallel
         ``array('q')`` columns.  Cached until the shard mutates; treat the
         arrays as immutable (every invalidation replaces, never edits).
         """
@@ -233,50 +226,22 @@ class ShardedTripleStore(Graph):
     #: duck-typing flag the SPARQL layer dispatches on (no import cycle)
     is_sharded = True
 
-    def __init__(
-        self,
-        identifier: Optional[str] = None,
-        shards: int = 4,
-        clock=None,
-    ):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
+    def __init__(self, identifier: Optional[str] = None, shards: int = 4):
+        if type(shards) is not int or shards < 1:
+            raise ValueError(f"shards must be an int >= 1, got {shards!r}")
         super().__init__(identifier)
         self._shards = tuple(Shard() for _ in range(shards))
-        #: whether the pool timebase below is store-private (constructed
-        #: here) or an external clock the caller owns; ``copy()`` keys its
-        #: carry-over behaviour on this.
-        self._private_clock = clock is None
-        if clock is None:
-            # Private pool timebase (lazy import: repro.endpoint imports the
-            # SPARQL evaluator, which reads graphs -- keep rdf leaf-free).
-            from ..endpoint.clock import SimulationClock
-
-            clock = SimulationClock()
-        #: the deterministic pool's timebase for shard-local work; private
-        #: by default so scans never advance the shared network clock
-        self.clock = clock
-        #: cumulative partition-parallel accounting: ``batches`` pool
-        #: dispatches, ``parallel_ms`` the sum of batch makespans,
-        #: ``sequential_ms`` what a single worker would have paid,
-        #: ``rows`` total rows produced by shard tasks
-        self.shard_stats = {
-            "batches": 0,
-            "parallel_ms": 0.0,
-            "sequential_ms": 0.0,
-            "rows": 0,
-        }
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
     def from_graph(
-        cls, graph: Graph, shards: int, clock=None, identifier: Optional[str] = None
+        cls, graph: Graph, shards: int, identifier: Optional[str] = None
     ) -> "ShardedTripleStore":
         """A sharded copy of *graph* (re-encoded, so shard assignment is a
         pure function of the source's triple iteration order -- identical
         for every shard count)."""
-        out = cls(identifier=identifier or graph.identifier, shards=shards, clock=clock)
+        out = cls(identifier=identifier or graph.identifier, shards=shards)
         out.add_many_terms(
             (triple.subject, triple.predicate, triple.object)
             for triple in graph.triples()
@@ -302,17 +267,6 @@ class ShardedTripleStore(Graph):
 
     def shard_sizes(self) -> Tuple[int, ...]:
         return tuple(shard.size for shard in self._shards)
-
-    def parallel_factor(self) -> float:
-        """Max shard share of the triples: the scan-makespan bound.
-
-        ``1/N`` for perfectly balanced shards, ``1.0`` for one shard (or
-        an empty store); the endpoint latency model uses this as the
-        static execution-cost scaling when a query ran no shard batch.
-        """
-        if not self._size:
-            return 1.0
-        return max(shard.size for shard in self._shards) / float(self._size)
 
     # -- mutation (single-copy: the owning shard is the only index) -----------
 
@@ -433,27 +387,8 @@ class ShardedTripleStore(Graph):
         self._shards = tuple(Shard() for _ in range(len(self._shards)))
 
     def copy(self) -> "ShardedTripleStore":
-        """A structural clone sharing no mutable state with the original.
-
-        The pool timebase carries over: a store-private clock is cloned at
-        its current simulated time (so the copy keeps the time the pool
-        already spent, without coupling the two stores), while an external
-        clock -- one passed into the constructor, e.g. a shared network
-        clock -- is handed to the copy as the same object.
-        ``shard_stats`` deliberately starts fresh: the counters are
-        per-store *cumulative accounting*, not content, and a clone has
-        run zero batches of its own.
-        """
-        if self._private_clock:
-            from ..endpoint.clock import SimulationClock
-
-            clock = SimulationClock(self.clock.now_ms)
-        else:
-            clock = self.clock
-        out = ShardedTripleStore(
-            identifier=self.identifier, shards=len(self._shards), clock=clock
-        )
-        out._private_clock = self._private_clock
+        """A structural clone sharing no mutable state with the original."""
+        out = ShardedTripleStore(identifier=self.identifier, shards=len(self._shards))
         out._dict = self._dict.copy()
         out._size = self._size
         out._shards = tuple(shard.copy() for shard in self._shards)
@@ -473,9 +408,7 @@ class ShardedTripleStore(Graph):
         iteration order is shard-count-invariant).  Unbound-subject
         patterns span shards, so each shard's matches are sorted into a
         run and the runs merge in ascending ``(s, p, o)`` order -- the
-        same canonical stream :func:`repro.sparql.parallel_exec.parallel_scan_ids`
-        produces, minus the pool accounting (plain index reads charge no
-        simulated time, exactly like an unsharded graph's).
+        canonical stream every spanning read of the engine consumes.
         """
         if s is not None:
             yield from self._shards[s % len(self._shards)].triples_ids(s, p, o)
@@ -487,11 +420,29 @@ class ShardedTripleStore(Graph):
         runs = [sorted(shard.triples_ids(None, p, o)) for shard in shards]
         yield from heapq.merge(*runs)
 
+    def scan_columns(
+        self,
+        s: Optional[int],
+        p: Optional[int],
+        o: Optional[int],
+        want: Tuple[bool, bool, bool],
+        batch_size: int,
+        limit: Optional[int] = None,
+    ) -> Iterator[List]:
+        """:meth:`Graph.scan_columns` over the routed ``triples_ids``, same
+        rows in the same order.  The whole-graph pattern merges the shards'
+        cached sorted runs (:meth:`Shard.columns`) instead: a cold shard of
+        a lazily loaded store serves its run off the snapshot without
+        building its indexes."""
+        if s is not None or p is not None or o is not None:
+            return super().scan_columns(s, p, o, want, batch_size, limit)
+        runs = [zip(*shard.columns()) for shard in self._shards]
+        return column_batches(heapq.merge(*runs), want, batch_size, limit)
+
     def _scan_view(self, s: Optional[int], p: Optional[int], o: Optional[int]):
-        """No single index holds a routed scan's row order: ``scan_columns``
-        transposes ``triples_ids`` whatever is wanted, and ``scan_runs``
-        declines (the SPARQL layer books simulated shard time on the routed
-        scan, which a run would skip)."""
+        """No single index holds a spanning scan's rows -- each shard has its
+        own -- so ``scan_columns`` transposes the routed ``triples_ids``
+        whatever is wanted, and ``scan_runs`` declines."""
         return None
 
     def count_ids(

@@ -198,7 +198,7 @@ class ServingReport:
 
         Answers "where did request X spend its time": queue wait,
         resilience attempts/backoffs, endpoint execution, engine
-        operators, shard fan-out -- each with sim-clock timestamps.
+        operators -- each with sim-clock timestamps.
         """
         if self.obs is None:
             raise ValueError(
@@ -372,14 +372,6 @@ class QueryServer:
                     canonical=True,
                 )
                 gauge.set(describe[key])
-        graph = self.endpoint.graph
-        if getattr(graph, "is_sharded", False):
-            for key in ("batches", "parallel_ms", "sequential_ms", "rows"):
-                registry.bind(
-                    f"sparql.shard_{key}",
-                    lambda k=key: graph.shard_stats[k],
-                    help=f"ShardedTripleStore.shard_stats[{key!r}]",
-                )
 
     # -- the one orchestration entry point ---------------------------------
 

@@ -52,12 +52,11 @@ cut has to compare); only the emitted page is decoded.
 The source follows from the compiled patterns, never from a caller
 option: a single pattern streams batches straight off the index
 (:meth:`Graph.scan_columns`, materialising only the positions an
-operator above reads -- :meth:`Execution._wanted_variables`; zero-copy
-on the sorted shard runs; an index level's keys and run lengths when a
-COUNT GROUP BY or DISTINCT needs no more -- :meth:`Graph.scan_runs`),
-several patterns run the eager join and
-transpose its rows, and the ``stream`` engine chunks its lazy join
-chain.  The eager join (:meth:`Execution._bgp_id_rows`) plans its
+operator above reads -- :meth:`Execution._wanted_variables`; an index
+level's keys and run lengths when a COUNT GROUP BY or DISTINCT needs
+no more -- :meth:`Graph.scan_runs`), several patterns run the eager
+join and transpose its rows, and the ``stream`` engine chunks its lazy
+join chain.  The eager join (:meth:`Execution._bgp_id_rows`) plans its
 order once and takes the FILTERs and the wanted variables down: a
 candidate is tested where its variable is bound, gated by the next
 pattern's probe table, and built without the columns nothing later reads.
@@ -754,10 +753,10 @@ class _SharedProbeCache(_GenerationLRU):
         super().__init__(self.PROBE_CACHE_SIZE)
 
 
-#: The documented vocabulary of ``Execution.stats``.  Every engine/parallel-exec
-#: write site uses exactly these snake_case keys (pinned by
-#: ``tests/obs/test_explain.py``); ``SparqlEndpoint._estimate_latency``,
-#: EXPLAIN and the ``sparql.run`` span read them off the query's execution.
+#: The documented vocabulary of ``Execution.stats``.  Every engine write
+#: site uses exactly these snake_case keys (pinned by
+#: ``tests/obs/test_explain.py``); EXPLAIN and the ``sparql.run`` span read
+#: them off the query's execution.
 EXEC_STAT_KEYS = frozenset(
     {
         # sink counters.  ``operator`` names the sink that produced the
@@ -787,12 +786,6 @@ EXEC_STAT_KEYS = frozenset(
                             # the groups
         "batches",          # column batches a columnar sink consumed (run
                             # batches, ``BATCH_SIZE`` keys each, if run-fed)
-        # shard fan-out counters (sparql/parallel_exec.py)
-        "shard_batches",        # partition-parallel batches dispatched
-        "shard_parallel_ms",    # simulated cost booked for the batches
-        "shard_sequential_ms",  # what the same scans would cost serially
-        "shard_rows",           # rows merged out of the sorted runs
-        "shard_warm_batches",   # batches that reused the warm worker set
     }
 )
 
@@ -832,21 +825,12 @@ class QueryEngine:
             raise ValueError(f"unknown BGP strategy {strategy!r}")
         self.graph = graph
         self.strategy = strategy
-        #: the partition-parallel scan target when the graph is a
-        #: ShardedTripleStore (duck-typed: rdf must not import sparql)
-        self._sharded = graph if getattr(graph, "is_sharded", False) else None
         self._plans: _SharedPlanCache = graph.derived_cache(
             "sparql/plans", _SharedPlanCache
         )
         self._probes: _SharedProbeCache = graph.derived_cache(
             "sparql/probe-tables", _SharedProbeCache
         )
-        #: the engine's ShardScanPool (created lazily in execute(), keyed on
-        #: the store's shard layout and threaded through every shard
-        #: batch the engine dispatches) -- back-to-back queries on one
-        #: engine reuse the warm workers; only the first batch after a
-        #: layout change pays the cold spin-up
-        self._scan_pool = None
 
     # -- compiled-plan cache ---------------------------------------------------
 
@@ -866,19 +850,6 @@ class QueryEngine:
     def execute(self, query: Union[str, Query], tracer=NULL_TRACER) -> "Execution":
         """Run *query* as one :class:`Execution`: its ``result``, its
         ``stats`` and the ``tracer`` its spans went to."""
-        if self._sharded is not None:
-            # One warm worker set per engine, keyed on the shard layout:
-            # every shard batch any query on this engine dispatches
-            # shares it, so back-to-back queries skip the cold spin-up.
-            # ``clear()`` / re-partitioning replace the shards tuple,
-            # which retires the pool (identity key holds the tuple, so
-            # a recycled id can never alias a dead layout).
-            layout = self._sharded.shards
-            pool = self._scan_pool
-            if pool is None or pool.layout_key is not layout:
-                from .parallel_exec import ShardScanPool
-
-                self._scan_pool = ShardScanPool(self._sharded, layout_key=layout)
         if isinstance(query, str):
             query = parse_query(query)
         execution = Execution(self, tracer)
@@ -896,9 +867,9 @@ class QueryEngine:
     def explain(self, query: Union[str, Query]) -> "ExplainReport":
         """EXPLAIN ANALYZE: execute *query* under a private tracer and
         return the annotated operator span tree (rows in/out, tracked
-        state, shard fan-out).  The tracer has no clock (the engine
-        charges no latency -- rows matter, not time) and records the
-        operator tier (the whole point here)."""
+        state).  The tracer has no clock (the engine charges no latency
+        -- rows matter, not time) and records the operator tier (the
+        whole point here)."""
         from ..obs.explain import ExplainReport
         from ..obs.trace import Tracer
 
@@ -918,11 +889,10 @@ class Execution:
     """One query's run on a :class:`QueryEngine`.
 
     The engine keeps what lives as long as its graph (the plan and probe
-    caches, the warm shard pool); an execution owns what one query
-    produces: its ``result``, its ``stats`` (the ``EXEC_STAT_KEYS``
-    counters: rows the bounded operators consumed and held, cells the
-    scans materialised, the shard fan-out the endpoint latency model
-    reads) and the ``tracer`` its spans go to (hot paths guard on
+    caches); an execution owns what one query produces: its ``result``,
+    its ``stats`` (the ``EXEC_STAT_KEYS`` counters: rows the bounded
+    operators consumed and held, cells the scans materialised, rows the
+    joins built) and the ``tracer`` its spans go to (hot paths guard on
     ``tracer.enabled`` / ``.detail``: one attribute read when off).
     """
 
@@ -930,8 +900,6 @@ class Execution:
         self.engine = engine
         self.graph = engine.graph
         self.strategy = engine.strategy
-        self._sharded = engine._sharded
-        self._scan_pool = engine._scan_pool
         self.stats: Dict[str, int] = {}
         self.tracer = tracer
         self.result: Union[SelectResult, AskResult, None] = None
@@ -952,11 +920,7 @@ class Execution:
         """Record the bounded operator that just finished as a closed
         span (call sites guard on ``self.tracer.detail`` — operator events
         are the EXPLAIN-tier of the trace vocabulary)."""
-        stats = {
-            key: value
-            for key, value in self.stats.items()
-            if not key.startswith("shard_")
-        }
+        stats = dict(self.stats)
         name = stats.pop("operator", "operator")
         self.tracer.event(f"sparql.{name}", **stats)
 
@@ -1243,15 +1207,9 @@ class Execution:
         The table comes from the graph's :class:`_SharedProbeCache` when
         this generation already built it; ``sparql.probe_build`` fires
         either way (``cached`` says which), ``sparql.scan`` only when the
-        scan ran.  Two builds stay uncached.  A property-path table
-        depends on the path expression and on raw (non-interned) endpoint
-        terms, neither of which the ID key holds.  A sharded graph's
-        shard-spanning build (subject unbound) runs partition-parallel
-        -- per-shard tables merge rank-ordered into the same table the
-        sequential fold would produce -- and ``parallel_probe_table``
-        books its simulated shard time into ``self.stats``, which
-        ``SparqlEndpoint._estimate_latency`` reads: a hit that skipped
-        it would move simulated latency, and with it the serving digests.
+        scan ran.  A property-path table stays uncached: it depends on the
+        path expression and on raw (non-interned) endpoint terms, neither
+        of which the ID key holds.
         """
         var_index = {v: i for i, v in enumerate(ep.variables)}
         key_positions = tuple(var_index[v] for v in shared)
@@ -1261,19 +1219,6 @@ class Execution:
         cached = False
         if ep.path is not None:
             table = self._probe_table(ep, key_positions, new_positions)
-        elif not self._probe_is_cached(ep):
-            from .parallel_exec import parallel_probe_table
-
-            table = parallel_probe_table(
-                self._sharded,
-                *ground,
-                var_positions,
-                key_positions,
-                new_positions,
-                stats=self.stats,
-                pool=self._scan_pool,
-                obs=self.tracer,
-            )
         else:
             table, cached = self.engine._probes.lookup(
                 self.graph,
@@ -1293,9 +1238,8 @@ class Execution:
 
     def _probe_is_cached(self, ep: _EncodedPattern) -> bool:
         """Does *ep*'s probe table come from the shared probe cache (no
-        path, and no shard-spanning build, which books simulated shard
-        time)?"""
-        return ep.path is None and (self._sharded is None or type(ep.spec[0]) is int)
+        path)?"""
+        return ep.path is None
 
     def _gate_table(self, ep: _EncodedPattern, shared, new_vars) -> Optional[Dict]:
         """The probe table a hash join of *ep* reads, when it is the shared
@@ -1370,24 +1314,6 @@ class Execution:
         spec = ep.spec
         s, p, o = (v if type(v) is int else None for v in spec)
         positions = [ep.var_positions[v] for v in ep.variables]
-        if self._sharded is not None and s is None:
-            # Subject unbound -> the scan spans shards: run it partition-
-            # parallel and consume the canonical (shard-count-invariant)
-            # merged stream.  Subject-bound scans route straight to the
-            # owning shard -- the whole forward star lives there anyway.
-            from .parallel_exec import parallel_scan_ids
-
-            triples = parallel_scan_ids(
-                self._sharded,
-                s,
-                p,
-                o,
-                stats=self.stats,
-                pool=self._scan_pool,
-                obs=self.tracer,
-            )
-            yield from _triples_to_scan_rows(triples, positions)
-            return
         yield from _triples_to_scan_rows(self.graph.triples_ids(s, p, o), positions)
 
     def _scan_path(self, ep: _EncodedPattern, s_spec, o_spec) -> Iterator[Tuple]:
@@ -1494,11 +1420,11 @@ class Execution:
 
         On a sharded graph the probes route: a subject-bound row walks the
         owning shard's local indexes (same O(1) dict hops, no fan-out), and
-        an unbound-subject row consumes the store's canonical sorted-merge
-        stream, so probe results stay shard-count-invariant.
+        an unbound-subject row reads the store's ``triples_ids`` (its
+        canonical sorted merge), so probe results stay shard-count-invariant.
         """
         graph = self.graph
-        store = self._sharded
+        store = graph if graph.is_sharded else None
         if store is None:
             spo, pos, osp = graph.spo_ids(), graph.pos_ids(), graph.osp_ids()
         else:
@@ -1555,23 +1481,6 @@ class Execution:
             base = row if keep is None else keep(row)
             if store is not None:
                 if s is None:
-                    if p is not None and o is not None:
-                        # The common fully-bound probe: one small subject
-                        # set per shard -- concatenate and sort once, no
-                        # per-shard run/merge machinery.  Same output as
-                        # the routed stream ((p, o) fixed, so sorting the
-                        # subjects is sorting the triples).
-                        matched = [
-                            subj
-                            for probe_shard in store.shards
-                            for subj in probe_shard.pos.get(p, {}).get(o, ())
-                        ]
-                        matched.sort()
-                        for subj in matched if ok_s is None else filter(ok_s, matched):
-                            append(base + make(subj, p, o))
-                        continue
-                    # Shard-spanning probe: consume the canonical routed
-                    # stream (sorted fan-out merge) instead of global dicts.
                     triples = store.triples_ids(None, p, o)
                     for triple in triples if admit is None else filter(admit, triples):
                         append(base + make(*triple))
@@ -2934,15 +2843,14 @@ class Execution:
 
     @staticmethod
     def _batch_limit_hint(query, ep, simple_filters, plan) -> Optional[int]:
-        """Per-shard row bound for the bounded lazy fan-out.
+        """The rows a single-pattern scan need produce at most.
 
-        Only a LIMIT-bounded single-pattern scan with nothing between
-        the scan and the slice (no filter, DISTINCT, ORDER BY or
-        aggregation, and no repeated-variable row drops) can truncate
-        each shard's run to its first ``offset+limit`` rows: any global
-        top-``k`` of the sorted-run merge lies within the first ``k``
-        of every per-shard run, so results are unchanged -- only the
-        rows shipped (and charged) shrink.
+        Only a LIMIT-bounded scan with nothing between the scan and the
+        slice (no filter, DISTINCT, ORDER BY or aggregation, and no
+        repeated-variable row drops) can stop at its first
+        ``offset+limit`` rows (``Graph.scan_columns``' *limit*): every
+        later row would be cut by the slice, so results are unchanged --
+        only the cells the scan materialises shrink.
         """
         if (
             plan is not None
@@ -3003,37 +2911,19 @@ class Execution:
     ) -> Iterator[List]:
         """Stream *ep*'s matches as per-variable ID column batches.
 
-        On a sharded graph a subject-unbound scan consumes the merged
-        column batches straight off the per-shard sorted runs (zero-copy
-        on one shard: the batches are slices of the shard's cached run);
-        everything else is :meth:`Graph.scan_columns`, which leaves the
-        column of a variable outside *wanted* (None = all wanted) as
-        ``None`` cells and does not walk the index for it.
+        The source is :meth:`Graph.scan_columns`, which leaves the column
+        of a variable outside *wanted* (None = all wanted) as ``None``
+        cells and does not walk the index for it.
         """
         s, p, o = (v if type(v) is int else None for v in ep.spec)
         positions = [ep.var_positions[v] for v in ep.variables]
         simple = all(len(position) == 1 for position in positions)
-        batch_size = self.engine.BATCH_SIZE
         want = (True, True, True)
-        if self._sharded is not None and s is None:
-            from .parallel_exec import parallel_scan_batches
-
-            triple_cols = parallel_scan_batches(
-                self._sharded,
-                p,
-                o,
-                batch_size,
-                stats=self.stats,
-                pool=self._scan_pool,
-                obs=self.tracer,
-                limit_hint=limit_hint if simple else None,
-            )
-        else:
-            if wanted is not None and simple:
-                want = tuple(v in wanted for v in ep.spec)
-            triple_cols = self.graph.scan_columns(
-                s, p, o, want, batch_size, limit_hint if simple else None
-            )
+        if wanted is not None and simple:
+            want = tuple(v in wanted for v in ep.spec)
+        triple_cols = self.graph.scan_columns(
+            s, p, o, want, self.engine.BATCH_SIZE, limit_hint if simple else None
+        )
         width = sum(want)
         cells = 0
         for tcols in triple_cols:

@@ -1,23 +1,19 @@
 """Regression tests for the endpoint's latency/stats accounting.
 
-Three bugs fixed in PR 6, each pinned here because the serving tier
-publishes numbers derived from them:
+Two bugs, each pinned here because the serving tier publishes numbers
+derived from them:
 
 * failure paths (unavailable, rejected, timed out) advanced the clock but
   never charged ``EndpointStats.total_latency_ms`` -- the mean latency
   derived from stats under-reported under load;
 * the timeout path advanced the clock by the raw ``timeout_ms``, skipping
-  the jitter every other charge applies;
-* ``_estimate_latency`` read shard timing off the shared engine's
-  ``exec_stats`` instead of a per-query snapshot, an invitation for one
-  query's shard ratio to leak into the next caller's estimate.
+  the jitter every other charge applies.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.datagen import government_graph
 from repro.endpoint import (
     AlwaysAvailable,
     EndpointTimeout,
@@ -154,71 +150,3 @@ def test_timeout_respects_zero_jitter():
         endpoint.query("SELECT ?s WHERE { ?s ?p ?o }")
     assert clock.now_ms == profile.timeout_ms
     assert endpoint.stats.total_latency_ms == profile.timeout_ms
-
-
-# -- exec_stats isolation -----------------------------------------------------
-
-SPANNING_QUERY = (
-    "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c . ?s ?p ?o } GROUP BY ?c"
-)
-
-
-@pytest.fixture(scope="module")
-def sharded_dataset():
-    return government_graph(scale=0.2, seed=5)
-
-
-def _flat_endpoint(graph, **options):
-    # jitter=0 so latency comparisons are exact and independent of how many
-    # RNG draws earlier queries consumed
-    profile = EndpointProfile("flat", jitter=0.0, max_result_rows=None)
-    return SparqlEndpoint(
-        "http://shard.example.org/sparql",
-        graph,
-        SimulationClock(),
-        profile=profile,
-        seed=9,
-        **options,
-    )
-
-
-def test_back_to_back_queries_do_not_share_shard_ratio(sharded_dataset):
-    """A subject-bound query after a spanning scan pays the static shard
-    bound, not the previous query's measured makespan ratio."""
-    subject = None
-    for triple in sharded_dataset.triples():
-        subject = triple.subject
-        break
-    bound_query = f"SELECT ?p ?o WHERE {{ <{subject.value}> ?p ?o }}"
-
-    warmed = _flat_endpoint(sharded_dataset, shards=4)
-    warmed.query(SPANNING_QUERY)
-    after_scan_ms = warmed.clock.now_ms
-    warmed.query(bound_query)
-    warmed_charge = warmed.clock.now_ms - after_scan_ms
-
-    fresh = _flat_endpoint(sharded_dataset, shards=4)
-    fresh.query(bound_query)
-    fresh_charge = fresh.clock.now_ms
-
-    # identical charge whether or not a spanning scan ran just before
-    assert warmed_charge == pytest.approx(fresh_charge, abs=1e-9)
-
-
-def test_estimate_latency_reads_only_the_stats_it_is_handed(sharded_dataset):
-    """_estimate_latency reads the stats of the execution it is handed and
-    nothing else: empty stats fall back to the static parallel bound even
-    right after a query on the same engine measured a ratio."""
-    endpoint = _flat_endpoint(sharded_dataset, shards=4)
-    result = endpoint.query(SPANNING_QUERY)
-    parsed_stats = endpoint._engine.execute(SPANNING_QUERY).stats
-    assert parsed_stats.get("shard_sequential_ms", 0.0) > 0.0
-
-    from repro.sparql.parser import parse_query
-
-    parsed = parse_query(SPANNING_QUERY)
-    with_ratio = endpoint._estimate_latency(parsed, result, parsed_stats)
-    without_ratio = endpoint._estimate_latency(parsed, result, {})
-    measured = parsed_stats["shard_parallel_ms"] / parsed_stats["shard_sequential_ms"]
-    if measured != endpoint.graph.parallel_factor():
-        assert with_ratio != without_ratio

@@ -172,6 +172,35 @@ def test_named_rows(store, tmp_path, prefix, kind, offset, refusal, says):
             load_graph(scratch, lazy=False, verify=True)
 
 
+#: manifests whose fields all have their types but whose layout contradicts
+#: itself, as named rows: (case, the fields rewritten).  Before they were
+#: refused the first loaded a plain graph whose ``len()`` was 40 over the 16
+#: triples of its first shard file (with ``verify=True`` too: only that file
+#: was read); with no shards a sharded load raised ``ValueError`` and an
+#: unverified plain one ``IndexError``.
+LAYOUTS = [
+    ("a plain layout over three shard files", {"sharded": False}),
+    ("a sharded layout of no shards", {"shards": 0, "shard_files": [], "size": 0}),
+    ("a plain layout of no shards",
+     {"sharded": False, "shards": 0, "shard_files": [], "size": 0}),
+]
+
+
+@pytest.mark.parametrize("verify", (False, True), ids=("unverified", "verified"))
+@pytest.mark.parametrize("lazy", (False, True), ids=("eager", "lazy"))
+@pytest.mark.parametrize("fields", [case[1] for case in LAYOUTS], ids=[case[0] for case in LAYOUTS])
+def test_a_manifest_whose_layout_contradicts_itself_is_refused(tmp_path, fields, lazy, verify):
+    root = str(tmp_path / "store")
+    graph = Graph(identifier="layout", shards=3)
+    graph.add_many(_triple(i, j) for i in range(10) for j in range(4))
+    graph.save(root)
+    manifest = read_manifest(root)
+    manifest.update(fields)
+    write_manifest(root, manifest)
+    with pytest.raises(ManifestError, match="layout cannot hold"):
+        load_graph(root, lazy=lazy, verify=verify)
+
+
 def test_a_torn_wal_tail_loads_as_a_durable_prefix(store, tmp_path):
     root, prefixes = store
     wal = read_manifest(root)["wal"]["file"]

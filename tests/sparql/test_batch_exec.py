@@ -14,8 +14,8 @@ row-at-a-time suite can never see:
 * batches emptied wholesale by a selective FILTER,
 * GROUP BY groups whose members span many batches (order-sensitive
   folds must see members in global row order),
-* the bounded lazy fan-out: LIMIT-bounded unbound scans stop shipping
-  shard rows once the slice is satisfied,
+* the LIMIT bound: a LIMIT-bounded unbound scan of a sharded store
+  stops materialising rows once the slice is satisfied,
 * routing: a multi-pattern BGP never builds a whole-graph probe table.
 """
 
@@ -345,7 +345,7 @@ def test_multi_pattern_bgps_never_build_a_whole_graph_probe_table():
         assert len(g) not in builds, (query, builds)
 
 
-# -- bounded lazy fan-out (LIMIT pushdown into the shard scan) ---------------
+# -- the LIMIT bound on a sharded store's spanning scan ------------------------
 
 
 def _sharded_edge_store(shards: int) -> ShardedTripleStore:
@@ -358,24 +358,24 @@ def _sharded_edge_store(shards: int) -> ShardedTripleStore:
 
 @pytest.mark.parametrize("shards", (1, 2, 4))
 def test_limit_bounded_scan_ships_bounded_shard_rows(shards):
-    """A LIMIT-bounded unbound scan truncates every shard's run to the
-    first offset+limit rows before shipping: results are unchanged, but
-    shard_rows is bounded by shards * (offset + limit) instead of the
-    full store size.  (LIMIT 70: past the small-LIMIT streaming bound.)"""
+    """A LIMIT-bounded unbound scan stops at the first offset+limit rows
+    of the shards' merged run: results are unchanged, but the scan
+    materialises 70 rows of three cells instead of the store's 600.
+    (LIMIT 70: past the small-LIMIT streaming bound.)"""
     store = _sharded_edge_store(shards)
     query = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }"
     result, stats = _run(store, f"{query} LIMIT 70", 8)
     assert stats["operator"] == "select-id"
-    assert stats["shard_rows"] <= shards * 70
-    # the unbounded scan ships everything by contrast
+    assert stats["scan_cells"] == 70 * 3
+    # the unbounded scan reads everything by contrast
     full, stats = _run(store, query, 8)
-    assert stats["shard_rows"] == 600
+    assert stats["scan_cells"] == 600 * 3
     assert _ordered_rows(result) == _ordered_rows(full)[:70]
 
 
 def test_limit_zero_select_star_still_derives_its_header():
     """SELECT * needs one witness row for its header even at LIMIT 0, so
-    the bounded fan-out never truncates below one row per shard."""
+    the LIMIT bound never cuts the scan below one row."""
     store = _sharded_edge_store(2)
     execution = QueryEngine(store).execute("SELECT * WHERE { ?s ?p ?o } LIMIT 0")
     result = execution.result

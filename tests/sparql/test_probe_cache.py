@@ -9,7 +9,6 @@ import pytest
 from repro.datagen import government_graph
 from repro.endpoint import AlwaysAvailable, SimulationClock, SparqlEndpoint
 from repro.endpoint.profiles import EndpointProfile
-from repro.obs.trace import Tracer
 from repro.rdf import IRI, ShardedTripleStore, Triple
 from repro.rdf.namespaces import RDF
 from repro.sparql import QueryEngine
@@ -124,10 +123,10 @@ def test_engines_of_one_graph_share_it_two_graphs_do_not(graph):
     assert other.probe_cache_info()["hits"] == 1
 
 
-def test_sharded_spanning_build_bypasses_the_cache(graph):
-    """``parallel_probe_table`` books simulated shard time that the
-    endpoint's latency model reads, so a repeat must run it again: same
-    shard counters, same simulated latency, nothing cached."""
+def test_sharded_spanning_build_comes_from_the_cache(graph):
+    """A sharded store's shard-spanning build is cached like a plain
+    graph's: a repeat is a hit, with the same rows and the same simulated
+    latency (the build charges none)."""
     clock = SimulationClock()
     endpoint = SparqlEndpoint(
         "http://s/sparql",
@@ -136,25 +135,17 @@ def test_sharded_spanning_build_bypasses_the_cache(graph):
         profile=EndpointProfile("flat", jitter=0.0),
         availability=AlwaysAvailable(),
     )
-    tracer = Tracer()  # each query's sparql.run span carries its stats
-    endpoint.attach_obs(tracer)
-    endpoint.query(JOIN)  # the first batch pays the pool's cold spin-up
     runs = []
     for _ in range(2):
         before = clock.now_ms
-        endpoint.query(JOIN)
-        stats = [s for s in tracer.spans if s.name == "sparql.run"][-1].attrs["exec_stats"]
-        runs.append(
-            ({k: v for k, v in stats.items() if k.startswith("shard_")},
-             clock.now_ms - before)
-        )
+        rows = endpoint.query(JOIN).rows
+        runs.append((rows, clock.now_ms - before))
     (first, first_ms), (second, second_ms) = runs
-    assert first["shard_batches"] == 2  # the class scan and the build
-    assert first.keys() == second.keys()
-    assert first == pytest.approx(second)
-    assert first_ms == pytest.approx(second_ms)
+    assert first == second
+    assert sorted(map(repr, first)) == sorted(map(repr, QueryEngine(graph).run(JOIN).rows))
+    assert first_ms == second_ms
     info = endpoint._engine.probe_cache_info()
-    assert (info["hits"], info["misses"], info["size"]) == (0, 0, 0)
+    assert (info["hits"], info["misses"], info["size"]) == (1, 1, 1)
 
 
 # -- the scan-row projection the builds (and every scan) run through ------------

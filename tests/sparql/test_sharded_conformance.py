@@ -1,6 +1,6 @@
-"""Conformance + property suites for partition-parallel execution.
+"""Conformance + property suites for queries over a sharded store.
 
-Two contracts, from the sharding subsystem's merge determinism rule:
+Three contracts, from the sharding subsystem's merge determinism rule:
 
 1. **Oracle conformance** -- on a sharded graph, every modern pipeline
    still matches the legacy scan oracle, for the *entire* conformance
@@ -10,9 +10,15 @@ Two contracts, from the sharding subsystem's merge determinism rule:
    byte-identical (row order included) between ``shards=1`` and any
    other shard count, for fixed corpora and for hypothesis-generated
    random datasets.
+3. **The order itself** -- the ordered rows of the corpus and of
+   extraction-shaped questions digest to recorded values at every shard
+   count, so a reordering shared by all shard counts shows too.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -99,116 +105,61 @@ def test_shard_count_never_changes_results(
         assert _ordered_rows(result) == baseline, f"shards={shards}"
 
 
-# -- the partition-parallel accounting contract ------------------------------
+# -- 3. the row order itself, pinned to a recorded digest --------------------
+
+#: extraction-shaped questions over a government dataset: joins whose build
+#: side spans shards, subject-bound probes, COUNT / DISTINCT / ORDER BY tails
+CENSUS_QUERIES = (
+    "SELECT ?class (COUNT(?s) AS ?n) WHERE { ?s a ?class } GROUP BY ?class",
+    "SELECT DISTINCT ?class WHERE { ?s a ?class }",
+    "SELECT ?c ?s (COUNT(?o) AS ?n) WHERE { ?s a ?c . ?s ?p ?o } GROUP BY ?c ?s",
+    "SELECT DISTINCT ?c ?p WHERE { ?s a ?c . ?s ?p ?o . FILTER ( isLiteral(?o) ) }",
+    "SELECT ?c ?p ?target (COUNT(?o) AS ?n) WHERE { "
+    "?s a ?c . ?s ?p ?o . ?o a ?target } GROUP BY ?c ?p ?target",
+    "SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 50 OFFSET 20",
+    "SELECT ?s ?o WHERE { ?s a ?c . ?s ?p ?o . ?o a ?c2 } LIMIT 40",
+    "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s "
+    "ORDER BY DESC(?n) ?s LIMIT 10",
+)
+
+#: SHA-256 over the ordered rows of every corpus case (``_order_digest``),
+#: recorded on the tree that still ran spanning scans through per-shard
+#: operators, the same for ``hash`` and ``stream`` and under any
+#: ``PYTHONHASHSEED``.  Shard-count invariance only compares shard counts
+#: with each other; this pins the order every one of them shares.
+CORPUS_ORDER_DIGEST = "cb6908e184c35f233cfc281f588b8758f282c867900634013facc87470ee21d0"
+#: the same over ``CENSUS_QUERIES`` on ``government_graph(scale=0.2, seed=5)``
+CENSUS_ORDER_DIGEST = "320defe1bd743ab1f24a8de057f5e2e08b99834b07f210415e1c3828ede134e5"
 
 
-def test_spanning_scan_records_pool_accounting(sharded_graphs):
-    stats = QueryEngine(sharded_graphs[4]).execute("SELECT * WHERE { ?s ?p ?o }").stats
-    assert stats["shard_batches"] >= 1
-    assert 0.0 < stats["shard_parallel_ms"] < stats["shard_sequential_ms"]
-    totals = sharded_graphs[4].shard_stats
-    assert totals["batches"] >= stats["shard_batches"]
-    assert totals["rows"] >= stats["shard_rows"]
+def _order_digest(graph, strategy, queries):
+    digest = hashlib.sha256()
+    for query in queries:
+        result = QueryEngine(graph, strategy=strategy).run(query)
+        rows = bool(result) if isinstance(result, AskResult) else _ordered_rows(result)
+        digest.update(json.dumps([query, rows], sort_keys=True).encode("utf-8"))
+    return digest.hexdigest()
 
 
-def test_single_shard_pays_the_sequential_sum(sharded_graphs):
-    stats = QueryEngine(sharded_graphs[1]).execute("SELECT * WHERE { ?s ?p ?o }").stats
-    assert stats["shard_parallel_ms"] == pytest.approx(stats["shard_sequential_ms"])
-
-
-def test_subject_bound_scan_runs_no_batch(sharded_graphs):
-    execution = QueryEngine(sharded_graphs[4]).execute(
-        "SELECT ?p ?o WHERE { <http://example.org/alice> ?p ?o }"
-    )
-    assert "shard_batches" not in execution.stats
-
-
-def test_multi_batch_query_reuses_warm_workers(sharded_graphs):
-    """Pool reuse across one query's scan batches: only the first batch
-    pays the cold dispatch, every later one runs on warm workers."""
-    engine = QueryEngine(sharded_graphs[4])
-    stats = engine.execute("SELECT ?s ?c WHERE { ?s ?p ?o . ?s a ?c }").stats
-    assert stats["shard_batches"] >= 2
-    assert stats["shard_warm_batches"] == stats["shard_batches"] - 1
-
-
-def test_pool_stays_warm_across_queries_on_one_engine(sharded_graphs):
-    """The worker set is per *engine*, keyed on the shard layout:
-    back-to-back queries skip the cold spin-up entirely, so the second
-    query's every batch is warm -- while a fresh engine (fresh pool)
-    starts cold again.  Each execution's stats stay per-query: the warm
-    count is the query's own, not the pool's lifetime total."""
-    engine = QueryEngine(sharded_graphs[4])
-    first = engine.execute("SELECT * WHERE { ?s ?p ?o }").stats
-    assert first["shard_batches"] == 1
-    assert first["shard_warm_batches"] == 0  # engine's first batch: cold
-    second = engine.execute("SELECT * WHERE { ?s ?p ?o }").stats
-    assert second["shard_batches"] == 1
-    assert second["shard_warm_batches"] == 1  # reused the warm workers
-    fresh = QueryEngine(sharded_graphs[4]).execute("SELECT * WHERE { ?s ?p ?o }")
-    assert fresh.stats["shard_warm_batches"] == 0
-
-
-def test_pool_retires_when_the_shard_layout_changes(sharded_graphs):
-    """clear() replaces the shards tuple, so the engine's warm worker
-    set is keyed off the dead layout and the next query starts cold."""
-    store = sharded_graphs[4].copy()
-    engine = QueryEngine(store)
-    engine.run("SELECT * WHERE { ?s ?p ?o }")
-    stats = engine.execute("SELECT * WHERE { ?s ?p ?o }").stats
-    assert stats["shard_warm_batches"] == 1
-    store.clear()
-    for triple in sharded_graphs[1]:
-        store.add(triple)
-    stats = engine.execute("SELECT * WHERE { ?s ?p ?o }").stats
-    assert stats["shard_batches"] == 1
-    assert stats["shard_warm_batches"] == 0
-
-
-def test_warm_batches_cost_less_than_cold(sharded_graphs):
-    """The warm dispatch constant is what the reuse buys in simulated time:
-    two batches under one pool cost less than the same two cold."""
-    from repro.sparql.parallel_exec import (
-        SHARD_DISPATCH_MS,
-        SHARD_WARM_DISPATCH_MS,
-    )
-
-    assert SHARD_WARM_DISPATCH_MS < SHARD_DISPATCH_MS
-    engine = QueryEngine(sharded_graphs[4])
-    stats = engine.execute("SELECT ?s ?c WHERE { ?s ?p ?o . ?s a ?c }").stats
-    batches = stats["shard_batches"]
-    # sequential cost had the pool been cold for every batch: each batch
-    # dispatches one task per shard
-    saved = (batches - 1) * 4 * (SHARD_DISPATCH_MS - SHARD_WARM_DISPATCH_MS)
-    assert saved > 0.0
-    cold_equivalent = stats["shard_sequential_ms"] + saved
-    assert stats["shard_sequential_ms"] < cold_equivalent
-
-
-def test_scan_join_makespan_falls_as_shards_are_added():
-    """The scaling curve, in simulated time only: on the extraction-shaped
-    scan+join+fold the pool makespan strictly falls 1 -> 2 -> 4 shards and
-    is >= 2x better at 4, while the sequential sum only grows by dispatch
-    constants (the per-row work is fixed) and the rows never change."""
-    from repro.sparql.parallel_exec import SHARD_DISPATCH_MS
-
+@pytest.fixture(scope="module")
+def census_graphs():
     base = government_graph(scale=0.2, seed=5)
-    query = "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c . ?s ?p ?o } GROUP BY ?c"
-    sequential, makespan, rows = {}, {}, {}
-    for shards in (1, 2, 4):
-        execution = QueryEngine(ShardedTripleStore.from_graph(base, shards)).execute(query)
-        rows[shards] = _ordered_rows(execution.result)
-        stats = execution.stats
-        sequential[shards] = stats["shard_sequential_ms"]
-        makespan[shards] = stats["shard_parallel_ms"]
-        dispatches = shards * stats["shard_batches"]
-        assert sequential[1] <= sequential[shards] <= (
-            sequential[1] + dispatches * SHARD_DISPATCH_MS
-        )
-    assert rows[1] == rows[2] == rows[4] and rows[1]
-    assert makespan[1] == pytest.approx(sequential[1])
-    assert makespan[4] < makespan[2] < makespan[1]
-    assert makespan[1] / makespan[4] >= 2.0
+    return {n: ShardedTripleStore.from_graph(base, n) for n in SHARD_COUNTS}
+
+
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_corpus_row_order_is_the_recorded_one(sharded_graphs, shards, strategy):
+    queries = [query for _id, query, _n in CASES + ASK_CASES]
+    digest = _order_digest(sharded_graphs[shards], strategy, queries)
+    assert digest == CORPUS_ORDER_DIGEST
+
+
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_census_row_order_is_the_recorded_one(census_graphs, shards, strategy):
+    digest = _order_digest(census_graphs[shards], strategy, CENSUS_QUERIES)
+    assert digest == CENSUS_ORDER_DIGEST
 
 
 # -- hypothesis: random data, random shard counts, fixed query shapes --------

@@ -528,9 +528,9 @@ class TestWrittenOnce:
         ])
         assert self._join_scores(list(ast.walk(ast.parse(retired)))) == [2, 3]
 
-    #: what ``QueryEngine`` may assign on ``self`` outside ``__init__``: the
-    #: per-execution state ROADMAP B step 1 is to take off the engine
-    ENGINE_STATE = {"_scan_pool"}
+    #: what ``QueryEngine`` may assign on ``self`` outside ``__init__``:
+    #: nothing -- per-query state lives on the ``Execution``
+    ENGINE_STATE = set()
 
     @staticmethod
     def _state_writes(tree, class_name):
@@ -1166,7 +1166,6 @@ class TestObservabilityVocabulary:
             "http://vocab.example.org/sparql",
             government_graph(scale=0.05, seed=1),
             clock,
-            shards=2,  # sharded so sparql.shard_* registers too
         )
         obs = Observatory(clock=clock, seed=0)
         server = QueryServer(
