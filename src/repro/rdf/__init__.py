@@ -18,7 +18,7 @@ from .durability import (
     load_graph,
     save_graph,
 )
-from .graph import Graph
+from .graph import Graph, Shard
 from .namespaces import (
     DCAT,
     DCTERMS,
@@ -36,7 +36,7 @@ from .namespaces import (
     expand_curie,
 )
 from .ntriples import NTriplesError, graph_from_ntriples, parse_ntriples, serialize_ntriples
-from .sharding import Shard, ShardedTripleStore
+from .sharding import ShardedTripleStore
 from .terms import BNode, IRI, Literal, Term, Triple, Variable
 from .turtle import TurtleError, parse_turtle, serialize_turtle
 

@@ -20,12 +20,12 @@ which is the order of every un-ORDERed result above.
 ``in``.  Never compare one with ``==``, never mutate one, never branch on
 its type -- ``len``, ``in``, truthiness and iteration are the whole read
 surface.  Writers call the functions below and nothing else stores into an
-index.  An unsharded ``Graph`` keeps one more structure in step with SPO,
-``Graph._sizes`` (subject -> triple count): every SPO write there moves
+index.  A ``Shard`` keeps one more structure in step with its SPO,
+``Shard.sizes`` (subject -> triple count): every SPO write there moves
 the subject's count in the same step, and the key goes with the subject's
-last triple.  (Inlining :func:`leaf_add`'s branch into the bulk loaders buys
+last triple.  (Inlining :func:`leaf_add`'s branch into the bulk loader buys
 nothing measurable; calling :func:`insert_ids` per triple there costs 7-9%
-of the ingest rate, so they keep their inner dicts in locals.)
+of the ingest rate, so it keeps its inner dicts in locals.)
 """
 
 from __future__ import annotations

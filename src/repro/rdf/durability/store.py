@@ -5,9 +5,9 @@ The durable state of a store is ``(manifest, WAL prefix)``:
 * :func:`save_graph` commits the graph under a fresh *epoch* and writes
   what changed since the commit the directory already holds: a columnar
   file for each shard written to since (a plain :class:`Graph` is one
-  pseudo-shard, always rewritten) and one term-dictionary segment with the
-  rows that moved; untouched shard files and the dictionary's earlier
-  segments are named again, not rewritten.  It then creates the epoch's
+  shard like any other) and one term-dictionary segment with the rows
+  that moved; untouched shard files and the dictionary's earlier segments
+  are named again, not rewritten.  It then creates the epoch's
   empty WAL segment, atomically swaps the manifest and prunes every file
   the new manifest does not name.  Until the swap, every new file is
   invisible garbage and the previous (manifest, WAL) pair stays fully
@@ -20,8 +20,9 @@ The durable state of a store is ``(manifest, WAL prefix)``:
 * :func:`load_graph` reads the manifest, restores the dictionary, loads
   shards eagerly or lazily (:class:`LazyShard` defers building a shard's
   indexes until first touch), optionally verifies each shard's content
-  digest (a lazy shard's when it hydrates), then replays the WAL tail --
-  truncating a torn final record, failing loudly on mid-stream corruption.
+  digest (a lazy shard's before it serves a row), then replays the WAL
+  tail -- truncating a torn final record, failing loudly on mid-stream
+  corruption.
 
 Replay applies term-level records through the public mutation API, so a
 second replay of the same records is a sequence of no-ops: recovery is
@@ -39,8 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .._leaf import IdIndex, leaf_add
 from ..dictionary import TermDict
-from ..graph import Graph
-from ..sharding import Shard, ShardedTripleStore, sorted_columns
+from ..graph import Graph, Shard
 from ..terms import _unchecked_triple
 from .crash import CrashInjector, boundary
 from .manifest import MANIFEST_VERSION, ManifestError, read_manifest, write_manifest
@@ -93,8 +93,7 @@ def content_digest(graph: Graph) -> str:
     CRC32, and whoever can write them can write the manifest too.
     """
     n3 = _N3Memo(graph.dictionary)
-    indexes = [shard.spo for shard in graph.shards] if graph.is_sharded else [graph._spo]
-    return _format_digest(sum(_index_digest(spo, n3) for spo in indexes))
+    return _format_digest(sum(_index_digest(shard.spo, n3) for shard in graph.shards))
 
 
 class _N3Memo(dict):
@@ -193,21 +192,17 @@ def _save_graph(
     )
 
     n3 = _N3Memo(term_dict)
-    # a plain Graph is one pseudo-shard that remembers nothing
-    shards = graph.shards if graph.is_sharded else (None,)
+    shards = graph.shards
     shard_entries: List[Dict] = []
     for index, shard in enumerate(shards):
         old = committed_files[index] if index < len(committed_files) else None
-        if shard is None:
-            spo, columns = graph._spo, sorted_columns(graph.triples_ids())
-        elif shard._snapshot is not None and shard._snapshot == old:
+        if shard._snapshot is not None and shard._snapshot == old:
             # Carried only if it IS the committed entry: a file of another
             # root, or of a save that died before its swap, never
             # qualifies.  The shard is not touched (it may be cold).
             shard_entries.append(old)
             continue
-        else:
-            spo, columns = shard.spo, shard.columns()
+        columns = shard.columns()
         if moved is not None:
             moved = _moved_ids(root, old, columns, moved)
         name = shard_file(index, epoch)
@@ -219,7 +214,7 @@ def _save_graph(
             "epoch": epoch,
             "triples": triples,
             "checksum": checksum,
-            "digest": _format_digest(_index_digest(spo, n3)),
+            "digest": _format_digest(_index_digest(shard.spo, n3)),
         })
 
     if ours and not any(entry["epoch"] == epoch for entry in shard_entries):
@@ -252,8 +247,7 @@ def _save_graph(
     # Only now do the files written above hold committed content.
     term_dict.committed_as(termdict)
     for shard, entry in zip(shards, shard_entries):
-        if shard is not None:
-            shard._snapshot = entry
+        shard._snapshot = entry
 
     for name in orphan_files(root, manifest):
         boundary(injector, "prune:file")
@@ -337,8 +331,8 @@ class Journal:
 
     While attached (``graph._wal is self``) every content-changing
     mutation logs a record *before* it interns a term or touches an index
-    -- see the hooks in ``Graph.add/remove/clear`` and both
-    ``add_many_terms`` -- so an append that raises changes nothing.
+    -- see the hooks in ``Graph.add/remove/clear`` and
+    ``Graph.add_many_terms`` -- so an append that raises changes nothing.
     """
 
     __slots__ = ("graph", "root", "injector", "wal", "obs")
@@ -410,25 +404,45 @@ def attach_journal(
 # -- lazy shards -------------------------------------------------------------
 
 
+def _hydrating(slot):
+    """A property over the :class:`Shard` slot *slot*: a read hydrates the
+    shard first, a write stores straight into the slot (``Shard.__init__``
+    and hydration itself write that way)."""
+
+    def get(shard):
+        if shard._loader is not None:
+            shard._hydrate()
+        return slot.__get__(shard)
+
+    return property(get, slot.__set__)
+
+
 class LazyShard(Shard):
     """A shard whose indexes build from its snapshot file on first touch.
 
-    The ``spo``/``pos``/``osp`` slots are shadowed by properties that
-    hydrate before first access, so every existing read/write path works
-    unchanged; ``size`` stays a plain slot (set from the manifest), so
-    counting and shard-balance accounting never force a load.
+    The ``spo``/``pos``/``osp``/``sizes`` slots are shadowed by properties
+    that hydrate before first access, so every existing read/write path
+    works unchanged; ``size`` stays a plain slot (set from the manifest),
+    so counting and shard-balance accounting never force a load.
 
     Snapshot columns are already the ``(s, p, o)``-sorted run the batch
     scan pipeline consumes, so :meth:`columns` on a cold shard reads them
     straight off disk into the shard's run cache **without** building the
     dict indexes -- snapshot load -> columnar scan copies nothing beyond
     the file read itself.  Hydration (first index touch) then fills the
-    indexes from the cached columns instead of re-reading the file, and
-    hands them to *verify* (if given) before the shard counts as hydrated:
-    a shard that fails it raises on every touch.
+    indexes and the subject sizes from the cached columns instead of
+    re-reading the file, and hands SPO to *verify* (if given) before the
+    shard counts as hydrated: a shard that fails it raises on every touch.
+    A shard whose check is pending hydrates before it serves its columns,
+    so no unverified row leaves it.
     """
 
     __slots__ = ("_loader", "_verify")
+
+    spo = _hydrating(Shard.spo)
+    pos = _hydrating(Shard.pos)
+    osp = _hydrating(Shard.osp)
+    sizes = _hydrating(Shard.sizes)
 
     def __init__(
         self,
@@ -454,6 +468,8 @@ class LazyShard(Shard):
         return cols
 
     def columns(self) -> Tuple:
+        if self._verify is not None:
+            self._hydrate()
         if self._loader is not None:
             return self._load_columns()
         return super().columns()
@@ -461,43 +477,10 @@ class LazyShard(Shard):
     def _hydrate(self) -> None:
         columns = self._load_columns()
         spo = Shard.spo.__get__(self)
-        _fill_indexes(spo, Shard.pos.__get__(self), Shard.osp.__get__(self), columns)
+        self.sizes = _fill_indexes(spo, Shard.pos.__get__(self), Shard.osp.__get__(self), columns)
         if self._verify is not None:
             self._verify(spo)
         self._loader = self._verify = None
-
-    # slot shadows: hydrate-on-read, plain writes (Shard.__init__ and
-    # hydration itself store through the base descriptors)
-
-    @property
-    def spo(self):
-        if self._loader is not None:
-            self._hydrate()
-        return Shard.spo.__get__(self)
-
-    @spo.setter
-    def spo(self, value):
-        Shard.spo.__set__(self, value)
-
-    @property
-    def pos(self):
-        if self._loader is not None:
-            self._hydrate()
-        return Shard.pos.__get__(self)
-
-    @pos.setter
-    def pos(self, value):
-        Shard.pos.__set__(self, value)
-
-    @property
-    def osp(self):
-        if self._loader is not None:
-            self._hydrate()
-        return Shard.osp.__get__(self)
-
-    @osp.setter
-    def osp(self, value):
-        Shard.osp.__set__(self, value)
 
     def __repr__(self) -> str:
         state = "hydrated" if self.hydrated else "cold"
@@ -516,7 +499,9 @@ def _check_rows(columns: Tuple, expected: int) -> Tuple:
     return columns
 
 
-def _fill_indexes(spo, pos, osp, columns) -> None:
+def _fill_indexes(spo, pos, osp, columns) -> Dict[int, int]:
+    """Fill the empty indexes from a snapshot's *columns*; return the
+    subject sizes they hold (the shard's ``sizes``)."""
     # Snapshot rows are sorted by (s, p, o), so the SPO index fills in
     # runs: reuse the (s) container across consecutive rows instead of
     # paying a dict probe per row.  POS/OSP rows arrive in scattered order
@@ -532,6 +517,7 @@ def _fill_indexes(spo, pos, osp, columns) -> None:
         leaf_add(by_p, p, o)
         leaf_add(pos_setdefault(p, {}), o, s)
         leaf_add(osp_setdefault(o, {}), s, p)
+    return dict(Counter(s_col))
 
 
 def _apply_wal_ops(graph: Graph, ops: List[List]) -> int:
@@ -592,9 +578,10 @@ def load_graph(
     * ``verify`` (default: the opposite of ``lazy``) recomputes each
       shard's content digest from its *loaded indexes* and compares it to
       the shard's manifest entry, and the entries' sum to the manifest's
-      digest -- before replaying the WAL tail for an eager load, at
-      hydration for a lazy shard (a :class:`DurabilityError` naming the
-      shard, from whichever read touches it first).
+      digest -- before replaying the WAL tail for an eager load, before
+      a lazy shard serves its first row or index (a
+      :class:`DurabilityError` naming the shard, from whichever read
+      touches it first).
     * A torn WAL tail is truncated on disk so a later
       :func:`attach_journal` appends from the last durable record.
     * ``obs`` is an optional ``repro.obs`` tracer: recovery records a
@@ -628,38 +615,29 @@ def _load_graph(root, lazy, verify, obs) -> Graph:
     entries = manifest["shard_files"]
     checks = _digest_checks(manifest, term_dict) if verify else [None] * len(entries)
 
-    if manifest["sharded"]:
-        graph = ShardedTripleStore(
-            identifier=manifest.get("identifier"), shards=manifest["shards"]
-        )
-        shards = []
-        for entry, check in zip(entries, checks):
-            load = _shard_loader(os.path.join(root, entry["file"]), entry)
-            if lazy:
-                shard = LazyShard(load, entry["triples"], verify=check)
-            else:
-                # eager loads get a plain Shard: no property indirection on
-                # the hot index paths afterwards
-                shard = Shard()
-                # the snapshot columns ARE the sorted run: seed the shard's
-                # columnar cache so the first batch scan copies nothing
-                columns = shard._columns = _check_rows(load(), entry["triples"])
-                _fill_indexes(shard.spo, shard.pos, shard.osp, columns)
-                shard.size = entry["triples"]
-                if check is not None:
-                    check(shard.spo)
-            shard._snapshot = entry
-            shards.append(shard)
-        graph._shards = tuple(shards)
-    else:
-        graph = Graph(identifier=manifest.get("identifier"))
-        entry = entries[0]
+    shards = []
+    for entry, check in zip(entries, checks):
         load = _shard_loader(os.path.join(root, entry["file"]), entry)
-        columns = _check_rows(load(), entry["triples"])
-        _fill_indexes(graph._spo, graph._pos, graph._osp, columns)
-        graph._sizes = dict(Counter(columns[0]))
-        if checks[0] is not None:
-            checks[0](graph._spo)
+        if lazy:
+            shard = LazyShard(load, entry["triples"], verify=check)
+        else:
+            # eager loads get a plain Shard: no property indirection on
+            # the hot index paths afterwards
+            shard = Shard()
+            # the snapshot columns ARE the sorted run: seed the shard's
+            # columnar cache so the first batch scan copies nothing
+            columns = shard._columns = _check_rows(load(), entry["triples"])
+            shard.sizes = _fill_indexes(shard.spo, shard.pos, shard.osp, columns)
+            shard.size = entry["triples"]
+            if check is not None:
+                check(shard.spo)
+        shard._snapshot = entry
+        shards.append(shard)
+    graph = Graph(
+        identifier=manifest.get("identifier"),
+        shards=manifest["shards"] if manifest["sharded"] else None,
+    )
+    graph._shards = tuple(shards)
     graph._dict = term_dict
     graph._size = manifest["size"]
     graph._generation = manifest["generation"]

@@ -10,6 +10,13 @@ the hot path is an integer hash -- the same design as classical hexastores
 reduced to the three orderings a single-variable-join workload needs, plus
 the dictionary encoding production stores layer underneath.
 
+The indexes live in shards (:class:`Shard`), the one storage unit: a
+shard holds SPO/POS/OSP over the IDs of the triples whose subjects it
+owns, each subject's triple count, and the derived state durability keeps
+(its sorted run and the snapshot file that holds it).  A plain ``Graph``
+is exactly one shard; :class:`~repro.rdf.sharding.ShardedTripleStore` is
+N of them and changes only the order of a read that spans shards.
+
 Two API surfaces coexist:
 
 * the **term-level** API (``add``, ``remove``, ``triples``, ``subjects``,
@@ -27,6 +34,7 @@ single-threaded and the paper's server pipeline is batch-oriented.
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain, islice, repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
@@ -35,7 +43,7 @@ from .dictionary import TermDict
 from .namespaces import RDF, RDFS
 from .terms import BNode, IRI, Literal, Term, Triple, _unchecked_triple
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "Shard", "sorted_columns"]
 
 _SubjectLike = Union[IRI, BNode]
 TriplePattern = Tuple[Optional[Term], Optional[IRI], Optional[Term]]
@@ -59,8 +67,174 @@ def column_batches(
         ]
 
 
+def sorted_columns(rows: Iterable[Tuple[int, int, int]]) -> Tuple:
+    """ID *rows* as an (s, p, o)-sorted run of three ``array('q')`` columns.
+
+    The one layout shared by the whole-graph scan of a sharded store and
+    the durability snapshots: a shard's cached run is written to disk as
+    it is.
+    """
+    rows = sorted(rows)
+    if rows:
+        s_col, p_col, o_col = zip(*rows)
+    else:
+        s_col = p_col = o_col = ()
+    return array("q", s_col), array("q", p_col), array("q", o_col)
+
+
+class Shard:
+    """The storage unit: SPO/POS/OSP indexes over shared term IDs, and each
+    subject's triple count, for the triples whose subjects it owns."""
+
+    __slots__ = ("spo", "pos", "osp", "sizes", "size", "_columns", "_snapshot")
+
+    #: overridden by :class:`repro.rdf.durability.LazyShard`, whose indexes
+    #: build from a snapshot file on first touch; memory accounting checks
+    #: this to avoid forcing cold shards resident
+    hydrated = True
+
+    def __init__(self):
+        self.spo: IdIndex = {}
+        self.pos: IdIndex = {}
+        self.osp: IdIndex = {}
+        #: subject ID -> its triple count, written in the step that writes
+        #: SPO (a key leaves with the subject's last triple), so
+        #: ``count_ids(s)`` and ``scan_runs`` read a count, not leaf sums
+        self.sizes: Dict[int, int] = {}
+        self.size = 0
+        #: the shard's full sorted run as three ``array('q')`` columns
+        #: ((s, p, o)-sorted, same layout the durability snapshots use).
+        #: Built on demand by :meth:`columns`, dropped on any mutation;
+        #: snapshot loads seed it directly so load -> scan copies nothing.
+        self._columns: Optional[Tuple] = None
+        #: the manifest entry (``file``, ``epoch``, ``triples``,
+        #: ``checksum``, ``digest``) of the durable snapshot file that holds
+        #: exactly this shard's content, or None.  Set by
+        #: :mod:`repro.rdf.durability` once a commit names the file, dropped
+        #: wherever ``_columns`` is dropped; a checkpoint rewrites only the
+        #: shards without one.
+        self._snapshot: Optional[dict] = None
+
+    def columns(self) -> Tuple:
+        """The shard's (s, p, o)-sorted run as ``(s_col, p_col, o_col)``.
+
+        What a snapshot stores and a sharded whole-graph scan merges:
+        identical content to ``sorted(self.triples_ids())``, held as three
+        parallel ``array('q')`` columns.  Cached until the shard mutates;
+        treat the arrays as immutable (every invalidation replaces, never
+        edits).
+        """
+        cols = self._columns
+        if cols is None:
+            cols = self._columns = sorted_columns(self.triples_ids())
+        return cols
+
+    def insert(self, s: int, p: int, o: int) -> None:
+        """Insert an ID triple the owning store already deduplicated."""
+        insert_ids(self.spo, self.pos, self.osp, s, p, o)
+        sizes = self.sizes
+        sizes[s] = sizes.get(s, 0) + 1
+        self.size += 1
+        self._columns = self._snapshot = None
+
+    def discard(self, s: int, p: int, o: int) -> None:
+        """Remove an ID triple the owning store verified was present."""
+        self._columns = self._snapshot = None
+        discard_ids(self.spo, self.pos, self.osp, s, p, o)
+        if s in self.spo:
+            self.sizes[s] -= 1
+        else:
+            del self.sizes[s]
+        self.size -= 1
+
+    def triples_ids(
+        self,
+        s: Optional[int] = None,
+        p: Optional[int] = None,
+        o: Optional[int] = None,
+    ) -> Iterator[Tuple[int, int, int]]:
+        """This shard's ID triples matching the (possibly wildcard) pattern,
+        in index order.
+
+        ``None`` in a position is a wildcard.  The most selective index for
+        the bound positions is used: SPO when the subject is bound (or
+        nothing is), POS when the predicate is, OSP for the object alone.
+        """
+        if s is not None:
+            by_predicate = self.spo.get(s)
+            if not by_predicate:
+                return
+            if p is not None:
+                objects = by_predicate.get(p)
+                if not objects:
+                    return
+                if o is not None:
+                    if o in objects:
+                        yield (s, p, o)
+                    return
+                for obj in objects:
+                    yield (s, p, obj)
+                return
+            for pred, objects in by_predicate.items():
+                if o is not None:
+                    if o in objects:
+                        yield (s, pred, o)
+                    continue
+                for obj in objects:
+                    yield (s, pred, obj)
+            return
+
+        if p is not None:
+            by_object = self.pos.get(p)
+            if not by_object:
+                return
+            if o is not None:
+                for subj in by_object.get(o, ()):
+                    yield (subj, p, o)
+                return
+            for obj, subjects in by_object.items():
+                for subj in subjects:
+                    yield (subj, p, obj)
+            return
+
+        if o is not None:
+            by_subject = self.osp.get(o)
+            if not by_subject:
+                return
+            for subj, predicates in by_subject.items():
+                for pred in predicates:
+                    yield (subj, pred, o)
+            return
+
+        for subj, by_predicate in self.spo.items():
+            for pred, objects in by_predicate.items():
+                for obj in objects:
+                    yield (subj, pred, obj)
+
+    def copy(self) -> "Shard":
+        out = Shard()
+        out.spo = copy_index(self.spo)
+        out.pos = copy_index(self.pos)
+        out.osp = copy_index(self.osp)
+        out.sizes = dict(self.sizes)
+        out.size = self.size
+        # the cached run is immutable-by-contract, so sharing it is safe:
+        # either shard's next mutation replaces its own reference.  The
+        # snapshot entry describes content, which the clone has too.
+        out._columns = self._columns
+        out._snapshot = self._snapshot
+        return out
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __repr__(self) -> str:
+        return f"<Shard {self.size} triples, {len(self.spo)} subjects>"
+
+
 class Graph:
-    """A set of triples with dictionary-encoded SPO/POS/OSP indexes.
+    """A set of triples with dictionary-encoded SPO/POS/OSP indexes, kept in
+    one :class:`Shard`.
 
     >>> g = Graph()
     >>> from repro.rdf.terms import IRI, Literal
@@ -71,9 +245,10 @@ class Graph:
 
     ``Graph(shards=N)`` is the sharding facade: it constructs a
     :class:`~repro.rdf.sharding.ShardedTripleStore` (a Graph subclass)
-    whose triples are partitioned into N subject-hash shards, the unit
-    the durability layer snapshots and loads.  Every call site that
-    takes a ``Graph`` accepts either.
+    whose triples are partitioned into N subject-hash shards.  Every
+    method here that routes by subject or visits every shard serves both;
+    the subclass overrides only the order of a read spanning its shards.
+    Every call site that takes a ``Graph`` accepts either.
     """
 
     #: overridden by :class:`~repro.rdf.sharding.ShardedTripleStore`;
@@ -91,13 +266,9 @@ class Graph:
     def __init__(self, identifier: Optional[str] = None, shards: Optional[int] = None):
         self.identifier = identifier
         self._dict = TermDict()
-        self._spo: IdIndex = {}
-        self._pos: IdIndex = {}
-        self._osp: IdIndex = {}
+        #: the storage; a subject's triples all live in ``shard_of(s)``
+        self._shards: Tuple[Shard, ...] = (Shard(),)
         self._size = 0
-        #: subject ID -> its triple count, written with SPO (a key leaves
-        #: with the subject's last triple); empty on a sharded store
-        self._sizes: Dict[int, int] = {}
         self._generation = 0
         self._derived: Dict[str, object] = {}
         #: attached durability journal (:class:`repro.rdf.durability.Journal`)
@@ -142,6 +313,17 @@ class Graph:
         """
         return self._generation
 
+    # -- shard topology --------------------------------------------------------
+
+    @property
+    def shards(self) -> Tuple[Shard, ...]:
+        """The storage units, one for a plain graph."""
+        return self._shards
+
+    def shard_of(self, subject_id: int) -> Shard:
+        """The shard owning *subject_id* (subject-hash partition rule)."""
+        return self._shards[subject_id % len(self._shards)]
+
     # -- dictionary access ---------------------------------------------------
 
     @property
@@ -162,23 +344,28 @@ class Graph:
         return len(self._dict)
 
     # -- ID-level index views (do not mutate) --------------------------------
+    # A plain graph's views, like its spanning scans below, read its one
+    # shard in write order; ShardedTripleStore overrides them with merges.
 
     def spo_ids(self) -> IdIndex:
-        return self._spo
+        return self._shards[0].spo
 
     def pos_ids(self) -> IdIndex:
-        return self._pos
+        return self._shards[0].pos
 
     def osp_ids(self) -> IdIndex:
-        return self._osp
+        return self._shards[0].osp
 
     def node_ids(self) -> Set[int]:
         """IDs occurring as subject or object -- the property-path universe."""
-        return set(self._spo) | set(self._osp)
+        shard = self._shards[0]
+        return set(shard.spo) | set(shard.osp)
 
     def is_node_id(self, term_id: int) -> bool:
         """Does *term_id* occur as a subject or object (path universe)?"""
-        return term_id in self._spo or term_id in self._osp
+        if term_id in self.shard_of(term_id).spo:
+            return True
+        return any(term_id in shard.osp for shard in self._shards)
 
     def is_node_term(self, term: Term) -> bool:
         """Does *term* occur as a subject or object (path universe)?"""
@@ -200,25 +387,12 @@ class Graph:
         p = d.encode(triple.predicate)
         o = d.encode(triple.object)
         self._generation += 1
-        self._insert_ids(s, p, o)
+        self.shard_of(s).insert(s, p, o)
         d.incref(s)
         d.incref(p)
         d.incref(o)
         self._size += 1
         return True
-
-    def _insert_ids(self, s: int, p: int, o: int) -> None:
-        """Index an ID triple known to be absent (sharded stores route)."""
-        insert_ids(self._spo, self._pos, self._osp, s, p, o)
-        self._sizes[s] = self._sizes.get(s, 0) + 1
-
-    def _discard_ids(self, s: int, p: int, o: int) -> None:
-        """Unindex an ID triple known to be present (sharded stores route)."""
-        discard_ids(self._spo, self._pos, self._osp, s, p, o)
-        if s in self._spo:
-            self._sizes[s] -= 1
-        else:
-            del self._sizes[s]
 
     def add_triple(self, subject: _SubjectLike, predicate: IRI, obj: Term) -> bool:
         """Convenience: build and insert a :class:`Triple`."""
@@ -231,24 +405,42 @@ class Graph:
         )
 
     def add_many_terms(self, spo_terms: Iterable[Tuple[Term, IRI, Term]]) -> int:
-        """Bulk-load ``(subject, predicate, object)`` term tuples.
+        """Bulk-load ``(subject, predicate, object)`` term tuples; return
+        how many were new.
 
-        The fast path for generators and graph copies: one tight loop with
-        the dictionary, indexes and refcounts bound to locals, no per-triple
-        method dispatch or :class:`Triple` wrappers.  Positions are not
-        type-checked; callers own the triple validity (generators and
-        parsers construct well-typed terms).
+        The fast path for generators, parsers and graph copies: one tight
+        loop with the dictionary and the indexes bound to locals, no
+        per-triple method dispatch or :class:`Triple` wrappers.  Positions
+        are not type-checked; callers own the triple validity (generators
+        and parsers construct well-typed terms).
+
+        Bulk input is overwhelmingly ``(s, p)``-major (``Graph.triples()``
+        iterates SPO, generators emit a subject's star contiguously with
+        its predicates grouped), so the owning shard, the subject's SPO
+        bucket, its triple count and its refcount resolve once per subject
+        *run*, and the POS bucket once per predicate run -- not once per
+        triple.  A non-contiguous repeat just re-resolves; correctness
+        never depends on the input order.
         """
         d = self._dict
         encode = d.encode
-        # Inline the intern-hit path: bulk loads re-see almost every term,
+        # Inline the intern-hit path: bulk loads re-see almost every term
+        # (a dataset has far fewer distinct terms than term occurrences),
         # so the common case is one dict probe, not a method call.
         lookup = d._term_to_id.get
         refcount = d._refcount
-        spo, pos, osp = self._spo, self._pos, self._osp
-        sizes = self._sizes
+        shards = self._shards
+        n_shards = len(shards)
         wal = self._wal
         added = 0
+        last_s: Optional[int] = None
+        last_p: Optional[int] = None
+        shard: Optional[Shard] = None
+        spo = pos = osp = sizes = by_predicate = by_object = None
+        # Per-run accumulators flushed on run change: the subject's
+        # refcount, triple count and shard size and the predicate's
+        # refcount move once per run instead of once per triple.
+        subject_run = predicate_run = 0
         try:
             for s_term, p_term, o_term in spo_terms:
                 # An unknown term looks up as None, which is no key of any
@@ -256,38 +448,68 @@ class Graph:
                 s = lookup(s_term)
                 p = lookup(p_term)
                 o = lookup(o_term)
-                by_predicate = spo.get(s)
+                if s != last_s or s is None:
+                    if predicate_run:
+                        refcount[last_p] += predicate_run
+                        predicate_run = 0
+                    if subject_run:
+                        refcount[last_s] += subject_run
+                        sizes[last_s] = sizes.get(last_s, 0) + subject_run
+                        shard.size += subject_run
+                        subject_run = 0
+                    last_s = s
+                    last_p = by_predicate = None
+                    if s is not None:
+                        shard = shards[s % n_shards]
+                        spo, pos, osp, sizes = shard.spo, shard.pos, shard.osp, shard.sizes
+                        by_predicate = spo.get(s)
                 objects = None if by_predicate is None else by_predicate.get(p)
                 if objects is not None and o in objects:
                     continue
-                # Logged before the dictionary or an index learns anything:
-                # a failed append leaves the store as the last triple left it.
+                # Logged before the dictionary or a shard learns anything: a
+                # failed append leaves the store as the last triple left it.
                 if wal is not None:
                     wal.log_add(s_term, p_term, o_term)
                 if s is None:
-                    s = encode(s_term)
+                    s = last_s = encode(s_term)
+                    shard = shards[s % n_shards]
+                    spo, pos, osp, sizes = shard.spo, shard.pos, shard.osp, shard.sizes
                 if p is None:
                     p = encode(p_term)
                 if o is None:
                     o = encode(o_term)
+                if not subject_run:
+                    # bulk writes bypass Shard.insert, so the shard's derived
+                    # state drops here: at the first triple of the subject run
+                    # that is actually new, never for a run of duplicates
+                    shard._columns = shard._snapshot = None
+                if p != last_p:
+                    if predicate_run:
+                        refcount[last_p] += predicate_run
+                        predicate_run = 0
+                    last_p = p
+                    by_object = pos.get(p)
+                    if by_object is None:
+                        by_object = pos[p] = {}
                 if by_predicate is None:
                     by_predicate = spo[s] = {}
-                    sizes[s] = 0
                 leaf_add(by_predicate, p, o)
-                sizes[s] += 1
-                by_object = pos.get(p)
-                if by_object is None:
-                    by_object = pos[p] = {}
                 leaf_add(by_object, o, s)
                 by_subject = osp.get(o)
                 if by_subject is None:
                     by_subject = osp[o] = {}
                 leaf_add(by_subject, s, p)
-                refcount[s] += 1
-                refcount[p] += 1
+                subject_run += 1
+                predicate_run += 1
                 refcount[o] += 1
                 added += 1
         finally:
+            if predicate_run:
+                refcount[last_p] += predicate_run
+            if subject_run:
+                refcount[last_s] += subject_run
+                sizes[last_s] = sizes.get(last_s, 0) + subject_run
+                shard.size += subject_run
             self._size += added
             if added:
                 self._generation += 1
@@ -308,7 +530,7 @@ class Graph:
         p = d.lookup(triple.predicate)
         o = d.lookup(triple.object)
         self._generation += 1
-        self._discard_ids(s, p, o)
+        self.shard_of(s).discard(s, p, o)
         d.decref(s)
         d.decref(p)
         d.decref(o)
@@ -328,11 +550,8 @@ class Graph:
                 self._wal.log_clear()
             self._generation += 1
         self._dict = TermDict()
-        self._spo = {}
-        self._pos = {}
-        self._osp = {}
+        self._shards = tuple(Shard() for _ in self._shards)
         self._size = 0
-        self._sizes = {}
 
     # -- lookup --------------------------------------------------------------
 
@@ -346,7 +565,7 @@ class Graph:
         o = d.lookup(triple.object)
         if s is None or p is None or o is None:
             return False
-        return o in self._spo.get(s, {}).get(p, ())
+        return o in self.shard_of(s).spo.get(s, {}).get(p, ())
 
     def __iter__(self) -> Iterator[Triple]:
         return self.triples()
@@ -359,60 +578,13 @@ class Graph:
     ) -> Iterator[Tuple[int, int, int]]:
         """Iterate ID triples matching the (possibly wildcard) ID pattern.
 
-        ``None`` in a position is a wildcard.  The most selective index for
-        the bound positions is used.  This is the scan primitive under the
+        ``None`` in a position is a wildcard.  A subject-bound pattern
+        reads its owning shard, any other the one shard in write order
+        (:meth:`Shard.triples_ids`).  This is the scan primitive under the
         SPARQL hash-join pipeline.
         """
-        if s is not None:
-            by_predicate = self._spo.get(s)
-            if not by_predicate:
-                return
-            if p is not None:
-                objects = by_predicate.get(p)
-                if not objects:
-                    return
-                if o is not None:
-                    if o in objects:
-                        yield (s, p, o)
-                    return
-                for obj in objects:
-                    yield (s, p, obj)
-                return
-            for pred, objects in by_predicate.items():
-                if o is not None:
-                    if o in objects:
-                        yield (s, pred, o)
-                    continue
-                for obj in objects:
-                    yield (s, pred, obj)
-            return
-
-        if p is not None:
-            by_object = self._pos.get(p)
-            if not by_object:
-                return
-            if o is not None:
-                for subj in by_object.get(o, ()):
-                    yield (subj, p, o)
-                return
-            for obj, subjects in by_object.items():
-                for subj in subjects:
-                    yield (subj, p, obj)
-            return
-
-        if o is not None:
-            by_subject = self._osp.get(o)
-            if not by_subject:
-                return
-            for subj, predicates in by_subject.items():
-                for pred in predicates:
-                    yield (subj, pred, o)
-            return
-
-        for subj, by_predicate in self._spo.items():
-            for pred, objects in by_predicate.items():
-                for obj in objects:
-                    yield (subj, pred, obj)
+        shard = self._shards[0] if s is None else self.shard_of(s)
+        return shard.triples_ids(s, p, o)
 
     def scan_columns(
         self,
@@ -478,18 +650,18 @@ class Graph:
         the first unbound level of the index ``scan_columns`` walks -- its
         triple position, its keys in scan order and the matching triples
         each heads, both lazy (a subject's size is looked up in the count
-        ``_sizes`` keeps, any other key's is a leaf length).  No key heads
+        its shard keeps, any other key's is a leaf length).  No key heads
         zero triples (removes drop emptied inner dicts), so the keys are
         that position's values in first-seen order.  None without such a
         level (``s ? o``, ``s p o``, a bound second level) or a single
-        index order (a routed scan).
+        index order (a spanning scan of a sharded store).
         """
         view = self._scan_view(s, p, o)
         if view is None or (s, p, o).count(None) == 1:  # two bound levels
             return None
         order, keys, inners = view
         if s is None and p is None and o is None:
-            return order[0], keys, map(self._sizes.__getitem__, keys)
+            return order[0], keys, map(self._shards[0].sizes.__getitem__, keys)
         (inner,) = inners
         return order[1], inner, map(len, inner.values())
 
@@ -500,12 +672,13 @@ class Graph:
         each index level.  None when the bound positions are no prefix of
         that index (``s ? o`` and ``s p o``: one subject's rows at most).
         """
+        shard = self._shards[0]
         if s is not None or (p is None and o is None):
-            order, index, first, second, third = (0, 1, 2), self._spo, s, p, o
+            order, index, first, second, third = (0, 1, 2), shard.spo, s, p, o
         elif p is not None:
-            order, index, first, second, third = (1, 2, 0), self._pos, p, o, None
+            order, index, first, second, third = (1, 2, 0), shard.pos, p, o, None
         else:
-            order, index, first, second, third = (2, 0, 1), self._osp, o, None, None
+            order, index, first, second, third = (2, 0, 1), shard.osp, o, None, None
         if third is not None:
             return None
         if first is None:
@@ -552,20 +725,25 @@ class Graph:
         p: Optional[int] = None,
         o: Optional[int] = None,
     ) -> int:
-        """Count ID triples matching the pattern without materializing them."""
-        if s is None and p is None and o is None:
+        """Count ID triples matching the pattern without materializing them:
+        a subject-bound pattern asks its owning shard, any other sums the
+        shards' index sizes."""
+        if s is not None:
+            shard = self.shard_of(s)
+            if p is None and o is None:
+                return shard.sizes.get(s, 0)
+            if o is None:
+                return len(shard.spo.get(s, {}).get(p, ()))
+            return sum(1 for _ in shard.triples_ids(s, p, o))
+        if p is None and o is None:
             return self._size
-        if s is not None and p is not None and o is None:
-            return len(self._spo.get(s, {}).get(p, ()))
-        if s is not None and p is None and o is None:
-            return self._sizes.get(s, 0)
-        if p is not None and s is None and o is None:
-            return sum(len(v) for v in self._pos.get(p, {}).values())
-        if p is not None and o is not None and s is None:
-            return len(self._pos.get(p, {}).get(o, ()))
-        if o is not None and s is None and p is None:
-            return sum(len(v) for v in self._osp.get(o, {}).values())
-        return sum(1 for _ in self.triples_ids(s, p, o))
+        if o is None:
+            return sum(
+                sum(map(len, shard.pos.get(p, {}).values())) for shard in self._shards
+            )
+        if p is not None:
+            return sum(len(shard.pos.get(p, {}).get(o, ())) for shard in self._shards)
+        return sum(sum(map(len, shard.osp.get(o, {}).values())) for shard in self._shards)
 
     def count(
         self,
@@ -600,7 +778,7 @@ class Graph:
             o = self._dict.lookup(obj)
             if p is None or o is None:
                 return
-            for s in self._pos.get(p, {}).get(o, ()):
+            for s in self._shards[0].pos.get(p, {}).get(o, ()):
                 yield decode(s)
             return
         seen = set()
@@ -625,7 +803,7 @@ class Graph:
             p = self._dict.lookup(predicate)
             if s is None or p is None:
                 return
-            for o in self._spo.get(s, {}).get(p, ()):
+            for o in self.shard_of(s).spo.get(s, {}).get(p, ()):
                 yield decode(o)
             return
         seen = set()
@@ -644,38 +822,34 @@ class Graph:
 
     # -- schema-level helpers used by index extraction ---------------------
 
+    def _leaves(self, predicate: IRI, obj: Term) -> List:
+        """Every shard's POS leaf of ``(?, predicate, obj)``: its subject IDs."""
+        p = self._dict.lookup(predicate)
+        o = self._dict.lookup(obj)
+        if p is None or o is None:
+            return []
+        return [shard.pos.get(p, {}).get(o, ()) for shard in self._shards]
+
     def classes(self) -> Set[Term]:
         """Distinct instantiated classes (objects of ``rdf:type``)."""
         p = self._dict.lookup(RDF.type)
         if p is None:
             return set()
         decode = self._dict.decode
-        return {decode(o) for o in self._pos.get(p, {})}
+        return {decode(o) for shard in self._shards for o in shard.pos.get(p, {})}
 
     def instances_of(self, cls: Term) -> Set[Term]:
         """Subjects typed as *cls*."""
-        p = self._dict.lookup(RDF.type)
-        o = self._dict.lookup(cls)
-        if p is None or o is None:
-            return set()
         decode = self._dict.decode
-        return {decode(s) for s in self._pos.get(p, {}).get(o, ())}
+        return {decode(s) for leaf in self._leaves(RDF.type, cls) for s in leaf}
 
     def class_count(self, cls: Term) -> int:
-        p = self._dict.lookup(RDF.type)
-        o = self._dict.lookup(cls)
-        if p is None or o is None:
-            return 0
-        return len(self._pos.get(p, {}).get(o, ()))
+        return sum(map(len, self._leaves(RDF.type, cls)))
 
     def subclasses(self, cls: Term) -> Set[Term]:
         """Direct rdfs:subClassOf children of *cls*."""
-        p = self._dict.lookup(RDFS.subClassOf)
-        o = self._dict.lookup(cls)
-        if p is None or o is None:
-            return set()
         decode = self._dict.decode
-        return {decode(s) for s in self._pos.get(p, {}).get(o, ())}
+        return {decode(s) for leaf in self._leaves(RDFS.subClassOf, cls) for s in leaf}
 
     def label(self, subject: Term) -> Optional[str]:
         """The rdfs:label of *subject* if present, as a plain string."""
@@ -689,7 +863,7 @@ class Graph:
     def save(self, root: str, injector=None) -> dict:
         """Commit a durable snapshot of this graph under *root*.
 
-        Columnar per-shard snapshot files + term-dictionary segments +
+        A columnar snapshot file per shard + term-dictionary segments +
         a fresh write-ahead-log segment, committed by an atomic manifest
         swap; what *root*'s last commit of this graph already holds
         unchanged is not written again.  Returns the manifest.  See
@@ -712,8 +886,8 @@ class Graph:
         :class:`~repro.rdf.sharding.ShardedTripleStore` per the manifest.
         ``lazy`` defers per-shard index builds to first touch (default for
         sharded stores); ``verify`` checks each shard's content digest
-        against the manifest -- before WAL replay, or for a lazy shard when
-        it hydrates (default for eager loads).
+        against the manifest -- before WAL replay, or for a lazy shard
+        before it serves a row (default for eager loads).
         """
         from .durability import load_graph
 
@@ -727,15 +901,13 @@ class Graph:
 
     def copy(self) -> "Graph":
         """A structural clone sharing no mutable state with the original."""
-        out = Graph(identifier=self.identifier)
+        out = type(self)(identifier=self.identifier)
         out._dict = self._dict.copy()
-        out._spo = copy_index(self._spo)
-        out._pos = copy_index(self._pos)
-        out._osp = copy_index(self._osp)
+        out._shards = tuple(shard.copy() for shard in self._shards)
         out._size = self._size
-        out._sizes = dict(self._sizes)
         return out
 
     def __repr__(self) -> str:
         name = self.identifier or "anonymous"
-        return f"<Graph {name!r} with {self._size} triples>"
+        over = f" over {len(self._shards)} shards" if self.is_sharded else ""
+        return f"<{type(self).__name__} {name!r} with {self._size} triples{over}>"

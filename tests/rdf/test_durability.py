@@ -29,7 +29,7 @@ from repro.rdf import (
     save_graph,
 )
 from repro.rdf.dictionary import TermDict
-from repro.rdf.sharding import sorted_columns
+from repro.rdf.graph import sorted_columns
 from repro.rdf.durability import (
     DurabilityError,
     LazyShard,
@@ -264,7 +264,7 @@ class TestManifest:
         g = _world(shards=2)
         first = save_graph(g, root)
         g.add(_triple(90, 0))
-        owner = g.shard_index(g.lookup_id(_triple(90, 0).subject))
+        owner = g.lookup_id(_triple(90, 0).subject) % len(g.shards)
         manifest = save_graph(g, root)
         assert manifest["epoch"] == 2
         old = [entry["file"] for entry in first["shard_files"]]
@@ -301,7 +301,7 @@ class TestLazyShards:
         lazy = load_graph(root, lazy=True)
         assert all(not s.hydrated for s in lazy.shards)
         assert len(lazy) == len(g)
-        assert lazy.shard_sizes() == g.shard_sizes()
+        assert tuple(map(len, lazy.shards)) == tuple(map(len, g.shards))
         # none of the above touched an index
         assert all(not s.hydrated for s in lazy.shards)
 
@@ -345,6 +345,41 @@ class TestLazyShards:
         assert rows == QueryEngine(g).run(query).rows
         assert all(not s.hydrated for s in lazy.shards)
 
+    def test_a_verified_lazy_store_serves_no_unverified_row(self, tmp_path):
+        """With ``verify=True`` a cold shard checks its digest before its
+        snapshot run is served: a whole-graph SELECT over shards whose
+        manifest digests are all off by one raises, as the eager load
+        does, instead of returning the rows."""
+        root = str(tmp_path)
+        save_graph(_world(shards=2, n=5, preds=4), root)
+        manifest = read_manifest(root)
+        for entry in manifest["shard_files"]:
+            entry["digest"] = f"sha256-sum:{int(entry['digest'][11:], 16) + 1:064x}"
+        manifest["digest"] = "sha256-sum:%064x" % (
+            sum(int(entry["digest"][11:], 16) for entry in manifest["shard_files"]) % (1 << 256)
+        )
+        write_manifest(root, manifest)
+        with pytest.raises(DurabilityError, match="digests to"):
+            load_graph(root, lazy=False, verify=True)
+        lazy = load_graph(root, lazy=True, verify=True)
+        with pytest.raises(DurabilityError, match="digests to"):
+            QueryEngine(lazy).run("SELECT * WHERE { ?s ?p ?o }")
+
+    def test_a_plain_store_loads_lazily(self, tmp_path):
+        """``lazy=True`` on a plain graph's store is honoured: its one shard
+        is a cold :class:`LazyShard` until a read touches it."""
+        root = str(tmp_path)
+        g = _world(shards=None)
+        save_graph(g, root)
+        lazy = load_graph(root, lazy=True)
+        assert type(lazy) is Graph and len(lazy.shards) == 1
+        (shard,) = lazy.shards
+        assert isinstance(shard, LazyShard) and not shard.hydrated
+        assert len(lazy) == len(g)
+        assert not shard.hydrated
+        assert list(lazy.triples()) == list(load_graph(root, lazy=False).triples())
+        assert shard.hydrated and content_digest(lazy) == content_digest(g)
+
     def test_write_to_cold_shard_hydrates_and_merges(self, tmp_path):
         root = str(tmp_path)
         g = _world(shards=4, n=16)
@@ -380,7 +415,7 @@ class TestSaveLoadFacade:
             assert type(back) is Graph
         else:
             assert isinstance(back, ShardedTripleStore)
-            assert back.num_shards == g.num_shards
+            assert len(back.shards) == len(g.shards)
 
     def test_wal_tail_replayed_and_idempotent(self, tmp_path):
         root = str(tmp_path)

@@ -122,7 +122,7 @@ class DurableStore(RuleBasedStateMachine):
         if not self.shards:
             return {0} if changed else set()
         graph = self.graph
-        return {graph.shard_index(graph.lookup_id(t.subject)) for t in changed}
+        return {graph.lookup_id(t.subject) % len(graph.shards) for t in changed}
 
     def _wrote(self, added=(), removed=(), owners=()):
         """The graph just gained *added* and lost *removed* (both real)."""
@@ -153,9 +153,7 @@ class DurableStore(RuleBasedStateMachine):
             index for index, entry in enumerate(manifest["shard_files"])
             if entry["epoch"] == manifest["epoch"]
         }
-        if not self.shards:
-            assert rewritten == {0}  # a plain Graph is always rewritten
-        elif self.touched is not None:
+        if self.touched is not None:  # a plain Graph is one shard like any other
             assert rewritten == self.touched
         assert orphan_files(self.root, manifest) == []
         self.durable = set(self.live)

@@ -63,7 +63,7 @@ def _world(shards=SHARDS, n=40, preds=4) -> Graph:
     graph = Graph(identifier="world", shards=shards)
     graph.add_many(_triple(i, j) for i in range(n) for j in range(preds))
     if shards:
-        assert all(graph.shard_sizes())
+        assert all(map(len, graph.shards))
     return graph
 
 
@@ -80,7 +80,7 @@ def _written(before: dict, after: dict) -> set:
 
 
 def _owner(graph: Graph, subject: IRI) -> int:
-    return graph.shard_index(graph.lookup_id(subject))
+    return graph.lookup_id(subject) % len(graph.shards)
 
 
 def _table(term_dict):
@@ -179,17 +179,26 @@ class TestWorkAsCounts:
         model.add(extra)
         assert content_digest(load_graph(root, lazy=False, verify=True)) == content_digest(model)
 
-    def test_plain_graph_is_one_pseudo_shard_always_rewritten(self, tmp_path):
+    def test_an_unchanged_plain_graph_is_not_rewritten(self, tmp_path):
+        """A plain graph is one shard like any other: a re-save with no
+        change writes no ``.snap``, and one after a write rewrites that
+        shard and a delta segment."""
         root = str(tmp_path)
         graph = _world(shards=None)
-        graph.save(root)
+        first = graph.save(root)
+        before = _dir_state(root)
+        manifest = graph.save(root)
+        assert _written(before, _dir_state(root)) == {wal_file(2), MANIFEST}
+        assert manifest["shard_files"] == first["shard_files"]
+        assert manifest["termdict"] == first["termdict"]
+        assert graph.add(_triple(99, 0))
         before = _dir_state(root)
         manifest = graph.save(root)
         assert _written(before, _dir_state(root)) == {
-            shard_file(0, 2), termdict_file(2), wal_file(2), MANIFEST,
+            shard_file(0, 3), termdict_file(3), wal_file(3), MANIFEST,
         }
-        # nothing moved, so the segment is a header: allocation state, no rows
-        assert [d["rows"] for d in manifest["termdict"]["deltas"]] == [0]
+        assert [d["epoch"] for d in manifest["termdict"]["deltas"]] == [3]
+        assert orphan_files(root, manifest) == []
         assert content_digest(load_graph(root, verify=True)) == content_digest(graph)
 
     def test_readding_a_stores_own_triples_changes_nothing(self, tmp_path):
@@ -219,7 +228,7 @@ class TestWorkAsCounts:
         graph.save(root)
         runs = [shard.columns() for shard in graph.shards]
         new = _triple(900, 0)
-        owner = graph.shard_index(graph.dictionary.encode(new.subject))
+        owner = graph.dictionary.encode(new.subject) % len(graph.shards)
         # a run of duplicates, then one new triple
         assert graph.add_many([_triple(0, 0), _triple(1, 1), new]) == 1
         expected = [index != owner for index in range(SHARDS)]

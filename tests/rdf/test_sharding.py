@@ -25,7 +25,7 @@ class TestFacade:
         g = Graph(shards=4)
         assert isinstance(g, ShardedTripleStore)
         assert isinstance(g, Graph)
-        assert g.is_sharded and g.num_shards == 4
+        assert g.is_sharded and len(g.shards) == 4
 
     def test_plain_graph_is_not_sharded(self):
         g = Graph()
@@ -56,13 +56,13 @@ class TestPartitioning:
         g = _populate(Graph(shards=4))
         for s, by_p in g.spo_ids().items():
             shard = g.shard_of(s)
-            assert g.shard_index(s) == s % 4
+            assert shard is g.shards[s % 4]
             for p, objects in by_p.items():
                 assert shard.spo[s][p] == objects
 
     def test_shards_partition_the_store(self):
         g = _populate(Graph(shards=4))
-        assert sum(g.shard_sizes()) == len(g)
+        assert sum(map(len, g.shards)) == len(g)
         subjects = [set(shard.spo) for shard in g.shards]
         for i in range(4):
             for j in range(i + 1, 4):
@@ -96,7 +96,7 @@ class TestPartitioning:
 
 
 class TestMutationParity:
-    """Random add/remove keeps shards and global indexes in lockstep."""
+    """Random add/remove keeps the shards and the store's counts in lockstep."""
 
     def test_random_churn_keeps_partition_consistent(self):
         rng = random.Random(7)
@@ -111,7 +111,7 @@ class TestMutationParity:
             else:
                 assert g.remove(t) == (t in live)
                 live.discard(t)
-            assert sum(g.shard_sizes()) == len(g) == len(live)
+            assert sum(map(len, g.shards)) == len(g) == len(live)
         merged = sorted(x for shard in g.shards for x in shard.triples_ids())
         assert merged == sorted(g.triples_ids())
 
@@ -131,63 +131,69 @@ class TestMutationParity:
             (t.subject, t.predicate, t.object)
             for t in (_triple(i, j) for i in range(6) for j in range(4))
         )
-        assert added == 24 == len(g) == sum(g.shard_sizes())
+        assert added == 24 == len(g) == sum(map(len, g.shards))
         # duplicates are not double-counted anywhere
         assert g.add_many_terms([(_triple(0, 0).subject, _triple(0, 0).predicate, _triple(0, 0).object)]) == 0
-        assert len(g) == sum(g.shard_sizes()) == 24
+        assert len(g) == sum(map(len, g.shards)) == 24
 
     def test_clear_resets_shards(self):
         g = _populate(Graph(shards=4))
         generation = g.generation
         g.clear()
-        assert len(g) == 0 and g.shard_sizes() == (0, 0, 0, 0)
+        assert len(g) == 0 and tuple(map(len, g.shards)) == (0, 0, 0, 0)
         assert g.generation > generation
         g.add(_triple(1, 1))
-        assert sum(g.shard_sizes()) == 1
+        assert sum(map(len, g.shards)) == 1
 
     def test_copy_is_independent_and_sharded(self):
         g = _populate(Graph(shards=4))
         clone = g.copy()
         assert isinstance(clone, ShardedTripleStore)
-        assert clone.shard_sizes() == g.shard_sizes()
+        assert tuple(map(len, clone.shards)) == tuple(map(len, g.shards))
         clone.add(_triple(99, 1))
         assert len(clone) == len(g) + 1
-        assert sum(g.shard_sizes()) == len(g)
+        assert sum(map(len, g.shards)) == len(g)
 
     def test_from_graph_reencodes_identically_per_count(self):
         plain = _populate(Graph())
         stores = [ShardedTripleStore.from_graph(plain, n) for n in (1, 2, 4, 8)]
         for store in stores:
             assert set(store.triples()) == set(plain.triples())
-            assert sum(store.shard_sizes()) == len(plain)
+            assert sum(map(len, store.shards)) == len(plain)
         # the shared-dictionary ID assignment is a pure function of the
         # source iteration order, so sorted ID runs agree across counts
         runs = [sorted(x for s in store.shards for x in s.triples_ids()) for store in stores]
         assert runs.count(runs[0]) == len(runs)
 
 
+def _cells(index):
+    return sum(len(leaves) for mid in index.values() for leaves in mid.values())
+
+
 class TestSingleCopyStorage:
     """The shards are the only storage: no global double-write remains."""
 
-    def test_global_indexes_stay_empty(self):
+    def test_the_shards_are_the_only_storage(self):
+        """A graph holds no index of its own: the cells of its shards'
+        SPO/POS/OSP are the whole store."""
         g = _populate(Graph(shards=4))
-        assert g._spo == {} and g._pos == {} and g._osp == {}
-        assert sum(g.shard_sizes()) == len(g) == 48
+        assert not any(hasattr(g, name) for name in ("_spo", "_pos", "_osp"))
+        assert sum(map(len, g.shards)) == len(g) == 48
+        assert sum(
+            _cells(shard.spo) + _cells(shard.pos) + _cells(shard.osp) for shard in g.shards
+        ) == 3 * len(g)
 
     def test_three_index_cells_per_triple(self):
         """The memory half of the single-copy claim as a count: one cell
-        per triple in each of SPO/POS/OSP across global + shard indexes,
-        where the double-write layout it replaced held six."""
-
-        def cells(index):
-            return sum(len(leaves) for mid in index.values() for leaves in mid.values())
-
-        for shards in (1, 4):
+        per triple in each of SPO/POS/OSP across the shards, where the
+        double-write layout it replaced held six."""
+        for shards in (None, 1, 4):
             g = _populate(Graph(shards=shards))  # the bulk write path ...
             assert g.add(_triple(99, 0))  # ... and the single-triple one
-            total = cells(g._spo) + cells(g._pos) + cells(g._osp)
-            for shard in g.shards:
-                total += cells(shard.spo) + cells(shard.pos) + cells(shard.osp)
+            total = sum(
+                _cells(shard.spo) + _cells(shard.pos) + _cells(shard.osp)
+                for shard in g.shards
+            )
             assert total == 3 * len(g)
 
     def test_routed_point_lookups(self):

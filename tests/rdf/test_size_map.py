@@ -1,16 +1,17 @@
 """A subject's triple count is kept with SPO, through every writer.
 
-An unsharded :class:`Graph` keeps ``_sizes`` (subject ID -> its triple
-count) beside its indexes, so ``scan_runs`` and ``count_ids(s)`` read a
-count instead of summing leaf lengths.  That is only sound while every
-writer moves the count in the step that moves SPO.  This machine
-interleaves them all -- add, a duplicate add, remove, an absent remove,
-``add_many_terms`` with duplicates and from a generator that raises
-midway, ``remove_pattern``, ``clear``, ``copy`` (then either side written
-on its own), ``+=``, save then eager load, and WAL replay with a torn tail
--- and after every step checks the map against the index it mirrors: the
-same key set, each value the subject's leaf lengths summed, no zero, and
-the values adding up to ``len(graph)``.
+Every :class:`Shard` keeps ``sizes`` (subject ID -> its triple count)
+beside its indexes, so ``scan_runs`` and ``count_ids(s)`` read a count
+instead of summing leaf lengths.  That is only sound while every writer
+moves the count in the step that moves SPO.  This machine interleaves them
+all -- add, a duplicate add, remove, an absent remove, ``add_many_terms``
+with duplicates and from a generator that raises midway,
+``remove_pattern``, ``clear``, ``copy`` (then either side written on its
+own), ``+=``, save then eager load, and WAL replay with a torn tail -- on
+a plain graph and on a three-shard store, and after every step checks
+each shard's map against the index it mirrors: the same key set, each
+value the subject's leaf lengths summed, no zero, and the values adding
+up to the shard's size (and over the shards, to ``len(graph)``).
 """
 
 from __future__ import annotations
@@ -42,10 +43,12 @@ batches = st.lists(triples, min_size=1, max_size=8)
 
 
 def assert_counts_mirror_spo(graph: Graph) -> None:
-    spo = graph.spo_ids()
-    assert graph._sizes == {s: sum(map(len, inner.values())) for s, inner in spo.items()}
-    assert 0 not in graph._sizes.values()
-    assert sum(graph._sizes.values()) == len(graph)
+    for shard in graph.shards:
+        spo = shard.spo
+        assert shard.sizes == {s: sum(map(len, inner.values())) for s, inner in spo.items()}
+        assert 0 not in shard.sizes.values()
+        assert sum(shard.sizes.values()) == len(shard)
+    assert sum(map(len, graph.shards)) == len(graph)
 
 
 class _Midway(Exception):
@@ -53,11 +56,14 @@ class _Midway(Exception):
 
 
 class SizeMap(RuleBasedStateMachine):
+    #: the shard count the machine's graph starts with (None: a plain graph)
+    SHARDS = None
+
     def __init__(self):
         super().__init__()
         self.tmp = tempfile.TemporaryDirectory()
         self.saves = 0
-        self.graph = Graph()
+        self.graph = Graph(shards=self.SHARDS)
         #: a copy taken earlier, written to on its own
         self.other = None
         self.journal = None
@@ -183,17 +189,27 @@ class SizeMap(RuleBasedStateMachine):
             assert_counts_mirror_spo(self.other)
 
 
+class ShardedSizeMap(SizeMap):
+    SHARDS = 3
+
+
 TestSizeMap = SizeMap.TestCase
 TestSizeMap.settings = settings(max_examples=60, stateful_step_count=25, deadline=None)
+TestShardedSizeMap = ShardedSizeMap.TestCase
+TestShardedSizeMap.settings = TestSizeMap.settings
 
 
-def test_a_sharded_store_keeps_no_map():
-    """``ShardedTripleStore`` routes its writes to shards and keeps its own
-    ``count_ids``; the unsharded map stays empty whatever it is written."""
+def test_each_shard_keeps_its_subjects_counts():
+    """A sharded store keeps the map per shard, each equal to its own
+    leaf sums; ``count_ids(s)`` reads the owning shard's count, and the
+    spanning ``scan_runs`` still declines."""
     store = Graph(shards=2)
     store.add_many(_triple(s, p, o) for s in range(5) for p in range(2) for o in range(3))
     store.remove(_triple(0, 0, 0))
     store.remove_pattern(subject=IRI(f"{EX}n1"))
-    assert store._sizes == {} and store.copy()._sizes == {}
+    for graph in (store, store.copy()):
+        assert_counts_mirror_spo(graph)
+        assert all(shard.sizes for shard in graph.shards)
     subject = store.lookup_id(IRI(f"{EX}n2"))
+    assert store.shard_of(subject).sizes[subject] == 6
     assert store.count_ids(subject) == 6 and store.scan_runs(None, None, None) is None

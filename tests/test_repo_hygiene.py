@@ -383,22 +383,24 @@ class TestWrittenOnce:
             (4, False), (6, False), (7, False), (8, True),
         ]
 
-    #: ``module::function`` that may write ``Graph._sizes``: the writers of
-    #: the SPO index it mirrors, each in the step that writes SPO
+    #: ``module::function`` that may write a shard's ``sizes``: the writers
+    #: of the SPO index it mirrors, each in the step that writes SPO --
+    #: ``Shard.__init__`` / ``insert`` / ``discard`` / ``copy``, the bulk
+    #: loop of ``Graph.add_many_terms``, and the two snapshot loads
     SIZE_MAP_WRITERS = {
-        "rdf/graph.py::__init__", "rdf/graph.py::_insert_ids", "rdf/graph.py::_discard_ids",
-        "rdf/graph.py::add_many_terms", "rdf/graph.py::clear", "rdf/graph.py::copy",
-        "rdf/durability/store.py::_load_graph",
+        "rdf/graph.py::__init__", "rdf/graph.py::insert", "rdf/graph.py::discard",
+        "rdf/graph.py::add_many_terms", "rdf/graph.py::copy",
+        "rdf/durability/store.py::_hydrate", "rdf/durability/store.py::_load_graph",
     }
 
     @staticmethod
     def _size_map_writers(nodes):
-        """Functions that assign ``<x>._sizes``, store into or delete from
-        it, call a mutator on it, or bind it to a name (the bulk loop's
-        local)."""
+        """Functions that assign ``<x>.sizes``, store into or delete from
+        it, call a mutator on it, or bind it to a name, alone or in a tuple
+        (the bulk loop's local)."""
 
         def is_map(node):
-            return isinstance(node, ast.Attribute) and node.attr == "_sizes"
+            return isinstance(node, ast.Attribute) and node.attr == "sizes"
 
         def writes(node):
             stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
@@ -409,7 +411,10 @@ class TestWrittenOnce:
                 and is_map(node.func.value)
                 and node.func.attr in {"pop", "popitem", "update", "setdefault", "clear",
                                        "__setitem__", "__delitem__"}
-                or isinstance(node, ast.Assign) and is_map(node.value)
+                or isinstance(node, ast.Assign) and (
+                    is_map(node.value)
+                    or isinstance(node.value, ast.Tuple) and any(map(is_map, node.value.elts))
+                )
             )
 
         return {
@@ -432,21 +437,24 @@ class TestWrittenOnce:
     def test_the_writer_rule_matches_the_forms_it_forbids(self):
         forbidden = "\n".join([
             "def scan_runs(self, s, p, o):",  # a map built on first read
-            "    if not self._sizes:",
-            "        self._sizes = {k: sum(map(len, v.values())) for k, v in self._spo.items()}",
+            "    shard = self._shards[0]",
+            "    if not shard.sizes:",
+            "        shard.sizes = {k: sum(map(len, v.values())) for k, v in shard.spo.items()}",
             "def count_ids(self, s=None, p=None, o=None):",
-            "    return self._sizes.setdefault(s, 0)",
+            "    return self.shard_of(s).sizes.setdefault(s, 0)",
             "def _scan_view(self, s, p, o):",
-            "    sizes = self._sizes",
+            "    sizes = self._shards[0].sizes",
+            "def _merged(self):",
+            "    spo, sizes = self.spo, self.sizes",
             "def forget(graph):",
-            "    del graph._sizes[0]",
-            "def bump(graph):",
-            "    graph._sizes[1] += 1",
+            "    del graph.shards[0].sizes[0]",
+            "def bump(shard):",
+            "    shard.sizes[1] += 1",
             "def reads(self, s):",  # reads only: not matched
-            "    return self._sizes.get(s, 0) + sum(map(self._sizes.__getitem__, self._spo))",
+            "    return self.sizes.get(s, 0) + sum(map(self.sizes.__getitem__, self.spo))",
         ])
         assert self._size_map_writers(list(ast.walk(ast.parse(forbidden)))) == {
-            "scan_runs", "count_ids", "_scan_view", "forget", "bump",
+            "scan_runs", "count_ids", "_scan_view", "_merged", "forget", "bump",
         }
 
     @staticmethod
@@ -473,13 +481,16 @@ class TestWrittenOnce:
                     continue
                 if getattr(getattr(source, "func", None), "attr", None) != "values":
                     continue
-                if not {getattr(n, "attr", None) for n in ast.walk(source)} & {"_pos", "_osp"}:
+                if not {getattr(n, "attr", None) for n in ast.walk(source)} & {
+                    "pos", "osp", "_pos", "_osp"
+                }:
                     lines.append(node.lineno)
         return sorted(lines)
 
     def test_graph_sums_no_subjects_leaves(self):
-        """``scan_runs`` and ``count_ids(s)`` read ``Graph._sizes``; the
-        per-subject sums they retired do not come back beside it."""
+        """``scan_runs`` and ``count_ids(s)`` read the owning shard's
+        ``sizes``; the per-subject sums they retired do not come back
+        beside it."""
         (nodes,) = [nodes for path, nodes in self._modules("rdf") if path == "graph.py"]
         assert self._subject_size_sums(nodes) == []
 
@@ -497,8 +508,12 @@ class TestWrittenOnce:
             "class Shard:",
             "    def size(self, s):",
             "        return sum(map(len, self.spo[s].values()))",  # not Graph's
+            "class Graph:",
+            "    def count_ids(self, s=None, p=None, o=None):",
+            "        return sum(map(len, self.shard_of(s).spo.get(s, {}).values()))",
+            "        return sum(sum(map(len, sh.pos.get(p, {}).values())) for sh in self.shards)",
         ])
-        assert self._subject_size_sums(list(ast.walk(ast.parse(retired)))) == [3, 6]
+        assert self._subject_size_sums(list(ast.walk(ast.parse(retired)))) == [3, 6, 15]
 
     @staticmethod
     def _join_scores(nodes):
@@ -811,14 +826,45 @@ class TestWrittenOnce:
 
 
 class TestIndexStaysBehindRdf:
+    #: the index attributes of a ``Shard`` (and the names the store's
+    #: indexes had before they moved there)
+    INDEX_ATTRIBUTES = ("spo", "pos", "osp", "_spo", "_pos", "_osp")
+
+    #: ``path::function`` outside ``rdf/`` allowed to read a shard's index:
+    #: the index-nested-loop join walks the owning shard of a bound subject
+    EXEMPT = {"sparql/evaluator.py::_index_join_plain"}
+
+    @classmethod
+    def _index_reads(cls, tree):
+        """Names of the functions under *tree* (``<module>`` for top-level
+        code) reading ``<x>.spo`` / ``.pos`` / ``.osp`` or a former
+        ``_``-name, ``self.pos`` alone aside (the SPARQL parser's cursor)."""
+        found = set()
+
+        def visit(node, name):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.FunctionDef):
+                    visit(child, child.name)
+                    continue
+                if (
+                    isinstance(child, ast.Attribute)
+                    and child.attr in cls.INDEX_ATTRIBUTES
+                    and (getattr(child.value, "id", None), child.attr) != ("self", "pos")
+                ):
+                    found.add(name)
+                visit(child, name)
+
+        visit(tree, "<module>")
+        return found
+
     def test_no_index_attribute_outside_the_rdf_package(self):
-        """``Graph._spo`` / ``_pos`` / ``_osp`` are the store's
+        """A shard's ``spo`` / ``pos`` / ``osp`` are the store's
         representation: every other package reads rows through
         ``triples_ids`` / ``scan_columns`` / ``count_ids`` (or the
         documented ``*_ids()`` views), so the store can change what is
         behind them."""
         source = os.path.join(ROOT, "src", "repro")
-        leaks = []
+        leaks = set()
         for directory, _, files in os.walk(source):
             if os.path.relpath(directory, source).split(os.sep)[0] == "rdf":
                 continue
@@ -828,12 +874,30 @@ class TestIndexStaysBehindRdf:
                 path = os.path.join(directory, filename)
                 with open(path) as handle:
                     tree = ast.parse(handle.read())
-                leaks += [
-                    f"{os.path.relpath(path, ROOT)}:{node.lineno}"
-                    for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) and node.attr in ("_spo", "_pos", "_osp")
-                ]
-        assert not leaks, leaks
+                relative = os.path.relpath(path, source)
+                leaks |= {f"{relative}::{name}" for name in self._index_reads(tree)}
+        assert leaks == self.EXEMPT, leaks
+
+    def test_the_index_rule_matches_the_forms_it_forbids(self):
+        forbidden = "\n".join([
+            "def probe(graph, s):",
+            "    return graph.shard_of(s).spo.get(s)",
+            "def census(graph):",
+            "    return sum(len(shard.pos) for shard in graph.shards)",
+            "def legacy(graph, o):",
+            "    return graph._osp.get(o)",
+            "class Walker:",
+            "    def own(self, s):",
+            "        return self._spo.get(s)",
+            "    def public(self, o):",
+            "        return self.osp.get(o)",
+            "class Parser:",
+            "    def advance(self):",  # its own cursor: not matched
+            "        self.pos += 1",
+        ])
+        assert self._index_reads(ast.parse(forbidden)) == {
+            "probe", "census", "legacy", "own", "public",
+        }
 
 
 class TestLeafWrittenOnce:
@@ -1057,7 +1121,7 @@ class TestDurableStoreDerivedState:
     true of the content they were taken from and of no other."""
 
     def test_dropping_the_run_drops_the_snapshot_entry(self):
-        """Every block under ``rdf/sharding.py`` and ``rdf/durability/``
+        """Every block under ``rdf/graph.py`` and ``rdf/durability/``
         that sets ``<shard>._columns = None`` sets ``<shard>._snapshot =
         None`` too: a shard that forgot its run but still names a snapshot
         file would be skipped by the next checkpoint, which is silent loss."""
@@ -1072,7 +1136,7 @@ class TestDurableStoreDerivedState:
             )
 
         rdf = os.path.join(ROOT, "src", "repro", "rdf")
-        paths = [os.path.join(rdf, "sharding.py")] + [
+        paths = [os.path.join(rdf, "graph.py")] + [
             os.path.join(rdf, "durability", name)
             for name in sorted(os.listdir(os.path.join(rdf, "durability")))
             if name.endswith(".py")
