@@ -33,7 +33,7 @@ from ..viz.svg import SvgDocument
 from . import pipeline
 from .crawler import PortalCrawler
 from .exploration import ExplorationSession
-from .index_extraction import IndexExtractor
+from .index_extraction import ExtractionFailed, IndexExtractor
 from .models import ClusterSchema, SchemaSummary
 from .notifications import EmailOutbox
 from .parallel import run_parallel
@@ -213,8 +213,8 @@ class HBold:
                     if batch is not None:
                         return batch.get(class_iri, [])
                     return self.extractor.top_entities(url, class_iri, k=k)
-                except EndpointError:
-                    return []  # panel stays usable when the endpoint is down
+                except (EndpointError, ExtractionFailed):
+                    return []  # panel stays usable when the endpoint is down or garbled
 
             self._spotlights[url] = spotlight
         return ExplorationSession(

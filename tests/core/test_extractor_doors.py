@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import IndexExtractor
+from repro.core import ExtractionFailed, HBold, IndexExtractor
 from repro.endpoint import (
     AlwaysAvailable,
     EndpointNetwork,
@@ -21,7 +21,8 @@ from repro.endpoint import (
     SparqlClient,
     SparqlEndpoint,
 )
-from repro.rdf import parse_turtle
+from repro.rdf import Literal, parse_turtle
+from repro.sparql.results import SelectResult
 
 URL = "http://e/sparql"
 EX = "http://example.org/"
@@ -105,3 +106,73 @@ def test_the_smallest_counts_still_extract_everything(profile):
     assert sorted((l.source, l.property, l.target, l.count) for l in small.links) == sorted(
         (l.source, l.property, l.target, l.count) for l in default.links
     )
+
+
+# -- a COUNT cell is a non-negative integer ----------------------------------------
+
+#: COUNT cells the one count reader refuses: (id, lexical form).  Parsed
+#: with ``int(float(...))``, "NaN" / "abc" raised ValueError out of
+#: ``extract``, "INF" / "1e400" OverflowError, and "-3" / "2.5" were stored
+#: as -3 / 2 with ``complete=True``.
+BAD_CELLS = [("nan", "NaN"), ("text", "abc"), ("inf", "INF"), ("huge", "1e400"),
+             ("negative", "-3"), ("fraction", "2.5")]
+
+#: each public caller of the count reader: (id, the question whose ``n``
+#: cell is swapped, the call)
+COUNT_CALLERS = [
+    ("extract", "GROUP BY ?class", lambda extractor: extractor.extract(URL)),
+    ("top_entities", "ORDER BY DESC(?n)",
+     lambda extractor: extractor.top_entities(URL, EX + "A", k=3)),
+    ("top_entities_all", "GROUP BY ?c ?s", lambda extractor: extractor.top_entities_all(URL)),
+]
+
+
+class CellSwap(SparqlClient):
+    """Answers the question containing *marker* with every ``n`` cell
+    replaced by a literal of *lexical*."""
+
+    def __init__(self, network, marker: str, lexical: str):
+        super().__init__(network)
+        self.marker, self.lexical = marker, lexical
+
+    def select(self, url, text):
+        result = super().select(url, text)
+        if self.marker not in text:
+            return result
+        rows = [{**row, "n": Literal(self.lexical)} for row in result.rows]
+        return SelectResult(result.variables, rows, result.truncated)
+
+
+def _swapped(marker: str, lexical: str) -> IndexExtractor:
+    client, _endpoint_ = _endpoint("virtuoso")
+    return IndexExtractor(CellSwap(client.network, marker, lexical))
+
+
+@pytest.mark.parametrize("caller,marker,call", COUNT_CALLERS, ids=[c[0] for c in COUNT_CALLERS])
+@pytest.mark.parametrize("lexical", [v for _i, v in BAD_CELLS], ids=[i for i, _v in BAD_CELLS])
+def test_a_malformed_count_cell_fails_naming_the_question(caller, marker, call, lexical):
+    with pytest.raises(ExtractionFailed) as failure:
+        call(_swapped(marker, lexical))
+    assert repr(lexical) in failure.value.reason and marker in failure.value.reason
+
+
+def test_an_integer_count_cell_is_read():
+    indexes = _swapped("GROUP BY ?class", "7").extract(URL)
+    assert [c.instance_count for c in indexes.classes] == [7, 7]
+    assert indexes.instance_count == 14 and indexes.complete
+    top = _swapped("ORDER BY DESC(?n)", "7").top_entities(URL, EX + "A", k=3)
+    assert sorted(top) == [(EX + "a1", 7), (EX + "a2", 7), (EX + "a3", 7)]
+    spotlight = _swapped("GROUP BY ?c ?s", "7").top_entities_all(URL, k=3)
+    assert spotlight[EX + "A"] == [(EX + "a1", 7), (EX + "a2", 7), (EX + "a3", 7)]
+
+
+@pytest.mark.parametrize("lexical", [v for _i, v in BAD_CELLS], ids=[i for i, _v in BAD_CELLS])
+def test_the_spotlight_panel_stays_usable_on_a_malformed_count(lexical):
+    client, _endpoint_ = _endpoint("virtuoso")
+    app = HBold(client.network)
+    app.bootstrap_registry([URL])
+    assert app.index_endpoint(URL)
+    app.extractor.client = CellSwap(client.network, "GROUP BY ?c ?s", lexical)
+    session = app.explore(URL)
+    session.start_from_schema_summary()
+    assert session.class_details(EX + "A")["top_entities"] == []

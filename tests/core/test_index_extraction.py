@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import ExtractionFailed, IndexExtractor
+from repro.core.index_extraction import _PER_CLASS
 from repro.endpoint import (
     AlwaysAvailable,
     EndpointNetwork,
@@ -240,11 +241,8 @@ ex:r1 a ex:Bare ; ex:up ex:b1 .
 class PerClassOnly(IndexExtractor):
     """The ladder below the set-at-a-time rung, run alone: the oracle."""
 
-    def _datatype_properties_all(self, url):
-        return None
-
-    def _object_links_all(self, url, known_classes):
-        return None
+    def _set_at_a_time(self, known):
+        return (_PER_CLASS,), (_PER_CLASS,)
 
 
 def _hand_graph():
@@ -377,12 +375,18 @@ class TestSetAtATime:
         _, per_class = extract_with(PerClassOnly, parse_turtle(ttl), "virtuoso")
         assert per_class.queries == 2 + 2 * classes
 
+    @pytest.mark.parametrize("infer_types", [False, True], ids=["direct", "inferred"])
     @pytest.mark.parametrize("profile", ["legacy-sesame", "4store"])
-    def test_no_aggregate_endpoint_is_rejected_once(self, profile):
+    def test_no_aggregate_endpoint_is_rejected_once(self, profile, infer_types):
         """The class census learns the endpoint has no aggregates; no other
-        is sent -- not the grouped links question, not one per class."""
-        doc, stats = extract_with(IndexExtractor, _hand_graph(), profile)
-        assert stats.rejected == 1
+        is sent -- not the grouped links question, not one per class, not
+        the direct-instance total.  With inference the path question comes
+        first and is rejected too: paths are checked before aggregates, so
+        that rejection says nothing about them."""
+        doc, stats = extract_with(
+            IndexExtractor, _hand_graph(), profile, infer_types=infer_types
+        )
+        assert stats.rejected == (2 if infer_types else 1)
         assert doc["strategy"] == "scan" and doc["complete"]
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import IndexExtractor
+from repro.core.index_extraction import _Pages, _Walk
 from repro.endpoint import (
     AlwaysAvailable,
     EndpointNetwork,
@@ -69,23 +70,25 @@ def _extractor(k: int, page_size: int = 2, max_pages: int = 2, infer_types=False
 
 @pytest.mark.parametrize("case,k,cut", SCENARIOS)
 def test_the_pager_reports_the_cut(case, k, cut):
-    pages = _extractor(k)._paged(URL, f"SELECT ?s WHERE {{ ?s a <{C}> }}")
+    pages = _Pages(_extractor(k), URL, f"SELECT ?s WHERE {{ ?s a <{C}> }}", paged=True)
     rows = sum(len(page.rows) for page in pages)
     assert (rows, pages.cut) == (min(k, 4), cut), case
 
 
 @pytest.mark.parametrize("case,k,cut", SCENARIOS)
 def test_count_by_scan(case, k, cut):
-    total, complete = _extractor(k)._count_by_scan(URL, f"SELECT ?s WHERE {{ ?s a <{C}> }}")
+    walk = _Walk()
+    total = _extractor(k)._tally(URL, walk, f"SELECT ?s WHERE {{ ?s a <{C}> }}")
+    complete = walk.complete
     assert (total, complete) == (min(k, 4), not cut), case
 
 
 @pytest.mark.parametrize("case,k,cut", SCENARIOS)
 @pytest.mark.parametrize("infer_types", (False, True), ids=("direct", "inferred"))
 def test_class_counts_by_scan_mark_the_extraction(case, k, cut, infer_types):
-    """``_class_counts_by_scan`` (direct) and the inferred closure plus
-    ``_direct_instance_total`` (inferred) count through the pager: a cut
-    count is stored as incomplete, never as exact."""
+    """The class scan (direct) and the inferred closure plus the
+    direct-instance total (inferred) count through the pager: a cut count
+    is stored as incomplete, never as exact."""
     indexes = _extractor(k, infer_types=infer_types).extract(URL)
     assert indexes.strategy == "scan"
     assert indexes.complete is (not cut), case
@@ -95,14 +98,19 @@ def test_class_counts_by_scan_mark_the_extraction(case, k, cut, infer_types):
 
 @pytest.mark.parametrize("case,k,cut", SCENARIOS)
 def test_datatype_properties(case, k, cut):
-    properties, complete = _extractor(k)._datatype_properties(URL, C)
+    walk = _Walk()  # no set-at-a-time answer for properties; links answered (none)
+    datatype_props, _links = _extractor(k)._per_class(URL, walk, [C], {C}, None, {})
+    properties, complete = datatype_props[C], walk.complete
     assert complete is (not cut), case
     assert len(properties) == min(k, 4)
 
 
 @pytest.mark.parametrize("case,k,cut", SCENARIOS)
 def test_object_links_by_scan(case, k, cut):
-    links, strategy, complete = _extractor(k)._object_links_by_scan(URL, C, {C})
+    walk = _Walk()  # properties answered (none); links by the scan alone
+    walk.no_aggregates = True
+    _props, links = _extractor(k)._per_class(URL, walk, [C], {C}, {}, None)
+    strategy, complete = "scan" if walk.scanned else "aggregate", walk.complete
     assert (strategy, complete) == ("scan", not cut), case
     assert sum(link.count for link in links) == min(k, 4)
 
@@ -112,7 +120,9 @@ def test_datatype_properties_all_is_none_only_when_cut(case, k, cut):
     """The whole-dataset question falls back to the per-class ones only
     when the valve closed -- not on a complete answer that happens to fill
     its last page's slot with a short page."""
-    answer = _extractor(k)._datatype_properties_all(URL)
+    extractor = _extractor(k)
+    properties_ladder, _links_ladder = extractor._set_at_a_time({C})
+    answer = extractor._climb(URL, _Walk(), properties_ladder)
     if cut:
         assert answer is None, case
     else:
