@@ -29,9 +29,12 @@ __all__ = ["SparqlEndpoint"]
 
 
 class EndpointStats:
-    """Counters the benchmarks read off each endpoint."""
+    """Counters the benchmarks read off each endpoint.  ``join_rows`` sums
+    the engine's ``join_rows`` (the rows its eager joins built) over the
+    queries it executed."""
 
-    __slots__ = ("queries", "failures", "timeouts", "rejected", "truncated", "total_latency_ms")
+    __slots__ = ("queries", "failures", "timeouts", "rejected", "truncated", "total_latency_ms",
+                 "join_rows")
 
     def __init__(self):
         self.queries = 0
@@ -40,6 +43,7 @@ class EndpointStats:
         self.rejected = 0
         self.truncated = 0
         self.total_latency_ms = 0.0
+        self.join_rows = 0
 
 
 class SparqlEndpoint:
@@ -157,7 +161,9 @@ class SparqlEndpoint:
             if parsed.order_by and not self.profile.supports_order_by:
                 raise self._reject("ORDER BY")
 
-        result = self._engine.execute(parsed, self.obs).result
+        execution = self._engine.execute(parsed, self.obs)
+        self.stats.join_rows += execution.stats.get("join_rows", 0)
+        result = execution.result
         latency = self._estimate_latency(parsed, result, latency_scale)
         deadline_ms = self.profile.timeout_ms * timeout_scale
         if latency > deadline_ms:

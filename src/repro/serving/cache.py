@@ -22,6 +22,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
+from .scheduler import check_count, check_duration
+
 __all__ = ["ResultCache"]
 
 
@@ -45,8 +47,10 @@ class ResultCache:
         keep_stale: bool = False,
         tenant_share: float = 1.0,
     ):
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
+        # a NaN or infinite capacity would never evict, a fractional one
+        # would round up
+        check_count("capacity", capacity)
+        check_duration("min_service_ms", min_service_ms)
         if not 0.0 < tenant_share <= 1.0:
             raise ValueError(
                 f"tenant_share must be in (0, 1], got {tenant_share}"

@@ -65,18 +65,27 @@ def check_serving_parameters(parallelism, queue_capacity, queue_timeout_ms,
     (the server's; a scheduler has none) is finite and >= 0: a NaN charge
     breaks the completion heap, an infinite one admits nothing to the cache.
     """
-    for name, value in (("parallelism", parallelism), ("queue_capacity", queue_capacity)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-    for name, value, optional in (
-        ("queue_timeout_ms", queue_timeout_ms, True),
-        ("backpressure_deadline_ms", backpressure_deadline_ms, True),
-        ("cache_hit_ms", cache_hit_ms, False),
+    check_count("parallelism", parallelism)
+    check_count("queue_capacity", queue_capacity)
+    for name, value in (
+        ("queue_timeout_ms", queue_timeout_ms),
+        ("backpressure_deadline_ms", backpressure_deadline_ms),
     ):
-        if value is None and optional:
-            continue
-        if not isinstance(value, (int, float)) or not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if value is not None:
+            check_duration(name, value)
+    check_duration("cache_hit_ms", cache_hit_ms)
+
+
+def check_count(name: str, value) -> None:
+    """Refuse a *value* that is not an int >= 1 (a bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+
+
+def check_duration(name: str, value) -> None:
+    """Refuse a *value* that is not a finite number >= 0."""
+    if not isinstance(value, (int, float)) or not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 class RequestRecord:

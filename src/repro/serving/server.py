@@ -329,7 +329,7 @@ class QueryServer:
         """
         stats = self.endpoint.stats
         for name in ("queries", "failures", "timeouts", "rejected", "truncated",
-                     "total_latency_ms"):
+                     "total_latency_ms", "join_rows"):
             registry.bind(
                 f"endpoint.{name}",
                 lambda n=name: getattr(stats, n),

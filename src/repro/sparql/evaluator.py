@@ -55,11 +55,13 @@ option: a single pattern streams batches straight off the index
 operator above reads -- :meth:`Execution._wanted_variables`; an index
 level's keys and run lengths when a COUNT GROUP BY or DISTINCT needs
 no more -- :meth:`Graph.scan_runs`), several patterns run the eager
-join and transpose its rows, and the ``stream`` engine chunks its lazy
-join chain.  The eager join (:meth:`Execution._bgp_id_rows`) plans its
-order once and takes the FILTERs and the wanted variables down: a
-candidate is tested where its variable is bound, gated by the next
-pattern's probe table, and built without the columns nothing later reads.
+join and transpose its rows (or, under a DISTINCT or a pure-COUNT GROUP
+BY, take the keys its last step folded -- :meth:`Execution._fold_step`),
+and the ``stream`` engine chunks its lazy join chain.  The eager join
+(:meth:`Execution._bgp_id_rows`) plans its order once and takes the
+FILTERs and the wanted variables down: a candidate is tested where its
+variable is bound, gated by the next pattern's probe table, and built
+without the columns nothing later reads.
 
 Compiled plans (encoded patterns + cardinality estimates) live in a
 :class:`_SharedPlanCache` attached to the *graph* (one per graph, shared
@@ -234,6 +236,13 @@ _ROW_EXTRACTORS = {
     (1, 2): lambda s, p, o: (p, o),
     (0, 1, 2): lambda s, p, o: (s, p, o),
 }
+
+
+def _first_keys(keys: Dict[Tuple, None], cap: Optional[int]) -> Dict[Tuple, None]:
+    """The first *cap* of *keys* (all of them when *cap* is None)."""
+    if cap is None or len(keys) <= cap:
+        return keys
+    return dict.fromkeys(_islice(keys, cap))
 
 
 def _simple_filter(expression: Expression):
@@ -1021,12 +1030,20 @@ class Execution:
         solutions: List[Solution],
         filters: Sequence[Tuple[Variable, object]] = (),
         wanted: Optional[Set[Variable]] = None,
-    ) -> Optional[Tuple[List[Tuple], Dict[Variable, int]]]:
+        fold: Optional[str] = None,
+        cap: Optional[int] = None,
+    ) -> Optional[Tuple[Union[List[Tuple], Dict[Tuple, Optional[int]]], Dict[Variable, int]]]:
         """The BGP join pipeline in ID space -- the one eager join.
 
         Returns ``(rows, column_of)`` where each row is a tuple of
         dictionary IDs (or raw non-interned terms carried through from the
         input solutions), or ``None`` when a pattern can match nothing.
+
+        *fold* names the sink above a homogeneous join: ``"distinct"`` (a
+        DISTINCT with no ORDER BY, page size *cap*) or ``"count"`` (a
+        pure-COUNT GROUP BY on exactly the wanted variables).  With no
+        deferred FILTER the last step then folds its rows into the keys
+        that sink keeps (:meth:`_fold_step`) and ``rows`` is that dict.
 
         *filters* are one-variable term tests as ``(variable, check)``, a
         per-ID verdict; the rows returned pass them.  *wanted* names the
@@ -1079,6 +1096,12 @@ class Execution:
         # counting, by a callable run only when the threshold needs it and
         # only until it is crossed.
         candidates = len(rows)
+        last = None
+        if (
+            fold is not None and steps and homogeneous and not deferred
+            and (fold == "distinct" or set(steps[-1].out) == wanted)
+        ):
+            last = steps[-1]
         for step in steps:
             if not rows:
                 break
@@ -1087,6 +1110,10 @@ class Execution:
                 count = len(rows)
                 if step.decides and step.ep.est > 4.0 * count:
                     count = candidates(step.ep.est / 4.0)
+            if step is last:
+                rows, made = self._fold_step(step, rows, count, fold == "count", cap)
+                built += made
+                break
             rows, candidates = self._join_step(step, rows, count, homogeneous)
             built += len(rows)
         if steps:
@@ -1121,7 +1148,7 @@ class Execution:
             full = [row + srow for row in rows for srow in scan]
             return settled(full, step.checks, width, step.pick), len(full)
 
-        if ep.path is not None or ep.est > 4.0 * count:
+        if step.inlj(count):
             if self._plain_joinable(ep, () if homogeneous else rows, col_of):
                 out = self._index_join_plain(ep, rows, col_of, step)
                 if step.checks:
@@ -1134,21 +1161,7 @@ class Execution:
 
         # Hash join: scan once, key the scan rows on the shared variables,
         # probe with every intermediate row.
-        table = step.table
-        if table is None:
-            table = self._build_probe_table(ep, step.shared, step.new_vars)
-        if len(step.shared) == 1:
-            key_of = itemgetter(col_of[step.shared[0]])
-        else:
-            key_of = picker([col_of[v] for v in step.shared])
-        get = table.get
-        settle = bool(step.checks) or step.pick_new is not None
-        if settle:
-            # what a bucket contributes is a function of its key: settle
-            # each key's bucket once
-            get = Memo(
-                lambda key: settled(table.get(key, ()), step.checks, 0, step.pick_new)
-            ).__getitem__
+        table, key_of, get = self._probe(step)
         keep = step.keep
         out: List[Tuple] = []
         append = out.append
@@ -1172,6 +1185,130 @@ class Execution:
                 (len(table.get(key, ())) for key in map(key_of, rows)), enough
             )
         return out, len(out)
+
+    def _probe(self, step: JoinStep) -> Tuple[Dict, Callable, Callable]:
+        """``(table, key_of, get)`` for a hash-join *step*: its probe table,
+        ``row -> probe key`` and ``key -> what the key's bucket adds to a
+        row`` (checked and picked; falsy for none)."""
+        table = step.table
+        if table is None:
+            table = self._build_probe_table(step.ep, step.shared, step.new_vars)
+        col_of = step.col_of
+        if len(step.shared) == 1:
+            key_of = itemgetter(col_of[step.shared[0]])
+        else:
+            key_of = picker([col_of[v] for v in step.shared])
+        if not step.checks and step.pick_new is None:
+            return table, key_of, table.get
+        # what a bucket contributes is a function of its key: settle each
+        # key's bucket once
+        return table, key_of, Memo(
+            lambda key: settled(table.get(key, ()), step.checks, 0, step.pick_new)
+        ).__getitem__
+
+    def _fold_step(
+        self, step: JoinStep, rows: List[Tuple], count: int, counted: bool,
+        cap: Optional[int],
+    ) -> Tuple[Dict[Tuple, Optional[int]], int]:
+        """``(keys, built)``: the last step of a join whose sink keeps only
+        keys -- each row the step would build once (a DISTINCT: value None,
+        at most *cap* of them) or with the number of times it would build
+        it (*counted*: a pure-COUNT GROUP BY) -- and the rows it built.
+
+        A row's extensions depend only on its values, so each distinct
+        input row is extended once (weighted by its multiplicity when
+        *counted*); the first row to emit a key is the first appearance of
+        its input row, so keys leave in the order the sink would first see
+        them.  The join kind is :meth:`_join_step`'s, from the same
+        *count*.  A hash join folds its buckets.  An INLJ ``?s ?p ?o`` whose
+        only live new value is the predicate *witnesses* it
+        (:meth:`_fold_witness`).  Any other step builds its rows as
+        :meth:`_join_step` does and folds them.  Rows here are pure ID
+        tuples: the input is homogeneous.
+        """
+        if cap == 0:
+            return {}, 0
+        if step.shared and not step.inlj(count):
+            _table, key_of, get = self._probe(step)
+            keep = step.keep
+            keys: Dict[Tuple, Optional[int]] = {}
+            if counted:
+                for row, weight in Counter(rows).items():
+                    bucket = get(key_of(row))
+                    if bucket:
+                        base = row if keep is None else keep(row)
+                        for extra in bucket:
+                            key = base + extra
+                            keys[key] = keys.get(key, 0) + weight
+                return keys, len(keys)
+            for row in dict.fromkeys(rows):
+                bucket = get(key_of(row))
+                if bucket:
+                    base = row if keep is None else keep(row)
+                    for extra in bucket:
+                        keys[base + extra] = None
+                    if cap is not None and len(keys) >= cap:
+                        break
+            keys = _first_keys(keys, cap)
+            return keys, len(keys)
+        ep = step.ep
+        if (
+            not counted and not self.graph.is_sharded
+            and step.shared == [ep.spec[0]] and step.new_vars == list(ep.spec[1:])
+            and step.live == (0,)
+        ):
+            keys = self._fold_witness(step, rows, cap)
+            return keys, len(keys)
+        out = self._join_step(step, rows if counted else list(dict.fromkeys(rows)), count, True)[0]
+        return (Counter(out) if counted else _first_keys(dict.fromkeys(out), cap)), len(out)
+
+    def _fold_witness(
+        self, step: JoinStep, rows: List[Tuple], cap: Optional[int]
+    ) -> Dict[Tuple, None]:
+        """The DISTINCT keys of an INLJ ``?s ?p ?o`` with ``?s`` bound whose
+        one live new value is ``?p`` (``?o`` is dead), on an unsharded
+        graph: a kept prefix's predicate is a key once one of its objects
+        passes the step's checks, where the row-building loop builds a row
+        per passing object.
+
+        A predicate is *settled* for a prefix once it is a key there, or
+        once it fails there and no object of it anywhere in the graph
+        passes (tested once per predicate on POS's keys, when they are no
+        more than the rows).  A row whose predicates are all settled reads
+        nothing more; any other reads a leaf only up to its first passing
+        object.
+        """
+        spo, pos = self.graph.spo_ids(), self.graph.pos_ids()
+        subject = step.col_of[step.shared[0]]
+        ok_p, ok_o = step.checks.get(0), step.checks.get(1)
+        may_pass = Memo(
+            lambda pred: (ok_p is None or ok_p(pred))
+            and (ok_o is None or len(pos[pred]) > len(rows) or any(map(ok_o, pos[pred])))
+        ).__getitem__
+        keep = step.keep
+        settled_of: Dict[Tuple, Set[int]] = {}
+        keys: Dict[Tuple, None] = {}
+        for row in rows:
+            by_predicate = spo.get(row[subject])
+            if not by_predicate:
+                continue
+            prefix = row if keep is None else keep(row)
+            done = settled_of.get(prefix)
+            if done is None:
+                done = settled_of[prefix] = set()
+            elif by_predicate.keys() <= done:
+                continue
+            for pred, objects in by_predicate.items():
+                if pred in done:
+                    continue
+                if (ok_p is None or ok_p(pred)) and (ok_o is None or any(map(ok_o, objects))):
+                    done.add(pred)
+                    keys[prefix + (pred,)] = None
+                    if len(keys) == cap:
+                        return keys
+                elif not may_pass(pred):
+                    done.add(pred)
+        return keys
 
     def _match_count(
         self, ep: _EncodedPattern, rows: List[Tuple], col_of: Dict[Variable, int], enough
@@ -2784,9 +2921,12 @@ class Execution:
         batches cannot: probing ``?s a <C> . ?s ?p ?o`` that way builds a
         whole-graph table per extraction query -- and hand it the FILTERs
         and the variables read above it, so a row is tested where its
-        variable is bound and carries only the columns still read.  The
-        stream engine chunks its lazy chain instead, so a bounded sink's
-        state stays O(offset + k).
+        variable is bound and carries only the columns still read.  Under
+        a DISTINCT without ORDER BY (at most a page of keys) or a
+        pure-COUNT GROUP BY the join's last step folds its rows into the
+        keys the sink keeps, which come back as runs (:meth:`_key_batches`).
+        The stream engine chunks its lazy chain instead, so a bounded
+        sink's state stays O(offset + k).
         """
         compiled = self._compile_patterns(patterns)
         if any(ep.impossible for ep in compiled):
@@ -2817,12 +2957,20 @@ class Execution:
             batches = self._scan_batches(ep, wanted, limit_hint)
         else:
             wanted = self._wanted_variables(query, (), plan)
-            joined, col_of = self._bgp_id_rows(patterns, [{}], filters, wanted)
+            fold = cap = None
+            if plan is None:
+                if query.distinct and not query.order_by:
+                    fold, cap = "distinct", self._page_cap(query)
+            elif self._counts_only(query, plan, dict.fromkeys(variables)):
+                fold = "count"
+            joined, col_of = self._bgp_id_rows(patterns, [{}], filters, wanted, fold, cap)
             # A variable nothing above reads is still bound in every row:
             # it keeps a column -- column 0, whose length is all a plain
             # COUNT takes (its cells are another variable's).
             for variable in variables:
                 col_of.setdefault(variable, 0)
+            if isinstance(joined, dict):
+                return self._key_batches(joined, fold == "count"), col_of, True
             return self._row_batches(iter(joined)), col_of, False
         if filters:
             batches = self._filter_batches(
@@ -2841,6 +2989,26 @@ class Execution:
             # placeholder column: a batch's length is ``len(cols[0])``.
             yield list(zip(*block)) if block[0] else [block]
 
+    def _key_batches(self, keys: Dict[Tuple, Optional[int]], counted: bool) -> Iterator[List]:
+        """A folded join's keys (:meth:`_fold_step`) as runs, the form of
+        :meth:`_run_batches`: column batches of keys, each key once, plus
+        their counts as a last column for the count sink."""
+        batches = self._row_batches(iter(keys))
+        if not counted:
+            return batches
+        counts = iter(keys.values())
+        return (cols + [list(_islice(counts, len(cols[0])))] for cols in batches)
+
+    @staticmethod
+    def _page_cap(query: SelectQuery) -> Optional[int]:
+        """``offset + limit``, the rows a page reaches to (None without a
+        LIMIT).  ``SELECT *`` derives its header from solution existence:
+        it keeps at least one witness row even for LIMIT 0."""
+        if query.limit is None:
+            return None
+        cap = (query.offset or 0) + query.limit
+        return max(cap, 1) if query.select_all else cap
+
     @staticmethod
     def _batch_limit_hint(query, ep, simple_filters, plan) -> Optional[int]:
         """The rows a single-pattern scan need produce at most.
@@ -2850,23 +3018,20 @@ class Execution:
         repeated-variable row drops) can stop at its first
         ``offset+limit`` rows (``Graph.scan_columns``' *limit*): every
         later row would be cut by the slice, so results are unchanged --
-        only the cells the scan materialises shrink.
+        only the cells the scan materialises shrink.  A cap at or above
+        the pattern's match count is no hint (nor a size ``islice`` could
+        take).
         """
         if (
             plan is not None
-            or query.limit is None
             or query.order_by
             or query.distinct
             or simple_filters
             or any(len(ep.var_positions[v]) > 1 for v in ep.variables)
         ):
             return None
-        hint = (query.offset or 0) + query.limit
-        if query.select_all:
-            # SELECT * derives its header from solution existence: keep
-            # at least one witness row even for LIMIT 0.
-            hint = max(hint, 1)
-        return hint
+        hint = Execution._page_cap(query)
+        return None if hint is None or hint >= ep.est else hint
 
     @staticmethod
     def _wanted_variables(query: SelectQuery, simple_filters, plan) -> Optional[Set[Variable]]:
@@ -3007,8 +3172,10 @@ class Execution:
         DISTINCT is columnar: one ``zip`` over the key columns (the
         projected ones) and ``dict.fromkeys`` per batch, merged into one
         insertion-ordered dict -- each key's first row wins and only the
-        key tuples are kept; they are the projected rows.  Runs
-        (:meth:`_run_batches`) hold each key once, in first-seen order.
+        key tuples are kept; they are the projected rows.  Runs -- one
+        pattern's index keys (:meth:`_run_batches`) or a folded join's keys
+        (:meth:`_key_batches`) -- hold each key once, in first-seen order,
+        so ``input_rows`` counts keys.
         """
         offset = query.offset or 0
         cap = None if query.limit is None else offset + query.limit
@@ -3198,8 +3365,9 @@ class Execution:
         """The fully-vectorized aggregation: pure-COUNT GROUP BY as one
         :class:`Counter` update per batch, over the key column or a
         C-level ``zip`` of the key columns (first-seen group order, as the
-        dict fold).  Fed *runs* (:meth:`_run_batches`), each key is one
-        group and its run length, the batch's last column, is its count."""
+        dict fold).  Fed *runs* (:meth:`_run_batches`, :meth:`_key_batches`),
+        each key -- one key column or a ``zip`` of several -- is one group
+        and the batch's last column holds its count."""
         group_vars, items = plan
         counter: Counter = Counter()
         input_rows = 0
@@ -3210,7 +3378,8 @@ class Execution:
             n = len(cols[0])
             input_rows += n
             if runs:  # no key repeats: store the counts as they are
-                dict.update(counter, zip(cols[group_columns[0]], cols[-1]))
+                keys = cols[group_columns[0]] if single else zip(*[cols[c] for c in group_columns])
+                dict.update(counter, zip(keys, cols[-1]))
             else:
                 counter.update(
                     cols[group_columns[0]] if single else zip(*[cols[c] for c in group_columns])

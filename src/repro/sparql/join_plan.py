@@ -23,6 +23,15 @@ orders.  So only a step after which no step but the next decides its kind
 from a count may drop candidates, and that next step decides from the
 candidates the dropping step met (:func:`count_up_to`).  A FILTER no step
 may run is *deferred* to the join's output.
+
+**The last step may fold.**  When the sink above keeps only keys -- a
+DISTINCT without ORDER BY, or a pure-COUNT GROUP BY on exactly the last
+step's ``out`` -- and no FILTER is deferred, the last step collapses its
+input to distinct rows and emits each key once (DISTINCT) or with its count
+(:meth:`Execution._fold_step
+<repro.sparql.evaluator.Execution._fold_step>`).  It picks its join kind
+from the same count as when it builds rows (:meth:`JoinStep.inlj`), and no
+step after it decides anything, so the fence above is untouched.
 """
 
 from __future__ import annotations
@@ -146,6 +155,13 @@ class JoinStep:
             self.live = tuple(live)
             self.pick_new = picker(live)
         self.pick = picker(kept + [width + i for i in live])
+
+    def inlj(self, count: float) -> bool:
+        """Does the step probe the index per input row (INLJ) rather than
+        hash-join, given the *count* of input rows the unfiltered join
+        would see?  A path always probes; anything else does when its
+        pattern matches more than four times *count* rows."""
+        return self.ep.path is not None or self.ep.est > 4.0 * count
 
     def full_col_of(self) -> Dict:
         """The layout of input row + every new value."""

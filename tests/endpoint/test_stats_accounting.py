@@ -150,3 +150,34 @@ def test_timeout_respects_zero_jitter():
         endpoint.query("SELECT ?s WHERE { ?s ?p ?o }")
     assert clock.now_ms == profile.timeout_ms
     assert endpoint.stats.total_latency_ms == profile.timeout_ms
+
+
+def test_join_rows_sums_the_engine_count_of_every_executed_query():
+    """``EndpointStats.join_rows`` adds each executed query's
+    ``join_rows`` -- a single pattern builds none -- and a refused query
+    adds nothing."""
+    from repro.sparql import QueryEngine
+
+    graph = parse_turtle(TTL)
+    join = "SELECT ?s ?o WHERE { ?s a ?c . ?s ?p ?o }"
+    expected = QueryEngine(graph).execute(join).stats["join_rows"]
+    assert expected > 0
+    endpoint = SparqlEndpoint(
+        "http://joins.example.org/sparql",
+        graph,
+        SimulationClock(),
+        profile=EndpointProfile("plain", supports_aggregates=False),
+    )
+    endpoint.query(join)
+    endpoint.query("SELECT ?s WHERE { ?s ?p ?o }")
+    with pytest.raises(QueryRejected):
+        endpoint.query("SELECT (COUNT(?s) AS ?n) WHERE { ?s a ?c . ?s ?p ?o }")
+    endpoint.query(join)
+    assert endpoint.stats.join_rows == 2 * expected
+
+
+def test_a_limit_past_maxsize_is_answered():
+    endpoint = SparqlEndpoint("http://huge.example.org/sparql", parse_turtle(TTL),
+                              SimulationClock())
+    result = endpoint.query("SELECT * WHERE { ?s ?p ?o } LIMIT 9223372036854775808")
+    assert len(result.rows) == 4

@@ -149,6 +149,32 @@ def test_capacity_validation():
         ResultCache(capacity=0)
 
 
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf"), 2.5, True, 0, -1])
+def test_a_capacity_that_is_not_a_count_is_refused(capacity):
+    """A NaN or infinite capacity never evicted, 2.5 kept 3 entries and
+    ``True`` kept 1: each is refused, naming the parameter."""
+    with pytest.raises(ValueError, match="capacity"):
+        ResultCache(capacity=capacity)
+
+
+@pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1.0])
+def test_an_admission_floor_that_is_not_finite_and_non_negative_is_refused(floor):
+    with pytest.raises(ValueError, match="min_service_ms"):
+        ResultCache(capacity=4, min_service_ms=floor)
+
+
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf"), 2.5, True])
+def test_a_server_refuses_a_cache_capacity_that_is_not_a_count(capacity):
+    graph = parse_turtle(TTL)
+    with pytest.raises(ValueError, match="capacity"):
+        _server(graph, cache_capacity=capacity)
+
+
+@pytest.mark.parametrize("capacity", [None, 0])
+def test_no_cache_capacity_means_no_cache(capacity):
+    assert _server(parse_turtle(TTL), cache_capacity=capacity).cache is None
+
+
 def test_cheap_results_are_not_admitted():
     cache = ResultCache(capacity=4, min_service_ms=5.0)
     cache.put("cheap", 0, "r", service_ms=1.0)

@@ -139,8 +139,41 @@ TWO_TYPED = [
 ]
 C0 = f"<{EX}C0>"
 
+#: Index Extraction's questions' data: ``n0`` typed twice, a set leaf
+#: holding a literal and an IRI, a predicate whose literal comes on the
+#: second subject of a class, one with a literal only on an untyped
+#: subject, and links between typed subjects
+EXTRACTED = [
+    Triple(IRI(f"{EX}n0"), RDF.type, IRI(f"{EX}C0")),
+    Triple(IRI(f"{EX}n0"), RDF.type, IRI(f"{EX}C1")),
+    Triple(IRI(f"{EX}n1"), RDF.type, IRI(f"{EX}C0")),
+    Triple(IRI(f"{EX}n2"), RDF.type, IRI(f"{EX}C1")),
+    Triple(IRI(f"{EX}n0"), IRI(f"{EX}p0"), Literal(1)),
+    Triple(IRI(f"{EX}n0"), IRI(f"{EX}p0"), IRI(f"{EX}n1")),
+    Triple(IRI(f"{EX}n0"), IRI(f"{EX}p1"), IRI(f"{EX}n2")),
+    Triple(IRI(f"{EX}n0"), IRI(f"{EX}p2"), IRI(f"{EX}n1")),
+    Triple(IRI(f"{EX}n1"), IRI(f"{EX}p0"), Literal("x")),
+    Triple(IRI(f"{EX}n1"), IRI(f"{EX}p1"), Literal(2)),
+    Triple(IRI(f"{EX}n1"), IRI(f"{EX}p1"), IRI(f"{EX}n2")),
+    Triple(IRI(f"{EX}n1"), IRI(f"{EX}p1"), IRI(f"{EX}n0")),
+    Triple(IRI(f"{EX}n3"), IRI(f"{EX}p2"), Literal(2)),
+]
+#: the extractor's exact texts: every class's datatype properties, every
+#: class's links, and one class's datatype properties
+DATATYPES = "SELECT DISTINCT ?c ?p WHERE { ?s a ?c . ?s ?p ?o . FILTER ( isLiteral(?o) ) }"
+LINKS = (
+    "SELECT ?c ?p ?target (COUNT(?o) AS ?n) WHERE { "
+    "?s a ?c . ?s ?p ?o . ?o a ?target } GROUP BY ?c ?p ?target"
+)
+CLASS_DATATYPES = f"SELECT DISTINCT ?p WHERE {{ ?s a {C0} . ?s ?p ?o . FILTER ( isLiteral(?o) ) }}"
+
 
 @settings(max_examples=500, deadline=None)
+@example(data=EXTRACTED, case=(DATATYPES, ""))
+@example(data=EXTRACTED, case=(DATATYPES, " LIMIT 1000 OFFSET 0"))
+@example(data=EXTRACTED, case=(DATATYPES, " LIMIT 1 OFFSET 1"))
+@example(data=EXTRACTED, case=(LINKS, ""))
+@example(data=EXTRACTED, case=(CLASS_DATATYPES, ""))
 @example(data=TWO_TYPED, case=(f"SELECT ?s ?o WHERE {{ ?s a {C0} . ?s ?p ?o . ?o a ?k }}", ""))
 @example(data=TWO_TYPED, case=(f"SELECT DISTINCT ?o WHERE {{ ?s a {C0} . ?s ?p ?o }}", ""))
 @example(

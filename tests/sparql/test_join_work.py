@@ -61,17 +61,35 @@ def test_the_extraction_questions_build_only_what_can_survive(graphs, name, quer
     )
 
 
+def _typed(graph) -> int:
+    return sum(1 for _ in graph.triples_ids(None, graph.lookup_id(RDF.type), None))
+
+
 def test_the_datatype_question_builds_the_type_scan_and_the_literals(graphs):
-    """Step one is the ``?s a ?c`` scan; step two builds exactly the
-    (class, property) rows whose object is a literal -- what the FILTER
-    keeps -- and carries neither ``?s`` nor ``?o`` on."""
+    """Step one is the ``?s a ?c`` scan; step two, the last, folds into
+    the DISTINCT above it and builds one row per distinct (class,
+    property) key whose object is a literal -- 137 + 34 on census-1, where
+    building every literal row made 137 + 282."""
     graph = graphs["census-1"]
-    typed = sum(1 for _ in graph.triples_ids(None, graph.lookup_id(RDF.type), None))
     execution = QueryEngine(graph).execute(DATATYPES)
-    literal_rows = QueryEngine(graph).run(
-        "SELECT ?c ?p WHERE { ?s a ?c . ?s ?p ?o . FILTER ( isLiteral(?o) ) }"
+    keys = QueryEngine(graph).run(
+        "SELECT DISTINCT ?c ?p WHERE { ?s a ?c . ?s ?p ?o . FILTER ( isLiteral(?o) ) }"
     )
-    assert execution.stats["join_rows"] == typed + len(literal_rows.rows)
+    assert execution.stats["join_rows"] == _typed(graph) + len(keys.rows)
+
+
+@pytest.mark.parametrize("offset,limit", [(0, 3), (2, 3), (0, 0), (0, 1000)])
+def test_a_distinct_fold_stops_at_its_page(graphs, offset, limit):
+    """Keys leave the folding step in first-seen order, so a DISTINCT under
+    LIMIT is final after ``offset + limit`` keys: the join builds the type
+    scan and at most that many keys, and answers the unbounded query's
+    page."""
+    graph = graphs["census-1"]
+    page = f"{DATATYPES} LIMIT {limit} OFFSET {offset}"
+    execution = QueryEngine(graph).execute(page)
+    assert execution.stats["join_rows"] <= _typed(graph) + offset + limit
+    whole = QueryEngine(graph).run(DATATYPES).rows
+    assert execution.result.rows == whole[offset:offset + limit]
 
 
 def _chain(store: Graph) -> Graph:
