@@ -16,6 +16,7 @@ Collections:
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, List, Optional
 
 from ..docstore.database import Database, DocumentStore
@@ -62,11 +63,17 @@ class HboldStorage:
 
         Chaining (instead of assigning) keeps other facades over the same
         DocumentStore working: every subscriber still hears every change.
+        The hook holds this facade weakly: the collection it hangs on is
+        the facade's own, and a strong reference back would make the
+        facade, its caches and every model in them a reference cycle that
+        only the cyclic collector frees.
         """
         previous = collection.on_change
+        facade = weakref.ref(self)
 
         def hook():
-            if not self._own_write:
+            owner = facade()
+            if owner is None or not owner._own_write:
                 cache.clear()
             if previous is not None:
                 previous()

@@ -10,6 +10,7 @@ exactly as it would to remote ones.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from typing import Optional, Union
 
@@ -17,15 +18,26 @@ from ..obs.trace import NULL_TRACER
 from ..rdf.graph import Graph
 from ..sparql.errors import SparqlSyntaxError
 from ..sparql.evaluator import QueryEngine
-from ..sparql.nodes import AskQuery, SelectQuery
+from ..sparql.nodes import (
+    AskQuery,
+    ExistsExpression,
+    Expression,
+    FilterPattern,
+    GroupPattern,
+    OptionalPattern,
+    SelectQuery,
+    TriplePattern,
+    UnionPattern,
+)
 from ..sparql.parser import parse_query
+from ..sparql.paths import is_path
 from ..sparql.results import AskResult, SelectResult
 from .availability import AlwaysAvailable, AvailabilityModel
 from .clock import SimulationClock
 from .errors import EndpointTimeout, EndpointUnavailable, QueryRejected
 from .profiles import EndpointProfile, PROFILES
 
-__all__ = ["SparqlEndpoint"]
+__all__ = ["SparqlEndpoint", "check_scale"]
 
 
 class EndpointStats:
@@ -128,7 +140,12 @@ class SparqlEndpoint:
         advance through :meth:`_charge`, so ``stats.total_latency_ms``
         always equals the simulated time this endpoint consumed.  The
         serving tier's percentiles are derived from exactly that invariant.
+        A scale that is not a finite number (``latency_scale`` >= 0,
+        ``timeout_scale`` > 0; a bool is none) is refused with a
+        ``ValueError`` before anything is counted or charged.
         """
+        check_scale("latency_scale", latency_scale)
+        check_scale("timeout_scale", timeout_scale, positive=True)
         obs = self.obs
         if not obs.enabled:
             return self._query(text, latency_scale, timeout_scale)
@@ -243,6 +260,19 @@ class SparqlEndpoint:
         return len(self.graph)
 
 
+def check_scale(name: str, value, positive: bool = False) -> None:
+    """Refuse a fault-injection scale that is not a finite number >= 0
+    (> 0 when *positive*); a bool is not a scale."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not (0.0 < value if positive else 0.0 <= value)
+        or value == math.inf
+    ):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+
+
 def _exists_groups(expression):
     """Yield the group of every ``EXISTS``/``NOT EXISTS`` inside *expression*.
 
@@ -252,8 +282,6 @@ def _exists_groups(expression):
     smuggled past inside a filter.  Walks every Expression slot, including
     lists (function arguments, IN choices) and nested EXISTS.
     """
-    from ..sparql.nodes import Expression, ExistsExpression
-
     if isinstance(expression, ExistsExpression):
         yield expression.group
         return
@@ -274,35 +302,29 @@ def _contains_path(parsed) -> bool:
     hidden inside an EXISTS still executes on the endpoint, so a profile
     that rejects paths must reject it.
     """
-    from ..sparql.nodes import (
-        FilterPattern,
-        GroupPattern,
-        OptionalPattern,
-        TriplePattern,
-        UnionPattern,
-    )
-    from ..sparql.paths import is_path
-
-    def walk(group: GroupPattern) -> bool:
-        for element in group.elements:
-            if isinstance(element, TriplePattern) and is_path(element.predicate):
-                return True
-            if isinstance(element, OptionalPattern) and walk(element.group):
-                return True
-            if isinstance(element, UnionPattern) and any(
-                walk(alt) for alt in element.alternatives
-            ):
-                return True
-            if isinstance(element, GroupPattern) and walk(element):
-                return True
-            if isinstance(element, FilterPattern) and any(
-                walk(group) for group in _exists_groups(element.expression)
-            ):
-                return True
-        return False
-
     if isinstance(parsed, (SelectQuery, AskQuery)):
-        return walk(parsed.where)
+        return _group_has_path(parsed.where)
+    return False
+
+
+def _group_has_path(group: GroupPattern) -> bool:
+    """:func:`_contains_path` over one group pattern (a module function,
+    not a closure: a recursive closure is a reference cycle per call)."""
+    for element in group.elements:
+        if isinstance(element, TriplePattern) and is_path(element.predicate):
+            return True
+        if isinstance(element, OptionalPattern) and _group_has_path(element.group):
+            return True
+        if isinstance(element, UnionPattern) and any(
+            _group_has_path(alt) for alt in element.alternatives
+        ):
+            return True
+        if isinstance(element, GroupPattern) and _group_has_path(element):
+            return True
+        if isinstance(element, FilterPattern) and any(
+            _group_has_path(group) for group in _exists_groups(element.expression)
+        ):
+            return True
     return False
 
 
@@ -311,35 +333,25 @@ def _count_patterns(parsed) -> int:
     including the groups of FILTER ``EXISTS``/``NOT EXISTS`` -- those
     patterns execute per candidate solution, so the latency model must
     see them)."""
-    from ..sparql.nodes import (
-        FilterPattern,
-        GroupPattern,
-        OptionalPattern,
-        TriplePattern,
-        UnionPattern,
-        ValuesPattern,
-    )
-
-    def count_group(group: GroupPattern) -> int:
-        total = 0
-        for element in group.elements:
-            if isinstance(element, TriplePattern):
-                total += 1
-            elif isinstance(element, OptionalPattern):
-                total += count_group(element.group)
-            elif isinstance(element, UnionPattern):
-                total += sum(count_group(alt) for alt in element.alternatives)
-            elif isinstance(element, GroupPattern):
-                total += count_group(element)
-            elif isinstance(element, FilterPattern):
-                total += sum(
-                    count_group(exists_group)
-                    for exists_group in _exists_groups(element.expression)
-                )
-            elif isinstance(element, ValuesPattern):
-                total += 0
-        return total
-
     if isinstance(parsed, (SelectQuery, AskQuery)):
-        return count_group(parsed.where)
+        return _count_group(parsed.where)
     return 1
+
+
+def _count_group(group: GroupPattern) -> int:
+    """:func:`_count_patterns` over one group pattern (VALUES counts 0)."""
+    total = 0
+    for element in group.elements:
+        if isinstance(element, TriplePattern):
+            total += 1
+        elif isinstance(element, OptionalPattern):
+            total += _count_group(element.group)
+        elif isinstance(element, UnionPattern):
+            total += sum(_count_group(alt) for alt in element.alternatives)
+        elif isinstance(element, GroupPattern):
+            total += _count_group(element)
+        elif isinstance(element, FilterPattern):
+            total += sum(
+                _count_group(exists_group) for exists_group in _exists_groups(element.expression)
+            )
+    return total

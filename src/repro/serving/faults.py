@@ -49,6 +49,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..endpoint.availability import MarkovAvailability
 from ..endpoint.clock import MS_PER_DAY
+from ..endpoint.endpoint import check_scale
 
 __all__ = ["FaultState", "FaultPlan", "FaultInjector", "chaos_profile"]
 
@@ -99,10 +100,16 @@ class FaultState:
         )
 
 
-def _normalize(windows, arity: int, label: str):
-    """Validate and sort one window category into a tuple of tuples."""
+def _normalize(windows, arity: int, label: str, scale: str = "", positive: bool = False):
+    """Validate and sort one window category into a tuple of tuples; a
+    window's third field, when the category passes it to the endpoint as
+    its *scale* parameter, is checked as that parameter is there
+    (:func:`~repro.endpoint.endpoint.check_scale`)."""
     out = []
     for window in windows:
+        window = tuple(window)
+        if scale and len(window) == arity:
+            check_scale(f"{label} {scale}", window[2], positive)
         window = tuple(float(part) for part in window)
         if len(window) != arity:
             raise ValueError(
@@ -160,8 +167,10 @@ class FaultPlan:
         self.horizon_ms = float(horizon_ms)
         self.outages = _normalize(outages, 2, "outage")
         self.bursts = _normalize(bursts, 3, "burst")
-        self.slowdowns = _normalize(slowdowns, 3, "slowdown")
-        self.timeout_spikes = _normalize(timeout_spikes, 3, "timeout-spike")
+        self.slowdowns = _normalize(slowdowns, 3, "slowdown", "latency_scale")
+        self.timeout_spikes = _normalize(
+            timeout_spikes, 3, "timeout-spike", "timeout_scale", positive=True
+        )
 
     # -- constructors ------------------------------------------------------
 

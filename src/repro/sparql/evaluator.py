@@ -115,7 +115,8 @@ from .nodes import (
     VariableExpression,
     contains_aggregate,
 )
-from .join_plan import JoinStep, Memo, count_up_to, join_order, picker, plan_join, settled
+from . import join_plan
+from .join_plan import JoinStep, Memo, count_up_to, join_order, picker, settled
 from .parser import parse_query
 from .results import AskResult, Row, SelectResult
 
@@ -566,6 +567,22 @@ def _first_in_order(columns, indices: List[int], room, conditions, memos, level=
     return first + _first_in_order(columns, ties, room - len(first), conditions, memos, level + 1)
 
 
+def _may_pass(pos, ok_p, ok_o, rows: int):
+    """``predicate ID -> may a triple of it pass``: *ok_p* holds for the
+    predicate and, when *pos* (the graph's POS index; None on a sharded
+    graph, where only *ok_p* is read) is given, some object of it anywhere
+    passes *ok_o*.  Each predicate is tested once; one with more than
+    *rows* objects is taken to pass untested, so no test reads more keys
+    than the step has input rows.  A ``?s ?p ?o`` step with ``?s`` bound
+    skips a failing predicate's leaf unread."""
+    return Memo(
+        lambda pred: (ok_p is None or ok_p(pred))
+        and (
+            ok_o is None or pos is None or len(pos[pred]) > rows or any(map(ok_o, pos[pred]))
+        )
+    ).__getitem__
+
+
 class _EncodedPattern:
     """One triple pattern compiled to dictionary-ID space.
 
@@ -702,6 +719,13 @@ class _SharedPlanCache(_GenerationLRU):
     Keys are object identities, safe because the value holds a strong
     reference to the very pattern objects the ids name -- a live id can
     never be reused by a different object.
+
+    An entry is ``(patterns, encoded patterns, join plans)``: the last maps
+    each input layout the eager join was asked for -- its columns, its
+    FILTERs' variables, the variables read above it, homogeneity -- to
+    :func:`~repro.sparql.join_plan.plan_join`'s output, so a repeated join
+    is planned once per generation.  A plan holds no table and no verdict
+    (those are bound per execution: :func:`~repro.sparql.join_plan.bind`).
     """
 
     #: entries kept per graph
@@ -724,6 +748,11 @@ class _SharedPlanCache(_GenerationLRU):
         makes it safe to hold plans across the fleet's repeated templated
         queries.
         """
+        return self.entry(graph, patterns)[1]
+
+    def entry(self, graph: Graph, patterns: Sequence[TriplePattern]) -> Tuple:
+        """``(patterns, encoded patterns, join plans)`` for *patterns* in
+        this generation of *graph* (see :meth:`compile`)."""
         entry, _ = self.lookup(
             graph,
             tuple(map(id, patterns)),
@@ -733,9 +762,10 @@ class _SharedPlanCache(_GenerationLRU):
                     _EncodedPattern(index, pattern, graph)
                     for index, pattern in enumerate(patterns)
                 ],
+                {},
             ),
         )
-        return entry[1]
+        return entry
 
 
 class _SharedProbeCache(_GenerationLRU):
@@ -1050,13 +1080,16 @@ class Execution:
         variables something above the join reads (None: all of them); the
         rest leave ``column_of`` once no later pattern needs them.  The
         order, the checks and the layouts are planned before any row is
-        built (:func:`~repro.sparql.join_plan.plan_join`).  Every candidate
+        built (:func:`~repro.sparql.join_plan.plan_join`), once per graph
+        generation and input layout: the plan rides in the plan-cache entry
+        of *patterns*, and each execution binds its FILTER verdicts and gate
+        tables to it (:func:`~repro.sparql.join_plan.bind`).  Every candidate
         a step drops is one a FILTER or a later inner join would have
         dropped, and no join kind changes (see below), so the survivors
         leave in the order the unfiltered join would give them.
         """
         graph = self.graph
-        encoded = self._compile_patterns(patterns)
+        _patterns, encoded, plans = self.engine._plans.entry(graph, patterns)
         for compiled in encoded:
             if compiled.impossible:
                 return None
@@ -1083,9 +1116,17 @@ class Execution:
             rows.append(tuple(row))
 
         homogeneous = all(len(solution) == width for solution in solutions)
-        steps, deferred = plan_join(
-            encoded, columns, filters, wanted, homogeneous, self._gate_table
+        checked = tuple(variable for variable, _check in filters)
+        key = (
+            tuple(columns), checked, None if wanted is None else frozenset(wanted), homogeneous
         )
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = join_plan.plan_join(encoded, columns, checked, wanted, homogeneous)
+        steps = join_plan.bind(
+            plan[0], [check for _variable, check in filters], self._build_probe_table
+        )
+        deferred = [filters[j] for j in plan[1]]
         built = 0
         # A step that picks hash join or INLJ from its input's row count
         # (``decides``) must see the count the unfiltered join would give
@@ -1273,18 +1314,14 @@ class Execution:
 
         A predicate is *settled* for a prefix once it is a key there, or
         once it fails there and no object of it anywhere in the graph
-        passes (tested once per predicate on POS's keys, when they are no
-        more than the rows).  A row whose predicates are all settled reads
+        passes (:func:`_may_pass`).  A row whose predicates are all settled reads
         nothing more; any other reads a leaf only up to its first passing
         object.
         """
-        spo, pos = self.graph.spo_ids(), self.graph.pos_ids()
+        spo = self.graph.spo_ids()
         subject = step.col_of[step.shared[0]]
         ok_p, ok_o = step.checks.get(0), step.checks.get(1)
-        may_pass = Memo(
-            lambda pred: (ok_p is None or ok_p(pred))
-            and (ok_o is None or len(pos[pred]) > len(rows) or any(map(ok_o, pos[pred])))
-        ).__getitem__
+        may_pass = _may_pass(self.graph.pos_ids(), ok_p, ok_o, len(rows))
         keep = step.keep
         settled_of: Dict[Tuple, Set[int]] = {}
         keys: Dict[Tuple, None] = {}
@@ -1372,16 +1409,6 @@ class Execution:
                 cached=cached,
             )
         return table
-
-    def _probe_is_cached(self, ep: _EncodedPattern) -> bool:
-        """Does *ep*'s probe table come from the shared probe cache (no
-        path)?"""
-        return ep.path is None
-
-    def _gate_table(self, ep: _EncodedPattern, shared, new_vars) -> Optional[Dict]:
-        """The probe table a hash join of *ep* reads, when it is the shared
-        cached one (a gate may come from nowhere else), else None."""
-        return self._build_probe_table(ep, shared, new_vars) if self._probe_is_cached(ep) else None
 
     def _probe_table(
         self,
@@ -1554,6 +1581,8 @@ class Execution:
         With a planned *step* a candidate is handled before its row is
         built: a checked variable is tested (a C-level call) as its index
         level yields it, and the row keeps only the step's live columns.
+        A subject-bound ``?s ?p ?o`` with a checked object reads the leaf
+        of only the predicates :func:`_may_pass` admits.
 
         On a sharded graph the probes route: a subject-bound row walks the
         owning shard's local indexes (same O(1) dict hops, no fan-out), and
@@ -1589,6 +1618,9 @@ class Execution:
             for index, check in step.checks.items():
                 checks[ep.var_positions[step.new_vars[index]][0]] = check
         ok_s, ok_p, ok_o = checks
+        may_pass = None
+        if ok_o is not None and s_kind != "free" and p_kind == o_kind == "free":
+            may_pass = _may_pass(pos, ok_p, ok_o, len(rows))  # pos: None if sharded
         # the checks on a whole (s, p, o) triple, for the routed streams
         admit = (
             None
@@ -1649,18 +1681,19 @@ class Execution:
                         for pred in predicates if ok_p is None else filter(ok_p, predicates):
                             append(base + make(s, pred, o))
                     continue
-                pairs = (
-                    by_predicate.items()
-                    if ok_p is None
-                    else [(pred, by_predicate[pred]) for pred in filter(ok_p, by_predicate)]
-                )
                 if ok_o is None:
+                    pairs = (
+                        by_predicate.items()
+                        if ok_p is None
+                        else [(pred, by_predicate[pred]) for pred in filter(ok_p, by_predicate)]
+                    )
                     for pred, objects in pairs:
                         for obj in objects:
                             append(base + make(s, pred, obj))
                 else:
-                    for pred, objects in pairs:
-                        for obj in objects:
+                    # a predicate no object of which can pass: leaf unread
+                    for pred in filter(may_pass, by_predicate):
+                        for obj in by_predicate[pred]:
                             if ok_o(obj):
                                 append(base + make(s, pred, obj))
                 continue

@@ -2,7 +2,8 @@
 
 :meth:`Execution._bgp_id_rows <repro.sparql.evaluator.Execution._bgp_id_rows>`
 is the one eager ID-space join.  Everything about it that does not depend
-on row counts is decided here, once per execution:
+on row counts is decided here, once per graph generation and input layout
+(:func:`plan_join`; the plan rides in the plan-cache entry of its BGP):
 
 * the **order** -- greedy on :func:`join_score`, a function of which
   variables are bound, so it is the same whether it is planned up front or
@@ -15,6 +16,14 @@ on row counts is decided here, once per execution:
   next inner join would drop;
 * the **live columns**: a column leaves the rows after the last pattern
   that reads it, unless something above the join wants it.
+
+**Planned once, bound per execution.**  A plan names its checks by slot
+-- which FILTER, by its index in the join's filter list, and which gate
+sits on which new variable -- and holds no callable derived from the
+graph's content.  :func:`bind` gives one execution its steps: each FILTER's
+verdict and each gate's probe table, fetched from the probe cache on every
+execution, so that cache stays the only owner of tables (and its size the
+memory bound) and no execution state lives in the plan.
 
 **Order fence.**  Dropping a candidate early never reorders the survivors,
 but it could change a *join kind*: a step picks INLJ or a hash join from
@@ -41,8 +50,8 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
-    "JoinStep", "Memo", "count_up_to", "join_order", "join_score", "picker",
-    "plan_join", "settled",
+    "JoinStep", "Memo", "bind", "count_up_to", "join_order", "join_score",
+    "picker", "plan_join", "settled",
 ]
 
 
@@ -121,14 +130,20 @@ class JoinStep:
     value) -- the variables of ``out`` -- and only if ``checks[i]`` holds
     for the value of ``new_vars[i]``.  ``pick`` does the same to a row
     already built as input row + every new value (:meth:`full_col_of`),
-    ``pick_new`` to the new values alone.  ``table`` is this pattern's
-    probe table when the step before fetched it as its gate; ``decides``
-    says the step picks hash join or INLJ from its input's row count.
+    ``pick_new`` to the new values alone.  ``decides`` says the step picks
+    hash join or INLJ from its input's row count.
+
+    The plan names the checks: ``filters[i]`` are the indices of the
+    FILTERs tested on ``new_vars[i]``, ``gate`` the ``i`` the next
+    pattern's probe table gates.  A planned step's ``checks`` are empty and
+    its ``table`` None; :func:`bind` fills them on one execution's copy --
+    ``table`` is this pattern's probe table when the step before fetched it
+    as its gate.
     """
 
     __slots__ = (
-        "ep", "shared", "new_vars", "col_of", "out",
-        "keep", "live", "pick", "pick_new", "checks", "table", "decides",
+        "ep", "shared", "new_vars", "col_of", "out", "keep", "live", "pick",
+        "pick_new", "decides", "filters", "gate", "checks", "table",
     )
 
     def __init__(self, ep, shared, new_vars, layout, alive: Optional[Set[str]]):
@@ -136,6 +151,8 @@ class JoinStep:
         self.shared = shared
         self.new_vars = new_vars
         self.col_of = dict(zip(layout, range(len(layout))))
+        self.filters: Dict[int, Tuple[int, ...]] = {}
+        self.gate: Optional[int] = None
         self.checks: Dict[int, object] = {}
         self.table = None
         self.decides = bool(shared) and ep.path is None
@@ -170,19 +187,35 @@ class JoinStep:
             full[variable] = i
         return full
 
+    def bound(self, checks: Dict[int, object], table) -> "JoinStep":
+        """A copy of this planned step carrying one execution's *checks*
+        and *table*."""
+        step = JoinStep.__new__(JoinStep)
+        for name in _PLANNED:
+            setattr(step, name, getattr(self, name))
+        step.checks = checks
+        step.table = table
+        return step
 
-def plan_join(encoded, layout, filters, wanted, homogeneous: bool, gate_table):
-    """``(steps, deferred filters)``: the join of *encoded* over rows laid
-    out as *layout* (a list of variables).
 
-    *filters* are ``(variable, check)`` term tests, *wanted* the variables
-    read above the join (None: all of them), *homogeneous* says every
-    input row binds every column -- without it no step drops anything.
-    ``gate_table(ep, shared, new_vars)`` is the probe table a hash join of
-    *ep* reads, or None unless it is the shared cached one; a step is
-    gated by the next pattern when that pattern shares exactly one
-    variable with the rows, this step binds it and its estimate is no
-    larger than this step's (so no whole-graph table is built as a gate).
+#: what :meth:`JoinStep.bound` copies: every slot but the bound ones
+_PLANNED = tuple(name for name in JoinStep.__slots__ if name not in ("checks", "table"))
+
+
+def plan_join(encoded, layout, filters, wanted, homogeneous: bool):
+    """``(steps, deferred)``: the join of *encoded* over rows laid out as
+    *layout* (a list of variables), planned without reading a row or
+    fetching a table.
+
+    *filters* are the variables of the join's term-test FILTERs, in order
+    (a FILTER is named by its index there); *wanted* the variables read
+    above the join (None: all of them); *homogeneous* says every input row
+    binds every column -- without it no step drops anything.  ``deferred``
+    are the indices of the FILTERs no step may run.  A step is gated by
+    the next pattern when that pattern shares exactly one variable with
+    the rows, this step binds it, its estimate is no larger than this
+    step's (so no whole-graph table is built as a gate) and its probe table
+    is cached (no property path).
     """
     bound = {variable.name for variable in layout}
     order = []
@@ -194,34 +227,31 @@ def plan_join(encoded, layout, filters, wanted, homogeneous: bool, gate_table):
     decides = [bool(shared) and ep.path is None for ep, shared, _n, _v in order]
     may_drop = [homogeneous and not any(decides[k + 2:]) for k in range(len(order))]
 
-    checks: List[Dict[int, List]] = [{} for _ in order]
+    slots: List[Dict[int, List[int]]] = [{} for _ in order]
     deferred = []
-    for variable, check in filters:
+    for j, variable in enumerate(filters):
         k = next((k for k, step in enumerate(order) if variable.name in step[2]), None)
         if k is not None and may_drop[k]:
-            checks[k].setdefault(order[k][2].index(variable.name), []).append(check)
+            slots[k].setdefault(order[k][2].index(variable.name), []).append(j)
         else:
-            deferred.append((variable, check))
-    tables: List[Optional[Dict]] = [None] * len(order)
+            deferred.append(j)
+    gates: List[Optional[int]] = [None] * len(order)
     for k in range(len(order) - 1):
         ep, _shared, new_names, _new = order[k]
-        after, after_shared, _names, after_new = order[k + 1]
+        after, after_shared, _names, _after_new = order[k + 1]
         if (
             may_drop[k]
             and len(after_shared) == 1
             and after_shared[0].name in new_names
             and after.est <= ep.est
+            and after.path is None
         ):
-            table = gate_table(after, after_shared, after_new)
-            if table is not None:
-                tables[k + 1] = table
-                index = new_names.index(after_shared[0].name)
-                checks[k].setdefault(index, []).append(table.__contains__)
+            gates[k] = new_names.index(after_shared[0].name)
 
     alive: List[Optional[Set[str]]] = [None] * len(order)
     if wanted is not None:
         needed = {variable.name for variable in wanted}
-        needed.update(variable.name for variable, _check in deferred)
+        needed.update(filters[j].name for j in deferred)
         for k in range(len(order) - 1, -1, -1):
             alive[k] = set(needed)
             needed |= order[k][0].names
@@ -229,13 +259,40 @@ def plan_join(encoded, layout, filters, wanted, homogeneous: bool, gate_table):
     steps = []
     for k, (ep, shared, _names, new_vars) in enumerate(order):
         step = JoinStep(ep, shared, new_vars, layout, alive[k])
-        for index, predicates in checks[k].items():
-            step.checks[index] = (
-                predicates[0]
-                if len(predicates) == 1
-                else lambda value, ps=predicates: all(p(value) for p in ps)
-            )
-        step.table = tables[k]
+        step.filters = {index: tuple(js) for index, js in slots[k].items()}
+        step.gate = gates[k]
         steps.append(step)
         layout = step.out
-    return steps, deferred
+    return steps, tuple(deferred)
+
+
+def bind(steps: Sequence[JoinStep], verdicts: Sequence, gate_table) -> List[JoinStep]:
+    """One execution's steps of a plan: each step's checks are the
+    *verdicts* of its FILTERs (``verdicts[j]``: FILTER *j*'s ``id ->
+    passes``), then its gate, the next pattern's probe table from
+    ``gate_table(ep, shared, new_vars)``, which the next step also
+    probes.  A step with nothing to bind is the planned step itself."""
+    out = []
+    table = None
+    for k, step in enumerate(steps):
+        checks = {index: [verdicts[j] for j in js] for index, js in step.filters.items()}
+        gate = None
+        if step.gate is not None:
+            after = steps[k + 1]
+            gate = gate_table(after.ep, after.shared, after.new_vars)
+            checks.setdefault(step.gate, []).append(gate.__contains__)
+        if checks or table is not None:
+            step = step.bound(
+                {
+                    index: (
+                        predicates[0]
+                        if len(predicates) == 1
+                        else lambda value, ps=predicates: all(p(value) for p in ps)
+                    )
+                    for index, predicates in checks.items()
+                },
+                table,
+            )
+        out.append(step)
+        table = gate
+    return out

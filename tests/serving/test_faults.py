@@ -23,6 +23,35 @@ def test_plan_validates_windows():
         FaultPlan(horizon_ms=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("slowdowns", float("nan")),
+        ("slowdowns", float("inf")),
+        ("slowdowns", -1.0),
+        ("slowdowns", True),
+        ("timeout_spikes", float("nan")),
+        ("timeout_spikes", float("inf")),
+        ("timeout_spikes", -1.0),
+        ("timeout_spikes", 0.0),
+        ("timeout_spikes", True),
+    ],
+)
+def test_plan_refuses_a_scale_the_endpoint_would_refuse(field, value):
+    """A window's scale reaches ``SparqlEndpoint.query`` as
+    ``latency_scale`` / ``timeout_scale``: the plan refuses what the
+    endpoint would, naming that parameter."""
+    name = "latency_scale" if field == "slowdowns" else "timeout_scale"
+    with pytest.raises(ValueError, match=name):
+        FaultPlan(**{field: [(0.0, 10.0, value)]})
+
+
+def test_plan_accepts_the_edges_of_the_scales():
+    plan = FaultPlan(slowdowns=[(0.0, 10.0, 0)], timeout_spikes=[(0.0, 10.0, 1e-9)])
+    state = plan.injector().state_at(5.0)
+    assert (state.slowdown, state.timeout_scale) == (0.0, 1e-9)
+
+
 def test_plan_sorts_windows():
     plan = FaultPlan(outages=[(50.0, 60.0), (0.0, 10.0)])
     assert plan.outages == ((0.0, 10.0), (50.0, 60.0))

@@ -166,6 +166,61 @@ LINKS = (
     "?s a ?c . ?s ?p ?o . ?o a ?target } GROUP BY ?c ?p ?target"
 )
 CLASS_DATATYPES = f"SELECT DISTINCT ?p WHERE {{ ?s a {C0} . ?s ?p ?o . FILTER ( isLiteral(?o) ) }}"
+CLASS_LINKS = (
+    f"SELECT ?p ?target (COUNT(?o) AS ?n) WHERE {{ ?s a {C0} . ?s ?p ?o . ?o a ?target }} "
+    "GROUP BY ?p ?target"
+)
+TYPED_LINKS = "SELECT ?s ?p ?o WHERE { ?s a ?c . ?s ?p ?o . ?o a ?k }"
+
+
+def _n(i):
+    return IRI(f"{EX}n{i}")
+
+
+def _p(i):
+    return IRI(f"{EX}p{i}")
+
+
+#: The links question's ``?s ?p ?o`` step is an INLJ gated by ``?o a ?k``
+#: on each of these, and skips a predicate no object of which anywhere is
+#: typed (read on POS) unless it has more objects than the step has input
+#: rows.  ``p0`` links to a typed object only from some subjects (and
+#: ``rdf:type`` itself has only untyped objects):
+PARTLY_TYPED = [
+    Triple(_n(0), RDF.type, IRI(f"{EX}C0")),
+    Triple(_n(1), RDF.type, IRI(f"{EX}C1")),
+    Triple(_n(0), _p(0), _n(1)),
+    Triple(_n(0), _p(0), _n(2)),
+    Triple(_n(0), _p(1), Literal("x")),
+    Triple(_n(2), _p(0), _n(3)),
+    Triple(_n(3), _p(0), _n(2)),
+    Triple(_n(2), _p(1), Literal("x")),
+    Triple(_n(1), _p(0), _n(3)),
+    Triple(_n(3), _p(1), _n(1)),
+]
+#: ``p1`` has only literal objects, two of them, as many as the typed rows
+LITERAL_ONLY = [
+    Triple(_n(0), RDF.type, IRI(f"{EX}C0")),
+    Triple(_n(1), RDF.type, IRI(f"{EX}C0")),
+    Triple(_n(0), _p(0), _n(1)),
+    Triple(_n(0), _p(1), Literal("x")),
+    Triple(_n(1), _p(1), Literal(2)),
+    Triple(_n(1), _p(0), _n(0)),
+    Triple(_n(2), _p(1), Literal("x")),
+    Triple(_n(2), _p(0), _n(3)),
+    Triple(_n(3), _p(1), Literal(2)),
+    Triple(_n(3), _p(0), _n(2)),
+]
+#: ``p1`` has no typed object but three objects against one typed row: it
+#: is taken to pass untested, and its objects are tested one by one
+WIDE_DEAD = [
+    Triple(_n(0), RDF.type, IRI(f"{EX}C0")),
+    Triple(_n(0), _p(1), _n(1)),
+    Triple(_n(1), _p(1), _n(2)),
+    Triple(_n(2), _p(1), Literal(1)),
+    Triple(_n(0), _p(0), _n(0)),
+    Triple(_n(1), _p(0), _n(0)),
+]
 
 
 @settings(max_examples=500, deadline=None)
@@ -174,6 +229,13 @@ CLASS_DATATYPES = f"SELECT DISTINCT ?p WHERE {{ ?s a {C0} . ?s ?p ?o . FILTER ( 
 @example(data=EXTRACTED, case=(DATATYPES, " LIMIT 1 OFFSET 1"))
 @example(data=EXTRACTED, case=(LINKS, ""))
 @example(data=EXTRACTED, case=(CLASS_DATATYPES, ""))
+@example(data=PARTLY_TYPED, case=(LINKS, ""))
+@example(data=PARTLY_TYPED, case=(TYPED_LINKS, ""))
+@example(data=LITERAL_ONLY, case=(LINKS, ""))
+@example(data=LITERAL_ONLY, case=(CLASS_LINKS, ""))
+@example(data=LITERAL_ONLY, case=(TYPED_LINKS, ""))
+@example(data=WIDE_DEAD, case=(LINKS, ""))
+@example(data=WIDE_DEAD, case=(TYPED_LINKS, ""))
 @example(data=TWO_TYPED, case=(f"SELECT ?s ?o WHERE {{ ?s a {C0} . ?s ?p ?o . ?o a ?k }}", ""))
 @example(data=TWO_TYPED, case=(f"SELECT DISTINCT ?o WHERE {{ ?s a {C0} . ?s ?p ?o }}", ""))
 @example(

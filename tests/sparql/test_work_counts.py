@@ -19,6 +19,8 @@ from __future__ import annotations
 import pytest
 
 from repro.datagen import big_lod_graph, government_graph
+from repro.rdf import IRI
+from repro.rdf.namespaces import RDF
 from repro.serving import default_query_mix
 from repro.sparql import QueryEngine
 from repro.sparql.evaluator import EXEC_STAT_KEYS
@@ -118,3 +120,69 @@ def test_top_entities_reads_no_object_leaf(engine, texts):
         for predicate, objects in by_predicate.items():
             by_predicate[predicate] = _Unread(objects)
     assert QueryEngine(graph).execute(texts["top-entities"]).result.rows == expected
+
+
+def _census_graph():
+    return big_lod_graph(class_count=16, group_count=4, instances_per_class=9, seed=2021,
+                         name="biglod1")
+
+
+def _unread_dead_leaves(graph, subjects) -> int:
+    """Replace with :class:`_Unread` every SPO leaf of each predicate none of
+    whose objects anywhere is typed -- so no row of ``?s ?p ?o . ?o a ?t``
+    can use it -- among those with no more objects than *subjects*, the rows
+    a ``?s a ...`` step hands the ``?s ?p ?o`` step (above that bound the
+    step takes a predicate to pass untested); the number of such
+    predicates."""
+    spo, pos = graph.spo_ids(), graph.pos_ids()
+    rdf_type = graph.lookup_id(RDF.type)
+    typed = {s for s, by_predicate in spo.items() if rdf_type in by_predicate}
+    dead = {
+        p for p, by_object in pos.items()
+        if len(by_object) <= subjects and not any(o in typed for o in by_object)
+    }
+    for by_predicate in spo.values():
+        for predicate in dead & by_predicate.keys():
+            by_predicate[predicate] = _Unread(by_predicate[predicate])
+    return len(dead)
+
+
+def _typed_rows(graph, class_iri=None) -> int:
+    pos = graph.pos_ids()[graph.lookup_id(RDF.type)]
+    if class_iri is not None:
+        return len(pos[graph.lookup_id(class_iri)])
+    return sum(map(len, pos.values()))
+
+
+@pytest.mark.parametrize("make", [lambda: government_graph(scale=1.0, seed=5), _census_graph],
+                         ids=["government", "census-1"])
+def test_the_links_question_reads_no_leaf_of_a_dead_predicate(make):
+    """A predicate with no typed object anywhere (a literal-only one, or one
+    linking only to untyped nodes) cannot yield a link: the subject-bound
+    ``?s ?p ?o`` step drops it before it reads its leaf."""
+    expected = QueryEngine(make()).execute(QUESTIONS["links"]).result.rows
+    graph = make()
+    rows = _typed_rows(graph)
+    predicates = len(graph.pos_ids())
+    unread = _unread_dead_leaves(graph, rows)
+    # every dead predicate is within the bound here: 13 of 24 on the
+    # government graph, 5 of 30 on census-1
+    assert (unread, predicates) in ((13, 24), (5, 30))
+    assert QueryEngine(graph).execute(QUESTIONS["links"]).result.rows == expected
+
+
+@pytest.mark.parametrize("paged", [False, True])
+def test_a_per_class_link_scan_reads_no_leaf_of_a_dead_predicate(paged):
+    """Index Extraction's per-class rung (its aggregate and its paged scan)
+    on the government graph's largest class, 900 bus stops."""
+    class_iri = "http://gov.example.org/govdata/BusStop"
+    pattern = f"WHERE {{ ?s a <{class_iri}> . ?s ?p ?o . ?o a ?target }}"
+    if paged:
+        text = f"SELECT ?p ?target {pattern} LIMIT 1000 OFFSET 0"
+    else:
+        text = f"SELECT ?p ?target (COUNT(?o) AS ?n) {pattern} GROUP BY ?p ?target"
+    expected = QueryEngine(government_graph(scale=1.0, seed=5)).execute(text).result.rows
+    assert expected
+    graph = government_graph(scale=1.0, seed=5)
+    assert _unread_dead_leaves(graph, _typed_rows(graph, IRI(class_iri))) == 12
+    assert QueryEngine(graph).execute(text).result.rows == expected
