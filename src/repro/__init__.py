@@ -8,7 +8,7 @@ Subpackages:
 * :mod:`repro.rdf`       -- RDF data model, triple store, serializations
 * :mod:`repro.sparql`    -- SPARQL subset engine
 * :mod:`repro.endpoint`  -- simulated SPARQL endpoint network
-* :mod:`repro.docstore`  -- embedded document store (MongoDB substitute)
+* :mod:`repro.docstore`  -- URL-keyed document store (MongoDB substitute)
 * :mod:`repro.community` -- community detection algorithms
 * :mod:`repro.viz`       -- layout algorithms + SVG/HTML rendering
 * :mod:`repro.datagen`   -- synthetic Linked Data generators

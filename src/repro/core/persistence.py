@@ -3,10 +3,10 @@
 The 2018 demo computed the Cluster Schema on-the-fly in the browser; the
 re-engineered server computes it once after extraction and stores it in
 MongoDB so "both the Schema Summary and Cluster Schema can be visualized
-by directly querying the DB".  :class:`HboldStorage` is that MongoDB
-surface over our embedded document store.
+by directly querying the DB".  :class:`HboldStorage` is that surface over
+our embedded document store.
 
-Collections:
+Collections, each keyed by endpoint URL:
 
 * ``endpoints``   -- registry records (url, title, status, extraction dates)
 * ``indexes``     -- raw :class:`EndpointIndexes` documents
@@ -16,97 +16,58 @@ Collections:
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Dict, List, Optional
 
-from ..docstore.database import Database, DocumentStore
+from ..docstore.database import DocumentStore
 from .models import ClusterSchema, EndpointIndexes, SchemaSummary
 
 __all__ = ["HboldStorage"]
 
 
 class HboldStorage:
-    """Typed persistence facade over the document store."""
+    """Typed persistence facade over the document store.
 
-    def __init__(self, store: Optional[DocumentStore] = None, db_name: str = "hbold"):
+    Every document is keyed by its endpoint URL.  Loaded models are cached
+    per URL beside the stored document they were decoded from; an entry is
+    a hit only while the collection still holds that very object.  Every
+    ``put`` stores a new object, so a write through another facade, or
+    straight to the collection, turns the entry into a miss -- no hook
+    needed.  The decoded models are frozen by convention, so handing out
+    the same object is safe and skips the decode on the presentation hot
+    path.
+    """
+
+    def __init__(self, store: Optional[DocumentStore] = None):
         self.store = store or DocumentStore()
-        self.db: Database = self.store.database(db_name)
-        self.endpoints = self.db.collection("endpoints")
-        self.indexes = self.db.collection("indexes")
-        self.summaries = self.db.collection("summaries")
-        self.clusters = self.db.collection("clusters")
-        for collection in (self.endpoints, self.indexes, self.summaries, self.clusters):
-            collection.create_index("endpoint_url", unique=collection is not self.endpoints)
-        self.endpoints.create_index("url", unique=True)
-        # Read-through model caches keyed by url.  Any mutation of the
-        # backing collection (including out-of-band writes straight to the
-        # docstore) fires its ``on_change`` hook and drops the whole cache
-        # for that collection; the typed save_* paths repopulate their key
-        # write-through.  The decoded models are frozen by convention, so
-        # handing out the same object is safe and skips the document
-        # deep-copy + decode on the presentation hot path.
-        self._model_cache: Dict[str, Dict[str, Any]] = {
-            "indexes": {},
-            "summaries": {},
-            "clusters": {},
+        self.endpoints = self.store.collection("endpoints")
+        self.indexes = self.store.collection("indexes")
+        self.summaries = self.store.collection("summaries")
+        self.clusters = self.store.collection("clusters")
+        #: collection name -> url -> (stored document, model decoded from it)
+        self._models: Dict[str, Dict[str, tuple]] = {
+            "indexes": {}, "summaries": {}, "clusters": {},
         }
-        #: set while one of this facade's typed save_* methods writes; this
-        #: facade then invalidates exactly its own key (write-through) while
-        #: other subscribers on the same collection still get notified.
-        self._own_write = False
-        self._subscribe(self.indexes, self._model_cache["indexes"])
-        self._subscribe(self.summaries, self._model_cache["summaries"])
-        self._subscribe(self.clusters, self._model_cache["clusters"])
 
-    def _subscribe(self, collection, cache: Dict[str, Any]) -> None:
-        """Chain a cache-clearing hook onto the collection's change hook.
+    def _save(self, collection, model) -> None:
+        stored = collection.put(model.endpoint_url, model.to_doc())
+        # Write-through: the saved model is what a load would decode.
+        self._models[collection.name][model.endpoint_url] = (stored, model)
 
-        Chaining (instead of assigning) keeps other facades over the same
-        DocumentStore working: every subscriber still hears every change.
-        The hook holds this facade weakly: the collection it hangs on is
-        the facade's own, and a strong reference back would make the
-        facade, its caches and every model in them a reference cycle that
-        only the cyclic collector frees.
-        """
-        previous = collection.on_change
-        facade = weakref.ref(self)
-
-        def hook():
-            owner = facade()
-            if owner is None or not owner._own_write:
-                cache.clear()
-            if previous is not None:
-                previous()
-
-        collection.on_change = hook
-
-    def _cached_model(self, cache_name: str, collection, url: str, decode):
-        cache = self._model_cache[cache_name]
-        if url in cache:
-            return cache[url]
-        doc = collection.find_one({"endpoint_url": url})
-        model = decode(doc) if doc else None
-        cache[url] = model
+    def _load(self, collection, url: str, decode):
+        cache = self._models[collection.name]
+        document = collection.get(url)
+        entry = cache.get(url)
+        if entry is not None and entry[0] is document:
+            return entry[1]
+        model = None if document is None else decode(document)
+        cache[url] = (document, model)
         return model
-
-    def _replace_quietly(self, collection, url: str, doc: Dict[str, Any]) -> None:
-        """Replace *url*'s doc without clearing this facade's own cache.
-
-        The typed save path invalidates exactly its own cache key (the
-        write-through in each ``save_*``); other subscribers to the
-        collection's change hook are still notified.
-        """
-        self._own_write = True
-        try:
-            collection.replace_one({"endpoint_url": url}, doc, upsert=True)
-        finally:
-            self._own_write = False
 
     # -- registry records --------------------------------------------------------
 
     def upsert_endpoint(self, url: str, **fields: Any) -> Dict[str, Any]:
         """Create or update the registry record for *url*; returns it."""
-        existing = self.endpoints.find_one({"url": url})
+        existing = self.endpoints.get(url)
         if existing is None:
             record: Dict[str, Any] = {
                 "url": url,
@@ -117,51 +78,41 @@ class HboldStorage:
                 "last_attempt_day": None,
                 "last_error": None,
             }
-            record.update(fields)
-            self.endpoints.insert_one(record)
-            return record
-        updates = {f"{key}": value for key, value in fields.items()}
-        if updates:
-            self.endpoints.update_one({"url": url}, {"$set": updates})
-        return self.endpoints.find_one({"url": url})
+        else:
+            record = dict(existing)
+        record.update(fields)
+        self.endpoints.put(url, record)
+        return record
 
     def endpoint_record(self, url: str) -> Optional[Dict[str, Any]]:
-        return self.endpoints.find_one({"url": url})
+        return self.endpoints.find_one({"_id": url})
 
     def list_endpoints(self, status: Optional[str] = None) -> List[Dict[str, Any]]:
-        query: Dict[str, Any] = {}
-        if status is not None:
-            query["status"] = status
-        return self.endpoints.find(query, sort=[("url", 1)])
+        query = {} if status is None else {"status": status}
+        return sorted(self.endpoints.find(query), key=lambda record: record["url"])
 
     def endpoint_count(self, status: Optional[str] = None) -> int:
-        if status is None:
-            return self.endpoints.count_documents()
-        return self.endpoints.count_documents({"status": status})
+        return self.endpoints.count_documents(None if status is None else {"status": status})
 
     # -- artifacts ----------------------------------------------------------------
 
     def save_indexes(self, indexes: EndpointIndexes) -> None:
-        self._replace_quietly(self.indexes, indexes.endpoint_url, indexes.to_doc())
-        # Write-through: the saved model is what a load would decode.
-        self._model_cache["indexes"][indexes.endpoint_url] = indexes
+        self._save(self.indexes, indexes)
 
     def load_indexes(self, url: str) -> Optional[EndpointIndexes]:
-        return self._cached_model("indexes", self.indexes, url, EndpointIndexes.from_doc)
+        return self._load(self.indexes, url, EndpointIndexes.from_doc)
 
     def save_summary(self, summary: SchemaSummary) -> None:
-        self._replace_quietly(self.summaries, summary.endpoint_url, summary.to_doc())
-        self._model_cache["summaries"][summary.endpoint_url] = summary
+        self._save(self.summaries, summary)
 
     def load_summary(self, url: str) -> Optional[SchemaSummary]:
-        return self._cached_model("summaries", self.summaries, url, SchemaSummary.from_doc)
+        return self._load(self.summaries, url, SchemaSummary.from_doc)
 
     def save_cluster_schema(self, schema: ClusterSchema) -> None:
-        self._replace_quietly(self.clusters, schema.endpoint_url, schema.to_doc())
-        self._model_cache["clusters"][schema.endpoint_url] = schema
+        self._save(self.clusters, schema)
 
     def load_cluster_schema(self, url: str) -> Optional[ClusterSchema]:
-        return self._cached_model("clusters", self.clusters, url, ClusterSchema.from_doc)
+        return self._load(self.clusters, url, ClusterSchema.from_doc)
 
     # -- bookkeeping ---------------------------------------------------------------
 

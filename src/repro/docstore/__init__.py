@@ -2,36 +2,20 @@
 
 The paper stores Schema Summaries and Cluster Schemas in MongoDB so the
 presentation layer can answer from the DB instead of recomputing (§3.2).
-This package reproduces the storage contract the server layer needs:
-Mongo-flavoured CRUD + query operators + secondary indexes, with optional
-JSON-lines persistence.
+What H-BOLD stores is a registry record and three artifacts per endpoint
+URL, so a collection here is a dict keyed by that URL (``get`` / ``put``,
+plus equality-only ``find``), and a store persists as one record file
+replaced whole on every flush.
 """
 
-from .aggregation import aggregate
-from .collection import (
-    Collection,
-    DeleteResult,
-    DuplicateKeyError,
-    InsertResult,
-    UpdateResult,
-)
-from .database import Database, DocumentStore
-from .documents import DocumentError, ObjectId
-from .persistence import PersistenceError
-from .query import QuerySyntaxError, matches
+from .collection import Collection
+from .database import STORE_FILE, DocumentStore, PersistenceError
+from .documents import DocumentError
 
 __all__ = [
     "Collection",
-    "Database",
-    "DeleteResult",
     "DocumentError",
     "DocumentStore",
-    "DuplicateKeyError",
-    "InsertResult",
-    "ObjectId",
     "PersistenceError",
-    "QuerySyntaxError",
-    "UpdateResult",
-    "aggregate",
-    "matches",
+    "STORE_FILE",
 ]

@@ -16,8 +16,8 @@ The package gives :class:`~repro.rdf.graph.Graph` and
 * a **manifest** binding {termdict segments, shard snapshot files, WAL
   offset, ``Graph.generation``, content digest -- a set hash, so the sum of
   the digests it records per shard file} together, swapped atomically with
-  write-temp + ``os.replace`` -- the same contract as
-  ``docstore/persistence.py`` (`manifest.py`),
+  write-temp + fsync + ``os.replace`` -- the same contract as
+  :func:`atomic_write`, which the docstore's flush uses too (`manifest.py`),
 * a deterministic **crash-point injector** in the style of
   ``serving/faults.py`` so recovery is provable, not hoped-for
   (`crash.py`).
@@ -39,6 +39,7 @@ from .crash import CrashInjector, CrashPoint
 from .format import FormatError, decode_term, encode_term
 from .manifest import ManifestError, read_manifest, write_manifest
 from .paths import store_files
+from .snapshot import atomic_write
 from .store import (
     DurabilityError,
     Journal,
@@ -61,6 +62,7 @@ __all__ = [
     "ManifestError",
     "WalReplayError",
     "WriteAheadLog",
+    "atomic_write",
     "attach_journal",
     "content_digest",
     "decode_term",

@@ -28,11 +28,12 @@ number in its name and in its header -- because a commit writes only what
 changed: a shard nobody wrote to and the chain's earlier segments are
 carried from older commits by naming them again.
 
-The swap rule (the ``docstore/persistence.py`` contract): write the new
-manifest to a temp file in the same directory, flush + fsync, then
-``os.replace`` onto ``manifest.json``.  ``os.replace`` is atomic on POSIX,
-so a reader observes either the old manifest or the new one -- never a
-mix, never a partial file.  Everything else in the directory is garbage
+The swap rule (the contract of ``snapshot.atomic_write``, which the
+docstore's flush uses too): write the new manifest to a temp file in the
+same directory, flush + fsync, then ``os.replace`` onto
+``manifest.json``.  ``os.replace`` is atomic on POSIX, so a reader
+observes either the old manifest or the new one -- never a mix, never a
+partial file.  Everything else in the directory is garbage
 until a manifest points at it, which is what makes crash recovery a pure
 function of (manifest, WAL prefix).
 """

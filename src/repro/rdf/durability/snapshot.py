@@ -45,6 +45,7 @@ from .format import decode_term, dumps, encode_term, loads, pack_record, scan_re
 
 __all__ = [
     "SnapshotError",
+    "atomic_write",
     "read_shard_columns",
     "read_termdict_snapshot",
     "write_shard_snapshot",
@@ -62,7 +63,7 @@ class SnapshotError(RuntimeError):
     """A snapshot file is missing, corrupt, or from the wrong epoch."""
 
 
-def _atomic_write(
+def atomic_write(
     path: str,
     chunks: Iterable[bytes],
     injector: Optional[CrashInjector],
@@ -127,7 +128,7 @@ def write_shard_snapshot(
     checksum = 0
     for blob in blobs:
         checksum = zlib.crc32(blob, checksum)
-    _atomic_write(path, [header + meta] + blobs, injector, "snapshot-write")
+    atomic_write(path, [header + meta] + blobs, injector, "snapshot-write")
     return len(columns[0]), checksum
 
 
@@ -239,7 +240,7 @@ def write_termdict_snapshot(
     checksum = 0
     for chunk in chunks:
         checksum = zlib.crc32(chunk, checksum)
-    _atomic_write(path, chunks, injector, "termdict-write")
+    atomic_write(path, chunks, injector, "termdict-write")
     return rows, checksum
 
 

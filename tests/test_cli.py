@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -135,3 +137,25 @@ class TestCommands:
         # a brand-new invocation sees the indexed dataset
         code, out, _ = run(["--store", store, "show", "--url", URL], capsys)
         assert code == 0
+
+
+class TestStoreAcrossProcesses:
+    def test_index_crawl_list_each_in_a_new_process(self, store):
+        """A store reopened by a new process takes new documents: every run
+        exits 0 and the last one lists what the crawl added."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        outputs = []
+        for command in (["index", "--all"], ["crawl"], ["list"]):
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "--store", store,
+                 "--indexable", "4", "--broken", "0", *command],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, (command, done.stderr)
+            outputs.append(done.stdout)
+        assert "net new: 5" in outputs[1]
+        listed = outputs[2]
+        assert "9 listed, 4 indexed" in listed
+        assert "listed   http://lod-euodp-0.example.org/sparql" in listed
+        assert "indexed  http://lod0.example.org/sparql" in listed

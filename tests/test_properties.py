@@ -2,19 +2,20 @@
 
 Each property targets an invariant that the rest of the system silently
 relies on: index coherence in the triple store, serialization round-trips,
-SPARQL algebra laws, the docstore matcher, layout geometry and community
-detection partition validity.
+SPARQL algebra laws, the docstore's equality find and its file, layout
+geometry and community detection partition validity.
 """
 
 import itertools
 import math
 import string
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.community import Partition, UndirectedGraph, louvain, modularity
-from repro.docstore.query import matches
+from repro.docstore import Collection, DocumentStore
 from repro.rdf import (
     Graph,
     IRI,
@@ -190,11 +191,12 @@ class TestSparqlProperties:
 
 
 # ---------------------------------------------------------------------------
-# docstore matcher
+# docstore
 # ---------------------------------------------------------------------------
 
 scalar_values = st.one_of(
     st.integers(min_value=-1000, max_value=1000),
+    st.floats(allow_nan=False),
     st.text(alphabet=string.ascii_lowercase, max_size=6),
     st.booleans(),
     st.none(),
@@ -207,10 +209,16 @@ flat_docs = st.dictionaries(
 )
 
 
+def _holding(doc):
+    collection = Collection("c")
+    collection.put("k", doc)
+    return collection
+
+
 class TestDocstoreProperties:
     @given(flat_docs)
     def test_document_matches_itself_as_filter(self, doc):
-        assert matches(doc, dict(doc))
+        assert _holding(doc).count_documents(dict(doc)) == 1
 
     @given(flat_docs, flat_docs)
     def test_equality_filter_equivalent_to_predicate(self, doc, query):
@@ -218,16 +226,22 @@ class TestDocstoreProperties:
             key in doc and _mongo_eq(doc[key], value) or (value is None and key not in doc)
             for key, value in query.items()
         )
-        assert matches(doc, query) == expected
+        collection = _holding(doc)
+        assert collection.count_documents(query) == int(expected)
+        assert (collection.find_one(query) is not None) == expected
 
-    @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=10),
-           st.integers(min_value=-50, max_value=50))
-    def test_comparison_operators_partition_values(self, values, pivot):
-        docs = [{"v": value} for value in values]
-        below = [d for d in docs if matches(d, {"v": {"$lt": pivot}})]
-        equal = [d for d in docs if matches(d, {"v": pivot})]
-        above = [d for d in docs if matches(d, {"v": {"$gt": pivot}})]
-        assert len(below) + len(equal) + len(above) == len(docs)
+    @given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("uvw"), flat_docs),
+                    max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_a_flushed_store_reopens_as_it_was(self, puts):
+        with tempfile.TemporaryDirectory() as root:
+            store = DocumentStore(root)
+            for name, key, doc in puts:
+                store.collection(name).put(key, doc)
+            store.flush()
+            reopened = DocumentStore(root)
+            for name in "abc":
+                assert reopened.collection(name).find() == store.collection(name).find()
 
 
 def _mongo_eq(left, right):

@@ -1,8 +1,5 @@
-"""Second wave of property-based tests: property paths, the aggregation
-pipeline, availability models, schema-summary invariants and the
-multilevel pyramid."""
-
-import string
+"""Second wave of property-based tests: property paths, availability
+models, schema-summary invariants and the multilevel pyramid."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.cluster_schema import build_cluster_schema
 from repro.core.models import SchemaEdge, SchemaNode, SchemaSummary
 from repro.core.multilevel import build_multilevel_hierarchy
-from repro.docstore import Collection, aggregate
 from repro.endpoint.availability import MarkovAvailability, availability_ratio
 from repro.rdf import Graph, IRI, Triple
 from repro.sparql import evaluate
@@ -113,71 +109,6 @@ class TestPathProperties:
             )
         }
         assert via_path == via_join
-
-
-# ---------------------------------------------------------------------------
-# aggregation pipeline
-# ---------------------------------------------------------------------------
-
-docs = st.lists(
-    st.fixed_dictionaries(
-        {
-            "group": st.sampled_from(["a", "b", "c"]),
-            "value": st.integers(min_value=-100, max_value=100),
-        }
-    ),
-    min_size=0,
-    max_size=25,
-)
-
-
-class TestAggregationProperties:
-    @given(docs)
-    @settings(max_examples=60)
-    def test_group_sums_match_reference(self, rows):
-        collection = Collection("x")
-        if rows:
-            collection.insert_many(rows)
-        result = aggregate(
-            collection,
-            [{"$group": {"_id": "$group", "total": {"$sum": "$value"},
-                         "n": {"$count": True}}}],
-        )
-        reference = {}
-        for row in rows:
-            entry = reference.setdefault(row["group"], [0, 0])
-            entry[0] += row["value"]
-            entry[1] += 1
-        assert {r["_id"]: (r["total"], r["n"]) for r in result} == {
-            k: tuple(v) for k, v in reference.items()
-        }
-
-    @given(docs)
-    @settings(max_examples=60)
-    def test_match_then_count_equals_count_documents(self, rows):
-        collection = Collection("x")
-        if rows:
-            collection.insert_many(rows)
-        result = aggregate(
-            collection,
-            [{"$match": {"value": {"$gt": 0}}},
-             {"$group": {"_id": None, "n": {"$count": True}}}],
-        )
-        expected = collection.count_documents({"value": {"$gt": 0}})
-        measured = result[0]["n"] if result else 0
-        assert measured == expected
-
-    @given(docs)
-    @settings(max_examples=40)
-    def test_sort_limit_is_top_k(self, rows):
-        collection = Collection("x")
-        if rows:
-            collection.insert_many(rows)
-        result = aggregate(
-            collection, [{"$sort": {"value": -1}}, {"$limit": 3}]
-        )
-        values = [r["value"] for r in result]
-        assert values == sorted((r["value"] for r in rows), reverse=True)[:3]
 
 
 # ---------------------------------------------------------------------------
