@@ -64,7 +64,7 @@ class ExplorationSession:
     bound to the session's endpoint.  When present, the class-detail
     panel includes the class's dominant entities; the underlying
     aggregate + ``ORDER BY ... LIMIT k`` query rides the engine's
-    streaming top-k path (and the endpoint's shared plan cache, so the
+    columnar aggregate sink (and the endpoint's shared plan cache, so the
     repeated per-class template re-plans nothing).
     """
 

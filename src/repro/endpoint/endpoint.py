@@ -81,8 +81,7 @@ class SparqlEndpoint:
         self.availability = availability or AlwaysAvailable()
         self.title = title or url
         #: BGP pipeline of the backing engine: "hash" (dictionary-encoded
-        #: hash joins, the default), "stream" (lazy volcano pipeline) or
-        #: "scan" (legacy nested-loop joins).
+        #: hash joins, the default) or "scan" (legacy nested-loop joins).
         self.strategy = strategy
         self._engine = QueryEngine(graph, strategy=strategy)
         digest = hashlib.sha256(f"{seed}:{url}:latency".encode("utf-8")).digest()

@@ -18,50 +18,55 @@ is small enough that the classic textbook pipeline would only add plumbing):
 5. solution modifiers (ORDER/DISTINCT/OFFSET/LIMIT) apply last, in the order
    the SPARQL spec defines.
 
-Three BGP pipelines sit behind ``QueryEngine(graph, strategy=...)``:
+Two BGP pipelines sit behind ``QueryEngine(graph, strategy=...)``:
 
 * ``"hash"`` (default) -- the eager dictionary-encoded hash-join pipeline
-  above.  Small-LIMIT queries delegate to the streaming operators so
-  pagination stops early.
-* ``"stream"`` -- a volcano-style pipeline: every operator (pattern scan,
-  hash/index join, FILTER, OPTIONAL, UNION, VALUES, projection, DISTINCT,
-  OFFSET/LIMIT) is a generator over ID-tuple rows, so ``LIMIT k`` pulls
-  exactly as much of the join as k rows require.  The two former pipeline
-  breakers stream too: ``ORDER BY ... LIMIT k`` runs through a bounded
-  ``heapq`` top-k (at most ``offset + k`` rows kept, stable tie-break on
-  input order so the result equals sort-then-slice; DISTINCT rides along
-  through a per-key champion table, so the result equals sort, stable
-  dedup, slice), and column-shaped GROUP BY/aggregation folds
-  incrementally into per-group :class:`_AggFold` accumulators (O(groups)
-  state; COUNT DISTINCT via per-group seen-sets of encoded values).
+  above, plus a lazy operator chain
+  (:meth:`Execution._evaluate_group_stream`: pattern scan, hash/index
+  join, FILTER, OPTIONAL, UNION and VALUES as generators, so a consumer
+  pulls exactly as much of the join as it needs).  The chain has two
+  users: ASK, which stops at its first witness, and a small-LIMIT page.
 * ``"scan"`` -- the legacy substitute-and-scan nested-loop join kept as
-  the conformance oracle; the suite runs every query through all three
+  the conformance oracle; the suite runs every query through both
   pipelines and asserts identical solutions.
 
-The *simple shape* -- plain triple patterns plus one-variable term-test
-FILTERs, with bare-variable projections, sort keys and aggregates --
-has one executor (:meth:`Execution._run_select_simple`): a source of
-ID *column* batches (``BATCH_SIZE`` rows each, volcano control flow
-between batches), its FILTERs already applied, feeds one of three
-sinks -- projection/DISTINCT/slice, top-k/sort, or GROUP BY fold
-(:meth:`_AggFold.fold_batch`).  Rows stay dictionary IDs (and raw fold
-values) through ORDER BY / DISTINCT / OFFSET / LIMIT
-(:meth:`Execution._id_modifiers`, which cuts what it holds to the
+A hash SELECT takes one of three routes (:meth:`Execution._run_select`):
+
+1. a ``LIMIT`` <= ``STREAM_DELEGATE_LIMIT`` page with no DISTINCT and no
+   pipeline breaker (ORDER BY, aggregation, HAVING, ``SELECT *``) runs on
+   the lazy chain;
+2. a *column-shaped* SELECT clause -- bare-variable projections (or
+   ``SELECT *``) and sort keys, column-shaped aggregation
+   (``aggregate_plan``), a HAVING that pushes down into the fold -- runs
+   the columnar executor, whatever its WHERE clause;
+3. anything else runs the general term-space path
+   (:meth:`Execution._run_select_general`).
+
+The columnar executor (:meth:`Execution._run_select_columnar`) is a source
+of ID *column* batches (``BATCH_SIZE`` rows each, volcano control flow
+between batches) feeding one of three sinks -- projection/DISTINCT/slice,
+top-k/sort, or GROUP BY fold (:meth:`_AggFold.fold_batch`).  Rows stay
+dictionary IDs (and raw fold values) through ORDER BY / DISTINCT / OFFSET
+/ LIMIT (:meth:`Execution._id_modifiers`, which cuts what it holds to the
 page's size after every batch and builds sort keys only for the rows a
 cut has to compare); only the emitted page is decoded.
-The source follows from the compiled patterns, never from a caller
-option: a single pattern streams batches straight off the index
-(:meth:`Graph.scan_columns`, materialising only the positions an
-operator above reads -- :meth:`Execution._wanted_variables`; an index
-level's keys and run lengths when a COUNT GROUP BY or DISTINCT needs
-no more -- :meth:`Graph.scan_runs`), several patterns run the eager
+The source follows from the WHERE clause, never from a caller option.
+The *simple shape* -- plain triple patterns plus one-variable term-test
+FILTERs -- has pure ID rows: a single pattern streams batches straight
+off the index (:meth:`Graph.scan_columns`, materialising only the
+positions an operator above reads -- :meth:`Execution._wanted_variables`;
+an index level's keys and run lengths when a COUNT GROUP BY or DISTINCT
+needs no more -- :meth:`Graph.scan_runs`), several patterns run the eager
 join and transpose its rows (or, under a DISTINCT or a pure-COUNT GROUP
-BY, take the keys its last step folded -- :meth:`Execution._fold_step`),
-and the ``stream`` engine chunks its lazy join chain.  The eager join
-(:meth:`Execution._bgp_id_rows`) plans its order once and takes the
-FILTERs and the wanted variables down: a candidate is tested where its
-variable is bound, gated by the next pattern's probe table, and built
-without the columns nothing later reads.
+BY, take the keys its last step folded -- :meth:`Execution._fold_step`).
+The eager join (:meth:`Execution._bgp_id_rows`) plans its order once and
+takes the FILTERs and the wanted variables down: a candidate is tested
+where its variable is bound, gated by the next pattern's probe table, and
+built without the columns nothing later reads.  Any other WHERE clause
+runs the eager group pipeline and encodes its solutions
+(:meth:`Execution._solution_source`): the rows the general path reads, in
+its order, with a term the dictionary lacks kept raw and an unbound
+variable None.
 
 Compiled plans (encoded patterns + cardinality estimates) live in a
 :class:`_SharedPlanCache` attached to the *graph* (one per graph, shared
@@ -273,19 +278,19 @@ class _AggFold:
     """Incremental fold of ONE aggregate inside ONE group.
 
     This is the single aggregation implementation behind every pipeline:
-    the columnar aggregate sink, the streaming GROUP BY operator and the
-    general ``_aggregate`` fold all feed values into instances of this
-    class, so COUNT/SUM/MIN/MAX/AVG/SAMPLE/GROUP_CONCAT (and their
-    DISTINCT variants) cannot diverge between strategies.
+    the columnar aggregate sink and the general ``_aggregate`` fold both
+    feed values into instances of this class, so
+    COUNT/SUM/MIN/MAX/AVG/SAMPLE/GROUP_CONCAT (and their DISTINCT
+    variants) cannot diverge between strategies.
 
     Values arrive in solution order, either as dictionary IDs (with a
-    ``decode`` callable; the columnar sink) or as ground terms (the
-    term-level pipelines).  DISTINCT deduplicates on the *encoded*
-    value -- IDs biject terms, so an ID seen-set equals a term seen-set
-    without decoding, which is what keeps COUNT(DISTINCT ?v) from ever
-    materializing member lists.  State is O(1) per group for the plain
-    folds, O(distinct values) for DISTINCT and O(output) for
-    GROUP_CONCAT.
+    ``decode`` callable; the columnar sink, where a term the dictionary
+    lacks arrives raw) or as ground terms (the general path).  DISTINCT
+    deduplicates on the *encoded* value -- every term has one encoding,
+    so an encoded seen-set equals a term seen-set without decoding, which
+    is what keeps COUNT(DISTINCT ?v) from ever materializing member
+    lists.  State is O(1) per group for the plain folds, O(distinct
+    values) for DISTINCT and O(output) for GROUP_CONCAT.
     """
 
     __slots__ = (
@@ -317,21 +322,12 @@ class _AggFold:
             [] if aggregate.function == "GROUP_CONCAT" else None
         )
 
-    def add_star(self, row_key=None) -> None:
-        """Fold one group member into COUNT(*); *row_key* is the row's
-        dedup identity, only consulted for COUNT(DISTINCT *)."""
-        if self.seen is not None:
-            if row_key in self.seen:
-                return
-            self.seen.add(row_key)
-        self.count += 1
-
     def add_star_batch(self, n: int, rows=None) -> None:
         """Fold *n* group members into COUNT(*) at once.
 
-        The vectorized counterpart of :meth:`add_star`: the plain fold
-        is a single integer add.  ``rows`` supplies the member rows'
-        dedup identities and is only consumed for COUNT(DISTINCT *).
+        The plain fold is a single integer add.  ``rows`` supplies the
+        member rows' dedup identities and is only consumed for
+        COUNT(DISTINCT *).
         """
         if self.seen is None:
             self.count += n
@@ -450,78 +446,6 @@ def _fold_term(value) -> Optional[Term]:
     return Literal(value)
 
 
-class _TopKEntry:
-    """One kept row of the bounded ORDER BY heap.
-
-    ``__lt__`` means "sorts *later* in the final output than *other*", so
-    under :mod:`heapq`'s min-heap discipline the root is always the worst
-    row currently kept -- exactly the eviction candidate a bounded top-k
-    needs.  ``keys`` holds one sort key per ORDER BY condition (built by
-    the same key function the materialized sort uses), ``flags`` the
-    per-condition descending markers, and ``seq`` the input sequence
-    number: carrying it makes the order total, which is what pins the
-    heap's output to sort-then-slice of the same input stream (stable
-    tie-break on input order).
-    """
-
-    __slots__ = ("keys", "flags", "seq", "payload")
-
-    def __init__(self, keys: Tuple, flags: Tuple[bool, ...], seq: int, payload):
-        self.keys = keys
-        self.flags = flags
-        self.seq = seq
-        self.payload = payload
-
-    def __lt__(self, other: "_TopKEntry") -> bool:
-        for mine, theirs, descending in zip(self.keys, other.keys, self.flags):
-            if mine != theirs:
-                return (mine > theirs) != descending
-        return self.seq > other.seq
-
-
-def _champion_fold(entries: Iterator[_TopKEntry], key_of) -> Dict:
-    """DISTINCT's per-key champion table, shared by every top-k variant.
-
-    For each distinct dedup key (*key_of* over the entry payload) keep
-    only the entry that sorts *earliest* in the final output order --
-    under :class:`_TopKEntry`'s inverted ``__lt__`` ("sorts later"),
-    that means replacing the champion exactly when ``champion < entry``.
-    Feeding the champions to :func:`_topk_fold` then equals sort ->
-    stable dedup -> slice, the modifier order the spec defines.  State
-    is O(distinct keys), the cost DISTINCT itself implies.
-    """
-    champions: Dict = {}
-    for entry in entries:
-        key = key_of(entry.payload)
-        champion = champions.get(key)
-        if champion is None or champion < entry:
-            champions[key] = entry
-    return champions
-
-
-def _topk_fold(entries: Iterator[_TopKEntry], keep: int) -> List[_TopKEntry]:
-    """The k first-in-sort-order entries of a stream, in output order.
-
-    Holds at most *keep* entries at any point.  Equivalent to sorting the
-    whole stream and slicing ``[:keep]`` because the entry order is total
-    (``seq`` breaks every tie).
-    """
-    if keep <= 0:
-        for _ in entries:
-            pass  # callers may collect headers/stats while streaming
-        return []
-    heap: List[_TopKEntry] = []
-    push, replace = heapq.heappush, heapq.heapreplace
-    for entry in entries:
-        if len(heap) < keep:
-            push(heap, entry)
-        elif heap[0] < entry:
-            # the root sorts later than the candidate -> candidate is
-            # among the best `keep` seen so far; evict the root.
-            replace(heap, entry)
-    return sorted(heap, reverse=True)
-
-
 def _sort_key_column(values, memo: Dict, term_of) -> List[Tuple]:
     """One ORDER BY condition's keys for a column of ID-space cells.
 
@@ -529,10 +453,12 @@ def _sort_key_column(values, memo: Dict, term_of) -> List[Tuple]:
     is ``()``, which sorts before every term key -- the order
     :meth:`Execution._order_key` defines.  Keys are built once per
     distinct cell: *term_of* (a dictionary decode, or :func:`_fold_term`
-    for raw fold values) runs on *memo* misses only.
+    for raw fold values) runs on *memo* misses only, and never on a cell
+    that is a term already -- a term the dictionary lacks
+    (:meth:`Execution._solution_source`) or a MIN / MAX / SAMPLE value.
     """
     for value in set(values).difference(memo):
-        term = None if value is None else term_of(value)
+        term = value if value is None or isinstance(value, Term) else term_of(value)
         memo[value] = () if term is None else term.sort_key()
     return list(map(memo.__getitem__, values))
 
@@ -714,7 +640,7 @@ class _SharedPlanCache(_GenerationLRU):
     maps the text to one AST object and the cache keys on the identity of
     that AST's pattern nodes.  Pattern encoding is strategy-independent
     (every pipeline consumes the same :class:`_EncodedPattern`), so the
-    ``hash``/``stream``/``scan`` engines of one graph share entries too.
+    ``hash`` and ``scan`` engines of one graph share entries too.
 
     Keys are object identities, safe because the value holds a strong
     reference to the very pattern objects the ids name -- a live id can
@@ -800,17 +726,17 @@ EXEC_STAT_KEYS = frozenset(
     {
         # sink counters.  ``operator`` names the sink that produced the
         # result: ``select-id`` / ``topk-id`` / ``aggregate-id`` (the
-        # simple-shape columnar sinks; ``topk-id`` covers the un-LIMITed
-        # sort), ``stream-select`` / ``topk`` / ``stream-aggregate`` (the
-        # term-space streaming operators)
+        # columnar sinks; ``topk-id`` covers the un-LIMITed sort) or
+        # ``stream-select`` (rule 1's lazy page); the general path and
+        # ASK name none
         "operator",
         "input_rows",       # rows consumed by that operator; a run-fed sink
                             # (``_run_batches``): the runs it read
         "tracked_rows",     # max rows/groups it ever held between batches
                             # (memory contract); ``aggregate-id``: the
                             # groups folded
-        "distinct_keys",    # DISTINCT seen-set / champion-table size; the
-                            # ID-space tail: most keys it held at once
+        "distinct_keys",    # DISTINCT seen-set size; the ID-space tail:
+                            # most keys it held at once
         "scan_cells",       # rows x wanted columns a single-pattern scan
                             # materialised (``Graph.scan_columns``), or
                             # one cell per run read (``Graph.scan_runs``)
@@ -834,10 +760,9 @@ class QueryEngine:
 
     Instances are cheap; hold one per graph or just use :func:`evaluate`.
     ``strategy`` selects the BGP pipeline: ``"hash"`` (default) is the
-    eager dictionary-encoded hash-join pipeline, ``"stream"`` the lazy
-    volcano-style generator pipeline with OFFSET/LIMIT pushdown, and
-    ``"scan"`` the legacy substitute-and-scan nested-loop join kept for
-    conformance A/B runs.
+    eager dictionary-encoded hash-join pipeline (a small-LIMIT page and
+    ASK run its lazy operator chain), and ``"scan"`` the legacy
+    substitute-and-scan nested-loop join kept for conformance A/B runs.
 
     Planning is amortized across *all* engines of a graph: compiled
     patterns live in a :class:`_SharedPlanCache` attached to the graph,
@@ -860,7 +785,7 @@ class QueryEngine:
     STREAM_DELEGATE_LIMIT = 64
 
     def __init__(self, graph: Graph, strategy: str = "hash"):
-        if strategy not in ("hash", "stream", "scan"):
+        if strategy not in ("hash", "scan"):
             raise ValueError(f"unknown BGP strategy {strategy!r}")
         self.graph = graph
         self.strategy = strategy
@@ -968,15 +893,8 @@ class Execution:
     def _evaluate_group(
         self, group: GroupPattern, bindings: Iterable[Solution]
     ) -> Iterator[Solution]:
-        """Evaluate a group pattern given an input solution stream."""
-        if self.strategy == "stream":
-            return self._evaluate_group_stream(group, iter(bindings))
-        return self._evaluate_group_eager(group, bindings)
-
-    def _evaluate_group_eager(
-        self, group: GroupPattern, bindings: Iterable[Solution]
-    ) -> Iterator[Solution]:
-        """The materializing group pipeline (hash and scan strategies)."""
+        """The materializing group pipeline: evaluate a group pattern given
+        its input solutions."""
         solutions = list(bindings)
         filters: List[FilterPattern] = []
         pending_bgp: List[TriplePattern] = []
@@ -1769,7 +1687,9 @@ class Execution:
                 continue
 
             if ep.path is not None:
-                matches = self._row_path_matches(ep, resolved[0], resolved[2])
+                # a constant endpoint the dictionary lacks is a raw term:
+                # the scan's zero-length rule applies to it
+                matches = self._scan_path(ep, resolved[0], resolved[2])
             else:
                 matches = self._row_plain_matches(ep, resolved)
 
@@ -1794,25 +1714,12 @@ class Execution:
         positions = [ep.var_positions[v] for v in ep.variables]
         yield from _triples_to_scan_rows(self.graph.triples_ids(s, p, o), positions)
 
-    def _row_path_matches(
-        self, ep: _EncodedPattern, s_value: Optional[int], o_value: Optional[int]
-    ) -> Iterator[Tuple]:
-        """Matches for a path pattern with per-row endpoint bindings.
-
-        Endpoints are node IDs or None by this point: the resolution step
-        already rejected rows binding a path-endpoint variable to a raw or
-        non-node term.
-        """
-        from .paths import evaluate_path_ids
-
-        pairs = evaluate_path_ids(self.graph, ep.path, s_value, o_value)
-        yield from self._pairs_to_rows(ep, pairs)
-
     # -- the streaming (volcano-style) pipeline --------------------------------
     #
     # Every operator is a generator over ID-tuple rows; a row is pulled
     # through the whole chain before the next one is produced, so a bounded
-    # consumer (LIMIT, ASK, EXISTS) stops the scans underneath it early.
+    # consumer stops the scans underneath it early.  It has two: rule 1's
+    # small-LIMIT page (_run_select_streaming) and ASK (_any_solution).
     # Physical operators are shared with the hash pipeline (_scan_pattern,
     # _index_join); what changes is the control flow around them.
 
@@ -2223,33 +2130,24 @@ class Execution:
     def _run_select(self, query: SelectQuery) -> SelectResult:
         if self.strategy == "scan":
             return self._run_select_general(query)
-        lazy = self.strategy == "stream"
         small = query.limit is not None and query.limit <= self.engine.STREAM_DELEGATE_LIMIT
-        # Small-LIMIT queries pay for every row an eager pipeline
+        # Rule 1.  Small-LIMIT queries pay for every row an eager pipeline
         # materializes and then throws away, so the eager engine routes
         # them through the streaming operators.  This rule must precede
-        # the simple-shape executor: a ``LIMIT 20`` page over a
+        # the columnar executor: a ``LIMIT 20`` page over a
         # two-pattern join is 0.2 ms on the lazy INLJ chain and tens of
         # ms once any join materializes.  Unordered DISTINCT stays
         # eager (it deduplicates in ID space before decoding).  The gate
         # must not involve OFFSET: all pages of one paginated query then
         # land on the same pipeline, keeping row order stable across
         # pages.
-        if self._streamable(query) and (lazy or (small and not query.distinct)):
+        if small and not query.distinct and self._streamable(query):
             return self._run_select_streaming(query)
-        simple = self._simple_select_shape(query)
-        # The stream engine enters only with an ORDER BY (its bounded
-        # top-k); its aggregation and ``SELECT *`` stay on the
-        # term-space streaming operators below.
-        if simple is not None and (not lazy or simple[3] is not None):
-            return self._run_select_simple(query, *simple)
-        if (lazy or small) and self._topk_shape(query):
-            return self._run_select_topk_general(query)
-        if self._stream_aggregate_shape(query):
-            # Column-shaped aggregation outside the simple shape
-            # (OPTIONAL/UNION/paths in the WHERE clause): fold
-            # incrementally instead of materializing group member lists.
-            return self._run_select_aggregate_stream(query)
+        # Rule 2: a column-shaped SELECT clause runs the columnar sinks,
+        # whatever its WHERE clause.  Rule 3: everything else.
+        shape = self._simple_select_shape(query)
+        if shape is not None:
+            return self._run_select_columnar(query, *shape)
         return self._run_select_general(query)
 
     @staticmethod
@@ -2266,46 +2164,6 @@ class Execution:
             and query.having is None
             and not query.select_all
             and not query.has_aggregates()
-        )
-
-    @staticmethod
-    def _topk_shape(query: SelectQuery) -> bool:
-        """Is this ``ORDER BY ... LIMIT k`` the bounded heap can run?
-
-        DISTINCT rides along through a per-key champion table: each
-        distinct projected row keeps only its earliest-in-sort-order
-        entry, and the heap then slices the champions -- equivalent to
-        sort, stable dedup, slice (the modifier order the spec defines).
-        Aggregation routes through the streaming GROUP BY fold instead
-        (its O(groups) output is then ordered whole).
-        """
-        return (
-            bool(query.order_by)
-            and query.limit is not None
-            and query.having is None
-            and not query.has_aggregates()
-        )
-
-    @staticmethod
-    def _stream_aggregate_shape(query: SelectQuery) -> bool:
-        """Can grouping/aggregation fold incrementally (O(groups) state)?
-
-        Expression-valued group keys, aggregate arguments and projections
-        stay on the materialized path -- ``aggregate_plan`` is the same
-        column-shape probe the simple-shape executor uses.  HAVING rides
-        along when it is a conjunction of aggregate-vs-constant
-        comparisons (``having_aggregate_conjuncts``): those gate groups
-        at fold-result time; any other HAVING still re-evaluates over
-        materialized member lists.
-        """
-        return (
-            query.has_aggregates()
-            and (
-                query.having is None
-                or query.having_aggregate_conjuncts() is not None
-            )
-            and not query.select_all
-            and query.aggregate_plan() is not None
         )
 
     def _run_select_streaming(self, query: SelectQuery) -> SelectResult:
@@ -2346,275 +2204,14 @@ class Execution:
             self._operator_event()
         return SelectResult(names, rows)
 
-    # -- bounded top-k ORDER BY -------------------------------------------------
-
-    def _run_select_topk_general(self, query: SelectQuery) -> SelectResult:
-        """Term-space bounded ORDER BY: the materialized path's scopes
-        (solution + projected row), a heap instead of a full sort."""
-        conditions = query.order_by
-        flags = tuple(condition.descending for condition in conditions)
-        keep = (query.offset or 0) + query.limit
-        stats = {"operator": "topk", "input_rows": 0, "tracked_rows": 0}
-
-        if not query.select_all:
-            names: List[str] = []
-            for projection in query.projections:
-                variable = projection.variable
-                if variable is None:
-                    raise SparqlEvaluationError("projection without output variable")
-                names.append(variable.name)
-            if query.limit == 0:
-                self.stats.update(stats)
-                return SelectResult(names, [])
-
-        solutions = self._evaluate_group_stream(query.where, iter(({},)))
-
-        if query.select_all:
-            seen_names = set()
-
-            def entries() -> Iterator[_TopKEntry]:
-                for seq, solution in enumerate(solutions):
-                    stats["input_rows"] += 1
-                    for variable in solution:
-                        seen_names.add(variable.name)
-                    keys = tuple(
-                        self._order_key(condition, solution)
-                        for condition in conditions
-                    )
-                    yield _TopKEntry(keys, flags, seq, solution)
-
-            if query.distinct:
-                # DISTINCT on SELECT *: the projected row is determined by
-                # the solution's bound items (unbound projects to None and
-                # None is never a bound value), so the item set is the
-                # dedup key.
-                champions = _champion_fold(
-                    entries(),
-                    lambda solution: frozenset(
-                        (variable.name, term)
-                        for variable, term in solution.items()
-                    ),
-                )
-                stats["distinct_keys"] = len(champions)
-                kept = _topk_fold(iter(champions.values()), keep)
-            else:
-                kept = _topk_fold(entries(), keep)
-            names = sorted(seen_names)
-            rows = [
-                {name: entry.payload.get(Variable(name)) for name in names}
-                for entry in kept[query.offset or 0 :]
-            ]
-        else:
-            # Sort keys need the projected row in scope only when a
-            # condition could see an alias-bound value: a non-variable
-            # condition (its expression may name any alias) or a bare
-            # sort variable that an ``(expr AS ?alias)`` projection
-            # rebinds.  Bare projections bind the same value the
-            # solution already holds, so they never change a key.
-            alias_names = {
-                projection.alias.name
-                for projection in query.projections
-                if projection.alias is not None
-            }
-            keys_need_row = any(
-                condition.variable is None or condition.variable.name in alias_names
-                for condition in conditions
-            )
-
-            if query.distinct:
-                # DISTINCT dedups on the projected row, so every input row
-                # projects (no survivors-only shortcut) and the row is the
-                # entry payload.
-                def entries() -> Iterator[_TopKEntry]:
-                    for seq, solution in enumerate(solutions):
-                        stats["input_rows"] += 1
-                        row = self._project_row(query, names, solution)
-                        if keys_need_row:
-                            scope = dict(solution)
-                            for name, term in row.items():
-                                if term is not None:
-                                    scope[Variable(name)] = term
-                        else:
-                            scope = solution
-                        keys = tuple(
-                            self._order_key(condition, scope)
-                            for condition in conditions
-                        )
-                        yield _TopKEntry(keys, flags, seq, row)
-
-                champions = _champion_fold(
-                    entries(), lambda row: tuple(row[name] for name in names)
-                )
-                stats["distinct_keys"] = len(champions)
-                kept = _topk_fold(iter(champions.values()), keep)
-                rows = [entry.payload for entry in kept[query.offset or 0 :]]
-            elif keys_need_row:
-
-                def entries() -> Iterator[_TopKEntry]:
-                    for seq, solution in enumerate(solutions):
-                        stats["input_rows"] += 1
-                        row = self._project_row(query, names, solution)
-                        # ORDER BY may reference WHERE variables that were
-                        # not projected (ordering happens before projection
-                        # in the spec) and the projection aliases -- same
-                        # scope the materialized path sorts with.
-                        scope = dict(solution)
-                        for name, term in row.items():
-                            if term is not None:
-                                scope[Variable(name)] = term
-                        keys = tuple(
-                            self._order_key(condition, scope)
-                            for condition in conditions
-                        )
-                        yield _TopKEntry(keys, flags, seq, row)
-
-                kept = _topk_fold(entries(), keep)
-                rows = [entry.payload for entry in kept[query.offset or 0 :]]
-            else:
-                # Keys read straight off the solutions; project only the
-                # offset+k survivors instead of every input row.
-                def entries() -> Iterator[_TopKEntry]:
-                    for seq, solution in enumerate(solutions):
-                        stats["input_rows"] += 1
-                        keys = tuple(
-                            self._order_key(condition, solution)
-                            for condition in conditions
-                        )
-                        yield _TopKEntry(keys, flags, seq, solution)
-
-                kept = _topk_fold(entries(), keep)
-                rows = [
-                    self._project_row(query, names, entry.payload)
-                    for entry in kept[query.offset or 0 :]
-                ]
-
-        stats["tracked_rows"] = len(kept)
-        self.stats.update(stats)
-        if self.tracer.detail:
-            self._operator_event()
-        return SelectResult(names, rows)
-
-    # -- streaming (incremental) aggregation ------------------------------------
-
-    @staticmethod
-    def _having_fold_passes(value: Optional[Term], op: str, constant: Term) -> bool:
-        """One pushed-down HAVING conjunct, evaluated on a fold result.
-
-        Runs the real expression interpreter on ``value op constant`` so
-        numeric promotion and error semantics cannot diverge from the
-        materialized path (which substitutes the same fold result into
-        the original expression); a None fold result (e.g. AVG over no
-        numerics) is an expression error there, so it gates here.
-        """
-        if value is None:
-            return False
-        try:
-            result = evaluate_expression(
-                CompareExpression(op, TermExpression(value), TermExpression(constant)),
-                {},
-                None,
-            )
-            return effective_boolean_value(result)
-        except ExpressionError:
-            return False
-
-    def _run_select_aggregate_stream(self, query: SelectQuery) -> SelectResult:
-        """GROUP BY/aggregation as an incremental fold: one pass over the
-        solution stream, O(groups) tracked state, never a member list.
-
-        Under ``strategy="stream"`` the input is the lazy volcano
-        pipeline, so peak memory really is the accumulator table; under
-        the eager strategies the same fold replaces the materialized
-        group-then-rescan machinery.  ORDER BY / DISTINCT / OFFSET /
-        LIMIT then apply to the O(groups) output rows in spec order --
-        which is what makes "top-k entities by count" queries cheap.
-        """
-        group_vars, items = query.aggregate_plan()
-        agg_specs = [
-            (index, payload)
-            for index, (kind, payload, _name) in enumerate(items)
-            if kind == "agg"
-        ]
-        # Pushed-down HAVING conjuncts fold alongside the projected
-        # aggregates (negative slots so they never collide with item
-        # indexes) and gate each group when its row is emitted.
-        having = (
-            query.having_aggregate_conjuncts() if query.having is not None else None
-        )
-        having_specs = [
-            (-(position + 1), aggregate, op, constant)
-            for position, (aggregate, op, constant) in enumerate(having or ())
-        ]
-        fold_specs = agg_specs + [
-            (slot, aggregate) for slot, aggregate, _op, _constant in having_specs
-        ]
-
-        def fresh_folds() -> Dict[int, _AggFold]:
-            return {index: _AggFold(aggregate) for index, aggregate in fold_specs}
-
-        solutions = self._evaluate_group(query.where, [{}])
-        groups: Dict[Tuple, Tuple[Solution, Dict[int, _AggFold]]] = {}
-        input_rows = 0
-        for solution in solutions:
-            input_rows += 1
-            key = tuple(solution.get(variable) for variable in group_vars)
-            state = groups.get(key)
-            if state is None:
-                state = groups[key] = (solution, fresh_folds())
-            folds = state[1]
-            for index, aggregate in fold_specs:
-                fold = folds[index]
-                if aggregate.expression is None:  # COUNT(*)
-                    if aggregate.distinct:
-                        fold.add_star(
-                            tuple(sorted((v.name, t) for v, t in solution.items()))
-                        )
-                    else:
-                        fold.add_star()
-                    continue
-                value = solution.get(aggregate.expression.variable)
-                if value is not None:
-                    fold.add(value)
-        if not group_vars and not groups:
-            # Implicit single group; aggregates over an empty pattern still
-            # produce one row (COUNT(*) = 0) per the spec.
-            groups[()] = ({}, fresh_folds())
-
-        names = [name for _kind, _payload, name in items]
-        rows: List[Row] = []
-        having_pruned = 0
-        for first_solution, folds in groups.values():
-            if having_specs and not all(
-                self._having_fold_passes(folds[slot].result(), op, constant)
-                for slot, _aggregate, op, constant in having_specs
-            ):
-                having_pruned += 1
-                continue
-            row: Row = {}
-            for index, (kind, payload, name) in enumerate(items):
-                if kind == "var":
-                    row[name] = first_solution.get(payload)
-                else:
-                    row[name] = folds[index].result()
-            rows.append(row)
-        self.stats.update(
-            operator="stream-aggregate",
-            input_rows=input_rows,
-            tracked_rows=len(groups),
-        )
-        if having_specs:
-            self.stats["having_pruned"] = having_pruned
-        if self.tracer.detail:
-            self._operator_event()
-        return SelectResult(names, self._apply_modifiers(query, rows, names))
-
-    # -- the simple-shape executor (columnar sinks over ID batches) ------------
+    # -- the columnar executor (sinks over ID batches) ---------------------------
 
     @staticmethod
     def _simple_where_shape(query: SelectQuery):
         """``(patterns, simple_filters)`` when the WHERE clause is plain
         triple patterns plus one-variable term-test filters, else None --
-        the shape whose rows are guaranteed pure ID tuples."""
+        the shape whose rows are guaranteed pure ID tuples, every variable
+        bound in every row (:meth:`_simple_source`)."""
         from .paths import is_path
 
         patterns: List[TriplePattern] = []
@@ -2637,24 +2234,19 @@ class Execution:
 
     @staticmethod
     def _simple_select_shape(query: SelectQuery):
-        """``(patterns, simple_filters, aggregate plan, sort variables)``
-        when *query* is the simple shape end to end, else None.
-
-        On top of :meth:`_simple_where_shape`: bare-variable projections
-        (or ``SELECT *``), bare-variable sort keys, column-shaped
-        aggregation (``aggregate_plan``) and a HAVING that pushes down
-        into the fold.  The plan is None without aggregates; the sort
-        variables are None unless a non-aggregate query has an ORDER BY
-        (ORDER BY over aggregate output is the aggregate sink's own:
-        :meth:`_aggregate_page`).
+        """``(aggregate plan, sort variables)`` when the SELECT clause is
+        column-shaped, else None: bare-variable projections (or ``SELECT
+        *``), bare-variable sort keys, column-shaped aggregation
+        (``aggregate_plan``) and a HAVING that pushes down into the fold.
+        The WHERE clause plays no part.  The plan is None without
+        aggregates; the sort variables are None unless a non-aggregate
+        query has an ORDER BY (ORDER BY over aggregate output is the
+        aggregate sink's own: :meth:`_aggregate_page`).
         """
         if query.having is not None and (
             not query.has_aggregates()
             or query.having_aggregate_conjuncts() is None
         ):
-            return None
-        shape = Execution._simple_where_shape(query)
-        if shape is None:
             return None
         plan = order_vars = None
         if query.has_aggregates():
@@ -2672,7 +2264,7 @@ class Execution:
                 order_vars = query.order_variables()
                 if order_vars is None:
                     return None
-        return shape[0], shape[1], plan, order_vars
+        return plan, order_vars
 
     def _id_projection_layout(
         self, query: SelectQuery, col_of: Dict[Variable, int], any_solutions: bool
@@ -2843,6 +2435,28 @@ class Execution:
         ]
         return group_columns, fold_specs, having_specs
 
+    @staticmethod
+    def _having_fold_passes(value: Optional[Term], op: str, constant: Term) -> bool:
+        """One pushed-down HAVING conjunct, evaluated on a fold result.
+
+        Runs the real expression interpreter on ``value op constant`` so
+        numeric promotion and error semantics cannot diverge from the
+        materialized path (which substitutes the same fold result into
+        the original expression); a None fold result (e.g. AVG over no
+        numerics) is an expression error there, so it gates here.
+        """
+        if value is None:
+            return False
+        try:
+            result = evaluate_expression(
+                CompareExpression(op, TermExpression(value), TermExpression(constant)),
+                {},
+                None,
+            )
+            return effective_boolean_value(result)
+        except ExpressionError:
+            return False
+
     def _group_columns(self, items, groups, col_of, having_specs):
         """``(cols, having_pruned)``: the folded groups as ONE column
         batch, a column per item.  HAVING gates on the negative-slot
@@ -2919,21 +2533,29 @@ class Execution:
             self._operator_event()
         return SelectResult(names, rows)
 
-    def _run_select_simple(
-        self, query: SelectQuery, patterns, simple_filters, plan, order_vars
-    ) -> SelectResult:
-        """The one executor of the simple shape (see
-        :meth:`_simple_select_shape`): a source of ID column batches, its
-        FILTERs applied, then the select / top-k / aggregate sink.
+    def _run_select_columnar(self, query: SelectQuery, plan, order_vars) -> SelectResult:
+        """The one executor of a column-shaped SELECT (see
+        :meth:`_simple_select_shape`): a source of ID column batches, then
+        the select / top-k / aggregate sink.
 
-        Rows of this shape are pure ID tuples, so operators pass
-        ``BATCH_SIZE``-row column vectors instead of per-row tuples.
-        Control flow stays volcano *between* batches, so LIMIT-bounded
-        sinks stop pulling early.
+        A simple WHERE clause (:meth:`_simple_where_shape`) is read by
+        :meth:`_simple_source`, its FILTERs applied there; any other is
+        the eager group pipeline's solutions, encoded
+        (:meth:`_solution_source`), whose cells may be unbound or raw
+        terms.  Operators pass ``BATCH_SIZE``-row column vectors instead
+        of per-row tuples.  Control flow stays volcano *between* batches,
+        so LIMIT-bounded sinks stop pulling early.
         """
-        batches, col_of, runs = self._simple_source(query, patterns, simple_filters, plan)
+        where = self._simple_where_shape(query)
+        runs = False
+        if where is None:
+            batches, col_of = self._solution_source(query)
+        else:
+            batches, col_of, runs = self._simple_source(query, *where, plan)
         if plan is not None:
-            return self._batch_aggregate(query, plan, batches, col_of, runs)
+            return self._batch_aggregate(
+                query, plan, batches, col_of, runs, bound=where is not None
+            )
         if order_vars is not None:
             return self._batch_topk(query, order_vars, batches, col_of)
         return self._batch_select(query, batches, col_of)
@@ -2958,8 +2580,6 @@ class Execution:
         a DISTINCT without ORDER BY (at most a page of keys) or a
         pure-COUNT GROUP BY the join's last step folds its rows into the
         keys the sink keeps, which come back as runs (:meth:`_key_batches`).
-        The stream engine chunks its lazy chain instead, so a bounded
-        sink's state stays O(offset + k).
         """
         compiled = self._compile_patterns(patterns)
         if any(ep.impossible for ep in compiled):
@@ -2970,15 +2590,7 @@ class Execution:
             # general pipeline raises-and-rejects per row).
             return iter(()), {variable: i for i, variable in enumerate(variables)}, False
         filters = [(variable, self._term_verdicts(test)) for test, variable in simple_filters]
-        if self.strategy == "stream":
-            _columns, steps, out_layout = self._stream_plan(compiled, {})
-            rows: Iterator[Tuple] = iter(((),))
-            state: Dict = {}
-            for step in steps:
-                rows = self._stream_step(step, rows, state)
-            col_of = dict(out_layout)
-            batches = self._row_batches(rows)
-        elif len(compiled) == 1 and compiled[0].variables:
+        if len(compiled) == 1 and compiled[0].variables:
             ep = compiled[0]
             col_of = {variable: i for i, variable in enumerate(ep.variables)}
             wanted = self._wanted_variables(query, simple_filters, plan)
@@ -3011,6 +2623,28 @@ class Execution:
             )
         return batches, col_of, False
 
+    def _solution_source(
+        self, query: SelectQuery
+    ) -> Tuple[Iterator[List], Dict[Variable, int]]:
+        """``(column-batch iterator, col_of)`` for a WHERE clause that is not
+        the simple shape: the eager group pipeline's solutions -- the ones
+        :meth:`_run_select_general` reads, in its order -- as ID rows.  A
+        term the dictionary lacks rides raw (as in :meth:`_stream_bgp`), an
+        unbound variable is None.  ``col_of`` holds the variables bound in
+        at least one solution, which keeps the ``SELECT *`` header rule."""
+        solutions = list(self._evaluate_group(query.where, [{}]))
+        variables = dict.fromkeys(v for solution in solutions for v in solution)
+        lookup = self.graph.lookup_id
+
+        def cell(term):
+            if term is None:
+                return None
+            term_id = lookup(term)
+            return term if term_id is None else term_id
+
+        rows = (tuple(cell(solution.get(v)) for v in variables) for solution in solutions)
+        return self._row_batches(rows), {v: i for i, v in enumerate(variables)}
+
     def _row_batches(self, rows: Iterator[Tuple]) -> Iterator[List]:
         """Chunk ID rows into column batches (one transpose per chunk)."""
         size = self.engine.BATCH_SIZE
@@ -3018,8 +2652,9 @@ class Execution:
             block = list(_islice(rows, size))
             if not block:
                 return
-            # Zero-width rows (every pattern ground) ride as one
-            # placeholder column: a batch's length is ``len(cols[0])``.
+            # Zero-width rows (every pattern ground, or solutions that
+            # bind nothing) ride as one placeholder column: a batch's
+            # length is ``len(cols[0])``.
             yield list(zip(*block)) if block[0] else [block]
 
     def _key_batches(self, keys: Dict[Tuple, Optional[int]], counted: bool) -> Iterator[List]:
@@ -3255,9 +2890,9 @@ class Execution:
         col_of: Dict[Variable, int],
     ) -> SelectResult:
         """The ORDER BY sink: sort-key columns (one decode per distinct
-        ID) into :meth:`_id_modifiers`, then decode the page."""
+        cell) into :meth:`_id_modifiers`, then decode the page."""
         decode = self.graph.decode_id
-        # A sort variable no pattern binds ties on every row: drop it.
+        # A sort variable no solution binds ties on every row: drop it.
         conditions = [
             (col_of[variable], condition.descending, decode)
             for variable, condition in zip(order_vars, query.order_by)
@@ -3291,12 +2926,16 @@ class Execution:
 
     def _batch_aggregate(
         self, query: SelectQuery, plan, batches: Iterator[List], col_of: Dict[Variable, int],
-        runs: bool = False,
+        runs: bool = False, bound: bool = True,
     ) -> SelectResult:
         """GROUP BY / aggregation over column batches, O(groups) state.
 
-        Pure-COUNT grouping (:meth:`_counts_only`; the only shape fed
-        *runs*) vectorizes through :class:`Counter` (one C-speed update per
+        *bound*: every variable of *col_of* is bound in every row (the
+        simple shape).  Without it -- encoded solutions
+        (:meth:`_solution_source`) -- a fold skips unbound cells and the
+        count shortcut is off, since a COUNT of a variable is then not the
+        group's size.  Pure-COUNT grouping (:meth:`_counts_only`; the only
+        shape fed *runs*) vectorizes through :class:`Counter` (one C-speed update per
         batch; Counter preserves first-seen insertion order, matching the
         dict-based fold's group order).  Everything else slices each
         batch's value columns per group and folds them through
@@ -3310,7 +2949,7 @@ class Execution:
             query, plan, col_of
         )
 
-        if self._counts_only(query, plan, col_of):
+        if bound and self._counts_only(query, plan, col_of):
             return self._batch_count_groups(query, plan, group_columns, batches, runs)
 
         decode = self.graph.decode_id
@@ -3374,6 +3013,8 @@ class Execution:
                         if whole
                         else [cols[column][i] for i in indices]
                     )
+                    if not bound:
+                        values = [value for value in values if value is not None]
                     fold.fold_batch(values, decode)
 
         if single_group and not groups:
@@ -3693,8 +3334,8 @@ class Execution:
         """One condition's sort key for one scope: ``(1, term key)`` or
         ``(0, ())`` when the key is unbound/errors (unbound sorts first).
 
-        Shared by the materialized sort and the bounded top-k heap so the
-        two orderings cannot diverge.
+        The columnar sinks order by the same keys
+        (:func:`_sort_key_column`), so the orderings cannot diverge.
         """
         expression = condition.expression
         if isinstance(expression, VariableExpression):
@@ -3739,7 +3380,6 @@ def evaluate(
 ) -> Union[SelectResult, AskResult]:
     """Evaluate *query* (text or AST) against *graph*.
 
-    ``strategy`` is ``"hash"`` (eager, default), ``"stream"`` (lazy
-    volcano pipeline) or ``"scan"`` (legacy oracle).
+    ``strategy`` is ``"hash"`` (default) or ``"scan"`` (legacy oracle).
     """
     return QueryEngine(graph, strategy=strategy).run(query)

@@ -370,7 +370,7 @@ class SelectQuery(_Node):
 
     # -- planner shape probes ------------------------------------------------
     #
-    # The evaluator's streaming operators (bounded top-k ORDER BY, the
+    # The evaluator's columnar sinks (the ID-space ORDER BY tail, the
     # incremental GROUP BY fold) only cover queries whose sort keys and
     # aggregates are column-shaped.  The probes live here, next to the
     # grammar that produces the nodes, so every pipeline asks the same
@@ -394,8 +394,8 @@ class SelectQuery(_Node):
         ``items`` holds one entry per projection: ``("var", Variable, name)``
         for a bare grouped variable, ``("agg", Aggregate, name)`` for an
         aggregate whose argument is ``*`` or a bare variable.  This is the
-        shape both the columnar aggregate sink and the streaming fold can
-        execute without the expression interpreter.
+        shape the columnar aggregate sink can execute without the
+        expression interpreter.
         """
         group_vars: List[Variable] = []
         for expression in self.group_by:

@@ -20,7 +20,7 @@ SELECT ?type (COUNT(?s) AS ?n) WHERE { ?s a ?type } GROUP BY ?type
 """
 
 
-@pytest.mark.parametrize("strategy", ["hash", "stream", "scan"])
+@pytest.mark.parametrize("strategy", ["hash", "scan"])
 def test_explain_renders_operator_tree(small_graph, strategy):
     engine = QueryEngine(small_graph, strategy=strategy)
     report = engine.explain(QUERY)
@@ -41,9 +41,10 @@ def test_explain_shows_rows_in_out(small_graph):
 
 
 def test_every_sink_names_its_operator(small_graph):
-    """The operator vocabulary: one name per simple-shape sink (the
+    """The operator vocabulary: one name per columnar sink (the
     un-LIMITed sort shares top-k's), one for the small-LIMIT streaming
-    SELECT -- so an explained SELECT never reports empty exec_stats."""
+    SELECT -- so an explained column-shaped SELECT never reports empty
+    exec_stats."""
     engine = QueryEngine(small_graph)
     for query, operator in (
         ("SELECT ?s WHERE { ?s ?p ?o }", "select-id"),
@@ -153,13 +154,20 @@ def test_explain_is_deterministic(small_graph):
     assert repeat.splitlines() == expected
 
 
-@pytest.mark.parametrize("strategy", ["hash", "stream", "scan"])
+#: a page down the lazy chain, and an aggregate over encoded solutions
+PAGE = "SELECT ?s WHERE { ?s ?p ?o } LIMIT 5"
+OPTIONAL_AGGREGATE = (
+    "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s a ?t OPTIONAL { ?s ?p ?o } } GROUP BY ?s"
+)
+
+
+@pytest.mark.parametrize("strategy", ["hash", "scan"])
 def test_exec_stats_stay_in_vocabulary(small_graph, strategy):
     """Engines only ever write the EXEC_STAT_KEYS vocabulary — the
     EXPLAIN renderer, the latency model and the metrics bridge all key
     off these names."""
     engine = QueryEngine(small_graph, strategy=strategy)
-    for query in (QUERY, AGGREGATE, "ASK { ?s ?p ?o }"):
+    for query in (QUERY, AGGREGATE, PAGE, OPTIONAL_AGGREGATE, "ASK { ?s ?p ?o }"):
         assert set(engine.execute(query).stats) <= EXEC_STAT_KEYS
 
 

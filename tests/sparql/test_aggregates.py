@@ -127,8 +127,9 @@ PREFIX = "PREFIX ex: <http://example.org/>\n"
 class TestHavingPushdown:
     """HAVING over aggregate-vs-constant conjuncts gates at fold time.
 
-    Every case runs through the hash fast path and the stream fold and
-    must match the scan oracle's materialized member-list evaluation.
+    Every case runs through the hash engine's aggregate sink -- fed ID
+    batches by a simple WHERE clause, encoded solutions by any other --
+    and must match the scan oracle's materialized member-list evaluation.
     """
 
     PUSHABLE = [
@@ -144,6 +145,9 @@ class TestHavingPushdown:
         "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c } GROUP BY ?c HAVING (COUNT(?s) > 99)",
         # implicit single group over an empty pattern: COUNT(*)=0 fails
         "SELECT (COUNT(*) AS ?n) WHERE { ?s a ex:Missing } HAVING (COUNT(*) > 0)",
+        # OPTIONAL in the WHERE clause: the gate counts bound values only
+        "SELECT ?c (COUNT(?t) AS ?n) WHERE { ?s a ?c OPTIONAL { ?s ex:tag ?t } } "
+        "GROUP BY ?c HAVING (COUNT(?t) >= 1)",
     ]
 
     @staticmethod
@@ -156,16 +160,12 @@ class TestHavingPushdown:
     def test_matches_scan_oracle(self, query):
         text = PREFIX + query
         oracle = QueryEngine(GRAPH, strategy="scan").run(text)
-        for strategy in ("hash", "stream"):
-            execution = QueryEngine(GRAPH, strategy=strategy).execute(text)
-            result = execution.result
-            assert self._canonical(result) == self._canonical(oracle), strategy
-            # proof the fold path (not the materialized one) answered
-            assert execution.stats.get("operator") in (
-                "aggregate-id",
-                "stream-aggregate",
-            ), strategy
-            assert "having_pruned" in execution.stats
+        execution = QueryEngine(GRAPH).execute(text)
+        result = execution.result
+        assert self._canonical(result) == self._canonical(oracle)
+        # proof the fold path (not the materialized one) answered
+        assert execution.stats.get("operator") == "aggregate-id"
+        assert "having_pruned" in execution.stats
 
     def test_prunes_at_fold_time(self):
         execution = QueryEngine(GRAPH).execute(
@@ -186,11 +186,10 @@ class TestHavingPushdown:
             + "HAVING (SUM(?v) * 2 > 10)"
         )
         oracle = QueryEngine(GRAPH, strategy="scan").run(text)
-        for strategy in ("hash", "stream"):
-            execution = QueryEngine(GRAPH, strategy=strategy).execute(text)
-            result = execution.result
-            assert self._canonical(result) == self._canonical(oracle)
-            assert "having_pruned" not in execution.stats
+        execution = QueryEngine(GRAPH).execute(text)
+        result = execution.result
+        assert self._canonical(result) == self._canonical(oracle)
+        assert "having_pruned" not in execution.stats
 
     def test_probe_rejects_non_aggregate_operands(self):
         from repro.sparql.parser import parse_query

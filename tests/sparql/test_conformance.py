@@ -1,13 +1,18 @@
-"""Conformance suite: the modern pipelines against the legacy scan oracle.
+"""Conformance suite: the hash engine against the legacy scan oracle.
 
-Every case runs the same query text through ``QueryEngine(graph,
-strategy="scan")`` (the seed's substitute-and-scan nested-loop evaluator)
-and each modern pipeline -- ``"hash"`` (the eager dictionary-encoded
-hash-join pipeline plus its ID-space SELECT fast path) and ``"stream"``
-(the volcano-style generator pipeline with OFFSET/LIMIT pushdown) -- and
-asserts they return identical solutions.  Queries without ORDER BY
-compare as multisets (no engine promises an order); ORDER BY queries
-compare row-for-row.
+Every case runs through ``QueryEngine(graph, strategy="scan")`` (the
+seed's substitute-and-scan nested-loop evaluator) and the default
+``"hash"`` engine, in three modes, and asserts they return identical
+solutions.  ``hash`` runs the case as written: its columnar sinks for a
+column-shaped SELECT (ID batches off a simple WHERE clause, the group
+pipeline's encoded solutions off any other), the general path for the
+rest.  ``paged`` runs it as one page (:func:`run_hash`), which sends every
+streamable un-DISTINCT case down rule 1's lazy operator chain, so
+OPTIONAL / UNION / VALUES / FILTER run through the lazy operators too.
+``encoded`` adds an OPTIONAL that never matches, so every column-shaped
+SELECT reads the encoded solutions, simple WHERE clause or not.
+Queries without ORDER BY compare as multisets (no engine promises an
+order); ORDER BY queries compare row-for-row.
 
 Each case also pins the expected row count so a regression that breaks
 *every* engine the same way still fails.
@@ -18,7 +23,9 @@ from __future__ import annotations
 import pytest
 
 from repro.rdf import Graph, IRI, Literal, Triple, parse_turtle
-from repro.sparql import QueryEngine
+from repro.sparql import Execution, QueryEngine
+from repro.sparql.nodes import SelectQuery
+from repro.sparql.parser import parse_query
 from repro.sparql.results import AskResult, SelectResult
 
 DATA = """
@@ -311,7 +318,7 @@ CASES = [
         PREFIX + "SELECT * WHERE { ?c rdfs:subClassOf* ?z . ?a ?c ?b }",
         0,
     ),
-    # -- top-k ORDER BY + streaming aggregation (PR 3's bounded operators).
+    # -- ORDER BY ... LIMIT and aggregation (the bounded columnar sinks).
     # Sort keys are total orders (unique values or a tie-breaking
     # condition) so the row-for-row comparison is engine-independent.
     (
@@ -380,10 +387,10 @@ CASES = [
         PREFIX + "SELECT ?c WHERE { ?s a ?c } GROUP BY ?c",
         5,
     ),
-    # -- DISTINCT + ORDER BY + LIMIT (PR 5's per-key champion table).
+    # -- DISTINCT + ORDER BY + LIMIT (each key's earliest row in sort order).
     # Sort, stable dedup on the projected row, slice -- in that spec
     # order -- so the row-for-row comparison pins the champion rule
-    # across scan|hash|stream.
+    # across scan|hash.
     (
         "distinct-order-limit",
         "SELECT DISTINCT ?p WHERE { ?s ?p ?o } ORDER BY ?p LIMIT 3",
@@ -418,10 +425,9 @@ CASES = [
         PREFIX + "SELECT DISTINCT * WHERE { ?s ex:knows ?o } ORDER BY ?s ?o LIMIT 3",
         3,
     ),
-    # -- un-LIMITed ORDER BY (PR 8: the stream engine's ID-space sorter).
-    # No heap bound applies, so these pin the full-sort delegation --
-    # sort raw ID rows, decode only emitted rows -- across
-    # scan|hash|stream.
+    # -- un-LIMITed ORDER BY (the ID-space sorter).
+    # No page bound applies, so these pin the full sort -- sort raw ID
+    # rows, decode only emitted rows -- across scan|hash.
     (
         "order-desc-unlimited",
         PREFIX + "SELECT ?s ?n WHERE { ?s ex:age ?n } ORDER BY DESC(?n)",
@@ -480,15 +486,59 @@ def _canonical_rows(result: SelectResult):
     return sorted(row_key(row) for row in result.rows)
 
 
-#: the modern pipelines checked against the scan oracle
-STRATEGIES = ("hash", "stream")
+#: how the hash engine runs a corpus case: as written, or as one page
+MODES = ("hash", "paged")
+
+#: an OPTIONAL no corpus graph matches: its variables are never bound
+NEVER = " OPTIONAL { ?absent0 <http://example.org/absent> ?absent1 } "
+
+#: the page a ``paged`` case asks for: rule 1's LIMIT bound, and more rows
+#: than any corpus result holds, so the page is the whole result
+PAGE = QueryEngine.STREAM_DELEGATE_LIMIT
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+def _rule_1(query: SelectQuery) -> bool:
+    return (
+        query.limit is not None
+        and query.limit <= PAGE
+        and not query.distinct
+        and Execution._streamable(query)
+    )
+
+
+def run_hash(graph, mode, query):
+    """``(text, result)``: *query* run on the hash engine as *mode* says.
+
+    ``paged`` appends ``LIMIT 64`` to a SELECT without a LIMIT, and a
+    paged SELECT with no DISTINCT and no pipeline breaker must take the
+    lazy chain (``operator == "stream-select"``).  ``encoded`` puts
+    :data:`NEVER` at the end of the WHERE clause, and a column-shaped
+    SELECT off rule 1 must reach a columnar sink.  The text returned is
+    the one that ran, for the oracle to run too.
+    """
+    parsed = parse_query(query)
+    select = isinstance(parsed, SelectQuery)
+    if mode == "paged" and select and parsed.limit is None:
+        query = f"{query} LIMIT {PAGE}"
+    elif mode == "encoded" and select:
+        end = query.rindex("}")
+        query = query[:end] + NEVER + query[end:]
+    parsed = parse_query(query)
+    execution = QueryEngine(graph).execute(query)
+    operator = execution.stats.get("operator")
+    if mode == "paged" and select and _rule_1(parsed):
+        assert operator == "stream-select", query
+    if mode == "encoded" and select and not _rule_1(parsed):
+        if Execution._simple_select_shape(parsed) is not None:
+            assert operator in ("select-id", "topk-id", "aggregate-id"), query
+    return query, execution.result
+
+
+@pytest.mark.parametrize("mode", MODES + ("encoded",))
 @pytest.mark.parametrize("case_id,query,expected", CASES, ids=[c[0] for c in CASES])
-def test_pipeline_matches_scan(graph, strategy, case_id, query, expected):
+def test_pipeline_matches_scan(graph, mode, case_id, query, expected):
+    query, modern = run_hash(graph, mode, query)
     scan = QueryEngine(graph, strategy="scan").run(query)
-    modern = QueryEngine(graph, strategy=strategy).run(query)
     assert isinstance(scan, SelectResult) and isinstance(modern, SelectResult)
     assert sorted(scan.variables) == sorted(modern.variables)
     assert len(modern.rows) == expected
@@ -505,22 +555,21 @@ def test_pipeline_matches_scan(graph, strategy, case_id, query, expected):
         assert _canonical_rows(scan) == _canonical_rows(modern)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize(
     "case_id,query,expected", HUGE_LIMIT_CASES, ids=[c[0] for c in HUGE_LIMIT_CASES]
 )
-def test_a_limit_past_maxsize_matches_scan(graph, strategy, case_id, query, expected):
+def test_a_limit_past_maxsize_matches_scan(graph, case_id, query, expected):
     scan = QueryEngine(graph, strategy="scan").run(query)
-    modern = QueryEngine(graph, strategy=strategy).run(query)
+    modern = QueryEngine(graph).run(query)
     assert len(modern.rows) == expected
     assert _canonical_rows(scan) == _canonical_rows(modern)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("case_id,query,expected", ASK_CASES, ids=[c[0] for c in ASK_CASES])
-def test_ask_matches_scan(graph, strategy, case_id, query, expected):
+def test_ask_matches_scan(graph, case_id, query, expected):
+    # hash ASK runs the lazy chain and stops at its first witness
     scan = QueryEngine(graph, strategy="scan").run(query)
-    modern = QueryEngine(graph, strategy=strategy).run(query)
+    modern = QueryEngine(graph).run(query)
     assert isinstance(scan, AskResult) and isinstance(modern, AskResult)
     assert bool(scan) == bool(modern) == expected
 
@@ -528,6 +577,9 @@ def test_ask_matches_scan(graph, strategy, case_id, query, expected):
 def test_strategy_validation(graph):
     with pytest.raises(ValueError):
         QueryEngine(graph, strategy="quantum")
+    # the lazy chain is rule 1's and ASK's, not a strategy
+    with pytest.raises(ValueError):
+        QueryEngine(graph, strategy="stream")
     # the retired knobs stay retired: batching is not a caller's choice
     with pytest.raises(ValueError):
         QueryEngine(graph, strategy="batch")

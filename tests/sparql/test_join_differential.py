@@ -1,14 +1,19 @@
-"""Random valid queries over random graphs: the simple shape's join against
-the oracles, order included.
+"""Random valid queries over random graphs: the columnar sinks' sources
+against the oracles, order included.
 
 The eager join plans its order once and handles a candidate before it
 builds a row: one-variable term-test FILTERs run where their variable is
 bound, a later pattern's probe table gates the step that binds the key it
-joins on, and columns nothing later reads are left out.  None of that may
-be visible above the join, so for every generated query:
+joins on, and columns nothing later reads are left out.  A WHERE clause
+that is not the simple shape feeds the same sinks the group pipeline's
+solutions, encoded: unbound cells and terms the dictionary lacks included.
+None of that may be visible above the source, so for every generated
+query:
 
-* ``hash`` and ``stream`` return the ``scan`` oracle's rows (as multisets;
-  an un-ORDERed LIMIT / OFFSET page is a sub-multiset of the right size),
+* ``hash`` returns the ``scan`` oracle's rows (as multisets; an
+  un-ORDERed LIMIT / OFFSET page is a sub-multiset of the right size),
+  as written and, without a page of its own, as one page of 64 rows
+  (``paged``: rule 1's lazy chain for a streamable un-DISTINCT query),
 * ``hash`` returns, as a *list*, the rows of its own general pipeline --
   the same join with no filter, pruning or sink pushed into it, then the
   term-space FILTER, projection, DISTINCT (first occurrence) and slice --
@@ -16,8 +21,10 @@ be visible above the join, so for every generated query:
 
 on ``Graph()`` and ``Graph(shards=2)``.  Graphs hold at most 60 triples
 over a small pool of IRIs, literals, blank nodes and ``rdf:type``; queries
-are BGPs of 2-4 patterns with shared, constant and repeated variables, 0-2
-of ``isLiteral`` / ``isIRI`` / ``isBlank`` / ``bound``, a projected subset
+are BGPs of 2-4 patterns with shared, constant and repeated variables, in
+half of them one more element -- an OPTIONAL over one pattern, a UNION of
+two, or a VALUES block holding a term no graph has -- then 0-2 of
+``isLiteral`` / ``isIRI`` / ``isBlank`` / ``bound``, a projected subset
 or ``*``, DISTINCT or not, or a ``COUNT`` / ``COUNT(DISTINCT)`` GROUP BY,
 and an optional LIMIT / OFFSET.
 """
@@ -41,7 +48,9 @@ CLASSES = [IRI(f"{EX}C{i}") for i in range(2)]
 PREDICATES = [IRI(f"{EX}p{i}") for i in range(2)]
 LITERALS = [Literal(1), Literal(2), Literal("x")]
 NODE_VARIABLES = ["a", "b", "c"]
-VARIABLES = NODE_VARIABLES + ["p", "q", "k"]
+VARIABLES = NODE_VARIABLES + ["p", "q", "k", "v"]
+#: a term no generated graph holds: a VALUES row keeps it raw
+ABSENT = f"<{EX}absent>"
 TESTS = ["isLiteral", "isIRI", "isBlank", "bound"]
 
 
@@ -79,9 +88,28 @@ def patterns(draw):
 
 
 @st.composite
+def elements(draw):
+    """Nothing (the simple shape) or one element that is not a triple
+    pattern; a VALUES block binds ``?v`` (no pattern does) or a node
+    variable, to an in-graph node and to :data:`ABSENT`."""
+    kind = draw(st.sampled_from(["", "", "", "optional", "union", "values"]))
+    if kind == "optional":
+        return f"OPTIONAL {{ {draw(patterns())} }}"
+    if kind == "union":
+        return f"{{ {draw(patterns())} }} UNION {{ {draw(patterns())} }}"
+    if kind == "values":
+        variable = draw(st.sampled_from(["v"] + NODE_VARIABLES))
+        return f"VALUES ?{variable} {{ {_term(draw(st.sampled_from(NODES[:4])))} {ABSENT} }}"
+    return ""
+
+
+@st.composite
 def queries(draw):
     body = draw(st.lists(patterns(), min_size=2, max_size=4))
-    bound = sorted({name for text in body for name in VARIABLES if f"?{name}" in text})
+    extra = draw(elements())
+    bound = sorted(
+        {name for text in body + [extra] for name in VARIABLES if f"?{name}" in text}
+    )
     if not bound:
         body.append("?a ?b ?c")
         bound = ["a", "b", "c"]
@@ -89,7 +117,7 @@ def queries(draw):
         f"FILTER({draw(st.sampled_from(TESTS))}(?{draw(st.sampled_from(bound))}))"
         for _ in range(draw(st.sampled_from([0, 0, 1, 2])))
     ]
-    where = " . ".join(body) + " " + " ".join(filters)
+    where = " . ".join(body) + " " + extra + " " + " ".join(filters)
     shape = draw(st.sampled_from(["project", "star", "count", "count-distinct"]))
     if shape == "star":
         head = ("DISTINCT " if draw(st.booleans()) else "") + "*"
@@ -110,6 +138,9 @@ def queries(draw):
     if draw(st.booleans()):
         page += f" OFFSET {draw(st.integers(0, 3))}"
     return f"SELECT {head} WHERE {{ {where} }}{tail}", page
+
+
+PAGE = QueryEngine.STREAM_DELEGATE_LIMIT
 
 
 def _rows(result):
@@ -264,6 +295,30 @@ WIDE_DEAD = [
     case=("SELECT ?s ?o WHERE { ?s a <http://example.org/C0> . ?s ?p ?o "
           "FILTER(isLiteral(?o)) }", ""),
 )
+@example(
+    # encoded solutions: a fold over an OPTIONAL's unbound cells, raw
+    # VALUES terms deduplicated, a UNION paged down the lazy chain
+    data=EXTRACTED,
+    case=("SELECT ?c (COUNT(?l) AS ?n) WHERE { ?s a ?c . OPTIONAL { ?s <http://example.org/p0> ?l } } "
+          "GROUP BY ?c", ""),
+)
+@example(
+    data=TWO_TYPED,
+    case=(f"SELECT DISTINCT ?v ?a WHERE {{ ?a a {C0} . ?a ?p ?b VALUES ?v {{ <{EX}n0> {ABSENT} }} }}", ""),
+)
+@example(data=TWO_TYPED, case=("SELECT * WHERE { ?a ?p ?b . { ?b ?q ?c } UNION { ?b a ?k } }", ""))
+@example(
+    # the lazy chain joins ?a ?q ?a to ?b ?q ?c in another row order than
+    # the eager join: encoded solutions must come from the eager pipeline
+    data=[
+        Triple(_n(0), RDF.type, IRI(f"{EX}C0")),
+        Triple(_n(0), RDF.type, IRI(f"{EX}C1")),
+        Triple(_n(0), _p(0), _n(0)),
+        Triple(_n(0), _p(0), _n(1)),
+        Triple(_n(1), _p(0), _n(0)),
+    ],
+    case=("SELECT * WHERE { ?a ?q ?a . ?b ?q ?c OPTIONAL { ?a a ?k } }", ""),
+)
 @given(
     data=st.lists(triples(), min_size=5, max_size=60),
     case=queries(),
@@ -272,17 +327,20 @@ def test_simple_shape_join_matches_the_oracles_in_order(data, case):
     whole_query, page = case
     text = whole_query + page
     query = parse_query(text)
+    # ``paged``: a query without a page of its own runs as one of 64 rows
+    modes = [("hash", page)] + ([] if page else [("paged", f" LIMIT {PAGE}")])
     for graph in (Graph(), Graph(shards=2)):
         graph.add_many(data)
         oracle = Counter(_rows(QueryEngine(graph, strategy="scan").run(whole_query)))
         event("rows" if oracle else "no rows")
-        offset = query.offset or 0
         whole = sum(oracle.values())
-        end = whole if query.limit is None else min(whole, offset + query.limit)
-        for strategy in ("hash", "stream"):
-            rows = _rows(QueryEngine(graph, strategy=strategy).run(text))
-            context = (strategy, type(graph).__name__, text)
-            if page:
+        for mode, mode_page in modes:
+            mode_query = parse_query(whole_query + mode_page)
+            offset = mode_query.offset or 0
+            end = whole if mode_query.limit is None else min(whole, offset + mode_query.limit)
+            rows = _rows(QueryEngine(graph).run(whole_query + mode_page))
+            context = (mode, type(graph).__name__, text)
+            if mode_page:
                 # which rows (or groups) a page holds follows the engine's
                 # order; how many, and that they are the oracle's, does not
                 assert len(rows) == max(0, end - offset), context

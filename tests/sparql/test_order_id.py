@@ -1,8 +1,9 @@
 """The ID-space ORDER BY sink (sort raw ID rows, decode the emitted page).
 
-Simple-shape queries order ID tuples with memoized decoded keys -- a
-full sort without LIMIT, a bounded heap with one -- and only decode
-rows that survive DISTINCT/OFFSET/LIMIT.  These tests pin (a) that the
+Queries with bare-variable projections and sort keys order ID tuples
+with memoized decoded keys -- a full sort without LIMIT, a cut to the
+page after every batch with one -- and only decode rows that survive
+DISTINCT/OFFSET/LIMIT, whatever the WHERE clause.  These tests pin (a) that the
 sink actually runs (``operator == "topk-id"``), and (b) that its output
 is row-for-row identical to the scan oracle's materialized sort, ties
 included.  The aggregate sink runs the same modifiers over its groups
@@ -30,6 +31,10 @@ ex:e ex:score 1 ; ex:group ex:g1 ; a ex:T .
 """
 
 PREFIX = "PREFIX ex: <http://example.org/> "
+
+#: the sinks' two sources: ID batches off the simple WHERE clause, or --
+#: behind an OPTIONAL that never matches -- the encoded solutions
+SOURCES = {"simple": "", "encoded": " OPTIONAL { ?s ex:absent ?absent }"}
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +93,9 @@ def test_decodes_only_the_emitted_page(graph):
     assert stats["decoded_rows"] == len(result.rows) == 4
 
 
-@pytest.mark.parametrize("strategy", ["hash", "stream"])
-def test_limit_bounds_the_rows_kept(graph, strategy):
-    # with a LIMIT the sink is a bounded heap: offset + k rows, not all 5
-    engine = QueryEngine(graph, strategy=strategy)
+def test_limit_bounds_the_rows_kept(graph):
+    # with a LIMIT the sink is bounded: offset + k rows, not all 5
+    engine = QueryEngine(graph)
     stats = engine.execute(PREFIX + "SELECT ?s WHERE { ?s ex:score ?v } ORDER BY ?v ?s LIMIT 2").stats
     assert stats["operator"] == "topk-id"
     assert stats["tracked_rows"] == 2
@@ -99,23 +103,9 @@ def test_limit_bounds_the_rows_kept(graph, strategy):
     assert stats["tracked_rows"] == 5
 
 
-# -- the stream engine feeds the same sink ------------------------------------
-
-
-@pytest.mark.parametrize("case_id,query", CASES, ids=[c[0] for c in CASES])
-def test_stream_strategy_uses_id_sorter_for_unlimited_order(graph, case_id, query):
-    """ORDER BY on the stream engine runs the same ID-space sink (fed by
-    its lazy chain) instead of the materializing general path."""
-    engine = QueryEngine(graph, strategy="stream")
-    execution = engine.execute(query)
-    result = execution.result
-    assert execution.stats.get("operator") == "topk-id", execution.stats
-    oracle = QueryEngine(graph, strategy="scan").run(query)
-    assert _ordered(result) == _ordered(oracle)
-
-
-def test_non_simple_shapes_fall_back(graph):
-    # OPTIONAL in the WHERE clause: not the pure-ID shape
+def test_non_simple_where_feeds_the_same_sink(graph):
+    # OPTIONAL in the WHERE clause: not the pure-ID shape, so the sink
+    # reads the group pipeline's solutions, encoded
     engine = QueryEngine(graph)
     query = (
         PREFIX
@@ -124,7 +114,7 @@ def test_non_simple_shapes_fall_back(graph):
     )
     execution = engine.execute(query)
     result = execution.result
-    assert execution.stats.get("operator") != "topk-id"
+    assert execution.stats.get("operator") == "topk-id"
     oracle = QueryEngine(graph, strategy="scan").run(query)
     assert _ordered(result) == _ordered(oracle)
 
@@ -143,7 +133,7 @@ def test_expression_sort_key_falls_back(graph):
 #
 # One table-driven differential against the scan oracle.  A row is a sort
 # key kind; every row runs ASC/DESC x with/without a tie-breaking second
-# condition x the OFFSET/LIMIT table x DISTINCT x HAVING, on both engines,
+# condition x the OFFSET/LIMIT table x DISTINCT x HAVING, from both sources,
 # at three batch sizes and two shard counts.  Ties are everywhere in the
 # data (a/d and c/g fold to the same values), so an unstable sort or a heap
 # that is not sort-then-slice shows as a row-order difference.
@@ -202,18 +192,17 @@ def agg_graph(request):
 
 
 @pytest.mark.parametrize("batch_size", (1, 7, 1024))
-@pytest.mark.parametrize("strategy", ("hash", "stream"))
+@pytest.mark.parametrize("source", sorted(SOURCES))
 @pytest.mark.parametrize(
     "projection,group_by,key,groups,id_space",
     [row[1:] for row in AGG_KEYS],
     ids=[row[0] for row in AGG_KEYS],
 )
 def test_ordered_aggregate_matches_the_scan_oracle(
-    agg_graph, monkeypatch, projection, group_by, key, groups, id_space,
-    strategy, batch_size,
+    agg_graph, monkeypatch, projection, group_by, key, groups, id_space, source, batch_size,
 ):
     monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
-    engine = QueryEngine(agg_graph, strategy=strategy)
+    engine = QueryEngine(agg_graph)
     oracle = QueryEngine(agg_graph, strategy="scan")
     for descending, tie_break, page, distinct, having in itertools.product(
         (False, True), (False, True), AGG_SLICES, (False, True), (False, True)
@@ -224,7 +213,7 @@ def test_ordered_aggregate_matches_the_scan_oracle(
         query = (
             PREFIX
             + f"SELECT {'DISTINCT ' if distinct else ''}{projection} "
-            + f"WHERE {{ ?s ex:m ?v }} GROUP BY {group_by} "
+            + f"WHERE {{ ?s ex:m ?v{SOURCES[source]} }} GROUP BY {group_by} "
             + ("HAVING (COUNT(?v) > 1) " if having else "")
             + f"ORDER BY {condition} {page}"
         )
@@ -234,8 +223,6 @@ def test_ordered_aggregate_matches_the_scan_oracle(
         execution = engine.execute(query)
         result = execution.result
         assert _ordered(result) == expected, query
-        if strategy == "stream":
-            continue  # stream-aggregate: term-space modifiers
         stats = execution.stats
         assert stats["operator"] == "aggregate-id", query
         assert stats["tracked_rows"] == groups, query
@@ -252,8 +239,8 @@ def test_ordered_aggregate_matches_the_scan_oracle(
 # Under LIMIT (and under DISTINCT) the tail cuts what it holds after every
 # batch: the first condition's keys settle every row but those tying with
 # the ``offset + k``-th best key, only those get the next condition's keys,
-# and the last tie-break is the input sequence.  Every row below runs on
-# both engines at three batch sizes against the scan oracle's sort-then-
+# and the last tie-break is the input sequence.  Every row below runs from
+# both sources at three batch sizes against the scan oracle's sort-then-
 # slice, through every page of TAIL_PAGES, with and without DISTINCT.
 # The data is nine subjects with one first key shared by all of them
 # (``same``), one with two values split 2 / 7 (``two``) and one with three
@@ -324,22 +311,22 @@ def _header_and_rows(result):
 
 
 @pytest.mark.parametrize("batch_size", (1, 3, 1024))
-@pytest.mark.parametrize("strategy", ("hash", "stream"))
+@pytest.mark.parametrize("source", sorted(SOURCES))
 @pytest.mark.parametrize(
     "projection,where,order", [row[1:] for row in TAIL_ORDERS],
     ids=[row[0] for row in TAIL_ORDERS],
 )
 def test_lazy_tail_matches_sort_then_slice(
-    tail_graph, monkeypatch, projection, where, order, strategy, batch_size
+    tail_graph, monkeypatch, projection, where, order, source, batch_size
 ):
     monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
-    engine = QueryEngine(tail_graph, strategy=strategy)
+    engine = QueryEngine(tail_graph)
     oracle = QueryEngine(tail_graph, strategy="scan")
     for (page, offset, limit), distinct in itertools.product(TAIL_PAGES, (False, True)):
         query = (
             PREFIX
             + f"SELECT {'DISTINCT ' if distinct else ''}{projection} "
-            + f"WHERE {{ {where} }} ORDER BY {order} {page}"
+            + f"WHERE {{ {where}{SOURCES[source]} }} ORDER BY {order} {page}"
         )
         expected = _oracle_rows.get((id(tail_graph), query))
         if expected is None:

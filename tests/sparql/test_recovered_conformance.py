@@ -23,7 +23,7 @@ from repro.rdf.durability import CrashInjector, CrashPoint
 from repro.sparql import QueryEngine
 from repro.sparql.results import AskResult, SelectResult
 
-from test_conformance import ASK_CASES, CASES, DATA, STRATEGIES, _canonical_rows
+from test_conformance import ASK_CASES, CASES, DATA, MODES, _canonical_rows, run_hash
 
 SHARD_COUNTS = (1, 2, 4)
 
@@ -82,14 +82,14 @@ def _ordered_rows(result: SelectResult):
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("case_id,query,expected", CASES, ids=[c[0] for c in CASES])
 def test_recovered_store_matches_scan(
-    recovered_graphs, shards, strategy, case_id, query, expected
+    recovered_graphs, shards, mode, case_id, query, expected
 ):
     graph = recovered_graphs[shards]
+    query, modern = run_hash(graph, mode, query)
     scan = QueryEngine(graph, strategy="scan").run(query)
-    modern = QueryEngine(graph, strategy=strategy).run(query)
     assert isinstance(scan, SelectResult) and isinstance(modern, SelectResult)
     assert len(modern.rows) == expected
     if "ORDER BY" in query:
@@ -99,15 +99,12 @@ def test_recovered_store_matches_scan(
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize(
     "case_id,query,expected", ASK_CASES, ids=[c[0] for c in ASK_CASES]
 )
-def test_recovered_store_ask_matches(
-    recovered_graphs, shards, strategy, case_id, query, expected
-):
+def test_recovered_store_ask_matches(recovered_graphs, shards, case_id, query, expected):
     graph = recovered_graphs[shards]
     scan = QueryEngine(graph, strategy="scan").run(query)
-    modern = QueryEngine(graph, strategy=strategy).run(query)
+    modern = QueryEngine(graph).run(query)
     assert isinstance(scan, AskResult) and isinstance(modern, AskResult)
     assert bool(scan) == bool(modern) == expected

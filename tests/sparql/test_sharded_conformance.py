@@ -2,9 +2,10 @@
 
 Three contracts, from the sharding subsystem's merge determinism rule:
 
-1. **Oracle conformance** -- on a sharded graph, every modern pipeline
-   still matches the legacy scan oracle, for the *entire* conformance
-   corpus (the cases are imported from ``test_conformance``), at every
+1. **Oracle conformance** -- on a sharded graph, the hash engine still
+   matches the legacy scan oracle in both of ``test_conformance``'s modes
+   (as written, and as one page down the lazy chain), for the *entire*
+   conformance corpus (the cases are imported from there), at every
    shard count.
 2. **Shard-count invariance** -- SELECT/ASK/aggregate results are
    byte-identical (row order included) between ``shards=1`` and any
@@ -29,7 +30,7 @@ from repro.rdf import BNode, Graph, IRI, Literal, ShardedTripleStore, Triple, pa
 from repro.sparql import QueryEngine
 from repro.sparql.results import AskResult, SelectResult
 
-from test_conformance import ASK_CASES, CASES, DATA, STRATEGIES, _canonical_rows
+from test_conformance import ASK_CASES, CASES, DATA, MODES, _canonical_rows, run_hash
 
 SHARD_COUNTS = (1, 2, 4, 8)
 
@@ -57,14 +58,14 @@ def _ordered_rows(result: SelectResult):
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("case_id,query,expected", CASES, ids=[c[0] for c in CASES])
 def test_sharded_pipeline_matches_scan(
-    sharded_graphs, shards, strategy, case_id, query, expected
+    sharded_graphs, shards, mode, case_id, query, expected
 ):
     graph = sharded_graphs[shards]
+    query, modern = run_hash(graph, mode, query)
     scan = QueryEngine(graph, strategy="scan").run(query)
-    modern = QueryEngine(graph, strategy=strategy).run(query)
     assert isinstance(scan, SelectResult) and isinstance(modern, SelectResult)
     assert sorted(scan.variables) == sorted(modern.variables)
     assert len(modern.rows) == expected
@@ -75,16 +76,13 @@ def test_sharded_pipeline_matches_scan(
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize(
     "case_id,query,expected", ASK_CASES, ids=[c[0] for c in ASK_CASES]
 )
-def test_sharded_ask_matches_scan(
-    sharded_graphs, shards, strategy, case_id, query, expected
-):
+def test_sharded_ask_matches_scan(sharded_graphs, shards, case_id, query, expected):
     graph = sharded_graphs[shards]
     scan = QueryEngine(graph, strategy="scan").run(query)
-    modern = QueryEngine(graph, strategy=strategy).run(query)
+    modern = QueryEngine(graph).run(query)
     assert isinstance(scan, AskResult) and isinstance(modern, AskResult)
     assert bool(scan) == bool(modern) == expected
 
@@ -92,16 +90,14 @@ def test_sharded_ask_matches_scan(
 # -- 2. shard-count invariance: byte-identical rows in order -----------------
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("case_id,query,expected", CASES, ids=[c[0] for c in CASES])
 def test_shard_count_never_changes_results(
-    sharded_graphs, strategy, case_id, query, expected
+    sharded_graphs, mode, case_id, query, expected
 ):
-    baseline = _ordered_rows(
-        QueryEngine(sharded_graphs[1], strategy=strategy).run(query)
-    )
+    baseline = _ordered_rows(run_hash(sharded_graphs[1], mode, query)[1])
     for shards in SHARD_COUNTS[1:]:
-        result = QueryEngine(sharded_graphs[shards], strategy=strategy).run(query)
+        result = run_hash(sharded_graphs[shards], mode, query)[1]
         assert _ordered_rows(result) == baseline, f"shards={shards}"
 
 
@@ -124,18 +120,18 @@ CENSUS_QUERIES = (
 
 #: SHA-256 over the ordered rows of every corpus case (``_order_digest``),
 #: recorded on the tree that still ran spanning scans through per-shard
-#: operators, the same for ``hash`` and ``stream`` and under any
-#: ``PYTHONHASHSEED``.  Shard-count invariance only compares shard counts
+#: operators, the same in both modes (a paged case digests under its
+#: written text) and under any ``PYTHONHASHSEED``.  Shard-count invariance only compares shard counts
 #: with each other; this pins the order every one of them shares.
 CORPUS_ORDER_DIGEST = "cb6908e184c35f233cfc281f588b8758f282c867900634013facc87470ee21d0"
 #: the same over ``CENSUS_QUERIES`` on ``government_graph(scale=0.2, seed=5)``
 CENSUS_ORDER_DIGEST = "320defe1bd743ab1f24a8de057f5e2e08b99834b07f210415e1c3828ede134e5"
 
 
-def _order_digest(graph, strategy, queries):
+def _order_digest(graph, mode, queries):
     digest = hashlib.sha256()
     for query in queries:
-        result = QueryEngine(graph, strategy=strategy).run(query)
+        result = run_hash(graph, mode, query)[1]
         rows = bool(result) if isinstance(result, AskResult) else _ordered_rows(result)
         digest.update(json.dumps([query, rows], sort_keys=True).encode("utf-8"))
     return digest.hexdigest()
@@ -148,17 +144,17 @@ def census_graphs():
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_corpus_row_order_is_the_recorded_one(sharded_graphs, shards, strategy):
+@pytest.mark.parametrize("mode", MODES)
+def test_corpus_row_order_is_the_recorded_one(sharded_graphs, shards, mode):
     queries = [query for _id, query, _n in CASES + ASK_CASES]
-    digest = _order_digest(sharded_graphs[shards], strategy, queries)
+    digest = _order_digest(sharded_graphs[shards], mode, queries)
     assert digest == CORPUS_ORDER_DIGEST
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_census_row_order_is_the_recorded_one(census_graphs, shards, strategy):
-    digest = _order_digest(census_graphs[shards], strategy, CENSUS_QUERIES)
+def test_census_row_order_is_the_recorded_one(census_graphs, shards):
+    # census results outgrow a page: only the written texts are pinned
+    digest = _order_digest(census_graphs[shards], "hash", CENSUS_QUERIES)
     assert digest == CENSUS_ORDER_DIGEST
 
 
@@ -207,12 +203,12 @@ def _build(triples, shards):
     triples=triples_strategy,
     shards=st.sampled_from(SHARD_COUNTS[1:]),
     query=st.sampled_from(PROPERTY_QUERIES),
-    strategy=st.sampled_from(STRATEGIES),
+    mode=st.sampled_from(MODES),
 )
-def test_property_shard_count_invariance(triples, shards, query, strategy):
+def test_property_shard_count_invariance(triples, shards, query, mode):
     """Shard count never changes SELECT/ASK/aggregate results or order."""
-    one = QueryEngine(_build(triples, 1), strategy=strategy).run(query)
-    many = QueryEngine(_build(triples, shards), strategy=strategy).run(query)
+    one = run_hash(_build(triples, 1), mode, query)[1]
+    many = run_hash(_build(triples, shards), mode, query)[1]
     if isinstance(one, AskResult):
         assert bool(one) == bool(many)
     else:

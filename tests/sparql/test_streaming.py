@@ -1,10 +1,12 @@
 """The streaming (volcano) pipeline: pushdown semantics and the plan cache.
 
-Property tests pin the contract the LIMIT/OFFSET pushdown must honour:
-paginating through the streaming pipeline returns exactly the rows that
-materializing the full result and slicing it would -- on random graphs,
-across join shapes, DISTINCT, OPTIONAL and UNION.  The laziness itself is
-asserted by counting index scans, not by timing.
+The hash engine runs a LIMIT <= 64 page with no DISTINCT and no pipeline
+breaker, and every ASK, on its lazy operator chain.  Property tests pin
+the contract the LIMIT/OFFSET pushdown must honour: a page of the chain
+is the same slice of a larger page, and the whole chain returns the eager
+pipeline's rows -- on random graphs, across join shapes, DISTINCT,
+OPTIONAL and UNION.  The laziness itself is asserted by counting index
+scans, not by timing.
 
 The compiled-plan cache and the parser AST LRU are covered here too,
 including the invalidation rule (any graph mutation bumps
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rdf import Graph, IRI, Literal, Triple
-from repro.sparql import QueryEngine, evaluate
+from repro.sparql import Execution, QueryEngine, evaluate
 from repro.sparql.parser import parse_cache_clear, parse_query
 
 EX = "http://example.org/"
@@ -68,12 +70,11 @@ TEMPLATES = [
     offset=st.integers(min_value=0, max_value=6),
 )
 def test_stream_limit_offset_matches_materialization(specs, template, limit, offset):
-    """LIMIT/OFFSET over the streaming path == materialize-then-slice."""
+    """LIMIT/OFFSET over the streaming path == a larger page, sliced: every
+    page of one query lands on the same pipeline."""
     graph = _graph(specs)
-    full = evaluate(graph, template.replace("{mod}", ""), strategy="stream")
-    paged = evaluate(
-        graph, template.replace("{mod}", f"LIMIT {limit} OFFSET {offset}"), strategy="stream"
-    )
+    full = evaluate(graph, template.replace("{mod}", "LIMIT 64"))
+    paged = evaluate(graph, template.replace("{mod}", f"LIMIT {limit} OFFSET {offset}"))
     expected = full.rows[offset : offset + limit]
     assert paged.rows == expected
     assert paged.variables == full.variables
@@ -82,11 +83,13 @@ def test_stream_limit_offset_matches_materialization(specs, template, limit, off
 @settings(max_examples=40, deadline=None)
 @given(specs=_triples, template=st.sampled_from(TEMPLATES))
 def test_stream_matches_hash_on_random_graphs(specs, template):
-    """Full (unbounded) streaming results == the eager hash pipeline's,
-    as multisets -- neither engine promises an order."""
+    """The lazy chain's whole result (rule 1's operator, run without the
+    LIMIT that routes to it) == the eager hash pipeline's, as multisets --
+    neither promises an order."""
     graph = _graph(specs)
-    stream = evaluate(graph, template.replace("{mod}", ""), strategy="stream")
-    hashed = evaluate(graph, template.replace("{mod}", ""), strategy="hash")
+    text = template.replace("{mod}", "")
+    stream = Execution(QueryEngine(graph))._run_select_streaming(parse_query(text))
+    hashed = evaluate(graph, text)
 
     def canon(result):
         return sorted(
@@ -132,7 +135,7 @@ def test_stream_limit_stops_scanning_early():
         f"SELECT ?a ?v WHERE {{ ?a <{EX}p0> ?b . ?b <{EX}p1> ?v }} LIMIT 3"
     )
     counter = _counting(graph)
-    result = evaluate(graph, query, strategy="stream")
+    result = evaluate(graph, query)
     streamed_rows = counter["rows"]
     assert len(result.rows) == 3
     # 400 p0 triples + 401 p1 triples exist; three output rows must not
@@ -140,34 +143,38 @@ def test_stream_limit_stops_scanning_early():
     assert streamed_rows <= 30
 
     counter["rows"] = 0
-    full = evaluate(graph, query.replace(" LIMIT 3", ""), strategy="stream")
+    full = evaluate(graph, query.replace(" LIMIT 3", ""))
     assert len(full.rows) == 400
     assert counter["rows"] >= 400
-
-
-def test_hash_engine_delegates_limit_queries_to_streaming():
-    """The default engine also stops early on LIMIT-bounded queries."""
-    graph = _chain_graph(400)
-    counter = _counting(graph)
-    result = evaluate(
-        graph,
-        f"SELECT ?a ?v WHERE {{ ?a <{EX}p0> ?b . ?b <{EX}p1> ?v }} LIMIT 3",
-        strategy="hash",
-    )
-    assert len(result.rows) == 3
-    assert counter["rows"] <= 30
 
 
 def test_ask_streams_one_witness():
     graph = _chain_graph(400)
     counter = _counting(graph)
-    result = evaluate(
-        graph,
-        f"ASK {{ ?a <{EX}p0> ?b . ?b <{EX}p1> ?v }}",
-        strategy="stream",
-    )
+    result = evaluate(graph, f"ASK {{ ?a <{EX}p0> ?b . ?b <{EX}p1> ?v }}")
     assert bool(result) is True
     assert counter["rows"] <= 10
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        f"SELECT ?o WHERE {{ <{EX}absent> <{EX}p0>* ?o }} LIMIT 5",
+        f"SELECT ?s WHERE {{ ?s <{EX}p0>* <{EX}absent> }} LIMIT 5",
+        f"SELECT ?a ?o WHERE {{ ?a <{EX}p1> 0 . <{EX}absent> <{EX}p0>* ?o }} LIMIT 5",
+        f"ASK {{ <{EX}absent> <{EX}p0>* ?o }}",
+        f"ASK {{ <{EX}absent> <{EX}p0>+ ?o }}",
+    ],
+)
+def test_a_path_from_a_term_no_triple_holds(query):
+    """The lazy chain's path step with a constant endpoint the dictionary
+    lacks: zero-length ``*`` reaches the term itself, ``+`` nothing -- as
+    the oracle says, where the chain used to hand the raw term to the ID
+    walk."""
+    graph = _chain_graph(4)
+    lazy, oracle = (evaluate(graph, query, strategy=s) for s in ("hash", "scan"))
+    assert getattr(lazy, "rows", None) == getattr(oracle, "rows", None)
+    assert bool(lazy) == bool(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -309,4 +316,4 @@ def test_parse_cache_does_not_leak_results_across_graphs():
     g2 = _chain_graph(7)
     assert len(evaluate(g1, text).rows) == 3
     assert len(evaluate(g2, text).rows) == 7
-    assert len(evaluate(g1, text, strategy="stream").rows) == 3
+    assert len(evaluate(g1, text, strategy="scan").rows) == 3

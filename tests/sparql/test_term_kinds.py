@@ -86,7 +86,7 @@ def _answers(graph: Graph, strategy: str):
 
 
 def _agree(graph: Graph, expected):
-    for strategy in ("hash", "stream", "scan"):
+    for strategy in ("hash", "scan"):
         assert _answers(graph, strategy) == expected, strategy
 
 

@@ -1,14 +1,20 @@
-"""The bounded top-k ORDER BY operator and the streaming aggregation fold.
+"""The bounded ORDER BY tail and the incremental aggregation fold.
 
-Property tests pin the two contracts PR 3 introduces:
+Every column-shaped SELECT -- bare-variable projections and sort keys,
+column-shaped aggregates -- runs the columnar sinks, whatever its WHERE
+clause: a simple one (plain patterns, term-test FILTERs) feeds them ID
+batches straight off the indexes or the join, any other (OPTIONAL,
+UNION, VALUES, paths) the eager group pipeline's solutions, encoded.
+Property tests pin the two contracts:
 
-* ``ORDER BY ... LIMIT k`` through the bounded heap returns exactly the
-  rows that materializing the full result, sorting it and slicing would
-  -- including the stable tie-break on input order, sort keys over
+* ``ORDER BY ... LIMIT k`` through the ``topk-id`` sink returns exactly
+  the rows that materializing the full result, sorting it and slicing
+  would -- including the stable tie-break on input order, sort keys over
   unprojected WHERE variables, and unbound-sorts-first semantics;
-* streaming GROUP BY/aggregation (the incremental :class:`_AggFold`
-  accumulators) equals the materialized ``_aggregate`` fold, including
-  COUNT(DISTINCT ?v) via per-group seen-sets.
+* GROUP BY/aggregation through the ``aggregate-id`` sink (the
+  incremental :class:`_AggFold` accumulators) equals the materialized
+  ``_aggregate`` fold, including COUNT(DISTINCT ?v) via per-group
+  seen-sets.
 
 The memory contract (O(offset+k) / O(groups) tracked rows, not O(rows))
 is asserted through ``Execution.stats``, not by timing.
@@ -71,9 +77,10 @@ def _canonical_rows(result):
 # ---------------------------------------------------------------------------
 
 #: ORDER BY query templates; {mod} takes the LIMIT/OFFSET clause.  The mix
-#: covers both heap variants: pure BGPs with bare-variable keys (the
-#: ID-space heap), unprojected sort variables, OPTIONAL with unbound sort
-#: keys and multi-condition ASC/DESC (the term-space heap).
+#: covers both sources of the ``topk-id`` sink: pure BGPs with
+#: bare-variable keys, unprojected sort variables and multi-condition
+#: ASC/DESC (ID batches), OPTIONAL with unbound sort keys (encoded
+#: solutions).
 TOPK_TEMPLATES = [
     "SELECT ?s ?o WHERE { ?s <http://example.org/p0> ?o } ORDER BY ?o ?s {mod}",
     "SELECT ?s WHERE { ?s <http://example.org/p0> ?o } ORDER BY DESC(?o) {mod}",
@@ -95,14 +102,10 @@ TOPK_TEMPLATES = [
     offset=st.integers(min_value=0, max_value=6),
 )
 def test_topk_matches_sort_then_slice(specs, template, limit, offset):
-    """Bounded heap == materialize + sort + slice, on the same pipeline."""
+    """Bounded tail == materialize + sort + slice, on the same pipeline."""
     graph = _graph(specs)
-    full = evaluate(graph, template.replace("{mod}", ""), strategy="stream")
-    paged = evaluate(
-        graph,
-        template.replace("{mod}", f"LIMIT {limit} OFFSET {offset}"),
-        strategy="stream",
-    )
+    full = evaluate(graph, template.replace("{mod}", ""))
+    paged = evaluate(graph, template.replace("{mod}", f"LIMIT {limit} OFFSET {offset}"))
     assert _exact_rows(paged) == _exact_rows(full)[offset : offset + limit]
     assert paged.variables == full.variables
 
@@ -115,16 +118,16 @@ def test_topk_matches_sort_then_slice(specs, template, limit, offset):
 )
 def test_topk_heap_never_tracks_more_than_k_rows(specs, template, limit):
     graph = _graph(specs)
-    engine = QueryEngine(graph, strategy="stream")
+    engine = QueryEngine(graph)
     execution = engine.execute(template.replace("{mod}", f"LIMIT {limit}"))
     result, stats = execution.result, execution.stats
-    assert stats["operator"] in ("topk-id", "topk")
+    assert stats["operator"] == "topk-id"
     assert stats["tracked_rows"] <= limit
     assert len(result.rows) <= limit
 
 
 # ---------------------------------------------------------------------------
-# DISTINCT + ORDER BY + LIMIT: the per-key champion table
+# DISTINCT + ORDER BY + LIMIT: each key's earliest row in sort order
 # ---------------------------------------------------------------------------
 
 #: DISTINCT variants; the dedup key (projected row) deliberately differs
@@ -146,21 +149,16 @@ DISTINCT_TOPK_TEMPLATES = [
     template=st.sampled_from(DISTINCT_TOPK_TEMPLATES),
     limit=st.integers(min_value=0, max_value=12),
     offset=st.integers(min_value=0, max_value=6),
-    strategy=st.sampled_from(("hash", "stream")),
 )
-def test_distinct_topk_matches_sort_dedup_slice(specs, template, limit, offset, strategy):
-    """Champion table == materialize + sort + stable dedup + slice.
+def test_distinct_topk_matches_sort_dedup_slice(specs, template, limit, offset):
+    """Champion rule == materialize + sort + stable dedup + slice.
 
-    The unlimited query runs the materialized modifier tail (no LIMIT means
-    no champion table), so the two implementations check each other.
+    The unlimited query cuts once, at the end (no LIMIT means no cut per
+    batch), so the two runs of the tail check each other.
     """
     graph = _graph(specs)
-    full = evaluate(graph, template.replace("{mod}", ""), strategy=strategy)
-    paged = evaluate(
-        graph,
-        template.replace("{mod}", f"LIMIT {limit} OFFSET {offset}"),
-        strategy=strategy,
-    )
+    full = evaluate(graph, template.replace("{mod}", ""))
+    paged = evaluate(graph, template.replace("{mod}", f"LIMIT {limit} OFFSET {offset}"))
     assert _exact_rows(paged) == _exact_rows(full)[offset : offset + limit]
     assert paged.variables == full.variables
 
@@ -172,14 +170,14 @@ def test_distinct_topk_matches_sort_dedup_slice(specs, template, limit, offset, 
     limit=st.integers(min_value=1, max_value=8),
 )
 def test_distinct_topk_routes_through_champion_table(specs, template, limit):
-    """DISTINCT + ORDER BY + LIMIT no longer bypasses the bounded operator:
-    it reports the champion-table stats, and the heap still holds at most
-    ``limit`` of the champions."""
+    """DISTINCT + ORDER BY + LIMIT runs the bounded tail: it reports the
+    keys it deduplicated, and holds at most ``limit`` rows between
+    batches."""
     graph = _graph(specs)
-    engine = QueryEngine(graph, strategy="stream")
+    engine = QueryEngine(graph)
     execution = engine.execute(template.replace("{mod}", f"LIMIT {limit}"))
     result, stats = execution.result, execution.stats
-    assert stats["operator"] in ("topk-id", "topk")
+    assert stats["operator"] == "topk-id"
     assert stats["distinct_keys"] >= len(result.rows)
     assert stats["tracked_rows"] <= limit
     assert len(result.rows) <= limit
@@ -203,7 +201,7 @@ def test_topk_sorts_by_unprojected_variable():
     query = (
         f"SELECT ?s WHERE {{ ?s <{EX}p0> ?rank }} ORDER BY DESC(?rank) LIMIT 3"
     )
-    for strategy in ("scan", "hash", "stream"):
+    for strategy in ("scan", "hash"):
         result = evaluate(graph, query, strategy=strategy)
         assert [str(row["s"]) for row in result.rows] == [
             f"{EX}n19",
@@ -219,7 +217,7 @@ def test_topk_unbound_sort_key_sorts_first_stably():
         f"SELECT ?s ?l WHERE {{ ?s <{EX}p0> ?rank "
         f"OPTIONAL {{ ?s <{EX}p2> ?l }} }} ORDER BY ?l ?rank LIMIT 9"
     )
-    for strategy in ("scan", "hash", "stream"):
+    for strategy in ("scan", "hash"):
         rows = evaluate(graph, query, strategy=strategy).rows
         labelled = [row for row in rows if row["l"] is not None]
         unlabelled = [row for row in rows if row["l"] is None]
@@ -237,9 +235,9 @@ def test_topk_unbound_sort_key_sorts_first_stably():
 
 
 def test_topk_id_space_keeps_only_k_rows():
-    """The ID-space heap consumes the whole join but keeps offset+k rows."""
+    """The ID-space tail consumes the whole join but keeps offset+k rows."""
     graph = _ladder_graph(500)
-    engine = QueryEngine(graph, strategy="stream")
+    engine = QueryEngine(graph)
     execution = engine.execute(
         f"SELECT ?s WHERE {{ ?s <{EX}p0> ?rank }} ORDER BY ?rank LIMIT 5 OFFSET 2"
     )
@@ -266,7 +264,7 @@ def test_hash_engine_delegates_order_limit_to_topk():
 
 
 # ---------------------------------------------------------------------------
-# streaming aggregation == materialized aggregation
+# the incremental fold == materialized aggregation
 # ---------------------------------------------------------------------------
 
 #: aggregate templates over order-insensitive folds (no SAMPLE /
@@ -290,10 +288,9 @@ AGG_TEMPLATES = [
 def test_stream_aggregation_matches_scan_oracle(specs, template):
     graph = _graph(specs)
     scan = evaluate(graph, template, strategy="scan")
-    for strategy in ("hash", "stream"):
-        modern = evaluate(graph, template, strategy=strategy)
-        assert _canonical_rows(modern) == _canonical_rows(scan)
-        assert sorted(modern.variables) == sorted(scan.variables)
+    modern = evaluate(graph, template)
+    assert _canonical_rows(modern) == _canonical_rows(scan)
+    assert sorted(modern.variables) == sorted(scan.variables)
 
 
 @settings(max_examples=25, deadline=None)
@@ -302,17 +299,17 @@ def test_stream_aggregation_matches_materialized_general_path(specs, template):
     """The incremental fold == the engine's own materialized ``_aggregate``
     over the *same* solution stream (exact, including row order)."""
     graph = _graph(specs)
-    engine = QueryEngine(graph, strategy="stream")
+    engine = QueryEngine(graph)
     execution = engine.execute(template)
     streamed = execution.result
-    assert execution.stats.get("operator") == "stream-aggregate"
+    assert execution.stats.get("operator") == "aggregate-id"
     materialized = Execution(engine)._run_select_general(parse_query(template))
     assert _exact_rows(streamed) == _exact_rows(materialized)
 
 
 def test_stream_aggregation_tracks_groups_not_rows():
     graph = _ladder_graph(600)  # 600 p0 rows + 200 p2 rows, 2 predicates
-    engine = QueryEngine(graph, strategy="stream")
+    engine = QueryEngine(graph)
     execution = engine.execute(
         "SELECT ?p (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p"
     )
@@ -329,7 +326,7 @@ def test_stream_aggregation_tracks_groups_not_rows():
     )
     top = execution.result
     assert [str(row["p"]) for row in top.rows] == [f"{EX}p0"]
-    assert execution.stats["operator"] == "stream-aggregate"
+    assert execution.stats["operator"] == "aggregate-id"
     assert execution.stats["tracked_rows"] == 2
 
 
@@ -343,7 +340,7 @@ def test_count_distinct_uses_seen_sets_not_member_lists():
     query = (
         f"SELECT ?s (COUNT(DISTINCT ?o) AS ?n) WHERE {{ ?s ?p ?o }} GROUP BY ?s"
     )
-    for strategy in ("scan", "hash", "stream"):
+    for strategy in ("scan", "hash"):
         result = evaluate(graph, query, strategy=strategy)
         assert {int(row["n"].lexical) for row in result.rows} == {5}
         assert len(result.rows) == 4
@@ -363,7 +360,7 @@ def test_group_order_limit_composes_fold_and_sort():
         f"SELECT ?s (COUNT(?o) AS ?n) WHERE {{ ?s <{EX}knows> ?o }} "
         f"GROUP BY ?s ORDER BY DESC(?n) LIMIT 3"
     )
-    for strategy in ("scan", "hash", "stream"):
+    for strategy in ("scan", "hash"):
         rows = evaluate(graph, query, strategy=strategy).rows
         assert [(str(r["s"]), int(r["n"].lexical)) for r in rows] == [
             (f"{EX}s7", 8),
@@ -383,9 +380,9 @@ def test_plan_cache_is_shared_across_engines_of_one_graph():
     first = QueryEngine(graph)
     first.run(query)
     misses = first.plan_cache_info()["misses"]
-    # a brand-new engine (even of a different strategy) starts warm
-    for strategy in ("hash", "stream"):
-        transient = QueryEngine(graph, strategy=strategy)
+    # a brand-new engine starts warm
+    for _ in range(2):
+        transient = QueryEngine(graph)
         transient.run(query)
         info = transient.plan_cache_info()
         assert info["misses"] == misses
@@ -409,16 +406,16 @@ def test_shared_plan_cache_still_invalidated_by_mutation():
     assert len(engine.run(query).rows) == 4
     graph.add_many_terms([(IRI(f"{EX}extra"), IRI(f"{EX}p0"), Literal(99))])
     # another engine sees the invalidation too
-    assert len(QueryEngine(graph, strategy="stream").run(query).rows) == 5
+    assert len(QueryEngine(graph).run(query).rows) == 5
     assert engine.plan_cache_info()["generation"] == graph.generation
 
 
 # ---------------------------------------------------------------------------
-# conformance edge: LIMIT 0 and empty inputs through the heap
+# conformance edge: LIMIT 0 and empty inputs through the bounded tail
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("strategy", ["scan", "hash", "stream"])
+@pytest.mark.parametrize("strategy", ["scan", "hash"])
 def test_order_limit_zero(strategy):
     graph = _ladder_graph(5)
     result = evaluate(
@@ -430,7 +427,7 @@ def test_order_limit_zero(strategy):
     assert result.variables == ["s"]
 
 
-@pytest.mark.parametrize("strategy", ["scan", "hash", "stream"])
+@pytest.mark.parametrize("strategy", ["scan", "hash"])
 def test_order_limit_on_empty_graph(strategy):
     result = evaluate(
         Graph(),

@@ -315,29 +315,45 @@ class TestWrittenOnce:
             "scheduler.py", "server.py",
         }
 
-    def test_one_heap_in_the_evaluator(self):
-        """The ID-space modifier tail cuts with ``heapq.nlargest`` /
-        ``nsmallest`` over distinct cells; the only hand-fed heap left in
-        ``sparql/evaluator.py`` is ``_topk_fold`` (rule 3's term-space
-        top-k), so a second one cannot grow back into the tail."""
-        (nodes,) = [
-            nodes for path, nodes in self._modules("sparql") if path == "evaluator.py"
-        ]
+    @staticmethod
+    def _hand_fed_heaps(nodes):
+        """Lines naming ``heappush`` / ``heapreplace`` / ``heappushpop`` /
+        ``heappop`` / ``heapify``, bare or as an attribute."""
         feeders = ("heappush", "heapreplace", "heappushpop", "heappop", "heapify")
-        inside = {
-            id(node)
-            for function in nodes
-            if isinstance(function, ast.FunctionDef) and function.name == "_topk_fold"
-            for node in ast.walk(function)
-        }
-        uses = [
-            node for node in nodes
+        return [
+            node.lineno
+            for node in nodes
             if isinstance(node, (ast.Name, ast.Attribute))
             and (getattr(node, "id", None) in feeders or getattr(node, "attr", None) in feeders)
         ]
-        assert uses, "_topk_fold no longer feeds a heap; this rule is stale"
-        outside = [f"evaluator.py:{node.lineno}" for node in uses if id(node) not in inside]
-        assert not outside, outside
+
+    def test_no_hand_fed_heap_in_the_evaluator(self):
+        """The ID-space modifier tail cuts with ``heapq.nlargest`` /
+        ``nsmallest`` over distinct cells; nothing in
+        ``sparql/evaluator.py`` feeds a heap by hand, so a bounded top-k
+        cannot grow back beside the tail."""
+        (nodes,) = [
+            nodes for path, nodes in self._modules("sparql") if path == "evaluator.py"
+        ]
+        found = [f"evaluator.py:{line}" for line in self._hand_fed_heaps(nodes)]
+        assert not found, found
+
+    def test_the_heap_rule_matches_the_retired_topk(self):
+        retired = "\n".join([
+            "import heapq",
+            "def _topk_fold(entries, keep):",
+            "    heap = []",
+            "    push, replace = heapq.heappush, heapq.heapreplace",
+            "    for entry in entries:",
+            "        if len(heap) < keep:",
+            "            push(heap, entry)",
+            "        elif heap[0] < entry:",
+            "            replace(heap, entry)",
+            "    return sorted(heap, reverse=True)",
+            "def cut(cells, room):",
+            "    return heapq.nsmallest(room, cells)",  # the tail's form: fine
+        ])
+        assert self._hand_fed_heaps(list(ast.walk(ast.parse(retired)))) == [4, 4]
 
     @staticmethod
     def _tail_heaps(tree):
@@ -527,7 +543,7 @@ class TestWrittenOnce:
 
     def test_the_join_order_score_is_written_once(self):
         """``_join_score`` is the one greedy-order key both join pipelines
-        read; a second copy is how the hash and stream orders drift."""
+        read; a second copy is how the eager and lazy join orders drift."""
         found = [
             f"{path}:{line}"
             for path, nodes in self._modules("sparql")
