@@ -84,6 +84,7 @@ from collections import Counter, OrderedDict
 from itertools import accumulate as _accumulate
 from itertools import chain as _chain
 from itertools import compress
+from itertools import count as _count
 from itertools import islice as _islice
 from itertools import repeat as _repeat
 from operator import itemgetter
@@ -242,6 +243,24 @@ _ROW_EXTRACTORS = {
     (1, 2): lambda s, p, o: (p, o),
     (0, 1, 2): lambda s, p, o: (s, p, o),
 }
+
+
+def _passing(rows: Iterator[Tuple], column: int, check) -> Iterator[Tuple]:
+    """The *rows* whose *column* passes *check* (an ``id -> 0 / 1`` verdict),
+    lazily."""
+    for row in rows:
+        if check(row[column]):
+            yield row
+
+
+def _first_seen(rows: Iterator, key_of) -> Iterator:
+    """The first of *rows* with each ``key_of(row)``, lazily."""
+    seen = set()
+    for row in rows:
+        key = key_of(row)
+        if key not in seen:
+            seen.add(key)
+            yield row
 
 
 def _first_keys(keys: Dict[Tuple, None], cap: Optional[int]) -> Dict[Tuple, None]:
@@ -724,11 +743,11 @@ class _SharedProbeCache(_GenerationLRU):
 #: them off the query's execution.
 EXEC_STAT_KEYS = frozenset(
     {
-        # sink counters.  ``operator`` names the sink that produced the
+        # sink counters.  ``operator`` names the route that produced the
         # result: ``select-id`` / ``topk-id`` / ``aggregate-id`` (the
-        # columnar sinks; ``topk-id`` covers the un-LIMITed sort) or
-        # ``stream-select`` (rule 1's lazy page); the general path and
-        # ASK name none
+        # columnar sinks; ``topk-id`` covers the un-LIMITed sort),
+        # ``stream-select`` (rule 1's lazy page), ``general`` (rule 3, and
+        # every ``scan`` SELECT) or ``ask``
         "operator",
         "input_rows",       # rows consumed by that operator; a run-fed sink
                             # (``_run_batches``): the runs it read
@@ -877,8 +896,17 @@ class Execution:
         if isinstance(query, SelectQuery):
             return self._run_select(query)
         if isinstance(query, AskQuery):
-            return AskResult(self._any_solution(query.where))
+            result = AskResult(self._any_solution(query.where))
+            self._name_route("ask")
+            return result
         raise SparqlEvaluationError(f"cannot evaluate {type(query).__name__}")
+
+    def _name_route(self, operator: str) -> None:
+        """Record the route that produced a result with no counters of its
+        own (``ask``, ``general``), as the sinks record theirs."""
+        self.stats["operator"] = operator
+        if self.tracer.detail:
+            self._operator_event()
 
     def _operator_event(self) -> None:
         """Record the bounded operator that just finished as a closed
@@ -1109,7 +1137,9 @@ class Execution:
 
         if step.inlj(count):
             if self._plain_joinable(ep, () if homogeneous else rows, col_of):
-                out = self._index_join_plain(ep, rows, col_of, step)
+                out = self._index_join_plain(
+                    self._bind_index_join(ep, col_of, step, len(rows)), rows
+                )
                 if step.checks:
                     return out, lambda enough: self._match_count(ep, rows, col_of, enough)
                 return out, len(out)
@@ -1459,19 +1489,6 @@ class Execution:
             yield ()
             return  # ground-ground path: one witness is enough
 
-    def _index_join(
-        self,
-        ep: _EncodedPattern,
-        rows: List[Tuple],
-        col_of: Dict[Variable, int],
-        new_col_of: Dict[Variable, int],
-        extra_width: int,
-    ) -> List[Tuple]:
-        """Per-row index lookups (the INLJ side of the pipeline)."""
-        if self._plain_joinable(ep, rows, col_of):
-            return self._index_join_plain(ep, rows, col_of)
-        return self._index_join_general(ep, rows, col_of, new_col_of, extra_width)
-
     @staticmethod
     def _plain_joinable(ep: _EncodedPattern, rows: List[Tuple], col_of) -> bool:
         """Can :meth:`_index_join_plain` join *ep* into *rows*?"""
@@ -1484,28 +1501,19 @@ class Execution:
             row[column] is _UNBOUND for column in bound_columns for row in rows
         )
 
-    def _index_join_plain(
+    def _bind_index_join(
         self,
         ep: _EncodedPattern,
-        rows: List[Tuple],
         col_of: Dict[Variable, int],
         step: Optional[JoinStep] = None,
-    ) -> List[Tuple]:
-        """INLJ fast path: no repeated variables, every row binds the shared
-        columns.  Bound positions are per-row constants, so matches append
-        straight onto the row -- no merge bookkeeping -- and the index dicts
-        are walked directly.
-
-        With a planned *step* a candidate is handled before its row is
-        built: a checked variable is tested (a C-level call) as its index
-        level yields it, and the row keeps only the step's live columns.
-        A subject-bound ``?s ?p ?o`` with a checked object reads the leaf
-        of only the predicates :func:`_may_pass` admits.
-
-        On a sharded graph the probes route: a subject-bound row walks the
-        owning shard's local indexes (same O(1) dict hops, no fan-out), and
-        an unbound-subject row reads the store's ``triples_ids`` (its
-        canonical sorted merge), so probe results stay shard-count-invariant.
+        rows: int = 0,
+    ) -> Tuple:
+        """What :meth:`_index_join_plain` needs to join *ep* into rows laid
+        out as *col_of*, fixed once per join step: each position resolved
+        to a constant, a row column or free, the new positions' extractor,
+        the checks of a planned *step* and the indexes to walk (None on a
+        sharded graph, which routes per row).  *rows* is the input's size,
+        which bounds the tests :func:`_may_pass` runs.
         """
         graph = self.graph
         store = graph if graph.is_sharded else None
@@ -1538,7 +1546,7 @@ class Execution:
         ok_s, ok_p, ok_o = checks
         may_pass = None
         if ok_o is not None and s_kind != "free" and p_kind == o_kind == "free":
-            may_pass = _may_pass(pos, ok_p, ok_o, len(rows))  # pos: None if sharded
+            may_pass = _may_pass(pos, ok_p, ok_o, rows)  # pos: None if sharded
         # the checks on a whole (s, p, o) triple, for the routed streams
         admit = (
             None
@@ -1548,6 +1556,35 @@ class Execution:
             )
         )
         make = _ROW_EXTRACTORS[tuple(new_positions)]
+        return (
+            graph, store, spo, pos, osp, s_kind, s_val, p_kind, p_val, o_kind, o_val,
+            keep, ok_s, ok_p, ok_o, may_pass, admit, make,
+        )
+
+    @staticmethod
+    def _index_join_plain(bound: Tuple, rows: Iterable[Tuple]) -> List[Tuple]:
+        """INLJ fast path: no repeated variables, every row binds the shared
+        columns.  Bound positions are per-row constants, so matches append
+        straight onto the row -- no merge bookkeeping -- and the index dicts
+        are walked directly.  *bound* is :meth:`_bind_index_join`'s: the
+        eager join binds a step and walks all its rows, the lazy chain binds
+        a step once and walks each upstream row as it arrives.
+
+        With a planned step a candidate is handled before its row is
+        built: a checked variable is tested (a C-level call) as its index
+        level yields it, and the row keeps only the step's live columns.
+        A subject-bound ``?s ?p ?o`` with a checked object reads the leaf
+        of only the predicates :func:`_may_pass` admits.
+
+        On a sharded graph the probes route: a subject-bound row walks the
+        owning shard's local indexes (same O(1) dict hops, no fan-out), and
+        an unbound-subject row reads the store's ``triples_ids`` (its
+        canonical sorted merge), so probe results stay shard-count-invariant.
+        """
+        (
+            graph, store, spo, pos, osp, s_kind, s_val, p_kind, p_val, o_kind, o_val,
+            keep, ok_s, ok_p, ok_o, may_pass, admit, make,
+        ) = bound
 
         # A checked position is tested per candidate where it is the
         # innermost loop (a C-level call, no row built for a failure) and
@@ -1809,8 +1846,10 @@ class Execution:
     ) -> Iterator[Solution]:
         """The BGP join chain as a per-input-solution volcano pipeline.
 
-        Each input solution seeds a single ID row; one generator per
-        pattern extends rows lazily.  Operator state that is worth sharing
+        Each input solution seeds a single ID row binding exactly its
+        header's variables (so no row of the chain has an unbound cell);
+        one generator per pattern extends rows lazily
+        (:meth:`_stream_chain`).  Operator state that is worth sharing
         across input solutions (hash-join build tables, cartesian scan
         buffers) lives in ``state`` keyed by pattern, so heterogeneous
         input headers each get a layout but the expensive scans run once.
@@ -1836,10 +1875,7 @@ class Execution:
                 # Non-interned terms ride along raw; they can never equal a
                 # scanned ID, which is the join semantics they need.
                 row.append(term_id if term_id is not None else term)
-            source: Iterator[Tuple] = iter((tuple(row),))
-            for step in steps:
-                source = self._stream_step(step, source, state)
-            for out_row in source:
+            for out_row in self._stream_chain(steps, tuple(row), state):
                 out: Solution = {}
                 for variable, column in out_layout:
                     value = out_row[column]
@@ -1847,6 +1883,38 @@ class Execution:
                         continue
                     out[variable] = decode(value) if type(value) is int else value
                 yield out
+
+    def _stream_chain(self, steps: List[Tuple], seed: Tuple, state: Dict) -> Iterator[Tuple]:
+        """The lazy BGP chain: :meth:`_stream_plan`'s *steps* extending the
+        one *seed* row, each a :meth:`_stream_step` generator over the one
+        before.  Yields ID rows laid out as the plan's last layout."""
+        source: Iterator[Tuple] = iter((seed,))
+        for step in steps:
+            source = self._stream_step(step, source, state)
+        return source
+
+    def _stream_id_rows(
+        self, patterns: List[TriplePattern], simple_filters
+    ) -> Tuple[Iterator[Tuple], Dict[Variable, int]]:
+        """``(ID rows, col_of)`` of a simple WHERE clause
+        (:meth:`_simple_where_shape`) off the lazy chain, FILTERs applied as
+        per-ID verdicts (:meth:`_term_verdicts`), in the order
+        :meth:`_stream_bgp` would yield its solutions.  Every cell is an ID:
+        the chain starts from the empty row and no pattern is a path.  A
+        pattern no triple can match, or a FILTER over a variable no pattern
+        binds, gives no rows."""
+        encoded = self._compile_patterns(patterns)
+        if any(ep.impossible for ep in encoded):
+            return iter(()), {}
+        _columns, steps, layout = self._stream_plan(encoded, {})
+        col_of = dict(layout)
+        rows = self._stream_chain(steps, (), {})
+        for test, variable in simple_filters:
+            column = col_of.get(variable)
+            if column is None:
+                return iter(()), col_of
+            rows = _passing(rows, column, self._term_verdicts(test))
+        return rows, col_of
 
     def _stream_plan(
         self, encoded: List[_EncodedPattern], solution: Solution
@@ -1914,37 +1982,27 @@ class Execution:
                 table = state[key] = self._build_probe_table(ep, shared, new_vars)
             shared_cols = [col_of[v] for v in shared]
             get = table.get
-            if len(shared_cols) == 1:
-                shared_col = shared_cols[0]
-                for row in upstream:
-                    probe = row[shared_col]
-                    if probe is _UNBOUND:
-                        yield from self._index_join(
-                            ep, [row], col_of, new_col_of, extra_width
-                        )
-                        continue
-                    bucket = get(probe)
-                    if bucket:
-                        for extra in bucket:
-                            yield row + extra
-            else:
-                for row in upstream:
-                    probe = tuple(row[c] for c in shared_cols)
-                    if _UNBOUND in probe:
-                        yield from self._index_join(
-                            ep, [row], col_of, new_col_of, extra_width
-                        )
-                        continue
-                    bucket = get(probe)
-                    if bucket:
-                        for extra in bucket:
-                            yield row + extra
+            key_of = itemgetter(*shared_cols)
+            for row in upstream:
+                bucket = get(key_of(row))
+                if bucket:
+                    for extra in bucket:
+                        yield row + extra
             return
 
         # Index nested-loop join: per-row index lookups, no upfront scan.
-        # Covers property paths, repeated variables and large patterns.
+        # Covers property paths, repeated variables and large patterns.  A
+        # plain pattern is bound once, on the first row that walks it; a
+        # path or a repeated variable takes the general merge per row.
+        if not self._plain_joinable(ep, (), col_of):
+            for row in upstream:
+                yield from self._index_join_general(ep, [row], col_of, new_col_of, extra_width)
+            return
+        bound = None
         for row in upstream:
-            yield from self._index_join(ep, [row], col_of, new_col_of, extra_width)
+            if bound is None:
+                bound = self._bind_index_join(ep, col_of)
+            yield from self._index_join_plain(bound, (row,))
 
     # -- the legacy substitute-and-scan pipeline -------------------------------
 
@@ -2168,35 +2226,57 @@ class Execution:
 
     def _run_select_streaming(self, query: SelectQuery) -> SelectResult:
         """Row-at-a-time SELECT: project, deduplicate and paginate while
-        pulling, so OFFSET/LIMIT bound the work the joins underneath do."""
+        pulling, so OFFSET/LIMIT bound the work the joins underneath do.
+
+        A simple WHERE clause (:meth:`_simple_where_shape`) under
+        bare-variable projections is cut on the chain's ID rows
+        (:meth:`_stream_id_rows`) and only the page's projected cells are
+        decoded (:meth:`_decode_id_rows`); DISTINCT keeps the first row of
+        each projected ID tuple.  Any other query runs the term-space chain
+        (:meth:`_evaluate_group_stream`) and projects each solution.  Either
+        way ``input_rows`` counts the rows pulled past the FILTERs, skipped
+        ones included.
+        """
         names: List[str] = []
         for projection in query.projections:
             variable = projection.variable
             if variable is None:
                 raise SparqlEvaluationError("projection without output variable")
             names.append(variable.name)
-        if query.limit == 0:
-            return SelectResult(names, [])
-
-        solutions = self._evaluate_group_stream(query.where, iter(({},)))
         rows: List[Row] = []
-        seen = set() if query.distinct else None
-        skip = query.offset or 0
-        limit = query.limit
         input_rows = 0
-        for input_rows, solution in enumerate(solutions, 1):
-            row = self._project_row(query, names, solution)
-            if seen is not None:
-                dedup_key = tuple(row.get(name) for name in names)
-                if dedup_key in seen:
-                    continue
-                seen.add(dedup_key)
-            if skip:
-                skip -= 1
-                continue
-            rows.append(row)
-            if limit is not None and len(rows) >= limit:
-                break
+        if query.limit != 0:
+            where = self._simple_where_shape(query)
+            columns = None
+            if where is not None and all(
+                projection.alias is None
+                and isinstance(projection.expression, VariableExpression)
+                for projection in query.projections
+            ):
+                source, col_of = self._stream_id_rows(*where)
+                columns = [col_of.get(p.expression.variable) for p in query.projections]
+            else:
+                source = (
+                    self._project_row(query, names, solution)
+                    for solution in self._evaluate_group_stream(query.where, iter(({},)))
+                )
+            # zip pulls ``source`` first, so ``pulled`` advances once per row
+            # the cut below took from it and never past an exhausted source
+            pulled = _count()
+            source = map(itemgetter(0), zip(source, pulled))
+            if query.distinct:  # only a direct call: rule 1 takes no DISTINCT
+                key_of = (
+                    picker([column for column in columns if column is not None])
+                    if columns is not None
+                    else (lambda row: tuple(row.get(name) for name in names))
+                )
+                source = _first_seen(source, key_of)
+            offset = query.offset or 0
+            stop = None if query.limit is None else offset + query.limit
+            rows = list(_islice(source, offset, stop))
+            input_rows = next(pulled)
+            if columns is not None:
+                rows = self._decode_id_rows(rows, names, columns)
         self.stats.update(
             operator="stream-select", input_rows=input_rows, decoded_rows=len(rows)
         )
@@ -2552,6 +2632,10 @@ class Execution:
             batches, col_of = self._solution_source(query)
         else:
             batches, col_of, runs = self._simple_source(query, *where, plan)
+        if query.limit == 0:
+            # a LIMIT 0 page reads no batch -- ``SELECT *`` one, for the
+            # witness row its header needs
+            batches = _islice(batches, 1 if query.select_all else 0)
         if plan is not None:
             return self._batch_aggregate(
                 query, plan, batches, col_of, runs, bound=where is not None
@@ -2850,8 +2934,6 @@ class Execution:
         distinct = query.distinct
         if distinct:
             _names, dedup_columns = self._id_projection_layout(query, col_of, True)
-        if cap == 0 and not query.select_all:
-            batches = iter(())  # the header is known without a witness
         kept: Union[List[Tuple], Dict[Tuple, None]] = {} if distinct else []
         input_rows = 0
         n_batches = 0
@@ -3095,6 +3177,7 @@ class Execution:
                 scopes.append(scope)
 
         rows = self._apply_modifiers(query, rows, variables, scopes=scopes)
+        self._name_route("general")
         return SelectResult(variables, rows)
 
     def _project(

@@ -43,14 +43,18 @@ def test_explain_shows_rows_in_out(small_graph):
 def test_every_sink_names_its_operator(small_graph):
     """The operator vocabulary: one name per columnar sink (the
     un-LIMITed sort shares top-k's), one for the small-LIMIT streaming
-    SELECT -- so an explained column-shaped SELECT never reports empty
-    exec_stats."""
+    SELECT, one for the general path and one for ASK -- so no explained
+    query reports empty exec_stats, a LIMIT 0 page included."""
     engine = QueryEngine(small_graph)
     for query, operator in (
         ("SELECT ?s WHERE { ?s ?p ?o }", "select-id"),
         (QUERY, "topk-id"),
         (QUERY + " LIMIT 1", "topk-id"),
         (AGGREGATE, "aggregate-id"),
+        ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 0", "stream-select"),
+        ("SELECT (STR(?s) AS ?x) WHERE { ?s ?p ?o } LIMIT 0", "stream-select"),
+        ("ASK { ?s ?p ?o }", "ask"),
+        ("SELECT ?s WHERE { ?s ?p ?o } ORDER BY STR(?s)", "general"),
         ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 5", "stream-select"),
     ):
         report = engine.explain(query)
@@ -161,14 +165,21 @@ OPTIONAL_AGGREGATE = (
 )
 
 
+#: the routes an execution names in ``stats["operator"]``
+OPERATORS = {"select-id", "topk-id", "aggregate-id", "stream-select", "general", "ask"}
+
+
 @pytest.mark.parametrize("strategy", ["hash", "scan"])
 def test_exec_stats_stay_in_vocabulary(small_graph, strategy):
     """Engines only ever write the EXEC_STAT_KEYS vocabulary — the
     EXPLAIN renderer, the latency model and the metrics bridge all key
-    off these names."""
+    off these names -- and every execution names its route from
+    OPERATORS."""
     engine = QueryEngine(small_graph, strategy=strategy)
     for query in (QUERY, AGGREGATE, PAGE, OPTIONAL_AGGREGATE, "ASK { ?s ?p ?o }"):
-        assert set(engine.execute(query).stats) <= EXEC_STAT_KEYS
+        stats = engine.execute(query).stats
+        assert set(stats) <= EXEC_STAT_KEYS
+        assert stats["operator"] in OPERATORS, query
 
 
 def test_each_execution_keeps_its_own_stats(small_graph):

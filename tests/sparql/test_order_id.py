@@ -224,14 +224,15 @@ def test_ordered_aggregate_matches_the_scan_oracle(
         result = execution.result
         assert _ordered(result) == expected, query
         stats = execution.stats
+        folded = 0 if page == "LIMIT 0" else groups  # a LIMIT 0 page reads no batch
         assert stats["operator"] == "aggregate-id", query
-        assert stats["tracked_rows"] == groups, query
+        assert stats["tracked_rows"] == folded, query
         if id_space:
             # only the page that survived the modifiers was decoded
             assert stats["decoded_rows"] == len(result.rows), query
             assert ("distinct_keys" in stats) == distinct, query
         else:
-            assert stats["decoded_rows"] == groups - stats.get("having_pruned", 0), query
+            assert stats["decoded_rows"] == folded - stats.get("having_pruned", 0), query
 
 
 # -- the lazy tail: sort keys only for the rows a cut has to compare ---------

@@ -157,6 +157,8 @@ def _check_runs(graph: Graph, probe, runs_taken: bool) -> None:
                 pulled = len(first_seen) if cap is None else min(
                     len(first_seen), -(-cap // batch_size) * batch_size
                 )
+                if limit == 0:
+                    pulled = 0  # a LIMIT 0 page reads no batch
                 assert stats["input_rows"] == stats.get("scan_cells", 0) == pulled, context
                 assert stats["batches"] == -(-pulled // batch_size), context
 

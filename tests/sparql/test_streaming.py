@@ -178,6 +178,165 @@ def test_a_path_from_a_term_no_triple_holds(query):
 
 
 # ---------------------------------------------------------------------------
+# the ID page: a simple WHERE clause cut on the chain's ID rows
+# ---------------------------------------------------------------------------
+
+def _sharded(triple_specs) -> Graph:
+    g = Graph(shards=2)
+    g.add_many_terms(triple_specs)
+    return g
+
+
+_VARIABLES = ["?a", "?b", "?c"]
+_TERM_TESTS = ["isIRI", "isLiteral", "isBlank", "bound"]
+_variable = st.sampled_from(_VARIABLES)
+# a position is a variable two times in three, so most patterns match
+_pattern = st.tuples(
+    st.one_of(_variable, _variable, _subjects.map(IRI.n3)),
+    st.one_of(_variable, _variable, _predicates.map(IRI.n3), st.just(f"<{EX}absent>")),
+    st.one_of(_variable, _variable, _objects.map(lambda term: term.n3())),
+)
+
+
+@st.composite
+def _simple_pages(draw) -> str:
+    """A simple-WHERE page: 1-3 patterns, at most one term-test FILTER
+    (mostly over a variable the patterns bind), LIMIT 1-64, OFFSET 0-20."""
+    patterns = draw(st.lists(_pattern, min_size=1, max_size=3))
+    where = " . ".join(" ".join(pattern) for pattern in patterns)
+    named = sorted({term for pattern in patterns for term in pattern if term in _VARIABLES})
+    choices = st.sampled_from(named) if named else _variable
+    if draw(st.integers(0, 3)):
+        test = draw(st.sampled_from(_TERM_TESTS))
+        where += f" FILTER ( {test}({draw(st.one_of(choices, choices, choices, _variable))}) )"
+    projection = draw(st.lists(st.one_of(choices, choices, _variable), min_size=1, max_size=3))
+    limit = draw(st.integers(min_value=1, max_value=64))
+    offset = draw(st.integers(min_value=0, max_value=20))
+    return f"SELECT {' '.join(projection)} WHERE {{ {where} }} LIMIT {limit} OFFSET {offset}"
+
+
+def _chain_rows(graph: Graph, query):
+    """The term-space chain's solutions (FILTERs evaluated on terms),
+    projected, in its order."""
+    solutions = Execution(QueryEngine(graph))._evaluate_group_stream(query.where, iter(({},)))
+    names = [p.variable.name for p in query.projections]
+    return [
+        {name: {v.name: t for v, t in solution.items()}.get(name) for name in names}
+        for solution in solutions
+    ]
+
+
+def _oracle_page(graph: Graph, text: str):
+    """``(rows, pulled)``: the chain's first rows, sliced as the page is,
+    and how many of them the page has to pull."""
+    query = parse_query(text)
+    rows = _chain_rows(graph, query)
+    offset = query.offset or 0
+    end = offset + query.limit
+    return rows[offset:end], min(len(rows), end)
+
+
+def _id_page(graph: Graph, text: str):
+    execution = QueryEngine(graph).execute(text)
+    assert execution.stats["operator"] == "stream-select", text
+    assert execution.stats["decoded_rows"] == len(execution.result.rows)
+    return execution.result.rows, execution.stats["input_rows"]
+
+
+def _multiset(rows):
+    return sorted(map(repr, rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs=st.lists(st.tuples(_subjects, _predicates, _objects), min_size=4, max_size=40),
+       text=_simple_pages())
+def test_the_id_page_is_the_chain_s_first_rows(specs, text):
+    """The order fence of the ID page: on a plain and a two-shard graph,
+    a random simple BGP's page is, as a list, the first rows of the
+    term-space chain, and ``input_rows`` the rows it pulled past the
+    FILTER.  The whole chain holds the scan oracle's rows -- also with
+    every shared step forced onto the index walk, which these small
+    patterns would otherwise hash-join."""
+    whole = text.rsplit(" LIMIT ", 1)[0]
+    for graph in (_graph(specs), _sharded(specs)):
+        expected = _multiset(QueryEngine(graph, strategy="scan").run(whole).rows)
+        for build_max in (Execution.STREAM_HASH_BUILD_MAX, -1.0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(Execution, "STREAM_HASH_BUILD_MAX", build_max)
+                assert _id_page(graph, text) == _oracle_page(graph, text), text
+                assert _multiset(_chain_rows(graph, parse_query(whole))) == expected, text
+
+
+_EDGE_GRAPH = [
+    (IRI(f"{EX}s/a"), IRI(f"{EX}p0"), IRI(f"{EX}s/a")),
+    (IRI(f"{EX}s/a"), IRI(f"{EX}p0"), IRI(f"{EX}s/b")),
+    (IRI(f"{EX}s/b"), IRI(f"{EX}p1"), Literal(3)),
+    (IRI(f"{EX}s/c"), IRI(f"{EX}p0"), IRI(f"{EX}s/c")),
+]
+
+
+@pytest.mark.parametrize("make", [_graph, _sharded], ids=["plain", "sharded"])
+@pytest.mark.parametrize(
+    "text,rows,pulled",
+    [
+        # a FILTER over a variable no pattern binds rejects every row
+        ("SELECT ?s WHERE { ?s ?p ?o FILTER ( isIRI(?x) ) } LIMIT 5", [], 0),
+        # a projected variable no pattern binds is a None cell
+        (f"SELECT ?x ?o WHERE {{ <{EX}s/b> ?p ?o }} LIMIT 5",
+         [{"x": None, "o": Literal(3)}], 1),
+        # a repeated variable keeps the self-loops only
+        ("SELECT ?s WHERE { ?s ?p ?s } LIMIT 5",
+         [{"s": IRI(f"{EX}s/a")}, {"s": IRI(f"{EX}s/c")}], 2),
+        # a predicate no graph has
+        (f"SELECT ?s WHERE {{ ?s <{EX}absent> ?o }} LIMIT 5", [], 0),
+        # one variable projected twice is one column
+        (f"SELECT ?s ?s WHERE {{ ?s <{EX}p1> ?o }} LIMIT 5", [{"s": IRI(f"{EX}s/b")}], 1),
+        # an OFFSET past the end pulls every row and keeps none
+        ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 5 OFFSET 1000", [], 4),
+    ],
+    ids=["unbound-filter", "unbound-projection", "repeated-variable", "absent-predicate",
+         "projected-twice", "offset-past-the-end"],
+)
+def test_id_page_edge_cases(make, text, rows, pulled):
+    graph = make(_EDGE_GRAPH)
+    assert _id_page(graph, text) == (rows, pulled)
+    assert _oracle_page(graph, text) == (rows, pulled)
+    assert _multiset(QueryEngine(graph, strategy="scan").run(text).rows) == _multiset(rows)
+
+
+def test_a_variable_an_optional_left_unbound_is_free_in_a_walked_pattern(monkeypatch):
+    """A solution the OPTIONAL did not extend seeds a chain of its own
+    header, in which the later pattern shares nothing: it meets every
+    match, while the extended solutions walk the index bound once per
+    step."""
+    monkeypatch.setattr(Execution, "STREAM_HASH_BUILD_MAX", -1.0)  # walk every step
+    graph = _chain_graph(6)  # the last node has no p0 edge
+    text = (
+        f"SELECT ?a ?b ?w WHERE {{ ?a <{EX}p1> ?v OPTIONAL {{ ?a <{EX}p0> ?b }} "
+        f"?b <{EX}p1> ?w }} LIMIT 64"
+    )
+    lazy = QueryEngine(graph).execute(text)
+    assert lazy.stats["operator"] == "stream-select"
+    oracle = QueryEngine(graph, strategy="scan").run(text)
+    assert len(oracle.rows) == 6 + 7  # six bound ?b, the unbound one meets every p1
+    assert _multiset(lazy.result.rows) == _multiset(oracle.rows)
+
+
+def test_a_page_decodes_only_its_projected_cells():
+    """``typed-join-page`` binds ``?c`` and never returns it: its 20 rows
+    decode their 60 projected cells, not the 80 a solution dict held."""
+    from repro.datagen import government_graph
+
+    graph = government_graph(scale=1.0, seed=5)
+    decoded = []
+    decode = graph.decode_id
+    graph.decode_id = lambda term_id: decoded.append(term_id) or decode(term_id)
+    result = QueryEngine(graph).run("SELECT ?s ?p ?o WHERE { ?s a ?c . ?s ?p ?o } LIMIT 20")
+    assert len(result.rows) == 20
+    assert len(decoded) == 60
+
+
+# ---------------------------------------------------------------------------
 # the compiled-plan cache
 # ---------------------------------------------------------------------------
 

@@ -45,7 +45,7 @@ PINS = {
     "top-entities": ("aggregate-id", 2990, 2990, 243, None, 10),
     "distinct-classes": ("select-id", 12, 12, None, None, 12),
     "labels-page": ("stream-select", 12, None, None, None, 12),
-    "ask-typed": (None, None, None, None, None, None),
+    "ask-typed": ("ask", None, None, None, None, None),
     "datatypes": ("select-id", 20, None, None, 2998, 20),
     "links": ("aggregate-id", 11, None, 0, 7053, 11),
 }
@@ -56,6 +56,27 @@ PINS = {
 CENSUS_PINS = {
     "datatypes": ("select-id", 34, None, None, 137 + 34, 34),
     "links": ("aggregate-id", 25, None, 0, 381, 25),
+}
+
+
+#: template -> its ``Execution.stats``, every key, on the same graph
+TEMPLATE_STATS = {
+    "spo-page": {"operator": "stream-select", "input_rows": 50, "decoded_rows": 50},
+    "typed-join-page": {"operator": "stream-select", "input_rows": 20, "decoded_rows": 20},
+    "labels-page": {"operator": "stream-select", "input_rows": 12, "decoded_rows": 12},
+    "class-census": {
+        "operator": "aggregate-id", "scan_cells": 12, "input_rows": 12, "batches": 1,
+        "tracked_rows": 12, "sort_keys": 0, "decoded_rows": 12,
+    },
+    "top-entities": {
+        "operator": "aggregate-id", "scan_cells": 2990, "input_rows": 2990, "batches": 3,
+        "tracked_rows": 2990, "sort_keys": 243, "decoded_rows": 10,
+    },
+    "distinct-classes": {
+        "operator": "select-id", "scan_cells": 12, "input_rows": 12, "batches": 1,
+        "distinct_keys": 12, "decoded_rows": 12,
+    },
+    "ask-typed": {"operator": "ask"},
 }
 
 
@@ -82,6 +103,7 @@ def texts():
 
 def test_every_shape_is_pinned(texts):
     assert sorted(texts) == sorted(PINS)
+    assert sorted(TEMPLATE_STATS) == sorted(t.name for t in default_query_mix())
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
@@ -89,6 +111,25 @@ def test_work_counts_of_one_query(engine, texts, name):
     stats = engine.execute(texts[name]).stats
     assert set(stats) <= EXEC_STAT_KEYS
     assert tuple(stats.get(key) for key in KEYS) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_STATS))
+def test_the_stats_of_one_serving_template(engine, texts, name):
+    """Every counter a served template books, exactly: a change to the
+    route or the sink of the mix moves one of these."""
+    assert engine.execute(texts[name]).stats == TEMPLATE_STATS[name]
+
+
+@pytest.mark.parametrize("shape", ["ORDER BY ?s", "GROUP BY ?s"])
+def test_a_limit_zero_page_reads_nothing(engine, shape):
+    """``LIMIT 0`` under the top-k and the aggregate sinks pulls no batch:
+    no cell is scanned (``scan_cells`` is never booked) and no row enters
+    the sink -- where the whole graph (12,427 rows, 13 batches) or its
+    2,990 subjects' runs were read before."""
+    execution = engine.execute(f"SELECT ?s WHERE {{ ?s ?p ?o }} {shape} LIMIT 0")
+    stats = execution.stats
+    assert execution.result.rows == []
+    assert stats.get("scan_cells", 0) == stats["input_rows"] == stats["batches"] == 0
 
 
 @pytest.mark.parametrize("name", sorted(CENSUS_PINS))
