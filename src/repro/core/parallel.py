@@ -35,7 +35,6 @@ from ..endpoint.clock import SimulationClock
 __all__ = [
     "TaskOutcome",
     "measure_task",
-    "race_hedged",
     "run_parallel",
     "makespan_ms",
 ]
@@ -70,7 +69,7 @@ def measure_task(
     its logical start instant, its elapsed simulated time is read off the
     clock, and the clock is rewound so the caller decides how measured
     durations combine into real clock advances (a batch makespan for
-    :func:`run_parallel`, the winner's offset for :func:`race_hedged`).
+    :func:`run_parallel`).
     Exceptions are captured in the returned :class:`TaskOutcome`, never
     raised.  The serving tier's scheduler writes the same idiom inline,
     because there an exception propagates.
@@ -85,47 +84,6 @@ def measure_task(
     elapsed = clock.now_ms - start_ms
     clock.restore(start_ms)
     return TaskOutcome(key, value, error, elapsed)
-
-
-def race_hedged(
-    clock: SimulationClock,
-    key: Hashable,
-    primary: Callable[[], object],
-    hedge: Callable[[], object],
-    hedge_delay_ms: float,
-) -> Tuple[TaskOutcome, bool, bool]:
-    """Race *primary* against a *hedge* attempt fired ``hedge_delay_ms`` in.
-
-    The simulated form of a hedged request: both thunks are measured with
-    :func:`measure_task` (clock rewound after each), then the clock
-    advances **once** by the winner's completion offset -- the first
-    completion wins and the loser is cancelled, i.e. its remaining
-    simulated time is simply never charged to the clock.  Side effects of
-    both attempts still happen (exactly like a real hedged call that is
-    cancelled after the backend already did the work), so hedging is only
-    sound for idempotent reads whose two attempts return interchangeable
-    results.
-
-    The hedge fires only if the primary is still in flight at
-    ``hedge_delay_ms``.  A failed primary loses to a successful hedge even
-    when it failed earlier -- an error is not a completion a client
-    accepts while a better attempt is still running.
-
-    Returns ``(winning outcome, hedge_fired, hedge_won)``.
-    """
-    if hedge_delay_ms < 0:
-        raise ValueError(f"hedge delay must be >= 0, got {hedge_delay_ms}")
-    first = measure_task(clock, key, primary)
-    if first.elapsed_ms <= hedge_delay_ms:
-        clock.advance(first.elapsed_ms)
-        return first, False, False
-    second = measure_task(clock, key, hedge)
-    hedge_completion = hedge_delay_ms + second.elapsed_ms
-    if second.ok and (hedge_completion < first.elapsed_ms or not first.ok):
-        clock.advance(hedge_completion)
-        return second, True, True
-    clock.advance(first.elapsed_ms)
-    return first, True, False
 
 
 def makespan_ms(durations: Sequence[float], parallelism: int) -> float:

@@ -16,7 +16,6 @@ from .availability import (
 from .clock import MS_PER_DAY, SimulationClock
 from .endpoint import SparqlEndpoint
 from .errors import (
-    CircuitOpen,
     EndpointError,
     EndpointTimeout,
     EndpointUnavailable,
@@ -32,7 +31,6 @@ __all__ = [
     "AlwaysAvailable",
     "AvailabilityMonitor",
     "AvailabilityModel",
-    "CircuitOpen",
     "ProbeRecord",
     "EndpointError",
     "EndpointNetwork",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Optional, Tuple
+from typing import List
 
 __all__ = ["AvailabilityModel", "AlwaysAvailable", "MarkovAvailability", "availability_ratio"]
 
@@ -73,30 +73,6 @@ class MarkovAvailability(AvailabilityModel):
     def outage_days(self, horizon: int) -> List[int]:
         """Days in [0, horizon) on which the endpoint is down."""
         return [day for day in range(horizon) if not self.is_available(day)]
-
-    def outage_windows_ms(self, horizon_days: int) -> List[Tuple[float, float]]:
-        """The trace's down-time as ``[start_ms, end_ms)`` clock windows.
-
-        Consecutive down days merge into one window, so a 3-day outage is
-        one interval on the simulation timeline.  This is the bridge the
-        serving tier's fault plans use: a Markov day trace becomes a set
-        of injectable outage windows on the shared clock, which is how a
-        long-horizon serving run finally crosses day boundaries.
-        """
-        from .clock import MS_PER_DAY
-
-        windows: List[Tuple[float, float]] = []
-        start: Optional[int] = None
-        for day in range(horizon_days):
-            if not self.is_available(day):
-                if start is None:
-                    start = day
-            elif start is not None:
-                windows.append((start * MS_PER_DAY, day * MS_PER_DAY))
-                start = None
-        if start is not None:
-            windows.append((start * MS_PER_DAY, horizon_days * MS_PER_DAY))
-        return windows
 
     def __repr__(self) -> str:
         return (

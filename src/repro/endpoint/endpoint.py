@@ -10,7 +10,6 @@ exactly as it would to remote ones.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from typing import Optional, Union
 
@@ -37,7 +36,7 @@ from .clock import SimulationClock
 from .errors import EndpointTimeout, EndpointUnavailable, QueryRejected
 from .profiles import EndpointProfile, PROFILES
 
-__all__ = ["SparqlEndpoint", "check_scale"]
+__all__ = ["SparqlEndpoint"]
 
 
 class EndpointStats:
@@ -110,13 +109,7 @@ class SparqlEndpoint:
 
     # -- querying -------------------------------------------------------------
 
-    def query(
-        self,
-        text: str,
-        *,
-        latency_scale: float = 1.0,
-        timeout_scale: float = 1.0,
-    ) -> Union[SelectResult, AskResult]:
+    def query(self, text: str) -> Union[SelectResult, AskResult]:
         """Execute *text*, charging simulated latency to the clock.
 
         Raises :class:`EndpointUnavailable` when the availability model says
@@ -125,38 +118,18 @@ class SparqlEndpoint:
         execution cost exceeds the profile's timeout.  SELECT results may
         come back *truncated* (``result.truncated`` set) at the row cap.
 
-        *latency_scale* multiplies the execution-cost term of the latency
-        model (>= 1 models a degraded backend: an overloaded shard, a cold
-        cache, a noisy neighbour) and *timeout_scale* scales the profile's
-        server-side deadline (< 1 models a timeout-rate spike).  Both are
-        fault-injection hooks -- the serving tier's
-        :class:`~repro.serving.faults.FaultInjector` drives them from its
-        seeded timeline; direct callers leave them at 1.0.  A slowdown can
-        push a query over the (possibly shrunk) deadline, so injected
-        latency naturally turns into real timeouts.
-
         Every path through here -- success or failure -- charges its clock
         advance through :meth:`_charge`, so ``stats.total_latency_ms``
         always equals the simulated time this endpoint consumed.  The
         serving tier's percentiles are derived from exactly that invariant.
-        A scale that is not a finite number (``latency_scale`` >= 0,
-        ``timeout_scale`` > 0; a bool is none) is refused with a
-        ``ValueError`` before anything is counted or charged.
         """
-        check_scale("latency_scale", latency_scale)
-        check_scale("timeout_scale", timeout_scale, positive=True)
         obs = self.obs
         if not obs.enabled:
-            return self._query(text, latency_scale, timeout_scale)
+            return self._query(text)
         with obs.span("endpoint.query", url=self.url, profile=self.profile.name):
-            return self._query(text, latency_scale, timeout_scale)
+            return self._query(text)
 
-    def _query(
-        self,
-        text: str,
-        latency_scale: float,
-        timeout_scale: float,
-    ) -> Union[SelectResult, AskResult]:
+    def _query(self, text: str) -> Union[SelectResult, AskResult]:
         self.stats.queries += 1
         if not self.availability.is_available(self.clock.today):
             # A dead endpoint still costs a connect attempt before failing.
@@ -180,8 +153,8 @@ class SparqlEndpoint:
         execution = self._engine.execute(parsed, self.obs)
         self.stats.join_rows += execution.stats.get("join_rows", 0)
         result = execution.result
-        latency = self._estimate_latency(parsed, result, latency_scale)
-        deadline_ms = self.profile.timeout_ms * timeout_scale
+        latency = self._estimate_latency(parsed, result)
+        deadline_ms = self.profile.timeout_ms
         if latency > deadline_ms:
             # The server kills the query at its timeout; the wire still
             # sees the same dispersion as any other response, so the
@@ -198,10 +171,12 @@ class SparqlEndpoint:
         if self.obs.enabled:
             self.obs.note(outcome="ok", latency_ms=round(latency, 6))
 
-        capped = self._capped(result)
-        if capped is not result:
-            self.stats.truncated += 1
-        return capped
+        if isinstance(result, SelectResult):
+            cap = self.profile.max_result_rows
+            if cap is not None and len(result.rows) > cap:
+                self.stats.truncated += 1
+                return SelectResult(result.variables, result.rows[:cap], truncated=True)
+        return result
 
     def _reject(self, what: str) -> QueryRejected:
         """The error refusing a query this endpoint will not run, charged
@@ -212,17 +187,6 @@ class SparqlEndpoint:
             f"endpoint {self.url} ({self.profile.name}) rejects {what}", url=self.url
         )
 
-    def _capped(self, result):
-        """*result* cut to the profile's row cap (``truncated`` set), or
-        *result* itself when it fits.  Every read that answers for this
-        endpoint -- :meth:`query` and the serving tier's replica read --
-        goes through here, so they return the same rows."""
-        if isinstance(result, SelectResult):
-            cap = self.profile.max_result_rows
-            if cap is not None and len(result.rows) > cap:
-                return SelectResult(result.variables, result.rows[:cap], truncated=True)
-        return result
-
     def _charge(self, latency_ms: float) -> None:
         """Advance the clock *and* account the time -- never one without
         the other.  ``stats.total_latency_ms == clock delta`` is the
@@ -232,17 +196,14 @@ class SparqlEndpoint:
         self.clock.advance(latency_ms)
         self.stats.total_latency_ms += latency_ms
 
-    def _estimate_latency(self, parsed, result, latency_scale: float = 1.0) -> float:
+    def _estimate_latency(self, parsed, result) -> float:
         profile = self.profile
         latency = profile.connect_ms + profile.parse_ms
         pattern_count = _count_patterns(parsed)
         latency += pattern_count * profile.per_pattern_ms
         # Execution cost grows with dataset size (index lookups aren't free)
-        # and with the result cardinality.  latency_scale is the injected
-        # backend-slowdown multiplier; it applies to execution only (the
-        # connect handshake and response marshalling are unaffected by a
-        # struggling shard).
-        latency += len(self.graph) * 0.0004 * latency_scale
+        # and with the result cardinality.
+        latency += len(self.graph) * 0.0004
         if isinstance(result, SelectResult):
             latency += len(result.rows) * profile.per_solution_ms
         if isinstance(parsed, SelectQuery) and parsed.has_aggregates():
@@ -257,19 +218,6 @@ class SparqlEndpoint:
 
     def triple_count(self) -> int:
         return len(self.graph)
-
-
-def check_scale(name: str, value, positive: bool = False) -> None:
-    """Refuse a fault-injection scale that is not a finite number >= 0
-    (> 0 when *positive*); a bool is not a scale."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not (0.0 < value if positive else 0.0 <= value)
-        or value == math.inf
-    ):
-        bound = "> 0" if positive else ">= 0"
-        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 def _exists_groups(expression):

@@ -9,7 +9,6 @@ silently, which is precisely why pattern strategies exist).
 from __future__ import annotations
 
 __all__ = [
-    "CircuitOpen",
     "EndpointError",
     "EndpointUnavailable",
     "EndpointTimeout",
@@ -41,12 +40,3 @@ class QueryRejected(EndpointError):
 class UnknownEndpoint(EndpointError):
     """No endpoint is registered at this URL (DNS failure analog)."""
 
-
-class CircuitOpen(EndpointError):
-    """The client-side circuit breaker refused to dispatch the call.
-
-    Unlike the other errors here this one never crossed the wire: the
-    resilience layer (:mod:`repro.serving.resilience`) tracks consecutive
-    failures per endpoint and fails fast while the breaker is open, so a
-    dead endpoint is not hammered with doomed connect attempts.
-    """

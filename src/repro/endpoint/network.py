@@ -7,14 +7,39 @@ crawler and the presentation layer reach every endpoint through a
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Union
+import hashlib
+from typing import Dict, Hashable, Iterator, List, Optional, Union
 
 from ..sparql.results import AskResult, SelectResult
 from .clock import SimulationClock
 from .endpoint import SparqlEndpoint
 from .errors import EndpointError, EndpointUnavailable, UnknownEndpoint
 
-__all__ = ["EndpointNetwork", "SparqlClient"]
+__all__ = ["EndpointNetwork", "SparqlClient", "full_jitter_backoff_ms"]
+
+
+def full_jitter_backoff_ms(
+    seed: int,
+    key: Hashable,
+    attempt: int,
+    base_ms: float,
+    cap_ms: float,
+) -> float:
+    """Exponential backoff with *full jitter*, as a pure seeded function.
+
+    The AWS-style construction: ``delay = U(0, min(cap, base * 2^attempt))``
+    with the uniform draw taken from a SHA-256 hash of ``(seed, key,
+    attempt)`` instead of a shared RNG stream.  Determinism per request
+    (replays are byte-identical) *and* desynchronization across callers
+    (two clients with different seeds spread their retry storms) fall out
+    of the same construction.
+    """
+    if attempt < 0:
+        raise ValueError(f"attempt must be >= 0, got {attempt}")
+    ceiling = min(cap_ms, base_ms * (2.0 ** attempt))
+    token = f"{seed}:backoff:{key!r}:{attempt}".encode("utf-8")
+    digest = hashlib.sha256(token).digest()
+    return (int.from_bytes(digest[:8], "big") / 2**64) * ceiling
 
 
 class EndpointNetwork:
@@ -62,12 +87,12 @@ class SparqlClient:
     and timeouts surface immediately so the pattern-strategy layer can
     switch approach instead of hammering the endpoint.
 
-    Backoff is seeded exponential with full jitter (the serving tier's
-    shared helper), not the old linear ramp: two clients with different
-    seeds draw different delays for the same retry, so a fleet of
-    crawlers recovering from the same outage spreads its retry storm
-    instead of re-synchronizing on the endpoint -- and the total time a
-    single call may spend backing off is capped by
+    Backoff is seeded exponential with full jitter
+    (:func:`full_jitter_backoff_ms`), not the old linear ramp: two
+    clients with different seeds draw different delays for the same
+    retry, so a fleet of crawlers recovering from the same outage spreads
+    its retry storm instead of re-synchronizing on the endpoint -- and the
+    total time a single call may spend backing off is capped by
     ``max_backoff_total_ms``.
     """
 
@@ -90,10 +115,6 @@ class SparqlClient:
         self.seed = seed
 
     def query(self, url: str, text: str) -> Union[SelectResult, AskResult]:
-        # shared with the serving tier's resilience layer; imported lazily
-        # so the endpoint package stays importable on its own
-        from ..serving.resilience import full_jitter_backoff_ms
-
         endpoint = self.network.get(url)
         attempts = self.max_retries + 1
         last_error: Optional[EndpointError] = None

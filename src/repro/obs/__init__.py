@@ -5,7 +5,7 @@ durability included — can depend on it without cycles.  Two halves:
 
 - :mod:`repro.obs.trace` — sim-clock-anchored spans whose trace/span IDs
   are stateless SHA-256 hashes of ``(seed, request key, span path)``,
-  the same construction PR 7 used for fault fates.  ``NULL_TRACER`` is
+  so no ID depends on execution order.  ``NULL_TRACER`` is
   the shared disabled recorder; call sites guard on ``obs.enabled`` so
   instrumentation costs one attribute check when off.
 - :mod:`repro.obs.metrics` — a registry of counters, gauges and
@@ -14,9 +14,10 @@ durability included — can depend on it without cycles.  Two halves:
 
 Exports split into two tiers (see ARCHITECTURE.md "Observability"):
 the *profile* tier (every span/metric, reproducible at a fixed config)
-and the *canonical* tier (arrival-anchored request facts + canonical
-result digests + workload/plan-derived counters), whose digests are
-invariant across scheduler parallelism and cache configuration.
+and the *canonical* tier (request identity + canonical result digests +
+workload-derived counters), whose digests are invariant across scheduler
+parallelism, and across cache configuration while the endpoint answers
+every query the same way.
 """
 
 from .metrics import (

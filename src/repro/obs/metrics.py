@@ -1,7 +1,7 @@
 """Unified metrics registry: counters, gauges, fixed-bucket histograms.
 
 Every stat surface in the stack (``EndpointStats``, ``exec_stats``,
-cache/admission/resilience counters, monitor probes) registers here
+cache/admission counters, monitor probes) registers here
 instead of inventing its own dict, so one ``registry.dump()`` shows
 serving latency next to endpoint weather next to cache behaviour — and
 one vocabulary table in ARCHITECTURE.md names them all (enforced by
@@ -16,8 +16,8 @@ Two registration styles:
   at dump time, so binding changes no behavior.
 
 Metrics flagged ``canonical=True`` form the parallelism-invariant tier:
-only values derived from the workload or the fault plan (never from
-execution order) may carry the flag — ``digest(canonical_only=True)``
+only values derived from the workload (never from execution order) may
+carry the flag — ``digest(canonical_only=True)``
 is pinned equal across scheduler parallelism and cache configs in
 tier-1.  Histograms use fixed bucket bounds with nearest-rank
 percentiles over bucket upper edges, the same convention as

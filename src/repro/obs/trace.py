@@ -2,7 +2,7 @@
 
 A trace is the span tree of one logical unit of work (a served request,
 an EXPLAIN ANALYZE run, a durability checkpoint).  Determinism comes
-from three rules, mirroring the PR 7 chaos construction:
+from three rules:
 
 1. **IDs are stateless hashes.**  ``trace_id = H(seed, key)`` and
    ``span_id = H(seed, key, path)`` where ``path`` is the ``/``-joined
@@ -12,13 +12,12 @@ from three rules, mirroring the PR 7 chaos construction:
 2. **Timestamps come from the simulation clock.**  Wall time never
    leaks into a span, so a fixed config replays to byte-identical
    exports.
-3. **The canonical tier is arrival-anchored.**  Span attributes passed
+3. **The canonical tier is request-anchored.**  Span attributes passed
    via ``canon=`` participate in :meth:`Tracer.canonical_digest`; the
    serving layer only puts facts there that are invariant across
-   scheduler parallelism and cache configuration (request identity,
-   arrival-time weather, canonical result digests) — exactly the
-   ``ServingReport.digest()`` contract.  Everything else (timing,
-   attempts, cache outcomes) is profile-tier only.
+   scheduler parallelism (request identity, outcome or canonical result
+   digest) — exactly the ``ServingReport.digest()`` contract.
+   Everything else (timing, cache outcomes) is profile-tier only.
 
 ``NULL_TRACER`` is the shared disabled recorder: ``enabled`` is False
 and every method is a no-op.  Hot paths guard with ``if obs.enabled:``

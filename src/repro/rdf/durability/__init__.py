@@ -18,9 +18,8 @@ The package gives :class:`~repro.rdf.graph.Graph` and
   the digests it records per shard file} together, swapped atomically with
   write-temp + fsync + ``os.replace`` -- the same contract as
   :func:`atomic_write`, which the docstore's flush uses too (`manifest.py`),
-* a deterministic **crash-point injector** in the style of
-  ``serving/faults.py`` so recovery is provable, not hoped-for
-  (`crash.py`).
+* a deterministic **crash-point injector** (stateless seeded hashes) so
+  recovery is provable, not hoped-for (`crash.py`).
 
 The commit rule is single-pointer: a store state is durable exactly when
 (a) the manifest referencing its snapshot files has been swapped in, plus

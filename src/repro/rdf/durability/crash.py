@@ -8,10 +8,9 @@ boundary either returns or raises :class:`CrashPoint`, which models the
 process dying at exactly that instant: whatever was flushed before the
 boundary is on disk, nothing after it is.
 
-Mirrors the ``serving/faults.py`` philosophy: decisions are stateless
-hashes of ``(seed, op, sequence)``, so a crash timeline is a pure value of
-the seed -- reproducible across runs and machines, no RNG object threading.
-Two modes:
+Decisions are stateless hashes of ``(seed, op, sequence)``, so a crash
+timeline is a pure value of the seed -- reproducible across runs and
+machines, no RNG object threading.  Two modes:
 
 * ``crash_at=K`` -- crash at the K-th boundary reached.  The recovery
   harness does a dry run (``crash_at=None``) to count boundaries, then

@@ -15,12 +15,25 @@ clock -- so the scheduler above it stays reproducible.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict, deque
 from typing import Deque, Dict, List, Optional
 
 from .workload import Request
 
-__all__ = ["FairAdmissionQueue"]
+__all__ = ["FairAdmissionQueue", "check_count", "check_duration"]
+
+
+def check_count(name: str, value) -> None:
+    """Refuse a *value* that is not an int >= 1 (a bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+
+
+def check_duration(name: str, value) -> None:
+    """Refuse a *value* that is not a finite number >= 0."""
+    if not isinstance(value, (int, float)) or not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 class FairAdmissionQueue:
@@ -35,8 +48,7 @@ class FairAdmissionQueue:
                  "offered", "rejected")
 
     def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ValueError(f"queue capacity must be >= 1, got {capacity}")
+        check_count("capacity", capacity)
         self.capacity = capacity
         #: tenant -> waiting requests, insertion order preserved per tenant
         self._by_tenant: "OrderedDict[str, Deque[Request]]" = OrderedDict()
@@ -91,10 +103,11 @@ class FairAdmissionQueue:
 
         ``depth x mean service time`` is Little's-law arithmetic for how
         long a request admitted *now* will sit before a worker picks it
-        up.  The scheduler compares this against the request's deadline
-        budget at admission time and sheds requests that would time out
-        in the queue anyway -- rejecting early is strictly kinder than
-        accepting work we already know we cannot finish in time.
+        up.  The scheduler compares this against its
+        ``backpressure_deadline_ms`` at admission time and sheds requests
+        that would wait longer than that anyway -- rejecting early is
+        strictly kinder than accepting work we already know we cannot
+        start in time.
         """
         return self._size * mean_service_ms
 

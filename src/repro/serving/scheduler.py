@@ -10,7 +10,7 @@ walks the merged event stream in time order:
 * an arrival starts immediately when a worker is idle and nobody waits,
   queues when the server is busy, and is rejected when the queue is full
   or -- with backpressure enabled -- **shed** when the queue's expected
-  wait already exceeds the request's deadline budget;
+  wait already exceeds ``backpressure_deadline_ms``;
 * a completion frees a worker, which immediately picks up the next
   queued request under the per-tenant fairness rotation (dropping
   requests whose queue wait exceeded the admission deadline).
@@ -25,31 +25,24 @@ instant, runs the executor, reads its elapsed simulated time off the
 clock and rewinds it (the checkpoint/restore idiom of
 :func:`~repro.core.parallel.measure_task`, inline, because an exception
 here propagates instead of being captured).  Whatever the endpoint
-charges (profile latency, backoff waits, failure-path connect costs)
-becomes that request's service time, and the clock itself only ever
-advances along the event timeline.  Requests execute one at a time under
-the hood in event order -- the same determinism construction as the
-batch pool -- so per-request results are independent of how many workers
-the schedule overlaps them on.
-
-When a :class:`~repro.serving.faults.FaultInjector` is attached, the
-scheduler stamps each record with the fault kinds active at its dispatch
-instant -- pure observability (the injector is stateless), so operators
-can correlate latency spikes and degraded serves with the injected
-weather.
+charges (profile latency, failure-path connect costs) becomes that
+request's service time, and the clock itself only ever advances along
+the event timeline.  Requests execute one at a time under the hood in
+event order -- the same determinism construction as the batch pool -- so
+per-request results are independent of how many workers the schedule
+overlaps them on.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappop, heappush, heapreplace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ..endpoint.clock import SimulationClock
 from ..endpoint.errors import EndpointTimeout, QueryRejected
 from ..obs.trace import NULL_TRACER, defer, result_digest
-from .admission import FairAdmissionQueue
-from .faults import FaultInjector
+from .admission import FairAdmissionQueue, check_count, check_duration
 from .workload import Request
 
 __all__ = ["RequestRecord", "Scheduler", "check_serving_parameters"]
@@ -76,28 +69,15 @@ def check_serving_parameters(parallelism, queue_capacity, queue_timeout_ms,
     check_duration("cache_hit_ms", cache_hit_ms)
 
 
-def check_count(name: str, value) -> None:
-    """Refuse a *value* that is not an int >= 1 (a bool is not a count)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-
-
-def check_duration(name: str, value) -> None:
-    """Refuse a *value* that is not a finite number >= 0."""
-    if not isinstance(value, (int, float)) or not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-
 class RequestRecord:
-    """What happened to one request: timing, outcome, resilience trail.
+    """What happened to one request: timing and outcome.
 
     ``status`` is one of ``"ok"`` (executed), ``"cache-hit"`` (served
-    from the result cache), ``"stale"`` (served degraded data after the
-    fresh path failed), ``"rejected"`` (admission queue full), ``"shed"``
-    (backpressure: the queue's expected wait already blew the deadline),
-    ``"queue-timeout"`` (waited past the admission deadline), or the
-    endpoint failure statuses ``"unavailable"`` / ``"feature-rejected"``
-    / ``"endpoint-timeout"`` / ``"circuit-open"``.  ``error`` holds the
+    from the result cache), ``"rejected"`` (admission queue full),
+    ``"shed"`` (backpressure: the queue's expected wait already blew the
+    deadline), ``"queue-timeout"`` (waited past the admission deadline),
+    or the endpoint failure statuses ``"unavailable"`` /
+    ``"feature-rejected"`` / ``"endpoint-timeout"``.  ``error`` holds the
     error instance for every non-served outcome -- admission control
     reuses the endpoint's own error types.
     """
@@ -110,17 +90,11 @@ class RequestRecord:
         "completion_ms",
         "service_ms",
         "result",
-        "attempts",
-        "hedged",
-        "degraded",
-        "faults_at_dispatch",
     )
 
     def __init__(self, request: Request, status: str, error=None,
                  start_ms: float = 0.0, completion_ms: float = 0.0,
-                 service_ms: float = 0.0, result=None, attempts: int = 0,
-                 hedged: bool = False, degraded: Optional[str] = None,
-                 faults_at_dispatch: Tuple[str, ...] = ()):
+                 service_ms: float = 0.0, result=None):
         self.request = request
         self.status = status
         self.error = error
@@ -128,21 +102,11 @@ class RequestRecord:
         self.completion_ms = completion_ms
         self.service_ms = service_ms
         self.result = result
-        #: endpoint dispatches this request consumed (0 for cache hits
-        #: and requests that never reached the executor)
-        self.attempts = attempts
-        self.hedged = hedged
-        #: which rung of the degradation ladder served it, when status is
-        #: "stale": "stale-cache" or "replica"
-        self.degraded = degraded
-        #: fault kinds active at the dispatch instant (observability)
-        self.faults_at_dispatch = faults_at_dispatch
 
     @property
     def served(self) -> bool:
-        """Did the client get rows?  Degraded serves count: stale data
-        with a staleness tag is a response, not an error."""
-        return self.status in ("ok", "cache-hit", "stale")
+        """Did the client get rows?"""
+        return self.status in ("ok", "cache-hit")
 
     @property
     def wait_ms(self) -> float:
@@ -167,10 +131,10 @@ class Scheduler:
     *execute* is the server's executor: called with a request while the
     clock sits at the request's start instant; whatever simulated time it
     consumes is the request's service time.  It returns a ``(status,
-    result, meta)`` triple whose meta mapping carries the attempt count
-    and, when they apply, the hedging flag, degradation rung and folded
-    endpoint error.  An exception out of it is a bug and propagates, with
-    the clock rewound to the failing request's start instant.
+    result, error)`` triple, *error* being the folded endpoint error of a
+    failed request and None otherwise.  An exception out of it is a bug
+    and propagates, with the clock rewound to the failing request's start
+    instant.
 
     With *backpressure_deadline_ms* set, an arrival that would queue
     behind ``depth x mean-service`` milliseconds of expected wait larger
@@ -187,7 +151,6 @@ class Scheduler:
         parallelism: int = 1,
         queue_capacity: int = 64,
         queue_timeout_ms: Optional[float] = None,
-        faults: Optional[FaultInjector] = None,
         backpressure_deadline_ms: Optional[float] = None,
         obs=None,
     ):
@@ -199,7 +162,6 @@ class Scheduler:
         self.parallelism = parallelism
         self.queue_capacity = queue_capacity
         self.queue_timeout_ms = queue_timeout_ms
-        self.faults = faults
         self.backpressure_deadline_ms = backpressure_deadline_ms
         self.shed = 0
         #: span recorder (a ``repro.obs`` tracer).  Every request gets a
@@ -211,13 +173,24 @@ class Scheduler:
 
     def run(self, requests: Sequence[Request]) -> List[RequestRecord]:
         """Serve *requests* (sorted by arrival); return one record each,
-        in arrival order.  The clock ends at the last completion."""
+        in arrival order.  The clock ends at the last completion.
+
+        A request whose ``arrival_ms`` is not finite is refused with
+        ``ValueError`` before anything is served: a NaN arrival would sit
+        in the queue with every later arrival behind it, and nothing would
+        ever start.
+        """
+        for request in requests:
+            if not math.isfinite(request.arrival_ms):
+                raise ValueError(
+                    f"request {request.key} arrives at {request.arrival_ms!r}; "
+                    "arrival_ms must be finite"
+                )
         clock = self.clock
         execute = self.execute
         queue = FairAdmissionQueue(self.queue_capacity)
         queue_timeout_ms = self.queue_timeout_ms
         backpressure_deadline_ms = self.backpressure_deadline_ms
-        active_kinds = self.faults.active_kinds if self.faults else None
         ordered = sorted(
             requests, key=lambda r: (r.arrival_ms, r.session_id, r.seq)
         )
@@ -230,23 +203,18 @@ class Scheduler:
         completed_service_ms = 0.0
         completed_count = 0
 
-        def weather(now_ms: float) -> Tuple[str, ...]:
-            return active_kinds(now_ms) if active_kinds else ()
-
         tracer = self.obs
         tracing = tracer.enabled
 
         def identity_canon(request: Request) -> dict:
-            # The canonical tier only carries arrival-anchored facts --
-            # request identity and arrival-time weather are invariant
-            # across parallelism/cache config, dispatch-time facts are
-            # not (same contract as ServingReport.digest()).
+            # The canonical tier only carries request identity -- it is
+            # invariant across parallelism/cache config, dispatch-time
+            # facts are not (same contract as ServingReport.digest()).
             return {
                 "key": list(request.key),
                 "tenant": request.tenant,
                 "template": request.template,
                 "arrival_ms": request.arrival_ms,
-                "arrival_faults": list(weather(request.arrival_ms)),
             }
 
         def refuse(request: Request, status: str, error, now_ms: float) -> None:
@@ -258,7 +226,6 @@ class Scheduler:
                 tracer.end(end_ms=now_ms)
             records.append(RequestRecord(
                 request, status, error=error, start_ms=now_ms, completion_ms=now_ms,
-                faults_at_dispatch=weather(now_ms),
             ))
 
         def start(request: Request, now_ms: float) -> None:
@@ -279,10 +246,10 @@ class Scheduler:
             # with the clock rewound and the request's trace closed
             begin = clock.checkpoint()
             try:
-                status, result, meta = execute(request)
-            except BaseException as error:
+                status, result, error = execute(request)
+            except BaseException as bug:
                 if tracing:
-                    tracer.end(end_ms=now_ms, error=type(error).__name__)
+                    tracer.end(end_ms=now_ms, error=type(bug).__name__)
                 raise
             finally:
                 elapsed = clock.now_ms - begin
@@ -294,20 +261,9 @@ class Scheduler:
                 )
             completion = now_ms + elapsed
             heapreplace(free, completion)
-            # positional: with nine keywords this call took 0.95 us, more
-            # than twice its 0.39 us positional
+            # positional: this is the hot call of a cached wave
             record = RequestRecord(
-                request,
-                status,
-                meta.get("error"),
-                now_ms,
-                completion,
-                elapsed,
-                result,
-                meta["attempts"],
-                meta.get("hedged", False),
-                meta.get("degraded"),
-                weather(now_ms),
+                request, status, error, now_ms, completion, elapsed, result
             )
             if tracing:
                 # Served requests pin the canonical result rows, unserved
@@ -322,10 +278,6 @@ class Scheduler:
                     canon=canon,
                     status=status,
                     service_ms=round(elapsed, 6),
-                    attempts=record.attempts,
-                    hedged=record.hedged,
-                    degraded=record.degraded,
-                    faults_at_dispatch=list(record.faults_at_dispatch),
                 )
             records.append(record)
             heappush(in_flight, completion)

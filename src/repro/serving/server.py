@@ -2,11 +2,11 @@
 
 Follows the route-handler + orchestrator + status pattern of the API
 layers in SNIPPETS.md: :class:`QueryServer` owns the moving parts (the
-wrapped endpoint, the admission queue configuration, the result cache,
-the resilience policy), ``serve`` is the one orchestration entry point,
-and ``status()`` / :class:`ServingReport` are the status- and
-results-shaped read surfaces.  Route handlers stay thin -- the executor
-is the only code that touches the endpoint, and the scheduler owns all
+wrapped endpoint, the admission queue configuration, the result cache),
+``serve`` is the one orchestration entry point, and ``status()`` /
+:class:`ServingReport` are the status- and results-shaped read surfaces.
+Route handlers stay thin -- the executor (``QueryServer._execute``) is
+the only code that touches the endpoint, and the scheduler owns all
 timing.
 
 The result cache sits *in front of* the endpoint: a hit serves the
@@ -20,15 +20,10 @@ no-op writes keep it warm.  Results cheaper than the cache-hit charge
 itself are not admitted (``skipped_cheap``): a hit on them saves nothing
 and the slot displaces something expensive.
 
-There is one executor, :class:`~repro.serving.resilience.ResilientExecutor`,
-and what it does about a failing endpoint is a value of its
-:class:`~repro.serving.resilience.ResiliencePolicy`: retry/backoff,
-circuit breaking, optional hedging and graceful degradation when one is
-given, ``ResiliencePolicy.naive()`` (one attempt, fail like the endpoint
-failed) when none is.  Handing the server a
-:class:`~repro.serving.faults.FaultInjector` subjects every run to its
-seeded weather; faults *without* a policy meet the naive policy -- the
-baseline arm of the chaos benchmark.
+A miss makes one ``endpoint.query`` call; an endpoint failure (the
+availability model's outage day, the profile's timeout or a rejected
+feature) is folded into the request's status, never retried.  The
+endpoint's own availability model is the tier's only weather.
 """
 
 from __future__ import annotations
@@ -39,13 +34,15 @@ import math
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..endpoint.endpoint import SparqlEndpoint
+from ..endpoint.errors import (
+    EndpointError,
+    EndpointTimeout,
+    EndpointUnavailable,
+    QueryRejected,
+)
 from ..obs import Observatory
 from ..obs.trace import NULL_TRACER, result_digest
-from ..sparql.parser import parse_query
-from ..sparql.results import AskResult, SelectResult
 from .cache import ResultCache
-from .faults import FaultInjector, FaultPlan
-from .resilience import ResiliencePolicy, ResilientExecutor
 from .scheduler import RequestRecord, Scheduler, check_serving_parameters
 from .workload import Request, Workload
 
@@ -67,8 +64,7 @@ class ServingReport:
     -- whatever the parallelism -- produce byte-identical digests.
     """
 
-    __slots__ = ("records", "parallelism", "start_ms", "end_ms", "cache_info",
-                 "resilience_info", "fault_info", "obs")
+    __slots__ = ("records", "parallelism", "start_ms", "end_ms", "cache_info", "obs")
 
     def __init__(
         self,
@@ -77,8 +73,6 @@ class ServingReport:
         start_ms: float,
         end_ms: float,
         cache_info: Optional[Dict[str, int]],
-        resilience_info: Optional[Dict[str, object]] = None,
-        fault_info: Optional[Dict[str, object]] = None,
         obs: Optional[Observatory] = None,
     ):
         self.records = records
@@ -86,11 +80,6 @@ class ServingReport:
         self.start_ms = start_ms
         self.end_ms = end_ms
         self.cache_info = cache_info
-        #: the executor's per-run counters + breaker transition trace
-        #: (all-zero apart from ``attempts`` under the naive policy)
-        self.resilience_info = resilience_info
-        #: the fault plan's describe() payload, when weather was injected
-        self.fault_info = fault_info
         #: the server's Observatory, when serve() ran instrumented --
         #: the report's trace/export surfaces read it
         self.obs = obs
@@ -101,13 +90,8 @@ class ServingReport:
     def served(self) -> List[RequestRecord]:
         return [record for record in self.records if record.served]
 
-    @property
-    def degraded(self) -> List[RequestRecord]:
-        """Served, but off the degradation ladder (status ``"stale"``)."""
-        return [record for record in self.records if record.status == "stale"]
-
     def served_ratio(self) -> float:
-        """Fraction of requests that got rows -- the resilience headline."""
+        """Fraction of requests that got rows."""
         if not self.records:
             return float("nan")
         return len(self.served) / len(self.records)
@@ -117,20 +101,6 @@ class ServingReport:
         for record in self.records:
             counts[record.status] = counts.get(record.status, 0) + 1
         return counts
-
-    def degraded_counts(self) -> Dict[str, int]:
-        """Which rung of the ladder served the degraded requests."""
-        counts: Dict[str, int] = {}
-        for record in self.degraded:
-            rung = record.degraded or "unknown"
-            counts[rung] = counts.get(rung, 0) + 1
-        return counts
-
-    def tenant_cache_counts(self) -> Dict[str, Dict[str, int]]:
-        """Per-tenant cache hit/evict counters ({} when untracked)."""
-        if not self.cache_info:
-            return {}
-        return dict(self.cache_info.get("tenants", {}))
 
     # -- latency / throughput ---------------------------------------------
 
@@ -175,12 +145,11 @@ class ServingReport:
         a served result, itself a full SHA-256 of the rows).
 
         Covers request identity + rows, not timing or provenance: a cache
-        hit, a hedged execution or a degraded replica read serving the
-        same rows as a cold execution digests identically, and scheduling
-        changes *when* things run, never *what* they return -- so the
-        digest is the byte-identical contract across parallelism settings,
-        cache on/off, and hedging on/off.  Unserved requests contribute
-        identity + failure status (a rejection is an outcome too).
+        hit serving the same rows as a cold execution digests identically,
+        and scheduling changes *when* things run, never *what* they return
+        -- so the digest is the byte-identical contract across parallelism
+        settings and cache on/off.  Unserved requests contribute identity
+        + failure status (a rejection is an outcome too).
         """
         payload = []
         for record in self.records:
@@ -196,9 +165,9 @@ class ServingReport:
     def trace(self, request_id) -> str:
         """Rendered span tree for one request (``(session_id, seq)``).
 
-        Answers "where did request X spend its time": queue wait,
-        resilience attempts/backoffs, endpoint execution, engine
-        operators -- each with sim-clock timestamps.
+        Answers "where did request X spend its time": queue wait, cache
+        lookup, endpoint execution, engine operators -- each with
+        sim-clock timestamps.
         """
         if self.obs is None:
             raise ValueError(
@@ -232,14 +201,8 @@ class ServingReport:
             "throughput_qps": self.throughput_qps(),
             "digest": self.digest(),
         }
-        if self.degraded:
-            summary["degraded"] = self.degraded_counts()
         if self.cache_info is not None:
             summary["cache"] = dict(self.cache_info)
-        if self.resilience_info is not None:
-            summary["resilience"] = dict(self.resilience_info)
-        if self.fault_info is not None:
-            summary["faults"] = dict(self.fault_info)
         return summary
 
     def __repr__(self) -> str:
@@ -257,13 +220,6 @@ class QueryServer:
     deadline model its load shedding; the generation-keyed result cache
     is shared across ``serve`` calls (a long-running server keeps its
     cache warm between workloads).
-
-    *faults* subjects every run to a seeded chaos timeline (a
-    :class:`FaultPlan` or its injector); *resilience* is the client-side
-    policy answering it, ``ResiliencePolicy.naive()`` when not given.
-    Faults against the naive policy are the chaos benchmark's baseline
-    arm.  The executor (breaker state, hedge p95 tracker) persists
-    across ``serve`` calls like the cache does.
     """
 
     def __init__(
@@ -274,9 +230,6 @@ class QueryServer:
         queue_timeout_ms: Optional[float] = None,
         cache_capacity: Optional[int] = 256,
         cache_hit_ms: float = CACHE_HIT_MS,
-        cache_tenant_share: float = 1.0,
-        resilience: Optional[ResiliencePolicy] = None,
-        faults: Optional[Union[FaultPlan, FaultInjector]] = None,
         backpressure_deadline_ms: Optional[float] = None,
         obs: Optional[Observatory] = None,
     ):
@@ -290,23 +243,11 @@ class QueryServer:
         self.queue_timeout_ms = queue_timeout_ms
         self.cache_hit_ms = cache_hit_ms
         self.backpressure_deadline_ms = backpressure_deadline_ms
-        if isinstance(faults, FaultPlan):
-            faults = faults.injector()
-        self.faults = faults
-        if resilience is None:
-            resilience = ResiliencePolicy.naive()
-        self.resilience = resilience
         self.cache = (
-            ResultCache(
-                cache_capacity,
-                min_service_ms=cache_hit_ms,
-                keep_stale=resilience.degrade_stale,
-                tenant_share=cache_tenant_share,
-            )
+            ResultCache(cache_capacity, min_service_ms=cache_hit_ms)
             if cache_capacity
             else None
         )
-        self._executor = ResilientExecutor(self, resilience, faults)
         self._runs = 0
         #: observability: with an Observatory attached, the endpoint and
         #: its engine trace into it and every stat surface of this server
@@ -322,10 +263,9 @@ class QueryServer:
 
         Pull gauges read the live counters at dump time — registration
         changes no behavior.  Names follow the ARCHITECTURE.md metric
-        vocabulary (enforced by ``tests/test_repo_hygiene.py``).  Only
-        ``faults.*`` values are flagged canonical: they derive from the
-        seeded plan alone, so they are parallelism-invariant; every
-        execution-order-dependent surface stays profile-tier.
+        vocabulary (enforced by ``tests/test_repo_hygiene.py``).  Every
+        surface bound here depends on execution order, so all of them
+        are profile-tier.
         """
         stats = self.endpoint.stats
         for name in ("queries", "failures", "timeouts", "rejected", "truncated",
@@ -338,54 +278,24 @@ class QueryServer:
         if self.cache is not None:
             cache = self.cache
             for key in ("size", "hits", "misses", "evictions", "invalidations",
-                        "skipped_cheap", "quota_evictions"):
+                        "skipped_cheap"):
                 registry.bind(
                     f"cache.{key}",
-                    lambda k=key: cache.info().get(k, 0),
+                    lambda k=key: cache.info()[k],
                     help=f"ResultCache.info()[{key!r}]",
                 )
-        executor = self._executor
-        for key in ("attempts", "retries", "recovered_by_retry",
-                    "injected_outage_failures", "injected_transient_failures",
-                    "breaker_fast_fails", "deadline_exhausted",
-                    "degraded_stale_cache", "degraded_replica",
-                    "hedges_fired", "hedges_won"):
-            registry.bind(
-                f"resilience.{key}",
-                lambda k=key: executor.counters.get(k, 0),
-                help=f"ResilientExecutor per-run counter {key!r}",
-            )
-        registry.bind(
-            "resilience.breaker_transitions",
-            lambda: len(executor.breaker_transitions()),
-            help="circuit-breaker state transitions across all breakers",
-        )
-        if self.faults is not None:
-            # FaultPlan windows/transitions: derived from the seeded plan
-            # alone, never from execution order — the canonical tier.
-            describe = self.faults.plan.describe()
-            for key in ("outage_windows", "burst_windows", "slowdown_windows",
-                        "timeout_spike_windows", "outage_ratio"):
-                gauge = registry.gauge(
-                    f"faults.{key}",
-                    help=f"FaultPlan.describe()[{key!r}]",
-                    canonical=True,
-                )
-                gauge.set(describe[key])
 
     # -- the one orchestration entry point ---------------------------------
 
     def serve(self, workload: Union[Workload, Sequence[Request]]) -> ServingReport:
         """Schedule and execute *workload*; return the full report."""
         requests = list(workload)
-        self._executor.begin_run()
         scheduler = Scheduler(
             self.endpoint.clock,
-            self._executor,
+            self._execute,
             parallelism=self.parallelism,
             queue_capacity=self.queue_capacity,
             queue_timeout_ms=self.queue_timeout_ms,
-            faults=self.faults,
             backpressure_deadline_ms=self.backpressure_deadline_ms,
             obs=self._tracer,
         )
@@ -395,21 +305,49 @@ class QueryServer:
             self._push_run_metrics(requests, records, scheduler)
         start_ms = min((r.request.arrival_ms for r in records), default=0.0)
         end_ms = max((r.completion_ms for r in records), default=start_ms)
-        resilience_info: Dict[str, object] = dict(self._executor.counters)
-        resilience_info["breaker_transitions"] = [
-            list(transition) for transition in self._executor.breaker_transitions()
-        ]
-        resilience_info["shed"] = scheduler.shed
         return ServingReport(
             records,
             parallelism=self.parallelism,
             start_ms=start_ms,
             end_ms=end_ms,
             cache_info=self.cache.info() if self.cache is not None else None,
-            resilience_info=resilience_info,
-            fault_info=self.faults.plan.describe() if self.faults else None,
             obs=self.obs,
         )
+
+    def _execute(self, request: Request):
+        """The executor: the one code path that touches the endpoint.
+
+        A cache hit returns before anything else is read (the hot path of
+        a warm server); a miss makes one ``endpoint.query`` call and caches
+        what it returns.  An :class:`EndpointError` is an outcome, folded
+        into the returned ``(status, result, error)`` triple; anything
+        else is a bug and propagates.
+        """
+        endpoint = self.endpoint
+        cache = self.cache
+        tracer = self._tracer
+        if cache is not None:
+            cached = cache.get(request.query, endpoint.graph.generation)
+            if cached is not None:
+                if tracer.enabled:
+                    tracer.event("cache.lookup", outcome="hit")
+                endpoint.clock.advance(self.cache_hit_ms)
+                return ("cache-hit", cached, None)
+            if tracer.enabled:
+                tracer.event("cache.lookup", outcome="miss")
+        start_ms = endpoint.clock.now_ms
+        try:
+            result = endpoint.query(request.query)
+        except EndpointError as error:
+            return (_failure_status(error), None, error)
+        if cache is not None:
+            cache.put(
+                request.query,
+                endpoint.graph.generation,
+                result,
+                service_ms=endpoint.clock.now_ms - start_ms,
+            )
+        return ("ok", result, None)
 
     def _push_run_metrics(
         self,
@@ -450,22 +388,6 @@ class QueryServer:
             "admission.rejected", help="requests bounced by a full admission queue"
         ).inc(queue_info.get("rejected", 0))
 
-    # -- degraded reads ----------------------------------------------------
-
-    def replica_read(self, text: str) -> Union[SelectResult, AskResult]:
-        """Degraded read off the local materialized replica.
-
-        The last rung of the degradation ladder before giving up: run the
-        query against the server's own copy of the graph, bypassing the
-        (unreachable) endpoint entirely.  Applies the endpoint profile's
-        row cap so replica rows are byte-identical to what a fresh serve
-        would have returned -- the digest-invariance contract.  Charges
-        nothing itself; the caller accounts the degraded-serve cost.
-        """
-        endpoint = self.endpoint
-        execution = endpoint._engine.execute(parse_query(text), endpoint.obs)
-        return endpoint._capped(execution.result)
-
     # -- status surface ----------------------------------------------------
 
     def status(self) -> Dict[str, object]:
@@ -486,10 +408,6 @@ class QueryServer:
                 "total_latency_ms": stats.total_latency_ms,
             },
             "cache": self.cache.info() if self.cache is not None else None,
-            "breakers": {
-                url: breaker.state
-                for url, breaker in sorted(self._executor.breakers.items())
-            },
         }
 
     def __repr__(self) -> str:
@@ -497,3 +415,14 @@ class QueryServer:
             f"<QueryServer {self.endpoint.url!r} parallelism={self.parallelism} "
             f"queue={self.queue_capacity}>"
         )
+
+
+def _failure_status(error: EndpointError) -> str:
+    """The record status of a request the endpoint failed with *error*."""
+    if isinstance(error, EndpointUnavailable):
+        return "unavailable"
+    if isinstance(error, QueryRejected):
+        return "feature-rejected"
+    if isinstance(error, EndpointTimeout):
+        return "endpoint-timeout"
+    return "failed"

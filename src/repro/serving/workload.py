@@ -18,6 +18,7 @@ one mix serves every generated world.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional, Sequence, Tuple
 
@@ -116,8 +117,7 @@ def cache_friendly_mix() -> List[QueryTemplate]:
 class Request:
     """One query issued by one session at one simulated instant."""
 
-    __slots__ = ("session_id", "tenant", "seq", "arrival_ms", "template",
-                 "query", "deadline_ms")
+    __slots__ = ("session_id", "tenant", "seq", "arrival_ms", "template", "query")
 
     def __init__(
         self,
@@ -127,7 +127,6 @@ class Request:
         arrival_ms: float,
         template: str,
         query: str,
-        deadline_ms: Optional[float] = None,
     ):
         self.session_id = session_id
         self.tenant = tenant
@@ -135,9 +134,6 @@ class Request:
         self.arrival_ms = arrival_ms
         self.template = template
         self.query = query
-        #: per-request latency budget (retries must fit inside it); None
-        #: defers to the serving policy's default deadline
-        self.deadline_ms = deadline_ms
 
     @property
     def key(self) -> Tuple[int, int]:
@@ -188,7 +184,6 @@ def generate_workload(
     mean_think_ms: float = 400.0,
     queries_per_session: Tuple[int, int] = (2, 6),
     start_ms: float = 0.0,
-    deadline_ms: Optional[float] = None,
 ) -> Workload:
     """Draw a complete workload from one seeded RNG.
 
@@ -197,8 +192,17 @@ def generate_workload(
     uniform ``queries_per_session`` count of queries drawn from *mix* by
     weight, and pauses an exponential think time between them.  Every
     draw comes from ``random.Random(seed)`` in a fixed order, so the
-    returned workload is a deterministic value.
+    returned workload is a deterministic value.  Both means must be finite
+    and > 0 and *start_ms* finite: a NaN or infinite one makes arrivals
+    non-finite, a zero mean divides by zero, and a negative one runs a
+    session's arrivals backwards.
     """
+    for name, mean in (("mean_session_gap_ms", mean_session_gap_ms),
+                       ("mean_think_ms", mean_think_ms)):
+        if not 0.0 < mean < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {mean!r}")
+    if not math.isfinite(start_ms):
+        raise ValueError(f"start_ms must be finite, got {start_ms!r}")
     if sessions < 1:
         raise ValueError(f"sessions must be >= 1, got {sessions}")
     low, high = queries_per_session
@@ -221,9 +225,6 @@ def generate_workload(
                 arrival += rng.expovariate(1.0 / mean_think_ms)
             template = rng.choices(templates, weights=weights, k=1)[0]
             requests.append(
-                Request(
-                    session_id, tenant, seq, arrival,
-                    template.name, template.text, deadline_ms=deadline_ms,
-                )
+                Request(session_id, tenant, seq, arrival, template.name, template.text)
             )
     return Workload(requests, sessions=sessions, seed=seed)

@@ -241,49 +241,6 @@ class TestEndpointQueries:
         assert big_cost > small_cost
 
 
-class TestFaultScales:
-    """The fault-injection scales are refused at the door when they are
-    not finite numbers (``latency_scale`` >= 0, ``timeout_scale`` > 0; a
-    bool is not one), before the query is counted or charged."""
-
-    QUERY = "SELECT ?s WHERE { ?s a <http://example.org/T> }"
-
-    @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("latency_scale", float("nan")),
-            ("latency_scale", float("inf")),
-            ("latency_scale", -1.0),
-            ("latency_scale", True),
-            ("latency_scale", "2"),
-            ("timeout_scale", float("nan")),
-            ("timeout_scale", float("inf")),
-            ("timeout_scale", -1),
-            ("timeout_scale", 0.0),
-            ("timeout_scale", True),
-        ],
-    )
-    def test_a_bad_scale_is_refused_before_anything_is_counted(self, name, value):
-        network, endpoint = build()
-        with pytest.raises(ValueError, match=name):
-            endpoint.query(self.QUERY, **{name: value})
-        stats = endpoint.stats
-        assert (stats.queries, stats.failures, stats.timeouts) == (0, 0, 0)
-        assert stats.total_latency_ms == 0.0 == network.clock.now_ms
-
-    def test_the_edges_of_the_ranges_are_accepted(self):
-        profile = EndpointProfile("flat", jitter=0.0)
-        _, calm = build(profile=profile)
-        _, idle = build(profile=profile)
-        _, spiked = build(profile=profile)
-        calm.query(self.QUERY)
-        idle.query(self.QUERY, latency_scale=0)
-        assert idle.stats.total_latency_ms < calm.stats.total_latency_ms
-        with pytest.raises(EndpointTimeout):
-            spiked.query(self.QUERY, timeout_scale=1e-300)
-        assert spiked.stats.timeouts == 1
-
-
 class TestNetworkAndClient:
     def test_unknown_url(self):
         network, _ = build()

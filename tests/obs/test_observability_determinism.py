@@ -1,12 +1,13 @@
 """Tier-1 guard: the observability exports are themselves deterministic.
 
-Two invariants, mirroring the PR 7 digest contract:
+Two invariants, mirroring the ``ServingReport.digest()`` contract:
 
 * **Canonical tier is parallelism-invariant.**  The canonical trace
-  digest (request identity + arrival weather + result digests) and the
-  canonical metric digest (workload / fault-plan derived values) are
-  byte-identical across scheduler parallelism and cache configuration,
-  under chaos.
+  digest (request identity + outcome or result digest) and the canonical
+  metric digest (workload-derived values) are byte-identical across
+  scheduler parallelism while the endpoint's Markov availability takes it
+  down for days -- and differ across cache configuration exactly when
+  the served outcomes do (a hit answers through an outage, a miss fails).
 * **Profile tier is replayable.**  At a *fixed* config the full JSONL
   export (every span, every metric, timestamps included) is
   byte-identical run over run.
@@ -23,19 +24,16 @@ from repro.datagen import government_graph
 from repro.endpoint import (
     AlwaysAvailable,
     EndpointProfile,
+    MarkovAvailability,
     SimulationClock,
     SparqlEndpoint,
 )
 from repro.obs import Observatory
 from repro.obs.trace import NULL_TRACER, Span
-from repro.serving import (
-    QueryServer,
-    ResiliencePolicy,
-    chaos_profile,
-    generate_workload,
-)
+from repro.serving import QueryServer, generate_workload
 
-PLAN_SEED = 9
+URL = "http://chaos.example.org/sparql"
+AVAILABILITY_SEED = 9
 WORKLOAD_SEED = 13
 
 
@@ -52,90 +50,101 @@ def _flat_profile():
     )
 
 
-def _serve(graph, parallelism, cache, observed=True):
-    plan = chaos_profile(
-        seed=PLAN_SEED, horizon_days=30,
-        p_fail=0.35, p_recover=0.5, burst_coverage=0.5, burst_p=0.95,
-    )
+def _serve(graph, parallelism, cache, observed=True, outages=True):
+    """Serve a ten-day workload on an endpoint that is down on about two
+    days in five (with *outages*); returns the report, the Observatory
+    and the endpoint."""
     clock = SimulationClock()
-    endpoint = SparqlEndpoint(
-        "http://chaos.example.org/sparql", graph, clock,
-        profile=_flat_profile(), availability=AlwaysAvailable(), seed=1,
+    availability = (
+        MarkovAvailability(URL, p_fail=0.35, p_recover=0.5, seed=AVAILABILITY_SEED)
+        if outages else AlwaysAvailable()
     )
-    obs = Observatory(clock=clock, seed=PLAN_SEED) if observed else None
+    endpoint = SparqlEndpoint(
+        URL, graph, clock, profile=_flat_profile(), seed=1, availability=availability,
+    )
+    obs = Observatory(clock=clock, seed=AVAILABILITY_SEED) if observed else None
     server = QueryServer(
         endpoint,
         parallelism=parallelism,
         queue_capacity=4096,
         cache_capacity=256 if cache else None,
-        faults=plan,
-        resilience=ResiliencePolicy(seed=5),
         obs=obs,
     )
     workload = generate_workload(
         sessions=40, seed=WORKLOAD_SEED,
         mean_session_gap_ms=21_600_000.0, mean_think_ms=600_000.0,
     )
-    return server.serve(workload), obs
+    return server.serve(workload), obs, endpoint
 
 
-def test_canonical_tier_invariant_across_parallelism_and_cache(graph):
+@pytest.mark.parametrize("cache", (True, False), ids=("cache-on", "cache-off"))
+def test_canonical_tier_invariant_across_parallelism(graph, cache):
     """The headline guarantee: same canonical observability digest at
-    parallelism 1 vs 4, cache on vs off, under chaos — exactly when the
+    parallelism 1 vs 4 through the endpoint's outages, exactly as the
     report digests agree."""
-    configs = [(1, True), (4, True), (1, False), (4, False)]
-    results = [_serve(graph, parallelism, cache) for parallelism, cache in configs]
-    report_digests = {report.digest() for report, _ in results}
-    trace_digests = {obs.tracer.canonical_digest() for _, obs in results}
-    metric_digests = {obs.metrics.digest(canonical_only=True) for _, obs in results}
-    combined = {obs.canonical_digest() for _, obs in results}
-    assert len(report_digests) == 1
-    assert len(trace_digests) == 1
-    assert len(metric_digests) == 1
-    assert len(combined) == 1
-    # the weather actually happened: traces exist, and the cache-off arm
-    # (every request meets the endpoint) absorbed injected failures
-    assert all(obs.tracer.spans for _, obs in results)
-    info = results[2][0].resilience_info
-    assert info["injected_outage_failures"] + info["injected_transient_failures"] > 0
+    results = [_serve(graph, parallelism, cache) for parallelism in (1, 4)]
+    assert len({report.digest() for report, _, _ in results}) == 1
+    assert len({obs.tracer.canonical_digest() for _, obs, _ in results}) == 1
+    assert len({obs.metrics.digest(canonical_only=True) for _, obs, _ in results}) == 1
+    assert len({obs.canonical_digest() for _, obs, _ in results}) == 1
+    assert all(obs.tracer.spans for _, obs, _ in results)
+
+
+def test_canonical_tier_follows_what_the_cache_served(graph):
+    """Cache on and off serve different outcomes once the endpoint goes
+    down -- the cache-off arm fails every request of an outage day, the
+    cache-on arm still answers the ones it holds -- and the canonical
+    trace digests differ with them; the workload-derived metrics do not.
+    With the endpoint always up, both arms serve the same rows and every
+    canonical digest agrees."""
+    (on, on_obs, _), (off, off_obs, off_endpoint) = (
+        _serve(graph, 2, cache) for cache in (True, False)
+    )
+    assert off_endpoint.stats.failures > 0
+    assert off.status_counts()["unavailable"] == off_endpoint.stats.failures
+    assert len(on.served) > len(off.served)
+    assert on.digest() != off.digest()
+    assert on_obs.tracer.canonical_digest() != off_obs.tracer.canonical_digest()
+    assert (on_obs.metrics.digest(canonical_only=True)
+            == off_obs.metrics.digest(canonical_only=True))
+    calm = [_serve(graph, 2, cache, outages=False) for cache in (True, False)]
+    assert len({report.digest() for report, _, _ in calm}) == 1
+    assert len({obs.canonical_digest() for _, obs, _ in calm}) == 1
 
 
 def test_profile_tier_replays_byte_identically(graph):
-    first_report, first_obs = _serve(graph, 2, cache=True)
-    second_report, second_obs = _serve(graph, 2, cache=True)
+    first_report, first_obs, _ = _serve(graph, 2, cache=True)
+    second_report, second_obs, _ = _serve(graph, 2, cache=True)
     assert first_obs.export_jsonl() == second_obs.export_jsonl()
     assert first_report.export_jsonl() == second_report.export_jsonl()
     assert first_obs.export_jsonl()  # non-empty: spans + metrics present
 
 
 def test_report_trace_renders_request_tree(graph):
-    report, obs = _serve(graph, 2, cache=True)
+    report, obs, _ = _serve(graph, 2, cache=True)
     record = next(r for r in report.records if r.served)
     text = report.trace(record.request.key)
     assert text.splitlines()[0].startswith("request")
-    assert "attempt" in text or "cache.lookup" in text
+    assert "endpoint.query" in text or "cache.lookup" in text
     missing = report.trace(("no-such-session", 999))
     assert "no trace" in missing
 
 
 def test_report_trace_without_observatory_raises(graph):
-    report, _ = _serve(graph, 1, cache=True, observed=False)
+    report, _, _ = _serve(graph, 1, cache=True, observed=False)
     with pytest.raises(ValueError):
         report.trace(("s1", 0))
 
 
 def test_registered_metric_surfaces_are_complete(graph):
-    report, obs = _serve(graph, 2, cache=True)
+    report, obs, endpoint = _serve(graph, 2, cache=True)
     names = set(obs.metrics.names())
     for expected in (
         "serving.requests_total", "serving.served_total", "serving.latency_ms",
         "serving.queue_wait_ms", "serving.shed_total",
         "admission.offered", "admission.rejected",
-        "endpoint.queries", "endpoint.total_latency_ms",
+        "endpoint.queries", "endpoint.failures", "endpoint.total_latency_ms",
         "cache.hits", "cache.misses",
-        "resilience.attempts", "resilience.retries",
-        "resilience.breaker_transitions",
-        "faults.outage_windows", "faults.outage_ratio",
     ):
         assert expected in names, expected
     # the bridged values line up with the legacy stat surfaces
@@ -143,7 +152,7 @@ def test_registered_metric_surfaces_are_complete(graph):
     assert dump["serving.requests_total"] == len(report.records)
     assert dump["serving.served_total"] == len(report.served)
     assert dump["cache.hits"] == report.cache_info["hits"]
-    assert dump["resilience.attempts"] == report.resilience_info["attempts"]
+    assert dump["endpoint.failures"] == endpoint.stats.failures
     assert dump["serving.latency_ms"]["count"] == len(report.served)
 
 
@@ -156,7 +165,7 @@ def test_disabled_mode_allocates_no_spans(graph, monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(Span, "__init__", counting)
-    report, obs = _serve(graph, 2, cache=True, observed=False)
+    report, obs, _ = _serve(graph, 2, cache=True, observed=False)
     assert obs is None
     assert report.served_ratio() > 0
     assert allocations == []
@@ -165,6 +174,6 @@ def test_disabled_mode_allocates_no_spans(graph, monkeypatch):
 
 def test_observed_run_matches_unobserved_digest(graph):
     """Attaching an Observatory must not change what is served."""
-    observed, _ = _serve(graph, 2, cache=True, observed=True)
-    plain, _ = _serve(graph, 2, cache=True, observed=False)
+    observed, _, _ = _serve(graph, 2, cache=True, observed=True)
+    plain, _, _ = _serve(graph, 2, cache=True, observed=False)
     assert observed.digest() == plain.digest()

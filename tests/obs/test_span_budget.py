@@ -3,7 +3,7 @@
 What an attached ``Observatory`` costs a served request is the spans it
 records for it.  At the default (non-detail) tier that is a fixed handful
 per request -- the request root, its queue wait, the cache lookup, the
-executor's one attempt, the endpoint call and the engine run -- whatever
+endpoint call and the engine run -- whatever
 the query scans, joins or folds; the per-operator spans, whose number
 follows the plan and whose counters follow the data, exist only under
 ``detail=True``.  A count cannot flap the way a wall-clock overhead ratio
@@ -23,8 +23,7 @@ from repro.serving import QueryServer, generate_workload
 
 #: everything the serving path records for one request with tracing on
 REQUEST_TIER_SPANS = {
-    "request", "queue.wait", "cache.lookup", "attempt", "endpoint.query",
-    "sparql.run",
+    "request", "queue.wait", "cache.lookup", "endpoint.query", "sparql.run",
 }
 MAX_SPANS_PER_REQUEST = len(REQUEST_TIER_SPANS)
 
@@ -59,12 +58,12 @@ def test_spans_per_served_request_are_bounded(graph, cache_capacity):
     assert len(per_trace) == len(report.served)
     assert max(per_trace.values()) <= MAX_SPANS_PER_REQUEST
     # a hit returns before the executor dispatches anything: it records no
-    # ``attempt`` (nor anything below one), a miss records exactly one
+    # ``endpoint.query`` (nor anything below one), a miss records exactly one
     hits = {r.request.key for r in report.records if r.status == "cache-hit"}
     assert bool(hits) == (cache_capacity is not None)
-    attempts = Counter(span.ref.key for span in spans if span.name == "attempt")
-    assert not hits & set(attempts)
-    assert all(attempts[r.request.key] == 1
+    queries = Counter(span.ref.key for span in spans if span.name == "endpoint.query")
+    assert not hits & set(queries)
+    assert all(queries[r.request.key] == 1
                for r in report.records if r.status == "ok")
 
 

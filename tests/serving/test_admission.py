@@ -78,6 +78,14 @@ def test_capacity_validation():
         FairAdmissionQueue(capacity=0)
 
 
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf"), 2.5, True])
+def test_a_capacity_that_is_not_a_count_is_refused(capacity):
+    """A NaN capacity compared false against every size and never filled;
+    each of these is refused, naming the parameter."""
+    with pytest.raises(ValueError, match="capacity"):
+        FairAdmissionQueue(capacity=capacity)
+
+
 def test_cursor_survives_tenant_drain_and_reenqueue():
     # a tenant that empties keeps its rotation slot; when it refills, it
     # is neither skipped nor served twice in one sweep

@@ -144,6 +144,38 @@ def test_stale_generation_dropped_on_sight():
     assert len(cache) == 0  # the stale entry no longer occupies a slot
 
 
+def test_rewriting_a_key_replaces_it_without_an_eviction():
+    cache = ResultCache(capacity=2)
+    cache.put("a", 0, "ra")
+    cache.put("b", 0, "rb")
+    cache.put("a", 1, "ra1")  # a is now most-recent, at generation 1
+    assert cache.evictions == 0 and len(cache) == 2
+    assert cache.get("a", 1) == "ra1"
+    cache.put("c", 0, "rc")  # evicts b, the least recent
+    assert cache.get("b", 0) is None and cache.get("a", 1) == "ra1"
+
+
+def test_the_admission_floor_admits_its_own_edge_and_unmeasured_results():
+    cache = ResultCache(capacity=4, min_service_ms=2.0)
+    cache.put("cheap", 0, "r", service_ms=1.999)
+    cache.put("edge", 0, "r", service_ms=2.0)
+    cache.put("unmeasured", 0, "r")
+    assert cache.skipped_cheap == 1
+    assert cache.get("cheap", 0) is None
+    assert cache.get("edge", 0) == cache.get("unmeasured", 0) == "r"
+
+
+def test_clear_empties_the_cache_and_keeps_its_counters():
+    cache = ResultCache(capacity=1)
+    cache.put("a", 0, "ra")
+    cache.put("b", 0, "rb")
+    cache.get("b", 0)
+    before = cache.info()
+    cache.clear()
+    assert len(cache) == 0 and cache.get("b", 0) is None
+    assert cache.info() == dict(before, size=0, misses=before["misses"] + 1)
+
+
 def test_capacity_validation():
     with pytest.raises(ValueError):
         ResultCache(capacity=0)
@@ -191,94 +223,28 @@ def test_cheap_results_are_not_admitted():
     assert cache.info()["skipped_cheap"] == 1
 
 
-def test_keep_stale_retains_entries_for_degraded_reads():
-    cache = ResultCache(capacity=4, keep_stale=True)
-    cache.put("q", 3, "old")
-    # a newer-generation lookup misses but does NOT drop the entry
-    assert cache.get("q", 4) is None
-    assert cache.invalidations == 0
-    assert len(cache) == 1
-    assert cache.get_stale("q") == "old"
-    # get_stale leaves the hit/miss counters alone (it is a degraded
-    # serve, not a cache hit)
-    assert cache.hits == 0
-    assert cache.get_stale("never-seen") is None
+# -- the admission floor on a server ------------------------------------------
 
 
-def test_get_stale_without_keep_stale_sees_what_survives():
-    cache = ResultCache(capacity=4)
-    cache.put("q", 3, "old")
-    assert cache.get_stale("q") == "old"  # entry still present
-    assert cache.get("q", 4) is None  # drop-on-sight fires
-    assert cache.get_stale("q") is None
+def test_cache_skips_results_cheaper_than_a_hit():
+    # cache_hit_ms far above an ASK's cost: caching such a result could
+    # never pay for itself, so it is not admitted
+    server = _server(parse_turtle(TTL), cache_hit_ms=500.0)
+    report = server.serve([
+        _request("ASK { ?s ?p ?o }", seq=0, arrival=0.0),
+        _request("ASK { ?s ?p ?o }", seq=1, arrival=10_000.0),
+    ])
+    assert [r.status for r in report.records] == ["ok", "ok"]  # no hit
+    assert server.cache.skipped_cheap == 2
+    assert report.cache_info["skipped_cheap"] == 2
+    assert len(server.cache) == 0
 
 
-# -- per-tenant quotas -------------------------------------------------------
-
-
-def test_tenant_quota_evicts_within_tenant_lru_first():
-    cache = ResultCache(capacity=4, tenant_share=0.5)  # 2 slots per tenant
-    cache.put("a1", 0, "r", tenant="alpha")
-    cache.put("a2", 0, "r", tenant="alpha")
-    cache.put("b1", 0, "r", tenant="beta")
-    assert cache.get("a1", 0, tenant="alpha") == "r"  # a1 now alpha's MRU
-    # alpha is at quota: its own LRU (a2) goes, beta is untouched
-    cache.put("a3", 0, "r", tenant="alpha")
-    assert cache.get("a2", 0, tenant="alpha") is None
-    assert cache.get("a1", 0, tenant="alpha") == "r"
-    assert cache.get("b1", 0, tenant="beta") == "r"
-    assert cache.quota_evictions == 1
-    assert cache.evictions == 0  # never reached global capacity
-
-
-def test_tenant_burst_cannot_evict_other_tenants():
-    cache = ResultCache(capacity=4, tenant_share=0.5)
-    cache.put("b1", 0, "r", tenant="beta")
-    cache.put("b2", 0, "r", tenant="beta")
-    for i in range(10):  # a 10-entry burst against a 2-slot quota
-        cache.put(f"a{i}", 0, "r", tenant="alpha")
-    assert cache.get("b1", 0, tenant="beta") == "r"
-    assert cache.get("b2", 0, tenant="beta") == "r"
-    assert len(cache) == 4
-
-
-def test_tenant_counters_track_hits_and_evictions():
-    cache = ResultCache(capacity=4, tenant_share=0.25)  # 1 slot per tenant
-    cache.put("a1", 0, "r", tenant="alpha")
-    cache.get("a1", 0, tenant="alpha")
-    cache.get("a1", 0, tenant="beta")  # beta hits alpha's entry
-    cache.put("a2", 0, "r", tenant="alpha")  # alpha over quota: a1 evicted
-    info = cache.info()
-    assert info["quota_evictions"] == 1
-    assert info["tenants"]["alpha"] == {"hits": 1, "evictions": 1, "size": 1}
-    assert info["tenants"]["beta"] == {"hits": 1, "evictions": 0, "size": 0}
-
-
-def test_tenant_share_validation():
-    with pytest.raises(ValueError):
-        ResultCache(capacity=4, tenant_share=0.0)
-    with pytest.raises(ValueError):
-        ResultCache(capacity=4, tenant_share=1.5)
-
-
-def test_untenanted_info_shape_is_unchanged():
-    cache = ResultCache(capacity=4)
-    cache.put("q", 0, "r")
-    cache.get("q", 0)
-    assert "tenants" not in cache.info()
-
-
-def test_served_workload_reports_tenant_counters():
-    server = _server(parse_turtle(TTL), cache_tenant_share=0.5)
-    report = server.serve(
-        [
-            _request(QUERY, seq=0, tenant="alpha"),
-            _request(QUERY, seq=1, arrival=10.0, tenant="beta"),
-            _request(QUERY, seq=2, arrival=20.0, tenant="alpha"),
-        ]
-    )
-    tenants = report.tenant_cache_counts()
-    # alpha executed cold and owns the entry; both later requests hit it
-    assert tenants["alpha"]["hits"] == 1 and tenants["alpha"]["size"] == 1
-    assert tenants["beta"]["hits"] == 1 and tenants["beta"]["size"] == 0
-    assert report.summary()["cache"]["tenants"] == tenants
+def test_cache_admits_results_worth_caching():
+    server = _server(parse_turtle(TTL))  # default cache_hit_ms = 2.0
+    report = server.serve([
+        _request("ASK { ?s ?p ?o }", seq=0, arrival=0.0),
+        _request("ASK { ?s ?p ?o }", seq=1, arrival=10_000.0),
+    ])
+    assert [r.status for r in report.records] == ["ok", "cache-hit"]
+    assert server.cache.skipped_cheap == 0

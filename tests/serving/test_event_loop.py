@@ -4,7 +4,9 @@
   worker count, a NaN or negative cache-hit charge) or that would quietly
   switch a feature off (an infinite cache-hit charge admits nothing to the
   cache; a NaN deadline never fires) is refused when the server or the
-  scheduler is built.  The simulated clock refuses a non-finite step.
+  scheduler is built.  A request with a non-finite arrival is refused
+  before anything is served.  The simulated clock refuses a non-finite
+  step.
 * An executor's own exception leaves ``serve`` as itself, with the clock
   rewound to the failing request's start instant and no span left open,
   so the next ``serve`` on the same server is traced as usual.
@@ -27,10 +29,8 @@ from repro.endpoint import AlwaysAvailable, SimulationClock, SparqlEndpoint
 from repro.obs import Observatory
 from repro.obs.trace import Tracer
 from repro.serving import (
-    FaultPlan,
     QueryServer,
     QueryTemplate,
-    ResiliencePolicy,
     Request,
     Scheduler,
     cache_friendly_mix,
@@ -109,6 +109,23 @@ def test_the_edges_of_each_door_are_accepted(graph):
     assert [record.status for record in report.records] == ["ok"]
 
 
+@pytest.mark.parametrize("arrival_ms", (math.nan, math.inf, -math.inf))
+def test_a_non_finite_arrival_is_refused_before_anything_is_served(graph, arrival_ms):
+    """One NaN arrival ahead of a wave used to queue with every later
+    arrival behind it: nothing was ever in flight, and ``serve`` returned
+    a report with no records.  Now the whole wave is refused, the
+    endpoint untouched and the clock where it was."""
+    endpoint = _endpoint(graph)
+    server = QueryServer(endpoint, parallelism=2, queue_capacity=4096)
+    wave = generate_workload(sessions=3, seed=2)
+    assert len(wave) == 12
+    odd = Request(99, "alpha", 0, arrival_ms, "ask", "ASK { ?s ?p ?o }")
+    with pytest.raises(ValueError, match="arrival_ms must be finite"):
+        server.serve([odd, *wave])
+    assert endpoint.stats.queries == 0 and endpoint.clock.now_ms == 0.0
+    assert len(server.serve(wave).records) == 12
+
+
 @pytest.mark.parametrize("delta", (math.nan, math.inf, -math.inf))
 def test_the_clock_refuses_a_non_finite_step(delta):
     clock = SimulationClock(5.0)
@@ -139,7 +156,7 @@ def test_the_executors_own_exception_leaves_with_the_clock_at_its_start():
         clock.advance(7.0)
         if request.seq == 2:
             raise error
-        return ("ok", None, {"attempts": 1})
+        return ("ok", None, None)
 
     with pytest.raises(RuntimeError) as caught:
         Scheduler(clock, execute, parallelism=1, obs=tracer).run(_burst(3, spacing_ms=1.0))
@@ -153,15 +170,15 @@ def test_the_executors_own_exception_leaves_with_the_clock_at_its_start():
     ]
     assert all(span.end_ms is not None for span in tracer.spans)
     # the next run on the same tracer opens its traces as usual
-    records = Scheduler(clock, lambda request: ("ok", None, {"attempts": 1}),
+    records = Scheduler(clock, lambda request: ("ok", None, None),
                         obs=tracer).run(_burst(1))
     assert [record.status for record in records] == ["ok"]
 
 
 def test_an_escaping_bug_closes_every_span_it_leaves(graph, monkeypatch):
-    """A bug inside the endpoint passes through its ``endpoint.query``,
-    the executor's ``attempt`` and the scheduler's ``request`` span: each
-    closes the span it opened, and the same server serves its next wave."""
+    """A bug inside the endpoint passes through its ``endpoint.query``
+    and the scheduler's ``request`` span: each closes the span it opened,
+    and the same server serves its next wave."""
     endpoint = _endpoint(graph)
     obs = Observatory(clock=endpoint.clock, seed=1)
     server = QueryServer(endpoint, parallelism=2, queue_capacity=64,
@@ -175,7 +192,7 @@ def test_an_escaping_bug_closes_every_span_it_leaves(graph, monkeypatch):
         with pytest.raises(RuntimeError, match="latency model bug"):
             server.serve(_burst(3))
     spans = [span for span in obs.tracer.spans if span.name != "sparql.run"]
-    assert [span.name for span in spans] == ["request", "attempt", "endpoint.query"]
+    assert [span.name for span in spans] == ["request", "endpoint.query"]
     assert all(span.end_ms is not None for span in obs.tracer.spans)
     assert {span.attrs["error"] for span in spans} == {"RuntimeError"}
     report = server.serve(_burst(3))
@@ -202,26 +219,6 @@ def test_a_malformed_template_is_rejected_and_the_wave_completes(graph):
     assert all(span.end_ms is not None for span in obs.tracer.spans)
     broken = sum(r.request.template == "broken" for r in report.records)
     assert endpoint.stats.rejected == 2 * broken
-
-
-def test_the_replica_rung_gives_up_on_a_malformed_template(graph):
-    """Under an outage the ladder reaches the replica, which cannot
-    answer a text that does not parse either: those requests fail with
-    the weather's status and the wave completes."""
-    server = QueryServer(
-        _endpoint(graph), parallelism=2, queue_capacity=4096, cache_capacity=None,
-        resilience=ResiliencePolicy(seed=1),
-        faults=FaultPlan(seed=1, horizon_ms=1e12, outages=[(0.0, 1e12)]),
-    )
-    report = server.serve(generate_workload(sessions=4, seed=2, mix=MALFORMED_MIX))
-    statuses = {}
-    for record in report.records:
-        statuses.setdefault(record.request.template, set()).add(record.status)
-    assert statuses["ask"] == {"stale"}
-    assert statuses["broken"] <= {"unavailable", "circuit-open"}
-    assert report.resilience_info["degraded_replica"] == sum(
-        record.request.template == "ask" for record in report.records
-    )
 
 
 # -- what a cached wave allocates ---------------------------------------------

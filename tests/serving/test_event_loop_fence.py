@@ -12,9 +12,9 @@ queue counters, the same clock, and the same trace export.
 Two sources of work: a fake executor charging seeded, arbitrary service times
 (0 ms included, and completions that tie with arrivals) under
 hypothesis-generated workloads, and real ``QueryServer``s on the
-government graph with the cache on and off, a per-tenant cache share, a
-fault plan answered by retries, the breaker, hedging and both
-degradation rungs, and an ``Observatory`` attached.
+government graph with the cache on and off, an endpoint whose Markov
+availability model takes it down for days, and an ``Observatory``
+attached.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from repro.datagen import government_graph
 from repro.endpoint import (
     AlwaysAvailable,
     EndpointProfile,
+    MS_PER_DAY,
+    MarkovAvailability,
     SimulationClock,
     SparqlEndpoint,
 )
@@ -40,11 +42,9 @@ from repro.obs import Observatory
 from repro.obs.trace import Tracer, defer, result_digest
 from repro.rdf import IRI, Literal, Triple
 from repro.serving import (
-    FaultPlan,
     QueryServer,
     Request,
     RequestRecord,
-    ResiliencePolicy,
     Scheduler,
     cache_friendly_mix,
     generate_workload,
@@ -98,9 +98,6 @@ class ReferenceScheduler(Scheduler):
             if instant_ms > clock.now_ms:
                 clock.advance(instant_ms - clock.now_ms)
 
-        def weather(now_ms: float) -> Tuple[str, ...]:
-            return self.faults.active_kinds(now_ms) if self.faults else ()
-
         tracer = self.obs
         tracing = tracer.enabled
 
@@ -110,7 +107,6 @@ class ReferenceScheduler(Scheduler):
                 "tenant": request.tenant,
                 "template": request.template,
                 "arrival_ms": request.arrival_ms,
-                "arrival_faults": list(weather(request.arrival_ms)),
             }
 
         def closed_root(request: Request, status: str, now_ms: float) -> None:
@@ -136,20 +132,16 @@ class ReferenceScheduler(Scheduler):
                 if tracing:  # the heap loop closes the request's trace too
                     tracer.end(end_ms=now_ms, error=type(outcome.error).__name__)
                 raise outcome.error
-            status, result, meta = outcome.value
+            status, result, error = outcome.value
             completion = pool.start(now_ms, outcome.elapsed_ms)
             record = RequestRecord(
                 request,
                 status,
-                error=meta.get("error"),
+                error=error,
                 start_ms=now_ms,
                 completion_ms=completion,
                 service_ms=outcome.elapsed_ms,
                 result=result,
-                attempts=meta["attempts"],
-                hedged=meta.get("hedged", False),
-                degraded=meta.get("degraded"),
-                faults_at_dispatch=weather(now_ms),
             )
             if tracing:
                 if record.served:
@@ -162,10 +154,6 @@ class ReferenceScheduler(Scheduler):
                     canon=canon,
                     status=status,
                     service_ms=round(outcome.elapsed_ms, 6),
-                    attempts=record.attempts,
-                    hedged=record.hedged,
-                    degraded=record.degraded,
-                    faults_at_dispatch=list(record.faults_at_dispatch),
                 )
             records.append(record)
             heapq.heappush(in_flight, (completion, start_counter, record))
@@ -195,7 +183,6 @@ class ReferenceScheduler(Scheduler):
                             ),
                             start_ms=now_ms,
                             completion_ms=now_ms,
-                            faults_at_dispatch=weather(now_ms),
                         )
                     )
                     continue
@@ -238,7 +225,6 @@ class ReferenceScheduler(Scheduler):
                             ),
                             start_ms=now,
                             completion_ms=now,
-                            faults_at_dispatch=weather(now),
                         )
                     )
                 elif not queue.offer(request):
@@ -254,7 +240,6 @@ class ReferenceScheduler(Scheduler):
                             ),
                             start_ms=now,
                             completion_ms=now,
-                            faults_at_dispatch=weather(now),
                         )
                     )
         self.last_queue_info = queue.info()
@@ -275,27 +260,16 @@ def _fields(record: RequestRecord, result=lambda result: result):
         record.completion_ms,
         record.service_ms,
         result(record.result),
-        record.attempts,
-        record.hedged,
-        record.degraded,
-        record.faults_at_dispatch,
     )
 
 
 # -- a fake executor over generated workloads ---------------------------------
 
 
-class _Weather:
-    """A stateless stand-in for a fault injector: kinds by instant."""
-
-    def active_kinds(self, t_ms: float) -> Tuple[str, ...]:
-        return ("outage",) if int(t_ms) % 7 < 2 else ()
-
-
 class _ChargingExecutor:
-    """Charges each request its drawn cost; folds some into failures,
-    degraded serves and hedges the way the real executor reports them,
-    and raises on the request named *boom*."""
+    """Charges each request its drawn cost; folds some into failures and
+    cache hits the way the real executor reports them, and raises on the
+    request named *boom*."""
 
     def __init__(self, clock: SimulationClock, costs, boom=None):
         self.clock = clock
@@ -308,13 +282,12 @@ class _ChargingExecutor:
             raise RuntimeError(f"executor bug at {request.key}")
         kind = request.session_id % 4
         if kind == 3:
-            return ("unavailable", None,
-                    {"attempts": 2, "error": EndpointUnavailable(f"down for {request.key}")})
+            return ("unavailable", None, EndpointUnavailable(f"down for {request.key}"))
         if kind == 2:
-            return ("stale", f"rows{request.key}", {"attempts": 1, "degraded": "replica"})
+            return ("endpoint-timeout", None, EndpointTimeout(f"slow at {request.key}"))
         if kind == 1:
-            return ("ok", f"rows{request.key}", {"attempts": 1, "hedged": True})
-        return ("cache-hit", f"rows{request.key}", {"attempts": 0})
+            return ("ok", f"rows{request.key}", None)
+        return ("cache-hit", f"rows{request.key}", None)
 
 
 #: service times: 0 ms, and integers that land completions on integer arrivals
@@ -347,7 +320,6 @@ def _serve_waves(cls, parallelism, capacity, options, waves, boom):
         scheduler = cls(
             clock, execute, parallelism=parallelism, queue_capacity=capacity,
             queue_timeout_ms=options["queue_timeout_ms"],
-            faults=_Weather() if options["weather"] else None,
             backpressure_deadline_ms=options["backpressure_deadline_ms"],
             obs=tracer,
         )
@@ -369,7 +341,6 @@ def _serve_waves(cls, parallelism, capacity, options, waves, boom):
 OPTIONS = st.fixed_dictionaries({
     "queue_timeout_ms": st.sampled_from([None, 0.0, 4.0, 9.0]),
     "backpressure_deadline_ms": st.sampled_from([None, 0.0, 3.0, 10.0]),
-    "weather": st.booleans(),
     "clock_start_ms": st.sampled_from([0.0, 4.0]),
 })
 
@@ -403,11 +374,11 @@ def test_the_generated_workloads_reach_every_branch():
         (2, 4096, None, None),   # every executor status
     ):
         options = {"queue_timeout_ms": timeout, "backpressure_deadline_ms": deadline,
-                   "weather": True, "clock_start_ms": 0.0}
+                   "clock_start_ms": 0.0}
         runs, _ = _serve_waves(Scheduler, parallelism, capacity, options, [_requests(crowd)], None)
         seen |= {fields[1] for fields in runs[0][0]}
-    assert seen == {"ok", "cache-hit", "stale", "unavailable", "rejected",
-                    "queue-timeout", "shed"}
+    assert seen == {"ok", "cache-hit", "endpoint-timeout", "unavailable",
+                    "rejected", "queue-timeout", "shed"}
 
 
 # -- real servers on the government graph -------------------------------------
@@ -426,24 +397,17 @@ def _flat_profile():
     )
 
 
-def _chaos_plan():
-    return FaultPlan(
-        seed=3, horizon_ms=1e9,
-        outages=[(400_000.0, 700_000.0), (2_500_000.0, 1e9)],
-        bursts=[(0.0, 300_000.0, 0.6)],
-        slowdowns=[(800_000.0, 2_000_000.0, 30.0)],
-        timeout_spikes=[(2_000_000.0, 2_400_000.0, 0.02)],
-    )
-
-
 def _waves():
     dashboard = dict(mix=cache_friendly_mix(), mean_session_gap_ms=40.0, mean_think_ms=60.0)
-    spread = dict(mean_session_gap_ms=60_000.0, mean_think_ms=30_000.0)
+    # about a week of sessions each, so the waves cross the chain's day
+    # boundaries; the second starts on day 9, after the first has ended
+    days = dict(mean_session_gap_ms=21_600_000.0, mean_think_ms=1_800_000.0)
     return {
         "cache-off": [generate_workload(sessions=14, seed=9)] * 2,
         "cache-on": [generate_workload(sessions=30, seed=7, **dashboard)] * 2,
-        "tenant-share": [generate_workload(sessions=30, seed=8, **dashboard)],
-        "faults": [generate_workload(sessions=30, seed=11, **spread)] * 2,
+        "availability": [generate_workload(sessions=30, seed=11, **days),
+                         generate_workload(sessions=30, seed=12, start_ms=9 * MS_PER_DAY,
+                                           **days)],
     }
 
 
@@ -452,13 +416,17 @@ SCENARIOS = {
                       backpressure_deadline_ms=300.0),
     "cache-on": dict(parallelism=2, queue_capacity=6, queue_timeout_ms=150.0,
                      backpressure_deadline_ms=250.0),
-    "tenant-share": dict(parallelism=4, queue_capacity=64, cache_capacity=2,
-                         cache_tenant_share=0.5),
-    "faults": dict(parallelism=2, queue_capacity=4096, cache_capacity=16,
-                   resilience=ResiliencePolicy(seed=5, hedging=True, hedge_min_samples=4,
-                                               breaker_threshold=2,
-                                               breaker_cooldown_ms=50_000.0)),
+    "availability": dict(parallelism=2, queue_capacity=4096, cache_capacity=4),
 }
+
+
+def _availability(name):
+    """The scenario endpoint's weather: the "availability" one is down on
+    about two days in five (a fresh chain each call, so both loops see it)."""
+    if name == "availability":
+        return MarkovAvailability("http://fence.example.org/sparql",
+                                  p_fail=0.35, p_recover=0.5, seed=3)
+    return AlwaysAvailable()
 
 
 def _serve_scenario(graph, name, scheduler_cls):
@@ -475,12 +443,10 @@ def _serve_scenario(graph, name, scheduler_cls):
     clock = SimulationClock()
     endpoint = SparqlEndpoint(
         "http://fence.example.org/sparql", served, clock,
-        profile=_flat_profile(), availability=AlwaysAvailable(), seed=1,
+        profile=_flat_profile(), availability=_availability(name), seed=1,
     )
     obs = Observatory(clock=clock, seed=2)
-    options = dict(SCENARIOS[name])
-    if name == "faults":
-        options["faults"] = _chaos_plan()
+    options = SCENARIOS[name]
     original = server_module.Scheduler
     server_module.Scheduler = Recording
     try:
@@ -516,10 +482,5 @@ def test_real_servers_serve_what_the_pool_loop_served(graph, name):
         assert "shed" in statuses
     if name == "cache-on":
         assert {"cache-hit", "rejected", "queue-timeout"} <= statuses
-    if name == "tenant-share":
-        assert actual[3][0].cache_info["quota_evictions"] > 0
-    if name == "faults":
-        info = [report.resilience_info for report in actual[3]]
-        for counter in ("retries", "hedges_fired", "degraded_stale_cache",
-                        "degraded_replica", "breaker_fast_fails"):
-            assert sum(run[counter] for run in info) > 0, counter
+    if name == "availability":
+        assert {"cache-hit", "unavailable"} <= statuses

@@ -14,6 +14,7 @@ from repro.datagen import government_graph
 from repro.endpoint import (
     AlwaysAvailable,
     AvailabilityModel,
+    EndpointError,
     EndpointProfile,
     SimulationClock,
     SparqlEndpoint,
@@ -269,28 +270,19 @@ def _failing_endpoint(graph, kind):
 @pytest.mark.parametrize(
     "kind", ("unavailable", "endpoint-timeout", "feature-rejected")
 )
-def test_no_policy_fails_like_the_endpoint_failed(graph, kind):
-    """A server given no policy runs the one executor under
-    ``ResiliencePolicy.naive()``: one dispatch, the endpoint's own charge
-    as the service time, its failure as the status -- no retry, breaker
-    or degraded serve in between."""
+def test_the_server_fails_like_the_endpoint_failed(graph, kind):
+    """One dispatch, the endpoint's own charge as the service time, its
+    failure as the status and its error on the record -- nothing retried
+    or served in its place."""
     endpoint, text = _failing_endpoint(graph, kind)
     server = QueryServer(endpoint, cache_capacity=None)
     report = server.serve(_burst(1, text=text))
     (record,) = report.records
-    assert record.status == kind and not record.served
-    assert record.attempts == 1 and not record.hedged and record.degraded is None
+    assert record.status == kind and not record.served and record.result is None
+    assert isinstance(record.error, EndpointError)
     assert record.service_ms == endpoint.stats.total_latency_ms > 0.0
     assert endpoint.stats.queries == 1
-    resilience = report.summary()["resilience"]
-    assert resilience["attempts"] == 1
-    assert not any(
-        resilience[key] for key in (
-            "retries", "breaker_fast_fails", "degraded_stale_cache",
-            "degraded_replica", "hedges_fired", "breaker_transitions",
-        )
-    )
-    assert server.status()["breakers"] == {}
+    assert report.summary()["statuses"] == {kind: 1}
 
 
 def test_cache_hit_dispatches_nothing(graph):
@@ -298,34 +290,8 @@ def test_cache_hit_dispatches_nothing(graph):
     server = QueryServer(endpoint, parallelism=1)
     report = server.serve(_burst(2, spacing_ms=1000.0, text="SELECT ?s WHERE { ?s ?p ?o }"))
     assert [r.status for r in report.records] == ["ok", "cache-hit"]
-    assert [r.attempts for r in report.records] == [1, 0]
     assert report.records[1].service_ms == server.cache_hit_ms
-    assert report.summary()["resilience"]["attempts"] == endpoint.stats.queries == 1
-
-
-@pytest.mark.parametrize("availability", (AlwaysAvailable(), DownOnDay(0)),
-                         ids=("healthy", "down"))
-def test_no_policy_is_the_naive_policy(graph, availability):
-    """Not two executors that agree -- one executor, whose no-policy value
-    is ``naive()``.  The down arm is what tells it from the full policy,
-    which would answer the same outage from the replica."""
-    from repro.serving import ResiliencePolicy
-
-    workload = generate_workload(sessions=12, seed=3)
-    runs = []
-    for options in ({}, {"resilience": ResiliencePolicy.naive()}):
-        endpoint = _endpoint(graph, availability=availability)
-        server = QueryServer(endpoint, parallelism=2, queue_capacity=4096, **options)
-        report = server.serve(workload)
-        runs.append((
-            report.digest(),
-            [(r.status, r.attempts, r.service_ms) for r in report.records],
-            report.summary()["resilience"],
-            endpoint.clock.now_ms,
-        ))
-    assert runs[0] == runs[1]
-    expected = {"unavailable"} if isinstance(availability, DownOnDay) else {"ok", "cache-hit"}
-    assert {status for status, _, _ in runs[0][1]} == expected
+    assert endpoint.stats.queries == 1
 
 
 def test_executor_bugs_propagate_out_of_serve(graph):
@@ -333,7 +299,7 @@ def test_executor_bugs_propagate_out_of_serve(graph):
     out is a bug and must not be recorded as one."""
     endpoint = _endpoint(graph)
 
-    def query(text, **scales):
+    def query(text):
         raise RuntimeError("engine bug")
 
     endpoint.query = query
@@ -366,11 +332,13 @@ def test_server_status_shape(graph):
     cache = status["cache"]
     assert set(cache) == {
         "size", "capacity", "hits", "misses", "evictions", "invalidations",
-        "skipped_cheap", "quota_evictions", "tenants",
+        "skipped_cheap",
     }
     assert cache["hits"] + cache["misses"] >= 1
-    for counters in cache["tenants"].values():
-        assert set(counters) == {"hits", "evictions", "size"}
+    assert set(status) == {
+        "endpoint", "parallelism", "queue_capacity", "queue_timeout_ms", "runs",
+        "endpoint_stats", "cache",
+    }
 
 
 def test_cacheless_server_status(graph):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.serving import (
@@ -85,3 +87,27 @@ def test_bad_parameters_rejected():
         generate_workload(sessions=1, mix=[])
     with pytest.raises(ValueError):
         QueryTemplate("zero", "ASK { ?s ?p ?o }", weight=0.0)
+
+
+#: (keyword, refused value): a NaN gap or start left every arrival NaN, a
+#: zero or infinite mean raised ZeroDivisionError, a negative think time
+#: made later queries of a session arrive before earlier ones
+REFUSED = [
+    (name, value)
+    for name in ("mean_session_gap_ms", "mean_think_ms")
+    for value in (math.nan, math.inf, 0.0, -50.0)
+] + [("start_ms", math.nan), ("start_ms", math.inf), ("start_ms", -math.inf)]
+
+
+@pytest.mark.parametrize("keyword, value", REFUSED,
+                         ids=[f"{k}={v!r}" for k, v in REFUSED])
+def test_a_workload_parameter_that_makes_arrivals_non_finite_or_unordered_is_refused(
+        keyword, value):
+    with pytest.raises(ValueError, match=keyword):
+        generate_workload(sessions=3, seed=1, **{keyword: value})
+
+
+def test_a_finite_start_and_positive_means_are_accepted():
+    workload = generate_workload(sessions=3, seed=1, start_ms=-5.0,
+                                 mean_session_gap_ms=1e-3, mean_think_ms=1e-3)
+    assert all(math.isfinite(request.arrival_ms) for request in workload)
