@@ -23,6 +23,16 @@ is derived state, written only in this module: ``encode`` appends it for a
 fresh ID (``len(kinds) == _next_id`` always) and overwrites it for a
 recycled one, ``decref`` zeroes it where it frees the ID, and ``copy`` /
 ``restore`` rebuild it with the rest of the table.  It never decides an ID.
+
+Beside ``kinds`` sits ``sort_keys``, the kept ``id -> term.sort_key()``
+table the SPARQL ORDER BY tail reads instead of decoding a cell and keying
+its term on every query.  It is filled lazily: a miss builds the key from
+the live term (``dict.__missing__``), so it holds keys only for the IDs
+some cut compared.  It is derived state too, written only in this module:
+an ID is recycled (``decref`` puts it on ``_free``, ``encode`` pops it for
+the next new term), so ``decref`` drops the ID's key where it zeroes its
+kind byte, and ``copy`` / ``restore`` start the table empty.  Only IDs
+enter it; a key never decides anything but an order.
 """
 
 from __future__ import annotations
@@ -34,11 +44,27 @@ from .terms import Term
 __all__ = ["TermDict"]
 
 
+class _SortKeys(dict):
+    """``id -> sort_key()`` of the live term, built on a miss (module
+    docstring).  It reads the ID table, not the :class:`TermDict`, so the
+    two hold no reference cycle."""
+
+    __slots__ = ("_id_to_term",)
+
+    def __init__(self, id_to_term: Dict[int, Term]):
+        super().__init__()
+        self._id_to_term = id_to_term
+
+    def __missing__(self, term_id: int) -> Tuple:
+        key = self[term_id] = self._id_to_term[term_id].sort_key()
+        return key
+
+
 class TermDict:
     """A reference-counted, bidirectional ``Term <-> int`` intern table."""
 
     __slots__ = ("_term_to_id", "_id_to_term", "_refcount", "_next_id", "_free",
-                 "kinds", "epoch", "snapshot", "recycled")
+                 "kinds", "sort_keys", "epoch", "snapshot", "recycled")
 
     def __init__(self):
         self._term_to_id: Dict[Term, int] = {}
@@ -48,6 +74,8 @@ class TermDict:
         self._free: List[int] = []
         #: the kind code of each ID's term, 0 for a free ID (module docstring)
         self.kinds = bytearray()
+        #: the kept sort key of each ID a cut compared (module docstring)
+        self.sort_keys = _SortKeys(self._id_to_term)
         # Durability epoch: bumped by repro.rdf.durability each time the
         # dictionary is snapshotted, and recorded in every snapshot file so
         # recovery can refuse to pair shard columns with the wrong table.
@@ -109,6 +137,7 @@ class TermDict:
         term = self._id_to_term.pop(term_id)
         del self._term_to_id[term]
         self.kinds[term_id] = 0
+        self.sort_keys.pop(term_id, None)
         self._free.append(term_id)
 
     def refcount(self, term_id: int) -> int:
@@ -132,6 +161,7 @@ class TermDict:
         out = TermDict()
         out._term_to_id = dict(self._term_to_id)
         out._id_to_term = dict(self._id_to_term)
+        out.sort_keys = _SortKeys(out._id_to_term)
         out._refcount = dict(self._refcount)
         out._next_id = self._next_id
         out._free = list(self._free)

@@ -317,10 +317,12 @@ class Literal(Term):
         """Numeric literals order by numeric value among themselves, before
         the rest.  A NaN, equal to no number, ranks as a non-numeric literal
         by its lexical form, so keys are totally ordered (ORDER BY relies
-        on it)."""
+        on it).  An ``xsd:integer`` keeps its int: Python compares int with
+        float exactly, where a float would overflow past ~1e308 and tie
+        neighbouring integers past 2**53."""
         numeric = self.numeric_value()
         if numeric is not None and numeric == numeric:
-            return (_KIND_LITERAL, 0, float(numeric), self.lexical)
+            return (_KIND_LITERAL, 0, numeric, self.lexical)
         return (_KIND_LITERAL, 1, self.lexical, self.language or "", self.datatype or "")
 
     # -- value-space helpers -------------------------------------------------

@@ -48,8 +48,9 @@ between batches) feeding one of three sinks -- projection/DISTINCT/slice,
 top-k/sort, or GROUP BY fold (:meth:`_AggFold.fold_batch`).  Rows stay
 dictionary IDs (and raw fold values) through ORDER BY / DISTINCT / OFFSET
 / LIMIT (:meth:`Execution._id_modifiers`, which cuts what it holds to the
-page's size after every batch and builds sort keys only for the rows a
-cut has to compare); only the emitted page is decoded.
+page's size after every batch and keys only the rows a cut has to
+compare, an ID's key read from the dictionary's kept table --
+``TermDict.sort_keys``); only the emitted page is decoded.
 The source follows from the WHERE clause, never from a caller option.
 The *simple shape* -- plain triple patterns plus one-variable term-test
 FILTERs -- has pure ID rows: a single pattern streams batches straight
@@ -465,20 +466,29 @@ def _fold_term(value) -> Optional[Term]:
     return Literal(value)
 
 
-def _sort_key_column(values, memo: Dict, term_of) -> List[Tuple]:
+def _fold_key(value) -> Tuple:
+    """The ORDER BY key of one raw fold value (:meth:`_AggFold.value`): its
+    term's ``sort_key()``, ``()`` when the fold has no result."""
+    term = _fold_term(value)
+    return () if term is None else term.sort_key()
+
+
+def _sort_key_column(values, memo: Dict, key_of) -> List:
     """One ORDER BY condition's keys for a column of ID-space cells.
 
-    A bound cell's key is its term's ``sort_key()``; an unbound cell's
-    is ``()``, which sorts before every term key -- the order
-    :meth:`Execution._order_key` defines.  Keys are built once per
-    distinct cell: *term_of* (a dictionary decode, or :func:`_fold_term`
-    for raw fold values) runs on *memo* misses only, and never on a cell
-    that is a term already -- a term the dictionary lacks
-    (:meth:`Execution._solution_source`) or a MIN / MAX / SAMPLE value.
+    A bound cell's key orders as its term's ``sort_key()``; an unbound
+    cell's is ``()``, which sorts before every term key -- the order
+    :meth:`Execution._order_key` defines.  *key_of* maps one cell to its
+    key (:meth:`Execution._cell_key_of`: an ID's key kept beside the
+    dictionary; ``int`` for a COUNT, whose key is the count itself;
+    :func:`_fold_key` for any other fold value).  It runs once per
+    distinct cell, on *memo* misses only, in one ``map``.  The memo is the
+    execution's own, so its size (``sort_keys``) counts the distinct cells
+    that execution compared, however warm the kept keys are.
     """
-    for value in set(values).difference(memo):
-        term = value if value is None or isinstance(value, Term) else term_of(value)
-        memo[value] = () if term is None else term.sort_key()
+    missing = set(values).difference(memo)
+    if missing:
+        memo.update(zip(missing, map(key_of, missing)))
     return list(map(memo.__getitem__, values))
 
 
@@ -496,12 +506,12 @@ def _first_in_order(columns, indices: List[int], room, conditions, memos, level=
         return indices
     if level == len(conditions) or not room:
         return indices[:room]
-    column, descending, term_of = conditions[level]
+    column, descending, key_of = conditions[level]
     cells = columns[column]
     if len(indices) < len(cells):  # else *indices* is every row
         cells = list(map(cells.__getitem__, indices))
     tally = Counter(cells)
-    keys = _sort_key_column(tally, memos[level], term_of)  # one per distinct cell
+    keys = _sort_key_column(tally, memos[level], key_of)  # one per distinct cell
     key = memos[level].__getitem__
     best = (heapq.nlargest if descending else heapq.nsmallest)(room, tally, key=key)
     bound = key(best[bisect_left(list(_accumulate(map(tally.__getitem__, best))), room)])
@@ -759,8 +769,8 @@ EXEC_STAT_KEYS = frozenset(
         "scan_cells",       # rows x wanted columns a single-pattern scan
                             # materialised (``Graph.scan_columns``), or
                             # one cell per run read (``Graph.scan_runs``)
-        "sort_keys",        # ORDER BY keys the ID-space tail built (one
-                            # per distinct cell it had to compare)
+        "sort_keys",        # ORDER BY keys the ID-space tail keyed: one
+                            # per distinct cell compared
         "join_rows",        # rows the eager join's steps built, summed
                             # over steps (and over the BGPs of the query)
         "having_pruned",    # groups dropped by HAVING pushdown
@@ -2410,8 +2420,10 @@ class Execution:
         the one modifier tail of the columnar sinks, run before anything
         is decoded.  Returns ``(page rows, stats)``.
 
-        *conditions* are ``(column, descending, term_of)``; their sort
-        keys are memoized per distinct cell (:func:`_sort_key_column`).
+        *conditions* are ``(column, descending, key_of)``; their sort
+        keys are memoized per distinct cell (:func:`_sort_key_column`),
+        and *key_of* reads an ID's key from the dictionary's kept table
+        (:meth:`_cell_key_of`), so a warm graph decodes no cell to sort.
         Rows are held as columns, in input order.  Under LIMIT they are
         cut after every batch to the rows that can still reach the page
         (:func:`_first_in_order`) -- DISTINCT keeps each *dedup_columns*
@@ -2472,10 +2484,10 @@ class Execution:
             # index sort keyed by ``list.__getitem__`` keeps every
             # comparison in C.
             order = list(range(len(kept)))
-            for (column, descending, term_of), memo in zip(
+            for (column, descending, key_of), memo in zip(
                 reversed(conditions), reversed(memos)
             ):
-                keys = _sort_key_column(held[column], memo, term_of)
+                keys = _sort_key_column(held[column], memo, key_of)
                 order.sort(key=keys.__getitem__, reverse=descending)
             kept = [kept[i] for i in order]
         stats["sort_keys"] = sum(map(len, memos))
@@ -2571,17 +2583,19 @@ class Execution:
         return cols, len(groups) - len(survivors)
 
     def _aggregate_page(
-        self, query: SelectQuery, items, cols: List[List], columns: List[int], stats
+        self, query: SelectQuery, items, cols: List[List], columns: List[int], stats,
+        ids_only: bool = False,
     ) -> SelectResult:
         """The aggregate sink's output: *cols* holds the groups as one
         column batch -- group-key IDs and raw fold values, item *i* at
         ``columns[i]`` -- and only the page that survives the modifiers
-        is decoded.
+        is decoded.  *ids_only*: every group-key cell is an ID.
 
         ORDER BY conditions that name an output column (a group variable
-        or an aggregate alias) run in :meth:`_id_modifiers`; an
-        expression condition needs decoded rows in scope, so that query
-        shape decodes every group and ends in :meth:`_apply_modifiers`.
+        or an aggregate alias) run in :meth:`_id_modifiers`, a COUNT
+        column keyed by the count itself; an expression condition needs
+        decoded rows in scope, so that query shape decodes every group and
+        ends in :meth:`_apply_modifiers`.
         """
         names = [name for _kind, _payload, name in items]
         fold_columns = {
@@ -2593,7 +2607,11 @@ class Execution:
             stats["decoded_rows"] = len(rows)
             rows = self._apply_modifiers(query, rows, names)
         else:
-            decode = self.graph.decode_id
+            cell_key = self._cell_key_of(ids_only)
+            counts = {
+                column for column, (kind, payload, _name) in zip(columns, items)
+                if kind == "agg" and payload.function == "COUNT"
+            }
             by_name = dict(zip(names, columns))
             conditions = []
             for variable, condition in zip(order_vars, query.order_by):
@@ -2601,8 +2619,12 @@ class Execution:
                 # A sort variable that names no output column ties on
                 # every group: drop it.
                 if column is not None:
-                    term_of = _fold_term if column in fold_columns else decode
-                    conditions.append((column, condition.descending, term_of))
+                    key_of = (
+                        int if column in counts  # a count orders as its xsd:integer
+                        else _fold_key if column in fold_columns
+                        else cell_key
+                    )
+                    conditions.append((column, condition.descending, key_of))
             page, tail = self._id_modifiers(query, iter((cols,)), conditions, columns)
             # the tail counted one batch of groups; the fold's own
             # counters (rows folded, groups held) are the sink's
@@ -2641,8 +2663,26 @@ class Execution:
                 query, plan, batches, col_of, runs, bound=where is not None
             )
         if order_vars is not None:
-            return self._batch_topk(query, order_vars, batches, col_of)
+            return self._batch_topk(query, order_vars, batches, col_of, where is not None)
         return self._batch_select(query, batches, col_of)
+
+    def _cell_key_of(self, ids_only: bool):
+        """The ORDER BY key of one ID-space cell.  An ID's is kept beside
+        the dictionary (``TermDict.sort_keys``, built on its first miss):
+        with *ids_only* the kept table's own ``__getitem__``, so a column
+        is keyed in one C-level ``map``.  Otherwise a cell may also be
+        unbound (None, key ``()``) or a term the dictionary lacks
+        (:meth:`_solution_source`), keyed here and never kept."""
+        kept = self.graph.dictionary.sort_keys.__getitem__
+        if ids_only:
+            return kept
+
+        def key_of(cell):
+            if type(cell) is int:
+                return kept(cell)
+            return () if cell is None else cell.sort_key()
+
+        return key_of
 
     def _simple_source(
         self, query: SelectQuery, patterns, simple_filters, plan
@@ -2699,7 +2739,7 @@ class Execution:
             for variable in variables:
                 col_of.setdefault(variable, 0)
             if isinstance(joined, dict):
-                return self._key_batches(joined, fold == "count"), col_of, True
+                return self._key_batches(joined, fold == "count", self._run_cap(query)), col_of, True
             return self._row_batches(iter(joined)), col_of, False
         if filters:
             batches = self._filter_batches(
@@ -2741,15 +2781,31 @@ class Execution:
             # length is ``len(cols[0])``.
             yield list(zip(*block)) if block[0] else [block]
 
-    def _key_batches(self, keys: Dict[Tuple, Optional[int]], counted: bool) -> Iterator[List]:
+    def _key_batches(
+        self, keys: Dict[Tuple, Optional[int]], counted: bool, cap: Optional[int]
+    ) -> Iterator[List]:
         """A folded join's keys (:meth:`_fold_step`) as runs, the form of
-        :meth:`_run_batches`: column batches of keys, each key once, plus
-        their counts as a last column for the count sink."""
-        batches = self._row_batches(iter(keys))
+        :meth:`_run_batches`: column batches of the first *cap* keys (None:
+        all), each key once, plus their counts as a last column for the
+        count sink."""
+        batches = self._row_batches(_islice(keys, cap))
         if not counted:
             return batches
         counts = iter(keys.values())
         return (cols + [list(_islice(counts, len(cols[0])))] for cols in batches)
+
+    @staticmethod
+    def _run_cap(query: SelectQuery) -> Optional[int]:
+        """The runs a run-fed sink reads at most (None: every run).  Under
+        a pure-COUNT GROUP BY each run is a whole group, in first-seen
+        order, so without ORDER BY or DISTINCT the page is the first
+        ``offset + limit`` of them.  A DISTINCT dedups rows, not groups --
+        ``SELECT DISTINCT (COUNT(?p) AS ?n)`` keeps one row per distinct
+        count -- so it reads them all, and so does a DISTINCT fed keys
+        (its sink stops pulling at its page on its own)."""
+        if query.order_by or query.distinct:
+            return None
+        return Execution._page_cap(query)
 
     @staticmethod
     def _page_cap(query: SelectQuery) -> Optional[int]:
@@ -2858,7 +2914,8 @@ class Execution:
         rows, no size is computed), else None.  A key's rows are contiguous
         in the expanded scan, so first-seen order is key order.  A batch is
         at most ``BATCH_SIZE`` keys in the variable's column, ``None`` in
-        the others, plus the run lengths for the count sink.
+        the others, plus the run lengths for the count sink, which reads no
+        run past its page (:meth:`_run_cap`).
         """
         if wanted is None or len(wanted) != 1:
             return None
@@ -2874,7 +2931,8 @@ class Execution:
         if runs is None or ep.spec[runs[0]] != variable:
             return None
         _position, keys, sizes = runs
-        keys, column, size = iter(keys), col_of[variable], self.engine.BATCH_SIZE
+        keys = _islice(keys, self._run_cap(query))
+        column, size = col_of[variable], self.engine.BATCH_SIZE
 
         def batches():
             for block in iter(lambda: list(_islice(keys, size)), []):
@@ -2970,13 +3028,15 @@ class Execution:
         order_vars: List[Variable],
         batches: Iterator[List],
         col_of: Dict[Variable, int],
+        ids_only: bool,
     ) -> SelectResult:
-        """The ORDER BY sink: sort-key columns (one decode per distinct
-        cell) into :meth:`_id_modifiers`, then decode the page."""
-        decode = self.graph.decode_id
+        """The ORDER BY sink: sort-key columns (one key per distinct cell,
+        :meth:`_cell_key_of`; *ids_only*: every cell is an ID) into
+        :meth:`_id_modifiers`, then decode the page."""
+        key_of = self._cell_key_of(ids_only)
         # A sort variable no solution binds ties on every row: drop it.
         conditions = [
-            (col_of[variable], condition.descending, decode)
+            (col_of[variable], condition.descending, key_of)
             for variable, condition in zip(order_vars, query.order_by)
             if variable in col_of
         ]
@@ -3017,9 +3077,10 @@ class Execution:
         (:meth:`_solution_source`) -- a fold skips unbound cells and the
         count shortcut is off, since a COUNT of a variable is then not the
         group's size.  Pure-COUNT grouping (:meth:`_counts_only`; the only
-        shape fed *runs*) vectorizes through :class:`Counter` (one C-speed update per
-        batch; Counter preserves first-seen insertion order, matching the
-        dict-based fold's group order).  Everything else slices each
+        shape fed *runs*, which it takes as columns) vectorizes through
+        :class:`Counter` (one C-speed update per batch; Counter preserves
+        first-seen insertion order, matching the dict-based fold's group
+        order).  Everything else slices each
         batch's value columns per group and folds them through
         :meth:`_AggFold.fold_batch`, so results are identical to the
         row-at-a-time fold at any batch size.  Either way the groups leave
@@ -3122,40 +3183,48 @@ class Execution:
         :class:`Counter` update per batch, over the key column or a
         C-level ``zip`` of the key columns (first-seen group order, as the
         dict fold).  Fed *runs* (:meth:`_run_batches`, :meth:`_key_batches`),
-        each key -- one key column or a ``zip`` of several -- is one group
-        and the batch's last column holds its count."""
+        each run is one group already: its key columns -- one or several --
+        and the batch's last column, the counts, are extended as they come
+        and handed over as the groups' columns, no dict in between.  Either
+        way every group-key cell is an ID."""
         group_vars, items = plan
-        counter: Counter = Counter()
         input_rows = 0
         n_batches = 0
-        single = len(group_columns) == 1
-        for cols in batches:
-            n_batches += 1
-            n = len(cols[0])
-            input_rows += n
-            if runs:  # no key repeats: store the counts as they are
-                keys = cols[group_columns[0]] if single else zip(*[cols[c] for c in group_columns])
-                dict.update(counter, zip(keys, cols[-1]))
-            else:
+        if runs:
+            cols = [[] for _ in group_columns]
+            counts: List[int] = []
+            for batch in batches:
+                n_batches += 1
+                input_rows += len(batch[0])
+                for column, c in zip(cols, group_columns):
+                    column.extend(batch[c])
+                counts.extend(batch[-1])
+        else:
+            counter: Counter = Counter()
+            single = len(group_columns) == 1
+            for batch in batches:
+                n_batches += 1
+                input_rows += len(batch[0])
                 counter.update(
-                    cols[group_columns[0]] if single else zip(*[cols[c] for c in group_columns])
+                    batch[group_columns[0]] if single else zip(*[batch[c] for c in group_columns])
                 )
+            keys = list(counter)
+            if single:
+                cols = [keys]
+            else:
+                cols = [list(column) for column in zip(*keys)] or [[] for _ in group_columns]
+            counts = list(counter.values())
         stats = {
             "input_rows": input_rows,
-            "tracked_rows": len(counter),
+            "tracked_rows": len(counts),
             "batches": n_batches,
         }
-        keys = list(counter)
-        if single:
-            cols = [keys]
-        else:
-            cols = [list(column) for column in zip(*keys)] or [[] for _ in group_columns]
-        cols.append(list(counter.values()))
+        cols.append(counts)
         columns = [
             group_vars.index(payload) if kind == "var" else len(group_columns)
             for kind, payload, _name in items
         ]
-        return self._aggregate_page(query, items, cols, columns, stats)
+        return self._aggregate_page(query, items, cols, columns, stats, ids_only=True)
 
     def _run_select_general(self, query: SelectQuery) -> SelectResult:
         solutions = list(self._evaluate_group(query.where, [{}]))

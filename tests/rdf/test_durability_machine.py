@@ -16,7 +16,8 @@ every carried file still matches its entry), and after each commit the
 recovered term dictionary *is* the live one (rows, next ID, free list in
 order), nothing is orphaned, and a shard file was rewritten iff a triple of
 that shard came or went since the commit before.  The live dictionary's
-kind bytes are its terms' kinds after every step, whatever object it is.
+kind bytes are its terms' kinds, and its kept sort keys its live terms'
+keys, after every step, whatever object it is.
 """
 
 from __future__ import annotations
@@ -362,6 +363,15 @@ class DurableStore(RuleBasedStateMachine):
         self._close()
         self.graph = self.graph.copy()
 
+    @rule()
+    def key_every_live_term(self):
+        """What an ORDER BY cut does to the dictionary: keep the sort key of
+        every ID it compares -- here every live one, so a later free and
+        recycle of any of them is caught by the invariant below."""
+        table = self.graph.dictionary
+        for _term, term_id in table.items():
+            table.sort_keys[term_id]
+
     # -- what must hold after every step ---------------------------------------------
 
     @invariant()
@@ -397,6 +407,18 @@ class DurableStore(RuleBasedStateMachine):
             type(live[term_id]).KIND if term_id in live else 0
             for term_id in range(table._next_id)
         ]
+
+    @invariant()
+    def a_kept_sort_key_is_the_live_terms_key(self):
+        """``TermDict.sort_keys`` is derived from the table too: a kept key
+        is its ID's live term's ``sort_key()``, and a freed ID keeps none --
+        IDs are recycled, so a key left behind would order the next term
+        to take the ID as the one it freed."""
+        table = self.graph.dictionary
+        live = {term_id: term for term, term_id in table.items()}
+        for term_id, key in table.sort_keys.items():
+            assert term_id in live, term_id
+            assert key == live[term_id].sort_key(), term_id
 
 
 DurableStore.TestCase.settings = settings(

@@ -153,10 +153,12 @@ def _check_runs(graph: Graph, probe, runs_taken: bool) -> None:
                     if (offset, limit) == (0, None):
                         assert stats["input_rows"] == len(rows), context
                     continue
-                cap = None if shape != "distinct" or limit is None else offset + limit
-                pulled = len(first_seen) if cap is None else min(
-                    len(first_seen), -(-cap // batch_size) * batch_size
-                )
+                if limit is None:
+                    pulled = len(first_seen)
+                elif shape == "distinct":  # the select sink stops after a batch
+                    pulled = min(len(first_seen), -(-(offset + limit) // batch_size) * batch_size)
+                else:  # a run is a whole group: the count sink reads the page's runs
+                    pulled = min(len(first_seen), offset + limit)
                 if limit == 0:
                     pulled = 0  # a LIMIT 0 page reads no batch
                 assert stats["input_rows"] == stats.get("scan_cells", 0) == pulled, context
@@ -340,6 +342,12 @@ def _cell_term(cell):
     return Literal(str(cell // 2), datatype=XSD_INTEGER if cell % 2 else XSD_DECIMAL)
 
 
+def _cell_key(cell):
+    """What ``_first_in_order`` takes for a condition: the key of one cell,
+    ``()`` for an unbound one -- the parent's ``_cell_term`` keyed."""
+    return () if cell is None else _cell_term(cell).sort_key()
+
+
 _cells = st.one_of(st.none(), st.integers(min_value=0, max_value=7))
 
 
@@ -356,10 +364,11 @@ def test_tail_bound_equals_the_per_row_heap(rows, room_share, descending, width,
     indices = list(range(0, len(rows), 2 if sparse else 1))
     room = min(int(room_share * (len(indices) + 1)), len(indices) + 1)
     conditions = [(c, descending[c], _cell_term) for c in range(width)]
+    keyed = [(c, descending[c], _cell_key) for c in range(width)]
     expected_memos = [{} for _ in conditions]
     memos = [{} for _ in conditions]
     expected = _parent_first_in_order(columns, indices, room, conditions, expected_memos)
-    assert _first_in_order(columns, indices, room, conditions, memos) == expected
+    assert _first_in_order(columns, indices, room, keyed, memos) == expected
     # keys are built for the same distinct cells: ``sort_keys`` is unchanged
     assert [memo.keys() for memo in memos] == [memo.keys() for memo in expected_memos]
 
@@ -371,6 +380,7 @@ def test_tail_room_reaches_every_boundary():
     columns = [cells, list(range(len(cells)))]
     for room, descending in itertools.product(range(len(cells) + 2), (False, True)):
         conditions = [(0, descending, _cell_term), (1, not descending, _cell_term)]
+        keyed = [(0, descending, _cell_key), (1, not descending, _cell_key)]
         indices = list(range(len(cells)))
         expected = _parent_first_in_order(columns, indices, room, conditions, [{}, {}])
-        assert _first_in_order(columns, indices, room, conditions, [{}, {}]) == expected
+        assert _first_in_order(columns, indices, room, keyed, [{}, {}]) == expected

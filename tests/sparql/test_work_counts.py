@@ -132,6 +132,50 @@ def test_a_limit_zero_page_reads_nothing(engine, shape):
     assert stats.get("scan_cells", 0) == stats["input_rows"] == stats["batches"] == 0
 
 
+#: a run-fed pure-COUNT GROUP BY with no ORDER BY: each run is a whole
+#: group in first-seen order, so the sink reads the page's runs and no more
+#: -- ``(input_rows, tracked_rows, scan_cells, batches)``, 2,990 each (3
+#: batches) before it stopped at its page
+PAGE_STOP = ("SELECT ?s (COUNT(?p) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s LIMIT 10", (10, 10, 10, 1))
+
+
+def test_a_run_fed_count_stops_at_its_page(engine):
+    text, pin = PAGE_STOP
+    stats = engine.execute(text).stats
+    assert stats["operator"] == "aggregate-id"
+    assert (stats["input_rows"], stats["tracked_rows"], stats["scan_cells"], stats["batches"]) == pin
+
+
+def test_a_distinct_count_page_reads_every_group(engine):
+    """``SELECT DISTINCT`` over the counts dedups rows, not groups: its
+    first three rows can lie past the first three groups, so it reads
+    every run."""
+    text = "SELECT DISTINCT (COUNT(?p) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s LIMIT 3"
+    stats = engine.execute(text).stats
+    assert stats["input_rows"] == stats["tracked_rows"] == 2990
+
+
+RUN_FED_COUNTS = [
+    "SELECT ?s (COUNT(?p) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s",
+    "SELECT DISTINCT (COUNT(?p) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s",
+    "SELECT DISTINCT ?s (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s",
+    "SELECT (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s",
+    # the join's last step folds its rows into runs (``_key_batches``)
+    "SELECT ?c ?p (COUNT(?o) AS ?n) WHERE { ?s a ?c . ?s ?p ?o } GROUP BY ?c ?p",
+]
+PAGES = ["", " LIMIT 0", " LIMIT 3", " OFFSET 5 LIMIT 3", " OFFSET 2988 LIMIT 5", " OFFSET 7"]
+
+
+@pytest.mark.parametrize("page", PAGES)
+@pytest.mark.parametrize("text", RUN_FED_COUNTS)
+def test_a_run_fed_count_page_equals_scan(engine, text, page):
+    """The page stop against the oracle, row for row, under DISTINCT,
+    OFFSET and LIMIT."""
+    hash_rows = engine.execute(text + page).result.rows
+    scan_rows = QueryEngine(engine.graph, strategy="scan").execute(text + page).result.rows
+    assert hash_rows == scan_rows
+
+
 @pytest.mark.parametrize("name", sorted(CENSUS_PINS))
 def test_work_counts_of_one_census_dataset(census_engine, name):
     stats = census_engine.execute(QUESTIONS[name]).stats

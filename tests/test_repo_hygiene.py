@@ -1001,7 +1001,8 @@ class TestKindByteWrittenOnce:
     writer is how the byte drifts from the term that holds the ID.  The
     SPARQL term tests read that byte, so no memo there decodes an ID."""
 
-    MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "reverse"}
+    MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "reverse",
+                "update", "setdefault", "popitem"}
 
     @staticmethod
     def _trees(package):
@@ -1035,17 +1036,18 @@ class TestKindByteWrittenOnce:
         return targets
 
     @classmethod
-    def _kinds_writes(cls, tree):
+    def _kinds_writes(cls, tree, name="kinds"):
         """Lines that bind ``<x>.kinds``, store into ``kinds[...]`` /
-        ``<x>.kinds[...]`` or call a mutating method on either."""
+        ``<x>.kinds[...]`` or call a mutating method on either (*name*:
+        another derived table of the dictionary)."""
 
         def is_kinds(node):
-            return getattr(node, "attr", None) == "kinds" or getattr(node, "id", None) == "kinds"
+            return getattr(node, "attr", None) == name or getattr(node, "id", None) == name
 
         lines = set()
         for node in ast.walk(tree):
             for target in cls._targets(node):
-                if (isinstance(target, ast.Attribute) and target.attr == "kinds") or (
+                if (isinstance(target, ast.Attribute) and target.attr == name) or (
                     isinstance(target, ast.Subscript) and is_kinds(target.value)
                 ):
                     lines.add(node.lineno)
@@ -1094,6 +1096,22 @@ class TestKindByteWrittenOnce:
     def test_the_kind_byte_is_written_in_the_dictionary_only(self):
         writers = {path for path, tree in self._trees("") if self._kinds_writes(tree)}
         assert writers == {"rdf/dictionary.py"}, sorted(writers)
+
+    def test_the_kept_sort_keys_are_written_in_the_dictionary_only(self):
+        """``TermDict.sort_keys`` is derived from the table over recycled
+        IDs: only the module that frees an ID can drop its key."""
+        writers = {
+            path for path, tree in self._trees("") if self._kinds_writes(tree, "sort_keys")
+        }
+        assert writers == {"rdf/dictionary.py"}, sorted(writers)
+        forbidden = ast.parse("\n".join([
+            "def f(table, term_id, key):",
+            "    table.sort_keys[term_id] = key",
+            "    table.sort_keys.update({term_id: key})",
+            "    table.sort_keys.pop(term_id)",
+            "    return table.sort_keys[term_id], table.sort_keys.__getitem__",  # reads
+        ]))
+        assert self._kinds_writes(forbidden, "sort_keys") == {2, 3, 4}
 
     def test_the_kind_codes_are_defined_on_the_term_classes_only(self):
         from repro.rdf import BNode, IRI, Literal
