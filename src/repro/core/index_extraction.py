@@ -43,7 +43,7 @@ from collections import Counter, defaultdict
 from functools import partial
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from ..endpoint.errors import EndpointError, EndpointTimeout, QueryRejected
+from ..endpoint.errors import EndpointError, EndpointTimeout, QueryRejected, check_count
 from ..endpoint.network import SparqlClient
 from .models import ClassIndex, EndpointIndexes, LinkIndex
 
@@ -57,12 +57,6 @@ class ExtractionFailed(RuntimeError):
         super().__init__(f"extraction failed for {url}: {reason}")
         self.url = url
         self.reason = reason
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Refuse a *value* that is not an int >= *least* (a bool is not one)."""
-    if type(value) is not int or value < least:
-        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 class _BadCount(Exception):
@@ -244,9 +238,9 @@ class IndexExtractor:
         max_classes: int = 1000,
         infer_types: bool = False,
     ):
-        _check_count("page_size", page_size, least=1)
-        _check_count("max_pages", max_pages, least=1)
-        _check_count("max_classes", max_classes, least=1)
+        check_count("page_size", page_size)
+        check_count("max_pages", max_pages)
+        check_count("max_classes", max_classes)
         self.client = client
         #: LIMIT used by the scan strategy's pagination
         self.page_size = page_size
@@ -334,7 +328,7 @@ class IndexExtractor:
         triples and counting client-side (an error there is raised to the
         caller).  Ties break on the subject IRI so both rungs agree.
         """
-        _check_count("k", k, least=0)
+        check_count("k", k, least=0)
         pattern = f"WHERE {{ ?s a <{class_iri}> . ?s ?p ?o }}"
         return self._climb(url, _Walk(), (
             _Rung(f"SELECT ?s (COUNT(?o) AS ?n) {pattern} GROUP BY ?s ORDER BY DESC(?n) ?s "
@@ -354,7 +348,7 @@ class IndexExtractor:
         ``(-degree, iri)`` ranking rule.  None when the endpoint rejects,
         times out on or caps it: callers then ask per class.
         """
-        _check_count("k", k, least=0)
+        check_count("k", k, least=0)
         return self._climb(url, _Walk(), (_Rung(_SPOTLIGHT, partial(_spotlight, k)), _PER_CLASS))
 
     # -- the ladders -----------------------------------------------------------------

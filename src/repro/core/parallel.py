@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from ..endpoint.clock import SimulationClock
+from ..endpoint.errors import check_count
 
 __all__ = [
     "TaskOutcome",
@@ -94,8 +95,7 @@ def makespan_ms(durations: Sequence[float], parallelism: int) -> float:
     one worker this degenerates to the plain sum, i.e. today's sequential
     behaviour.
     """
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    check_count("parallelism", parallelism)
     if not durations:
         return 0.0
     workers = [0.0] * min(parallelism, len(durations))
@@ -116,9 +116,10 @@ def run_parallel(
     depend on batch position or on ``parallelism``), exceptions are
     captured per task, and the clock finally advances by the parallel
     makespan.  Returns the outcomes in input order plus that makespan.
+    A *parallelism* that is not an int >= 1 is refused before any task
+    runs.
     """
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    check_count("parallelism", parallelism)
     outcomes: List[TaskOutcome] = [
         measure_task(clock, key, thunk) for key, thunk in tasks
     ]

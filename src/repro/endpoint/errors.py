@@ -9,6 +9,7 @@ silently, which is precisely why pattern strategies exist).
 from __future__ import annotations
 
 __all__ = [
+    "check_count",
     "EndpointError",
     "EndpointUnavailable",
     "EndpointTimeout",
@@ -40,3 +41,10 @@ class QueryRejected(EndpointError):
 class UnknownEndpoint(EndpointError):
     """No endpoint is registered at this URL (DNS failure analog)."""
 
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """Refuse a *value* that is not an int >= *least* (a bool is not a
+    count): the one rule for a count argument of the core and serving
+    layers, checked before any work starts."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")

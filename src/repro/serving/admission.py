@@ -19,15 +19,10 @@ import math
 from collections import OrderedDict, deque
 from typing import Deque, Dict, List, Optional
 
+from ..endpoint.errors import check_count
 from .workload import Request
 
-__all__ = ["FairAdmissionQueue", "check_count", "check_duration"]
-
-
-def check_count(name: str, value) -> None:
-    """Refuse a *value* that is not an int >= 1 (a bool is not a count)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+__all__ = ["FairAdmissionQueue", "check_duration"]
 
 
 def check_duration(name: str, value) -> None:

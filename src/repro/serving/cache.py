@@ -22,7 +22,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from .admission import check_count, check_duration
+from ..endpoint.errors import check_count
+from .admission import check_duration
 
 __all__ = ["ResultCache"]
 

@@ -40,9 +40,9 @@ from heapq import heappop, heappush, heapreplace
 from typing import Callable, List, Optional, Sequence
 
 from ..endpoint.clock import SimulationClock
-from ..endpoint.errors import EndpointTimeout, QueryRejected
+from ..endpoint.errors import EndpointTimeout, QueryRejected, check_count
 from ..obs.trace import NULL_TRACER, defer, result_digest
-from .admission import FairAdmissionQueue, check_count, check_duration
+from .admission import FairAdmissionQueue, check_duration
 from .workload import Request
 
 __all__ = ["RequestRecord", "Scheduler", "check_serving_parameters"]

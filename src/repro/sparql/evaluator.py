@@ -21,20 +21,22 @@ is small enough that the classic textbook pipeline would only add plumbing):
 Two BGP pipelines sit behind ``QueryEngine(graph, strategy=...)``:
 
 * ``"hash"`` (default) -- the eager dictionary-encoded hash-join pipeline
-  above, plus a lazy operator chain
-  (:meth:`Execution._evaluate_group_stream`: pattern scan, hash/index
-  join, FILTER, OPTIONAL, UNION and VALUES as generators, so a consumer
-  pulls exactly as much of the join as it needs).  The chain has two
-  users: ASK, which stops at its first witness, and a small-LIMIT page.
+  above, plus a lazy chain of ID rows over a simple WHERE clause
+  (:meth:`Execution._stream_id_rows`: a pattern scan, then one cartesian,
+  hash or index join step per further pattern and the term-test FILTERs
+  as generators, so a consumer pulls exactly as much of the join as it
+  needs).  The chain has two users: ASK, which stops at its first
+  witness, and a small-LIMIT page; either over any other WHERE clause
+  runs the eager group pipeline.
 * ``"scan"`` -- the legacy substitute-and-scan nested-loop join kept as
   the conformance oracle; the suite runs every query through both
   pipelines and asserts identical solutions.
 
 A hash SELECT takes one of three routes (:meth:`Execution._run_select`):
 
-1. a ``LIMIT`` <= ``STREAM_DELEGATE_LIMIT`` page with no DISTINCT and no
-   pipeline breaker (ORDER BY, aggregation, HAVING, ``SELECT *``) runs on
-   the lazy chain;
+1. a ``LIMIT`` <= ``STREAM_DELEGATE_LIMIT`` page with no DISTINCT, no
+   pipeline breaker (ORDER BY, aggregation, HAVING, ``SELECT *``) and a
+   simple WHERE clause (below) is cut on the lazy chain's ID rows;
 2. a *column-shaped* SELECT clause -- bare-variable projections (or
    ``SELECT *``) and sort keys, column-shaped aggregation
    (``aggregate_plan``), a HAVING that pushes down into the fold -- runs
@@ -125,6 +127,7 @@ from .nodes import (
 from . import join_plan
 from .join_plan import JoinStep, Memo, count_up_to, join_order, picker, settled
 from .parser import parse_query
+from .paths import evaluate_path, evaluate_path_ids, is_path
 from .results import AskResult, Row, SelectResult
 
 __all__ = ["evaluate", "Execution", "QueryEngine"]
@@ -251,16 +254,6 @@ def _passing(rows: Iterator[Tuple], column: int, check) -> Iterator[Tuple]:
     lazily."""
     for row in rows:
         if check(row[column]):
-            yield row
-
-
-def _first_seen(rows: Iterator, key_of) -> Iterator:
-    """The first of *rows* with each ``key_of(row)``, lazily."""
-    seen = set()
-    for row in rows:
-        key = key_of(row)
-        if key not in seen:
-            seen.add(key)
             yield row
 
 
@@ -558,8 +551,6 @@ class _EncodedPattern:
     )
 
     def __init__(self, index: int, pattern: TriplePattern, graph: Graph):
-        from .paths import is_path
-
         self.index = index
         self.path = pattern.predicate if is_path(pattern.predicate) else None
         self.impossible = False
@@ -790,8 +781,9 @@ class QueryEngine:
     Instances are cheap; hold one per graph or just use :func:`evaluate`.
     ``strategy`` selects the BGP pipeline: ``"hash"`` (default) is the
     eager dictionary-encoded hash-join pipeline (a small-LIMIT page and
-    ASK run its lazy operator chain), and ``"scan"`` the legacy
-    substitute-and-scan nested-loop join kept for conformance A/B runs.
+    ASK over a simple WHERE clause run its lazy ID chain), and
+    ``"scan"`` the legacy substitute-and-scan nested-loop join kept for
+    conformance A/B runs.
 
     Planning is amortized across *all* engines of a graph: compiled
     patterns live in a :class:`_SharedPlanCache` attached to the graph,
@@ -1440,8 +1432,6 @@ class Execution:
 
     def _scan_path(self, ep: _EncodedPattern, s_spec, o_spec) -> Iterator[Tuple]:
         """Path-pattern scan; spec entries as in :class:`_EncodedPattern`."""
-        from .paths import evaluate_path, evaluate_path_ids
-
         graph = self.graph
         if isinstance(s_spec, Term) and not isinstance(s_spec, Variable) or (
             isinstance(o_spec, Term) and not isinstance(o_spec, Variable)
@@ -1761,192 +1751,47 @@ class Execution:
         positions = [ep.var_positions[v] for v in ep.variables]
         yield from _triples_to_scan_rows(self.graph.triples_ids(s, p, o), positions)
 
-    # -- the streaming (volcano-style) pipeline --------------------------------
+    # -- the lazy ID chain (volcano-style) ------------------------------------
     #
     # Every operator is a generator over ID-tuple rows; a row is pulled
     # through the whole chain before the next one is produced, so a bounded
-    # consumer stops the scans underneath it early.  It has two: rule 1's
-    # small-LIMIT page (_run_select_streaming) and ASK (_any_solution).
-    # Physical operators are shared with the hash pipeline (_scan_pattern,
-    # _index_join); what changes is the control flow around them.
-
-    def _evaluate_group_stream(
-        self, group: GroupPattern, solutions: Iterator[Solution]
-    ) -> Iterator[Solution]:
-        """Lazy group pipeline: compose generators element by element."""
-        stream = solutions
-        filters: List[FilterPattern] = []
-        pending: List[TriplePattern] = []
-        for element in group.elements:
-            if isinstance(element, TriplePattern):
-                pending.append(element)
-                continue
-            if isinstance(element, FilterPattern):
-                filters.append(element)
-                continue
-            if pending:
-                stream = self._stream_bgp(tuple(pending), stream)
-                pending = []
-            if isinstance(element, OptionalPattern):
-                stream = self._stream_optional(element, stream)
-            elif isinstance(element, UnionPattern):
-                stream = self._stream_union(element, stream)
-            elif isinstance(element, GroupPattern):
-                stream = self._evaluate_group_stream(element, stream)
-            elif isinstance(element, ValuesPattern):
-                stream = self._stream_values(element, stream)
-            else:  # pragma: no cover - parser prevents this
-                raise SparqlEvaluationError(f"unknown pattern element {element!r}")
-        if pending:
-            stream = self._stream_bgp(tuple(pending), stream)
-        for filter_pattern in filters:
-            stream = self._stream_filter(filter_pattern.expression, stream)
-        return stream
-
-    def _stream_filter(
-        self, expression: Expression, stream: Iterator[Solution]
-    ) -> Iterator[Solution]:
-        for solution in stream:
-            if self._filter_passes(expression, solution):
-                yield solution
-
-    def _stream_optional(
-        self, element: OptionalPattern, stream: Iterator[Solution]
-    ) -> Iterator[Solution]:
-        for solution in stream:
-            extended = self._evaluate_group_stream(element.group, iter((solution,)))
-            first = next(extended, _UNBOUND)
-            if first is _UNBOUND:
-                yield solution
-            else:
-                yield first
-                yield from extended
-
-    def _stream_union(
-        self, element: UnionPattern, stream: Iterator[Solution]
-    ) -> Iterator[Solution]:
-        # UNION replays its input once per alternative, so the input is the
-        # one place the stream pipeline has to buffer.  Alternatives still
-        # evaluate lazily, alternative-major like the eager pipeline.
-        buffered = list(stream)
-        for alternative in element.alternatives:
-            yield from self._evaluate_group_stream(alternative, iter(buffered))
-
-    def _stream_values(
-        self, element: ValuesPattern, stream: Iterator[Solution]
-    ) -> Iterator[Solution]:
-        for solution in stream:
-            for row in element.rows:
-                candidate = dict(solution)
-                compatible = True
-                for variable, value in zip(element.variables, row):
-                    if value is None:
-                        continue  # UNDEF leaves the variable unconstrained
-                    existing = candidate.get(variable)
-                    if existing is None:
-                        candidate[variable] = value
-                    elif existing != value:
-                        compatible = False
-                        break
-                if compatible:
-                    yield candidate
-
-    def _stream_bgp(
-        self, patterns: Sequence[TriplePattern], solutions: Iterator[Solution]
-    ) -> Iterator[Solution]:
-        """The BGP join chain as a per-input-solution volcano pipeline.
-
-        Each input solution seeds a single ID row binding exactly its
-        header's variables (so no row of the chain has an unbound cell);
-        one generator per pattern extends rows lazily
-        (:meth:`_stream_chain`).  Operator state that is worth sharing
-        across input solutions (hash-join build tables, cartesian scan
-        buffers) lives in ``state`` keyed by pattern, so heterogeneous
-        input headers each get a layout but the expensive scans run once.
-        """
-        encoded = self._compile_patterns(patterns)
-        if any(ep.impossible for ep in encoded):
-            return
-        graph = self.graph
-        lookup = graph.lookup_id
-        decode = graph.decode_id
-        plans: Dict[frozenset, Tuple] = {}
-        state: Dict = {}
-        for solution in solutions:
-            header = frozenset(solution)
-            plan = plans.get(header)
-            if plan is None:
-                plan = plans[header] = self._stream_plan(encoded, solution)
-            columns, steps, out_layout = plan
-            row: List = []
-            for variable in columns:
-                term = solution[variable]
-                term_id = lookup(term)
-                # Non-interned terms ride along raw; they can never equal a
-                # scanned ID, which is the join semantics they need.
-                row.append(term_id if term_id is not None else term)
-            for out_row in self._stream_chain(steps, tuple(row), state):
-                out: Solution = {}
-                for variable, column in out_layout:
-                    value = out_row[column]
-                    if value is _UNBOUND:
-                        continue
-                    out[variable] = decode(value) if type(value) is int else value
-                yield out
-
-    def _stream_chain(self, steps: List[Tuple], seed: Tuple, state: Dict) -> Iterator[Tuple]:
-        """The lazy BGP chain: :meth:`_stream_plan`'s *steps* extending the
-        one *seed* row, each a :meth:`_stream_step` generator over the one
-        before.  Yields ID rows laid out as the plan's last layout."""
-        source: Iterator[Tuple] = iter((seed,))
-        for step in steps:
-            source = self._stream_step(step, source, state)
-        return source
+    # consumer stops the scans underneath it early.  It reads a simple WHERE
+    # clause only and has two callers: rule 1's small-LIMIT page
+    # (_run_select_streaming) and ASK (_any_solution).  Physical operators
+    # are shared with the hash pipeline (_scan_pattern, _index_join_plain);
+    # what changes is the control flow around them.
 
     def _stream_id_rows(
         self, patterns: List[TriplePattern], simple_filters
     ) -> Tuple[Iterator[Tuple], Dict[Variable, int]]:
         """``(ID rows, col_of)`` of a simple WHERE clause
-        (:meth:`_simple_where_shape`) off the lazy chain, FILTERs applied as
-        per-ID verdicts (:meth:`_term_verdicts`), in the order
-        :meth:`_stream_bgp` would yield its solutions.  Every cell is an ID:
-        the chain starts from the empty row and no pattern is a path.  A
-        pattern no triple can match, or a FILTER over a variable no pattern
-        binds, gives no rows."""
+        (:meth:`_simple_where_shape`) off the lazy chain, in the hash
+        pipeline's order (:func:`join_order`): the first pattern's scan
+        (the empty row's extensions), each later pattern joined by one
+        :meth:`_stream_step`, then the FILTERs as per-ID verdicts
+        (:meth:`_term_verdicts`).  Every cell is an ID.  A pattern no
+        triple can match, or a FILTER over a variable no pattern binds,
+        gives no rows."""
         encoded = self._compile_patterns(patterns)
         if any(ep.impossible for ep in encoded):
             return iter(()), {}
-        _columns, steps, layout = self._stream_plan(encoded, {})
-        col_of = dict(layout)
-        rows = self._stream_chain(steps, (), {})
+        first, *rest = encoded if len(encoded) == 1 else join_order(encoded, set())
+        rows = self._scan_pattern(first)
+        col_of = {variable: column for column, variable in enumerate(first.variables)}
+        for ep in rest:
+            shared = tuple(v for v in ep.variables if v in col_of)
+            new_vars = tuple(v for v in ep.variables if v not in col_of)
+            new_col_of = dict(col_of)
+            for variable in new_vars:
+                new_col_of[variable] = len(new_col_of)
+            rows = self._stream_step(ep, rows, col_of, new_col_of, new_vars, shared)
+            col_of = new_col_of
         for test, variable in simple_filters:
             column = col_of.get(variable)
             if column is None:
                 return iter(()), col_of
             rows = _passing(rows, column, self._term_verdicts(test))
         return rows, col_of
-
-    def _stream_plan(
-        self, encoded: List[_EncodedPattern], solution: Solution
-    ) -> Tuple[List[Variable], List[Tuple], List[Tuple[Variable, int]]]:
-        """Join order + per-step column layouts for one input header.
-
-        The hash pipeline's order (:func:`join_order`); the layouts are
-        precomputed here so each solution only pays tuple construction at
-        run time.
-        """
-        columns = sorted(solution, key=lambda variable: variable.name)
-        col_of: Dict[Variable, int] = {v: i for i, v in enumerate(columns)}
-        steps: List[Tuple] = []
-        for chosen in join_order(encoded, {variable.name for variable in columns}):
-            shared = tuple(v for v in chosen.variables if v in col_of)
-            new_vars = tuple(v for v in chosen.variables if v not in col_of)
-            new_col_of = dict(col_of)
-            for variable in new_vars:
-                new_col_of[variable] = len(new_col_of)
-            steps.append((chosen, col_of, new_col_of, new_vars, shared))
-            col_of = new_col_of
-        return columns, steps, list(col_of.items())
 
     #: hash-join build tables above this estimated cardinality would scan
     #: the pattern eagerly and defeat LIMIT pushdown, so anything larger
@@ -1956,16 +1801,20 @@ class Execution:
     STREAM_HASH_BUILD_MAX = 64.0
 
     def _stream_step(
-        self, step: Tuple, upstream: Iterator[Tuple], state: Dict
+        self,
+        ep: _EncodedPattern,
+        upstream: Iterator[Tuple],
+        col_of: Dict[Variable, int],
+        new_col_of: Dict[Variable, int],
+        new_vars: Tuple[Variable, ...],
+        shared: Tuple[Variable, ...],
     ) -> Iterator[Tuple]:
-        """Extend each upstream row with one pattern's matches, lazily."""
-        ep, col_of, new_col_of, new_vars, shared = step
-        extra_width = len(new_vars)
-
-        if not shared and ep.path is None:
-            # Cartesian extension.  The single-upstream-row case (every
-            # BGP's first pattern) streams straight off the index scan; a
-            # multi-row upstream needs the scan replayed, so it buffers.
+        """Extend each upstream row (laid out as *col_of*) with one
+        pattern's matches (*new_vars*, laid out as *new_col_of*), lazily."""
+        if not shared:
+            # Cartesian extension.  A single upstream row streams straight
+            # off the index scan; a multi-row upstream needs the scan
+            # replayed, so it buffers.
             first = next(upstream, _UNBOUND)
             if first is _UNBOUND:
                 return
@@ -1974,25 +1823,18 @@ class Execution:
                 for srow in self._scan_pattern(ep):
                     yield first + srow
                 return
-            key = (ep.index, "scan")
-            scan = state.get(key)
-            if scan is None:
-                scan = state[key] = list(self._scan_pattern(ep))
+            scan = list(self._scan_pattern(ep))
             for row in _chain((first, second), upstream):
                 for srow in scan:
                     yield row + srow
             return
 
-        if shared and ep.path is None and ep.est <= self.STREAM_HASH_BUILD_MAX:
-            # Hash join against a small pattern: build the table once per
-            # BGP (shared across input solutions), probe row by row.
-            key = (ep.index, tuple(v.name for v in shared))
-            table = state.get(key)
-            if table is None:
-                table = state[key] = self._build_probe_table(ep, shared, new_vars)
-            shared_cols = [col_of[v] for v in shared]
+        if ep.est <= self.STREAM_HASH_BUILD_MAX:
+            # Hash join against a small pattern: build the table once,
+            # probe row by row.
+            table = self._build_probe_table(ep, shared, new_vars)
             get = table.get
-            key_of = itemgetter(*shared_cols)
+            key_of = itemgetter(*[col_of[v] for v in shared])
             for row in upstream:
                 bucket = get(key_of(row))
                 if bucket:
@@ -2001,12 +1843,12 @@ class Execution:
             return
 
         # Index nested-loop join: per-row index lookups, no upfront scan.
-        # Covers property paths, repeated variables and large patterns.  A
-        # plain pattern is bound once, on the first row that walks it; a
-        # path or a repeated variable takes the general merge per row.
+        # Covers repeated variables and large patterns.  A plain pattern is
+        # bound once, on the first row that walks it; a repeated variable
+        # takes the general merge per row.
         if not self._plain_joinable(ep, (), col_of):
             for row in upstream:
-                yield from self._index_join_general(ep, [row], col_of, new_col_of, extra_width)
+                yield from self._index_join_general(ep, [row], col_of, new_col_of, len(new_vars))
             return
         bound = None
         for row in upstream:
@@ -2064,8 +1906,6 @@ class Execution:
         self, pattern: TriplePattern, solution: Solution
     ) -> Iterator[Solution]:
         s, p, o = _substitute(pattern, solution)
-
-        from .paths import evaluate_path, is_path
 
         if is_path(pattern.predicate):
             # Variable endpoints range over the node universe only.  A
@@ -2168,54 +2008,44 @@ class Execution:
         return False
 
     def _any_solution(self, group: GroupPattern) -> bool:
-        # Fast path for the ubiquitous liveness probe ``ASK { ?s ?p ?o }``
-        # (and any single plain pattern): probe the ID indexes directly
-        # instead of materializing the full scan.
-        if self.strategy != "scan" and len(group.elements) == 1:
-            element = group.elements[0]
-            from .paths import is_path
-
-            if isinstance(element, TriplePattern) and not is_path(element.predicate):
-                compiled = self._compile_patterns((element,))[0]
-                if compiled.impossible:
-                    return False
-                for row in self._scan_pattern(compiled):
-                    return True
-                return False
-        if self.strategy == "scan":
-            for _ in self._evaluate_group(group, [{}]):
-                return True
-            return False
-        # ASK needs exactly one witness: the streaming pipeline stops the
-        # underlying scans as soon as it surfaces (the eager pipeline would
-        # materialize the complete join first).
-        for _ in self._evaluate_group_stream(group, iter(({},))):
-            return True
-        return False
+        # ASK needs exactly one witness: under ``hash`` a simple WHERE
+        # clause stops the chain's scans as soon as it surfaces; any other
+        # takes the group pipeline's first solution, as ``scan`` does.
+        where = self._simple_where_shape(group) if self.strategy != "scan" else None
+        if where is not None:
+            rows, _col_of = self._stream_id_rows(*where)
+        else:
+            rows = self._evaluate_group(group, [{}])
+        return next(iter(rows), None) is not None
 
     # -- SELECT pipeline -----------------------------------------------------
 
     def _run_select(self, query: SelectQuery) -> SelectResult:
         if self.strategy == "scan":
             return self._run_select_general(query)
-        small = query.limit is not None and query.limit <= self.engine.STREAM_DELEGATE_LIMIT
+        where = self._simple_where_shape(query.where)
         # Rule 1.  Small-LIMIT queries pay for every row an eager pipeline
-        # materializes and then throws away, so the eager engine routes
-        # them through the streaming operators.  This rule must precede
-        # the columnar executor: a ``LIMIT 20`` page over a
-        # two-pattern join is 0.2 ms on the lazy INLJ chain and tens of
-        # ms once any join materializes.  Unordered DISTINCT stays
-        # eager (it deduplicates in ID space before decoding).  The gate
-        # must not involve OFFSET: all pages of one paginated query then
-        # land on the same pipeline, keeping row order stable across
-        # pages.
-        if small and not query.distinct and self._streamable(query):
-            return self._run_select_streaming(query)
+        # materializes and then throws away, so a simple WHERE clause runs
+        # on the lazy ID chain.  This rule must precede the columnar
+        # executor: a ``LIMIT 20`` page over a two-pattern join is 0.2 ms
+        # on the lazy INLJ chain and tens of ms once any join materializes.
+        # Unordered DISTINCT stays eager (it deduplicates in ID space
+        # before decoding).  The gate must not involve OFFSET: all pages of
+        # one paginated query then land on the same pipeline, keeping row
+        # order stable across pages.
+        if (
+            where is not None
+            and query.limit is not None
+            and query.limit <= self.engine.STREAM_DELEGATE_LIMIT
+            and not query.distinct
+            and self._streamable(query)
+        ):
+            return self._run_select_streaming(query, where)
         # Rule 2: a column-shaped SELECT clause runs the columnar sinks,
         # whatever its WHERE clause.  Rule 3: everything else.
         shape = self._simple_select_shape(query)
         if shape is not None:
-            return self._run_select_columnar(query, *shape)
+            return self._run_select_columnar(query, *shape, where)
         return self._run_select_general(query)
 
     @staticmethod
@@ -2234,18 +2064,15 @@ class Execution:
             and not query.has_aggregates()
         )
 
-    def _run_select_streaming(self, query: SelectQuery) -> SelectResult:
-        """Row-at-a-time SELECT: project, deduplicate and paginate while
-        pulling, so OFFSET/LIMIT bound the work the joins underneath do.
-
-        A simple WHERE clause (:meth:`_simple_where_shape`) under
-        bare-variable projections is cut on the chain's ID rows
-        (:meth:`_stream_id_rows`) and only the page's projected cells are
-        decoded (:meth:`_decode_id_rows`); DISTINCT keeps the first row of
-        each projected ID tuple.  Any other query runs the term-space chain
-        (:meth:`_evaluate_group_stream`) and projects each solution.  Either
-        way ``input_rows`` counts the rows pulled past the FILTERs, skipped
-        ones included.
+    def _run_select_streaming(self, query: SelectQuery, where) -> SelectResult:
+        """Row-at-a-time SELECT over a simple WHERE clause (*where*:
+        :meth:`_simple_where_shape`): the page is cut on the lazy chain's
+        ID rows (:meth:`_stream_id_rows`), so OFFSET/LIMIT bound the work
+        the joins underneath do.  Bare-variable projections decode only the
+        page's projected cells (:meth:`_decode_id_rows`); any other
+        projection is evaluated (:meth:`_project_row`) on the page's rows,
+        decoded whole.  ``input_rows`` counts the rows pulled past the
+        FILTERs, skipped ones included.
         """
         names: List[str] = []
         for projection in query.projections:
@@ -2256,37 +2083,30 @@ class Execution:
         rows: List[Row] = []
         input_rows = 0
         if query.limit != 0:
-            where = self._simple_where_shape(query)
-            columns = None
-            if where is not None and all(
-                projection.alias is None
-                and isinstance(projection.expression, VariableExpression)
-                for projection in query.projections
-            ):
-                source, col_of = self._stream_id_rows(*where)
-                columns = [col_of.get(p.expression.variable) for p in query.projections]
-            else:
-                source = (
-                    self._project_row(query, names, solution)
-                    for solution in self._evaluate_group_stream(query.where, iter(({},)))
-                )
+            source, col_of = self._stream_id_rows(*where)
             # zip pulls ``source`` first, so ``pulled`` advances once per row
             # the cut below took from it and never past an exhausted source
             pulled = _count()
             source = map(itemgetter(0), zip(source, pulled))
-            if query.distinct:  # only a direct call: rule 1 takes no DISTINCT
-                key_of = (
-                    picker([column for column in columns if column is not None])
-                    if columns is not None
-                    else (lambda row: tuple(row.get(name) for name in names))
-                )
-                source = _first_seen(source, key_of)
             offset = query.offset or 0
-            stop = None if query.limit is None else offset + query.limit
-            rows = list(_islice(source, offset, stop))
+            page = list(_islice(source, offset, offset + query.limit))
             input_rows = next(pulled)
-            if columns is not None:
-                rows = self._decode_id_rows(rows, names, columns)
+            if all(
+                projection.alias is None
+                and isinstance(projection.expression, VariableExpression)
+                for projection in query.projections
+            ):
+                columns = [col_of.get(p.expression.variable) for p in query.projections]
+                rows = self._decode_id_rows(page, names, columns)
+            else:
+                decode = self.graph.decode_id
+                layout = list(col_of.items())
+                rows = [
+                    self._project_row(
+                        query, names, {variable: decode(row[column]) for variable, column in layout}
+                    )
+                    for row in page
+                ]
         self.stats.update(
             operator="stream-select", input_rows=input_rows, decoded_rows=len(rows)
         )
@@ -2297,16 +2117,15 @@ class Execution:
     # -- the columnar executor (sinks over ID batches) ---------------------------
 
     @staticmethod
-    def _simple_where_shape(query: SelectQuery):
-        """``(patterns, simple_filters)`` when the WHERE clause is plain
-        triple patterns plus one-variable term-test filters, else None --
-        the shape whose rows are guaranteed pure ID tuples, every variable
-        bound in every row (:meth:`_simple_source`)."""
-        from .paths import is_path
-
+    def _simple_where_shape(group: GroupPattern):
+        """``(patterns, simple_filters)`` when the WHERE clause *group* is
+        plain triple patterns plus one-variable term-test filters, else
+        None -- the shape whose rows are guaranteed pure ID tuples, every
+        variable bound in every row (:meth:`_simple_source`,
+        :meth:`_stream_id_rows`)."""
         patterns: List[TriplePattern] = []
         simple_filters = []
-        for element in query.where.elements:
+        for element in group.elements:
             if isinstance(element, TriplePattern):
                 if is_path(element.predicate):
                     return None  # path rows can carry raw terms; keep general
@@ -2635,12 +2454,14 @@ class Execution:
             self._operator_event()
         return SelectResult(names, rows)
 
-    def _run_select_columnar(self, query: SelectQuery, plan, order_vars) -> SelectResult:
+    def _run_select_columnar(
+        self, query: SelectQuery, plan, order_vars, where
+    ) -> SelectResult:
         """The one executor of a column-shaped SELECT (see
         :meth:`_simple_select_shape`): a source of ID column batches, then
         the select / top-k / aggregate sink.
 
-        A simple WHERE clause (:meth:`_simple_where_shape`) is read by
+        A simple WHERE clause (*where*: :meth:`_simple_where_shape`) is read by
         :meth:`_simple_source`, its FILTERs applied there; any other is
         the eager group pipeline's solutions, encoded
         (:meth:`_solution_source`), whose cells may be unbound or raw
@@ -2648,7 +2469,6 @@ class Execution:
         of per-row tuples.  Control flow stays volcano *between* batches,
         so LIMIT-bounded sinks stop pulling early.
         """
-        where = self._simple_where_shape(query)
         runs = False
         if where is None:
             batches, col_of = self._solution_source(query)
@@ -2753,7 +2573,7 @@ class Execution:
         """``(column-batch iterator, col_of)`` for a WHERE clause that is not
         the simple shape: the eager group pipeline's solutions -- the ones
         :meth:`_run_select_general` reads, in its order -- as ID rows.  A
-        term the dictionary lacks rides raw (as in :meth:`_stream_bgp`), an
+        term the dictionary lacks rides raw (it can equal no ID), an
         unbound variable is None.  ``col_of`` holds the variables bound in
         at least one solution, which keeps the ``SELECT *`` header rule."""
         solutions = list(self._evaluate_group(query.where, [{}]))

@@ -10,6 +10,7 @@ the simulated batch latency changes.  These tests pin that contract.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -68,6 +69,39 @@ def test_run_parallel_isolates_task_exceptions():
     assert isinstance(outcomes[1].error, RuntimeError)
     assert outcomes[1].elapsed_ms == 50.0
     assert outcomes[2].ok and outcomes[2].value == 2
+
+
+#: parallelism values that are not a count of workers
+NOT_COUNTS = [2.5, math.nan, math.inf, True, 0, "2"]
+NOT_COUNT_IDS = ["fraction", "nan", "inf", "bool", "zero", "str"]
+
+
+@pytest.mark.parametrize("parallelism", NOT_COUNTS, ids=NOT_COUNT_IDS)
+def test_run_parallel_refuses_a_parallelism_that_is_not_a_count(parallelism):
+    """Refused before any task runs: nothing ran and the clock did not move."""
+    clock = SimulationClock()
+    ran = []
+
+    def task():
+        ran.append(clock.advance(10.0))
+
+    with pytest.raises(ValueError, match=r"^parallelism must be an int >= 1, got "):
+        run_parallel(clock, [("a", task), ("b", task)], parallelism)
+    assert ran == []
+    assert clock.now_ms == 0.0
+
+
+@pytest.mark.parametrize("parallelism", NOT_COUNTS, ids=NOT_COUNT_IDS)
+def test_update_all_refuses_a_parallelism_that_is_not_a_count(parallelism):
+    world = build_world(indexable=3, broken=1, portal_new_indexable=0, seed=1)
+    app = HBold(world.network, store=DocumentStore())
+    clock = world.network.clock
+    start = clock.now_ms
+    with pytest.raises(ValueError, match=r"^parallelism must be an int >= 1, got "):
+        app.update_all(world.indexable_urls, parallelism=parallelism)
+    assert app.storage.indexes.find({}) == []
+    assert app.storage.summaries.find({}) == []
+    assert clock.now_ms == start
 
 
 def test_clock_checkpoint_restore():

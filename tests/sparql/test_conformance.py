@@ -7,10 +7,11 @@ solutions.  ``hash`` runs the case as written: its columnar sinks for a
 column-shaped SELECT (ID batches off a simple WHERE clause, the group
 pipeline's encoded solutions off any other), the general path for the
 rest.  ``paged`` runs it as one page (:func:`run_hash`), which sends every
-streamable un-DISTINCT case down rule 1's lazy operator chain, so
-OPTIONAL / UNION / VALUES / FILTER run through the lazy operators too.
-``encoded`` adds an OPTIONAL that never matches, so every column-shaped
-SELECT reads the encoded solutions, simple WHERE clause or not.
+streamable un-DISTINCT case over a simple WHERE clause down rule 1's lazy
+ID chain; a page over OPTIONAL / UNION / VALUES / a path or any other
+FILTER runs where the case without its page runs.  ``encoded`` adds an
+OPTIONAL that never matches, so every column-shaped SELECT reads the
+encoded solutions.
 Queries without ORDER BY compare as multisets (no engine promises an
 order); ORDER BY queries compare row-for-row.
 
@@ -474,6 +475,36 @@ ASK_CASES = [
     ("ask-join", PREFIX + "ASK { ?s ex:worksFor ?e . ?e ex:locatedIn ?c }", True),
 ]
 
+#: ASKs whose WHERE clause is not the simple shape (the group pipeline's
+#: first solution), a hit and a miss each; kept out of ``ASK_CASES``, which
+#: the sharded suite pins by one digest with ``CASES``
+ASK_GROUP_CASES = [
+    ("ask-optional-hit", PREFIX + "ASK { ?s a ex:Robot OPTIONAL { ?s rdfs:label ?l } }", True),
+    ("ask-optional-miss", PREFIX + "ASK { ?s a ex:Ghost OPTIONAL { ?s rdfs:label ?l } }", False),
+    ("ask-union-hit", PREFIX + "ASK { { ?s a ex:Ghost } UNION { ?s a ex:Robot } }", True),
+    (
+        "ask-union-miss",
+        PREFIX + "ASK { { ?s a ex:Ghost } UNION { ?s a ex:City . ?s ex:age ?n } }",
+        False,
+    ),
+    ("ask-values-hit", PREFIX + "ASK { VALUES ?s { ex:nobody ex:alice } ?s a ex:Person }", True),
+    ("ask-values-miss", PREFIX + "ASK { VALUES ?s { ex:nobody ex:carol } ?s a ex:Person }", False),
+    ("ask-compare-hit", PREFIX + "ASK { ?s ex:age ?n FILTER ( ?n > 40 ) }", True),
+    ("ask-compare-miss", PREFIX + "ASK { ?s ex:age ?n FILTER ( ?n > 100 ) }", False),
+    (
+        "ask-not-exists-hit",
+        PREFIX + "ASK { ?s a ex:Person FILTER NOT EXISTS { ?s rdfs:label ?l } }",
+        True,
+    ),
+    (
+        "ask-not-exists-miss",
+        PREFIX + "ASK { ?s a ex:Company FILTER NOT EXISTS { ?s rdfs:label ?l } }",
+        False,
+    ),
+    ("ask-path-hit", PREFIX + "ASK { ex:Startup rdfs:subClassOf+ ex:Org }", True),
+    ("ask-path-miss", PREFIX + "ASK { ex:Org rdfs:subClassOf+ ex:Startup }", False),
+]
+
 
 def _canonical_rows(result: SelectResult):
     """Order-insensitive canonical form of a SELECT result's rows."""
@@ -503,6 +534,7 @@ def _rule_1(query: SelectQuery) -> bool:
         and query.limit <= PAGE
         and not query.distinct
         and Execution._streamable(query)
+        and Execution._simple_where_shape(query.where) is not None
     )
 
 
@@ -510,10 +542,10 @@ def run_hash(graph, mode, query):
     """``(text, result)``: *query* run on the hash engine as *mode* says.
 
     ``paged`` appends ``LIMIT 64`` to a SELECT without a LIMIT, and a
-    paged SELECT with no DISTINCT and no pipeline breaker must take the
-    lazy chain (``operator == "stream-select"``).  ``encoded`` puts
-    :data:`NEVER` at the end of the WHERE clause, and a column-shaped
-    SELECT off rule 1 must reach a columnar sink.  The text returned is
+    paged SELECT with no DISTINCT, no pipeline breaker and a simple WHERE
+    clause must take the lazy chain (``operator == "stream-select"``).
+    ``encoded`` puts :data:`NEVER` at the end of the WHERE clause, and a
+    column-shaped SELECT off rule 1 must reach a columnar sink.  The text returned is
     the one that ran, for the oracle to run too.
     """
     parsed = parse_query(query)
@@ -565,9 +597,14 @@ def test_a_limit_past_maxsize_matches_scan(graph, case_id, query, expected):
     assert _canonical_rows(scan) == _canonical_rows(modern)
 
 
-@pytest.mark.parametrize("case_id,query,expected", ASK_CASES, ids=[c[0] for c in ASK_CASES])
+@pytest.mark.parametrize(
+    "case_id,query,expected",
+    ASK_CASES + ASK_GROUP_CASES,
+    ids=[c[0] for c in ASK_CASES + ASK_GROUP_CASES],
+)
 def test_ask_matches_scan(graph, case_id, query, expected):
-    # hash ASK runs the lazy chain and stops at its first witness
+    # hash ASK stops at its first witness: the lazy chain's over a simple
+    # WHERE clause, the group pipeline's over any other
     scan = QueryEngine(graph, strategy="scan").run(query)
     modern = QueryEngine(graph).run(query)
     assert isinstance(scan, AskResult) and isinstance(modern, AskResult)

@@ -13,7 +13,8 @@ query:
 * ``hash`` returns the ``scan`` oracle's rows (as multisets; an
   un-ORDERed LIMIT / OFFSET page is a sub-multiset of the right size),
   as written and, without a page of its own, as one page of 64 rows
-  (``paged``: rule 1's lazy chain for a streamable un-DISTINCT query),
+  (``paged``: rule 1's lazy chain for a streamable un-DISTINCT query
+  over a simple WHERE clause),
 * ``hash`` returns, as a *list*, the rows of its own general pipeline --
   the same join with no filter, pruning or sink pushed into it, then the
   term-space FILTER, projection, DISTINCT (first occurrence) and slice --
@@ -148,13 +149,15 @@ def _rows(result):
 
 
 def _runs_eager(query) -> bool:
-    """Rule 1 sends a small-LIMIT un-DISTINCT streamable page to the lazy
-    chain, whose row order is its own; everything else is eager."""
+    """Rule 1 sends a small-LIMIT un-DISTINCT streamable page over a simple
+    WHERE clause to the lazy chain, whose row order is its own; everything
+    else is eager."""
     return not (
         Execution._streamable(query)
         and query.limit is not None
         and query.limit <= QueryEngine.STREAM_DELEGATE_LIMIT
         and not query.distinct
+        and Execution._simple_where_shape(query.where) is not None
     )
 
 
@@ -297,7 +300,7 @@ WIDE_DEAD = [
 )
 @example(
     # encoded solutions: a fold over an OPTIONAL's unbound cells, raw
-    # VALUES terms deduplicated, a UNION paged down the lazy chain
+    # VALUES terms deduplicated, a paged UNION
     data=EXTRACTED,
     case=("SELECT ?c (COUNT(?l) AS ?n) WHERE { ?s a ?c . OPTIONAL { ?s <http://example.org/p0> ?l } } "
           "GROUP BY ?c", ""),

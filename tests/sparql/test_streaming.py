@@ -1,12 +1,13 @@
 """The streaming (volcano) pipeline: pushdown semantics and the plan cache.
 
 The hash engine runs a LIMIT <= 64 page with no DISTINCT and no pipeline
-breaker, and every ASK, on its lazy operator chain.  Property tests pin
-the contract the LIMIT/OFFSET pushdown must honour: a page of the chain
-is the same slice of a larger page, and the whole chain returns the eager
-pipeline's rows -- on random graphs, across join shapes, DISTINCT,
-OPTIONAL and UNION.  The laziness itself is asserted by counting index
-scans, not by timing.
+breaker, and every ASK, on its lazy chain of ID rows when the WHERE
+clause is the simple shape.  Property tests pin the contract the
+LIMIT/OFFSET pushdown must honour: a page is the same slice of a larger
+page -- on random graphs, across join shapes, DISTINCT, OPTIONAL and
+UNION -- and the chain's page is its first rows, the whole chain holding
+the scan oracle's rows.  The laziness itself is asserted by counting
+index scans, not by timing.
 
 The compiled-plan cache and the parser AST LRU are covered here too,
 including the invalidation rule (any graph mutation bumps
@@ -80,29 +81,6 @@ def test_stream_limit_offset_matches_materialization(specs, template, limit, off
     assert paged.variables == full.variables
 
 
-@settings(max_examples=40, deadline=None)
-@given(specs=_triples, template=st.sampled_from(TEMPLATES))
-def test_stream_matches_hash_on_random_graphs(specs, template):
-    """The lazy chain's whole result (rule 1's operator, run without the
-    LIMIT that routes to it) == the eager hash pipeline's, as multisets --
-    neither promises an order."""
-    graph = _graph(specs)
-    text = template.replace("{mod}", "")
-    stream = Execution(QueryEngine(graph))._run_select_streaming(parse_query(text))
-    hashed = evaluate(graph, text)
-
-    def canon(result):
-        return sorted(
-            tuple(
-                (name, row[name].n3() if row[name] is not None else "")
-                for name in sorted(row)
-            )
-            for row in result.rows
-        )
-
-    assert canon(stream) == canon(hashed)
-
-
 def _chain_graph(length: int) -> Graph:
     g = Graph()
     p0, p1 = IRI(f"{EX}p0"), IRI(f"{EX}p1")
@@ -157,6 +135,26 @@ def test_ask_streams_one_witness():
 
 
 @pytest.mark.parametrize(
+    "pattern,expected,rows",
+    [
+        ("?s ?p ?o", True, 1),
+        (f"?a <{EX}p0> ?b", True, 1),
+        (f"<{EX}n0> <{EX}p0> <{EX}n1>", True, 1),
+        (f"<{EX}n1> <{EX}p0> <{EX}n0>", False, 0),
+        (f"?s <{EX}absent> ?o", False, 0),
+    ],
+    ids=["spo", "one-predicate", "ground-hit", "ground-miss", "absent-predicate"],
+)
+def test_a_one_pattern_ask_reads_at_most_one_row(pattern, expected, rows):
+    """A one-pattern ASK stops its chain at the first index row it reads;
+    a pattern the dictionary cannot match reads none."""
+    graph = _chain_graph(400)
+    counter = _counting(graph)
+    assert bool(evaluate(graph, f"ASK {{ {pattern} }}")) is expected
+    assert counter["rows"] == rows
+
+
+@pytest.mark.parametrize(
     "query",
     [
         f"SELECT ?o WHERE {{ <{EX}absent> <{EX}p0>* ?o }} LIMIT 5",
@@ -167,10 +165,9 @@ def test_ask_streams_one_witness():
     ],
 )
 def test_a_path_from_a_term_no_triple_holds(query):
-    """The lazy chain's path step with a constant endpoint the dictionary
-    lacks: zero-length ``*`` reaches the term itself, ``+`` nothing -- as
-    the oracle says, where the chain used to hand the raw term to the ID
-    walk."""
+    """A path with a constant endpoint the dictionary lacks: zero-length
+    ``*`` reaches the term itself, ``+`` nothing -- as the oracle says, on
+    a page and under ASK alike."""
     graph = _chain_graph(4)
     lazy, oracle = (evaluate(graph, query, strategy=s) for s in ("hash", "scan"))
     assert getattr(lazy, "rows", None) == getattr(oracle, "rows", None)
@@ -216,13 +213,14 @@ def _simple_pages(draw) -> str:
 
 
 def _chain_rows(graph: Graph, query):
-    """The term-space chain's solutions (FILTERs evaluated on terms),
-    projected, in its order."""
-    solutions = Execution(QueryEngine(graph))._evaluate_group_stream(query.where, iter(({},)))
-    names = [p.variable.name for p in query.projections]
+    """The lazy ID chain's rows without a LIMIT, projected and decoded, in
+    its order."""
+    where = Execution._simple_where_shape(query.where)
+    rows, col_of = Execution(QueryEngine(graph))._stream_id_rows(*where)
+    layout = [(p.variable.name, col_of.get(p.expression.variable)) for p in query.projections]
     return [
-        {name: {v.name: t for v, t in solution.items()}.get(name) for name in names}
-        for solution in solutions
+        {name: None if column is None else graph.decode_id(row[column]) for name, column in layout}
+        for row in rows
     ]
 
 
@@ -252,8 +250,8 @@ def _multiset(rows):
        text=_simple_pages())
 def test_the_id_page_is_the_chain_s_first_rows(specs, text):
     """The order fence of the ID page: on a plain and a two-shard graph,
-    a random simple BGP's page is, as a list, the first rows of the
-    term-space chain, and ``input_rows`` the rows it pulled past the
+    a random simple BGP's page is, as a list, the first rows of the chain
+    run without a LIMIT, and ``input_rows`` the rows it pulled past the
     FILTER.  The whole chain holds the scan oracle's rows -- also with
     every shared step forced onto the index walk, which these small
     patterns would otherwise hash-join."""
@@ -304,22 +302,30 @@ def test_id_page_edge_cases(make, text, rows, pulled):
     assert _multiset(QueryEngine(graph, strategy="scan").run(text).rows) == _multiset(rows)
 
 
-def test_a_variable_an_optional_left_unbound_is_free_in_a_walked_pattern(monkeypatch):
-    """A solution the OPTIONAL did not extend seeds a chain of its own
-    header, in which the later pattern shares nothing: it meets every
-    match, while the extended solutions walk the index bound once per
-    step."""
-    monkeypatch.setattr(Execution, "STREAM_HASH_BUILD_MAX", -1.0)  # walk every step
+def test_a_variable_an_optional_left_unbound_is_free_in_a_walked_pattern():
+    """A solution the OPTIONAL did not extend leaves ``?b`` unbound, so the
+    later pattern shares nothing with it: it meets every match, while the
+    extended solutions join on ``?b``."""
     graph = _chain_graph(6)  # the last node has no p0 edge
     text = (
         f"SELECT ?a ?b ?w WHERE {{ ?a <{EX}p1> ?v OPTIONAL {{ ?a <{EX}p0> ?b }} "
         f"?b <{EX}p1> ?w }} LIMIT 64"
     )
     lazy = QueryEngine(graph).execute(text)
-    assert lazy.stats["operator"] == "stream-select"
     oracle = QueryEngine(graph, strategy="scan").run(text)
     assert len(oracle.rows) == 6 + 7  # six bound ?b, the unbound one meets every p1
     assert _multiset(lazy.result.rows) == _multiset(oracle.rows)
+
+
+def test_an_expression_page_is_the_bare_page_with_the_expression_applied():
+    """An expression projection over a simple WHERE clause stays on the
+    chain: the page is cut on ID rows and ``STR`` runs on its rows only."""
+    graph = _chain_graph(6)
+    page = QueryEngine(graph).execute("SELECT (STR(?s) AS ?x) WHERE { ?s ?p ?o } LIMIT 5 OFFSET 2")
+    assert page.stats == {"operator": "stream-select", "input_rows": 7, "decoded_rows": 5}
+    bare = QueryEngine(graph).run("SELECT ?s WHERE { ?s ?p ?o } LIMIT 5 OFFSET 2")
+    assert page.result.variables == ["x"]
+    assert page.result.rows == [{"x": Literal(row["s"].value)} for row in bare.rows]
 
 
 def test_a_page_decodes_only_its_projected_cells():
