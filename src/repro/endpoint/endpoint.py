@@ -242,6 +242,26 @@ def _exists_groups(expression):
                     yield from _exists_groups(item)
 
 
+def _triple_patterns(group: GroupPattern):
+    """Yield every triple pattern of *group*, at any nesting: OPTIONAL,
+    UNION alternatives, nested groups and the groups of FILTER
+    ``EXISTS``/``NOT EXISTS`` (VALUES holds none).  A module function,
+    not a closure: a recursive closure is a reference cycle per call."""
+    for element in group.elements:
+        if isinstance(element, TriplePattern):
+            yield element
+        elif isinstance(element, OptionalPattern):
+            yield from _triple_patterns(element.group)
+        elif isinstance(element, UnionPattern):
+            for alternative in element.alternatives:
+                yield from _triple_patterns(alternative)
+        elif isinstance(element, GroupPattern):
+            yield from _triple_patterns(element)
+        elif isinstance(element, FilterPattern):
+            for exists_group in _exists_groups(element.expression):
+                yield from _triple_patterns(exists_group)
+
+
 def _contains_path(parsed) -> bool:
     """Does the query use a SPARQL 1.1 property path in any pattern?
 
@@ -250,28 +270,7 @@ def _contains_path(parsed) -> bool:
     that rejects paths must reject it.
     """
     if isinstance(parsed, (SelectQuery, AskQuery)):
-        return _group_has_path(parsed.where)
-    return False
-
-
-def _group_has_path(group: GroupPattern) -> bool:
-    """:func:`_contains_path` over one group pattern (a module function,
-    not a closure: a recursive closure is a reference cycle per call)."""
-    for element in group.elements:
-        if isinstance(element, TriplePattern) and is_path(element.predicate):
-            return True
-        if isinstance(element, OptionalPattern) and _group_has_path(element.group):
-            return True
-        if isinstance(element, UnionPattern) and any(
-            _group_has_path(alt) for alt in element.alternatives
-        ):
-            return True
-        if isinstance(element, GroupPattern) and _group_has_path(element):
-            return True
-        if isinstance(element, FilterPattern) and any(
-            _group_has_path(group) for group in _exists_groups(element.expression)
-        ):
-            return True
+        return any(is_path(p.predicate) for p in _triple_patterns(parsed.where))
     return False
 
 
@@ -281,24 +280,5 @@ def _count_patterns(parsed) -> int:
     patterns execute per candidate solution, so the latency model must
     see them)."""
     if isinstance(parsed, (SelectQuery, AskQuery)):
-        return _count_group(parsed.where)
+        return sum(1 for _ in _triple_patterns(parsed.where))
     return 1
-
-
-def _count_group(group: GroupPattern) -> int:
-    """:func:`_count_patterns` over one group pattern (VALUES counts 0)."""
-    total = 0
-    for element in group.elements:
-        if isinstance(element, TriplePattern):
-            total += 1
-        elif isinstance(element, OptionalPattern):
-            total += _count_group(element.group)
-        elif isinstance(element, UnionPattern):
-            total += sum(_count_group(alt) for alt in element.alternatives)
-        elif isinstance(element, GroupPattern):
-            total += _count_group(element)
-        elif isinstance(element, FilterPattern):
-            total += sum(
-                _count_group(exists_group) for exists_group in _exists_groups(element.expression)
-            )
-    return total

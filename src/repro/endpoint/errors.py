@@ -8,8 +8,11 @@ silently, which is precisely why pattern strategies exist).
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "check_count",
+    "check_duration",
     "EndpointError",
     "EndpointUnavailable",
     "EndpointTimeout",
@@ -48,3 +51,11 @@ def check_count(name: str, value, least: int = 1) -> None:
     layers, checked before any work starts."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
+def check_duration(name: str, value) -> None:
+    """Refuse a *value* that is not a finite number >= 0: the one rule
+    for a duration argument in milliseconds (a NaN compares false with
+    every bound and an infinite one never elapses)."""
+    if not isinstance(value, (int, float)) or not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")

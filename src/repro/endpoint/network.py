@@ -13,7 +13,13 @@ from typing import Dict, Hashable, Iterator, List, Optional, Union
 from ..sparql.results import AskResult, SelectResult
 from .clock import SimulationClock
 from .endpoint import SparqlEndpoint
-from .errors import EndpointError, EndpointUnavailable, UnknownEndpoint
+from .errors import (
+    EndpointError,
+    EndpointUnavailable,
+    UnknownEndpoint,
+    check_count,
+    check_duration,
+)
 
 __all__ = ["EndpointNetwork", "SparqlClient", "full_jitter_backoff_ms"]
 
@@ -105,6 +111,13 @@ class SparqlClient:
         max_backoff_total_ms: float = 20_000.0,
         seed: int = 0,
     ):
+        # a bad value would otherwise fail mid-query (a negative delay
+        # moves the clock backwards) or quietly change the policy (a NaN
+        # base draws every delay against the cap, a NaN budget never runs out)
+        check_count("max_retries", max_retries, least=0)
+        check_duration("retry_backoff_ms", retry_backoff_ms)
+        check_duration("backoff_cap_ms", backoff_cap_ms)
+        check_duration("max_backoff_total_ms", max_backoff_total_ms)
         self.network = network
         self.max_retries = max_retries
         #: base of the exponential ramp (attempt k draws from

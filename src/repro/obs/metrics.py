@@ -9,7 +9,7 @@ one vocabulary table in ARCHITECTURE.md names them all (enforced by
 
 Two registration styles:
 
-- **push**: ``registry.counter("serving.shed_total").inc()`` /
+- **push**: ``registry.counter("serving.served_total").inc()`` /
   ``histogram.observe(ms)`` at the event site.
 - **pull**: ``registry.bind("cache.hits", lambda: cache.info()["hits"])``
   for surfaces that already keep their own counters; the source is read

@@ -15,20 +15,13 @@ clock -- so the scheduler above it stays reproducible.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict, deque
 from typing import Deque, Dict, List, Optional
 
 from ..endpoint.errors import check_count
 from .workload import Request
 
-__all__ = ["FairAdmissionQueue", "check_duration"]
-
-
-def check_duration(name: str, value) -> None:
-    """Refuse a *value* that is not a finite number >= 0."""
-    if not isinstance(value, (int, float)) or not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+__all__ = ["FairAdmissionQueue"]
 
 
 class FairAdmissionQueue:
@@ -92,19 +85,6 @@ class FairAdmissionQueue:
                 self._size -= 1
                 return queue.popleft()
         return None  # unreachable while _size is kept consistent
-
-    def pressure_ms(self, mean_service_ms: float) -> float:
-        """The queue-depth backpressure signal: expected wait in line.
-
-        ``depth x mean service time`` is Little's-law arithmetic for how
-        long a request admitted *now* will sit before a worker picks it
-        up.  The scheduler compares this against its
-        ``backpressure_deadline_ms`` at admission time and sheds requests
-        that would wait longer than that anyway -- rejecting early is
-        strictly kinder than accepting work we already know we cannot
-        start in time.
-        """
-        return self._size * mean_service_ms
 
     def info(self) -> Dict[str, int]:
         return {

@@ -22,8 +22,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from ..endpoint.errors import check_count
-from .admission import check_duration
+from ..endpoint.errors import check_count, check_duration
 
 __all__ = ["ResultCache"]
 

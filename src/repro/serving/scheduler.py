@@ -8,12 +8,9 @@ request **completions** (computed as each request starts).  The loop
 walks the merged event stream in time order:
 
 * an arrival starts immediately when a worker is idle and nobody waits,
-  queues when the server is busy, and is rejected when the queue is full
-  or -- with backpressure enabled -- **shed** when the queue's expected
-  wait already exceeds ``backpressure_deadline_ms``;
+  queues when the server is busy, and is rejected when the queue is full;
 * a completion frees a worker, which immediately picks up the next
-  queued request under the per-tenant fairness rotation (dropping
-  requests whose queue wait exceeded the admission deadline).
+  queued request under the per-tenant fairness rotation.
 
 "Is a worker idle at t" is one look at the heap's top, and a start books
 the earliest-free worker with one ``heapreplace``: the greedy rule of
@@ -37,49 +34,26 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush, heapreplace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from ..endpoint.clock import SimulationClock
-from ..endpoint.errors import EndpointTimeout, QueryRejected, check_count
+from ..endpoint.errors import QueryRejected, check_count
 from ..obs.trace import NULL_TRACER, defer, result_digest
-from .admission import FairAdmissionQueue, check_duration
+from .admission import FairAdmissionQueue
 from .workload import Request
 
-__all__ = ["RequestRecord", "Scheduler", "check_serving_parameters"]
-
-
-def check_serving_parameters(parallelism, queue_capacity, queue_timeout_ms,
-                             backpressure_deadline_ms, cache_hit_ms: float = 0.0) -> None:
-    """Refuse, with ``ValueError``, a serving parameter that would fail
-    only mid-serve or quietly switch a feature off.
-
-    Worker and queue counts are ints >= 1 (a bool is not a count); the
-    deadlines are ``None`` (off) or finite and >= 0.  The cache-hit charge
-    (the server's; a scheduler has none) is finite and >= 0: a NaN charge
-    breaks the completion heap, an infinite one admits nothing to the cache.
-    """
-    check_count("parallelism", parallelism)
-    check_count("queue_capacity", queue_capacity)
-    for name, value in (
-        ("queue_timeout_ms", queue_timeout_ms),
-        ("backpressure_deadline_ms", backpressure_deadline_ms),
-    ):
-        if value is not None:
-            check_duration(name, value)
-    check_duration("cache_hit_ms", cache_hit_ms)
+__all__ = ["RequestRecord", "Scheduler"]
 
 
 class RequestRecord:
     """What happened to one request: timing and outcome.
 
     ``status`` is one of ``"ok"`` (executed), ``"cache-hit"`` (served
-    from the result cache), ``"rejected"`` (admission queue full),
-    ``"shed"`` (backpressure: the queue's expected wait already blew the
-    deadline), ``"queue-timeout"`` (waited past the admission deadline),
-    or the endpoint failure statuses ``"unavailable"`` /
+    from the result cache), ``"rejected"`` (admission queue full), or
+    the endpoint failure statuses ``"unavailable"`` /
     ``"feature-rejected"`` / ``"endpoint-timeout"``.  ``error`` holds the
-    error instance for every non-served outcome -- admission control
-    reuses the endpoint's own error types.
+    error instance for every non-served outcome -- a rejection reuses
+    the endpoint's own ``QueryRejected``.
     """
 
     __slots__ = (
@@ -136,12 +110,8 @@ class Scheduler:
     and propagates, with the clock rewound to the failing request's start
     instant.
 
-    With *backpressure_deadline_ms* set, an arrival that would queue
-    behind ``depth x mean-service`` milliseconds of expected wait larger
-    than that deadline is shed at admission instead of queued.  The mean
-    is the running mean of completed service times, so shedding -- like
-    queue-full rejection -- is a property of realized load: it varies
-    with ``parallelism`` by design (more workers, less queue).
+    Queue-full rejection is a property of realized load: it varies with
+    ``parallelism`` by design (more workers, less queue).
     """
 
     def __init__(
@@ -150,20 +120,14 @@ class Scheduler:
         execute: Callable[[Request], object],
         parallelism: int = 1,
         queue_capacity: int = 64,
-        queue_timeout_ms: Optional[float] = None,
-        backpressure_deadline_ms: Optional[float] = None,
         obs=None,
     ):
-        check_serving_parameters(
-            parallelism, queue_capacity, queue_timeout_ms, backpressure_deadline_ms
-        )
+        check_count("parallelism", parallelism)
+        check_count("queue_capacity", queue_capacity)
         self.clock = clock
         self.execute = execute
         self.parallelism = parallelism
         self.queue_capacity = queue_capacity
-        self.queue_timeout_ms = queue_timeout_ms
-        self.backpressure_deadline_ms = backpressure_deadline_ms
-        self.shed = 0
         #: span recorder (a ``repro.obs`` tracer).  Every request gets a
         #: root ``request`` span keyed on ``request.key``, so executor/
         #: endpoint/engine spans nest under it.
@@ -189,8 +153,6 @@ class Scheduler:
         clock = self.clock
         execute = self.execute
         queue = FairAdmissionQueue(self.queue_capacity)
-        queue_timeout_ms = self.queue_timeout_ms
-        backpressure_deadline_ms = self.backpressure_deadline_ms
         ordered = sorted(
             requests, key=lambda r: (r.arrival_ms, r.session_id, r.seq)
         )
@@ -200,8 +162,6 @@ class Scheduler:
         free = [clock.now_ms] * self.parallelism
         #: completion instants of the started requests, a min-heap
         in_flight: List[float] = []
-        completed_service_ms = 0.0
-        completed_count = 0
 
         tracer = self.obs
         tracing = tracer.enabled
@@ -217,19 +177,20 @@ class Scheduler:
                 "arrival_ms": request.arrival_ms,
             }
 
-        def refuse(request: Request, status: str, error, now_ms: float) -> None:
-            """Record a request that never reached a worker."""
+        def reject(request: Request, now_ms: float) -> None:
+            """Record a request the full queue bounced: it never reached a
+            worker."""
             if tracing:
                 canon = identity_canon(request)
-                canon["outcome"] = status
-                tracer.open_trace(request.key, "request", canon=canon, status=status)
+                canon["outcome"] = "rejected"
+                tracer.open_trace(request.key, "request", canon=canon, status="rejected")
                 tracer.end(end_ms=now_ms)
+            error = QueryRejected(f"admission queue full ({queue.capacity} waiting)")
             records.append(RequestRecord(
-                request, status, error=error, start_ms=now_ms, completion_ms=now_ms,
+                request, "rejected", error=error, start_ms=now_ms, completion_ms=now_ms,
             ))
 
         def start(request: Request, now_ms: float) -> None:
-            nonlocal completed_service_ms, completed_count
             if now_ms > clock.now_ms:
                 clock.advance(now_ms - clock.now_ms)
             if tracing:
@@ -281,22 +242,13 @@ class Scheduler:
                 )
             records.append(record)
             heappush(in_flight, completion)
-            completed_service_ms += elapsed
-            completed_count += 1
 
         def drain(now_ms: float) -> None:
-            """Hand queued requests to idle workers, skipping the stale."""
+            """Hand queued requests to idle workers."""
             while free[0] <= now_ms:
                 request = queue.take()
                 if request is None:
                     return
-                waited = now_ms - request.arrival_ms
-                if queue_timeout_ms is not None and waited > queue_timeout_ms:
-                    refuse(request, "queue-timeout", EndpointTimeout(
-                        f"queued {waited:.0f} ms, admission deadline "
-                        f"{queue_timeout_ms:.0f} ms"
-                    ), now_ms)
-                    continue
                 start(request, now_ms)
 
         index = 0
@@ -321,21 +273,8 @@ class Scheduler:
                 clock.advance(now - clock.now_ms)
             if free[0] <= now and len(queue) == 0:
                 start(request, now)
-            elif (
-                backpressure_deadline_ms is not None
-                and completed_count > 0
-                and queue.pressure_ms(completed_service_ms / completed_count)
-                > backpressure_deadline_ms
-            ):
-                self.shed += 1
-                refuse(request, "shed", QueryRejected(
-                    f"backpressure: expected queue wait exceeds "
-                    f"{backpressure_deadline_ms:.0f} ms deadline"
-                ), now)
             elif not queue.offer(request):
-                refuse(request, "rejected", QueryRejected(
-                    f"admission queue full ({queue.capacity} waiting)"
-                ), now)
+                reject(request, now)
         self.last_queue_info = queue.info()
         # arrival order is the report's canonical order
         records.sort(

@@ -10,7 +10,7 @@ the only code that touches the endpoint, and the scheduler owns all
 timing.
 
 The result cache sits *in front of* the endpoint: a hit serves the
-stored result for a flat ``cache_hit_ms`` charge without consuming an
+stored result for a flat ``CACHE_HIT_MS`` charge without consuming an
 endpoint worker's full execution cost, and -- because the endpoint never
 runs -- without reading any engine state (the exec-stats leakage class
 of bug the endpoint layer guards against since PR 6 cannot reach here).
@@ -39,18 +39,19 @@ from ..endpoint.errors import (
     EndpointTimeout,
     EndpointUnavailable,
     QueryRejected,
+    check_count,
 )
 from ..obs import Observatory
 from ..obs.trace import NULL_TRACER, result_digest
 from .cache import ResultCache
-from .scheduler import RequestRecord, Scheduler, check_serving_parameters
+from .scheduler import RequestRecord, Scheduler
 from .workload import Request, Workload
 
 __all__ = ["QueryServer", "ServingReport"]
 
-#: default flat charge for serving a cached result: the connect handshake
-#: is still paid, execution is not (a small constant, deliberately far
-#: below any profile's execution floor)
+#: flat charge for serving a cached result: the connect handshake is still
+#: paid, execution is not (a small constant, deliberately far below any
+#: profile's execution floor).  It is also the cache's admission floor.
 CACHE_HIT_MS = 2.0
 
 
@@ -216,10 +217,9 @@ class QueryServer:
     """Concurrent serving tier over one :class:`SparqlEndpoint`.
 
     ``parallelism`` models the endpoint's server threads; the bounded
-    admission queue, optional queue deadline and optional backpressure
-    deadline model its load shedding; the generation-keyed result cache
-    is shared across ``serve`` calls (a long-running server keeps its
-    cache warm between workloads).
+    admission queue models its load shedding; the generation-keyed
+    result cache is shared across ``serve`` calls (a long-running server
+    keeps its cache warm between workloads).
     """
 
     def __init__(
@@ -227,24 +227,16 @@ class QueryServer:
         endpoint: SparqlEndpoint,
         parallelism: int = 1,
         queue_capacity: int = 64,
-        queue_timeout_ms: Optional[float] = None,
         cache_capacity: Optional[int] = 256,
-        cache_hit_ms: float = CACHE_HIT_MS,
-        backpressure_deadline_ms: Optional[float] = None,
         obs: Optional[Observatory] = None,
     ):
-        check_serving_parameters(
-            parallelism, queue_capacity, queue_timeout_ms,
-            backpressure_deadline_ms, cache_hit_ms,
-        )
+        check_count("parallelism", parallelism)
+        check_count("queue_capacity", queue_capacity)
         self.endpoint = endpoint
         self.parallelism = parallelism
         self.queue_capacity = queue_capacity
-        self.queue_timeout_ms = queue_timeout_ms
-        self.cache_hit_ms = cache_hit_ms
-        self.backpressure_deadline_ms = backpressure_deadline_ms
         self.cache = (
-            ResultCache(cache_capacity, min_service_ms=cache_hit_ms)
+            ResultCache(cache_capacity, min_service_ms=CACHE_HIT_MS)
             if cache_capacity
             else None
         )
@@ -295,8 +287,6 @@ class QueryServer:
             self._execute,
             parallelism=self.parallelism,
             queue_capacity=self.queue_capacity,
-            queue_timeout_ms=self.queue_timeout_ms,
-            backpressure_deadline_ms=self.backpressure_deadline_ms,
             obs=self._tracer,
         )
         records = scheduler.run(requests)
@@ -331,7 +321,7 @@ class QueryServer:
             if cached is not None:
                 if tracer.enabled:
                     tracer.event("cache.lookup", outcome="hit")
-                endpoint.clock.advance(self.cache_hit_ms)
+                endpoint.clock.advance(CACHE_HIT_MS)
                 return ("cache-hit", cached, None)
             if tracer.enabled:
                 tracer.event("cache.lookup", outcome="miss")
@@ -357,7 +347,7 @@ class QueryServer:
     ) -> None:
         """Per-run serving metrics.  ``serving.requests_total`` is
         canonical (workload-derived); everything else depends on realized
-        scheduling (cache hits, shed, latency) and is profile-tier."""
+        scheduling (cache hits, rejections, latency) and is profile-tier."""
         metrics = self.obs.metrics
         metrics.counter(
             "serving.requests_total",
@@ -377,9 +367,6 @@ class QueryServer:
                 latency.observe(record.latency_ms)
                 wait.observe(record.wait_ms)
         metrics.counter("serving.served_total", help="requests that got rows").inc(served)
-        metrics.counter(
-            "serving.shed_total", help="requests shed by backpressure"
-        ).inc(scheduler.shed)
         queue_info = scheduler.last_queue_info
         metrics.counter(
             "admission.offered", help="requests offered to the fair admission queue"
@@ -397,7 +384,6 @@ class QueryServer:
             "endpoint": self.endpoint.url,
             "parallelism": self.parallelism,
             "queue_capacity": self.queue_capacity,
-            "queue_timeout_ms": self.queue_timeout_ms,
             "runs": self._runs,
             "endpoint_stats": {
                 "queries": stats.queries,

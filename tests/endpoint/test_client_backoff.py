@@ -3,6 +3,8 @@ jitter, desynchronized across client seeds and capped in total."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.datagen import government_graph
@@ -122,3 +124,24 @@ def test_client_total_backoff_time_is_capped():
         "http://flaky.example.org/sparql"
     ).stats.total_latency_ms
     assert network.clock.now_ms - before <= backoff_budget + attempts_cost
+
+
+# -- the client's doors ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_retries", -1),  # queried nothing, then a bare AssertionError
+    ("max_retries", 2.5),  # TypeError from range() at the first query
+    ("max_retries", math.nan),
+    ("max_retries", math.inf),
+    ("retry_backoff_ms", -500.0),  # moved the clock backwards mid-query
+    ("backoff_cap_ms", -1.0),
+    ("retry_backoff_ms", math.nan),  # drew every delay against the cap
+    ("max_backoff_total_ms", math.nan),  # switched the budget off
+], ids=lambda v: repr(v) if isinstance(v, float) else str(v))
+def test_a_retry_setting_that_would_fail_mid_query_is_refused(name, value):
+    network = _flaky_network(seed=0)
+    with pytest.raises(ValueError, match=name):
+        SparqlClient(network, **{name: value})
+    assert network.clock.now_ms == 0.0
+

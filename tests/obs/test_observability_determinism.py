@@ -141,7 +141,7 @@ def test_registered_metric_surfaces_are_complete(graph):
     names = set(obs.metrics.names())
     for expected in (
         "serving.requests_total", "serving.served_total", "serving.latency_ms",
-        "serving.queue_wait_ms", "serving.shed_total",
+        "serving.queue_wait_ms",
         "admission.offered", "admission.rejected",
         "endpoint.queries", "endpoint.failures", "endpoint.total_latency_ms",
         "cache.hits", "cache.misses",

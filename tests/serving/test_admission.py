@@ -123,17 +123,6 @@ def test_drained_then_refilled_queue_serves_every_request_once():
         )
 
 
-def test_pressure_signal_is_depth_times_mean_service():
-    queue = FairAdmissionQueue(capacity=16)
-    assert queue.pressure_ms(100.0) == 0.0
-    queue.offer(_request("a", 0))
-    queue.offer(_request("b", 0))
-    queue.offer(_request("b", 1))
-    assert queue.pressure_ms(40.0) == pytest.approx(120.0)
-    queue.take()
-    assert queue.pressure_ms(40.0) == pytest.approx(80.0)
-
-
 # -- property: overflow under bursty multi-tenant load ------------------------
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.endpoint import AlwaysAvailable, SimulationClock, SparqlEndpoint
+from repro.endpoint import AlwaysAvailable, EndpointProfile, SimulationClock, SparqlEndpoint
 from repro.rdf import IRI, Triple, parse_turtle
 from repro.serving import QueryServer, Request, ResultCache
+from repro.serving.server import CACHE_HIT_MS
 
 TTL = """
 @prefix ex: <http://example.org/> .
@@ -28,7 +29,7 @@ def _request(text, seq=0, arrival=0.0, tenant="t0"):
     return Request(0, tenant, seq, arrival, "q", text)
 
 
-def _server(graph, strategy="hash", **options):
+def _server(graph, strategy="hash", profile="virtuoso", **options):
     clock = SimulationClock()
     endpoint = SparqlEndpoint(
         "http://cache.example.org/sparql",
@@ -37,6 +38,7 @@ def _server(graph, strategy="hash", **options):
         availability=AlwaysAvailable(),
         strategy=strategy,
         seed=1,
+        profile=profile,
     )
     options.setdefault("queue_capacity", 64)
     return QueryServer(endpoint, **options)
@@ -227,9 +229,15 @@ def test_cheap_results_are_not_admitted():
 
 
 def test_cache_skips_results_cheaper_than_a_hit():
-    # cache_hit_ms far above an ASK's cost: caching such a result could
-    # never pay for itself, so it is not admitted
-    server = _server(parse_turtle(TTL), cache_hit_ms=500.0)
+    # the server's cache floor is the flat hit charge; on an endpoint
+    # whose ASK costs less than that, caching the result could never pay
+    # for itself, so it is not admitted
+    cheap = EndpointProfile(
+        "cheap", connect_ms=0.1, parse_ms=0.1, per_pattern_ms=0.1,
+        per_solution_ms=0.0, aggregate_overhead_ms=0.0, jitter=0.0,
+    )
+    server = _server(parse_turtle(TTL), profile=cheap)
+    assert server.cache.min_service_ms == CACHE_HIT_MS
     report = server.serve([
         _request("ASK { ?s ?p ?o }", seq=0, arrival=0.0),
         _request("ASK { ?s ?p ?o }", seq=1, arrival=10_000.0),
@@ -241,7 +249,7 @@ def test_cache_skips_results_cheaper_than_a_hit():
 
 
 def test_cache_admits_results_worth_caching():
-    server = _server(parse_turtle(TTL))  # default cache_hit_ms = 2.0
+    server = _server(parse_turtle(TTL))  # a default-profile ASK costs > CACHE_HIT_MS
     report = server.serve([
         _request("ASK { ?s ?p ?o }", seq=0, arrival=0.0),
         _request("ASK { ?s ?p ?o }", seq=1, arrival=10_000.0),

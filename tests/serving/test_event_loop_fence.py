@@ -6,8 +6,8 @@ The formulation it replaced -- a worker pool that scanned every worker to
 answer "is one idle", with each request measured through
 ``measure_task`` -- is copied below as :class:`ReferenceScheduler`, and
 is the oracle: on every workload both must produce the same records field
-for field (errors by type and message), the same ``shed`` count and
-queue counters, the same clock, and the same trace export.
+for field (errors by type and message), the same queue counters, the
+same clock, and the same trace export.
 
 Two sources of work: a fake executor charging seeded, arbitrary service times
 (0 ms included, and completions that tie with arrivals) under
@@ -91,8 +91,6 @@ class ReferenceScheduler(Scheduler):
         records: List[RequestRecord] = []
         in_flight: List = []
         start_counter = 0
-        completed_service_ms = 0.0
-        completed_count = 0
 
         def advance_to(instant_ms: float) -> None:
             if instant_ms > clock.now_ms:
@@ -116,7 +114,7 @@ class ReferenceScheduler(Scheduler):
             tracer.end(end_ms=now_ms)
 
         def start(request: Request, now_ms: float) -> None:
-            nonlocal start_counter, completed_service_ms, completed_count
+            nonlocal start_counter
             advance_to(now_ms)
             if tracing:
                 tracer.open_trace(request.key, "request", canon=identity_canon(request))
@@ -158,34 +156,12 @@ class ReferenceScheduler(Scheduler):
             records.append(record)
             heapq.heappush(in_flight, (completion, start_counter, record))
             start_counter += 1
-            completed_service_ms += outcome.elapsed_ms
-            completed_count += 1
 
         def drain(now_ms: float) -> None:
             while pool.idle_workers(now_ms) > 0:
                 request = queue.take()
                 if request is None:
                     return
-                waited = now_ms - request.arrival_ms
-                if (
-                    self.queue_timeout_ms is not None
-                    and waited > self.queue_timeout_ms
-                ):
-                    if tracing:
-                        closed_root(request, "queue-timeout", now_ms)
-                    records.append(
-                        RequestRecord(
-                            request,
-                            "queue-timeout",
-                            error=EndpointTimeout(
-                                f"queued {waited:.0f} ms, admission deadline "
-                                f"{self.queue_timeout_ms:.0f} ms"
-                            ),
-                            start_ms=now_ms,
-                            completion_ms=now_ms,
-                        )
-                    )
-                    continue
                 start(request, now_ms)
 
         index = 0
@@ -206,28 +182,7 @@ class ReferenceScheduler(Scheduler):
                 if pool.idle_workers(now) > 0 and len(queue) == 0:
                     start(request, now)
                     continue
-                if (
-                    self.backpressure_deadline_ms is not None
-                    and completed_count > 0
-                    and queue.pressure_ms(completed_service_ms / completed_count)
-                    > self.backpressure_deadline_ms
-                ):
-                    self.shed += 1
-                    if tracing:
-                        closed_root(request, "shed", now)
-                    records.append(
-                        RequestRecord(
-                            request,
-                            "shed",
-                            error=QueryRejected(
-                                f"backpressure: expected queue wait exceeds "
-                                f"{self.backpressure_deadline_ms:.0f} ms deadline"
-                            ),
-                            start_ms=now,
-                            completion_ms=now,
-                        )
-                    )
-                elif not queue.offer(request):
+                if not queue.offer(request):
                     if tracing:
                         closed_root(request, "rejected", now)
                     records.append(
@@ -319,8 +274,6 @@ def _serve_waves(cls, parallelism, capacity, options, waves, boom):
     for requests, _ in waves:
         scheduler = cls(
             clock, execute, parallelism=parallelism, queue_capacity=capacity,
-            queue_timeout_ms=options["queue_timeout_ms"],
-            backpressure_deadline_ms=options["backpressure_deadline_ms"],
             obs=tracer,
         )
         try:
@@ -331,7 +284,6 @@ def _serve_waves(cls, parallelism, capacity, options, waves, boom):
             continue
         runs.append((
             [_fields(record) for record in records],
-            scheduler.shed,
             scheduler.last_queue_info,
             clock.now_ms,
         ))
@@ -339,8 +291,6 @@ def _serve_waves(cls, parallelism, capacity, options, waves, boom):
 
 
 OPTIONS = st.fixed_dictionaries({
-    "queue_timeout_ms": st.sampled_from([None, 0.0, 4.0, 9.0]),
-    "backpressure_deadline_ms": st.sampled_from([None, 0.0, 3.0, 10.0]),
     "clock_start_ms": st.sampled_from([0.0, 4.0]),
 })
 
@@ -367,18 +317,14 @@ def test_the_generated_workloads_reach_every_branch():
     change that stopped reaching one would show here first."""
     crowd = [(0, "t0", 5.0)] * 6 + [(1, "t1", 0.0), (5, "t2", 3.0), (5, "t0", 2.0)]
     seen = set()
-    for parallelism, capacity, timeout, deadline in (
-        (1, 3, None, None),      # rejected
-        (1, 4096, 4.0, None),    # queue-timeout
-        (1, 4096, None, 3.0),    # shed
-        (2, 4096, None, None),   # every executor status
+    for parallelism, capacity in (
+        (1, 3),      # rejected
+        (2, 4096),   # every executor status
     ):
-        options = {"queue_timeout_ms": timeout, "backpressure_deadline_ms": deadline,
-                   "clock_start_ms": 0.0}
+        options = {"clock_start_ms": 0.0}
         runs, _ = _serve_waves(Scheduler, parallelism, capacity, options, [_requests(crowd)], None)
         seen |= {fields[1] for fields in runs[0][0]}
-    assert seen == {"ok", "cache-hit", "endpoint-timeout", "unavailable",
-                    "rejected", "queue-timeout", "shed"}
+    assert seen == {"ok", "cache-hit", "endpoint-timeout", "unavailable", "rejected"}
 
 
 # -- real servers on the government graph -------------------------------------
@@ -412,10 +358,8 @@ def _waves():
 
 
 SCENARIOS = {
-    "cache-off": dict(parallelism=3, queue_capacity=4096, cache_capacity=None,
-                      backpressure_deadline_ms=300.0),
-    "cache-on": dict(parallelism=2, queue_capacity=6, queue_timeout_ms=150.0,
-                     backpressure_deadline_ms=250.0),
+    "cache-off": dict(parallelism=3, queue_capacity=4096, cache_capacity=None),
+    "cache-on": dict(parallelism=2, queue_capacity=6),
     "availability": dict(parallelism=2, queue_capacity=4096, cache_capacity=4),
 }
 
@@ -464,7 +408,6 @@ def _serve_scenario(graph, name, scheduler_cls):
             [_fields(record, result_digest) for record in report.records],
             report.digest(),
             report.summary(),
-            scheduler.shed,
             scheduler.last_queue_info,
         )
         for report, scheduler in zip(reports, made)
@@ -478,9 +421,7 @@ def test_real_servers_serve_what_the_pool_loop_served(graph, name):
     assert actual[:3] == expected[:3]
     statuses = {record.status for report in actual[3] for record in report.records}
     assert "ok" in statuses
-    if name == "cache-off":
-        assert "shed" in statuses
     if name == "cache-on":
-        assert {"cache-hit", "rejected", "queue-timeout"} <= statuses
+        assert {"cache-hit", "rejected"} <= statuses
     if name == "availability":
         assert {"cache-hit", "unavailable"} <= statuses

@@ -1,4 +1,4 @@
-"""The scheduler + server end to end: determinism, concurrency, shedding.
+"""The scheduler + server end to end: determinism, concurrency, rejection.
 
 The contract under test is the one the serving benchmark relies on:
 given (workload seed, parallelism) the full report is deterministic, and
@@ -26,6 +26,7 @@ from repro.serving import (
     cache_friendly_mix,
     generate_workload,
 )
+from repro.serving.server import CACHE_HIT_MS
 
 
 @pytest.fixture(scope="module")
@@ -186,23 +187,6 @@ def test_queue_overflow_rejects_with_endpoint_error_type(graph):
     assert all(r.latency_ms == 0.0 for r in rejected)
 
 
-def test_queue_timeout_sheds_stale_requests(graph):
-    from repro.endpoint.errors import EndpointTimeout
-
-    endpoint = _endpoint(graph, profile=_flat_profile())
-    server = QueryServer(
-        endpoint, parallelism=1, queue_capacity=64,
-        queue_timeout_ms=10.0, cache_capacity=None,
-    )
-    report = server.serve(_burst(4))
-    counts = report.status_counts()
-    # first runs; the rest wait > 10 ms behind its ~25 ms service
-    assert counts["ok"] == 1
-    assert counts["queue-timeout"] == 3
-    timed_out = [r for r in report.records if r.status == "queue-timeout"]
-    assert all(isinstance(r.error, EndpointTimeout) for r in timed_out)
-
-
 def test_fairness_interleaves_tenants_under_load(graph):
     endpoint = _endpoint(graph, profile=_flat_profile())
     server = QueryServer(
@@ -290,7 +274,7 @@ def test_cache_hit_dispatches_nothing(graph):
     server = QueryServer(endpoint, parallelism=1)
     report = server.serve(_burst(2, spacing_ms=1000.0, text="SELECT ?s WHERE { ?s ?p ?o }"))
     assert [r.status for r in report.records] == ["ok", "cache-hit"]
-    assert report.records[1].service_ms == server.cache_hit_ms
+    assert report.records[1].service_ms == CACHE_HIT_MS
     assert endpoint.stats.queries == 1
 
 
@@ -336,39 +320,11 @@ def test_server_status_shape(graph):
     }
     assert cache["hits"] + cache["misses"] >= 1
     assert set(status) == {
-        "endpoint", "parallelism", "queue_capacity", "queue_timeout_ms", "runs",
-        "endpoint_stats", "cache",
+        "endpoint", "parallelism", "queue_capacity", "runs", "endpoint_stats",
+        "cache",
     }
 
 
 def test_cacheless_server_status(graph):
     server = QueryServer(_endpoint(graph), cache_capacity=None)
     assert server.status()["cache"] is None
-
-
-def test_backpressure_sheds_when_queue_wait_exceeds_deadline(graph):
-    # single worker, a burst far faster than service: once the queue's
-    # expected wait (depth x mean service) passes the deadline, arrivals
-    # are shed at the front door instead of queueing to time out
-    endpoint = _endpoint(graph, profile=_flat_profile())
-    server = QueryServer(
-        endpoint,
-        parallelism=1,
-        queue_capacity=4096,
-        cache_capacity=None,
-        backpressure_deadline_ms=200.0,
-    )
-    report = server.serve(_burst(200, spacing_ms=1.0))
-    statuses = report.status_counts()
-    assert statuses.get("shed", 0) > 0
-    # shed happens at admission: shed records consume no service time
-    shed = [r for r in report.records if r.status == "shed"]
-    assert all(r.service_ms == 0.0 and r.completion_ms == r.start_ms for r in shed)
-    # nothing shed while the expected wait still fit the deadline
-    without = QueryServer(
-        _endpoint(graph, profile=_flat_profile()),
-        parallelism=1,
-        queue_capacity=4096,
-        cache_capacity=None,
-    )
-    assert without.serve(_burst(200, spacing_ms=1.0)).status_counts().get("shed", 0) == 0

@@ -303,20 +303,21 @@ class TestWrittenOnce:
         ])
         assert self._worker_ledgers(ast.parse(retired)) == {("SimWorkerPool", 4)}
 
-    def test_the_serving_parameter_check_is_written_once(self):
-        """``check_serving_parameters`` is defined in ``serving/scheduler.py``
-        and is the door of both serving constructors."""
-        modules = self._modules("serving")
-        definitions = [
-            path
-            for path, nodes in modules
+    def test_the_door_rules_are_written_once(self):
+        """``check_count`` and ``check_duration`` are defined in
+        ``endpoint/errors.py`` and nowhere else under ``src/``: every
+        count and duration argument is refused by the same rule."""
+        definitions = sorted(
+            (node.name, path)
+            for path, nodes in self._modules("")
             for node in nodes
-            if isinstance(node, ast.FunctionDef) and node.name == "check_serving_parameters"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in ("check_count", "check_duration")
+        )
+        assert definitions == [
+            ("check_count", os.path.join("endpoint", "errors.py")),
+            ("check_duration", os.path.join("endpoint", "errors.py")),
         ]
-        assert definitions == ["scheduler.py"]
-        assert self._callers(modules, "check_serving_parameters") == {
-            "scheduler.py", "server.py",
-        }
 
     @staticmethod
     def _hand_fed_heaps(nodes):
