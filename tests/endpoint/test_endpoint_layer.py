@@ -222,6 +222,42 @@ class TestEndpointQueries:
         extra = with_exists.stats.total_latency_ms - plain.stats.total_latency_ms
         assert extra == pytest.approx(2 * profile.per_pattern_ms)
 
+    @pytest.mark.parametrize("where", [
+        "?s a ex:T OPTIONAL { ?s ex:p+ ?o }",
+        "{ ?s a ex:T } UNION { ?s ex:p/ex:p ?o }",
+        "?s a ex:T { ?s ^ex:p ?o }",
+        "?s a ex:T FILTER (?s = ex:c || EXISTS { ?s ex:p* ?o })",
+        "?s a ex:T FILTER EXISTS { ?s ex:p ?o FILTER NOT EXISTS { ?o ex:p+ ?x } }",
+    ], ids=["optional", "union", "nested-group", "exists-in-argument",
+            "exists-in-exists"])
+    def test_a_path_at_any_nesting_is_rejected(self, where):
+        """The path check walks every shape that holds triple patterns,
+        not just the top level and a FILTER's own EXISTS."""
+        _, endpoint = build(profile="legacy-sesame")
+        with pytest.raises(QueryRejected, match="property paths"):
+            endpoint.query(f"PREFIX ex: <http://example.org/> ASK {{ {where} }}")
+        assert endpoint.stats.rejected == 1
+
+    @pytest.mark.parametrize("where, patterns", [
+        ("?s a ex:T . ?s ex:p ?o", 2),
+        ("?s a ex:T OPTIONAL { ?s ex:p ?o }", 2),
+        ("{ ?s a ex:T } UNION { ?s a ex:U . ?s ex:p ?o }", 3),
+        ("?s a ex:T { ?s ex:p ?o }", 2),
+        ("?s a ex:T FILTER (?s = ex:c || EXISTS { ?s ex:p ?o })", 2),
+        ("VALUES ?s { ex:a ex:b } ?s a ex:T", 1),
+    ], ids=["plain", "optional", "union", "nested-group", "exists-in-argument",
+            "values"])
+    def test_every_nested_pattern_is_charged_once(self, where, patterns):
+        """An ASK's latency over a one-pattern ASK is one ``per_pattern_ms``
+        per extra triple pattern at any nesting; VALUES holds none."""
+        profile = EndpointProfile("flat", jitter=0.0)
+        _, plain = build(profile=profile)
+        plain.query("ASK { ?s ?p ?o }")
+        _, nested = build(profile=profile)
+        nested.query(f"PREFIX ex: <http://example.org/> ASK {{ {where} }}")
+        extra = nested.stats.total_latency_ms - plain.stats.total_latency_ms
+        assert extra == pytest.approx((patterns - 1) * profile.per_pattern_ms)
+
     def test_latency_grows_with_result_size(self):
         profile = EndpointProfile("flat", jitter=0.0)
         clock = SimulationClock()

@@ -191,7 +191,7 @@ def test_a_capacity_that_is_not_a_count_is_refused(capacity):
         ResultCache(capacity=capacity)
 
 
-@pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1.0, None])
 def test_an_admission_floor_that_is_not_finite_and_non_negative_is_refused(floor):
     with pytest.raises(ValueError, match="min_service_ms"):
         ResultCache(capacity=4, min_service_ms=floor)
