@@ -33,6 +33,14 @@ an ID is recycled (``decref`` puts it on ``_free``, ``encode`` pops it for
 the next new term), so ``decref`` drops the ID's key where it zeroes its
 kind byte, and ``copy`` / ``restore`` start the table empty.  Only IDs
 enter it; a key never decides anything but an order.
+
+The third derived table is ``n3``, the kept ``id -> term.n3()`` UTF-8
+bytes the durability layer hashes triples with (a content digest, a
+shard's manifest digest, a load-time check).  It follows ``sort_keys``
+exactly: filled on a miss from the live term, dropped by ``decref`` where
+it frees the ID, started empty by ``copy`` / ``restore``, and written
+nowhere else.  A term is then rendered once per table, not once per
+digest pass.
 """
 
 from __future__ import annotations
@@ -44,8 +52,8 @@ from .terms import Term
 __all__ = ["TermDict"]
 
 
-class _SortKeys(dict):
-    """``id -> sort_key()`` of the live term, built on a miss (module
+class _Kept(dict):
+    """A table derived per ID from the live term, built on a miss (module
     docstring).  It reads the ID table, not the :class:`TermDict`, so the
     two hold no reference cycle."""
 
@@ -55,16 +63,32 @@ class _SortKeys(dict):
         super().__init__()
         self._id_to_term = id_to_term
 
+
+class _SortKeys(_Kept):
+    """``id -> sort_key()`` of the live term."""
+
+    __slots__ = ()
+
     def __missing__(self, term_id: int) -> Tuple:
         key = self[term_id] = self._id_to_term[term_id].sort_key()
         return key
+
+
+class _N3(_Kept):
+    """``id -> n3()`` of the live term, as UTF-8 bytes."""
+
+    __slots__ = ()
+
+    def __missing__(self, term_id: int) -> bytes:
+        text = self[term_id] = self._id_to_term[term_id].n3().encode("utf-8")
+        return text
 
 
 class TermDict:
     """A reference-counted, bidirectional ``Term <-> int`` intern table."""
 
     __slots__ = ("_term_to_id", "_id_to_term", "_refcount", "_next_id", "_free",
-                 "kinds", "sort_keys", "epoch", "snapshot", "recycled")
+                 "kinds", "sort_keys", "n3", "epoch", "snapshot", "recycled")
 
     def __init__(self):
         self._term_to_id: Dict[Term, int] = {}
@@ -76,6 +100,8 @@ class TermDict:
         self.kinds = bytearray()
         #: the kept sort key of each ID a cut compared (module docstring)
         self.sort_keys = _SortKeys(self._id_to_term)
+        #: the kept N3 bytes of each ID a digest hashed (module docstring)
+        self.n3 = _N3(self._id_to_term)
         # Durability epoch: bumped by repro.rdf.durability each time the
         # dictionary is snapshotted, and recorded in every snapshot file so
         # recovery can refuse to pair shard columns with the wrong table.
@@ -138,6 +164,7 @@ class TermDict:
         del self._term_to_id[term]
         self.kinds[term_id] = 0
         self.sort_keys.pop(term_id, None)
+        self.n3.pop(term_id, None)
         self._free.append(term_id)
 
     def refcount(self, term_id: int) -> int:
@@ -162,6 +189,7 @@ class TermDict:
         out._term_to_id = dict(self._term_to_id)
         out._id_to_term = dict(self._id_to_term)
         out.sort_keys = _SortKeys(out._id_to_term)
+        out.n3 = _N3(out._id_to_term)
         out._refcount = dict(self._refcount)
         out._next_id = self._next_id
         out._free = list(self._free)

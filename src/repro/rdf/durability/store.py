@@ -7,12 +7,15 @@ The durable state of a store is ``(manifest, WAL prefix)``:
   file for each shard written to since (a plain :class:`Graph` is one
   shard like any other) and one term-dictionary segment with the rows
   that moved; untouched shard files and the dictionary's earlier segments
-  are named again, not rewritten.  It then creates the epoch's
-  empty WAL segment, atomically swaps the manifest and prunes every file
-  the new manifest does not name.  Until the swap, every new file is
-  invisible garbage and the previous (manifest, WAL) pair stays fully
-  intact, which is the whole crash-consistency argument: a crash anywhere
-  leaves exactly one valid commit pointer on disk.
+  are named again, not rewritten.  A written shard's content digest is
+  derived the same way: the committed entry's digest plus the hashes of
+  the triples it gained, minus those it lost (hashed in full where that
+  cannot be trusted: see :func:`_derived_digest`).  It then creates the
+  epoch's empty WAL segment, atomically swaps the manifest and prunes
+  every file the new manifest does not name.  Until the swap, every new
+  file is invisible garbage and the previous (manifest, WAL) pair stays
+  fully intact, which is the whole crash-consistency argument: a crash
+  anywhere leaves exactly one valid commit pointer on disk.
 * :class:`Journal` (via :func:`attach_journal`) hooks the graph's mutation
   paths so every *content-changing* term-level mutation appends a WAL
   record **before** it applies in memory; no-op writes (duplicate adds,
@@ -22,7 +25,9 @@ The durable state of a store is ``(manifest, WAL prefix)``:
   indexes until first touch), optionally verifies each shard's content
   digest (a lazy shard's before it serves a row), then replays the WAL
   tail -- truncating a torn final record, failing loudly on mid-stream
-  corruption.
+  corruption.  Verification hashes every triple it loads; like
+  :func:`content_digest` it reads each term's N3 bytes from the
+  dictionary's kept ``n3`` table, so a term is rendered once per table.
 
 Replay applies term-level records through the public mutation API, so a
 second replay of the same records is a sequence of no-ops: recovery is
@@ -34,9 +39,10 @@ round-trips its allocation state.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .._leaf import IdIndex, leaf_add
 from ..dictionary import TermDict
@@ -87,30 +93,22 @@ def content_digest(graph: Graph) -> str:
     digests -- the value each manifest ``shard_files`` entry records, which
     is what lets a commit leave an unwritten shard alone.
 
-    Always recomputed from the live indexes; no stored value is read.  It
-    is a check against our own bugs and torn state, not an authenticator:
-    additive hashes yield to a generalized-birthday search, the files carry
-    CRC32, and whoever can write them can write the manifest too.
+    Always recomputed from the live indexes: every triple is walked and
+    hashed on each call, and no stored digest is read.  What is kept is
+    each term's N3 bytes, in the dictionary's ``n3`` table -- derived from
+    the live term and dropped when its ID is freed, so a term is rendered
+    once per table rather than once per call.  It is a check against our
+    own bugs and torn state, not an authenticator: additive hashes yield to
+    a generalized-birthday search, the files carry CRC32, and whoever can
+    write them can write the manifest too.
     """
-    n3 = _N3Memo(graph.dictionary)
+    n3 = graph.dictionary.n3
     return _format_digest(sum(_index_digest(shard.spo, n3) for shard in graph.shards))
 
 
-class _N3Memo(dict):
-    """``term id -> N3 bytes``, rendered once per distinct term per use."""
-
-    __slots__ = ("_decode",)
-
-    def __init__(self, term_dict: TermDict):
-        self._decode = term_dict.decode
-
-    def __missing__(self, term_id: int) -> bytes:
-        text = self[term_id] = self._decode(term_id).n3().encode("utf-8")
-        return text
-
-
-def _index_digest(spo: IdIndex, n3: _N3Memo) -> int:
-    """Unreduced set hash of one SPO index, walked in ID space."""
+def _index_digest(spo: IdIndex, n3: Dict[int, bytes]) -> int:
+    """Unreduced set hash of one SPO index, walked in ID space; *n3* is the
+    dictionary's kept ``id -> N3 bytes`` table."""
     sha256 = hashlib.sha256
     from_bytes = int.from_bytes
     total = 0
@@ -121,6 +119,17 @@ def _index_digest(spo: IdIndex, n3: _N3Memo) -> int:
             for o in objects:
                 total += from_bytes(sha256(line + n3[o]).digest(), "big")
     return total
+
+
+def _rows_digest(rows: Iterable[Tuple[int, int, int]], n3: Dict[int, bytes]) -> int:
+    """Unreduced set hash of ID rows ``(s, p, o)``, hashing the lines
+    :func:`_index_digest` does."""
+    sha256 = hashlib.sha256
+    from_bytes = int.from_bytes
+    return sum(
+        from_bytes(sha256(n3[s] + b" " + n3[p] + b" " + n3[o]).digest(), "big")
+        for s, p, o in rows
+    )
 
 
 def _format_digest(value: int) -> str:
@@ -191,7 +200,6 @@ def _save_graph(
         else None
     )
 
-    n3 = _N3Memo(term_dict)
     shards = graph.shards
     shard_entries: List[Dict] = []
     for index, shard in enumerate(shards):
@@ -203,8 +211,18 @@ def _save_graph(
             shard_entries.append(old)
             continue
         columns = shard.columns()
+        digest = None
         if moved is not None:
-            moved = _moved_ids(root, old, columns, moved)
+            before = _committed_rows(root, old)
+            if before is None:
+                moved = None
+            else:
+                changed = before.symmetric_difference(zip(*columns))
+                for row in changed:
+                    moved.update(row)
+                digest = _derived_digest(old, before, changed, term_dict)
+        if digest is None:
+            digest = _index_digest(shard.spo, term_dict.n3)
         name = shard_file(index, epoch)
         triples, checksum = write_shard_snapshot(
             os.path.join(root, name), columns, epoch, injector
@@ -214,7 +232,7 @@ def _save_graph(
             "epoch": epoch,
             "triples": triples,
             "checksum": checksum,
-            "digest": _format_digest(_index_digest(shard.spo, n3)),
+            "digest": _format_digest(digest),
         })
 
     if ours and not any(entry["epoch"] == epoch for entry in shard_entries):
@@ -265,15 +283,15 @@ def _save_graph(
     return manifest
 
 
-def _moved_ids(root: str, old: Optional[Dict], columns: Tuple, moved: set) -> Optional[set]:
-    """*moved* plus the term IDs of every triple a shard gained or lost.
+def _committed_rows(root: str, old: Optional[Dict]) -> Optional[Set[Tuple[int, int, int]]]:
+    """The ID rows of a shard's committed file *old*, or None when there is
+    no readable committed file.
 
-    What changed is computed, not remembered: the shard's committed file
-    *old* is on disk and its new run *columns* is in memory, and their
-    symmetric difference is exactly the triples added or removed since the
-    commit.  A term whose dictionary row moved occurs in one of them,
-    unless its ID was recycled in between (``TermDict.recycled``).
-    None when there is no readable committed file to diff against.
+    What changed is computed, not remembered: the committed file is on
+    disk and the shard's new run is in memory, and their symmetric
+    difference is exactly the triples added or removed since the commit.
+    A term whose dictionary row moved occurs in one of them, unless its ID
+    was recycled in between (``TermDict.recycled``).
     """
     if old is None:
         return None
@@ -285,9 +303,38 @@ def _moved_ids(root: str, old: Optional[Dict], columns: Tuple, moved: set) -> Op
         )
     except SnapshotError:
         return None
-    for row in set(zip(*before)).symmetric_difference(zip(*columns)):
-        moved.update(row)
-    return moved
+    return set(zip(*before))
+
+
+def _derived_digest(
+    old: Dict, before: Set[Tuple[int, int, int]], changed: Set[Tuple[int, int, int]],
+    term_dict: TermDict,
+) -> Optional[int]:
+    """A written shard's digest from the rows that changed: the committed
+    entry *old*'s digest (over the rows *before*), plus the hashes of the
+    rows of *changed* the shard gained, minus those of the rows it lost.
+
+    None where the committed digest cannot be carried and the shard must
+    be hashed in full: a removed row names a freed ID (its term is gone
+    from the table), or an ID that changed hands since the commit occurs
+    in the committed rows -- remove (s, p, T), let U take T's freed ID, add
+    (s, p, U), and the ID row the diff calls unchanged now names U where
+    the committed digest hashed T.
+    """
+    recycled = term_dict.recycled
+    if recycled and not recycled.isdisjoint(itertools.chain.from_iterable(before)):
+        return None
+    try:
+        base = _parse_digest(old["digest"])
+    except DurabilityError:
+        return None
+    removed = changed & before
+    n3 = term_dict.n3
+    try:
+        lost = _rows_digest(removed, n3)
+    except KeyError:
+        return None
+    return base + _rows_digest(changed - removed, n3) - lost
 
 
 def _save_termdict(
@@ -587,7 +634,14 @@ def load_graph(
     * ``obs`` is an optional ``repro.obs`` tracer: recovery records a
       ``durability.recover`` span with a nested ``durability.wal_replay``
       event (records applied, torn-tail reason).
+
+    A ``lazy`` or ``verify`` that is neither a bool nor None is refused
+    with :class:`ValueError` before any file is read: ``lazy="false"`` is
+    truthy, and would load lazily and skip verification.
     """
+    for name, value in (("lazy", lazy), ("verify", verify)):
+        if value is not None and not isinstance(value, bool):
+            raise ValueError(f"load_graph: {name} must be a bool or None, got {value!r}")
     if obs is not None and obs.enabled:
         with obs.span("durability.recover", root=root):
             return _load_graph(root, lazy, verify, obs)
@@ -641,7 +695,6 @@ def _load_graph(root, lazy, verify, obs) -> Graph:
     graph._dict = term_dict
     graph._size = manifest["size"]
     graph._generation = manifest["generation"]
-    del checks  # and with them, unless a cold shard holds one, the N3 memo
 
     applied, reason, valid_end = _replay_wal(graph, root, manifest)
     if reason is not None:
@@ -682,11 +735,10 @@ def _digest_checks(manifest: Dict, term_dict: TermDict) -> List[Callable[[IdInde
         raise DurabilityError(
             f"shard digests do not add up to manifest digest {manifest['digest']}"
         )
-    n3 = _N3Memo(term_dict)  # shared: most terms occur in more than one shard
-    return [_digest_check(entry, n3) for entry in entries]
+    return [_digest_check(entry, term_dict.n3) for entry in entries]
 
 
-def _digest_check(entry: Dict, n3: _N3Memo) -> Callable[[IdIndex], None]:
+def _digest_check(entry: Dict, n3: Dict[int, bytes]) -> Callable[[IdIndex], None]:
     def check(spo: IdIndex) -> None:
         try:
             digest = _format_digest(_index_digest(spo, n3))

@@ -16,8 +16,8 @@ every carried file still matches its entry), and after each commit the
 recovered term dictionary *is* the live one (rows, next ID, free list in
 order), nothing is orphaned, and a shard file was rewritten iff a triple of
 that shard came or went since the commit before.  The live dictionary's
-kind bytes are its terms' kinds, and its kept sort keys its live terms'
-keys, after every step, whatever object it is.
+kind bytes are its terms' kinds, and its kept sort keys and N3 bytes its
+live terms' keys and N3, after every step, whatever object it is.
 """
 
 from __future__ import annotations
@@ -372,6 +372,15 @@ class DurableStore(RuleBasedStateMachine):
         for _term, term_id in table.items():
             table.sort_keys[term_id]
 
+    @rule()
+    def render_every_live_term(self):
+        """What a digest pass does to the dictionary: keep the N3 bytes of
+        every ID it hashes -- here every live one, so a later free and
+        recycle of any of them is caught by the invariant below."""
+        table = self.graph.dictionary
+        for _term, term_id in table.items():
+            table.n3[term_id]
+
     # -- what must hold after every step ---------------------------------------------
 
     @invariant()
@@ -419,6 +428,18 @@ class DurableStore(RuleBasedStateMachine):
         for term_id, key in table.sort_keys.items():
             assert term_id in live, term_id
             assert key == live[term_id].sort_key(), term_id
+
+    @invariant()
+    def a_kept_n3_is_the_live_terms_n3(self):
+        """``TermDict.n3`` is derived from the table as well: kept bytes are
+        their ID's live term's N3, and a freed ID keeps none -- a line left
+        behind would hash the next term to take the ID as the one it freed,
+        and a checkpoint would commit a digest no load can verify."""
+        table = self.graph.dictionary
+        live = {term_id: term for term, term_id in table.items()}
+        for term_id, text in table.n3.items():
+            assert term_id in live, term_id
+            assert text == live[term_id].n3().encode("utf-8"), term_id
 
 
 DurableStore.TestCase.settings = settings(

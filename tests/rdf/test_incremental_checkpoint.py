@@ -10,14 +10,22 @@ carried files -- a remembered entry is only honoured if it *is* the
 committed one, a delta segment only goes on top of the chain the live
 dictionary descends from -- each get the scenario that would break them.
 
+A written shard's manifest digest is derived the same way: the committed
+entry's digest plus the hashes of the triples gained, minus those lost.
+How many triples a checkpoint hashes is counted too (a wrapped
+``hashlib.sha256`` in the store module), and each case that must hash a
+shard in full instead gets its scenario.
+
 The interleavings are ``test_durability_machine.py``'s; hostile bytes are
 ``test_durability_hostile_bytes.py``'s.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,7 +55,10 @@ from repro.rdf.durability.paths import (
     termdict_segments,
     wal_file,
 )
+from repro.rdf.dictionary import TermDict
+from repro.rdf.durability import store
 from repro.rdf.durability.snapshot import _read_termdict_segment
+from repro.rdf.durability.store import _format_digest, _index_digest
 
 EX = "http://ex.org/"
 SHARDS = 4
@@ -96,6 +107,36 @@ def _chain_rows(root: str, manifest: dict, index: int) -> list:
     )
     assert len(rows) == segment["rows"]
     return sorted(rows)
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """``hashed()`` counts the SHA-256 calls the store module made since
+    the last call: one per triple it hashed."""
+    calls = [0]
+
+    def sha256(data):
+        calls[0] += 1
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(store, "hashlib", SimpleNamespace(sha256=sha256))
+
+    def since():
+        count, calls[0] = calls[0], 0
+        return count
+
+    return since
+
+
+def _fresh_digests(graph: Graph) -> list:
+    """Each shard's digest hashed in full, every term rendered anew (a
+    copied table keeps no N3 bytes)."""
+    n3 = graph.dictionary.copy().n3
+    return [_format_digest(_index_digest(shard.spo, n3)) for shard in graph.shards]
+
+
+def _entry_digests(manifest: dict) -> list:
+    return [entry["digest"] for entry in manifest["shard_files"]]
 
 
 # -- work as counts ------------------------------------------------------------
@@ -446,6 +487,171 @@ class TestTermDictChain:
         assert _table(back.dictionary) == _table(graph.dictionary)
 
 
+# -- the derived digest ----------------------------------------------------------
+
+
+class TestDerivedDigest:
+    """Every case ends with the manifest's entries equal to a fresh full
+    digest of each shard, and counts the triples the checkpoint hashed:
+    the ones that changed, or -- where the committed digest cannot be
+    carried -- every triple of each written shard."""
+
+    def test_a_checkpoint_hashes_the_triples_added_and_removed(self, tmp_path, hashed):
+        root = str(tmp_path)
+        graph = _world()
+        hot, tag = IRI(f"{EX}s0"), IRI(f"{EX}p9")
+        shared = [_triple(i, 0).object for i in range(1, 8)]
+        for value in shared:  # objects another subject keeps live
+            graph.add(Triple(hot, tag, value))
+        graph.save(root)
+        assert hashed() == len(graph)  # a first save hashes every triple
+        journal = attach_journal(graph, root)
+        k, j = 6, 4
+        for i in range(k):
+            graph.add(Triple(hot, tag, Literal(f"new{i}")))
+        for value in shared[:j]:
+            graph.remove(Triple(hot, tag, value))
+        assert not graph.dictionary._free  # no ID freed, none recycled
+        before = _fresh_digests(graph)
+        hashed()
+        manifest = journal.checkpoint()
+        journal.close()
+        assert hashed() == k + j
+        owner = _owner(graph, hot)
+        assert [entry["epoch"] for entry in manifest["shard_files"]] == [
+            2 if index == owner else 1 for index in range(SHARDS)
+        ]
+        assert _entry_digests(manifest) == before == _fresh_digests(graph)
+        assert content_digest(load_graph(root, lazy=False, verify=True)) == content_digest(graph)
+
+    def test_first_save(self, tmp_path, hashed):
+        graph = _world()
+        manifest = graph.save(str(tmp_path))
+        assert hashed() == len(graph)
+        assert _entry_digests(manifest) == _fresh_digests(graph)
+
+    def test_an_unreadable_committed_file(self, tmp_path, hashed):
+        root = str(tmp_path)
+        graph = _world()
+        first = graph.save(root)
+        extra = _triple(700, 0)
+        graph.add(extra)
+        owner = _owner(graph, extra.subject)
+        with open(os.path.join(root, first["shard_files"][owner]["file"]), "r+b") as handle:
+            handle.truncate(30)
+        hashed()
+        manifest = graph.save(root)
+        assert hashed() == len(graph.shards[owner])
+        assert _entry_digests(manifest) == _fresh_digests(graph)
+
+    def test_an_unreadable_committed_digest(self, tmp_path, hashed):
+        """The committed file reads, its entry's digest does not: there is
+        nothing to add the changed rows to, so the shard is hashed whole."""
+        root = str(tmp_path)
+        graph = _world()
+        manifest = graph.save(root)
+        extra = _triple(700, 0)
+        graph.add(extra)
+        owner = _owner(graph, extra.subject)
+        manifest["shard_files"][owner]["digest"] = "sha256-sum:not hex"
+        write_manifest(root, manifest)
+        hashed()
+        manifest = graph.save(root)
+        assert hashed() == len(graph.shards[owner])
+        assert _entry_digests(manifest) == _fresh_digests(graph)
+
+    def test_a_chain_too_heavy_for_a_delta(self, tmp_path, hashed):
+        root = str(tmp_path)
+        graph = _world(n=4)
+        graph.save(root)
+        journal = attach_journal(graph, root)
+        compacted = 0
+        for step in range(24):
+            extra = _triple(100 + step, 0)
+            graph.add(extra)
+            hashed()
+            manifest = journal.checkpoint()
+            full = manifest["termdict"]["deltas"] == []
+            compacted += full
+            # a full segment means no diff was taken: the shard is hashed whole
+            assert hashed() == (len(graph.shards[_owner(graph, extra.subject)]) if full else 1)
+            assert _entry_digests(manifest) == _fresh_digests(graph)
+        journal.close()
+        assert compacted >= 2
+
+    def test_a_removed_row_names_a_freed_id(self, tmp_path, hashed):
+        root = str(tmp_path)
+        graph = _world()
+        graph.save(root)
+        victim = _triple(3, 0)
+        freed = graph.lookup_id(victim.object)
+        graph.remove(victim)
+        assert freed in graph.dictionary._free
+        hashed()
+        manifest = graph.save(root)
+        assert hashed() == len(graph.shards[_owner(graph, victim.subject)])
+        assert _entry_digests(manifest) == _fresh_digests(graph)
+
+    def test_a_recycled_id_under_an_unchanged_id_row(self, tmp_path, hashed):
+        root = str(tmp_path)
+        graph = _world()
+        graph.save(root)
+        victim = _triple(3, 0)
+        owner = _owner(graph, victim.subject)
+        run = list(zip(*graph.shards[owner].columns()))
+        graph.remove(victim)
+        other = Literal("takes the freed ID")
+        graph.add(Triple(victim.subject, victim.predicate, other))
+        assert graph.dictionary.recycled == {graph.lookup_id(other)}
+        assert list(zip(*graph.shards[owner].columns())) == run
+        hashed()
+        manifest = graph.save(root)
+        # carried, the committed digest would still hash the freed term
+        assert hashed() == len(graph.shards[owner])
+        assert _entry_digests(manifest) == _fresh_digests(graph)
+        load_graph(root, lazy=False, verify=True)
+
+    def test_clear(self, tmp_path, hashed):
+        root = str(tmp_path)
+        graph = _world()
+        graph.save(root)
+        graph.clear()
+        for i in range(6):
+            graph.add(_triple(i, 1))
+        hashed()
+        manifest = graph.save(root)
+        assert manifest["termdict"]["deltas"] == []
+        assert hashed() == len(graph)
+        assert _entry_digests(manifest) == _fresh_digests(graph)
+        load_graph(root, lazy=False, verify=True)
+
+
+class TestKeptN3:
+    def test_a_freed_id_drops_its_bytes_and_copies_start_empty(self):
+        table = TermDict()
+        kept, other = table.encode(Literal("a")), table.encode(IRI(f"{EX}b"))
+        table.incref(kept)
+        table.incref(other)
+        assert table.n3[kept] == b'"a"' and table.n3[other] == f"<{EX}b>".encode()
+        assert len(table.copy().n3) == 0
+        assert len(TermDict.restore(iter(table.snapshot_items()), 2, [], 0).n3) == 0
+        table.decref(kept)
+        assert kept not in table.n3
+        assert table.encode(Literal("z")) == kept  # the freed ID is recycled
+        assert table.n3[kept] == b'"z"'
+
+    def test_a_term_is_rendered_once_per_table(self, tmp_path, monkeypatch):
+        renders = []
+        real = Literal.n3
+        monkeypatch.setattr(Literal, "n3", lambda self: renders.append(self) or real(self))
+        graph = _world(n=6)
+        literals = sum(isinstance(term, Literal) for term in graph.dictionary.terms())
+        graph.save(str(tmp_path))
+        content_digest(graph)
+        content_digest(graph)
+        assert len(renders) == literals
+
+
 # -- same checks, none weaker --------------------------------------------------
 
 
@@ -508,6 +714,27 @@ class TestTheChecksThatRemain:
             assert not lazy.shards[1].hydrated
         # defaults unchanged: a lazy load does not verify unless asked
         list(load_graph(root, lazy=True).triples(subject=bad))
+
+    @pytest.mark.parametrize("name, value", [
+        ("lazy", "false"), ("lazy", "no"), ("lazy", 0), ("lazy", 1),
+        ("verify", "no"), ("verify", ""), ("verify", 1), ("verify", 0.0),
+    ])
+    def test_a_lazy_or_verify_that_is_not_a_bool_is_refused(self, tmp_path, name, value):
+        """``lazy="false"`` is truthy: it loaded lazily, left verification
+        off and served every row of a store whose entry digests were
+        swapped.  It is refused before any file is read."""
+        root = str(tmp_path)
+        manifest = _world().save(root)
+        entries = manifest["shard_files"]
+        entries[1]["digest"], entries[2]["digest"] = entries[2]["digest"], entries[1]["digest"]
+        write_manifest(root, manifest)
+        with pytest.raises(DurabilityError):
+            load_graph(root, lazy=False)
+        for where in (root, str(tmp_path / "absent")):
+            with pytest.raises(ValueError, match=f"{name} must be a bool or None"):
+                load_graph(where, **{name: value})
+            with pytest.raises(ValueError, match=name):
+                Graph.load(where, **{name: value})
 
     def test_a_shard_file_of_the_wrong_epoch_is_refused(self, tmp_path):
         root = str(tmp_path)

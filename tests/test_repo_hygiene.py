@@ -1114,6 +1114,20 @@ class TestKindByteWrittenOnce:
         ]))
         assert self._kinds_writes(forbidden, "sort_keys") == {2, 3, 4}
 
+    def test_the_kept_n3_is_written_in_the_dictionary_only(self):
+        """``TermDict.n3`` is derived over recycled IDs like ``sort_keys``:
+        the digests read it, only the dictionary writes it."""
+        writers = {path for path, tree in self._trees("") if self._kinds_writes(tree, "n3")}
+        assert writers == {"rdf/dictionary.py"}, sorted(writers)
+        forbidden = ast.parse("\n".join([
+            "def f(table, term_id, text):",
+            "    table.n3[term_id] = text",
+            "    table.n3.setdefault(term_id, text)",
+            "    table.n3.clear()",
+            "    return table.n3[term_id], term.n3()",  # reads, and a render
+        ]))
+        assert self._kinds_writes(forbidden, "n3") == {2, 3, 4}
+
     def test_the_kind_codes_are_defined_on_the_term_classes_only(self):
         from repro.rdf import BNode, IRI, Literal
 
