@@ -32,17 +32,22 @@ Two BGP pipelines sit behind ``QueryEngine(graph, strategy=...)``:
   the conformance oracle; the suite runs every query through both
   pipelines and asserts identical solutions.
 
-A hash SELECT takes one of three routes (:meth:`Execution._run_select`):
+A hash SELECT takes one of three routes (:meth:`Execution._run_select`),
+and the first two need a *simple* WHERE clause -- plain triple patterns
+plus one-variable term-test FILTERs (:meth:`Execution._simple_where_shape`),
+whose rows are pure ID tuples, every variable bound in every row:
 
-1. a ``LIMIT`` <= ``STREAM_DELEGATE_LIMIT`` page with no DISTINCT, no
-   pipeline breaker (ORDER BY, aggregation, HAVING, ``SELECT *``) and a
-   simple WHERE clause (below) is cut on the lazy chain's ID rows;
+1. a ``LIMIT`` <= ``STREAM_DELEGATE_LIMIT`` page with no DISTINCT and no
+   pipeline breaker (ORDER BY, aggregation, HAVING, ``SELECT *``) is cut
+   on the lazy chain's ID rows;
 2. a *column-shaped* SELECT clause -- bare-variable projections (or
-   ``SELECT *``) and sort keys, column-shaped aggregation
-   (``aggregate_plan``), a HAVING that pushes down into the fold -- runs
-   the columnar executor, whatever its WHERE clause;
-3. anything else runs the general term-space path
-   (:meth:`Execution._run_select_general`).
+   ``SELECT *``), column-shaped aggregation (``aggregate_plan``), no
+   HAVING and bare-variable sort keys -- runs the columnar executor;
+3. anything else -- any other WHERE clause (OPTIONAL, UNION, VALUES, a
+   property path, another FILTER), a HAVING, an expression projection or
+   sort key -- runs the general term-space path
+   (:meth:`Execution._run_select_general`), which ``scan`` runs for
+   every SELECT.
 
 The columnar executor (:meth:`Execution._run_select_columnar`) is a source
 of ID *column* batches (``BATCH_SIZE`` rows each, volcano control flow
@@ -52,24 +57,19 @@ dictionary IDs (and raw fold values) through ORDER BY / DISTINCT / OFFSET
 / LIMIT (:meth:`Execution._id_modifiers`, which cuts what it holds to the
 page's size after every batch and keys only the rows a cut has to
 compare, an ID's key read from the dictionary's kept table --
-``TermDict.sort_keys``); only the emitted page is decoded.
-The source follows from the WHERE clause, never from a caller option.
-The *simple shape* -- plain triple patterns plus one-variable term-test
-FILTERs -- has pure ID rows: a single pattern streams batches straight
-off the index (:meth:`Graph.scan_columns`, materialising only the
-positions an operator above reads -- :meth:`Execution._wanted_variables`;
-an index level's keys and run lengths when a COUNT GROUP BY or DISTINCT
-needs no more -- :meth:`Graph.scan_runs`), several patterns run the eager
-join and transpose its rows (or, under a DISTINCT or a pure-COUNT GROUP
-BY, take the keys its last step folded -- :meth:`Execution._fold_step`).
-The eager join (:meth:`Execution._bgp_id_rows`) plans its order once and
+``TermDict.sort_keys``); only the emitted page is decoded.  A cell is an
+ID, or None in a column nothing reads (or of a variable no pattern
+binds).  A single pattern streams batches straight off the index
+(:meth:`Graph.scan_columns`, materialising only the positions an
+operator above reads -- :meth:`Execution._wanted_variables`; an index
+level's keys and run lengths when a COUNT GROUP BY or DISTINCT needs no
+more -- :meth:`Graph.scan_runs`), several patterns run the eager join and
+transpose its rows (or, under a DISTINCT or a pure-COUNT GROUP BY, take
+the keys its last step folded -- :meth:`Execution._fold_step`).  The
+eager join (:meth:`Execution._bgp_id_rows`) plans its order once and
 takes the FILTERs and the wanted variables down: a candidate is tested
 where its variable is bound, gated by the next pattern's probe table, and
-built without the columns nothing later reads.  Any other WHERE clause
-runs the eager group pipeline and encodes its solutions
-(:meth:`Execution._solution_source`): the rows the general path reads, in
-its order, with a term the dictionary lacks kept raw and an unbound
-variable None.
+built without the columns nothing later reads.
 
 Compiled plans (encoded patterns + cardinality estimates) live in a
 :class:`_SharedPlanCache` attached to the *graph* (one per graph, shared
@@ -81,6 +81,7 @@ parsing, pattern encoding and estimation entirely -- on any engine.
 
 from __future__ import annotations
 
+import copy
 import heapq
 from bisect import bisect_left
 from collections import Counter, OrderedDict
@@ -100,21 +101,18 @@ from .errors import SparqlEvaluationError
 from .functions import (
     ExpressionError,
     Solution,
-    compare_terms,
     effective_boolean_value,
     evaluate_expression,
 )
 from .nodes import (
     Aggregate,
     AskQuery,
-    CompareExpression,
     ExistsExpression,
     Expression,
     FilterPattern,
     FunctionCall,
     GroupPattern,
     OptionalPattern,
-    Projection,
     Query,
     SelectQuery,
     TermExpression,
@@ -297,8 +295,8 @@ class _AggFold:
     variants) cannot diverge between strategies.
 
     Values arrive in solution order, either as dictionary IDs (with a
-    ``decode`` callable; the columnar sink, where a term the dictionary
-    lacks arrives raw) or as ground terms (the general path).  DISTINCT
+    ``decode`` callable; the columnar sink) or as ground terms (the
+    general path).  DISTINCT
     deduplicates on the *encoded* value -- every term has one encoding,
     so an encoded seen-set equals a term seen-set without decoding, which
     is what keeps COUNT(DISTINCT ?v) from ever materializing member
@@ -383,7 +381,7 @@ class _AggFold:
         if function == "COUNT":
             self.count += 1
             return
-        term = decode(value) if decode is not None and type(value) is int else value
+        term = value if decode is None else decode(value)
         if function in ("SUM", "AVG"):
             if isinstance(term, Literal):
                 number = term.numeric_value()
@@ -469,11 +467,11 @@ def _fold_key(value) -> Tuple:
 def _sort_key_column(values, memo: Dict, key_of) -> List:
     """One ORDER BY condition's keys for a column of ID-space cells.
 
-    A bound cell's key orders as its term's ``sort_key()``; an unbound
-    cell's is ``()``, which sorts before every term key -- the order
+    A cell's key orders as its term's ``sort_key()``; a fold with no
+    result keys as ``()``, which sorts before every term key -- the order
     :meth:`Execution._order_key` defines.  *key_of* maps one cell to its
-    key (:meth:`Execution._cell_key_of`: an ID's key kept beside the
-    dictionary; ``int`` for a COUNT, whose key is the count itself;
+    key (an ID's key kept beside the dictionary, ``TermDict.sort_keys``;
+    ``int`` for a COUNT, whose key is the count itself;
     :func:`_fold_key` for any other fold value).  It runs once per
     distinct cell, on *memo* misses only, in one ``map``.  The memo is the
     execution's own, so its size (``sort_keys``) counts the distinct cells
@@ -764,7 +762,6 @@ EXEC_STAT_KEYS = frozenset(
                             # per distinct cell compared
         "join_rows",        # rows the eager join's steps built, summed
                             # over steps (and over the BGPs of the query)
-        "having_pruned",    # groups dropped by HAVING pushdown
         "decoded_rows",     # rows decoded at the result boundary;
                             # ``aggregate-id``: the page that survived
                             # ORDER BY / DISTINCT / OFFSET / LIMIT, not
@@ -2021,9 +2018,9 @@ class Execution:
     # -- SELECT pipeline -----------------------------------------------------
 
     def _run_select(self, query: SelectQuery) -> SelectResult:
-        if self.strategy == "scan":
-            return self._run_select_general(query)
-        where = self._simple_where_shape(query.where)
+        where = None if self.strategy == "scan" else self._simple_where_shape(query.where)
+        if where is None:
+            return self._run_select_general(query)  # rule 3
         # Rule 1.  Small-LIMIT queries pay for every row an eager pipeline
         # materializes and then throws away, so a simple WHERE clause runs
         # on the lazy ID chain.  This rule must precede the columnar
@@ -2034,15 +2031,14 @@ class Execution:
         # one paginated query then land on the same pipeline, keeping row
         # order stable across pages.
         if (
-            where is not None
-            and query.limit is not None
+            query.limit is not None
             and query.limit <= self.engine.STREAM_DELEGATE_LIMIT
             and not query.distinct
             and self._streamable(query)
         ):
             return self._run_select_streaming(query, where)
-        # Rule 2: a column-shaped SELECT clause runs the columnar sinks,
-        # whatever its WHERE clause.  Rule 3: everything else.
+        # Rule 2: a column-shaped SELECT clause runs the columnar sinks.
+        # Rule 3: everything else.
         shape = self._simple_select_shape(query)
         if shape is not None:
             return self._run_select_columnar(query, *shape, where)
@@ -2144,34 +2140,26 @@ class Execution:
     @staticmethod
     def _simple_select_shape(query: SelectQuery):
         """``(aggregate plan, sort variables)`` when the SELECT clause is
-        column-shaped, else None: bare-variable projections (or ``SELECT
-        *``), bare-variable sort keys, column-shaped aggregation
-        (``aggregate_plan``) and a HAVING that pushes down into the fold.
-        The WHERE clause plays no part.  The plan is None without
-        aggregates; the sort variables are None unless a non-aggregate
-        query has an ORDER BY (ORDER BY over aggregate output is the
-        aggregate sink's own: :meth:`_aggregate_page`).
+        column-shaped, else None: no HAVING, bare-variable sort keys, and
+        bare-variable projections (or ``SELECT *``) or column-shaped
+        aggregation (``aggregate_plan``).  The plan is None without
+        aggregates; the sort variables are ``[]`` without an ORDER BY
+        (over aggregate output they name output columns:
+        :meth:`_aggregate_page`).
         """
-        if query.having is not None and (
-            not query.has_aggregates()
-            or query.having_aggregate_conjuncts() is None
-        ):
+        order_vars = query.order_variables()
+        if query.having is not None or order_vars is None:
             return None
-        plan = order_vars = None
+        plan = None
         if query.has_aggregates():
             plan = query.aggregate_plan()
             if plan is None:
                 return None
-        else:
-            if not query.select_all:
-                for projection in query.projections:
-                    if projection.alias is not None or not isinstance(
-                        projection.expression, VariableExpression
-                    ):
-                        return None
-            if query.order_by:
-                order_vars = query.order_variables()
-                if order_vars is None:
+        elif not query.select_all:
+            for projection in query.projections:
+                if projection.alias is not None or not isinstance(
+                    projection.expression, VariableExpression
+                ):
                     return None
         return plan, order_vars
 
@@ -2203,7 +2191,8 @@ class Execution:
     ) -> List[Row]:
         """Decode + project ID rows into result rows (the one decode
         loop).  Row positions in *fold_columns* hold raw fold values
-        (:meth:`_AggFold.value`) instead of dictionary IDs."""
+        (:meth:`_AggFold.value`) instead of dictionary IDs; a None cell
+        is unbound."""
         decode = self.graph.decode_id
         # equal fold values make equal terms: one Literal per distinct
         # count, not one per group
@@ -2225,10 +2214,8 @@ class Execution:
                     if term is None and value is not None:
                         term = fold_terms[value] = _fold_term(value)
                     projected[name] = term
-                elif value is None or value is _UNBOUND:
-                    projected[name] = None
                 else:
-                    projected[name] = decode(value) if type(value) is int else value
+                    projected[name] = None if value is None else decode(value)
             out_rows.append(projected)
         return out_rows
 
@@ -2242,7 +2229,7 @@ class Execution:
         *conditions* are ``(column, descending, key_of)``; their sort
         keys are memoized per distinct cell (:func:`_sort_key_column`),
         and *key_of* reads an ID's key from the dictionary's kept table
-        (:meth:`_cell_key_of`), so a warm graph decodes no cell to sort.
+        (``TermDict.sort_keys``), so a warm graph decodes no cell to sort.
         Rows are held as columns, in input order.  Under LIMIT they are
         cut after every batch to the rows that can still reach the page
         (:func:`_first_in_order`) -- DISTINCT keeps each *dedup_columns*
@@ -2312,197 +2299,95 @@ class Execution:
         stats["sort_keys"] = sum(map(len, memos))
         return kept[offset:], stats
 
-    def _aggregate_fold_specs(self, query: SelectQuery, plan, col_of):
-        """``(group columns, fold specs, having specs)`` for an ID-space
-        aggregation."""
-        group_vars, items = plan
-        group_columns = [col_of.get(variable) for variable in group_vars]
-        agg_specs = []  # (item index, aggregate, value column or None)
-        for index, (kind, payload, _name) in enumerate(items):
-            if kind == "agg":
-                column = (
-                    col_of.get(payload.expression.variable)
-                    if payload.expression is not None
-                    else None
-                )
-                agg_specs.append((index, payload, column))
-        # Pushed-down HAVING conjuncts: extra folds on negative slots,
-        # gating groups at result time instead of falling back to the
-        # materialized member-list path.
-        having = (
-            query.having_aggregate_conjuncts() if query.having is not None else None
-        )
-        having_specs = []  # (slot, aggregate, value column, op, constant)
-        for position, (aggregate, op, constant) in enumerate(having or ()):
-            column = (
-                col_of.get(aggregate.expression.variable)
-                if aggregate.expression is not None
-                else None
-            )
-            having_specs.append((-(position + 1), aggregate, column, op, constant))
-        fold_specs = agg_specs + [
-            (slot, aggregate, column)
-            for slot, aggregate, column, _op, _constant in having_specs
-        ]
-        return group_columns, fold_specs, having_specs
-
     @staticmethod
-    def _having_fold_passes(value: Optional[Term], op: str, constant: Term) -> bool:
-        """One pushed-down HAVING conjunct, evaluated on a fold result.
-
-        Runs the real expression interpreter on ``value op constant`` so
-        numeric promotion and error semantics cannot diverge from the
-        materialized path (which substitutes the same fold result into
-        the original expression); a None fold result (e.g. AVG over no
-        numerics) is an expression error there, so it gates here.
-        """
-        if value is None:
-            return False
-        try:
-            result = evaluate_expression(
-                CompareExpression(op, TermExpression(value), TermExpression(constant)),
-                {},
-                None,
-            )
-            return effective_boolean_value(result)
-        except ExpressionError:
-            return False
-
-    def _group_columns(self, items, groups, col_of, having_specs):
-        """``(cols, having_pruned)``: the folded groups as ONE column
-        batch, a column per item.  HAVING gates on the negative-slot
-        folds, ``var`` items carry the ID the group's first member row
-        holds, ``agg`` items their fold's raw value."""
-        survivors = list(groups.values())
-        if having_specs:
-            survivors = [
-                state
-                for state in survivors
-                if all(
-                    self._having_fold_passes(state[1][slot].result(), op, constant)
-                    for slot, _aggregate, _column, op, constant in having_specs
-                )
-            ]
+    def _group_columns(items, groups, col_of):
+        """The folded groups as ONE column batch, a column per item:
+        ``var`` items carry the ID the group's first member row holds,
+        ``agg`` items their fold's raw value."""
+        states = groups.values()
         cols: List[List] = []
         for index, (kind, payload, _name) in enumerate(items):
             if kind == "agg":
-                cols.append([folds[index].value() for _first_row, folds in survivors])
+                cols.append([folds[index].value() for _first_row, folds in states])
                 continue
             column = col_of.get(payload)
             cols.append(
                 [
                     None if column is None or first_row is None else first_row[column]
-                    for first_row, _folds in survivors
+                    for first_row, _folds in states
                 ]
             )
         if not cols:
             # no items (``SELECT *`` over groups): one placeholder
             # column, a batch's length is ``len(cols[0])``
-            cols.append([None] * len(survivors))
-        return cols, len(groups) - len(survivors)
+            cols.append([None] * len(groups))
+        return cols
 
     def _aggregate_page(
         self, query: SelectQuery, items, cols: List[List], columns: List[int], stats,
-        ids_only: bool = False,
     ) -> SelectResult:
         """The aggregate sink's output: *cols* holds the groups as one
         column batch -- group-key IDs and raw fold values, item *i* at
         ``columns[i]`` -- and only the page that survives the modifiers
-        is decoded.  *ids_only*: every group-key cell is an ID.
+        is decoded.
 
-        ORDER BY conditions that name an output column (a group variable
-        or an aggregate alias) run in :meth:`_id_modifiers`, a COUNT
-        column keyed by the count itself; an expression condition needs
-        decoded rows in scope, so that query shape decodes every group and
-        ends in :meth:`_apply_modifiers`.
+        The ORDER BY conditions name output columns (a group variable or
+        an aggregate alias) and run in :meth:`_id_modifiers`, a COUNT
+        column keyed by the count itself.
         """
         names = [name for _kind, _payload, name in items]
         fold_columns = {
             column for column, item in zip(columns, items) if item[0] == "agg"
         }
-        order_vars = query.order_variables()
-        if order_vars is None:
-            rows = self._decode_id_rows(zip(*cols), names, columns, fold_columns)
-            stats["decoded_rows"] = len(rows)
-            rows = self._apply_modifiers(query, rows, names)
-        else:
-            cell_key = self._cell_key_of(ids_only)
-            counts = {
-                column for column, (kind, payload, _name) in zip(columns, items)
-                if kind == "agg" and payload.function == "COUNT"
-            }
-            by_name = dict(zip(names, columns))
-            conditions = []
-            for variable, condition in zip(order_vars, query.order_by):
-                column = by_name.get(variable.name)
-                # A sort variable that names no output column ties on
-                # every group: drop it.
-                if column is not None:
-                    key_of = (
-                        int if column in counts  # a count orders as its xsd:integer
-                        else _fold_key if column in fold_columns
-                        else cell_key
-                    )
-                    conditions.append((column, condition.descending, key_of))
-            page, tail = self._id_modifiers(query, iter((cols,)), conditions, columns)
-            # the tail counted one batch of groups; the fold's own
-            # counters (rows folded, groups held) are the sink's
-            stats = {**tail, **stats, "decoded_rows": len(page)}
-            rows = self._decode_id_rows(page, names, columns, fold_columns)
-        self.stats.update(stats, operator="aggregate-id")
+        counts = {
+            column for column, (kind, payload, _name) in zip(columns, items)
+            if kind == "agg" and payload.function == "COUNT"
+        }
+        by_name = dict(zip(names, columns))
+        conditions = []
+        for variable, condition in zip(query.order_variables(), query.order_by):
+            column = by_name.get(variable.name)
+            # A sort variable that names no output column ties on every
+            # group, and so does a group-key column of a variable no
+            # pattern binds (None in every group): drop it.
+            if column is None:
+                continue
+            if column in fold_columns:
+                key_of = int if column in counts else _fold_key  # a count orders as its xsd:integer
+            elif cols[column] and cols[column][0] is None:
+                continue
+            else:
+                key_of = self.graph.dictionary.sort_keys.__getitem__
+            conditions.append((column, condition.descending, key_of))
+        page, tail = self._id_modifiers(query, iter((cols,)), conditions, columns)
+        # the tail counted one batch of groups; the fold's own counters
+        # (rows folded, groups held) are the sink's
+        self.stats.update(tail, **stats, decoded_rows=len(page), operator="aggregate-id")
         if self.tracer.detail:
             self._operator_event()
-        return SelectResult(names, rows)
+        return SelectResult(names, self._decode_id_rows(page, names, columns, fold_columns))
 
     def _run_select_columnar(
         self, query: SelectQuery, plan, order_vars, where
     ) -> SelectResult:
-        """The one executor of a column-shaped SELECT (see
-        :meth:`_simple_select_shape`): a source of ID column batches, then
-        the select / top-k / aggregate sink.
-
-        A simple WHERE clause (*where*: :meth:`_simple_where_shape`) is read by
-        :meth:`_simple_source`, its FILTERs applied there; any other is
-        the eager group pipeline's solutions, encoded
-        (:meth:`_solution_source`), whose cells may be unbound or raw
-        terms.  Operators pass ``BATCH_SIZE``-row column vectors instead
-        of per-row tuples.  Control flow stays volcano *between* batches,
-        so LIMIT-bounded sinks stop pulling early.
+        """The one executor of a column-shaped SELECT over a simple WHERE
+        clause (see :meth:`_simple_select_shape`; *where*:
+        :meth:`_simple_where_shape`): :meth:`_simple_source`'s ID column
+        batches, its FILTERs applied, then the select / top-k / aggregate
+        sink.  Operators pass ``BATCH_SIZE``-row column vectors instead of
+        per-row tuples.  Control flow stays volcano *between* batches, so
+        LIMIT-bounded sinks stop pulling early.
         """
-        runs = False
-        if where is None:
-            batches, col_of = self._solution_source(query)
-        else:
-            batches, col_of, runs = self._simple_source(query, *where, plan)
+        batches, col_of, runs = self._simple_source(query, *where, plan)
         if query.limit == 0:
             # a LIMIT 0 page reads no batch -- ``SELECT *`` one, for the
             # witness row its header needs
             batches = _islice(batches, 1 if query.select_all else 0)
         if plan is not None:
-            return self._batch_aggregate(
-                query, plan, batches, col_of, runs, bound=where is not None
-            )
-        if order_vars is not None:
-            return self._batch_topk(query, order_vars, batches, col_of, where is not None)
+            return self._batch_aggregate(query, plan, batches, col_of, runs)
+        if order_vars:
+            return self._batch_topk(query, order_vars, batches, col_of)
         return self._batch_select(query, batches, col_of)
-
-    def _cell_key_of(self, ids_only: bool):
-        """The ORDER BY key of one ID-space cell.  An ID's is kept beside
-        the dictionary (``TermDict.sort_keys``, built on its first miss):
-        with *ids_only* the kept table's own ``__getitem__``, so a column
-        is keyed in one C-level ``map``.  Otherwise a cell may also be
-        unbound (None, key ``()``) or a term the dictionary lacks
-        (:meth:`_solution_source`), keyed here and never kept."""
-        kept = self.graph.dictionary.sort_keys.__getitem__
-        if ids_only:
-            return kept
-
-        def key_of(cell):
-            if type(cell) is int:
-                return kept(cell)
-            return () if cell is None else cell.sort_key()
-
-        return key_of
 
     def _simple_source(
         self, query: SelectQuery, patterns, simple_filters, plan
@@ -2550,7 +2435,7 @@ class Execution:
             if plan is None:
                 if query.distinct and not query.order_by:
                     fold, cap = "distinct", self._page_cap(query)
-            elif self._counts_only(query, plan, dict.fromkeys(variables)):
+            elif self._counts_only(plan, dict.fromkeys(variables)):
                 fold = "count"
             joined, col_of = self._bgp_id_rows(patterns, [{}], filters, wanted, fold, cap)
             # A variable nothing above reads is still bound in every row:
@@ -2566,28 +2451,6 @@ class Execution:
                 batches, [(col_of[variable], check) for variable, check in filters]
             )
         return batches, col_of, False
-
-    def _solution_source(
-        self, query: SelectQuery
-    ) -> Tuple[Iterator[List], Dict[Variable, int]]:
-        """``(column-batch iterator, col_of)`` for a WHERE clause that is not
-        the simple shape: the eager group pipeline's solutions -- the ones
-        :meth:`_run_select_general` reads, in its order -- as ID rows.  A
-        term the dictionary lacks rides raw (it can equal no ID), an
-        unbound variable is None.  ``col_of`` holds the variables bound in
-        at least one solution, which keeps the ``SELECT *`` header rule."""
-        solutions = list(self._evaluate_group(query.where, [{}]))
-        variables = dict.fromkeys(v for solution in solutions for v in solution)
-        lookup = self.graph.lookup_id
-
-        def cell(term):
-            if term is None:
-                return None
-            term_id = lookup(term)
-            return term if term_id is None else term_id
-
-        rows = (tuple(cell(solution.get(v)) for v in variables) for solution in solutions)
-        return self._row_batches(rows), {v: i for i, v in enumerate(variables)}
 
     def _row_batches(self, rows: Iterator[Tuple]) -> Iterator[List]:
         """Chunk ID rows into column batches (one transpose per chunk)."""
@@ -2682,18 +2545,14 @@ class Execution:
             return wanted
         group_vars, items = plan
         wanted.update(group_vars)
-        aggregates = [a for a, _op, _constant in query.having_aggregate_conjuncts() or ()]
         for kind, payload, _name in items:
             if kind == "var":
                 wanted.add(payload)
-            else:
-                aggregates.append(payload)
-        for aggregate in aggregates:
-            if aggregate.expression is None:
-                if aggregate.distinct:
+            elif payload.expression is None:
+                if payload.distinct:
                     return None
-            elif aggregate.distinct or aggregate.function != "COUNT":
-                wanted.add(aggregate.expression.variable)
+            elif payload.distinct or payload.function != "COUNT":
+                wanted.add(payload.expression.variable)
         return wanted
 
     def _scan_batches(
@@ -2743,7 +2602,7 @@ class Execution:
         if plan is None:
             if not query.distinct or query.order_by:
                 return None
-        elif plan[0] != [variable] or not self._counts_only(query, plan, col_of):
+        elif plan[0] != [variable] or not self._counts_only(plan, col_of):
             return None
         if any(len(positions) > 1 for positions in ep.var_positions.values()):
             return None
@@ -2848,12 +2707,11 @@ class Execution:
         order_vars: List[Variable],
         batches: Iterator[List],
         col_of: Dict[Variable, int],
-        ids_only: bool,
     ) -> SelectResult:
         """The ORDER BY sink: sort-key columns (one key per distinct cell,
-        :meth:`_cell_key_of`; *ids_only*: every cell is an ID) into
+        kept beside the dictionary: ``TermDict.sort_keys``) into
         :meth:`_id_modifiers`, then decode the page."""
-        key_of = self._cell_key_of(ids_only)
+        key_of = self.graph.dictionary.sort_keys.__getitem__
         # A sort variable no solution binds ties on every row: drop it.
         conditions = [
             (col_of[variable], condition.descending, key_of)
@@ -2871,13 +2729,12 @@ class Execution:
         return SelectResult(names, self._decode_id_rows(page, names, columns))
 
     @staticmethod
-    def _counts_only(query: SelectQuery, plan, col_of: Dict[Variable, int]) -> bool:
-        """A pure COUNT GROUP BY: no HAVING, pattern variables as group keys,
-        every item a group key or a plain COUNT of ``*`` or of a pattern
-        variable -- which, bound in every row of this shape, is the group's
-        size."""
+    def _counts_only(plan, col_of: Dict[Variable, int]) -> bool:
+        """A pure COUNT GROUP BY: pattern variables as group keys, every
+        item a group key or a plain COUNT of ``*`` or of a pattern variable
+        -- which, bound in every row of this shape, is the group's size."""
         group_vars, items = plan
-        return query.having is None and bool(group_vars) and all(
+        return bool(group_vars) and all(
             variable in col_of for variable in group_vars
         ) and all(
             (kind == "var" and payload in group_vars)
@@ -2888,15 +2745,11 @@ class Execution:
 
     def _batch_aggregate(
         self, query: SelectQuery, plan, batches: Iterator[List], col_of: Dict[Variable, int],
-        runs: bool = False, bound: bool = True,
+        runs: bool = False,
     ) -> SelectResult:
         """GROUP BY / aggregation over column batches, O(groups) state.
 
-        *bound*: every variable of *col_of* is bound in every row (the
-        simple shape).  Without it -- encoded solutions
-        (:meth:`_solution_source`) -- a fold skips unbound cells and the
-        count shortcut is off, since a COUNT of a variable is then not the
-        group's size.  Pure-COUNT grouping (:meth:`_counts_only`; the only
+        Pure-COUNT grouping (:meth:`_counts_only`; the only
         shape fed *runs*, which it takes as columns) vectorizes through
         :class:`Counter` (one C-speed update per batch; Counter preserves
         first-seen insertion order, matching the dict-based fold's group
@@ -2908,12 +2761,16 @@ class Execution:
         (:meth:`_aggregate_page`).
         """
         group_vars, items = plan
-        group_columns, fold_specs, having_specs = self._aggregate_fold_specs(
-            query, plan, col_of
-        )
-
-        if bound and self._counts_only(query, plan, col_of):
+        group_columns = [col_of.get(variable) for variable in group_vars]
+        if self._counts_only(plan, col_of):
             return self._batch_count_groups(query, plan, group_columns, batches, runs)
+
+        fold_specs = []  # (item index, aggregate, value column or None)
+        for index, (kind, payload, _name) in enumerate(items):
+            if kind == "agg":
+                argument = payload.expression
+                column = None if argument is None else col_of.get(argument.variable)
+                fold_specs.append((index, payload, column))
 
         decode = self.graph.decode_id
         groups: Dict = {}
@@ -2976,8 +2833,6 @@ class Execution:
                         if whole
                         else [cols[column][i] for i in indices]
                     )
-                    if not bound:
-                        values = [value for value in values if value is not None]
                     fold.fold_batch(values, decode)
 
         if single_group and not groups:
@@ -2985,14 +2840,12 @@ class Execution:
             # one row (COUNT(*) = 0) per the spec.
             groups[()] = (None, {index: _AggFold(agg) for index, agg, _ in fold_specs})
 
-        cols, having_pruned = self._group_columns(items, groups, col_of, having_specs)
         stats = {
             "input_rows": input_rows,
             "tracked_rows": len(groups),
             "batches": n_batches,
         }
-        if having_specs:
-            stats["having_pruned"] = having_pruned
+        cols = self._group_columns(items, groups, col_of)
         return self._aggregate_page(query, items, cols, list(range(len(items))), stats)
 
     def _batch_count_groups(
@@ -3044,7 +2897,7 @@ class Execution:
             group_vars.index(payload) if kind == "var" else len(group_columns)
             for kind, payload, _name in items
         ]
-        return self._aggregate_page(query, items, cols, columns, stats, ids_only=True)
+        return self._aggregate_page(query, items, cols, columns, stats)
 
     def _run_select_general(self, query: SelectQuery) -> SelectResult:
         solutions = list(self._evaluate_group(query.where, [{}]))
@@ -3201,10 +3054,6 @@ class Execution:
             return None
 
     def _substitute_aggregates(self, expression: Expression, members: List[Solution]):
-        import copy
-
-        from .nodes import TermExpression  # local to avoid confusion at top level
-
         if isinstance(expression, Aggregate):
             value = self._fold_aggregate(expression, members)
             if value is None:

@@ -420,46 +420,6 @@ class SelectQuery(_Node):
                 return None
         return group_vars, items
 
-    def having_aggregate_conjuncts(self):
-        """``[(aggregate, op, constant)]`` when HAVING is a conjunction of
-        aggregate-vs-constant comparisons, else None.
-
-        The shape the incremental fold can gate at result time:
-        ``HAVING (COUNT(?s) > 3)``, ``HAVING (2 <= COUNT(?s) &&
-        SUM(?n) < 10)`` and the like.  Each conjunct must compare one
-        column-shaped aggregate (argument ``*`` or a bare variable)
-        against a ground term; the aggregate may sit on either side
-        (the operator is flipped so it always reads aggregate-vs-
-        constant).  Anything else -- non-aggregate operands, nested
-        expressions, OR -- returns None and stays on the materialized
-        member-list path.
-        """
-        if self.having is None:
-            return None
-        conjuncts: List[Tuple[Aggregate, str, Term]] = []
-        _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
-
-        def walk(expression: Expression) -> bool:
-            if isinstance(expression, AndExpression):
-                return walk(expression.left) and walk(expression.right)
-            if not isinstance(expression, CompareExpression):
-                return False
-            left, right = expression.left, expression.right
-            if isinstance(left, Aggregate) and isinstance(right, TermExpression):
-                aggregate, op, constant = left, expression.op, right.term
-            elif isinstance(right, Aggregate) and isinstance(left, TermExpression):
-                aggregate, op, constant = right, _FLIP[expression.op], left.term
-            else:
-                return False
-            if aggregate.expression is not None and not isinstance(
-                aggregate.expression, VariableExpression
-            ):
-                return False
-            conjuncts.append((aggregate, op, constant))
-            return True
-
-        return conjuncts if walk(self.having) else None
-
 
 class AskQuery(_Node):
     """A parsed ASK query."""

@@ -124,17 +124,16 @@ class TestFolds:
 PREFIX = "PREFIX ex: <http://example.org/>\n"
 
 
-class TestHavingPushdown:
-    """HAVING over aggregate-vs-constant conjuncts gates at fold time.
+class TestHaving:
+    """HAVING runs the general path: its groups are built and gated in
+    term space (``operator == "general"``), as the scan oracle does.
 
-    Every case runs through the hash engine's aggregate sink -- fed ID
-    batches by a simple WHERE clause, encoded solutions by any other --
-    and must match the scan oracle's materialized member-list evaluation.
+    Every case must match the scan oracle's result.
     """
 
-    PUSHABLE = [
+    CASES = [
         "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c } GROUP BY ?c HAVING (COUNT(?s) > 2)",
-        # constant on the left: the probe flips the operator
+        # constant on the left
         "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c } GROUP BY ?c HAVING (3 <= COUNT(?s))",
         # conjunction of two aggregate predicates, one unprojected
         "SELECT ?c WHERE { ?s a ?c . ?s ex:v ?v } GROUP BY ?c "
@@ -148,6 +147,10 @@ class TestHavingPushdown:
         # OPTIONAL in the WHERE clause: the gate counts bound values only
         "SELECT ?c (COUNT(?t) AS ?n) WHERE { ?s a ?c OPTIONAL { ?s ex:tag ?t } } "
         "GROUP BY ?c HAVING (COUNT(?t) >= 1)",
+        # an expression-valued predicate
+        "SELECT ?c WHERE { ?s a ?c . ?s ex:v ?v } GROUP BY ?c HAVING (SUM(?v) * 2 > 10)",
+        # aggregates on both sides
+        "SELECT ?c WHERE { ?s a ?c . ?s ex:v ?v } GROUP BY ?c HAVING (SUM(?v) > COUNT(?s))",
     ]
 
     @staticmethod
@@ -156,52 +159,11 @@ class TestHavingPushdown:
             tuple((k, str(v)) for k, v in sorted(row.items())) for row in result.rows
         )
 
-    @pytest.mark.parametrize("query", PUSHABLE)
+    @pytest.mark.parametrize("query", CASES)
     def test_matches_scan_oracle(self, query):
         text = PREFIX + query
         oracle = QueryEngine(GRAPH, strategy="scan").run(text)
         execution = QueryEngine(GRAPH).execute(text)
-        result = execution.result
-        assert self._canonical(result) == self._canonical(oracle)
-        # proof the fold path (not the materialized one) answered
-        assert execution.stats.get("operator") == "aggregate-id"
-        assert "having_pruned" in execution.stats
+        assert self._canonical(execution.result) == self._canonical(oracle)
+        assert execution.stats["operator"] == "general"
 
-    def test_prunes_at_fold_time(self):
-        execution = QueryEngine(GRAPH).execute(
-            PREFIX
-            + "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c } GROUP BY ?c "
-            + "HAVING (COUNT(?s) > 2)"
-        )
-        result = execution.result
-        assert len(result.rows) == 1
-        assert execution.stats["having_pruned"] == 1
-        assert execution.stats["tracked_rows"] == 2  # both groups folded
-
-    def test_non_pushable_having_still_works(self):
-        # expression-valued predicate: falls back to the materialized path
-        text = (
-            PREFIX
-            + "SELECT ?c WHERE { ?s a ?c . ?s ex:v ?v } GROUP BY ?c "
-            + "HAVING (SUM(?v) * 2 > 10)"
-        )
-        oracle = QueryEngine(GRAPH, strategy="scan").run(text)
-        execution = QueryEngine(GRAPH).execute(text)
-        result = execution.result
-        assert self._canonical(result) == self._canonical(oracle)
-        assert "having_pruned" not in execution.stats
-
-    def test_probe_rejects_non_aggregate_operands(self):
-        from repro.sparql.parser import parse_query
-
-        pushable = parse_query(
-            PREFIX
-            + "SELECT ?c WHERE { ?s a ?c } GROUP BY ?c HAVING (COUNT(?s) > 1)"
-        )
-        assert pushable.having_aggregate_conjuncts() is not None
-        rejected = parse_query(
-            PREFIX
-            + "SELECT ?c WHERE { ?s a ?c . ?s ex:v ?v } GROUP BY ?c "
-            + "HAVING (SUM(?v) > COUNT(?s))"
-        )
-        assert rejected.having_aggregate_conjuncts() is None

@@ -1,7 +1,7 @@
 """Batch-boundary conformance for the columnar executor.
 
 Column-shaped SELECTs run as ``BATCH_SIZE``-row column batches through one
-source (index scan | eager join | encoded solutions) and one of three sinks,
+source (index scan | eager join) and one of three sinks,
 so their results must not depend on where the batch edges fall.  The
 suite sweeps ``QueryEngine.BATCH_SIZE`` in {1, 7, 1024, > rows} on the
 default engine -- against the larger-than-input size row for row, and
@@ -195,19 +195,22 @@ def test_distinct_leading_level_reads_each_key_once(batch_size):
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("limit", (4, 5, 6, 13))
-@pytest.mark.parametrize("source", ("simple", "encoded"))
+@pytest.mark.parametrize("source", ("simple", "optional"))
 def test_topk_ties_at_batch_edges(batch_size, limit, source):
     """Six-way sort-key ties: whichever rows the slice cuts through, the
     kept ties are decided by the global row sequence, so every batch
     size keeps exactly the first ``limit`` rows of the full sort -- off
-    the index scan, and off encoded solutions (an OPTIONAL that never
+    the index scan, and on the general path (an OPTIONAL that never
     matches)."""
     graph = _edge_graph()
-    never = f" OPTIONAL {{ ?s <{EX}absent> ?m }}" if source == "encoded" else ""
+    never = f" OPTIONAL {{ ?s <{EX}absent> ?m }}" if source == "optional" else ""
     query = f"SELECT ?s ?o WHERE {{ ?s <{EX}v> ?o{never} }} ORDER BY ?o"
     full, _ = _run(graph, query, 10**6)
     result, stats = _run(graph, f"{query} LIMIT {limit}", batch_size)
     assert _ordered_rows(result) == _ordered_rows(full)[:limit]
+    if source == "optional":
+        assert stats["operator"] == "general"
+        return
     assert stats["operator"] == "topk-id"
     assert stats["tracked_rows"] <= limit
 

@@ -4,14 +4,13 @@ Every case runs through ``QueryEngine(graph, strategy="scan")`` (the
 seed's substitute-and-scan nested-loop evaluator) and the default
 ``"hash"`` engine, in three modes, and asserts they return identical
 solutions.  ``hash`` runs the case as written: its columnar sinks for a
-column-shaped SELECT (ID batches off a simple WHERE clause, the group
-pipeline's encoded solutions off any other), the general path for the
+column-shaped SELECT over a simple WHERE clause, the general path for the
 rest.  ``paged`` runs it as one page (:func:`run_hash`), which sends every
 streamable un-DISTINCT case over a simple WHERE clause down rule 1's lazy
 ID chain; a page over OPTIONAL / UNION / VALUES / a path or any other
-FILTER runs where the case without its page runs.  ``encoded`` adds an
-OPTIONAL that never matches, so every column-shaped SELECT reads the
-encoded solutions.
+FILTER runs the general path.  ``encoded`` adds an OPTIONAL that never
+matches, so no WHERE clause is the simple shape and every SELECT runs the
+general path.
 Queries without ORDER BY compare as multisets (no engine promises an
 order); ORDER BY queries compare row-for-row.
 
@@ -544,9 +543,9 @@ def run_hash(graph, mode, query):
     ``paged`` appends ``LIMIT 64`` to a SELECT without a LIMIT, and a
     paged SELECT with no DISTINCT, no pipeline breaker and a simple WHERE
     clause must take the lazy chain (``operator == "stream-select"``).
-    ``encoded`` puts :data:`NEVER` at the end of the WHERE clause, and a
-    column-shaped SELECT off rule 1 must reach a columnar sink.  The text returned is
-    the one that ran, for the oracle to run too.
+    ``encoded`` puts :data:`NEVER` at the end of the WHERE clause, and
+    the SELECT must run the general path.  The text returned is the one
+    that ran, for the oracle to run too.
     """
     parsed = parse_query(query)
     select = isinstance(parsed, SelectQuery)
@@ -560,9 +559,8 @@ def run_hash(graph, mode, query):
     operator = execution.stats.get("operator")
     if mode == "paged" and select and _rule_1(parsed):
         assert operator == "stream-select", query
-    if mode == "encoded" and select and not _rule_1(parsed):
-        if Execution._simple_select_shape(parsed) is not None:
-            assert operator in ("select-id", "topk-id", "aggregate-id"), query
+    if mode == "encoded" and select:
+        assert operator == "general", query
     return query, execution.result
 
 

@@ -4,11 +4,10 @@ against the oracles, order included.
 The eager join plans its order once and handles a candidate before it
 builds a row: one-variable term-test FILTERs run where their variable is
 bound, a later pattern's probe table gates the step that binds the key it
-joins on, and columns nothing later reads are left out.  A WHERE clause
-that is not the simple shape feeds the same sinks the group pipeline's
-solutions, encoded: unbound cells and terms the dictionary lacks included.
-None of that may be visible above the source, so for every generated
-query:
+joins on, and columns nothing later reads are left out.  None of that
+may be visible above the source (a WHERE clause that is not the simple
+shape -- OPTIONAL, UNION, VALUES -- runs the general path), so for every
+generated query:
 
 * ``hash`` returns the ``scan`` oracle's rows (as multisets; an
   un-ORDERed LIMIT / OFFSET page is a sub-multiset of the right size),
@@ -299,7 +298,7 @@ WIDE_DEAD = [
           "FILTER(isLiteral(?o)) }", ""),
 )
 @example(
-    # encoded solutions: a fold over an OPTIONAL's unbound cells, raw
+    # the general path: a fold over an OPTIONAL's unbound cells, raw
     # VALUES terms deduplicated, a paged UNION
     data=EXTRACTED,
     case=("SELECT ?c (COUNT(?l) AS ?n) WHERE { ?s a ?c . OPTIONAL { ?s <http://example.org/p0> ?l } } "
@@ -312,7 +311,8 @@ WIDE_DEAD = [
 @example(data=TWO_TYPED, case=("SELECT * WHERE { ?a ?p ?b . { ?b ?q ?c } UNION { ?b a ?k } }", ""))
 @example(
     # the lazy chain joins ?a ?q ?a to ?b ?q ?c in another row order than
-    # the eager join: encoded solutions must come from the eager pipeline
+    # the eager join: the general path's solutions come from the eager
+    # pipeline
     data=[
         Triple(_n(0), RDF.type, IRI(f"{EX}C0")),
         Triple(_n(0), RDF.type, IRI(f"{EX}C1")),

@@ -47,8 +47,8 @@ def test_nan_has_one_place_among_the_sort_keys():
 
 
 PATTERN = f"{{ ?s <{EX}v> ?o }}"
-#: the same rows as encoded solutions (an OPTIONAL that never matches)
-SOURCES = {"simple": PATTERN, "encoded": f"{{ ?s <{EX}v> ?o OPTIONAL {{ ?s <{EX}absent> ?m }} }}"}
+#: the same rows on the general path (an OPTIONAL that never matches)
+SOURCES = {"simple": PATTERN, "optional": f"{{ ?s <{EX}v> ?o OPTIONAL {{ ?s <{EX}absent> ?m }} }}"}
 #: (query, rows it must return: ``min(k, n - offset)``)
 ORDERED = [
     (f"SELECT ?s ?o WHERE {PATTERN} ORDER BY ?o ?s", 8),

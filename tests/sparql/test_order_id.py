@@ -3,12 +3,13 @@
 Queries with bare-variable projections and sort keys order ID tuples
 with memoized decoded keys -- a full sort without LIMIT, a cut to the
 page after every batch with one -- and only decode rows that survive
-DISTINCT/OFFSET/LIMIT, whatever the WHERE clause.  These tests pin (a) that the
-sink actually runs (``operator == "topk-id"``), and (b) that its output
-is row-for-row identical to the scan oracle's materialized sort, ties
-included.  The aggregate sink runs the same modifiers over its groups
-(``operator == "aggregate-id"``, ``decoded_rows`` = the page); its
-table-driven differential is at the end of the file.
+DISTINCT/OFFSET/LIMIT, over a simple WHERE clause.  These tests pin (a)
+that the sink actually runs (``operator == "topk-id"``; ``general`` over
+any other WHERE clause), and (b) that its output is row-for-row identical
+to the scan oracle's materialized sort, ties included.  The aggregate
+sink runs the same modifiers over its groups (``operator ==
+"aggregate-id"``, ``decoded_rows`` = the page); its table-driven
+differential is at the end of the file.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ ex:e ex:score 1 ; ex:group ex:g1 ; a ex:T .
 
 PREFIX = "PREFIX ex: <http://example.org/> "
 
-#: the sinks' two sources: ID batches off the simple WHERE clause, or --
-#: behind an OPTIONAL that never matches -- the encoded solutions
-SOURCES = {"simple": "", "encoded": " OPTIONAL { ?s ex:absent ?absent }"}
+#: the same rows off the simple WHERE clause (the sinks' ID batches) and --
+#: behind an OPTIONAL that never matches -- off the general path
+SOURCES = {"simple": "", "optional": " OPTIONAL { ?s ex:absent ?absent }"}
 
 
 @pytest.fixture(scope="module")
@@ -103,9 +104,8 @@ def test_limit_bounds_the_rows_kept(graph):
     assert stats["tracked_rows"] == 5
 
 
-def test_non_simple_where_feeds_the_same_sink(graph):
-    # OPTIONAL in the WHERE clause: not the pure-ID shape, so the sink
-    # reads the group pipeline's solutions, encoded
+def test_non_simple_where_runs_the_general_path(graph):
+    # OPTIONAL in the WHERE clause: not the pure-ID shape the sinks read
     engine = QueryEngine(graph)
     query = (
         PREFIX
@@ -114,7 +114,7 @@ def test_non_simple_where_feeds_the_same_sink(graph):
     )
     execution = engine.execute(query)
     result = execution.result
-    assert execution.stats.get("operator") == "topk-id"
+    assert execution.stats.get("operator") == "general"
     oracle = QueryEngine(graph, strategy="scan").run(query)
     assert _ordered(result) == _ordered(oracle)
 
@@ -134,9 +134,10 @@ def test_expression_sort_key_falls_back(graph):
 # One table-driven differential against the scan oracle.  A row is a sort
 # key kind; every row runs ASC/DESC x with/without a tie-breaking second
 # condition x the OFFSET/LIMIT table x DISTINCT x HAVING, from both sources,
-# at three batch sizes and two shard counts.  Ties are everywhere in the
-# data (a/d and c/g fold to the same values), so an unstable sort or a heap
-# that is not sort-then-slice shows as a row-order difference.
+# at three batch sizes and two shard counts.  A HAVING, an expression sort
+# key or the OPTIONAL source runs the general path.  Ties are everywhere in
+# the data (a/d and c/g fold to the same values), so an unstable sort or a
+# heap that is not sort-then-slice shows as a row-order difference.
 
 AGG_DATA = """
 @prefix ex: <http://example.org/> .
@@ -151,7 +152,7 @@ ex:g ex:m 4 .
 ex:h ex:m ex:other .
 """
 
-#: (id, projection, GROUP BY, sort key, groups folded, runs in ID space?)
+#: (id, projection, GROUP BY, sort key, groups folded, runs the aggregate sink?)
 AGG_KEYS = [
     ("group-iri", "?s (COUNT(?v) AS ?n)", "?s", "?s", 8, True),
     ("group-literal", "?v (COUNT(?s) AS ?n)", "?v", "?v", 9, True),
@@ -167,7 +168,7 @@ AGG_KEYS = [
     ("unprojected-group-key", "(COUNT(?v) AS ?n)", "?s", "?s", 8, True),
     # DISTINCT really collapses rows when only the fold is projected
     ("fold-only-projection", "(COUNT(?v) AS ?n)", "?s", "?n", 8, True),
-    # an expression needs decoded rows in scope: term-space modifiers
+    # an expression needs decoded rows in scope: the general path
     ("expression-falls-back", "?s (COUNT(?v) AS ?n)", "?s", "(?n * 2)", 8, False),
 ]
 
@@ -194,12 +195,12 @@ def agg_graph(request):
 @pytest.mark.parametrize("batch_size", (1, 7, 1024))
 @pytest.mark.parametrize("source", sorted(SOURCES))
 @pytest.mark.parametrize(
-    "projection,group_by,key,groups,id_space",
+    "projection,group_by,key,groups,columnar",
     [row[1:] for row in AGG_KEYS],
     ids=[row[0] for row in AGG_KEYS],
 )
 def test_ordered_aggregate_matches_the_scan_oracle(
-    agg_graph, monkeypatch, projection, group_by, key, groups, id_space, source, batch_size,
+    agg_graph, monkeypatch, projection, group_by, key, groups, columnar, source, batch_size,
 ):
     monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
     engine = QueryEngine(agg_graph)
@@ -224,15 +225,15 @@ def test_ordered_aggregate_matches_the_scan_oracle(
         result = execution.result
         assert _ordered(result) == expected, query
         stats = execution.stats
+        if not columnar or having or source != "simple":
+            assert stats["operator"] == "general", query
+            continue
         folded = 0 if page == "LIMIT 0" else groups  # a LIMIT 0 page reads no batch
         assert stats["operator"] == "aggregate-id", query
         assert stats["tracked_rows"] == folded, query
-        if id_space:
-            # only the page that survived the modifiers was decoded
-            assert stats["decoded_rows"] == len(result.rows), query
-            assert ("distinct_keys" in stats) == distinct, query
-        else:
-            assert stats["decoded_rows"] == folded - stats.get("having_pruned", 0), query
+        # only the page that survived the modifiers was decoded
+        assert stats["decoded_rows"] == len(result.rows), query
+        assert ("distinct_keys" in stats) == distinct, query
 
 
 # -- the lazy tail: sort keys only for the rows a cut has to compare ---------
@@ -241,8 +242,9 @@ def test_ordered_aggregate_matches_the_scan_oracle(
 # batch: the first condition's keys settle every row but those tying with
 # the ``offset + k``-th best key, only those get the next condition's keys,
 # and the last tie-break is the input sequence.  Every row below runs from
-# both sources at three batch sizes against the scan oracle's sort-then-
-# slice, through every page of TAIL_PAGES, with and without DISTINCT.
+# both sources (the OPTIONAL one on the general path) at three batch sizes
+# against the scan oracle's sort-then-slice, through every page of
+# TAIL_PAGES, with and without DISTINCT.
 # The data is nine subjects with one first key shared by all of them
 # (``same``), one with two values split 2 / 7 (``two``) and one with three
 # values in no order (``b``), so a cut lands inside a tie group whatever
@@ -338,6 +340,9 @@ def test_lazy_tail_matches_sort_then_slice(
         result = execution.result
         assert _header_and_rows(result) == expected, query
         stats = execution.stats
+        if source != "simple":
+            assert stats["operator"] == "general", query
+            continue
         assert stats["operator"] == "topk-id", query
         assert stats["decoded_rows"] == len(result.rows), query
         assert ("distinct_keys" in stats) == distinct, query

@@ -28,7 +28,7 @@ OUTER = {
         "?s a ?c . ?s ?p ?o . ?o a ?target } GROUP BY ?c ?p ?target"
     ),
     "join-page": "SELECT ?s ?p ?o WHERE { ?s a ?c . ?s ?p ?o } LIMIT 20",
-    # the columnar sink fed the group pipeline's solutions, encoded
+    # an OPTIONAL: the general path
     "optional-aggregate": (
         "SELECT ?c (COUNT(?p) AS ?n) WHERE { ?s a ?c OPTIONAL { ?s ?p ?c } } GROUP BY ?c"
     ),

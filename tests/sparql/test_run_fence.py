@@ -276,7 +276,6 @@ def test_a_sharded_store_takes_todays_path(pick):
 
 
 NEIGHBOURS = [
-    ("having", "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s HAVING (COUNT(?o) > 1)"),
     ("filter", "SELECT DISTINCT ?s WHERE { ?s ?p ?o FILTER(isIRI(?s)) }"),
     ("filter-count", "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o FILTER(isIRI(?s)) } GROUP BY ?s"),
     ("non-leading-key", "SELECT ?p (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p"),

@@ -59,9 +59,6 @@ WANTED = [
     ("sample", "SELECT ?p (SAMPLE(?s) AS ?x) WHERE { ?s ?p ?o } GROUP BY ?p", 2, 10),
     # COUNT(DISTINCT *) dedups whole rows
     ("count-distinct-star", "SELECT ?p (COUNT(DISTINCT *) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p", 3, 10),
-    # HAVING folds are folds
-    ("having-sum", "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ex:v ?o } GROUP BY ?s HAVING (SUM(?o) > 2)", 2, 5),
-    ("having-count", "SELECT ?s WHERE { ?s ?p ?o } GROUP BY ?s HAVING (COUNT(?o) > 3)", 1, 10),
     # a projected variable that is no group key is read off the first row
     ("ungrouped-var", "SELECT ?s ?p (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s", 2, 10),
     # ORDER BY over aggregate output reads output columns (runs again;
