@@ -167,3 +167,14 @@ class TestHaving:
         assert self._canonical(execution.result) == self._canonical(oracle)
         assert execution.stats["operator"] == "general"
 
+    def test_gates_groups_after_folding(self):
+        execution = QueryEngine(GRAPH).execute(
+            PREFIX
+            + "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c } GROUP BY ?c "
+            + "HAVING (COUNT(?s) > 2)"
+        )
+        result = execution.result
+        assert len(result.rows) == 1  # of the two groups
+        assert int(result.rows[0]["n"].lexical) > 2
+        assert execution.stats["operator"] == "general"
+

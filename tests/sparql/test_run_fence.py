@@ -301,6 +301,18 @@ def test_ineligible_neighbours_expand_rows(query):
     assert stats["input_rows"] == len(matched)
 
 
+def test_a_having_neighbour_runs_the_general_path():
+    """A HAVING is no column-shaped SELECT: it builds every row of the
+    pattern on the general path and gates its groups there."""
+    graph = _build(FIXED_WRITES)
+    query = "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s HAVING (COUNT(?o) > 1)"
+    result, stats = _run(graph, query, 4)
+    oracle = QueryEngine(graph, strategy="scan").run(query)
+    assert _multiset(result) == _multiset(oracle)
+    assert stats["operator"] == "general"
+    assert stats["join_rows"] == len(graph)
+
+
 # -- the tail: bound over distinct cells against the per-row heap -------------------
 
 

@@ -92,6 +92,28 @@ def test_scan_materialises_the_positions_a_sink_reads(
     assert execution.stats["scan_cells"] == rows * width
 
 
+#: (id, query, rows the pattern matches): a HAVING is no column-shaped
+#: SELECT, so its simple WHERE clause runs the general path, which builds
+#: every row of the pattern (``join_rows``) and scans no columns
+HAVING = [
+    ("having-sum", "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ex:v ?o } GROUP BY ?s HAVING (SUM(?o) > 2)", 5),
+    ("having-count", "SELECT ?s WHERE { ?s ?p ?o } GROUP BY ?s HAVING (COUNT(?o) > 3)", 10),
+]
+
+
+@pytest.mark.parametrize("batch_size", (1, 4, 1024))
+@pytest.mark.parametrize("query,rows", [row[1:] for row in HAVING], ids=[row[0] for row in HAVING])
+def test_having_builds_every_row_on_the_general_path(graph, monkeypatch, query, rows, batch_size):
+    monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
+    execution = QueryEngine(graph).execute(PREFIX + query)
+    oracle = QueryEngine(graph, strategy="scan").run(PREFIX + query)
+    assert _canonical(execution.result) == _canonical(oracle)
+    stats = execution.stats
+    assert stats["operator"] == "general"
+    assert stats["join_rows"] == rows
+    assert "scan_cells" not in stats
+
+
 def test_pruned_scan_keeps_first_seen_group_order(graph):
     """Groups leave in the order the scan first met them: a pruned scan
     visits the same index in the same order, and so do its runs."""
