@@ -322,8 +322,8 @@ class IndexExtractor:
 
         The paper's common exploratory shape -- "which entities dominate
         this class?" -- as one aggregate + ``ORDER BY DESC ... LIMIT k``
-        round trip: the engine's columnar GROUP BY fold and its bounded
-        ORDER BY tail return k rows, not the whole degree table.  Endpoints
+        round trip: the engine's count sink and its ID-space ORDER BY tail
+        over the groups return k rows, not the whole degree table.  Endpoints
         that reject aggregates or ORDER BY fall back to paging the class's
         triples and counting client-side (an error there is raised to the
         caller).  Ties break on the subject IRI so both rungs agree.

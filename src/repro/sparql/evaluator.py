@@ -40,36 +40,36 @@ whose rows are pure ID tuples, every variable bound in every row:
 1. a ``LIMIT`` <= ``STREAM_DELEGATE_LIMIT`` page with no DISTINCT and no
    pipeline breaker (ORDER BY, aggregation, HAVING, ``SELECT *``) is cut
    on the lazy chain's ID rows;
-2. a *column-shaped* SELECT clause -- bare-variable projections (or
-   ``SELECT *``), column-shaped aggregation (``aggregate_plan``), no
-   HAVING and bare-variable sort keys -- runs the columnar executor;
+2. a plain page -- bare-variable projections (or ``SELECT *``) with
+   DISTINCT / OFFSET / LIMIT and no ORDER BY -- or a pure-COUNT
+   aggregation over pattern variables, with no HAVING or DISTINCT and
+   sorted (if at all) by bare output columns, runs the columnar executor;
 3. anything else -- any other WHERE clause (OPTIONAL, UNION, VALUES, a
-   property path, another FILTER), a HAVING, an expression projection or
-   sort key -- runs the general term-space path
-   (:meth:`Execution._run_select_general`), which ``scan`` runs for
-   every SELECT.
+   property path, another FILTER), a HAVING, an ORDER BY over solutions,
+   any other aggregate, an expression projection or sort key -- runs the
+   general term-space path (:meth:`Execution._run_select_general`), which
+   ``scan`` runs for every SELECT.
 
 The columnar executor (:meth:`Execution._run_select_columnar`) is a source
 of ID *column* batches (``BATCH_SIZE`` rows each, volcano control flow
-between batches) feeding one of three sinks -- projection/DISTINCT/slice,
-top-k/sort, or GROUP BY fold (:meth:`_AggFold.fold_batch`).  Rows stay
-dictionary IDs (and raw fold values) through ORDER BY / DISTINCT / OFFSET
-/ LIMIT (:meth:`Execution._id_modifiers`, which cuts what it holds to the
-page's size after every batch and keys only the rows a cut has to
-compare, an ID's key read from the dictionary's kept table --
-``TermDict.sort_keys``); only the emitted page is decoded.  A cell is an
-ID, or None in a column nothing reads (or of a variable no pattern
-binds).  A single pattern streams batches straight off the index
-(:meth:`Graph.scan_columns`, materialising only the positions an
-operator above reads -- :meth:`Execution._wanted_variables`; an index
+between batches) feeding one of two sinks -- projection/DISTINCT/slice
+(``select-id``) or COUNT per group (``aggregate-id``).  Every cell is an
+ID, or None in a column nothing reads, and only the emitted page is
+decoded; the groups are ordered and sliced as IDs and counts
+(:meth:`Execution._id_modifiers`, which keys only the groups a cut to the
+page has to compare, an ID's key read from the dictionary's kept table --
+``TermDict.sort_keys``).  A single pattern streams batches straight off
+the index (:meth:`Graph.scan_columns`, materialising only the positions
+an operator above reads -- :meth:`Execution._wanted_variables`; an index
 level's keys and run lengths when a COUNT GROUP BY or DISTINCT needs no
-more -- :meth:`Graph.scan_runs`), several patterns run the eager join and
-transpose its rows (or, under a DISTINCT or a pure-COUNT GROUP BY, take
-the keys its last step folded -- :meth:`Execution._fold_step`).  The
-eager join (:meth:`Execution._bgp_id_rows`) plans its order once and
-takes the FILTERs and the wanted variables down: a candidate is tested
-where its variable is bound, gated by the next pattern's probe table, and
-built without the columns nothing later reads.
+more -- :meth:`Graph.scan_runs`) or, under term-test FILTERs, off the
+lazy chain; several patterns run the eager join and transpose its rows
+(or, under a DISTINCT or a pure-COUNT GROUP BY, take the keys its last
+step folded -- :meth:`Execution._fold_step`).  The eager join
+(:meth:`Execution._bgp_id_rows`) plans its order once and takes the
+FILTERs and the wanted variables down: a candidate is tested where its
+variable is bound, gated by the next pattern's probe table, and built
+without the columns nothing later reads.
 
 Compiled plans (encoded patterns + cardinality estimates) live in a
 :class:`_SharedPlanCache` attached to the *graph* (one per graph, shared
@@ -286,29 +286,18 @@ def _concat_part(value: Term) -> str:
 
 
 class _AggFold:
-    """Incremental fold of ONE aggregate inside ONE group.
+    """Incremental fold of ONE aggregate inside ONE group: the general
+    path's ``_aggregate`` (and so the ``scan`` oracle) folds every
+    COUNT/SUM/MIN/MAX/AVG/SAMPLE/GROUP_CONCAT through it.
 
-    This is the single aggregation implementation behind every pipeline:
-    the columnar aggregate sink and the general ``_aggregate`` fold both
-    feed values into instances of this class, so
-    COUNT/SUM/MIN/MAX/AVG/SAMPLE/GROUP_CONCAT (and their DISTINCT
-    variants) cannot diverge between strategies.
-
-    Values arrive in solution order, either as dictionary IDs (with a
-    ``decode`` callable; the columnar sink) or as ground terms (the
-    general path).  DISTINCT
-    deduplicates on the *encoded* value -- every term has one encoding,
-    so an encoded seen-set equals a term seen-set without decoding, which
-    is what keeps COUNT(DISTINCT ?v) from ever materializing member
-    lists.  State is O(1) per group for the plain folds, O(distinct
-    values) for DISTINCT and O(output) for GROUP_CONCAT.
+    Values arrive as ground terms, in solution order, already
+    deduplicated under DISTINCT (:meth:`Execution._fold_aggregate`).
+    State is O(1) per group, O(output) for GROUP_CONCAT.
     """
 
     __slots__ = (
         "function",
-        "distinct",
         "separator",
-        "seen",
         "count",
         "total",
         "numbers",
@@ -318,12 +307,10 @@ class _AggFold:
         "parts",
     )
 
-    def __init__(self, aggregate: Aggregate, distinct: Optional[bool] = None):
+    def __init__(self, aggregate: Aggregate):
         self.function = aggregate.function
-        self.distinct = aggregate.distinct if distinct is None else distinct
         self.separator = aggregate.separator
-        self.seen = set() if self.distinct else None
-        self.count = 0  # COUNT result / COUNT(*) rows
+        self.count = 0  # COUNT result
         self.total = 0  # SUM/AVG running total (left fold, like sum())
         self.numbers = 0  # how many values were numeric (AVG divisor)
         self.best: Optional[Term] = None  # MIN/MAX champion
@@ -333,55 +320,12 @@ class _AggFold:
             [] if aggregate.function == "GROUP_CONCAT" else None
         )
 
-    def add_star_batch(self, n: int, rows=None) -> None:
-        """Fold *n* group members into COUNT(*) at once.
-
-        The plain fold is a single integer add.  ``rows`` supplies the
-        member rows' dedup identities and is only consumed for
-        COUNT(DISTINCT *).
-        """
-        if self.seen is None:
-            self.count += n
-            return
-        seen = self.seen
-        before = len(seen)
-        seen.update(rows)
-        self.count += len(seen) - before
-
-    def fold_batch(self, values, decode=None) -> None:
-        """Fold a column of bound values in one call.
-
-        COUNT (plain and DISTINCT) vectorizes outright -- a length add,
-        or a set-union delta, with no per-value Python dispatch.  The
-        order-sensitive folds (MIN/MAX last-wins-among-equals, first
-        SAMPLE, GROUP_CONCAT order, SUM's left fold) loop :meth:`add`
-        over the column so batch results stay bit-identical to the
-        row-at-a-time fold at any batch size.
-        """
-        if self.function == "COUNT":
-            if self.seen is None:
-                self.count += len(values)
-                return
-            seen = self.seen
-            before = len(seen)
-            seen.update(values)
-            self.count += len(seen) - before
-            return
-        add = self.add
-        for value in values:
-            add(value, decode)
-
-    def add(self, value, decode=None) -> None:
-        """Fold one bound value (an ID when *decode* is given, else a term)."""
-        if self.seen is not None:
-            if value in self.seen:
-                return
-            self.seen.add(value)
+    def add(self, term: Term) -> None:
+        """Fold one bound value."""
         function = self.function
         if function == "COUNT":
             self.count += 1
             return
-        term = value if decode is None else decode(value)
         if function in ("SUM", "AVG"):
             if isinstance(term, Literal):
                 number = term.numeric_value()
@@ -411,35 +355,24 @@ class _AggFold:
             return
         self.parts.append(_concat_part(term))
 
-    def value(self):
-        """The fold's result before it is a term: a Python number or
-        string (whose term is ``Literal(value)``), the winning term
-        itself (MIN / MAX / SAMPLE), or None when there is no result.
-
-        The columnar aggregate sink orders, deduplicates and slices
-        groups on these (equal values make equal terms and vice versa
-        within one aggregate's column) and builds terms only for the
-        rows it emits.
-        """
+    def result(self) -> Optional[Term]:
+        """The fold's term, or None when there is no result."""
         function = self.function
         if function == "COUNT":
-            return self.count
+            return Literal(self.count)
         if function == "SUM":
-            return _integral(self.total)
+            return Literal(_integral(self.total))
         if function == "AVG":
             if not self.numbers:
                 return None
-            return _integral(self.total / self.numbers)
+            return Literal(_integral(self.total / self.numbers))
         if function in ("MIN", "MAX"):
             return self.best
         if function == "SAMPLE":
             return self.sample
         if function == "GROUP_CONCAT":
-            return self.separator.join(self.parts)
+            return Literal(self.separator.join(self.parts))
         raise SparqlEvaluationError(f"unhandled aggregate {function}")
-
-    def result(self) -> Optional[Term]:
-        return _fold_term(self.value())
 
 
 def _integral(number):
@@ -450,29 +383,13 @@ def _integral(number):
     return int(number)
 
 
-def _fold_term(value) -> Optional[Term]:
-    """The term of one :meth:`_AggFold.value`."""
-    if value is None or isinstance(value, Term):
-        return value
-    return Literal(value)
-
-
-def _fold_key(value) -> Tuple:
-    """The ORDER BY key of one raw fold value (:meth:`_AggFold.value`): its
-    term's ``sort_key()``, ``()`` when the fold has no result."""
-    term = _fold_term(value)
-    return () if term is None else term.sort_key()
-
-
 def _sort_key_column(values, memo: Dict, key_of) -> List:
     """One ORDER BY condition's keys for a column of ID-space cells.
 
-    A cell's key orders as its term's ``sort_key()``; a fold with no
-    result keys as ``()``, which sorts before every term key -- the order
+    A cell's key orders as its term's ``sort_key()`` -- the order
     :meth:`Execution._order_key` defines.  *key_of* maps one cell to its
     key (an ID's key kept beside the dictionary, ``TermDict.sort_keys``;
-    ``int`` for a COUNT, whose key is the count itself;
-    :func:`_fold_key` for any other fold value).  It runs once per
+    ``int`` for a COUNT, whose key is the count itself).  It runs once per
     distinct cell, on *memo* misses only, in one ``map``.  The memo is the
     execution's own, so its size (``sort_keys``) counts the distinct cells
     that execution compared, however warm the kept keys are.
@@ -743,18 +660,15 @@ class _SharedProbeCache(_GenerationLRU):
 EXEC_STAT_KEYS = frozenset(
     {
         # sink counters.  ``operator`` names the route that produced the
-        # result: ``select-id`` / ``topk-id`` / ``aggregate-id`` (the
-        # columnar sinks; ``topk-id`` covers the un-LIMITed sort),
+        # result: ``select-id`` / ``aggregate-id`` (the columnar sinks),
         # ``stream-select`` (rule 1's lazy page), ``general`` (rule 3, and
         # every ``scan`` SELECT) or ``ask``
         "operator",
         "input_rows",       # rows consumed by that operator; a run-fed sink
                             # (``_run_batches``): the runs it read
-        "tracked_rows",     # max rows/groups it ever held between batches
-                            # (memory contract); ``aggregate-id``: the
-                            # groups folded
-        "distinct_keys",    # DISTINCT seen-set size; the ID-space tail:
-                            # most keys it held at once
+        "tracked_rows",     # ``aggregate-id``: the groups it held (memory
+                            # contract)
+        "distinct_keys",    # ``select-id``: DISTINCT seen-set size
         "scan_cells",       # rows x wanted columns a single-pattern scan
                             # materialised (``Graph.scan_columns``), or
                             # one cell per run read (``Graph.scan_runs``)
@@ -764,8 +678,7 @@ EXEC_STAT_KEYS = frozenset(
                             # over steps (and over the BGPs of the query)
         "decoded_rows",     # rows decoded at the result boundary;
                             # ``aggregate-id``: the page that survived
-                            # ORDER BY / DISTINCT / OFFSET / LIMIT, not
-                            # the groups
+                            # ORDER BY / OFFSET / LIMIT, not the groups
         "batches",          # column batches a columnar sink consumed (run
                             # batches, ``BATCH_SIZE`` keys each, if run-fed)
     }
@@ -2037,9 +1950,9 @@ class Execution:
             and self._streamable(query)
         ):
             return self._run_select_streaming(query, where)
-        # Rule 2: a column-shaped SELECT clause runs the columnar sinks.
-        # Rule 3: everything else.
-        shape = self._simple_select_shape(query)
+        # Rule 2: a plain page or a pure-COUNT aggregation runs a columnar
+        # sink.  Rule 3: everything else.
+        shape = self._simple_select_shape(query, where[0])
         if shape is not None:
             return self._run_select_columnar(query, *shape, where)
         return self._run_select_general(query)
@@ -2138,40 +2051,54 @@ class Execution:
         return patterns, simple_filters
 
     @staticmethod
-    def _simple_select_shape(query: SelectQuery):
-        """``(aggregate plan, sort variables)`` when the SELECT clause is
-        column-shaped, else None: no HAVING, bare-variable sort keys, and
-        bare-variable projections (or ``SELECT *``) or column-shaped
-        aggregation (``aggregate_plan``).  The plan is None without
-        aggregates; the sort variables are ``[]`` without an ORDER BY
-        (over aggregate output they name output columns:
+    def _simple_select_shape(query: SelectQuery, patterns: List[TriplePattern]):
+        """``(plan,)`` when a columnar sink takes the SELECT clause over a
+        simple WHERE clause's *patterns*, else None.
+
+        ``select-id`` (*plan* None) takes bare-variable projections or
+        ``SELECT *`` with no ORDER BY.  ``aggregate-id`` (*plan*: the
+        ``aggregate_plan``) takes a pure-COUNT aggregation with no HAVING
+        and no DISTINCT: pattern variables as group keys (none: the implicit
+        group), every item a group key or a plain COUNT of ``*`` or of a
+        pattern variable -- which, bound in every row of this shape, is the
+        group's size -- and bare sort variables (over output columns:
         :meth:`_aggregate_page`).
         """
-        order_vars = query.order_variables()
-        if query.having is not None or order_vars is None:
+        if query.having is not None:
             return None
-        plan = None
-        if query.has_aggregates():
-            plan = query.aggregate_plan()
-            if plan is None:
+        if not query.has_aggregates():
+            if query.order_by or not (query.select_all or all(
+                projection.alias is None and isinstance(projection.expression, VariableExpression)
+                for projection in query.projections
+            )):
                 return None
-        elif not query.select_all:
-            for projection in query.projections:
-                if projection.alias is not None or not isinstance(
-                    projection.expression, VariableExpression
-                ):
-                    return None
-        return plan, order_vars
+            return (None,)
+        plan = query.aggregate_plan()
+        if plan is None or query.distinct or query.order_variables() is None:
+            return None
+        group_vars, items = plan
+        bound = {
+            term for pattern in patterns
+            for term in (pattern.subject, pattern.predicate, pattern.object)
+            if isinstance(term, Variable)
+        }
+        if set(group_vars) <= bound and all(
+            (kind == "var" and payload in group_vars)
+            or (kind == "agg" and payload.function == "COUNT" and not payload.distinct
+                and (payload.expression is None or payload.expression.variable in bound))
+            for kind, payload, _name in items
+        ):
+            return (plan,)
+        return None
 
     def _id_projection_layout(
         self, query: SelectQuery, col_of: Dict[Variable, int], any_solutions: bool
     ) -> Tuple[List[str], List[Optional[int]]]:
         """``(names, columns)`` for projecting ID rows.
 
-        Shared by the select and top-k sinks so the ``SELECT *`` header
-        rule stays in one place: the header comes from the (complete)
-        solution multiset -- zero solutions, empty header.  The columns
-        are also the DISTINCT key of a row.
+        The ``SELECT *`` header rule lives here: the header comes from the
+        (complete) solution multiset -- zero solutions, empty header.  The
+        columns are also the DISTINCT key of a row.
         """
         if query.select_all:
             if not any_solutions:
@@ -2187,32 +2114,31 @@ class Execution:
         rows: Iterable[Tuple],
         names: List[str],
         columns: List[Optional[int]],
-        fold_columns: Iterable[int] = (),
+        count_columns: Iterable[int] = (),
     ) -> List[Row]:
         """Decode + project ID rows into result rows (the one decode
-        loop).  Row positions in *fold_columns* hold raw fold values
-        (:meth:`_AggFold.value`) instead of dictionary IDs; a None cell
-        is unbound."""
+        loop).  Row positions in *count_columns* hold COUNTs instead of
+        dictionary IDs; a None cell is unbound."""
         decode = self.graph.decode_id
-        # equal fold values make equal terms: one Literal per distinct
-        # count, not one per group
-        fold_terms: Dict = {}
+        # equal counts make equal terms: one Literal per distinct count,
+        # not one per group
+        count_terms: Dict[int, Literal] = {}
         layout = [
-            (name, column, column in fold_columns)
+            (name, column, column in count_columns)
             for name, column in zip(names, columns)
         ]
         out_rows: List[Row] = []
         for row in rows:
             projected: Row = {}
-            for name, column, folded in layout:
+            for name, column, counted in layout:
                 if column is None:
                     projected[name] = None
                     continue
                 value = row[column]
-                if folded:
-                    term = fold_terms.get(value)
-                    if term is None and value is not None:
-                        term = fold_terms[value] = _fold_term(value)
+                if counted:
+                    term = count_terms.get(value)
+                    if term is None:
+                        term = count_terms[value] = Literal(value)
                     projected[name] = term
                 else:
                     projected[name] = None if value is None else decode(value)
@@ -2220,69 +2146,29 @@ class Execution:
         return out_rows
 
     def _id_modifiers(
-        self, query: SelectQuery, batches: Iterator[List], conditions, dedup_columns
-    ) -> Tuple[List[Tuple], Dict[str, int]]:
-        """ORDER BY / DISTINCT / OFFSET / LIMIT over ID column batches:
-        the one modifier tail of the columnar sinks, run before anything
-        is decoded.  Returns ``(page rows, stats)``.
+        self, query: SelectQuery, held: List[List], conditions
+    ) -> Tuple[List[Tuple], int]:
+        """ORDER BY / OFFSET / LIMIT over the groups, held as one column
+        batch of group-key IDs and counts, before anything is decoded.
+        Returns ``(page rows, sort keys built)``.
 
         *conditions* are ``(column, descending, key_of)``; their sort
         keys are memoized per distinct cell (:func:`_sort_key_column`),
         and *key_of* reads an ID's key from the dictionary's kept table
         (``TermDict.sort_keys``), so a warm graph decodes no cell to sort.
-        Rows are held as columns, in input order.  Under LIMIT they are
-        cut after every batch to the rows that can still reach the page
-        (:func:`_first_in_order`) -- DISTINCT keeps each *dedup_columns*
-        key's earliest row in sort order, LIMIT the ``offset + k`` first
-        of those -- so between batches the tail holds the page's size,
-        not the input's, and sort keys are built only for the rows a cut
-        has to compare.  Without a LIMIT everything is held and DISTINCT
-        cuts once, at the end.  A stable index sort orders the survivors.
-        Every tie falls to input order, so the result equals sort, stable
-        dedup, slice at any batch size.
+        Under a LIMIT the groups are first cut to the ``offset + k`` that
+        can reach the page (:func:`_first_in_order`), so sort keys are
+        built only for the groups that cut has to compare.  A stable index
+        sort orders the survivors; every tie falls to input order, so the
+        result equals sort, then slice.
         """
         memos: List[Dict] = [{} for _ in conditions]
-        stats = {"input_rows": 0, "batches": 0, "tracked_rows": 0}
-        if query.distinct:
-            stats["distinct_keys"] = 0
         offset = query.offset or 0
-        keep = float("inf") if query.limit is None else offset + query.limit
-
-        def cut(held: List[List]) -> List[List]:
-            n = len(held[0])
-            chosen = range(n)
-            if query.distinct:
-                key_columns = [
-                    held[column] if column is not None else _repeat(None, n)
-                    for column in dedup_columns
-                ]
-                sharing: Dict[Tuple, List[int]] = {}
-                for i, key in enumerate(
-                    zip(*key_columns) if key_columns else _repeat((), n)
-                ):
-                    sharing.setdefault(key, []).append(i)
-                stats["distinct_keys"] = max(stats["distinct_keys"], len(sharing))
-                chosen = sorted(
-                    _first_in_order(held, rows, 1, conditions, memos)[0]
-                    for rows in sharing.values()
-                )
-            chosen = sorted(_first_in_order(held, chosen, keep, conditions, memos))
-            return [[column[i] for i in chosen] for column in held]
-
-        held: List[List] = []
-        for cols in batches:
-            stats["batches"] += 1
-            stats["input_rows"] += len(cols[0])
-            if held:
-                for column, more in zip(held, cols):
-                    column.extend(more)
-            else:
-                held = [list(column) for column in cols]
-            if len(held[0]) > keep:
-                held = cut(held)
-            stats["tracked_rows"] = max(stats["tracked_rows"], len(held[0]))
-        if query.distinct and held:
-            held = cut(held)
+        if query.limit is not None and len(held[0]) > offset + query.limit:
+            chosen = sorted(
+                _first_in_order(held, list(range(len(held[0]))), offset + query.limit, conditions, memos)
+            )
+            held = [[column[i] for i in chosen] for column in held]
         kept = list(zip(*held))
         if conditions and kept:
             # Stable multi-key sort, same discipline as _order: sort by
@@ -2296,86 +2182,47 @@ class Execution:
                 keys = _sort_key_column(held[column], memo, key_of)
                 order.sort(key=keys.__getitem__, reverse=descending)
             kept = [kept[i] for i in order]
-        stats["sort_keys"] = sum(map(len, memos))
-        return kept[offset:], stats
-
-    @staticmethod
-    def _group_columns(items, groups, col_of):
-        """The folded groups as ONE column batch, a column per item:
-        ``var`` items carry the ID the group's first member row holds,
-        ``agg`` items their fold's raw value."""
-        states = groups.values()
-        cols: List[List] = []
-        for index, (kind, payload, _name) in enumerate(items):
-            if kind == "agg":
-                cols.append([folds[index].value() for _first_row, folds in states])
-                continue
-            column = col_of.get(payload)
-            cols.append(
-                [
-                    None if column is None or first_row is None else first_row[column]
-                    for first_row, _folds in states
-                ]
-            )
-        if not cols:
-            # no items (``SELECT *`` over groups): one placeholder
-            # column, a batch's length is ``len(cols[0])``
-            cols.append([None] * len(groups))
-        return cols
+        return kept[offset:], sum(map(len, memos))
 
     def _aggregate_page(
         self, query: SelectQuery, items, cols: List[List], columns: List[int], stats,
     ) -> SelectResult:
         """The aggregate sink's output: *cols* holds the groups as one
-        column batch -- group-key IDs and raw fold values, item *i* at
+        column batch -- group-key IDs and counts, item *i* at
         ``columns[i]`` -- and only the page that survives the modifiers
         is decoded.
 
         The ORDER BY conditions name output columns (a group variable or
-        an aggregate alias) and run in :meth:`_id_modifiers`, a COUNT
-        column keyed by the count itself.
+        a COUNT alias) and run in :meth:`_id_modifiers`, a COUNT column
+        keyed by the count itself.
         """
         names = [name for _kind, _payload, name in items]
-        fold_columns = {
-            column for column, item in zip(columns, items) if item[0] == "agg"
-        }
-        counts = {
-            column for column, (kind, payload, _name) in zip(columns, items)
-            if kind == "agg" and payload.function == "COUNT"
-        }
+        counts = {column for column, item in zip(columns, items) if item[0] == "agg"}
         by_name = dict(zip(names, columns))
         conditions = []
         for variable, condition in zip(query.order_variables(), query.order_by):
             column = by_name.get(variable.name)
             # A sort variable that names no output column ties on every
-            # group, and so does a group-key column of a variable no
-            # pattern binds (None in every group): drop it.
+            # group: drop it.
             if column is None:
                 continue
-            if column in fold_columns:
-                key_of = int if column in counts else _fold_key  # a count orders as its xsd:integer
-            elif cols[column] and cols[column][0] is None:
-                continue
-            else:
-                key_of = self.graph.dictionary.sort_keys.__getitem__
+            # a count orders as its xsd:integer
+            key_of = int if column in counts else self.graph.dictionary.sort_keys.__getitem__
             conditions.append((column, condition.descending, key_of))
-        page, tail = self._id_modifiers(query, iter((cols,)), conditions, columns)
-        # the tail counted one batch of groups; the fold's own counters
-        # (rows folded, groups held) are the sink's
-        self.stats.update(tail, **stats, decoded_rows=len(page), operator="aggregate-id")
+        page, sort_keys = self._id_modifiers(query, cols, conditions)
+        self.stats.update(
+            stats, sort_keys=sort_keys, decoded_rows=len(page), operator="aggregate-id"
+        )
         if self.tracer.detail:
             self._operator_event()
-        return SelectResult(names, self._decode_id_rows(page, names, columns, fold_columns))
+        return SelectResult(names, self._decode_id_rows(page, names, columns, counts))
 
-    def _run_select_columnar(
-        self, query: SelectQuery, plan, order_vars, where
-    ) -> SelectResult:
-        """The one executor of a column-shaped SELECT over a simple WHERE
-        clause (see :meth:`_simple_select_shape`; *where*:
+    def _run_select_columnar(self, query: SelectQuery, plan, where) -> SelectResult:
+        """The one executor of rule 2 (:meth:`_simple_select_shape`; *where*:
         :meth:`_simple_where_shape`): :meth:`_simple_source`'s ID column
-        batches, its FILTERs applied, then the select / top-k / aggregate
-        sink.  Operators pass ``BATCH_SIZE``-row column vectors instead of
-        per-row tuples.  Control flow stays volcano *between* batches, so
+        batches into the select sink, or the count sink under a *plan*.
+        Operators pass ``BATCH_SIZE``-row column vectors instead of per-row
+        tuples.  Control flow stays volcano *between* batches, so
         LIMIT-bounded sinks stop pulling early.
         """
         batches, col_of, runs = self._simple_source(query, *where, plan)
@@ -2384,9 +2231,7 @@ class Execution:
             # witness row its header needs
             batches = _islice(batches, 1 if query.select_all else 0)
         if plan is not None:
-            return self._batch_aggregate(query, plan, batches, col_of, runs)
-        if order_vars:
-            return self._batch_topk(query, order_vars, batches, col_of)
+            return self._batch_count_groups(query, plan, batches, col_of, runs)
         return self._batch_select(query, batches, col_of)
 
     def _simple_source(
@@ -2397,18 +2242,20 @@ class Execution:
 
         A single pattern streams batches (or runs) straight off the index,
         the columns nothing above reads left unmaterialised (``col_of``
-        still names every pattern variable: boundness does not change),
-        and the columnar FILTER runs over them.  Several patterns (or a
-        fully-ground existence gate, which is no column source) run the
-        eager join -- it chooses INLJ or hash per step from the exact
-        intermediate cardinality, which a build-then-probe over column
-        batches cannot: probing ``?s a <C> . ?s ?p ?o`` that way builds a
-        whole-graph table per extraction query -- and hand it the FILTERs
-        and the variables read above it, so a row is tested where its
-        variable is bound and carries only the columns still read.  Under
-        a DISTINCT without ORDER BY (at most a page of keys) or a
-        pure-COUNT GROUP BY the join's last step folds its rows into the
-        keys the sink keeps, which come back as runs (:meth:`_key_batches`).
+        still names every pattern variable: boundness does not change);
+        under FILTERs it streams the lazy chain's rows
+        (:meth:`_stream_id_rows`), which the select sink stops pulling at
+        its page.  Several patterns (or a fully-ground existence gate,
+        which is no column source) run the eager join -- it chooses INLJ or
+        hash per step from the exact intermediate cardinality, which a
+        build-then-probe over column batches cannot: probing ``?s a <C> .
+        ?s ?p ?o`` that way builds a whole-graph table per extraction query
+        -- and hand it the FILTERs and the variables read above it, so a
+        row is tested where its variable is bound and carries only the
+        columns still read.  Under a DISTINCT page (at most a page of keys)
+        or a pure-COUNT GROUP BY the join's last step folds its rows into
+        the keys the sink keeps, which come back as runs
+        (:meth:`_key_batches`).
         """
         compiled = self._compile_patterns(patterns)
         if any(ep.impossible for ep in compiled):
@@ -2418,39 +2265,33 @@ class Execution:
             # Filter over an unbound variable drops every row (the
             # general pipeline raises-and-rejects per row).
             return iter(()), {variable: i for i, variable in enumerate(variables)}, False
-        filters = [(variable, self._term_verdicts(test)) for test, variable in simple_filters]
+        wanted = self._wanted_variables(query, plan)
         if len(compiled) == 1 and compiled[0].variables:
+            if simple_filters:
+                rows, col_of = self._stream_id_rows(patterns, simple_filters)
+                return self._row_batches(rows), col_of, False
             ep = compiled[0]
             col_of = {variable: i for i, variable in enumerate(ep.variables)}
-            wanted = self._wanted_variables(query, simple_filters, plan)
-            if not filters:
-                runs = self._run_batches(query, ep, wanted, plan, col_of)
-                if runs is not None:
-                    return runs, col_of, True
-            limit_hint = self._batch_limit_hint(query, ep, simple_filters, plan)
-            batches = self._scan_batches(ep, wanted, limit_hint)
-        else:
-            wanted = self._wanted_variables(query, (), plan)
-            fold = cap = None
-            if plan is None:
-                if query.distinct and not query.order_by:
-                    fold, cap = "distinct", self._page_cap(query)
-            elif self._counts_only(plan, dict.fromkeys(variables)):
-                fold = "count"
-            joined, col_of = self._bgp_id_rows(patterns, [{}], filters, wanted, fold, cap)
-            # A variable nothing above reads is still bound in every row:
-            # it keeps a column -- column 0, whose length is all a plain
-            # COUNT takes (its cells are another variable's).
-            for variable in variables:
-                col_of.setdefault(variable, 0)
-            if isinstance(joined, dict):
-                return self._key_batches(joined, fold == "count", self._run_cap(query)), col_of, True
-            return self._row_batches(iter(joined)), col_of, False
-        if filters:
-            batches = self._filter_batches(
-                batches, [(col_of[variable], check) for variable, check in filters]
-            )
-        return batches, col_of, False
+            runs = self._run_batches(query, ep, wanted, plan, col_of)
+            if runs is not None:
+                return runs, col_of, True
+            return self._scan_batches(ep, wanted, self._batch_limit_hint(query, ep, plan)), col_of, False
+        fold = cap = None
+        if plan is None:
+            if query.distinct:
+                fold, cap = "distinct", self._page_cap(query)
+        elif plan[0]:
+            fold = "count"
+        filters = [(variable, self._term_verdicts(test)) for test, variable in simple_filters]
+        joined, col_of = self._bgp_id_rows(patterns, [{}], filters, wanted, fold, cap)
+        # A variable nothing above reads is still bound in every row:
+        # it keeps a column -- column 0, whose length is all a plain
+        # COUNT takes (its cells are another variable's).
+        for variable in variables:
+            col_of.setdefault(variable, 0)
+        if isinstance(joined, dict):
+            return self._key_batches(joined, fold == "count", self._run_cap(query)), col_of, True
+        return self._row_batches(iter(joined)), col_of, False
 
     def _row_batches(self, rows: Iterator[Tuple]) -> Iterator[List]:
         """Chunk ID rows into column batches (one transpose per chunk)."""
@@ -2481,11 +2322,9 @@ class Execution:
     def _run_cap(query: SelectQuery) -> Optional[int]:
         """The runs a run-fed sink reads at most (None: every run).  Under
         a pure-COUNT GROUP BY each run is a whole group, in first-seen
-        order, so without ORDER BY or DISTINCT the page is the first
-        ``offset + limit`` of them.  A DISTINCT dedups rows, not groups --
-        ``SELECT DISTINCT (COUNT(?p) AS ?n)`` keeps one row per distinct
-        count -- so it reads them all, and so does a DISTINCT fed keys
-        (its sink stops pulling at its page on its own)."""
+        order, so without ORDER BY the page is the first ``offset + limit``
+        of them.  A DISTINCT page reads them all (its sink stops pulling
+        at its page on its own)."""
         if query.order_by or query.distinct:
             return None
         return Execution._page_cap(query)
@@ -2501,23 +2340,20 @@ class Execution:
         return max(cap, 1) if query.select_all else cap
 
     @staticmethod
-    def _batch_limit_hint(query, ep, simple_filters, plan) -> Optional[int]:
+    def _batch_limit_hint(query, ep, plan) -> Optional[int]:
         """The rows a single-pattern scan need produce at most.
 
         Only a LIMIT-bounded scan with nothing between the scan and the
-        slice (no filter, DISTINCT, ORDER BY or aggregation, and no
-        repeated-variable row drops) can stop at its first
-        ``offset+limit`` rows (``Graph.scan_columns``' *limit*): every
-        later row would be cut by the slice, so results are unchanged --
-        only the cells the scan materialises shrink.  A cap at or above
-        the pattern's match count is no hint (nor a size ``islice`` could
-        take).
+        slice (no DISTINCT or aggregation, and no repeated-variable row
+        drops) can stop at its first ``offset+limit`` rows
+        (``Graph.scan_columns``' *limit*): every later row would be cut by
+        the slice, so results are unchanged -- only the cells the scan
+        materialises shrink.  A cap at or above the pattern's match count
+        is no hint (nor a size ``islice`` could take).
         """
         if (
             plan is not None
-            or query.order_by
             or query.distinct
-            or simple_filters
             or any(len(ep.var_positions[v]) > 1 for v in ep.variables)
         ):
             return None
@@ -2525,35 +2361,21 @@ class Execution:
         return None if hint is None or hint >= ep.est else hint
 
     @staticmethod
-    def _wanted_variables(query: SelectQuery, simple_filters, plan) -> Optional[Set[Variable]]:
+    def _wanted_variables(query: SelectQuery, plan) -> Optional[Set[Variable]]:
         """The variables whose *values* something above a simple-shape
         scan reads, or None for every one of them.
 
-        Filters, projections, sort keys, group keys and folds read values
-        (ORDER BY over aggregate output reads output columns, which are
-        group keys and folds).  A non-DISTINCT ``COUNT(?v)`` does not:
-        every pattern variable is bound in every row of this shape, so
-        the fold only takes its column's length.  ``SELECT *`` and
-        ``COUNT(DISTINCT *)`` read the whole row.
+        Projections and group keys read values (ORDER BY over aggregate
+        output reads output columns, which are group keys and counts).  A
+        COUNT does not: every pattern variable is bound in every row of
+        this shape, so the count is its group's size.  ``SELECT *`` reads
+        the whole row.
         """
+        if plan is not None:
+            return set(plan[0])
         if query.select_all:
             return None
-        wanted = {variable for _test, variable in simple_filters}
-        if plan is None:
-            wanted.update(p.expression.variable for p in query.projections)
-            wanted.update(condition.variable for condition in query.order_by)
-            return wanted
-        group_vars, items = plan
-        wanted.update(group_vars)
-        for kind, payload, _name in items:
-            if kind == "var":
-                wanted.add(payload)
-            elif payload.expression is None:
-                if payload.distinct:
-                    return None
-            elif payload.distinct or payload.function != "COUNT":
-                wanted.add(payload.expression.variable)
-        return wanted
+        return {p.expression.variable for p in query.projections}
 
     def _scan_batches(
         self,
@@ -2589,8 +2411,8 @@ class Execution:
         """*ep*'s matches as runs of the leading unbound index level
         (:meth:`Graph.scan_runs`) when the one variable read above sits
         there alone and the sink is a pure-COUNT GROUP BY on it (counts are
-        run lengths) or DISTINCT without ORDER BY (keys are the distinct
-        rows, no size is computed), else None.  A key's rows are contiguous
+        run lengths) or a DISTINCT page (keys are the distinct rows, no
+        size is computed), else None.  A key's rows are contiguous
         in the expanded scan, so first-seen order is key order.  A batch is
         at most ``BATCH_SIZE`` keys in the variable's column, ``None`` in
         the others, plus the run lengths for the count sink, which reads no
@@ -2600,9 +2422,9 @@ class Execution:
             return None
         (variable,) = wanted
         if plan is None:
-            if not query.distinct or query.order_by:
+            if not query.distinct:
                 return None
-        elif plan[0] != [variable] or not self._counts_only(plan, col_of):
+        elif plan[0] != [variable]:
             return None
         if any(len(positions) > 1 for positions in ep.var_positions.values()):
             return None
@@ -2625,28 +2447,8 @@ class Execution:
     def _term_verdicts(self, table: bytes):
         """``id -> 0 / 1`` for one term test: the dictionary's kind bytes
         translated through *table* (one C-level pass, no decode), read by
-        both the columnar FILTER and the join's binding step."""
+        the lazy chain's FILTER and the join's binding step."""
         return self.graph.dictionary.kinds.translate(table).__getitem__
-
-    def _filter_batches(self, batches: Iterator[List], filter_specs) -> Iterator[List]:
-        """Columnar FILTER over the scan source: each ``(column, check)``
-        narrows a selection vector at C level (:meth:`_term_verdicts`);
-        the survivors compact into fresh columns.  A batch that loses
-        every row yields nothing."""
-        for cols in batches:
-            n = len(cols[0])
-            selection = range(n)
-            for column, check in filter_specs:
-                values = cols[column]
-                selection = list(
-                    compress(selection, map(check, map(values.__getitem__, selection)))
-                )
-                if not selection:
-                    break
-            if len(selection) == n:
-                yield cols
-            elif selection:
-                yield [[column[i] for i in selection] for column in cols]
 
     def _batch_select(
         self, query: SelectQuery, batches: Iterator[List], col_of: Dict[Variable, int]
@@ -2701,166 +2503,22 @@ class Execution:
             self._operator_event()
         return SelectResult(names, self._decode_id_rows(page, names, columns))
 
-    def _batch_topk(
-        self,
-        query: SelectQuery,
-        order_vars: List[Variable],
-        batches: Iterator[List],
-        col_of: Dict[Variable, int],
-    ) -> SelectResult:
-        """The ORDER BY sink: sort-key columns (one key per distinct cell,
-        kept beside the dictionary: ``TermDict.sort_keys``) into
-        :meth:`_id_modifiers`, then decode the page."""
-        key_of = self.graph.dictionary.sort_keys.__getitem__
-        # A sort variable no solution binds ties on every row: drop it.
-        conditions = [
-            (col_of[variable], condition.descending, key_of)
-            for variable, condition in zip(order_vars, query.order_by)
-            if variable in col_of
-        ]
-        _names, dedup_columns = self._id_projection_layout(query, col_of, True)
-        page, stats = self._id_modifiers(query, batches, conditions, dedup_columns)
-        names, columns = self._id_projection_layout(
-            query, col_of, stats["input_rows"] > 0
-        )
-        self.stats.update(stats, operator="topk-id", decoded_rows=len(page))
-        if self.tracer.detail:
-            self._operator_event()
-        return SelectResult(names, self._decode_id_rows(page, names, columns))
-
-    @staticmethod
-    def _counts_only(plan, col_of: Dict[Variable, int]) -> bool:
-        """A pure COUNT GROUP BY: pattern variables as group keys, every
-        item a group key or a plain COUNT of ``*`` or of a pattern variable
-        -- which, bound in every row of this shape, is the group's size."""
-        group_vars, items = plan
-        return bool(group_vars) and all(
-            variable in col_of for variable in group_vars
-        ) and all(
-            (kind == "var" and payload in group_vars)
-            or (kind == "agg" and payload.function == "COUNT" and not payload.distinct
-                and (payload.expression is None or payload.expression.variable in col_of))
-            for kind, payload, _name in items
-        )
-
-    def _batch_aggregate(
+    def _batch_count_groups(
         self, query: SelectQuery, plan, batches: Iterator[List], col_of: Dict[Variable, int],
-        runs: bool = False,
+        runs: bool,
     ) -> SelectResult:
-        """GROUP BY / aggregation over column batches, O(groups) state.
-
-        Pure-COUNT grouping (:meth:`_counts_only`; the only
-        shape fed *runs*, which it takes as columns) vectorizes through
-        :class:`Counter` (one C-speed update per batch; Counter preserves
-        first-seen insertion order, matching the dict-based fold's group
-        order).  Everything else slices each
-        batch's value columns per group and folds them through
-        :meth:`_AggFold.fold_batch`, so results are identical to the
-        row-at-a-time fold at any batch size.  Either way the groups leave
-        as one column batch of IDs and raw fold values
-        (:meth:`_aggregate_page`).
+        """The count sink: a pure-COUNT aggregation as one :class:`Counter`
+        update per batch, over the key column or a C-level ``zip`` of the
+        key columns (first-seen group order, as the general fold).  Fed
+        *runs* (:meth:`_run_batches`, :meth:`_key_batches`), each run is one
+        group already: its key columns -- one or several -- and the batch's
+        last column, the counts, are extended as they come and handed over
+        as the groups' columns, no dict in between.  With no group key the
+        rows make the implicit group: one row, whose count is 0 over no
+        rows.  Either way every group-key cell is an ID.
         """
         group_vars, items = plan
         group_columns = [col_of.get(variable) for variable in group_vars]
-        if self._counts_only(plan, col_of):
-            return self._batch_count_groups(query, plan, group_columns, batches, runs)
-
-        fold_specs = []  # (item index, aggregate, value column or None)
-        for index, (kind, payload, _name) in enumerate(items):
-            if kind == "agg":
-                argument = payload.expression
-                column = None if argument is None else col_of.get(argument.variable)
-                fold_specs.append((index, payload, column))
-
-        decode = self.graph.decode_id
-        groups: Dict = {}
-        input_rows = 0
-        n_batches = 0
-        single_group = not group_vars
-        for cols in batches:
-            n_batches += 1
-            n = len(cols[0])
-            input_rows += n
-            if single_group:
-                buckets = {(): None}  # None selection = the whole batch
-            else:
-                if len(group_columns) == 1:
-                    column = group_columns[0]
-                    keys = cols[column] if column is not None else _repeat(None, n)
-                else:
-                    keys = zip(
-                        *(
-                            cols[column] if column is not None else _repeat(None, n)
-                            for column in group_columns
-                        )
-                    )
-                buckets = {}
-                for i, key in enumerate(keys):
-                    indices = buckets.get(key)
-                    if indices is None:
-                        buckets[key] = indices = []
-                    indices.append(i)
-            for key, indices in buckets.items():
-                state = groups.get(key)
-                if state is None:
-                    first_index = 0 if indices is None else indices[0]
-                    state = groups[key] = (
-                        tuple(column[first_index] for column in cols),
-                        {index: _AggFold(agg) for index, agg, _ in fold_specs},
-                    )
-                folds = state[1]
-                whole = indices is None or len(indices) == n
-                for index, aggregate, column in fold_specs:
-                    fold = folds[index]
-                    if aggregate.expression is None:  # COUNT(*)
-                        if not aggregate.distinct:
-                            fold.add_star_batch(n if whole else len(indices))
-                        elif whole:
-                            fold.add_star_batch(n, zip(*cols))
-                        else:
-                            fold.add_star_batch(
-                                len(indices),
-                                (
-                                    tuple(column[i] for column in cols)
-                                    for i in indices
-                                ),
-                            )
-                        continue
-                    if column is None:
-                        continue
-                    values = (
-                        cols[column]
-                        if whole
-                        else [cols[column][i] for i in indices]
-                    )
-                    fold.fold_batch(values, decode)
-
-        if single_group and not groups:
-            # Implicit single group over an empty input still produces
-            # one row (COUNT(*) = 0) per the spec.
-            groups[()] = (None, {index: _AggFold(agg) for index, agg, _ in fold_specs})
-
-        stats = {
-            "input_rows": input_rows,
-            "tracked_rows": len(groups),
-            "batches": n_batches,
-        }
-        cols = self._group_columns(items, groups, col_of)
-        return self._aggregate_page(query, items, cols, list(range(len(items))), stats)
-
-    def _batch_count_groups(
-        self, query: SelectQuery, plan, group_columns: List[int], batches: Iterator[List],
-        runs: bool = False,
-    ) -> SelectResult:
-        """The fully-vectorized aggregation: pure-COUNT GROUP BY as one
-        :class:`Counter` update per batch, over the key column or a
-        C-level ``zip`` of the key columns (first-seen group order, as the
-        dict fold).  Fed *runs* (:meth:`_run_batches`, :meth:`_key_batches`),
-        each run is one group already: its key columns -- one or several --
-        and the batch's last column, the counts, are extended as they come
-        and handed over as the groups' columns, no dict in between.  Either
-        way every group-key cell is an ID."""
-        group_vars, items = plan
         input_rows = 0
         n_batches = 0
         if runs:
@@ -2881,6 +2539,8 @@ class Execution:
                 counter.update(
                     batch[group_columns[0]] if single else zip(*[batch[c] for c in group_columns])
                 )
+            if not group_columns:  # the implicit group
+                counter[()] = input_rows
             keys = list(counter)
             if single:
                 cols = [keys]
@@ -2889,8 +2549,8 @@ class Execution:
             counts = list(counter.values())
         stats = {
             "input_rows": input_rows,
-            "tracked_rows": len(counts),
             "batches": n_batches,
+            "tracked_rows": len(counts),
         }
         cols.append(counts)
         columns = [
@@ -3094,22 +2754,15 @@ class Execution:
                 continue
 
         if aggregate.distinct:
-            seen = []
-            for value in values:
-                if value not in seen:
-                    seen.append(value)
-            values = seen
+            # first-seen order; a term hashes as it compares
+            values = list(dict.fromkeys(values))
         return self._fold_values(aggregate, values)
 
     @staticmethod
     def _fold_values(aggregate: Aggregate, values: List[Term]) -> Optional[Term]:
-        """Fold already-extracted (and deduplicated) values per the spec.
-
-        Thin wrapper over :class:`_AggFold` (distinct handling disabled --
-        callers dedupe before extraction), so the materialized path and
-        the incremental paths share one fold.
-        """
-        fold = _AggFold(aggregate, distinct=False)
+        """Fold already-extracted (and deduplicated) values per the spec
+        through :class:`_AggFold`."""
+        fold = _AggFold(aggregate)
         for value in values:
             fold.add(value)
         return fold.result()
@@ -3129,8 +2782,9 @@ class Execution:
         ``scopes`` are the per-row sort scopes; when omitted they are
         rebuilt from the rows themselves (correct whenever the rows carry
         every variable ORDER BY may name, i.e. aggregate output).  Every
-        term-space pipeline ends in this one tail; the columnar sinks
-        run the same modifiers in ID space (:meth:`_id_modifiers`).
+        term-space pipeline ends in this one tail; the count sink runs the
+        same ORDER BY / OFFSET / LIMIT over its groups in ID space
+        (:meth:`_id_modifiers`).
         """
         if query.order_by:
             if scopes is None:
@@ -3155,8 +2809,8 @@ class Execution:
         """One condition's sort key for one scope: ``(1, term key)`` or
         ``(0, ())`` when the key is unbound/errors (unbound sorts first).
 
-        The columnar sinks order by the same keys
-        (:func:`_sort_key_column`), so the orderings cannot diverge.
+        The count sink orders by the same keys (:func:`_sort_key_column`),
+        so the orderings cannot diverge.
         """
         expression = condition.expression
         if isinstance(expression, VariableExpression):

@@ -370,9 +370,9 @@ class SelectQuery(_Node):
 
     # -- planner shape probes ------------------------------------------------
     #
-    # The evaluator's columnar sinks (the ID-space ORDER BY tail, the
-    # incremental GROUP BY fold) only cover queries whose sort keys and
-    # aggregates are column-shaped.  The probes live here, next to the
+    # The evaluator's count sink (and its ID-space ORDER BY tail) only
+    # covers queries whose sort keys and aggregates are column-shaped.
+    # The probes live here, next to the
     # grammar that produces the nodes, so every pipeline asks the same
     # question the same way.
 
@@ -393,9 +393,8 @@ class SelectQuery(_Node):
 
         ``items`` holds one entry per projection: ``("var", Variable, name)``
         for a bare grouped variable, ``("agg", Aggregate, name)`` for an
-        aggregate whose argument is ``*`` or a bare variable.  This is the
-        shape the columnar aggregate sink can execute without the
-        expression interpreter.
+        aggregate whose argument is ``*`` or a bare variable.  The count
+        sink takes the pure-COUNT plans among these.
         """
         group_vars: List[Variable] = []
         for expression in self.group_by:

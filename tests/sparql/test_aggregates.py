@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.rdf import Literal, parse_turtle
-from repro.sparql import QueryEngine, evaluate
+from repro.rdf import IRI, Literal, Variable, parse_turtle
+from repro.sparql import Execution, QueryEngine, evaluate
+from repro.sparql.parser import parse_query
 
 GRAPH = parse_turtle(
     """
@@ -119,6 +120,26 @@ class TestFolds:
     def test_arithmetic_over_aggregate(self):
         result = rows("SELECT ((SUM(?v) + 4) AS ?m) WHERE { ?x a ex:A . ?x ex:v ?v }")
         assert int(result[0]["m"].lexical) == 10
+
+    def test_a_distinct_fold_compares_each_value_a_bounded_number_of_times(self, monkeypatch):
+        """DISTINCT dedups by hash, first seen first: folding N distinct
+        IRIs compares O(N) pairs, not the N^2 / 2 of a seen-list."""
+        n = 400
+        query = parse_query("SELECT (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s ?p ?o }")
+        aggregate = query.projections[0].expression
+        s = Variable("s")
+        members = [{s: IRI(f"http://example.org/s{i}")} for i in range(n)]
+        members += members[: n // 2]  # repeats, in order
+        compared = [0]
+        equal = IRI.__eq__
+
+        def counting_eq(self, other):
+            compared[0] += 1
+            return equal(self, other)
+
+        monkeypatch.setattr(IRI, "__eq__", counting_eq)
+        assert Execution(QueryEngine(GRAPH))._fold_aggregate(aggregate, members) == Literal(n)
+        assert compared[0] <= 2 * n
 
 
 PREFIX = "PREFIX ex: <http://example.org/>\n"

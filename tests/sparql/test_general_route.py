@@ -1,21 +1,23 @@
 """The SELECTs the columnar sinks do not take run the general path.
 
-The sinks take a column-shaped SELECT -- bare-variable projections or
-column-shaped aggregates, no HAVING, bare-variable sort keys -- over a
-simple WHERE clause: triple patterns plus one-variable term-test FILTERs,
-whose rows are ID tuples with every variable bound.  Anything else runs
+The two sinks read a simple WHERE clause -- triple patterns plus
+one-variable term-test FILTERs, whose rows are ID tuples with every
+variable bound: ``select-id`` takes bare-variable projections (or
+``SELECT *``) with no ORDER BY, ``aggregate-id`` a pure-COUNT aggregation
+over pattern variables with no HAVING or DISTINCT.  Anything else runs
 ``_run_select_general`` (``operator == "general"``): a WHERE clause with
 OPTIONAL, UNION, VALUES, a property path or another FILTER, where a
 variable may be unbound or a term may be one the dictionary lacks; a
-HAVING; an ORDER BY expression over groups.  Every case below reports
-that route and runs against the ``scan`` oracle row for row.
+HAVING; an ORDER BY over solutions; any other aggregate; an ORDER BY
+expression over groups.  Every case below reports that route and runs
+against the ``scan`` oracle row for row.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.rdf import parse_turtle
+from repro.rdf import IRI, Literal, parse_turtle
 from repro.sparql import QueryEngine
 from repro.sparql.parser import parse_query
 
@@ -96,6 +98,112 @@ CASES = [
      "SELECT ?s (SUM(?n) AS ?t) WHERE { ?s ex:n ?n } GROUP BY ?s ORDER BY DESC(?t * 2) ?s LIMIT 2", 2),
     ("compare-filter", "SELECT ?s ?n WHERE { ?s ex:n ?n FILTER (?n > 1) } ORDER BY ?n", 2),
 ]
+
+
+#: (case id, query, rows): shapes over a simple WHERE clause that are
+#: neither a plain page nor a pure COUNT; each equals the oracle with row
+#: order included
+MOVED = [
+    # an ORDER BY over solutions: ASC / DESC, several keys, ties, unbound
+    # keys, SELECT *, DISTINCT, OFFSET, a page past the small-LIMIT bound
+    ("order-asc", "SELECT ?s ?n WHERE { ?s ex:n ?n } ORDER BY ?n", 3),
+    ("order-desc", "SELECT ?s ?n WHERE { ?s ex:n ?n } ORDER BY DESC(?n)", 3),
+    ("order-keys", "SELECT ?s ?p WHERE { ?s ?p ?o } ORDER BY ?p DESC(?s)", 12),
+    ("order-ties", "SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?p", 12),
+    ("order-unprojected", "SELECT ?s WHERE { ?s ex:n ?n } ORDER BY DESC(?n)", 3),
+    ("order-unbound", "SELECT ?s WHERE { ?s a ex:T } ORDER BY ?nope", 4),
+    ("order-unbound-then-key", "SELECT ?s WHERE { ?s a ex:T } ORDER BY ?nope DESC(?s)", 4),
+    ("order-star", "SELECT * WHERE { ?s ex:n ?n } ORDER BY DESC(?s)", 3),
+    ("order-distinct", "SELECT DISTINCT ?p WHERE { ?s ?p ?o } ORDER BY DESC(?p)", 4),
+    ("order-distinct-narrow", "SELECT DISTINCT ?s WHERE { ?s ?p ?o } ORDER BY ?o ?s", 4),
+    ("order-offset", "SELECT ?s ?n WHERE { ?s ex:n ?n } ORDER BY ?n OFFSET 1", 2),
+    ("order-page", "SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY DESC(?o) ?s LIMIT 5 OFFSET 2", 5),
+    ("order-big-page", "SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?o LIMIT 100", 12),
+    ("order-limit-zero", "SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?o LIMIT 0", 0),
+    ("order-join", "SELECT ?s ?l WHERE { ?s ex:n ?n . ?s ex:label ?l } ORDER BY DESC(?l) ?n", 3),
+    ("order-filtered",
+     "SELECT ?s ?o WHERE { ?s ?p ?o FILTER (isLiteral(?o)) } ORDER BY ?o ?s LIMIT 100", 6),
+    # every aggregate but a plain COUNT
+    ("sum", "SELECT ?s (SUM(?n) AS ?x) WHERE { ?s ex:n ?n } GROUP BY ?s ORDER BY ?s", 3),
+    ("avg", "SELECT (AVG(?n) AS ?x) WHERE { ?s ex:n ?n }", 1),
+    ("min-max", "SELECT (MIN(?n) AS ?lo) (MAX(?n) AS ?hi) WHERE { ?s ex:n ?n }", 1),
+    ("min-by-group",
+     "SELECT ?s (MIN(?l) AS ?x) WHERE { ?s ex:label ?l } GROUP BY ?s ORDER BY DESC(?x)", 2),
+    ("sample", "SELECT ?s (SAMPLE(?l) AS ?x) WHERE { ?s ex:label ?l } GROUP BY ?s ORDER BY ?s", 2),
+    ("group-concat",
+     "SELECT ?s (GROUP_CONCAT(?l ; SEPARATOR = '|') AS ?x) WHERE { ?s ex:label ?l } "
+     "GROUP BY ?s ORDER BY ?s", 2),
+    ("count-distinct", "SELECT (COUNT(DISTINCT ?p) AS ?c) WHERE { ?s ?p ?o }", 1),
+    ("count-distinct-grouped",
+     "SELECT ?s (COUNT(DISTINCT ?p) AS ?c) WHERE { ?s ?p ?o } GROUP BY ?s ORDER BY ?s", 4),
+    ("count-distinct-star", "SELECT (COUNT(DISTINCT *) AS ?c) WHERE { ?s ?p ?o }", 1),
+    # a count with anything else in the SELECT clause
+    ("count-and-sum",
+     "SELECT ?s (COUNT(?n) AS ?c) (SUM(?n) AS ?x) WHERE { ?s ex:n ?n } GROUP BY ?s ORDER BY ?s", 3),
+    ("distinct-groups",
+     "SELECT DISTINCT (COUNT(?o) AS ?c) WHERE { ?s ?p ?o } GROUP BY ?s ORDER BY ?c", 3),
+    ("distinct-groups-unordered", "SELECT DISTINCT (COUNT(?o) AS ?c) WHERE { ?s ?p ?o } GROUP BY ?s", 3),
+    ("unbound-group-key", "SELECT ?nope (COUNT(?s) AS ?c) WHERE { ?s a ex:T } GROUP BY ?nope", 1),
+    ("count-unbound",
+     "SELECT ?s (COUNT(?nope) AS ?c) WHERE { ?s a ex:T } GROUP BY ?s ORDER BY ?s", 4),
+    ("ungrouped-variable",
+     "SELECT ?s ?n (COUNT(?n) AS ?c) WHERE { ?s ex:n ?n } GROUP BY ?s ORDER BY ?s", 3),
+]
+
+
+@pytest.mark.parametrize("case_id,query,rows", MOVED, ids=[case[0] for case in MOVED])
+def test_a_moved_shape_runs_general_in_the_oracles_order(graph, case_id, query, rows):
+    text = PREFIX + query
+    execution = QueryEngine(graph).execute(text)
+    oracle = QueryEngine(graph, strategy="scan").run(text)
+    assert execution.stats["operator"] == "general"
+    assert execution.result.variables == oracle.variables
+    assert _ordered(execution.result) == _ordered(oracle)
+    assert len(oracle.rows) == rows
+
+
+#: (case id, query, sink, rows): what the sinks keep
+KEPT = [
+    # the implicit group stays a count: one row, 0 over no rows
+    ("count-star", "SELECT (COUNT(*) AS ?c) WHERE { ?s a ex:T }", "aggregate-id", 1),
+    ("count-star-empty", "SELECT (COUNT(*) AS ?c) WHERE { ?s a ex:Missing }", "aggregate-id", 1),
+    ("count-var", "SELECT (COUNT(?n) AS ?c) WHERE { ?s ex:n ?n }", "aggregate-id", 1),
+    ("count-join", "SELECT (COUNT(*) AS ?c) WHERE { ?s ex:n ?n . ?s ex:label ?l }", "aggregate-id", 1),
+    ("count-filtered",
+     "SELECT (COUNT(*) AS ?c) WHERE { ?s ?p ?o FILTER (isLiteral(?o)) }", "aggregate-id", 1),
+    ("count-page", "SELECT (COUNT(*) AS ?c) WHERE { ?s a ex:T } LIMIT 0", "aggregate-id", 0),
+    ("count-ordered",
+     "SELECT ?s (COUNT(?o) AS ?c) WHERE { ?s ?p ?o } GROUP BY ?s ORDER BY DESC(?c) ?s", "aggregate-id", 4),
+    ("page", "SELECT ?s ?o WHERE { ?s ?p ?o } OFFSET 3", "select-id", 9),
+    ("distinct-page", "SELECT DISTINCT ?p WHERE { ?s ?p ?o } LIMIT 100", "select-id", 4),
+]
+
+
+@pytest.mark.parametrize("case_id,query,sink,rows", KEPT, ids=[case[0] for case in KEPT])
+def test_a_kept_shape_stays_on_its_sink(graph, case_id, query, sink, rows):
+    text = PREFIX + query
+    execution = QueryEngine(graph).execute(text)
+    oracle = QueryEngine(graph, strategy="scan").run(text)
+    assert execution.stats["operator"] == sink
+    assert execution.result.variables == oracle.variables
+    if parse_query(text).order_by or len(oracle.rows) <= 1:
+        assert _ordered(execution.result) == _ordered(oracle)
+    key = lambda row: sorted((name, str(value)) for name, value in row.items())  # noqa: E731
+    assert sorted(map(key, _ordered(execution.result))) == sorted(map(key, _ordered(oracle)))
+    assert len(execution.result.rows) == rows
+
+
+def test_a_filtered_pattern_keeps_the_scans_row_order(graph):
+    """A single pattern under term-test FILTERs stays on ``select-id``
+    and keeps the unfiltered scan's row order: its rows are the plain
+    page's rows that pass, in that page's order."""
+    engine = QueryEngine(graph)
+    plain = engine.execute(PREFIX + "SELECT ?s ?o WHERE { ?s ?p ?o }")
+    assert plain.stats["operator"] == "select-id"
+    for test, kind in (("isLiteral", Literal), ("isIRI", IRI)):
+        filtered = engine.execute(PREFIX + f"SELECT ?s ?o WHERE {{ ?s ?p ?o FILTER ({test}(?o)) }}")
+        assert filtered.stats["operator"] == "select-id"
+        assert filtered.result.rows == [row for row in plain.result.rows if isinstance(row["o"], kind)]
 
 
 @pytest.fixture(scope="module")

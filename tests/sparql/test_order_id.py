@@ -1,15 +1,14 @@
-"""The ID-space ORDER BY sink (sort raw ID rows, decode the emitted page).
+"""ORDER BY in ID space: the count sink's groups (sort IDs and counts,
+decode the emitted page) -- and every other ORDER BY, on the general path.
 
-Queries with bare-variable projections and sort keys order ID tuples
-with memoized decoded keys -- a full sort without LIMIT, a cut to the
-page after every batch with one -- and only decode rows that survive
-DISTINCT/OFFSET/LIMIT, over a simple WHERE clause.  These tests pin (a)
-that the sink actually runs (``operator == "topk-id"``; ``general`` over
-any other WHERE clause), and (b) that its output is row-for-row identical
-to the scan oracle's materialized sort, ties included.  The aggregate
-sink runs the same modifiers over its groups (``operator ==
-"aggregate-id"``, ``decoded_rows`` = the page); its table-driven
-differential is at the end of the file.
+A pure-COUNT aggregation over a simple WHERE clause orders its groups as
+group-key IDs and counts with memoized keys, cuts them to the page and
+decodes only the rows that survive OFFSET/LIMIT (``operator ==
+"aggregate-id"``, ``decoded_rows`` = the page).  An ORDER BY over
+solutions, any other aggregate, a DISTINCT over groups and any other
+WHERE clause run the general path (``operator == "general"``).  Every
+case is row-for-row identical to the scan oracle's materialized sort,
+ties included.
 """
 
 from __future__ import annotations
@@ -77,31 +76,37 @@ def test_order_id_matches_materialized_sort(graph, case_id, query):
     engine = QueryEngine(graph)
     execution = engine.execute(query)
     result = execution.result
-    assert execution.stats.get("operator") == "topk-id", execution.stats
+    assert execution.stats.get("operator") == "general", execution.stats
     oracle = QueryEngine(graph, strategy="scan").run(query)
     assert _ordered(result) == _ordered(oracle)
 
 
 def test_decodes_only_the_emitted_page(graph):
     engine = QueryEngine(graph)
-    # only the emitted page is ever decoded, whatever the LIMIT
-    execution = engine.execute(
-        PREFIX + "SELECT ?s ?v WHERE { ?s ex:score ?v } ORDER BY ?v ?s OFFSET 1 LIMIT 100"
+    # only the emitted page of groups is ever decoded, whatever the LIMIT
+    query = (
+        PREFIX + "SELECT ?s (COUNT(?v) AS ?n) WHERE { ?s ex:score ?v } GROUP BY ?s "
+        "ORDER BY ?n ?s OFFSET 1 LIMIT 100"
     )
+    execution = engine.execute(query)
     result, stats = execution.result, execution.stats
-    assert stats["operator"] == "topk-id"
-    assert stats["input_rows"] == 5
+    assert stats["operator"] == "aggregate-id"
+    assert stats["input_rows"] == stats["tracked_rows"] == 5
     assert stats["decoded_rows"] == len(result.rows) == 4
+    assert _ordered(result) == _ordered(QueryEngine(graph, strategy="scan").run(query))
 
 
 def test_limit_bounds_the_rows_kept(graph):
-    # with a LIMIT the sink is bounded: offset + k rows, not all 5
+    # an ORDER BY over solutions sorts them all, then slices, on the
+    # general path: no sink holds anything
     engine = QueryEngine(graph)
-    stats = engine.execute(PREFIX + "SELECT ?s WHERE { ?s ex:score ?v } ORDER BY ?v ?s LIMIT 2").stats
-    assert stats["operator"] == "topk-id"
-    assert stats["tracked_rows"] == 2
-    stats = engine.execute(PREFIX + "SELECT ?s WHERE { ?s ex:score ?v } ORDER BY ?v ?s").stats
-    assert stats["tracked_rows"] == 5
+    oracle = QueryEngine(graph, strategy="scan")
+    for page in ("LIMIT 2", ""):
+        query = PREFIX + f"SELECT ?s WHERE {{ ?s ex:score ?v }} ORDER BY ?v ?s {page}"
+        execution = engine.execute(query)
+        assert execution.stats["operator"] == "general"
+        assert "tracked_rows" not in execution.stats
+        assert _ordered(execution.result) == _ordered(oracle.run(query))
 
 
 def test_non_simple_where_runs_the_general_path(graph):
@@ -124,7 +129,7 @@ def test_expression_sort_key_falls_back(graph):
     query = PREFIX + "SELECT ?s WHERE { ?s ex:score ?v } ORDER BY (?v * 2) ?s"
     execution = engine.execute(query)
     result = execution.result
-    assert execution.stats.get("operator") != "topk-id"
+    assert execution.stats.get("operator") == "general"
     oracle = QueryEngine(graph, strategy="scan").run(query)
     assert _ordered(result) == _ordered(oracle)
 
@@ -134,8 +139,10 @@ def test_expression_sort_key_falls_back(graph):
 # One table-driven differential against the scan oracle.  A row is a sort
 # key kind; every row runs ASC/DESC x with/without a tie-breaking second
 # condition x the OFFSET/LIMIT table x DISTINCT x HAVING, from both sources,
-# at three batch sizes and two shard counts.  A HAVING, an expression sort
-# key or the OPTIONAL source runs the general path.  Ties are everywhere in
+# at three batch sizes and two shard counts.  Only a pure-COUNT row over
+# the simple source with neither DISTINCT nor HAVING runs the aggregate
+# sink; any other fold, an unbound group key, an expression sort key, a
+# DISTINCT, a HAVING or the OPTIONAL source runs the general path.  Ties are everywhere in
 # the data (a/d and c/g fold to the same values), so an unstable sort or a
 # heap that is not sort-then-slice shows as a row-order difference.
 
@@ -157,13 +164,13 @@ AGG_KEYS = [
     ("group-iri", "?s (COUNT(?v) AS ?n)", "?s", "?s", 8, True),
     ("group-literal", "?v (COUNT(?s) AS ?n)", "?v", "?v", 9, True),
     ("count-alias", "?s (COUNT(?v) AS ?n)", "?s", "?n", 8, True),
-    ("sum-alias", "?s (SUM(?v) AS ?n)", "?s", "?n", 8, True),
+    ("sum-alias", "?s (SUM(?v) AS ?n)", "?s", "?n", 8, False),
     # AVG over no numeric value is unbound: e and h sort first ascending
-    ("avg-alias", "?s (AVG(?v) AS ?n)", "?s", "?n", 8, True),
-    ("min-alias", "?s (MIN(?v) AS ?n)", "?s", "?n", 8, True),
-    ("max-alias", "?s (MAX(?v) AS ?n)", "?s", "?n", 8, True),
+    ("avg-alias", "?s (AVG(?v) AS ?n)", "?s", "?n", 8, False),
+    ("min-alias", "?s (MIN(?v) AS ?n)", "?s", "?n", 8, False),
+    ("max-alias", "?s (MAX(?v) AS ?n)", "?s", "?n", 8, False),
     # a group key no pattern binds: one group, key unbound
-    ("unbound-group-key", "?nope (COUNT(?v) AS ?n)", "?nope", "?nope", 1, True),
+    ("unbound-group-key", "?nope (COUNT(?v) AS ?n)", "?nope", "?nope", 1, False),
     # a group variable the projection drops names no output column: ties
     ("unprojected-group-key", "(COUNT(?v) AS ?n)", "?s", "?s", 8, True),
     # DISTINCT really collapses rows when only the fold is projected
@@ -225,7 +232,7 @@ def test_ordered_aggregate_matches_the_scan_oracle(
         result = execution.result
         assert _ordered(result) == expected, query
         stats = execution.stats
-        if not columnar or having or source != "simple":
+        if not columnar or having or distinct or source != "simple":
             assert stats["operator"] == "general", query
             continue
         folded = 0 if page == "LIMIT 0" else groups  # a LIMIT 0 page reads no batch
@@ -233,22 +240,21 @@ def test_ordered_aggregate_matches_the_scan_oracle(
         assert stats["tracked_rows"] == folded, query
         # only the page that survived the modifiers was decoded
         assert stats["decoded_rows"] == len(result.rows), query
-        assert ("distinct_keys" in stats) == distinct, query
 
 
-# -- the lazy tail: sort keys only for the rows a cut has to compare ---------
+# -- ORDER BY over solutions: the general path's sort-then-slice ------------
 #
-# Under LIMIT (and under DISTINCT) the tail cuts what it holds after every
-# batch: the first condition's keys settle every row but those tying with
-# the ``offset + k``-th best key, only those get the next condition's keys,
-# and the last tie-break is the input sequence.  Every row below runs from
-# both sources (the OPTIONAL one on the general path) at three batch sizes
-# against the scan oracle's sort-then-slice, through every page of
-# TAIL_PAGES, with and without DISTINCT.
+# Every row below runs from both sources on the general path against the
+# scan oracle's sort-then-slice, through every page of TAIL_PAGES, with
+# and without DISTINCT: a DISTINCT keeps each key's earliest row in sort
+# order, and the last tie-break is the input sequence.  The batch sizes
+# reach no batch on the general path; they stay so that a sink brought
+# back for this shape meets the same table, edges included.
 # The data is nine subjects with one first key shared by all of them
 # (``same``), one with two values split 2 / 7 (``two``) and one with three
-# values in no order (``b``), so a cut lands inside a tie group whatever
-# the page, and at batch sizes 1 and 3 every tie group spans a batch edge.
+# values in no order (``b``), so a page's edge lands inside a tie group
+# whatever the page, and at batch sizes 1 and 3 every tie group spans a
+# batch edge.
 
 TAIL_DATA = """
 @prefix ex: <http://example.org/> .
@@ -292,15 +298,14 @@ TAIL_ORDERS = [
     ("dedup-key-unsorted", "?v", "?s ex:b ?v", "?s"),
 ]
 
-#: (page, offset, limit)
 TAIL_PAGES = [
-    ("", 0, None),
-    ("LIMIT 0", 0, 0),
-    ("LIMIT 1", 0, 1),
-    ("LIMIT 4", 0, 4),
-    ("LIMIT 5 OFFSET 2", 2, 5),
-    ("LIMIT 3 OFFSET 50", 50, 3),  # past the end
-    ("LIMIT 100", 0, 100),  # more than the rows
+    "",
+    "LIMIT 0",
+    "LIMIT 1",
+    "LIMIT 4",
+    "LIMIT 5 OFFSET 2",
+    "LIMIT 3 OFFSET 50",  # past the end
+    "LIMIT 100",  # more than the rows
 ]
 
 
@@ -325,7 +330,7 @@ def test_lazy_tail_matches_sort_then_slice(
     monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
     engine = QueryEngine(tail_graph)
     oracle = QueryEngine(tail_graph, strategy="scan")
-    for (page, offset, limit), distinct in itertools.product(TAIL_PAGES, (False, True)):
+    for page, distinct in itertools.product(TAIL_PAGES, (False, True)):
         query = (
             PREFIX
             + f"SELECT {'DISTINCT ' if distinct else ''}{projection} "
@@ -339,31 +344,39 @@ def test_lazy_tail_matches_sort_then_slice(
         execution = engine.execute(query)
         result = execution.result
         assert _header_and_rows(result) == expected, query
-        stats = execution.stats
-        if source != "simple":
-            assert stats["operator"] == "general", query
-            continue
-        assert stats["operator"] == "topk-id", query
-        assert stats["decoded_rows"] == len(result.rows), query
-        assert ("distinct_keys" in stats) == distinct, query
-        if limit is not None:
-            # what the tail holds between batches is the page, DISTINCT or not
-            assert stats["tracked_rows"] <= offset + limit, query
+        assert execution.stats["operator"] == "general", query
 
 
-def test_lazy_tail_builds_keys_for_the_rows_it_has_to_compare(tail_graph):
-    """``sort_keys`` counts the distinct cells keyed.  Nine rows, two
-    first keys; the second condition is keyed only for the rows tying at
-    the page's bound (and, to order the page, for the rows on it): the
-    two ``two = 1`` rows ascending, the seven ``two = 2`` rows
-    descending, all nine when there is nothing to cut."""
-    engine = QueryEngine(tail_graph)
-    template = PREFIX + "SELECT ?s WHERE {{ ?s ex:two ?t }} ORDER BY {order} LIMIT {k}"
-    for order, k, second_keys in (
-        ("?t ?s", 1, 2),
-        ("?t ?s", 2, 2),  # both rows fit: no cut, keyed to order the page
-        ("DESC(?t) ?s", 1, 7),
-        ("?t ?s", 100, 9),
-    ):
-        stats = engine.execute(template.format(order=order, k=k)).stats
-        assert stats["sort_keys"] == 2 + second_keys, (order, k)
+#: six subjects counting 1, 2, 2, 2, 3 and 3 triples
+COUNT_TIES = """
+@prefix ex: <http://example.org/> .
+
+ex:a ex:m 1 .
+ex:b ex:m 1, 2 .
+ex:c ex:m 1, 2 .
+ex:d ex:m 1, 2 .
+ex:e ex:m 1, 2, 3 .
+ex:f ex:m 1, 2, 3 .
+"""
+
+
+def test_lazy_tail_builds_keys_for_the_rows_it_has_to_compare():
+    """The top-entities shape: ``sort_keys`` counts the distinct cells
+    keyed.  The counts take three keys; ``?s`` is keyed only for the
+    groups tying at the page's bound (and, to order the page, for the
+    groups on it): ``e`` and ``f`` for the top one or two, those two and
+    the three count-2 groups for the top three, all six when there is
+    nothing to cut."""
+    graph = parse_turtle(COUNT_TIES)
+    engine = QueryEngine(graph)
+    oracle = QueryEngine(graph, strategy="scan")
+    template = (
+        PREFIX + "SELECT ?s (COUNT(?p) AS ?n) WHERE {{ ?s ?p ?o }} "
+        "GROUP BY ?s ORDER BY DESC(?n) ?s LIMIT {k}"
+    )
+    for k, second_keys in ((1, 2), (2, 2), (3, 5), (100, 6)):
+        query = template.format(k=k)
+        execution = engine.execute(query)
+        assert execution.stats["operator"] == "aggregate-id", k
+        assert execution.stats["sort_keys"] == 3 + second_keys, k
+        assert _ordered(execution.result) == _ordered(oracle.run(query)), k

@@ -19,7 +19,8 @@ from repro.sparql import QueryEngine
 
 OUTER = {
     "aggregate-id": "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c } GROUP BY ?c",
-    "topk-id": "SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?o ?s LIMIT 5",
+    # an ORDER BY over solutions: the general path
+    "ordered-page": "SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?o ?s LIMIT 5",
     "join-distinct": (
         "SELECT DISTINCT ?c ?p WHERE { ?s a ?c . ?s ?p ?o . FILTER ( isLiteral(?o) ) }"
     ),

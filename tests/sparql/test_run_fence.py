@@ -13,7 +13,9 @@ nothing else.  This fence holds the path to the expanded scan it replaces:
   ``scan`` oracle as a multiset and the first-seen order of the level's
   values as a list -- on a written-and-removed graph, its ``copy()``, a
   recovered store, and ``Graph(shards=2)``, which takes today's path;
-* the ineligible neighbours take today's path, shown by their counts;
+* the ineligible neighbours take today's path, shown by their counts --
+  the expanded scan, or the general path for the SELECT clauses no sink
+  takes;
 * the ID-space tail's bound over distinct cells and multiplicities equals
   the per-row ``nlargest`` / ``nsmallest`` it replaced, ties included.
 """
@@ -279,9 +281,6 @@ NEIGHBOURS = [
     ("filter", "SELECT DISTINCT ?s WHERE { ?s ?p ?o FILTER(isIRI(?s)) }"),
     ("filter-count", "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o FILTER(isIRI(?s)) } GROUP BY ?s"),
     ("non-leading-key", "SELECT ?p (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p"),
-    ("sum", "SELECT ?s (SUM(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s"),
-    ("count-distinct", "SELECT ?s (COUNT(DISTINCT ?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s"),
-    ("distinct-ordered", "SELECT DISTINCT ?s WHERE { ?s ?p ?o } ORDER BY ?s"),
     ("distinct-two", "SELECT DISTINCT ?s ?p WHERE { ?s ?p ?o }"),
     ("repeated", "SELECT DISTINCT ?s WHERE { ?s ?p ?s }"),
     ("repeated-count", "SELECT ?s (COUNT(*) AS ?n) WHERE { ?s ?p ?s } GROUP BY ?s"),
@@ -301,11 +300,23 @@ def test_ineligible_neighbours_expand_rows(query):
     assert stats["input_rows"] == len(matched)
 
 
-def test_a_having_neighbour_runs_the_general_path():
-    """A HAVING is no column-shaped SELECT: it builds every row of the
-    pattern on the general path and gates its groups there."""
+#: neighbours no sink takes: a HAVING, a fold other than a plain COUNT, an
+#: ORDER BY over solutions
+GENERAL_NEIGHBOURS = [
+    ("having", "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s HAVING (COUNT(?o) > 1)"),
+    ("sum", "SELECT ?s (SUM(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s"),
+    ("count-distinct", "SELECT ?s (COUNT(DISTINCT ?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s"),
+    ("distinct-ordered", "SELECT DISTINCT ?s WHERE { ?s ?p ?o } ORDER BY ?s"),
+]
+
+
+@pytest.mark.parametrize(
+    "query", [q for _id, q in GENERAL_NEIGHBOURS], ids=[i for i, _q in GENERAL_NEIGHBOURS]
+)
+def test_a_general_neighbour_builds_every_row(query):
+    """Such a neighbour builds every row of the pattern on the general
+    path and folds, gates or sorts them there."""
     graph = _build(FIXED_WRITES)
-    query = "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s HAVING (COUNT(?o) > 1)"
     result, stats = _run(graph, query, 4)
     oracle = QueryEngine(graph, strategy="scan").run(query)
     assert _multiset(result) == _multiset(oracle)

@@ -7,11 +7,14 @@ distinct cells it had to compare).  They are deterministic, so what the
 late-materialising executor saves is pinned here as counts -- on the
 benchmark's own graph for the serving templates -- and ``bench/`` only
 has to time it.  ``tracked_rows`` is pinned as what its vocabulary entry
-says: the most rows the sink held between batches.
+says: the groups the count sink held.  A shape no sink takes runs the
+general path, which builds every row of the pattern (``join_rows``) and
+scans no columns.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -52,24 +55,12 @@ WANTED = [
     ("count-var", "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s", 1, 3),
     ("count-star", "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }", 0, 10),
     ("count-alone", "SELECT (COUNT(?s) AS ?n) WHERE { ?s ex:v ?o }", 0, 5),
-    # every other fold reads values
-    ("count-distinct", "SELECT ?p (COUNT(DISTINCT ?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p", 2, 10),
-    ("sum", "SELECT ?s (SUM(?o) AS ?n) WHERE { ?s ex:v ?o } GROUP BY ?s", 2, 5),
-    ("max-no-group", "SELECT (MAX(?o) AS ?m) WHERE { ?s ex:v ?o }", 1, 5),
-    ("sample", "SELECT ?p (SAMPLE(?s) AS ?x) WHERE { ?s ?p ?o } GROUP BY ?p", 2, 10),
-    # COUNT(DISTINCT *) dedups whole rows
-    ("count-distinct-star", "SELECT ?p (COUNT(DISTINCT *) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p", 3, 10),
-    # a projected variable that is no group key is read off the first row
-    ("ungrouped-var", "SELECT ?s ?p (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s", 2, 10),
     # ORDER BY over aggregate output reads output columns (runs again;
     # parent: 1 x 10 rows)
     ("ordered-groups", "SELECT ?s (COUNT(?p) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s ORDER BY DESC(?n) ?s LIMIT 2", 1, 3),
-    # plain SELECT: projection, FILTER and ORDER BY variables
+    # plain SELECT: the projected variables
     ("project-one", "SELECT ?o WHERE { ?s ex:v ?o }", 1, 5),
     ("project-distinct", "SELECT DISTINCT ?p WHERE { ?s ?p ?o }", 1, 10),
-    ("filter-unprojected", "SELECT ?s WHERE { ?s ?p ?o FILTER (isLiteral(?o)) }", 2, 10),
-    ("order-unprojected", "SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?o ?s", 2, 10),
-    ("order-unbound", "SELECT ?p WHERE { ?s ?p ?o } ORDER BY ?nope", 1, 10),
     # everything, or nothing the function can see through: all positions
     ("select-star", "SELECT * WHERE { ?s ex:v ?o }", 3, 5),
     ("all-projected", "SELECT ?s ?p ?o WHERE { ?s ?p ?o }", 3, 10),
@@ -92,18 +83,29 @@ def test_scan_materialises_the_positions_a_sink_reads(
     assert execution.stats["scan_cells"] == rows * width
 
 
-#: (id, query, rows the pattern matches): a HAVING is no column-shaped
-#: SELECT, so its simple WHERE clause runs the general path, which builds
-#: every row of the pattern (``join_rows``) and scans no columns
-HAVING = [
+#: (id, query, rows the pattern matches): no sink takes these SELECT
+#: clauses, so their simple WHERE clause runs the general path, which
+#: builds every row of the pattern (``join_rows``) and scans no columns
+GENERAL = [
     ("having-sum", "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ex:v ?o } GROUP BY ?s HAVING (SUM(?o) > 2)", 5),
     ("having-count", "SELECT ?s WHERE { ?s ?p ?o } GROUP BY ?s HAVING (COUNT(?o) > 3)", 10),
+    # every fold but a plain COUNT
+    ("count-distinct", "SELECT ?p (COUNT(DISTINCT ?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p", 10),
+    ("sum", "SELECT ?s (SUM(?o) AS ?n) WHERE { ?s ex:v ?o } GROUP BY ?s", 5),
+    ("max-no-group", "SELECT (MAX(?o) AS ?m) WHERE { ?s ex:v ?o }", 5),
+    ("sample", "SELECT ?p (SAMPLE(?s) AS ?x) WHERE { ?s ?p ?o } GROUP BY ?p", 10),
+    ("count-distinct-star", "SELECT ?p (COUNT(DISTINCT *) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p", 10),
+    # a projected variable that is no group key
+    ("ungrouped-var", "SELECT ?s ?p (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s", 10),
+    # an ORDER BY over solutions
+    ("order-unprojected", "SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?o ?s", 10),
+    ("order-unbound", "SELECT ?p WHERE { ?s ?p ?o } ORDER BY ?nope", 10),
 ]
 
 
 @pytest.mark.parametrize("batch_size", (1, 4, 1024))
-@pytest.mark.parametrize("query,rows", [row[1:] for row in HAVING], ids=[row[0] for row in HAVING])
-def test_having_builds_every_row_on_the_general_path(graph, monkeypatch, query, rows, batch_size):
+@pytest.mark.parametrize("query,rows", [row[1:] for row in GENERAL], ids=[row[0] for row in GENERAL])
+def test_the_general_path_builds_every_row(graph, monkeypatch, query, rows, batch_size):
     monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
     execution = QueryEngine(graph).execute(PREFIX + query)
     oracle = QueryEngine(graph, strategy="scan").run(PREFIX + query)
@@ -111,6 +113,23 @@ def test_having_builds_every_row_on_the_general_path(graph, monkeypatch, query, 
     stats = execution.stats
     assert stats["operator"] == "general"
     assert stats["join_rows"] == rows
+    assert "scan_cells" not in stats
+
+
+@pytest.mark.parametrize("batch_size", (1, 4, 1024))
+def test_a_filtered_pattern_streams_the_lazy_chain(graph, monkeypatch, batch_size):
+    """A single pattern under a term-test FILTER feeds the select sink
+    the lazy chain's rows, FILTERed before any batch: no column is
+    scanned, and ``input_rows`` counts the rows that passed."""
+    monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
+    query = PREFIX + "SELECT ?s WHERE { ?s ?p ?o FILTER (isLiteral(?o)) }"
+    execution = QueryEngine(graph).execute(query)
+    oracle = QueryEngine(graph, strategy="scan").run(query)
+    assert _canonical(execution.result) == _canonical(oracle)
+    stats = execution.stats
+    assert stats["operator"] == "select-id"
+    assert stats["input_rows"] == stats["decoded_rows"] == 7
+    assert stats["batches"] == -(-7 // batch_size)
     assert "scan_cells" not in stats
 
 
@@ -132,34 +151,31 @@ def test_pruned_scan_keeps_first_seen_group_order(graph):
         assert execution.stats["scan_cells"] == cells
 
 
-# -- tracked_rows: the most rows held between batches ---------------------------
+# -- tracked_rows: the groups the count sink held ------------------------------
 
 
 @pytest.mark.parametrize("batch_size", (1, 4, 1024))
 def test_tracked_rows_is_the_high_water_mark(graph, monkeypatch, batch_size):
+    """The count sink holds its groups, whatever the page or the batch
+    size; an ORDER BY over solutions -- DISTINCT, LIMITed or neither --
+    runs the general path, which holds no sink rows and equals the
+    oracle."""
     monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
     engine = QueryEngine(graph)
+    oracle = QueryEngine(graph, strategy="scan")
+    grouped = PREFIX + "SELECT ?o (COUNT(?s) AS ?n) WHERE {{ ?s ?p ?o }} GROUP BY ?o ORDER BY ?o {page}"
+    for page in ("LIMIT 2 OFFSET 1", ""):
+        stats = engine.execute(grouped.format(page=page)).stats
+        assert stats["operator"] == "aggregate-id"
+        assert (stats["input_rows"], stats["tracked_rows"]) == (10, 6)
+
     ordered = PREFIX + "SELECT {select} WHERE {{ ?s ?p ?o }} ORDER BY ?o ?s {page}"
-
-    stats = engine.execute(ordered.format(select="?s ?o", page="LIMIT 2 OFFSET 1")).stats
-    assert stats["input_rows"] == 10
-    assert stats["tracked_rows"] == 3  # offset + k ...
-    assert stats["tracked_rows"] <= 3 + batch_size  # ... within the contract
-
-    # DISTINCT under LIMIT holds the page too, not a champion per key:
-    # six distinct objects pass through, three rows are ever kept, and
-    # ``distinct_keys`` is the most keys in hand at once (page + batch)
-    stats = engine.execute(ordered.format(select="DISTINCT ?o", page="LIMIT 2 OFFSET 1")).stats
-    assert stats["tracked_rows"] == 3
-    assert stats["distinct_keys"] == {1: 4, 4: 5, 1024: 6}[batch_size]
-
-    # without a LIMIT everything is held until the input ends -- DISTINCT
-    # or not (the parent reported the deduplicated rows, not the ten held)
-    for select in ("DISTINCT ?o", "?o"):
-        stats = engine.execute(ordered.format(select=select, page="")).stats
-        assert stats["tracked_rows"] == 10
-    stats = engine.execute(ordered.format(select="DISTINCT ?o", page="")).stats
-    assert stats["distinct_keys"] == 6
+    for select, page in itertools.product(("?s ?o", "DISTINCT ?o", "?o"), ("LIMIT 2 OFFSET 1", "")):
+        query = ordered.format(select=select, page=page)
+        execution = engine.execute(query)
+        assert execution.stats["operator"] == "general", query
+        assert "tracked_rows" not in execution.stats, query
+        assert _canonical(execution.result) == _canonical(oracle.run(query)), query
 
 
 # -- the serving templates on the benchmark's graph ----------------------------------
@@ -221,5 +237,8 @@ def test_all_wanted_scan_reads_three_cells_a_row(bench_graph):
     stats = engine.execute("SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 5000").stats
     assert stats["operator"] == "select-id"
     assert stats["scan_cells"] == 5000 * 3  # the LIMIT reaches the scan
+    # an ORDER BY runs the general path: every row built, no column scanned
     stats = engine.execute("SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 5000").stats
-    assert stats["scan_cells"] == 12427 * 3
+    assert stats["operator"] == "general"
+    assert stats["join_rows"] == 12427
+    assert "scan_cells" not in stats

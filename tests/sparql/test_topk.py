@@ -1,21 +1,20 @@
-"""The bounded ORDER BY tail and the incremental aggregation fold.
+"""ORDER BY pages and aggregation against their oracles.
 
-Every column-shaped SELECT -- bare-variable projections and sort keys,
-column-shaped aggregates -- over a simple WHERE clause (plain patterns,
-term-test FILTERs) runs the columnar sinks, fed ID batches straight off
-the indexes or the join; over any other (OPTIONAL, UNION, VALUES, paths)
-it runs the general path.  Property tests pin the two contracts:
+An ORDER BY over solutions runs the general path; a pure-COUNT
+aggregation over a simple WHERE clause (plain patterns, term-test
+FILTERs) runs the ``aggregate-id`` sink, fed ID batches straight off the
+indexes or the join, and every other aggregate the general path.
+Property tests pin the two contracts:
 
-* ``ORDER BY ... LIMIT k`` through the ``topk-id`` sink returns exactly
-  the rows that materializing the full result, sorting it and slicing
-  would -- including the stable tie-break on input order, sort keys over
-  unprojected WHERE variables, and unbound-sorts-first semantics;
-* GROUP BY/aggregation through the ``aggregate-id`` sink (the
-  incremental :class:`_AggFold` accumulators) equals the materialized
-  ``_aggregate`` fold, including COUNT(DISTINCT ?v) via per-group
-  seen-sets.
+* ``ORDER BY ... LIMIT k`` returns exactly the rows that materializing
+  the full result, sorting it and slicing would -- including the stable
+  tie-break on input order, sort keys over unprojected WHERE variables,
+  and unbound-sorts-first semantics;
+* GROUP BY/aggregation through the count sink equals the materialized
+  ``_aggregate`` fold, and every aggregate equals the scan oracle,
+  COUNT(DISTINCT ?v) included.
 
-The memory contract (O(offset+k) / O(groups) tracked rows, not O(rows))
+The count sink's memory contract (O(groups) tracked rows, not O(rows))
 is asserted through ``Execution.stats``, not by timing.
 """
 
@@ -60,13 +59,6 @@ def _exact_rows(result):
     ]
 
 
-def _sink(template, sink):
-    """The route a hash SELECT from *template* takes: *sink* over a
-    simple WHERE clause, the general path over any other."""
-    where = parse_query(template.replace("{mod}", "")).where
-    return sink if Execution._simple_where_shape(where) is not None else "general"
-
-
 def _canonical_rows(result):
     """Order-insensitive canonical form (aggregation results)."""
     return sorted(
@@ -84,8 +76,8 @@ def _canonical_rows(result):
 
 #: ORDER BY query templates; {mod} takes the LIMIT/OFFSET clause.  The mix
 #: covers pure BGPs with bare-variable keys, unprojected sort variables
-#: and multi-condition ASC/DESC (the ``topk-id`` sink), and OPTIONAL with
-#: unbound sort keys (the general path).
+#: and multi-condition ASC/DESC, and OPTIONAL with unbound sort keys -- all
+#: on the general path.
 TOPK_TEMPLATES = [
     "SELECT ?s ?o WHERE { ?s <http://example.org/p0> ?o } ORDER BY ?o ?s {mod}",
     "SELECT ?s WHERE { ?s <http://example.org/p0> ?o } ORDER BY DESC(?o) {mod}",
@@ -121,15 +113,14 @@ def test_topk_matches_sort_then_slice(specs, template, limit, offset):
     template=st.sampled_from(TOPK_TEMPLATES),
     limit=st.integers(min_value=0, max_value=8),
 )
-def test_topk_heap_never_tracks_more_than_k_rows(specs, template, limit):
+def test_an_order_by_page_runs_the_general_path(specs, template, limit):
     graph = _graph(specs)
     engine = QueryEngine(graph)
     execution = engine.execute(template.replace("{mod}", f"LIMIT {limit}"))
     result, stats = execution.result, execution.stats
     assert len(result.rows) <= limit
-    assert stats["operator"] == _sink(template, "topk-id")
-    if stats["operator"] == "topk-id":
-        assert stats["tracked_rows"] <= limit
+    assert stats["operator"] == "general"
+    assert "tracked_rows" not in stats
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +166,16 @@ def test_distinct_topk_matches_sort_dedup_slice(specs, template, limit, offset):
     template=st.sampled_from(DISTINCT_TOPK_TEMPLATES),
     limit=st.integers(min_value=1, max_value=8),
 )
-def test_distinct_topk_routes_through_champion_table(specs, template, limit):
-    """DISTINCT + ORDER BY + LIMIT runs the bounded tail: it reports the
-    keys it deduplicated, and holds at most ``limit`` rows between
-    batches."""
+def test_a_distinct_order_by_page_runs_the_general_path(specs, template, limit):
+    """DISTINCT + ORDER BY + LIMIT runs the general path: no sink counts
+    keys or holds rows."""
     graph = _graph(specs)
     engine = QueryEngine(graph)
     execution = engine.execute(template.replace("{mod}", f"LIMIT {limit}"))
     result, stats = execution.result, execution.stats
     assert len(result.rows) <= limit
-    assert stats["operator"] == _sink(template, "topk-id")
-    if stats["operator"] == "topk-id":
-        assert stats["distinct_keys"] >= len(result.rows)
-        assert stats["tracked_rows"] <= limit
+    assert stats["operator"] == "general"
+    assert "distinct_keys" not in stats and "tracked_rows" not in stats
 
 
 def _ladder_graph(n: int) -> Graph:
@@ -241,33 +229,30 @@ def test_topk_unbound_sort_key_sorts_first_stably():
         ]
 
 
-def test_topk_id_space_keeps_only_k_rows():
-    """The ID-space tail consumes the whole join but keeps offset+k rows."""
+def test_an_order_by_page_sorts_the_whole_join():
+    """The general path builds every row of the join, sorts, then slices:
+    the page equals the oracle's."""
     graph = _ladder_graph(500)
-    engine = QueryEngine(graph)
-    execution = engine.execute(
-        f"SELECT ?s WHERE {{ ?s <{EX}p0> ?rank }} ORDER BY ?rank LIMIT 5 OFFSET 2"
-    )
+    query = f"SELECT ?s WHERE {{ ?s <{EX}p0> ?rank }} ORDER BY ?rank LIMIT 5 OFFSET 2"
+    execution = QueryEngine(graph).execute(query)
     result = execution.result
     assert [str(row["s"]) for row in result.rows] == [
         f"{EX}n{i}" for i in range(2, 7)
     ]
+    assert result.rows == evaluate(graph, query, strategy="scan").rows
     stats = execution.stats
-    assert stats["operator"] == "topk-id"
-    assert stats["input_rows"] == 500
-    assert stats["tracked_rows"] == 7  # offset + limit, not 500
+    assert stats["operator"] == "general"
+    assert stats["join_rows"] == 500
 
 
-def test_hash_engine_delegates_order_limit_to_topk():
+def test_hash_engine_runs_order_limit_on_the_general_path():
     graph = _ladder_graph(300)
     engine = QueryEngine(graph)  # default hash strategy
-    execution = engine.execute(
-        f"SELECT ?s WHERE {{ ?s <{EX}p0> ?rank }} ORDER BY DESC(?rank) LIMIT 4"
-    )
+    query = f"SELECT ?s WHERE {{ ?s <{EX}p0> ?rank }} ORDER BY DESC(?rank) LIMIT 4"
+    execution = engine.execute(query)
     result = execution.result
-    assert len(result.rows) == 4
-    assert execution.stats["operator"] == "topk-id"
-    assert execution.stats["tracked_rows"] == 4
+    assert [str(row["s"]) for row in result.rows] == [f"{EX}n{i}" for i in (299, 298, 297, 296)]
+    assert execution.stats["operator"] == "general"
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +261,8 @@ def test_hash_engine_delegates_order_limit_to_topk():
 
 #: aggregate templates over order-insensitive folds (no SAMPLE /
 #: GROUP_CONCAT: their results legitimately depend on enumeration order).
+#: The first and third are pure COUNTs, the count sink's; the rest run the
+#: general path.
 AGG_TEMPLATES = [
     "SELECT ?p (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p",
     "SELECT ?p (COUNT(DISTINCT ?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p",
@@ -309,7 +296,8 @@ def test_stream_aggregation_matches_materialized_general_path(specs, template):
     engine = QueryEngine(graph)
     execution = engine.execute(template)
     streamed = execution.result
-    assert execution.stats.get("operator") == _sink(template, "aggregate-id")
+    counted = template in (AGG_TEMPLATES[0], AGG_TEMPLATES[2])
+    assert execution.stats.get("operator") == ("aggregate-id" if counted else "general")
     materialized = Execution(engine)._run_select_general(parse_query(template))
     assert _exact_rows(streamed) == _exact_rows(materialized)
 

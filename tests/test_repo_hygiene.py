@@ -1,6 +1,7 @@
 """Repository hygiene checks: things that silently break the deliverables."""
 
 import ast
+import itertools
 import os
 import re
 import subprocess
@@ -1254,6 +1255,73 @@ class TestTier1Count:
             f"CHANGES.md's newest entry quotes tier-1: {quoted[-1]} collected; "
             f"this tree collects {collected} -- quote that in your entry"
         )
+
+
+class TestRouteTable:
+    """ARCHITECTURE.md's SELECT routing table names, in its ``operator``
+    column, every route the evaluator writes (an ``operator=`` keyword or
+    a ``_name_route`` argument) and no route it no longer writes."""
+
+    @staticmethod
+    def _written(source):
+        names = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.keyword) and node.arg == "operator":
+                value = node.value
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_name_route":
+                value = node.args[0]
+            else:
+                continue
+            if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                names.add(value.value)
+        return names
+
+    @staticmethod
+    def _tabled(architecture):
+        """The names in the ``operator`` column of the section's first table."""
+        section = architecture.split("## SELECT routing", 1)[1]
+        lines = iter(section.splitlines())
+        table = itertools.takewhile(
+            lambda line: line.startswith("|"),
+            itertools.dropwhile(lambda line: not line.startswith("|"), lines),
+        )
+        rows = [[cell.strip() for cell in line.strip().strip("|").split("|")] for line in table]
+        column = rows[0].index("`operator`")
+        return {name for row in rows[2:] for name in re.findall(r"`([^`]+)`", row[column])}
+
+    def test_the_route_table_names_every_route_the_evaluator_writes(self):
+        with open(os.path.join(ROOT, "src", "repro", "sparql", "evaluator.py")) as handle:
+            written = self._written(handle.read())
+        with open(os.path.join(ROOT, "ARCHITECTURE.md")) as handle:
+            tabled = self._tabled(handle.read())
+        assert written, "the evaluator names no route; this rule is stale"
+        assert not written - tabled, (
+            f"routes missing from ARCHITECTURE.md's routing table: {sorted(written - tabled)}"
+        )
+        assert not tabled - written, (
+            f"ARCHITECTURE.md's routing table lists routes nothing writes: {sorted(tabled - written)}"
+        )
+
+    def test_the_route_rule_matches_both_drifts(self):
+        source = "\n".join([
+            "def sink(self):",
+            "    self.stats.update(operator='topk-id', input_rows=1)",
+            "    self._name_route('ask')",
+            "    self.stats.update(input_rows=2)",
+        ])
+        architecture = "\n".join([
+            "## SELECT routing",
+            "| # | Shape | `operator` |",
+            "|---|-------|------------|",
+            "| 1 | a page | `stream-select` |",
+            "| - | an ASK (`ASK`) | `ask` |",
+            "",
+            "| Sink | `operator` |",
+            "|------|------------|",
+            "| `_batch_topk` | `topk-id` |",
+        ])
+        assert self._written(source) == {"topk-id", "ask"}
+        assert self._tabled(architecture) == {"stream-select", "ask"}
 
 
 class TestObservabilityVocabulary:
