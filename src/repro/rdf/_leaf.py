@@ -23,9 +23,13 @@ surface.  Writers call the functions below and nothing else stores into an
 index.  A ``Shard`` keeps one more structure in step with its SPO,
 ``Shard.sizes`` (subject -> triple count): every SPO write there moves
 the subject's count in the same step, and the key goes with the subject's
-last triple.  (Inlining :func:`leaf_add`'s branch into the bulk loader buys
-nothing measurable; calling :func:`insert_ids` per triple there costs 7-9%
-of the ingest rate, so it keeps its inner dicts in locals.)
+last triple.  A shard loaded from a snapshot may build POS and OSP after
+SPO: its writes reach SPO at once and are replayed, in order, into the
+secondaries through the two-index functions once they are built -- the
+history an eager build would have given them.  (Inlining :func:`leaf_add`'s
+branch into the bulk loader buys nothing measurable; calling
+:func:`insert_ids` per triple there costs 7-9% of the ingest rate, so it
+keeps its inner dicts in locals.)
 """
 
 from __future__ import annotations
@@ -68,11 +72,37 @@ def insert_ids(spo: IdIndex, pos: IdIndex, osp: IdIndex, s: int, p: int, o: int)
 def discard_ids(spo: IdIndex, pos: IdIndex, osp: IdIndex, s: int, p: int, o: int) -> None:
     """Unindex an ID triple the caller knows is present; no inner dict is
     left empty."""
-    for index, first, second, third in ((spo, s, p, o), (pos, p, o, s), (osp, o, s, p)):
-        inner = index[first]
-        leaf_discard(inner, second, third)
-        if not inner:
-            del index[first]
+    index_discard(spo, s, p, o)
+    discard_secondary_ids(pos, osp, s, p, o)
+
+
+def index_add(index: IdIndex, first: int, second: int, third: int) -> None:
+    """Put *third*, which the caller knows is absent, in
+    ``index[first][second]`` -- one index, its keys in its own order."""
+    leaf_add(index.setdefault(first, {}), second, third)
+
+
+def index_discard(index: IdIndex, first: int, second: int, third: int) -> None:
+    """Take *third*, which the caller knows is present, out of
+    ``index[first][second]``; no inner dict is left empty."""
+    inner = index[first]
+    leaf_discard(inner, second, third)
+    if not inner:
+        del index[first]
+
+
+def insert_secondary_ids(pos: IdIndex, osp: IdIndex, s: int, p: int, o: int) -> None:
+    """Index an ID triple in POS and OSP only: the write a shard whose SPO
+    took the triple earlier replays once it builds its secondaries."""
+    index_add(pos, p, o, s)
+    index_add(osp, o, s, p)
+
+
+def discard_secondary_ids(pos: IdIndex, osp: IdIndex, s: int, p: int, o: int) -> None:
+    """Unindex an ID triple from POS and OSP only (see
+    :func:`insert_secondary_ids`)."""
+    index_discard(pos, p, o, s)
+    index_discard(osp, o, s, p)
 
 
 def copy_index(index: IdIndex) -> IdIndex:

@@ -31,7 +31,8 @@ rows that moved -- and points at the rest again.
 
 `store.py` orchestrates save / load / recovery and exposes the lazy
 per-shard loader (cold shards do not pay index memory until touched, and a
-checkpoint does not touch them).
+checkpoint does not touch them; a loaded shard builds POS and OSP only
+when a read needs them).
 """
 
 from .crash import CrashInjector, CrashPoint

@@ -20,12 +20,13 @@ The durable state of a store is ``(manifest, WAL prefix)``:
   paths so every *content-changing* term-level mutation appends a WAL
   record **before** it applies in memory; no-op writes (duplicate adds,
   absent removes) log nothing, mirroring the ``Graph.generation`` rule.
-* :func:`load_graph` reads the manifest, restores the dictionary, loads
-  shards eagerly or lazily (:class:`LazyShard` defers building a shard's
-  indexes until first touch), optionally verifies each shard's content
-  digest (a lazy shard's before it serves a row), then replays the WAL
-  tail -- truncating a torn final record, failing loudly on mid-stream
-  corruption.  Verification hashes every triple it loads; like
+* :func:`load_graph` reads the manifest, restores the dictionary, makes
+  each shard a :class:`LazyShard` (SPO and the subject sizes build on
+  first touch -- before the load returns, for an eager load -- and POS /
+  OSP on their first read), optionally verifies each shard's content
+  digest (at SPO's build, so before a shard serves a row), then replays
+  the WAL tail -- truncating a torn final record, failing loudly on
+  mid-stream corruption.  Verification hashes every triple it loads; like
   :func:`content_digest` it reads each term's N3 bytes from the
   dictionary's kept ``n3`` table, so a term is rendered once per table.
 
@@ -44,7 +45,14 @@ import os
 from collections import Counter
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .._leaf import IdIndex, leaf_add
+from .._leaf import (
+    IdIndex,
+    discard_secondary_ids,
+    index_add,
+    index_discard,
+    insert_secondary_ids,
+    leaf_add,
+)
 from ..dictionary import TermDict
 from ..graph import Graph, Shard
 from ..terms import _unchecked_triple
@@ -451,10 +459,11 @@ def attach_journal(
 # -- lazy shards -------------------------------------------------------------
 
 
-def _hydrating(slot):
-    """A property over the :class:`Shard` slot *slot*: a read hydrates the
-    shard first, a write stores straight into the slot (``Shard.__init__``
-    and hydration itself write that way)."""
+def _primary(slot):
+    """A property over the :class:`Shard` slot *slot* (SPO or ``sizes``): a
+    read builds SPO and the subject sizes first, a write stores straight
+    into the slot (``Shard.__init__`` and the build itself write that
+    way)."""
 
     def get(shard):
         if shard._loader is not None:
@@ -464,32 +473,57 @@ def _hydrating(slot):
     return property(get, slot.__set__)
 
 
+def _secondary(slot):
+    """A property over the :class:`Shard` slot *slot* (POS or OSP): a read
+    builds both secondaries first (and SPO, if it is not built yet)."""
+
+    def get(shard):
+        if shard._log is not None:
+            shard._build_secondaries()
+        return slot.__get__(shard)
+
+    return property(get, slot.__set__)
+
+
 class LazyShard(Shard):
-    """A shard whose indexes build from its snapshot file on first touch.
+    """A shard loaded from its snapshot file, whose indexes build on the
+    first read that needs them: SPO and the subject sizes on first touch,
+    POS and OSP on the first read of either.  Every shard
+    :func:`load_graph` returns is one; an eager load builds SPO before it
+    returns.
 
     The ``spo``/``pos``/``osp``/``sizes`` slots are shadowed by properties
-    that hydrate before first access, so every existing read/write path
-    works unchanged; ``size`` stays a plain slot (set from the manifest),
-    so counting and shard-balance accounting never force a load.
+    that build before first access, so every existing read path works
+    unchanged; ``size`` stays a plain slot (set from the manifest), so
+    counting and shard-balance accounting never force a load.
 
     Snapshot columns are already the ``(s, p, o)``-sorted run the batch
     scan pipeline consumes, so :meth:`columns` on a cold shard reads them
     straight off disk into the shard's run cache **without** building the
     dict indexes -- snapshot load -> columnar scan copies nothing beyond
-    the file read itself.  Hydration (first index touch) then fills the
-    indexes and the subject sizes from the cached columns instead of
-    re-reading the file, and hands SPO to *verify* (if given) before the
-    shard counts as hydrated: a shard that fails it raises on every touch.
-    A shard whose check is pending hydrates before it serves its columns,
-    so no unverified row leaves it.
+    the file read itself.  Hydration (first index touch) then fills SPO
+    and the subject sizes from those columns instead of re-reading the
+    file, keeps them as the shard's *base* and hands SPO to *verify* (if
+    given) before the shard counts as hydrated: a shard that fails it
+    raises on every touch.  A shard whose check is pending hydrates before
+    it serves its columns, so no unverified row leaves it.
+
+    Until POS and OSP are built, a write goes to SPO and ``sizes`` at once
+    and is appended to an ordered log.  The secondaries are filled from the
+    base columns in row order and then replay the log in order: the very
+    sequence an eager fill followed by the same writes applies, so every
+    leaf has the same history (a set leaf iterates in its table's order,
+    so they are never built by walking SPO).  The log never holds more
+    entries than the base has rows: at that size the secondaries are
+    built.
     """
 
-    __slots__ = ("_loader", "_verify")
+    __slots__ = ("_loader", "_verify", "_base", "_log")
 
-    spo = _hydrating(Shard.spo)
-    pos = _hydrating(Shard.pos)
-    osp = _hydrating(Shard.osp)
-    sizes = _hydrating(Shard.sizes)
+    spo = _primary(Shard.spo)
+    sizes = _primary(Shard.sizes)
+    pos = _secondary(Shard.pos)
+    osp = _secondary(Shard.osp)
 
     def __init__(
         self,
@@ -497,22 +531,31 @@ class LazyShard(Shard):
         size: int,
         verify: Optional[Callable[[IdIndex], None]] = None,
     ):
-        self._loader = None
         super().__init__()
         self.size = size
         self._loader = loader
         self._verify = verify
+        self._base: Optional[Tuple] = None
+        #: the writes since the base, as ``(secondary writer, s, p, o)``;
+        #: None once POS and OSP are built
+        self._log: Optional[List[Tuple]] = []
 
     @property
     def hydrated(self) -> bool:
+        """Are SPO and the subject sizes built?"""
         return self._loader is None
+
+    @property
+    def secondaries_built(self) -> bool:
+        """Are POS and OSP built?"""
+        return self._log is None
 
     def _load_columns(self) -> Tuple:
         """The snapshot's sorted columns, cached on the shard."""
-        cols = self._columns
-        if cols is None:
-            cols = self._columns = _check_rows(self._loader(), self.size)
-        return cols
+        base = self._base
+        if base is None:
+            base = self._base = self._columns = _check_rows(self._loader(), self.size)
+        return base
 
     def columns(self) -> Tuple:
         if self._verify is not None:
@@ -522,15 +565,52 @@ class LazyShard(Shard):
         return super().columns()
 
     def _hydrate(self) -> None:
-        columns = self._load_columns()
         spo = Shard.spo.__get__(self)
-        self.sizes = _fill_indexes(spo, Shard.pos.__get__(self), Shard.osp.__get__(self), columns)
+        self.sizes = _fill_spo(spo, self._load_columns())
         if self._verify is not None:
             self._verify(spo)
         self._loader = self._verify = None
 
+    def _build_secondaries(self) -> None:
+        if self._loader is not None:
+            self._hydrate()
+        pos, osp = Shard.pos.__get__(self), Shard.osp.__get__(self)
+        _fill_secondaries(pos, osp, self._base)
+        for write, s, p, o in self._log:
+            write(pos, osp, s, p, o)
+        self._base = self._log = None
+
+    def _logged(self, write, s: int, p: int, o: int) -> None:
+        log = self._log
+        log.append((write, s, p, o))
+        if len(log) >= len(self._base[0]):
+            self._build_secondaries()
+
+    def insert(self, s: int, p: int, o: int) -> None:
+        if self._log is None:
+            return super().insert(s, p, o)
+        index_add(self.spo, s, p, o)
+        sizes = self.sizes
+        sizes[s] = sizes.get(s, 0) + 1
+        self.size += 1
+        self._columns = self._snapshot = None
+        self._logged(insert_secondary_ids, s, p, o)
+
+    def discard(self, s: int, p: int, o: int) -> None:
+        if self._log is None:
+            return super().discard(s, p, o)
+        spo = self.spo
+        self._columns = self._snapshot = None
+        index_discard(spo, s, p, o)
+        if s in spo:
+            self.sizes[s] -= 1
+        else:
+            del self.sizes[s]
+        self.size -= 1
+        self._logged(discard_secondary_ids, s, p, o)
+
     def __repr__(self) -> str:
-        state = "hydrated" if self.hydrated else "cold"
+        state = "hydrated" if self.secondaries_built else "SPO only" if self.hydrated else "cold"
         return f"<LazyShard {self.size} triples, {state}>"
 
 
@@ -546,25 +626,31 @@ def _check_rows(columns: Tuple, expected: int) -> Tuple:
     return columns
 
 
-def _fill_indexes(spo, pos, osp, columns) -> Dict[int, int]:
-    """Fill the empty indexes from a snapshot's *columns*; return the
-    subject sizes they hold (the shard's ``sizes``)."""
-    # Snapshot rows are sorted by (s, p, o), so the SPO index fills in
-    # runs: reuse the (s) container across consecutive rows instead of
-    # paying a dict probe per row.  POS/OSP rows arrive in scattered order
-    # and keep the setdefault probes.
+def _fill_spo(spo: IdIndex, columns: Tuple) -> Dict[int, int]:
+    """Fill the empty SPO index from a snapshot's *columns*; return the
+    subject sizes it holds (the shard's ``sizes``)."""
+    # Snapshot rows are sorted by (s, p, o), so the index fills in runs:
+    # reuse the (s) container across consecutive rows instead of paying a
+    # dict probe per row.
     s_col, p_col, o_col = columns
     prev_s = by_p = None
-    pos_setdefault = pos.setdefault
-    osp_setdefault = osp.setdefault
     for s, p, o in zip(s_col, p_col, o_col):
         if s != prev_s:
             by_p = spo[s] = {}
             prev_s = s
         leaf_add(by_p, p, o)
+    return dict(Counter(s_col))
+
+
+def _fill_secondaries(pos: IdIndex, osp: IdIndex, columns: Tuple) -> None:
+    """Fill the empty POS and OSP indexes from a snapshot's *columns*, in
+    row order (their rows arrive scattered, so every one probes)."""
+    s_col, p_col, o_col = columns
+    pos_setdefault = pos.setdefault
+    osp_setdefault = osp.setdefault
+    for s, p, o in zip(s_col, p_col, o_col):
         leaf_add(pos_setdefault(p, {}), o, s)
         leaf_add(osp_setdefault(o, {}), s, p)
-    return dict(Counter(s_col))
 
 
 def _apply_wal_ops(graph: Graph, ops: List[List]) -> int:
@@ -620,8 +706,11 @@ def load_graph(
 ) -> Graph:
     """Recover a graph from the durable store at *root*.
 
-    * ``lazy`` (default: sharded stores yes, plain graphs no) loads shard
-      indexes on first touch instead of up front.
+    * Every shard is a :class:`LazyShard`: its POS and OSP indexes build
+      on their first read.  ``lazy`` (default: sharded stores yes, plain
+      graphs no) builds a shard's SPO and subject sizes on first touch
+      too; ``lazy=False`` builds (and verifies) every shard's SPO before
+      it returns.
     * ``verify`` (default: the opposite of ``lazy``) recomputes each
       shard's content digest from its *loaded indexes* and compares it to
       the shard's manifest entry, and the entries' sum to the manifest's
@@ -672,19 +761,9 @@ def _load_graph(root, lazy, verify, obs) -> Graph:
     shards = []
     for entry, check in zip(entries, checks):
         load = _shard_loader(os.path.join(root, entry["file"]), entry)
-        if lazy:
-            shard = LazyShard(load, entry["triples"], verify=check)
-        else:
-            # eager loads get a plain Shard: no property indirection on
-            # the hot index paths afterwards
-            shard = Shard()
-            # the snapshot columns ARE the sorted run: seed the shard's
-            # columnar cache so the first batch scan copies nothing
-            columns = shard._columns = _check_rows(load(), entry["triples"])
-            shard.sizes = _fill_indexes(shard.spo, shard.pos, shard.osp, columns)
-            shard.size = entry["triples"]
-            if check is not None:
-                check(shard.spo)
+        shard = LazyShard(load, entry["triples"], verify=check)
+        if not lazy:
+            shard._hydrate()
         shard._snapshot = entry
         shards.append(shard)
     graph = Graph(

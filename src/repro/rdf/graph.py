@@ -88,9 +88,9 @@ class Shard:
 
     __slots__ = ("spo", "pos", "osp", "sizes", "size", "_columns", "_snapshot")
 
-    #: overridden by :class:`repro.rdf.durability.LazyShard`, whose indexes
-    #: build from a snapshot file on first touch; memory accounting checks
-    #: this to avoid forcing cold shards resident
+    #: overridden by :class:`repro.rdf.durability.LazyShard`, whose SPO and
+    #: subject sizes build from a snapshot file on first touch (and POS /
+    #: OSP on their first read); reading it forces no shard resident
     hydrated = True
 
     def __init__(self):

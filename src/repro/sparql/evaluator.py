@@ -2560,7 +2560,13 @@ class Execution:
         return self._aggregate_page(query, items, cols, columns, stats)
 
     def _run_select_general(self, query: SelectQuery) -> SelectResult:
-        solutions = list(self._evaluate_group(query.where, [{}]))
+        # A LIMIT 0 page is its header.  An explicit projection names it, so
+        # the WHERE clause is not evaluated; ``SELECT *``'s is the union of
+        # the solutions' variables, so that one still is.
+        if query.limit == 0 and not query.select_all:
+            solutions: List[Solution] = []
+        else:
+            solutions = list(self._evaluate_group(query.where, [{}]))
 
         if query.has_aggregates():
             rows, variables = self._aggregate(query, solutions)

@@ -2,7 +2,7 @@
 
 The order oracle of ``test_leaf_order.py`` (as ``tests/viz`` keeps the
 object force kernel): every leaf is a ``set`` from its first member on,
-written the way ``Graph`` / ``Shard`` / ``_fill_indexes`` wrote it, and
+written the way ``Graph`` / ``Shard`` / the snapshot fills wrote it, and
 ``triples_ids`` picks the index and walks it the way ``Graph.triples_ids``
 does.  ``shards=N`` partitions by subject ID modulo N and reads like
 ``ShardedTripleStore``: the owning shard for a bound subject, the sorted

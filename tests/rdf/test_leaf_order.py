@@ -240,3 +240,114 @@ def test_the_graph_reaches_the_collision_cases_through_its_own_doors(shards, bul
         store.remove(Triple(shrunk, p, literal[0]))
     write(Triple(shrunk, p, literal[16]))
     assert objects_of(shrunk) == [18, 10]  # a demoted-then-promoted leaf reads [10, 18]
+
+
+# -- a reload, then writes before POS or OSP is read ---------------------------
+#
+# A loaded shard builds SPO first and POS / OSP on their first read: until
+# then its writes reach SPO and wait in a log, which the secondaries replay
+# after they are filled from the snapshot's rows.  The history of every
+# leaf must be the one an eager build followed by the same writes gives, so
+# nothing reads the graph until every write is in.
+
+_writes = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _triples),
+        st.tuples(st.just("add"), _triples),
+        st.tuples(st.just("remove"), st.integers(0, 10**6)),
+        st.tuples(st.just("remove"), st.integers(0, 10**6)),
+        st.tuples(st.just("re-add"), st.none()),
+        st.tuples(st.just("add_many_terms"), _batches),
+    ),
+    max_size=30,
+)
+
+
+def _apply_writes(graph, model, writes):
+    """Run *writes* on both stores: ``remove`` takes the model's n-th stored
+    triple (so it hits), ``re-add`` puts back the last one removed."""
+    removed = []
+    decode = model.dictionary.decode
+    for op, arg in writes:
+        if op == "add":
+            assert graph.add(arg) == model.add(arg)
+        elif op == "remove":
+            stored = sorted(model.triples_ids())
+            if stored:
+                triple = Triple(*map(decode, stored[arg % len(stored)]))
+                assert graph.remove(triple) and model.remove(triple)
+                removed.append(triple)
+        elif op == "re-add":
+            if removed:
+                triple = removed.pop()
+                assert graph.add(triple) == model.add(triple)
+        else:
+            added = graph.add_many_terms((t.subject, t.predicate, t.object) for t in arg)
+            assert added == sum([model.add(t) for t in arg])
+
+
+@pytest.mark.parametrize("shards", [None, 4])
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+@settings(max_examples=40, deadline=None)
+@given(base=st.lists(_triples, max_size=40), writes=_writes, pick=st.integers(0, 1000))
+def test_writes_after_a_reload_read_as_the_set_only_store_s(shards, lazy, base, writes, pick):
+    graph = Graph(shards=shards)
+    model = reference_set_index.SetOnlyStore(shards)
+    for triple in base:
+        assert graph.add(triple) == model.add(triple)
+    with tempfile.TemporaryDirectory() as root:
+        graph.save(root)
+        graph = load_graph(root, lazy=lazy)
+        model = model.reloaded()
+        _apply_writes(graph, model, writes)
+        _check_leaves(graph)
+        _check_reads(graph, model, pick)
+    assert len(graph) == len(model.triples_ids())
+
+
+@pytest.mark.parametrize("shards", [None, 4])
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+def test_each_kind_of_write_waits_for_the_secondaries_in_order(shards, lazy):
+    """The cases by name, at IDs that share a set's slot, each written
+    while POS and OSP are unbuilt: a promotion to a set, a remove that
+    empties an inner dict, a re-add after a remove, a set that shrank and
+    grew again -- and then the bulk writer, whose read of POS builds them."""
+    graph = Graph(shards=shards)
+    model = reference_set_index.SetOnlyStore(shards)
+    s, p, q, r = IRI(f"{EX}s"), IRI(f"{EX}p"), IRI(f"{EX}q"), IRI(f"{EX}r")
+    literal = [Literal(i) for i in range(20)]
+    late, shrunk, lone = IRI(f"{EX}late"), IRI(f"{EX}shrunk"), IRI(f"{EX}lone")
+    # every shard's base outnumbers the writes it takes below, which
+    # would otherwise build its secondaries (the log's bound)
+    base = [Triple(s, p, obj) for obj in literal] + [Triple(s, q, literal[0])] + [
+        Triple(subject, r, Literal(100 + i)) for subject in (late, shrunk, lone) for i in range(10)
+    ]
+    for triple in base:
+        graph.add(triple)
+        model.add(triple)
+    assert [graph.lookup_id(literal[i]) for i in (0, 8, 16)] == [2, 10, 18]
+    writes = [
+        ("add", Triple(late, p, literal[8])), ("add", Triple(late, p, literal[0])),  # promotion
+        ("add", Triple(shrunk, p, literal[0])), ("add", Triple(shrunk, p, literal[8])),
+        ("add", Triple(lone, q, literal[16])),
+    ]
+    with tempfile.TemporaryDirectory() as root:
+        graph.save(root)
+        graph = load_graph(root, lazy=lazy)
+        model = model.reloaded()
+        _apply_writes(graph, model, writes)
+        for store in (graph, model):
+            assert store.remove(Triple(s, q, literal[0]))  # POS[q] loses key 2
+            assert store.remove(Triple(lone, q, literal[16]))  # POS[q] is emptied
+            assert store.remove(Triple(shrunk, p, literal[0]))
+            assert store.add(Triple(shrunk, p, literal[16]))  # {2, 10} less 2, plus 18
+            assert store.add(Triple(lone, q, literal[16]))  # re-added
+        assert not any(shard.secondaries_built for shard in graph.shards)
+        bulk = [Triple(late, q, literal[i]) for i in (16, 8, 0)]
+        graph.add_many_terms((t.subject, t.predicate, t.object) for t in bulk)
+        for triple in bulk:
+            model.add(triple)
+        _check_leaves(graph)
+        _check_reads(graph, model, 3)
+        for probe in [(None, graph.lookup_id(p), None), (None, None, graph.lookup_id(literal[16]))]:
+            assert list(graph.triples_ids(*probe)) == model.triples_ids(*probe)

@@ -19,6 +19,7 @@ import pytest
 
 from repro.rdf import IRI, Literal, parse_turtle
 from repro.sparql import QueryEngine
+from repro.sparql.evaluator import Execution
 from repro.sparql.parser import parse_query
 
 DATA = """
@@ -232,6 +233,49 @@ def test_routes_to_general_and_matches_the_oracle(graph, case_id, query, rows):
         key = lambda row: sorted((name, str(value)) for name, value in row.items())  # noqa: E731
         assert sorted(map(key, _ordered(result))) == sorted(map(key, _ordered(oracle)))
     assert len(result.rows) == rows
+
+
+#: (case id, query, evaluates): ``LIMIT 0`` pages the sinks do not take.
+#: An explicit projection -- aggregates included -- names the page's
+#: header, so the WHERE clause is not evaluated; ``SELECT *``'s header is
+#: the union of the solutions' variables, so it is.
+LIMIT_ZERO = [
+    ("star", f"SELECT * WHERE {{ {LABELLED} }} ORDER BY ?s LIMIT 0", True),
+    ("star-never-bound", f"SELECT * WHERE {{ {TYPED} OPTIONAL {{ ?s ex:gone ?m }} }} LIMIT 0", True),
+    ("star-ordered-simple", "SELECT * WHERE { ?s ex:n ?n } ORDER BY ?n LIMIT 0", True),
+    ("projection", f"SELECT ?s ?l WHERE {{ {LABELLED} }} LIMIT 0", False),
+    ("projection-ordered", "SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?o LIMIT 0", False),
+    ("projection-distinct-offset",
+     f"SELECT DISTINCT ?l WHERE {{ {LABELLED} }} ORDER BY ?l OFFSET 1 LIMIT 0", False),
+    ("expression", f"SELECT ?s (STR(?l) AS ?x) WHERE {{ {LABELLED} }} ORDER BY ?x LIMIT 0", False),
+    ("aggregate-implicit-group", "SELECT (SUM(?n) AS ?t) (COUNT(*) AS ?c) WHERE { ?s ex:n ?n } LIMIT 0", False),
+    ("aggregate-grouped",
+     f"SELECT ?s (COUNT(?l) AS ?c) WHERE {{ {LABELLED} }} GROUP BY ?s "
+     "HAVING (COUNT(?l) > 0) ORDER BY DESC(?c) LIMIT 0", False),
+    ("aggregate-count-distinct", "SELECT (COUNT(DISTINCT ?p) AS ?c) WHERE { ?s ?p ?o } LIMIT 0", False),
+]
+
+
+@pytest.mark.parametrize("case_id,query,evaluates", LIMIT_ZERO, ids=[case[0] for case in LIMIT_ZERO])
+def test_a_limit_zero_page_is_its_header(graph, monkeypatch, case_id, query, evaluates):
+    text = PREFIX + query
+    oracle = QueryEngine(graph, strategy="scan").run(text)
+    unpaged = QueryEngine(graph, strategy="scan").run(text.replace(" LIMIT 0", ""))
+    assert oracle.variables == unpaged.variables and unpaged.rows
+    calls = []
+    evaluate_group = Execution._evaluate_group
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return evaluate_group(self, *args, **kwargs)
+
+    monkeypatch.setattr(Execution, "_evaluate_group", counted)
+    execution = QueryEngine(graph).execute(text)
+    assert execution.stats["operator"] == "general"
+    assert execution.result.rows == oracle.rows == []
+    assert execution.result.variables == oracle.variables
+    assert bool(calls) == evaluates
+    assert ("join_rows" in execution.stats) == evaluates
 
 
 def _values(graph, query):

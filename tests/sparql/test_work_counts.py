@@ -132,11 +132,13 @@ def test_a_limit_zero_page_reads_nothing(engine, shape):
 
 
 def test_an_ordered_limit_zero_page_runs_the_general_path(engine):
-    """An ORDER BY over solutions is no sink's: even at ``LIMIT 0`` the
-    general path builds every row (12,427) before it slices."""
+    """An ORDER BY over solutions is no sink's, so ``LIMIT 0`` runs the
+    general path -- which answers an explicit projection's page with its
+    header and builds no row (12,427 before it evaluated and sliced)."""
     execution = engine.execute("SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?s LIMIT 0")
     assert execution.result.rows == []
-    assert execution.stats == {"operator": "general", "join_rows": 12427}
+    assert execution.result.variables == ["s"]
+    assert execution.stats == {"operator": "general"}
 
 
 #: a run-fed pure-COUNT GROUP BY with no ORDER BY: each run is a whole

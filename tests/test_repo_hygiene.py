@@ -407,11 +407,14 @@ class TestWrittenOnce:
     #: ``module::function`` that may write a shard's ``sizes``: the writers
     #: of the SPO index it mirrors, each in the step that writes SPO --
     #: ``Shard.__init__`` / ``insert`` / ``discard`` / ``copy``, the bulk
-    #: loop of ``Graph.add_many_terms``, and the two snapshot loads
+    #: loop of ``Graph.add_many_terms``, the snapshot load's SPO build
+    #: (``LazyShard._hydrate``) and a loaded shard's SPO-first writes
+    #: (``LazyShard.insert`` / ``discard``)
     SIZE_MAP_WRITERS = {
         "rdf/graph.py::__init__", "rdf/graph.py::insert", "rdf/graph.py::discard",
         "rdf/graph.py::add_many_terms", "rdf/graph.py::copy",
-        "rdf/durability/store.py::_hydrate", "rdf/durability/store.py::_load_graph",
+        "rdf/durability/store.py::_hydrate", "rdf/durability/store.py::insert",
+        "rdf/durability/store.py::discard",
     }
 
     @staticmethod
