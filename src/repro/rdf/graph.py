@@ -418,9 +418,10 @@ class Graph:
         iterates SPO, generators emit a subject's star contiguously with
         its predicates grouped), so the owning shard, the subject's SPO
         bucket, its triple count and its refcount resolve once per subject
-        *run*, and the POS bucket once per predicate run -- not once per
-        triple.  A non-contiguous repeat just re-resolves; correctness
-        never depends on the input order.
+        *run* (POS and OSP at the run's first new triple, so a run of
+        duplicates reads neither), and the POS bucket once per predicate
+        run -- not once per triple.  A non-contiguous repeat just
+        re-resolves; correctness never depends on the input order.
         """
         d = self._dict
         encode = d.encode
@@ -461,7 +462,7 @@ class Graph:
                     last_p = by_predicate = None
                     if s is not None:
                         shard = shards[s % n_shards]
-                        spo, pos, osp, sizes = shard.spo, shard.pos, shard.osp, shard.sizes
+                        spo, sizes = shard.spo, shard.sizes
                         by_predicate = spo.get(s)
                 objects = None if by_predicate is None else by_predicate.get(p)
                 if objects is not None and o in objects:
@@ -473,16 +474,19 @@ class Graph:
                 if s is None:
                     s = last_s = encode(s_term)
                     shard = shards[s % n_shards]
-                    spo, pos, osp, sizes = shard.spo, shard.pos, shard.osp, shard.sizes
+                    spo, sizes = shard.spo, shard.sizes
                 if p is None:
                     p = encode(p_term)
                 if o is None:
                     o = encode(o_term)
                 if not subject_run:
                     # bulk writes bypass Shard.insert, so the shard's derived
-                    # state drops here: at the first triple of the subject run
-                    # that is actually new, never for a run of duplicates
+                    # state drops here, and POS and OSP are resolved here (a
+                    # loaded shard builds them on that read): at the first
+                    # triple of the subject run that is actually new, never
+                    # for a run of duplicates
                     shard._columns = shard._snapshot = None
+                    pos, osp = shard.pos, shard.osp
                 if p != last_p:
                     if predicate_run:
                         refcount[last_p] += predicate_run

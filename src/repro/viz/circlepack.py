@@ -14,6 +14,7 @@ from typing import List
 
 from .geometry import Circle, enclosing_circle
 from .hierarchy import HierarchyNode
+from .layout_memo import check_layout_arguments, hierarchy_content, memoised, rebuild_hierarchy
 
 __all__ = ["circlepack_layout", "pack_siblings"]
 
@@ -160,21 +161,30 @@ def circlepack_layout(
     Leaf radii are sqrt-proportional to their value (area-proportional),
     parents wrap their packed children, and the whole arrangement is scaled
     to fit a circle of the given *radius* centered at the origin.
-    ``root.sum_values()`` must have run.
+    ``root.sum_values()`` must have run.  The circles are memoised per
+    content (:mod:`repro.viz.layout_memo`).
     """
-    if radius <= 0:
-        raise ValueError(f"bad pack radius {radius}")
+    check_layout_arguments({"radius": radius})
     if root.value is None:
         raise ValueError("run sum_values() before the circle-pack layout")
-
-    _pack_recursive(root, padding)
-    # root now has a local circle at origin with some radius; rescale.
-    source = root.circle
-    scale = radius / source.r if source.r > 0 else 1.0
-    for node in root.each():
-        local = node.circle
-        node.circle = Circle(local.cx * scale, local.cy * scale, local.r * scale)
+    nodes = list(root.each())
+    circles = memoised(_circlepack, hierarchy_content(nodes), (radius, padding))
+    for node, circle in zip(nodes, circles):
+        node.circle = circle
     return root
+
+
+def _circlepack(content, radius, padding):
+    """The pre-order circles of a tree with *content*."""
+    nodes = rebuild_hierarchy(content)
+    _pack_recursive(nodes[0], padding)
+    # the root now has a local circle at the origin with some radius; rescale
+    source = nodes[0].circle
+    scale = radius / source.r if source.r > 0 else 1.0
+    return tuple([
+        Circle(node.circle.cx * scale, node.circle.cy * scale, node.circle.r * scale)
+        for node in nodes
+    ])
 
 
 def _pack_recursive(node: HierarchyNode, padding: float) -> None:

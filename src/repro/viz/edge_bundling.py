@@ -15,10 +15,12 @@ object class as ``range`` (green).
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .geometry import Point, bspline_basis, bspline_column, polar_to_cartesian
 from .hierarchy import HierarchyNode
+from .layout_memo import check_layout_arguments, hierarchy_content, memoised, rebuild_hierarchy
 
 __all__ = ["BundledEdge", "RadialLeaf", "edge_bundling_layout", "EdgeBundlingDiagram"]
 
@@ -40,7 +42,8 @@ class RadialLeaf:
 
 class BundledEdge:
     """One bundled property edge with its sampled curve as coordinate
-    columns: sample ``i`` is ``(xs[i], ys[i])``."""
+    columns: sample ``i`` is ``(xs[i], ys[i])``.  The layout hands out
+    ``array('d')`` columns, its own copy to each diagram."""
 
     __slots__ = ("source", "target", "xs", "ys", "data")
 
@@ -48,8 +51,8 @@ class BundledEdge:
         self,
         source: str,
         target: str,
-        xs: List[float],
-        ys: List[float],
+        xs: Sequence[float],
+        ys: Sequence[float],
         data: Optional[Dict] = None,
     ):
         self.source = source
@@ -113,31 +116,70 @@ def edge_bundling_layout(
 
     *root* is the cluster hierarchy whose leaves are classes; *edges* are
     (source-leaf-name, target-leaf-name) property edges.  ``beta`` in
-    [0, 1] is Holten's bundling strength.
+    [0, 1] is Holten's bundling strength.  The leaf ring and the curves are
+    memoised per content (:mod:`repro.viz.layout_memo`); *focus* and
+    *edge_data* are not layout inputs and apply on every call, and every
+    call builds its own diagram with its own copies of the curves.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and > 0, got {radius}")
-    basis = bspline_basis(samples_per_segment)  # refuses fewer than 1 sample
-    leaves = root.leaves()
-    if not leaves:
-        raise ValueError("hierarchy has no leaves to place on the circle")
+    check_layout_arguments({"radius": radius}, {"samples_per_segment": samples_per_segment})
+    nodes = list(root.each())
+    edges = tuple([(source, target) for source, target in edges])
+    angles, points, curves = memoised(
+        _bundle, hierarchy_content(nodes), (root.depth, edges, radius, beta, samples_per_segment)
+    )
+    leaves = [node for node in nodes if not node.children]
+    placed = [RadialLeaf(node, angle, point) for node, angle, point in zip(leaves, angles, points)]
+    bundled = [
+        BundledEdge(
+            source,
+            target,
+            xs[:],
+            ys[:],
+            dict(edge_data[index]) if edge_data is not None else {},
+        )
+        for index, ((source, target), (xs, ys)) in enumerate(zip(edges, curves))
+    ]
+
+    # Focus-class domain/range roles (Figure 7's highlighting).
+    roles: Dict[str, str] = {}
+    if focus is not None:
+        if focus not in {leaf.name for leaf in leaves}:
+            raise KeyError(f"focus class {focus!r} is not a leaf")
+        roles[focus] = "focus"
+        for source, target in edges:
+            if target == focus and source != focus:
+                # property points INTO the focus: the source is a domain class
+                _merge_role(roles, source, "domain")
+            if source == focus and target != focus:
+                # property leaves the focus: the target is a range class
+                _merge_role(roles, target, "range")
+
+    return EdgeBundlingDiagram(placed, bundled, radius, focus=focus, roles=roles)
+
+
+def _bundle(content, depth, edges, radius, beta, samples_per_segment):
+    """The leaf angles and ``Point`` s and the edges' curves of a tree with
+    *content*, each curve as two ``array('d')`` columns."""
+    basis = bspline_basis(samples_per_segment)
+    nodes = rebuild_hierarchy(content, depth)
+    root = nodes[0]
+    leaves = [node for node in nodes if not node.children]
 
     # 1. Place leaves evenly on the circle, clusters contiguous (leaf order
     #    of the pre-order traversal keeps siblings together).
     angle_step = 2.0 * math.pi / len(leaves)
-    placed: List[RadialLeaf] = []
+    angles: List[float] = []
     position: Dict[str, Point] = {}
     by_name: Dict[str, HierarchyNode] = {}
     for index, node in enumerate(leaves):
         angle = index * angle_step
-        point = polar_to_cartesian(0.0, 0.0, radius, angle)
-        placed.append(RadialLeaf(node, angle, point))
+        angles.append(angle)
         if node.name in by_name:
             raise ValueError(f"duplicate leaf name {node.name!r}")
         by_name[node.name] = node
-        position[node.name] = point
+        position[node.name] = polar_to_cartesian(0.0, 0.0, radius, angle)
 
     # Interior nodes sit at the centroid of their leaves, shrunk toward the
     # center by depth (the deeper the node, the closer to the rim).  Every
@@ -145,7 +187,7 @@ def edge_bundling_layout(
     height = root.height()
     node_x: Dict[HierarchyNode, float] = {}
     node_y: Dict[HierarchyNode, float] = {}
-    for node in root.each():
+    for node in nodes:
         if node.is_leaf():
             point = position[node.name]
             node_x[node], node_y[node] = point.x, point.y
@@ -160,36 +202,20 @@ def edge_bundling_layout(
         node_x[node], node_y[node] = cx * shrink, cy * shrink
 
     # 2. Route each edge along the hierarchy path and sample the B-spline.
-    bundled: List[BundledEdge] = []
-    for index, (source, target) in enumerate(edges):
+    curves = []
+    for source, target in edges:
         if source not in by_name:
             raise KeyError(f"edge source {source!r} is not a leaf")
         if target not in by_name:
             raise KeyError(f"edge target {target!r} is not a leaf")
-        data = dict(edge_data[index]) if edge_data is not None else {}
         route = by_name[source].path_to(by_name[target])
         xs, ys = _apply_beta(
             bspline_column([node_x[node] for node in route], basis),
             bspline_column([node_y[node] for node in route], basis),
             beta,
         )
-        bundled.append(BundledEdge(source, target, xs, ys, data))
-
-    # 3. Focus-class domain/range roles (Figure 7's highlighting).
-    roles: Dict[str, str] = {}
-    if focus is not None:
-        if focus not in by_name:
-            raise KeyError(f"focus class {focus!r} is not a leaf")
-        roles[focus] = "focus"
-        for source, target in edges:
-            if target == focus and source != focus:
-                # property points INTO the focus: the source is a domain class
-                _merge_role(roles, source, "domain")
-            if source == focus and target != focus:
-                # property leaves the focus: the target is a range class
-                _merge_role(roles, target, "range")
-
-    return EdgeBundlingDiagram(placed, bundled, radius, focus=focus, roles=roles)
+        curves.append((array("d", xs), array("d", ys)))
+    return tuple(angles), tuple(position[node.name] for node in leaves), tuple(curves)
 
 
 def _apply_beta(

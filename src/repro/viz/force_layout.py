@@ -6,22 +6,31 @@ physics: many-body repulsion, link springs, centering, and velocity decay,
 integrated with the same cooling schedule (alpha decay) d3-force uses.
 
 Deterministic: initial positions come from a seeded phyllotaxis spiral
-(d3's default) and there is no randomness afterwards.  That makes
-:func:`force_layout` a pure function of its arguments, and it is memoised
-as one: a view is simulated the first time it is displayed and looked up
-afterwards (the paper's compute-once-display-instantly, applied to
-positions).
+(d3's default) and there is no randomness afterwards, so
+:func:`force_layout` is memoised in :mod:`repro.viz.layout_memo`.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .geometry import Point
+from .layout_memo import (
+    LAYOUT_CACHE_SIZE,
+    check_layout_arguments,
+    layout_cache_clear,
+    layout_cache_info,
+    memoised,
+)
 
-__all__ = ["ForceLayout", "force_layout", "layout_cache_info", "layout_cache_clear"]
+__all__ = [
+    "ForceLayout",
+    "LAYOUT_CACHE_SIZE",
+    "force_layout",
+    "layout_cache_info",
+    "layout_cache_clear",
+]
 
 NodeId = Hashable
 
@@ -165,17 +174,8 @@ class ForceLayout:
         return min(self.x), min(self.y), max(self.x), max(self.y)
 
 
-#: Sized to the measured working set: a dataset has two canonical views
-#: (its Cluster Schema and its full Schema Summary), so the 110-endpoint
-#: census holds 220 layouts / 2,657 positions, under 1 MB.  The paper's
-#: 610 listed endpoints would need up to 1,220 entries; raise this with
-#: the fleet, since a sweep larger than the LRU evicts every view before
-#: it recurs.
-LAYOUT_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
-def _layout_cached(nodes, edges, width, height, iterations, options) -> Tuple[Point, ...]:
+def _simulate(content, width, height, iterations, options) -> Tuple[Point, ...]:
+    nodes, edges = content
     layout = ForceLayout(nodes, edges, width=width, height=height, **dict(options))
     layout.run(iterations)
     return tuple(map(Point, layout.x, layout.y))
@@ -191,33 +191,18 @@ def force_layout(
 ) -> Dict[NodeId, Point]:
     """One-shot convenience: build, run, return node positions.
 
-    The result is a pure function of the arguments, so it is kept in an
-    LRU (``LAYOUT_CACHE_SIZE`` layouts) keyed by exactly them: node ids
-    and edges in order, canvas size, tick count and the
-    :class:`ForceLayout` options.  The Cluster Schema view and the fully
+    The result is memoised (:mod:`repro.viz.layout_memo`) keyed by exactly
+    the arguments: node ids and edges in order, canvas size, tick count and
+    the :class:`ForceLayout` options.  The Cluster Schema view and the fully
     expanded Schema Summary view are the same graph for every user of a
-    dataset, so only the first display simulates.  Nothing invalidates the
-    cache because nothing can make an entry wrong: a re-indexed dataset
-    whose graph changed is a different key.  Every call returns a fresh
-    dict over shared immutable :class:`Point` s.
+    dataset, so only the first display simulates.  Every call returns a
+    fresh dict over shared immutable :class:`Point` s.
     """
+    check_layout_arguments({"width": width, "height": height}, {"iterations": iterations})
     nodes = tuple(nodes)
-    points = _layout_cached(
-        nodes,
-        tuple(map(tuple, edges)),
-        width,
-        height,
-        iterations,
-        tuple(sorted(options.items())),
+    points = memoised(
+        _simulate,
+        (nodes, tuple(map(tuple, edges))),
+        (width, height, iterations, tuple(sorted(options.items()))),
     )
     return dict(zip(nodes, points))
-
-
-def layout_cache_info():
-    """Hit/miss statistics of the layout LRU (for benchmarks and tests)."""
-    return _layout_cached.cache_info()
-
-
-def layout_cache_clear() -> None:
-    """Drop every cached layout (for benchmarks and tests)."""
-    _layout_cached.cache_clear()

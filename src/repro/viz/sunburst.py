@@ -12,6 +12,7 @@ import math
 from typing import Tuple
 
 from .hierarchy import HierarchyNode
+from .layout_memo import check_layout_arguments, hierarchy_content, memoised, rebuild_hierarchy
 
 __all__ = ["sunburst_layout", "Arc"]
 
@@ -72,18 +73,32 @@ def sunburst_layout(
     """Assign an :class:`Arc` to every node of *root* (modified in place).
 
     Ring thickness divides *radius* evenly across tree height + 1; the root
-    occupies the center disc.  ``root.sum_values()`` must have run.
+    occupies the center disc.  ``root.sum_values()`` must have run.  The
+    arcs are memoised per content (:mod:`repro.viz.layout_memo`).
     """
-    if radius <= 0:
-        raise ValueError(f"bad sunburst radius {radius}")
+    check_layout_arguments({"radius": radius})
     if root.value is None:
         raise ValueError("run sum_values() before the sunburst layout")
-    depth_count = root.height() + 1
-    thickness = radius / depth_count
+    nodes = list(root.each())
+    arcs = memoised(
+        _sunburst,
+        hierarchy_content(nodes),
+        (root.depth, radius, start_angle, end_angle, ring_padding),
+    )
+    for node, arc in zip(nodes, arcs):
+        node.arc = arc
+    return root
 
+
+def _sunburst(content, depth, radius, start_angle, end_angle, ring_padding):
+    """The pre-order arcs of a tree with *content* (None where a
+    zero-valued parent leaves its children unplaced)."""
+    nodes = rebuild_hierarchy(content, depth)
+    root = nodes[0]
+    thickness = radius / (root.height() + 1)
     root.arc = Arc(start_angle, end_angle, 0.0, max(0.0, thickness - ring_padding))
     _partition(root, start_angle, end_angle, thickness, ring_padding)
-    return root
+    return tuple([node.arc for node in nodes])
 
 
 def _partition(

@@ -12,6 +12,7 @@ from typing import List
 
 from .geometry import Rect
 from .hierarchy import HierarchyNode
+from .layout_memo import check_layout_arguments, hierarchy_content, memoised, rebuild_hierarchy
 
 __all__ = ["treemap_layout"]
 
@@ -27,21 +28,28 @@ def treemap_layout(
 
     ``root.sum_values()`` must have run (any node with value None raises).
     ``padding`` insets children inside internal nodes; ``inner_padding``
-    separates sibling rectangles.
+    separates sibling rectangles.  The rects are memoised per content
+    (:mod:`repro.viz.layout_memo`).
     """
-    if width <= 0 or height <= 0:
-        raise ValueError(f"bad treemap extent {width}x{height}")
+    check_layout_arguments({"width": width, "height": height})
     if root.value is None:
         raise ValueError("run sum_values() before the treemap layout")
+    nodes = list(root.each())
+    rects = memoised(_treemap, hierarchy_content(nodes), (width, height, padding, inner_padding))
+    for node, rect in zip(nodes, rects):
+        node.rect = rect
+    return root
 
-    root.rect = Rect(0.0, 0.0, width, height)
-    for node in root.each():
+
+def _treemap(content, width, height, padding, inner_padding):
+    """The pre-order rects of a tree with *content*."""
+    nodes = rebuild_hierarchy(content)
+    nodes[0].rect = Rect(0.0, 0.0, width, height)
+    for node in nodes:
         if node.is_leaf():
             continue
-        assert node.rect is not None
-        inner = node.rect.inset(padding)
-        _squarify(node.children, inner, inner_padding)
-    return root
+        _squarify(node.children, node.rect.inset(padding), inner_padding)
+    return tuple([node.rect for node in nodes])
 
 
 def _squarify(children: List[HierarchyNode], rect: Rect, gap: float) -> None:

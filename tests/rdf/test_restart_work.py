@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import pytest
 
+import reference_set_index
 from repro.datagen import scholarly_graph
 from repro.rdf import Graph, IRI, Literal, Triple
 from repro.rdf.durability import attach_journal, content_digest, load_graph
 from repro.rdf.namespaces import RDF
+from test_leaf_order import _check_reads
 
 SHARDS = 4
 TAIL = 64
@@ -97,3 +99,39 @@ def test_a_log_as_long_as_the_base_builds_them(tmp_path, lazy):
     tag = IRI("http://example.org/tag")
     rows = list(loaded.triples(predicate=tag))  # their order: test_leaf_order.py
     assert len(rows) == 18 and set(rows) == {_tagged(i) for i in range(18)}
+
+
+def _small_store(root):
+    """A saved 2-shard store of 50 triples loaded eagerly, and the
+    set-only reference store of the same triples."""
+    graph = Graph(shards=2)
+    model = reference_set_index.SetOnlyStore(2)
+    for i in range(50):
+        assert graph.add(_tagged(i)) and model.add(_tagged(i))
+    graph.save(root)
+    return model.reloaded(), load_graph(root, lazy=False)
+
+
+def _terms(triples):
+    return [(t.subject, t.predicate, t.object) for t in triples]
+
+
+def test_a_bulk_load_of_duplicates_builds_nothing(tmp_path):
+    model, loaded = _small_store(str(tmp_path))
+    assert loaded.add_many_terms(_terms([_tagged(3), _tagged(17), _tagged(40)])) == 0
+    assert not loaded.add(_tagged(5))
+    assert [shard.secondaries_built for shard in loaded.shards] == [False, False]
+    _check_reads(loaded, model, 7)
+
+
+def test_a_bulk_load_builds_only_the_shard_it_writes(tmp_path):
+    model, loaded = _small_store(str(tmp_path))
+    new = Triple(IRI("http://example.org/fresh"), IRI("http://example.org/tag"), Literal(-1))
+    batch = [_tagged(i) for i in range(25)] + [new] + [_tagged(i) for i in range(25, 50)]
+    assert loaded.add_many_terms(_terms(batch)) == 1
+    assert sum([model.add(triple) for triple in batch]) == 1
+    owner = loaded.shard_of(loaded.lookup_id(new.subject))
+    assert [shard.secondaries_built for shard in loaded.shards] == [
+        shard is owner for shard in loaded.shards
+    ]
+    _check_reads(loaded, model, 7)
