@@ -56,6 +56,11 @@ def check_count(name: str, value, least: int = 1) -> None:
 def check_duration(name: str, value) -> None:
     """Refuse a *value* that is not a finite number >= 0: the one rule
     for a duration argument in milliseconds (a NaN compares false with
-    every bound and an infinite one never elapses)."""
-    if not isinstance(value, (int, float)) or not 0.0 <= value < math.inf:
+    every bound, an infinite one never elapses, and a bool is no
+    duration, as it is no count)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0.0 <= value < math.inf
+    ):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")

@@ -23,7 +23,7 @@ Two API surfaces coexist:
   ...) speaks :class:`~repro.rdf.terms.Triple` objects and is what parsers,
   generators and tests use;
 * the **ID-level** API (``lookup_id``, ``decode_id``, ``triples_ids``,
-  ``scan_columns``, ``count_ids``, the ``*_ids`` index accessors) is
+  ``scan_rows``, ``count_ids``, the ``*_ids`` index accessors) is
   consumed by the SPARQL hash-join pipeline, its columnar executor and the
   property-path closures, which decode back to terms only at the result
   boundary.
@@ -35,7 +35,8 @@ single-threaded and the paper's server pipeline is batch-oriented.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from ._leaf import IdIndex, copy_index, discard_ids, insert_ids, leaf_add
@@ -49,22 +50,18 @@ _SubjectLike = Union[IRI, BNode]
 TriplePattern = Tuple[Optional[Term], Optional[IRI], Optional[Term]]
 
 
-def column_batches(
-    triples: Iterator[Tuple[int, int, int]],
-    want: Tuple[bool, bool, bool],
-    batch_size: int,
-    limit: Optional[int] = None,
-) -> Iterator[List]:
-    """The first *limit* (all, if None) of *triples* transposed into
-    ``[S, P, O]`` column batches of *batch_size* rows, a position whose
-    ``want`` flag is false as ``[None] * n``."""
-    if limit is not None:
-        triples = islice(triples, limit)
-    for block in iter(lambda: list(islice(triples, batch_size)), []):
-        yield [
-            column if wanted else [None] * len(block)
-            for column, wanted in zip(zip(*block), want)
-        ]
+def cut_rows(
+    triples: Iterator[Tuple[int, int, int]], want: Tuple[bool, bool, bool]
+) -> Iterator[Tuple]:
+    """*triples* cut to the positions whose ``want`` flag is true, in
+    (s, p, o) order (``()`` per triple when none is)."""
+    picks = [position for position, wanted in enumerate(want) if wanted]
+    if len(picks) == 3:
+        return triples
+    if picks == [0, 2]:
+        return map(itemgetter(0, 2), triples)
+    # a slice keeps a single position a 1-tuple
+    return map(itemgetter(slice(picks[0], picks[-1] + 1) if picks else slice(0)), triples)
 
 
 def sorted_columns(rows: Iterable[Tuple[int, int, int]]) -> Tuple:
@@ -590,68 +587,57 @@ class Graph:
         shard = self._shards[0] if s is None else self.shard_of(s)
         return shard.triples_ids(s, p, o)
 
-    def scan_columns(
+    def scan_rows(
         self,
         s: Optional[int],
         p: Optional[int],
         o: Optional[int],
         want: Tuple[bool, bool, bool],
-        batch_size: int,
-        limit: Optional[int] = None,
-    ) -> Iterator[List]:
-        """The rows of ``triples_ids(s, p, o)`` as ``[S, P, O]`` column batches.
+    ) -> Iterator[Tuple]:
+        """The rows of ``triples_ids(s, p, o)`` cut to the positions whose
+        ``want`` flag is true (:func:`cut_rows`): same rows, same order.
 
-        Same rows in the same order (the first *limit* of them when one is
-        given), cut into batches of exactly *batch_size* rows, the last one
-        shorter.  A position whose ``want`` flag is false comes back as
-        ``[None] * n``, and the index is read only as deep as the last
-        wanted position: a level below it contributes its *sizes* (a
-        subject's triple count is kept beside SPO, so ``?s ?p ?o`` wanting
-        only ``?s`` reads no object leaf), a level above it is repeated
-        over the runs it heads (the leading unbound level's are
-        :meth:`scan_runs`).  With all three
-        wanted the rows are transposed off ``triples_ids`` -- per-run
-        repeats lose to that on short runs.  This is the scan primitive of
-        the SPARQL columnar executor.
+        The index is read only as deep as the last wanted position: a
+        level below it contributes its *sizes* (a subject's triple count
+        is kept beside SPO, so ``?s ?p ?o`` wanting only ``?s`` reads no
+        object leaf), a level above it is repeated over the runs it heads
+        (the leading unbound level's are :meth:`scan_runs`).  With all
+        three wanted the rows are ``triples_ids`` -- per-run repeats lose
+        to that on short runs.  The rows are pulled lazily; a consumer
+        bounds the read with ``islice``.  This is the scan primitive of
+        the SPARQL columnar sinks.
         """
         view = None if all(want) else self._scan_view(s, p, o)
         if view is None:
-            yield from column_batches(self.triples_ids(s, p, o), want, batch_size, limit)
-            return
+            return cut_rows(self.triples_ids(s, p, o), want)
         order, keys, inners = view
         runs = self.scan_runs(s, p, o)
 
         def leaves():
             return chain.from_iterable(map(dict.values, inners))
 
-        # One independent C-level iterator over the index per wanted level;
-        # they advance in lockstep, a batch at a time.  The leading
-        # unbound level is its runs repeated; a bound first level is its
-        # one key on every row.
+        # One independent C-level iterator over the index per wanted level,
+        # zipped in lockstep.  The leading unbound level is its runs
+        # repeated; a bound first level is its one key on every row.
         columns: List[Optional[Iterator]] = [None, None, None]
         if runs is not None and want[runs[0]]:
             columns[runs[0]] = chain.from_iterable(map(repeat, runs[1], runs[2]))
         if want[order[0]] and columns[order[0]] is None:
-            columns[order[0]] = repeat(keys[0])
+            columns[order[0]] = repeat(keys[0], self.count_ids(s, p, o))
         if want[order[1]] and columns[order[1]] is None:
             columns[order[1]] = chain.from_iterable(
                 map(repeat, chain.from_iterable(inners), map(len, leaves()))
             )
         if want[order[2]]:
             columns[order[2]] = chain.from_iterable(leaves())
-        total = self.count_ids(s, p, o)
-        if limit is not None:
-            total = min(total, limit)
-        for start in range(0, total, batch_size):
-            n = min(batch_size, total - start)
-            yield [
-                [None] * n if column is None else list(islice(column, n))
-                for column in columns
-            ]
+        wanted = [column for column in columns if column is not None]
+        if not wanted:
+            return repeat((), self.count_ids(s, p, o))
+        return zip(*wanted)
 
     def scan_runs(self, s: Optional[int], p: Optional[int], o: Optional[int]):
         """``(position, keys, sizes)``: ``triples_ids(s, p, o)`` as runs of
-        the first unbound level of the index ``scan_columns`` walks -- its
+        the first unbound level of the index ``scan_rows`` walks -- its
         triple position, its keys in scan order and the matching triples
         each heads, both lazy (a subject's size is looked up in the count
         its shard keeps, any other key's is a leaf length).  No key heads

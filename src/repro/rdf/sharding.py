@@ -17,10 +17,10 @@ visit every shard.  What partitioning changes is only the **order of a
 read that spans shards**, and that is all this subclass overrides:
 
 * unbound-subject scans (:meth:`ShardedTripleStore.triples_ids`, and
-  through it ``scan_columns`` and every probe-table build) come back as
+  through it ``scan_rows`` and every probe-table build) come back as
   the ordered merge of per-shard runs sorted by the ``(s, p, o)`` ID
   triple -- the one place that merge is written.  The whole-graph pattern
-  in ``scan_columns`` merges the shards' cached runs (:meth:`Shard.columns`)
+  in ``scan_rows`` merges the shards' cached runs (:meth:`Shard.columns`)
   instead, so it reads a cold lazily loaded shard off its snapshot without
   building its indexes;
 * ``scan_runs`` declines (no single index holds a spanning scan's keys:
@@ -49,10 +49,10 @@ necessarily on the order of unordered queries.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from ._leaf import IdIndex
-from .graph import Graph, Shard, column_batches
+from .graph import Graph, Shard, cut_rows
 from .terms import IRI, Term
 
 __all__ = ["ShardedTripleStore"]
@@ -112,29 +112,26 @@ class ShardedTripleStore(Graph):
             *[sorted(shard.triples_ids(None, p, o)) for shard in self._shards]
         )
 
-    def scan_columns(
+    def scan_rows(
         self,
         s: Optional[int],
         p: Optional[int],
         o: Optional[int],
         want: Tuple[bool, bool, bool],
-        batch_size: int,
-        limit: Optional[int] = None,
-    ) -> Iterator[List]:
-        """:meth:`Graph.scan_columns` over the routed ``triples_ids``, same
+    ) -> Iterator[Tuple]:
+        """:meth:`Graph.scan_rows` over the routed ``triples_ids``, same
         rows in the same order.  The whole-graph pattern merges the shards'
         cached sorted runs (:meth:`Shard.columns`) instead: a cold shard of
         a lazily loaded store serves its run off the snapshot without
         building its indexes."""
         if s is not None or p is not None or o is not None:
-            return super().scan_columns(s, p, o, want, batch_size, limit)
-        runs = [zip(*shard.columns()) for shard in self._shards]
-        return column_batches(heapq.merge(*runs), want, batch_size, limit)
+            return super().scan_rows(s, p, o, want)
+        return cut_rows(heapq.merge(*[zip(*shard.columns()) for shard in self._shards]), want)
 
     def _scan_view(self, s: Optional[int], p: Optional[int], o: Optional[int]):
         """No single index holds a spanning scan's rows -- each shard has its
-        own -- so ``scan_columns`` transposes the routed ``triples_ids``
-        whatever is wanted, and ``scan_runs`` declines."""
+        own -- so ``scan_rows`` cuts the routed ``triples_ids`` whatever is
+        wanted, and ``scan_runs`` declines."""
         return None
 
     def node_ids(self) -> Set[int]:

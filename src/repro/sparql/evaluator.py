@@ -51,21 +51,21 @@ whose rows are pure ID tuples, every variable bound in every row:
    ``scan`` runs for every SELECT.
 
 The columnar executor (:meth:`Execution._run_select_columnar`) is a source
-of ID *column* batches (``BATCH_SIZE`` rows each, volcano control flow
-between batches) feeding one of two sinks -- projection/DISTINCT/slice
-(``select-id``) or COUNT per group (``aggregate-id``).  Every cell is an
-ID, or None in a column nothing reads, and only the emitted page is
+of ID rows, pulled lazily, feeding one of two sinks -- projection/DISTINCT/
+slice (``select-id``), which reads no row past its page, or COUNT per group
+(``aggregate-id``).  Every cell is an ID, and only the emitted page is
 decoded; the groups are ordered and sliced as IDs and counts
 (:meth:`Execution._id_modifiers`, which keys only the groups a cut to the
 page has to compare, an ID's key read from the dictionary's kept table --
-``TermDict.sort_keys``).  A single pattern streams batches straight off
-the index (:meth:`Graph.scan_columns`, materialising only the positions
-an operator above reads -- :meth:`Execution._wanted_variables`; an index
-level's keys and run lengths when a COUNT GROUP BY or DISTINCT needs no
-more -- :meth:`Graph.scan_runs`) or, under term-test FILTERs, off the
-lazy chain; several patterns run the eager join and transpose its rows
-(or, under a DISTINCT or a pure-COUNT GROUP BY, take the keys its last
-step folded -- :meth:`Execution._fold_step`).  The eager join
+``TermDict.sort_keys``).  A single pattern reads its rows off the index
+(:meth:`Graph.scan_rows`, cut to the positions an operator above reads --
+:meth:`Execution._wanted_variables`; an index level's keys and run lengths
+when a COUNT GROUP BY or DISTINCT needs no more -- :meth:`Graph.scan_runs`)
+or, under term-test FILTERs, off the lazy chain; several patterns run the
+eager join (and, under a DISTINCT or a pure-COUNT GROUP BY, take the keys
+its last step folded -- :meth:`Execution._fold_step`).  The count sink's
+one columnar input is its groups -- key columns and counts -- which only
+runs and a folded join's keys make.  The eager join
 (:meth:`Execution._bgp_id_rows`) plans its order once and takes the
 FILTERs and the wanted variables down: a candidate is tested where its
 variable is bound, gated by the next pattern's probe table, and built
@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+import sys
 from bisect import bisect_left
 from collections import Counter, OrderedDict
 from itertools import accumulate as _accumulate
@@ -90,7 +91,6 @@ from itertools import chain as _chain
 from itertools import compress
 from itertools import count as _count
 from itertools import islice as _islice
-from itertools import repeat as _repeat
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -205,32 +205,6 @@ def _repeated_variable_scan_rows(triples, positions):
             srow.append(value)
         if srow is not None:
             yield tuple(srow)
-
-
-def _project_triple_columns(tcols, positions, simple):
-    """(s, p, o) ID columns -> per-variable columns, or None when empty.
-
-    The columnar counterpart of :func:`_triples_to_scan_rows`: ``simple``
-    (no variable occurs at two positions) just selects columns; repeated
-    variables keep only the rows where all their positions agree.
-    """
-    if simple:
-        return [tcols[position[0]] for position in positions]
-    n = len(tcols[0])
-    selection = range(n)
-    for position in positions:
-        if len(position) > 1:
-            first = position[0]
-            selection = [
-                i
-                for i in selection
-                if all(tcols[extra][i] == tcols[first][i] for extra in position[1:])
-            ]
-    if not selection:
-        return None
-    if len(selection) == n:
-        return [tcols[position[0]] for position in positions]
-    return [[tcols[position[0]][i] for i in selection] for position in positions]
 
 
 #: Extractors for the INLJ fast path: new-variable positions (ascending) ->
@@ -664,13 +638,14 @@ EXEC_STAT_KEYS = frozenset(
         # ``stream-select`` (rule 1's lazy page), ``general`` (rule 3, and
         # every ``scan`` SELECT) or ``ask``
         "operator",
-        "input_rows",       # rows consumed by that operator; a run-fed sink
-                            # (``_run_batches``): the runs it read
+        "input_rows",       # rows consumed by that operator; a sink fed
+                            # runs or a folded join's keys: the keys it read
         "tracked_rows",     # ``aggregate-id``: the groups it held (memory
                             # contract)
         "distinct_keys",    # ``select-id``: DISTINCT seen-set size
-        "scan_cells",       # rows x wanted columns a single-pattern scan
-                            # materialised (``Graph.scan_columns``), or
+        "scan_cells",       # rows x wanted positions a single-pattern
+                            # scan handed its sink (``Graph.scan_rows``;
+                            # a repeated variable: triples read x 3), or
                             # one cell per run read (``Graph.scan_runs``)
         "sort_keys",        # ORDER BY keys the ID-space tail keyed: one
                             # per distinct cell compared
@@ -679,8 +654,6 @@ EXEC_STAT_KEYS = frozenset(
         "decoded_rows",     # rows decoded at the result boundary;
                             # ``aggregate-id``: the page that survived
                             # ORDER BY / OFFSET / LIMIT, not the groups
-        "batches",          # column batches a columnar sink consumed (run
-                            # batches, ``BATCH_SIZE`` keys each, if run-fed)
     }
 )
 
@@ -703,11 +676,6 @@ class QueryEngine:
     Each query runs as its own :class:`Execution`, so a query started
     while another runs on the same engine cannot touch the first one's.
     """
-
-    #: rows per column batch of the simple-shape executor -- large
-    #: enough to amortize per-batch dispatch, small enough that a
-    #: batch's columns stay cache-resident
-    BATCH_SIZE = 1024
 
     #: the eager engine hands a SELECT to the streaming operators only when
     #: LIMIT is at most this.  Small limits are where pushdown pays by
@@ -2023,7 +1991,7 @@ class Execution:
             self._operator_event()
         return SelectResult(names, rows)
 
-    # -- the columnar executor (sinks over ID batches) ---------------------------
+    # -- the columnar executor (sinks over ID rows) ------------------------------
 
     @staticmethod
     def _simple_where_shape(group: GroupPattern):
@@ -2148,8 +2116,8 @@ class Execution:
     def _id_modifiers(
         self, query: SelectQuery, held: List[List], conditions
     ) -> Tuple[List[Tuple], int]:
-        """ORDER BY / OFFSET / LIMIT over the groups, held as one column
-        batch of group-key IDs and counts, before anything is decoded.
+        """ORDER BY / OFFSET / LIMIT over the groups, held as columns of
+        group-key IDs and counts, before anything is decoded.
         Returns ``(page rows, sort keys built)``.
 
         *conditions* are ``(column, descending, key_of)``; their sort
@@ -2187,8 +2155,8 @@ class Execution:
     def _aggregate_page(
         self, query: SelectQuery, items, cols: List[List], columns: List[int], stats,
     ) -> SelectResult:
-        """The aggregate sink's output: *cols* holds the groups as one
-        column batch -- group-key IDs and counts, item *i* at
+        """The aggregate sink's output: *cols* holds the groups as
+        columns -- group-key IDs and counts, item *i* at
         ``columns[i]`` -- and only the page that survives the modifiers
         is decoded.
 
@@ -2213,69 +2181,67 @@ class Execution:
         self.stats.update(
             stats, sort_keys=sort_keys, decoded_rows=len(page), operator="aggregate-id"
         )
-        if self.tracer.detail:
-            self._operator_event()
         return SelectResult(names, self._decode_id_rows(page, names, columns, counts))
 
     def _run_select_columnar(self, query: SelectQuery, plan, where) -> SelectResult:
         """The one executor of rule 2 (:meth:`_simple_select_shape`; *where*:
-        :meth:`_simple_where_shape`): :meth:`_simple_source`'s ID column
-        batches into the select sink, or the count sink under a *plan*.
-        Operators pass ``BATCH_SIZE``-row column vectors instead of per-row
-        tuples.  Control flow stays volcano *between* batches, so
-        LIMIT-bounded sinks stop pulling early.
+        :meth:`_simple_where_shape`): :meth:`_simple_source`'s ID rows into
+        the select sink, or into the count sink under a *plan*.  The sinks
+        pull the rows lazily, so a LIMIT-bounded sink stops its source at
+        its page; the scan's cells are booked once the sink is done.
         """
-        batches, col_of, runs = self._simple_source(query, *where, plan)
-        if query.limit == 0:
-            # a LIMIT 0 page reads no batch -- ``SELECT *`` one, for the
-            # witness row its header needs
-            batches = _islice(batches, 1 if query.select_all else 0)
-        if plan is not None:
-            return self._batch_count_groups(query, plan, batches, col_of, runs)
-        return self._batch_select(query, batches, col_of)
+        source, col_of, grouped, cells = self._simple_source(query, *where, plan)
+        if query.limit == 0 and not query.select_all:
+            # a LIMIT 0 page reads nothing -- ``SELECT *`` one row, for
+            # the witness its header needs (:meth:`_page_cap`)
+            source, grouped, cells = iter(()), False, None
+        if plan is None:
+            result = self._select_page(query, source, col_of)
+        else:
+            result = self._count_groups(query, plan, source, col_of, grouped)
+        if cells is not None:
+            self.stats["scan_cells"] = cells(self.stats["input_rows"])
+        if self.tracer.detail:
+            self._operator_event()
+        return result
 
     def _simple_source(
         self, query: SelectQuery, patterns, simple_filters, plan
-    ) -> Tuple[Iterator[List], Dict[Variable, int], bool]:
-        """``(column-batch iterator, col_of, runs)`` for a simple-shape BGP,
-        its FILTERs applied; *runs*: the batches are :meth:`_run_batches`.
+    ) -> Tuple[Union[Iterator[Tuple], List[List]], Dict[Variable, int], bool, Optional[Callable]]:
+        """``(source, col_of, grouped, cells)`` for a simple-shape BGP, its
+        FILTERs applied.  The source is lazy ID rows laid out as *col_of*
+        (a ``SELECT *`` scan's rows hold its ground cells too) -- or,
+        *grouped*, the count sink's groups: their key columns, laid out as
+        *col_of*, then their counts.  *cells* (None: no index scan)
+        turns the rows the sink read into the cells the scan materialised.
 
-        A single pattern streams batches (or runs) straight off the index,
-        the columns nothing above reads left unmaterialised (``col_of``
-        still names every pattern variable: boundness does not change);
-        under FILTERs it streams the lazy chain's rows
-        (:meth:`_stream_id_rows`), which the select sink stops pulling at
-        its page.  Several patterns (or a fully-ground existence gate,
-        which is no column source) run the eager join -- it chooses INLJ or
-        hash per step from the exact intermediate cardinality, which a
-        build-then-probe over column batches cannot: probing ``?s a <C> .
-        ?s ?p ?o`` that way builds a whole-graph table per extraction query
-        -- and hand it the FILTERs and the variables read above it, so a
-        row is tested where its variable is bound and carries only the
-        columns still read.  Under a DISTINCT page (at most a page of keys)
-        or a pure-COUNT GROUP BY the join's last step folds its rows into
-        the keys the sink keeps, which come back as runs
-        (:meth:`_key_batches`).
+        A single pattern reads the index (:meth:`_scan_source`); under
+        FILTERs it reads the lazy chain's rows (:meth:`_stream_id_rows`).
+        Several patterns (or a fully-ground existence gate, which is no
+        index scan) run the eager join -- it chooses INLJ or hash per step
+        from the exact intermediate cardinality, which a build-then-probe
+        cannot: probing ``?s a <C> . ?s ?p ?o`` that way builds a
+        whole-graph table per extraction query -- and hand it the FILTERs
+        and the variables read above it, so a row is tested where its
+        variable is bound and carries only the columns still read.  Under a
+        DISTINCT page (at most a page of keys) or a pure-COUNT GROUP BY the
+        join's last step folds its rows into the keys the sink keeps
+        (:meth:`_fold_step`): the DISTINCT rows, or the groups.
         """
         compiled = self._compile_patterns(patterns)
-        if any(ep.impossible for ep in compiled):
-            return iter(()), {}, False
         variables = list(dict.fromkeys(v for ep in compiled for v in ep.variables))
-        if any(variable not in variables for _test, variable in simple_filters):
-            # Filter over an unbound variable drops every row (the
+        if any(ep.impossible for ep in compiled) or any(
+            variable not in variables for _test, variable in simple_filters
+        ):
+            # A FILTER over an unbound variable drops every row (the
             # general pipeline raises-and-rejects per row).
-            return iter(()), {variable: i for i, variable in enumerate(variables)}, False
+            return iter(()), {variable: i for i, variable in enumerate(variables)}, False, None
         wanted = self._wanted_variables(query, plan)
         if len(compiled) == 1 and compiled[0].variables:
             if simple_filters:
                 rows, col_of = self._stream_id_rows(patterns, simple_filters)
-                return self._row_batches(rows), col_of, False
-            ep = compiled[0]
-            col_of = {variable: i for i, variable in enumerate(ep.variables)}
-            runs = self._run_batches(query, ep, wanted, plan, col_of)
-            if runs is not None:
-                return runs, col_of, True
-            return self._scan_batches(ep, wanted, self._batch_limit_hint(query, ep, plan)), col_of, False
+                return rows, col_of, False, None
+            return self._scan_source(query, compiled[0], wanted, plan)
         fold = cap = None
         if plan is None:
             if query.distinct:
@@ -2284,47 +2250,83 @@ class Execution:
             fold = "count"
         filters = [(variable, self._term_verdicts(test)) for test, variable in simple_filters]
         joined, col_of = self._bgp_id_rows(patterns, [{}], filters, wanted, fold, cap)
-        # A variable nothing above reads is still bound in every row:
-        # it keeps a column -- column 0, whose length is all a plain
-        # COUNT takes (its cells are another variable's).
-        for variable in variables:
-            col_of.setdefault(variable, 0)
-        if isinstance(joined, dict):
-            return self._key_batches(joined, fold == "count", self._run_cap(query)), col_of, True
-        return self._row_batches(iter(joined)), col_of, False
+        if fold == "count" and isinstance(joined, dict):
+            keys = list(_islice(joined, self._run_cap(query)))
+            groups = [list(column) for column in zip(*keys)] or [[] for _ in col_of]
+            groups.append(list(map(joined.__getitem__, keys)))
+            return groups, col_of, True, None
+        return iter(joined), col_of, False, None
 
-    def _row_batches(self, rows: Iterator[Tuple]) -> Iterator[List]:
-        """Chunk ID rows into column batches (one transpose per chunk)."""
-        size = self.engine.BATCH_SIZE
-        while True:
-            block = list(_islice(rows, size))
-            if not block:
-                return
-            # Zero-width rows (every pattern ground, or solutions that
-            # bind nothing) ride as one placeholder column: a batch's
-            # length is ``len(cols[0])``.
-            yield list(zip(*block)) if block[0] else [block]
+    def _scan_source(self, query: SelectQuery, ep: _EncodedPattern, wanted, plan):
+        """:meth:`_simple_source` of one pattern off the index.
 
-    def _key_batches(
-        self, keys: Dict[Tuple, Optional[int]], counted: bool, cap: Optional[int]
-    ) -> Iterator[List]:
-        """A folded join's keys (:meth:`_fold_step`) as runs, the form of
-        :meth:`_run_batches`: column batches of the first *cap* keys (None:
-        all), each key once, plus their counts as a last column for the
-        count sink."""
-        batches = self._row_batches(_islice(keys, cap))
-        if not counted:
-            return batches
-        counts = iter(keys.values())
-        return (cols + [list(_islice(counts, len(cols[0])))] for cols in batches)
+        Its runs when a COUNT GROUP BY or a DISTINCT needs no more
+        (:meth:`_pattern_runs`, one cell a run); else its rows through
+        :meth:`Graph.scan_rows`, cut to the positions of the variables
+        *wanted* (None: whole triples), so the index is not walked for the
+        others.  A repeated variable keeps the triples whose positions
+        agree, each read whole: three cells a triple read.
+        """
+        runs = self._pattern_runs(query, ep, wanted, plan)
+        if runs is not None:
+            keys, sizes = runs
+            col_of = dict.fromkeys(wanted, 0)
+            if plan is None:
+                return zip(keys), col_of, False, lambda rows: rows
+            keys = list(keys)
+            return [keys, list(_islice(sizes, len(keys)))], col_of, True, lambda rows: rows
+        s, p, o = (v if type(v) is int else None for v in ep.spec)
+        positions = [ep.var_positions[v] for v in ep.variables]
+        if any(len(position) > 1 for position in positions):
+            # zip pulls the scan first, so ``read`` advances once per
+            # triple the sink's pull took from it
+            read = _count()
+            triples = map(itemgetter(0), zip(self.graph.scan_rows(s, p, o, (True,) * 3), read))
+            col_of = {variable: i for i, variable in enumerate(ep.variables)}
+            return (
+                _repeated_variable_scan_rows(triples, positions), col_of, False,
+                lambda _rows: 3 * next(read),
+            )
+        want = tuple(wanted is None or v in wanted for v in ep.spec)
+        cut = [position for position in range(3) if want[position]]
+        col_of = {
+            variable: cut.index(position)
+            for variable, (position,) in ep.var_positions.items() if want[position]
+        }
+        return self.graph.scan_rows(s, p, o, want), col_of, False, lambda rows: rows * len(cut)
+
+    def _pattern_runs(self, query: SelectQuery, ep: _EncodedPattern, wanted, plan):
+        """``(keys, sizes)``: *ep*'s matches as runs of the leading unbound
+        index level (:meth:`Graph.scan_runs`), at most
+        :meth:`_run_cap` keys, when the one variable read above sits there
+        alone and the sink is a pure-COUNT GROUP BY on it (counts are run
+        lengths) or a DISTINCT page (keys are the distinct rows, no size is
+        read), else None.  A key's rows are contiguous in the expanded
+        scan, so first-seen order is key order.
+        """
+        if wanted is None or len(wanted) != 1:
+            return None
+        (variable,) = wanted
+        if plan is None:
+            if not query.distinct:
+                return None
+        elif plan[0] != [variable]:
+            return None
+        if any(len(positions) > 1 for positions in ep.var_positions.values()):
+            return None
+        runs = self.graph.scan_runs(*(v if type(v) is int else None for v in ep.spec))
+        if runs is None or ep.spec[runs[0]] != variable:
+            return None
+        _position, keys, sizes = runs
+        return _islice(keys, self._run_cap(query)), sizes
 
     @staticmethod
     def _run_cap(query: SelectQuery) -> Optional[int]:
-        """The runs a run-fed sink reads at most (None: every run).  Under
-        a pure-COUNT GROUP BY each run is a whole group, in first-seen
-        order, so without ORDER BY the page is the first ``offset + limit``
-        of them.  A DISTINCT page reads them all (its sink stops pulling
-        at its page on its own)."""
+        """The groups a grouped count sink reads at most (None: every
+        one).  Each is a whole group, in first-seen order, so without
+        ORDER BY the page is the first ``offset + limit`` of them.  A
+        DISTINCT page reads them all (its sink stops pulling at its page on
+        its own)."""
         if query.order_by or query.distinct:
             return None
         return Execution._page_cap(query)
@@ -2332,33 +2334,15 @@ class Execution:
     @staticmethod
     def _page_cap(query: SelectQuery) -> Optional[int]:
         """``offset + limit``, the rows a page reaches to (None without a
-        LIMIT).  ``SELECT *`` derives its header from solution existence:
-        it keeps at least one witness row even for LIMIT 0."""
+        LIMIT, or past ``sys.maxsize``, which ``islice`` cannot take).
+        ``SELECT *`` derives its header from solution existence: it keeps
+        at least one witness row even for LIMIT 0."""
         if query.limit is None:
             return None
         cap = (query.offset or 0) + query.limit
-        return max(cap, 1) if query.select_all else cap
-
-    @staticmethod
-    def _batch_limit_hint(query, ep, plan) -> Optional[int]:
-        """The rows a single-pattern scan need produce at most.
-
-        Only a LIMIT-bounded scan with nothing between the scan and the
-        slice (no DISTINCT or aggregation, and no repeated-variable row
-        drops) can stop at its first ``offset+limit`` rows
-        (``Graph.scan_columns``' *limit*): every later row would be cut by
-        the slice, so results are unchanged -- only the cells the scan
-        materialises shrink.  A cap at or above the pattern's match count
-        is no hint (nor a size ``islice`` could take).
-        """
-        if (
-            plan is not None
-            or query.distinct
-            or any(len(ep.var_positions[v]) > 1 for v in ep.variables)
-        ):
+        if cap > sys.maxsize:
             return None
-        hint = Execution._page_cap(query)
-        return None if hint is None or hint >= ep.est else hint
+        return max(cap, 1) if query.select_all else cap
 
     @staticmethod
     def _wanted_variables(query: SelectQuery, plan) -> Optional[Set[Variable]]:
@@ -2377,186 +2361,94 @@ class Execution:
             return None
         return {p.expression.variable for p in query.projections}
 
-    def _scan_batches(
-        self,
-        ep: _EncodedPattern,
-        wanted: Optional[Set[Variable]],
-        limit_hint: Optional[int],
-    ) -> Iterator[List]:
-        """Stream *ep*'s matches as per-variable ID column batches.
-
-        The source is :meth:`Graph.scan_columns`, which leaves the column
-        of a variable outside *wanted* (None = all wanted) as ``None``
-        cells and does not walk the index for it.
-        """
-        s, p, o = (v if type(v) is int else None for v in ep.spec)
-        positions = [ep.var_positions[v] for v in ep.variables]
-        simple = all(len(position) == 1 for position in positions)
-        want = (True, True, True)
-        if wanted is not None and simple:
-            want = tuple(v in wanted for v in ep.spec)
-        triple_cols = self.graph.scan_columns(
-            s, p, o, want, self.engine.BATCH_SIZE, limit_hint if simple else None
-        )
-        width = sum(want)
-        cells = 0
-        for tcols in triple_cols:
-            cells += len(tcols[0]) * width
-            self.stats["scan_cells"] = cells
-            cols = _project_triple_columns(tcols, positions, simple)
-            if cols is not None:
-                yield cols
-
-    def _run_batches(self, query, ep, wanted, plan, col_of) -> Optional[Iterator[List]]:
-        """*ep*'s matches as runs of the leading unbound index level
-        (:meth:`Graph.scan_runs`) when the one variable read above sits
-        there alone and the sink is a pure-COUNT GROUP BY on it (counts are
-        run lengths) or a DISTINCT page (keys are the distinct rows, no
-        size is computed), else None.  A key's rows are contiguous
-        in the expanded scan, so first-seen order is key order.  A batch is
-        at most ``BATCH_SIZE`` keys in the variable's column, ``None`` in
-        the others, plus the run lengths for the count sink, which reads no
-        run past its page (:meth:`_run_cap`).
-        """
-        if wanted is None or len(wanted) != 1:
-            return None
-        (variable,) = wanted
-        if plan is None:
-            if not query.distinct:
-                return None
-        elif plan[0] != [variable]:
-            return None
-        if any(len(positions) > 1 for positions in ep.var_positions.values()):
-            return None
-        runs = self.graph.scan_runs(*(v if type(v) is int else None for v in ep.spec))
-        if runs is None or ep.spec[runs[0]] != variable:
-            return None
-        _position, keys, sizes = runs
-        keys = _islice(keys, self._run_cap(query))
-        column, size = col_of[variable], self.engine.BATCH_SIZE
-
-        def batches():
-            for block in iter(lambda: list(_islice(keys, size)), []):
-                self.stats["scan_cells"] = self.stats.get("scan_cells", 0) + len(block)
-                cols = [[None] * len(block)] * len(col_of)
-                cols[column] = block
-                yield cols if plan is None else cols + [list(_islice(sizes, len(block)))]
-
-        return batches()
-
     def _term_verdicts(self, table: bytes):
         """``id -> 0 / 1`` for one term test: the dictionary's kind bytes
         translated through *table* (one C-level pass, no decode), read by
         the lazy chain's FILTER and the join's binding step."""
         return self.graph.dictionary.kinds.translate(table).__getitem__
 
-    def _batch_select(
-        self, query: SelectQuery, batches: Iterator[List], col_of: Dict[Variable, int]
+    def _select_page(
+        self, query: SelectQuery, rows: Iterator[Tuple], col_of: Dict[Variable, int]
     ) -> SelectResult:
-        """Batched projection / DISTINCT / OFFSET-LIMIT sink.
+        """The select sink: projection / DISTINCT / OFFSET-LIMIT over ID rows.
 
-        LIMIT pushdown across batches: stop pulling once ``offset +
-        limit`` surviving (post-DISTINCT) rows are buffered.  ``SELECT
-        *`` still needs one witness row for its header rule, so the cap
-        never stops the pull before the first non-empty batch.
-
-        DISTINCT is columnar: one ``zip`` over the key columns (the
-        projected ones) and ``dict.fromkeys`` per batch, merged into one
-        insertion-ordered dict -- each key's first row wins and only the
-        key tuples are kept; they are the projected rows.  Runs -- one
-        pattern's index keys (:meth:`_run_batches`) or a folded join's keys
-        (:meth:`_key_batches`) -- hold each key once, in first-seen order,
-        so ``input_rows`` counts keys.
+        It reads no row past its page (:meth:`_page_cap`): a plain page is
+        the first ``offset + limit`` rows, and a DISTINCT page, while it is
+        short, reads only as many more rows as it still lacks keys.  A key
+        is a row's projected cells -- the row itself when they are all of
+        it -- and the kept keys, each first seen first, are the projected
+        rows.  Runs (:meth:`_pattern_runs`) and a folded join's keys hold
+        each key once, so there ``input_rows`` counts keys.
         """
         offset = query.offset or 0
-        cap = None if query.limit is None else offset + query.limit
-        distinct = query.distinct
-        if distinct:
-            _names, dedup_columns = self._id_projection_layout(query, col_of, True)
-        kept: Union[List[Tuple], Dict[Tuple, None]] = {} if distinct else []
-        input_rows = 0
-        n_batches = 0
-        for cols in batches:
-            n_batches += 1
-            n = len(cols[0])
-            input_rows += n
-            if distinct:
-                keys = [cols[c] if c is not None else _repeat(None, n) for c in dedup_columns]
-                kept.update(dict.fromkeys(zip(*keys) if keys else _repeat((), n)))
-            else:
-                kept.extend(zip(*cols))
-            if cap is not None and len(kept) >= cap:
-                break
-        page = list(kept)[offset:cap]
-        names, columns = self._id_projection_layout(query, col_of, input_rows > 0)
-        if distinct:
-            columns = list(range(len(columns)))  # a kept key is the projected row
-        self.stats.update(
-            operator="select-id",
-            input_rows=input_rows,
-            batches=n_batches,
-            decoded_rows=len(page),
-        )
-        if distinct:
+        cap = self._page_cap(query)
+        stop = None if cap is None else offset + query.limit
+        names, columns = self._id_projection_layout(query, col_of, True)
+        if query.distinct:
+            bound = [column for column in columns if column is not None]
+            # past its variables' cells a row holds only ground positions
+            # (a ``SELECT *`` scan's), the same on every row
+            keys = rows if bound == list(range(len(col_of))) else map(picker(bound), rows)
+            input_rows, kept = 0, {}
+            while cap is None or len(kept) < cap:
+                block = list(_islice(keys, None if cap is None else cap - len(kept)))
+                if not block:
+                    break
+                input_rows += len(block)
+                kept.update(dict.fromkeys(block))
             self.stats["distinct_keys"] = len(kept)
-        if self.tracer.detail:
-            self._operator_event()
+            page = list(kept)[offset:stop]
+            # a kept key is the projected row, its unbound cells left out
+            at = _count()
+            columns = [None if column is None else next(at) for column in columns]
+        else:
+            page = list(_islice(rows, cap))
+            input_rows = len(page)
+            page = page[offset:stop]
+        if not input_rows:
+            names, columns = self._id_projection_layout(query, col_of, False)
+        self.stats.update(operator="select-id", input_rows=input_rows, decoded_rows=len(page))
         return SelectResult(names, self._decode_id_rows(page, names, columns))
 
-    def _batch_count_groups(
-        self, query: SelectQuery, plan, batches: Iterator[List], col_of: Dict[Variable, int],
-        runs: bool,
+    def _count_groups(
+        self, query: SelectQuery, plan, source, col_of: Dict[Variable, int], grouped: bool,
     ) -> SelectResult:
-        """The count sink: a pure-COUNT aggregation as one :class:`Counter`
-        update per batch, over the key column or a C-level ``zip`` of the
-        key columns (first-seen group order, as the general fold).  Fed
-        *runs* (:meth:`_run_batches`, :meth:`_key_batches`), each run is one
-        group already: its key columns -- one or several -- and the batch's
-        last column, the counts, are extended as they come and handed over
-        as the groups' columns, no dict in between.  With no group key the
-        rows make the implicit group: one row, whose count is 0 over no
-        rows.  Either way every group-key cell is an ID.
+        """The count sink: a pure-COUNT aggregation.  Fed *grouped*
+        (:meth:`_pattern_runs`, a folded join's keys), each group is whole
+        already: its key columns and counts are handed over as they are.
+        Otherwise one :class:`Counter` counts the rows by their group key
+        -- the row itself when the keys are all of it, the one ID when there
+        is one -- in first-seen group order, as the general fold.  With no
+        group key the rows make the implicit group: one row, whose count is
+        0 over no rows.  Either way every group-key cell is an ID.
         """
         group_vars, items = plan
-        group_columns = [col_of.get(variable) for variable in group_vars]
-        input_rows = 0
-        n_batches = 0
-        if runs:
-            cols = [[] for _ in group_columns]
-            counts: List[int] = []
-            for batch in batches:
-                n_batches += 1
-                input_rows += len(batch[0])
-                for column, c in zip(cols, group_columns):
-                    column.extend(batch[c])
-                counts.extend(batch[-1])
+        group_columns = [col_of[variable] for variable in group_vars]
+        if grouped:
+            cols = [source[column] for column in group_columns]
+            counts = source[-1]
+            input_rows = len(counts)
+        elif not group_columns:  # the implicit group
+            input_rows = len(list(source))
+            cols, counts = [], [input_rows]
         else:
-            counter: Counter = Counter()
             single = len(group_columns) == 1
-            for batch in batches:
-                n_batches += 1
-                input_rows += len(batch[0])
-                counter.update(
-                    batch[group_columns[0]] if single else zip(*[batch[c] for c in group_columns])
-                )
-            if not group_columns:  # the implicit group
-                counter[()] = input_rows
-            keys = list(counter)
-            if single:
-                cols = [keys]
-            else:
-                cols = [list(column) for column in zip(*keys)] or [[] for _ in group_columns]
+            if single:  # an ID, not a 1-tuple, keys the group
+                source = map(itemgetter(group_columns[0]), source)
+            elif group_columns != list(range(len(col_of))):
+                source = map(picker(group_columns), source)
+            counter = Counter(source)
+            input_rows = sum(counter.values())
+            cols = [list(counter)] if single else (
+                [list(column) for column in zip(*counter)] or [[] for _ in group_columns]
+            )
             counts = list(counter.values())
-        stats = {
-            "input_rows": input_rows,
-            "batches": n_batches,
-            "tracked_rows": len(counts),
-        }
         cols.append(counts)
         columns = [
             group_vars.index(payload) if kind == "var" else len(group_columns)
             for kind, payload, _name in items
         ]
+        stats = {"input_rows": input_rows, "tracked_rows": len(counts)}
         return self._aggregate_page(query, items, cols, columns, stats)
 
     def _run_select_general(self, query: SelectQuery) -> SelectResult:

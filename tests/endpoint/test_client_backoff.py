@@ -145,3 +145,19 @@ def test_a_retry_setting_that_would_fail_mid_query_is_refused(name, value):
         SparqlClient(network, **{name: value})
     assert network.clock.now_ms == 0.0
 
+
+#: values no millisecond setting takes: a bool is no duration
+#: (``max_backoff_total_ms=False`` built a client that never backed off,
+#: ``retry_backoff_ms=True`` a 1 ms ramp), and neither is a non-finite,
+#: negative or non-numeric value
+HOSTILE_MS = [True, False, math.nan, math.inf, -math.inf, -1, "4", None]
+
+
+@pytest.mark.parametrize("value", HOSTILE_MS, ids=repr)
+@pytest.mark.parametrize("name", ["retry_backoff_ms", "backoff_cap_ms", "max_backoff_total_ms"])
+def test_a_millisecond_setting_that_is_no_duration_is_refused(name, value):
+    network = _flaky_network(seed=0)
+    with pytest.raises(ValueError, match=name):
+        SparqlClient(network, **{name: value})
+    assert network.clock.now_ms == 0.0
+

@@ -64,18 +64,16 @@ def test_every_sink_names_its_operator(small_graph):
     assert stats["input_rows"] == stats["decoded_rows"] == 5
 
 
-def test_explain_reports_rows_per_batch(small_graph, monkeypatch):
-    """The columnar sinks record batches alongside input_rows, so
-    EXPLAIN ANALYZE can report rows-per-batch without per-row cost."""
-    monkeypatch.setattr(QueryEngine, "BATCH_SIZE", 2)
+def test_explain_reports_the_runs_a_sink_read(small_graph):
+    """A run-fed count sink reads one key per group, and EXPLAIN ANALYZE
+    reports it on the sink's line."""
     report = QueryEngine(small_graph).explain(AGGREGATE)
     stats = report.exec_stats
     assert stats["operator"] == "aggregate-id"
-    # two classes' runs, two runs a batch (parent: 2 batches, three typed
-    # subjects at two rows a batch)
-    assert stats["batches"] == 1
-    assert stats["input_rows"] == 2  # parent: 3
-    assert "sparql.aggregate-id" in report.render()
+    # two classes' runs (three typed subjects before runs)
+    assert stats["input_rows"] == stats["scan_cells"] == 2
+    (line,) = [line for line in report.render().splitlines() if "sparql.aggregate-id" in line]
+    assert "input_rows=2" in line and "scan_cells=2" in line
 
 
 def test_aggregate_sink_reports_the_page_it_decoded(scholarly):

@@ -100,15 +100,10 @@ def _check_reads(graph, model, pick):
             assert list(graph.triples_ids(*pattern)) == rows, pattern
             assert graph.count_ids(*pattern) == len(rows)
             for want in MASKS:
-                got = [[], [], []]
-                for batch in graph.scan_columns(*pattern, want, 3):
-                    for column, cells in zip(got, batch):
-                        column.extend(cells)
                 expected = [
-                    [row[i] if wanted else None for row in rows]
-                    for i, wanted in enumerate(want)
+                    tuple(cell for cell, wanted in zip(row, want) if wanted) for row in rows
                 ]
-                assert got == expected, (pattern, want)
+                assert list(graph.scan_rows(*pattern, want)) == expected, (pattern, want)
 
 
 @pytest.mark.parametrize("shards", [None, 1, 2, 4])

@@ -1,13 +1,12 @@
-"""``Graph.scan_columns`` against its oracle, ``triples_ids``.
+"""``Graph.scan_rows`` against its oracle, ``triples_ids``.
 
-The column scan is the primitive under the SPARQL columnar executor: the
-same rows in the same order as ``triples_ids``, cut into exact batches,
-with the positions nobody wants left as ``None`` cells and the index
-levels below the last wanted position counted instead of walked.  The
-differential runs every bound mask x every ``want`` mask x the batch
-sizes and limits below over graphs built by interleaved ``add`` /
-``remove`` -- an emptied inner dict or set left behind by ``remove``
-would show as phantom rows in a counted level.
+The row scan is the primitive under the SPARQL columnar sinks: the same
+rows in the same order as ``triples_ids``, each cut to the positions
+somebody wants, with the index levels below the last wanted position
+counted instead of walked.  The differential runs every bound mask x
+every ``want`` mask over graphs built by interleaved ``add`` / ``remove``
+-- an emptied inner dict or set left behind by ``remove`` would show as
+phantom rows in a counted level.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ _writes = st.lists(
 )
 
 MASKS = list(itertools.product((False, True), repeat=3))
-BATCH_SIZES = (1, 2, 7, 1024)
-LIMITS = (None, 0, 1, 5)
 
 
 def _build(writes, shards=None) -> Graph:
@@ -62,41 +59,29 @@ def _probes(graph: Graph, pick: int):
     return [first, (first[0], second[1], second[2])]
 
 
+def _cut(rows, want):
+    return [tuple(cell for cell, wanted in zip(row, want) if wanted) for row in rows]
+
+
 def _assert_scan_equals_triples_ids(graph: Graph, pick: int) -> None:
     for probe in _probes(graph, pick):
         for bound in MASKS:
             pattern = tuple(v if b else None for v, b in zip(probe, bound))
             rows = list(graph.triples_ids(*pattern))
-            for want, batch_size, limit in itertools.product(MASKS, BATCH_SIZES, LIMITS):
-                expected = rows[:limit]
-                batches = list(graph.scan_columns(*pattern, want, batch_size, limit))
-                context = (pattern, want, batch_size, limit)
-                lengths = [len(batch[0]) for batch in batches]
-                assert all(len(batch) == 3 for batch in batches), context
-                assert all(
-                    len(column) == n for batch, n in zip(batches, lengths) for column in batch
-                ), context
-                # exact batches, the last one shorter and never empty
-                assert lengths[:-1] == [batch_size] * (len(lengths) - 1), context
-                assert sum(lengths) == len(expected), context
-                assert all(0 < n <= batch_size for n in lengths), context
-                for position, wanted in enumerate(want):
-                    cells = [cell for batch in batches for cell in batch[position]]
-                    if wanted:
-                        assert cells == [row[position] for row in expected], context
-                    else:
-                        assert cells == [None] * len(expected), context
+            for want in MASKS:
+                got = list(graph.scan_rows(*pattern, want))
+                assert got == _cut(rows, want), (pattern, want)
 
 
 @settings(max_examples=25, deadline=None)
 @given(writes=_writes, pick=st.integers(min_value=0, max_value=50))
-def test_scan_columns_equals_triples_ids(writes, pick):
+def test_scan_rows_equals_triples_ids(writes, pick):
     _assert_scan_equals_triples_ids(_build(writes), pick)
 
 
 @settings(max_examples=15, deadline=None)
 @given(writes=_writes, pick=st.integers(min_value=0, max_value=50))
-def test_scan_columns_equals_triples_ids_on_two_shards(writes, pick):
+def test_scan_rows_equals_triples_ids_on_two_shards(writes, pick):
     _assert_scan_equals_triples_ids(_build(writes, shards=2), pick)
 
 
@@ -115,10 +100,10 @@ def test_removes_leave_nothing_for_a_counted_level_to_count():
             (False, s1, p0, Literal(3)),
         ]
     )
-    (batch,) = graph.scan_columns(None, None, None, (True, False, False), 1024)
-    assert batch == [[graph.lookup_id(s0)], [None], [None]]
-    (batch,) = graph.scan_columns(None, None, None, (False, False, False), 1024)
-    assert batch == [[None], [None], [None]]
+    assert list(graph.scan_rows(None, None, None, (True, False, False))) == [
+        (graph.lookup_id(s0),)
+    ]
+    assert list(graph.scan_rows(None, None, None, (False, False, False))) == [()]
 
 
 class _CountedOnly(set):
@@ -134,13 +119,11 @@ def test_subject_only_scan_counts_the_object_sets():
     graph = Graph()
     for i in range(40):
         graph.add(Triple(_SUBJECTS[i % 4], _PREDICATES[i % 3], Literal(i)))
-    expected = [s for s, _p, _o in graph.triples_ids()]
+    expected = [(s,) for s, _p, _o in graph.triples_ids()]
     for by_predicate in graph.spo_ids().values():
         for predicate, objects in by_predicate.items():
             by_predicate[predicate] = _CountedOnly(objects)
-    batches = list(graph.scan_columns(None, None, None, (True, False, False), 7))
-    assert [s for batch in batches for s in batch[0]] == expected
-    assert all(batch[1] == batch[2] == [None] * len(batch[0]) for batch in batches)
+    assert list(graph.scan_rows(None, None, None, (True, False, False))) == expected
     # the spy works: wanting the objects has to read them
     with pytest.raises(AssertionError, match="only had to count"):
-        list(graph.scan_columns(None, None, None, (True, False, True), 7))
+        list(graph.scan_rows(None, None, None, (True, False, True)))

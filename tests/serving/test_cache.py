@@ -8,6 +8,8 @@ generation contract) do NOT evict.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.endpoint import AlwaysAvailable, EndpointProfile, SimulationClock, SparqlEndpoint
@@ -193,6 +195,13 @@ def test_a_capacity_that_is_not_a_count_is_refused(capacity):
 
 @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1.0, None])
 def test_an_admission_floor_that_is_not_finite_and_non_negative_is_refused(floor):
+    with pytest.raises(ValueError, match="min_service_ms"):
+        ResultCache(capacity=4, min_service_ms=floor)
+
+
+@pytest.mark.parametrize("floor", [True, False, -math.inf, -1, "4"], ids=repr)
+def test_an_admission_floor_that_is_no_duration_is_refused(floor):
+    """A bool is no duration: ``min_service_ms=True`` was taken as 1 ms."""
     with pytest.raises(ValueError, match="min_service_ms"):
         ResultCache(capacity=4, min_service_ms=floor)
 

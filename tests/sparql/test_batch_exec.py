@@ -1,26 +1,25 @@
-"""Batch-boundary conformance for the columnar executor.
+"""Row-source conformance for the columnar executor.
 
-A plain page and a pure-COUNT aggregation run as ``BATCH_SIZE``-row column
-batches through one source (index scan | lazy chain | eager join) and one
-of two sinks, so their results must not depend on where the batch edges
-fall.  The suite sweeps ``QueryEngine.BATCH_SIZE`` in {1, 7, 1024, > rows}
-on the default engine -- against the larger-than-input size row for row,
-and against the ``scan`` oracle -- and pins the batch-edge cases a
-row-at-a-time suite can never see:
+A plain page and a pure-COUNT aggregation run as ID rows, pulled lazily,
+through one source (index scan | lazy chain | eager join) and one of two
+sinks.  The suite checks the default engine against the ``scan`` oracle,
+checks that a page is the matching slice of its unpaged query row for
+row, and pins the cases a row-at-a-time oracle cannot see:
 
-* DISTINCT keys recurring across batch boundaries,
-* batches emptied wholesale by a selective FILTER,
-* COUNT groups whose members span many batches,
+* DISTINCT keys that recur across the scan,
+* a selective FILTER that hands the sink only the passing rows,
+* COUNT groups whose members are spread over the scan,
 * the LIMIT bound: a LIMIT-bounded unbound scan of a sharded store
   stops materialising rows once the slice is satisfied,
 * routing: a multi-pattern BGP never builds a whole-graph probe table.
 
 ORDER BY ties and order-sensitive folds (GROUP_CONCAT, SAMPLE) run the
-general path; their batch-edge cases below pin that route and the
-oracle's rows.
+general path; their cases below pin that route and the oracle's rows.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -32,10 +31,6 @@ from repro.sparql import QueryEngine
 from repro.sparql.results import AskResult
 
 EX = "http://example.org/"
-
-#: degenerate, prime-sized (so group and tie runs straddle edges), the
-#: default, and larger-than-input
-BATCH_SIZES = (1, 7, 1024, 10**6)
 
 #: ``(query, oracle)``: *oracle* marks queries whose row multiset is
 #: fully determined (no enumeration-order-dependent slice, SAMPLE or
@@ -100,12 +95,10 @@ def _build(triples) -> Graph:
     return g
 
 
-def _run(graph, query, batch_size):
-    """``(result, stats)`` of *query* with ``BATCH_SIZE`` patched."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
-        execution = QueryEngine(graph).execute(query)
-        return execution.result, execution.stats
+def _run(graph, query):
+    """``(result, stats)`` of *query* on the default engine."""
+    execution = QueryEngine(graph).execute(query)
+    return execution.result, execution.stats
 
 
 def _ordered_rows(result):
@@ -130,20 +123,24 @@ def _assert_same(reference, candidate, context):
     assert _ordered_rows(reference) == _ordered_rows(candidate), context
 
 
+_PAGE = re.compile(r"(?: OFFSET (\d+))?(?: LIMIT (\d+))?$")
+
+
 @settings(max_examples=120, deadline=None)
-@given(
-    triples=triples_strategy,
-    batch_size=st.sampled_from(BATCH_SIZES),
-    case=st.sampled_from(QUERIES),
-)
-def test_property_batch_size_never_changes_results(triples, batch_size, case):
-    """Any batch size reproduces the one-batch result row for row, and
-    the scan oracle's solutions."""
+@given(triples=triples_strategy, case=st.sampled_from(QUERIES))
+def test_property_a_page_is_its_query_s_slice(triples, case):
+    """A page is the slice of its unpaged query's rows, row for row, and
+    the result is the scan oracle's solutions."""
     query, oracle = case
     graph = _build(triples)
-    reference, _ = _run(graph, query, 10**6)
-    candidate, _ = _run(graph, query, batch_size)
-    _assert_same(reference, candidate, (batch_size, query))
+    candidate, _ = _run(graph, query)
+    page = _PAGE.search(query)
+    if page.group(0):
+        unpaged, _ = _run(graph, query[: page.start()])
+        offset = int(page.group(1) or 0)
+        limit = None if page.group(2) is None else offset + int(page.group(2))
+        assert candidate.variables == unpaged.variables, query
+        assert _ordered_rows(candidate) == _ordered_rows(unpaged)[offset:limit], query
     if oracle:
         scan = QueryEngine(graph, strategy="scan").run(query)
         if isinstance(scan, AskResult):
@@ -153,78 +150,86 @@ def test_property_batch_size_never_changes_results(triples, batch_size, case):
             assert _canonical_rows(scan) == _canonical_rows(candidate), query
 
 
-# -- pinned batch-edge cases -------------------------------------------------
+# -- pinned cases ---------------------------------------------------------------
 
 
 def _edge_graph() -> Graph:
     """30 rows of one predicate whose objects cycle through 5 values:
-    every batch size in the sweep puts duplicate keys, group members and
-    sort ties on both sides of some batch edge."""
+    duplicate keys, group members and sort ties spread over the scan."""
     g = Graph()
     for i in range(30):
         g.add(Triple(IRI(f"{EX}s{i:02d}"), IRI(f"{EX}v"), Literal(i % 5)))
     return g
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
-def test_distinct_keys_recur_across_batch_boundaries(batch_size):
-    # ?o is the leaf level of SPO, so the scan expands rows (the parent
-    # asked ``?s <v> ?o``, which now reads ?o's runs: the twin below)
+def test_distinct_keys_recur_across_the_scan():
+    # ?o is the leaf level of SPO, so the scan expands rows (``?s <v> ?o``
+    # reads ?o's runs: the twin below)
     graph = _edge_graph()
     query = "SELECT DISTINCT ?o WHERE { ?s ?p ?o }"
-    reference, _ = _run(graph, query, 10**6)
-    result, stats = _run(graph, query, batch_size)
-    _assert_same(reference, result, batch_size)
+    result, stats = _run(graph, query)
+    oracle = QueryEngine(graph, strategy="scan").run(query)
+    assert _canonical_rows(result) == _canonical_rows(oracle)
     assert stats["operator"] == "select-id"
     assert stats["distinct_keys"] == 5
     assert stats["input_rows"] == 30
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
-def test_distinct_leading_level_reads_each_key_once(batch_size):
+def test_a_distinct_page_reads_only_the_rows_it_lacks_keys_for():
+    """While a DISTINCT page is short it reads as many more rows as it
+    lacks keys: objects 0, 0, 1, 1, 2, ... and LIMIT 3 read 3 rows (two
+    keys), 1 (a repeat), 1 (the third key) -- 5 of the 30."""
+    g = Graph()
+    for i in range(30):
+        g.add(Triple(IRI(f"{EX}s{i:02d}"), IRI(f"{EX}v"), Literal(i // 2)))
+    query = "SELECT DISTINCT ?o WHERE { ?s ?p ?o } LIMIT 3"
+    result, stats = _run(g, query)
+    assert [int(row["o"].lexical) for row in result.rows] == [0, 1, 2]
+    assert stats["operator"] == "select-id"
+    assert (stats["input_rows"], stats["distinct_keys"], stats["scan_cells"]) == (5, 3, 5)
+
+
+def test_distinct_leading_level_reads_each_key_once():
     """The runs twin: ?o heads POS under ``<v>``, so the sink is handed
-    the five keys, a batch at a time, and keeps the expanded order."""
+    the five keys and keeps the expanded order."""
     graph = _edge_graph()
     query = f"SELECT DISTINCT ?o WHERE {{ ?s <{EX}v> ?o }}"
-    expanded, _ = _run(graph, "SELECT DISTINCT ?o WHERE { ?s ?p ?o }", 10**6)
-    result, stats = _run(graph, query, batch_size)
-    _assert_same(expanded, result, batch_size)
+    expanded, _ = _run(graph, "SELECT DISTINCT ?o WHERE { ?s ?p ?o }")
+    result, stats = _run(graph, query)
+    _assert_same(expanded, result, query)
     assert stats["operator"] == "select-id"
     assert stats["distinct_keys"] == stats["input_rows"] == stats["scan_cells"] == 5
-    assert stats["batches"] == -(-5 // batch_size)
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("limit", (4, 5, 6, 13))
 @pytest.mark.parametrize("source", ("simple", "optional"))
-def test_topk_ties_at_batch_edges(batch_size, limit, source):
+def test_topk_ties_keep_the_full_sort_s_rows(limit, source):
     """Six-way sort-key ties: whichever rows the slice cuts through, the
-    kept ties are decided by the global row sequence, so every batch
-    size keeps exactly the first ``limit`` rows of the full sort, the
-    oracle's -- on the general path, over the plain pattern and behind
-    an OPTIONAL that never matches."""
+    kept ties are decided by the global row sequence, so the page is
+    exactly the first ``limit`` rows of the full sort, the oracle's --
+    on the general path, over the plain pattern and behind an OPTIONAL
+    that never matches."""
     graph = _edge_graph()
     never = f" OPTIONAL {{ ?s <{EX}absent> ?m }}" if source == "optional" else ""
     query = f"SELECT ?s ?o WHERE {{ ?s <{EX}v> ?o{never} }} ORDER BY ?o"
-    full, _ = _run(graph, query, 10**6)
-    result, stats = _run(graph, f"{query} LIMIT {limit}", batch_size)
+    full, _ = _run(graph, query)
+    result, stats = _run(graph, f"{query} LIMIT {limit}")
     assert _ordered_rows(result) == _ordered_rows(full)[:limit]
     oracle = QueryEngine(graph, strategy="scan").run(f"{query} LIMIT {limit}")
     assert _ordered_rows(result) == _ordered_rows(oracle)
     assert stats["operator"] == "general"
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
-def test_full_sort_ties_at_batch_edges(batch_size):
+def test_full_sort_ties_keep_the_scan_order():
     """Without LIMIT the general path sorts everything: equal keys keep
     the scan's row order (ascending and descending alike) -- a stable
     sort of the unordered page, the oracle's rows."""
     graph = _edge_graph()
     pattern = f"SELECT ?s ?o WHERE {{ ?s <{EX}v> ?o }}"
-    unordered, _ = _run(graph, pattern, 10**6)
+    unordered, _ = _run(graph, pattern)
     for order, descending in (("?o", False), ("DESC(?o)", True)):
         query = f"{pattern} ORDER BY {order}"
-        result, stats = _run(graph, query, batch_size)
+        result, stats = _run(graph, query)
         assert result.rows == sorted(
             unordered.rows, key=lambda row: int(row["o"].lexical), reverse=descending
         )
@@ -232,51 +237,43 @@ def test_full_sort_ties_at_batch_edges(batch_size):
         assert stats["operator"] == "general"
 
 
-@pytest.mark.parametrize("batch_size", (1, 7, 10))
-def test_selective_filter_empties_whole_batches(batch_size):
-    """Blocks of literal-only rows: with batch_size dividing the block
-    runs, some batches lose every row to FILTER(isIRI(?o)).  Empty
-    batches must vanish without tripping the sink or the modifiers."""
+def test_a_selective_filter_hands_the_sink_only_passing_rows():
+    """Blocks of literal-only rows: whole runs of the scan lose every row
+    to FILTER(isIRI(?o)), and the sink reads only the rows that pass."""
     g = Graph()
     for i in range(40):
         # rows 10..19 and 30..39 are IRIs, the rest literals
         obj = IRI(f"{EX}o{i}") if (i // 10) % 2 else Literal(i)
         g.add(Triple(IRI(f"{EX}s{i:02d}"), IRI(f"{EX}v"), obj))
     query = f"SELECT ?s ?o WHERE {{ ?s <{EX}v> ?o FILTER(isIRI(?o)) }}"
-    reference, _ = _run(g, query, 10**6)
-    result, stats = _run(g, query, batch_size)
-    _assert_same(reference, result, batch_size)
+    result, stats = _run(g, query)
+    oracle = QueryEngine(g, strategy="scan").run(query)
+    assert _canonical_rows(result) == _canonical_rows(oracle)
     assert len(result.rows) == 20
-    # the sink only ever sees surviving batches
+    # the sink only ever sees surviving rows
     assert stats["input_rows"] == 20
-    assert stats["batches"] <= -(-40 // batch_size)
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
-def test_group_by_groups_span_batches(batch_size):
+def test_interleaved_groups_fold_on_the_general_path():
     """Interleaved group keys: every group's members are spread over the
     scan, and the order-sensitive folds (GROUP_CONCAT order, first
-    SAMPLE) run the general path and match the one-batch run and the
-    oracle bit for bit."""
+    SAMPLE) run the general path and match the oracle bit for bit."""
     graph = _edge_graph()
     query = (
         f"SELECT ?o (COUNT(?s) AS ?n) (GROUP_CONCAT(?s) AS ?members) "
         f"(SAMPLE(?s) AS ?first) WHERE {{ ?s <{EX}v> ?o }} GROUP BY ?o ORDER BY ?o"
     )
-    reference, _ = _run(graph, query, 10**6)
-    result, stats = _run(graph, query, batch_size)
-    _assert_same(reference, result, batch_size)
-    _assert_same(QueryEngine(graph, strategy="scan").run(query), result, batch_size)
+    result, stats = _run(graph, query)
+    _assert_same(QueryEngine(graph, strategy="scan").run(query), result, query)
     assert stats["operator"] == "general"
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
-def test_pure_count_group_by_matches_general_fold(batch_size):
+def test_pure_count_group_by_matches_general_fold():
     """The Counter fast path (single key, plain COUNT) must keep the
     dict fold's first-seen group order and counts."""
     graph = _edge_graph()
     query = f"SELECT ?o (COUNT(?s) AS ?n) WHERE {{ ?s <{EX}v> ?o }} GROUP BY ?o"
-    result, stats = _run(graph, query, batch_size)
+    result, stats = _run(graph, query)
     assert [(int(r["o"].lexical), int(r["n"].lexical)) for r in result.rows] == [
         (value, 6) for value in range(5)
     ]
@@ -286,7 +283,6 @@ def test_pure_count_group_by_matches_general_fold(batch_size):
         graph,
         f"SELECT ?o (COUNT(?s) AS ?n) (MIN(?s) AS ?lo) WHERE {{ ?s <{EX}v> ?o }} "
         "GROUP BY ?o",
-        batch_size,
     )
     assert [(r["o"], r["n"]) for r in general.rows] == [
         (r["o"], r["n"]) for r in result.rows
@@ -297,8 +293,8 @@ def test_pure_count_group_by_matches_general_fold(batch_size):
     "query,operator,input_rows",
     [
         (f"SELECT ?s ?o WHERE {{ ?s <{EX}v> ?o }}", "select-id", 30),
-        # the eager join ships its rows to the sink as column batches too
-        # (30 subjects x 6 sharing each object)
+        # the eager join hands its rows to the sink too (30 subjects x 6
+        # sharing each object)
         (f"SELECT ?s ?t WHERE {{ ?s <{EX}v> ?o . ?t <{EX}v> ?o }}", "select-id", 180),
         # ?o is no leading index level here, so the fold counts rows (the
         # parent's ``?s <v> ?o`` is the runs row below)
@@ -310,14 +306,12 @@ def test_pure_count_group_by_matches_general_fold(batch_size):
     ],
     ids=["scan", "join", "fold", "runs"],
 )
-def test_exec_stats_report_rows_per_batch(query, operator, input_rows):
-    """batches * BATCH_SIZE covers input_rows -- O(rows / BATCH_SIZE)
-    control-flow transfers into every sink (runs: O(keys / BATCH_SIZE)):
-    EXPLAIN ANALYZE derives rows-per-batch from the two counters."""
-    _, stats = _run(_edge_graph(), query, 7)
+def test_exec_stats_count_the_rows_each_sink_read(query, operator, input_rows):
+    """``input_rows`` is what the sink read off its source: rows, or the
+    keys of runs."""
+    _, stats = _run(_edge_graph(), query)
     assert stats["operator"] == operator
     assert stats["input_rows"] == input_rows
-    assert stats["batches"] == -(-input_rows // 7)
 
 
 # -- routing: the source follows from the patterns ----------------------------
@@ -327,7 +321,7 @@ def test_multi_pattern_bgps_never_build_a_whole_graph_probe_table():
     """A deterministic work count, not a timing: neither the small-LIMIT
     typed-join page nor the per-class extraction histogram may scan the
     open ``?s ?p ?o`` pattern into a probe table.  Build-then-probe over
-    column batches does exactly that (``rows_out == len(graph)`` for a
+    the scan does exactly that (``rows_out == len(graph)`` for a
     20-row page, or for the one subject of the smallest class), which is
     an 18x loss on the index-extraction workload."""
     g = government_graph(scale=0.2, seed=5)
@@ -369,11 +363,11 @@ def test_limit_bounded_scan_ships_bounded_shard_rows(shards):
     (LIMIT 70: past the small-LIMIT streaming bound.)"""
     store = _sharded_edge_store(shards)
     query = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }"
-    result, stats = _run(store, f"{query} LIMIT 70", 8)
+    result, stats = _run(store, f"{query} LIMIT 70")
     assert stats["operator"] == "select-id"
     assert stats["scan_cells"] == 70 * 3
     # the unbounded scan reads everything by contrast
-    full, stats = _run(store, query, 8)
+    full, stats = _run(store, query)
     assert stats["scan_cells"] == 600 * 3
     assert _ordered_rows(result) == _ordered_rows(full)[:70]
 
@@ -385,6 +379,7 @@ def test_limit_zero_select_star_still_derives_its_header():
     execution = QueryEngine(store).execute("SELECT * WHERE { ?s ?p ?o } LIMIT 0")
     result = execution.result
     assert execution.stats["operator"] == "select-id"
+    assert execution.stats["input_rows"] == 1  # the witness, no more
     assert result.rows == []
     assert result.variables == ["o", "p", "s"]
     reference = QueryEngine(store, strategy="scan").run(

@@ -32,7 +32,7 @@ ex:e ex:score 1 ; ex:group ex:g1 ; a ex:T .
 
 PREFIX = "PREFIX ex: <http://example.org/> "
 
-#: the same rows off the simple WHERE clause (the sinks' ID batches) and --
+#: the same rows off the simple WHERE clause (the sinks' ID rows) and --
 #: behind an OPTIONAL that never matches -- off the general path
 SOURCES = {"simple": "", "optional": " OPTIONAL { ?s ex:absent ?absent }"}
 
@@ -139,7 +139,7 @@ def test_expression_sort_key_falls_back(graph):
 # One table-driven differential against the scan oracle.  A row is a sort
 # key kind; every row runs ASC/DESC x with/without a tie-breaking second
 # condition x the OFFSET/LIMIT table x DISTINCT x HAVING, from both sources,
-# at three batch sizes and two shard counts.  Only a pure-COUNT row over
+# on two shard counts.  Only a pure-COUNT row over
 # the simple source with neither DISTINCT nor HAVING runs the aggregate
 # sink; any other fold, an unbound group key, an expression sort key, a
 # DISTINCT, a HAVING or the OPTIONAL source runs the general path.  Ties are everywhere in
@@ -199,7 +199,6 @@ def agg_graph(request):
     return graph
 
 
-@pytest.mark.parametrize("batch_size", (1, 7, 1024))
 @pytest.mark.parametrize("source", sorted(SOURCES))
 @pytest.mark.parametrize(
     "projection,group_by,key,groups,columnar",
@@ -207,9 +206,8 @@ def agg_graph(request):
     ids=[row[0] for row in AGG_KEYS],
 )
 def test_ordered_aggregate_matches_the_scan_oracle(
-    agg_graph, monkeypatch, projection, group_by, key, groups, columnar, source, batch_size,
+    agg_graph, projection, group_by, key, groups, columnar, source,
 ):
-    monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
     engine = QueryEngine(agg_graph)
     oracle = QueryEngine(agg_graph, strategy="scan")
     for descending, tie_break, page, distinct, having in itertools.product(
@@ -235,7 +233,7 @@ def test_ordered_aggregate_matches_the_scan_oracle(
         if not columnar or having or distinct or source != "simple":
             assert stats["operator"] == "general", query
             continue
-        folded = 0 if page == "LIMIT 0" else groups  # a LIMIT 0 page reads no batch
+        folded = 0 if page == "LIMIT 0" else groups  # a LIMIT 0 page reads nothing
         assert stats["operator"] == "aggregate-id", query
         assert stats["tracked_rows"] == folded, query
         # only the page that survived the modifiers was decoded
@@ -247,14 +245,11 @@ def test_ordered_aggregate_matches_the_scan_oracle(
 # Every row below runs from both sources on the general path against the
 # scan oracle's sort-then-slice, through every page of TAIL_PAGES, with
 # and without DISTINCT: a DISTINCT keeps each key's earliest row in sort
-# order, and the last tie-break is the input sequence.  The batch sizes
-# reach no batch on the general path; they stay so that a sink brought
-# back for this shape meets the same table, edges included.
+# order, and the last tie-break is the input sequence.
 # The data is nine subjects with one first key shared by all of them
 # (``same``), one with two values split 2 / 7 (``two``) and one with three
 # values in no order (``b``), so a page's edge lands inside a tie group
-# whatever the page, and at batch sizes 1 and 3 every tie group spans a
-# batch edge.
+# whatever the page.
 
 TAIL_DATA = """
 @prefix ex: <http://example.org/> .
@@ -318,16 +313,12 @@ def _header_and_rows(result):
     return list(result.variables), _ordered(result)
 
 
-@pytest.mark.parametrize("batch_size", (1, 3, 1024))
 @pytest.mark.parametrize("source", sorted(SOURCES))
 @pytest.mark.parametrize(
     "projection,where,order", [row[1:] for row in TAIL_ORDERS],
     ids=[row[0] for row in TAIL_ORDERS],
 )
-def test_lazy_tail_matches_sort_then_slice(
-    tail_graph, monkeypatch, projection, where, order, source, batch_size
-):
-    monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
+def test_lazy_tail_matches_sort_then_slice(tail_graph, projection, where, order, source):
     engine = QueryEngine(tail_graph)
     oracle = QueryEngine(tail_graph, strategy="scan")
     for page, distinct in itertools.product(TAIL_PAGES, (False, True)):

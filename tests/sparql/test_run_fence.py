@@ -9,7 +9,7 @@ nothing else.  This fence holds the path to the expanded scan it replaces:
 * ``scan_runs`` equals its oracle over ``triples_ids`` for every bound mask,
   declines the masks without a leading unbound level and a sharded store,
   and reads no leaf for a whole-graph run's keys or sizes;
-* every eligible shape x bound mask x page x ``BATCH_SIZE`` equals the
+* every eligible shape x bound mask x page equals the
   ``scan`` oracle as a multiset and the first-seen order of the level's
   values as a list -- on a written-and-removed graph, its ``copy()``, a
   recovered store, and ``Graph(shards=2)``, which takes today's path;
@@ -70,7 +70,6 @@ SHAPES = [
 ]
 #: (OFFSET, LIMIT)
 PAGES = [(0, None), (0, 0), (0, 2), (1, None), (1, 2)]
-BATCH_SIZES = (1, 4, 1024)
 
 
 def _build(writes, shards=None) -> Graph:
@@ -103,11 +102,9 @@ def _probe(graph: Graph, pick: int):
     return stored[pick % len(stored)] if stored else None
 
 
-def _run(graph, query, batch_size, strategy="hash"):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
-        execution = QueryEngine(graph, strategy=strategy).execute(query)
-        return execution.result, execution.stats
+def _run(graph, query, strategy="hash"):
+    execution = QueryEngine(graph, strategy=strategy).execute(query)
+    return execution.result, execution.stats
 
 
 def _multiset(result):
@@ -140,31 +137,26 @@ def _check_runs(graph: Graph, probe, runs_taken: bool) -> None:
             end = None if limit is None else offset + limit
             page = first_seen[offset:end]
             oracle = _multiset(QueryEngine(graph, strategy="scan").run(query))
-            for batch_size in BATCH_SIZES:
-                result, stats = _run(graph, query, batch_size)
-                context = (query, batch_size, runs_taken)
-                assert _multiset(result) == oracle, context
-                assert [row[NAMES[lead]] for row in result.rows] == [
-                    graph.decode_id(key) for key in page
+            result, stats = _run(graph, query)
+            context = (query, runs_taken)
+            assert _multiset(result) == oracle, context
+            assert [row[NAMES[lead]] for row in result.rows] == [
+                graph.decode_id(key) for key in page
+            ], context
+            if shape != "distinct":
+                assert [int(row["n"].lexical) for row in result.rows] == [
+                    counts[key] for key in page
                 ], context
-                if shape != "distinct":
-                    assert [int(row["n"].lexical) for row in result.rows] == [
-                        counts[key] for key in page
-                    ], context
-                if not runs_taken:
-                    if (offset, limit) == (0, None):
-                        assert stats["input_rows"] == len(rows), context
-                    continue
-                if limit is None:
-                    pulled = len(first_seen)
-                elif shape == "distinct":  # the select sink stops after a batch
-                    pulled = min(len(first_seen), -(-(offset + limit) // batch_size) * batch_size)
-                else:  # a run is a whole group: the count sink reads the page's runs
-                    pulled = min(len(first_seen), offset + limit)
-                if limit == 0:
-                    pulled = 0  # a LIMIT 0 page reads no batch
-                assert stats["input_rows"] == stats.get("scan_cells", 0) == pulled, context
-                assert stats["batches"] == -(-pulled // batch_size), context
+            if not runs_taken:
+                if (offset, limit) == (0, None):
+                    assert stats["input_rows"] == len(rows), context
+                continue
+            # a run is a whole group, or one distinct row: either sink
+            # reads the page's runs and no more
+            pulled = len(first_seen) if limit is None else min(len(first_seen), offset + limit)
+            if limit == 0:
+                pulled = 0  # a LIMIT 0 page reads nothing
+            assert stats["input_rows"] == stats.get("scan_cells", 0) == pulled, context
 
 
 # -- scan_runs against its oracle ------------------------------------------------
@@ -294,7 +286,7 @@ def test_ineligible_neighbours_expand_rows(query):
     graph.add(Triple(_SUBJECTS[0], _PREDICATES[1], _SUBJECTS[0]))
     rows = list(graph.triples_ids())
     matched = [t for t in rows if t[0] == t[2]] if "?s ?p ?s" in query else rows
-    result, stats = _run(graph, query, 4)
+    result, stats = _run(graph, query)
     oracle = QueryEngine(graph, strategy="scan").run(query)
     assert _multiset(result) == _multiset(oracle)
     assert stats["input_rows"] == len(matched)
@@ -317,7 +309,7 @@ def test_a_general_neighbour_builds_every_row(query):
     """Such a neighbour builds every row of the pattern on the general
     path and folds, gates or sorts them there."""
     graph = _build(FIXED_WRITES)
-    result, stats = _run(graph, query, 4)
+    result, stats = _run(graph, query)
     oracle = QueryEngine(graph, strategy="scan").run(query)
     assert _multiset(result) == _multiset(oracle)
     assert stats["operator"] == "general"

@@ -68,14 +68,10 @@ WANTED = [
 ]
 
 
-@pytest.mark.parametrize("batch_size", (1, 4, 1024))
 @pytest.mark.parametrize(
     "query,width,rows", [row[1:] for row in WANTED], ids=[row[0] for row in WANTED]
 )
-def test_scan_materialises_the_positions_a_sink_reads(
-    graph, monkeypatch, query, width, rows, batch_size
-):
-    monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
+def test_scan_materialises_the_positions_a_sink_reads(graph, query, width, rows):
     execution = QueryEngine(graph).execute(PREFIX + query)
     result = execution.result
     oracle = QueryEngine(graph, strategy="scan").run(PREFIX + query)
@@ -103,10 +99,8 @@ GENERAL = [
 ]
 
 
-@pytest.mark.parametrize("batch_size", (1, 4, 1024))
 @pytest.mark.parametrize("query,rows", [row[1:] for row in GENERAL], ids=[row[0] for row in GENERAL])
-def test_the_general_path_builds_every_row(graph, monkeypatch, query, rows, batch_size):
-    monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
+def test_the_general_path_builds_every_row(graph, query, rows):
     execution = QueryEngine(graph).execute(PREFIX + query)
     oracle = QueryEngine(graph, strategy="scan").run(PREFIX + query)
     assert _canonical(execution.result) == _canonical(oracle)
@@ -116,12 +110,10 @@ def test_the_general_path_builds_every_row(graph, monkeypatch, query, rows, batc
     assert "scan_cells" not in stats
 
 
-@pytest.mark.parametrize("batch_size", (1, 4, 1024))
-def test_a_filtered_pattern_streams_the_lazy_chain(graph, monkeypatch, batch_size):
+def test_a_filtered_pattern_streams_the_lazy_chain(graph):
     """A single pattern under a term-test FILTER feeds the select sink
-    the lazy chain's rows, FILTERed before any batch: no column is
+    the lazy chain's rows, FILTERed before the sink: no column is
     scanned, and ``input_rows`` counts the rows that passed."""
-    monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
     query = PREFIX + "SELECT ?s WHERE { ?s ?p ?o FILTER (isLiteral(?o)) }"
     execution = QueryEngine(graph).execute(query)
     oracle = QueryEngine(graph, strategy="scan").run(query)
@@ -129,7 +121,6 @@ def test_a_filtered_pattern_streams_the_lazy_chain(graph, monkeypatch, batch_siz
     stats = execution.stats
     assert stats["operator"] == "select-id"
     assert stats["input_rows"] == stats["decoded_rows"] == 7
-    assert stats["batches"] == -(-7 // batch_size)
     assert "scan_cells" not in stats
 
 
@@ -154,13 +145,10 @@ def test_pruned_scan_keeps_first_seen_group_order(graph):
 # -- tracked_rows: the groups the count sink held ------------------------------
 
 
-@pytest.mark.parametrize("batch_size", (1, 4, 1024))
-def test_tracked_rows_is_the_high_water_mark(graph, monkeypatch, batch_size):
-    """The count sink holds its groups, whatever the page or the batch
-    size; an ORDER BY over solutions -- DISTINCT, LIMITed or neither --
-    runs the general path, which holds no sink rows and equals the
-    oracle."""
-    monkeypatch.setattr(QueryEngine, "BATCH_SIZE", batch_size)
+def test_tracked_rows_is_the_high_water_mark(graph):
+    """The count sink holds its groups, whatever the page; an ORDER BY
+    over solutions -- DISTINCT, LIMITed or neither -- runs the general
+    path, which holds no sink rows and equals the oracle."""
     engine = QueryEngine(graph)
     oracle = QueryEngine(graph, strategy="scan")
     grouped = PREFIX + "SELECT ?o (COUNT(?s) AS ?n) WHERE {{ ?s ?p ?o }} GROUP BY ?o ORDER BY ?o {page}"
@@ -204,8 +192,8 @@ def test_top_entities_scans_one_column_and_keys_the_ties(bench_graph, templates)
     result, stats = execution.result, execution.stats
     assert len(result.rows) == stats["decoded_rows"] == 10
     assert stats["operator"] == "aggregate-id"
-    # one run per subject, three run batches (parent: 12427 rows, 13 batches)
-    assert (stats["input_rows"], stats["batches"], stats["tracked_rows"]) == (2990, 3, 2990)
+    # one run per subject (parent: 12427 rows)
+    assert (stats["input_rows"], stats["tracked_rows"]) == (2990, 2990)
     # one cell per run (parent: 12427, one of three positions) ...
     assert stats["scan_cells"] == 2990
     # ... the six distinct counts, and a ?s key for each subject tying at

@@ -2,7 +2,7 @@
 
 An ORDER BY over solutions runs the general path; a pure-COUNT
 aggregation over a simple WHERE clause (plain patterns, term-test
-FILTERs) runs the ``aggregate-id`` sink, fed ID batches straight off the
+FILTERs) runs the ``aggregate-id`` sink, fed ID rows straight off the
 indexes or the join, and every other aggregate the general path.
 Property tests pin the two contracts:
 

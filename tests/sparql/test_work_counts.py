@@ -65,15 +65,15 @@ TEMPLATE_STATS = {
     "typed-join-page": {"operator": "stream-select", "input_rows": 20, "decoded_rows": 20},
     "labels-page": {"operator": "stream-select", "input_rows": 12, "decoded_rows": 12},
     "class-census": {
-        "operator": "aggregate-id", "scan_cells": 12, "input_rows": 12, "batches": 1,
+        "operator": "aggregate-id", "scan_cells": 12, "input_rows": 12,
         "tracked_rows": 12, "sort_keys": 0, "decoded_rows": 12,
     },
     "top-entities": {
-        "operator": "aggregate-id", "scan_cells": 2990, "input_rows": 2990, "batches": 3,
+        "operator": "aggregate-id", "scan_cells": 2990, "input_rows": 2990,
         "tracked_rows": 2990, "sort_keys": 243, "decoded_rows": 10,
     },
     "distinct-classes": {
-        "operator": "select-id", "scan_cells": 12, "input_rows": 12, "batches": 1,
+        "operator": "select-id", "scan_cells": 12, "input_rows": 12,
         "distinct_keys": 12, "decoded_rows": 12,
     },
     "ask-typed": {"operator": "ask"},
@@ -122,13 +122,13 @@ def test_the_stats_of_one_serving_template(engine, texts, name):
 
 @pytest.mark.parametrize("shape", ["GROUP BY ?s"])
 def test_a_limit_zero_page_reads_nothing(engine, shape):
-    """``LIMIT 0`` under the aggregate sink pulls no batch: no cell is
+    """``LIMIT 0`` under the aggregate sink pulls nothing: no cell is
     scanned (``scan_cells`` is never booked) and no row enters the sink
     -- where its 2,990 subjects' runs were read before."""
     execution = engine.execute(f"SELECT ?s WHERE {{ ?s ?p ?o }} {shape} LIMIT 0")
     stats = execution.stats
     assert execution.result.rows == []
-    assert stats.get("scan_cells", 0) == stats["input_rows"] == stats["batches"] == 0
+    assert stats.get("scan_cells", 0) == stats["input_rows"] == 0
 
 
 def test_an_ordered_limit_zero_page_runs_the_general_path(engine):
@@ -143,16 +143,16 @@ def test_an_ordered_limit_zero_page_runs_the_general_path(engine):
 
 #: a run-fed pure-COUNT GROUP BY with no ORDER BY: each run is a whole
 #: group in first-seen order, so the sink reads the page's runs and no more
-#: -- ``(input_rows, tracked_rows, scan_cells, batches)``, 2,990 each (3
-#: batches) before it stopped at its page
-PAGE_STOP = ("SELECT ?s (COUNT(?p) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s LIMIT 10", (10, 10, 10, 1))
+#: -- ``(input_rows, tracked_rows, scan_cells)``, 2,990 each before it
+#: stopped at its page
+PAGE_STOP = ("SELECT ?s (COUNT(?p) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s LIMIT 10", (10, 10, 10))
 
 
 def test_a_run_fed_count_stops_at_its_page(engine):
     text, pin = PAGE_STOP
     stats = engine.execute(text).stats
     assert stats["operator"] == "aggregate-id"
-    assert (stats["input_rows"], stats["tracked_rows"], stats["scan_cells"], stats["batches"]) == pin
+    assert (stats["input_rows"], stats["tracked_rows"], stats["scan_cells"]) == pin
 
 
 def test_a_distinct_count_page_reads_every_group(engine):
@@ -174,7 +174,7 @@ RUN_FED_COUNTS = [
     "SELECT DISTINCT (COUNT(?p) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s",
     "SELECT DISTINCT ?s (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s",
     "SELECT (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s",
-    # the join's last step folds its rows into runs (``_key_batches``)
+    # the join's last step folds its rows into groups (``_fold_step``)
     "SELECT ?c ?p (COUNT(?o) AS ?n) WHERE { ?s a ?c . ?s ?p ?o } GROUP BY ?c ?p",
 ]
 PAGES = ["", " LIMIT 0", " LIMIT 3", " OFFSET 5 LIMIT 3", " OFFSET 2988 LIMIT 5", " OFFSET 7"]
@@ -188,6 +188,87 @@ def test_a_run_fed_count_page_equals_scan(engine, text, page):
     hash_rows = engine.execute(text + page).result.rows
     scan_rows = QueryEngine(engine.graph, strategy="scan").execute(text + page).result.rows
     assert hash_rows == scan_rows
+
+
+#: pages past the lazy chain's small-LIMIT bound whose sources are rows
+#: pulled lazily: the lazy chain (a FILTERed pattern) and the eager join.
+#: The select sink reads the page's rows and no more (1,024 each while
+#: the sinks took column batches: a whole batch before the cut)
+PAGED_SOURCES = [
+    "SELECT ?s ?o WHERE { ?s ?p ?o FILTER(isLiteral(?o)) } LIMIT 100",
+    "SELECT ?s ?o WHERE { ?s a ?c . ?s ?p ?o } LIMIT 100",
+]
+
+
+@pytest.mark.parametrize("text", PAGED_SOURCES, ids=["lazy-chain", "join"])
+def test_a_page_reads_only_its_rows(engine, text):
+    execution = engine.execute(text)
+    stats = execution.stats
+    assert stats["operator"] == "select-id"
+    assert stats["input_rows"] == stats["decoded_rows"] == 100
+    unpaged = engine.execute(text.replace(" LIMIT 100", "")).result.rows
+    assert len(unpaged) > 100
+    assert execution.result.rows == unpaged[:100]
+
+
+#: a LIMIT or OFFSET past ``sys.maxsize`` on each sink and source that
+#: slices a page (a cap ``islice`` cannot take reads every row instead)
+HUGE = 10**20
+HUGE_PAGES = [
+    f"SELECT ?s ?o WHERE {{ ?s ?p ?o }} LIMIT {HUGE}",
+    f"SELECT DISTINCT ?p WHERE {{ ?s ?p ?o }} LIMIT {HUGE}",
+    f"SELECT DISTINCT ?s WHERE {{ ?s ?p ?o }} LIMIT {HUGE}",
+    f"SELECT ?s (COUNT(?p) AS ?n) WHERE {{ ?s ?p ?o }} GROUP BY ?s LIMIT {HUGE}",
+    f"SELECT ?c ?p (COUNT(?o) AS ?n) WHERE {{ ?s a ?c . ?s ?p ?o }} GROUP BY ?c ?p LIMIT {HUGE}",
+    f"SELECT DISTINCT ?c ?p WHERE {{ ?s a ?c . ?s ?p ?o }} LIMIT {HUGE}",
+    f"SELECT ?s ?o WHERE {{ ?s ?p ?o }} OFFSET {HUGE} LIMIT 100",
+]
+
+
+@pytest.mark.parametrize("text", HUGE_PAGES)
+def test_a_page_past_maxsize_is_the_unpaged_result(engine, text):
+    result = engine.execute(text).result
+    assert result.rows == QueryEngine(engine.graph, strategy="scan").execute(text).result.rows
+
+
+#: one query per route, and per source of each columnar sink: name ->
+#: (query, operator, the counters that say which source fed the sink)
+ROUTES = {
+    "stream-select": ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 5", "stream-select", set()),
+    "ask": ("ASK { ?s ?p ?o }", "ask", set()),
+    "general": ("SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?o LIMIT 3", "general", {"join_rows"}),
+    "select-scan": ("SELECT ?s ?o WHERE { ?s ?p ?o }", "select-id", {"scan_cells"}),
+    "select-runs": ("SELECT DISTINCT ?s WHERE { ?s ?p ?o }", "select-id", {"scan_cells"}),
+    "select-join": ("SELECT ?s ?o WHERE { ?s a ?c . ?s ?p ?o }", "select-id", {"join_rows"}),
+    "select-chain": (
+        "SELECT ?s WHERE { ?s ?p ?o FILTER(isLiteral(?o)) }", "select-id", set()
+    ),
+    "aggregate-runs": (
+        "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s", "aggregate-id",
+        {"scan_cells"},
+    ),
+    "aggregate-fold": (
+        "SELECT ?c ?p (COUNT(?o) AS ?n) WHERE { ?s a ?c . ?s ?p ?o } GROUP BY ?c ?p",
+        "aggregate-id", {"join_rows"},
+    ),
+    "aggregate-rows": (
+        "SELECT ?p (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY ?p",
+        "aggregate-id", {"scan_cells"},
+    ),
+}
+
+
+def test_the_stat_vocabulary_is_what_the_engine_writes(engine):
+    """The union of the keys every route and source books is exactly
+    ``EXEC_STAT_KEYS``: a key whose writer is gone cannot stay in the
+    vocabulary, and no write site books a key outside it."""
+    written = set()
+    for name, (text, operator, source) in ROUTES.items():
+        stats = engine.execute(text).stats
+        assert stats["operator"] == operator, name
+        assert source <= set(stats) and not ({"scan_cells", "join_rows"} - source) & set(stats), name
+        written |= set(stats)
+    assert written == EXEC_STAT_KEYS
 
 
 @pytest.mark.parametrize("name", sorted(CENSUS_PINS))

@@ -884,7 +884,7 @@ class TestIndexStaysBehindRdf:
     def test_no_index_attribute_outside_the_rdf_package(self):
         """A shard's ``spo`` / ``pos`` / ``osp`` are the store's
         representation: every other package reads rows through
-        ``triples_ids`` / ``scan_columns`` / ``count_ids`` (or the
+        ``triples_ids`` / ``scan_rows`` / ``count_ids`` (or the
         documented ``*_ids()`` views), so the store can change what is
         behind them."""
         source = os.path.join(ROOT, "src", "repro")
