@@ -44,6 +44,33 @@ def scholarly():
     return scholarly_graph(scale=0.1, seed=7)
 
 
+#: how a graph reaches the engine: as built, saved and reloaded with every
+#: shard's indexes built, or reloaded with lazy shards that fill their
+#: indexes on their first read (``Graph.scan_rows`` over a cold shard)
+STORES = ("built", "reloaded", "lazy")
+
+
+@pytest.fixture(scope="session", params=STORES)
+def store(request) -> str:
+    """One of :data:`STORES`: a test that asks for it runs once per store."""
+    return request.param
+
+
+@pytest.fixture(scope="session")
+def stored(tmp_path_factory):
+    """``stored(graph, store)``: *graph* as the engine meets it under one
+    of :data:`STORES`, the reloaded ones from a fresh store directory."""
+
+    def restore(graph: Graph, store: str) -> Graph:
+        if store == "built":
+            return graph
+        root = str(tmp_path_factory.mktemp(store))
+        graph.save(root)
+        return Graph.load(root, lazy=store == "lazy")
+
+    return restore
+
+
 @pytest.fixture()
 def network() -> EndpointNetwork:
     return EndpointNetwork(clock=SimulationClock())

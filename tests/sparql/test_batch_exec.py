@@ -4,7 +4,8 @@ A plain page and a pure-COUNT aggregation run as ID rows, pulled lazily,
 through one source (index scan | lazy chain | eager join) and one of two
 sinks.  The suite checks the default engine against the ``scan`` oracle,
 checks that a page is the matching slice of its unpaged query row for
-row, and pins the cases a row-at-a-time oracle cannot see:
+row, and pins the cases a row-at-a-time oracle cannot see -- those on the
+30-row edge graph as built and reloaded, eagerly or with lazy shards:
 
 * DISTINCT keys that recur across the scan,
 * a selective FILTER that hands the sink only the passing rows,
@@ -153,22 +154,23 @@ def test_property_a_page_is_its_query_s_slice(triples, case):
 # -- pinned cases ---------------------------------------------------------------
 
 
-def _edge_graph() -> Graph:
+@pytest.fixture(scope="module")
+def edge_graph(store, stored) -> Graph:
     """30 rows of one predicate whose objects cycle through 5 values:
-    duplicate keys, group members and sort ties spread over the scan."""
+    duplicate keys, group members and sort ties spread over the scan --
+    as built and reloaded, eagerly or with lazy shards."""
     g = Graph()
     for i in range(30):
         g.add(Triple(IRI(f"{EX}s{i:02d}"), IRI(f"{EX}v"), Literal(i % 5)))
-    return g
+    return stored(g, store)
 
 
-def test_distinct_keys_recur_across_the_scan():
+def test_distinct_keys_recur_across_the_scan(edge_graph):
     # ?o is the leaf level of SPO, so the scan expands rows (``?s <v> ?o``
     # reads ?o's runs: the twin below)
-    graph = _edge_graph()
     query = "SELECT DISTINCT ?o WHERE { ?s ?p ?o }"
-    result, stats = _run(graph, query)
-    oracle = QueryEngine(graph, strategy="scan").run(query)
+    result, stats = _run(edge_graph, query)
+    oracle = QueryEngine(edge_graph, strategy="scan").run(query)
     assert _canonical_rows(result) == _canonical_rows(oracle)
     assert stats["operator"] == "select-id"
     assert stats["distinct_keys"] == 5
@@ -189,13 +191,12 @@ def test_a_distinct_page_reads_only_the_rows_it_lacks_keys_for():
     assert (stats["input_rows"], stats["distinct_keys"], stats["scan_cells"]) == (5, 3, 5)
 
 
-def test_distinct_leading_level_reads_each_key_once():
+def test_distinct_leading_level_reads_each_key_once(edge_graph):
     """The runs twin: ?o heads POS under ``<v>``, so the sink is handed
     the five keys and keeps the expanded order."""
-    graph = _edge_graph()
     query = f"SELECT DISTINCT ?o WHERE {{ ?s <{EX}v> ?o }}"
-    expanded, _ = _run(graph, "SELECT DISTINCT ?o WHERE { ?s ?p ?o }")
-    result, stats = _run(graph, query)
+    expanded, _ = _run(edge_graph, "SELECT DISTINCT ?o WHERE { ?s ?p ?o }")
+    result, stats = _run(edge_graph, query)
     _assert_same(expanded, result, query)
     assert stats["operator"] == "select-id"
     assert stats["distinct_keys"] == stats["input_rows"] == stats["scan_cells"] == 5
@@ -203,37 +204,35 @@ def test_distinct_leading_level_reads_each_key_once():
 
 @pytest.mark.parametrize("limit", (4, 5, 6, 13))
 @pytest.mark.parametrize("source", ("simple", "optional"))
-def test_topk_ties_keep_the_full_sort_s_rows(limit, source):
+def test_topk_ties_keep_the_full_sort_s_rows(edge_graph, limit, source):
     """Six-way sort-key ties: whichever rows the slice cuts through, the
     kept ties are decided by the global row sequence, so the page is
     exactly the first ``limit`` rows of the full sort, the oracle's --
     on the general path, over the plain pattern and behind an OPTIONAL
     that never matches."""
-    graph = _edge_graph()
     never = f" OPTIONAL {{ ?s <{EX}absent> ?m }}" if source == "optional" else ""
     query = f"SELECT ?s ?o WHERE {{ ?s <{EX}v> ?o{never} }} ORDER BY ?o"
-    full, _ = _run(graph, query)
-    result, stats = _run(graph, f"{query} LIMIT {limit}")
+    full, _ = _run(edge_graph, query)
+    result, stats = _run(edge_graph, f"{query} LIMIT {limit}")
     assert _ordered_rows(result) == _ordered_rows(full)[:limit]
-    oracle = QueryEngine(graph, strategy="scan").run(f"{query} LIMIT {limit}")
+    oracle = QueryEngine(edge_graph, strategy="scan").run(f"{query} LIMIT {limit}")
     assert _ordered_rows(result) == _ordered_rows(oracle)
     assert stats["operator"] == "general"
 
 
-def test_full_sort_ties_keep_the_scan_order():
+def test_full_sort_ties_keep_the_scan_order(edge_graph):
     """Without LIMIT the general path sorts everything: equal keys keep
     the scan's row order (ascending and descending alike) -- a stable
     sort of the unordered page, the oracle's rows."""
-    graph = _edge_graph()
     pattern = f"SELECT ?s ?o WHERE {{ ?s <{EX}v> ?o }}"
-    unordered, _ = _run(graph, pattern)
+    unordered, _ = _run(edge_graph, pattern)
     for order, descending in (("?o", False), ("DESC(?o)", True)):
         query = f"{pattern} ORDER BY {order}"
-        result, stats = _run(graph, query)
+        result, stats = _run(edge_graph, query)
         assert result.rows == sorted(
             unordered.rows, key=lambda row: int(row["o"].lexical), reverse=descending
         )
-        assert result.rows == QueryEngine(graph, strategy="scan").run(query).rows
+        assert result.rows == QueryEngine(edge_graph, strategy="scan").run(query).rows
         assert stats["operator"] == "general"
 
 
@@ -254,33 +253,31 @@ def test_a_selective_filter_hands_the_sink_only_passing_rows():
     assert stats["input_rows"] == 20
 
 
-def test_interleaved_groups_fold_on_the_general_path():
+def test_interleaved_groups_fold_on_the_general_path(edge_graph):
     """Interleaved group keys: every group's members are spread over the
     scan, and the order-sensitive folds (GROUP_CONCAT order, first
     SAMPLE) run the general path and match the oracle bit for bit."""
-    graph = _edge_graph()
     query = (
         f"SELECT ?o (COUNT(?s) AS ?n) (GROUP_CONCAT(?s) AS ?members) "
         f"(SAMPLE(?s) AS ?first) WHERE {{ ?s <{EX}v> ?o }} GROUP BY ?o ORDER BY ?o"
     )
-    result, stats = _run(graph, query)
-    _assert_same(QueryEngine(graph, strategy="scan").run(query), result, query)
+    result, stats = _run(edge_graph, query)
+    _assert_same(QueryEngine(edge_graph, strategy="scan").run(query), result, query)
     assert stats["operator"] == "general"
 
 
-def test_pure_count_group_by_matches_general_fold():
+def test_pure_count_group_by_matches_general_fold(edge_graph):
     """The Counter fast path (single key, plain COUNT) must keep the
     dict fold's first-seen group order and counts."""
-    graph = _edge_graph()
     query = f"SELECT ?o (COUNT(?s) AS ?n) WHERE {{ ?s <{EX}v> ?o }} GROUP BY ?o"
-    result, stats = _run(graph, query)
+    result, stats = _run(edge_graph, query)
     assert [(int(r["o"].lexical), int(r["n"].lexical)) for r in result.rows] == [
         (value, 6) for value in range(5)
     ]
     assert stats["operator"] == "aggregate-id"
     # a second aggregate leaves the count sink for the general path
     general, _ = _run(
-        graph,
+        edge_graph,
         f"SELECT ?o (COUNT(?s) AS ?n) (MIN(?s) AS ?lo) WHERE {{ ?s <{EX}v> ?o }} "
         "GROUP BY ?o",
     )
@@ -306,10 +303,10 @@ def test_pure_count_group_by_matches_general_fold():
     ],
     ids=["scan", "join", "fold", "runs"],
 )
-def test_exec_stats_count_the_rows_each_sink_read(query, operator, input_rows):
+def test_exec_stats_count_the_rows_each_sink_read(edge_graph, query, operator, input_rows):
     """``input_rows`` is what the sink read off its source: rows, or the
     keys of runs."""
-    _, stats = _run(_edge_graph(), query)
+    _, stats = _run(edge_graph, query)
     assert stats["operator"] == operator
     assert stats["input_rows"] == input_rows
 

@@ -139,7 +139,8 @@ def test_expression_sort_key_falls_back(graph):
 # One table-driven differential against the scan oracle.  A row is a sort
 # key kind; every row runs ASC/DESC x with/without a tie-breaking second
 # condition x the OFFSET/LIMIT table x DISTINCT x HAVING, from both sources,
-# on two shard counts.  Only a pure-COUNT row over
+# on two shard counts x each of the conftest's STORES (as built, reloaded,
+# reloaded with lazy shards).  Only a pure-COUNT row over
 # the simple source with neither DISTINCT nor HAVING runs the aggregate
 # sink; any other fold, an unbound group key, an expression sort key, a
 # DISTINCT, a HAVING or the OPTIONAL source runs the general path.  Ties are everywhere in
@@ -193,10 +194,10 @@ _oracle_rows = {}
 
 
 @pytest.fixture(scope="module", params=(1, 4), ids=lambda n: f"shards{n}")
-def agg_graph(request):
+def agg_graph(request, store, stored):
     graph = Graph(shards=request.param)
     graph.update(parse_turtle(AGG_DATA))
-    return graph
+    return stored(graph, store)
 
 
 @pytest.mark.parametrize("source", sorted(SOURCES))
@@ -245,7 +246,9 @@ def test_ordered_aggregate_matches_the_scan_oracle(
 # Every row below runs from both sources on the general path against the
 # scan oracle's sort-then-slice, through every page of TAIL_PAGES, with
 # and without DISTINCT: a DISTINCT keeps each key's earliest row in sort
-# order, and the last tie-break is the input sequence.
+# order, and the last tie-break is the input sequence -- on the graph as
+# built and reloaded, eagerly or with lazy shards, whose scans must keep
+# the same sequence.
 # The data is nine subjects with one first key shared by all of them
 # (``same``), one with two values split 2 / 7 (``two``) and one with three
 # values in no order (``b``), so a page's edge lands inside a tie group
@@ -305,8 +308,8 @@ TAIL_PAGES = [
 
 
 @pytest.fixture(scope="module")
-def tail_graph():
-    return parse_turtle(TAIL_DATA)
+def tail_graph(store, stored):
+    return stored(parse_turtle(TAIL_DATA), store)
 
 
 def _header_and_rows(result):

@@ -36,8 +36,10 @@ ex:c ex:v 3, 1 ; ex:link ex:a .
 
 
 @pytest.fixture(scope="module")
-def graph():
-    return parse_turtle(DATA)
+def graph(store, stored):
+    """The small graph, as built and reloaded (eagerly, or with lazy
+    shards): a reloaded store scans the same cells in the same order."""
+    return stored(parse_turtle(DATA), store)
 
 
 def _canonical(result):
