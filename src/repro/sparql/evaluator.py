@@ -25,26 +25,23 @@ Two BGP pipelines sit behind ``QueryEngine(graph, strategy=...)``:
   (:meth:`Execution._stream_id_rows`: a pattern scan, then one cartesian,
   hash or index join step per further pattern and the term-test FILTERs
   as generators, so a consumer pulls exactly as much of the join as it
-  needs).  The chain has two users: ASK, which stops at its first
-  witness, and a small-LIMIT page; either over any other WHERE clause
+  needs).  The chain feeds ASK, which stops at its first witness, and
+  the select sink's small pages; either over any other WHERE clause
   runs the eager group pipeline.
 * ``"scan"`` -- the legacy substitute-and-scan nested-loop join kept as
   the conformance oracle; the suite runs every query through both
   pipelines and asserts identical solutions.
 
-A hash SELECT takes one of three routes (:meth:`Execution._run_select`),
-and the first two need a *simple* WHERE clause -- plain triple patterns
-plus one-variable term-test FILTERs (:meth:`Execution._simple_where_shape`),
-whose rows are pure ID tuples, every variable bound in every row:
+A hash SELECT takes one of two routes (:meth:`Execution._run_select`):
 
-1. a ``LIMIT`` <= ``STREAM_DELEGATE_LIMIT`` page with no DISTINCT and no
-   pipeline breaker (ORDER BY, aggregation, HAVING, ``SELECT *``) is cut
-   on the lazy chain's ID rows;
-2. a plain page -- bare-variable projections (or ``SELECT *``) with
-   DISTINCT / OFFSET / LIMIT and no ORDER BY -- or a pure-COUNT
-   aggregation over pattern variables, with no HAVING or DISTINCT and
-   sorted (if at all) by bare output columns, runs the columnar executor;
-3. anything else -- any other WHERE clause (OPTIONAL, UNION, VALUES, a
+1. over a *simple* WHERE clause -- plain triple patterns plus
+   one-variable term-test FILTERs (:meth:`Execution._simple_where_shape`),
+   whose rows are pure ID tuples, every variable bound in every row -- a
+   plain page (bare-variable projections or ``SELECT *`` with DISTINCT /
+   OFFSET / LIMIT and no ORDER BY) or a pure-COUNT aggregation over
+   pattern variables, with no HAVING or DISTINCT and sorted (if at all)
+   by bare output columns, runs the columnar executor;
+2. anything else -- any other WHERE clause (OPTIONAL, UNION, VALUES, a
    property path, another FILTER), a HAVING, an ORDER BY over solutions,
    any other aggregate, an expression projection or sort key -- runs the
    general term-space path (:meth:`Execution._run_select_general`), which
@@ -57,7 +54,9 @@ slice (``select-id``), which reads no row past its page, or COUNT per group
 decoded; the groups are ordered and sliced as IDs and counts
 (:meth:`Execution._id_modifiers`, which keys only the groups a cut to the
 page has to compare, an ID's key read from the dictionary's kept table --
-``TermDict.sort_keys``).  A single pattern reads its rows off the index
+``TermDict.sort_keys``).  A ``LIMIT`` <= ``STREAM_DELEGATE_LIMIT`` page
+with no DISTINCT and no ``SELECT *`` reads the lazy chain, whatever its
+patterns.  Otherwise a single pattern reads its rows off the index
 (:meth:`Graph.scan_rows`, cut to the positions an operator above reads --
 :meth:`Execution._wanted_variables`; an index level's keys and run lengths
 when a COUNT GROUP BY or DISTINCT needs no more -- :meth:`Graph.scan_runs`)
@@ -635,8 +634,7 @@ EXEC_STAT_KEYS = frozenset(
     {
         # sink counters.  ``operator`` names the route that produced the
         # result: ``select-id`` / ``aggregate-id`` (the columnar sinks),
-        # ``stream-select`` (rule 1's lazy page), ``general`` (rule 3, and
-        # every ``scan`` SELECT) or ``ask``
+        # ``general`` (rule 2, and every ``scan`` SELECT) or ``ask``
         "operator",
         "input_rows",       # rows consumed by that operator; a sink fed
                             # runs or a folded join's keys: the keys it read
@@ -664,7 +662,7 @@ class QueryEngine:
     Instances are cheap; hold one per graph or just use :func:`evaluate`.
     ``strategy`` selects the BGP pipeline: ``"hash"`` (default) is the
     eager dictionary-encoded hash-join pipeline (a small-LIMIT page and
-    ASK over a simple WHERE clause run its lazy ID chain), and
+    ASK over a simple WHERE clause read its lazy ID chain), and
     ``"scan"`` the legacy substitute-and-scan nested-loop join kept for
     conformance A/B runs.
 
@@ -677,7 +675,7 @@ class QueryEngine:
     while another runs on the same engine cannot touch the first one's.
     """
 
-    #: the eager engine hands a SELECT to the streaming operators only when
+    #: the select sink reads a page off the lazy ID chain only when its
     #: LIMIT is at most this.  Small limits are where pushdown pays by
     #: construction; large limits are usually pagination pages, where the
     #: limit rarely binds and the eager ID-space join is faster.
@@ -1634,8 +1632,9 @@ class Execution:
     # Every operator is a generator over ID-tuple rows; a row is pulled
     # through the whole chain before the next one is produced, so a bounded
     # consumer stops the scans underneath it early.  It reads a simple WHERE
-    # clause only and has two callers: rule 1's small-LIMIT page
-    # (_run_select_streaming) and ASK (_any_solution).  Physical operators
+    # clause only and has two callers: the select sink's source
+    # (_simple_source: a small-LIMIT page, or one pattern under FILTERs)
+    # and ASK (_any_solution).  Physical operators
     # are shared with the hash pipeline (_scan_pattern, _index_join_plain);
     # what changes is the control flow around them.
 
@@ -1901,95 +1900,13 @@ class Execution:
     def _run_select(self, query: SelectQuery) -> SelectResult:
         where = None if self.strategy == "scan" else self._simple_where_shape(query.where)
         if where is None:
-            return self._run_select_general(query)  # rule 3
-        # Rule 1.  Small-LIMIT queries pay for every row an eager pipeline
-        # materializes and then throws away, so a simple WHERE clause runs
-        # on the lazy ID chain.  This rule must precede the columnar
-        # executor: a ``LIMIT 20`` page over a two-pattern join is 0.2 ms
-        # on the lazy INLJ chain and tens of ms once any join materializes.
-        # Unordered DISTINCT stays eager (it deduplicates in ID space
-        # before decoding).  The gate must not involve OFFSET: all pages of
-        # one paginated query then land on the same pipeline, keeping row
-        # order stable across pages.
-        if (
-            query.limit is not None
-            and query.limit <= self.engine.STREAM_DELEGATE_LIMIT
-            and not query.distinct
-            and self._streamable(query)
-        ):
-            return self._run_select_streaming(query, where)
-        # Rule 2: a plain page or a pure-COUNT aggregation runs a columnar
-        # sink.  Rule 3: everything else.
+            return self._run_select_general(query)  # rule 2
+        # Rule 1: a plain page or a pure-COUNT aggregation runs a columnar
+        # sink.  Rule 2: everything else.
         shape = self._simple_select_shape(query, where[0])
         if shape is not None:
             return self._run_select_columnar(query, *shape, where)
         return self._run_select_general(query)
-
-    @staticmethod
-    def _streamable(query: SelectQuery) -> bool:
-        """Can SELECT evaluation run without a pipeline breaker?
-
-        ORDER BY, grouping/aggregation and HAVING need the full solution
-        multiset before the first output row; ``SELECT *`` derives its
-        header from the solutions, which would make a truncated stream
-        observable.  Everything else keeps row-at-a-time semantics.
-        """
-        return (
-            not query.order_by
-            and query.having is None
-            and not query.select_all
-            and not query.has_aggregates()
-        )
-
-    def _run_select_streaming(self, query: SelectQuery, where) -> SelectResult:
-        """Row-at-a-time SELECT over a simple WHERE clause (*where*:
-        :meth:`_simple_where_shape`): the page is cut on the lazy chain's
-        ID rows (:meth:`_stream_id_rows`), so OFFSET/LIMIT bound the work
-        the joins underneath do.  Bare-variable projections decode only the
-        page's projected cells (:meth:`_decode_id_rows`); any other
-        projection is evaluated (:meth:`_project_row`) on the page's rows,
-        decoded whole.  ``input_rows`` counts the rows pulled past the
-        FILTERs, skipped ones included.
-        """
-        names: List[str] = []
-        for projection in query.projections:
-            variable = projection.variable
-            if variable is None:
-                raise SparqlEvaluationError("projection without output variable")
-            names.append(variable.name)
-        rows: List[Row] = []
-        input_rows = 0
-        if query.limit != 0:
-            source, col_of = self._stream_id_rows(*where)
-            # zip pulls ``source`` first, so ``pulled`` advances once per row
-            # the cut below took from it and never past an exhausted source
-            pulled = _count()
-            source = map(itemgetter(0), zip(source, pulled))
-            offset = query.offset or 0
-            page = list(_islice(source, offset, offset + query.limit))
-            input_rows = next(pulled)
-            if all(
-                projection.alias is None
-                and isinstance(projection.expression, VariableExpression)
-                for projection in query.projections
-            ):
-                columns = [col_of.get(p.expression.variable) for p in query.projections]
-                rows = self._decode_id_rows(page, names, columns)
-            else:
-                decode = self.graph.decode_id
-                layout = list(col_of.items())
-                rows = [
-                    self._project_row(
-                        query, names, {variable: decode(row[column]) for variable, column in layout}
-                    )
-                    for row in page
-                ]
-        self.stats.update(
-            operator="stream-select", input_rows=input_rows, decoded_rows=len(rows)
-        )
-        if self.tracer.detail:
-            self._operator_event()
-        return SelectResult(names, rows)
 
     # -- the columnar executor (sinks over ID rows) ------------------------------
 
@@ -2184,7 +2101,7 @@ class Execution:
         return SelectResult(names, self._decode_id_rows(page, names, columns, counts))
 
     def _run_select_columnar(self, query: SelectQuery, plan, where) -> SelectResult:
-        """The one executor of rule 2 (:meth:`_simple_select_shape`; *where*:
+        """The one executor of rule 1 (:meth:`_simple_select_shape`; *where*:
         :meth:`_simple_where_shape`): :meth:`_simple_source`'s ID rows into
         the select sink, or into the count sink under a *plan*.  The sinks
         pull the rows lazily, so a LIMIT-bounded sink stops its source at
@@ -2215,8 +2132,11 @@ class Execution:
         *col_of*, then their counts.  *cells* (None: no index scan)
         turns the rows the sink read into the cells the scan materialised.
 
-        A single pattern reads the index (:meth:`_scan_source`); under
-        FILTERs it reads the lazy chain's rows (:meth:`_stream_id_rows`).
+        A small page -- ``LIMIT`` <= ``STREAM_DELEGATE_LIMIT``, no
+        DISTINCT, not ``SELECT *``, no *plan* -- reads the lazy chain's rows
+        (:meth:`_stream_id_rows`), so its sink stops the joins underneath
+        at its page.  A single pattern reads the index
+        (:meth:`_scan_source`); under FILTERs, the lazy chain's rows.
         Several patterns (or a fully-ground existence gate, which is no
         index scan) run the eager join -- it chooses INLJ or hash per step
         from the exact intermediate cardinality, which a build-then-probe
@@ -2228,6 +2148,20 @@ class Execution:
         join's last step folds its rows into the keys the sink keeps
         (:meth:`_fold_step`): the DISTINCT rows, or the groups.
         """
+        # A ``LIMIT 20`` page over a two-pattern join is 0.2 ms on the lazy
+        # INLJ chain and tens of ms once the join materializes.  The test
+        # comes before any set-up below (a small page pays for it), and
+        # ignores OFFSET: every page of one paginated query then reads the
+        # same source, keeping row order stable across pages.
+        if (
+            plan is None
+            and query.limit is not None
+            and query.limit <= self.engine.STREAM_DELEGATE_LIMIT
+            and not query.distinct
+            and not query.select_all
+        ):
+            rows, col_of = self._stream_id_rows(patterns, simple_filters)
+            return rows, col_of, False, None
         compiled = self._compile_patterns(patterns)
         variables = list(dict.fromkeys(v for ep in compiled for v in ep.variables))
         if any(ep.impossible for ep in compiled) or any(

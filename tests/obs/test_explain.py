@@ -41,21 +41,22 @@ def test_explain_shows_rows_in_out(small_graph):
 
 
 def test_every_sink_names_its_operator(small_graph):
-    """The operator vocabulary: one name per columnar sink, one for the
-    small-LIMIT streaming SELECT, one for the general path (which takes
-    an ORDER BY over solutions, LIMITed or not) and one for ASK -- so no
-    explained query reports empty exec_stats, a LIMIT 0 page included."""
+    """The operator vocabulary: one name per columnar sink (the select
+    sink takes a small-LIMIT page off the lazy chain), one for the general
+    path (which takes an ORDER BY over solutions, LIMITed or not, and an
+    expression projection) and one for ASK -- so no explained query
+    reports empty exec_stats, a LIMIT 0 page included."""
     engine = QueryEngine(small_graph)
     for query, operator in (
         ("SELECT ?s WHERE { ?s ?p ?o }", "select-id"),
         (QUERY, "general"),
         (QUERY + " LIMIT 1", "general"),
         (AGGREGATE, "aggregate-id"),
-        ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 0", "stream-select"),
-        ("SELECT (STR(?s) AS ?x) WHERE { ?s ?p ?o } LIMIT 0", "stream-select"),
+        ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 0", "select-id"),
+        ("SELECT (STR(?s) AS ?x) WHERE { ?s ?p ?o } LIMIT 0", "general"),
         ("ASK { ?s ?p ?o }", "ask"),
         ("SELECT ?s WHERE { ?s ?p ?o } ORDER BY STR(?s)", "general"),
-        ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 5", "stream-select"),
+        ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 5", "select-id"),
     ):
         report = engine.explain(query)
         assert report.exec_stats["operator"] == operator, query
@@ -170,7 +171,7 @@ OPTIONAL_AGGREGATE = (
 
 
 #: the routes an execution names in ``stats["operator"]``
-OPERATORS = {"select-id", "aggregate-id", "stream-select", "general", "ask"}
+OPERATORS = {"select-id", "aggregate-id", "general", "ask"}
 
 
 @pytest.mark.parametrize("strategy", ["hash", "scan"])

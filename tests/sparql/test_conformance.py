@@ -5,10 +5,11 @@ seed's substitute-and-scan nested-loop evaluator) and the default
 ``"hash"`` engine, in three modes, and asserts they return identical
 solutions.  ``hash`` runs the case as written: its columnar sinks for a
 column-shaped SELECT over a simple WHERE clause, the general path for the
-rest.  ``paged`` runs it as one page (:func:`run_hash`), which sends every
-streamable un-DISTINCT case over a simple WHERE clause down rule 1's lazy
-ID chain; a page over OPTIONAL / UNION / VALUES / a path or any other
-FILTER runs the general path.  ``encoded`` adds an OPTIONAL that never
+rest.  ``paged`` runs it as one page (:func:`run_hash`), which feeds the
+select sink off the lazy ID chain for every un-DISTINCT bare-variable
+case with no ORDER BY or aggregate over a simple WHERE clause; a page
+over OPTIONAL / UNION / VALUES / a path or any other FILTER runs the
+general path.  ``encoded`` adds an OPTIONAL that never
 matches, so no WHERE clause is the simple shape and every SELECT runs the
 general path.
 Queries without ORDER BY compare as multisets (no engine promises an
@@ -24,7 +25,7 @@ import pytest
 
 from repro.rdf import Graph, IRI, Literal, Triple, parse_turtle
 from repro.sparql import Execution, QueryEngine
-from repro.sparql.nodes import SelectQuery
+from repro.sparql.nodes import SelectQuery, VariableExpression
 from repro.sparql.parser import parse_query
 from repro.sparql.results import AskResult, SelectResult
 
@@ -522,27 +523,45 @@ MODES = ("hash", "paged")
 #: an OPTIONAL no corpus graph matches: its variables are never bound
 NEVER = " OPTIONAL { ?absent0 <http://example.org/absent> ?absent1 } "
 
-#: the page a ``paged`` case asks for: rule 1's LIMIT bound, and more rows
-#: than any corpus result holds, so the page is the whole result
+#: the page a ``paged`` case asks for: the lazy chain's LIMIT bound, and
+#: more rows than any corpus result holds, so the page is the whole result
 PAGE = QueryEngine.STREAM_DELEGATE_LIMIT
 
 
-def _rule_1(query: SelectQuery) -> bool:
+def reads_the_chain(query: SelectQuery) -> bool:
+    """A page the select sink reads off the lazy chain: ``LIMIT`` <=
+    :data:`PAGE`, no DISTINCT, ORDER BY, aggregate, HAVING or ``SELECT *``,
+    bare-variable projections and a simple WHERE clause."""
     return (
         query.limit is not None
         and query.limit <= PAGE
         and not query.distinct
-        and Execution._streamable(query)
+        and not query.order_by
+        and not query.select_all
+        and not query.has_aggregates()
+        and query.having is None
+        and all(
+            projection.alias is None and isinstance(projection.expression, VariableExpression)
+            for projection in query.projections
+        )
         and Execution._simple_where_shape(query.where) is not None
     )
+
+
+def check_chain_page(execution, query: SelectQuery) -> None:
+    """What the chain buys a page: the select sink pulled at most its
+    ``offset + limit`` rows, and no eager join built any."""
+    stats = execution.stats
+    assert stats["operator"] == "select-id", stats
+    assert "join_rows" not in stats, stats
+    assert stats["input_rows"] <= (query.offset or 0) + query.limit, stats
 
 
 def run_hash(graph, mode, query):
     """``(text, result)``: *query* run on the hash engine as *mode* says.
 
-    ``paged`` appends ``LIMIT 64`` to a SELECT without a LIMIT, and a
-    paged SELECT with no DISTINCT, no pipeline breaker and a simple WHERE
-    clause must take the lazy chain (``operator == "stream-select"``).
+    ``paged`` appends ``LIMIT 64`` to a SELECT without a LIMIT.  A SELECT
+    that :func:`reads_the_chain` must show it (:func:`check_chain_page`).
     ``encoded`` puts :data:`NEVER` at the end of the WHERE clause, and
     the SELECT must run the general path.  The text returned is the one
     that ran, for the oracle to run too.
@@ -556,11 +575,10 @@ def run_hash(graph, mode, query):
         query = query[:end] + NEVER + query[end:]
     parsed = parse_query(query)
     execution = QueryEngine(graph).execute(query)
-    operator = execution.stats.get("operator")
-    if mode == "paged" and select and _rule_1(parsed):
-        assert operator == "stream-select", query
+    if select and reads_the_chain(parsed):
+        check_chain_page(execution, parsed)
     if mode == "encoded" and select:
-        assert operator == "general", query
+        assert execution.stats.get("operator") == "general", query
     return query, execution.result
 
 
@@ -595,6 +613,41 @@ def test_a_limit_past_maxsize_matches_scan(graph, case_id, query, expected):
     assert _canonical_rows(scan) == _canonical_rows(modern)
 
 
+#: one query per route a page can take, for :data:`PAST_MAXSIZE`'s cuts
+PAGE_ROUTES = {
+    "small-page": "SELECT ?s ?o WHERE { ?s ?p ?o }",
+    "small-join-page": "SELECT ?s ?o WHERE { ?s a ?c . ?s ?p ?o }",
+    "small-filtered-page": "SELECT ?s ?o WHERE { ?s ?p ?o FILTER(isIRI(?o)) }",
+    "distinct-page": "SELECT DISTINCT ?p WHERE { ?s ?p ?o }",
+    "count-group-by": "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s",
+    "order-by-counts": (
+        "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s ORDER BY DESC(?n) ?s"
+    ),
+    "optional-page": PREFIX + "SELECT ?s ?l WHERE { ?s a ?c OPTIONAL { ?s rdfs:label ?l } }",
+}
+
+#: an OFFSET or a LIMIT past ``sys.maxsize``, which ``islice`` cannot take
+PAST_MAXSIZE = {"offset": f" OFFSET {10**20} LIMIT 5", "limit": f" LIMIT {2**63}"}
+
+
+@pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
+@pytest.mark.parametrize("cut", sorted(PAST_MAXSIZE))
+@pytest.mark.parametrize("route", sorted(PAGE_ROUTES))
+def test_a_cut_past_maxsize_on_every_route_matches_scan(graph, shards, cut, route):
+    store = graph
+    if shards > 1:
+        store = Graph(shards=shards)
+        store.add_many(graph)
+    query = PAGE_ROUTES[route] + PAST_MAXSIZE[cut]
+    scan = QueryEngine(store, strategy="scan").run(query)
+    modern = QueryEngine(store).run(query)
+    assert modern.variables == scan.variables
+    if "ORDER BY" in query:
+        assert modern.rows == scan.rows
+    else:
+        assert _canonical_rows(modern) == _canonical_rows(scan)
+
+
 @pytest.mark.parametrize(
     "case_id,query,expected",
     ASK_CASES + ASK_GROUP_CASES,
@@ -612,7 +665,7 @@ def test_ask_matches_scan(graph, case_id, query, expected):
 def test_strategy_validation(graph):
     with pytest.raises(ValueError):
         QueryEngine(graph, strategy="quantum")
-    # the lazy chain is rule 1's and ASK's, not a strategy
+    # the lazy chain feeds the select sink and ASK; it is not a strategy
     with pytest.raises(ValueError):
         QueryEngine(graph, strategy="stream")
     # the retired knobs stay retired: batching is not a caller's choice

@@ -12,8 +12,8 @@ generated query:
 * ``hash`` returns the ``scan`` oracle's rows (as multisets; an
   un-ORDERed LIMIT / OFFSET page is a sub-multiset of the right size),
   as written and, without a page of its own, as one page of 64 rows
-  (``paged``: rule 1's lazy chain for a streamable un-DISTINCT query
-  over a simple WHERE clause),
+  (``paged``), a page the select sink reads off the lazy chain pulling
+  at most its rows and building no join row (``reads_the_chain``),
 * ``hash`` returns, as a *list*, the rows of its own general pipeline --
   the same join with no filter, pruning or sink pushed into it, then the
   term-space FILTER, projection, DISTINCT (first occurrence) and slice --
@@ -41,6 +41,8 @@ from repro.rdf.namespaces import RDF
 from repro.sparql import Execution, QueryEngine
 from repro.sparql.join_plan import picker
 from repro.sparql.parser import parse_query
+
+from test_conformance import check_chain_page, reads_the_chain
 
 EX = "http://example.org/"
 NODES = [IRI(f"{EX}n{i}") for i in range(4)] + [BNode("b0")]
@@ -145,19 +147,6 @@ PAGE = QueryEngine.STREAM_DELEGATE_LIMIT
 
 def _rows(result):
     return [tuple(sorted((name, str(term)) for name, term in row.items())) for row in result.rows]
-
-
-def _runs_eager(query) -> bool:
-    """Rule 1 sends a small-LIMIT un-DISTINCT streamable page over a simple
-    WHERE clause to the lazy chain, whose row order is its own; everything
-    else is eager."""
-    return not (
-        Execution._streamable(query)
-        and query.limit is not None
-        and query.limit <= QueryEngine.STREAM_DELEGATE_LIMIT
-        and not query.distinct
-        and Execution._simple_where_shape(query.where) is not None
-    )
 
 
 #: two typed subjects linking to each other and to an untyped node: a
@@ -341,8 +330,11 @@ def test_simple_shape_join_matches_the_oracles_in_order(data, case):
             mode_query = parse_query(whole_query + mode_page)
             offset = mode_query.offset or 0
             end = whole if mode_query.limit is None else min(whole, offset + mode_query.limit)
-            rows = _rows(QueryEngine(graph).run(whole_query + mode_page))
+            execution = QueryEngine(graph).execute(whole_query + mode_page)
+            rows = _rows(execution.result)
             context = (mode, type(graph).__name__, text)
+            if reads_the_chain(mode_query):
+                check_chain_page(execution, mode_query)
             if mode_page:
                 # which rows (or groups) a page holds follows the engine's
                 # order; how many, and that they are the oracle's, does not
@@ -351,7 +343,7 @@ def test_simple_shape_join_matches_the_oracles_in_order(data, case):
             else:
                 assert Counter(rows) == oracle, context
         engine = QueryEngine(graph)
-        if _runs_eager(query):
+        if not reads_the_chain(query):  # the chain's row order is its own
             general = Execution(engine)._run_select_general(query)
             assert _rows(engine.run(query)) == _rows(general), (type(graph).__name__, text)
 

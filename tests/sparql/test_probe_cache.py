@@ -26,9 +26,9 @@ JOIN = (
     f"SELECT ?p ?t (COUNT(?o) AS ?n) WHERE {{ ?s a <{GOV}School> . ?s ?p ?o . "
     "?o a ?t } GROUP BY ?p ?t"
 )
-#: a page (rule 1: the lazy chain) whose build side is small enough (7 rows
-#: <= STREAM_HASH_BUILD_MAX) to hash-join instead of probing the index row
-#: by row; the page holds every row
+#: a small page (the lazy chain feeds its select sink) whose build side
+#: is small enough (7 rows <= STREAM_HASH_BUILD_MAX) to hash-join instead
+#: of probing the index row by row; the page holds every row
 PAGED_JOIN = (
     f"SELECT ?h ?m WHERE {{ ?h a <{GOV}Hospital> . ?h <{GOV}hospitalInMunicipality> ?m }} "
     "LIMIT 64"

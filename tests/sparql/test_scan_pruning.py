@@ -213,12 +213,12 @@ def test_census_templates_scan_the_class_column(bench_graph, templates):
 
 
 def test_page_templates_never_reach_the_column_scan(bench_graph, templates):
-    """Small-LIMIT pages run the lazy chain (rule 1): their stats are
-    what they were, with no scan or sort counter."""
+    """Small-LIMIT pages read the lazy chain into the select sink: their
+    stats are what they were, with no scan or sort counter."""
     engine = QueryEngine(bench_graph)
     for name, rows in (("spo-page", 50), ("typed-join-page", 20), ("labels-page", 12)):
         assert engine.execute(templates[name]).stats == {
-            "operator": "stream-select", "input_rows": rows, "decoded_rows": rows,
+            "operator": "select-id", "input_rows": rows, "decoded_rows": rows,
         }, name
 
 

@@ -1,8 +1,8 @@
 """The streaming (volcano) pipeline: pushdown semantics and the plan cache.
 
-The hash engine runs a LIMIT <= 64 page with no DISTINCT and no pipeline
-breaker, and every ASK, on its lazy chain of ID rows when the WHERE
-clause is the simple shape.  Property tests pin the contract the
+When the WHERE clause is the simple shape, the hash engine's select sink
+reads a LIMIT <= 64 bare-variable page with no DISTINCT and no ORDER BY
+off its lazy chain of ID rows, and every ASK stops on it.  Property tests pin the contract the
 LIMIT/OFFSET pushdown must honour: a page is the same slice of a larger
 page -- on random graphs, across join shapes, DISTINCT, OPTIONAL and
 UNION -- and the chain's page is its first rows, the whole chain holding
@@ -236,7 +236,7 @@ def _oracle_page(graph: Graph, text: str):
 
 def _id_page(graph: Graph, text: str):
     execution = QueryEngine(graph).execute(text)
-    assert execution.stats["operator"] == "stream-select", text
+    assert execution.stats["operator"] == "select-id", text
     assert execution.stats["decoded_rows"] == len(execution.result.rows)
     return execution.result.rows, execution.stats["input_rows"]
 
@@ -317,15 +317,16 @@ def test_a_variable_an_optional_left_unbound_is_free_in_a_walked_pattern():
     assert _multiset(lazy.result.rows) == _multiset(oracle.rows)
 
 
-def test_an_expression_page_is_the_bare_page_with_the_expression_applied():
-    """An expression projection over a simple WHERE clause stays on the
-    chain: the page is cut on ID rows and ``STR`` runs on its rows only."""
+def test_an_expression_page_runs_the_general_path():
+    """An expression projection is no select-sink shape, so a small page
+    of one runs the general path: the WHERE clause is built whole (13
+    rows for a page of 5) and the rows are the scan oracle's."""
     graph = _chain_graph(6)
-    page = QueryEngine(graph).execute("SELECT (STR(?s) AS ?x) WHERE { ?s ?p ?o } LIMIT 5 OFFSET 2")
-    assert page.stats == {"operator": "stream-select", "input_rows": 7, "decoded_rows": 5}
-    bare = QueryEngine(graph).run("SELECT ?s WHERE { ?s ?p ?o } LIMIT 5 OFFSET 2")
+    text = "SELECT (STR(?s) AS ?x) WHERE { ?s ?p ?o } LIMIT 5 OFFSET 2"
+    page = QueryEngine(graph).execute(text)
+    assert page.stats == {"operator": "general", "join_rows": len(graph)}
     assert page.result.variables == ["x"]
-    assert page.result.rows == [{"x": Literal(row["s"].value)} for row in bare.rows]
+    assert page.result.rows == QueryEngine(graph, strategy="scan").run(text).rows
 
 
 def test_a_page_decodes_only_its_projected_cells():

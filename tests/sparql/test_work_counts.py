@@ -39,12 +39,12 @@ QUESTIONS = {
 
 #: name -> KEYS, on ``government_graph(scale=1.0, seed=5)``
 PINS = {
-    "spo-page": ("stream-select", 50, None, None, None, 50),
-    "typed-join-page": ("stream-select", 20, None, None, None, 20),
+    "spo-page": ("select-id", 50, None, None, None, 50),
+    "typed-join-page": ("select-id", 20, None, None, None, 20),
     "class-census": ("aggregate-id", 12, 12, 0, None, 12),
     "top-entities": ("aggregate-id", 2990, 2990, 243, None, 10),
     "distinct-classes": ("select-id", 12, 12, None, None, 12),
-    "labels-page": ("stream-select", 12, None, None, None, 12),
+    "labels-page": ("select-id", 12, None, None, None, 12),
     "ask-typed": ("ask", None, None, None, None, None),
     "datatypes": ("select-id", 20, None, None, 2998, 20),
     "links": ("aggregate-id", 11, None, 0, 7053, 11),
@@ -61,9 +61,9 @@ CENSUS_PINS = {
 
 #: template -> its ``Execution.stats``, every key, on the same graph
 TEMPLATE_STATS = {
-    "spo-page": {"operator": "stream-select", "input_rows": 50, "decoded_rows": 50},
-    "typed-join-page": {"operator": "stream-select", "input_rows": 20, "decoded_rows": 20},
-    "labels-page": {"operator": "stream-select", "input_rows": 12, "decoded_rows": 12},
+    "spo-page": {"operator": "select-id", "input_rows": 50, "decoded_rows": 50},
+    "typed-join-page": {"operator": "select-id", "input_rows": 20, "decoded_rows": 20},
+    "labels-page": {"operator": "select-id", "input_rows": 12, "decoded_rows": 12},
     "class-census": {
         "operator": "aggregate-id", "scan_cells": 12, "input_rows": 12,
         "tracked_rows": 12, "sort_keys": 0, "decoded_rows": 12,
@@ -234,7 +234,7 @@ def test_a_page_past_maxsize_is_the_unpaged_result(engine, text):
 #: one query per route, and per source of each columnar sink: name ->
 #: (query, operator, the counters that say which source fed the sink)
 ROUTES = {
-    "stream-select": ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 5", "stream-select", set()),
+    "select-small-page": ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 5", "select-id", set()),
     "ask": ("ASK { ?s ?p ?o }", "ask", set()),
     "general": ("SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?o LIMIT 3", "general", {"join_rows"}),
     "select-scan": ("SELECT ?s ?o WHERE { ?s ?p ?o }", "select-id", {"scan_cells"}),
