@@ -32,6 +32,7 @@ manifest never references.
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 import tempfile
@@ -136,28 +137,20 @@ def read_shard_columns(
     path: str,
     expected_epoch: Optional[int] = None,
     expected_checksum: Optional[int] = None,
-    use_mmap: bool = True,
 ) -> Tuple[array, array, array]:
     """Read and checksum-verify a shard snapshot's (s, p, o) columns.
 
-    With ``use_mmap`` (the default) the file is memory-mapped and columns
-    are sliced out of the map -- the checksum pass touches each page once
-    and ``array.frombytes`` is the only copy.  Falls back to a plain read
-    for empty files (mmap rejects length 0) or if mapping fails.
+    The file is memory-mapped and columns are sliced out of the map -- the
+    checksum pass touches each page once and ``array.frombytes`` is the
+    only copy.  Falls back to a plain read for empty files (mmap rejects
+    length 0) or if mapping fails.
     """
     try:
         with open(path, "rb") as handle:
-            if use_mmap:
-                import mmap as _mmap
-
-                try:
-                    # closed by refcounting once the last column view dies
-                    data = memoryview(
-                        _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
-                    )
-                except (ValueError, OSError):
-                    data = handle.read()
-            else:
+            try:
+                # closed by refcounting once the last column view dies
+                data = memoryview(mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ))
+            except (ValueError, OSError):
                 data = handle.read()
     except OSError as exc:
         raise SnapshotError(f"cannot read shard snapshot {path}: {exc}") from exc

@@ -22,9 +22,9 @@ Two BGP pipelines sit behind ``QueryEngine(graph, strategy=...)``:
 
 * ``"hash"`` (default) -- the eager dictionary-encoded hash-join pipeline
   above, plus a lazy chain of ID rows over a simple WHERE clause
-  (:meth:`Execution._stream_id_rows`: a pattern scan, then one cartesian,
-  hash or index join step per further pattern and the term-test FILTERs
-  as generators, so a consumer pulls exactly as much of the join as it
+  (:meth:`Execution._stream_id_rows`: a pattern scan, then an index walk
+  from each row per further pattern and the term-test FILTERs, as
+  generators, so a consumer pulls exactly as much of the join as it
   needs).  The chain feeds ASK, which stops at its first witness, and
   the select sink's small pages; either over any other WHERE clause
   runs the eager group pipeline.
@@ -85,12 +85,12 @@ import heapq
 import sys
 from bisect import bisect_left
 from collections import Counter, OrderedDict
+from functools import reduce as _reduce
 from itertools import accumulate as _accumulate
-from itertools import chain as _chain
 from itertools import compress
 from itertools import count as _count
 from itertools import islice as _islice
-from operator import itemgetter
+from operator import add, itemgetter, methodcaller
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..obs.trace import NULL_TRACER
@@ -249,103 +249,46 @@ def _simple_filter(expression: Expression):
     return None
 
 
-def _concat_part(value: Term) -> str:
-    """One GROUP_CONCAT fragment, per the fold the spec describes."""
-    if isinstance(value, Literal):
-        return value.lexical
-    if isinstance(value, IRI):
-        return value.value
-    return str(value)
-
-
-class _AggFold:
-    """Incremental fold of ONE aggregate inside ONE group: the general
-    path's ``_aggregate`` (and so the ``scan`` oracle) folds every
-    COUNT/SUM/MIN/MAX/AVG/SAMPLE/GROUP_CONCAT through it.
-
-    Values arrive as ground terms, in solution order, already
-    deduplicated under DISTINCT (:meth:`Execution._fold_aggregate`).
-    State is O(1) per group, O(output) for GROUP_CONCAT.
-    """
-
-    __slots__ = (
-        "function",
-        "separator",
-        "count",
-        "total",
-        "numbers",
-        "best",
-        "best_key",
-        "sample",
-        "parts",
-    )
-
-    def __init__(self, aggregate: Aggregate):
-        self.function = aggregate.function
-        self.separator = aggregate.separator
-        self.count = 0  # COUNT result
-        self.total = 0  # SUM/AVG running total (left fold, like sum())
-        self.numbers = 0  # how many values were numeric (AVG divisor)
-        self.best: Optional[Term] = None  # MIN/MAX champion
-        self.best_key: Tuple = ()
-        self.sample: Optional[Term] = None
-        self.parts: Optional[List[str]] = (
-            [] if aggregate.function == "GROUP_CONCAT" else None
-        )
-
-    def add(self, term: Term) -> None:
-        """Fold one bound value."""
-        function = self.function
-        if function == "COUNT":
-            self.count += 1
-            return
-        if function in ("SUM", "AVG"):
-            if isinstance(term, Literal):
-                number = term.numeric_value()
+def _fold(aggregate: Aggregate, values: List[Term]) -> Optional[Term]:
+    """*aggregate* over one group's *values* (ground terms in solution
+    order, deduplicated under DISTINCT), or None when it has no result.
+    MIN keeps the first of equal sort keys, MAX the last."""
+    function = aggregate.function
+    if function == "COUNT":
+        return Literal(len(values))
+    if function in ("SUM", "AVG"):
+        numbers = []
+        for value in values:
+            if isinstance(value, Literal):
+                number = value.numeric_value()
                 if number is None:
                     try:
-                        number = float(term.lexical)
+                        number = float(value.lexical)
                     except ValueError:
-                        return
-                self.total = self.total + number
-                self.numbers += 1
-            return
-        if function in ("MIN", "MAX"):
-            key = term.sort_key()
-            if self.best is None:
-                self.best, self.best_key = term, key
-            elif function == "MIN":
-                if key < self.best_key:
-                    self.best, self.best_key = term, key
-            elif key >= self.best_key:
-                # >= : among equal keys the *last* wins, matching the
-                # stable sort-then-take-last the materialized fold used.
-                self.best, self.best_key = term, key
-            return
-        if function == "SAMPLE":
-            if self.sample is None:
-                self.sample = term
-            return
-        self.parts.append(_concat_part(term))
-
-    def result(self) -> Optional[Term]:
-        """The fold's term, or None when there is no result."""
-        function = self.function
-        if function == "COUNT":
-            return Literal(self.count)
+                        continue
+                numbers.append(number)
+        # a left fold from the int 0: ``sum`` compensates float error
+        # from Python 3.12 on
+        total = _reduce(add, numbers, 0)
         if function == "SUM":
-            return Literal(_integral(self.total))
-        if function == "AVG":
-            if not self.numbers:
-                return None
-            return Literal(_integral(self.total / self.numbers))
-        if function in ("MIN", "MAX"):
-            return self.best
-        if function == "SAMPLE":
-            return self.sample
-        if function == "GROUP_CONCAT":
-            return Literal(self.separator.join(self.parts))
-        raise SparqlEvaluationError(f"unhandled aggregate {function}")
+            return Literal(_integral(total))
+        return Literal(_integral(total / len(numbers))) if numbers else None
+    if function in ("MIN", "MAX"):
+        if not values:
+            return None
+        key = methodcaller("sort_key")  # ``Term.sort_key`` is the base method
+        if function == "MIN":
+            return min(values, key=key)
+        return max(reversed(values), key=key)
+    if function == "SAMPLE":
+        return values[0] if values else None
+    if function == "GROUP_CONCAT":
+        return Literal(aggregate.separator.join(
+            value.lexical if isinstance(value, Literal)
+            else value.value if isinstance(value, IRI) else str(value)
+            for value in values
+        ))
+    raise SparqlEvaluationError(f"unhandled aggregate {function}")
 
 
 def _integral(number):
@@ -1200,7 +1143,8 @@ class Execution:
     ) -> Dict:
         """*ep* scanned into ``{shared key: [new-variable tuples]}``.
 
-        The build side of both hash joins (eager and streaming).  A single
+        The build side of the eager join's hash steps (the lazy chain
+        builds none: it walks the index from each row).  A single
         shared variable (the overwhelmingly common join shape) keys on the
         bare value instead of a 1-tuple.
 
@@ -1444,7 +1388,9 @@ class Execution:
         straight onto the row -- no merge bookkeeping -- and the index dicts
         are walked directly.  *bound* is :meth:`_bind_index_join`'s: the
         eager join binds a step and walks all its rows, the lazy chain binds
-        a step once and walks each upstream row as it arrives.
+        each later pattern once and walks each upstream row as it arrives --
+        a pattern that shares no variable with the rows too, its positions
+        all constants or free.
 
         With a planned step a candidate is handled before its row is
         built: a checked variable is tested (a C-level call) as its index
@@ -1634,9 +1580,12 @@ class Execution:
     # consumer stops the scans underneath it early.  It reads a simple WHERE
     # clause only and has two callers: the select sink's source
     # (_simple_source: a small-LIMIT page, or one pattern under FILTERs)
-    # and ASK (_any_solution).  Physical operators
-    # are shared with the hash pipeline (_scan_pattern, _index_join_plain);
-    # what changes is the control flow around them.
+    # and ASK (_any_solution).  Each later pattern extends a row one way,
+    # an index walk from that row (_stream_step), so no step scans or builds
+    # ahead of its rows and the probe cache serves the eager join only.  The
+    # first pattern's scan and the walks are the hash pipeline's
+    # (_scan_pattern, _index_join_plain, _index_join_general); what changes
+    # is the control flow around them.
 
     def _stream_id_rows(
         self, patterns: List[TriplePattern], simple_filters
@@ -1656,12 +1605,10 @@ class Execution:
         rows = self._scan_pattern(first)
         col_of = {variable: column for column, variable in enumerate(first.variables)}
         for ep in rest:
-            shared = tuple(v for v in ep.variables if v in col_of)
-            new_vars = tuple(v for v in ep.variables if v not in col_of)
             new_col_of = dict(col_of)
-            for variable in new_vars:
-                new_col_of[variable] = len(new_col_of)
-            rows = self._stream_step(ep, rows, col_of, new_col_of, new_vars, shared)
+            for variable in ep.variables:
+                new_col_of.setdefault(variable, len(new_col_of))
+            rows = self._stream_step(ep, rows, col_of, new_col_of)
             col_of = new_col_of
         for test, variable in simple_filters:
             column = col_of.get(variable)
@@ -1670,62 +1617,21 @@ class Execution:
             rows = _passing(rows, column, self._term_verdicts(test))
         return rows, col_of
 
-    #: hash-join build tables above this estimated cardinality would scan
-    #: the pattern eagerly and defeat LIMIT pushdown, so anything larger
-    #: joins by per-row index lookups instead.  Kept deliberately small:
-    #: the build is the one eager scan the streaming pipeline allows
-    #: itself, and a bounded consumer must stay O(limit + constant).
-    STREAM_HASH_BUILD_MAX = 64.0
-
     def _stream_step(
         self,
         ep: _EncodedPattern,
         upstream: Iterator[Tuple],
         col_of: Dict[Variable, int],
         new_col_of: Dict[Variable, int],
-        new_vars: Tuple[Variable, ...],
-        shared: Tuple[Variable, ...],
     ) -> Iterator[Tuple]:
-        """Extend each upstream row (laid out as *col_of*) with one
-        pattern's matches (*new_vars*, laid out as *new_col_of*), lazily."""
-        if not shared:
-            # Cartesian extension.  A single upstream row streams straight
-            # off the index scan; a multi-row upstream needs the scan
-            # replayed, so it buffers.
-            first = next(upstream, _UNBOUND)
-            if first is _UNBOUND:
-                return
-            second = next(upstream, _UNBOUND)
-            if second is _UNBOUND:
-                for srow in self._scan_pattern(ep):
-                    yield first + srow
-                return
-            scan = list(self._scan_pattern(ep))
-            for row in _chain((first, second), upstream):
-                for srow in scan:
-                    yield row + srow
-            return
-
-        if ep.est <= self.STREAM_HASH_BUILD_MAX:
-            # Hash join against a small pattern: build the table once,
-            # probe row by row.
-            table = self._build_probe_table(ep, shared, new_vars)
-            get = table.get
-            key_of = itemgetter(*[col_of[v] for v in shared])
-            for row in upstream:
-                bucket = get(key_of(row))
-                if bucket:
-                    for extra in bucket:
-                        yield row + extra
-            return
-
-        # Index nested-loop join: per-row index lookups, no upfront scan.
-        # Covers repeated variables and large patterns.  A plain pattern is
-        # bound once, on the first row that walks it; a repeated variable
-        # takes the general merge per row.
+        """Extend each upstream row (laid out as *col_of*) with *ep*'s
+        matches (laid out as *new_col_of*) as it arrives: a plain pattern
+        bound once, on the first row, and walked per row; a repeated
+        variable takes the general merge per row."""
         if not self._plain_joinable(ep, (), col_of):
+            width = len(new_col_of) - len(col_of)
             for row in upstream:
-                yield from self._index_join_general(ep, [row], col_of, new_col_of, len(new_vars))
+                yield from self._index_join_general(ep, [row], col_of, new_col_of, width)
             return
         bound = None
         for row in upstream:
@@ -2108,10 +2014,14 @@ class Execution:
         its page; the scan's cells are booked once the sink is done.
         """
         source, col_of, grouped, cells = self._simple_source(query, *where, plan)
-        if query.limit == 0 and not query.select_all:
-            # a LIMIT 0 page reads nothing -- ``SELECT *`` one row, for
-            # the witness its header needs (:meth:`_page_cap`)
-            source, grouped, cells = iter(()), False, None
+        if query.limit == 0 or (query.offset or 0) >= sys.maxsize:
+            # a page no row reaches -- LIMIT 0, or an OFFSET no store's
+            # size comes near -- reads nothing; ``SELECT *`` one row, for
+            # the witness its header needs
+            if query.select_all:
+                source = _islice(source, 1)
+            else:
+                source, grouped, cells = iter(()), False, None
         if plan is None:
             result = self._select_page(query, source, col_of)
         else:
@@ -2588,16 +2498,7 @@ class Execution:
         if aggregate.distinct:
             # first-seen order; a term hashes as it compares
             values = list(dict.fromkeys(values))
-        return self._fold_values(aggregate, values)
-
-    @staticmethod
-    def _fold_values(aggregate: Aggregate, values: List[Term]) -> Optional[Term]:
-        """Fold already-extracted (and deduplicated) values per the spec
-        through :class:`_AggFold`."""
-        fold = _AggFold(aggregate)
-        for value in values:
-            fold.add(value)
-        return fold.result()
+        return _fold(aggregate, values)
 
     # -- ordering / distinct -----------------------------------------------------
 

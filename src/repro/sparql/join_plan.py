@@ -7,7 +7,8 @@ on row counts is decided here, once per graph generation and input layout
 
 * the **order** -- greedy on :func:`join_score`, a function of which
   variables are bound, so it is the same whether it is planned up front or
-  a step at a time (the ``stream`` engine's chain reads it too);
+  a step at a time (the lazy chain orders its patterns by
+  :func:`join_order` and reads nothing else here);
 * per step (:class:`JoinStep`), the **checks** a candidate -- an input row
   and one match -- must pass before its row is built: the one-variable
   term-test FILTERs over a variable the step binds, and the **gate**, the

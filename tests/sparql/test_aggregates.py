@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.rdf import IRI, Literal, Variable, parse_turtle
+from repro.rdf import IRI, Graph, Literal, Triple, Variable, parse_turtle
+from repro.rdf.terms import XSD_DECIMAL
 from repro.sparql import Execution, QueryEngine, evaluate
 from repro.sparql.parser import parse_query
 
@@ -140,6 +141,49 @@ class TestFolds:
         monkeypatch.setattr(IRI, "__eq__", counting_eq)
         assert Execution(QueryEngine(GRAPH))._fold_aggregate(aggregate, members) == Literal(n)
         assert compared[0] <= 2 * n
+
+
+#: two terms whose sort keys are equal: which one MIN and MAX return is
+#: the fold's tie rule
+ONE_INTEGER = Literal(1)
+ONE_DECIMAL = Literal("1", datatype=XSD_DECIMAL)
+
+#: one group's values, one subject each, inserted (and so met) in this
+#: order, and the folds they give: MIN keeps the first of equal keys, MAX
+#: the last; SUM / AVG add the numbers left to right -- a Literal that is no
+#: number read as a float when it parses as one, and skipped (as an IRI is)
+#: when it does not
+FOLD_TABLE = [
+    ("integer-then-decimal", [ONE_INTEGER, ONE_DECIMAL],
+     {"lo": ONE_INTEGER, "hi": ONE_DECIMAL, "sum": Literal(2), "avg": Literal(1)}),
+    ("decimal-then-integer", [ONE_DECIMAL, ONE_INTEGER],
+     {"lo": ONE_DECIMAL, "hi": ONE_INTEGER, "sum": Literal(2), "avg": Literal(1)}),
+    ("mixed", [Literal(2), Literal("0.5", datatype=XSD_DECIMAL), Literal("x"),
+               IRI("http://example.org/thing"), Literal("1.5"), Literal(5)],
+     {"sum": Literal(9), "avg": Literal(2.25)}),
+    ("no-number", [Literal("x"), IRI("http://example.org/thing")],
+     {"sum": Literal(0), "avg": None}),
+]
+
+
+@pytest.mark.parametrize("strategy", ["hash", "scan"])
+@pytest.mark.parametrize(
+    "values,expected", [row[1:] for row in FOLD_TABLE], ids=[row[0] for row in FOLD_TABLE]
+)
+def test_the_fold_table(strategy, values, expected):
+    graph = Graph()
+    v = IRI("http://example.org/v")
+    for i, value in enumerate(values):
+        graph.add(Triple(IRI(f"http://example.org/s{i}"), v, value))
+    result = QueryEngine(graph, strategy=strategy).run(
+        "SELECT (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) (SUM(?v) AS ?sum) (AVG(?v) AS ?avg) "
+        "WHERE { ?s <http://example.org/v> ?v }"
+    )
+    (row,) = result.rows
+    for name, term in expected.items():
+        assert row[name] == term, name
+        if term is not None:
+            assert row[name].datatype == term.datatype, name
 
 
 PREFIX = "PREFIX ex: <http://example.org/>\n"

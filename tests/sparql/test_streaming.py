@@ -22,9 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datagen import government_graph
 from repro.rdf import Graph, IRI, Literal, Triple
+from repro.rdf.namespaces import RDF
 from repro.sparql import Execution, QueryEngine, evaluate
 from repro.sparql.parser import parse_cache_clear, parse_query
+
+from test_conformance import check_chain_page
 
 EX = "http://example.org/"
 
@@ -252,17 +256,13 @@ def test_the_id_page_is_the_chain_s_first_rows(specs, text):
     """The order fence of the ID page: on a plain and a two-shard graph,
     a random simple BGP's page is, as a list, the first rows of the chain
     run without a LIMIT, and ``input_rows`` the rows it pulled past the
-    FILTER.  The whole chain holds the scan oracle's rows -- also with
-    every shared step forced onto the index walk, which these small
-    patterns would otherwise hash-join."""
+    FILTER.  The whole chain, an index walk from each row at every later
+    step, holds the scan oracle's rows."""
     whole = text.rsplit(" LIMIT ", 1)[0]
     for graph in (_graph(specs), _sharded(specs)):
         expected = _multiset(QueryEngine(graph, strategy="scan").run(whole).rows)
-        for build_max in (Execution.STREAM_HASH_BUILD_MAX, -1.0):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(Execution, "STREAM_HASH_BUILD_MAX", build_max)
-                assert _id_page(graph, text) == _oracle_page(graph, text), text
-                assert _multiset(_chain_rows(graph, parse_query(whole))) == expected, text
+        assert _id_page(graph, text) == _oracle_page(graph, text), text
+        assert _multiset(_chain_rows(graph, parse_query(whole))) == expected, text
 
 
 _EDGE_GRAPH = [
@@ -300,6 +300,68 @@ def test_id_page_edge_cases(make, text, rows, pulled):
     assert _id_page(graph, text) == (rows, pulled)
     assert _oracle_page(graph, text) == (rows, pulled)
     assert _multiset(QueryEngine(graph, strategy="scan").run(text).rows) == _multiset(rows)
+
+
+GOV = "http://gov.example.org/govdata/"
+_HOSPITAL = f"<{GOV}Hospital>"
+_IN = f"<{GOV}hospitalInMunicipality>"
+_H0 = f"<{GOV}hospital/0>"
+_M0 = f"<{GOV}municipality/4>"  # hospital 0's municipality
+
+#: small pages whose later patterns the chain walks from each row, each
+#: holding its whole result: a pattern sharing no variable, a pattern of
+#: 7 matches, a pattern repeating a variable, and a ``<s> ?p <o>`` pattern
+#: sharing none
+CHAIN_SHAPES = {
+    "cartesian": f"SELECT ?h ?x ?m WHERE {{ ?h a {_HOSPITAL} . ?x {_IN} ?m }} LIMIT 64",
+    "small-build": f"SELECT ?h ?m WHERE {{ ?h a {_HOSPITAL} . ?h {_IN} ?m }} LIMIT 64",
+    "repeated-variable": f"SELECT ?h ?p WHERE {{ ?h a {_HOSPITAL} . ?h ?p ?h }} LIMIT 64",
+    "ground-ends-cartesian": f"SELECT ?m ?p WHERE {{ {_H0} {_IN} ?m . {_H0} ?p {_M0} }} LIMIT 64",
+}
+
+
+@pytest.fixture(scope="module")
+def chain_graphs(stored):
+    """``(store, shards) -> graph``: the 0.2 government graph with self-loops
+    on two hospitals, a non-loop on a third, and two more predicates from
+    hospital 0 to its municipality, as :data:`STORES` holds it."""
+    base = government_graph(scale=0.2, seed=5)
+    hospitals = sorted(base.subjects(RDF.type, IRI(f"{GOV}Hospital")), key=str)
+    h0, h1, h2, h3 = hospitals[:4]
+    m0 = IRI(_M0[1:-1])
+    assert h0 == IRI(_H0[1:-1]) and m0 in set(base.objects(h0, IRI(_IN[1:-1])))
+    link = IRI(f"{GOV}selfLink")
+    base.add_many([
+        Triple(h0, link, h0), Triple(h1, link, h1), Triple(h2, link, h3),
+        Triple(h0, IRI(f"{GOV}servedBy"), m0), Triple(h0, IRI(f"{GOV}near"), m0),
+    ])
+    made = {}
+
+    def get(store, shards):
+        if (store, shards) not in made:
+            graph = Graph(shards=shards)
+            graph.add_many(base)
+            made[store, shards] = stored(graph, store)
+        return made[store, shards]
+
+    return get
+
+
+@pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
+@pytest.mark.parametrize("shape", sorted(CHAIN_SHAPES))
+def test_the_chain_walks_every_later_pattern_on_every_store(chain_graphs, store, shards, shape):
+    """Every later step of the chain is an index walk from each row: the
+    page runs the select sink off the chain, pulls no row past its page,
+    builds no probe table, and holds the scan oracle's rows."""
+    graph = chain_graphs(store, shards)
+    text = CHAIN_SHAPES[shape]
+    engine = QueryEngine(graph)
+    execution = engine.execute(text)
+    check_chain_page(execution, parse_query(text))
+    assert engine.probe_cache_info()["misses"] == 0
+    rows = execution.result.rows
+    assert 0 < len(rows) < 64
+    assert _multiset(rows) == _multiset(QueryEngine(graph, strategy="scan").run(text).rows)
 
 
 def test_a_variable_an_optional_left_unbound_is_free_in_a_walked_pattern():
