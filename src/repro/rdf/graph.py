@@ -353,11 +353,6 @@ class Graph:
     def osp_ids(self) -> IdIndex:
         return self._shards[0].osp
 
-    def node_ids(self) -> Set[int]:
-        """IDs occurring as subject or object -- the property-path universe."""
-        shard = self._shards[0]
-        return set(shard.spo) | set(shard.osp)
-
     def is_node_id(self, term_id: int) -> bool:
         """Does *term_id* occur as a subject or object (path universe)?"""
         if term_id in self.shard_of(term_id).spo:

@@ -25,8 +25,7 @@ read that spans shards**, and that is all this subclass overrides:
   building its indexes;
 * ``scan_runs`` declines (no single index holds a spanning scan's keys:
   each shard has its own), so COUNT / DISTINCT sinks expand rows here;
-* ``node_ids`` and the ``subjects(p, o)`` fast path come back in
-  ascending ID order;
+* the ``subjects(p, o)`` fast path comes back in ascending ID order;
 * whole-index views (``spo_ids``/``pos_ids``/``osp_ids``) materialize a
   merged read-only snapshot on demand; they exist for tests and
   debugging, the hot paths never call them on a sharded graph.
@@ -49,7 +48,7 @@ necessarily on the order of unordered queries.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, Optional, Set, Tuple
+from typing import Iterator, Optional, Tuple
 
 from ._leaf import IdIndex
 from .graph import Graph, Shard, cut_rows
@@ -133,22 +132,6 @@ class ShardedTripleStore(Graph):
         own -- so ``scan_rows`` cuts the routed ``triples_ids`` whatever is
         wanted, and ``scan_runs`` declines."""
         return None
-
-    def node_ids(self) -> Set[int]:
-        """IDs occurring as subject or object -- the property-path universe.
-
-        Built in ascending-ID insertion order so the resulting set's
-        iteration order (which the full-closure path scan observes) is a
-        pure function of the ID set, independent of the shard count.
-        """
-        seen: Set[int] = set()
-        for shard in self._shards:
-            seen.update(shard.spo)
-            seen.update(shard.osp)
-        out: Set[int] = set()
-        for term_id in sorted(seen):
-            out.add(term_id)
-        return out
 
     def subjects(self, predicate: Optional[IRI] = None, obj: Optional[Term] = None):
         """Distinct subjects of ``(?, predicate, obj)``; the bound-bound

@@ -21,7 +21,10 @@ is small enough that the classic textbook pipeline would only add plumbing):
 Two BGP pipelines sit behind ``QueryEngine(graph, strategy=...)``:
 
 * ``"hash"`` (default) -- the eager dictionary-encoded hash-join pipeline
-  above, plus a lazy chain of ID rows over a simple WHERE clause
+  above for a BGP that opens its group (its input the one empty
+  solution) and holds no property path -- any other BGP, bound by earlier
+  solutions or holding a path, runs ``scan``'s loop -- plus a lazy chain
+  of ID rows over a simple WHERE clause
   (:meth:`Execution._stream_id_rows`: a pattern scan, then an index walk
   from each row per further pattern and the term-test FILTERs, as
   generators, so a consumer pulls exactly as much of the join as it
@@ -30,7 +33,8 @@ Two BGP pipelines sit behind ``QueryEngine(graph, strategy=...)``:
   runs the eager group pipeline.
 * ``"scan"`` -- the legacy substitute-and-scan nested-loop join kept as
   the conformance oracle; the suite runs every query through both
-  pipelines and asserts identical solutions.
+  pipelines and asserts identical solutions.  A property path is
+  evaluated at the term level (``paths.evaluate_path``) on either.
 
 A hash SELECT takes one of two routes (:meth:`Execution._run_select`):
 
@@ -124,7 +128,7 @@ from .nodes import (
 from . import join_plan
 from .join_plan import JoinStep, Memo, count_up_to, join_order, picker, settled
 from .parser import parse_query
-from .paths import evaluate_path, evaluate_path_ids, is_path
+from .paths import evaluate_path, is_path
 from .results import AskResult, Row, SelectResult
 
 __all__ = ["evaluate", "Execution", "QueryEngine"]
@@ -142,12 +146,6 @@ def _substitute(pattern: TriplePattern, solution: Solution) -> Tuple:
         return term
 
     return resolve(pattern.subject), resolve(pattern.predicate), resolve(pattern.object)
-
-
-#: Placeholder for a column a solution row does not bind (heterogeneous
-#: solution streams after OPTIONAL / UNION).  Distinct from None, which is a
-#: legal wildcard elsewhere.
-_UNBOUND = object()
 
 
 def _kind_table(*kinds: int) -> bytes:
@@ -369,30 +367,24 @@ class _EncodedPattern:
 
     * ``int``          -- a ground term's dictionary ID,
     * :class:`Variable`-- a query variable,
-    * ``None``         -- a wildcard (blank node in the pattern, or the
-      predicate slot of a property-path pattern),
-    * :class:`Term`    -- a ground term that is *not* interned; impossible
-      for plain patterns, but a path endpoint can still satisfy zero-length
-      closure semantics, so path patterns keep the raw term for the
-      term-level fallback.
+    * ``None``         -- a wildcard (a blank node in the pattern), or a
+      ground term the dictionary lacks, which makes the pattern
+      ``impossible``.
+
+    Property paths are never compiled: a BGP holding one runs the
+    term-level substitute-and-scan loop.
     """
 
-    __slots__ = (
-        "index", "path", "spec", "variables", "names", "var_positions", "impossible", "est",
-    )
+    __slots__ = ("index", "spec", "variables", "names", "var_positions", "impossible", "est")
 
     def __init__(self, index: int, pattern: TriplePattern, graph: Graph):
         self.index = index
-        self.path = pattern.predicate if is_path(pattern.predicate) else None
         self.impossible = False
         self.variables: List[Variable] = []
         self.var_positions: Dict[Variable, List[int]] = {}
         spec: List = []
         positions = (pattern.subject, pattern.predicate, pattern.object)
         for position, term in enumerate(positions):
-            if position == 1 and self.path is not None:
-                spec.append(None)
-                continue
             if isinstance(term, Variable):
                 spec.append(term)
                 if term not in self.var_positions:
@@ -404,11 +396,8 @@ class _EncodedPattern:
             else:
                 term_id = graph.lookup_id(term)
                 if term_id is None:
-                    if self.path is None:
-                        self.impossible = True
-                    spec.append(term)
-                else:
-                    spec.append(term_id)
+                    self.impossible = True
+                spec.append(term_id)
         self.spec = tuple(spec)
         #: the variables' names: what planning tests membership on (a
         #: ``str`` hashes and compares in C, a ``Variable`` in Python)
@@ -417,14 +406,6 @@ class _EncodedPattern:
 
     def _estimate(self, graph: Graph) -> float:
         """Scan cardinality with only the ground positions bound."""
-        if self.path is not None:
-            s_bound = not isinstance(self.spec[0], Variable) and self.spec[0] is not None
-            o_bound = not isinstance(self.spec[2], Variable) and self.spec[2] is not None
-            if s_bound and o_bound:
-                return 1.0
-            if s_bound or o_bound:
-                return 64.0
-            return 4.0 * len(graph) + 64.0
         if self.impossible:
             return 0.0
         s, p, o = (v if type(v) is int else None for v in self.spec)
@@ -489,17 +470,16 @@ class _SharedPlanCache(_GenerationLRU):
     long-lived engine already paid for.  A repeated query *text* lands on
     the same entry regardless of which engine runs it: the parser AST LRU
     maps the text to one AST object and the cache keys on the identity of
-    that AST's pattern nodes.  Pattern encoding is strategy-independent
-    (every pipeline consumes the same :class:`_EncodedPattern`), so the
-    ``hash`` and ``scan`` engines of one graph share entries too.
+    that AST's pattern nodes.  Only ``hash`` compiles patterns (``scan``
+    substitutes and scans terms), so only its engines fill and read it.
 
     Keys are object identities, safe because the value holds a strong
     reference to the very pattern objects the ids name -- a live id can
     never be reused by a different object.
 
     An entry is ``(patterns, encoded patterns, join plans)``: the last maps
-    each input layout the eager join was asked for -- its columns, its
-    FILTERs' variables, the variables read above it, homogeneity -- to
+    each way the eager join was asked for -- its FILTERs' variables and the
+    variables read above it -- to
     :func:`~repro.sparql.join_plan.plan_join`'s output, so a repeated join
     is planned once per generation.  A plan holds no table and no verdict
     (those are bound per execution: :func:`~repro.sparql.join_plan.bind`).
@@ -789,42 +769,35 @@ class Execution:
     def _evaluate_bgp(
         self, patterns: List[TriplePattern], solutions: List[Solution]
     ) -> List[Solution]:
-        if self.strategy == "hash":
-            return self._evaluate_bgp_hash(patterns, solutions)
+        """*patterns* joined into *solutions*.  Under ``hash`` a BGP that
+        opens its group -- its input is the one empty solution -- and holds
+        no property path runs the eager ID join; any other BGP (bound by
+        earlier solutions, or holding a path) runs the substitute-and-scan
+        loop, the one ``scan`` runs for every BGP."""
+        if (
+            self.strategy == "hash"
+            and len(solutions) == 1
+            and not solutions[0]
+            and not any(is_path(pattern.predicate) for pattern in patterns)
+        ):
+            return self._evaluate_bgp_hash(patterns)
         return self._evaluate_bgp_scan(patterns, solutions)
 
     # -- the dictionary-encoded hash-join pipeline -----------------------------
 
-    def _evaluate_bgp_hash(
-        self, patterns: List[TriplePattern], solutions: List[Solution]
-    ) -> List[Solution]:
-        """Greedy selectivity-ordered joins over ID-tuple solution rows."""
-        if not patterns or not solutions:
-            return solutions
-        joined = self._bgp_id_rows(patterns, solutions)
+    def _evaluate_bgp_hash(self, patterns: List[TriplePattern]) -> List[Solution]:
+        """The eager ID join's rows from the empty solution, decoded."""
+        joined = self._bgp_id_rows(patterns)
         if joined is None:
             return []
         rows, col_of = joined
-        if not rows:
-            return []
-
         decode = self.graph.decode_id
-        out: List[Solution] = []
         layout = list(col_of.items())
-        for row in rows:
-            solution = {}
-            for variable, column in layout:
-                value = row[column]
-                if value is _UNBOUND:
-                    continue
-                solution[variable] = decode(value) if type(value) is int else value
-            out.append(solution)
-        return out
+        return [{variable: decode(row[column]) for variable, column in layout} for row in rows]
 
     def _bgp_id_rows(
         self,
         patterns: List[TriplePattern],
-        solutions: List[Solution],
         filters: Sequence[Tuple[Variable, object]] = (),
         wanted: Optional[Set[Variable]] = None,
         fold: Optional[str] = None,
@@ -832,11 +805,11 @@ class Execution:
     ) -> Optional[Tuple[Union[List[Tuple], Dict[Tuple, Optional[int]]], Dict[Variable, int]]]:
         """The BGP join pipeline in ID space -- the one eager join.
 
-        Returns ``(rows, column_of)`` where each row is a tuple of
-        dictionary IDs (or raw non-interned terms carried through from the
-        input solutions), or ``None`` when a pattern can match nothing.
+        It starts from the empty row and returns ``(rows, column_of)``,
+        where each row is a tuple of dictionary IDs binding every variable,
+        or ``None`` when a pattern can match nothing.
 
-        *fold* names the sink above a homogeneous join: ``"distinct"`` (a
+        *fold* names the sink above the join: ``"distinct"`` (a
         DISTINCT with no ORDER BY, page size *cap*) or ``"count"`` (a
         pure-COUNT GROUP BY on exactly the wanted variables).  With no
         deferred FILTER the last step then folds its rows into the keys
@@ -848,52 +821,28 @@ class Execution:
         rest leave ``column_of`` once no later pattern needs them.  The
         order, the checks and the layouts are planned before any row is
         built (:func:`~repro.sparql.join_plan.plan_join`), once per graph
-        generation and input layout: the plan rides in the plan-cache entry
-        of *patterns*, and each execution binds its FILTER verdicts and gate
-        tables to it (:func:`~repro.sparql.join_plan.bind`).  Every candidate
-        a step drops is one a FILTER or a later inner join would have
-        dropped, and no join kind changes (see below), so the survivors
-        leave in the order the unfiltered join would give them.
+        generation, FILTER set and wanted set: the plan rides in the
+        plan-cache entry of *patterns*, and each execution binds its FILTER
+        verdicts and gate tables to it (:func:`~repro.sparql.join_plan.bind`).
+        Every candidate a step drops is one a FILTER or a later inner join
+        would have dropped, and no join kind changes (see below), so the
+        survivors leave in the order the unfiltered join would give them.
         """
-        graph = self.graph
-        _patterns, encoded, plans = self.engine._plans.entry(graph, patterns)
+        _patterns, encoded, plans = self.engine._plans.entry(self.graph, patterns)
         for compiled in encoded:
             if compiled.impossible:
                 return None
 
-        # Column layout: one slot per variable ever bound; rows are tuples.
-        columns: List[Variable] = []
-        col_of: Dict[Variable, int] = {}
-        for solution in solutions:
-            for variable in solution:
-                if variable not in col_of:
-                    col_of[variable] = len(columns)
-                    columns.append(variable)
-        lookup = graph.lookup_id
-        width = len(columns)
-        rows: List[Tuple] = []
-        for solution in solutions:
-            row = [_UNBOUND] * width
-            for variable, term in solution.items():
-                term_id = lookup(term)
-                # Terms outside the dictionary stay as raw terms: they hash
-                # fine and can never equal a scanned ID, which is exactly
-                # the join semantics they need.
-                row[col_of[variable]] = term_id if term_id is not None else term
-            rows.append(tuple(row))
-
-        homogeneous = all(len(solution) == width for solution in solutions)
         checked = tuple(variable for variable, _check in filters)
-        key = (
-            tuple(columns), checked, None if wanted is None else frozenset(wanted), homogeneous
-        )
+        key = (checked, None if wanted is None else frozenset(wanted))
         plan = plans.get(key)
         if plan is None:
-            plan = plans[key] = join_plan.plan_join(encoded, columns, checked, wanted, homogeneous)
+            plan = plans[key] = join_plan.plan_join(encoded, checked, wanted)
         steps = join_plan.bind(
             plan[0], [check for _variable, check in filters], self._build_probe_table
         )
         deferred = [filters[j] for j in plan[1]]
+        rows: List[Tuple] = [()]
         built = 0
         # A step that picks hash join or INLJ from its input's row count
         # (``decides``) must see the count the unfiltered join would give
@@ -906,7 +855,7 @@ class Execution:
         candidates = len(rows)
         last = None
         if (
-            fold is not None and steps and homogeneous and not deferred
+            fold is not None and not deferred
             and (fold == "distinct" or set(steps[-1].out) == wanted)
         ):
             last = steps[-1]
@@ -922,10 +871,9 @@ class Execution:
                 rows, made = self._fold_step(step, rows, count, fold == "count", cap)
                 built += made
                 break
-            rows, candidates = self._join_step(step, rows, count, homogeneous)
+            rows, candidates = self._join_step(step, rows, count)
             built += len(rows)
-        if steps:
-            col_of = {variable: i for i, variable in enumerate(steps[-1].out)}
+        col_of = {variable: i for i, variable in enumerate(steps[-1].out)}
         for variable, check in deferred:
             column = col_of.get(variable)
             rows = (
@@ -938,16 +886,14 @@ class Execution:
         return rows, col_of
 
     def _join_step(
-        self, step: JoinStep, rows: List[Tuple], count: int, homogeneous: bool
+        self, step: JoinStep, rows: List[Tuple], count: int
     ) -> Tuple[List[Tuple], Union[int, Callable[[float], int]]]:
         """``(rows out, candidates)``: one planned step over *rows*.
 
         *count* is the input row count the unfiltered join would see, the
-        one the hash-or-INLJ choice reads; *homogeneous* says every row
-        binds every column (the join's input did, so its steps' rows do).
-        ``candidates`` is the matches met, dropped ones included -- or, from
-        a loop that drops before it builds, a callable that counts them up
-        to the number it is given.
+        one the hash-or-INLJ choice reads.  ``candidates`` is the matches
+        met, dropped ones included -- or, from a loop that drops before it
+        builds, a callable that counts them up to the number it is given.
         """
         ep, col_of, width = step.ep, step.col_of, len(step.col_of)
         if not step.shared:
@@ -957,16 +903,14 @@ class Execution:
             return settled(full, step.checks, width, step.pick), len(full)
 
         if step.inlj(count):
-            if self._plain_joinable(ep, () if homogeneous else rows, col_of):
+            if self._plain_joinable(ep):
                 out = self._index_join_plain(
                     self._bind_index_join(ep, col_of, step, len(rows)), rows
                 )
                 if step.checks:
                     return out, lambda enough: self._match_count(ep, rows, col_of, enough)
                 return out, len(out)
-            full = self._index_join_general(
-                ep, rows, col_of, step.full_col_of(), len(step.new_vars)
-            )
+            full = self._index_join_general(ep, rows, col_of)
             return settled(full, step.checks, width, step.pick), len(full)
 
         # Hash join: scan once, key the scan rows on the shared variables,
@@ -975,21 +919,12 @@ class Execution:
         keep = step.keep
         out: List[Tuple] = []
         append = out.append
-        fallback: List[Tuple] = []
         for key, row in zip(map(key_of, rows), rows):
-            if key is _UNBOUND or (type(key) is tuple and _UNBOUND in key):
-                fallback.append(row)  # heterogeneous row; handled per row below
-                continue
             bucket = get(key)
             if bucket:
                 base = row if keep is None else keep(row)
                 for extra in bucket:
                     append(base + extra)
-        if fallback:
-            full = self._index_join_general(
-                ep, fallback, col_of, step.full_col_of(), len(step.new_vars)
-            )
-            out.extend(settled(full, step.checks, width, step.pick))
         if step.checks:
             return out, lambda enough: count_up_to(
                 (len(table.get(key, ())) for key in map(key_of, rows)), enough
@@ -1033,11 +968,8 @@ class Execution:
         *count*.  A hash join folds its buckets.  An INLJ ``?s ?p ?o`` whose
         only live new value is the predicate *witnesses* it
         (:meth:`_fold_witness`).  Any other step builds its rows as
-        :meth:`_join_step` does and folds them.  Rows here are pure ID
-        tuples: the input is homogeneous.
+        :meth:`_join_step` does and folds them.
         """
-        if cap == 0:
-            return {}, 0
         if step.shared and not step.inlj(count):
             _table, key_of, get = self._probe(step)
             keep = step.keep
@@ -1069,7 +1001,7 @@ class Execution:
         ):
             keys = self._fold_witness(step, rows, cap)
             return keys, len(keys)
-        out = self._join_step(step, rows if counted else list(dict.fromkeys(rows)), count, True)[0]
+        out = self._join_step(step, rows if counted else list(dict.fromkeys(rows)), count)[0]
         return (Counter(out) if counted else _first_keys(dict.fromkeys(out), cap)), len(out)
 
     def _fold_witness(
@@ -1151,24 +1083,18 @@ class Execution:
         The table comes from the graph's :class:`_SharedProbeCache` when
         this generation already built it; ``sparql.probe_build`` fires
         either way (``cached`` says which), ``sparql.scan`` only when the
-        scan ran.  A property-path table stays uncached: it depends on the
-        path expression and on raw (non-interned) endpoint terms, neither
-        of which the ID key holds.
+        scan ran.
         """
         var_index = {v: i for i, v in enumerate(ep.variables)}
         key_positions = tuple(var_index[v] for v in shared)
         new_positions = tuple(var_index[v] for v in new_vars)
         ground = tuple(v if type(v) is int else None for v in ep.spec)
         var_positions = [ep.var_positions[v] for v in ep.variables]
-        cached = False
-        if ep.path is not None:
-            table = self._probe_table(ep, key_positions, new_positions)
-        else:
-            table, cached = self.engine._probes.lookup(
-                self.graph,
-                (ground, tuple(map(tuple, var_positions)), key_positions, new_positions),
-                lambda: self._probe_table(ep, key_positions, new_positions),
-            )
+        table, cached = self.engine._probes.lookup(
+            self.graph,
+            (ground, tuple(map(tuple, var_positions)), key_positions, new_positions),
+            lambda: self._probe_table(ep, key_positions, new_positions),
+        )
         if self.tracer.detail:
             self.tracer.event(
                 "sparql.probe_build",
@@ -1242,84 +1168,15 @@ class Execution:
             )
 
     def _scan_rows(self, ep: _EncodedPattern) -> Iterator[Tuple]:
-        if ep.path is not None:
-            yield from self._scan_path(ep, ep.spec[0], ep.spec[2])
-            return
-        spec = ep.spec
-        s, p, o = (v if type(v) is int else None for v in spec)
+        s, p, o = (v if type(v) is int else None for v in ep.spec)
         positions = [ep.var_positions[v] for v in ep.variables]
         yield from _triples_to_scan_rows(self.graph.triples_ids(s, p, o), positions)
 
-    def _scan_path(self, ep: _EncodedPattern, s_spec, o_spec) -> Iterator[Tuple]:
-        """Path-pattern scan; spec entries as in :class:`_EncodedPattern`."""
-        graph = self.graph
-        if isinstance(s_spec, Term) and not isinstance(s_spec, Variable) or (
-            isinstance(o_spec, Term) and not isinstance(o_spec, Variable)
-        ):
-            # A non-interned ground endpoint: only zero-length closure
-            # semantics can satisfy it -- delegate to the term level.
-            s_term = self._path_endpoint_term(s_spec)
-            o_term = self._path_endpoint_term(o_spec)
-            pairs = self._encode_pairs(evaluate_path(graph, ep.path, s_term, o_term))
-        else:
-            s = s_spec if type(s_spec) is int else None
-            o = o_spec if type(o_spec) is int else None
-            pairs = evaluate_path_ids(graph, ep.path, s, o)
-        yield from self._pairs_to_rows(ep, pairs)
-
-    def _path_endpoint_term(self, spec) -> Optional[Term]:
-        if type(spec) is int:
-            return self.graph.decode_id(spec)
-        if isinstance(spec, Term) and not isinstance(spec, Variable):
-            return spec
-        return None
-
-    def _encode_pairs(self, pairs) -> Iterator[Tuple]:
-        """Map term pairs back into hybrid ID space (raw terms survive)."""
-        lookup = self.graph.lookup_id
-        for s_term, o_term in pairs:
-            s = lookup(s_term)
-            o = lookup(o_term)
-            yield (s if s is not None else s_term, o if o is not None else o_term)
-
-    def _pairs_to_rows(self, ep: _EncodedPattern, pairs) -> Iterator[Tuple]:
-        """Turn path (s, o) pairs into scan rows over ``ep.variables``."""
-        s_spec, o_spec = ep.spec[0], ep.spec[2]
-        s_var = s_spec if isinstance(s_spec, Variable) else None
-        o_var = o_spec if isinstance(o_spec, Variable) else None
-        # Compare by equality: the parser mints distinct-but-equal Variable
-        # objects for the two positions of ``?x path ?x``.
-        if s_var is not None and s_var == o_var:
-            for s, o in pairs:
-                if s == o:
-                    yield (s,)
-            return
-        if s_var is not None and o_var is not None:
-            yield from pairs
-            return
-        if s_var is not None:
-            for s, _ in pairs:
-                yield (s,)
-            return
-        if o_var is not None:
-            for _, o in pairs:
-                yield (o,)
-            return
-        for _ in pairs:
-            yield ()
-            return  # ground-ground path: one witness is enough
-
     @staticmethod
-    def _plain_joinable(ep: _EncodedPattern, rows: List[Tuple], col_of) -> bool:
-        """Can :meth:`_index_join_plain` join *ep* into *rows*?"""
-        if ep.path is not None or any(
-            len(positions) > 1 for positions in ep.var_positions.values()
-        ):
-            return False
-        bound_columns = [col_of[v] for v in ep.variables if v in col_of]
-        return not any(
-            row[column] is _UNBOUND for column in bound_columns for row in rows
-        )
+    def _plain_joinable(ep: _EncodedPattern) -> bool:
+        """Can :meth:`_index_join_plain` join *ep*?  Not when it repeats a
+        variable."""
+        return all(len(positions) == 1 for positions in ep.var_positions.values())
 
     def _bind_index_join(
         self,
@@ -1349,7 +1206,7 @@ class Execution:
                 resolved.append(("col", column) if column is not None else ("free", None))
             elif type(spec) is int:
                 resolved.append(("const", spec))
-            else:  # wildcard (blank node); raw terms are impossible here
+            else:  # wildcard (blank node)
                 resolved.append(("free", None))
         (s_kind, s_val), (p_kind, p_val), (o_kind, o_val) = resolved
         # New variables appear in ascending position order (no repeats), so
@@ -1418,12 +1275,6 @@ class Execution:
             s = s_val if s_kind == "const" else (row[s_val] if s_kind == "col" else None)
             p = p_val if p_kind == "const" else (row[p_val] if p_kind == "col" else None)
             o = o_val if o_kind == "const" else (row[o_val] if o_kind == "col" else None)
-            if (
-                (s is not None and type(s) is not int)
-                or (p is not None and type(p) is not int)
-                or (o is not None and type(o) is not int)
-            ):
-                continue  # a raw non-interned term matches no triple
             base = row if keep is None else keep(row)
             if store is not None:
                 if s is None:
@@ -1502,76 +1353,26 @@ class Execution:
         return out
 
     def _index_join_general(
-        self,
-        ep: _EncodedPattern,
-        rows: List[Tuple],
-        col_of: Dict[Variable, int],
-        new_col_of: Dict[Variable, int],
-        extra_width: int,
+        self, ep: _EncodedPattern, rows: Iterable[Tuple], col_of: Dict[Variable, int]
     ) -> List[Tuple]:
-        """Per-row index lookups: the fully general merge (repeated
-        variables, heterogeneous rows, property paths)."""
-        graph = self.graph
-        out: List[Tuple] = []
-        width = len(col_of)
-        is_node_id = graph.is_node_id
-        for row in rows:
-            # Resolve each position against this row.
-            resolved: List = []
-            dead = False
-            for position, spec in enumerate(ep.spec):
-                if isinstance(spec, Variable):
-                    column = col_of.get(spec)
-                    value = row[column] if column is not None else _UNBOUND
-                    if value is _UNBOUND:
-                        resolved.append(None)
-                    elif type(value) is int:
-                        if (
-                            ep.path is not None
-                            and position != 1
-                            and not is_node_id(value)
-                        ):
-                            # A variable path endpoint ranges over the node
-                            # universe only (join-order independence; the
-                            # scan pipeline enforces the same rule).
-                            dead = True
-                            break
-                        resolved.append(value)
-                    else:
-                        dead = True  # non-interned term can match no triple
-                        break
-                else:
-                    resolved.append(spec)
-            if dead:
-                continue
-
-            if ep.path is not None:
-                # a constant endpoint the dictionary lacks is a raw term:
-                # the scan's zero-length rule applies to it
-                matches = self._scan_path(ep, resolved[0], resolved[2])
-            else:
-                matches = self._row_plain_matches(ep, resolved)
-
-            for bound in matches:  # bound: value per ep.variables
-                merged = None
-                extra = [_UNBOUND] * extra_width
-                for variable, value in zip(ep.variables, bound):
-                    column = col_of.get(variable)
-                    if column is None:
-                        extra[new_col_of[variable] - width] = value
-                    elif row[column] is _UNBOUND:
-                        if merged is None:
-                            merged = list(row)
-                        merged[column] = value
-                base = tuple(merged) if merged is not None else row
-                out.append(base + tuple(extra))
-        return out
-
-    def _row_plain_matches(self, ep: _EncodedPattern, resolved: List) -> Iterator[Tuple]:
-        """Matches for a plain pattern with per-row constants substituted."""
-        s, p, o = resolved
+        """Per-row index lookups for a pattern that repeats a variable: each
+        row's bound positions substituted, the matches read off
+        ``triples_ids`` (:func:`_triples_to_scan_rows` keeps those whose
+        repeated positions agree) and the new values appended to the row in
+        ``ep.variables`` order."""
+        triples_ids = self.graph.triples_ids
         positions = [ep.var_positions[v] for v in ep.variables]
-        yield from _triples_to_scan_rows(self.graph.triples_ids(s, p, o), positions)
+        resolve = [
+            (col_of.get(spec), None) if isinstance(spec, Variable) else (None, spec)
+            for spec in ep.spec
+        ]
+        new = [i for i, variable in enumerate(ep.variables) if variable not in col_of]
+        out: List[Tuple] = []
+        for row in rows:
+            s, p, o = (constant if c is None else row[c] for c, constant in resolve)
+            for match in _triples_to_scan_rows(triples_ids(s, p, o), positions):
+                out.append(row + tuple(match[i] for i in new))
+        return out
 
     # -- the lazy ID chain (volcano-style) ------------------------------------
     #
@@ -1608,7 +1409,7 @@ class Execution:
             new_col_of = dict(col_of)
             for variable in ep.variables:
                 new_col_of.setdefault(variable, len(new_col_of))
-            rows = self._stream_step(ep, rows, col_of, new_col_of)
+            rows = self._stream_step(ep, rows, col_of)
             col_of = new_col_of
         for test, variable in simple_filters:
             column = col_of.get(variable)
@@ -1618,20 +1419,15 @@ class Execution:
         return rows, col_of
 
     def _stream_step(
-        self,
-        ep: _EncodedPattern,
-        upstream: Iterator[Tuple],
-        col_of: Dict[Variable, int],
-        new_col_of: Dict[Variable, int],
+        self, ep: _EncodedPattern, upstream: Iterator[Tuple], col_of: Dict[Variable, int]
     ) -> Iterator[Tuple]:
         """Extend each upstream row (laid out as *col_of*) with *ep*'s
-        matches (laid out as *new_col_of*) as it arrives: a plain pattern
-        bound once, on the first row, and walked per row; a repeated
-        variable takes the general merge per row."""
-        if not self._plain_joinable(ep, (), col_of):
-            width = len(new_col_of) - len(col_of)
+        matches, its new values in ``ep.variables`` order, as it arrives: a
+        plain pattern bound once, on the first row, and walked per row; a
+        repeated variable takes :meth:`_index_join_general` per row."""
+        if not self._plain_joinable(ep):
             for row in upstream:
-                yield from self._index_join_general(ep, [row], col_of, new_col_of, width)
+                yield from self._index_join_general(ep, (row,), col_of)
             return
         bound = None
         for row in upstream:
@@ -1695,8 +1491,7 @@ class Execution:
             # binding carried in from elsewhere that names a non-node term
             # could only be satisfied by zero-length closure, which a
             # variable endpoint does not admit; enforcing it here keeps
-            # path evaluation independent of join order (and in agreement
-            # with the hash pipeline).
+            # path evaluation independent of join order.
             if (
                 isinstance(pattern.subject, Variable)
                 and s is not None
@@ -1828,7 +1623,7 @@ class Execution:
         for element in group.elements:
             if isinstance(element, TriplePattern):
                 if is_path(element.predicate):
-                    return None  # path rows can carry raw terms; keep general
+                    return None  # a path runs the term-level evaluator
                 patterns.append(element)
             elif isinstance(element, FilterPattern):
                 compiled = _simple_filter(element.expression)
@@ -2013,15 +1808,19 @@ class Execution:
         pull the rows lazily, so a LIMIT-bounded sink stops its source at
         its page; the scan's cells are booked once the sink is done.
         """
-        source, col_of, grouped, cells = self._simple_source(query, *where, plan)
-        if query.limit == 0 or (query.offset or 0) >= sys.maxsize:
-            # a page no row reaches -- LIMIT 0, or an OFFSET no store's
-            # size comes near -- reads nothing; ``SELECT *`` one row, for
-            # the witness its header needs
+        if self._reaches_no_row(query):
+            # a page no row reaches builds no source: ``SELECT *`` takes one
+            # row off the lazy chain, the witness its header needs; anything
+            # else reads none
+            grouped, cells = False, None
             if query.select_all:
-                source = _islice(source, 1)
+                rows, col_of = self._stream_id_rows(*where)
+                source = _islice(rows, 1)
             else:
-                source, grouped, cells = iter(()), False, None
+                variables = dict.fromkeys(v for pattern in where[0] for v in pattern.variables())
+                source, col_of = iter(()), {v: i for i, v in enumerate(variables)}
+        else:
+            source, col_of, grouped, cells = self._simple_source(query, *where, plan)
         if plan is None:
             result = self._select_page(query, source, col_of)
         else:
@@ -2093,7 +1892,7 @@ class Execution:
         elif plan[0]:
             fold = "count"
         filters = [(variable, self._term_verdicts(test)) for test, variable in simple_filters]
-        joined, col_of = self._bgp_id_rows(patterns, [{}], filters, wanted, fold, cap)
+        joined, col_of = self._bgp_id_rows(patterns, filters, wanted, fold, cap)
         if fold == "count" and isinstance(joined, dict):
             keys = list(_islice(joined, self._run_cap(query)))
             groups = [list(column) for column in zip(*keys)] or [[] for _ in col_of]
@@ -2163,6 +1962,12 @@ class Execution:
             return None
         _position, keys, sizes = runs
         return _islice(keys, self._run_cap(query)), sizes
+
+    @staticmethod
+    def _reaches_no_row(query: SelectQuery) -> bool:
+        """Is *query*'s page one no row reaches -- LIMIT 0, or an OFFSET no
+        store's size comes near?"""
+        return query.limit == 0 or (query.offset or 0) >= sys.maxsize
 
     @staticmethod
     def _run_cap(query: SelectQuery) -> Optional[int]:
@@ -2296,10 +2101,10 @@ class Execution:
         return self._aggregate_page(query, items, cols, columns, stats)
 
     def _run_select_general(self, query: SelectQuery) -> SelectResult:
-        # A LIMIT 0 page is its header.  An explicit projection names it, so
-        # the WHERE clause is not evaluated; ``SELECT *``'s is the union of
-        # the solutions' variables, so that one still is.
-        if query.limit == 0 and not query.select_all:
+        # A page no row reaches is its header.  An explicit projection
+        # names it, so the WHERE clause is not evaluated; ``SELECT *``'s is
+        # the union of the solutions' variables, so that one still is.
+        if self._reaches_no_row(query) and not query.select_all:
             solutions: List[Solution] = []
         else:
             solutions = list(self._evaluate_group(query.where, [{}]))

@@ -2,8 +2,10 @@
 
 :meth:`Execution._bgp_id_rows <repro.sparql.evaluator.Execution._bgp_id_rows>`
 is the one eager ID-space join.  Everything about it that does not depend
-on row counts is decided here, once per graph generation and input layout
-(:func:`plan_join`; the plan rides in the plan-cache entry of its BGP):
+on row counts is decided here, once per graph generation, FILTER set and
+wanted set (:func:`plan_join`; the plan rides in the plan-cache entry of
+its BGP).  The join starts from the empty row, so every row it builds
+binds each of its variables to an ID.  The plan fixes:
 
 * the **order** -- greedy on :func:`join_score`, a function of which
   variables are bound, so it is the same whether it is planned up front or
@@ -130,9 +132,9 @@ class JoinStep:
     ``new_vars[i]`` for ``i`` in ``live`` (None: the whole row / every new
     value) -- the variables of ``out`` -- and only if ``checks[i]`` holds
     for the value of ``new_vars[i]``.  ``pick`` does the same to a row
-    already built as input row + every new value (:meth:`full_col_of`),
-    ``pick_new`` to the new values alone.  ``decides`` says the step picks
-    hash join or INLJ from its input's row count.
+    already built as input row + every new value, ``pick_new`` to the new
+    values alone.  ``decides`` says the step picks hash join or INLJ from
+    its input's row count.
 
     The plan names the checks: ``filters[i]`` are the indices of the
     FILTERs tested on ``new_vars[i]``, ``gate`` the ``i`` the next
@@ -156,7 +158,7 @@ class JoinStep:
         self.gate: Optional[int] = None
         self.checks: Dict[int, object] = {}
         self.table = None
-        self.decides = bool(shared) and ep.path is None
+        self.decides = bool(shared)
         self.keep = self.live = self.pick = self.pick_new = None
         self.out = layout + new_vars
         if alive is None:
@@ -177,16 +179,9 @@ class JoinStep:
     def inlj(self, count: float) -> bool:
         """Does the step probe the index per input row (INLJ) rather than
         hash-join, given the *count* of input rows the unfiltered join
-        would see?  A path always probes; anything else does when its
-        pattern matches more than four times *count* rows."""
-        return self.ep.path is not None or self.ep.est > 4.0 * count
-
-    def full_col_of(self) -> Dict:
-        """The layout of input row + every new value."""
-        full = dict(self.col_of)
-        for i, variable in enumerate(self.new_vars, len(full)):
-            full[variable] = i
-        return full
+        would see?  It does when its pattern matches more than four times
+        *count* rows."""
+        return self.ep.est > 4.0 * count
 
     def bound(self, checks: Dict[int, object], table) -> "JoinStep":
         """A copy of this planned step carrying one execution's *checks*
@@ -203,30 +198,27 @@ class JoinStep:
 _PLANNED = tuple(name for name in JoinStep.__slots__ if name not in ("checks", "table"))
 
 
-def plan_join(encoded, layout, filters, wanted, homogeneous: bool):
-    """``(steps, deferred)``: the join of *encoded* over rows laid out as
-    *layout* (a list of variables), planned without reading a row or
-    fetching a table.
+def plan_join(encoded, filters, wanted):
+    """``(steps, deferred)``: the join of *encoded* from the empty row,
+    planned without reading a row or fetching a table.
 
     *filters* are the variables of the join's term-test FILTERs, in order
     (a FILTER is named by its index there); *wanted* the variables read
-    above the join (None: all of them); *homogeneous* says every input row
-    binds every column -- without it no step drops anything.  ``deferred``
-    are the indices of the FILTERs no step may run.  A step is gated by
-    the next pattern when that pattern shares exactly one variable with
-    the rows, this step binds it, its estimate is no larger than this
-    step's (so no whole-graph table is built as a gate) and its probe table
-    is cached (no property path).
+    above the join (None: all of them).  ``deferred`` are the indices of
+    the FILTERs no step may run.  A step is gated by the next pattern when
+    that pattern shares exactly one variable with the rows, this step binds
+    it and its estimate is no larger than this step's (so no whole-graph
+    table is built as a gate).
     """
-    bound = {variable.name for variable in layout}
+    bound: Set[str] = set()
     order = []
     for ep in join_order(encoded, bound):
         shared = [v for v in ep.variables if v.name in bound]
         new_vars = [v for v in ep.variables if v.name not in bound]
         bound |= ep.names
         order.append((ep, shared, [v.name for v in new_vars], new_vars))
-    decides = [bool(shared) and ep.path is None for ep, shared, _n, _v in order]
-    may_drop = [homogeneous and not any(decides[k + 2:]) for k in range(len(order))]
+    decides = [bool(shared) for _ep, shared, _n, _v in order]
+    may_drop = [not any(decides[k + 2:]) for k in range(len(order))]
 
     slots: List[Dict[int, List[int]]] = [{} for _ in order]
     deferred = []
@@ -245,7 +237,6 @@ def plan_join(encoded, layout, filters, wanted, homogeneous: bool):
             and len(after_shared) == 1
             and after_shared[0].name in new_names
             and after.est <= ep.est
-            and after.path is None
         ):
             gates[k] = new_names.index(after_shared[0].name)
 
@@ -258,6 +249,7 @@ def plan_join(encoded, layout, filters, wanted, homogeneous: bool):
             needed |= order[k][0].names
 
     steps = []
+    layout: List = []
     for k, (ep, shared, _names, new_vars) in enumerate(order):
         step = JoinStep(ep, shared, new_vars, layout, alive[k])
         step.filters = {index: tuple(js) for index, js in slots[k].items()}

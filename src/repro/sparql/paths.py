@@ -12,15 +12,19 @@ This enables the "inferred schema" queries of the LODeX lineage, e.g.::
 
     SELECT ?s WHERE { ?s a/rdfs:subClassOf* ex:Agent }
 
-Path evaluation yields (subject, object) pairs; closures are computed by
-BFS from the bound side (or over the whole node universe when both ends
-are unbound, per the spec's zero-length-path semantics).
+Path evaluation yields (subject, object) pairs of terms; closures are
+computed by BFS from the bound side (or over the whole node universe when
+both ends are unbound, per the spec's zero-length-path semantics).  Every
+pipeline evaluates a path here, at the term level, and each closure yields
+its nodes in the order the BFS met them -- the start node first under
+``*`` -- so a path's rows come out in the same order under every hash
+seed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, Optional, Set, Tuple, Union
 
 from ..rdf.graph import Graph
 from ..rdf.terms import IRI, Term
@@ -33,7 +37,6 @@ __all__ = [
     "AlternativePath",
     "ClosurePath",
     "evaluate_path",
-    "evaluate_path_ids",
     "is_path",
 ]
 
@@ -108,12 +111,13 @@ def is_path(value) -> bool:
     return isinstance(value, Path)
 
 
-def _node_universe(graph: Graph) -> Set[Term]:
-    """All subjects and objects -- the domain of zero-length paths."""
-    nodes: Set[Term] = set()
+def _node_universe(graph: Graph) -> Dict[Term, None]:
+    """All subjects and objects -- the domain of zero-length paths -- in
+    the order the graph's triples first name them."""
+    nodes: Dict[Term, None] = {}
     for triple in graph.triples():
-        nodes.add(triple.subject)
-        nodes.add(triple.object)
+        nodes[triple.subject] = None
+        nodes[triple.object] = None
     return nodes
 
 
@@ -169,56 +173,39 @@ def _closure_pairs(
 ) -> Iterator[Tuple[Term, Term]]:
     inner = path.inner
 
-    def forward_reachable(start: Term) -> Set[Term]:
-        reached: Set[Term] = set()
+    def reachable(start: Term, forward: bool) -> Dict[Term, None]:
+        """The nodes *inner* steps reach from *start* (towards it when not
+        *forward*), in the order the BFS met them; *start* first under
+        ``*``."""
+        reached: Dict[Term, None] = {start: None} if path.include_zero else {}
         queue = deque([start])
         while queue:
             node = queue.popleft()
-            for _, target in _step_pairs(graph, inner, node, None):
-                if target not in reached:
-                    reached.add(target)
-                    queue.append(target)
-        return reached
-
-    def backward_reachable(end: Term) -> Set[Term]:
-        reached: Set[Term] = set()
-        queue = deque([end])
-        while queue:
-            node = queue.popleft()
-            for source, _ in _step_pairs(graph, inner, None, node):
-                if source not in reached:
-                    reached.add(source)
-                    queue.append(source)
+            if forward:
+                steps = (o for _s, o in _step_pairs(graph, inner, node, None))
+            else:
+                steps = (s for s, _o in _step_pairs(graph, inner, None, node))
+            for found in steps:
+                if found not in reached:
+                    reached[found] = None
+                    queue.append(found)
         return reached
 
     if subject is not None:
-        targets = forward_reachable(subject)
-        if path.include_zero:
-            targets = targets | {subject}
-        for target in targets:
+        for target in reachable(subject, True):
             if obj is None or obj == target:
                 yield subject, target
         return
 
     if obj is not None:
-        sources = backward_reachable(obj)
-        if path.include_zero:
-            sources = sources | {obj}
-        for source in sources:
+        for source in reachable(obj, False):
             yield source, obj
         return
 
     # both unbound: closure from every node in the universe
-    universe = _node_universe(graph)
-    seen: Set[Tuple[Term, Term]] = set()
-    for node in universe:
-        targets = forward_reachable(node)
-        if path.include_zero:
-            targets = targets | {node}
-        for target in targets:
-            if (node, target) not in seen:
-                seen.add((node, target))
-                yield node, target
+    for node in _node_universe(graph):
+        for target in reachable(node, True):
+            yield node, target
 
 
 def evaluate_path(
@@ -226,129 +213,3 @@ def evaluate_path(
 ) -> Iterator[Tuple[Term, Term]]:
     """All (subject, object) pairs connected by *path* under the bindings."""
     yield from _step_pairs(graph, path, subject, obj)
-
-
-# --------------------------------------------------------------------------
-# ID-level fast path
-#
-# Mirrors of the term-level functions above operating on dictionary IDs
-# (ints) from the graph's intern table.  The hash-join evaluator uses these
-# so closures and sequences never hash term objects; pairs decode back to
-# terms only at the result boundary.  Semantics are identical to the
-# term-level code for endpoints that are interned; callers handle
-# non-interned endpoint terms (only reachable through zero-length closure
-# semantics) at the term level.
-# --------------------------------------------------------------------------
-
-
-def _step_pairs_ids(
-    graph: Graph, path: PathLike, subject: Optional[int], obj: Optional[int]
-) -> Iterator[Tuple[int, int]]:
-    """(s, o) ID pairs for a single-step path with optional ID bindings."""
-    if isinstance(path, IRI):
-        predicate = graph.lookup_id(path)
-        if predicate is None:
-            return
-        for s, _, o in graph.triples_ids(subject, predicate, obj):
-            yield s, o
-        return
-    if isinstance(path, LinkPath):
-        yield from _step_pairs_ids(graph, path.iri, subject, obj)
-        return
-    if isinstance(path, InversePath):
-        for o, s in _step_pairs_ids(graph, path.inner, obj, subject):
-            yield s, o
-        return
-    if isinstance(path, AlternativePath):
-        seen: Set[Tuple[int, int]] = set()
-        for choice in path.choices:
-            for pair in _step_pairs_ids(graph, choice, subject, obj):
-                if pair not in seen:
-                    seen.add(pair)
-                    yield pair
-        return
-    if isinstance(path, SequencePath):
-        yield from _sequence_pairs_ids(graph, path.steps, subject, obj)
-        return
-    if isinstance(path, ClosurePath):
-        yield from _closure_pairs_ids(graph, path, subject, obj)
-        return
-    raise TypeError(f"not a path: {path!r}")
-
-
-def _sequence_pairs_ids(
-    graph: Graph, steps, subject: Optional[int], obj: Optional[int]
-) -> Iterator[Tuple[int, int]]:
-    first, rest = steps[0], steps[1:]
-    if not rest:
-        yield from _step_pairs_ids(graph, first, subject, obj)
-        return
-    seen: Set[Tuple[int, int]] = set()
-    for s, middle in _step_pairs_ids(graph, first, subject, None):
-        for _, o in _sequence_pairs_ids(graph, rest, middle, obj):
-            if (s, o) not in seen:
-                seen.add((s, o))
-                yield s, o
-
-
-def _closure_pairs_ids(
-    graph: Graph, path: ClosurePath, subject: Optional[int], obj: Optional[int]
-) -> Iterator[Tuple[int, int]]:
-    inner = path.inner
-
-    def forward_reachable(start: int) -> Set[int]:
-        reached: Set[int] = set()
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for _, target in _step_pairs_ids(graph, inner, node, None):
-                if target not in reached:
-                    reached.add(target)
-                    queue.append(target)
-        return reached
-
-    def backward_reachable(end: int) -> Set[int]:
-        reached: Set[int] = set()
-        queue = deque([end])
-        while queue:
-            node = queue.popleft()
-            for source, _ in _step_pairs_ids(graph, inner, None, node):
-                if source not in reached:
-                    reached.add(source)
-                    queue.append(source)
-        return reached
-
-    if subject is not None:
-        targets = forward_reachable(subject)
-        if path.include_zero:
-            targets = targets | {subject}
-        for target in targets:
-            if obj is None or obj == target:
-                yield subject, target
-        return
-
-    if obj is not None:
-        sources = backward_reachable(obj)
-        if path.include_zero:
-            sources = sources | {obj}
-        for source in sources:
-            yield source, obj
-        return
-
-    universe = graph.node_ids()
-    seen: Set[Tuple[int, int]] = set()
-    for node in universe:
-        targets = forward_reachable(node)
-        if path.include_zero:
-            targets = targets | {node}
-        for target in targets:
-            if (node, target) not in seen:
-                seen.add((node, target))
-                yield node, target
-
-
-def evaluate_path_ids(
-    graph: Graph, path: PathLike, subject: Optional[int], obj: Optional[int]
-) -> Iterator[Tuple[int, int]]:
-    """All (subject, object) ID pairs connected by *path* under ID bindings."""
-    yield from _step_pairs_ids(graph, path, subject, obj)

@@ -47,7 +47,6 @@ def _state(graph):
         "terms": graph.term_count(),
         "table": (list(table.snapshot_items()), table._next_id, list(table._free)),
         "ghost nodes": [graph.is_node_term(t) for t in (GHOST_S, GHOST_P, GHOST_O)],
-        "nodes": sorted(graph.node_ids()),
         "spo": _plain(graph.spo_ids()),
         "pos": _plain(graph.pos_ids()),
         "osp": _plain(graph.osp_ids()),

@@ -251,10 +251,14 @@ class TestSingleCopyStorage:
     def test_node_ids_and_is_node_id_route(self):
         plain = _populate(Graph())
         sharded = _populate(Graph(shards=4))
-        plain_nodes = {plain.decode_id(i) for i in plain.node_ids()}
-        sharded_nodes = {sharded.decode_id(i) for i in sharded.node_ids()}
-        assert plain_nodes == sharded_nodes
-        for term_id in sharded.node_ids():
+
+        def nodes(graph):
+            return {term_id for s, _p, o in graph.triples_ids() for term_id in (s, o)}
+
+        assert {plain.decode_id(i) for i in nodes(plain)} == {
+            sharded.decode_id(i) for i in nodes(sharded)
+        }
+        for term_id in nodes(sharded):
             assert sharded.is_node_id(term_id)
 
     def test_schema_helpers_route(self):

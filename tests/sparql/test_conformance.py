@@ -624,8 +624,14 @@ PAGE_ROUTES = {
         "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s ORDER BY DESC(?n) ?s"
     ),
     "select-star": "SELECT * WHERE { ?s a ?c . ?s ?p ?o }",
+    "join-count-group-by": "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c . ?s ?p ?o } GROUP BY ?c",
+    "join-distinct-page": "SELECT DISTINCT ?c ?p WHERE { ?s a ?c . ?s ?p ?o }",
     "optional-page": PREFIX + "SELECT ?s ?l WHERE { ?s a ?c OPTIONAL { ?s rdfs:label ?l } }",
 }
+
+#: the columnar routes over several patterns, where an unread page could
+#: still run the eager join
+JOIN_ROUTES = ("join-count-group-by", "join-distinct-page", "select-star")
 
 #: an OFFSET or a LIMIT past ``sys.maxsize``, which ``islice`` cannot take
 PAST_MAXSIZE = {"offset": f" OFFSET {10**20} LIMIT 5", "limit": f" LIMIT {2**63}"}
@@ -634,24 +640,56 @@ PAST_MAXSIZE = {"offset": f" OFFSET {10**20} LIMIT 5", "limit": f" LIMIT {2**63}
 @pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
 @pytest.mark.parametrize("cut", sorted(PAST_MAXSIZE))
 @pytest.mark.parametrize("route", sorted(PAGE_ROUTES))
-def test_a_cut_past_maxsize_on_every_route_matches_scan(graph, shards, cut, route):
+def test_a_cut_past_maxsize_on_every_route_matches_scan(graph, monkeypatch, shards, cut, route):
     store = graph
     if shards > 1:
         store = Graph(shards=shards)
         store.add_many(graph)
     query = PAGE_ROUTES[route] + PAST_MAXSIZE[cut]
     scan = QueryEngine(store, strategy="scan").run(query)
+    calls = []
+    evaluate_group = Execution._evaluate_group
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return evaluate_group(self, *args, **kwargs)
+
+    monkeypatch.setattr(Execution, "_evaluate_group", counted)
     execution = QueryEngine(store).execute(query)
     modern = execution.result
     assert modern.variables == scan.variables
-    if cut == "offset" and route != "optional-page":
+    if cut == "offset" and route == "optional-page":
+        # no row reaches the page and the projection names its header:
+        # the WHERE clause is not evaluated
+        assert not calls and "join_rows" not in execution.stats, execution.stats
+    elif cut == "offset":
         # no row reaches the page: a columnar sink reads none, ``SELECT *``
-        # one, the witness its header needs
+        # one, the witness its header needs, and no join is built
         assert execution.stats["input_rows"] == (route == "select-star"), execution.stats
+        assert execution.stats.get("join_rows", 0) == 0, execution.stats
     if "ORDER BY" in query:
         assert modern.rows == scan.rows
     else:
         assert _canonical_rows(modern) == _canonical_rows(scan)
+
+
+@pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
+@pytest.mark.parametrize("route", JOIN_ROUTES)
+def test_a_limit_zero_join_page_builds_no_join(graph, shards, route):
+    """A LIMIT 0 page over several patterns reads no row and builds no
+    join; ``SELECT *`` takes its header's witness off the lazy chain."""
+    store = graph
+    if shards > 1:
+        store = Graph(shards=shards)
+        store.add_many(graph)
+    query = PAGE_ROUTES[route] + " LIMIT 0"
+    scan = QueryEngine(store, strategy="scan").run(query)
+    execution = QueryEngine(store).execute(query)
+    assert execution.stats["operator"] in ("select-id", "aggregate-id")
+    assert execution.result.variables == scan.variables
+    assert execution.result.rows == scan.rows == []
+    assert execution.stats["input_rows"] == (route == "select-star"), execution.stats
+    assert execution.stats.get("join_rows", 0) == 0, execution.stats
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ import pytest
 from repro.rdf import IRI, Literal, parse_turtle
 from repro.sparql import QueryEngine
 from repro.sparql.evaluator import Execution
+from repro.sparql.nodes import TriplePattern
 from repro.sparql.parser import parse_query
 
 DATA = """
@@ -314,3 +315,54 @@ def test_raw_terms_sort_among_encoded_ones(graph):
     query = 'SELECT ?x WHERE { VALUES ?x { ex:a ex:zzz "nope" 7 ex:b } } ORDER BY ?x'
     ex = "http://example.org/"
     assert [x for (x,) in _values(graph, query)] == [f"{ex}a", f"{ex}b", f"{ex}zzz", "7", "nope"]
+
+
+#: (case id, query, the opening BGPs' patterns): under ``hash`` only a
+#: BGP that opens its group -- its input the one empty solution, no
+#: property path -- runs the eager ID join; a BGP bound by earlier
+#: solutions (inside OPTIONAL or EXISTS, after a UNION or VALUES) or
+#: holding a path runs the substitute-and-scan loop
+SPLIT = [
+    ("optional-inner",
+     f"SELECT ?s ?l ?n WHERE {{ {TYPED} OPTIONAL {{ ?s ex:label ?l . ?s ex:n ?n }} }}", (TYPED,)),
+    ("after-union",
+     "SELECT ?s ?n WHERE { { ?s ex:label ?l } UNION { ?s ex:next ?x } ?s ex:n ?n }",
+     ("?s ex:label ?l", "?s ex:next ?x")),
+    ("after-values",
+     f'SELECT ?s ?l WHERE {{ {TYPED} VALUES ?l {{ "a" "cc" }} ?s ex:label ?l }}', (TYPED,)),
+    ("exists-inner",
+     f"SELECT ?s WHERE {{ {TYPED} FILTER EXISTS {{ ?s ex:label ?l . ?s ex:n ?n }} }}", (TYPED,)),
+    ("path", "SELECT ?s ?o WHERE { ?s ex:next* ?o }", ()),
+    ("path-joined", f"SELECT ?s ?o WHERE {{ {TYPED} . ?s ex:next+ ?o }}", ()),
+    ("path-after-optional",
+     f"SELECT ?s ?o WHERE {{ {LABELLED} ?s ex:next* ?o }}", (TYPED,)),
+]
+
+
+@pytest.mark.parametrize("case_id,query,opening", SPLIT, ids=[case[0] for case in SPLIT])
+def test_only_the_opening_bgp_runs_the_eager_join(graph, monkeypatch, case_id, query, opening):
+    text = PREFIX + query
+    scan = QueryEngine(graph, strategy="scan")
+    oracle = scan.run(text)
+    # the eager join books the rows of the opening BGPs, one pattern each
+    expected = sum(len(scan.run(f"{PREFIX}SELECT * WHERE {{ {bgp} }}").rows) for bgp in opening)
+    calls = {"eager": [], "scan": []}
+
+    def spy(kind, real):
+        def counted(self, patterns, *args):
+            calls[kind].append(patterns)
+            return real(self, patterns, *args)
+        return counted
+
+    monkeypatch.setattr(Execution, "_evaluate_bgp_hash", spy("eager", Execution._evaluate_bgp_hash))
+    monkeypatch.setattr(Execution, "_evaluate_bgp_scan", spy("scan", Execution._evaluate_bgp_scan))
+    execution = QueryEngine(graph).execute(text)
+    assert execution.stats["operator"] == "general"
+    assert len(calls["eager"]) == len(opening) and calls["scan"]
+    assert execution.stats.get("join_rows", 0) == expected
+    assert execution.result.variables == oracle.variables
+    if all(isinstance(element, TriplePattern) for element in parse_query(text).where.elements):
+        # one BGP holding a path: both strategies run the same loop
+        assert _ordered(execution.result) == _ordered(oracle)
+    key = lambda row: sorted((name, str(value)) for name, value in row.items())  # noqa: E731
+    assert sorted(map(key, _ordered(execution.result))) == sorted(map(key, _ordered(oracle)))
