@@ -82,8 +82,7 @@ def measure_task(
         value = thunk()
     except Exception as exc:
         error = exc
-    elapsed = clock.now_ms - start_ms
-    clock.restore(start_ms)
+    elapsed = clock.restore(start_ms)
     return TaskOutcome(key, value, error, elapsed)
 
 

@@ -56,8 +56,10 @@ class SimulationClock:
         """The current time, to hand back to :meth:`restore` later."""
         return self._now_ms
 
-    def restore(self, checkpoint_ms: float) -> None:
-        """Rewind to a previously taken :meth:`checkpoint`.
+    def restore(self, checkpoint_ms: float) -> float:
+        """Rewind to a previously taken :meth:`checkpoint`; return how far
+        the clock rewound (``now_ms - checkpoint_ms`` before the rewind),
+        which is the measured task's simulated cost.
 
         This is the one sanctioned way time moves backwards, and it has
         two callers, both measuring what a task costs: the batch pool
@@ -72,7 +74,9 @@ class SimulationClock:
             raise ValueError(
                 f"checkpoint {checkpoint_ms} is in the future of {self._now_ms}"
             )
+        elapsed = self._now_ms - checkpoint_ms
         self._now_ms = checkpoint_ms
+        return elapsed
 
     def __repr__(self) -> str:
         return f"<SimulationClock day={self.today} t={self._now_ms:.1f}ms>"

@@ -10,12 +10,16 @@ queued work, so a tenant that queues 100 requests interleaves 1:1 with a
 tenant that queues 2 instead of running them first.
 
 Everything is plain deterministic data structure work -- no RNG, no wall
-clock -- so the scheduler above it stays reproducible.
+clock -- so the scheduler above it stays reproducible.  ``offer`` and
+``take`` run once per queued request, and on a warm server nearly every
+request queues, so the rotation holds the tenants' deques themselves (a
+take looks no tenant up by name) and the cursor wraps by comparison,
+not by a modulo.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from ..endpoint.errors import check_count
@@ -38,10 +42,11 @@ class FairAdmissionQueue:
     def __init__(self, capacity: int = 64):
         check_count("capacity", capacity)
         self.capacity = capacity
-        #: tenant -> waiting requests, insertion order preserved per tenant
-        self._by_tenant: "OrderedDict[str, Deque[Request]]" = OrderedDict()
-        #: tenants in first-seen order; the rotation walks this list
-        self._rotation: List[str] = []
+        #: tenant -> its waiting requests, in arrival order
+        self._by_tenant: Dict[str, Deque[Request]] = {}
+        #: the tenants' queues in first-seen order; the rotation walks this
+        #: list, and ``_cursor`` is where the next take starts
+        self._rotation: List[Deque[Request]] = []
         self._cursor = 0
         self._size = 0
         self.offered = 0
@@ -63,7 +68,7 @@ class FairAdmissionQueue:
         queue = self._by_tenant.get(request.tenant)
         if queue is None:
             queue = self._by_tenant[request.tenant] = deque()
-            self._rotation.append(request.tenant)
+            self._rotation.append(queue)
         queue.append(request)
         self._size += 1
         return True
@@ -75,16 +80,18 @@ class FairAdmissionQueue:
         the next take starts at tenant i+1, so burst tenants cannot
         monopolize consecutive dequeues while others wait.
         """
-        if self._size == 0:
+        if not self._size:
             return None
-        for _ in range(len(self._rotation)):
-            tenant = self._rotation[self._cursor]
-            self._cursor = (self._cursor + 1) % len(self._rotation)
-            queue = self._by_tenant.get(tenant)
-            if queue:
-                self._size -= 1
-                return queue.popleft()
-        return None  # unreachable while _size is kept consistent
+        rotation = self._rotation
+        last = len(rotation) - 1
+        cursor = self._cursor
+        queue = rotation[cursor]
+        while not queue:  # some queue holds a request: _size > 0
+            cursor = 0 if cursor == last else cursor + 1
+            queue = rotation[cursor]
+        self._cursor = 0 if cursor == last else cursor + 1
+        self._size -= 1
+        return queue.popleft()
 
     def info(self) -> Dict[str, int]:
         return {

@@ -18,8 +18,8 @@ the earliest-free worker with one ``heapreplace``: the greedy rule of
 
 Service costs are *measured*, not assumed: starting a request advances
 the shared :class:`~repro.endpoint.clock.SimulationClock` to the start
-instant, runs the executor, reads its elapsed simulated time off the
-clock and rewinds it (the checkpoint/restore idiom of
+instant, runs the executor, and rewinds the clock, whose ``restore``
+returns the elapsed simulated time (the checkpoint/restore idiom of
 :func:`~repro.core.parallel.measure_task`, inline, because an exception
 here propagates instead of being captured).  Whatever the endpoint
 charges (profile latency, failure-path connect costs) becomes that
@@ -28,12 +28,22 @@ the event timeline.  Requests execute one at a time under the hood in
 event order -- the same determinism construction as the batch pool -- so
 per-request results are independent of how many workers the schedule
 overlaps them on.
+
+The loop is the per-request cost of a warm server, whose waves are
+cache hits that nearly all queue, so it is written for few Python-level
+calls per request: one ``while`` loop with one start site and tracing as
+branches inside it, the clock's reading kept in a local (taken from what
+``advance`` returns, never assumed to be the instant advanced to), the
+queued requests counted in a local, and arrival order sorted by the
+arrival instant alone unless two requests arrive at one instant.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappop, heappush, heapreplace
+from itertools import islice
+from operator import attrgetter, eq
 from typing import Callable, List, Sequence
 
 from ..endpoint.clock import SimulationClock
@@ -43,6 +53,17 @@ from .admission import FairAdmissionQueue
 from .workload import Request
 
 __all__ = ["RequestRecord", "Scheduler"]
+
+#: the statuses whose client got rows
+_SERVED = ("ok", "cache-hit")
+#: arrival order, ties broken by session and position in it: the order
+#: requests arrive in and the order of a run's records.  Where no two
+#: requests of a run arrive at one instant the arrival instant alone is
+#: the key, and a cheaper one to sort by.
+_ARRIVAL = attrgetter("arrival_ms")
+_ARRIVAL_ORDER = attrgetter("arrival_ms", "session_id", "seq")
+_RECORD_ARRIVAL = attrgetter("request.arrival_ms")
+_RECORD_ORDER = attrgetter("request.arrival_ms", "request.session_id", "request.seq")
 
 
 class RequestRecord:
@@ -80,7 +101,7 @@ class RequestRecord:
     @property
     def served(self) -> bool:
         """Did the client get rows?"""
-        return self.status in ("ok", "cache-hit")
+        return self.status in _SERVED
 
     @property
     def wait_ms(self) -> float:
@@ -144,92 +165,117 @@ class Scheduler:
         in the queue with every later arrival behind it, and nothing would
         ever start.
         """
-        for request in requests:
-            if not math.isfinite(request.arrival_ms):
-                raise ValueError(
-                    f"request {request.key} arrives at {request.arrival_ms!r}; "
-                    "arrival_ms must be finite"
-                )
+        ordered = sorted(requests, key=_ARRIVAL)
+        #: arrival instants in order
+        arrivals = list(map(_ARRIVAL, ordered))
+        if not all(map(math.isfinite, arrivals)):
+            for request in requests:
+                if not math.isfinite(request.arrival_ms):
+                    raise ValueError(
+                        f"request {request.key} arrives at {request.arrival_ms!r}; "
+                        "arrival_ms must be finite"
+                    )
+        #: two requests arrive at one instant: only then does arrival order
+        #: need the rest of the key, the session and the place in it
+        tied = any(map(eq, arrivals, islice(arrivals, 1, None)))
+        if tied:
+            ordered.sort(key=_ARRIVAL_ORDER)
+        arrivals.append(math.inf)  # no arrival after the last one
+        count = len(ordered)
         clock = self.clock
+        advance = clock.advance
         execute = self.execute
         queue = FairAdmissionQueue(self.queue_capacity)
-        ordered = sorted(
-            requests, key=lambda r: (r.arrival_ms, r.session_id, r.seq)
-        )
-        records: List[RequestRecord] = []
-        #: the instant each worker frees up, a min-heap: a worker is idle
-        #: at t exactly when ``free[0] <= t``
-        free = [clock.now_ms] * self.parallelism
-        #: completion instants of the started requests, a min-heap
-        in_flight: List[float] = []
-
+        offer, take = queue.offer, queue.take
         tracer = self.obs
         tracing = tracer.enabled
-
-        def identity_canon(request: Request) -> dict:
-            # The canonical tier only carries request identity -- it is
-            # invariant across parallelism/cache config, dispatch-time
-            # facts are not (same contract as ServingReport.digest()).
-            return {
-                "key": list(request.key),
-                "tenant": request.tenant,
-                "template": request.template,
-                "arrival_ms": request.arrival_ms,
-            }
-
-        def reject(request: Request, now_ms: float) -> None:
-            """Record a request the full queue bounced: it never reached a
-            worker."""
+        records: List[RequestRecord] = []
+        keep = records.append
+        #: the clock's reading.  Only this loop moves the clock between
+        #: requests, always by ``advance(instant - current)``, whose return
+        #: value is the new reading; ``a + (b - a)`` is not always ``b``,
+        #: so an event's instant and the clock's reading are kept apart.
+        current = clock.now_ms
+        #: the instant each worker frees up, a min-heap: a worker is idle
+        #: at t exactly when ``free[0] <= t``
+        free = [current] * self.parallelism
+        #: completion instants of the started requests, a min-heap
+        in_flight: List[float] = []
+        #: requests in the admission queue
+        waiting = 0
+        #: after a completion: a worker is idle at *now* and requests
+        #: wait, so the next one under the rotation starts
+        draining = False
+        index = 0
+        now = current
+        while True:
+            if draining:
+                request = take()
+                waiting -= 1
+            elif in_flight and in_flight[0] <= arrivals[index]:
+                # completion first: the freed worker is visible to an
+                # arrival at the same instant
+                now = heappop(in_flight)
+                if now > current:
+                    current = advance(now - current)
+                draining = waiting and free[0] <= now
+                continue
+            elif index < count:
+                request = ordered[index]
+                now = arrivals[index]
+                index += 1
+                # an arrival earlier than the clock (e.g. a second serve()
+                # on the same server) is admitted at the current instant
+                if now > current:
+                    current = advance(now - current)
+                elif now < current:
+                    now = current
+                if waiting or free[0] > now:
+                    if offer(request):
+                        waiting += 1
+                        continue
+                    if tracing:
+                        canon = _identity_canon(request)
+                        canon["outcome"] = "rejected"
+                        tracer.open_trace(request.key, "request", canon=canon,
+                                          status="rejected")
+                        tracer.end(end_ms=now)
+                    error = QueryRejected(f"admission queue full ({queue.capacity} waiting)")
+                    keep(RequestRecord(request, "rejected", error, now, now))
+                    continue
+            else:
+                break
+            # *request* starts at *now* on the earliest-free worker
+            if now > current:
+                current = advance(now - current)
             if tracing:
-                canon = identity_canon(request)
-                canon["outcome"] = "rejected"
-                tracer.open_trace(request.key, "request", canon=canon, status="rejected")
-                tracer.end(end_ms=now_ms)
-            error = QueryRejected(f"admission queue full ({queue.capacity} waiting)")
-            records.append(RequestRecord(
-                request, "rejected", error=error, start_ms=now_ms, completion_ms=now_ms,
-            ))
-
-        def start(request: Request, now_ms: float) -> None:
-            if now_ms > clock.now_ms:
-                clock.advance(now_ms - clock.now_ms)
-            if tracing:
-                tracer.open_trace(request.key, "request", canon=identity_canon(request))
-                if now_ms > request.arrival_ms:
+                tracer.open_trace(request.key, "request", canon=_identity_canon(request))
+                if now > request.arrival_ms:
                     tracer.event(
                         "queue.wait",
                         start_ms=request.arrival_ms,
-                        end_ms=now_ms,
-                        wait_ms=round(now_ms - request.arrival_ms, 6),
+                        end_ms=now,
+                        wait_ms=round(now - request.arrival_ms, 6),
                     )
             # the executor folds every endpoint failure into its status;
             # anything it lets out is a bug, not an outcome, and leaves
             # with the clock rewound and the request's trace closed
-            begin = clock.checkpoint()
             try:
                 status, result, error = execute(request)
             except BaseException as bug:
                 if tracing:
-                    tracer.end(end_ms=now_ms, error=type(bug).__name__)
+                    tracer.end(end_ms=now, error=type(bug).__name__)
                 raise
             finally:
-                elapsed = clock.now_ms - begin
-                clock.restore(begin)
-            if free[0] > now_ms:
-                raise ValueError(
-                    f"no idle worker at {now_ms:.3f} ms "
-                    f"(earliest free {free[0]:.3f} ms)"
-                )
-            completion = now_ms + elapsed
+                elapsed = clock.restore(current)
+            completion = now + elapsed
             heapreplace(free, completion)
             # positional: this is the hot call of a cached wave
-            record = RequestRecord(
-                request, status, error, now_ms, completion, elapsed, result
-            )
+            keep(RequestRecord(request, status, error, now, completion, elapsed, result))
             if tracing:
                 # Served requests pin the canonical result rows, unserved
                 # ones pin the outcome -- mirroring ServingReport.digest().
-                if record.served:
+                if status in _SERVED:
                     # Deferred: serialized at export/digest time, not here.
                     canon = {"result": defer(lambda result=result: result_digest(result))}
                 else:
@@ -240,44 +286,23 @@ class Scheduler:
                     status=status,
                     service_ms=round(elapsed, 6),
                 )
-            records.append(record)
             heappush(in_flight, completion)
-
-        def drain(now_ms: float) -> None:
-            """Hand queued requests to idle workers."""
-            while free[0] <= now_ms:
-                request = queue.take()
-                if request is None:
-                    return
-                start(request, now_ms)
-
-        index = 0
-        while index < len(ordered) or in_flight:
-            next_arrival = (
-                ordered[index].arrival_ms if index < len(ordered) else math.inf
-            )
-            if in_flight and in_flight[0] <= next_arrival:
-                # completion first: the freed worker is visible to an
-                # arrival at the same instant
-                now = heappop(in_flight)
-                if now > clock.now_ms:
-                    clock.advance(now - clock.now_ms)
-                drain(now)
-                continue
-            request = ordered[index]
-            index += 1
-            # an arrival earlier than the clock (e.g. a second serve()
-            # on the same server) is admitted at the current instant
-            now = max(request.arrival_ms, clock.now_ms)
-            if now > clock.now_ms:
-                clock.advance(now - clock.now_ms)
-            if free[0] <= now and len(queue) == 0:
-                start(request, now)
-            elif not queue.offer(request):
-                reject(request, now)
+            draining = waiting and free[0] <= now
         self.last_queue_info = queue.info()
-        # arrival order is the report's canonical order
-        records.sort(
-            key=lambda r: (r.request.arrival_ms, r.request.session_id, r.request.seq)
-        )
+        # arrival order is the report's canonical order; the sort is
+        # stable, so records with equal keys keep the order they were made
+        records.sort(key=_RECORD_ORDER if tied else _RECORD_ARRIVAL)
         return records
+
+
+def _identity_canon(request: Request) -> dict:
+    """A request span's canonical identity.  The canonical tier only
+    carries request identity -- it is invariant across parallelism/cache
+    config, dispatch-time facts are not (same contract as
+    ServingReport.digest())."""
+    return {
+        "key": list(request.key),
+        "tenant": request.tenant,
+        "template": request.template,
+        "arrival_ms": request.arrival_ms,
+    }

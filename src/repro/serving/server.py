@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..endpoint.endpoint import SparqlEndpoint
@@ -48,6 +49,9 @@ from .scheduler import RequestRecord, Scheduler
 from .workload import Request, Workload
 
 __all__ = ["QueryServer", "ServingReport"]
+
+_ARRIVAL = attrgetter("request.arrival_ms")
+_COMPLETION = attrgetter("completion_ms")
 
 #: flat charge for serving a cached result: the connect handshake is still
 #: paid, execution is not (a small constant, deliberately far below any
@@ -232,6 +236,9 @@ class QueryServer:
     ):
         check_count("parallelism", parallelism)
         check_count("queue_capacity", queue_capacity)
+        # None or 0: no cache
+        if cache_capacity is not None:
+            check_count("cache_capacity", cache_capacity, least=0)
         self.endpoint = endpoint
         self.parallelism = parallelism
         self.queue_capacity = queue_capacity
@@ -293,8 +300,8 @@ class QueryServer:
         self._runs += 1
         if self.obs is not None:
             self._push_run_metrics(requests, records, scheduler)
-        start_ms = min((r.request.arrival_ms for r in records), default=0.0)
-        end_ms = max((r.completion_ms for r in records), default=start_ms)
+        start_ms = min(map(_ARRIVAL, records), default=0.0)
+        end_ms = max(map(_COMPLETION, records), default=start_ms)
         return ServingReport(
             records,
             parallelism=self.parallelism,

@@ -22,6 +22,8 @@ import math
 import random
 from typing import List, Optional, Sequence, Tuple
 
+from ..endpoint.errors import check_count
+
 __all__ = [
     "QueryTemplate",
     "Request",
@@ -195,7 +197,9 @@ def generate_workload(
     returned workload is a deterministic value.  Both means must be finite
     and > 0 and *start_ms* finite: a NaN or infinite one makes arrivals
     non-finite, a zero mean divides by zero, and a negative one runs a
-    session's arrivals backwards.
+    session's arrivals backwards.  *sessions* and both bounds of
+    *queries_per_session* are counts (ints >= 1, no bool), and *tenants*
+    names at least one tenant; every parameter is checked before any draw.
     """
     for name, mean in (("mean_session_gap_ms", mean_session_gap_ms),
                        ("mean_think_ms", mean_think_ms)):
@@ -203,11 +207,14 @@ def generate_workload(
             raise ValueError(f"{name} must be finite and > 0, got {mean!r}")
     if not math.isfinite(start_ms):
         raise ValueError(f"start_ms must be finite, got {start_ms!r}")
-    if sessions < 1:
-        raise ValueError(f"sessions must be >= 1, got {sessions}")
+    check_count("sessions", sessions)
     low, high = queries_per_session
-    if not (1 <= low <= high):
+    check_count("queries_per_session", low)
+    check_count("queries_per_session", high)
+    if low > high:
         raise ValueError(f"bad queries_per_session range {queries_per_session}")
+    if not tenants:
+        raise ValueError("tenants must name at least one tenant")
     templates = list(mix) if mix is not None else default_query_mix()
     if not templates:
         raise ValueError("query mix must not be empty")

@@ -218,6 +218,21 @@ def test_no_cache_capacity_means_no_cache(capacity):
     assert _server(parse_turtle(TTL), cache_capacity=capacity).cache is None
 
 
+#: every falsy value but None and 0 was taken as "no cache" through
+#: ``if cache_capacity``; the others are not counts either
+NOT_A_CACHE_CAPACITY = [False, 0.0, "", [], -1, 4.0, "4", True, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("capacity", NOT_A_CACHE_CAPACITY, ids=repr)
+def test_a_cache_capacity_is_none_or_a_count(capacity):
+    with pytest.raises(ValueError, match="cache_capacity"):
+        _server(parse_turtle(TTL), cache_capacity=capacity)
+
+
+def test_a_positive_cache_capacity_sizes_the_cache():
+    assert _server(parse_turtle(TTL), cache_capacity=1).cache.capacity == 1
+
+
 def test_cheap_results_are_not_admitted():
     cache = ResultCache(capacity=4, min_service_ms=5.0)
     cache.put("cheap", 0, "r", service_ms=1.0)

@@ -120,6 +120,92 @@ def test_the_clock_still_names_a_step_backwards():
         SimulationClock().advance(-1.0)
 
 
+# -- the clock's steps ----------------------------------------------------------
+
+
+def test_the_clock_only_steps_forward_from_its_own_reading():
+    """The loop moves the clock to an instant *b* by ``advance(b - reading)``
+    and measures a request from the reading it left: ``a + (b - a)`` is not
+    always ``b``, and a loop that took the one for the other would start
+    the executor, or leave the clock, one unit in the last place away."""
+    a, b = 123.456, 255.00610199168167
+    reading = a + (b - a)
+    assert reading != b
+    clock, seen = SimulationClock(a), []
+
+    def execute(request):
+        seen.append(clock.now_ms)
+        clock.advance(5.0)
+        return ("ok", None, None)
+
+    (record,) = Scheduler(clock, execute).run([Request(0, "t", 0, b, "q", "q")])
+    service = (reading + 5.0) - reading
+    assert seen == [reading]
+    assert (record.start_ms, record.service_ms, record.completion_ms) == (b, service, b + service)
+    assert clock.now_ms == reading + (b + service - reading)
+
+
+def test_an_arrival_at_the_clock_s_instant_starts_at_its_own_value():
+    """An arrival is admitted at ``max(arrival, reading)``, which keeps the
+    arrival on a tie: ``-0.0`` on a clock reading ``0.0`` starts at ``-0.0``."""
+    (record,) = Scheduler(SimulationClock(0.0), lambda request: ("ok", None, None)).run(
+        [Request(0, "t", 0, -0.0, "q", "q")])
+    assert record.start_ms.hex() == (-0.0).hex()
+
+
+# -- the order of the records -------------------------------------------------
+
+
+def _tied_run(requests, queue_capacity):
+    clock = SimulationClock()
+
+    def execute(request):
+        clock.advance(5.0)
+        return ("ok", None, None)
+
+    records = Scheduler(clock, execute, parallelism=1,
+                        queue_capacity=queue_capacity).run(requests)
+    return [(record.request.tenant, record.request.template, record.status)
+            for record in records]
+
+
+def test_records_with_equal_keys_keep_the_order_they_were_made_in():
+    """Records come back in arrival order; two requests with one key
+    (arrival, session, place in session) keep the order their records
+    were made in, not the order they arrived in.  Here the second is
+    bounced by the full queue while the first waits."""
+    requests = [Request(0, "ta", 0, 0.0, "first", "q"),
+                Request(1, "ta", 0, 1.0, "queued", "q"),
+                Request(1, "tb", 0, 1.0, "bounced", "q")]
+    assert _tied_run(requests, queue_capacity=1) == [
+        ("ta", "first", "ok"), ("tb", "bounced", "rejected"), ("ta", "queued", "ok"),
+    ]
+
+
+def test_records_with_equal_keys_keep_the_order_the_rotation_started_them_in():
+    """``tb`` is first in the rotation, so of the two tied requests its
+    one starts first and its record comes first."""
+    requests = [Request(0, "ta", 0, 0.0, "first", "q"),
+                Request(5, "tb", 0, 0.5, "b-early", "q"),
+                Request(6, "ta", 0, 0.6, "a-early", "q"),
+                Request(1, "ta", 0, 1.0, "a-tied", "q"),
+                Request(1, "tb", 0, 1.0, "b-tied", "q")]
+    assert _tied_run(requests, queue_capacity=8) == [
+        ("ta", "first", "ok"), ("tb", "b-early", "ok"), ("ta", "a-early", "ok"),
+        ("tb", "b-tied", "ok"), ("ta", "a-tied", "ok"),
+    ]
+
+
+def test_records_come_back_in_arrival_order_whatever_the_order_given():
+    """Sessions 3 and 0 arrive at one instant: the session breaks the tie."""
+    requests = [Request(session, "t", 0, arrival, "q", "q")
+                for session, arrival in ((2, 3.0), (3, 1.0), (0, 1.0), (1, 2.0))]
+    clock = SimulationClock()
+    records = Scheduler(clock, lambda request: ("ok", None, None), parallelism=2,
+                        queue_capacity=4).run(requests)
+    assert [record.request.key for record in records] == [(0, 0), (3, 0), (1, 0), (2, 0)]
+
+
 # -- the exception path -------------------------------------------------------
 
 

@@ -7,7 +7,10 @@ answer "is one idle", with each request measured through
 ``measure_task`` -- is copied below as :class:`ReferenceScheduler`, and
 is the oracle: on every workload both must produce the same records field
 for field (errors by type and message), the same queue counters, the
-same clock, and the same trace export.
+same clock, and the same trace export.  The oracle keeps its own copy of
+the fair admission queue as it was then (:class:`_ReferenceQueue`), so a
+rewrite of ``FairAdmissionQueue`` is checked against it, not against
+itself.
 
 Two sources of work: a fake executor charging seeded, arbitrary service times
 (0 ms included, and completions that tie with arrivals) under
@@ -20,7 +23,8 @@ attached.
 from __future__ import annotations
 
 import heapq
-from typing import List, Sequence, Tuple
+from collections import OrderedDict, deque
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -49,9 +53,59 @@ from repro.serving import (
     cache_friendly_mix,
     generate_workload,
 )
-from repro.serving.admission import FairAdmissionQueue
 
 # -- the oracle: the pool-and-measure_task formulation ------------------------
+
+
+class _ReferenceQueue:
+    """The fair admission queue the oracle was written against: a bounded
+    FIFO per tenant, dequeued round-robin over tenants in first-seen
+    order, the rotation a list of tenant names and a cursor into it."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._by_tenant: "OrderedDict[str, Deque[Request]]" = OrderedDict()
+        self._rotation: List[str] = []
+        self._cursor = 0
+        self._size = 0
+        self.offered = 0
+        self.rejected = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def offer(self, request: Request) -> bool:
+        self.offered += 1
+        if self._size >= self.capacity:
+            self.rejected += 1
+            return False
+        queue = self._by_tenant.get(request.tenant)
+        if queue is None:
+            queue = self._by_tenant[request.tenant] = deque()
+            self._rotation.append(request.tenant)
+        queue.append(request)
+        self._size += 1
+        return True
+
+    def take(self) -> Optional[Request]:
+        if self._size == 0:
+            return None
+        for _ in range(len(self._rotation)):
+            tenant = self._rotation[self._cursor]
+            self._cursor = (self._cursor + 1) % len(self._rotation)
+            queue = self._by_tenant.get(tenant)
+            if queue:
+                self._size -= 1
+                return queue.popleft()
+        return None
+
+    def info(self) -> Dict[str, int]:
+        return {
+            "depth": self._size,
+            "capacity": self.capacity,
+            "offered": self.offered,
+            "rejected": self.rejected,
+        }
 
 
 class _ReferencePool:
@@ -84,7 +138,7 @@ class ReferenceScheduler(Scheduler):
     def run(self, requests: Sequence[Request]) -> List[RequestRecord]:
         clock = self.clock
         pool = _ReferencePool(clock, self.parallelism)
-        queue = FairAdmissionQueue(self.queue_capacity)
+        queue = _ReferenceQueue(self.queue_capacity)
         ordered = sorted(
             requests, key=lambda r: (r.arrival_ms, r.session_id, r.seq)
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -111,3 +112,41 @@ def test_a_finite_start_and_positive_means_are_accepted():
     workload = generate_workload(sessions=3, seed=1, start_ms=-5.0,
                                  mean_session_gap_ms=1e-3, mean_think_ms=1e-3)
     assert all(math.isfinite(request.arrival_ms) for request in workload)
+
+
+#: (keyword, refused value, the name the error gives).  Before the count
+#: rule: ``sessions=True`` built one session and kept ``True`` as
+#: ``Workload.sessions``, a fractional or NaN count raised TypeError from
+#: ``range``, an empty tenant pool "empty range for randrange()" and a
+#: fractional bound "non-integer arg 1 for randrange()".
+NOT_COUNTS = [
+    ("sessions", True, "sessions"),
+    ("sessions", 2.5, "sessions"),
+    ("sessions", math.nan, "sessions"),
+    ("sessions", "3", "sessions"),
+    ("queries_per_session", (1.5, 3), "queries_per_session"),
+    ("queries_per_session", (1, 3.0), "queries_per_session"),
+    ("queries_per_session", (True, 2), "queries_per_session"),
+    ("queries_per_session", (1, math.inf), "queries_per_session"),
+    ("queries_per_session", (3, 2), "queries_per_session"),
+    ("tenants", (), "tenants"),
+    ("tenants", [], "tenants"),
+]
+
+
+@pytest.mark.parametrize("keyword, value, name", NOT_COUNTS,
+                         ids=[f"{k}={v!r}" for k, v, _ in NOT_COUNTS])
+def test_a_count_or_tenant_pool_that_is_not_one_is_refused_before_any_draw(
+        keyword, value, name, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(random, "Random", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match=name):
+        generate_workload(**{"sessions": 3, keyword: value})
+    assert drawn == []
+
+
+def test_the_edges_of_the_counts_are_accepted():
+    workload = generate_workload(sessions=1, seed=2, tenants=("solo",),
+                                 queries_per_session=(1, 1))
+    assert workload.sessions == 1 and len(workload) == 1
+    assert workload.tenants() == ["solo"]
