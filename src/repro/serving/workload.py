@@ -40,8 +40,14 @@ class QueryTemplate:
     __slots__ = ("name", "text", "weight")
 
     def __init__(self, name: str, text: str, weight: float = 1.0):
-        if weight <= 0:
-            raise ValueError(f"template weight must be > 0, got {weight}")
+        # a bool is no weight, and a NaN or infinite one would fail only
+        # later, inside the draw
+        if (
+            isinstance(weight, bool)
+            or not isinstance(weight, (int, float))
+            or not 0.0 < weight < math.inf
+        ):
+            raise ValueError(f"template weight must be finite and > 0, got {weight!r}")
         self.name = name
         self.text = text
         self.weight = weight
@@ -199,7 +205,8 @@ def generate_workload(
     non-finite, a zero mean divides by zero, and a negative one runs a
     session's arrivals backwards.  *sessions* and both bounds of
     *queries_per_session* are counts (ints >= 1, no bool), and *tenants*
-    names at least one tenant; every parameter is checked before any draw.
+    names at least one tenant (a string is refused: it would be a pool of
+    one-letter tenants); every parameter is checked before any draw.
     """
     for name, mean in (("mean_session_gap_ms", mean_session_gap_ms),
                        ("mean_think_ms", mean_think_ms)):
@@ -213,6 +220,8 @@ def generate_workload(
     check_count("queries_per_session", high)
     if low > high:
         raise ValueError(f"bad queries_per_session range {queries_per_session}")
+    if isinstance(tenants, (str, bytes)):
+        raise ValueError(f"tenants must be a sequence of names, not one string, got {tenants!r}")
     if not tenants:
         raise ValueError("tenants must name at least one tenant")
     templates = list(mix) if mix is not None else default_query_mix()

@@ -9,8 +9,11 @@ eager ``load_graph``, a sharded store, its copy, and a hydrated
 * a ``set`` leaf exists only where a leaf holds two or more IDs (with the
   set-only indexes: one per leaf -- 30,856 on the government graph, of
   which 989 ever held a second member);
-* ``sys.getsizeof`` over every leaf of the three indexes, per triple
-  (set-only: 565 B unsharded, 577-605 B sharded; now 161-165 B);
+* ``sys.getsizeof`` over every distinct leaf object of the three
+  indexes, per triple -- a one-member leaf is its ID's shared ``(id,)``,
+  counted once however many leaves hold it (set-only: 565 B unsharded,
+  577-605 B sharded; fresh 1-tuples, summed per leaf: 153-165 B; shared:
+  65-80 B);
 * GC-tracked objects reachable from the graph, per triple, after one
   collection (set-only: 3.8-4.6; now 0.77-0.93 -- a tuple of ints is
   untracked by its first collection, a set never is).
@@ -28,7 +31,7 @@ from repro.datagen import big_lod_graph, government_graph
 from repro.rdf import Graph, load_graph
 from repro.rdf.sharding import ShardedTripleStore
 
-LEAF_BYTES_PER_TRIPLE = 175
+LEAF_BYTES_PER_TRIPLE = 85
 TRACKED_PER_TRIPLE = 1.5
 
 _NOT_DATA = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, types.MethodType)
@@ -61,7 +64,8 @@ def _check(graph):
     assert len(sets) == sum(len(leaf) > 1 for leaf in leaves)
     assert all(type(leaf) is tuple for leaf in leaves if len(leaf) == 1)
     assert len(sets) < len(leaves) / 10  # the premise: nearly every leaf is a singleton
-    assert sum(map(sys.getsizeof, leaves)) / len(graph) <= LEAF_BYTES_PER_TRIPLE
+    distinct = {id(leaf): leaf for leaf in leaves}.values()
+    assert sum(map(sys.getsizeof, distinct)) / len(graph) <= LEAF_BYTES_PER_TRIPLE
     gc.collect()
     assert _tracked_reachable(graph) / len(graph) <= TRACKED_PER_TRIPLE
 

@@ -131,6 +131,9 @@ NOT_COUNTS = [
     ("queries_per_session", (3, 2), "queries_per_session"),
     ("tenants", (), "tenants"),
     ("tenants", [], "tenants"),
+    # a string was a pool of one-letter tenants: "ab" drew "a" and "b"
+    ("tenants", "ab", "tenants"),
+    ("tenants", b"ab", "tenants"),
 ]
 
 
@@ -143,6 +146,22 @@ def test_a_count_or_tenant_pool_that_is_not_one_is_refused_before_any_draw(
     with pytest.raises(ValueError, match=name):
         generate_workload(**{"sessions": 3, keyword: value})
     assert drawn == []
+
+
+#: weights a template refuses: ``True`` was taken as 1, and a NaN or
+#: infinite weight failed only inside ``generate_workload``'s draw
+NOT_WEIGHTS = [True, False, "1.0", None, math.nan, math.inf, -math.inf, 0, -1.0]
+
+
+@pytest.mark.parametrize("weight", NOT_WEIGHTS, ids=[repr(w) for w in NOT_WEIGHTS])
+def test_a_template_weight_that_is_not_a_finite_positive_number_is_refused(weight):
+    with pytest.raises(ValueError, match="weight"):
+        QueryTemplate("t", "ASK { ?s ?p ?o }", weight=weight)
+
+
+def test_finite_positive_weights_are_accepted():
+    for weight in (1, 0.5, 1e-300, 1e300):
+        assert QueryTemplate("t", "ASK { ?s ?p ?o }", weight=weight).weight == weight
 
 
 def test_the_edges_of_the_counts_are_accepted():

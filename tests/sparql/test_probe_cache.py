@@ -4,6 +4,8 @@ simulated latency."""
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.datagen import government_graph
@@ -61,6 +63,20 @@ def test_second_run_builds_nothing(graph, query, builds):
     assert sorted(rows_of(first)) == sorted(
         rows_of(QueryEngine(graph, strategy="scan").run(query))
     )
+
+
+def test_a_cached_table_s_buckets_are_frozen_and_leave_the_collector(graph):
+    """A table outlives many executions: each bucket is a tuple, so once
+    its rows are untracked a collection untracks the bucket too (a list
+    bucket stays tracked for good)."""
+    QueryEngine(graph).run(JOIN)
+    tables = list(graph.derived_cache("sparql/probe-tables", _SharedProbeCache)._entries.values())
+    buckets = [bucket for table in tables for bucket in table.values()]
+    assert tables and buckets
+    assert all(type(bucket) is tuple and bucket for bucket in buckets)
+    gc.collect()  # untracks the rows ...
+    gc.collect()  # ... then the buckets holding them
+    assert not any(gc.is_tracked(bucket) for bucket in buckets)
 
 
 def test_a_write_rebuilds_and_the_answer_follows(graph):
